@@ -8,7 +8,10 @@
 //! fixed-size **morsels** off a shared atomic cursor until the input is
 //! exhausted. The submitting thread participates too, so a pool of
 //! `N - 1` workers saturates `N` cores and a round trip never blocks on
-//! a thread spawn.
+//! a thread spawn. Workers *join* a round when they wake; the submitter
+//! closes the round once its own pass has drained the cursor and waits
+//! only for the workers that joined, so a round of tiny tasks costs one
+//! wake-up signal and never a wait on the scheduler.
 //!
 //! Callers always keep a serial path — [`par_chunks_profiled`] returns
 //! `None` below the profitability threshold, when fewer than two
@@ -70,7 +73,7 @@ struct PoolState {
     job: Option<JobPtr>,
     /// Round number; each worker runs each round at most once.
     generation: u64,
-    /// Workers still owing a finish for the current round.
+    /// Workers that joined the current round and have not finished it.
     active: usize,
     /// A participant panicked during the current round.
     panicked: bool,
@@ -146,8 +149,11 @@ impl WorkerPool {
                 let mut st = pool_lock!(self.m);
                 loop {
                     if st.generation != seen {
+                        seen = st.generation;
+                        // A round the submitter has already closed is
+                        // skipped, not joined.
                         if let Some(j) = st.job {
-                            seen = st.generation;
+                            st.active += 1;
                             break j;
                         }
                     }
@@ -166,17 +172,22 @@ impl WorkerPool {
             }
             st.active -= 1;
             if st.active == 0 {
-                st.job = None;
                 self.done_cv.notify_all();
             }
         }
     }
 
-    /// Run `job(slot)` once on every participant (the calling thread is
-    /// slot 0) and wait for all of them. Returns `false` if any
-    /// participant panicked — the caller must then fall back to its
-    /// serial kernel. Never returns while a worker still holds the job
-    /// pointer, which is what makes publishing a stack closure sound.
+    /// Run `job(slot)` on the calling thread (slot 0) and on every worker
+    /// that wakes before the caller's own pass returns, and wait for
+    /// those. Jobs pull work off a shared cursor, so a worker that wakes
+    /// after the caller drained it has nothing to add: the round is
+    /// closed under the lock and that worker skips it, which keeps the
+    /// cost of a round of tiny tasks independent of how soon the
+    /// scheduler runs a parked thread. Returns `false` if any participant
+    /// panicked — the caller must then fall back to its serial kernel.
+    /// Never returns while a worker still holds the job pointer (a worker
+    /// takes it only by joining an open round under the lock), which is
+    /// what makes publishing a stack closure sound.
     pub fn run(&self, job: &(dyn Fn(usize) + Sync)) -> bool {
         // Re-entrancy guard: a job already running on this pool must not
         // submit another round. The submitter blocks on `submit` until
@@ -198,7 +209,7 @@ impl WorkerPool {
             let mut st = pool_lock!(self.m);
             st.job = Some(JobPtr(ptr));
             st.generation = st.generation.wrapping_add(1);
-            st.active = self.live.load(Ordering::SeqCst);
+            st.active = 0;
             st.panicked = false;
         }
         self.work_cv.notify_all();
@@ -206,13 +217,14 @@ impl WorkerPool {
         let caller_ok = catch_unwind(AssertUnwindSafe(|| job(0))).is_ok();
         IN_JOB.with(|f| f.set(false));
         let mut st = pool_lock!(self.m);
+        // Close the round: no worker joins from here on.
+        st.job = None;
         while st.active > 0 {
             st = self
                 .done_cv
                 .wait(st)
                 .unwrap_or_else(|e| e.into_inner());
         }
-        st.job = None;
         self.rounds.fetch_add(1, Ordering::Relaxed);
         caller_ok && !st.panicked
     }
@@ -599,6 +611,17 @@ mod tests {
         assert!(got.is_none());
         // The pool still serves the next round.
         assert_eq!(par_tasks_on(test_pool(), 4, |i| i).unwrap(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn tiny_rounds_are_right_whoever_runs_them() {
+        // Rounds this short are usually closed before a worker wakes; a
+        // worker that does join mid-round must still be waited for, and
+        // one that wakes late must skip the round, not read its job.
+        for round in 0..2_000usize {
+            let got = par_tasks_on(test_pool(), 2, |i| round * 2 + i).unwrap();
+            assert_eq!(got, vec![round * 2, round * 2 + 1]);
+        }
     }
 
     #[test]

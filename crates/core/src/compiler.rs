@@ -229,22 +229,17 @@ pub fn merge_fragments(fragments: &[SourceQuery]) -> Option<SourceQuery> {
     })
 }
 
-/// Try to fold a residual predicate of shape `$var <op> literal` into a
-/// fragment whose outputs include `$var`. Returns true when consumed.
-pub fn push_predicate(fragment: &mut SourceQuery, expr: &Expr, caps: &Capabilities) -> bool {
-    if !caps.selections {
-        return false;
-    }
-    let (op, var, lit) = match expr {
-        Expr::Binary(op, l, r) => match (l.as_ref(), r.as_ref()) {
-            (Expr::Var(v), Expr::Lit(a)) => (*op, v.clone(), a.clone()),
-            (Expr::Lit(a), Expr::Var(v)) => match flip(*op) {
-                Some(f) => (f, v.clone(), a.clone()),
-                None => return false,
-            },
-            _ => return false,
-        },
-        _ => return false,
+/// Read a predicate of shape `$var <op> literal` (either orientation)
+/// as the selection it would push: the variable, the fragment operator
+/// and the literal. `None` for every other shape.
+pub fn simple_selection(expr: &Expr) -> Option<(&str, PredOp, &Atomic)> {
+    let Expr::Binary(op, l, r) = expr else {
+        return None;
+    };
+    let (op, var, lit) = match (l.as_ref(), r.as_ref()) {
+        (Expr::Var(v), Expr::Lit(a)) => (*op, v, a),
+        (Expr::Lit(a), Expr::Var(v)) => (flip(*op)?, v, a),
+        _ => return None,
     };
     let pred_op = match op {
         BinOp::Eq => PredOp::Eq,
@@ -254,16 +249,28 @@ pub fn push_predicate(fragment: &mut SourceQuery, expr: &Expr, caps: &Capabiliti
         BinOp::Gt => PredOp::Gt,
         BinOp::Ge => PredOp::Ge,
         BinOp::Like => PredOp::Like,
-        _ => return false,
+        _ => return None,
     };
-    let field = match fragment.outputs.iter().find(|(v, _)| v == &var) {
+    Some((var, pred_op, lit))
+}
+
+/// Try to fold a residual predicate of shape `$var <op> literal` into a
+/// fragment whose outputs include `$var`. Returns true when consumed.
+pub fn push_predicate(fragment: &mut SourceQuery, expr: &Expr, caps: &Capabilities) -> bool {
+    if !caps.selections {
+        return false;
+    }
+    let Some((var, op, lit)) = simple_selection(expr) else {
+        return false;
+    };
+    let field = match fragment.outputs.iter().find(|(v, _)| v == var) {
         Some((_, f)) => f.clone(),
         None => return false,
     };
     fragment.selections.push(Selection {
         field,
-        op: pred_op,
-        value: lit,
+        op,
+        value: lit.clone(),
     });
     true
 }

@@ -21,11 +21,11 @@ use crate::matcher::{match_within, Bindings};
 use nimble_algebra::inspect::{OpInfo, OrderEffect, SchemaRule};
 use nimble_algebra::ops::Operator;
 use nimble_algebra::{CmpOp, ExecError, LineageMask, ScalarExpr, Schema, Tuple};
-use nimble_planck::{Fingerprint, RewriteRecord};
-use nimble_sources::query::PredOp;
+use nimble_planck::{Fingerprint, Placement, RewriteRecord};
+use nimble_sources::query::{FieldRef, PredOp};
 use nimble_sources::relational::RelationalAdapter;
-use nimble_sources::{SourceKind, SourceQuery};
-use nimble_xml::Value;
+use nimble_sources::{SourceAdapter, SourceKind, SourceQuery};
+use nimble_xml::{Atomic, AtomicType, Value};
 use nimble_xmlql::ast::{BinOp, Condition, Expr, OrderKey, Pattern, Query, SourceRef, TagPattern};
 
 /// One independent execution unit.
@@ -254,56 +254,31 @@ pub fn plan_query_sharded(
         }
     }
 
-    // Phase 2: push simple predicates into fragments. With cost-based
-    // planning, a predicate whose estimated selectivity is too weak to
-    // shrink the transfer is kept for central residual evaluation
-    // instead (same semantics, one less thing the source has to do).
+    // Phase 2: push simple predicates into fragments. A variable bound
+    // by several fragments is one join-equivalence class, so a selection
+    // on it goes to every fragment that binds it (see
+    // `place_selection`).
     if config.pushdown {
         let before: Vec<String> = plan
             .residual_predicates
             .iter()
             .map(|p| format!("{:?}", p))
             .collect();
-        let mut shipped: Vec<String> = Vec::new();
+        let mut placements: Vec<Placement> = Vec::new();
         let mut remaining = Vec::new();
-        'preds: for pred in std::mem::take(&mut plan.residual_predicates) {
-            for atom in plan.independents.iter_mut() {
-                if let AtomExec::Fragment { source, query, .. } = atom {
-                    let caps = match catalog.source(source) {
-                        Some(a) => a.capabilities(),
-                        None => continue,
-                    };
-                    if compiler::push_predicate(query, &pred, &caps) {
-                        if config.cost_based {
-                            let est = query.selections.last().and_then(|sel| {
-                                cost::fragment_selection_selectivity(catalog, source, query, sel)
-                            });
-                            if let Some(s) = est {
-                                if s >= cost::CENTRAL_RESIDUAL_THRESHOLD {
-                                    query.selections.pop();
-                                    plan.notes.push(format!(
-                                        "cost: predicate kept central (est selectivity {:.2} at {})",
-                                        s, source
-                                    ));
-                                    break;
-                                }
-                            }
-                        }
-                        plan.notes
-                            .push(format!("predicate pushed to {}", source));
-                        shipped.push(format!("{:?}", pred));
-                        continue 'preds;
-                    }
-                }
+        for pred in std::mem::take(&mut plan.residual_predicates) {
+            let placed = place_selection(catalog, config, &mut plan, &pred);
+            if placed.is_empty() {
+                remaining.push(pred);
+            } else {
+                placements.extend(placed);
             }
-            remaining.push(pred);
         }
         // Rewrite record: pushing predicates moves them, never drops
-        // them — the multiset of predicates (shipped + still central)
-        // must equal the multiset the phase started with.
-        if !shipped.is_empty() {
-            let mut after = shipped;
-            after.extend(remaining.iter().map(|p| format!("{:?}", p)));
+        // them — the distinct predicates the phase started with are
+        // exactly those shipped plus those still central, and every
+        // copy sits at a fragment that binds its variable.
+        if !placements.is_empty() {
             // Pushing a predicate relocates work, never a source: both
             // sides carry the same source-label set for the provenance
             // audit.
@@ -312,16 +287,19 @@ pub fn plan_query_sharded(
                 .iter()
                 .filter_map(|a| a.source().map(str::to_string))
                 .collect();
-            plan.rewrites.push(RewriteRecord::new(
-                "pushdown",
-                true,
-                Fingerprint::new(Vec::new())
-                    .with_extra(before)
-                    .with_sources(srcs.clone()),
-                Fingerprint::new(Vec::new())
-                    .with_extra(after)
-                    .with_sources(srcs),
-            ));
+            plan.rewrites.push(
+                RewriteRecord::new(
+                    "pushdown",
+                    true,
+                    Fingerprint::new(Vec::new())
+                        .with_extra(before)
+                        .with_sources(srcs.clone()),
+                    Fingerprint::new(Vec::new())
+                        .with_extra(remaining.iter().map(|p| format!("{:?}", p)).collect())
+                        .with_sources(srcs),
+                )
+                .with_placements(placements),
+            );
         }
         plan.residual_predicates = remaining;
     }
@@ -370,6 +348,151 @@ pub fn plan_query_sharded(
     }
 
     Ok(plan)
+}
+
+/// Why a fragment that binds a selection's variable did not take a copy.
+enum Declined {
+    /// The source cannot evaluate selections.
+    Caps,
+    /// The field's declared type (or the first placement's) is outside
+    /// the literal's coercion class.
+    Type,
+    /// Estimated selectivity too weak to shrink the transfer.
+    Cost(f64),
+}
+
+impl Declined {
+    /// The reason as EXPLAIN spells it.
+    fn tag(&self) -> &'static str {
+        match self {
+            Declined::Caps => "caps",
+            Declined::Type => "type",
+            Declined::Cost(_) => "cost",
+        }
+    }
+}
+
+/// Declared type of a fragment field, from the source's collection
+/// metadata.
+fn field_type(
+    adapter: &dyn SourceAdapter,
+    query: &SourceQuery,
+    field: &FieldRef,
+) -> Option<AtomicType> {
+    let coll = query.collections.iter().find(|c| c.alias == field.alias)?;
+    let info = adapter
+        .collections()
+        .into_iter()
+        .find(|c| c.name == coll.collection)?;
+    info.fields
+        .iter()
+        .find(|(name, _)| name == &field.field)
+        .map(|(_, ty)| *ty)
+}
+
+/// Whether a source comparing a field of type `field` with `lit` agrees
+/// with the mediator's join on every pair of join-equal values.
+fn in_coercion_class(lit: &Atomic, field: Option<AtomicType>) -> bool {
+    use AtomicType::*;
+    matches!(
+        (lit.atomic_type(), field),
+        (Int | Float, Some(Int | Float)) | (Str, Some(Str)) | (Bool, Some(Bool))
+    )
+}
+
+/// Phase 2 for one predicate: gives `$v op literal` to every fragment
+/// that outputs `$v` and returns the copies placed (none when the
+/// predicate stays central).
+///
+/// Each fragment decides for itself: its source must evaluate
+/// selections, and with cost-based planning a predicate whose estimated
+/// selectivity *there* is too weak to shrink the transfer is not
+/// shipped (same semantics, one less thing the source has to do). The
+/// first fragment to take the predicate takes it unconditionally, as a
+/// single placement always has. Further copies are evaluated by other
+/// sources on other representations of the joined value, and the
+/// mediator's hash join equates across representations (`Int 2` with
+/// `Float 2.0`, trimmed numeric text) where a source's `WHERE` may not,
+/// so a copy is placed only when both its field and the first
+/// placement's are declared in the literal's coercion class.
+fn place_selection(
+    catalog: &Catalog,
+    config: &OptimizerConfig,
+    plan: &mut Plan,
+    pred: &Expr,
+) -> Vec<Placement> {
+    let Some((var, _, lit)) = compiler::simple_selection(pred) else {
+        return Vec::new();
+    };
+    let binds = |atom: &AtomExec| {
+        matches!(atom, AtomExec::Fragment { query, .. }
+            if query.outputs.iter().any(|(v, _)| v == var))
+    };
+    // Field types are looked up only when there is a copy to guard.
+    let shared = plan.independents.iter().filter(|a| binds(a)).count() > 1;
+    let mut placed: Vec<Placement> = Vec::new();
+    let mut declined: Vec<(&str, Declined)> = Vec::new();
+    // Whether the first placement's field admits copies elsewhere.
+    let mut first_in_class = false;
+    for atom in plan.independents.iter_mut().filter(|a| binds(a)) {
+        let AtomExec::Fragment {
+            source,
+            query,
+            vars,
+        } = atom
+        else {
+            continue;
+        };
+        let Some(adapter) = catalog.source(source) else {
+            continue;
+        };
+        if !compiler::push_predicate(query, pred, &adapter.capabilities()) {
+            declined.push((source, Declined::Caps));
+            continue;
+        }
+        let Some(sel) = query.selections.last() else {
+            continue;
+        };
+        let in_class =
+            shared && in_coercion_class(lit, field_type(adapter.as_ref(), query, &sel.field));
+        let why = if !placed.is_empty() && !(first_in_class && in_class) {
+            Some(Declined::Type)
+        } else if config.cost_based {
+            cost::fragment_selection_selectivity(catalog, source, query, sel)
+                .filter(|s| *s >= cost::CENTRAL_RESIDUAL_THRESHOLD)
+                .map(Declined::Cost)
+        } else {
+            None
+        };
+        if let Some(why) = why {
+            query.selections.pop();
+            declined.push((source, why));
+            continue;
+        }
+        if placed.is_empty() {
+            first_in_class = in_class;
+        }
+        plan.notes.push(format!("predicate pushed to {}", source));
+        placed.push(Placement {
+            pred: format!("{:?}", pred),
+            var: var.to_string(),
+            source: source.clone(),
+            outputs: vars.clone(),
+        });
+    }
+    for (source, why) in declined {
+        let note = match (placed.is_empty(), why) {
+            (true, Declined::Cost(s)) => format!(
+                "cost: predicate kept central (est selectivity {:.2} at {})",
+                s, source
+            ),
+            // Nothing was shipped, so nothing was replicated either.
+            (true, _) => continue,
+            (false, why) => format!("predicate not replicated to {}: {}", source, why.tag()),
+        };
+        plan.notes.push(note);
+    }
+    placed
 }
 
 /// Phase 5 of planning: satisfiability analysis over the decomposed
@@ -1501,6 +1624,208 @@ mod tests {
         };
         let plan = plan_query(&c, &q, &config).unwrap();
         assert_eq!(plan.independents.len(), 2);
+    }
+
+    /// `customers` in `crm` and `orders` in `billing`, joined on `$i`.
+    const LOOKUP: &str = r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
+                 <row><oid>$o</oid><cust_id>$i</cust_id></row> IN "orders""#;
+
+    fn relational(name: &str, stmts: &[String]) -> Arc<dyn SourceAdapter> {
+        let refs: Vec<&str> = stmts.iter().map(String::as_str).collect();
+        Arc::new(RelationalAdapter::from_statements(name, &refs).unwrap())
+    }
+
+    /// `ids` customers in `crm` (`id` of type `id_type`); in `billing`
+    /// one order per customer id in `cust_ids`.
+    fn lookup_sources(
+        id_type: &str,
+        ids: std::ops::RangeInclusive<i64>,
+        cust_ids: std::ops::RangeInclusive<i64>,
+    ) -> (Arc<dyn SourceAdapter>, Arc<dyn SourceAdapter>) {
+        let quote = if id_type == "TEXT" { "'" } else { "" };
+        let mut crm = vec![format!(
+            "CREATE TABLE customers (id {}, name TEXT)",
+            id_type
+        )];
+        crm.extend(ids.map(|i| {
+            format!(
+                "INSERT INTO customers VALUES ({q}{i}{q}, 'c{i}')",
+                q = quote
+            )
+        }));
+        let mut billing = vec!["CREATE TABLE orders (oid INT, cust_id INT)".to_string()];
+        billing.extend(cust_ids.map(|i| format!("INSERT INTO orders VALUES ({}, {})", 100 + i, i)));
+        (relational("crm", &crm), relational("billing", &billing))
+    }
+
+    fn lookup_plan(
+        crm: Arc<dyn SourceAdapter>,
+        billing: Arc<dyn SourceAdapter>,
+        pred: &str,
+    ) -> Plan {
+        let c = Catalog::new();
+        c.register_source(crm).unwrap();
+        c.register_source(billing).unwrap();
+        let q = parse(&format!("{}, {} CONSTRUCT <o>$n</o>", LOOKUP, pred));
+        plan_query(&c, &q, &OptimizerConfig::default()).unwrap()
+    }
+
+    /// Pushed selections per source, as SQL-ish text.
+    fn shipped(plan: &Plan) -> Vec<String> {
+        let mut out = Vec::new();
+        for atom in &plan.independents {
+            if let AtomExec::Fragment { source, query, .. } = atom {
+                for sel in &query.selections {
+                    out.push(format!(
+                        "{}: {} {} {}",
+                        source,
+                        sel.field,
+                        sel.op.sql(),
+                        sel.value.lexical()
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    fn has_note(plan: &Plan, note: &str) -> bool {
+        plan.notes.iter().any(|n| n == note)
+    }
+
+    /// Passes everything through except the claim to evaluate selections.
+    struct NoSelections(Arc<dyn SourceAdapter>);
+
+    impl SourceAdapter for NoSelections {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn kind(&self) -> SourceKind {
+            self.0.kind()
+        }
+        fn capabilities(&self) -> nimble_sources::Capabilities {
+            let mut caps = self.0.capabilities();
+            caps.selections = false;
+            caps
+        }
+        fn collections(&self) -> Vec<nimble_sources::CollectionInfo> {
+            self.0.collections()
+        }
+        fn execute(
+            &self,
+            query: &SourceQuery,
+        ) -> Result<Arc<nimble_xml::Document>, nimble_sources::SourceError> {
+            self.0.execute(query)
+        }
+        fn fetch_collection(
+            &self,
+            name: &str,
+        ) -> Result<Arc<nimble_xml::Document>, nimble_sources::SourceError> {
+            self.0.fetch_collection(name)
+        }
+        fn estimated_rows(&self, collection: &str) -> Option<u64> {
+            self.0.estimated_rows(collection)
+        }
+    }
+
+    #[test]
+    fn selection_on_join_variable_reaches_every_binding_fragment() {
+        let (crm, billing) = lookup_sources("INT", 1..=20, 1..=20);
+        let plan = lookup_plan(crm, billing, "$i = 7");
+        assert_eq!(shipped(&plan), ["crm: t.id = 7", "billing: t.cust_id = 7"]);
+        assert!(plan.residual_predicates.is_empty());
+        assert!(has_note(&plan, "predicate pushed to crm"));
+        assert!(has_note(&plan, "predicate pushed to billing"));
+        assert!(has_note(
+            &plan,
+            "  crm <- SELECT t.id AS i, t.name AS n FROM customers t WHERE t.id = 7"
+        ));
+        assert!(has_note(
+            &plan,
+            "  billing <- SELECT t.oid AS o, t.cust_id AS i FROM orders t WHERE t.cust_id = 7"
+        ));
+        // Both sides' estimates see their copy.
+        assert_eq!(plan.est_rows, [1, 1]);
+        // The record lists both copies and passes the audit.
+        let record = plan.rewrites.iter().find(|r| r.rule == "pushdown").unwrap();
+        let placed: Vec<String> = record.placements.iter().map(|p| p.source.clone()).collect();
+        assert_eq!(placed, ["crm", "billing"]);
+        assert!(nimble_planck::audit(&plan.rewrites).is_empty());
+    }
+
+    #[test]
+    fn source_without_selections_is_skipped() {
+        let (crm, billing) = lookup_sources("INT", 1..=20, 1..=20);
+        let plan = lookup_plan(crm, Arc::new(NoSelections(billing)), "$i = 7");
+        assert_eq!(shipped(&plan), ["crm: t.id = 7"]);
+        assert!(plan.residual_predicates.is_empty());
+        assert!(has_note(&plan, "predicate not replicated to billing: caps"));
+
+        // Declined everywhere: the predicate stays central, as before.
+        let (crm, billing) = lookup_sources("INT", 1..=20, 1..=20);
+        let plan = lookup_plan(
+            Arc::new(NoSelections(crm)),
+            Arc::new(NoSelections(billing)),
+            "$i = 7",
+        );
+        assert!(shipped(&plan).is_empty());
+        assert_eq!(plan.residual_predicates.len(), 1);
+        assert!(plan.rewrites.iter().all(|r| r.rule != "pushdown"));
+    }
+
+    #[test]
+    fn join_fields_of_different_classes_get_a_single_placement() {
+        // TEXT id joined to INT cust_id: the mediator equates '7' with
+        // 7, a source comparing text with a number may not.
+        let (crm, billing) = lookup_sources("TEXT", 1..=20, 1..=20);
+        let plan = lookup_plan(crm, billing, "$i = 7");
+        assert_eq!(shipped(&plan), ["crm: t.id = 7"]);
+        assert!(plan.residual_predicates.is_empty());
+        assert!(has_note(&plan, "predicate not replicated to billing: type"));
+
+        // A literal outside both fields' class is not replicated either.
+        let (crm, billing) = lookup_sources("INT", 1..=20, 1..=20);
+        let plan = lookup_plan(crm, billing, r#"$i = "7""#);
+        assert_eq!(shipped(&plan), ["crm: t.id = 7"]);
+    }
+
+    #[test]
+    fn weak_predicate_is_declined_per_fragment() {
+        // `$i > 5` keeps 96% of customers (ids 1..=100) but only half
+        // of the orders (cust_ids 1..=10): shipped to billing alone,
+        // and no longer evaluated centrally.
+        let (crm, billing) = lookup_sources("INT", 1..=100, 1..=10);
+        let plan = lookup_plan(crm, billing, "$i > 5");
+        assert_eq!(shipped(&plan), ["billing: t.cust_id > 5"]);
+        assert!(plan.residual_predicates.is_empty());
+        assert!(has_note(&plan, "predicate not replicated to crm: cost"));
+
+        // Weak at every fragment: kept central.
+        let (crm, billing) = lookup_sources("INT", 1..=100, 1..=100);
+        let plan = lookup_plan(crm, billing, "$i > 5");
+        assert!(shipped(&plan).is_empty());
+        assert_eq!(plan.residual_predicates.len(), 1);
+        assert!(plan
+            .notes
+            .iter()
+            .any(|n| n.starts_with("cost: predicate kept central")));
+    }
+
+    #[test]
+    fn key_outside_the_second_fragments_bounds_prunes_the_plan() {
+        // Both samples are exhaustive. 50 is a customer id but outside
+        // orders.cust_id's bounds [1, 10]: billing's copy of the
+        // predicate proves the join empty.
+        let (crm, billing) = lookup_sources("INT", 1..=100, 1..=10);
+        let plan = lookup_plan(crm, billing, "$i = 50");
+        assert_eq!(
+            shipped(&plan),
+            ["crm: t.id = 50", "billing: t.cust_id = 50"]
+        );
+        assert_eq!(
+            plan.pruned.as_deref(),
+            Some("unsatisfiable: pushed selections on billing can never hold")
+        );
     }
 
     #[test]

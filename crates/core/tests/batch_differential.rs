@@ -25,16 +25,37 @@ fn catalog() -> Arc<Catalog> {
         "INSERT INTO orders VALUES (13, 1, 8)",
         "INSERT INTO orders VALUES (14, 4, 40)",
     ];
+    // A second source, so a variable can be bound by fragments of two
+    // sources (customers 1..3 have invoices, customer 4 does not).
+    let billing = [
+        "CREATE TABLE invoices (cust_id INT, amount INT)",
+        "INSERT INTO invoices VALUES (1, 30)",
+        "INSERT INTO invoices VALUES (3, 5)",
+        "INSERT INTO invoices VALUES (2, 90)",
+        "INSERT INTO invoices VALUES (1, 12)",
+    ];
     let c = Catalog::new();
     c.register_source(Arc::new(
         RelationalAdapter::from_statements("erp", &stmts).unwrap(),
     ))
     .unwrap();
+    c.register_source(Arc::new(
+        RelationalAdapter::from_statements("billing", &billing).unwrap(),
+    ))
+    .unwrap();
     Arc::new(c)
 }
 
-/// Same query grammar as the plan-verify drive: optional join, literal
-/// and variable region bindings, threshold predicate, ORDER-BY.
+/// Shapes of a selection on the join variable; `K` is the literal.
+const SELECTIONS_ON_I: [&str; 7] = [
+    "$i = K", "$i != K", "$i < K", "$i <= K", "$i > K", "$i >= K", "K < $i",
+];
+
+/// The plan-verify drive's query grammar (optional join, literal and
+/// variable region bindings, threshold predicate, ORDER-BY) plus a
+/// selection on the join variable `$i`, which every fragment binding
+/// `$i` receives: the same-source `orders` fragment and, with
+/// `cross`, the `invoices` fragment of a second source.
 fn query_strategy() -> impl Strategy<Value = String> {
     (
         any::<bool>(),
@@ -42,8 +63,10 @@ fn query_strategy() -> impl Strategy<Value = String> {
         any::<bool>(),
         proptest::option::of(0i64..300),
         0usize..3,
+        any::<bool>(),
+        proptest::option::of((0usize..7, 0i64..6)),
     )
-        .prop_map(|(join, lit_region, bind_region, threshold, order)| {
+        .prop_map(|(join, lit_region, bind_region, threshold, order, cross, sel_i)| {
             let mut pats = vec![format!(
                 "<row><id>$i</id><name>$n</name>{}{}</row> IN \"customers\"",
                 if lit_region { "<region>\"NW\"</region>" } else { "" },
@@ -59,6 +82,15 @@ fn query_strategy() -> impl Strategy<Value = String> {
                 if let Some(k) = threshold {
                     preds.push(format!("$t > {}", k));
                 }
+            }
+            if cross {
+                pats.push(
+                    "<row><cust_id>$i</cust_id><amount>$a</amount></row> IN \"invoices\"".into(),
+                );
+                construct.push_str("<a>$a</a>");
+            }
+            if let Some((form, k)) = sel_i {
+                preds.push(SELECTIONS_ON_I[form].replace('K', &k.to_string()));
             }
             if bind_region {
                 construct.push_str("<r>$r</r>");
@@ -130,6 +162,21 @@ proptest! {
             prop_assert_eq!(
                 &scalar, &batch_parallel,
                 "batch+parallel execution diverged for {:?} (pushdown={})", text, pushdown
+            );
+        }
+    }
+
+    #[test]
+    fn pushdown_changes_work_not_content(text in query_strategy()) {
+        // `pushdown: false` is the oracle: fetch whole collections,
+        // evaluate every predicate centrally. Shipped selections change
+        // the estimates and with them the fold order, so (as for
+        // `cost_based`) the comparison is order-insensitive.
+        for cost_based in [false, true] {
+            prop_assert_eq!(
+                run_canonical(&text, true, cost_based),
+                run_canonical(&text, false, cost_based),
+                "pushdown changed result content for {:?} (cost_based={})", text, cost_based
             );
         }
     }

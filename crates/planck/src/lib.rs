@@ -59,7 +59,7 @@ pub mod rewrite_audit;
 pub mod satisfy;
 pub mod types;
 
-pub use rewrite_audit::{audit, Fingerprint, RewriteRecord};
+pub use rewrite_audit::{audit, Fingerprint, Placement, RewriteRecord};
 pub use satisfy::Verdict;
 
 use nimble_algebra::inspect::{OpInfo, OrderEffect, SchemaRule};

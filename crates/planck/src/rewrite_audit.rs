@@ -17,8 +17,12 @@
 //! * **Cardinality-bound monotonicity** — a rewrite may tighten a
 //!   cardinality bound (pruning, pushdown) but never loosen it: a
 //!   larger bound after rewriting means the rewrite added rows.
-//! * **Extra invariants** — rule-specific payloads (e.g. the multiset
-//!   of pushed predicates) compared as unordered sets.
+//! * **Extra invariants** — rule-specific payloads (e.g. the pushed
+//!   predicates) compared as unordered sets.
+//! * **Placements** — a pushed predicate may be copied to several
+//!   fragments (a selection on a join variable goes to every fragment
+//!   that binds it). Each copy counts as the predicate being accounted
+//!   for, and must sit at a fragment that outputs its variable.
 //!
 //! Fingerprints are deliberately string-shaped: they must survive
 //! serialization into cached-plan stamps and diff cheaply.
@@ -74,6 +78,25 @@ impl Fingerprint {
     }
 }
 
+/// One copy of a predicate the `pushdown` rule shipped to a fragment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Placement {
+    /// Predicate rendering, as it appears in the `before` payload.
+    pub pred: String,
+    /// The variable the predicate selects on.
+    pub var: String,
+    /// Source label of the fragment that took the copy.
+    pub source: String,
+    /// Variables that fragment outputs.
+    pub outputs: Vec<String>,
+}
+
+impl std::fmt::Display for Placement {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} @ {}", self.pred, self.source)
+    }
+}
+
 /// One optimizer rewrite: the rule that fired and the fingerprints
 /// taken immediately before and after it.
 #[derive(Debug, Clone)]
@@ -86,6 +109,9 @@ pub struct RewriteRecord {
     pub ordered: bool,
     pub before: Fingerprint,
     pub after: Fingerprint,
+    /// Predicate copies shipped to fragments; their predicates count
+    /// towards the `after` payload.
+    pub placements: Vec<Placement>,
 }
 
 impl RewriteRecord {
@@ -100,13 +126,29 @@ impl RewriteRecord {
             ordered,
             before,
             after,
+            placements: Vec::new(),
         }
+    }
+
+    pub fn with_placements(mut self, placements: Vec<Placement>) -> RewriteRecord {
+        self.placements = placements;
+        self
     }
 }
 
 fn as_set(items: &[String]) -> Vec<&String> {
     let mut v: Vec<&String> = items.iter().collect();
     v.sort();
+    v
+}
+
+/// The distinct entries of a payload. A predicate may be shipped as
+/// several copies, and filters are idempotent, so payloads compare by
+/// which entries occur, not how often.
+fn distinct<'a>(items: impl Iterator<Item = &'a String>) -> Vec<&'a String> {
+    let mut v: Vec<&String> = items.collect();
+    v.sort();
+    v.dedup();
     v
 }
 
@@ -192,11 +234,19 @@ pub fn audit(records: &[RewriteRecord]) -> Vec<PlanIssue> {
                 ));
             }
         } else {
-            if as_set(&r.before.extra) != as_set(&r.after.extra) {
+            let shipped = r.placements.iter().map(|p| &p.pred);
+            if distinct(r.before.extra.iter()) != distinct(r.after.extra.iter().chain(shipped)) {
+                let after: Vec<String> = r
+                    .after
+                    .extra
+                    .iter()
+                    .cloned()
+                    .chain(r.placements.iter().map(Placement::to_string))
+                    .collect();
                 report(format!(
                     "rewrite payload changed: {{{}}} became {{{}}}",
                     r.before.extra.join(", "),
-                    r.after.extra.join(", ")
+                    after.join(", ")
                 ));
             }
 
@@ -206,6 +256,18 @@ pub fn audit(records: &[RewriteRecord]) -> Vec<PlanIssue> {
                      — provenance would misattribute answers",
                     r.before.sources.join(", "),
                     r.after.sources.join(", ")
+                ));
+            }
+        }
+
+        for p in &r.placements {
+            if !p.outputs.contains(&p.var) {
+                report(format!(
+                    "predicate placed at a fragment that does not bind its \
+                     variable: {} selects on ${}, the fragment outputs [{}]",
+                    p,
+                    p.var,
+                    p.outputs.join(", ")
                 ));
             }
         }
@@ -312,6 +374,43 @@ mod tests {
         let issues = audit(&[r]);
         assert_eq!(issues.len(), 1);
         assert!(issues[0].detail.contains("payload changed"));
+
+        // A predicate replicated to two fragments is accounted for once;
+        // the other predicate stays central.
+        let place = |pred: &str, source: &str, outputs: &[&str]| Placement {
+            pred: pred.to_string(),
+            var: "i".to_string(),
+            source: source.to_string(),
+            outputs: cols(outputs),
+        };
+        let replicated = |placements: Vec<Placement>, central: &[&str]| {
+            RewriteRecord::new(
+                "pushdown",
+                true,
+                Fingerprint::new(Vec::new()).with_extra(cols(&["$i = 7", "$t > 5"])),
+                Fingerprint::new(Vec::new()).with_extra(cols(central)),
+            )
+            .with_placements(placements)
+        };
+        let both = vec![
+            place("$i = 7", "crm", &["i", "n"]),
+            place("$i = 7", "billing", &["o", "i"]),
+        ];
+        assert!(audit(&[replicated(both.clone(), &["$t > 5"])]).is_empty());
+        // Replicating one predicate does not excuse dropping another.
+        let issues = audit(&[replicated(both, &[])]);
+        assert_eq!(issues.len(), 1);
+        assert!(issues[0].detail.contains("payload changed"));
+        assert!(issues[0].detail.contains("$i = 7 @ billing"));
+        // A copy placed at a fragment that does not bind the variable.
+        let stray = vec![
+            place("$i = 7", "crm", &["i", "n"]),
+            place("$i = 7", "support", &["s", "sev"]),
+        ];
+        let issues = audit(&[replicated(stray, &["$t > 5"])]);
+        assert_eq!(issues.len(), 1);
+        assert!(issues[0].detail.contains("does not bind"));
+        assert!(issues[0].detail.contains("support"));
     }
 
     #[test]

@@ -39,10 +39,28 @@ pub struct ExecStats {
     pub rows_scanned: u64,
     /// Number of index probes performed.
     pub index_lookups: u64,
-    /// `table.column` names of indexes used.
+    /// `table.column` names of indexes used: sorted, each once.
     pub used_indexes: Vec<String>,
     /// Number of statements executed since the last reset.
     pub statements: u64,
+}
+
+impl ExecStats {
+    /// Count one probe of the index on `table.column`. The name is
+    /// recorded the first time only: a serving engine never resets its
+    /// stats, so the list must not grow with the statements executed.
+    pub(crate) fn note_index(&mut self, table: &str, column: &str) {
+        self.index_lookups += 1;
+        let known = self
+            .used_indexes
+            .iter()
+            .any(|n| n.strip_prefix(table).and_then(|r| r.strip_prefix('.')) == Some(column));
+        if !known {
+            let name = format!("{}.{}", table, column);
+            let at = self.used_indexes.partition_point(|n| *n < name);
+            self.used_indexes.insert(at, name);
+        }
+    }
 }
 
 /// An in-memory SQL database: a catalog of [`Table`]s plus statement
@@ -246,6 +264,32 @@ mod tests {
         db.execute("SELECT name FROM customers WHERE id = 2").unwrap();
         assert_eq!(db.stats().index_lookups, 0);
         assert_eq!(db.stats().rows_scanned, 3);
+    }
+
+    #[test]
+    fn used_indexes_does_not_grow_with_statements() {
+        // A serving engine never resets its stats: the list names each
+        // index once however many statements probe it.
+        let mut db = sample_db();
+        db.execute("CREATE INDEX ON orders (cust_id) USING HASH")
+            .unwrap();
+        db.execute("CREATE INDEX ON customers (id) USING HASH")
+            .unwrap();
+        db.reset_stats();
+        for i in 0..10_000 {
+            db.execute(&format!("SELECT id FROM orders WHERE cust_id = {}", i % 4))
+                .unwrap();
+        }
+        assert_eq!(db.stats().index_lookups, 10_000);
+        assert_eq!(db.stats().used_indexes.len(), 1);
+
+        // A second index lands in sorted position.
+        db.execute("SELECT name FROM customers WHERE id = 1")
+            .unwrap();
+        assert_eq!(
+            db.stats().used_indexes,
+            vec!["customers.id", "orders.cust_id"]
+        );
     }
 
     #[test]

@@ -247,10 +247,7 @@ fn fetch_base_rows(
     let candidate_ids: Vec<usize> = match &path {
         AccessPath::FullScan => (0..table.row_count()).collect(),
         AccessPath::IndexEq { column, key } => {
-            stats.index_lookups += 1;
-            stats
-                .used_indexes
-                .push(format!("{}.{}", binding.table, column));
+            stats.note_index(&binding.table, column);
             // The planner only chooses indexed paths over indexed
             // columns; a full scan is the safe (and correct) fallback
             // should that invariant ever break.
@@ -260,10 +257,7 @@ fn fetch_base_rows(
             }
         }
         AccessPath::IndexRange { column, low, high } => {
-            stats.index_lookups += 1;
-            stats
-                .used_indexes
-                .push(format!("{}.{}", binding.table, column));
+            stats.note_index(&binding.table, column);
             table
                 .index_on(column)
                 .and_then(|ix| {

@@ -7,7 +7,11 @@ use nimble::sources::csv::CsvAdapter;
 use nimble::sources::hierarchical::{HierarchicalAdapter, Segment};
 use nimble::sources::relational::RelationalAdapter;
 use nimble::sources::xmldoc::XmlDocAdapter;
-use nimble::xml::{to_string, Atomic};
+use nimble::sources::{
+    Capabilities, CollectionInfo, SourceAdapter, SourceError, SourceKind, SourceQuery,
+};
+use nimble::xml::{to_string, Atomic, Document};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn four_source_catalog() -> Arc<Catalog> {
@@ -196,4 +200,136 @@ fn document_order_is_preserved_without_order_by() {
         to_string(&r.document.root()),
         "<results><o>3</o><o>1</o><o>2</o></results>"
     );
+}
+
+/// Pass-through adapter counting the calls the mediator makes and the
+/// XML nodes it gets back — what a remote, autonomous source is charged.
+struct Counting {
+    inner: Arc<dyn SourceAdapter>,
+    calls: Arc<AtomicU64>,
+    nodes: Arc<AtomicU64>,
+}
+
+impl Counting {
+    fn note(&self, result: &Result<Arc<Document>, SourceError>) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        if let Ok(doc) = result {
+            self.nodes.fetch_add(doc.len() as u64, Ordering::Relaxed);
+        }
+    }
+}
+
+impl SourceAdapter for Counting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn kind(&self) -> SourceKind {
+        self.inner.kind()
+    }
+    fn capabilities(&self) -> Capabilities {
+        self.inner.capabilities()
+    }
+    fn collections(&self) -> Vec<CollectionInfo> {
+        self.inner.collections()
+    }
+    fn execute(&self, query: &SourceQuery) -> Result<Arc<Document>, SourceError> {
+        let result = self.inner.execute(query);
+        self.note(&result);
+        result
+    }
+    fn fetch_collection(&self, name: &str) -> Result<Arc<Document>, SourceError> {
+        let result = self.inner.fetch_collection(name);
+        self.note(&result);
+        result
+    }
+    fn estimated_rows(&self, collection: &str) -> Option<u64> {
+        self.inner.estimated_rows(collection)
+    }
+}
+
+#[test]
+fn lookup_join_ships_the_matching_rows_not_the_table() {
+    // 200 customers in `crm`, three orders for each of the first 80 in
+    // `billing`, joined on `$i` with `$i = K`: `$i` is customers.id
+    // *and* orders.cust_id, so both sources get the selection.
+    let mut crm = vec!["CREATE TABLE customers (id INT, name TEXT)".to_string()];
+    let mut billing = vec!["CREATE TABLE orders (oid INT, cust_id INT)".to_string()];
+    for i in 0..200 {
+        crm.push(format!("INSERT INTO customers VALUES ({}, 'c{}')", i, i));
+        for j in 0..(if i < 80 { 3 } else { 0 }) {
+            billing.push(format!("INSERT INTO orders VALUES ({}, {})", 3 * i + j, i));
+        }
+    }
+    let calls = Arc::new(AtomicU64::new(0));
+    let nodes = Arc::new(AtomicU64::new(0));
+    let c = Catalog::new();
+    for (name, stmts) in [("crm", &crm), ("billing", &billing)] {
+        let refs: Vec<&str> = stmts.iter().map(String::as_str).collect();
+        c.register_source(Arc::new(Counting {
+            inner: Arc::new(RelationalAdapter::from_statements(name, &refs).unwrap()),
+            calls: Arc::clone(&calls),
+            nodes: Arc::clone(&nodes),
+        }))
+        .unwrap();
+    }
+    let engine = Engine::new(Arc::new(c));
+    let lookup = |k: i64| {
+        format!(
+            r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
+                     <row><oid>$o</oid><cust_id>$i</cust_id></row> IN "orders", $i = {}
+               CONSTRUCT <o><n>$n</n><k>$o</k></o>"#,
+            k
+        )
+    };
+    // Registration sampled both tables; count the query alone.
+    let charged = |text: &str| {
+        let before = (calls.load(Ordering::Relaxed), nodes.load(Ordering::Relaxed));
+        let r = engine.query(text).unwrap();
+        (
+            to_string(&r.document.root()),
+            calls.load(Ordering::Relaxed) - before.0,
+            nodes.load(Ordering::Relaxed) - before.1,
+        )
+    };
+
+    let (answer, q_calls, q_nodes) = charged(&lookup(42));
+    assert_eq!(
+        answer,
+        "<results><o><n>c42</n><k>126</k></o><o><n>c42</n><k>127</k></o>\
+         <o><n>c42</n><k>128</k></o></results>"
+    );
+    // One call per source; <rows> + one 5-node <row> from crm, <rows> +
+    // three 5-node <row>s from billing — not the 240-row table.
+    assert_eq!((q_calls, q_nodes), (2, 6 + 16));
+    let plan = engine.explain(&lookup(42)).unwrap();
+    assert!(
+        plan.contains("FROM customers t WHERE t.id = 42"),
+        "{}",
+        plan
+    );
+    assert!(
+        plan.contains("FROM orders t WHERE t.cust_id = 42"),
+        "{}",
+        plan
+    );
+    assert_eq!(plan.matches("predicate pushed to").count(), 2, "{}", plan);
+
+    // Without pushdown the same query ships both tables and constructs
+    // the same document.
+    engine.set_optimizer(OptimizerConfig {
+        pushdown: false,
+        ..OptimizerConfig::default()
+    });
+    let (central, _, central_nodes) = charged(&lookup(42));
+    assert_eq!(central, answer);
+    assert!(central_nodes > 2000, "{}", central_nodes);
+    engine.set_optimizer(OptimizerConfig::default());
+
+    // Both tables were sampled exhaustively, so their min/max are exact
+    // bounds. 150 is a customer id but lies outside orders.cust_id's
+    // [0, 79]: billing's copy proves the join empty and neither source
+    // is contacted.
+    let (empty, q_calls, _) = charged(&lookup(150));
+    assert_eq!(empty, "<results/>");
+    assert_eq!(q_calls, 0);
 }

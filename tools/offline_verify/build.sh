@@ -73,6 +73,7 @@ EXTRA=
 T sources crates/sources/src/lib.rs nimble_xml nimble_relational parking_lot rand nimble_trace
 T store crates/store/src/lib.rs nimble_xml parking_lot nimble_trace
 T xmlql crates/xmlql/src/lib.rs nimble_xml
+T relational crates/relational/src/lib.rs nimble_xml
 T core crates/core/src/lib.rs nimble_xml nimble_xmlql nimble_algebra nimble_planck nimble_sources nimble_store parking_lot crossbeam nimble_trace
 T cleaning $M/cleaning_shim.rs nimble_trace
 T frontend $M/frontend_shim.rs nimble_core nimble_store nimble_trace parking_lot nimble_xml nimble_sources
@@ -81,6 +82,7 @@ T planck crates/planck/src/lib.rs nimble_algebra
 T bench crates/bench/src/lib.rs nimble_core nimble_sources nimble_trace serde_json
 T observability tests/observability.rs nimble serde_json
 T provenance tests/provenance.rs nimble serde_json
+T federation tests/federation.rs nimble
 T shard_differential crates/core/tests/shard_differential.rs nimble_core nimble_sources nimble_xml
 
 B exp_observability crates/bench/src/bin/exp_observability.rs nimble_bench nimble_core nimble_trace serde_json
