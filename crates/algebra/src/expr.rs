@@ -2,7 +2,6 @@
 
 use crate::error::ExecError;
 use crate::funcs::FunctionRegistry;
-use crate::schema::Tuple;
 use nimble_xml::{Atomic, Path, Value};
 use std::sync::Arc;
 
@@ -88,8 +87,10 @@ impl ScalarExpr {
         }
     }
 
-    /// Evaluate against a tuple.
-    pub fn eval(&self, tuple: &Tuple, funcs: &FunctionRegistry) -> Result<Value, ExecError> {
+    /// Evaluate against a tuple — any row of values, so a caller holding
+    /// rows in one contiguous block can evaluate without building a
+    /// [`Tuple`](crate::schema::Tuple) per row.
+    pub fn eval(&self, tuple: &[Value], funcs: &FunctionRegistry) -> Result<Value, ExecError> {
         match self {
             ScalarExpr::Col(i) => tuple
                 .get(*i)
@@ -154,7 +155,7 @@ impl ScalarExpr {
     }
 
     /// Evaluate as a boolean predicate.
-    pub fn eval_bool(&self, tuple: &Tuple, funcs: &FunctionRegistry) -> Result<bool, ExecError> {
+    pub fn eval_bool(&self, tuple: &[Value], funcs: &FunctionRegistry) -> Result<bool, ExecError> {
         Ok(self.eval(tuple, funcs)?.truthy())
     }
 
@@ -378,6 +379,7 @@ pub fn shared_registry() -> Arc<FunctionRegistry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Tuple;
 
     fn funcs() -> FunctionRegistry {
         FunctionRegistry::with_builtins()
@@ -390,6 +392,59 @@ mod tests {
         // "10" > 9 numerically, even though "10" < "9" lexically.
         let e = ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::Col(0), ScalarExpr::lit(9i64));
         assert!(e.eval_bool(&t, &f).unwrap());
+    }
+
+    #[test]
+    fn eval_over_a_block_slice_equals_eval_over_a_tuple() {
+        // Rows of width 3 kept row-major in one block, as a scan memo
+        // keeps them: every expression kind that reads columns gives the
+        // same value — or the same error — from `&block[i*w..][..w]` as
+        // from the row copied out into its own `Vec`.
+        let f = funcs();
+        let w = 3;
+        let block: Vec<Value> = vec![
+            Value::from(1i64), Value::from("10"), Value::from("ada"),
+            Value::from(2i64), Value::null(), Value::from("bob"),
+            Value::from(3i64), Value::from(" 7 "), Value::from("a%"),
+        ];
+        let exprs = vec![
+            ScalarExpr::Col(1),
+            ScalarExpr::Col(3), // out of range: the error names the row width
+            ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::Col(1), ScalarExpr::lit(8i64)),
+            ScalarExpr::cmp(CmpOp::Like, ScalarExpr::Col(2), ScalarExpr::lit("a%")),
+            ScalarExpr::Arith(
+                ArithOp::Add,
+                Box::new(ScalarExpr::Col(0)),
+                Box::new(ScalarExpr::Col(1)),
+            ),
+            ScalarExpr::Arith(
+                ArithOp::Mul,
+                Box::new(ScalarExpr::Col(2)), // non-numeric operand: errors
+                Box::new(ScalarExpr::lit(2i64)),
+            ),
+            ScalarExpr::Neg(Box::new(ScalarExpr::Col(0))),
+            ScalarExpr::Call("upper".into(), vec![ScalarExpr::Col(2)]),
+            ScalarExpr::conjunction(vec![
+                ScalarExpr::cmp(CmpOp::Ge, ScalarExpr::Col(0), ScalarExpr::lit(2i64)),
+                ScalarExpr::Not(Box::new(ScalarExpr::cmp(
+                    CmpOp::Eq,
+                    ScalarExpr::Col(1),
+                    ScalarExpr::Lit(Value::null()),
+                ))),
+            ]),
+        ];
+        for row in block.chunks_exact(w) {
+            let tuple: Tuple = row.to_vec();
+            for e in &exprs {
+                let from_slice = e.eval(row, &f).map_err(|x| x.to_string());
+                let from_tuple = e.eval(&tuple, &f).map_err(|x| x.to_string());
+                assert_eq!(from_slice, from_tuple, "{:?} over {:?}", e, row);
+                assert_eq!(
+                    e.eval_bool(row, &f).map_err(|x| x.to_string()),
+                    e.eval_bool(&tuple, &f).map_err(|x| x.to_string()),
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::error::CoreError;
 use nimble_sources::query::{row_field, rows_of};
-use nimble_sources::SourceAdapter;
+use nimble_sources::{SourceAdapter, SourceQuery};
 use nimble_store::stats::SampleBuilder;
 use nimble_store::{LogicalClock, StatsCatalog};
 use nimble_xmlql::ast::Query;
@@ -114,10 +114,29 @@ impl Catalog {
     /// Sample every collection of `adapter` into the stats catalog. Any
     /// fetch error (e.g. a link that is down at registration) leaves that
     /// collection without statistics; planning falls back to defaults.
+    ///
+    /// Only the first [`SAMPLE_ROWS`] rows are looked at, so a source
+    /// that takes row limits, lists its fields and knows its row count
+    /// is asked for exactly those — one limited scan of the listed
+    /// fields — instead of the whole collection. Same rows, same fields,
+    /// same total: the statistics are the ones a full fetch would give.
     fn sample_source(&self, name: &str, adapter: &dyn SourceAdapter) {
+        let limited = adapter.capabilities().limit;
         for info in adapter.collections() {
             let key = format!("{}.{}", name, info.name);
-            let doc = match adapter.fetch_collection(&info.name) {
+            let fetched = if limited && !info.fields.is_empty() && info.estimated_rows.is_some() {
+                let fields: Vec<(&str, &str)> = info
+                    .fields
+                    .iter()
+                    .map(|(f, _)| (f.as_str(), f.as_str()))
+                    .collect();
+                let mut scan = SourceQuery::scan(&info.name, &fields);
+                scan.limit = Some(SAMPLE_ROWS);
+                adapter.execute(&scan)
+            } else {
+                adapter.fetch_collection(&info.name)
+            };
+            let doc = match fetched {
                 Ok(doc) => doc,
                 Err(_) => {
                     // Unreachable source: keep the adapter's own estimate
@@ -415,6 +434,129 @@ mod tests {
         c.unregister_source("crm");
         assert_eq!(c.epoch(), 3);
         assert!(c.stats().get("crm.customers").is_none());
+    }
+
+    /// Pass-through adapter that can hide the inner source's `limit`
+    /// capability (forcing the whole-collection sampling path) and
+    /// records the largest row count any one call shipped.
+    struct Watched {
+        inner: Arc<dyn SourceAdapter>,
+        advertise_limit: bool,
+        max_rows_shipped: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Watched {
+        fn new(inner: Arc<dyn SourceAdapter>, advertise_limit: bool) -> Arc<Watched> {
+            Arc::new(Watched {
+                inner,
+                advertise_limit,
+                max_rows_shipped: Default::default(),
+            })
+        }
+
+        fn shipped(
+            &self,
+            doc: Result<Arc<nimble_xml::Document>, nimble_sources::SourceError>,
+        ) -> Result<Arc<nimble_xml::Document>, nimble_sources::SourceError> {
+            if let Ok(d) = &doc {
+                self.max_rows_shipped
+                    .fetch_max(rows_of(d).len(), std::sync::atomic::Ordering::Relaxed);
+            }
+            doc
+        }
+    }
+
+    impl SourceAdapter for Watched {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn kind(&self) -> nimble_sources::SourceKind {
+            self.inner.kind()
+        }
+        fn capabilities(&self) -> nimble_sources::Capabilities {
+            nimble_sources::Capabilities {
+                limit: self.advertise_limit,
+                ..self.inner.capabilities()
+            }
+        }
+        fn collections(&self) -> Vec<nimble_sources::CollectionInfo> {
+            self.inner.collections()
+        }
+        fn execute(
+            &self,
+            query: &SourceQuery,
+        ) -> Result<Arc<nimble_xml::Document>, nimble_sources::SourceError> {
+            self.shipped(self.inner.execute(query))
+        }
+        fn fetch_collection(
+            &self,
+            name: &str,
+        ) -> Result<Arc<nimble_xml::Document>, nimble_sources::SourceError> {
+            self.shipped(self.inner.fetch_collection(name))
+        }
+        fn estimated_rows(&self, collection: &str) -> Option<u64> {
+            self.inner.estimated_rows(collection)
+        }
+    }
+
+    #[test]
+    fn limited_sampling_yields_the_statistics_of_a_full_fetch() {
+        use nimble_sources::relational::RelationalAdapter;
+        use std::sync::atomic::Ordering;
+        // `big` outgrows the sample (partial, so no exact bounds);
+        // `small` fits inside it (exhaustive: the verdict prune_unsat
+        // relies on). A NULL and repeated regions exercise the
+        // per-field accumulators.
+        let mut statements = vec![
+            "CREATE TABLE big (id INTEGER, region TEXT, total FLOAT)".to_string(),
+            "CREATE TABLE small (id INTEGER, score INTEGER)".to_string(),
+        ];
+        for i in 0..(SAMPLE_ROWS + 44) {
+            let region = if i % 7 == 0 { "NULL".to_string() } else { format!("'r{}'", i % 5) };
+            statements.push(format!(
+                "INSERT INTO big VALUES ({}, {}, {}.5)",
+                i, region, (i * 37) % 300
+            ));
+        }
+        for i in 0..100 {
+            statements.push(format!("INSERT INTO small VALUES ({}, {})", i, 1000 - i));
+        }
+        let statements: Vec<&str> = statements.iter().map(String::as_str).collect();
+        let db: Arc<dyn SourceAdapter> =
+            Arc::new(RelationalAdapter::from_statements("crm", &statements).unwrap());
+
+        let full = Catalog::new();
+        let full_adapter = Watched::new(Arc::clone(&db), false);
+        full.register_source(full_adapter.clone()).unwrap();
+        let limited = Catalog::new();
+        let limited_adapter = Watched::new(Arc::clone(&db), true);
+        limited.register_source(limited_adapter.clone()).unwrap();
+
+        for key in ["crm.big", "crm.small"] {
+            let want = full.stats().get(key).expect("full-fetch stats");
+            assert_eq!(limited.stats().get(key).as_ref(), Some(&want), "{}", key);
+            assert!(!want.columns.is_empty(), "{} sampled no columns", key);
+        }
+        assert!(!limited.stats().get("crm.big").unwrap().exhaustive());
+        assert_eq!(limited.stats().exact_bounds("crm.big", "id"), None);
+        assert!(limited.stats().get("crm.small").unwrap().exhaustive());
+        assert_eq!(
+            limited.stats().exact_bounds("crm.small", "score"),
+            Some((901.0, 1000.0))
+        );
+        // The whole-collection path shipped the table to look at its
+        // head; the limited path never shipped more than the sample.
+        assert_eq!(
+            full_adapter.max_rows_shipped.load(Ordering::Relaxed),
+            SAMPLE_ROWS + 44
+        );
+        assert!(limited_adapter.max_rows_shipped.load(Ordering::Relaxed) <= SAMPLE_ROWS);
+
+        // Re-sampling after an out-of-band mutation takes the same path.
+        limited.note_source_mutation("crm");
+        full.note_source_mutation("crm");
+        assert_eq!(limited.stats().get("crm.big"), full.stats().get("crm.big"));
+        assert!(limited_adapter.max_rows_shipped.load(Ordering::Relaxed) <= SAMPLE_ROWS);
     }
 
     #[test]

@@ -2331,10 +2331,10 @@ impl Engine {
         self.metrics.incr(&format!("source.calls.{}", source), 1);
 
         // One lazy child per surviving shard: the producer runs at
-        // exchange-gather time (on a pool worker when one exists),
-        // fetches the shard slice from the shard-local catalog, and
-        // row-matches the pattern, prefixing every tuple with the
-        // origin column the merge sorts by.
+        // exchange-gather time (on a pool worker when one exists) and
+        // emits the shard's rows — origin column first, the column the
+        // merge sorts by — that pass the pushed conjunction. The scan
+        // filters where it reads, so its label carries the predicate.
         let mut child_vars = vec![ORIGIN_COL.to_string()];
         child_vars.extend(vars.iter().cloned());
         let child_schema = unit_schema(child_vars)?;
@@ -2343,30 +2343,35 @@ impl Engine {
             .iter()
             .map(|e| planner::translate_expr(e, &child_schema))
             .collect::<Result<_, _>>()?;
+        let pushed = (!pushed.is_empty()).then(|| ScalarExpr::conjunction(pushed));
         let funcs = self.funcs.read().clone();
+        let memo_hits = Arc::new(AtomicU64::new(0));
         let mut children: Vec<BoxedOp> = Vec::new();
         let mut labels: Vec<String> = Vec::new();
         for &k in &sp.survivors {
             let label = format!("{}#shard{}", source, k);
-            let rt = Arc::clone(&rt);
-            let source = source.to_string();
-            let collection = collection.to_string();
-            let coll_key = sp.collection.clone();
-            let pattern = pattern.clone();
-            let vars = vars.to_vec();
-            let lazy = LazySourceOp::new(child_schema.clone(), label.clone(), move || {
-                shard_scan(&rt, k, &source, &collection, &coll_key, &pattern, &vars)
-            });
-            let child: BoxedOp = if pushed.is_empty() {
-                Box::new(lazy)
-            } else {
-                Box::new(FilterOp::new(
-                    Box::new(lazy),
-                    ScalarExpr::conjunction(pushed.clone()),
-                    Arc::clone(&funcs),
-                ))
+            let described = match &pushed {
+                Some(p) => format!("{} where {:?}", label, p),
+                None => label.clone(),
             };
-            children.push(child);
+            let scan = ShardScan {
+                rt: Arc::clone(&rt),
+                k,
+                source: source.to_string(),
+                collection: collection.to_string(),
+                coll_key: sp.collection.clone(),
+                pattern: pattern.clone(),
+                vars: vars.to_vec(),
+                pushed: pushed.clone(),
+                funcs: Arc::clone(&funcs),
+                metrics: Arc::clone(&self.metrics),
+                memo_hits: Arc::clone(&memo_hits),
+            };
+            children.push(Box::new(LazySourceOp::new(
+                child_schema.clone(),
+                described,
+                move || scan.run(),
+            )));
             labels.push(label);
         }
         let calls_before = QueryCtx::current().map(|c| c.calls_len());
@@ -2409,10 +2414,17 @@ impl Engine {
         for (i, &c) in counts.iter().enumerate() {
             tuple_src.extend(std::iter::repeat(i as u32).take(c));
         }
+        self.metrics
+            .gauge("engine.shard.memo.values")
+            .store(rt.memo_values() as u64, Ordering::Relaxed);
         note_source_call(
             calls_before,
             source,
-            "fetch-sharded",
+            &format!(
+                "fetch-sharded memo={}/{}",
+                memo_hits.load(Ordering::Relaxed),
+                sp.survivors.len()
+            ),
             failures.is_empty(),
             call_ms,
             merged.len() as u64,
@@ -2638,9 +2650,97 @@ fn origin_of(t: &Tuple) -> i64 {
 }
 
 /// Shard-local half of a sharded scan, run inside the exchange's gather
-/// (one call per surviving shard): fetch the shard slice from the
-/// shard-local catalog and match the row pattern against each row
-/// element, prefixing tuples with the row's original document index.
+/// (one [`ShardScan::run`] per surviving shard).
+struct ShardScan {
+    rt: Arc<ShardRuntime>,
+    k: usize,
+    source: String,
+    collection: String,
+    coll_key: String,
+    pattern: nimble_xmlql::ast::Pattern,
+    vars: Vec<String>,
+    /// Conjunction of the predicates pushed below the Exchange.
+    pushed: Option<ScalarExpr>,
+    funcs: Arc<FunctionRegistry>,
+    metrics: Arc<MetricsRegistry>,
+    /// Scans of this fetch that were served from a node's memo.
+    memo_hits: Arc<AtomicU64>,
+}
+
+impl ShardScan {
+    /// Fetch the shard slice from the shard-local catalog, take its rows
+    /// from the node's scan memo — building them on the first scan of
+    /// this slice document — and copy out, prefixed with the row's
+    /// original document index, those the pushed conjunction keeps.
+    ///
+    /// Liveness, the adapter call and the origin-map check all come
+    /// before the memo, so a dead shard, a failing adapter and a slice
+    /// that no longer is the one the partition was cut from fail the
+    /// same way warm and cold.
+    fn run(&self) -> Result<Vec<Tuple>, ExecError> {
+        let k = self.k;
+        let shard_err = |message: String| ExecError::Source {
+            source: format!("{}#shard{}", self.source, k),
+            message,
+        };
+        if !self.rt.alive(k) {
+            return Err(shard_err("shard node down".into()));
+        }
+        let node = self
+            .rt
+            .node(k)
+            .ok_or_else(|| shard_err("no such shard node".into()))?;
+        let part = self
+            .rt
+            .partition(&self.coll_key)
+            .ok_or_else(|| shard_err("collection not partitioned".into()))?;
+        let origins = part
+            .origins
+            .get(k)
+            .ok_or_else(|| shard_err("no origin map for shard".into()))?;
+        let adapter = node
+            .catalog
+            .source(&self.source)
+            .ok_or_else(|| shard_err("unknown source on shard".into()))?;
+        let doc = adapter
+            .fetch_collection(&self.collection)
+            .map_err(|e| shard_err(e.to_string()))?;
+        // A row without an origin would sort wherever its made-up index
+        // put it; a slice of another length is not this partition's.
+        let slice_rows = doc.root().child_elements().count();
+        if slice_rows != origins.len() {
+            return Err(shard_err(format!(
+                "slice has {} rows, origin map has {}",
+                slice_rows,
+                origins.len()
+            )));
+        }
+        let (rows, hit) = node.scan_rows(&self.coll_key, &doc, &self.pattern, &self.vars, || {
+            shred_slice(&doc, origins, &self.pattern, &self.vars)
+        });
+        if hit {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            self.metrics.incr("engine.shard.memo.hit", 1);
+        } else {
+            self.metrics.incr("engine.shard.memo.miss", 1);
+        }
+        let mut out = Vec::new();
+        for row in rows.rows() {
+            let keep = match &self.pushed {
+                Some(p) => p.eval_bool(row, &self.funcs)?,
+                None => true,
+            };
+            if keep {
+                out.push(row.to_vec());
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Match the row pattern against each row element of a shard slice,
+/// into one row-major block: per binding, the row's original document
+/// index and then the value of each of `vars`.
 ///
 /// Per-row matching reproduces the unsharded match set exactly for the
 /// row-routable patterns the planner admits: a `Name(n)` pattern binds
@@ -2649,56 +2749,23 @@ fn origin_of(t: &Tuple) -> i64 {
 /// pattern binds the row itself plus its descendants named `n` — the
 /// union over all rows is the root's descendant set, since the planner
 /// rejects patterns naming the collection root.
-fn shard_scan(
-    rt: &ShardRuntime,
-    k: usize,
-    source: &str,
-    collection: &str,
-    coll_key: &str,
+fn shred_slice(
+    doc: &Arc<Document>,
+    origins: &[usize],
     pattern: &nimble_xmlql::ast::Pattern,
     vars: &[String],
-) -> Result<Vec<Tuple>, ExecError> {
-    let shard_err = |message: String| ExecError::Source {
-        source: format!("{}#shard{}", source, k),
-        message,
-    };
-    if !rt.alive(k) {
-        return Err(shard_err("shard node down".into()));
-    }
-    let node = rt
-        .node(k)
-        .ok_or_else(|| shard_err("no such shard node".into()))?;
-    let part = rt
-        .partition(coll_key)
-        .ok_or_else(|| shard_err("collection not partitioned".into()))?;
-    let origins = part
-        .origins
-        .get(k)
-        .ok_or_else(|| shard_err("no origin map for shard".into()))?;
-    let adapter = node
-        .catalog
-        .source(source)
-        .ok_or_else(|| shard_err("unknown source on shard".into()))?;
-    let doc = adapter
-        .fetch_collection(collection)
-        .map_err(|e| shard_err(e.to_string()))?;
-    let mut out = Vec::new();
-    for (j, row) in doc.root().child_elements().enumerate() {
-        let origin = origins.get(j).copied().unwrap_or(usize::MAX) as i64;
-        let bindings = match &pattern.tag {
-            TagPattern::Name(n) if row.name() != Some(n.as_str()) => Vec::new(),
-            _ => matcher::match_pattern(&row, pattern),
-        };
-        for b in bindings {
-            let mut t: Tuple = Vec::with_capacity(vars.len() + 1);
-            t.push(Value::from(origin));
-            for v in vars {
-                t.push(b.get(v).cloned().unwrap_or_else(Value::null));
-            }
-            out.push(t);
+) -> Vec<Value> {
+    let mut values = Vec::with_capacity(origins.len() * (vars.len() + 1));
+    for (row, &origin) in doc.root().child_elements().zip(origins) {
+        if matches!(&pattern.tag, TagPattern::Name(n) if row.name() != Some(n.as_str())) {
+            continue;
+        }
+        for b in matcher::match_pattern(&row, pattern) {
+            values.push(Value::from(origin as i64));
+            values.extend(vars.iter().map(|v| b.get(v).cloned().unwrap_or_else(Value::null)));
         }
     }
-    Ok(out)
+    values
 }
 
 /// Provenance entry for a unit that contributed nothing (skipped after

@@ -11,12 +11,19 @@
 //! to original document order, and the shard-local nodes with their
 //! liveness flags (a dead node degrades the query to an annotated
 //! partial answer instead of failing it).
+//!
+//! A slice is a document the mediator cut itself and that no source can
+//! change underneath it, so each node also keeps its slice *shredded*:
+//! the `ScanRows` memo holds the tuples a row pattern binds over the
+//! slice, built by the first scan and shared by every later one.
 
 use crate::catalog::Catalog;
 use crate::engine::Engine;
 use nimble_sources::query::row_field;
 use nimble_store::shard::{ShardMap, ShardSpec};
-use nimble_xml::{Document, DocumentBuilder};
+use nimble_xml::{Document, DocumentBuilder, Value};
+use nimble_xmlql::ast::Pattern;
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -74,13 +81,47 @@ pub fn partition_document(doc: &Arc<Document>, spec: &ShardSpec) -> (Vec<Arc<Doc
     )
 }
 
+/// Memoised scans a node keeps per slice (per collection it holds a
+/// slice of), most recently used last. Two covers every suite in the
+/// repository: a query mix rarely scans one collection under more
+/// patterns than that, and a third pattern only costs a rebuild.
+const MEMO_SCANS_PER_SLICE: usize = 2;
+
+/// The tuples one `(slice document, row pattern, vars)` scan binds —
+/// origin column first, then one column per variable — as a single
+/// row-major block. Readers evaluate predicates against the shared rows
+/// and copy out only the rows they keep.
+pub(crate) struct ScanRows {
+    collection: String,
+    doc: Arc<Document>,
+    pattern: Pattern,
+    vars: Vec<String>,
+    values: Vec<Value>,
+}
+
+impl ScanRows {
+    /// The rows in slice order, each `vars.len() + 1` values wide.
+    pub(crate) fn rows(&self) -> std::slice::ChunksExact<'_, Value> {
+        self.values.chunks_exact(self.vars.len() + 1)
+    }
+
+    fn is_scan_of(&self, collection: &str, doc: &Arc<Document>, pattern: &Pattern, vars: &[String]) -> bool {
+        Arc::ptr_eq(&self.doc, doc)
+            && self.collection == collection
+            && self.vars == vars
+            && &self.pattern == pattern
+    }
+}
+
 /// One shard-local engine instance: its own catalog (holding the shard
-/// slices of every partitioned collection) and engine, plus a liveness
-/// flag the partial-results machinery consults.
+/// slices of every partitioned collection) and engine, a liveness flag
+/// the partial-results machinery consults, and the scan memo over its
+/// slices (owned here, so it dies with the cluster).
 pub struct ShardNode {
     pub catalog: Arc<Catalog>,
     pub engine: Arc<Engine>,
     alive: AtomicBool,
+    memo: Mutex<Vec<Arc<ScanRows>>>,
 }
 
 impl ShardNode {
@@ -89,7 +130,69 @@ impl ShardNode {
             catalog,
             engine,
             alive: AtomicBool::new(true),
+            memo: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The rows `pattern` binds over `doc`, this node's slice of
+    /// `collection` (its `source.collection` key) as the node's adapter
+    /// just returned it: the memoised block when one was built from
+    /// this very document (`true`), otherwise `build`'s (`false`).
+    ///
+    /// Identity, not time: an entry answers only for the `Arc` it was
+    /// built from, so a re-registered slice is rebuilt and the entries
+    /// of the document it replaced are dropped. A block is kept only
+    /// while it holds no more values than the slice has nodes — a flat
+    /// row pattern always fits, a multiplying one is rebuilt per scan —
+    /// so the memo never outgrows the documents it shadows. The lock is
+    /// released while `build` runs; two scans racing on a cold entry
+    /// both build, and the first block in is the one kept.
+    pub(crate) fn scan_rows(
+        &self,
+        collection: &str,
+        doc: &Arc<Document>,
+        pattern: &Pattern,
+        vars: &[String],
+        build: impl FnOnce() -> Vec<Value>,
+    ) -> (Arc<ScanRows>, bool) {
+        {
+            let mut memo = self.memo.lock();
+            if let Some(i) = memo
+                .iter()
+                .position(|e| e.is_scan_of(collection, doc, pattern, vars))
+            {
+                let hit = memo.remove(i);
+                memo.push(Arc::clone(&hit));
+                return (hit, true);
+            }
+        }
+        let built = Arc::new(ScanRows {
+            collection: collection.to_string(),
+            doc: Arc::clone(doc),
+            pattern: pattern.clone(),
+            vars: vars.to_vec(),
+            values: build(),
+        });
+        let mut memo = self.memo.lock();
+        memo.retain(|e| e.collection != collection || Arc::ptr_eq(&e.doc, doc));
+        let raced = memo
+            .iter()
+            .any(|e| e.is_scan_of(collection, doc, pattern, vars));
+        if !raced && built.values.len() <= doc.len() {
+            let of_slice = |e: &Arc<ScanRows>| e.collection == collection;
+            if memo.iter().filter(|e| of_slice(e)).count() >= MEMO_SCANS_PER_SLICE {
+                if let Some(oldest) = memo.iter().position(of_slice) {
+                    memo.remove(oldest);
+                }
+            }
+            memo.push(Arc::clone(&built));
+        }
+        (built, false)
+    }
+
+    /// Values the scan memo holds right now.
+    pub fn memo_values(&self) -> usize {
+        self.memo.lock().iter().map(|e| e.values.len()).sum()
     }
 
     pub fn alive(&self) -> bool {
@@ -165,6 +268,11 @@ impl ShardRuntime {
     pub fn epoch(&self) -> u64 {
         self.map.epoch()
     }
+
+    /// Values held by every node's scan memo.
+    pub fn memo_values(&self) -> usize {
+        self.nodes.iter().map(ShardNode::memo_values).sum()
+    }
 }
 
 #[cfg(test)]
@@ -213,6 +321,62 @@ mod tests {
         let a_shard = spec.shard_of(&nimble_xml::Atomic::Str("a".into()));
         assert!(part.origins[a_shard].contains(&0));
         assert!(part.origins[a_shard].contains(&2));
+    }
+
+    #[test]
+    fn scan_memo_answers_by_identity_and_stays_bounded() {
+        let catalog = Arc::new(Catalog::new());
+        let node = ShardNode::new(Arc::clone(&catalog), Arc::new(Engine::new(catalog)));
+        let pattern = |text: &str| -> Pattern {
+            let q = format!(r#"WHERE {} IN "x" CONSTRUCT <o/>"#, text);
+            let (query, _) = nimble_xmlql::compile(&q).expect("test query");
+            match &query.conditions[0] {
+                nimble_xmlql::ast::Condition::Pattern(pb) => pb.pattern.clone(),
+                other => panic!("not a pattern: {:?}", other),
+            }
+        };
+        let slice = doc("<items><item><id>1</id></item><item><id>2</id></item></items>");
+        let vars = vec!["i".to_string()];
+        let block = |n: usize| (0..n).map(|i| Value::from(i as i64)).collect::<Vec<_>>();
+        let (a, b, c) = (
+            pattern("<item><id>$i</id></item>"),
+            pattern("<item>$i</item>"),
+            pattern("<item><id>$i</id></item> ELEMENT_AS $e"),
+        );
+        let scan = |p: &Pattern, d: &Arc<Document>, n: usize| {
+            let mut built = false;
+            let (rows, hit) = node.scan_rows("s.items", d, p, &vars, || {
+                built = true;
+                block(n)
+            });
+            assert_eq!(hit, !built, "a hit never builds, a miss always does");
+            (rows.rows().count(), hit)
+        };
+        // Built once, then shared.
+        assert_eq!(scan(&a, &slice, 4), (2, false));
+        assert_eq!(scan(&a, &slice, 4), (2, true));
+        // Two patterns per slice; the third evicts the least recently
+        // used (b: a was touched after b went in).
+        assert_eq!(scan(&b, &slice, 4), (2, false));
+        assert_eq!(scan(&a, &slice, 4), (2, true));
+        assert_eq!(scan(&c, &slice, 4), (2, false));
+        assert_eq!(node.memo_values(), 8);
+        assert_eq!(scan(&a, &slice, 4), (2, true));
+        assert_eq!(scan(&b, &slice, 4), (2, false));
+        // Another collection's slice has its own two.
+        let (rows, hit) = node.scan_rows("s.other", &slice, &a, &vars, || block(2));
+        assert!(!hit && rows.rows().count() == 1);
+        assert_eq!(node.memo_values(), 10);
+        // A block with more values than the slice has nodes (7) is
+        // used, not kept.
+        assert_eq!(scan(&c, &slice, 8), (4, false));
+        assert_eq!(scan(&c, &slice, 8), (4, false));
+        // An equal document behind another `Arc` is another slice: the
+        // old entries go, nothing stale is served.
+        let replaced = doc("<items><item><id>1</id></item><item><id>2</id></item></items>");
+        assert_eq!(scan(&a, &replaced, 4), (2, false));
+        assert_eq!(node.memo_values(), 4 + 2, "s.items' old entries dropped, s.other's kept");
+        assert_eq!(scan(&a, &replaced, 4), (2, true));
     }
 
     #[test]

@@ -83,6 +83,8 @@ T bench crates/bench/src/lib.rs nimble_core nimble_sources nimble_trace serde_js
 T observability tests/observability.rs nimble serde_json
 T provenance tests/provenance.rs nimble serde_json
 T federation tests/federation.rs nimble
+# Cold-and-warm sweep over the shard nodes' scan memo (the slice-typed
+# eval and limited-sampling tests ride in the algebra and core bins).
 T shard_differential crates/core/tests/shard_differential.rs nimble_core nimble_sources nimble_xml
 
 B exp_observability crates/bench/src/bin/exp_observability.rs nimble_bench nimble_core nimble_trace serde_json
