@@ -137,6 +137,7 @@ pub fn build_fragment(collection: &str, alias: &str, row: &RowPattern) -> Source
             .map(|(var, field)| (var.clone(), FieldRef::new(alias, field)))
             .collect(),
         limit: None,
+        key_sets: Vec::new(),
     }
 }
 
@@ -226,6 +227,7 @@ pub fn merge_fragments(fragments: &[SourceQuery]) -> Option<SourceQuery> {
         selections,
         outputs,
         limit: None,
+        key_sets: Vec::new(),
     })
 }
 

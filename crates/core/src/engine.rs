@@ -5,7 +5,7 @@ use crate::construct;
 use crate::error::CoreError;
 use crate::matcher;
 use crate::plan_cache::{CachedPlan, PlanCache, PlanStamp};
-use crate::planner::{self, AtomExec, BindPatternOp, Plan, ShardPlan};
+use crate::planner::{self, cost, AtomExec, BindPatternOp, BindStage, Plan, ShardPlan};
 use crate::shard::ShardRuntime;
 use nimble_algebra::ops::{
     BoxedOp, EmptyOp, ExchangeOp, FilterOp, HashJoinOp, JoinType, LazySourceOp, MeteredOp,
@@ -17,16 +17,18 @@ use nimble_algebra::{
     run_to_vec, run_to_vec_batched, ExecError, FunctionRegistry, LineageMask, ScalarExpr, Schema,
     Tuple,
 };
-use nimble_sources::query::{row_field, rows_of};
+use nimble_sources::query::{row_field, rows_of, FieldRef};
 use nimble_store::{LogicalClock, ResultCache, ViewStore, WorkloadMonitor};
 use nimble_trace::{
     AllocScope, AllocStats, FlightRecord, FlightRecorder, MetricsRegistry, MetricsSnapshot,
     QueryCtx, QueryEvent, QueryLog, QueryLogEntry, SourceCall, SpanView, Trace,
 };
-use nimble_xml::{Atomic, Document, DocumentBuilder, Value, XmlWriter};
+use nimble_xml::{Atomic, AtomicKey, Document, DocumentBuilder, Value, XmlWriter};
 use nimble_xmlql::ast::{Query, TagPattern};
 use parking_lot::RwLock;
 use std::cell::RefCell;
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -1404,55 +1406,33 @@ impl Engine {
                 "<outer>".to_string(),
             ));
         }
-        // The Scan layer fans out through the shared morsel pool: one
-        // pool task per independent unit, so latency tracks the slowest
-        // source, not the sum. The query context is thread-local, so
-        // each worker re-enters it to keep source calls attributed to
-        // the query. `par_tasks` declines (single core, no pool, nested
-        // round) into the serial loop below without having run anything.
-        let pooled = if config.parallel_fetch && plan.independents.len() > 1 {
-            let qctx = QueryCtx::current();
-            par_tasks(plan.independents.len(), |i| {
-                let _g = qctx.as_ref().map(|c| c.enter());
-                let mut local = ExecCtx::new();
-                let fetched =
-                    self.fetch_atom(&plan.independents[i], shard_plan_for(plan, i), depth, &mut local);
-                (fetched, local)
-            })
-        } else {
-            None
+        // The Scan layer, in two rounds (DESIGN.md §18). A plan with a
+        // bind stage fetches its driver first and sends the targets the
+        // keys the driver bound; a plan without one has an empty first
+        // round. A failure waits in its slot until both rounds are
+        // through, so the error reported is the first in atom order
+        // whichever round met it.
+        let n = plan.independents.len();
+        let mut fetched: Vec<Option<Result<Fetched, CoreError>>> = Vec::new();
+        fetched.resize_with(n, || None);
+        let first: Vec<usize> = plan.bind.iter().map(|stage| stage.driver).collect();
+        self.fetch_round(plan, &first, None, depth, ctx, &mut fetched);
+        let (bound, bind_note) = match &plan.bind {
+            Some(stage) => self.bind_keys(stage, fetched[stage.driver].as_ref()),
+            None => (None, None),
         };
-        match pooled {
-            Some(results) => {
-                self.metrics.incr("engine.fetch.pool", 1);
-                for (i, (fetched, local)) in results.into_iter().enumerate() {
-                    ctx.merge(local);
-                    let (vars, tuples, prov) = fetched?;
-                    ctx.rows_fetched += tuples.len() as u64;
-                    // Interning stays sequential even under parallel
-                    // fetch: workers only describe their unit; ids are
-                    // assigned here, in atom order.
-                    let masks = intern_masks(ctx, prov);
-                    inputs.push((
-                        unit_schema(vars)?,
-                        tuples,
-                        masks,
-                        atom_name(&plan.independents[i]),
-                    ));
-                }
-            }
-            None => {
-                if config.parallel_fetch && plan.independents.len() > 1 {
-                    self.metrics.incr("engine.fetch.serial", 1);
-                }
-                for (i, atom) in plan.independents.iter().enumerate() {
-                    let (vars, tuples, prov) =
-                        self.fetch_atom(atom, shard_plan_for(plan, i), depth, ctx)?;
-                    ctx.rows_fetched += tuples.len() as u64;
-                    let masks = intern_masks(ctx, prov);
-                    inputs.push((unit_schema(vars)?, tuples, masks, atom_name(atom)));
-                }
-            }
+        let rest: Vec<usize> = (0..n).filter(|i| !first.contains(i)).collect();
+        self.fetch_round(plan, &rest, bound.as_ref(), depth, ctx, &mut fetched);
+        for (atom, slot) in plan.independents.iter().zip(fetched) {
+            let unit = slot.ok_or_else(|| {
+                CoreError::Internal("independent unit left unfetched".into())
+            })??;
+            ctx.rows_fetched += unit.tuples.len() as u64;
+            // Interning is sequential, in atom order, whatever order
+            // the units were fetched in: workers only describe their
+            // unit, ids are assigned here.
+            let masks = intern_masks(ctx, unit.prov);
+            inputs.push((unit_schema(unit.vars)?, unit.tuples, masks, atom_name(atom)));
         }
         if inputs.is_empty() {
             return Err(CoreError::Exec("query has no inputs".into()));
@@ -1485,7 +1465,11 @@ impl Engine {
                     ctx.worst_qerror = q;
                     ctx.worst_qerror_op = Some("Scan".to_string());
                 }
-                if act > est.saturating_mul(GROSS_QERROR) {
+                // A bind target's estimate is for the rows its keys leave;
+                // what it shipped — keyed, or whole when the stage was
+                // declined — says nothing about the collection.
+                let keyed = plan.bind.as_ref().is_some_and(|b| b.target(i).is_some());
+                if act > est.saturating_mul(GROSS_QERROR) && !keyed {
                     // Only a filtered single-collection fragment: its
                     // filtered row count is a certain lower bound on the
                     // base collection (unfiltered fetches already feed
@@ -1859,7 +1843,7 @@ impl Engine {
         // Record the plan (top-level query only).
         if depth == 0 && ctx.plan_text.is_empty() {
             let mut text = String::new();
-            for note in &plan.notes {
+            for note in plan.notes.iter().chain(&bind_note) {
                 text.push_str("-- ");
                 text.push_str(note);
                 text.push('\n');
@@ -2051,19 +2035,164 @@ impl Engine {
             .store(stats.generation(), Ordering::Relaxed);
     }
 
+    /// Fetch the independent units listed in `round` into their slots:
+    /// through the shared morsel pool — one task per unit, so latency
+    /// tracks the slowest source, not the sum — or, when the round has
+    /// one unit or `par_tasks` declines (single core, no pool, nested
+    /// round), one after the other. `bound` is the bind stage's key
+    /// list, for the units that are its targets.
+    ///
+    /// The pool runs every unit; the serial loop stops at the first
+    /// failure, leaving the slots behind it empty.
+    fn fetch_round(
+        &self,
+        plan: &Plan,
+        round: &[usize],
+        bound: Option<&BoundKeys>,
+        depth: usize,
+        ctx: &mut ExecCtx,
+        fetched: &mut [Option<Result<Fetched, CoreError>>],
+    ) {
+        let fetch = |i: usize, ctx: &mut ExecCtx| {
+            let bind = plan
+                .bind
+                .as_ref()
+                .zip(bound)
+                .and_then(|(stage, keys)| Some((&stage.target(i)?.field, keys)));
+            self.fetch_atom(&plan.independents[i], shard_plan_for(plan, i), bind, depth, ctx)
+        };
+        let many = self.config().parallel_fetch && round.len() > 1;
+        // The query context is thread-local, so each worker re-enters
+        // it to keep source calls attributed to the query.
+        let pooled = if many {
+            let qctx = QueryCtx::current();
+            par_tasks(round.len(), |k| {
+                let _g = qctx.as_ref().map(|c| c.enter());
+                let mut local = ExecCtx::new();
+                let unit = fetch(round[k], &mut local);
+                (unit, local)
+            })
+        } else {
+            None
+        };
+        match pooled {
+            Some(results) => {
+                self.metrics.incr("engine.fetch.pool", 1);
+                for (&i, (unit, local)) in round.iter().zip(results) {
+                    ctx.merge(local);
+                    fetched[i] = Some(unit);
+                }
+            }
+            None => {
+                if many {
+                    self.metrics.incr("engine.fetch.serial", 1);
+                }
+                for &i in round {
+                    let unit = fetch(i, ctx);
+                    let failed = unit.is_err();
+                    fetched[i] = Some(unit);
+                    if failed {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Run-time half of the bind stage: read the key list off the
+    /// fetched driver, or decline. Returns the list and the line EXPLAIN
+    /// prints about it.
+    ///
+    /// §3.4 comes first: a driver that failed or was skipped binds
+    /// nothing, and one served from the stale cache yields a list that
+    /// is *not sent* — the targets are asked exactly what they would be
+    /// asked without a stage — and only names the cached documents a
+    /// target that is down as well may be served from. A value that
+    /// cannot stand in a key list ([`BindStage::admits`]) or more keys
+    /// than [`cost::BIND_MAX_KEYS`] (the estimate was wrong) decline the
+    /// stage too. Zero keys from a healthy driver is a list like any
+    /// other; `fetch_atom` answers it without calling the target.
+    fn bind_keys(
+        &self,
+        stage: &BindStage,
+        driver: Option<&Result<Fetched, CoreError>>,
+    ) -> (Option<BoundKeys>, Option<String>) {
+        let decline = |why: String| {
+            self.metrics.incr("engine.bind.declined", 1);
+            (None, Some(format!("bind ${}: no keys sent, {}", stage.var, why)))
+        };
+        let unit = match driver {
+            Some(Ok(unit)) if unit.served != Served::Missing => unit,
+            Some(Ok(_)) => return decline("the driver was skipped".into()),
+            _ => return decline("the driver failed".into()),
+        };
+        let Some(col) = unit.vars.iter().position(|v| v == &stage.var) else {
+            return decline("the driver does not bind the variable".into());
+        };
+        let mut seen: HashSet<AtomicKey> = HashSet::new();
+        for tuple in &unit.tuples {
+            match tuple.get(col) {
+                Some(Value::Atomic(key)) if stage.admits(key) => {
+                    seen.insert(AtomicKey(key.clone()));
+                }
+                other => {
+                    return decline(format!(
+                        "the driver bound {:?}, which is not a {:?} key",
+                        other, stage.key_type
+                    ))
+                }
+            }
+            // The estimate was wrong; stop counting.
+            if seen.len() as u64 > cost::BIND_MAX_KEYS {
+                self.metrics.observe("engine.bind.keys", seen.len() as u64);
+                return decline(format!(
+                    "more than {} keys (est ~{})",
+                    cost::BIND_MAX_KEYS,
+                    stage.est_keys
+                ));
+            }
+        }
+        self.metrics.observe("engine.bind.keys", seen.len() as u64);
+        // One order per set of keys, whatever order the driver's rows
+        // came in: the digest names the cached documents.
+        let mut keys: Vec<AtomicKey> = seen.into_iter().collect();
+        keys.sort();
+        let mut digest = std::collections::hash_map::DefaultHasher::new();
+        keys.hash(&mut digest);
+        let bound = BoundKeys {
+            keys: keys.into_iter().map(|k| k.0).collect(),
+            digest: digest.finish(),
+            send: unit.served == Served::Fresh,
+        };
+        if !bound.send {
+            let (_, note) = decline("the driver was served stale".into());
+            return (Some(bound), note);
+        }
+        self.metrics.incr("engine.bind.reduced", 1);
+        let note = format!(
+            "bind ${}: {} keys sent (est ~{})",
+            stage.var,
+            bound.keys.len(),
+            stage.est_keys
+        );
+        (Some(bound), Some(note))
+    }
+
     /// Fetch one independent unit's tuples under the unavailability
-    /// policy. With lineage tracking on, the third element describes
-    /// the unit(s) for the query's provenance table — the *caller*
-    /// interns them (sequentially, so ids stay dense even under
-    /// parallel fetch). A FetchMatch atom with a [`ShardPlan`] routes
-    /// through [`Engine::fetch_sharded`] instead of the source adapter.
+    /// policy. With lineage tracking on, the unit is described for the
+    /// query's provenance table — the *caller* interns (sequentially, so
+    /// ids stay dense even under parallel fetch). A FetchMatch atom
+    /// with a [`ShardPlan`] routes through [`Engine::fetch_sharded`]
+    /// instead of the source adapter. `bind` is the bind stage's key
+    /// list and this unit's field for it, when the unit is a target.
     fn fetch_atom(
         &self,
         atom: &AtomExec,
         shard_plan: Option<&ShardPlan>,
+        bind: Option<(&FieldRef, &BoundKeys)>,
         depth: usize,
         ctx: &mut ExecCtx,
-    ) -> Result<(Vec<String>, Vec<Tuple>, FetchProv), CoreError> {
+    ) -> Result<Fetched, CoreError> {
         let config = self.config();
         let track = config.optimizer.track_lineage && ctx.track;
         match atom {
@@ -2076,10 +2205,50 @@ impl Engine {
                     .catalog
                     .source(source)
                     .ok_or_else(|| CoreError::UnknownCollection(source.clone()))?;
+                let fragment_prov = || {
+                    track.then(|| ProvSource {
+                        name: source.clone(),
+                        detail: "fragment".to_string(),
+                        stale: false,
+                        cache_age_ms: None,
+                        view: false,
+                    })
+                };
+                let keyed = bind.filter(|(_, bound)| bound.send);
+                if keyed.is_some_and(|(_, bound)| bound.keys.is_empty()) {
+                    // A healthy driver bound no key, so the inner join
+                    // is empty whatever this source holds: it is not
+                    // asked (and never sent `IN ()`).
+                    return Ok(Fetched::fresh(
+                        vars.clone(),
+                        Vec::new(),
+                        FetchProv::from_opt(fragment_prov()),
+                    ));
+                }
                 ctx.source_calls += 1;
                 ctx.fragments += 1;
                 self.metrics.incr(&format!("source.calls.{}", source), 1);
-                let key = format!("frag:{}:{:?}", source, query);
+                // A keyed answer is stored under its keys' digest, so the
+                // stale cache can serve it for these keys only. With a
+                // list that is not sent (the driver was served stale)
+                // the document cached for these keys still answers, as
+                // second choice; with one that is, the whole fragment
+                // does — a superset the join filters.
+                let whole_key = format!("frag:{}:{:?}", source, query);
+                let keyed_key = bind.map(|(_, bound)| {
+                    format!("{}:bind={}:{:016x}", whole_key, bound.keys.len(), bound.digest)
+                });
+                let mut cache_keys: Vec<&str> = vec![&whole_key];
+                cache_keys.extend(keyed_key.as_deref());
+                if keyed.is_some() {
+                    cache_keys.reverse();
+                }
+                let sent = keyed.map(|(field, bound)| {
+                    query.clone().with_key_set(field.clone(), Arc::clone(&bound.keys))
+                });
+                let query = sent.as_ref().unwrap_or(query);
+                let kind = keyed.map(|(_, bound)| format!("execute bind={}", bound.keys.len()));
+                let kind = kind.as_deref().unwrap_or("execute");
                 let calls_before = QueryCtx::current().map(|c| c.calls_len());
                 let t_call = Instant::now();
                 let outcome = adapter.execute(query);
@@ -2089,13 +2258,14 @@ impl Engine {
                 match outcome {
                     Ok(doc) => {
                         if config.cache_nodes > 0 {
-                            self.cache.put(&key, Arc::clone(&doc));
+                            self.cache.put(cache_keys[0], Arc::clone(&doc));
                         }
                         let tuples = fragment_tuples(&doc, vars);
                         // Only an unfiltered single-collection fragment
                         // observes the collection's true cardinality.
                         if query.limit.is_none()
                             && query.selections.is_empty()
+                            && query.key_sets.is_empty()
                             && query.collections.len() == 1
                         {
                             self.note_stats_rows(
@@ -2106,32 +2276,29 @@ impl Engine {
                         note_source_call(
                             calls_before,
                             source,
-                            "execute",
+                            kind,
                             true,
                             call_ms,
                             tuples.len() as u64,
                             None,
                         );
-                        let prov = track.then(|| ProvSource {
-                            name: source.clone(),
-                            detail: "fragment".to_string(),
-                            stale: false,
-                            cache_age_ms: None,
-                            view: false,
-                        });
-                        Ok((vars.clone(), tuples, FetchProv::from_opt(prov)))
+                        Ok(Fetched::fresh(
+                            vars.clone(),
+                            tuples,
+                            FetchProv::from_opt(fragment_prov()),
+                        ))
                     }
                     Err(e) if e.is_unavailable() => {
                         note_source_call(
                             calls_before,
                             source,
-                            "execute",
+                            kind,
                             false,
                             call_ms,
                             0,
                             Some(e.to_string()),
                         );
-                        self.handle_unavailable(source, &key, "fragment", vars, e, ctx, track, &|doc| {
+                        self.handle_unavailable(source, &cache_keys, "fragment", vars, e, ctx, track, &|doc| {
                             fragment_tuples(doc, vars)
                         })
                     }
@@ -2140,7 +2307,7 @@ impl Engine {
                         note_source_call(
                             calls_before,
                             source,
-                            "execute",
+                            kind,
                             false,
                             call_ms,
                             0,
@@ -2191,7 +2358,7 @@ impl Engine {
                         );
                         return self.handle_unavailable(
                             source,
-                            &key,
+                            &[&key],
                             &format!("collection:{}", collection),
                             vars,
                             e,
@@ -2237,7 +2404,7 @@ impl Engine {
                     cache_age_ms: None,
                     view: false,
                 });
-                Ok((vars.clone(), tuples, FetchProv::from_opt(prov)))
+                Ok(Fetched::fresh(vars.clone(), tuples, FetchProv::from_opt(prov)))
             }
             AtomExec::ViewMatch {
                 view,
@@ -2272,7 +2439,7 @@ impl Engine {
                     cache_age_ms: None,
                     view: true,
                 });
-                Ok((vars.clone(), tuples, FetchProv::from_opt(prov)))
+                Ok(Fetched::fresh(vars.clone(), tuples, FetchProv::from_opt(prov)))
             }
         }
     }
@@ -2303,7 +2470,7 @@ impl Engine {
         vars: &[String],
         ctx: &mut ExecCtx,
         track: bool,
-    ) -> Result<(Vec<String>, Vec<Tuple>, FetchProv), CoreError> {
+    ) -> Result<Fetched, CoreError> {
         let config = self.config();
         let rt = self
             .shards
@@ -2323,7 +2490,7 @@ impl Engine {
                 cache_age_ms: None,
                 view: false,
             });
-            return Ok((vars.to_vec(), Vec::new(), FetchProv::from_opt(prov)));
+            return Ok(Fetched::fresh(vars.to_vec(), Vec::new(), FetchProv::from_opt(prov)));
         }
         self.metrics
             .incr("engine.shard.fanout", sp.survivors.len() as u64);
@@ -2469,10 +2636,13 @@ impl Engine {
         } else {
             FetchProv::None
         };
-        Ok((vars.to_vec(), tuples, prov))
+        Ok(Fetched::fresh(vars.to_vec(), tuples, prov))
     }
 
     /// Apply the unavailability policy for a failed source call.
+    /// `cache_keys` name the cached documents that may stand in under
+    /// `StaleCache`, best first (a bind target has two: the answer for
+    /// its keys, and the whole fragment — a superset the join filters).
     /// `to_tuples` converts the cached document back into binding tuples
     /// (fragment rows and collection documents decode differently).
     /// `detail` labels the unit in the provenance table when lineage
@@ -2482,29 +2652,34 @@ impl Engine {
     fn handle_unavailable(
         &self,
         source: &str,
-        cache_key: &str,
+        cache_keys: &[&str],
         detail: &str,
         vars: &[String],
         err: nimble_sources::SourceError,
         ctx: &mut ExecCtx,
         track: bool,
         to_tuples: &dyn Fn(&Arc<Document>) -> Vec<Tuple>,
-    ) -> Result<(Vec<String>, Vec<Tuple>, FetchProv), CoreError> {
+    ) -> Result<Fetched, CoreError> {
         let config = self.config();
         self.metrics.incr(&format!("source.failures.{}", source), 1);
+        let missing = |ctx: &mut ExecCtx| {
+            ctx.miss(source);
+            Ok(Fetched {
+                vars: vars.to_vec(),
+                tuples: Vec::new(),
+                prov: FetchProv::from_opt(missing_prov(track, source, detail)),
+                served: Served::Missing,
+            })
+        };
         match config.unavailable {
             UnavailablePolicy::Fail => Err(CoreError::Source(err)),
-            UnavailablePolicy::SkipAndAnnotate => {
-                ctx.miss(source);
-                Ok((
-                    vars.to_vec(),
-                    Vec::new(),
-                    FetchProv::from_opt(missing_prov(track, source, detail)),
-                ))
-            }
+            UnavailablePolicy::SkipAndAnnotate => missing(ctx),
             UnavailablePolicy::StaleCache => {
                 if config.cache_nodes > 0 {
-                    if let Some((doc, age)) = self.cache.get_with_age(cache_key) {
+                    let cached = cache_keys
+                        .iter()
+                        .find_map(|key| self.cache.get_with_age(key));
+                    if let Some((doc, age)) = cached {
                         ctx.stale = true;
                         self.metrics
                             .incr(&format!("source.stale_served.{}", source), 1);
@@ -2515,15 +2690,15 @@ impl Engine {
                             cache_age_ms: Some(age.as_secs_f64() * 1e3),
                             view: false,
                         });
-                        return Ok((vars.to_vec(), to_tuples(&doc), FetchProv::from_opt(prov)));
+                        return Ok(Fetched {
+                            vars: vars.to_vec(),
+                            tuples: to_tuples(&doc),
+                            prov: FetchProv::from_opt(prov),
+                            served: Served::Stale,
+                        });
                     }
                 }
-                ctx.miss(source);
-                Ok((
-                    vars.to_vec(),
-                    Vec::new(),
-                    FetchProv::from_opt(missing_prov(track, source, detail)),
-                ))
+                missing(ctx)
             }
         }
     }
@@ -2580,6 +2755,47 @@ impl Engine {
         };
         construct::append_instances_traced(b, template, schema, tuples, &mut cb, sink)
     }
+}
+
+/// One independent unit as fetched.
+struct Fetched {
+    vars: Vec<String>,
+    tuples: Vec<Tuple>,
+    prov: FetchProv,
+    served: Served,
+}
+
+/// Where a fetched unit's tuples came from (§3.4).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Served {
+    /// The source (or view) answered.
+    Fresh,
+    /// The source was unavailable; the stale cache answered.
+    Stale,
+    /// The source was unavailable; the unit was skipped and annotated.
+    Missing,
+}
+
+impl Fetched {
+    fn fresh(vars: Vec<String>, tuples: Vec<Tuple>, prov: FetchProv) -> Fetched {
+        Fetched {
+            vars,
+            tuples,
+            prov,
+            served: Served::Fresh,
+        }
+    }
+}
+
+/// The key list the bind stage's driver bound at run time.
+struct BoundKeys {
+    /// Distinct, in `total_cmp` order.
+    keys: Arc<[Atomic]>,
+    /// Digest of `keys`, for the names of cached keyed answers.
+    digest: u64,
+    /// False when the driver was served stale: the targets are then
+    /// asked without the list, which only names cached documents.
+    send: bool,
 }
 
 /// Lineage annotation of one fetched scan, as handed to the operator
@@ -2785,8 +3001,10 @@ fn missing_prov(track: bool, source: &str, detail: &str) -> Option<ProvSource> {
 /// Record one adapter call into the current query context, unless an
 /// inner instrumented layer (a `MeteredAdapter` or `SimulatedLink`
 /// wrapper) already appended a record during the call — `calls_before`
-/// is the context's call count read before invoking the adapter, so a
-/// grown list means the call was recorded at a lower layer.
+/// is the context's call count read before invoking the adapter, and
+/// the records added since are searched for one of *this* source: the
+/// list is shared with the query's other fetches, which run beside
+/// this one.
 fn note_source_call(
     calls_before: Option<usize>,
     source: &str,
@@ -2797,7 +3015,7 @@ fn note_source_call(
     error: Option<String>,
 ) {
     if let Some(qctx) = QueryCtx::current() {
-        let recorded_inside = calls_before.map_or(false, |n| qctx.calls_len() > n);
+        let recorded_inside = calls_before.map_or(false, |n| qctx.recorded_since(n, source));
         if !recorded_inside {
             qctx.record_source_call(SourceCall {
                 source: source.to_string(),
@@ -2822,13 +3040,17 @@ fn note_source_call(
 fn plan_semantic_signature(plan: &Plan) -> String {
     format!(
         "independents: {:?}; dependents: {:?}; residuals: {:?}; order_by: {:?}; pruned: {:?}; \
-         shards: {:?}",
+         shards: {:?}; bind: {:?}",
         plan.independents,
         plan.dependents,
         plan.residual_predicates,
         plan.order_by,
         plan.pruned,
-        plan.shards
+        plan.shards,
+        // The stage's shape; its key estimate is a cost annotation.
+        plan.bind
+            .as_ref()
+            .map(|b| (b.driver, &b.var, b.key_type, &b.targets))
     )
 }
 

@@ -118,6 +118,58 @@ pub struct Plan {
     /// collections (one entry per sharded scan). Empty when no shard
     /// runtime is attached or no scanned collection is partitioned.
     pub shards: Vec<ShardPlan>,
+    /// The bind stage, when shipping one fragment's join keys to others
+    /// is estimated to pay (see [`BindStage`]).
+    pub bind: Option<BindStage>,
+}
+
+/// A cross-source semi-join reduction (DESIGN.md §18): the engine
+/// fetches the `driver` fragment first, collects the distinct values it
+/// binds `var` to, and sends every target its fragment with that list
+/// as a key set on the field it binds `var` from. The central join runs
+/// unchanged, so a target that ignores the list (or is sent none,
+/// because the driver failed or the run-time guards declined) only
+/// ships more rows.
+#[derive(Debug, Clone)]
+pub struct BindStage {
+    /// Index into [`Plan::independents`] of the fragment fetched first.
+    pub driver: usize,
+    /// The join variable whose values are shipped.
+    pub var: String,
+    /// Declared type of the driver's field for `var` — and of every
+    /// target's. A run-time value of any other type cancels the stage.
+    pub key_type: AtomicType,
+    /// Estimated distinct keys. A cost annotation: the engine decides on
+    /// the count it actually finds.
+    pub est_keys: u64,
+    pub targets: Vec<BindTarget>,
+}
+
+/// One fragment that receives the driver's keys.
+#[derive(Debug, Clone)]
+pub struct BindTarget {
+    /// Index into [`Plan::independents`].
+    pub atom: usize,
+    /// The target's field for the stage's variable.
+    pub field: FieldRef,
+}
+
+impl BindStage {
+    /// The target entry of independent atom `i`, if it is one.
+    pub fn target(&self, i: usize) -> Option<&BindTarget> {
+        self.targets.iter().find(|t| t.atom == i)
+    }
+
+    /// Whether a value the driver bound can stand in a key list. Only a
+    /// non-null value of the declared type can — the mediator's join
+    /// equates two absent values and a number with its text, a source's
+    /// `IN` does neither — and, among strings, only one that does not
+    /// read as a number (the join compares `"42"` and `" 42 "` as
+    /// numbers).
+    pub fn admits(&self, key: &Atomic) -> bool {
+        key.atomic_type() == self.key_type
+            && key.as_str().map_or(true, |s| s.trim().parse::<f64>().is_err())
+    }
 }
 
 /// Routing decision for one sharded scan: which shards of a partitioned
@@ -310,8 +362,18 @@ pub fn plan_query_sharded(
         merge_same_source_fragments(catalog, &mut plan);
     }
 
-    // Phase 4: cost-based fold ordering from collection statistics.
+    // Phase 4: cardinality estimates from collection statistics, the
+    // bind stage they justify, and the fold order over what is left to
+    // join once the stage has shrunk its targets.
     if config.cost_based {
+        plan.est_rows = plan
+            .independents
+            .iter()
+            .map(|a| cost::estimate_atom(catalog, a))
+            .collect();
+        if config.pushdown {
+            plan_bind_stage(catalog, &mut plan);
+        }
         order_folds_by_cost(catalog, &mut plan);
     }
 
@@ -335,14 +397,18 @@ pub fn plan_query_sharded(
     // Final pass: surface the exact per-source query text that will be
     // shipped — for relational sources, the generated SQL (the paper's
     // "if an RDB is being queried, then the compiler generates SQL").
-    for atom in &plan.independents {
+    for (i, atom) in plan.independents.iter().enumerate() {
         if let AtomExec::Fragment { source, query, .. } = atom {
             if catalog
                 .source(source)
                 .is_some_and(|a| a.kind() == SourceKind::Relational)
             {
-                plan.notes
-                    .push(format!("  {} <- {}", source, RelationalAdapter::to_sql(query)));
+                let mut note = format!("  {} <- {}", source, RelationalAdapter::to_sql(query));
+                // The key list only exists at run time.
+                if let Some((stage, t)) = plan.bind.as_ref().and_then(|b| Some((b, b.target(i)?))) {
+                    note.push_str(&format!("  [+ {} IN (keys of ${})]", t.field, stage.var));
+                }
+                plan.notes.push(note);
             }
         }
     }
@@ -493,6 +559,207 @@ fn place_selection(
         plan.notes.push(note);
     }
     placed
+}
+
+/// Phase 4, between the estimates and the fold order: choose the bind
+/// stage (see [`BindStage`]; the argument and the rules are DESIGN.md
+/// §18).
+///
+/// The driver is the fragment estimated smallest. A single-collection
+/// fragment that shares a variable with it is a target when its source
+/// evaluates selections, both fields are declared the same key-able
+/// type (`Int`, `Str` or `Bool`: the keys are data, and only these
+/// spell the same in every source's language), and the estimated
+/// distinct keys are at most [`cost::BIND_MAX_KEYS`] and at most
+/// 1/[`cost::BIND_MIN_SHRINK`] of the target's estimated rows (and the
+/// target is not already pinned to one key by an equality). When the
+/// driver shares several variables, the one whose targets save the most
+/// estimated rows is bound; a stage binds one variable.
+///
+/// Lowers the targets' `est_rows` to what the keys are expected to
+/// leave, records the stage as a `bind-join` rewrite, and explains each
+/// decision in the notes.
+fn plan_bind_stage(catalog: &Catalog, plan: &mut Plan) {
+    let fragment = |i: usize| match &plan.independents[i] {
+        AtomExec::Fragment {
+            source,
+            query,
+            vars,
+        } => Some((source, query, vars)),
+        _ => None,
+    };
+    let Some(driver) = (0..plan.independents.len())
+        .filter(|&i| fragment(i).is_some())
+        .min_by_key(|&i| plan.est_rows[i])
+    else {
+        return;
+    };
+    let Some((driver_source, driver_query, driver_vars)) = fragment(driver) else {
+        return;
+    };
+    let Some(driver_adapter) = catalog.source(driver_source) else {
+        return;
+    };
+
+    /// One variable's candidate stage.
+    struct Choice {
+        var: String,
+        key_type: AtomicType,
+        est_keys: u64,
+        /// Target, its field, its estimate under the keys.
+        targets: Vec<(usize, FieldRef, u64)>,
+        declined: Vec<(String, Declined)>,
+    }
+    let mut best: Option<(u64, Choice)> = None;
+    for (var, driver_field) in &driver_query.outputs {
+        // The other single-collection fragments that bind the variable.
+        let candidates: Vec<(usize, &String, &SourceQuery, &FieldRef)> = (0..plan
+            .independents
+            .len())
+            .filter(|&t| t != driver)
+            .filter_map(|t| {
+                let (source, query, _) = fragment(t)?;
+                let field = query.outputs.iter().find(|(v, _)| v == var).map(|(_, f)| f)?;
+                (query.collections.len() == 1).then_some((t, source, query, field))
+            })
+            .collect();
+        if candidates.is_empty() {
+            continue;
+        }
+        let est_keys = cost::var_distinct(catalog, &plan.independents[driver], var)
+            .unwrap_or(u64::MAX)
+            .min(plan.est_rows[driver]);
+        // Looked up for the first candidate that gets as far as needing
+        // it: collection metadata is the dear part of this phase.
+        let mut driver_type: Option<Option<AtomicType>> = None;
+        let mut choice = Choice {
+            var: var.clone(),
+            key_type: AtomicType::Null,
+            est_keys,
+            targets: Vec::new(),
+            declined: Vec::new(),
+        };
+        let mut saved = 0u64;
+        for (t, source, query, field) in candidates {
+            let Some(adapter) = catalog.source(source) else {
+                continue;
+            };
+            let est = plan.est_rows[t];
+            let why = if !adapter.capabilities().selections {
+                Some(Declined::Caps)
+            } else if est_keys > cost::BIND_MAX_KEYS
+                || est_keys.saturating_mul(cost::BIND_MIN_SHRINK) > est
+                // An equality already pins the target to one value of
+                // the key; a list cannot shrink it further, whatever the
+                // (independence-assuming) estimate says.
+                || query
+                    .selections
+                    .iter()
+                    .any(|s| s.op == PredOp::Eq && &s.field == field)
+            {
+                Some(Declined::Cost(est_keys as f64 / est.max(1) as f64))
+            } else {
+                let key_type = *driver_type.get_or_insert_with(|| {
+                    field_type(driver_adapter.as_ref(), driver_query, driver_field).filter(|t| {
+                        matches!(t, AtomicType::Int | AtomicType::Str | AtomicType::Bool)
+                    })
+                });
+                match key_type {
+                    Some(ty) if field_type(adapter.as_ref(), query, field) == Some(ty) => {
+                        choice.key_type = ty;
+                        None
+                    }
+                    _ => Some(Declined::Type),
+                }
+            };
+            match why {
+                Some(why) => choice.declined.push((source.clone(), why)),
+                None => {
+                    // Each key finds rows/distinct rows of the target.
+                    let distinct = cost::var_distinct(catalog, &plan.independents[t], var)
+                        .unwrap_or(est)
+                        .max(1);
+                    let reduced =
+                        cost::clamp_rows(est as f64 * (est_keys as f64 / distinct as f64).min(1.0));
+                    saved += est.saturating_sub(reduced);
+                    choice.targets.push((t, field.clone(), reduced.min(est)));
+                }
+            }
+        }
+        if best.as_ref().map_or(true, |(most, _)| saved > *most) {
+            best = Some((saved, choice));
+        }
+    }
+    let Some((_, choice)) = best else {
+        return;
+    };
+
+    let driver_source = driver_source.clone();
+    let mut cols: Vec<String> = driver_vars.clone();
+    let mut sources = vec![driver_source.clone()];
+    let mut placements: Vec<Placement> = Vec::new();
+    let pred = format!("${} in keys({})", choice.var, driver_source);
+    let (mut before_rows, mut after_rows) = (0u64, 0u64);
+    for (t, _, reduced) in &choice.targets {
+        if let Some((source, _, vars)) = fragment(*t) {
+            cols.extend(vars.iter().cloned());
+            sources.push(source.clone());
+            placements.push(Placement {
+                pred: pred.clone(),
+                var: choice.var.clone(),
+                source: source.clone(),
+                outputs: vars.clone(),
+            });
+        }
+        before_rows = before_rows.saturating_add(plan.est_rows[*t]);
+        after_rows = after_rows.saturating_add(*reduced);
+    }
+    for (source, why) in &choice.declined {
+        plan.notes.push(format!(
+            "bind ${} not sent to {}: {}",
+            choice.var,
+            source,
+            why.tag()
+        ));
+    }
+    if choice.targets.is_empty() {
+        return;
+    }
+    plan.notes.push(format!(
+        "bind ${}: {} \u{2192} {} (~{} keys)",
+        choice.var,
+        driver_source,
+        sources[1..].join(", "),
+        choice.est_keys
+    ));
+    // Rewrite record: the central join already restricts every target
+    // to the driver's keys, and still does; the stage only ships copies
+    // of that restriction to fragments that bind the variable, so the
+    // columns, the key, the sources and the restriction all stay and the
+    // row bound can only fall.
+    let fingerprint = |rows: u64| {
+        Fingerprint::new(cols.clone())
+            .with_keys(vec![choice.var.clone()])
+            .with_extra(vec![pred.clone()])
+            .with_sources(sources.clone())
+            .with_card_bound(rows)
+    };
+    plan.rewrites.push(
+        RewriteRecord::new("bind-join", true, fingerprint(before_rows), fingerprint(after_rows))
+            .with_placements(placements),
+    );
+    let mut targets = Vec::with_capacity(choice.targets.len());
+    for (t, field, reduced) in choice.targets {
+        plan.est_rows[t] = reduced;
+        targets.push(BindTarget { atom: t, field });
+    }
+    plan.bind = Some(BindStage {
+        driver,
+        var: choice.var,
+        key_type: choice.key_type,
+        est_keys: choice.est_keys,
+        targets,
+    });
 }
 
 /// Phase 5 of planning: satisfiability analysis over the decomposed
@@ -890,6 +1157,16 @@ pub mod cost {
     /// shipped: it barely shrinks the transfer, so the source round-trip
     /// does the same work either way.
     pub const CENTRAL_RESIDUAL_THRESHOLD: f64 = 0.9;
+    /// Longest key list the bind stage ships. The list travels inside
+    /// the target's query text, and the driver's round trip is serial:
+    /// past about a thousand keys the text costs the target what the
+    /// rows it spares would have.
+    pub const BIND_MAX_KEYS: u64 = 1024;
+    /// The bind stage is planned for a target only when the keys are
+    /// estimated at most this fraction (1/N) of the target's rows: the
+    /// transfer saved has to pay for fetching the driver before, instead
+    /// of beside, the targets.
+    pub const BIND_MIN_SHRINK: u64 = 4;
 
     /// Estimated fraction of rows a selection keeps, from field stats.
     /// `None` when the statistics cannot say anything useful.
@@ -906,9 +1183,18 @@ pub mod cost {
                     return Some(0.5);
                 }
                 let below = ((v - min) / (max - min)).clamp(0.0, 1.0);
-                Some(match sel.op {
+                let kept = match sel.op {
                     PredOp::Lt | PredOp::Le => below,
                     _ => 1.0 - below,
+                };
+                // The interpolation takes the column for continuous. A
+                // strict bound at a value inside [min, max] drops that
+                // value's rows at the least: one distinct value's share.
+                let strict = matches!(sel.op, PredOp::Lt | PredOp::Gt);
+                Some(if strict && (min..=max).contains(&v) {
+                    kept.min(1.0 - 1.0 / distinct)
+                } else {
+                    kept
                 })
             }
             PredOp::Like => Some(0.25),
@@ -1050,15 +1336,10 @@ pub mod cost {
 /// smallest estimated output and repeatedly fold in the unit that keeps
 /// the estimated intermediate result smallest, preferring units that
 /// share a join variable with the accumulated set over cross products.
-/// Fills `plan.est_rows`, `plan.fold_order`, and `plan.fold_rows`.
+/// Reads `plan.est_rows`; fills `plan.fold_order` and `plan.fold_rows`.
 fn order_folds_by_cost(catalog: &Catalog, plan: &mut Plan) {
     let n = plan.independents.len();
-    let est: Vec<u64> = plan
-        .independents
-        .iter()
-        .map(|a| cost::estimate_atom(catalog, a))
-        .collect();
-    plan.est_rows = est.clone();
+    let est = plan.est_rows.clone();
     if n == 0 {
         return;
     }
@@ -1119,9 +1400,13 @@ fn order_folds_by_cost(catalog: &Catalog, plan: &mut Plan) {
             for v in atom.vars() {
                 if let Some(&da) = bound_distinct.get(v) {
                     shares = true;
+                    // No more distinct values than rows: a unit that
+                    // selections or the bind stage shrank binds fewer
+                    // values than its collection holds.
                     let dj = cost::var_distinct(catalog, atom, v)
                         .map(u128::from)
                         .unwrap_or(atom_rows)
+                        .min(atom_rows)
                         .max(1);
                     denom = denom.saturating_mul(da.max(dj));
                 }
@@ -1233,6 +1518,25 @@ pub fn verify_plan(plan: &Plan, outer: Option<&Schema>) -> Result<(), CoreError>
             if !bound.contains(v) {
                 bound.push(v.clone());
             }
+        }
+    }
+    if let Some(stage) = &plan.bind {
+        // Driver and targets are fragments that output the stage's
+        // variable — each target from the field the keys are sent for.
+        let binds = |i: usize, field: Option<&FieldRef>| {
+            matches!(plan.independents.get(i), Some(AtomExec::Fragment { query, .. })
+                if query.outputs.iter().any(|(v, f)| v == &stage.var && field.map_or(true, |t| t == f)))
+        };
+        let sound = binds(stage.driver, None)
+            && stage
+                .targets
+                .iter()
+                .all(|t| t.atom != stage.driver && binds(t.atom, Some(&t.field)));
+        if !sound {
+            return Err(CoreError::PlanVerify(format!(
+                "bind stage on ${} names a unit that does not bind it: {:?}",
+                stage.var, stage
+            )));
         }
     }
     for dep in &plan.dependents {
@@ -1826,6 +2130,170 @@ mod tests {
             plan.pruned.as_deref(),
             Some("unsatisfiable: pushed selections on billing can never hold")
         );
+    }
+
+    #[test]
+    fn strict_comparison_on_a_discrete_column_drops_a_value() {
+        use nimble_sources::query::Selection;
+        use nimble_store::stats::{CollectionStats, SampleBuilder};
+        let mut b = SampleBuilder::new();
+        for sev in [1i64, 2, 3, 1, 2, 3] {
+            b.add_row();
+            b.observe("severity", &Atomic::Int(sev));
+        }
+        let stats: CollectionStats = b.finish(6);
+        let sel = |op, v: i64| Selection {
+            field: FieldRef::new("t", "severity"),
+            op,
+            value: Atomic::Int(v),
+        };
+        let keeps = |op, v| cost::selection_selectivity(&stats, &sel(op, v)).unwrap();
+        // `> min` and `< max` keep everything by interpolation, yet each
+        // drops one of the three values.
+        assert!((keeps(PredOp::Gt, 1) - 2.0 / 3.0).abs() < 1e-9);
+        assert!((keeps(PredOp::Lt, 3) - 2.0 / 3.0).abs() < 1e-9);
+        // Where interpolation is already below the cap it stands.
+        assert!((keeps(PredOp::Gt, 2) - 0.5).abs() < 1e-9);
+        // Non-strict bounds and bounds outside [min, max] drop nothing
+        // that the estimate can know of.
+        assert_eq!(keeps(PredOp::Ge, 1), 1.0);
+        assert_eq!(keeps(PredOp::Gt, 0), 1.0);
+        assert_eq!(keeps(PredOp::Lt, 4), 1.0);
+    }
+
+    /// `tickets` of `support` (30, severities 1–3, one customer each),
+    /// `customers` of `crm` (200) and `orders` of `billing` (three a
+    /// customer), joined on `$i`.
+    const THREE_WAY: &str = r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
+                 <row><oid>$o</oid><cust_id>$i</cust_id></row> IN "orders",
+                 <row><cust_id>$i</cust_id><severity>$sev</severity></row> IN "tickets""#;
+
+    fn three_way_plan(
+        wrap: impl Fn(&str, Arc<dyn SourceAdapter>) -> Arc<dyn SourceAdapter>,
+        id_type: &str,
+        tail: &str,
+    ) -> Plan {
+        let quote = if id_type == "TEXT" { "'" } else { "" };
+        let mut crm = vec![format!("CREATE TABLE customers (id {}, name TEXT)", id_type)];
+        let mut billing = vec!["CREATE TABLE orders (oid INT, cust_id INT)".to_string()];
+        let mut support = vec!["CREATE TABLE tickets (cust_id INT, severity INT)".to_string()];
+        for i in 0..200 {
+            crm.push(format!("INSERT INTO customers VALUES ({q}{i}{q}, 'c{i}')", q = quote));
+            for j in 0..3 {
+                billing.push(format!("INSERT INTO orders VALUES ({}, {})", 3 * i + j, i));
+            }
+            if i % 7 == 0 {
+                support.push(format!("INSERT INTO tickets VALUES ({}, {})", i, i % 3 + 1));
+            }
+        }
+        let c = Catalog::new();
+        for (name, stmts) in [("crm", crm), ("billing", billing), ("support", support)] {
+            c.register_source(wrap(name, relational(name, &stmts))).unwrap();
+        }
+        let q = parse(&format!("{}{} CONSTRUCT <o>$n</o>", THREE_WAY, tail));
+        plan_query(&c, &q, &OptimizerConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn smallest_fragment_binds_its_keys_into_the_others() {
+        let plan = three_way_plan(|_, a| a, "INT", ", $sev > 1");
+        // 29 tickets, two of three severities kept: the strict bound is
+        // worth shipping now.
+        assert!(has_note(&plan, "predicate pushed to support"));
+        assert!(plan.residual_predicates.is_empty());
+        let stage = plan.bind.as_ref().unwrap();
+        assert_eq!((stage.driver, stage.var.as_str()), (2, "i"));
+        assert_eq!((stage.key_type, stage.est_keys), (AtomicType::Int, 19));
+        let targets: Vec<(usize, String)> = stage
+            .targets
+            .iter()
+            .map(|t| (t.atom, t.field.to_string()))
+            .collect();
+        assert_eq!(targets, [(0, "t.id".to_string()), (1, "t.cust_id".to_string())]);
+        assert!(has_note(&plan, "bind $i: support \u{2192} crm, billing (~19 keys)"));
+        assert!(has_note(
+            &plan,
+            "  crm <- SELECT t.id AS i, t.name AS n FROM customers t  [+ t.id IN (keys of $i)]"
+        ));
+        // The targets are estimated at what the keys leave (`orders` by
+        // the 86 distinct customers its 256-row sample saw), and the
+        // fold order is over those estimates.
+        assert_eq!(plan.est_rows, [19, 133, 19]);
+        // The plan's own queries carry no key list: that is run time's.
+        for atom in &plan.independents {
+            assert!(matches!(atom, AtomExec::Fragment { query, .. } if query.key_sets.is_empty()));
+        }
+        let record = plan.rewrites.iter().find(|r| r.rule == "bind-join").unwrap();
+        assert_eq!(record.before.card_bound, Some(800));
+        assert_eq!(record.after.card_bound, Some(152));
+        assert_eq!(record.placements.len(), 2);
+        assert!(nimble_planck::audit(&plan.rewrites).is_empty());
+        assert!(verify_plan(&plan, None).is_ok());
+        let mut stray = plan.clone();
+        if let Some(stage) = &mut stray.bind {
+            stage.targets[1].field = FieldRef::new("t", "oid");
+        }
+        assert!(matches!(verify_plan(&stray, None), Err(CoreError::PlanVerify(_))));
+
+        // Without statistics-driven planning there is no estimate to
+        // justify a stage; without pushdown there is nothing to send.
+        for config in [
+            OptimizerConfig {
+                cost_based: false,
+                ..OptimizerConfig::default()
+            },
+            OptimizerConfig {
+                pushdown: false,
+                ..OptimizerConfig::default()
+            },
+        ] {
+            let c = Catalog::new();
+            c.register_source(lookup_sources("INT", 1..=200, 1..=2).0).unwrap();
+            c.register_source(lookup_sources("INT", 1..=200, 1..=2).1).unwrap();
+            let q = parse(&format!("{} CONSTRUCT <o>$n</o>", LOOKUP));
+            assert!(plan_query(&c, &q, &OptimizerConfig::default()).unwrap().bind.is_some());
+            assert!(plan_query(&c, &q, &config).unwrap().bind.is_none());
+        }
+    }
+
+    #[test]
+    fn bind_stage_is_declined_per_target() {
+        // A source that evaluates no selections is sent no keys; the
+        // other target still is.
+        let plan = three_way_plan(
+            |name, a| if name == "billing" { Arc::new(NoSelections(a)) } else { a },
+            "INT",
+            "",
+        );
+        let stage = plan.bind.as_ref().unwrap();
+        assert_eq!(stage.targets.iter().map(|t| t.atom).collect::<Vec<_>>(), [0]);
+        assert!(has_note(&plan, "bind $i not sent to billing: caps"));
+        assert!(has_note(&plan, "bind $i: support \u{2192} crm (~29 keys)"));
+
+        // TEXT ids against INT keys: the join equates '7' and 7, a
+        // source's IN may not.
+        let plan = three_way_plan(|_, a| a, "TEXT", "");
+        let stage = plan.bind.as_ref().unwrap();
+        assert_eq!(stage.targets.iter().map(|t| t.atom).collect::<Vec<_>>(), [1]);
+        assert!(has_note(&plan, "bind $i not sent to crm: type"));
+
+        // One key against one estimated row does not pay for fetching
+        // the driver first: both fetches stay in one parallel round.
+        let (crm, billing) = lookup_sources("INT", 1..=20, 1..=20);
+        let plan = lookup_plan(crm, billing, "$i = 7");
+        assert!(plan.bind.is_none());
+        assert!(has_note(&plan, "bind $i not sent to billing: cost"));
+        assert!(plan.rewrites.iter().all(|r| r.rule != "bind-join"));
+
+        // Nor does it against twenty: `$i = 7` went to both fragments,
+        // so billing is already asked for that one customer's orders.
+        let (crm, _) = lookup_sources("INT", 1..=20, 1..=20);
+        let mut orders = vec!["CREATE TABLE orders (oid INT, cust_id INT)".to_string()];
+        orders.extend((0..200).map(|o| format!("INSERT INTO orders VALUES ({}, {})", o, o % 10 + 1)));
+        let plan = lookup_plan(crm, relational("billing", &orders), "$i = 7");
+        assert_eq!(plan.est_rows, [1, 20]);
+        assert!(plan.bind.is_none());
+        assert!(has_note(&plan, "bind $i not sent to billing: cost"));
     }
 
     #[test]

@@ -24,6 +24,13 @@
 //!   that binds it). Each copy counts as the predicate being accounted
 //!   for, and must sit at a fragment that outputs its variable.
 //!
+//! * **Bind stage** — a `bind-join` record ships the restriction "the
+//!   join variable takes one of the driver's values" to other
+//!   fragments. The central join keeps enforcing it, so the record is a
+//!   placement of copies like any other; on top of the checks above it
+//!   must name exactly one key, ship at least one copy, and every copy
+//!   must select on that key.
+//!
 //! Fingerprints are deliberately string-shaped: they must survive
 //! serialization into cached-plan stamps and diff cheaply.
 
@@ -102,7 +109,8 @@ impl std::fmt::Display for Placement {
 #[derive(Debug, Clone)]
 pub struct RewriteRecord {
     /// Rule name for diagnostics (`"fold-reorder"`, `"pushdown"`,
-    /// `"build-side-swap"`, `"vectorize"`, `"plan-cache-hit"`).
+    /// `"bind-join"`, `"build-side-swap"`, `"vectorize"`,
+    /// `"plan-cache-hit"`).
     pub rule: String,
     /// Whether the rewrite promises to preserve column *order* (a
     /// substitution) rather than just the column set (a reordering).
@@ -260,6 +268,26 @@ pub fn audit(records: &[RewriteRecord]) -> Vec<PlanIssue> {
             }
         }
 
+        if r.rule == "bind-join" {
+            match r.before.keys.as_slice() {
+                [key] => {
+                    for p in r.placements.iter().filter(|p| &p.var != key) {
+                        report(format!(
+                            "bind stage on ${} ships a key list for ${}: {}",
+                            key, p.var, p
+                        ));
+                    }
+                }
+                keys => report(format!(
+                    "a bind stage binds one join variable, this one names {{{}}}",
+                    keys.join(", ")
+                )),
+            }
+            if r.placements.is_empty() {
+                report("bind stage without a target".to_string());
+            }
+        }
+
         for p in &r.placements {
             if !p.outputs.contains(&p.var) {
                 report(format!(
@@ -411,6 +439,46 @@ mod tests {
         assert_eq!(issues.len(), 1);
         assert!(issues[0].detail.contains("does not bind"));
         assert!(issues[0].detail.contains("support"));
+    }
+
+    #[test]
+    fn bind_stage_ships_one_key_to_fragments_that_bind_it() {
+        let place = |var: &str, source: &str, outputs: &[&str]| Placement {
+            pred: "$i in keys(support)".to_string(),
+            var: var.to_string(),
+            source: source.to_string(),
+            outputs: cols(outputs),
+        };
+        let stage = |keys: &[&str], rows_after: u64, placements: Vec<Placement>| {
+            let side = |rows: u64| {
+                Fingerprint::new(cols(&["i", "sev", "i", "n", "i", "t"]))
+                    .with_keys(cols(keys))
+                    .with_extra(cols(&["$i in keys(support)"]))
+                    .with_sources(cols(&["support", "crm", "billing"]))
+                    .with_card_bound(rows)
+            };
+            RewriteRecord::new("bind-join", true, side(5_493), side(rows_after))
+                .with_placements(placements)
+        };
+        let both = vec![place("i", "crm", &["i", "n"]), place("i", "billing", &["i", "t"])];
+        assert!(audit(&[stage(&["i"], 732, both.clone())]).is_empty());
+
+        // The keys can only shrink what the targets ship.
+        let issues = audit(&[stage(&["i"], 6_000, both.clone())]);
+        assert!(issues.len() == 1 && issues[0].detail.contains("cardinality bound grew"));
+        // A target that does not bind the variable.
+        let stray = vec![place("i", "crm", &["i", "n"]), place("i", "press", &["c", "h"])];
+        let issues = audit(&[stage(&["i"], 732, stray)]);
+        assert!(issues.len() == 1 && issues[0].detail.contains("does not bind"));
+        // A list for another variable than the stage's.
+        let other = vec![place("i", "crm", &["i", "n"]), place("t", "billing", &["i", "t"])];
+        let issues = audit(&[stage(&["i"], 732, other)]);
+        assert!(issues.len() == 1 && issues[0].detail.contains("ships a key list for $t"));
+        // Two variables, or no target at all.
+        let issues = audit(&[stage(&["i", "t"], 732, both)]);
+        assert!(issues.len() == 1 && issues[0].detail.contains("one join variable"));
+        let issues = audit(&[stage(&["i"], 732, Vec::new())]);
+        assert!(issues.len() == 1 && issues[0].detail.contains("without a target"));
     }
 
     #[test]

@@ -335,6 +335,102 @@ mod tests {
         assert_eq!(rs.rows.len(), 2);
     }
 
+    /// 300 rows of `(id, k, v)`: `id` is the insertion order, `k` takes
+    /// 40 values with repeats, `v` is a second seeded column.
+    fn keyed_db(index: Option<&str>) -> Database {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (id INT, k INT, v INT)").unwrap();
+        let mut x = 12345u64;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as i64
+        };
+        let rows: Vec<String> = (0..300)
+            .map(|id| format!("({}, {}, {})", id, next() % 40, next() % 100))
+            .collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+            .unwrap();
+        if let Some(using) = index {
+            db.execute(&format!("CREATE INDEX ON t (k){}", using)).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn in_list_answers_alike_over_every_access_path() {
+        // Hash index, B-tree index and no index: the same rows, in table
+        // order, as the OR of equalities — whatever else the WHERE
+        // holds, and with keys that repeat, are absent from the table,
+        // or are the float spelling of an int.
+        let mut x = 99u64;
+        let mut next = move |n: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        for round in 0..60 {
+            let len = 1 + next(12) as usize;
+            let keys: Vec<String> = (0..len)
+                .map(|_| match next(4) {
+                    0 => format!("{}.0", next(45)),
+                    _ => next(45).to_string(),
+                })
+                .collect();
+            let rest = match round % 3 {
+                0 => String::new(),
+                1 => format!(" AND v > {}", next(100)),
+                _ => format!(" AND v <> {} AND id > {}", next(100), next(300)),
+            };
+            let listed = format!("SELECT id, k FROM t WHERE k IN ({}){}", keys.join(", "), rest);
+            let ors: Vec<String> = keys.iter().map(|k| format!("k = {}", k)).collect();
+            let spelled = format!("SELECT id, k FROM t WHERE ({}){}", ors.join(" OR "), rest);
+            let want = keyed_db(None).execute(&spelled).unwrap().rows;
+            let ids: Vec<i64> = want.iter().filter_map(|r| r[0].as_f64()).map(|f| f as i64).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "table order: {}", spelled);
+            for index in [None, Some(" USING HASH"), Some("")] {
+                let mut db = keyed_db(index);
+                db.reset_stats();
+                let got = db.execute(&listed).unwrap().rows;
+                assert_eq!(got, want, "{:?}: {}", index, listed);
+                // Indexed: one probe per listed key, only matches read.
+                let stats = db.stats();
+                match index {
+                    None => assert_eq!((stats.index_lookups, stats.rows_scanned), (0, 300)),
+                    Some(_) => {
+                        assert_eq!(stats.index_lookups, len as u64, "{}", listed);
+                        assert!(stats.rows_scanned <= 300 && stats.used_indexes == ["t.k"]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_list_probes_lose_to_an_equality_and_beat_a_range() {
+        let mut db = keyed_db(Some(""));
+        db.execute("CREATE INDEX ON t (id) USING HASH").unwrap();
+        db.execute("CREATE INDEX ON t (v)").unwrap();
+        db.reset_stats();
+        db.execute("SELECT id FROM t WHERE k IN (1, 2, 3) AND id = 7").unwrap();
+        assert_eq!(db.stats().used_indexes, ["t.id"]);
+        db.reset_stats();
+        let rs = db
+            .execute("SELECT id FROM t WHERE v > 10 AND k IN (1, 2, 3)")
+            .unwrap();
+        assert_eq!(db.stats().used_indexes, ["t.k"]);
+        // The range conjunct is still applied to the probed rows.
+        let full = keyed_db(None)
+            .execute("SELECT id FROM t WHERE v > 10 AND (k = 1 OR k = 2 OR k = 3)")
+            .unwrap();
+        assert_eq!(rs.rows, full.rows);
+        // A null in the list keeps the meaning it always had here.
+        for index in [None, Some(" USING HASH"), Some("")] {
+            let mut db = keyed_db(index);
+            db.execute("INSERT INTO t VALUES (300, NULL, 0)").unwrap();
+            let rs = db.execute("SELECT id FROM t WHERE k IN (NULL)").unwrap();
+            assert_eq!(rs.rows.len(), 1, "{:?}", index);
+        }
+    }
+
     #[test]
     fn computed_columns() {
         let mut db = sample_db();

@@ -244,6 +244,8 @@ fn fetch_base_rows(
     let local_exprs: Vec<SqlExpr> = local.iter().map(|(_, c)| (*c).clone()).collect();
 
     let path = choose_access_path(&table.indexed_columns(), &local_exprs, &binding.name);
+    // The local conjunct the access path has already answered, if any.
+    let mut answered: Option<usize> = None;
     let candidate_ids: Vec<usize> = match &path {
         AccessPath::FullScan => (0..table.row_count()).collect(),
         AccessPath::IndexEq { column, key } => {
@@ -252,7 +254,32 @@ fn fetch_base_rows(
             // columns; a full scan is the safe (and correct) fallback
             // should that invariant ever break.
             match table.index_on(column) {
-                Some(ix) => ix.lookup_eq(key),
+                Some(ix) => ix.lookup_eq(key).to_vec(),
+                None => (0..table.row_count()).collect(),
+            }
+        }
+        AccessPath::IndexIn {
+            column,
+            keys,
+            conjunct,
+        } => {
+            stats.note_index(&binding.table, column);
+            stats.index_lookups += (keys.items().len() as u64).saturating_sub(1);
+            match table.index_on(column) {
+                Some(ix) => {
+                    // Sorted and de-duplicated (two listed keys may be
+                    // equal as keys), so rows come back in table order,
+                    // as a scan would return them.
+                    let mut ids: Vec<usize> = keys
+                        .items()
+                        .iter()
+                        .flat_map(|k| ix.lookup_eq(k).iter().copied())
+                        .collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    answered = Some(*conjunct);
+                    ids
+                }
                 None => (0..table.row_count()).collect(),
             }
         }
@@ -279,8 +306,8 @@ fn fetch_base_rows(
         let row = &table.rows()[rid];
         let mut wide = vec![Atomic::Null; width];
         wide[binding.offset..binding.offset + row.len()].clone_from_slice(row);
-        for (_, c) in &local {
-            if !eval_expr(c, &wide, resolver)?.truthy() {
+        for (k, (_, c)) in local.iter().enumerate() {
+            if answered != Some(k) && !eval_expr(c, &wide, resolver)?.truthy() {
                 continue 'rows;
             }
         }
@@ -533,8 +560,7 @@ pub fn eval_expr(
             Ok(Atomic::Bool(like_match(&v.lexical(), pattern)))
         }
         SqlExpr::In(e, items) => {
-            let v = eval_expr(e, row, resolver)?;
-            Ok(Atomic::Bool(items.iter().any(|i| v.key_eq(i))))
+            Ok(Atomic::Bool(items.contains(eval_expr(e, row, resolver)?)))
         }
         SqlExpr::Between(e, lo, hi) => {
             let v = eval_expr(e, row, resolver)?;

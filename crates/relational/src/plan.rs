@@ -104,6 +104,14 @@ pub enum AccessPath {
     FullScan,
     /// Probe an index for equality on a column.
     IndexEq { column: String, key: Atomic },
+    /// Probe an index once per key of an `IN` list. The probes answer
+    /// the list exactly, so conjunct number `conjunct` (of those the
+    /// path was chosen from) needs no evaluation on the rows they find.
+    IndexIn {
+        column: String,
+        keys: InList,
+        conjunct: usize,
+    },
     /// Range scan of a B-tree index.
     IndexRange {
         column: String,
@@ -113,7 +121,8 @@ pub enum AccessPath {
 }
 
 /// Pick the best single-column access path for a table given its pushed
-/// conjuncts. Preference: equality probe > range scan > full scan.
+/// conjuncts. Preference: equality probe > `IN` probes > range scan >
+/// full scan.
 pub fn choose_access_path(
     indexed: &[(String, crate::table::IndexKind)],
     conjuncts: &[SqlExpr],
@@ -128,6 +137,20 @@ pub fn choose_access_path(
                     return AccessPath::IndexEq {
                         column: col,
                         key: lit,
+                    };
+                }
+            }
+        }
+    }
+    // Then one probe per listed key (again hash or btree).
+    for (conjunct, c) in conjuncts.iter().enumerate() {
+        if let SqlExpr::In(e, keys) = c {
+            if let SqlExpr::Col(cr) = e.as_ref() {
+                if owned_by(cr, binding) && indexed.iter().any(|(n, _)| n == &cr.column) {
+                    return AccessPath::IndexIn {
+                        column: cr.column.clone(),
+                        keys: keys.clone(),
+                        conjunct,
                     };
                 }
             }
@@ -269,6 +292,36 @@ mod tests {
             AccessPath::IndexEq { column, .. } => assert_eq!(column, "b"),
             other => panic!("{:?}", other),
         }
+    }
+
+    #[test]
+    fn in_list_ranks_between_equality_and_range() {
+        let indexed = vec![
+            ("a".to_string(), IndexKind::BTree),
+            ("b".to_string(), IndexKind::Hash),
+        ];
+        let col = |c: &str| Box::new(SqlExpr::Col(ColRef::new(Some("t"), c)));
+        let range = SqlExpr::Cmp(SqlCmp::Gt, col("a"), Box::new(SqlExpr::Lit(Atomic::Int(5))));
+        let list = SqlExpr::In(col("b"), InList::new(vec![Atomic::Int(1), Atomic::Int(2)]));
+        match choose_access_path(&indexed, &[range.clone(), list.clone()], "t") {
+            AccessPath::IndexIn {
+                column, conjunct, ..
+            } => {
+                assert_eq!(column, "b");
+                assert_eq!(conjunct, 1);
+            }
+            other => panic!("{:?}", other),
+        }
+        assert!(matches!(
+            choose_access_path(&indexed, &[list.clone(), eq("a", 3)], "t"),
+            AccessPath::IndexEq { .. }
+        ));
+        // A list over an unindexed column leaves the range to win.
+        let unindexed = vec![("a".to_string(), IndexKind::BTree)];
+        assert!(matches!(
+            choose_access_path(&unindexed, &[list, range], "t"),
+            AccessPath::IndexRange { .. }
+        ));
     }
 
     #[test]

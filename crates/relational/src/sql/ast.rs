@@ -2,7 +2,9 @@
 
 use crate::table::IndexKind;
 use crate::types::Column;
-use nimble_xml::Atomic;
+use nimble_xml::{Atomic, AtomicKey};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A parsed SQL statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,6 +129,34 @@ pub enum AggKind {
     Avg,
 }
 
+/// The literal list of an `IN`. Its membership set is built once, when
+/// the statement is parsed, so a row is tested in O(1) however long the
+/// list; both halves are shared, so cloning a conjunct copies no keys.
+/// Membership is [`Atomic::key_eq`], the equality index probes use.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InList {
+    items: Arc<[Atomic]>,
+    set: Arc<HashSet<AtomicKey>>,
+}
+
+impl InList {
+    pub fn new(items: Vec<Atomic>) -> InList {
+        InList {
+            set: Arc::new(items.iter().cloned().map(AtomicKey).collect()),
+            items: items.into(),
+        }
+    }
+
+    /// The literals as written.
+    pub fn items(&self) -> &[Atomic] {
+        &self.items
+    }
+
+    pub fn contains(&self, v: Atomic) -> bool {
+        self.set.contains(&AtomicKey(v))
+    }
+}
+
 /// SQL scalar / boolean expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SqlExpr {
@@ -138,7 +168,7 @@ pub enum SqlExpr {
     Not(Box<SqlExpr>),
     Arith(SqlArith, Box<SqlExpr>, Box<SqlExpr>),
     Like(Box<SqlExpr>, String),
-    In(Box<SqlExpr>, Vec<Atomic>),
+    In(Box<SqlExpr>, InList),
     Between(Box<SqlExpr>, Atomic, Atomic),
     IsNull(Box<SqlExpr>, /*negated=*/ bool),
     /// `COUNT(*)` has no argument.

@@ -422,7 +422,7 @@ impl Parser {
                 }
             }
             self.expect_tok(&SqlToken::RParen)?;
-            let e = SqlExpr::In(Box::new(left), items);
+            let e = SqlExpr::In(Box::new(left), InList::new(items));
             return Ok(if negated {
                 SqlExpr::Not(Box::new(e))
             } else {

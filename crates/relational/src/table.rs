@@ -41,13 +41,14 @@ impl Index {
         }
     }
 
-    /// Row ids matching an equality probe.
-    pub(crate) fn lookup_eq(&self, key: &Atomic) -> Vec<usize> {
+    /// Row ids matching an equality probe, ascending.
+    pub(crate) fn lookup_eq(&self, key: &Atomic) -> &[usize] {
         let k = AtomicKey(key.clone());
-        match self {
-            Index::Hash(m) => m.get(&k).cloned().unwrap_or_default(),
-            Index::BTree(m) => m.get(&k).cloned().unwrap_or_default(),
-        }
+        let hit = match self {
+            Index::Hash(m) => m.get(&k),
+            Index::BTree(m) => m.get(&k),
+        };
+        hit.map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Row ids for a (closed/open) range; only B-tree supports this.

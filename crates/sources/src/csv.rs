@@ -2,7 +2,7 @@
 
 use crate::capabilities::Capabilities;
 use crate::error::SourceError;
-use crate::query::{CollectionInfo, RowsBuilder, SourceQuery};
+use crate::query::{CollectionInfo, KeyFilter, RowsBuilder, SourceQuery};
 use crate::{SourceAdapter, SourceKind};
 use nimble_xml::{Atomic, AtomicType, Document};
 use std::collections::BTreeMap;
@@ -206,6 +206,12 @@ impl SourceAdapter for CsvAdapter {
                 .position(|(n, _)| n == name)
                 .ok_or_else(|| SourceError::query(&self.name, format!("no field {:?}", name)))
         };
+        // Resolve the restricted fields once, so an unknown one is an
+        // error whatever the rows hold.
+        for (field, _) in &query.key_sets {
+            field_idx(&field.field)?;
+        }
+        let keys = KeyFilter::new(query);
         let mut out = RowsBuilder::new();
         'rows: for row in &f.rows {
             for sel in &query.selections {
@@ -213,6 +219,12 @@ impl SourceAdapter for CsvAdapter {
                 if !sel.op.eval(v, &sel.value) {
                     continue 'rows;
                 }
+            }
+            let in_keys = keys.admits(|field| {
+                field_idx(&field.field).map_or(Atomic::Null, |i| row[i].clone())
+            });
+            if !in_keys {
+                continue;
             }
             if query.limit.is_some_and(|n| out.len() >= n) {
                 break;
@@ -294,6 +306,25 @@ mod tests {
         let mut q = SourceQuery::scan("leads", &[("who", "name")]);
         q.limit = Some(1);
         assert_eq!(rows_of(&a.execute(&q).unwrap()).len(), 1);
+    }
+
+    #[test]
+    fn key_set_filters_beside_selections() {
+        let a = CsvAdapter::new("files").add_csv("leads", LEADS).unwrap();
+        let keys: Arc<[Atomic]> = vec![Atomic::Int(9), Atomic::Float(3.0)].into();
+        let field = crate::query::FieldRef::new("t", "score");
+        let q = SourceQuery::scan("leads", &[("who", "name")]).with_key_set(field.clone(), keys);
+        assert_eq!(rows_of(&a.execute(&q).unwrap()).len(), 2);
+        let q = q.with_selection("score", PredOp::Ge, Atomic::Int(7));
+        assert_eq!(rows_of(&a.execute(&q).unwrap()).len(), 1);
+        // A null field is in no key set; an unknown field is an error.
+        let blank: Arc<[Atomic]> = vec![Atomic::Str("".into())].into();
+        let q = SourceQuery::scan("leads", &[("who", "name")])
+            .with_key_set(crate::query::FieldRef::new("t", "company"), blank.clone());
+        assert!(rows_of(&a.execute(&q).unwrap()).is_empty());
+        let q = SourceQuery::scan("leads", &[("who", "name")])
+            .with_key_set(crate::query::FieldRef::new("t", "nope"), blank);
+        assert!(a.execute(&q).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::capabilities::Capabilities;
 use crate::error::SourceError;
-use crate::query::{CollectionInfo, RowsBuilder, SourceQuery};
+use crate::query::{CollectionInfo, KeyFilter, RowsBuilder, SourceQuery};
 use crate::{SourceAdapter, SourceKind};
 use nimble_xml::{Atomic, AtomicType, Document, DocumentBuilder};
 use std::collections::BTreeMap;
@@ -157,6 +157,7 @@ impl SourceAdapter for HierarchicalAdapter {
             ));
         }
         let seg_type = &query.collections[0].collection;
+        let keys = KeyFilter::new(query);
         let mut out = RowsBuilder::new();
         let mut type_seen = false;
         self.walk(|seg| {
@@ -168,6 +169,9 @@ impl SourceAdapter for HierarchicalAdapter {
                 if !sel.op.eval(&seg.field(&sel.field.field), &sel.value) {
                     return;
                 }
+            }
+            if !keys.admits(|field| seg.field(&field.field)) {
+                return;
             }
             if query.limit.is_some_and(|n| out.len() >= n) {
                 return;
@@ -263,6 +267,17 @@ mod tests {
     }
 
     #[test]
+    fn segment_scan_with_key_set() {
+        let a = legacy_store();
+        let keys: Arc<[Atomic]> = vec![Atomic::Int(101), Atomic::Int(7)].into();
+        let q = SourceQuery::scan("stock", &[("part", "pno"), ("qty", "qty")])
+            .with_key_set(crate::query::FieldRef::new("t", "pno"), keys);
+        let rows = rows_of(&a.execute(&q).unwrap());
+        assert_eq!(rows.len(), 1);
+        assert_eq!(row_field(&rows[0], "qty"), Atomic::Int(0));
+    }
+
+    #[test]
     fn joins_rejected() {
         let a = legacy_store();
         let q = SourceQuery {
@@ -280,6 +295,7 @@ mod tests {
             selections: vec![],
             outputs: vec![],
             limit: None,
+            key_sets: Vec::new(),
         };
         assert!(a.execute(&q).is_err());
     }

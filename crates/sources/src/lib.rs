@@ -34,6 +34,24 @@
 //! kind of source produced them — XML as the unifying model, which is the
 //! paper's thesis.
 
+//!
+//! ## Key sets
+//!
+//! Besides its selections a fragment may carry **key sets**
+//! ([`SourceQuery::key_sets`]): `field IN (keys)`, sent when another
+//! source's answer already says which join keys can contribute (the
+//! mediator's bind stage). The contract is one sentence: *a key set is
+//! a hint* — the mediator still runs the join, so an adapter that
+//! ignores it returns a superset and the answer is the same; an adapter
+//! that honours it must keep every row whose field
+//! [`nimble_xml::Atomic::key_eq`]s a key. A new adapter therefore needs
+//! no code to stay correct. The relational adapter renders
+//! `alias.field IN (…)`; adapters that filter in-process (`csv`,
+//! `hierarchical`) share [`KeyFilter`]; the [`sim`] and [`metered`]
+//! wrappers pass the query through. Keys are distinct, non-null, of the
+//! field's declared type, and the list is never empty — a mediator that
+//! has no key does not call the source at all.
+
 pub mod capabilities;
 pub mod csv;
 pub mod error;
@@ -47,7 +65,9 @@ pub mod xmldoc;
 pub use capabilities::Capabilities;
 pub use error::SourceError;
 pub use metered::MeteredAdapter;
-pub use query::{CollectionInfo, CollectionRef, FieldRef, PredOp, Selection, SourceQuery};
+pub use query::{
+    CollectionInfo, CollectionRef, FieldRef, KeyFilter, PredOp, Selection, SourceQuery,
+};
 
 use nimble_xml::Document;
 use std::sync::Arc;

@@ -1,7 +1,8 @@
 //! The fragment language: what the mediator pushes to adapters, and the
 //! `<rows>` result contract helpers.
 
-use nimble_xml::{Atomic, AtomicType, Document, DocumentBuilder, NodeRef};
+use nimble_xml::{Atomic, AtomicKey, AtomicType, Document, DocumentBuilder, NodeRef};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -129,6 +130,21 @@ pub struct SourceQuery {
     /// the row element names in the result document.
     pub outputs: Vec<(String, FieldRef)>,
     pub limit: Option<usize>,
+    /// Key sets: `field IN (keys)`, one list per restricted field, all
+    /// ANDed with the selections. The mediator sends one when another
+    /// source's answer already says which join keys can contribute
+    /// (the bind stage, DESIGN.md §18). Keys are distinct, non-null and
+    /// of one coercion class; the list is never empty.
+    ///
+    /// **Contract: a key set is a hint, never a requirement.** The
+    /// mediator still runs the join itself, so an adapter that ignores
+    /// `key_sets` returns a superset and the answer is the same. An
+    /// adapter that honours one must keep every row whose field
+    /// [`Atomic::key_eq`]s some key — dropping such a row loses
+    /// answers — and may keep others. Adapters that filter in-process
+    /// use [`KeyFilter`]; the relational adapter renders
+    /// `alias.field IN (…)`.
+    pub key_sets: Vec<(FieldRef, Arc<[Atomic]>)>,
 }
 
 impl SourceQuery {
@@ -146,7 +162,14 @@ impl SourceQuery {
                 .map(|(out, field)| (out.to_string(), FieldRef::new("t", field)))
                 .collect(),
             limit: None,
+            key_sets: Vec::new(),
         }
+    }
+
+    /// Restrict `field` to the given keys (see [`SourceQuery::key_sets`]).
+    pub fn with_key_set(mut self, field: FieldRef, keys: Arc<[Atomic]>) -> SourceQuery {
+        self.key_sets.push((field, keys));
+        self
     }
 
     /// Add a selection on the single scanned collection.
@@ -158,6 +181,33 @@ impl SourceQuery {
             value,
         });
         self
+    }
+}
+
+/// A fragment's key sets, hashed once per call so that adapters which
+/// filter in-process test a row in O(1) per restricted field.
+pub struct KeyFilter<'q> {
+    sets: Vec<(&'q FieldRef, HashSet<AtomicKey>)>,
+}
+
+impl<'q> KeyFilter<'q> {
+    pub fn new(query: &'q SourceQuery) -> KeyFilter<'q> {
+        KeyFilter {
+            sets: query
+                .key_sets
+                .iter()
+                .map(|(field, keys)| (field, keys.iter().cloned().map(AtomicKey).collect()))
+                .collect(),
+        }
+    }
+
+    /// True when the row passes every key set; `value_of` reads the
+    /// row's value for a restricted field. A null field matches no key.
+    pub fn admits(&self, value_of: impl Fn(&FieldRef) -> Atomic) -> bool {
+        self.sets.iter().all(|(field, keys)| {
+            let v = value_of(field);
+            !v.is_null() && keys.contains(&AtomicKey(v))
+        })
     }
 }
 
@@ -240,6 +290,26 @@ mod tests {
             &Atomic::Str("%wor%".into())
         ));
         assert!(!PredOp::Eq.eval(&Atomic::Null, &Atomic::Int(1)));
+    }
+
+    #[test]
+    fn key_filter_matches_by_join_equality() {
+        let keys: Arc<[Atomic]> = vec![Atomic::Int(2), Atomic::Str("o'k".into())].into();
+        let q = SourceQuery::scan("orders", &[("c", "cust_id")])
+            .with_key_set(FieldRef::new("t", "cust_id"), keys);
+        let filter = KeyFilter::new(&q);
+        for (v, want) in [
+            (Atomic::Int(2), true),
+            (Atomic::Float(2.0), true),
+            (Atomic::Int(3), false),
+            (Atomic::Str("o'k".into()), true),
+            (Atomic::Null, false),
+        ] {
+            assert_eq!(filter.admits(|_| v.clone()), want, "{:?}", v);
+        }
+        // No key set admits everything.
+        let all = SourceQuery::scan("orders", &[]);
+        assert!(KeyFilter::new(&all).admits(|_| Atomic::Null));
     }
 
     #[test]

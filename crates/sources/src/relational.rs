@@ -71,13 +71,17 @@ impl RelationalAdapter {
                 c.collection, c.alias, l, r
             ));
         }
-        if !query.selections.is_empty() {
+        let mut preds: Vec<String> = query
+            .selections
+            .iter()
+            .map(|s| format!("{} {} {}", s.field, s.op.sql(), sql_literal(&s.value)))
+            .collect();
+        for (field, keys) in &query.key_sets {
+            let list: Vec<String> = keys.iter().map(sql_literal).collect();
+            preds.push(format!("{} IN ({})", field, list.join(", ")));
+        }
+        if !preds.is_empty() {
             sql.push_str(" WHERE ");
-            let preds: Vec<String> = query
-                .selections
-                .iter()
-                .map(|s| format!("{} {} {}", s.field, s.op.sql(), sql_literal(&s.value)))
-                .collect();
             sql.push_str(&preds.join(" AND "));
         }
         if let Some(n) = query.limit {
@@ -230,6 +234,30 @@ mod tests {
     }
 
     #[test]
+    fn key_set_is_an_in_list_beside_the_selections() {
+        let keys: Arc<[Atomic]> = vec![Atomic::Int(2), Atomic::Int(7)].into();
+        let q = SourceQuery::scan("orders", &[("o", "id")])
+            .with_selection("total", PredOp::Gt, Atomic::Float(1.0))
+            .with_key_set(FieldRef::new("t", "cust_id"), keys);
+        assert_eq!(
+            RelationalAdapter::to_sql(&q),
+            "SELECT t.id AS o FROM orders t WHERE t.total > 1.0 AND t.cust_id IN (2, 7)"
+        );
+        let doc = adapter().execute(&q).unwrap();
+        assert_eq!(row_field(&rows_of(&doc)[0], "o"), Atomic::Int(11));
+        assert_eq!(rows_of(&doc).len(), 1);
+
+        // A quote inside a string key survives the SQL text.
+        let names: Arc<[Atomic]> = vec![Atomic::Str("O'Hare".into()), Atomic::Str("x".into())].into();
+        let q = SourceQuery::scan("customers", &[("i", "id")])
+            .with_key_set(FieldRef::new("t", "name"), names);
+        assert!(RelationalAdapter::to_sql(&q).ends_with("WHERE t.name IN ('O''Hare', 'x')"));
+        let doc = adapter().execute(&q).unwrap();
+        assert_eq!(rows_of(&doc).len(), 1);
+        assert_eq!(row_field(&rows_of(&doc)[0], "i"), Atomic::Int(2));
+    }
+
+    #[test]
     fn execute_scan_and_join() {
         let a = adapter();
         let q = SourceQuery::scan("customers", &[("n", "name")]);
@@ -259,6 +287,7 @@ mod tests {
                 ("total".into(), FieldRef::new("o", "total")),
             ],
             limit: None,
+            key_sets: Vec::new(),
         };
         let doc = a.execute(&q).unwrap();
         let rows = rows_of(&doc);
@@ -284,6 +313,7 @@ mod tests {
             }],
             outputs: vec![],
             limit: None,
+            key_sets: Vec::new(),
         };
         assert_eq!(
             RelationalAdapter::to_sql(&q),

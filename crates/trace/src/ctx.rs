@@ -110,10 +110,21 @@ impl QueryCtx {
 
     /// Number of call records so far. Callers instrumenting a layered
     /// adapter stack read this before the call and skip their own
-    /// append when the count grew during it (the inner layer already
-    /// recorded the call).
+    /// append when an inner layer recorded the call meanwhile
+    /// ([`QueryCtx::recorded_since`]).
     pub fn calls_len(&self) -> usize {
         lock(&self.calls).len()
+    }
+
+    /// Whether a record of `source` was appended after the first
+    /// `since` records. The list is shared by a query's parallel
+    /// fetches, so its growth alone says nothing: the new record may be
+    /// another source's.
+    pub fn recorded_since(&self, since: usize, source: &str) -> bool {
+        lock(&self.calls)
+            .iter()
+            .skip(since)
+            .any(|c| c.source == source)
     }
 
     /// Snapshot of the call records.
@@ -193,5 +204,7 @@ mod tests {
         });
         assert_eq!(ctx.calls_len(), 1);
         assert_eq!(ctx.source_calls()[0].source, "crm");
+        assert!(ctx.recorded_since(0, "crm"));
+        assert!(!ctx.recorded_since(0, "erp") && !ctx.recorded_since(1, "crm"));
     }
 }

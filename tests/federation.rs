@@ -333,3 +333,68 @@ fn lookup_join_ships_the_matching_rows_not_the_table() {
     assert_eq!(empty, "<results/>");
     assert_eq!(q_calls, 0);
 }
+
+#[test]
+fn bind_stage_ships_the_rows_the_small_side_can_join() {
+    // 20 tickets in a CSV file, 400 customers in `crm`, three orders a
+    // customer in `billing`. The tickets are fetched first; the two
+    // tables are asked for the ticketed customers only — and `billing`,
+    // a file gateway here, filters its rows with the same key list.
+    let mut crm = vec!["CREATE TABLE customers (id INT, name TEXT)".to_string()];
+    let mut orders = String::from("oid,cust_id,total\n");
+    for i in 0..400 {
+        crm.push(format!("INSERT INTO customers VALUES ({}, 'c{}')", i, i));
+        for j in 0..3 {
+            orders.push_str(&format!("{},{},{}\n", 3 * i + j, i, (i * 7 + j * 131) % 500));
+        }
+    }
+    let mut tickets = String::from("tid,cust_id,severity\n");
+    for t in 0..20 {
+        tickets.push_str(&format!("{},{},{}\n", t, 19 * t + 3, t % 3 + 1));
+    }
+    let crm_refs: Vec<&str> = crm.iter().map(String::as_str).collect();
+    let sources: [Arc<dyn SourceAdapter>; 3] = [
+        Arc::new(RelationalAdapter::from_statements("crm", &crm_refs).unwrap()),
+        Arc::new(CsvAdapter::new("billing").add_csv("orders", &orders).unwrap()),
+        Arc::new(CsvAdapter::new("support").add_csv("tickets", &tickets).unwrap()),
+    ];
+    let c = Catalog::new();
+    let mut counters = Vec::new();
+    for inner in sources {
+        let (calls, nodes) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        counters.push((Arc::clone(&calls), Arc::clone(&nodes)));
+        c.register_source(Arc::new(Counting { inner, calls, nodes })).unwrap();
+    }
+    let engine = Engine::new(Arc::new(c));
+    let text = r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
+                        <row><oid>$o</oid><cust_id>$i</cust_id><total>$t</total></row> IN "orders",
+                        <row><cust_id>$i</cust_id><severity>$sev</severity></row> IN "tickets",
+                        $sev > 1
+                  CONSTRUCT <o><n>$n</n><k>$o</k></o> ORDER-BY $o"#;
+    let read = |k: usize| {
+        (
+            counters[k].0.load(Ordering::Relaxed),
+            counters[k].1.load(Ordering::Relaxed),
+        )
+    };
+    let before = [read(0), read(1), read(2)];
+    let r = engine.query(text).unwrap();
+    let charged = |k: usize| (read(k).0 - before[k].0, read(k).1 - before[k].1);
+    // 13 tickets of severity 2 or 3, 13 distinct customers.
+    let keys = 13;
+    assert_eq!(r.stats.tuples, keys * 3);
+    assert!(r.stats.plan.contains("bind $i: support \u{2192} billing, crm (~13 keys)"), "{}", r.stats.plan);
+    assert!(r.stats.plan.contains("bind $i: 13 keys sent (est ~13)"), "{}", r.stats.plan);
+    // One call a source. A row costs one node, plus two a field.
+    assert_eq!(charged(2), (1, 1 + 13 * 5));
+    assert_eq!(charged(0), (1, 1 + keys as u64 * 5));
+    assert_eq!(charged(1), (1, 1 + keys as u64 * 3 * 7));
+
+    // The same document as the oracle, which ships all 1 620 rows.
+    engine.set_optimizer(OptimizerConfig {
+        pushdown: false,
+        ..OptimizerConfig::default()
+    });
+    let central = engine.query(text).unwrap();
+    assert_eq!(to_string(&central.document.root()), to_string(&r.document.root()));
+}

@@ -462,3 +462,81 @@ fn cluster_merges_flight_records_in_start_order() {
     assert_eq!(instances.len(), 2, "round-robin spread over both engines");
     cluster.shutdown();
 }
+
+/// `crm`, `billing` and `support` joined on the customer id: small
+/// enough to run hundreds of times, large enough that the planner binds
+/// the 8 ticketed customers into the other two fragments.
+fn three_source_catalog() -> Arc<Catalog> {
+    let mut crm = vec!["CREATE TABLE customers (id INT, name TEXT)".to_string()];
+    let mut billing = vec!["CREATE TABLE orders (oid INT, cust_id INT)".to_string()];
+    let mut support = vec!["CREATE TABLE tickets (tid INT, cust_id INT)".to_string()];
+    for i in 0..40 {
+        crm.push(format!("INSERT INTO customers VALUES ({}, 'c{}')", i, i));
+        billing.push(format!("INSERT INTO orders VALUES ({}, {}), ({}, {})", 2 * i, i, 2 * i + 1, i));
+        if i % 5 == 0 {
+            support.push(format!("INSERT INTO tickets VALUES ({}, {})", i / 5, i));
+        }
+    }
+    let c = Catalog::new();
+    for (name, stmts) in [("crm", crm), ("billing", billing), ("support", support)] {
+        let refs: Vec<&str> = stmts.iter().map(String::as_str).collect();
+        c.register_source(Arc::new(RelationalAdapter::from_statements(name, &refs).unwrap()))
+            .unwrap();
+    }
+    Arc::new(c)
+}
+
+const THREE_SOURCE_JOIN: &str = r#"
+    WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
+          <row><oid>$o</oid><cust_id>$i</cust_id></row> IN "orders",
+          <row><tid>$k</tid><cust_id>$i</cust_id></row> IN "tickets"
+    CONSTRUCT <hit><n>$n</n><o>$o</o><k>$k</k></hit> ORDER-BY $o
+"#;
+
+#[test]
+fn every_parallel_fetch_leaves_its_own_source_call_record() {
+    // The fetches of one query share its call list and run beside each
+    // other: a fetch must find its *own* source among the records added
+    // during its call, not take another source's record for it.
+    let config = EngineConfig { slow_query_ms: 0.0, ..EngineConfig::default() };
+    let engine = Engine::with_config(three_source_catalog(), config);
+    for run in 0..500 {
+        let r = engine.query(THREE_SOURCE_JOIN).unwrap();
+        assert_eq!(r.stats.tuples, 16);
+        let records = engine.flight_recorder().records();
+        let rec = records.last().unwrap();
+        assert_eq!(rec.trace_id, TraceId(r.stats.trace_id));
+        let mut calls: Vec<(&str, &str, u64)> = rec
+            .source_calls
+            .iter()
+            .map(|c| (c.source.as_str(), c.kind.as_str(), c.rows))
+            .collect();
+        calls.sort();
+        // The driver's call is a plain execute; the two it restricts
+        // say how many keys they carried.
+        assert_eq!(
+            calls,
+            [
+                ("billing", "execute bind=8", 16),
+                ("crm", "execute bind=8", 8),
+                ("support", "execute", 8)
+            ],
+            "run {}",
+            run
+        );
+    }
+    let snapshot = engine.metrics_snapshot();
+    assert_eq!(snapshot.counter("engine.bind.reduced"), 500);
+    assert_eq!(snapshot.counter("engine.bind.declined"), 0);
+    let keys = &snapshot.histograms["engine.bind.keys"];
+    assert_eq!((keys.count, keys.sum, keys.max), (500, 500 * 8, 8));
+}
+
+#[test]
+fn explain_analyze_sets_estimated_against_actual_keys() {
+    let engine = Engine::new(three_source_catalog());
+    let listing = engine.explain_analyze(THREE_SOURCE_JOIN).unwrap();
+    assert!(listing.contains("-- bind $i: support \u{2192} crm, billing (~8 keys)"), "{}", listing);
+    assert!(listing.contains("-- bind $i: 8 keys sent (est ~8)"), "{}", listing);
+    assert!(listing.contains("actual rows=16"), "{}", listing);
+}

@@ -83,9 +83,15 @@ T bench crates/bench/src/lib.rs nimble_core nimble_sources nimble_trace serde_js
 T observability tests/observability.rs nimble serde_json
 T provenance tests/provenance.rs nimble serde_json
 T federation tests/federation.rs nimble
+T availability tests/availability.rs nimble
+T materialization tests/materialization.rs nimble
+T architecture tests/architecture.rs nimble parking_lot
 # Cold-and-warm sweep over the shard nodes' scan memo (the slice-typed
 # eval and limited-sampling tests ride in the algebra and core bins).
 T shard_differential crates/core/tests/shard_differential.rs nimble_core nimble_sources nimble_xml
+# The bind stage against adapters that ignore key sets, against
+# pushdown off, and through the outage matrix.
+T bind_differential crates/core/tests/bind_differential.rs nimble_core nimble_sources nimble_xml
 
 B exp_observability crates/bench/src/bin/exp_observability.rs nimble_bench nimble_core nimble_trace serde_json
 B exp_vectorized crates/bench/src/bin/exp_vectorized.rs nimble_bench nimble_core nimble_trace nimble_xml serde_json
