@@ -1,7 +1,7 @@
-//! Deterministic differential tests for the interned-atom fast paths:
-//! the typed hash-join key, the cached-key vectorized sort, DISTINCT,
-//! and grouping must treat every coercion-class edge case exactly like
-//! the pre-interning string-rendered semantics. The edges under test:
+//! Deterministic tests of the value-equality edges: the hash join's
+//! typed key is held to a written-down relation (`join_classes`), the
+//! cached-key sort to a stable `Value::total_cmp` sort, and DISTINCT
+//! and grouping to their lexical-key semantics. The edges under test:
 //!
 //! * `NaN` — all NaNs collapse to one join/group key.
 //! * `0.0` vs `-0.0` — distinct (their lexical forms differ).
@@ -65,109 +65,185 @@ fn rows_rendered(op: &mut dyn Operator) -> Vec<String> {
     run_to_vec(op).unwrap().iter().map(render).collect()
 }
 
-#[test]
-fn typed_hash_join_matches_string_keyed_scalar_on_edges() {
-    // Scalar mode keys buckets on the rendered coercion-class string
-    // (the pre-interning semantics); vectorized mode uses the typed
-    // `(tag, bits)` key and the interner. Same build/probe inputs must
-    // produce the same multiset of joined rows.
-    let scalar = {
-        let mut op = HashJoinOp::new(
-            Box::new(one_col_source("l", edge_values())),
-            Box::new(one_col_source("r", edge_values())),
-            vec![0],
-            vec![0],
-            JoinType::Inner,
-        );
-        let mut rows = rows_rendered(&mut op);
-        rows.sort();
-        rows
-    };
-    let typed = {
-        let mut op = HashJoinOp::new(
-            Box::new(one_col_source("l", edge_values())),
-            Box::new(one_col_source("r", edge_values())),
-            vec![0],
-            vec![0],
-            JoinType::Inner,
-        )
-        .vectorized(false);
-        let mut rows = rows_rendered(&mut op);
-        rows.sort();
-        rows
-    };
-    assert_eq!(scalar, typed);
-    // Spot-check the semantics the classes promise: NaN self-joins
-    // (one collapsed key), "42"/" 42 "/42 cross-join as one numeric
-    // class, Sym("apple") joins Str("apple"), and 2^53 as float joins
-    // 2^53 as int but not 2^53 + 1.
-    let nan_pairs = scalar.iter().filter(|r| r.contains("NaN")).count();
-    assert_eq!(nan_pairs, 1, "all NaNs must collapse to one key");
-    let forty_two = scalar
-        .iter()
-        .filter(|r| r.split('\u{1}').all(|c| c.trim() == "42"))
-        .count();
-    assert_eq!(forty_two, 9, "three 42-class values must fully cross-join");
-    let apples = scalar
-        .iter()
-        .filter(|r| r.split('\u{1}').all(|c| c == "apple"))
-        .count();
-    assert_eq!(apples, 4, "Sym and Str apples must be one key");
+/// The join's equality relation, written down: values join iff they
+/// carry the same class number here. This table is the specification
+/// `ops::join::typed_key` is held to — there is no second implementation
+/// to compare against.
+fn join_classes() -> Vec<(u32, Value)> {
+    let p53 = 1i64 << 53;
+    let a = |a: Atomic| Value::Atomic(a);
+    vec![
+        // All NaNs are one class, whatever their payload or sign.
+        (0, a(Atomic::Float(f64::NAN))),
+        (0, a(Atomic::Float(-f64::NAN))),
+        // 0.0 and -0.0 are different classes.
+        (1, a(Atomic::Float(0.0))),
+        (1, a(Atomic::Int(0))),
+        (2, a(Atomic::Float(-0.0))),
+        // Int 2^53 ≡ Float 2^53; 2^53 + 1 is alone.
+        (3, a(Atomic::Int(p53))),
+        (3, a(Atomic::Float(p53 as f64))),
+        (4, a(Atomic::Int(p53 + 1))),
+        // "" is a string, not null; null ≡ null.
+        (5, a(Atomic::Str(String::new()))),
+        (6, a(Atomic::Null)),
+        // Numeric text joins the number it spells, trimmed.
+        (7, a(Atomic::Str("42".to_string()))),
+        (7, a(Atomic::Str(" 42 ".to_string()))),
+        (7, a(Atomic::Int(42))),
+        (7, a(Atomic::Float(42.0))),
+        // Interning is invisible.
+        (8, a(Atomic::Str("apple".to_string()))),
+        (8, a(Atomic::Sym(Sym::intern("apple")))),
+        (9, a(Atomic::Str("pear".to_string()))),
+        (10, a(Atomic::Bool(true))),
+        (11, a(Atomic::Bool(false))),
+    ]
 }
 
-#[test]
-fn hash_join_distinguishes_signed_zero_and_exact_ints() {
-    let mut op = HashJoinOp::new(
-        Box::new(one_col_source("l", edge_values())),
-        Box::new(one_col_source("r", edge_values())),
-        vec![0],
-        vec![0],
+/// Self-join `rows` (key columns first, row id last) on the first
+/// `arity` columns and return the joined `(left id, right id)` pairs,
+/// sorted.
+fn joined_ids(rows: &[Tuple], arity: usize, parallel: bool, batched: bool) -> Vec<(i64, i64)> {
+    let source = |prefix: &str| {
+        let vars = (0..=arity).map(|c| format!("{}{}", prefix, c)).collect();
+        ValuesOp::new(Schema::new(vars), rows.to_vec())
+    };
+    let keys: Vec<usize> = (0..arity).collect();
+    let mut join = HashJoinOp::new(
+        Box::new(source("l")),
+        Box::new(source("r")),
+        keys.clone(),
+        keys,
         JoinType::Inner,
     )
-    .vectorized(false);
-    let rows = rows_rendered(&mut op);
-    // -0.0 joins only itself; 0.0 joins only itself.
-    assert_eq!(rows.iter().filter(|r| r.starts_with("-0")).count(), 1);
-    // 2^53 appears twice in the input (int and float form) => a full
-    // 2x2 cross; 2^53 + 1 joins only itself (exact-int class).
-    let p53 = (1u64 << 53).to_string();
-    let p53_1 = ((1u64 << 53) + 1).to_string();
-    assert_eq!(
-        rows.iter()
-            .filter(|r| r.split('\u{1}').all(|c| c == p53))
-            .count(),
-        4
-    );
-    assert_eq!(
-        rows.iter()
-            .filter(|r| r.split('\u{1}').all(|c| c == p53_1))
-            .count(),
-        1
-    );
-    // The empty string joins itself but never null (and vice versa):
-    // the join key classes are `s{}` and `0`, which differ even though
-    // both render to empty text.
-    assert_eq!(rows.iter().filter(|r| *r == "\u{1}").count(), 1);
-    assert_eq!(
-        rows.iter()
-            .filter(|r| r.split('\u{1}').all(|c| c == "\u{0}null"))
-            .count(),
-        1
-    );
+    .vectorized(parallel);
+    let out = if batched {
+        crate::run_to_vec_batched(&mut join, 4).unwrap().0
+    } else {
+        run_to_vec(&mut join).unwrap()
+    };
+    let id = |v: &Value| match v.atomize() {
+        Atomic::Int(i) => i,
+        other => panic!("row id must be an int, got {:?}", other),
+    };
+    let mut pairs: Vec<(i64, i64)> = out
+        .iter()
+        .map(|t| (id(&t[arity]), id(&t[2 * arity + 1])))
+        .collect();
+    pairs.sort_unstable();
+    pairs
 }
 
 #[test]
-fn vectorized_sort_matches_scalar_on_edges() {
-    let key = vec![SortKey {
-        column: 0,
-        descending: false,
-    }];
-    let mut scalar_op = SortOp::new(Box::new(one_col_source("x", edge_values())), key.clone());
-    let scalar = rows_rendered(&mut scalar_op);
-    let mut vec_op =
-        SortOp::new(Box::new(one_col_source("x", edge_values())), key).vectorized(false);
-    let vectorized = rows_rendered(&mut vec_op);
-    assert_eq!(scalar, vectorized);
+fn hash_join_equality_classes_are_the_written_relation() {
+    let classes = join_classes();
+    // Single-column key. Every value appears 30 times so the build side
+    // clears the pool threshold and `.vectorized(true)` takes the
+    // partitioned index wherever a pool exists.
+    let single: Vec<(u32, Value)> = (0..30).flat_map(|_| classes.iter().cloned()).collect();
+    let single_rows: Vec<Tuple> = single
+        .iter()
+        .enumerate()
+        .map(|(id, (_, v))| vec![v.clone(), Value::from(id as i64)])
+        .collect();
+    let mut single_want = Vec::new();
+    for (i, (ci, _)) in single.iter().enumerate() {
+        for (j, (cj, _)) in single.iter().enumerate() {
+            if ci == cj {
+                single_want.push((i as i64, j as i64));
+            }
+        }
+    }
+    // Two-column composite key: every ordered pair of table values;
+    // rows join iff both columns are class-equal.
+    let mut pair_classes: Vec<(u32, u32)> = Vec::new();
+    let mut pair_rows: Vec<Tuple> = Vec::new();
+    for (ca, va) in &classes {
+        for (cb, vb) in &classes {
+            let id = pair_rows.len() as i64;
+            pair_classes.push((*ca, *cb));
+            pair_rows.push(vec![va.clone(), vb.clone(), Value::from(id)]);
+        }
+    }
+    let mut pair_want = Vec::new();
+    for (i, ci) in pair_classes.iter().enumerate() {
+        for (j, cj) in pair_classes.iter().enumerate() {
+            if ci == cj {
+                pair_want.push((i as i64, j as i64));
+            }
+        }
+    }
+    for parallel in [false, true] {
+        for batched in [false, true] {
+            assert_eq!(
+                joined_ids(&single_rows, 1, parallel, batched),
+                single_want,
+                "single-column key, parallel={parallel} batched={batched}"
+            );
+            assert_eq!(
+                joined_ids(&pair_rows, 2, parallel, batched),
+                pair_want,
+                "composite key, parallel={parallel} batched={batched}"
+            );
+        }
+    }
+}
+
+#[test]
+fn left_outer_pads_exactly_the_unmatched_probe_rows() {
+    // Build side holds one member of some classes; a probe row is padded
+    // with nulls iff its class is absent from the build side.
+    let classes = join_classes();
+    let built: Vec<u32> = vec![1, 6, 7, 8];
+    let build_rows: Vec<Tuple> = built
+        .iter()
+        .map(|c| {
+            let (_, v) = classes.iter().find(|(k, _)| k == c).unwrap();
+            vec![v.clone()]
+        })
+        .collect();
+    for parallel in [false, true] {
+        let left = ValuesOp::new(
+            Schema::new(vec!["k".into()]),
+            classes.iter().map(|(_, v)| vec![v.clone()]).collect(),
+        );
+        let right = ValuesOp::new(Schema::new(vec!["k2".into()]), build_rows.clone());
+        let mut join =
+            HashJoinOp::new(Box::new(left), Box::new(right), vec![0], vec![0], JoinType::LeftOuter)
+                .vectorized(parallel);
+        let rows = crate::run_to_vec_batched(&mut join, 4).unwrap().0;
+        assert_eq!(rows.len(), classes.len());
+        for ((class, _), row) in classes.iter().zip(&rows) {
+            // Class 6 is null itself: matched, and its partner is null.
+            let matched = built.contains(class);
+            assert_eq!(
+                row[1].is_null(),
+                !matched || *class == 6,
+                "class {class} parallel={parallel}: {:?}",
+                row
+            );
+        }
+    }
+}
+
+#[test]
+fn sort_matches_stable_total_cmp_on_edges() {
+    // The specification of ORDER-BY: a stable sort under
+    // `Value::total_cmp`. The operator's cached-key sort must produce
+    // that order, with or without the parallel hint.
+    let mut want = edge_values();
+    want.sort_by(|a, b| a.total_cmp(b));
+    let want: Vec<String> = want.into_iter().map(|v| render(&vec![v])).collect();
+    for parallel in [false, true] {
+        let key = vec![SortKey {
+            column: 0,
+            descending: false,
+        }];
+        let mut op =
+            SortOp::new(Box::new(one_col_source("x", edge_values())), key).vectorized(parallel);
+        assert_eq!(rows_rendered(&mut op), want, "parallel={parallel}");
+    }
 }
 
 #[test]

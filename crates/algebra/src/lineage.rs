@@ -266,13 +266,8 @@ mod tests {
                 vec![0],
                 JoinType::Inner,
             );
-            let join: Box<dyn crate::ops::Operator> = if batched {
-                Box::new(join.vectorized(false))
-            } else {
-                Box::new(join)
-            };
             let sort = SortOp::new(
-                join,
+                Box::new(join),
                 vec![SortKey {
                     column: 0,
                     descending: true,

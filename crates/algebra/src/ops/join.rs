@@ -228,7 +228,63 @@ impl Operator for NestedLoopJoinOp {
 
 // --- Hash join ---
 
-/// Equi-join: builds a hash table on the right input's key columns, then
+/// One key column's equality class: a `(class tag, bits)` pair (see
+/// [`typed_key`]).
+type Key = (u8, u64);
+
+/// The build side's hash index: buckets of row indices into
+/// `HashJoinOp::build_rows`, so build tuples are stored once.
+enum JoinIndex {
+    /// Single-column key: the bare pair.
+    Single(HashMap<Key, Vec<u32>>),
+    /// Single-column key built in parallel on the worker pool: partition
+    /// `part_of(key, n)` owns the key, so build inserts race-free per
+    /// partition and probe hashes straight to the owner.
+    Parts(Vec<HashMap<Key, Vec<u32>>>),
+    /// Composite key: one pair per key column.
+    Composite(HashMap<Box<[Key]>, Vec<u32>>),
+}
+
+impl JoinIndex {
+    /// The bucket `row`'s key columns select, if any. `buf` is the
+    /// composite probe's reusable key buffer (no allocation per row).
+    fn probe(&self, row: &Tuple, cols: &[usize], buf: &mut Vec<Key>) -> Option<&Vec<u32>> {
+        match self {
+            JoinIndex::Single(map) => map.get(&typed_key(&row[cols[0]], false)?),
+            JoinIndex::Parts(parts) => {
+                let k = typed_key(&row[cols[0]], false)?;
+                parts[part_of(&k, parts.len())].get(&k)
+            }
+            JoinIndex::Composite(map) => {
+                buf.clear();
+                for &c in cols {
+                    buf.push(typed_key(&row[c], false)?);
+                }
+                map.get(buf.as_slice())
+            }
+        }
+    }
+
+    /// Footprint of the map entries (bucket slots are counted per row).
+    fn entry_bytes(&self) -> u64 {
+        let bytes = match self {
+            JoinIndex::Single(map) => map.len() * std::mem::size_of::<(Key, Vec<u32>)>(),
+            JoinIndex::Parts(parts) => {
+                parts.iter().map(HashMap::len).sum::<usize>()
+                    * std::mem::size_of::<(Key, Vec<u32>)>()
+            }
+            JoinIndex::Composite(map) => map
+                .iter()
+                .map(|(k, _)| {
+                    std::mem::size_of::<(Box<[Key]>, Vec<u32>)>() + std::mem::size_of_val(&**k)
+                })
+                .sum(),
+        };
+        bytes as u64
+    }
+}
+
+/// Equi-join: builds a hash index on the right input's key columns, then
 /// probes with the left input.
 pub struct HashJoinOp {
     left: BoxedOp,
@@ -237,30 +293,16 @@ pub struct HashJoinOp {
     right_keys: Vec<usize>,
     join_type: JoinType,
     schema: Schema,
-    table: HashMap<String, Vec<Tuple>>,
     pending: Vec<Tuple>,
     pending_cursor: usize,
     rows_out: u64,
-    vectorized: bool,
+    /// Hint that the build side is large enough for the worker pool
+    /// (the operator still declines below its own threshold).
     parallel: bool,
-    /// Vectorized build side: tuples stored once, hash table maps key →
-    /// row indices into this vector (no per-bucket tuple clones).
     build_rows: Vec<Tuple>,
-    table_idx: HashMap<String, Vec<u32>>,
-    /// Typed single-column index: used instead of `table_idx` for
-    /// single-column joins. [`typed_key_build`] maps every value class
-    /// to a tagged integer key (numeric bits, interned-symbol id, huge
-    /// int, bool, null), so neither build nor probe renders strings.
-    typed_idx: HashMap<(u8, u64), Vec<u32>>,
-    /// Partitioned typed index built in parallel on the worker pool
-    /// (non-empty replaces `typed_idx`): partition `part_of(key, n)`
-    /// owns the key, so build inserts race-free per partition and probe
-    /// hashes straight to the owner.
-    typed_parts: Vec<HashMap<(u8, u64), Vec<u32>>>,
-    typed: bool,
-    /// Reusable probe-key buffer (vectorized probe allocates no String
-    /// per input row).
-    key_buf: String,
+    index: JoinIndex,
+    /// Reusable composite probe key.
+    probe_key: Vec<Key>,
     scratch: Vec<Tuple>,
     est_rows: Option<u64>,
     /// Build-side footprint estimate, computed once at the end of the
@@ -269,12 +311,9 @@ pub struct HashJoinOp {
     /// Per-worker busy times of the parallel build-key extraction
     /// (`workers == 0` when the build side fell below the threshold).
     par_prof: Option<ParProfile>,
-    /// Vectorized build-side lineage, aligned with `build_rows` (present
-    /// iff the right child tracks).
+    /// Build-side lineage, aligned with `build_rows` (present iff the
+    /// right child tracks).
     build_lin: Option<Vec<LineageMask>>,
-    /// Scalar build-side lineage: per-bucket masks parallel to `table`'s
-    /// buckets (present iff the right child tracks).
-    table_lin: Option<HashMap<String, Vec<LineageMask>>>,
     /// Masks parallel to `pending`; drained into `lin` as rows emit.
     pending_lin: Vec<LineageMask>,
     /// Probe-side emissions consumed so far.
@@ -283,92 +322,25 @@ pub struct HashJoinOp {
     lin: Option<Vec<LineageMask>>,
 }
 
-/// Hash-join keys are rendered to a canonical string so cross-type equal
-/// values (Int 5 vs Float 5.0 vs node text "5") collide correctly; this
-/// mirrors `Value::key_eq`'s numeric coercion. Integers exactly
-/// representable as f64 render through f64 (so `Int(2) == Float(2.0)`);
-/// larger integers render exactly so distinct i64 keys beyond 2^53 never
-/// conflate.
-fn key_string(tuple: &Tuple, cols: &[usize]) -> String {
-    let mut out = String::new();
-    key_string_into(&mut out, tuple, cols);
-    out
-}
-
-/// Same canonicalization as [`key_string`], appending into a caller-owned
-/// buffer so batch probes reuse one allocation across rows.
-fn key_string_into(out: &mut String, tuple: &Tuple, cols: &[usize]) {
-    use std::fmt::Write;
-    fn push_num(out: &mut String, f: f64) {
-        let _ = write!(out, "n{}", f);
-    }
-    fn push_int(out: &mut String, i: i64) {
-        if (i as f64) as i64 == i {
-            push_num(out, i as f64);
-        } else {
-            let _ = write!(out, "ix{}", i);
-        }
-    }
-    for &c in cols {
-        let a = tuple[c].atomize();
-        match a {
-            nimble_xml::Atomic::Int(i) => push_int(out, i),
-            nimble_xml::Atomic::Float(f) => push_num(out, f),
-            nimble_xml::Atomic::Str(s) => match s.trim().parse::<i64>() {
-                Ok(i) => push_int(out, i),
-                Err(_) => match s.trim().parse::<f64>() {
-                    Ok(f) => push_num(out, f),
-                    Err(_) => {
-                        out.push('s');
-                        out.push_str(&s);
-                    }
-                },
-            },
-            nimble_xml::Atomic::Sym(sym) => {
-                let s = sym.as_str();
-                match s.trim().parse::<i64>() {
-                    Ok(i) => push_int(out, i),
-                    Err(_) => match s.trim().parse::<f64>() {
-                        Ok(f) => push_num(out, f),
-                        Err(_) => {
-                            out.push('s');
-                            out.push_str(s);
-                        }
-                    },
-                }
-            }
-            nimble_xml::Atomic::Bool(b) => out.push_str(if b { "bt" } else { "bf" }),
-            nimble_xml::Atomic::Null => out.push('0'),
-        }
-        out.push('\u{1}');
-    }
-}
-
-/// Typed fast-path key for single-column joins: a `(class tag, bits)`
-/// pair partitioning values **identically** to [`key_string_into`]'s
-/// rendered classes, with no string rendering:
+/// The join's equality relation, defined here and nowhere else: two
+/// values join iff their keys are equal. A key is a `(class tag, bits)`
+/// pair mirroring `Value::key_eq`'s numeric coercion, with no string
+/// rendering:
 ///
-/// * tag 2, f64 bits — the numeric (`n{f}`) class: ints representable
-///   as f64, floats, and numeric-parsing strings. All NaNs collapse to
-///   one key; `-0.0` stays distinct from `0.0`, matching their
-///   `Display` forms.
-/// * tag 4, i64 bits — the exact-int (`ix{i}`) class for integers f64
-///   cannot represent.
-/// * tag 3, interned id — the string (`s{str}`) class; the build side
-///   interns, the probe side uses a non-inserting lookup (a string
-///   absent from the interner cannot equal any build key).
-/// * tags 1/0 — bools (`bt`/`bf`) and nulls (`0`).
-fn typed_key_build(v: &Value) -> (u8, u64) {
-    typed_key(v, true).unwrap_or((0, 0))
-}
-
-/// Probe-side companion of [`typed_key_build`]: `None` means the value
-/// cannot match any build-side key (its string was never interned).
-fn typed_key_probe(v: &Value) -> Option<(u8, u64)> {
-    typed_key(v, false)
-}
-
-fn typed_key(v: &Value, insert: bool) -> Option<(u8, u64)> {
+/// * tag 2, f64 bits — the numeric class: ints exactly representable as
+///   f64, floats, and strings whose trimmed text parses as a number (so
+///   `Int 5`, `Float 5.0` and node text `" 5 "` collide). All NaNs
+///   collapse to one key; `-0.0` stays distinct from `0.0`.
+/// * tag 4, i64 bits — integers f64 cannot represent, kept exact so
+///   distinct keys beyond 2^53 never conflate.
+/// * tag 3, interned id — every other string (`Str` and `Sym` of equal
+///   content share the id; `""` is a string, not null).
+/// * tags 1/0 — bools and nulls.
+///
+/// The build side interns (`insert`); the probe side uses a
+/// non-inserting lookup and gets `None` for a string that was never
+/// interned, which cannot equal any build key.
+fn typed_key(v: &Value, insert: bool) -> Option<Key> {
     fn bits(f: f64) -> u64 {
         if f.is_nan() {
             f64::NAN.to_bits()
@@ -376,14 +348,14 @@ fn typed_key(v: &Value, insert: bool) -> Option<(u8, u64)> {
             f.to_bits()
         }
     }
-    fn int_key(i: i64) -> (u8, u64) {
+    fn int_key(i: i64) -> Key {
         if (i as f64) as i64 == i {
             (2, bits(i as f64))
         } else {
             (4, i as u64)
         }
     }
-    fn str_key(s: &str, insert: bool) -> Option<(u8, u64)> {
+    fn str_key(s: &str, insert: bool) -> Option<Key> {
         let t = s.trim();
         match t.parse::<i64>() {
             Ok(i) => Some(int_key(i)),
@@ -404,24 +376,29 @@ fn typed_key(v: &Value, insert: bool) -> Option<(u8, u64)> {
     }
 }
 
+/// Build-side key (interning never fails to produce one).
+fn typed_key_build(v: &Value) -> Key {
+    typed_key(v, true).unwrap_or((0, 0))
+}
+
 /// Partition owner of a typed key: a multiply-shift hash over the tag
 /// and bits. Build and probe must agree, so this is the only place the
 /// partition function lives.
-fn part_of(k: &(u8, u64), n: usize) -> usize {
+fn part_of(k: &Key, n: usize) -> usize {
     let h = (k.1 ^ ((k.0 as u64) << 56)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((h >> 32) as usize) % n
 }
 
-/// Build the typed index partitioned across the worker pool: every
-/// participant claims partitions off a cursor and inserts exactly the
-/// keys it owns (each scans the flat key vector — sequential reads —
-/// instead of contending on shared buckets). `None` when no pool
-/// exists or a participant panicked; the caller then inserts serially.
-fn build_partitioned(keys: &[(u8, u64)]) -> Option<Vec<HashMap<(u8, u64), Vec<u32>>>> {
+/// Build the single-column index partitioned across the worker pool:
+/// every participant claims partitions off a cursor and inserts exactly
+/// the keys it owns (each scans the flat key vector — sequential reads —
+/// instead of contending on shared buckets). `None` when no pool exists
+/// or a participant panicked; the caller then inserts serially.
+fn build_partitioned(keys: &[Key]) -> Option<Vec<HashMap<Key, Vec<u32>>>> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     let pool = par::pool()?;
     let n = pool.participants();
-    let parts: Vec<std::sync::Mutex<HashMap<(u8, u64), Vec<u32>>>> =
+    let parts: Vec<std::sync::Mutex<HashMap<Key, Vec<u32>>>> =
         (0..n).map(|_| std::sync::Mutex::new(HashMap::new())).collect();
     let cursor = AtomicUsize::new(0);
     let ok = pool.run(&|_slot| loop {
@@ -447,19 +424,25 @@ fn build_partitioned(keys: &[(u8, u64)]) -> Option<Vec<HashMap<(u8, u64), Vec<u3
     )
 }
 
-/// Bucket lookup across the two typed-index representations (a free
-/// function over exactly the index fields so probe loops can hold the
-/// bucket while pushing output and lineage).
-fn typed_lookup<'a>(
-    typed_idx: &'a HashMap<(u8, u64), Vec<u32>>,
-    typed_parts: &'a [HashMap<(u8, u64), Vec<u32>>],
-    k: (u8, u64),
-) -> Option<&'a Vec<u32>> {
-    if typed_parts.is_empty() {
-        typed_idx.get(&k)
-    } else {
-        typed_parts[part_of(&k, typed_parts.len())].get(&k)
+/// Serial index build: one bucket of row indices per distinct key.
+fn bucket_rows<K: std::hash::Hash + Eq>(keys: Vec<K>) -> HashMap<K, Vec<u32>> {
+    let mut map: HashMap<K, Vec<u32>> = HashMap::with_capacity(keys.len());
+    for (i, k) in keys.into_iter().enumerate() {
+        map.entry(k).or_default().push(i as u32);
     }
+    map
+}
+
+/// Lineage of the rows a probe row with mask `lm` joined: `lm` OR the
+/// mask of each build row in its bucket, in bucket order.
+fn joined_masks<'a>(
+    lm: LineageMask,
+    build_lin: &'a Option<Vec<LineageMask>>,
+    idxs: &'a [u32],
+) -> impl Iterator<Item = LineageMask> + 'a {
+    let build_lin = build_lin.as_deref().unwrap_or(&[]);
+    idxs.iter()
+        .map(move |&i| lm.or(build_lin.get(i as usize).copied().unwrap_or_default()))
 }
 
 impl HashJoinOp {
@@ -479,37 +462,28 @@ impl HashJoinOp {
             right_keys,
             join_type,
             schema,
-            table: HashMap::new(),
             pending: Vec::new(),
             pending_cursor: 0,
             rows_out: 0,
-            vectorized: false,
             parallel: false,
             build_rows: Vec::new(),
-            table_idx: HashMap::new(),
-            typed_idx: HashMap::new(),
-            typed_parts: Vec::new(),
-            typed: false,
-            key_buf: String::new(),
+            index: JoinIndex::Single(HashMap::new()),
+            probe_key: Vec::new(),
             scratch: Vec::new(),
             est_rows: None,
             mem_bytes: 0,
             par_prof: None,
             build_lin: None,
-            table_lin: None,
             pending_lin: Vec::new(),
             left_consumed: 0,
             lin: None,
         }
     }
 
-    /// Switch to the vectorized kernel: batch build ingest, an
-    /// index-based hash table (build tuples stored once, buckets hold
-    /// row indices), and batch probe with a reused key buffer.
-    /// `parallel` additionally extracts build keys on scoped threads for
-    /// large build sides.
+    /// Set the parallel hint: with `parallel`, a large build side
+    /// extracts its keys (and, for a single-column key, inserts them)
+    /// on the worker pool. The join is batch-native either way.
     pub fn vectorized(mut self, parallel: bool) -> Self {
-        self.vectorized = true;
         self.parallel = parallel;
         self
     }
@@ -544,135 +518,51 @@ impl Operator for HashJoinOp {
 
     fn open(&mut self) -> Result<(), ExecError> {
         self.rows_out = 0;
-        self.table.clear();
         self.build_rows.clear();
-        self.table_idx.clear();
-        self.typed_idx.clear();
-        self.typed_parts.clear();
-        self.typed = false;
-        self.mem_bytes = 0;
-        self.par_prof = None;
-        self.build_lin = None;
-        self.table_lin = None;
         self.pending_lin.clear();
         self.left_consumed = 0;
         self.right.open()?;
-        if self.vectorized {
-            while self
-                .right
-                .next_batch(&mut self.build_rows, super::DEFAULT_BATCH_SIZE)?
-                > 0
-            {}
-            // Snapshot before close: masks align 1:1 with `build_rows`,
-            // so bucket row indices address them directly.
-            self.build_lin = self.right.lineage().map(|l| l.to_vec());
-            // Single-column keys always use the typed index: every
-            // value class has a tagged integer key, so no string is
-            // rendered on either side.
-            if let [col] = self.right_keys[..] {
-                let extract = |_base: usize, chunk: &[Tuple]| -> Vec<(u8, u64)> {
-                    chunk.iter().map(|t| typed_key_build(&t[col])).collect()
-                };
-                let keys = if self.parallel {
-                    match par::par_chunks_profiled(&self.build_rows, extract) {
-                        Some((keys, prof)) => {
-                            self.par_prof = Some(prof);
-                            Some(keys)
-                        }
-                        None => {
-                            // Requested but below threshold (or 1 core):
-                            // record the skip so utilization telemetry
-                            // can tell "declined" from "never asked".
-                            self.par_prof = Some(ParProfile::default());
-                            None
-                        }
-                    }
-                } else {
-                    None
-                }
-                .unwrap_or_else(|| extract(0, &self.build_rows));
-                self.typed = true;
-                // Large parallel builds also insert in parallel: each
-                // pool participant owns a key partition, so no bucket
-                // is ever contended.
-                let partitioned = if self.parallel && keys.len() >= par::PAR_THRESHOLD {
-                    build_partitioned(&keys)
-                } else {
-                    None
-                };
-                match partitioned {
-                    Some(parts) => self.typed_parts = parts,
-                    None => {
-                        self.typed_idx.reserve(keys.len());
-                        for (i, k) in keys.into_iter().enumerate() {
-                            self.typed_idx.entry(k).or_default().push(i as u32);
-                        }
-                    }
-                }
-            }
-            if !self.typed {
-                let right_keys = &self.right_keys;
-                let extract = |_base: usize, chunk: &[Tuple]| -> Vec<String> {
-                    chunk.iter().map(|t| key_string(t, right_keys)).collect()
-                };
-                let keys = if self.parallel {
-                    match par::par_chunks_profiled(&self.build_rows, extract) {
-                        Some((keys, prof)) => {
-                            self.par_prof = Some(prof);
-                            Some(keys)
-                        }
-                        None => {
-                            self.par_prof = Some(ParProfile::default());
-                            None
-                        }
-                    }
-                } else {
-                    None
-                }
-                .unwrap_or_else(|| extract(0, &self.build_rows));
-                for (i, k) in keys.into_iter().enumerate() {
-                    self.table_idx.entry(k).or_default().push(i as u32);
-                }
-            }
-            let bucket_slots = (self.build_rows.len() * std::mem::size_of::<u32>()) as u64;
-            let entries = if self.typed {
-                let slots = self.typed_idx.len()
-                    + self.typed_parts.iter().map(HashMap::len).sum::<usize>();
-                (slots * std::mem::size_of::<((u8, u64), Vec<u32>)>()) as u64
-            } else {
-                (self.table_idx.len() * std::mem::size_of::<(String, Vec<u32>)>()) as u64
-            };
-            self.mem_bytes = super::tuples_mem_bytes(&self.build_rows) + entries + bucket_slots;
-        } else {
-            self.table_lin = self.right.lineage().map(|_| HashMap::new());
-            let mut consumed = 0usize;
-            while let Some(t) = self.right.next()? {
-                let k = key_string(&t, &self.right_keys);
-                if let Some(tl) = &mut self.table_lin {
-                    // Buckets fill in the same order as `table`'s, so the
-                    // j-th tuple of a bucket owns the j-th mask.
-                    let mask = self
-                        .right
-                        .lineage()
-                        .and_then(|l| l.get(consumed))
-                        .copied()
-                        .unwrap_or_default();
-                    tl.entry(k.clone()).or_default().push(mask);
-                }
-                consumed += 1;
-                self.table.entry(k).or_default().push(t);
-            }
-            self.mem_bytes = self
-                .table
-                .values()
-                .map(|bucket| super::tuples_mem_bytes(bucket))
-                .sum::<u64>()
-                + (self.table.len() * std::mem::size_of::<(String, Vec<Tuple>)>()) as u64;
-        }
+        while self
+            .right
+            .next_batch(&mut self.build_rows, super::DEFAULT_BATCH_SIZE)?
+            > 0
+        {}
+        // Snapshot before close: masks align 1:1 with `build_rows`, so
+        // bucket row indices address them directly.
+        self.build_lin = self.right.lineage().map(|l| l.to_vec());
         self.right.close();
+        let rows = &self.build_rows;
+        if let [col] = self.right_keys[..] {
+            let (keys, prof) = par::map_chunks(self.parallel, rows, |_, chunk: &[Tuple]| {
+                chunk.iter().map(|t| typed_key_build(&t[col])).collect()
+            });
+            self.par_prof = prof;
+            // Large parallel builds also insert in parallel: each pool
+            // participant owns a key partition, so no bucket is ever
+            // contended.
+            let partitioned = (self.parallel && keys.len() >= par::PAR_THRESHOLD)
+                .then(|| build_partitioned(&keys))
+                .flatten();
+            self.index = match partitioned {
+                Some(parts) => JoinIndex::Parts(parts),
+                None => JoinIndex::Single(bucket_rows(keys)),
+            };
+        } else {
+            let cols = &self.right_keys;
+            let (keys, prof) = par::map_chunks(self.parallel, rows, |_, chunk: &[Tuple]| {
+                chunk
+                    .iter()
+                    .map(|t| cols.iter().map(|&c| typed_key_build(&t[c])).collect::<Box<[Key]>>())
+                    .collect()
+            });
+            self.par_prof = prof;
+            self.index = JoinIndex::Composite(bucket_rows(keys));
+        }
+        let bucket_slots = (self.build_rows.len() * std::mem::size_of::<u32>()) as u64;
+        self.mem_bytes =
+            super::tuples_mem_bytes(&self.build_rows) + self.index.entry_bytes() + bucket_slots;
         self.left.open()?;
-        let right_tracks = self.build_lin.is_some() || self.table_lin.is_some();
-        self.lin = (right_tracks && self.left.lineage().is_some()).then(Vec::new);
+        self.lin = (self.build_lin.is_some() && self.left.lineage().is_some()).then(Vec::new);
         self.pending.clear();
         self.pending_cursor = 0;
         Ok(())
@@ -681,7 +571,7 @@ impl Operator for HashJoinOp {
     fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
         loop {
             if self.pending_cursor < self.pending.len() {
-                let t = self.pending[self.pending_cursor].clone();
+                let t = std::mem::take(&mut self.pending[self.pending_cursor]);
                 if let Some(lin) = &mut self.lin {
                     lin.push(
                         self.pending_lin
@@ -694,94 +584,46 @@ impl Operator for HashJoinOp {
                 self.rows_out += 1;
                 return Ok(Some(t));
             }
-            match self.left.next()? {
-                None => return Ok(None),
-                Some(left) => {
-                    self.pending.clear();
-                    self.pending_cursor = 0;
-                    self.pending_lin.clear();
-                    let lm = if self.lin.is_some() {
-                        let idx = self.left_consumed;
-                        self.left_consumed += 1;
-                        Some(
-                            self.left
-                                .lineage()
-                                .and_then(|l| l.get(idx))
-                                .copied()
-                                .unwrap_or_default(),
-                        )
-                    } else {
-                        None
-                    };
-                    if self.vectorized {
-                        let idxs = if self.typed {
-                            typed_key_probe(&left[self.left_keys[0]]).and_then(|k| {
-                                typed_lookup(&self.typed_idx, &self.typed_parts, k)
-                            })
-                        } else {
-                            let k = key_string(&left, &self.left_keys);
-                            self.table_idx.get(&k)
-                        };
-                        match idxs {
-                            Some(idxs) => {
-                                for &i in idxs {
-                                    self.pending
-                                        .push(concat_tuples(&left, &self.build_rows[i as usize]));
-                                    if let Some(lm) = lm {
-                                        let bm = self
-                                            .build_lin
-                                            .as_ref()
-                                            .and_then(|b| b.get(i as usize))
-                                            .copied()
-                                            .unwrap_or_default();
-                                        self.pending_lin.push(lm.or(bm));
-                                    }
-                                }
-                            }
-                            None => {
-                                if self.join_type == JoinType::LeftOuter {
-                                    let mut padded = left.clone();
-                                    padded.extend(std::iter::repeat_n(
-                                        Value::null(),
-                                        self.right.schema().len(),
-                                    ));
-                                    self.pending.push(padded);
-                                    if let Some(lm) = lm {
-                                        self.pending_lin.push(lm);
-                                    }
-                                }
-                            }
-                        }
-                    } else {
-                        let k = key_string(&left, &self.left_keys);
-                        match self.table.get(&k) {
-                            Some(matches) => {
-                                let bucket_lin =
-                                    self.table_lin.as_ref().and_then(|tl| tl.get(&k));
-                                for (j, m) in matches.iter().enumerate() {
-                                    self.pending.push(concat_tuples(&left, m));
-                                    if let Some(lm) = lm {
-                                        let bm = bucket_lin
-                                            .and_then(|b| b.get(j))
-                                            .copied()
-                                            .unwrap_or_default();
-                                        self.pending_lin.push(lm.or(bm));
-                                    }
-                                }
-                            }
-                            None => {
-                                if self.join_type == JoinType::LeftOuter {
-                                    let mut padded = left.clone();
-                                    padded.extend(std::iter::repeat_n(
-                                        Value::null(),
-                                        self.right.schema().len(),
-                                    ));
-                                    self.pending.push(padded);
-                                    if let Some(lm) = lm {
-                                        self.pending_lin.push(lm);
-                                    }
-                                }
-                            }
+            let Some(left) = self.left.next()? else {
+                return Ok(None);
+            };
+            self.pending.clear();
+            self.pending_cursor = 0;
+            self.pending_lin.clear();
+            let lm = if self.lin.is_some() {
+                let idx = self.left_consumed;
+                self.left_consumed += 1;
+                Some(
+                    self.left
+                        .lineage()
+                        .and_then(|l| l.get(idx))
+                        .copied()
+                        .unwrap_or_default(),
+                )
+            } else {
+                None
+            };
+            match self.index.probe(&left, &self.left_keys, &mut self.probe_key) {
+                Some(idxs) => {
+                    for &i in idxs {
+                        self.pending
+                            .push(concat_tuples(&left, &self.build_rows[i as usize]));
+                    }
+                    if let Some(lm) = lm {
+                        self.pending_lin
+                            .extend(joined_masks(lm, &self.build_lin, idxs));
+                    }
+                }
+                None => {
+                    if self.join_type == JoinType::LeftOuter {
+                        let mut padded = left;
+                        padded.extend(std::iter::repeat_n(
+                            Value::null(),
+                            self.right.schema().len(),
+                        ));
+                        self.pending.push(padded);
+                        if let Some(lm) = lm {
+                            self.pending_lin.push(lm);
                         }
                     }
                 }
@@ -790,24 +632,10 @@ impl Operator for HashJoinOp {
     }
 
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
-        if !self.vectorized {
-            // Scalar-mode structure is the seed per-row loop.
-            let mut appended = 0;
-            while appended < max {
-                match self.next()? {
-                    Some(t) => {
-                        out.push(t);
-                        appended += 1;
-                    }
-                    None => break,
-                }
-            }
-            return Ok(appended);
-        }
         let mut appended = 0;
         // Drain pending left over from interleaved `next()` calls.
         while self.pending_cursor < self.pending.len() && appended < max {
-            out.push(self.pending[self.pending_cursor].clone());
+            out.push(std::mem::take(&mut self.pending[self.pending_cursor]));
             if let Some(lin) = &mut self.lin {
                 lin.push(
                     self.pending_lin
@@ -842,15 +670,7 @@ impl Operator for HashJoinOp {
                 } else {
                     None
                 };
-                let idxs = if self.typed {
-                    typed_key_probe(&left[self.left_keys[0]])
-                        .and_then(|k| typed_lookup(&self.typed_idx, &self.typed_parts, k))
-                } else {
-                    self.key_buf.clear();
-                    key_string_into(&mut self.key_buf, &left, &self.left_keys);
-                    self.table_idx.get(&self.key_buf)
-                };
-                match idxs {
+                match self.index.probe(&left, &self.left_keys, &mut self.probe_key) {
                     Some(idxs) => {
                         // Clone the probe tuple for all matches but the
                         // last, which takes ownership (one probe row's
@@ -862,27 +682,12 @@ impl Operator for HashJoinOp {
                         };
                         for &i in init {
                             out.push(concat_tuples(&left, &self.build_rows[i as usize]));
-                            if let (Some(lm), Some(lin)) = (lm, self.lin.as_mut()) {
-                                let bm = self
-                                    .build_lin
-                                    .as_ref()
-                                    .and_then(|b| b.get(i as usize))
-                                    .copied()
-                                    .unwrap_or_default();
-                                lin.push(lm.or(bm));
-                            }
                         }
                         left.reserve(right_width);
                         left.extend(self.build_rows[*last as usize].iter().cloned());
                         out.push(left);
                         if let (Some(lm), Some(lin)) = (lm, self.lin.as_mut()) {
-                            let bm = self
-                                .build_lin
-                                .as_ref()
-                                .and_then(|b| b.get(*last as usize))
-                                .copied()
-                                .unwrap_or_default();
-                            lin.push(lm.or(bm));
+                            lin.extend(joined_masks(lm, &self.build_lin, idxs));
                         }
                     }
                     None => {
@@ -904,15 +709,11 @@ impl Operator for HashJoinOp {
 
     fn close(&mut self) {
         self.left.close();
-        self.table.clear();
         self.pending.clear();
         self.pending_lin.clear();
         self.build_rows.clear();
         self.build_lin = None;
-        self.table_lin = None;
-        self.table_idx.clear();
-        self.typed_idx.clear();
-        self.typed_parts.clear();
+        self.index = JoinIndex::Single(HashMap::new());
         self.scratch = Vec::new();
     }
 
@@ -1284,109 +1085,8 @@ mod tests {
         assert_eq!(run_to_vec(&mut op).unwrap().len(), 2);
     }
 
-    /// Every execution mode of the same join over the same inputs.
-    fn join_all_modes(
-        left_rows: Vec<Tuple>,
-        right_rows: Vec<Tuple>,
-        join_type: JoinType,
-    ) -> Vec<Vec<Tuple>> {
-        use crate::ops::ValuesOp;
-        let mut out = Vec::new();
-        for mode in 0..3 {
-            let left = ValuesOp::new(Schema::new(vec!["k".into()]), left_rows.clone());
-            let right = ValuesOp::new(Schema::new(vec!["k2".into()]), right_rows.clone());
-            let mut join =
-                HashJoinOp::new(Box::new(left), Box::new(right), vec![0], vec![0], join_type);
-            out.push(match mode {
-                0 => run_to_vec(&mut join).unwrap(),
-                1 => {
-                    let mut join = join.vectorized(false);
-                    crate::run_to_vec_batched(&mut join, 4).unwrap().0
-                }
-                _ => {
-                    let mut join = join.vectorized(true);
-                    crate::run_to_vec_batched(&mut join, 4).unwrap().0
-                }
-            });
-        }
-        out
-    }
-
     #[test]
-    fn vectorized_typed_keys_match_scalar_coercion() {
-        use nimble_xml::{Atomic, Value};
-        // All-numeric build side → typed index; probe side mixes every
-        // coercion class that can reach a numeric key.
-        let right_rows: Vec<Tuple> = vec![
-            vec![Value::Atomic(Atomic::Int(5))],
-            vec![Value::Atomic(Atomic::Float(2.5))],
-            vec![Value::Atomic(Atomic::Str(" 7 ".into()))],
-        ];
-        let left_rows: Vec<Tuple> = vec![
-            vec![Value::Atomic(Atomic::Str("5".into()))],
-            vec![Value::Atomic(Atomic::Float(5.0))],
-            vec![Value::Atomic(Atomic::Str("2.5".into()))],
-            vec![Value::Atomic(Atomic::Int(7))],
-            vec![Value::Atomic(Atomic::Str("none".into()))],
-            vec![Value::null()],
-        ];
-        let [scalar, batch, parallel] =
-            join_all_modes(left_rows, right_rows, JoinType::Inner).try_into().unwrap();
-        assert_eq!(scalar.len(), 4);
-        assert_eq!(scalar, batch);
-        assert_eq!(scalar, parallel);
-    }
-
-    #[test]
-    fn vectorized_falls_back_when_build_keys_not_numeric() {
-        use nimble_xml::{Atomic, Value};
-        // A single non-numeric build key forces the string index; all
-        // modes still agree (including null-key and bool-key rows).
-        let right_rows: Vec<Tuple> = vec![
-            vec![Value::Atomic(Atomic::Int(1))],
-            vec![Value::Atomic(Atomic::Str("ada".into()))],
-            vec![Value::Atomic(Atomic::Bool(true))],
-            vec![Value::null()],
-        ];
-        let left_rows: Vec<Tuple> = vec![
-            vec![Value::Atomic(Atomic::Str("ada".into()))],
-            vec![Value::Atomic(Atomic::Int(1))],
-            vec![Value::Atomic(Atomic::Bool(true))],
-            vec![Value::null()],
-            vec![Value::Atomic(Atomic::Str("bob".into()))],
-        ];
-        let [scalar, batch, parallel] =
-            join_all_modes(left_rows, right_rows, JoinType::LeftOuter).try_into().unwrap();
-        assert_eq!(scalar.len(), 5);
-        assert_eq!(scalar, batch);
-        assert_eq!(scalar, parallel);
-    }
-
-    #[test]
-    fn vectorized_typed_huge_ints_fall_back_exactly() {
-        use nimble_xml::{Atomic, Value};
-        // 2^53 is representable (the typed index accepts the build) but
-        // 2^53 + 1 is not: the typed probe must report it unmatched
-        // rather than rounding it onto 2^53.
-        let big = 1i64 << 53;
-        let right_rows: Vec<Tuple> = vec![
-            vec![Value::Atomic(Atomic::Int(big))],
-            vec![Value::Atomic(Atomic::Int(3))],
-        ];
-        let left_rows: Vec<Tuple> = vec![
-            vec![Value::Atomic(Atomic::Int(big + 1))],
-            vec![Value::Atomic(Atomic::Int(big))],
-            vec![Value::Atomic(Atomic::Int(3))],
-        ];
-        let [scalar, batch, parallel] =
-            join_all_modes(left_rows, right_rows, JoinType::Inner).try_into().unwrap();
-        assert_eq!(scalar.len(), 2);
-        assert_eq!(scalar, batch);
-        assert_eq!(scalar, parallel);
-    }
-
-    #[test]
-    fn drain_scan_feeds_vectorized_join_once() {
+    fn drain_scan_feeds_join_once() {
         use crate::ops::ValuesOp;
         use nimble_xml::Value;
         // Drain-mode scans move tuples into the join; results match the
@@ -1400,8 +1100,7 @@ mod tests {
             vec![0],
             vec![0],
             JoinType::Inner,
-        )
-        .vectorized(false);
+        );
         assert_eq!(run_to_vec(&mut join).unwrap().len(), 10);
 
         let mut drained =

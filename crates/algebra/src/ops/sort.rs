@@ -25,7 +25,8 @@ pub struct SortOp {
     buffer: Vec<Tuple>,
     cursor: usize,
     rows_out: u64,
-    vectorized: bool,
+    /// Hint that the input is large enough for the worker pool (the
+    /// operator still declines below its own threshold).
     parallel: bool,
     est_rows: Option<u64>,
     /// Buffer footprint, computed once after materialization.
@@ -46,7 +47,6 @@ impl SortOp {
             buffer: Vec::new(),
             cursor: 0,
             rows_out: 0,
-            vectorized: false,
             parallel: false,
             est_rows: None,
             mem_bytes: 0,
@@ -55,17 +55,16 @@ impl SortOp {
         }
     }
 
-    /// Switch to the vectorized kernel: batch ingest plus a cached-key
-    /// `sort_unstable` (with index tiebreak, so ordering stays stable).
-    /// `parallel` additionally extracts sort keys on scoped threads for
-    /// large inputs.
+    /// Set the parallel hint: with `parallel`, a large input extracts
+    /// and sorts its keys on the worker pool. The sort batch-ingests and
+    /// caches keys either way.
     pub fn vectorized(mut self, parallel: bool) -> Self {
-        self.vectorized = true;
         self.parallel = parallel;
         self
     }
 
-    /// Seed comparator: full `Value::total_cmp` per comparison, stable.
+    /// Full `Value::total_cmp` per comparison, stable: the path for node
+    /// and list keys, which [`SortOp::sort_cached_keys`] cannot take.
     fn sort_scalar(&mut self) {
         let keys = self.keys.clone();
         let cmp = |a: &Tuple, b: &Tuple| {
@@ -103,8 +102,8 @@ impl SortOp {
     /// Only exact when every key value is `Value::Atomic`: node-node
     /// comparisons tiebreak on document order and lists compare
     /// element-wise, neither of which survives atomization — those
-    /// inputs take the scalar comparator.
-    fn sort_vectorized(&mut self) {
+    /// inputs take [`SortOp::sort_scalar`].
+    fn sort_cached_keys(&mut self) {
         let all_atomic = self.buffer.iter().all(|t| {
             self.keys
                 .iter()
@@ -127,24 +126,7 @@ impl SortOp {
                 })
                 .collect()
         };
-        let mut par_prof = None;
-        let mut keyed = if self.parallel {
-            match par::par_chunks_profiled(&self.buffer, extract) {
-                Some((keyed, prof)) => {
-                    par_prof = Some(prof);
-                    Some(keyed)
-                }
-                None => {
-                    // Parallel mode requested, input below the threshold:
-                    // record the skip for utilization telemetry.
-                    par_prof = Some(ParProfile::default());
-                    None
-                }
-            }
-        } else {
-            None
-        }
-        .unwrap_or_else(|| extract(0, &self.buffer));
+        let (mut keyed, par_prof) = par::map_chunks(self.parallel, &self.buffer, extract);
         let dirs: Vec<bool> = keys.iter().map(|k| k.descending).collect();
         let cmp = |(ka, ia): &(Vec<Atomic>, usize), (kb, ib): &(Vec<Atomic>, usize)| {
             for ((a, b), desc) in ka.iter().zip(kb.iter()).zip(&dirs) {
@@ -199,26 +181,16 @@ impl Operator for SortOp {
         self.par_prof = None;
         self.child.open()?;
         self.buffer.clear();
-        if self.vectorized {
-            while self
-                .child
-                .next_batch(&mut self.buffer, super::DEFAULT_BATCH_SIZE)?
-                > 0
-            {}
-        } else {
-            while let Some(t) = self.child.next()? {
-                self.buffer.push(t);
-            }
-        }
+        while self
+            .child
+            .next_batch(&mut self.buffer, super::DEFAULT_BATCH_SIZE)?
+            > 0
+        {}
         // Snapshot the child's lineage before closing it: the ingest was
         // a full drain, so its masks align 1:1 with `buffer`.
         self.lin = self.child.lineage().map(|l| l.to_vec());
         self.child.close();
-        if self.vectorized {
-            self.sort_vectorized();
-        } else {
-            self.sort_scalar();
-        }
+        self.sort_cached_keys();
         self.mem_bytes = super::tuples_mem_bytes(&self.buffer);
         self.cursor = 0;
         Ok(())

@@ -300,6 +300,31 @@ where
     par_chunks_on(pool, items, f)
 }
 
+/// Map `f` over `items` with a serial fallback: on the pool when the
+/// caller's `parallel` hint is set and [`par_chunks_profiled`] accepts
+/// the input, as one chunk on this thread otherwise. The profile is
+/// `None` when parallelism was never asked for and has `workers == 0`
+/// when it was asked for and declined, so utilization telemetry can tell
+/// the two apart.
+pub(crate) fn map_chunks<T, R, F>(
+    parallel: bool,
+    items: &[T],
+    f: F,
+) -> (Vec<R>, Option<crate::ops::ParProfile>)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &[T]) -> Vec<R> + Sync,
+{
+    if !parallel {
+        return (f(0, items), None);
+    }
+    match par_chunks_profiled(items, &f) {
+        Some((out, prof)) => (out, Some(prof)),
+        None => (f(0, items), Some(crate::ops::ParProfile::default())),
+    }
+}
+
 /// [`par_chunks_profiled`] on an explicit pool, with no size gate —
 /// the building block tests use to drive the parallel path
 /// deterministically.

@@ -5,7 +5,7 @@
 //! bench_check <baseline_dir> <fresh_dir> <artifact>...
 //! ```
 //!
-//! Each `<artifact>` basename (e.g. `BENCH_vectorized.json`) is read
+//! Each `<artifact>` basename (e.g. `BENCH_shard.json`) is read
 //! from both directories, parsed, and run through the ratio gates in
 //! `nimble_bench::baseline` (see that module for the noise-floor
 //! story). Exits 1 if any gate fails or an artifact is unreadable —

@@ -115,7 +115,6 @@ fn main() {
                 engine.set_optimizer(OptimizerConfig {
                     pushdown,
                     capability_joins,
-                    order_joins_by_cardinality: true,
                     ..OptimizerConfig::default()
                 });
                 // Measure steady state over a few runs.

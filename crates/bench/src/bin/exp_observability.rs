@@ -18,10 +18,9 @@
 //! `NIMBLE_BENCH_QUICK=1`) shrinks the fixture and run counts for the
 //! regression sentinel (`cargo xtask bench-check`).
 //!
-//! The suite engine runs with `verify_plans` and `semantic_checks`
-//! explicitly on (the release default gates verification off, which
-//! made the verify phase report a flat 0 in earlier artifacts), and
-//! phases are reported at microsecond resolution — the verify phase is
+//! The suite engine runs with `verify_plans` explicitly on (the release
+//! default gates verification off, which made the verify phase report a
+//! flat 0 in earlier artifacts), and phases are reported at microsecond resolution — the verify phase is
 //! real but small, and `mean_ms` rounding was hiding it.
 
 use nimble_bench::{
@@ -79,7 +78,6 @@ fn main() {
     // verify phase, not to skip it.
     let optimizer = OptimizerConfig {
         verify_plans: true,
-        semantic_checks: true,
         ..OptimizerConfig::default()
     };
     let engine = Engine::with_config(

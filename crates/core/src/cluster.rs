@@ -12,13 +12,14 @@ use crate::engine::{Engine, EngineConfig, QueryResult};
 use crate::error::CoreError;
 use crate::shard::{partition_document, ShardNode, ShardRuntime};
 use crate::Catalog;
-use crossbeam::channel::{bounded, Sender};
 use nimble_sources::xmldoc::XmlDocAdapter;
 use nimble_store::stats::SampleBuilder;
 use nimble_store::{shard_stats_key, ShardSpec};
 use nimble_trace::{FlightRecord, MetricsSnapshot, QueryLogEntry};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -31,13 +32,13 @@ pub enum DispatchStrategy {
 
 struct Job {
     text: String,
-    reply: Sender<Result<QueryResult, CoreError>>,
+    reply: SyncSender<Result<QueryResult, CoreError>>,
 }
 
 /// A pool of engine instances behind one submission interface.
 pub struct EngineCluster {
     engines: Vec<Arc<Engine>>,
-    senders: Vec<Sender<Job>>,
+    senders: Vec<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
     strategy: DispatchStrategy,
     next: AtomicU64,
@@ -59,16 +60,19 @@ impl EngineCluster {
         let mut workers = Vec::new();
         for _ in 0..instances {
             let engine = Arc::new(Engine::with_config(Arc::clone(&catalog), config.clone()));
-            let (tx, rx) = bounded::<Job>(1024);
+            let (tx, rx) = sync_channel::<Job>(1024);
+            // An instance's workers share one queue: whoever holds the
+            // lock waits for the next job and releases it before serving.
+            let rx = Arc::new(Mutex::new(rx));
             for _ in 0..workers_per_instance {
                 let engine = Arc::clone(&engine);
-                let rx = rx.clone();
-                workers.push(std::thread::spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let result = engine.query(&job.text);
-                        // The client may have given up; that's fine.
-                        let _ = job.reply.send(result);
-                    }
+                let rx = Arc::clone(&rx);
+                workers.push(std::thread::spawn(move || loop {
+                    let next = rx.lock().recv();
+                    let Ok(job) = next else { break };
+                    let result = engine.query(&job.text);
+                    // The client may have given up; that's fine.
+                    let _ = job.reply.send(result);
                 }));
             }
             engines.push(engine);
@@ -110,7 +114,7 @@ impl EngineCluster {
 
     /// Submit a query and wait for its result.
     pub fn query(&self, text: &str) -> Result<QueryResult, CoreError> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         let idx = self.pick();
         self.senders[idx]
             .send(Job {
@@ -124,8 +128,8 @@ impl EngineCluster {
     }
 
     /// Submit asynchronously; the receiver yields the result.
-    pub fn submit(&self, text: &str) -> crossbeam::channel::Receiver<Result<QueryResult, CoreError>> {
-        let (reply_tx, reply_rx) = bounded(1);
+    pub fn submit(&self, text: &str) -> Receiver<Result<QueryResult, CoreError>> {
+        let (reply_tx, reply_rx) = sync_channel(1);
         let idx = self.pick();
         if self.senders[idx]
             .send(Job {

@@ -66,47 +66,28 @@ const STREAM_MIN_TUPLES: usize = 2048;
 /// order so sharded and unsharded answers are byte-identical.
 const ORIGIN_COL: &str = "__shard_origin";
 
-/// Optimizer ablation switches (experiment E5 flips these).
+/// Optimizer switches. Each one changes what the sources are asked or
+/// what the caller is promised, and its off arm is a skipped phase, not
+/// a second implementation (experiment E5 flips the first two; the
+/// differential suites use `pushdown: false` and `prune_unsat: false`
+/// as their reference).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizerConfig {
     /// Push selections/projections into capable sources.
     pub pushdown: bool,
     /// Merge same-source fragments into pushed joins.
     pub capability_joins: bool,
-    /// Order the mediator-side join tree by ascending input cardinality.
-    pub order_joins_by_cardinality: bool,
-    /// Statically verify every planned query (`nimble-planck`) before
-    /// opening the operator tree. Defaults to on in debug builds (and
-    /// therefore in tests), off in release builds.
-    pub verify_plans: bool,
-    /// Vectorized execution: construct batch-native hash joins and sorts
-    /// and drive the join run through `Operator::next_batch` in batches
-    /// of ~1024 tuples instead of one `next()` call per row. Off
-    /// reproduces the scalar tuple-at-a-time executor (the `exp_vectorized`
-    /// bench compares the two in one run).
-    pub batch_exec: bool,
-    /// Parallelize hash-join build key extraction and sort-key
-    /// extraction with scoped threads (mirroring
-    /// `EngineConfig::parallel_fetch`). Only meaningful when
-    /// `batch_exec` is on; small inputs stay serial regardless.
-    pub parallel_exec: bool,
-    /// Cost-based planning from collection statistics: order join folds
-    /// by estimated output cardinality, size-gate the parallel hash-join
-    /// build, and keep barely-selective predicates central instead of
-    /// shipping them. Off falls back to the fixed heuristics (fold in
-    /// actual fetched-size order).
-    pub cost_based: bool,
-    /// Semantic plan analysis (`nimble-planck` v2): type/nullability
-    /// inference over the assembled operator tree, rewrite-equivalence
-    /// auditing of every optimizer rewrite, and sampled differential
-    /// re-planning of plan-cache hits. Purely diagnostic — never
-    /// changes what a correct plan computes.
-    pub semantic_checks: bool,
     /// Prune statically-unsatisfiable queries (`$x > 5 AND $x < 3`, or
     /// predicates outside exhaustive-sample statistics bounds) to an
     /// annotated empty relation without contacting any source, and
     /// eliminate always-true residual predicates.
     pub prune_unsat: bool,
+    /// Statically verify every planned query (`nimble-planck`: structure,
+    /// type/nullability inference) before opening the operator tree, and
+    /// re-plan a sample of plan-cache hits to check the cached template.
+    /// Defaults to on in debug builds (and therefore in tests), off in
+    /// release builds. The rewrite audit runs regardless.
+    pub verify_plans: bool,
     /// Per-tuple data provenance: tag every fetched unit with a compact
     /// [`LineageMask`], propagate masks through the physical pipeline,
     /// and attribute every constructed answer to the exact set of
@@ -121,13 +102,8 @@ impl Default for OptimizerConfig {
         OptimizerConfig {
             pushdown: true,
             capability_joins: true,
-            order_joins_by_cardinality: true,
-            verify_plans: cfg!(debug_assertions),
-            batch_exec: true,
-            parallel_exec: true,
-            cost_based: true,
-            semantic_checks: true,
             prune_unsat: true,
+            verify_plans: cfg!(debug_assertions),
             track_lineage: false,
         }
     }
@@ -141,13 +117,8 @@ impl OptimizerConfig {
         let flags = [
             self.pushdown,
             self.capability_joins,
-            self.order_joins_by_cardinality,
-            self.verify_plans,
-            self.batch_exec,
-            self.parallel_exec,
-            self.cost_based,
-            self.semantic_checks,
             self.prune_unsat,
+            self.verify_plans,
             self.track_lineage,
         ];
         let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
@@ -183,9 +154,10 @@ pub struct EngineConfig {
     pub cache_nodes: usize,
     /// Serve repeated identical queries straight from the cache.
     pub cache_query_results: bool,
-    /// Fetch independent fragments concurrently (one thread per
-    /// fragment). Query latency then tracks the slowest source instead
-    /// of the sum of all sources.
+    /// Fetch independent fragments concurrently, as one round of tasks on
+    /// the process-wide worker pool (serially when no pool exists). Query
+    /// latency then tracks the slowest source instead of the sum of all
+    /// sources.
     pub parallel_fetch: bool,
     /// Wrap every physical operator in a [`MeteredOp`] so EXPLAIN
     /// ANALYZE annotations (actual rows, open/next time) are collected
@@ -419,8 +391,8 @@ pub struct Engine {
     shards: RwLock<Option<Arc<ShardRuntime>>>,
 }
 
-/// One in how many plan-cache hits is differentially re-planned when
-/// semantic checks are on (the first hit is always sampled, so a test
+/// One in how many plan-cache hits is differentially re-planned under
+/// `verify_plans` (the first hit is always sampled, so a test
 /// exercising the path needs exactly one hit).
 const DIFFERENTIAL_SAMPLE: u64 = 16;
 
@@ -929,10 +901,7 @@ impl Engine {
                 // deterministic and any divergence means the cache
                 // served a plan the planner would no longer produce.
                 let seq = self.differential_seq.fetch_add(1, Ordering::Relaxed);
-                if config.optimizer.semantic_checks
-                    && config.optimizer.verify_plans
-                    && seq % DIFFERENTIAL_SAMPLE == 0
-                {
+                if config.optimizer.verify_plans && seq % DIFFERENTIAL_SAMPLE == 0 {
                     self.metrics.incr("engine.plan_cache.differential", 1);
                     let fresh = nimble_xmlql::parse_query(text)
                         .map_err(|e| CoreError::Compile(e.to_string()))?;
@@ -1357,9 +1326,8 @@ impl Engine {
     /// and drive the pipeline. `plan_ms`/`plan_verify_ms` report how the
     /// plan was obtained (fresh planning or a cache lookup) for the
     /// phase breakdown; `planck_verify` is false when the operator shape
-    /// already verified clean (a plan-cache hit) — honoured only when the
-    /// plan's cost-based fold order makes the assembled shape
-    /// deterministic, re-verified otherwise.
+    /// already verified clean (a plan-cache hit: the plan's fold order
+    /// makes the assembled shape deterministic).
     #[allow(clippy::too_many_arguments)]
     fn eval_planned(
         &self,
@@ -1438,12 +1406,16 @@ impl Engine {
             return Err(CoreError::Exec("query has no inputs".into()));
         }
 
-        // Join ordering. Cost-based plans carry a fold order computed
-        // from collection statistics (estimated output cardinality of
-        // each intermediate join); otherwise fall back to the fixed
-        // heuristic of ascending *actual* fetched size. The outer
-        // context always stays first so correlated variables bind early.
+        // Join ordering. The plan carries a fold order computed from
+        // collection statistics (estimated output cardinality of each
+        // intermediate join). The outer context always stays first so
+        // correlated variables bind early.
         let start = usize::from(outer.is_some());
+        if plan.est_rows.len() != n || plan.fold_order.len() != n || plan.fold_rows.len() != n {
+            return Err(CoreError::Internal(
+                "plan estimates and fold order do not cover its units".into(),
+            ));
+        }
 
         // Score the planner's per-unit cardinality estimates against the
         // rows each unit actually shipped (inputs are still in atom
@@ -1452,77 +1424,64 @@ impl Engine {
         // gross miss on a filtered fragment feeds the observed count
         // back into the statistics catalog as a sound lower bound on the
         // collection's cardinality.
-        if plan.est_rows.len() == plan.independents.len() {
-            for (i, atom) in plan.independents.iter().enumerate() {
-                let Some((_, fetched, _, _)) = inputs.get(start + i) else {
-                    continue;
-                };
-                let est = plan.est_rows[i];
-                let act = fetched.len() as u64;
-                let q = qerror(est, act);
-                self.metrics.observe("plan.qerror.scan", centi_q(q));
-                if q > ctx.worst_qerror {
-                    ctx.worst_qerror = q;
-                    ctx.worst_qerror_op = Some("Scan".to_string());
-                }
-                // A bind target's estimate is for the rows its keys leave;
-                // what it shipped — keyed, or whole when the stage was
-                // declined — says nothing about the collection.
-                let keyed = plan.bind.as_ref().is_some_and(|b| b.target(i).is_some());
-                if act > est.saturating_mul(GROSS_QERROR) && !keyed {
-                    // Only a filtered single-collection fragment: its
-                    // filtered row count is a certain lower bound on the
-                    // base collection (unfiltered fetches already feed
-                    // exact counts through `note_stats_rows`).
-                    if let AtomExec::Fragment { source, query, .. } = atom {
-                        if query.collections.len() == 1 && !query.selections.is_empty() {
-                            self.note_stats_rows(
-                                &format!("{}.{}", source, query.collections[0].collection),
-                                act,
-                            );
-                            self.metrics.incr("plan.feedback.gross", 1);
-                        }
+        for (i, atom) in plan.independents.iter().enumerate() {
+            let Some((_, fetched, _, _)) = inputs.get(start + i) else {
+                continue;
+            };
+            let est = plan.est_rows[i];
+            let act = fetched.len() as u64;
+            let q = qerror(est, act);
+            self.metrics.observe("plan.qerror.scan", centi_q(q));
+            if q > ctx.worst_qerror {
+                ctx.worst_qerror = q;
+                ctx.worst_qerror_op = Some("Scan".to_string());
+            }
+            // A bind target's estimate is for the rows its keys leave;
+            // what it shipped — keyed, or whole when the stage was
+            // declined — says nothing about the collection.
+            let keyed = plan.bind.as_ref().is_some_and(|b| b.target(i).is_some());
+            if act > est.saturating_mul(GROSS_QERROR) && !keyed {
+                // Only a filtered single-collection fragment: its
+                // filtered row count is a certain lower bound on the
+                // base collection (unfiltered fetches already feed
+                // exact counts through `note_stats_rows`).
+                if let AtomExec::Fragment { source, query, .. } = atom {
+                    if query.collections.len() == 1 && !query.selections.is_empty() {
+                        self.note_stats_rows(
+                            &format!("{}.{}", source, query.collections[0].collection),
+                            act,
+                        );
+                        self.metrics.incr("plan.feedback.gross", 1);
                     }
                 }
             }
         }
-        let cost_ok = config.optimizer.cost_based
-            && plan.fold_order.len() == plan.independents.len()
-            && plan.fold_rows.len() == plan.fold_order.len()
-            && plan.est_rows.len() == plan.independents.len()
-            && inputs.len() == start + plan.independents.len();
         // Estimated rows per input slot (post-permutation), for operator
         // annotations and build-side/parallelism decisions.
         let mut input_est: Vec<Option<u64>> = vec![None; inputs.len()];
-        if cost_ok {
-            let mut tail: Vec<Option<(Schema, Vec<Tuple>, ScanMasks, String)>> =
-                inputs.drain(start..).map(Some).collect();
-            for (k, &i) in plan.fold_order.iter().enumerate() {
-                if let Some(input) = tail.get_mut(i).and_then(Option::take) {
-                    inputs.push(input);
-                    input_est[start + k] = Some(plan.est_rows[i]);
-                }
-            }
-            // Defensive: a malformed permutation never drops inputs.
-            for input in tail.into_iter().flatten() {
+        let mut tail: Vec<Option<(Schema, Vec<Tuple>, ScanMasks, String)>> =
+            inputs.drain(start..).map(Some).collect();
+        for (k, &i) in plan.fold_order.iter().enumerate() {
+            if let Some(input) = tail.get_mut(i).and_then(Option::take) {
                 inputs.push(input);
+                input_est[start + k] = Some(plan.est_rows[i]);
             }
-            if start == 1 {
-                input_est[0] = Some(1);
-            }
-        } else if config.optimizer.order_joins_by_cardinality {
-            inputs[start..].sort_by_key(|(_, t, _, _)| t.len());
+        }
+        // Defensive: a malformed permutation never drops inputs.
+        for input in tail.into_iter().flatten() {
+            inputs.push(input);
+        }
+        if start == 1 {
+            input_est[0] = Some(1);
         }
 
         // Fold into a physical join tree. From here to the end of the
-        // drive is the executor pipeline — the part vectorized execution
-        // changes — timed separately from atom fetch as
-        // `engine.exec.pipeline_us`.
+        // drive is the executor pipeline, timed separately from atom
+        // fetch as `engine.exec.pipeline_us`.
         let t_pipeline = Instant::now();
         let funcs = self.funcs.read().clone();
-        // Execution-time rewrites (build-side swaps, vectorized
-        // substitution) recorded for the semantic rewrite audit.
-        let record_rewrites = config.optimizer.semantic_checks;
+        // Execution-time rewrites (build-side swaps) recorded for the
+        // rewrite audit.
         let mut exec_rewrites: Vec<RewriteRecord> = Vec::new();
         let mut iter = inputs.into_iter().enumerate();
         let (_, (first_schema, first_tuples, first_mask, first_name)) = iter
@@ -1536,18 +1495,9 @@ impl Engine {
                 op
             }
         };
-        let batch = config.optimizer.batch_exec;
-        let parallel = config.optimizer.parallel_exec;
-        // Batch mode drives each scan exactly once, so scans may move
+        // The batch drive pulls each scan exactly once, so scans move
         // their tuples out instead of cloning.
-        let scan = move |values: ValuesOp| -> ValuesOp {
-            let values = values.labeled("Scan");
-            if batch {
-                values.drain_on_batch()
-            } else {
-                values
-            }
-        };
+        let scan = |values: ValuesOp| values.labeled("Scan").drain_on_batch();
         let mut first_scan = scan(ValuesOp::new(first_schema, first_tuples));
         first_scan = match first_mask {
             ScanMasks::One(m) => first_scan.with_lineage(m),
@@ -1571,12 +1521,9 @@ impl Engine {
             let this_est = input_est.get(idx).copied().flatten();
             // Estimated size after this fold step (from the planner's
             // greedy cost walk; index is offset by the outer slot).
-            let next_est = if cost_ok {
-                idx.checked_sub(start)
-                    .and_then(|k| plan.fold_rows.get(k).copied())
-            } else {
-                None
-            };
+            let next_est = idx
+                .checked_sub(start)
+                .and_then(|k| plan.fold_rows.get(k).copied());
             let mut right_scan = scan(ValuesOp::new(schema.clone(), tuples));
             right_scan = match mask {
                 ScanMasks::One(m) => right_scan.with_lineage(m),
@@ -1601,7 +1548,7 @@ impl Engine {
                 // Fingerprint the operand schemas before they move into
                 // the join: a faithful swap keeps the (deduplicated,
                 // `#`-free) column set and the natural-join key set.
-                let swap_before = if record_rewrites && swap {
+                let swap_before = if swap {
                     let mut cols: Vec<String> = Vec::new();
                     for v in op.schema().vars().iter().chain(schema.vars()) {
                         if !v.contains('#') && !cols.iter().any(|x| x == v) {
@@ -1639,27 +1586,9 @@ impl Engine {
                 }
                 // Parallel build pays for itself only on large builds;
                 // with estimates in hand, gate it instead of always
-                // paying the thread spawn.
-                let parallel_join = parallel
-                    && build_est.map_or(true, |e| e >= PARALLEL_EST_THRESHOLD);
-                let vec_before = if record_rewrites && batch {
-                    Some(join.schema().vars().to_vec())
-                } else {
-                    None
-                };
-                let mut join = if batch { join.vectorized(parallel_join) } else { join };
-                if let Some(before_cols) = vec_before {
-                    // Vectorized substitution replaces the execution
-                    // strategy only; the schema must be untouched,
-                    // column order included.
-                    exec_rewrites.push(RewriteRecord::new(
-                        "vectorize",
-                        true,
-                        Fingerprint::new(before_cols).with_sources(cur_srcs.clone()),
-                        Fingerprint::new(join.schema().vars().to_vec())
-                            .with_sources(cur_srcs.clone()),
-                    ));
-                }
+                // submitting a pool round.
+                let parallel_join = build_est.map_or(true, |e| e >= PARALLEL_EST_THRESHOLD);
+                let mut join = join.vectorized(parallel_join);
                 if let Some(e) = next_est {
                     join.set_est_rows(e);
                 }
@@ -1744,40 +1673,31 @@ impl Engine {
             }
             // Same statistics gate as the join build: skip the parallel
             // key extraction when the estimated input is small.
-            let parallel_sort =
-                parallel && cur_est.map_or(true, |e| e >= PARALLEL_EST_THRESHOLD);
-            let sort = if batch { sort.vectorized(parallel_sort) } else { sort };
-            op = meter(Box::new(sort));
+            let parallel_sort = cur_est.map_or(true, |e| e >= PARALLEL_EST_THRESHOLD);
+            op = meter(Box::new(sort.vectorized(parallel_sort)));
         }
 
         // Static verification of the assembled physical plan: every
         // operator's schema/expression/ordering contract must hold before
         // we open anything. (`MeteredOp` wrappers delegate `introspect`,
         // so the verifier sees the identical plan.) A plan-cache hit
-        // (`planck_verify` false) may skip this only when the cost-based
-        // fold order actually drove assembly (`cost_ok`): without it the
-        // fold order is re-derived from actual fetched sizes, so a hit
-        // can assemble a join-tree shape never seen at cache-fill time.
-        if config.optimizer.verify_plans && (planck_verify || !cost_ok) {
+        // (`planck_verify` false) skips this: the plan's fold order
+        // drives assembly, so a hit assembles the shape verified at
+        // cache-fill time.
+        if config.optimizer.verify_plans && planck_verify {
             let t_verify = Instant::now();
-            // With semantic checks on, the structural pass is extended
-            // by bottom-up type/nullability inference (planck pass 1).
-            let checked = if config.optimizer.semantic_checks {
-                nimble_planck::verify_semantic(op.as_ref())
-            } else {
-                nimble_planck::verify(op.as_ref())
-            };
-            checked.map_err(|report| CoreError::PlanVerify(report.to_string()))?;
+            // The structural pass plus bottom-up type/nullability
+            // inference (planck pass 1).
+            nimble_planck::verify_semantic(op.as_ref())
+                .map_err(|report| CoreError::PlanVerify(report.to_string()))?;
             verify_ms += ms_since(t_verify);
         }
 
         // Semantic pass 3: audit every rewrite the optimizer applied to
         // this query — plan-level (pushdown, fold reorder) and
-        // execution-level (build-side swap, vectorize) — for schema,
-        // key-set, and cardinality-bound preservation.
-        if config.optimizer.semantic_checks
-            && !(plan.rewrites.is_empty() && exec_rewrites.is_empty())
-        {
+        // execution-level (build-side swap) — for schema, key-set, and
+        // cardinality-bound preservation.
+        if !(plan.rewrites.is_empty() && exec_rewrites.is_empty()) {
             let t_verify = Instant::now();
             let mut records = plan.rewrites.clone();
             records.append(&mut exec_rewrites);
@@ -1795,15 +1715,10 @@ impl Engine {
             verify_ms += ms_since(t_verify);
         }
 
-        let tuples = if batch {
-            let (tuples, batches) =
-                run_to_vec_batched(op.as_mut(), nimble_algebra::ops::DEFAULT_BATCH_SIZE)?;
-            self.metrics.incr("engine.exec.batches", batches);
-            self.metrics.incr("engine.exec.batch_rows", tuples.len() as u64);
-            tuples
-        } else {
-            run_to_vec(op.as_mut())?
-        };
+        let (tuples, batches) =
+            run_to_vec_batched(op.as_mut(), nimble_algebra::ops::DEFAULT_BATCH_SIZE)?;
+        self.metrics.incr("engine.exec.batches", batches);
+        self.metrics.incr("engine.exec.batch_rows", tuples.len() as u64);
         self.metrics.observe(
             "engine.exec.pipeline_us",
             us((ms_since(t_pipeline) - (verify_ms - verify_pre_ms)).max(0.0)),
@@ -1820,7 +1735,7 @@ impl Engine {
         // Plan-quality telemetry over the finished operator tree:
         // per-kind Q-error histograms and decision flips (profiled
         // nodes), per-worker busy times of parallel sections (always).
-        self.plan_quality_walk(op.as_ref(), batch && parallel, ctx);
+        self.plan_quality_walk(op.as_ref(), ctx);
         // Pool utilization gauges: cumulative fork/join rounds and
         // morsels pulled by the process-wide worker pool (max-gauges,
         // so snapshots merge like the stats epoch).
@@ -1899,12 +1814,8 @@ impl Engine {
         let mut verify_ms = plan_verify_ms;
         if config.optimizer.verify_plans {
             let t_verify = Instant::now();
-            let checked = if config.optimizer.semantic_checks {
-                nimble_planck::verify_semantic(op.as_ref())
-            } else {
-                nimble_planck::verify(op.as_ref())
-            };
-            checked.map_err(|report| CoreError::PlanVerify(report.to_string()))?;
+            nimble_planck::verify_semantic(op.as_ref())
+                .map_err(|report| CoreError::PlanVerify(report.to_string()))?;
             verify_ms += ms_since(t_verify);
         }
         self.metrics.incr("engine.plan.pruned", 1);
@@ -1955,7 +1866,7 @@ impl Engine {
     ///   `engine.par.skipped` — per-worker busy times and spawn/skip
     ///   counts of every parallel section, recorded whether or not the
     ///   query was profiled.
-    fn plan_quality_walk(&self, op: &dyn Operator, par_enabled: bool, ctx: &mut ExecCtx) {
+    fn plan_quality_walk(&self, op: &dyn Operator, ctx: &mut ExecCtx) {
         let info = op.introspect();
         if let Some(pp) = op.par_profile() {
             if pp.workers > 0 {
@@ -2003,19 +1914,19 @@ impl Engine {
                     }
                     // Estimate closed the gate but the build actually
                     // crossed the operator's own threshold.
-                    None if par_enabled => {
+                    None => {
                         if b_est.map_or(false, |e| e < PARALLEL_EST_THRESHOLD)
                             && acts.1.map_or(false, |a| a >= PARALLEL_EST_THRESHOLD)
                         {
                             self.metrics.incr("plan.flips.parallel", 1);
                         }
                     }
-                    _ => {}
+                    Some(_) => {}
                 }
             }
         }
         for child in op.children() {
-            self.plan_quality_walk(child, par_enabled, ctx);
+            self.plan_quality_walk(child, ctx);
         }
     }
 

@@ -248,13 +248,13 @@ fn parallel_and_serial_fetch_agree() {
 }
 
 #[test]
-fn batch_and_scalar_execution_agree() {
+fn pushdown_on_and_off_agree() {
     // Differential drive: every query shape (cross-source join,
-    // same-source pushdown join, residual predicate, navigation,
-    // aggregation, multi-key ORDER-BY) must construct the identical
-    // result document under the scalar executor, the batch executor,
-    // and the batch executor with parallel kernels — across pushdown
-    // on/off, since that changes which joins run in the mediator.
+    // same-source pushdown join, residual predicate, multi-key
+    // ORDER-BY) must construct the same answers whether the sources
+    // evaluate fragments or the mediator fetches and matches everything
+    // centrally — pushdown changes which joins run in the mediator.
+    // ORDER-BY ties may fall differently, so answers compare sorted.
     let queries = [
         r#"WHERE <row><name>$n</name><region>"NW"</region></row> IN "customers"
            CONSTRUCT <c>$n</c> ORDER-BY $n"#,
@@ -270,26 +270,24 @@ fn batch_and_scalar_execution_agree() {
            CONSTRUCT <r><a>$r</a><b>$n</b><c>$o</c></r> ORDER-BY $r, $o DESC"#,
     ];
     for query in queries {
-        for pushdown in [false, true] {
-            let run = |batch_exec: bool, parallel_exec: bool| {
-                let e = engine();
-                e.set_optimizer(OptimizerConfig {
-                    pushdown,
-                    batch_exec,
-                    parallel_exec,
-                    ..OptimizerConfig::default()
-                });
-                to_string(&e.query(query).unwrap().document.root())
-            };
-            let scalar = run(false, false);
-            assert_eq!(scalar, run(true, false), "batch diverged: {}", query);
-            assert_eq!(scalar, run(true, true), "batch+parallel diverged: {}", query);
-        }
+        let run = |pushdown: bool| {
+            let e = engine();
+            e.set_optimizer(OptimizerConfig {
+                pushdown,
+                ..OptimizerConfig::default()
+            });
+            let doc = e.query(query).unwrap().document;
+            let mut answers: Vec<String> = doc.root().children().map(|c| to_string(&c)).collect();
+            assert!(!answers.is_empty(), "no answers: {}", query);
+            answers.sort();
+            answers
+        };
+        assert_eq!(run(true), run(false), "pushdown diverged: {}", query);
     }
 }
 
 #[test]
-fn batch_execution_feeds_metrics_counters() {
+fn the_batch_drive_feeds_metrics_counters() {
     let e = engine();
     let before = e.metrics_snapshot();
     let r = e
@@ -852,19 +850,22 @@ fn differential_replan_catches_poisoned_cache_hit() {
 }
 
 #[test]
-fn semantic_toggles_change_the_config_fingerprint() {
-    let on = OptimizerConfig::default();
-    let no_semantic = OptimizerConfig {
-        semantic_checks: false,
-        ..OptimizerConfig::default()
-    };
-    let no_prune = OptimizerConfig {
-        prune_unsat: false,
-        ..OptimizerConfig::default()
-    };
-    assert_ne!(on.fingerprint(), no_semantic.fingerprint());
-    assert_ne!(on.fingerprint(), no_prune.fingerprint());
-    assert_ne!(no_semantic.fingerprint(), no_prune.fingerprint());
+fn every_switch_combination_has_its_own_fingerprint() {
+    // Five switches, 32 configurations, 32 fingerprints: no two
+    // configurations can share a plan-cache or result-cache entry.
+    let mut seen = std::collections::HashSet::new();
+    for bits in 0u8..32 {
+        let on = |i: u8| bits & (1 << i) != 0;
+        let config = OptimizerConfig {
+            pushdown: on(0),
+            capability_joins: on(1),
+            prune_unsat: on(2),
+            verify_plans: on(3),
+            track_lineage: on(4),
+        };
+        assert!(seen.insert(config.fingerprint()), "collision at {:?}", config);
+    }
+    assert_eq!(seen.len(), 32);
 }
 
 /// Feed with a third book whose publisher matches no CRM customer —
@@ -1132,11 +1133,11 @@ fn prune_on_and_off_agree_on_satisfiable_queries() {
 }
 
 #[test]
-fn streamed_serialization_matches_tree_in_every_mode() {
+fn streamed_serialization_matches_tree_for_every_template_shape() {
     // `query_serialized` streams CONSTRUCT output through an XmlWriter
     // without building the result tree; the paper-visible contract is
-    // byte-identity with tree construction + `to_string`, across all
-    // execution modes and every template shape: flat, ordered join,
+    // byte-identity with tree construction + `to_string`, for every
+    // template shape: flat, ordered join,
     // Skolem-grouped with duplicate elimination, Skolem-grouped with
     // aggregates, and (via the tree fallback) nested subqueries.
     let queries = [
@@ -1157,22 +1158,11 @@ fn streamed_serialization_matches_tree_in_every_mode() {
                CONSTRUCT <pub>$p</pub>
            </entry> ORDER-BY $t"#,
     ];
-    for (batch, parallel) in [(false, false), (true, false), (true, true)] {
-        let e = engine();
-        e.set_optimizer(OptimizerConfig {
-            batch_exec: batch,
-            parallel_exec: parallel,
-            ..OptimizerConfig::default()
-        });
-        for q in queries {
-            let streamed = e.query_serialized(q).unwrap();
-            let tree = to_string(&e.query(q).unwrap().document.root());
-            assert_eq!(
-                streamed, tree,
-                "streamed/tree disagree (batch={}, parallel={}) for {}",
-                batch, parallel, q
-            );
-        }
+    let e = engine();
+    for q in queries {
+        let streamed = e.query_serialized(q).unwrap();
+        let tree = to_string(&e.query(q).unwrap().document.root());
+        assert_eq!(streamed, tree, "streamed/tree disagree for {}", q);
     }
 }
 

@@ -94,12 +94,10 @@ pub struct Plan {
     /// Human-readable notes on optimizer decisions, surfaced by EXPLAIN.
     pub notes: Vec<String>,
     /// Estimated output rows per independent atom (index-aligned with
-    /// `independents`). Empty when cost-based planning is off.
+    /// `independents`).
     pub est_rows: Vec<u64>,
     /// Cost-based fold order: a permutation of `independents` indices in
-    /// the order the mediator-side join should fold them. Empty when
-    /// cost-based planning is off (the engine then falls back to sorting
-    /// by actual fetched size).
+    /// the order the mediator-side join should fold them.
     pub fold_order: Vec<usize>,
     /// Estimated accumulated row count after each fold step, aligned
     /// with `fold_order` (`fold_rows[0]` is the first atom's estimate).
@@ -319,7 +317,7 @@ pub fn plan_query_sharded(
         let mut placements: Vec<Placement> = Vec::new();
         let mut remaining = Vec::new();
         for pred in std::mem::take(&mut plan.residual_predicates) {
-            let placed = place_selection(catalog, config, &mut plan, &pred);
+            let placed = place_selection(catalog, &mut plan, &pred);
             if placed.is_empty() {
                 remaining.push(pred);
             } else {
@@ -365,17 +363,15 @@ pub fn plan_query_sharded(
     // Phase 4: cardinality estimates from collection statistics, the
     // bind stage they justify, and the fold order over what is left to
     // join once the stage has shrunk its targets.
-    if config.cost_based {
-        plan.est_rows = plan
-            .independents
-            .iter()
-            .map(|a| cost::estimate_atom(catalog, a))
-            .collect();
-        if config.pushdown {
-            plan_bind_stage(catalog, &mut plan);
-        }
-        order_folds_by_cost(catalog, &mut plan);
+    plan.est_rows = plan
+        .independents
+        .iter()
+        .map(|a| cost::estimate_atom(catalog, a))
+        .collect();
+    if config.pushdown {
+        plan_bind_stage(catalog, &mut plan);
     }
+    order_folds_by_cost(catalog, &mut plan);
 
     // Phase 5: satisfiability analysis. Constant-fold residual
     // predicates, drop always-true ones, and prune the whole plan to an
@@ -471,9 +467,8 @@ fn in_coercion_class(lit: &Atomic, field: Option<AtomicType>) -> bool {
 /// predicate stays central).
 ///
 /// Each fragment decides for itself: its source must evaluate
-/// selections, and with cost-based planning a predicate whose estimated
-/// selectivity *there* is too weak to shrink the transfer is not
-/// shipped (same semantics, one less thing the source has to do). The
+/// selections, and a predicate whose estimated selectivity *there* is
+/// too weak to shrink the transfer is not shipped (same semantics, one less thing the source has to do). The
 /// first fragment to take the predicate takes it unconditionally, as a
 /// single placement always has. Further copies are evaluated by other
 /// sources on other representations of the joined value, and the
@@ -481,12 +476,7 @@ fn in_coercion_class(lit: &Atomic, field: Option<AtomicType>) -> bool {
 /// `Float 2.0`, trimmed numeric text) where a source's `WHERE` may not,
 /// so a copy is placed only when both its field and the first
 /// placement's are declared in the literal's coercion class.
-fn place_selection(
-    catalog: &Catalog,
-    config: &OptimizerConfig,
-    plan: &mut Plan,
-    pred: &Expr,
-) -> Vec<Placement> {
+fn place_selection(catalog: &Catalog, plan: &mut Plan, pred: &Expr) -> Vec<Placement> {
     let Some((var, _, lit)) = compiler::simple_selection(pred) else {
         return Vec::new();
     };
@@ -523,12 +513,10 @@ fn place_selection(
             shared && in_coercion_class(lit, field_type(adapter.as_ref(), query, &sel.field));
         let why = if !placed.is_empty() && !(first_in_class && in_class) {
             Some(Declined::Type)
-        } else if config.cost_based {
+        } else {
             cost::fragment_selection_selectivity(catalog, source, query, sel)
                 .filter(|s| *s >= cost::CENTRAL_RESIDUAL_THRESHOLD)
                 .map(Declined::Cost)
-        } else {
-            None
         };
         if let Some(why) = why {
             query.selections.pop();
@@ -2235,25 +2223,17 @@ mod tests {
         }
         assert!(matches!(verify_plan(&stray, None), Err(CoreError::PlanVerify(_))));
 
-        // Without statistics-driven planning there is no estimate to
-        // justify a stage; without pushdown there is nothing to send.
-        for config in [
-            OptimizerConfig {
-                cost_based: false,
-                ..OptimizerConfig::default()
-            },
-            OptimizerConfig {
-                pushdown: false,
-                ..OptimizerConfig::default()
-            },
-        ] {
-            let c = Catalog::new();
-            c.register_source(lookup_sources("INT", 1..=200, 1..=2).0).unwrap();
-            c.register_source(lookup_sources("INT", 1..=200, 1..=2).1).unwrap();
-            let q = parse(&format!("{} CONSTRUCT <o>$n</o>", LOOKUP));
-            assert!(plan_query(&c, &q, &OptimizerConfig::default()).unwrap().bind.is_some());
-            assert!(plan_query(&c, &q, &config).unwrap().bind.is_none());
-        }
+        // Without pushdown there is nothing to send.
+        let c = Catalog::new();
+        c.register_source(lookup_sources("INT", 1..=200, 1..=2).0).unwrap();
+        c.register_source(lookup_sources("INT", 1..=200, 1..=2).1).unwrap();
+        let q = parse(&format!("{} CONSTRUCT <o>$n</o>", LOOKUP));
+        assert!(plan_query(&c, &q, &OptimizerConfig::default()).unwrap().bind.is_some());
+        let central = OptimizerConfig {
+            pushdown: false,
+            ..OptimizerConfig::default()
+        };
+        assert!(plan_query(&c, &q, &central).unwrap().bind.is_none());
     }
 
     #[test]

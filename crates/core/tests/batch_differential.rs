@@ -1,42 +1,81 @@
-//! Differential property test for vectorized execution: for every
-//! generated query and optimizer configuration, the batch executor
-//! (`OptimizerConfig::batch_exec`) and the scalar tuple-at-a-time
-//! executor construct the **identical result document**, with
-//! `parallel_exec` both off and on. The vectorized kernels change only
-//! how tuples move, never which tuples exist or their order.
+//! Differential test for the executor against the all-central oracle:
+//! for every query of the grammar below, the engine's default plan
+//! (fragments pushed to the sources, selections on the join variable
+//! copied to every fragment that binds it, cost-ordered folds with
+//! build-side swaps) constructs the **same answers** as `pushdown:
+//! false`, which fetches whole collections and evaluates everything in
+//! the mediator; and tracking lineage changes **no byte** of the
+//! document. Every run is under `verify_plans: true`, so each plan also
+//! passes planck and the rewrite audit.
+//!
+//! Shipped selections change the estimates and with them the fold
+//! order, so the pushdown comparison is on the sorted answers; the
+//! lineage comparison is on the serialized document.
+//!
+//! Hand-enumerated like `bind_differential.rs` and
+//! `shard_differential.rs`, so the offline harness needs no proptest:
+//! thresholds sit at the data's boundary values and every
+//! `SELECTIONS_ON_I` form runs at the first, an inner and a
+//! past-the-last key.
 
-use nimble_core::{Catalog, Engine, OptimizerConfig};
+use nimble_core::{Catalog, Engine, OptimizerConfig, QueryResult};
 use nimble_sources::relational::RelationalAdapter;
 use nimble_xml::to_string;
-use proptest::prelude::*;
 use std::sync::Arc;
 
+/// Six customers and 40 orders for five of them in one source; invoices
+/// in a second, so a variable can be bound by fragments of two sources.
+/// The pushed customers-orders join is estimated at more than four
+/// times the invoices it then meets in the mediator, so that fold swaps
+/// its build side. Every customer with orders has an invoice — a row
+/// lost from either side of the swapped join loses an answer — while
+/// customer 6 and the invoice of a customer 9 match nothing.
 fn catalog() -> Arc<Catalog> {
-    let stmts = [
-        "CREATE TABLE customers (id INT, name TEXT, region TEXT)",
-        "INSERT INTO customers VALUES (1, 'ada', 'NW')",
-        "INSERT INTO customers VALUES (2, 'bob', 'SW')",
-        "INSERT INTO customers VALUES (3, 'cyd', 'NW')",
-        "INSERT INTO customers VALUES (4, 'dee', 'SE')",
-        "CREATE TABLE orders (oid INT, cust_id INT, total INT)",
-        "INSERT INTO orders VALUES (10, 1, 250)",
-        "INSERT INTO orders VALUES (11, 2, 40)",
-        "INSERT INTO orders VALUES (12, 3, 75)",
-        "INSERT INTO orders VALUES (13, 1, 8)",
-        "INSERT INTO orders VALUES (14, 4, 40)",
+    let mut erp: Vec<String> = vec![
+        "CREATE TABLE customers (id INT, name TEXT, region TEXT)".into(),
+        "CREATE TABLE orders (oid INT, cust_id INT, total INT)".into(),
     ];
-    // A second source, so a variable can be bound by fragments of two
-    // sources (customers 1..3 have invoices, customer 4 does not).
+    let customers = [
+        ("ada", "NW"),
+        ("bob", "SW"),
+        ("cyd", "NW"),
+        ("dee", "SE"),
+        ("eve", "SW"),
+        ("fay", "NE"),
+    ];
+    for (i, (name, region)) in customers.iter().enumerate() {
+        erp.push(format!(
+            "INSERT INTO customers VALUES ({}, '{}', '{}')",
+            i + 1,
+            name,
+            region
+        ));
+    }
+    // Totals cycle through the threshold boundaries; customer 6 has no
+    // orders.
+    let totals = [250, 40, 75, 8, 40, 249];
+    for j in 0..40 {
+        erp.push(format!(
+            "INSERT INTO orders VALUES ({}, {}, {})",
+            10 + j,
+            j % 5 + 1,
+            totals[j % totals.len()]
+        ));
+    }
     let billing = [
         "CREATE TABLE invoices (cust_id INT, amount INT)",
         "INSERT INTO invoices VALUES (1, 30)",
         "INSERT INTO invoices VALUES (3, 5)",
         "INSERT INTO invoices VALUES (2, 90)",
         "INSERT INTO invoices VALUES (1, 12)",
+        "INSERT INTO invoices VALUES (9, 3)",
+        "INSERT INTO invoices VALUES (4, 7)",
+        "INSERT INTO invoices VALUES (5, 61)",
     ];
+    let erp: Vec<&str> = erp.iter().map(String::as_str).collect();
     let c = Catalog::new();
     c.register_source(Arc::new(
-        RelationalAdapter::from_statements("erp", &stmts).unwrap(),
+        RelationalAdapter::from_statements("erp", &erp).unwrap(),
     ))
     .unwrap();
     c.register_source(Arc::new(
@@ -51,146 +90,152 @@ const SELECTIONS_ON_I: [&str; 7] = [
     "$i = K", "$i != K", "$i < K", "$i <= K", "$i > K", "$i >= K", "K < $i",
 ];
 
-/// The plan-verify drive's query grammar (optional join, literal and
-/// variable region bindings, threshold predicate, ORDER-BY) plus a
-/// selection on the join variable `$i`, which every fragment binding
-/// `$i` receives: the same-source `orders` fragment and, with
-/// `cross`, the `invoices` fragment of a second source.
-fn query_strategy() -> impl Strategy<Value = String> {
-    (
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        proptest::option::of(0i64..300),
-        0usize..3,
-        any::<bool>(),
-        proptest::option::of((0usize..7, 0i64..6)),
-    )
-        .prop_map(|(join, lit_region, bind_region, threshold, order, cross, sel_i)| {
-            let mut pats = vec![format!(
-                "<row><id>$i</id><name>$n</name>{}{}</row> IN \"customers\"",
-                if lit_region { "<region>\"NW\"</region>" } else { "" },
-                if bind_region { "<region>$r</region>" } else { "" },
-            )];
-            let mut preds = Vec::new();
-            let mut construct = String::from("<n>$n</n>");
-            if join {
-                pats.push(
-                    "<row><cust_id>$i</cust_id><total>$t</total></row> IN \"orders\"".into(),
-                );
-                construct.push_str("<t>$t</t>");
-                if let Some(k) = threshold {
-                    preds.push(format!("$t > {}", k));
+/// Every query of the grammar: optional join, literal and variable
+/// region bindings, threshold predicate, ORDER-BY, plus a selection on
+/// the join variable `$i`, which every fragment binding `$i` receives:
+/// the same-source `orders` fragment and, with `cross`, the `invoices`
+/// fragment of a second source.
+fn all_queries() -> Vec<String> {
+    let mut selections: Vec<Option<String>> = vec![None];
+    for form in SELECTIONS_ON_I {
+        for k in [1, 3, 7] {
+            selections.push(Some(form.replace('K', &k.to_string())));
+        }
+    }
+    let mut queries = Vec::new();
+    for join in [false, true] {
+        // `$t` only exists under the join. Totals are 8, 40, 75, 249,
+        // 250: nothing cut, the first cut, a repeated value cut, all
+        // but one cut, everything cut.
+        let thresholds: &[Option<i64>] = if join {
+            &[None, Some(7), Some(8), Some(40), Some(249), Some(250)]
+        } else {
+            &[None]
+        };
+        for lit_region in [false, true] {
+            for bind_region in [false, true] {
+                for threshold in thresholds {
+                    for order in ["", " ORDER-BY $n", " ORDER-BY $i"] {
+                        for cross in [false, true] {
+                            for sel_i in &selections {
+                                let mut pats = vec![format!(
+                                    "<row><id>$i</id><name>$n</name>{}{}</row> IN \"customers\"",
+                                    if lit_region { "<region>\"NW\"</region>" } else { "" },
+                                    if bind_region { "<region>$r</region>" } else { "" },
+                                )];
+                                let mut preds = Vec::new();
+                                let mut construct = String::from("<n>$n</n>");
+                                if join {
+                                    pats.push(
+                                        "<row><cust_id>$i</cust_id><total>$t</total></row> IN \"orders\""
+                                            .into(),
+                                    );
+                                    construct.push_str("<t>$t</t>");
+                                    if let Some(k) = threshold {
+                                        preds.push(format!("$t > {}", k));
+                                    }
+                                }
+                                if cross {
+                                    pats.push(
+                                        "<row><cust_id>$i</cust_id><amount>$a</amount></row> IN \"invoices\""
+                                            .into(),
+                                    );
+                                    construct.push_str("<a>$a</a>");
+                                }
+                                preds.extend(sel_i.clone());
+                                if bind_region {
+                                    construct.push_str("<r>$r</r>");
+                                }
+                                queries.push(format!(
+                                    "WHERE {} CONSTRUCT <hit>{}</hit>{}",
+                                    pats.into_iter().chain(preds).collect::<Vec<_>>().join(", "),
+                                    construct,
+                                    order
+                                ));
+                            }
+                        }
+                    }
                 }
             }
-            if cross {
-                pats.push(
-                    "<row><cust_id>$i</cust_id><amount>$a</amount></row> IN \"invoices\"".into(),
-                );
-                construct.push_str("<a>$a</a>");
-            }
-            if let Some((form, k)) = sel_i {
-                preds.push(SELECTIONS_ON_I[form].replace('K', &k.to_string()));
-            }
-            if bind_region {
-                construct.push_str("<r>$r</r>");
-            }
-            let order_by = match order {
-                1 => " ORDER-BY $n",
-                2 => " ORDER-BY $i",
-                _ => "",
-            };
-            format!(
-                "WHERE {} CONSTRUCT <hit>{}</hit>{}",
-                pats.into_iter().chain(preds).collect::<Vec<_>>().join(", "),
-                construct,
-                order_by
-            )
-        })
+        }
+    }
+    queries
 }
 
-fn run(text: &str, pushdown: bool, batch_exec: bool, parallel_exec: bool) -> String {
+fn engine(pushdown: bool, track_lineage: bool) -> Engine {
     let engine = Engine::new(catalog());
     engine.set_optimizer(OptimizerConfig {
         pushdown,
-        batch_exec,
-        parallel_exec,
+        track_lineage,
         verify_plans: true,
         ..OptimizerConfig::default()
     });
-    let r = engine.query(text).unwrap();
+    engine
+}
+
+fn document(r: &QueryResult) -> String {
     to_string(&r.document.root())
 }
 
-/// Result content under the given config, as the sorted multiset of the
-/// root's serialized children. Cost-based planning may legitimately
-/// reorder tuples (it picks a different join fold order), so the
-/// cost_based on/off comparison is order-insensitive; every other axis
-/// compares exact documents above.
-fn run_canonical(text: &str, pushdown: bool, cost_based: bool) -> Vec<String> {
-    let engine = Engine::new(catalog());
-    engine.set_optimizer(OptimizerConfig {
-        pushdown,
-        cost_based,
-        verify_plans: true,
-        ..OptimizerConfig::default()
-    });
-    let r = engine.query(text).unwrap();
-    let mut parts: Vec<String> = r
-        .document
-        .root()
-        .children()
-        .map(|c| to_string(&c))
-        .collect();
+fn sorted_answers(r: &QueryResult) -> Vec<String> {
+    let mut parts: Vec<String> = r.document.root().children().map(|c| to_string(&c)).collect();
     parts.sort();
     parts
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn batch_matches_scalar(text in query_strategy()) {
-        for pushdown in [false, true] {
-            let scalar = run(&text, pushdown, false, false);
-            let batch = run(&text, pushdown, true, false);
-            prop_assert_eq!(
-                &scalar, &batch,
-                "batch execution diverged for {:?} (pushdown={})", text, pushdown
-            );
-            let batch_parallel = run(&text, pushdown, true, true);
-            prop_assert_eq!(
-                &scalar, &batch_parallel,
-                "batch+parallel execution diverged for {:?} (pushdown={})", text, pushdown
-            );
-        }
+#[test]
+fn pushdown_and_lineage_change_work_not_content() {
+    let pushed = engine(true, false);
+    let tracked = engine(true, true);
+    // The oracle: whole collections fetched, every predicate and every
+    // join evaluated centrally.
+    let central = engine(false, false);
+    let queries = all_queries();
+    assert!(queries.len() > 3000, "{}", queries.len());
+    let (mut answered, mut swapped) = (0, 0);
+    for text in &queries {
+        let got = pushed.query(text).unwrap_or_else(|e| panic!("{}: {}", text, e));
+        let plan = &got.stats.plan;
+        assert_eq!(
+            sorted_answers(&got),
+            sorted_answers(&central.query(text).unwrap()),
+            "pushdown changed result content for {}\n{}",
+            text,
+            plan
+        );
+        let with_lineage = tracked.query(text).unwrap();
+        assert_eq!(
+            document(&got),
+            document(&with_lineage),
+            "lineage tracking changed the document for {}\n{}",
+            text,
+            plan
+        );
+        assert!(with_lineage.provenance.is_some(), "{}", text);
+        answered += usize::from(got.document.root().children().next().is_some());
+        swapped += usize::from(probe_outweighs_build(plan));
     }
+    // The sweep is not vacuous: most queries have answers, and
+    // over a hundred of the joins run with their build side swapped.
+    assert!(answered * 2 > queries.len(), "{} of {}", answered, queries.len());
+    assert!(swapped > 100, "{} of {}", swapped, queries.len());
+}
 
-    #[test]
-    fn pushdown_changes_work_not_content(text in query_strategy()) {
-        // `pushdown: false` is the oracle: fetch whole collections,
-        // evaluate every predicate centrally. Shipped selections change
-        // the estimates and with them the fold order, so (as for
-        // `cost_based`) the comparison is order-insensitive.
-        for cost_based in [false, true] {
-            prop_assert_eq!(
-                run_canonical(&text, true, cost_based),
-                run_canonical(&text, false, cost_based),
-                "pushdown changed result content for {:?} (cost_based={})", text, cost_based
-            );
-        }
-    }
-
-    #[test]
-    fn cost_based_planning_changes_order_not_content(text in query_strategy()) {
-        for pushdown in [false, true] {
-            let with_stats = run_canonical(&text, pushdown, true);
-            let without = run_canonical(&text, pushdown, false);
-            prop_assert_eq!(
-                &with_stats, &without,
-                "cost-based planning changed result content for {:?} (pushdown={})",
-                text, pushdown
-            );
-        }
-    }
+/// Whether the plan's first hash join probes with a scan estimated more
+/// than four times its build scan — the shape only a build-side swap
+/// produces (unswapped, the accumulated side probes and is the smaller).
+fn probe_outweighs_build(plan: &str) -> bool {
+    let est = |line: &str| -> Option<u64> {
+        let at = line.find("[est=")? + "[est=".len();
+        line[at..].split(']').next()?.parse().ok()
+    };
+    let lines: Vec<&str> = plan.lines().collect();
+    lines.windows(3).any(|w| {
+        let indent = |l: &str| l.len() - l.trim_start().len();
+        w[0].trim_start().starts_with("HashJoin")
+            && w[1].trim_start().starts_with("Scan")
+            && w[2].trim_start().starts_with("Scan")
+            && indent(w[1]) == indent(w[2])
+            && matches!((est(w[1]), est(w[2])), (Some(p), Some(b)) if p > b.saturating_mul(4))
+    })
 }

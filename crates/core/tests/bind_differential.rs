@@ -15,7 +15,7 @@
 //!   on the sorted answers, as in `batch_differential.rs`.
 //!
 //! Then the §3.4 matrix (driver down, target down, driver stale, all
-//! down × three policies) against an engine that plans no stage, and
+//! down × three policies) against `pushdown` off, which plans no stage, and
 //! the edge cases: empty driver, null and duplicate keys, more keys
 //! than the cap, field types that do not match, a quote in a key.
 //!
@@ -221,11 +221,10 @@ fn rig(sources: &[(&str, Vec<String>)], honour: bool, config: EngineConfig) -> R
     }
 }
 
-fn optimizer(pushdown: bool, cost_based: bool, track_lineage: bool) -> EngineConfig {
+fn optimizer(pushdown: bool, track_lineage: bool) -> EngineConfig {
     EngineConfig {
         optimizer: OptimizerConfig {
             pushdown,
-            cost_based,
             track_lineage,
             verify_plans: true,
             ..OptimizerConfig::default()
@@ -320,10 +319,10 @@ fn whys(r: &QueryResult) -> Vec<Vec<String>> {
 #[test]
 fn the_stage_changes_rows_shipped_never_the_answer() {
     let sources = statements();
-    let honours = rig(&sources, true, optimizer(true, true, true));
-    let ignores = rig(&sources, false, optimizer(true, true, true));
-    let untracked = rig(&sources, true, optimizer(true, true, false));
-    let central = rig(&sources, true, optimizer(false, true, false));
+    let honours = rig(&sources, true, optimizer(true, true));
+    let ignores = rig(&sources, false, optimizer(true, true));
+    let untracked = rig(&sources, true, optimizer(true, false));
+    let central = rig(&sources, true, optimizer(false, false));
     let queries = all_queries();
     assert!(queries.len() > 100, "{}", queries.len());
     let mut staged = 0;
@@ -402,9 +401,11 @@ fn outages_degrade_as_they_do_without_the_stage() {
             vec!["billing", "support"],
             vec!["billing", "crm", "support"],
         ] {
-            let with = |cost_based: bool| EngineConfig {
+            // `pushdown: false` plans no stage: it has no fragment to
+            // send keys to.
+            let with = |pushdown: bool| EngineConfig {
                 unavailable: policy,
-                ..optimizer(true, cost_based, false)
+                ..optimizer(pushdown, false)
             };
             let staged = rig(&sources, true, with(true));
             let plain = rig(&sources, true, with(false));
@@ -452,7 +453,7 @@ fn a_stale_keyed_answer_is_served_for_its_own_keys_only() {
         true,
         EngineConfig {
             unavailable: UnavailablePolicy::StaleCache,
-            ..optimizer(true, true, false)
+            ..optimizer(true, false)
         },
     );
     let all = THREE_WAY.replace("$t > 100", "$t > 100, $sev > 0");
@@ -489,8 +490,8 @@ const PAIR: &str = r#"WHERE <row><id>$i</id><tag>$g</tag></row> IN "small",
 
 /// The stage's answer against the oracle's, and the stage engine's rig.
 fn pair_against_oracle(sources: &[(&str, Vec<String>)], text: &str) -> (Rig, QueryResult) {
-    let staged = rig(sources, true, optimizer(true, true, false));
-    let central = rig(sources, true, optimizer(false, true, false));
+    let staged = rig(sources, true, optimizer(true, false));
+    let central = rig(sources, true, optimizer(false, false));
     let got = staged.engine.query(text).unwrap();
     assert_eq!(
         sorted_answers(&got),
@@ -562,8 +563,8 @@ fn more_keys_than_the_cap_are_not_sent() {
         "INT",
         |i| i.to_string(),
     );
-    let staged = rig(&sources, true, optimizer(true, true, false));
-    let central = rig(&sources, true, optimizer(false, true, false));
+    let staged = rig(&sources, true, optimizer(true, false));
+    let central = rig(&sources, true, optimizer(false, false));
     let late: Vec<String> = (100..1200).map(|i| format!("({}, 'late')", i)).collect();
     let grow = format!("INSERT INTO small VALUES {}", late.join(", "));
     for r in [&staged, &central] {
@@ -635,7 +636,7 @@ fn a_keyed_fetch_is_not_taken_for_the_collection() {
     // report the collection's cardinality. Keyed it ships 15 of 80 rows:
     // taken for the row count, that would swing the statistics, bump
     // their generation and evict the cached plan — on every query.
-    let staged = rig(&statements(), true, optimizer(true, true, false));
+    let staged = rig(&statements(), true, optimizer(true, false));
     let stats = staged.engine.catalog().stats();
     let generation = stats.generation();
     for _ in 0..6 {

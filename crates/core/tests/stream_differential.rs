@@ -1,33 +1,54 @@
-//! Differential property test for the streaming serializer: for every
-//! generated query and execution mode, [`Engine::query_serialized`]
-//! (which streams CONSTRUCT output through an `XmlWriter` with no
-//! result tree) is **byte-identical** to tree construction plus
-//! `to_string`. The generated grammar covers the template shapes the
-//! streaming path specializes: flat templates, multi-child templates,
-//! ORDER-BY, and Skolem grouping with duplicate elimination and
-//! aggregates. Edge-valued data (negative totals, zero, duplicated
-//! names) rides in the fixture so dedup and group keys are exercised.
+//! Differential sweep for the streaming serializer: for every query of
+//! the grammar below, [`Engine::query_serialized`] (which streams
+//! CONSTRUCT output through an `XmlWriter` with no result tree once the
+//! answer is large enough) is **byte-identical** to tree construction
+//! plus `to_string`, with fragments pushed to the source and with
+//! everything evaluated centrally, each under `verify_plans: true`. The
+//! grammar covers the template shapes the streaming path specializes:
+//! flat templates, multi-child templates, ORDER-BY, and Skolem grouping
+//! with duplicate elimination and aggregates. Edge-valued data
+//! (negative totals, zero, duplicated and empty names) rides in the
+//! fixture so dedup and group keys are exercised, and the fixture is
+//! large enough that most answers clear the streaming threshold — the
+//! thresholds that cut an answer below it compare the small-result
+//! path instead.
+//!
+//! Hand-enumerated like `bind_differential.rs` and
+//! `shard_differential.rs`, so the offline harness needs no proptest.
 
 use nimble_core::{Catalog, Engine, OptimizerConfig};
 use nimble_sources::relational::RelationalAdapter;
 use nimble_xml::to_string;
-use proptest::prelude::*;
 use std::sync::Arc;
 
+/// 4 800 customers over 48 names (one of them empty) and one order
+/// each, totals cycling through the boundary values.
 fn catalog() -> Arc<Catalog> {
-    let stmts = [
-        "CREATE TABLE customers (id INT, name TEXT, region TEXT)",
-        "INSERT INTO customers VALUES (1, 'ada', 'NW')",
-        "INSERT INTO customers VALUES (2, 'bob', 'SW')",
-        "INSERT INTO customers VALUES (3, 'ada', 'NW')",
-        "INSERT INTO customers VALUES (4, '', 'SE')",
-        "CREATE TABLE orders (oid INT, cust_id INT, total FLOAT)",
-        "INSERT INTO orders VALUES (10, 1, 250.0)",
-        "INSERT INTO orders VALUES (11, 2, -40.5)",
-        "INSERT INTO orders VALUES (12, 3, 0.0)",
-        "INSERT INTO orders VALUES (13, 1, 0.0)",
-        "INSERT INTO orders VALUES (14, 4, 250.0)",
+    let mut stmts: Vec<String> = vec![
+        "CREATE TABLE customers (id INT, name TEXT, region TEXT)".into(),
+        "CREATE TABLE orders (oid INT, cust_id INT, total FLOAT)".into(),
     ];
+    let regions = ["NW", "SW", "NW", "SE"];
+    let totals = ["250.0", "-40.5", "0.0", "0.0", "250.0", "17.25"];
+    for i in 0..4800usize {
+        let name = match i % 48 {
+            0 => String::new(),
+            k => format!("n{:02}", k),
+        };
+        stmts.push(format!(
+            "INSERT INTO customers VALUES ({}, '{}', '{}')",
+            i + 1,
+            name,
+            regions[i % regions.len()]
+        ));
+        stmts.push(format!(
+            "INSERT INTO orders VALUES ({}, {}, {})",
+            10_000 + i,
+            i + 1,
+            totals[i % totals.len()]
+        ));
+    }
+    let stmts: Vec<&str> = stmts.iter().map(String::as_str).collect();
     let c = Catalog::new();
     c.register_source(Arc::new(
         RelationalAdapter::from_statements("erp", &stmts).unwrap(),
@@ -36,72 +57,93 @@ fn catalog() -> Arc<Catalog> {
     Arc::new(c)
 }
 
-/// Queries spanning the streaming path's template shapes: optional
-/// join, optional threshold, and one of four CONSTRUCT shapes (flat,
-/// multi-child, Skolem-grouped, Skolem-grouped with aggregates),
+/// Every query of the grammar: optional join, a threshold at the
+/// totals' boundary values (-40.5, 0, 17.25, 250: nothing cut, the
+/// negative cut, the zeros cut, all but the maximum cut — a small
+/// result — and everything cut), and one of four CONSTRUCT shapes
+/// (flat, multi-child, Skolem-grouped, Skolem-grouped with aggregates),
 /// optionally ordered.
-fn query_strategy() -> impl Strategy<Value = String> {
-    (
-        any::<bool>(),
-        proptest::option::of(-100i64..300),
-        0usize..4,
-        any::<bool>(),
-    )
-        .prop_map(|(join, threshold, shape, order)| {
-            let mut pats = vec![
-                "<row><id>$i</id><name>$n</name><region>$r</region></row> IN \"customers\""
-                    .to_string(),
-            ];
-            let mut preds = Vec::new();
-            if join || shape >= 2 {
-                pats.push(
-                    "<row><cust_id>$i</cust_id><total>$t</total></row> IN \"orders\"".into(),
-                );
-                if let Some(k) = threshold {
-                    preds.push(format!("$t > {}", k));
+fn all_queries() -> Vec<String> {
+    let mut queries = Vec::new();
+    for shape in 0..4usize {
+        for join in [false, true] {
+            let joined = join || shape >= 2; // the grouped shapes use $t
+            if joined && !join {
+                continue;
+            }
+            let thresholds: &[Option<i64>] = if joined {
+                &[None, Some(-41), Some(0), Some(249), Some(250)]
+            } else {
+                &[None]
+            };
+            for threshold in thresholds {
+                for order in [false, true] {
+                    if order && shape >= 2 {
+                        continue; // grouped output has its own order
+                    }
+                    let mut conds = vec![
+                        "<row><id>$i</id><name>$n</name><region>$r</region></row> IN \"customers\""
+                            .to_string(),
+                    ];
+                    if joined {
+                        conds.push(
+                            "<row><cust_id>$i</cust_id><total>$t</total></row> IN \"orders\"".into(),
+                        );
+                    }
+                    conds.extend(threshold.map(|k| format!("$t > {}", k)));
+                    let construct = match shape {
+                        0 => "<hit>$n</hit>",
+                        1 => "<hit><n>$n</n><r>$r</r></hit>",
+                        // Skolem grouping: duplicate names accumulate
+                        // under one element and repeated (name, total)
+                        // pairs dedup.
+                        2 => "<cust ID=ByName($n)><n>$n</n><t>$t</t></cust>",
+                        _ => "<cust ID=C($n)><n>$n</n><k>count()</k><s>sum($t)</s></cust>",
+                    };
+                    queries.push(format!(
+                        "WHERE {} CONSTRUCT {}{}",
+                        conds.join(", "),
+                        construct,
+                        if order { " ORDER-BY $n" } else { "" }
+                    ));
                 }
             }
-            let construct = match shape {
-                0 => "<hit>$n</hit>".to_string(),
-                1 => "<hit><n>$n</n><r>$r</r></hit>".to_string(),
-                // Skolem grouping: duplicate names accumulate under one
-                // element and repeated (name, total) pairs dedup.
-                2 => "<cust ID=ByName($n)><n>$n</n><t>$t</t></cust>".to_string(),
-                _ => "<cust ID=C($n)><n>$n</n><k>count()</k><s>sum($t)</s></cust>".to_string(),
-            };
-            let order_by = if order && shape < 2 { " ORDER-BY $n" } else { "" };
-            format!(
-                "WHERE {} CONSTRUCT {}{}",
-                pats.into_iter().chain(preds).collect::<Vec<_>>().join(", "),
-                construct,
-                order_by
-            )
-        })
+        }
+    }
+    queries
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn streamed_equals_tree_serialization(text in query_strategy()) {
-        let cat = catalog();
-        for (batch, parallel) in [(false, false), (true, false), (true, true)] {
-            let e = Engine::new(cat.clone());
-            e.set_optimizer(OptimizerConfig {
-                batch_exec: batch,
-                parallel_exec: parallel,
-                ..OptimizerConfig::default()
-            });
-            let streamed = e.query_serialized(&text).unwrap();
-            let tree = to_string(&e.query(&text).unwrap().document.root());
-            prop_assert_eq!(
-                &streamed,
-                &tree,
-                "streamed/tree disagree (batch={}, parallel={}) for {}",
-                batch,
-                parallel,
-                text
+#[test]
+fn streamed_equals_tree_serialization() {
+    let cat = catalog();
+    let queries = all_queries();
+    assert_eq!(queries.len(), 34);
+    for pushdown in [true, false] {
+        let e = Engine::new(cat.clone());
+        e.set_optimizer(OptimizerConfig {
+            pushdown,
+            verify_plans: true,
+            ..OptimizerConfig::default()
+        });
+        for text in &queries {
+            let streamed = e.query_serialized(text).unwrap();
+            let tree = to_string(&e.query(text).unwrap().document.root());
+            assert!(
+                streamed == tree,
+                "streamed/tree disagree (pushdown={}) for {}\n streamed: {:.300}\n     tree: {:.300}",
+                pushdown,
+                text,
+                streamed,
+                tree
             );
         }
+        // Both construct paths were compared, the streaming one most.
+        let snap = e.metrics_snapshot();
+        let (streamed, small) = (
+            snap.counter("engine.construct.streamed"),
+            snap.counter("engine.construct.small_fallback"),
+        );
+        assert_eq!(streamed + small, queries.len() as u64);
+        assert!(streamed >= 20 && small >= 4, "streamed {} small {}", streamed, small);
     }
 }

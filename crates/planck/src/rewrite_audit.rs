@@ -1,7 +1,7 @@
 //! Pass 3: rewrite-equivalence auditing.
 //!
 //! The optimizer reshapes plans — fold reordering, predicate pushdown,
-//! build-side swaps, vectorized substitution, plan-cache reuse — and
+//! build-side swaps, plan-cache reuse — and
 //! each rewrite is *assumed* meaning-preserving. This pass checks the
 //! invariants a meaning-preserving rewrite cannot break. The optimizer
 //! records a [`RewriteRecord`] (a before/after pair of cheap
@@ -109,8 +109,7 @@ impl std::fmt::Display for Placement {
 #[derive(Debug, Clone)]
 pub struct RewriteRecord {
     /// Rule name for diagnostics (`"fold-reorder"`, `"pushdown"`,
-    /// `"bind-join"`, `"build-side-swap"`, `"vectorize"`,
-    /// `"plan-cache-hit"`).
+    /// `"bind-join"`, `"build-side-swap"`, `"plan-cache-hit"`).
     pub rule: String,
     /// Whether the rewrite promises to preserve column *order* (a
     /// substitution) rather than just the column set (a reordering).
@@ -373,7 +372,7 @@ mod tests {
     #[test]
     fn ordered_rewrite_must_keep_column_order() {
         let r = RewriteRecord::new(
-            "vectorize",
+            "pushdown",
             true,
             Fingerprint::new(cols(&["a", "b"])),
             Fingerprint::new(cols(&["b", "a"])),

@@ -212,12 +212,11 @@ fn issue_paths_locate_the_operator() {
 }
 
 #[test]
-fn vectorized_operators_stay_transparent_to_verification() {
-    // Flipping an operator into batch (or batch+parallel) mode changes
-    // only its execution kernel; `introspect()` and therefore the
-    // verifier's view of the plan must be identical. This is the shape
-    // the engine builds with `batch_exec` on: vectorized join and sort
-    // wrapped in meters.
+fn the_parallel_hint_stays_transparent_to_verification() {
+    // The parallel hint changes only where an operator's keys are
+    // extracted; `introspect()` and therefore the verifier's view of
+    // the plan must be identical. This is the shape the engine builds:
+    // hinted join and sort wrapped in meters.
     let join_on_k = || {
         HashJoinOp::new(
             source(&["k", "x"]),
@@ -240,10 +239,10 @@ fn vectorized_operators_stay_transparent_to_verification() {
         let plan = MeteredOp::new(Box::new(sort));
         assert_verified(&plan);
 
-        // Same tree, scalar mode: the verifier-visible structure agrees.
-        let scalar = plan_of(&join_on_k());
-        let batched = plan_of(&join_on_k().vectorized(parallel));
-        assert_eq!(scalar, batched, "introspection differs in batch mode");
+        // Same tree, no hint: the verifier-visible structure agrees.
+        let plain = plan_of(&join_on_k());
+        let hinted = plan_of(&join_on_k().vectorized(parallel));
+        assert_eq!(plain, hinted, "introspection differs under the hint");
     }
 }
 

@@ -90,32 +90,13 @@ fn four_kinds_of_sources_join() {
 
 #[test]
 fn optimizer_choices_never_change_answers() {
-    let configs = [
-        OptimizerConfig {
-            pushdown: true,
-            capability_joins: true,
-            order_joins_by_cardinality: true,
+    let configs = [(true, true), (false, false), (true, false), (false, true)].map(
+        |(pushdown, capability_joins)| OptimizerConfig {
+            pushdown,
+            capability_joins,
             ..OptimizerConfig::default()
         },
-        OptimizerConfig {
-            pushdown: false,
-            capability_joins: false,
-            order_joins_by_cardinality: false,
-            ..OptimizerConfig::default()
-        },
-        OptimizerConfig {
-            pushdown: true,
-            capability_joins: false,
-            order_joins_by_cardinality: false,
-            ..OptimizerConfig::default()
-        },
-        OptimizerConfig {
-            pushdown: false,
-            capability_joins: false,
-            order_joins_by_cardinality: true,
-            ..OptimizerConfig::default()
-        },
-    ];
+    );
     let engine = Engine::new(four_source_catalog());
     let mut outputs = Vec::new();
     for config in configs {

@@ -3,7 +3,7 @@
 
 use nimble::core::{Catalog, Engine};
 use nimble::sources::relational::RelationalAdapter;
-use nimble::store::{select_views, SelectionPolicy};
+use nimble::store::{select_views, CandidateView, SelectionPolicy};
 use nimble::xml::to_string;
 use std::sync::Arc;
 
@@ -100,7 +100,19 @@ fn workload_monitor_drives_greedy_selection() {
         .query(r#"WHERE <o>$i</o> IN "small_orders" CONSTRUCT <x>$i</x>"#)
         .unwrap();
 
-    let candidates = engine.monitor().candidates();
+    // The monitor's costs are wall-clock readings: one slow
+    // `small_orders` query on a loaded host would outrank ten fast
+    // `big_orders` ones. Charge every view the same cost, so selection
+    // ranks on what this test controls — frequency and size.
+    let candidates: Vec<CandidateView> = engine
+        .monitor()
+        .candidates()
+        .into_iter()
+        .map(|c| CandidateView {
+            virtual_cost_ms: 1.0,
+            ..c
+        })
+        .collect();
     let big = candidates.iter().find(|c| c.name == "big_orders").unwrap();
     let small = candidates.iter().find(|c| c.name == "small_orders").unwrap();
     assert!(big.frequency > small.frequency);

@@ -82,12 +82,13 @@ proptest! {
                CONSTRUCT <hit><n>$n</n><t>$t</t></hit> ORDER-BY $t, $n"#,
             threshold
         );
-        let configs = [
-            OptimizerConfig { pushdown: true, capability_joins: true, order_joins_by_cardinality: true, ..OptimizerConfig::default() },
-            OptimizerConfig { pushdown: true, capability_joins: false, order_joins_by_cardinality: false, ..OptimizerConfig::default() },
-            OptimizerConfig { pushdown: false, capability_joins: false, order_joins_by_cardinality: true, ..OptimizerConfig::default() },
-            OptimizerConfig { pushdown: false, capability_joins: false, order_joins_by_cardinality: false, ..OptimizerConfig::default() },
-        ];
+        let configs = [(true, true), (true, false), (false, true), (false, false)].map(
+            |(pushdown, capability_joins)| OptimizerConfig {
+                pushdown,
+                capability_joins,
+                ..OptimizerConfig::default()
+            },
+        );
         let mut outputs: Vec<String> = Vec::new();
         for config in configs {
             let engine = Engine::new(build_catalog(&customers, &orders));

@@ -55,12 +55,11 @@ R nimble_xmlql crates/xmlql/src/lib.rs nimble_xml
 R nimble_relational crates/relational/src/lib.rs nimble_xml
 R nimble_planck crates/planck/src/lib.rs nimble_algebra
 R parking_lot $M/stubs/parking_lot.rs
-R crossbeam $M/stubs/crossbeam.rs
 R rand $M/stubs/rand.rs
 R serde_json $M/serde_json_stub.rs
 R nimble_sources crates/sources/src/lib.rs nimble_xml nimble_relational parking_lot rand nimble_trace
 R nimble_store crates/store/src/lib.rs nimble_xml parking_lot nimble_trace
-R nimble_core crates/core/src/lib.rs nimble_xml nimble_xmlql nimble_algebra nimble_planck nimble_sources nimble_store parking_lot crossbeam nimble_trace
+R nimble_core crates/core/src/lib.rs nimble_xml nimble_xmlql nimble_algebra nimble_planck nimble_sources nimble_store parking_lot nimble_trace
 R cleaning_shim $M/cleaning_shim.rs nimble_trace
 R frontend_shim $M/frontend_shim.rs nimble_core nimble_store nimble_trace parking_lot nimble_xml nimble_sources
 R nimble $M/nimble_shim.rs nimble_xml nimble_xmlql nimble_algebra nimble_relational nimble_sources nimble_store nimble_core nimble_trace frontend_shim
@@ -74,7 +73,7 @@ T sources crates/sources/src/lib.rs nimble_xml nimble_relational parking_lot ran
 T store crates/store/src/lib.rs nimble_xml parking_lot nimble_trace
 T xmlql crates/xmlql/src/lib.rs nimble_xml
 T relational crates/relational/src/lib.rs nimble_xml
-T core crates/core/src/lib.rs nimble_xml nimble_xmlql nimble_algebra nimble_planck nimble_sources nimble_store parking_lot crossbeam nimble_trace
+T core crates/core/src/lib.rs nimble_xml nimble_xmlql nimble_algebra nimble_planck nimble_sources nimble_store parking_lot nimble_trace
 T cleaning $M/cleaning_shim.rs nimble_trace
 T frontend $M/frontend_shim.rs nimble_core nimble_store nimble_trace parking_lot nimble_xml nimble_sources
 T algebra crates/algebra/src/lib.rs nimble_xml
@@ -92,13 +91,16 @@ T shard_differential crates/core/tests/shard_differential.rs nimble_core nimble_
 # The bind stage against adapters that ignore key sets, against
 # pushdown off, and through the outage matrix.
 T bind_differential crates/core/tests/bind_differential.rs nimble_core nimble_sources nimble_xml
+# The default plan against the all-central oracle (`pushdown: false`)
+# and against itself with lineage tracked; the 8 optimizer
+# configurations through planck with pruning on and off; streamed
+# against tree serialization on both sides of the streaming threshold.
+T batch_differential crates/core/tests/batch_differential.rs nimble_core nimble_sources nimble_xml
+T plan_verify crates/core/tests/plan_verify.rs nimble_core nimble_sources nimble_xml nimble_xmlql
+T stream_differential crates/core/tests/stream_differential.rs nimble_core nimble_sources nimble_xml
 
 B exp_observability crates/bench/src/bin/exp_observability.rs nimble_bench nimble_core nimble_trace serde_json
-B exp_vectorized crates/bench/src/bin/exp_vectorized.rs nimble_bench nimble_core nimble_trace nimble_xml serde_json
-B exp_memlayout crates/bench/src/bin/exp_memlayout.rs nimble_bench nimble_core nimble_trace nimble_xml serde_json
 B exp_provenance crates/bench/src/bin/exp_provenance.rs nimble_bench nimble_core nimble_trace nimble_xml serde_json
-B exp_costplan crates/bench/src/bin/exp_costplan.rs nimble_bench nimble_core nimble_sources nimble_trace nimble_xml serde_json
-B exp_staticcheck crates/bench/src/bin/exp_staticcheck.rs nimble_bench nimble_core nimble_sources nimble_trace nimble_xml serde_json
 B exp_shard crates/bench/src/bin/exp_shard.rs nimble_bench nimble_core nimble_sources nimble_trace nimble_xml serde_json
 B bench_check crates/bench/src/bin/bench_check.rs nimble_bench nimble_core nimble_trace serde_json
 B quickstart examples/quickstart.rs nimble

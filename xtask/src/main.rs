@@ -54,18 +54,14 @@ fn main() -> ExitCode {
 
 /// Benchmark artifacts the regression sentinel gates (basenames at the
 /// repo root, committed per PR).
-const BENCH_ARTIFACTS: [&str; 5] = [
-    "BENCH_vectorized.json",
-    "BENCH_memlayout.json",
+const BENCH_ARTIFACTS: [&str; 3] = [
     "BENCH_observability.json",
     "BENCH_provenance.json",
     "BENCH_shard.json",
 ];
 
 /// The bench binaries that regenerate those artifacts, in order.
-const BENCH_BINS: [&str; 5] = [
-    "exp_vectorized",
-    "exp_memlayout",
+const BENCH_BINS: [&str; 3] = [
     "exp_observability",
     "exp_provenance",
     "exp_shard",
