@@ -4,7 +4,7 @@ use crate::catalog::Catalog;
 use crate::construct;
 use crate::error::CoreError;
 use crate::matcher;
-use crate::plan_cache::{CachedPlan, PlanCache, PlanStamp};
+use crate::plan_cache::{PlanCache, PlanStamp};
 use crate::planner::{self, cost, AtomExec, BindPatternOp, BindStage, Plan, ShardPlan};
 use crate::shard::ShardRuntime;
 use nimble_algebra::ops::{
@@ -25,6 +25,7 @@ use nimble_trace::{
 };
 use nimble_xml::{Atomic, AtomicKey, Document, DocumentBuilder, Value, XmlWriter};
 use nimble_xmlql::ast::{Query, TagPattern};
+use nimble_xmlql::QueryShape;
 use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -173,10 +174,11 @@ pub struct EngineConfig {
     /// queries retain their full evidence (span tree, plan, source
     /// calls).
     pub flight_capacity: usize,
-    /// Compiled-plan cache capacity (distinct normalized query texts).
-    /// Repeated queries skip parse/analyze/plan/planck-verify while the
-    /// catalog epoch, optimizer fingerprint, and statistics generation
-    /// are unchanged. 0 disables plan caching.
+    /// Compiled-plan cache capacity (distinct query shapes: texts that
+    /// differ only in their equality parameters share one). Repeated
+    /// shapes skip analyze/plan/planck-verify while the catalog epoch,
+    /// optimizer fingerprint, and statistics generation are unchanged.
+    /// 0 disables plan caching: every text is planned.
     pub plan_cache_capacity: usize,
 }
 
@@ -378,7 +380,7 @@ pub struct Engine {
     /// trace export so merged cluster records stay attributable.
     instance: String,
     flight: FlightRecorder,
-    /// Compiled plans keyed by normalized query text + validity stamp.
+    /// Compiled plans keyed by query shape + validity stamp.
     plans: PlanCache,
     /// Monotone counter of plan-cache hits, driving the sampled
     /// differential re-plan (every [`DIFFERENTIAL_SAMPLE`]-th hit,
@@ -401,6 +403,23 @@ const QUERY_LOG_CAPACITY: usize = 256;
 /// Slowest-query entries retained past ring eviction.
 const SLOW_QUERY_CAPACITY: usize = 32;
 
+/// A query ready to execute: what [`Engine::compile`] makes of a text.
+struct Compiled {
+    query: Query,
+    plan: Arc<Plan>,
+    /// `parse` and `analyze`, when they ran as phases of their own (a
+    /// plan-cache miss). On a hit there are none and `plan_ms` is
+    /// everything between the text and the bound plan.
+    pre_phases: Vec<(String, f64)>,
+    plan_ms: f64,
+    verify_ms: f64,
+    /// False when the plan's operator shape verified clean when it was
+    /// cached.
+    planck_verify: bool,
+    /// Which path the plan came by, as EXPLAIN says it.
+    path: String,
+}
+
 /// Mutable context threaded through one query's evaluation.
 struct ExecCtx {
     missing: Vec<String>,
@@ -409,6 +428,8 @@ struct ExecCtx {
     fragments: usize,
     rows_fetched: u64,
     plan_text: String,
+    /// EXPLAIN's first line: [`Compiled::path`] of the top-level query.
+    plan_path: String,
     /// Wrap assembled operators in `MeteredOp` for EXPLAIN ANALYZE.
     profile: bool,
     /// Top-level phase timings (plan/verify/execute), in order.
@@ -442,6 +463,7 @@ impl ExecCtx {
             fragments: 0,
             rows_fetched: 0,
             plan_text: String::new(),
+            plan_path: String::new(),
             profile: false,
             phases: Vec::new(),
             worst_qerror_op: None,
@@ -659,13 +681,13 @@ impl Engine {
 
     /// Answer an XML-QL query.
     pub fn query(&self, text: &str) -> Result<QueryResult, CoreError> {
-        self.query_with(text, false)
+        self.query_with(text, false, None)
     }
 
     /// Answer a query with per-operator profiling forced on for this one
     /// execution, regardless of `EngineConfig::profile`.
     pub fn query_profiled(&self, text: &str) -> Result<QueryResult, CoreError> {
-        self.query_with(text, true)
+        self.query_with(text, true, None)
     }
 
     /// Answer a query and return the compact serialized `<results>`
@@ -685,47 +707,16 @@ impl Engine {
         let qctx = QueryCtx::new(self.instance.clone());
         let _ctx_guard = qctx.enter();
         let config = self.config();
-        let stamp = PlanStamp {
-            config_fp: config.optimizer.fingerprint(),
-            catalog_epoch: self.catalog.epoch(),
-            stats_generation: self.catalog.stats().generation(),
-            shard_epoch: self.shard_epoch(),
-        };
-        let plan_key = PlanCache::normalize(text);
-        let lookup = self.plans.get(&plan_key, stamp);
-        let (query, plan) = match lookup.value {
-            Some(cached) => (Arc::clone(&cached.query), Arc::clone(&cached.plan)),
-            None => {
-                let query = nimble_xmlql::parse_query(text)
-                    .map_err(|e| CoreError::Compile(e.to_string()))?;
-                nimble_xmlql::analyze(&query)
-                    .map_err(|e| CoreError::Compile(e.to_string()))?;
-                let plan = self.plan(&query, &config.optimizer)?;
-                if config.optimizer.verify_plans {
-                    planner::verify_plan(&plan, None)?;
-                }
-                let query = Arc::new(query);
-                let plan = Arc::new(plan);
-                if config.plan_cache_capacity > 0 {
-                    self.plans.put(
-                        &plan_key,
-                        stamp,
-                        Arc::new(CachedPlan {
-                            query: Arc::clone(&query),
-                            plan: Arc::clone(&plan),
-                        }),
-                    );
-                }
-                (query, plan)
-            }
-        };
-        if construct::template_has_subquery(&query.construct) {
+        let compiled = self.compile(text, &config, None)?;
+        if construct::template_has_subquery(&compiled.query.construct) {
             self.metrics.incr("engine.construct.tree_fallback", 1);
-            let result = self.query(text)?;
+            let result = self.query_with(text, false, Some(compiled))?;
             return Ok(nimble_xml::to_string(&result.document.root()));
         }
+        let Compiled { query, plan, path, .. } = compiled;
         let mut ctx = ExecCtx::new();
         ctx.profile = config.profile;
+        ctx.plan_path = path;
         let (schema, tuples) = self.eval_planned(&plan, None, 0, &mut ctx, 0.0, 0.0, false)?;
         let a_construct = AllocScope::enter();
         let t_construct = Instant::now();
@@ -756,7 +747,15 @@ impl Engine {
         Ok(xml)
     }
 
-    fn query_with(&self, text: &str, force_profile: bool) -> Result<QueryResult, CoreError> {
+    /// `compiled` is the text's plan when the caller already has it
+    /// ([`Engine::query_serialized`] falling back to the tree path), so
+    /// that a serve is compiled — and counted by the plan cache — once.
+    fn query_with(
+        &self,
+        text: &str,
+        force_profile: bool,
+        compiled: Option<Compiled>,
+    ) -> Result<QueryResult, CoreError> {
         // Mint the query's correlation context and make it current on
         // this thread: everything downstream (adapter wrappers, fetch
         // worker threads, the cleaning pipeline) tags its records with
@@ -765,7 +764,7 @@ impl Engine {
         let _ctx_guard = qctx.enter();
         let in_flight = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         self.metrics.gauge_max("engine.in_flight", in_flight);
-        let result = self.query_inner(text, force_profile, &qctx);
+        let result = self.query_inner(text, force_profile, &qctx, compiled);
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
         self.queries_served.fetch_add(1, Ordering::SeqCst);
         if let Err(e) = &result {
@@ -816,6 +815,7 @@ impl Engine {
         text: &str,
         force_profile: bool,
         qctx: &QueryCtx,
+        compiled: Option<Compiled>,
     ) -> Result<QueryResult, CoreError> {
         let started = Instant::now();
         let config = self.config();
@@ -873,125 +873,27 @@ impl Engine {
         let trace = Trace::new();
         let total_span = trace.span("query");
 
-        // Compiled-plan cache: a hit under the current validity stamp
-        // (optimizer fingerprint, catalog epoch, statistics generation)
-        // skips parse, analyze, planning, and — when the plan's shape is
-        // deterministic (cost-based fold order) — planck re-verification.
-        let stamp = PlanStamp {
-            config_fp: opt_fp,
-            catalog_epoch: self.catalog.epoch(),
-            stats_generation: self.catalog.stats().generation(),
-            shard_epoch: self.shard_epoch(),
-        };
-        let plan_key = PlanCache::normalize(text);
-        let t_plan_lookup = Instant::now();
-        let lookup = self.plans.get(&plan_key, stamp);
-        if lookup.invalidated {
-            self.metrics.incr("engine.plan_cache.invalidations", 1);
-        }
-        let mut pre_phases: Vec<(String, f64)> = Vec::new();
-        let (query, plan, plan_ms, plan_verify_ms, planck_verify) = match lookup.value {
-            Some(cached) => {
-                self.metrics.incr("engine.plan_cache.hits", 1);
-                // Sampled differential re-plan (semantic pass 3 applied
-                // to cache reuse): every DIFFERENTIAL_SAMPLE-th hit is
-                // re-planned from scratch and the fresh plan compared
-                // against the cached template. The stamp guarantees the
-                // same config/epoch/statistics, so planning is
-                // deterministic and any divergence means the cache
-                // served a plan the planner would no longer produce.
-                let seq = self.differential_seq.fetch_add(1, Ordering::Relaxed);
-                if config.optimizer.verify_plans && seq % DIFFERENTIAL_SAMPLE == 0 {
-                    self.metrics.incr("engine.plan_cache.differential", 1);
-                    let fresh = nimble_xmlql::parse_query(text)
-                        .map_err(|e| CoreError::Compile(e.to_string()))?;
-                    nimble_xmlql::analyze(&fresh)
-                        .map_err(|e| CoreError::Compile(e.to_string()))?;
-                    let fresh_plan = self.plan(&fresh, &config.optimizer)?;
-                    let cached_sig = plan_semantic_signature(&cached.plan);
-                    let fresh_sig = plan_semantic_signature(&fresh_plan);
-                    if cached_sig != fresh_sig {
-                        self.metrics
-                            .incr("engine.plan_cache.differential_mismatch", 1);
-                        // Self-heal: replace the divergent entry so the
-                        // next execution runs the freshly planned shape.
-                        self.plans.put(
-                            &plan_key,
-                            stamp,
-                            Arc::new(CachedPlan {
-                                query: Arc::new(fresh),
-                                plan: Arc::new(fresh_plan),
-                            }),
-                        );
-                        return Err(CoreError::PlanVerify(format!(
-                            "plan-cache differential mismatch: the cached plan no longer \
-                             matches a fresh plan under the same stamp\n  cached: {}\n  fresh:  {}",
-                            cached_sig, fresh_sig
-                        )));
-                    }
+        let Compiled {
+            query,
+            plan,
+            pre_phases,
+            plan_ms,
+            verify_ms: plan_verify_ms,
+            planck_verify,
+            path,
+        } = match compiled {
+            Some(compiled) => {
+                for (name, phase_ms) in &compiled.pre_phases {
+                    trace.add_ms(name.as_str(), *phase_ms);
                 }
-                let plan_ms = ms_since(t_plan_lookup);
-                (
-                    Arc::clone(&cached.query),
-                    Arc::clone(&cached.plan),
-                    plan_ms,
-                    0.0,
-                    false,
-                )
+                compiled
             }
-            None => {
-                self.metrics.incr("engine.plan_cache.misses", 1);
-                let a_parse = AllocScope::enter();
-                let t_parse = Instant::now();
-                let query = nimble_xmlql::parse_query(text)
-                    .map_err(|e| CoreError::Compile(e.to_string()))?;
-                let parse_ms = ms_since(t_parse);
-                self.phase_alloc("parse", a_parse.finish());
-                trace.add_ms("parse", parse_ms);
-                pre_phases.push(("parse".into(), parse_ms));
-
-                let a_analyze = AllocScope::enter();
-                let t_analyze = Instant::now();
-                nimble_xmlql::analyze(&query).map_err(|e| CoreError::Compile(e.to_string()))?;
-                let analyze_ms = ms_since(t_analyze);
-                self.phase_alloc("analyze", a_analyze.finish());
-                trace.add_ms("analyze", analyze_ms);
-                pre_phases.push(("analyze".into(), analyze_ms));
-
-                let a_plan = AllocScope::enter();
-                let t_plan = Instant::now();
-                let plan = self.plan(&query, &config.optimizer)?;
-                let plan_ms = ms_since(t_plan);
-                self.phase_alloc("plan", a_plan.finish());
-                let mut verify_ms = 0.0;
-                if config.optimizer.verify_plans {
-                    let a_verify = AllocScope::enter();
-                    let t_verify = Instant::now();
-                    planner::verify_plan(&plan, None)?;
-                    verify_ms = ms_since(t_verify);
-                    self.phase_alloc("verify", a_verify.finish());
-                }
-                let query = Arc::new(query);
-                let plan = Arc::new(plan);
-                if config.plan_cache_capacity > 0 {
-                    let evicted = self.plans.put(
-                        &plan_key,
-                        stamp,
-                        Arc::new(CachedPlan {
-                            query: Arc::clone(&query),
-                            plan: Arc::clone(&plan),
-                        }),
-                    );
-                    if evicted {
-                        self.metrics.incr("engine.plan_cache.evictions", 1);
-                    }
-                }
-                (query, plan, plan_ms, verify_ms, true)
-            }
+            None => self.compile(text, &config, Some(&trace))?,
         };
 
         let mut ctx = ExecCtx::new();
         ctx.profile = profile;
+        ctx.plan_path = path;
         let (schema, tuples) = self.eval_planned(
             &plan,
             None,
@@ -1156,6 +1058,160 @@ impl Engine {
                 worst_qerror_op: ctx.worst_qerror_op,
                 worst_qerror: ctx.worst_qerror,
             },
+        })
+    }
+
+    /// Text to executable plan, the one way every serve takes: parse,
+    /// lift the equality parameters out ([`QueryShape`]), probe the plan
+    /// cache for the shape, then bind the cached plan to this query's
+    /// values — or, on a miss, analyze, plan, verify and cache.
+    ///
+    /// A plan serves the whole shape unless it routes shards on the
+    /// values ([`Plan::shards`]); such a plan is cached under — and, on
+    /// an engine with a shard runtime, a query with parameters is also
+    /// looked up under — the query's own spelling. A query without
+    /// equality parameters is its own shape.
+    ///
+    /// A hit skips analysis, planning and, because the plan's fold order
+    /// makes the assembled operator shape deterministic, planck
+    /// re-verification. Under `verify_plans` every
+    /// [`DIFFERENTIAL_SAMPLE`]-th hit is planned afresh and compared
+    /// with the plan about to be served. `trace`, when given, receives
+    /// the front-end phases as they end.
+    fn compile(
+        &self,
+        text: &str,
+        config: &EngineConfig,
+        trace: Option<&Trace>,
+    ) -> Result<Compiled, CoreError> {
+        let t_compile = Instant::now();
+        let a_parse = AllocScope::enter();
+        let query =
+            nimble_xmlql::parse_query(text).map_err(|e| CoreError::Compile(e.to_string()))?;
+        let parse_ms = ms_since(t_compile);
+        let parse_alloc = a_parse.finish();
+
+        let params = query.eq_params();
+        let shape = QueryShape(&query).to_string();
+        // Only a coordinator's plans route shards, so only there is a
+        // query's own spelling a key worth printing.
+        let (shard_epoch, routes) = match &*self.shards.read() {
+            Some(rt) => (rt.epoch(), true),
+            None => (0, false),
+        };
+        let spelled = (routes && !params.is_empty()).then(|| query.to_string());
+        let key_of = |plan: &Plan| match &spelled {
+            Some(spelled) if !plan.shards.is_empty() => spelled.as_str(),
+            _ => shape.as_str(),
+        };
+        let stamp = PlanStamp {
+            config_fp: config.optimizer.fingerprint(),
+            catalog_epoch: self.catalog.epoch(),
+            stats_generation: self.catalog.stats().generation(),
+            shard_epoch,
+        };
+        let keys: Vec<&str> = std::iter::once(shape.as_str())
+            .chain(spelled.as_deref())
+            .collect();
+        let lookup = self.plans.get(&keys, stamp);
+        if lookup.invalidated > 0 {
+            self.metrics
+                .incr("engine.plan_cache.invalidations", lookup.invalidated);
+        }
+        let analyzed = |query: &Query| {
+            nimble_xmlql::analyze(query).map_err(|e| CoreError::Compile(e.to_string()))
+        };
+
+        if let Some(cached) = lookup.value {
+            self.metrics.incr("engine.plan_cache.hits", 1);
+            let (plan, path) = if !params.is_empty() && !cached.shards.is_empty() {
+                (cached, "plan: cached for these values only (shard routing)".to_string())
+            } else {
+                let plan = if params.is_empty() {
+                    cached
+                } else {
+                    Arc::new(planner::bind(&self.catalog, &cached, &params, &config.optimizer)?)
+                };
+                (plan, format!("plan: cached shape, {} parameters bound", params.len()))
+            };
+            // Sampled differential re-plan (semantic pass 3 applied to
+            // cache reuse): the stamp guarantees the same
+            // config/epoch/statistics, so planning is deterministic and
+            // any divergence means the cache is about to serve a plan
+            // the planner would not make for this query.
+            let seq = self.differential_seq.fetch_add(1, Ordering::Relaxed);
+            if config.optimizer.verify_plans && seq % DIFFERENTIAL_SAMPLE == 0 {
+                self.metrics.incr("engine.plan_cache.differential", 1);
+                analyzed(&query)?;
+                let fresh = self.plan(&query, &config.optimizer)?;
+                let served_sig = plan_semantic_signature(&plan);
+                let fresh_sig = plan_semantic_signature(&fresh);
+                if served_sig != fresh_sig {
+                    self.metrics
+                        .incr("engine.plan_cache.differential_mismatch", 1);
+                    // Self-heal: replace the divergent entry so the next
+                    // execution runs the freshly planned shape.
+                    self.plans.put(key_of(&fresh), stamp, Arc::new(fresh));
+                    return Err(CoreError::PlanVerify(format!(
+                        "plan-cache differential mismatch: the cached plan, bound to this \
+                         query, does not match a fresh plan under the same stamp\n  cached: {}\n  fresh:  {}",
+                        served_sig, fresh_sig
+                    )));
+                }
+            }
+            return Ok(Compiled {
+                query,
+                plan,
+                pre_phases: Vec::new(),
+                plan_ms: ms_since(t_compile),
+                verify_ms: 0.0,
+                planck_verify: false,
+                path,
+            });
+        }
+
+        self.metrics.incr("engine.plan_cache.misses", 1);
+        let mut pre_phases: Vec<(String, f64)> = Vec::new();
+        let mut phase = |name: &str, ms: f64| {
+            if let Some(trace) = trace {
+                trace.add_ms(name, ms);
+            }
+            pre_phases.push((name.to_string(), ms));
+        };
+        self.phase_alloc("parse", parse_alloc);
+        phase("parse", parse_ms);
+
+        let a_analyze = AllocScope::enter();
+        let t_analyze = Instant::now();
+        analyzed(&query)?;
+        self.phase_alloc("analyze", a_analyze.finish());
+        phase("analyze", ms_since(t_analyze));
+
+        let a_plan = AllocScope::enter();
+        let t_plan = Instant::now();
+        let plan = self.plan(&query, &config.optimizer)?;
+        let plan_ms = ms_since(t_plan);
+        self.phase_alloc("plan", a_plan.finish());
+        let mut verify_ms = 0.0;
+        if config.optimizer.verify_plans {
+            let a_verify = AllocScope::enter();
+            let t_verify = Instant::now();
+            planner::verify_plan(&plan, None)?;
+            verify_ms = ms_since(t_verify);
+            self.phase_alloc("verify", a_verify.finish());
+        }
+        let plan = Arc::new(plan);
+        if self.plans.put(key_of(&plan), stamp, Arc::clone(&plan)) {
+            self.metrics.incr("engine.plan_cache.evictions", 1);
+        }
+        Ok(Compiled {
+            query,
+            plan,
+            pre_phases,
+            plan_ms,
+            verify_ms,
+            planck_verify: true,
+            path: "plan: planned".to_string(),
         })
     }
 
@@ -1757,12 +1813,7 @@ impl Engine {
         }
         // Record the plan (top-level query only).
         if depth == 0 && ctx.plan_text.is_empty() {
-            let mut text = String::new();
-            for note in plan.notes.iter().chain(&bind_note) {
-                text.push_str("-- ");
-                text.push_str(note);
-                text.push('\n');
-            }
+            let mut text = explain_notes(&ctx.plan_path, plan.notes.iter().chain(&bind_note));
             if ctx.profile {
                 text.push_str(&explain_analyze_ops(op.as_ref()));
             } else {
@@ -1835,12 +1886,7 @@ impl Engine {
             ctx.phases.push(("execute", execute_ms));
         }
         if depth == 0 && ctx.plan_text.is_empty() {
-            let mut text = String::new();
-            for note in &plan.notes {
-                text.push_str("-- ");
-                text.push_str(note);
-                text.push('\n');
-            }
+            let mut text = explain_notes(&ctx.plan_path, plan.notes.iter());
             text.push_str(&explain_ops(op.as_ref()));
             ctx.plan_text = text;
         }
@@ -2963,6 +3009,19 @@ fn plan_semantic_signature(plan: &Plan) -> String {
             .as_ref()
             .map(|b| (b.driver, &b.var, b.key_type, &b.targets))
     )
+}
+
+/// The `-- ` lines EXPLAIN opens with: which path the plan came by (the
+/// top-level query's; empty below it), then the planner's notes.
+fn explain_notes<'a>(path: &'a str, notes: impl Iterator<Item = &'a String>) -> String {
+    let mut text = String::new();
+    let path = Some(path).filter(|p| !p.is_empty());
+    for note in path.into_iter().chain(notes.map(String::as_str)) {
+        text.push_str("-- ");
+        text.push_str(note);
+        text.push('\n');
+    }
+    text
 }
 
 /// The Q-error of a cardinality estimate: `max(est/act, act/est)`,

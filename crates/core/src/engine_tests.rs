@@ -787,6 +787,42 @@ fn always_true_residual_predicates_are_eliminated() {
 }
 
 #[test]
+fn small_and_large_float_literals_reach_the_source() {
+    // 300 rows: past the statistics sample, so no bounds prune the
+    // query and the literal has to survive the SQL text. `{:?}` spelled
+    // these `1e-6` and `1e16`, which the SQL lexer does not read.
+    let mut stmts = vec!["CREATE TABLE orders (oid INT, total FLOAT)".to_string()];
+    for i in 0..300 {
+        let total = match i {
+            7 => "0.000001".to_string(),
+            8 => "10000000000000000.0".to_string(),
+            _ => format!("{}.5", i),
+        };
+        stmts.push(format!("INSERT INTO orders VALUES ({}, {})", i, total));
+    }
+    let refs: Vec<&str> = stmts.iter().map(String::as_str).collect();
+    let c = Catalog::new();
+    c.register_source(Arc::new(RelationalAdapter::from_statements("billing", &refs).unwrap()))
+        .unwrap();
+    let e = Engine::new(Arc::new(c));
+    for (pred, want) in [
+        ("$t = 0.000001", "<results><o>7</o></results>"),
+        ("$t < 0.000001", "<results/>"),
+        ("$t <= 0.000001", "<results><o>7</o></results>"),
+        ("$t = 10000000000000000.0", "<results><o>8</o></results>"),
+        ("$t > 1000000000000000.0", "<results><o>8</o></results>"),
+    ] {
+        let text = format!(
+            r#"WHERE <row><oid>$o</oid><total>$t</total></row> IN "orders", {} CONSTRUCT <o>$o</o>"#,
+            pred
+        );
+        let r = e.query(&text).unwrap_or_else(|err| panic!("{}: {}", pred, err));
+        assert_eq!(to_string(&r.document.root()), want, "{}\n{}", pred, r.stats.plan);
+        assert_eq!(r.stats.source_calls, 1, "{}", pred);
+    }
+}
+
+#[test]
 fn pruned_plans_cache_and_replay() {
     let e = engine();
     let q = r#"WHERE <row><total>$t</total></row> IN "orders", $t > 500, $t < 3
@@ -801,10 +837,18 @@ fn pruned_plans_cache_and_replay() {
     assert_eq!(e.metrics_snapshot().counter("engine.plan.pruned"), 2);
 }
 
+/// The validity stamp `e` looks plans up under right now.
+fn current_stamp(e: &Engine) -> crate::plan_cache::PlanStamp {
+    crate::plan_cache::PlanStamp {
+        config_fp: e.config().optimizer.fingerprint(),
+        catalog_epoch: e.catalog().epoch(),
+        stats_generation: e.catalog().stats().generation(),
+        shard_epoch: e.shard_epoch(),
+    }
+}
+
 #[test]
 fn differential_replan_catches_poisoned_cache_hit() {
-    use crate::plan_cache::{CachedPlan, PlanCache, PlanStamp};
-
     let e = engine();
     let q = r#"WHERE <bib><book year=$y><title>$t2</title></book></bib> IN "bib", $y > 1000
                CONSTRUCT <b>$t2</b>"#;
@@ -818,20 +862,8 @@ fn differential_replan_catches_poisoned_cache_hit() {
     let query = nimble_xmlql::parse_query(q).unwrap();
     let mut plan = crate::planner::plan_query(e.catalog(), &query, &config.optimizer).unwrap();
     plan.residual_predicates.clear();
-    let stamp = PlanStamp {
-        config_fp: config.optimizer.fingerprint(),
-        catalog_epoch: e.catalog().epoch(),
-        stats_generation: e.catalog().stats().generation(),
-        shard_epoch: e.shard_epoch(),
-    };
-    e.plan_cache().put(
-        &PlanCache::normalize(q),
-        stamp,
-        Arc::new(CachedPlan {
-            query: Arc::new(query),
-            plan: Arc::new(plan),
-        }),
-    );
+    let key = nimble_xmlql::QueryShape(&query).to_string();
+    e.plan_cache().put(&key, current_stamp(&e), Arc::new(plan));
 
     // The very first hit is differentially re-planned and the
     // divergence surfaces as a verification error, not a wrong answer.
@@ -847,6 +879,47 @@ fn differential_replan_catches_poisoned_cache_hit() {
     // The mismatch self-heals: the fresh plan replaced the poisoned
     // entry, so the next execution answers correctly again.
     assert_eq!(e.query(q).unwrap().document.root().children().count(), 2);
+}
+
+#[test]
+fn differential_replan_compares_the_bound_plan_with_the_ops_own() {
+    // `$i = K` goes to both fragments of the join: one parameter, two
+    // sites. A template that has lost one of them binds the new key at
+    // crm and leaves the key it was planned with at billing — a plan
+    // that matches a fresh plan of the text it was made for, and of no
+    // other. The sampled re-plan has to compare what is about to run
+    // (the *bound* plan) with a plan of *this* op's text.
+    let lookup = |k: i64| {
+        format!(
+            r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
+                     <row><cust_id>$i</cust_id><total>$t</total></row> IN "orders", $i = {}
+               CONSTRUCT <o><n>$n</n><t>$t</t></o>"#,
+            k
+        )
+    };
+    let e = engine();
+    e.set_optimizer(OptimizerConfig {
+        capability_joins: false,
+        ..OptimizerConfig::default()
+    });
+    let config = e.config();
+    let query = nimble_xmlql::parse_query(&lookup(1)).unwrap();
+    let mut plan = crate::planner::plan_query(e.catalog(), &query, &config.optimizer).unwrap();
+    assert_eq!(plan.param_sites.len(), 2, "{:?}", plan.param_sites);
+    plan.param_sites.pop();
+    let key = nimble_xmlql::QueryShape(&query).to_string();
+    e.plan_cache().put(&key, current_stamp(&e), Arc::new(plan));
+
+    let err = e.query(&lookup(2)).unwrap_err().to_string();
+    assert!(err.contains("differential mismatch"), "{}", err);
+    assert!(err.contains("Int(1)") && err.contains("Int(2)"), "{}", err);
+    // Healed with a whole template: the next keys bind at both sites.
+    for (k, name) in [(2, "Globex"), (1, "Acme")] {
+        let r = e.query(&lookup(k)).unwrap();
+        let xml = to_string(&r.document.root());
+        assert!(xml.contains(name), "{}: {}", k, xml);
+        assert!(r.stats.plan.contains(&format!("t.cust_id = {}", k)), "{}", r.stats.plan);
+    }
 }
 
 #[test]

@@ -1,23 +1,29 @@
-//! Compiled plan cache: normalized query text → verified plan template.
+//! Compiled plan cache: query shape → verified plan.
 //!
 //! Repeated queries dominate mediator traffic (ROADMAP's north star), and
-//! parse → analyze → plan → static-verify is pure CPU the engine repeats
-//! for byte-identical text. The cache stores the checked AST and the
-//! decomposed [`Plan`] under a [`PlanStamp`] — the optimizer-config
-//! fingerprint, the catalog epoch, and the statistics generation — so a
-//! hit is only served while every input that shaped the plan is
-//! unchanged. Any source registration, view (re)definition, out-of-band
-//! mutation, or material statistics drift changes the stamp and the
-//! stale entry is dropped on its next lookup.
+//! analyze → plan → static-verify is pure CPU the engine would repeat for
+//! every value a lens substitutes into one parameterized query. The
+//! cache is keyed by the parsed query printed with its equality
+//! parameters lifted out ([`nimble_xmlql::QueryShape`]); an entry is the
+//! decomposed [`Plan`], which the engine binds to each serve's own
+//! values ([`crate::planner::bind`]). A plan that routes shards on those
+//! values serves them alone and is keyed by the query's own spelling
+//! (DESIGN.md §12).
+//!
+//! Entries sit under a [`PlanStamp`] — the optimizer-config fingerprint,
+//! the catalog epoch, and the statistics generation — so a hit is only
+//! served while every input that shaped the plan is unchanged. Any
+//! source registration, view (re)definition, out-of-band mutation, or
+//! material statistics drift changes the stamp and the stale entry is
+//! dropped on its next lookup.
 //!
 //! The cached object is a *template*: the engine still fetches sources,
-//! assembles fresh operators, and executes per query — only the frontend
-//! and planner work is skipped (plus, when the plan carries a cost-based
-//! fold order and so a deterministic operator shape, the planck
-//! re-verification of a shape that already verified clean).
+//! assembles fresh operators, and executes per query — only the
+//! analysis and planner work is skipped (plus the planck
+//! re-verification of an operator shape that already verified clean:
+//! the plan's fold order makes the shape deterministic).
 
 use crate::planner::Plan;
-use nimble_xmlql::ast::Query;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -37,18 +43,12 @@ pub struct PlanStamp {
     pub shard_epoch: u64,
 }
 
-/// A compiled query: checked AST plus its decomposed plan.
-pub struct CachedPlan {
-    pub query: Arc<Query>,
-    pub plan: Arc<Plan>,
-}
-
 /// Outcome of one cache lookup.
 pub struct Lookup {
-    pub value: Option<Arc<CachedPlan>>,
-    /// True when an entry existed but carried a stale stamp (and was
-    /// dropped). Always a miss too.
-    pub invalidated: bool,
+    pub value: Option<Arc<Plan>>,
+    /// Entries that existed under a probed key but carried a stale
+    /// stamp, and were dropped.
+    pub invalidated: u64,
 }
 
 /// Point-in-time counters.
@@ -63,7 +63,7 @@ pub struct PlanCacheStats {
 
 struct Entry {
     stamp: PlanStamp,
-    value: Arc<CachedPlan>,
+    value: Arc<Plan>,
     last_used: u64,
 }
 
@@ -77,8 +77,8 @@ struct Inner {
     evictions: u64,
 }
 
-/// LRU cache of compiled plans, keyed by normalized query text and
-/// guarded by a [`PlanStamp`]. A capacity of 0 disables it entirely.
+/// LRU cache of compiled plans, keyed by query shape and guarded by a
+/// [`PlanStamp`]. A capacity of 0 disables it entirely.
 pub struct PlanCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -92,102 +92,45 @@ impl PlanCache {
         }
     }
 
-    /// Canonical cache key for query text: collapse whitespace runs
-    /// *outside* string literals so reformatting the same query still
-    /// hits. Quoted regions (single or double quotes with `\` escapes,
-    /// the lexer's literal syntax) are copied verbatim — the lexer
-    /// preserves whitespace inside literals, so queries differing only
-    /// there are different queries and must not share a key. `#`-to-
-    /// end-of-line comments (which the lexer skips) are stripped like
-    /// whitespace: they are not part of the query, and copying them
-    /// through would let a quote inside a comment desynchronize the
-    /// literal tracking and collide distinct queries onto one key.
-    pub fn normalize(text: &str) -> String {
-        let mut out = String::with_capacity(text.len());
-        let mut chars = text.chars();
-        let mut pending_space = false;
-        while let Some(c) = chars.next() {
-            if c.is_whitespace() {
-                pending_space = true;
-                continue;
-            }
-            if c == '#' {
-                for d in chars.by_ref() {
-                    if d == '\n' {
-                        break;
-                    }
-                }
-                pending_space = true;
-                continue;
-            }
-            if pending_space && !out.is_empty() {
-                out.push(' ');
-            }
-            pending_space = false;
-            out.push(c);
-            if c == '"' || c == '\'' {
-                // Inside a literal: copy verbatim up to the matching
-                // unescaped quote. An unterminated literal (a lex error
-                // downstream) copies through to the end of the text.
-                while let Some(d) = chars.next() {
-                    out.push(d);
-                    if d == '\\' {
-                        if let Some(escaped) = chars.next() {
-                            out.push(escaped);
-                        }
-                    } else if d == c {
-                        break;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Look up `key`; an entry under a different stamp is dropped and
-    /// reported as an invalidation.
-    pub fn get(&self, key: &str, stamp: PlanStamp) -> Lookup {
+    /// Look up the keys one serve may be cached under, in order; the
+    /// first entry under the current stamp answers. An entry under a
+    /// different stamp is dropped and counted as an invalidation. However
+    /// many keys are probed, the serve counts as one hit or one miss.
+    pub fn get(&self, keys: &[&str], stamp: PlanStamp) -> Lookup {
+        let mut lookup = Lookup {
+            value: None,
+            invalidated: 0,
+        };
         if self.capacity == 0 {
-            return Lookup {
-                value: None,
-                invalidated: false,
-            };
+            return lookup;
         }
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.entries.get_mut(key) {
-            Some(e) if e.stamp == stamp => {
-                e.last_used = tick;
-                inner.hits += 1;
-                Lookup {
-                    value: Some(Arc::clone(&e.value)),
-                    invalidated: false,
+        for key in keys {
+            match inner.entries.get_mut(*key) {
+                Some(e) if e.stamp == stamp => {
+                    e.last_used = tick;
+                    inner.hits += 1;
+                    lookup.value = Some(Arc::clone(&e.value));
+                    return lookup;
                 }
-            }
-            Some(_) => {
-                inner.entries.remove(key);
-                inner.invalidations += 1;
-                inner.misses += 1;
-                Lookup {
-                    value: None,
-                    invalidated: true,
+                Some(_) => {
+                    inner.entries.remove(*key);
+                    inner.invalidations += 1;
+                    lookup.invalidated += 1;
                 }
-            }
-            None => {
-                inner.misses += 1;
-                Lookup {
-                    value: None,
-                    invalidated: false,
-                }
+                None => {}
             }
         }
+        inner.misses += 1;
+        lookup
     }
 
     /// Install a plan; returns true when a least-recently-used entry was
     /// evicted to make room.
-    pub fn put(&self, key: &str, stamp: PlanStamp, value: Arc<CachedPlan>) -> bool {
+    pub fn put(&self, key: &str, stamp: PlanStamp, value: Arc<Plan>) -> bool {
         if self.capacity == 0 {
             return false;
         }
@@ -240,13 +183,8 @@ impl PlanCache {
 mod tests {
     use super::*;
 
-    fn cached() -> Arc<CachedPlan> {
-        let (query, _) =
-            nimble_xmlql::compile(r#"WHERE <a>$x</a> IN "c" CONSTRUCT <o>$x</o>"#).unwrap();
-        Arc::new(CachedPlan {
-            query: Arc::new(query),
-            plan: Arc::new(Plan::default()),
-        })
+    fn cached() -> Arc<Plan> {
+        Arc::new(Plan::default())
     }
 
     fn stamp(n: u64) -> PlanStamp {
@@ -268,90 +206,50 @@ mod tests {
             shard_epoch: 1,
             ..stamp(1)
         };
-        let lookup = cache.get("q", resharded);
-        assert!(lookup.value.is_none() && lookup.invalidated);
-    }
-
-    #[test]
-    fn normalize_collapses_whitespace() {
-        assert_eq!(
-            PlanCache::normalize("WHERE  <a/>\n   IN \"c\"\tCONSTRUCT <o/>"),
-            "WHERE <a/> IN \"c\" CONSTRUCT <o/>"
-        );
-    }
-
-    #[test]
-    fn normalize_preserves_whitespace_inside_literals() {
-        // The lexer keeps whitespace (even newlines/tabs) inside string
-        // literals, so queries differing only there are *different*
-        // queries and must not collapse to one cache key.
-        assert_ne!(
-            PlanCache::normalize("WHERE $x = \"a  b\" CONSTRUCT <o/>"),
-            PlanCache::normalize("WHERE $x = \"a b\" CONSTRUCT <o/>"),
-        );
-        assert_eq!(
-            PlanCache::normalize("WHERE\t$x =  \"a \n b\"  CONSTRUCT <o/>"),
-            "WHERE $x = \"a \n b\" CONSTRUCT <o/>"
-        );
-        // Single-quoted literals behave the same way.
-        assert_eq!(PlanCache::normalize("$x  =  'a\t b'"), "$x = 'a\t b'");
-    }
-
-    #[test]
-    fn normalize_honours_escapes_and_unterminated_literals() {
-        // An escaped quote does not end the literal region; whitespace
-        // after it is still inside and preserved.
-        assert_eq!(
-            PlanCache::normalize(r#"$x = "a\"  b"   $y"#),
-            r#"$x = "a\"  b" $y"#
-        );
-        // A trailing backslash or unterminated literal copies verbatim
-        // to the end (the lexer rejects it later).
-        assert_eq!(PlanCache::normalize("$x = \"a  b"), "$x = \"a  b");
-        assert_eq!(PlanCache::normalize("$x = \"a\\"), "$x = \"a\\");
-    }
-
-    #[test]
-    fn normalize_strips_hash_comments_outside_literals() {
-        // Comments are not part of the query (the lexer skips them), so
-        // texts differing only in comments share one key.
-        assert_eq!(
-            PlanCache::normalize("WHERE <a/> # pick everything\n IN \"c\""),
-            PlanCache::normalize("WHERE <a/> IN \"c\"")
-        );
-        // A quote inside a comment must not open a literal region.
-        // Before comment stripping, these two *distinct* queries
-        // (whitespace differs inside the literal) collided onto the
-        // same key and could serve each other's plans.
-        let a = PlanCache::normalize("# note \" \nWHERE $x = \"p  q\" CONSTRUCT <o/>");
-        let b = PlanCache::normalize("# note \" \nWHERE $x = \"p q\" CONSTRUCT <o/>");
-        assert_ne!(a, b);
-        assert_eq!(a, "WHERE $x = \"p  q\" CONSTRUCT <o/>");
-        // `#` inside a literal is literal text, not a comment.
-        assert_eq!(
-            PlanCache::normalize("$x =  \"a # b\"   $y"),
-            "$x = \"a # b\" $y"
-        );
-        // A comment running to end-of-input (no trailing newline).
-        assert_eq!(PlanCache::normalize("$x = 1 # trailing"), "$x = 1");
+        let lookup = cache.get(&["q"], resharded);
+        assert!(lookup.value.is_none() && lookup.invalidated == 1);
     }
 
     #[test]
     fn hit_miss_and_stamp_invalidation() {
         let cache = PlanCache::new(4);
-        assert!(cache.get("q", stamp(1)).value.is_none());
+        assert!(cache.get(&["q"], stamp(1)).value.is_none());
         cache.put("q", stamp(1), cached());
-        assert!(cache.get("q", stamp(1)).value.is_some());
+        assert!(cache.get(&["q"], stamp(1)).value.is_some());
 
         // Epoch moved: the entry is dropped and reported invalidated.
-        let lookup = cache.get("q", stamp(2));
-        assert!(lookup.value.is_none() && lookup.invalidated);
+        let lookup = cache.get(&["q"], stamp(2));
+        assert!(lookup.value.is_none() && lookup.invalidated == 1);
         // And it is really gone, not just skipped.
-        let lookup = cache.get("q", stamp(1));
-        assert!(lookup.value.is_none() && !lookup.invalidated);
+        let lookup = cache.get(&["q"], stamp(1));
+        assert!(lookup.value.is_none() && lookup.invalidated == 0);
 
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.invalidations), (1, 3, 1));
+    }
+
+    #[test]
+    fn a_serve_probing_two_keys_counts_once() {
+        let cache = PlanCache::new(4);
+        // Neither key: one miss.
+        assert!(cache.get(&["shape", "spelled"], stamp(1)).value.is_none());
+        // The second key answers: one hit, no miss for the first.
+        let under_second = cached();
+        cache.put("spelled", stamp(1), Arc::clone(&under_second));
+        let lookup = cache.get(&["shape", "spelled"], stamp(1));
+        assert!(lookup.value.is_some_and(|p| Arc::ptr_eq(&p, &under_second)));
+        // The first key answers before the second is looked at.
+        let under_first = cached();
+        cache.put("shape", stamp(1), Arc::clone(&under_first));
+        let lookup = cache.get(&["shape", "spelled"], stamp(1));
+        assert!(lookup.value.is_some_and(|p| Arc::ptr_eq(&p, &under_first)));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.invalidations), (2, 1, 0));
+        // Both stale: both dropped, still one miss.
+        let lookup = cache.get(&["shape", "spelled"], stamp(2));
+        assert!(lookup.value.is_none() && lookup.invalidated == 2);
+        let s = cache.stats();
+        assert_eq!((s.entries, s.hits, s.misses, s.invalidations), (0, 2, 2, 2));
     }
 
     #[test]
@@ -359,12 +257,12 @@ mod tests {
         let cache = PlanCache::new(2);
         cache.put("a", stamp(1), cached());
         cache.put("b", stamp(1), cached());
-        assert!(cache.get("a", stamp(1)).value.is_some()); // a recently used
+        assert!(cache.get(&["a"], stamp(1)).value.is_some()); // a recently used
         assert!(!cache.put("a", stamp(1), cached())); // overwrite, no evict
         assert!(cache.put("c", stamp(1), cached())); // evicts b (LRU)
-        assert!(cache.get("b", stamp(1)).value.is_none());
-        assert!(cache.get("a", stamp(1)).value.is_some());
-        assert!(cache.get("c", stamp(1)).value.is_some());
+        assert!(cache.get(&["b"], stamp(1)).value.is_none());
+        assert!(cache.get(&["a"], stamp(1)).value.is_some());
+        assert!(cache.get(&["c"], stamp(1)).value.is_some());
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -372,7 +270,7 @@ mod tests {
     fn zero_capacity_disables() {
         let cache = PlanCache::new(0);
         cache.put("q", stamp(1), cached());
-        assert!(cache.get("q", stamp(1)).value.is_none());
+        assert!(cache.get(&["q"], stamp(1)).value.is_none());
         assert_eq!(cache.stats().entries, 0);
     }
 }

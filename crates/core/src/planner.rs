@@ -119,6 +119,30 @@ pub struct Plan {
     /// The bind stage, when shipping one fragment's join keys to others
     /// is estimated to pay (see [`BindStage`]).
     pub bind: Option<BindStage>,
+    /// Every place the plan holds the value of one of its query's
+    /// equality parameters ([`Query::eq_params`]). Nothing else in a
+    /// plan without [`Plan::shards`] depends on those values but what
+    /// [`bind`] recomputes, so such a plan, cached, serves every value.
+    pub param_sites: Vec<ParamSite>,
+    /// `notes[..shape_notes]` hold for every value of the parameters;
+    /// the rest (the verdict, the source queries' text) are rewritten
+    /// when the plan is bound to other values.
+    pub shape_notes: usize,
+}
+
+/// One copy of an equality parameter's value inside a [`Plan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParamSite {
+    /// `independents[atom]` is a fragment and `selections[selection]`
+    /// the parameter's predicate, pushed there.
+    Selection {
+        param: usize,
+        atom: usize,
+        selection: usize,
+    },
+    /// `residual_predicates[index]` is the parameter's predicate, kept
+    /// central.
+    Residual { param: usize, index: usize },
 }
 
 /// A cross-source semi-join reduction (DESIGN.md §18): the engine
@@ -231,11 +255,18 @@ pub fn plan_query_sharded(
         order_by: query.order_by.clone(),
         ..Plan::default()
     };
+    // Beside `plan.residual_predicates` until phase 5: which equality
+    // parameter each predicate is, if it is one.
+    let mut params: Vec<Option<usize>> = Vec::new();
+    let mut next_param = 0..;
 
     // Phase 1: classify atoms.
     for cond in &query.conditions {
         match cond {
-            Condition::Predicate(e) => plan.residual_predicates.push(e.clone()),
+            Condition::Predicate(e) => {
+                params.push(e.eq_param().and_then(|_| next_param.next()));
+                plan.residual_predicates.push(e.clone());
+            }
             Condition::Pattern(pb) => {
                 let vars = dedup_vars(&pb.pattern);
                 match &pb.source {
@@ -316,14 +347,20 @@ pub fn plan_query_sharded(
             .collect();
         let mut placements: Vec<Placement> = Vec::new();
         let mut remaining = Vec::new();
-        for pred in std::mem::take(&mut plan.residual_predicates) {
-            let placed = place_selection(catalog, &mut plan, &pred);
+        let mut remaining_params = Vec::new();
+        for (pred, param) in std::mem::take(&mut plan.residual_predicates)
+            .into_iter()
+            .zip(std::mem::take(&mut params))
+        {
+            let placed = place_selection(catalog, &mut plan, &pred, param);
             if placed.is_empty() {
                 remaining.push(pred);
+                remaining_params.push(param);
             } else {
                 placements.extend(placed);
             }
         }
+        params = remaining_params;
         // Rewrite record: pushing predicates moves them, never drops
         // them — the distinct predicates the phase started with are
         // exactly those shipped plus those still central, and every
@@ -373,26 +410,50 @@ pub fn plan_query_sharded(
     }
     order_folds_by_cost(catalog, &mut plan);
 
-    // Phase 5: satisfiability analysis. Constant-fold residual
-    // predicates, drop always-true ones, and prune the whole plan to an
-    // annotated empty relation when the predicates (or the pushed
-    // selections, cross-checked against exhaustive-sample statistics
-    // bounds) can never hold.
+    // Phase 5: constant-fold the residual predicates and drop the
+    // always-true ones. Where the predicates that stayed central sit is
+    // now final.
     if config.prune_unsat {
-        prune_unsatisfiable(catalog, &mut plan);
+        eliminate_tautologies(&mut plan, &mut params);
     }
-
-    // Phase 6: shard routing over partitioned collections (skipped when
-    // phase 5 already proved the whole plan empty).
-    if plan.pruned.is_none() {
-        if let Some(rt) = shards {
-            plan_shards(catalog, &mut plan, rt);
+    for (index, param) in params.iter().enumerate() {
+        if let Some(param) = *param {
+            plan.param_sites.push(ParamSite::Residual { param, index });
         }
     }
 
-    // Final pass: surface the exact per-source query text that will be
-    // shipped — for relational sources, the generated SQL (the paper's
-    // "if an RDB is being queried, then the compiler generates SQL").
+    // Phase 6: shard routing over partitioned collections. It routes on
+    // the values of equality predicates, so it comes before the verdict:
+    // a plan it leaves a mark on is a plan for these values only,
+    // whatever the verdict on them.
+    if let Some(rt) = shards {
+        plan_shards(catalog, &mut plan, rt);
+    }
+
+    plan.shape_notes = plan.notes.len();
+    finish(catalog, &mut plan, config);
+    Ok(plan)
+}
+
+/// The tail of planning, which reads the values of equality parameters
+/// and nothing decides on afterwards. It runs when a plan is made and
+/// again when a cached one is bound to other values ([`bind`]):
+///
+/// * the satisfiability verdict ([`unsat_verdict`]) — a plan whose
+///   predicates can never hold executes as an annotated empty relation;
+/// * the exact per-source query text that will be shipped — for
+///   relational sources, the generated SQL (the paper's "if an RDB is
+///   being queried, then the compiler generates SQL").
+fn finish(catalog: &Catalog, plan: &mut Plan, config: &OptimizerConfig) {
+    plan.notes.truncate(plan.shape_notes);
+    plan.pruned = if config.prune_unsat {
+        unsat_verdict(catalog, plan)
+    } else {
+        None
+    };
+    if let Some(reason) = &plan.pruned {
+        plan.notes.push(format!("pruned: {}", reason));
+    }
     for (i, atom) in plan.independents.iter().enumerate() {
         if let AtomExec::Fragment { source, query, .. } = atom {
             if catalog
@@ -408,7 +469,64 @@ pub fn plan_query_sharded(
             }
         }
     }
+}
 
+/// A cached plan made for other values of its query's equality
+/// parameters, bound to `params` ([`Query::eq_params`] of the query
+/// being served): the values are written at the plan's
+/// [`Plan::param_sites`] and the value-reading tail of planning
+/// ([`finish`]) runs again. The result is the plan
+/// [`plan_query_sharded`] makes for the query itself, as long as the
+/// cached plan routes no shards (`shards` is empty): every other
+/// decision reads an equality literal's type at most (DESIGN.md §12).
+///
+/// A site that is not there, or holds a value of another type than the
+/// one bound — the type is part of the cache key — means the cached plan
+/// is not this shape's, and is an error.
+pub fn bind(
+    catalog: &Catalog,
+    cached: &Plan,
+    params: &[&Atomic],
+    config: &OptimizerConfig,
+) -> Result<Plan, CoreError> {
+    let mut plan = cached.clone();
+    for site in &cached.param_sites {
+        let (param, slot) = match *site {
+            ParamSite::Selection {
+                param,
+                atom,
+                selection,
+            } => {
+                let slot = match plan.independents.get_mut(atom) {
+                    Some(AtomExec::Fragment { query, .. }) => query
+                        .selections
+                        .get_mut(selection)
+                        .filter(|s| s.op == PredOp::Eq)
+                        .map(|s| &mut s.value),
+                    _ => None,
+                };
+                (param, slot)
+            }
+            ParamSite::Residual { param, index } => (
+                param,
+                plan.residual_predicates
+                    .get_mut(index)
+                    .and_then(Expr::eq_param_mut),
+            ),
+        };
+        match (slot, params.get(param)) {
+            (Some(slot), Some(value)) if slot.atomic_type() == value.atomic_type() => {
+                *slot = (*value).clone();
+            }
+            _ => {
+                return Err(CoreError::Internal(format!(
+                    "cached plan does not hold parameter {} at {:?}",
+                    param, site
+                )))
+            }
+        }
+    }
+    finish(catalog, &mut plan, config);
     Ok(plan)
 }
 
@@ -464,7 +582,9 @@ fn in_coercion_class(lit: &Atomic, field: Option<AtomicType>) -> bool {
 
 /// Phase 2 for one predicate: gives `$v op literal` to every fragment
 /// that outputs `$v` and returns the copies placed (none when the
-/// predicate stays central).
+/// predicate stays central). `param` says which equality parameter the
+/// literal is, if it is one: each copy is then recorded as a
+/// [`ParamSite`].
 ///
 /// Each fragment decides for itself: its source must evaluate
 /// selections, and a predicate whose estimated selectivity *there* is
@@ -476,7 +596,12 @@ fn in_coercion_class(lit: &Atomic, field: Option<AtomicType>) -> bool {
 /// `Float 2.0`, trimmed numeric text) where a source's `WHERE` may not,
 /// so a copy is placed only when both its field and the first
 /// placement's are declared in the literal's coercion class.
-fn place_selection(catalog: &Catalog, plan: &mut Plan, pred: &Expr) -> Vec<Placement> {
+fn place_selection(
+    catalog: &Catalog,
+    plan: &mut Plan,
+    pred: &Expr,
+    param: Option<usize>,
+) -> Vec<Placement> {
     let Some((var, _, lit)) = compiler::simple_selection(pred) else {
         return Vec::new();
     };
@@ -490,7 +615,7 @@ fn place_selection(catalog: &Catalog, plan: &mut Plan, pred: &Expr) -> Vec<Place
     let mut declined: Vec<(&str, Declined)> = Vec::new();
     // Whether the first placement's field admits copies elsewhere.
     let mut first_in_class = false;
-    for atom in plan.independents.iter_mut().filter(|a| binds(a)) {
+    for (i, atom) in plan.independents.iter_mut().enumerate().filter(|(_, a)| binds(a)) {
         let AtomExec::Fragment {
             source,
             query,
@@ -527,6 +652,13 @@ fn place_selection(catalog: &Catalog, plan: &mut Plan, pred: &Expr) -> Vec<Place
             first_in_class = in_class;
         }
         plan.notes.push(format!("predicate pushed to {}", source));
+        if let Some(param) = param {
+            plan.param_sites.push(ParamSite::Selection {
+                param,
+                atom: i,
+                selection: query.selections.len() - 1,
+            });
+        }
         placed.push(Placement {
             pred: format!("{:?}", pred),
             var: var.to_string(),
@@ -750,81 +882,90 @@ fn plan_bind_stage(catalog: &Catalog, plan: &mut Plan) {
     });
 }
 
-/// Phase 5 of planning: satisfiability analysis over the decomposed
-/// plan (pass 2 of `nimble-planck`'s semantic analyzer).
+/// The schema of everything a plan binds: its independent units'
+/// variables, then its dependent atoms'.
+fn bound_schema(plan: &Plan) -> Option<Schema> {
+    let mut vars: Vec<String> = Vec::new();
+    let units = plan.independents.iter().map(AtomExec::vars);
+    for v in units.chain(plan.dependents.iter().map(|d| &d.vars[..])).flatten() {
+        if !vars.contains(v) {
+            vars.push(v.clone());
+        }
+    }
+    Schema::try_new(vars).ok()
+}
+
+/// Phase 5 of planning: a residual predicate that is a tautology by
+/// *pure logic* (literal folding only — statistics bounds never justify
+/// dropping a filter, because NULL-holding rows fail every comparison)
+/// is eliminated. `params` runs beside the residual predicates and
+/// loses the same entries.
+fn eliminate_tautologies(plan: &mut Plan, params: &mut Vec<Option<usize>>) {
+    use nimble_planck::satisfy::{self, Verdict};
+
+    let Some(schema) = bound_schema(plan) else {
+        return;
+    };
+    let mut kept: Vec<Expr> = Vec::new();
+    let mut kept_params = Vec::new();
+    for (pred, param) in std::mem::take(&mut plan.residual_predicates)
+        .into_iter()
+        .zip(std::mem::take(params))
+    {
+        // A predicate we cannot translate here (e.g. it references a
+        // correlated outer variable) is simply not analyzed.
+        let always_true = translate_expr(&pred, &schema)
+            .is_ok_and(|se| satisfy::analyze_pure(&se) == Verdict::AlwaysTrue);
+        if always_true {
+            plan.notes.push(format!(
+                "semantic: always-true predicate eliminated ({:?})",
+                pred
+            ));
+        } else {
+            kept.push(pred);
+            kept_params.push(param);
+        }
+    }
+    plan.residual_predicates = kept;
+    *params = kept_params;
+}
+
+/// The satisfiability verdict on a decomposed plan (pass 2 of
+/// `nimble-planck`'s semantic analyzer): why its WHERE clause can never
+/// hold, if it cannot. Reads the plan and the statistics, changes
+/// neither — it is asked again each time a cached plan is bound to other
+/// parameter values ([`finish`]).
 ///
-/// * A residual predicate that is a tautology by *pure logic* (literal
-///   folding only — statistics bounds never justify dropping a filter,
-///   because NULL-holding rows fail every comparison) is eliminated.
-/// * The conjunction of the remaining residual predicates is interval-
-///   checked; a contradiction (`$x > 5 AND $x < 3`) marks the plan
-///   pruned.
+/// * The conjunction of the residual predicates is interval-checked; a
+///   contradiction (`$x > 5 AND $x < 3`) is a verdict.
 /// * Each pushed fragment's selection set is interval-checked the same
 ///   way, cross-referenced against exhaustive-sample min/max bounds
 ///   from the statistics catalog. Every mediator-side fold is an inner
 ///   join, so one statically-empty unit empties the whole result.
-fn prune_unsatisfiable(catalog: &Catalog, plan: &mut Plan) {
+pub fn unsat_verdict(catalog: &Catalog, plan: &Plan) -> Option<String> {
     use nimble_planck::satisfy::{self, Verdict};
 
-    let mut vars: Vec<String> = Vec::new();
-    for atom in &plan.independents {
-        for v in atom.vars() {
-            if !vars.iter().any(|x| x == v) {
-                vars.push(v.clone());
-            }
-        }
-    }
-    for dep in &plan.dependents {
-        for v in &dep.vars {
-            if !vars.iter().any(|x| x == v) {
-                vars.push(v.clone());
-            }
-        }
-    }
-    let Ok(schema) = Schema::try_new(vars) else {
-        return;
-    };
-
-    let mut kept_exprs: Vec<ScalarExpr> = Vec::new();
-    let mut kept: Vec<Expr> = Vec::new();
-    for pred in std::mem::take(&mut plan.residual_predicates) {
-        match translate_expr(&pred, &schema) {
-            Ok(se) if satisfy::analyze_pure(&se) == Verdict::AlwaysTrue => {
-                plan.notes.push(format!(
-                    "semantic: always-true predicate eliminated ({:?})",
-                    pred
-                ));
-            }
-            Ok(se) => {
-                kept_exprs.push(se);
-                kept.push(pred);
-            }
-            // A predicate we cannot translate here (e.g. it references a
-            // correlated outer variable) is simply not analyzed.
-            Err(_) => kept.push(pred),
-        }
-    }
-    plan.residual_predicates = kept;
-
-    if !kept_exprs.is_empty() {
-        let verdict = {
-            let bounds = |col: usize| -> Option<(f64, f64)> {
-                schema
-                    .vars()
-                    .get(col)
-                    .and_then(|v| var_exact_bounds(catalog, &plan.independents, v))
-            };
-            satisfy::analyze(&ScalarExpr::conjunction(kept_exprs), &bounds)
+    if !plan.residual_predicates.is_empty() {
+        let schema = bound_schema(plan)?;
+        let conjuncts: Vec<ScalarExpr> = plan
+            .residual_predicates
+            .iter()
+            .filter_map(|pred| translate_expr(pred, &schema).ok())
+            .collect();
+        let bounds = |col: usize| -> Option<(f64, f64)> {
+            schema
+                .vars()
+                .get(col)
+                .and_then(|v| var_exact_bounds(catalog, &plan.independents, v))
         };
-        if verdict == Verdict::Unsatisfiable {
-            let reason = "unsatisfiable: residual predicates can never hold".to_string();
-            plan.notes.push(format!("pruned: {}", reason));
-            plan.pruned = Some(reason);
-            return;
+        if !conjuncts.is_empty()
+            && satisfy::analyze(&ScalarExpr::conjunction(conjuncts), &bounds)
+                == Verdict::Unsatisfiable
+        {
+            return Some("unsatisfiable: residual predicates can never hold".to_string());
         }
     }
 
-    let mut hit: Option<String> = None;
     for atom in &plan.independents {
         let AtomExec::Fragment { source, query, .. } = atom else {
             continue;
@@ -832,17 +973,17 @@ fn prune_unsatisfiable(catalog: &Catalog, plan: &mut Plan) {
         if query.selections.is_empty() {
             continue;
         }
-        let mut cols: Vec<nimble_sources::query::FieldRef> = Vec::new();
+        let mut cols: Vec<&FieldRef> = Vec::new();
         for sel in &query.selections {
-            if !cols.contains(&sel.field) {
-                cols.push(sel.field.clone());
+            if !cols.contains(&&sel.field) {
+                cols.push(&sel.field);
             }
         }
         let conjuncts: Vec<ScalarExpr> = query
             .selections
             .iter()
             .filter_map(|sel| {
-                let idx = cols.iter().position(|f| f == &sel.field)?;
+                let idx = cols.iter().position(|f| *f == &sel.field)?;
                 Some(ScalarExpr::Cmp(
                     cmp_of(sel.op),
                     Box::new(ScalarExpr::Col(idx)),
@@ -850,28 +991,21 @@ fn prune_unsatisfiable(catalog: &Catalog, plan: &mut Plan) {
                 ))
             })
             .collect();
-        let verdict = {
-            let bounds = |col: usize| -> Option<(f64, f64)> {
-                let f = cols.get(col)?;
-                let coll = query.collections.iter().find(|c| c.alias == f.alias)?;
-                catalog
-                    .stats()
-                    .exact_bounds(&format!("{}.{}", source, coll.collection), &f.field)
-            };
-            satisfy::analyze(&ScalarExpr::conjunction(conjuncts), &bounds)
+        let bounds = |col: usize| -> Option<(f64, f64)> {
+            let f = cols.get(col)?;
+            let coll = query.collections.iter().find(|c| c.alias == f.alias)?;
+            catalog
+                .stats()
+                .exact_bounds(&format!("{}.{}", source, coll.collection), &f.field)
         };
-        if verdict == Verdict::Unsatisfiable {
-            hit = Some(format!(
+        if satisfy::analyze(&ScalarExpr::conjunction(conjuncts), &bounds) == Verdict::Unsatisfiable {
+            return Some(format!(
                 "unsatisfiable: pushed selections on {} can never hold",
                 source
             ));
-            break;
         }
     }
-    if let Some(reason) = hit {
-        plan.notes.push(format!("pruned: {}", reason));
-        plan.pruned = Some(reason);
-    }
+    None
 }
 
 /// Phase 6 of planning: partition-aware shard routing.
@@ -1562,13 +1696,17 @@ pub fn verify_plan(plan: &Plan, outer: Option<&Schema>) -> Result<(), CoreError>
     Ok(())
 }
 
-/// Fragments grouped under one source name, each with its bound vars.
-type SourceFragments = Vec<(SourceQuery, Vec<String>)>;
+/// Fragments grouped under one source name, each with its index among
+/// the independent units and its bound vars.
+type SourceFragments = Vec<(usize, SourceQuery, Vec<String>)>;
 
 fn merge_same_source_fragments(catalog: &Catalog, plan: &mut Plan) {
     let mut merged: Vec<AtomExec> = Vec::new();
+    // Where each unit's selections went: the unit they are in now and
+    // how many come before them there.
+    let mut moved: Vec<(usize, usize)> = vec![(0, 0); plan.independents.len()];
     let mut by_source: Vec<(String, SourceFragments)> = Vec::new();
-    for atom in plan.independents.drain(..) {
+    for (old, atom) in plan.independents.drain(..).enumerate() {
         match atom {
             AtomExec::Fragment {
                 source,
@@ -1579,17 +1717,27 @@ fn merge_same_source_fragments(catalog: &Catalog, plan: &mut Plan) {
                 .is_some_and(|a| a.capabilities().joins) =>
             {
                 match by_source.iter_mut().find(|(s, _)| s == &source) {
-                    Some((_, frags)) => frags.push((query, vars)),
-                    None => by_source.push((source, vec![(query, vars)])),
+                    Some((_, frags)) => frags.push((old, query, vars)),
+                    None => by_source.push((source, vec![(old, query, vars)])),
                 }
             }
-            other => merged.push(other),
+            other => {
+                moved[old] = (merged.len(), 0);
+                merged.push(other);
+            }
         }
     }
     for (source, frags) in by_source {
         if frags.len() >= 2 {
-            let queries: Vec<SourceQuery> = frags.iter().map(|(q, _)| q.clone()).collect();
+            let queries: Vec<SourceQuery> = frags.iter().map(|(_, q, _)| q.clone()).collect();
             if let Some(joined) = compiler::merge_fragments(&queries) {
+                // The joined fragment lists its parts' selections part
+                // by part, in order.
+                let mut before = 0;
+                for (old, query, _) in &frags {
+                    moved[*old] = (merged.len(), before);
+                    before += query.selections.len();
+                }
                 let vars: Vec<String> = joined.outputs.iter().map(|(v, _)| v.clone()).collect();
                 plan.notes.push(format!(
                     "join of {} fragments pushed to {}",
@@ -1604,7 +1752,8 @@ fn merge_same_source_fragments(catalog: &Catalog, plan: &mut Plan) {
                 continue;
             }
         }
-        for (query, vars) in frags {
+        for (old, query, vars) in frags {
+            moved[old] = (merged.len(), 0);
             merged.push(AtomExec::Fragment {
                 source: source.clone(),
                 query,
@@ -1613,6 +1762,16 @@ fn merge_same_source_fragments(catalog: &Catalog, plan: &mut Plan) {
         }
     }
     plan.independents = merged;
+    for site in &mut plan.param_sites {
+        if let ParamSite::Selection {
+            atom, selection, ..
+        } = site
+        {
+            let (now, before) = moved[*atom];
+            *atom = now;
+            *selection += before;
+        }
+    }
 }
 
 /// Translate an XML-QL predicate into a physical scalar expression over
@@ -2118,6 +2277,69 @@ mod tests {
             plan.pruned.as_deref(),
             Some("unsatisfiable: pushed selections on billing can never hold")
         );
+    }
+
+    #[test]
+    fn a_bound_plan_is_the_plan_of_the_query_itself() {
+        // Every kind of site: a selection in a single fragment, in the
+        // joined fragment of one source (the merge moves it), in two
+        // sources' fragments, beside a pattern literal, a predicate kept
+        // central over an XML source, a literal on the left, two
+        // parameters on one variable. `K` and `L` are the parameters.
+        let mut erp = vec![
+            "CREATE TABLE customers (id INT, name TEXT, region TEXT)".to_string(),
+            "CREATE TABLE orders (id INT, cust_id INT, total FLOAT)".to_string(),
+        ];
+        for i in 1..=20 {
+            erp.push(format!("INSERT INTO customers VALUES ({i}, 'c{i}', 'NW')"));
+            erp.push(format!("INSERT INTO orders VALUES ({}, {i}, {i}.5), ({}, {i}, 9.5)", 2 * i, 2 * i + 1));
+        }
+        let c = catalog();
+        c.register_source(relational("erp", &erp)).unwrap();
+        let (crm2, billing2) = lookup_sources("INT", 1..=100, 1..=10);
+        let two = Catalog::new();
+        two.register_source(crm2).unwrap();
+        two.register_source(billing2).unwrap();
+        let join = r#"<row><id>$i</id><name>$n</name></row> IN "erp.customers",
+                      <row><cust_id>$i</cust_id><total>$t</total></row> IN "erp.orders""#;
+        let cases: [(&Catalog, String, usize); 7] = [
+            (&c, r#"WHERE <row><id>$i</id><name>$n</name></row> IN "erp.customers", $i = K CONSTRUCT <o>$n</o>"#.into(), 1),
+            (&c, format!("WHERE {}, $t > 5, $i = K CONSTRUCT <o>$n</o>", join), 2),
+            (&two, format!("{}, $i = K CONSTRUCT <o>$n</o>", LOOKUP), 2),
+            (&c, r#"WHERE <row><id>$i</id><region>"NW"</region></row> IN "erp.customers", K = $i CONSTRUCT <o>$i</o>"#.into(), 1),
+            (&c, r#"WHERE <bib><book year=$y><title>$x</title></book></bib> IN "bib", 3 < 5, $y = K CONSTRUCT <o>$x</o>"#.into(), 1),
+            (&c, format!("WHERE {}, $t = 9.5, $i = K, $i = L CONSTRUCT <o>$n</o>", join), 5),
+            (&c, r#"WHERE <row><id>$i</id><name>$n</name></row> IN "erp.customers", $n = "K" CONSTRUCT <o>$i</o>"#.into(), 1),
+        ];
+        let config = OptimizerConfig::default();
+        for (catalog, template, sites) in cases {
+            let at = |k: &str, l: &str| parse(&template.replace('K', k).replace('L', l));
+            let (first, second) = (at("1", "1"), at("7", "8"));
+            let cached = plan_query(catalog, &first, &config).unwrap();
+            assert_eq!(cached.param_sites.len(), sites, "{}\n{:?}", template, cached);
+            let fresh = plan_query(catalog, &second, &config).unwrap();
+            let bound = bind(catalog, &cached, &second.eq_params(), &config).unwrap();
+            // The rewrite records quote the predicates of the text that
+            // was planned; everything else is the fresh plan's.
+            let strip = |mut p: Plan| {
+                p.rewrites.clear();
+                format!("{:?}", p)
+            };
+            assert_eq!(strip(bound), strip(fresh.clone()), "{}", template);
+            // Bound back, it is the plan it was cloned from.
+            let back = bind(catalog, &fresh, &first.eq_params(), &config).unwrap();
+            assert_eq!(format!("{:?}", back.notes), format!("{:?}", cached.notes), "{}", template);
+            assert_eq!(back.pruned, cached.pruned, "{}", template);
+        }
+
+        // A plan bound to a parameter list that is not its shape's is
+        // refused, not half-written.
+        let q = parse(r#"WHERE <row><id>$i</id></row> IN "erp.customers", $i = 1 CONSTRUCT <o>$i</o>"#);
+        let plan = plan_query(&c, &q, &config).unwrap();
+        assert_eq!(plan.param_sites.len(), 1);
+        assert!(matches!(bind(&c, &plan, &[], &config), Err(CoreError::Internal(_))));
+        let text = Atomic::Str("1".into());
+        assert!(matches!(bind(&c, &plan, &[&text], &config), Err(CoreError::Internal(_))));
     }
 
     #[test]

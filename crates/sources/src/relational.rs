@@ -96,7 +96,7 @@ fn sql_literal(a: &Atomic) -> String {
         Atomic::Null => "NULL".to_string(),
         Atomic::Bool(b) => b.to_string().to_uppercase(),
         Atomic::Int(i) => i.to_string(),
-        Atomic::Float(f) => format!("{:?}", f),
+        Atomic::Float(f) => nimble_xml::atomic::float_literal(*f),
         Atomic::Str(s) => format!("'{}'", s.replace('\'', "''")),
         Atomic::Sym(s) => format!("'{}'", s.as_str().replace('\'', "''")),
     }
@@ -231,6 +231,76 @@ mod tests {
         let a = adapter();
         let doc = a.execute(&q).unwrap();
         assert_eq!(rows_of(&doc).len(), 1);
+    }
+
+    /// Every float is spelled so that the SQL lexer reads the same bits
+    /// back: `{:?}` wrote `1e-6` and `1e16`, and the lexer reads no
+    /// exponent.
+    #[test]
+    fn float_literals_reach_the_sql_lexer_bit_identically() {
+        use nimble_relational::sql::lexer::{tokenize_sql, SqlToken};
+        let mut sweep = vec![
+            1e-7,
+            0.000001,
+            1e-5,
+            1e15,
+            1e16,
+            1.2345678901234567e19,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            -f64::MAX,
+            0.1 + 0.2,
+            5e-324,
+        ];
+        let mut x = 0x2545f4914f6cdd1du64;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let f = f64::from_bits(x);
+            if f.is_finite() {
+                sweep.push(f);
+            }
+        }
+        for f in sweep {
+            let text = sql_literal(&Atomic::Float(f));
+            let tokens = tokenize_sql(&text).unwrap_or_else(|e| panic!("{:e} as {}: {}", f, text, e));
+            let back = match tokens.as_slice() {
+                [SqlToken::Float(x), SqlToken::Eof] => *x,
+                [SqlToken::Minus, SqlToken::Float(x), SqlToken::Eof] => -*x,
+                other => panic!("{:e} as {} lexed {:?}", f, text, other),
+            };
+            assert_eq!(back.to_bits(), f.to_bits(), "{:e} as {} came back {:e}", f, text, back);
+        }
+        // And through a statement: the row with that very total.
+        let a = RelationalAdapter::from_statements(
+            "s",
+            &[
+                "CREATE TABLE t (id INT, total FLOAT)",
+                "INSERT INTO t VALUES (1, 0.000001), (2, 10000000000000000.0), (3, 0.5)",
+            ],
+        )
+        .unwrap();
+        for (op, value, ids) in [
+            (PredOp::Eq, 0.000001, vec![1]),
+            (PredOp::Eq, 1e16, vec![2]),
+            (PredOp::Lt, 0.000001, vec![]),
+            (PredOp::Le, 0.000001, vec![1]),
+            (PredOp::Gt, 1e15, vec![2]),
+        ] {
+            let q = SourceQuery::scan("t", &[("i", "id")]).with_selection("total", op, Atomic::Float(value));
+            let doc = a.execute(&q).unwrap_or_else(|e| panic!("{}: {}", RelationalAdapter::to_sql(&q), e));
+            let got: Vec<i64> = rows_of(&doc)
+                .iter()
+                .filter_map(|r| match row_field(r, "i") {
+                    Atomic::Int(i) => Some(i),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(got, ids, "{}", RelationalAdapter::to_sql(&q));
+        }
     }
 
     #[test]

@@ -234,6 +234,19 @@ fn format_float_into(out: &mut String, f: f64) {
     }
 }
 
+/// Spell a finite float as a literal the XML-QL and SQL lexers both read
+/// back bit-identically. Neither reads an exponent and both take digits
+/// without a point for an integer, so: plain decimal (`{}` never writes
+/// an exponent, and writes the shortest digits that round-trip) with a
+/// fractional part.
+pub fn float_literal(f: f64) -> String {
+    let mut s = f.to_string();
+    if !s.contains('.') {
+        s.push_str(".0");
+    }
+    s
+}
+
 impl fmt::Display for Atomic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.lexical())

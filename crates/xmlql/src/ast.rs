@@ -275,6 +275,57 @@ impl Expr {
     }
 }
 
+impl Expr {
+    /// The literal of an **equality parameter**: `$v = literal` in either
+    /// orientation, the literal one the lexer spells (`Int`, `Float`,
+    /// `Str`, `Bool`). The value a lens substitutes into a point lookup
+    /// arrives in this position; no planning decision except the ones
+    /// `nimble-core`'s planner names depends on it, so plans are cached
+    /// with it lifted out ([`crate::display::QueryShape`]).
+    pub fn eq_param(&self) -> Option<&Atomic> {
+        let Expr::Binary(BinOp::Eq, l, r) = self else {
+            return None;
+        };
+        match (l.as_ref(), r.as_ref()) {
+            (Expr::Var(_), Expr::Lit(a)) | (Expr::Lit(a), Expr::Var(_)) => liftable(a).then_some(a),
+            _ => None,
+        }
+    }
+
+    /// [`Expr::eq_param`], to write another value of the same type there.
+    pub fn eq_param_mut(&mut self) -> Option<&mut Atomic> {
+        let Expr::Binary(BinOp::Eq, l, r) = self else {
+            return None;
+        };
+        match (l.as_mut(), r.as_mut()) {
+            (Expr::Var(_), Expr::Lit(a)) | (Expr::Lit(a), Expr::Var(_)) => liftable(a).then_some(a),
+            _ => None,
+        }
+    }
+}
+
+fn liftable(a: &Atomic) -> bool {
+    matches!(
+        a,
+        Atomic::Int(_) | Atomic::Float(_) | Atomic::Str(_) | Atomic::Bool(_)
+    )
+}
+
+impl Query {
+    /// The equality parameters of the top-level WHERE clause, in
+    /// condition order — the order [`crate::display::QueryShape`] writes
+    /// their placeholders in. Nested subqueries keep their literals.
+    pub fn eq_params(&self) -> Vec<&Atomic> {
+        self.conditions
+            .iter()
+            .filter_map(|c| match c {
+                Condition::Predicate(e) => e.eq_param(),
+                Condition::Pattern(_) => None,
+            })
+            .collect()
+    }
+}
+
 impl ElementTemplate {
     /// Variables referenced by this template, not descending into
     /// subqueries (their own WHERE clauses may rebind).

@@ -345,24 +345,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 while lx.peek().is_some_and(is_ident_char) {
                     word.push(lx.bump().unwrap());
                 }
-                let kind = match word.to_ascii_uppercase().as_str() {
-                    "WHERE" => TokenKind::Where,
-                    "IN" => TokenKind::In,
-                    "CONSTRUCT" => TokenKind::Construct,
-                    // ORDER-BY lexes as Ident("ORDER") Minus Ident("BY");
-                    // the parser also accepts that three-token spelling.
-                    "ORDER_BY" => TokenKind::OrderBy,
-                    "ELEMENT_AS" => TokenKind::ElementAs,
-                    "CONTENT_AS" => TokenKind::ContentAs,
-                    "AND" => TokenKind::And,
-                    "OR" => TokenKind::Or,
-                    "NOT" => TokenKind::Not,
-                    "LIKE" => TokenKind::Like,
-                    "ASC" => TokenKind::Asc,
-                    "DESC" => TokenKind::Desc,
-                    _ => TokenKind::Ident(word),
-                };
-                push(kind);
+                push(keyword(&word).unwrap_or(TokenKind::Ident(word)));
             }
             other => {
                 return Err(lx.err(format!("unexpected character {:?}", other), l, c));
@@ -375,6 +358,30 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
         col: lx.col,
     });
     Ok(tokens)
+}
+
+/// The keyword `word` spells, in any case.
+fn keyword(word: &str) -> Option<TokenKind> {
+    const KEYWORDS: [(&str, TokenKind); 12] = [
+        ("WHERE", TokenKind::Where),
+        ("IN", TokenKind::In),
+        ("CONSTRUCT", TokenKind::Construct),
+        // ORDER-BY lexes as Ident("ORDER") Minus Ident("BY"); the
+        // parser also accepts that three-token spelling.
+        ("ORDER_BY", TokenKind::OrderBy),
+        ("ELEMENT_AS", TokenKind::ElementAs),
+        ("CONTENT_AS", TokenKind::ContentAs),
+        ("AND", TokenKind::And),
+        ("OR", TokenKind::Or),
+        ("NOT", TokenKind::Not),
+        ("LIKE", TokenKind::Like),
+        ("ASC", TokenKind::Asc),
+        ("DESC", TokenKind::Desc),
+    ];
+    KEYWORDS
+        .iter()
+        .find(|(k, _)| k.eq_ignore_ascii_case(word))
+        .map(|(_, kind)| kind.clone())
 }
 
 fn is_ident_start(c: char) -> bool {

@@ -58,6 +58,7 @@ pub mod parser;
 
 pub use analyze::{analyze, AnalysisError, QueryInfo};
 pub use ast::*;
+pub use display::QueryShape;
 pub use parser::{parse_query, parse_query_checked, ParseError, TypeDiag};
 
 /// Parse and semantically check a query in one step. Surface type

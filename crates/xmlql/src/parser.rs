@@ -116,12 +116,24 @@ impl Parser {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
     }
 
+    /// Consume the current token, moving it out of the stream (nothing
+    /// reads a consumed token's kind again; positions stay). The final
+    /// `Eof` is never moved past.
     fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1].kind, TokenKind::Eof)
+        } else {
+            TokenKind::Eof
         }
-        t
+    }
+
+    /// Consume an `Ident`, `Var` or `Str` token, taking its text.
+    fn bump_text(&mut self) -> String {
+        match self.bump() {
+            TokenKind::Ident(s) | TokenKind::Var(s) | TokenKind::Str(s) => s,
+            _ => String::new(),
+        }
     }
 
     /// Position of the current (not yet consumed) token.
@@ -171,21 +183,15 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(name)
-            }
+        match self.peek() {
+            TokenKind::Ident(_) => Ok(self.bump_text()),
             _ => self.err("expected identifier"),
         }
     }
 
     fn var(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            TokenKind::Var(name) => {
-                self.bump();
-                Ok(name)
-            }
+        match self.peek() {
+            TokenKind::Var(_) => Ok(self.bump_text()),
             _ => self.err("expected variable ($name)"),
         }
     }
@@ -252,15 +258,9 @@ impl Parser {
         if matches!(self.peek(), TokenKind::Lt) {
             let pattern = self.pattern()?;
             self.expect(&TokenKind::In)?;
-            let source = match self.peek().clone() {
-                TokenKind::Str(name) => {
-                    self.bump();
-                    SourceRef::Named(name)
-                }
-                TokenKind::Var(name) => {
-                    self.bump();
-                    SourceRef::Var(name)
-                }
+            let source = match self.peek() {
+                TokenKind::Str(_) => SourceRef::Named(self.bump_text()),
+                TokenKind::Var(_) => SourceRef::Var(self.bump_text()),
                 _ => return self.err("expected source: \"name\" or $var after IN"),
             };
             Ok(Condition::Pattern(PatternBinding { pattern, source }))
@@ -275,9 +275,9 @@ impl Parser {
         let tag = self.tag_pattern()?;
         let mut attrs = Vec::new();
         loop {
-            match self.peek().clone() {
-                TokenKind::Ident(name) => {
-                    self.bump();
+            match self.peek() {
+                TokenKind::Ident(_) => {
+                    let name = self.bump_text();
                     self.expect(&TokenKind::Eq)?;
                     let value = self.pattern_value()?;
                     attrs.push(AttrPattern { name, value });
@@ -295,15 +295,15 @@ impl Parser {
         }
         let mut content = Vec::new();
         loop {
-            match self.peek().clone() {
+            match *self.peek() {
                 TokenKind::Lt => {
                     content.push(PatternContent::Nested(self.pattern()?));
                 }
                 TokenKind::LtSlash => {
                     self.bump();
                     // `</>` or `</name>`; a name must match the open tag.
-                    if let TokenKind::Ident(name) = self.peek().clone() {
-                        self.bump();
+                    if matches!(self.peek(), TokenKind::Ident(_)) {
+                        let name = self.bump_text();
                         let open_name = match &tag {
                             TagPattern::Name(n)
                             | TagPattern::Descendant(n)
@@ -322,13 +322,9 @@ impl Parser {
                     self.expect(&TokenKind::Gt)?;
                     return self.pattern_binders(tag, attrs, content);
                 }
-                TokenKind::Var(v) => {
-                    self.bump();
-                    content.push(PatternContent::Var(v));
-                }
-                TokenKind::Str(s) => {
-                    self.bump();
-                    content.push(PatternContent::Lit(Atomic::Str(s)));
+                TokenKind::Var(_) => content.push(PatternContent::Var(self.bump_text())),
+                TokenKind::Str(_) => {
+                    content.push(PatternContent::Lit(Atomic::Str(self.bump_text())));
                 }
                 TokenKind::Int(i) => {
                     self.bump();
@@ -380,7 +376,7 @@ impl Parser {
     }
 
     fn tag_pattern(&mut self) -> Result<TagPattern, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::StarTok => {
                 self.bump();
                 if self.eat(&TokenKind::StarTok) {
@@ -390,8 +386,8 @@ impl Parser {
                     Ok(TagPattern::Wildcard)
                 }
             }
-            TokenKind::Ident(name) => {
-                self.bump();
+            TokenKind::Ident(_) => {
+                let name = self.bump_text();
                 if self.eat(&TokenKind::Plus) {
                     Ok(TagPattern::ClosurePlus(name))
                 } else {
@@ -416,15 +412,9 @@ impl Parser {
     }
 
     fn pattern_value(&mut self) -> Result<PatternValue, ParseError> {
-        match self.peek().clone() {
-            TokenKind::Var(v) => {
-                self.bump();
-                Ok(PatternValue::Var(v))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(PatternValue::Lit(Atomic::Str(s)))
-            }
+        match *self.peek() {
+            TokenKind::Var(_) => Ok(PatternValue::Var(self.bump_text())),
+            TokenKind::Str(_) => Ok(PatternValue::Lit(Atomic::Str(self.bump_text()))),
             TokenKind::Int(i) => {
                 self.bump();
                 Ok(PatternValue::Lit(Atomic::Int(i)))
@@ -449,9 +439,9 @@ impl Parser {
         let mut skolem = None;
         let mut attrs = Vec::new();
         loop {
-            match self.peek().clone() {
-                TokenKind::Ident(name) => {
-                    self.bump();
+            match self.peek() {
+                TokenKind::Ident(_) => {
+                    let name = self.bump_text();
                     self.expect(&TokenKind::Eq)?;
                     if name == "ID" {
                         // Skolem grouping: ID=Func($x,$y)
@@ -467,15 +457,9 @@ impl Parser {
                         }
                         skolem = Some(SkolemId { func, args });
                     } else {
-                        let value = match self.peek().clone() {
-                            TokenKind::Var(v) => {
-                                self.bump();
-                                TemplateValue::Var(v)
-                            }
-                            TokenKind::Str(s) => {
-                                self.bump();
-                                TemplateValue::Lit(s)
-                            }
+                        let value = match *self.peek() {
+                            TokenKind::Var(_) => TemplateValue::Var(self.bump_text()),
+                            TokenKind::Str(_) => TemplateValue::Lit(self.bump_text()),
                             TokenKind::Int(i) => {
                                 self.bump();
                                 TemplateValue::Lit(i.to_string())
@@ -503,16 +487,10 @@ impl Parser {
         }
         let mut children = Vec::new();
         loop {
-            match self.peek().clone() {
+            match *self.peek() {
                 TokenKind::Lt => children.push(TemplateNode::Element(self.element_template()?)),
-                TokenKind::Var(v) => {
-                    self.bump();
-                    children.push(TemplateNode::Var(v));
-                }
-                TokenKind::Str(s) => {
-                    self.bump();
-                    children.push(TemplateNode::Text(s));
-                }
+                TokenKind::Var(_) => children.push(TemplateNode::Var(self.bump_text())),
+                TokenKind::Str(_) => children.push(TemplateNode::Text(self.bump_text())),
                 TokenKind::Int(i) => {
                     self.bump();
                     children.push(TemplateNode::Text(i.to_string()));
@@ -524,16 +502,17 @@ impl Parser {
                 TokenKind::Where => {
                     children.push(TemplateNode::Subquery(Box::new(self.query()?)));
                 }
-                TokenKind::Ident(name) => {
+                TokenKind::Ident(ref name) => {
                     // Aggregate call: count() / sum($t) / ...
-                    let func = match AggName::parse(&name) {
+                    let func = match AggName::parse(name) {
                         Some(f) => f,
                         None => {
+                            let name = name.clone();
                             return self.err(format!(
                                 "unknown aggregate {:?} in template (expected \
                                  count/sum/min/max/avg/collect)",
                                 name
-                            ))
+                            ));
                         }
                     };
                     self.bump();
@@ -557,8 +536,8 @@ impl Parser {
                 }
                 TokenKind::LtSlash => {
                     self.bump();
-                    if let TokenKind::Ident(name) = self.peek().clone() {
-                        self.bump();
+                    if matches!(self.peek(), TokenKind::Ident(_)) {
+                        let name = self.bump_text();
                         if name != tag {
                             return self
                                 .err(format!("end tag </{}> does not match <{}>", name, tag));
@@ -684,11 +663,8 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
-            TokenKind::Var(v) => {
-                self.bump();
-                Ok(Expr::Var(v))
-            }
+        match *self.peek() {
+            TokenKind::Var(_) => Ok(Expr::Var(self.bump_text())),
             TokenKind::Int(i) => {
                 self.bump();
                 Ok(Expr::Lit(Atomic::Int(i)))
@@ -697,12 +673,9 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Lit(Atomic::Float(x)))
             }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::Lit(Atomic::Str(s)))
-            }
-            TokenKind::Ident(name) => {
-                self.bump();
+            TokenKind::Str(_) => Ok(Expr::Lit(Atomic::Str(self.bump_text()))),
+            TokenKind::Ident(_) => {
+                let name = self.bump_text();
                 match name.as_str() {
                     "true" => return Ok(Expr::Lit(Atomic::Bool(true))),
                     "false" => return Ok(Expr::Lit(Atomic::Bool(false))),

@@ -295,6 +295,36 @@ fn lookup_join_ships_the_matching_rows_not_the_table() {
     );
     assert_eq!(plan.matches("predicate pushed to").count(), 2, "{}", plan);
 
+    // `$i = K` is an equality parameter: the plan made for 42 is cached
+    // for the shape and bound to each later key — plan-cache hits that
+    // ship their own key's SQL, not the SQL the shape was planned with.
+    let hits = engine.plan_cache().stats().hits;
+    let (next, q_calls, q_nodes) = charged(&lookup(43));
+    assert_eq!(
+        next,
+        "<results><o><n>c43</n><k>129</k></o><o><n>c43</n><k>130</k></o>\
+         <o><n>c43</n><k>131</k></o></results>"
+    );
+    assert_eq!((q_calls, q_nodes), (2, 6 + 16));
+    let plan = engine.explain(&lookup(43)).unwrap();
+    assert!(
+        plan.starts_with("-- plan: cached shape, 1 parameters bound\n"),
+        "{}",
+        plan
+    );
+    assert!(
+        plan.contains("FROM customers t WHERE t.id = 43")
+            && plan.contains("FROM orders t WHERE t.cust_id = 43")
+            && !plan.contains("= 42"),
+        "{}",
+        plan
+    );
+    // The verdict is asked of the bound plan: 150 lies outside
+    // orders.cust_id's bounds (see below) and contacts no source.
+    let (empty, q_calls, _) = charged(&lookup(150));
+    assert_eq!((empty.as_str(), q_calls), ("<results/>", 0));
+    assert_eq!(engine.plan_cache().stats().hits - hits, 3);
+
     // Without pushdown the same query ships both tables and constructs
     // the same document.
     engine.set_optimizer(OptimizerConfig {

@@ -91,6 +91,10 @@ T shard_differential crates/core/tests/shard_differential.rs nimble_core nimble_
 # The bind stage against adapters that ignore key sets, against
 # pushdown off, and through the outage matrix.
 T bind_differential crates/core/tests/bind_differential.rs nimble_core nimble_sources nimble_xml
+# Plans cached by shape and bound to each serve's parameters against
+# `plan_cache_capacity: 0`: answers, shipped SQL, source calls, lineage;
+# the stale-cache key and shard routing.
+T param_differential crates/core/tests/param_differential.rs nimble_core nimble_sources nimble_xml nimble_xmlql
 # The default plan against the all-central oracle (`pushdown: false`)
 # and against itself with lineage tracked; the 8 optimizer
 # configurations through planck with pruning on and off; streamed
