@@ -72,6 +72,35 @@ fn relational_pushdown_end_to_end() {
 }
 
 #[test]
+fn a_lens_is_prepared_once_at_the_source_too() {
+    // Plan once, bind per serve — end to end: the values of a cached
+    // shape reach the database bound to a statement it prepared on the
+    // first serve, so the count of statements it has parsed and planned
+    // stands still while the count of statements it has run goes up.
+    let crm = crm();
+    let catalog = Catalog::new();
+    catalog.register_source(crm.clone()).unwrap();
+    let e = Engine::new(Arc::new(catalog));
+    let lookup = |id: i64| {
+        let text = format!(
+            r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers", $i = {}
+               CONSTRUCT <c>$n</c>"#,
+            id
+        );
+        to_string(&e.query(&text).unwrap().document.root())
+    };
+    assert_eq!(lookup(2), "<results><c>Globex</c></results>");
+    let db = crm.database();
+    let first = db.read().stats().clone();
+    for (id, name) in [(1, "Acme"), (3, "Initech"), (2, "Globex"), (1, "Acme")] {
+        assert_eq!(lookup(id), format!("<results><c>{}</c></results>", name));
+    }
+    let last = db.read().stats().clone();
+    assert_eq!(last.prepares, first.prepares);
+    assert_eq!(last.statements, first.statements + 4);
+}
+
+#[test]
 fn cross_source_join_xml_and_sql() {
     let e = engine();
     // Join XML publishers against relational customer names.

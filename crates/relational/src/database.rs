@@ -1,12 +1,13 @@
 //! The database catalog and statement dispatch.
 
 use crate::error::SqlError;
-use crate::exec::execute_select;
-use crate::sql::ast::Statement;
+use crate::exec::{prepare_select, run_select, Prepared, SlotValue};
+use crate::sql::ast::{SelectStmt, Statement};
 use crate::sql::parse_statement;
 use crate::table::Table;
 use nimble_xml::Atomic;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Rows returned by a SELECT.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,6 +44,11 @@ pub struct ExecStats {
     pub used_indexes: Vec<String>,
     /// Number of statements executed since the last reset.
     pub statements: u64,
+    /// Number of SELECTs prepared — parsed, resolved and planned — since
+    /// the last reset, whether by [`Database::prepare`] or on the way
+    /// through [`Database::execute`]. A caller that keeps its statements
+    /// prepared sees this stand still while `statements` counts its runs.
+    pub prepares: u64,
 }
 
 impl ExecStats {
@@ -65,10 +71,28 @@ impl ExecStats {
 
 /// An in-memory SQL database: a catalog of [`Table`]s plus statement
 /// execution.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
     stats: ExecStats,
+    /// Bumped by everything that can change what a prepared statement
+    /// resolved or chose: a table created or replaced, an index created
+    /// or dropped, a table handed out mutably.
+    generation: u64,
+}
+
+impl Default for Database {
+    fn default() -> Database {
+        // Every database counts its generations in a range of its own, so
+        // a statement prepared against another database is as stale here
+        // as one prepared before a schema change.
+        static DATABASES: AtomicU64 = AtomicU64::new(0);
+        Database {
+            tables: BTreeMap::new(),
+            stats: ExecStats::default(),
+            generation: DATABASES.fetch_add(1, Ordering::Relaxed) << 32,
+        }
+    }
 }
 
 impl Database {
@@ -81,14 +105,23 @@ impl Database {
         self.tables.get(name)
     }
 
-    /// Mutable table lookup (bulk-loading adapters use this).
+    /// Mutable table lookup (bulk-loading adapters use this). The holder
+    /// can create and drop indexes, so statements prepared before the
+    /// call are prepared again before they next run.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
+        self.generation += 1;
         self.tables.get_mut(name)
     }
 
     /// Register a prebuilt table, replacing any existing one of that name.
     pub fn add_table(&mut self, table: Table) {
+        self.generation += 1;
         self.tables.insert(table.name.clone(), table);
+    }
+
+    /// The schema generation: what a [`Prepared`] is stamped with.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Names of all tables, sorted.
@@ -106,22 +139,69 @@ impl Database {
         self.stats = ExecStats::default();
     }
 
-    /// Parse and execute one SQL statement.
+    /// Parse and execute one SQL statement. A SELECT is prepared and run
+    /// with nothing bound: the one SELECT path, back to back.
     pub fn execute(&mut self, sql: &str) -> Result<ResultSet, SqlError> {
         let stmt = parse_statement(sql)?;
         self.execute_statement(stmt)
     }
 
+    /// Prepare a SELECT whose text may leave `?` slots where literals
+    /// stand: one value per `?`, the whole key list for an `IN (?)`, a
+    /// string for a `LIKE ?`. Names are resolved, each table's access
+    /// path is chosen and the output columns are named here, once;
+    /// [`Database::run`] binds a value to every slot and executes.
+    pub fn prepare(&mut self, sql: &str) -> Result<Prepared, SqlError> {
+        match parse_statement(sql)? {
+            Statement::Select(sel) => self.prepare_parsed(&sel),
+            _ => Err(SqlError::new("only a SELECT can be prepared")),
+        }
+    }
+
+    fn prepare_parsed(&mut self, sel: &SelectStmt) -> Result<Prepared, SqlError> {
+        self.stats.prepares += 1;
+        prepare_select(self, sel)
+    }
+
+    /// True while nothing has happened to the schema that `prepared` was
+    /// resolved and planned against.
+    pub fn is_current(&self, prepared: &Prepared) -> bool {
+        prepared.generation == self.generation
+    }
+
+    /// Run a prepared SELECT with `values` bound to its slots, in slot
+    /// order; the rows come back under [`Prepared::columns`]. A statement
+    /// prepared before the schema last changed is refused — its offsets
+    /// and access paths describe tables that may no longer look that
+    /// way — as is a value list that does not fit the slots.
+    pub fn run(
+        &mut self,
+        prepared: &Prepared,
+        values: &[SlotValue<'_>],
+    ) -> Result<Vec<Vec<Atomic>>, SqlError> {
+        if !self.is_current(prepared) {
+            return Err(SqlError::new(
+                "the schema changed since the statement was prepared; prepare it again",
+            ));
+        }
+        let mut stats = std::mem::take(&mut self.stats);
+        let result = run_select(self, prepared, values, &mut stats);
+        self.stats = stats;
+        result
+    }
+
     /// Execute a pre-parsed statement.
     pub fn execute_statement(&mut self, stmt: Statement) -> Result<ResultSet, SqlError> {
-        self.stats.statements += 1;
+        if !matches!(stmt, Statement::Select(_)) {
+            self.stats.statements += 1;
+        }
         match stmt {
             Statement::CreateTable { name, columns } => {
                 if self.tables.contains_key(&name) {
                     return Err(SqlError::new(format!("table {:?} already exists", name)));
                 }
+                self.generation += 1;
                 self.tables.insert(name.clone(), Table::new(&name, columns));
-                Ok(ResultSet::empty())
             }
             Statement::CreateIndex {
                 table,
@@ -133,7 +213,7 @@ impl Database {
                     .get_mut(&table)
                     .ok_or_else(|| SqlError::new(format!("no table {:?}", table)))?;
                 t.create_index(&column, kind)?;
-                Ok(ResultSet::empty())
+                self.generation += 1;
             }
             Statement::DropIndex { table, column } => {
                 let t = self
@@ -146,31 +226,32 @@ impl Database {
                         table, column
                     )));
                 }
-                Ok(ResultSet::empty())
+                self.generation += 1;
             }
             Statement::Insert { table, rows } => {
                 let t = self
                     .tables
                     .get_mut(&table)
                     .ok_or_else(|| SqlError::new(format!("no table {:?}", table)))?;
-                for row in rows {
-                    t.insert(row)?;
-                }
-                Ok(ResultSet::empty())
+                t.insert_all(rows)?;
             }
             Statement::Select(sel) => {
-                let mut stats = std::mem::take(&mut self.stats);
-                let result = execute_select(self, &sel, &mut stats);
-                self.stats = stats;
-                result
+                let prepared = self.prepare_parsed(&sel)?;
+                let rows = self.run(&prepared, &[])?;
+                return Ok(ResultSet {
+                    columns: prepared.into_columns(),
+                    rows,
+                });
             }
         }
+        Ok(ResultSet::empty())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sql::ast::SlotKind;
 
     fn sample_db() -> Database {
         let mut db = Database::new();
@@ -429,6 +510,103 @@ mod tests {
             let rs = db.execute("SELECT id FROM t WHERE k IN (NULL)").unwrap();
             assert_eq!(rs.rows.len(), 1, "{:?}", index);
         }
+    }
+
+    #[test]
+    fn a_multi_row_insert_is_all_or_nothing() {
+        // One bad row — too few values, or a value its column cannot
+        // take — in first, middle and last position: nothing is stored
+        // and no index learns of the rows that came before it.
+        for bad in ["(7)", "(7, 'x', 'NW', 1)", "('seven', 'x', 'NW')"] {
+            for at in 0..3 {
+                let mut db = sample_db();
+                db.execute("CREATE INDEX ON customers (id) USING HASH").unwrap();
+                db.execute("CREATE INDEX ON customers (region)").unwrap();
+                let mut rows = vec!["(4, 'Hooli', 'NW')", "(5, 'Pied', 'SE')"];
+                rows.insert(at, bad);
+                let sql = format!("INSERT INTO customers VALUES {}", rows.join(", "));
+                assert!(db.execute(&sql).is_err(), "{}", sql);
+                assert_eq!(db.table("customers").unwrap().row_count(), 3, "{}", sql);
+                for probe in [
+                    "SELECT id FROM customers WHERE id = 4",
+                    "SELECT id FROM customers WHERE id = 5",
+                    "SELECT id FROM customers WHERE region = 'SE'",
+                ] {
+                    assert!(db.execute(probe).unwrap().rows.is_empty(), "{}: {}", sql, probe);
+                }
+                let nw = db.execute("SELECT id FROM customers WHERE region = 'NW'").unwrap();
+                assert_eq!(nw.rows.len(), 2, "{}", sql);
+                // The same rows without the bad one go in, indexes and all.
+                rows.remove(at);
+                db.execute(&format!("INSERT INTO customers VALUES {}", rows.join(", ")))
+                    .unwrap();
+                db.reset_stats();
+                let rs = db.execute("SELECT name FROM customers WHERE id = 5").unwrap();
+                assert_eq!(rs.rows[0][0].lexical(), "Pied");
+                assert_eq!(db.stats().used_indexes, ["customers.id"]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_prepared_statement_runs_with_each_binding() {
+        let mut db = sample_db();
+        db.execute("CREATE INDEX ON orders (cust_id) USING HASH").unwrap();
+        db.reset_stats();
+        let stmt = db
+            .prepare("SELECT id FROM orders WHERE cust_id IN (?) AND total > ? ORDER BY id")
+            .unwrap();
+        assert_eq!(stmt.slots(), [SlotKind::List, SlotKind::Value]);
+        assert_eq!(stmt.columns(), ["id"]);
+        let ids = |rows: Vec<Vec<Atomic>>| -> Vec<String> {
+            rows.iter().map(|r| r[0].lexical()).collect()
+        };
+        let (one, two, nine) = (Atomic::Int(1), Atomic::Int(2), Atomic::Int(9));
+        let (low, high) = (Atomic::Float(0.0), Atomic::Float(100.0));
+        let keys = [one.clone(), two.clone(), nine.clone()];
+        let rows = db
+            .run(&stmt, &[SlotValue::List(&keys), SlotValue::Value(&low)])
+            .unwrap();
+        assert_eq!(ids(rows), ["10", "11", "12", "13"]);
+        let rows = db
+            .run(&stmt, &[SlotValue::List(&keys[..1]), SlotValue::Value(&high)])
+            .unwrap();
+        assert_eq!(ids(rows), ["10"]);
+        // Two runs, one prepare; a probe per bound key.
+        let stats = db.stats();
+        assert_eq!((stats.prepares, stats.statements, stats.index_lookups), (1, 2, 4));
+        assert_eq!(stats.used_indexes, ["orders.cust_id"]);
+
+        // Text with no slot is the same path: it prepares every time.
+        db.execute("SELECT id FROM orders WHERE cust_id IN (1, 2, 9) AND total > 0.0")
+            .unwrap();
+        assert_eq!((db.stats().prepares, db.stats().statements), (2, 3));
+        // Slots need values: text that has one cannot just be executed.
+        assert!(db.execute("SELECT id FROM orders WHERE cust_id = ?").is_err());
+        assert!(db.prepare("INSERT INTO orders VALUES (1, 2, 3.0)").is_err());
+    }
+
+    #[test]
+    fn a_statement_runs_only_under_the_schema_it_was_prepared_for() {
+        let mut db = sample_db();
+        let stmt = db.prepare("SELECT name FROM customers WHERE id = ?").unwrap();
+        let two = Atomic::Int(2);
+        assert_eq!(db.run(&stmt, &[SlotValue::Value(&two)]).unwrap().len(), 1);
+        // Rows may come and go; the statement stays good.
+        db.execute("INSERT INTO customers VALUES (2, 'Twin', 'SE')").unwrap();
+        assert!(db.is_current(&stmt));
+        assert_eq!(db.run(&stmt, &[SlotValue::Value(&two)]).unwrap().len(), 2);
+        // An index, however it arrives, makes it stale.
+        db.execute("CREATE INDEX ON customers (id)").unwrap();
+        assert!(!db.is_current(&stmt));
+        assert!(db.run(&stmt, &[SlotValue::Value(&two)]).is_err());
+        let stmt = db.prepare("SELECT name FROM customers WHERE id = ?").unwrap();
+        db.table_mut("customers").unwrap().drop_index("id");
+        assert!(db.run(&stmt, &[SlotValue::Value(&two)]).is_err());
+        // And it is no statement of any other database.
+        let stmt = db.prepare("SELECT name FROM customers WHERE id = ?").unwrap();
+        assert!(sample_db().run(&stmt, &[SlotValue::Value(&two)]).is_err());
+        assert!(db.run(&stmt, &[SlotValue::Value(&two)]).is_ok());
     }
 
     #[test]

@@ -1,38 +1,162 @@
-//! SELECT execution over heap tables.
+//! SELECT preparation and execution over heap tables.
+//!
+//! A SELECT is **prepared** once — table and column names resolved to
+//! flat offsets, the WHERE split and every conjunct handed to the scan
+//! or the residual that evaluates it, each table's access path fixed
+//! from its indexes, output names and ORDER BY positions settled — and
+//! **run** any number of times, each run binding values to the
+//! statement's `?` slots. SQL text with no slot is the same two steps
+//! back to back ([`crate::Database::execute`]); there is no other SELECT
+//! executor.
 
-use crate::database::{Database, ExecStats, ResultSet};
+use crate::database::{Database, ExecStats};
 use crate::error::SqlError;
 use crate::plan::{choose_access_path, refers_only_to, AccessPath, Binding, Resolver};
 use crate::sql::ast::*;
-use nimble_xml::Atomic;
+use nimble_xml::{Atomic, AtomicKey};
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-/// Execute a SELECT, updating scan statistics.
-pub fn execute_select(
-    db: &Database,
-    sel: &SelectStmt,
-    stats: &mut ExecStats,
-) -> Result<ResultSet, SqlError> {
+/// What one run binds to one slot. A [`SlotKind::Value`] slot takes any
+/// `Value` a SQL literal can spell, a [`SlotKind::Pattern`] slot a string
+/// `Value`, a [`SlotKind::List`] slot a `List`.
+#[derive(Debug, Clone, Copy)]
+pub enum SlotValue<'a> {
+    Value(&'a Atomic),
+    List(&'a [Atomic]),
+}
+
+/// A prepared SELECT: everything about the statement that does not
+/// depend on the values bound to its slots. It is stamped with the
+/// schema generation it was prepared under and runs under no other
+/// ([`Database::run`]).
+#[derive(Debug)]
+pub struct Prepared {
+    pub(crate) generation: u64,
+    slots: Vec<SlotKind>,
+    /// One scan per table of the FROM/JOIN list, in that order.
+    scans: Vec<Scan>,
+    /// `joins[i]` attaches `scans[i + 1]` to the rows joined so far.
+    joins: Vec<JoinStep>,
+    /// Conjuncts no single scan could evaluate, over the joined row.
+    residual: Vec<Expr>,
+    output: Output,
+    columns: Vec<String>,
+    distinct: bool,
+    /// Output positions to sort on, each with its `DESC` flag.
+    order_by: Vec<(usize, bool)>,
+    limit: Option<usize>,
+}
+
+impl Prepared {
+    /// The statement's slots, in the order values are bound to them.
+    pub fn slots(&self) -> &[SlotKind] {
+        &self.slots
+    }
+
+    /// Output column names, in row order.
+    pub fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    pub(crate) fn into_columns(self) -> Vec<String> {
+        self.columns
+    }
+}
+
+#[derive(Debug)]
+struct Scan {
+    table: String,
+    /// The conjuncts that read this table alone, over the table's own
+    /// row (offsets local to it).
+    local: Vec<Expr>,
+    path: AccessPath,
+}
+
+#[derive(Debug)]
+struct JoinStep {
+    left_outer: bool,
+    /// Key position in the rows joined so far.
+    acc_key: usize,
+    /// Key position in the newly joined table's row.
+    new_key: usize,
+    right_width: usize,
+}
+
+#[derive(Debug)]
+enum Output {
+    Project(Vec<Expr>),
+    Aggregate {
+        group_by: Vec<usize>,
+        items: Vec<Expr>,
+        /// Width of the joined row (an empty input aggregates one row of
+        /// nulls).
+        width: usize,
+    },
+}
+
+/// A [`SqlExpr`] with its names resolved: columns are row positions, and
+/// the two spellings of a literal position are one [`Operand`].
+#[derive(Debug)]
+enum Expr {
+    Col(usize),
+    Val(Operand),
+    Cmp(SqlCmp, Box<Expr>, Box<Expr>),
+    And(Box<Expr>, Box<Expr>),
+    Or(Box<Expr>, Box<Expr>),
+    Not(Box<Expr>),
+    Arith(SqlArith, Box<Expr>, Box<Expr>),
+    Like(Box<Expr>, Operand),
+    In(Box<Expr>, InKeys),
+    Between(Box<Expr>, Atomic, Atomic),
+    IsNull(Box<Expr>, /*negated=*/ bool),
+    Agg(AggKind, Option<Box<Expr>>),
+}
+
+/// Resolve an expression's names. Column positions are taken relative
+/// to `base`; a column that lies before it is an error the caller
+/// avoids by compiling a scan's conjuncts only over that scan's columns.
+fn compile(expr: &SqlExpr, resolver: &Resolver, base: usize) -> Result<Expr, SqlError> {
+    let sub = |e: &SqlExpr| compile(e, resolver, base).map(Box::new);
+    Ok(match expr {
+        SqlExpr::Col(c) => Expr::Col(resolver.resolve(c)?.checked_sub(base).ok_or_else(|| {
+            SqlError::new(format!("column {} is not available here", c))
+        })?),
+        SqlExpr::Lit(v) => Expr::Val(Operand::Lit(v.clone())),
+        SqlExpr::Slot(n) => Expr::Val(Operand::Slot(*n)),
+        SqlExpr::Cmp(op, a, b) => Expr::Cmp(*op, sub(a)?, sub(b)?),
+        SqlExpr::And(a, b) => Expr::And(sub(a)?, sub(b)?),
+        SqlExpr::Or(a, b) => Expr::Or(sub(a)?, sub(b)?),
+        SqlExpr::Not(e) => Expr::Not(sub(e)?),
+        SqlExpr::Arith(op, a, b) => Expr::Arith(*op, sub(a)?, sub(b)?),
+        SqlExpr::Like(e, pattern) => Expr::Like(sub(e)?, pattern.clone()),
+        SqlExpr::In(e, keys) => Expr::In(sub(e)?, keys.clone()),
+        SqlExpr::Between(e, lo, hi) => Expr::Between(sub(e)?, lo.clone(), hi.clone()),
+        SqlExpr::IsNull(e, negated) => Expr::IsNull(sub(e)?, *negated),
+        SqlExpr::Agg(kind, arg) => Expr::Agg(*kind, arg.as_deref().map(sub).transpose()?),
+    })
+}
+
+/// Prepare a SELECT against the database's current tables and indexes.
+pub fn prepare_select(db: &Database, sel: &SelectStmt) -> Result<Prepared, SqlError> {
     // --- resolve bindings ---
     let mut bindings = Vec::new();
+    let mut tables = Vec::new();
     let mut offset = 0usize;
-    let push_binding = |tref: &TableRef, offset: &mut usize| -> Result<Binding, SqlError> {
+    for tref in std::iter::once(&sel.from).chain(sel.joins.iter().map(|j| &j.table)) {
         let table = db
             .table(&tref.table)
             .ok_or_else(|| SqlError::new(format!("no table {:?}", tref.table)))?;
-        let b = Binding {
+        tables.push(table);
+        bindings.push(Binding {
             name: tref.binding().to_string(),
             table: tref.table.clone(),
             columns: table.columns.clone(),
-            offset: *offset,
-        };
-        *offset += table.columns.len();
-        Ok(b)
-    };
-    bindings.push(push_binding(&sel.from, &mut offset)?);
-    for j in &sel.joins {
-        bindings.push(push_binding(&j.table, &mut offset)?);
+            offset,
+        });
+        offset += table.columns.len();
     }
     let resolver = Resolver { bindings };
 
@@ -43,94 +167,355 @@ pub fn execute_select(
         .unwrap_or_default();
     let mut consumed = vec![false; conjuncts.len()];
 
-    // --- base rows of the driving table ---
-    let mut rows = fetch_base_rows(
-        db,
-        &resolver,
-        0,
-        &conjuncts,
-        &mut consumed,
-        stats,
-    )?;
+    // --- one scan per binding: its own conjuncts and its access path ---
+    let single_binding_query = resolver.bindings.len() == 1;
+    let mut scans = Vec::new();
+    for (binding, table) in resolver.bindings.iter().zip(tables) {
+        let own = binding.offset..binding.offset + binding.columns.len();
+        let mut local_sql = Vec::new();
+        for (ci, c) in conjuncts.iter().enumerate() {
+            let named_here = if single_binding_query {
+                refers_only_to(c, &[binding.name.as_str()])
+            } else {
+                // With multiple bindings, only qualified references can
+                // be pushed safely.
+                c.columns()
+                    .iter()
+                    .all(|cr| cr.table.as_deref() == Some(binding.name.as_str()))
+            };
+            if !named_here {
+                continue;
+            }
+            // Two bindings of one name: the name means the first of them.
+            let mut resolved_here = true;
+            for cr in c.columns() {
+                resolved_here &= own.contains(&resolver.resolve(cr)?);
+            }
+            if resolved_here {
+                local_sql.push(c.clone());
+                consumed[ci] = true;
+            }
+        }
+        let path = choose_access_path(&table.indexed_columns(), &local_sql, &binding.name);
+        scans.push(Scan {
+            table: binding.table.clone(),
+            local: local_sql
+                .iter()
+                .map(|c| compile(c, &resolver, binding.offset))
+                .collect::<Result<_, _>>()?,
+            path,
+        });
+    }
 
     // --- left-deep joins ---
-    for (ji, join) in sel.joins.iter().enumerate() {
-        let bidx = ji + 1;
-        let right_rows = fetch_base_rows(db, &resolver, bidx, &conjuncts, &mut consumed, stats)?;
-        let left_flat_a = resolver.resolve(&join.on_left)?;
-        let left_flat_b = resolver.resolve(&join.on_right)?;
-        let right_offset = resolver.bindings[bidx].offset;
-        let right_width = resolver.bindings[bidx].columns.len();
+    let mut joins = Vec::new();
+    for (join, right) in sel.joins.iter().zip(&resolver.bindings[1..]) {
+        let a = resolver.resolve(&join.on_left)?;
+        let b = resolver.resolve(&join.on_right)?;
         // Orient keys: one side is in the accumulated prefix, the other in
         // the newly joined table.
-        let (acc_key, new_key) = if left_flat_a >= right_offset {
-            (left_flat_b, left_flat_a - right_offset)
-        } else {
-            (left_flat_a, left_flat_b - right_offset)
+        let own = right.offset..right.offset + right.columns.len();
+        let (acc_key, new_key) = match (own.contains(&a), own.contains(&b)) {
+            (true, false) if b < right.offset => (b, a - right.offset),
+            (false, true) if a < right.offset => (a, b - right.offset),
+            _ => {
+                return Err(SqlError::new(format!(
+                    "join condition {} = {} does not connect to earlier tables",
+                    join.on_left, join.on_right
+                )))
+            }
         };
-        if acc_key >= right_offset {
+        joins.push(JoinStep {
+            left_outer: join.left_outer,
+            acc_key,
+            new_key,
+            right_width: right.columns.len(),
+        });
+    }
+
+    let residual = conjuncts
+        .iter()
+        .zip(&consumed)
+        .filter(|(_, consumed)| !**consumed)
+        .map(|(c, _)| compile(c, &resolver, 0))
+        .collect::<Result<_, _>>()?;
+
+    // --- output columns ---
+    let has_agg = !sel.group_by.is_empty()
+        || sel.items.iter().any(|i| match i {
+            SelectItem::Expr { expr, .. } => expr.has_aggregate(),
+            SelectItem::Star => false,
+        });
+    let mut names = Vec::new();
+    let mut exprs = Vec::new();
+    for (i, item) in sel.items.iter().enumerate() {
+        match item {
+            SelectItem::Star if has_agg => {
+                return Err(SqlError::new(
+                    "SELECT * cannot be combined with GROUP BY/aggregates",
+                ))
+            }
+            SelectItem::Star => {
+                names.extend(resolver.all_columns());
+                exprs.extend((0..resolver.width()).map(Expr::Col));
+            }
+            SelectItem::Expr { expr, alias } => {
+                names.push(output_name(expr, alias, i));
+                exprs.push(compile(expr, &resolver, 0)?);
+            }
+        }
+    }
+    let output = if has_agg {
+        Output::Aggregate {
+            group_by: sel
+                .group_by
+                .iter()
+                .map(|c| resolver.resolve(c))
+                .collect::<Result<_, _>>()?,
+            items: exprs,
+            width: resolver.width(),
+        }
+    } else {
+        Output::Project(exprs)
+    };
+
+    // --- order by ---
+    // Resolve each key against output names first (aliases / bare column
+    // names), falling back to qualified output names.
+    let mut order_by = Vec::new();
+    for (col, desc) in &sel.order_by {
+        let target = col.to_string();
+        // Exact match (alias or qualified name) wins; otherwise an
+        // unqualified name may match a single qualified output — two
+        // or more matches is an ambiguity error, not a silent pick.
+        let idx = match names.iter().position(|n| n == &target || n == &col.column) {
+            Some(i) => i,
+            None => {
+                let suffix = format!(".{}", target);
+                let matches: Vec<usize> = names
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, n)| n.ends_with(&suffix))
+                    .map(|(i, _)| i)
+                    .collect();
+                match matches.as_slice() {
+                    [one] => *one,
+                    [] => {
+                        return Err(SqlError::new(format!(
+                            "ORDER BY column {:?} not in output",
+                            target
+                        )))
+                    }
+                    _ => {
+                        return Err(SqlError::new(format!(
+                            "ORDER BY column {:?} is ambiguous; qualify it",
+                            target
+                        )))
+                    }
+                }
+            }
+        };
+        order_by.push((idx, *desc));
+    }
+
+    // Strip qualification from single-table outputs for friendlier names.
+    if single_binding_query {
+        for n in names.iter_mut() {
+            if let Some(stripped) = n.split('.').nth(1) {
+                *n = stripped.to_string();
+            }
+        }
+    }
+
+    Ok(Prepared {
+        generation: db.generation(),
+        slots: sel.slots.clone(),
+        scans,
+        joins,
+        residual,
+        output,
+        columns: names,
+        distinct: sel.distinct,
+        order_by,
+        limit: sel.limit,
+    })
+}
+
+/// The values of one run: what the caller bound, plus the membership set
+/// of any bound list a conjunct has to test row by row (built on first
+/// use — a list the access path answers by probing is never hashed).
+struct Env<'a> {
+    slots: &'a [SlotValue<'a>],
+    sets: Vec<OnceCell<HashSet<AtomicKey>>>,
+}
+
+impl<'a> Env<'a> {
+    /// Check the bound values against the statement's slots: as many
+    /// values as slots, each of its slot's kind, and none a value SQL
+    /// text has no literal for (so a bound run and the statement spelled
+    /// out fail alike).
+    fn bind(slots: &[SlotKind], values: &'a [SlotValue<'a>]) -> Result<Env<'a>, SqlError> {
+        if slots.len() != values.len() {
             return Err(SqlError::new(format!(
-                "join condition {} = {} does not connect to earlier tables",
-                join.on_left, join.on_right
+                "statement has {} slots, {} values bound",
+                slots.len(),
+                values.len()
             )));
         }
-        // Hash the new table rows on their key.
-        let mut table_map: HashMap<String, Vec<&Vec<Atomic>>> = HashMap::new();
-        for r in &right_rows {
-            table_map.entry(hash_key(&r[new_key])).or_default().push(r);
+        let spellable = |a: &Atomic| !matches!(a, Atomic::Float(f) if !f.is_finite());
+        for (i, (kind, value)) in slots.iter().zip(values).enumerate() {
+            let fits = match (kind, value) {
+                (SlotKind::Value, SlotValue::Value(a)) => spellable(a),
+                (SlotKind::Pattern, SlotValue::Value(a)) => a.as_str().is_some(),
+                (SlotKind::List, SlotValue::List(keys)) => keys.iter().all(spellable),
+                _ => false,
+            };
+            if !fits {
+                return Err(SqlError::new(format!(
+                    "slot {} takes a {:?}, {:?} bound",
+                    i + 1,
+                    kind,
+                    value
+                )));
+            }
         }
-        let mut joined = Vec::new();
-        for left_row in &rows {
-            let k = hash_key(&left_row[acc_key]);
-            match table_map.get(&k) {
+        Ok(Env {
+            slots: values,
+            sets: values.iter().map(|_| OnceCell::new()).collect(),
+        })
+    }
+
+    fn value(&self, operand: &'a Operand) -> Result<&'a Atomic, SqlError> {
+        match operand {
+            Operand::Lit(v) => Ok(v),
+            Operand::Slot(n) => match self.slots.get(*n) {
+                Some(SlotValue::Value(v)) => Ok(v),
+                _ => Err(SqlError::new(format!("slot {} holds no value", n + 1))),
+            },
+        }
+    }
+
+    /// One end of a range, as the index takes it.
+    fn bound(
+        &self,
+        end: &'a Option<(Operand, bool)>,
+    ) -> Result<Option<(&'a Atomic, bool)>, SqlError> {
+        end.as_ref()
+            .map(|(v, inclusive)| Ok((self.value(v)?, *inclusive)))
+            .transpose()
+    }
+
+    fn list(&self, slot: usize) -> Result<&'a [Atomic], SqlError> {
+        match self.slots.get(slot) {
+            Some(SlotValue::List(keys)) => Ok(keys),
+            _ => Err(SqlError::new(format!("slot {} holds no list", slot + 1))),
+        }
+    }
+
+    fn keys(&self, keys: &'a InKeys) -> Result<&'a [Atomic], SqlError> {
+        match keys {
+            InKeys::List(list) => Ok(list.items()),
+            InKeys::Slot(n) => self.list(*n),
+        }
+    }
+
+    /// `v IN keys`, by [`Atomic::key_eq`].
+    fn contains(&self, keys: &InKeys, v: Atomic) -> Result<bool, SqlError> {
+        match keys {
+            InKeys::List(list) => Ok(list.contains(v)),
+            InKeys::Slot(n) => {
+                let list = self.list(*n)?;
+                let set = self.sets[*n]
+                    .get_or_init(|| list.iter().cloned().map(AtomicKey).collect());
+                Ok(set.contains(&AtomicKey(v)))
+            }
+        }
+    }
+}
+
+/// Run a prepared SELECT with `values` bound to its slots, counting the
+/// statement (once its values fit: text that does not parse was never a
+/// statement either) and what its scans read.
+pub fn run_select(
+    db: &Database,
+    p: &Prepared,
+    values: &[SlotValue<'_>],
+    stats: &mut ExecStats,
+) -> Result<Vec<Vec<Atomic>>, SqlError> {
+    let env = Env::bind(&p.slots, values)?;
+    stats.statements += 1;
+
+    // --- base rows of the driving table, then left-deep joins ---
+    let base = scan_rows(db, &p.scans[0], &env, stats)?;
+    let mut joined: Vec<Vec<Atomic>> = Vec::new();
+    if !p.joins.is_empty() {
+        joined = base.iter().map(|r| r.to_vec()).collect();
+    }
+    for (join, scan) in p.joins.iter().zip(&p.scans[1..]) {
+        let right_rows = scan_rows(db, scan, &env, stats)?;
+        // Hash the new table rows on their key.
+        let mut table_map: HashMap<String, Vec<&[Atomic]>> = HashMap::new();
+        for &r in &right_rows {
+            table_map.entry(hash_key(&r[join.new_key])).or_default().push(r);
+        }
+        let mut next = Vec::new();
+        for left_row in joined {
+            match table_map.get(&hash_key(&left_row[join.acc_key])) {
                 Some(matches) => {
                     for m in matches {
                         let mut combined = left_row.clone();
-                        combined.extend(m.iter().cloned());
-                        joined.push(combined);
+                        combined.extend_from_slice(m);
+                        next.push(combined);
                     }
                 }
                 None if join.left_outer => {
-                    let mut combined = left_row.clone();
-                    combined.extend(std::iter::repeat_n(Atomic::Null, right_width));
-                    joined.push(combined);
+                    let mut combined = left_row;
+                    combined.extend(std::iter::repeat_n(Atomic::Null, join.right_width));
+                    next.push(combined);
                 }
                 None => {}
             }
         }
-        rows = joined;
+        joined = next;
     }
+    let mut rows: Vec<&[Atomic]> = if p.joins.is_empty() {
+        base
+    } else {
+        joined.iter().map(Vec::as_slice).collect()
+    };
 
     // --- residual predicates ---
-    for (ci, c) in conjuncts.iter().enumerate() {
-        if consumed[ci] {
-            continue;
-        }
+    for c in &p.residual {
         let mut kept = Vec::with_capacity(rows.len());
         for r in rows {
-            if eval_expr(c, &r, &resolver)?.truthy() {
+            if eval(c, r, &env)?.truthy() {
                 kept.push(r);
             }
         }
         rows = kept;
     }
 
-    // --- aggregation ---
-    let has_agg = !sel.group_by.is_empty()
-        || sel.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.has_aggregate(),
-            SelectItem::Star => false,
-        });
-
-    let (mut out_names, mut out_rows): (Vec<String>, Vec<Vec<Atomic>>) = if has_agg {
-        aggregate(sel, &rows, &resolver)?
-    } else {
-        project(sel, &rows, &resolver)?
+    // --- projection / aggregation ---
+    let mut out_rows: Vec<Vec<Atomic>> = match &p.output {
+        Output::Project(exprs) => rows
+            .iter()
+            .map(|row| {
+                exprs
+                    .iter()
+                    .map(|e| eval(e, row, &env).map(Cow::into_owned))
+                    .collect()
+            })
+            .collect::<Result<_, _>>()?,
+        Output::Aggregate {
+            group_by,
+            items,
+            width,
+        } => aggregate(group_by, items, &rows, *width, &env)?,
     };
 
     // --- distinct ---
-    if sel.distinct {
-        let mut seen = std::collections::HashSet::new();
+    if p.distinct {
+        let mut seen = HashSet::new();
         out_rows.retain(|r| {
             seen.insert(
                 r.iter()
@@ -142,46 +527,9 @@ pub fn execute_select(
     }
 
     // --- order by ---
-    if !sel.order_by.is_empty() {
-        // Resolve each key against output names first (aliases / bare
-        // column names), falling back to qualified output names.
-        let mut key_indices = Vec::new();
-        for (col, desc) in &sel.order_by {
-            let target = col.to_string();
-            // Exact match (alias or qualified name) wins; otherwise an
-            // unqualified name may match a single qualified output — two
-            // or more matches is an ambiguity error, not a silent pick.
-            let idx = match out_names.iter().position(|n| n == &target || n == &col.column) {
-                Some(i) => i,
-                None => {
-                    let suffix = format!(".{}", target);
-                    let matches: Vec<usize> = out_names
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, n)| n.ends_with(&suffix))
-                        .map(|(i, _)| i)
-                        .collect();
-                    match matches.as_slice() {
-                        [one] => *one,
-                        [] => {
-                            return Err(SqlError::new(format!(
-                                "ORDER BY column {:?} not in output",
-                                target
-                            )))
-                        }
-                        _ => {
-                            return Err(SqlError::new(format!(
-                                "ORDER BY column {:?} is ambiguous; qualify it",
-                                target
-                            )))
-                        }
-                    }
-                }
-            };
-            key_indices.push((idx, *desc));
-        }
+    if !p.order_by.is_empty() {
         out_rows.sort_by(|a, b| {
-            for (idx, desc) in &key_indices {
+            for (idx, desc) in &p.order_by {
                 let ord = cmp_atomics(&a[*idx], &b[*idx]);
                 let ord = if *desc { ord.reverse() } else { ord };
                 if ord != Ordering::Equal {
@@ -193,238 +541,130 @@ pub fn execute_select(
     }
 
     // --- limit ---
-    if let Some(n) = sel.limit {
+    if let Some(n) = p.limit {
         out_rows.truncate(n);
     }
-
-    // Strip qualification from single-table outputs for friendlier names.
-    if resolver.bindings.len() == 1 {
-        for n in out_names.iter_mut() {
-            if let Some(stripped) = n.split('.').nth(1) {
-                *n = stripped.to_string();
-            }
-        }
-    }
-
-    Ok(ResultSet {
-        columns: out_names,
-        rows: out_rows,
-    })
+    Ok(out_rows)
 }
 
-/// Fetch the rows of one binding, using an index when the pushed
-/// conjuncts allow it, and filtering by every single-table conjunct.
-fn fetch_base_rows(
-    db: &Database,
-    resolver: &Resolver,
-    bidx: usize,
-    conjuncts: &[SqlExpr],
-    consumed: &mut [bool],
+/// The rows of one table that pass its own conjuncts, read through the
+/// scan's access path and borrowed from the table.
+fn scan_rows<'d>(
+    db: &'d Database,
+    scan: &Scan,
+    env: &Env<'_>,
     stats: &mut ExecStats,
-) -> Result<Vec<Vec<Atomic>>, SqlError> {
-    let binding = &resolver.bindings[bidx];
+) -> Result<Vec<&'d [Atomic]>, SqlError> {
     let table = db
-        .table(&binding.table)
-        .ok_or_else(|| SqlError::new(format!("no table {:?}", binding.table)))?;
-
-    let single_binding_query = resolver.bindings.len() == 1;
-    let local: Vec<(usize, &SqlExpr)> = conjuncts
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| {
-            if single_binding_query {
-                refers_only_to(c, &[binding.name.as_str()])
-            } else {
-                // With multiple bindings, only qualified references can be
-                // pushed safely.
-                c.columns().iter().all(|cr| cr.table.as_deref() == Some(binding.name.as_str()))
-            }
-        })
-        .collect();
-    let local_exprs: Vec<SqlExpr> = local.iter().map(|(_, c)| (*c).clone()).collect();
-
-    let path = choose_access_path(&table.indexed_columns(), &local_exprs, &binding.name);
+        .table(&scan.table)
+        .ok_or_else(|| SqlError::new(format!("no table {:?}", scan.table)))?;
     // The local conjunct the access path has already answered, if any.
     let mut answered: Option<usize> = None;
-    let candidate_ids: Vec<usize> = match &path {
-        AccessPath::FullScan => (0..table.row_count()).collect(),
+    // Row ids to visit, ascending; `None` reads the whole table. A path
+    // is only prepared over a column that is indexed, and a statement
+    // never runs under a schema newer than its own; a full scan is the
+    // safe (and correct) fallback should that invariant ever break.
+    let candidates: Option<Cow<'_, [usize]>> = match &scan.path {
+        AccessPath::FullScan => None,
         AccessPath::IndexEq { column, key } => {
-            stats.note_index(&binding.table, column);
-            // The planner only chooses indexed paths over indexed
-            // columns; a full scan is the safe (and correct) fallback
-            // should that invariant ever break.
-            match table.index_on(column) {
-                Some(ix) => ix.lookup_eq(key).to_vec(),
-                None => (0..table.row_count()).collect(),
-            }
+            stats.note_index(&scan.table, column);
+            let key = env.value(key)?;
+            table
+                .index_on(column)
+                .map(|ix| Cow::Borrowed(ix.lookup_eq(key)))
         }
         AccessPath::IndexIn {
             column,
             keys,
             conjunct,
         } => {
-            stats.note_index(&binding.table, column);
-            stats.index_lookups += (keys.items().len() as u64).saturating_sub(1);
-            match table.index_on(column) {
-                Some(ix) => {
-                    // Sorted and de-duplicated (two listed keys may be
-                    // equal as keys), so rows come back in table order,
-                    // as a scan would return them.
-                    let mut ids: Vec<usize> = keys
-                        .items()
-                        .iter()
-                        .flat_map(|k| ix.lookup_eq(k).iter().copied())
-                        .collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    answered = Some(*conjunct);
-                    ids
-                }
-                None => (0..table.row_count()).collect(),
-            }
+            let keys = env.keys(keys)?;
+            stats.note_index(&scan.table, column);
+            stats.index_lookups += (keys.len() as u64).saturating_sub(1);
+            table.index_on(column).map(|ix| {
+                // Sorted and de-duplicated (two listed keys may be
+                // equal as keys), so rows come back in table order,
+                // as a scan would return them.
+                let mut ids: Vec<usize> = keys
+                    .iter()
+                    .flat_map(|k| ix.lookup_eq(k).iter().copied())
+                    .collect();
+                ids.sort_unstable();
+                ids.dedup();
+                answered = Some(*conjunct);
+                Cow::Owned(ids)
+            })
         }
         AccessPath::IndexRange { column, low, high } => {
-            stats.note_index(&binding.table, column);
+            stats.note_index(&scan.table, column);
+            let (low, high) = (env.bound(low)?, env.bound(high)?);
             table
                 .index_on(column)
-                .and_then(|ix| {
-                    ix.lookup_range(
-                        low.as_ref().map(|(a, inc)| (a, *inc)),
-                        high.as_ref().map(|(a, inc)| (a, *inc)),
-                    )
-                })
-                .unwrap_or_else(|| (0..table.row_count()).collect())
+                .and_then(|ix| ix.lookup_range(low, high))
+                .map(Cow::Owned)
         }
     };
-    stats.rows_scanned += candidate_ids.len() as u64;
-
-    // Evaluate local conjuncts against a widened row (nulls elsewhere) so
-    // flat indices resolve; only this binding's columns are referenced.
-    let width = resolver.width();
+    let all_rows = table.rows();
     let mut out = Vec::new();
-    'rows: for rid in candidate_ids {
-        let row = &table.rows()[rid];
-        let mut wide = vec![Atomic::Null; width];
-        wide[binding.offset..binding.offset + row.len()].clone_from_slice(row);
-        for (k, (_, c)) in local.iter().enumerate() {
-            if answered != Some(k) && !eval_expr(c, &wide, resolver)?.truthy() {
-                continue 'rows;
+    let mut visit = |row: &'d Vec<Atomic>| -> Result<(), SqlError> {
+        for (k, c) in scan.local.iter().enumerate() {
+            if answered != Some(k) && !eval(c, row, env)?.truthy() {
+                return Ok(());
             }
         }
-        out.push(row.clone());
+        out.push(row.as_slice());
+        Ok(())
+    };
+    match candidates {
+        None => {
+            stats.rows_scanned += all_rows.len() as u64;
+            all_rows.iter().try_for_each(&mut visit)?;
+        }
+        Some(ids) => {
+            stats.rows_scanned += ids.len() as u64;
+            ids.iter().try_for_each(|&rid| visit(&all_rows[rid]))?;
+        }
     }
-    for (ci, _) in &local {
-        consumed[*ci] = true;
-    }
-
-    // The caller concatenates binding rows left-deep, so return rows in
-    // this binding's local width; re-widen happens during joins. For the
-    // driving table the accumulated row is exactly this table's columns.
     Ok(out)
-}
-
-/// Projection without aggregates.
-fn project(
-    sel: &SelectStmt,
-    rows: &[Vec<Atomic>],
-    resolver: &Resolver,
-) -> Result<(Vec<String>, Vec<Vec<Atomic>>), SqlError> {
-    let mut names = Vec::new();
-    let mut exprs: Vec<Option<&SqlExpr>> = Vec::new();
-    for (i, item) in sel.items.iter().enumerate() {
-        match item {
-            SelectItem::Star => {
-                for n in resolver.all_columns() {
-                    names.push(n);
-                    exprs.push(None);
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                names.push(output_name(expr, alias, i));
-                exprs.push(Some(expr));
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut r = Vec::with_capacity(names.len());
-        let mut star_cursor = 0usize;
-        for e in &exprs {
-            match e {
-                None => {
-                    r.push(row[star_cursor].clone());
-                    star_cursor += 1;
-                }
-                Some(expr) => r.push(eval_expr(expr, row, resolver)?.clone()),
-            }
-        }
-        out.push(r);
-    }
-    Ok((names, out))
 }
 
 /// Projection with grouping and aggregates.
 fn aggregate(
-    sel: &SelectStmt,
-    rows: &[Vec<Atomic>],
-    resolver: &Resolver,
-) -> Result<(Vec<String>, Vec<Vec<Atomic>>), SqlError> {
-    let group_cols: Vec<usize> = sel
-        .group_by
-        .iter()
-        .map(|c| resolver.resolve(c))
-        .collect::<Result<_, _>>()?;
-
-    // group key → (representative row, member rows)
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: HashMap<String, (Vec<Atomic>, Vec<Vec<Atomic>>)> = HashMap::new();
-    for row in rows {
-        let key: String = group_cols
+    group_by: &[usize],
+    items: &[Expr],
+    rows: &[&[Atomic]],
+    width: usize,
+    env: &Env<'_>,
+) -> Result<Vec<Vec<Atomic>>, SqlError> {
+    // Groups in first-seen order: (representative row, member rows).
+    let null_row = vec![Atomic::Null; width];
+    let mut groups: Vec<(&[Atomic], Vec<&[Atomic]>)> = Vec::new();
+    let mut group_of: HashMap<String, usize> = HashMap::new();
+    for &row in rows {
+        let key: String = group_by
             .iter()
             .map(|&c| row[c].lexical())
             .collect::<Vec<_>>()
             .join("\u{1}");
-        if !groups.contains_key(&key) {
-            order.push(key.clone());
-        }
-        let entry = groups
-            .entry(key)
-            .or_insert_with(|| (row.clone(), Vec::new()));
-        entry.1.push(row.clone());
+        let at = *group_of.entry(key).or_insert_with(|| {
+            groups.push((row, Vec::new()));
+            groups.len() - 1
+        });
+        groups[at].1.push(row);
     }
     // Global aggregate over empty input still produces one row.
-    if group_cols.is_empty() && groups.is_empty() {
-        order.push(String::new());
-        groups.insert(
-            String::new(),
-            (vec![Atomic::Null; resolver.width()], Vec::new()),
-        );
+    if group_by.is_empty() && groups.is_empty() {
+        groups.push((&null_row, Vec::new()));
     }
-
-    let mut names = Vec::new();
-    for (i, item) in sel.items.iter().enumerate() {
-        match item {
-            SelectItem::Star => {
-                return Err(SqlError::new(
-                    "SELECT * cannot be combined with GROUP BY/aggregates",
-                ))
-            }
-            SelectItem::Expr { expr, alias } => names.push(output_name(expr, alias, i)),
-        }
-    }
-
-    let mut out_rows = Vec::new();
-    for key in order {
-        let (rep, members) = &groups[&key];
-        let mut row = Vec::with_capacity(sel.items.len());
-        for item in &sel.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                row.push(eval_with_aggs(expr, rep, members, resolver)?);
-            }
-        }
-        out_rows.push(row);
-    }
-    Ok((names, out_rows))
+    groups
+        .iter()
+        .map(|(rep, members)| {
+            items
+                .iter()
+                .map(|expr| eval_with_aggs(expr, rep, members, env))
+                .collect()
+        })
+        .collect()
 }
 
 fn output_name(expr: &SqlExpr, alias: &Option<String>, i: usize) -> String {
@@ -442,28 +682,28 @@ fn output_name(expr: &SqlExpr, alias: &Option<String>, i: usize) -> String {
 /// compute over the group's member rows, the rest over the representative
 /// row.
 fn eval_with_aggs(
-    expr: &SqlExpr,
+    expr: &Expr,
     rep: &[Atomic],
-    members: &[Vec<Atomic>],
-    resolver: &Resolver,
+    members: &[&[Atomic]],
+    env: &Env<'_>,
 ) -> Result<Atomic, SqlError> {
     match expr {
-        SqlExpr::Agg(kind, arg) => {
+        Expr::Agg(kind, arg) => {
             let values: Vec<Atomic> = match arg {
                 None => members.iter().map(|_| Atomic::Bool(true)).collect(),
                 Some(e) => members
                     .iter()
-                    .map(|r| eval_expr(e, r, resolver))
+                    .map(|r| eval(e, r, env).map(Cow::into_owned))
                     .collect::<Result<_, _>>()?,
             };
             agg_compute(*kind, &values)
         }
-        SqlExpr::Arith(op, a, b) => {
-            let l = eval_with_aggs(a, rep, members, resolver)?;
-            let r = eval_with_aggs(b, rep, members, resolver)?;
+        Expr::Arith(op, a, b) => {
+            let l = eval_with_aggs(a, rep, members, env)?;
+            let r = eval_with_aggs(b, rep, members, env)?;
             arith(*op, &l, &r)
         }
-        other => eval_expr(other, rep, resolver),
+        other => eval(other, rep, env).map(Cow::into_owned),
     }
 }
 
@@ -516,68 +756,58 @@ fn agg_compute(kind: AggKind, values: &[Atomic]) -> Result<Atomic, SqlError> {
     }
 }
 
-/// Evaluate an aggregate-free expression on one flat row.
-pub fn eval_expr(
-    expr: &SqlExpr,
-    row: &[Atomic],
-    resolver: &Resolver,
-) -> Result<Atomic, SqlError> {
+/// Evaluate an aggregate-free expression on one row. A column, a
+/// literal and a bound value are handed back by reference; only a
+/// computed value is owned.
+fn eval<'a>(expr: &'a Expr, row: &'a [Atomic], env: &Env<'a>) -> Result<Cow<'a, Atomic>, SqlError> {
+    let truth = |b: bool| Ok(Cow::Owned(Atomic::Bool(b)));
     match expr {
-        SqlExpr::Col(c) => Ok(row[resolver.resolve(c)?].clone()),
-        SqlExpr::Lit(v) => Ok(v.clone()),
-        SqlExpr::Cmp(op, l, r) => {
-            let lv = eval_expr(l, row, resolver)?;
-            let rv = eval_expr(r, row, resolver)?;
+        Expr::Col(i) => Ok(Cow::Borrowed(&row[*i])),
+        Expr::Val(v) => env.value(v).map(Cow::Borrowed),
+        Expr::Cmp(op, l, r) => {
+            let lv = eval(l, row, env)?;
+            let rv = eval(r, row, env)?;
             if lv.is_null() || rv.is_null() {
                 // SQL three-valued logic collapsed to false.
-                return Ok(Atomic::Bool(false));
+                return truth(false);
             }
             let ord = cmp_atomics(&lv, &rv);
-            let b = match op {
+            truth(match op {
                 SqlCmp::Eq => ord == Ordering::Equal,
                 SqlCmp::Ne => ord != Ordering::Equal,
                 SqlCmp::Lt => ord == Ordering::Less,
                 SqlCmp::Le => ord != Ordering::Greater,
                 SqlCmp::Gt => ord == Ordering::Greater,
                 SqlCmp::Ge => ord != Ordering::Less,
-            };
-            Ok(Atomic::Bool(b))
+            })
         }
-        SqlExpr::And(a, b) => Ok(Atomic::Bool(
-            eval_expr(a, row, resolver)?.truthy() && eval_expr(b, row, resolver)?.truthy(),
-        )),
-        SqlExpr::Or(a, b) => Ok(Atomic::Bool(
-            eval_expr(a, row, resolver)?.truthy() || eval_expr(b, row, resolver)?.truthy(),
-        )),
-        SqlExpr::Not(e) => Ok(Atomic::Bool(!eval_expr(e, row, resolver)?.truthy())),
-        SqlExpr::Arith(op, a, b) => {
-            let l = eval_expr(a, row, resolver)?;
-            let r = eval_expr(b, row, resolver)?;
-            arith(*op, &l, &r)
+        Expr::And(a, b) => truth(eval(a, row, env)?.truthy() && eval(b, row, env)?.truthy()),
+        Expr::Or(a, b) => truth(eval(a, row, env)?.truthy() || eval(b, row, env)?.truthy()),
+        Expr::Not(e) => truth(!eval(e, row, env)?.truthy()),
+        Expr::Arith(op, a, b) => {
+            let l = eval(a, row, env)?;
+            let r = eval(b, row, env)?;
+            arith(*op, &l, &r).map(Cow::Owned)
         }
-        SqlExpr::Like(e, pattern) => {
-            let v = eval_expr(e, row, resolver)?;
-            Ok(Atomic::Bool(like_match(&v.lexical(), pattern)))
+        Expr::Like(e, pattern) => {
+            let v = eval(e, row, env)?;
+            let pattern = env.value(pattern)?.as_str().unwrap_or("");
+            truth(match v.as_str() {
+                Some(text) => like_match(text, pattern),
+                None => like_match(&v.lexical(), pattern),
+            })
         }
-        SqlExpr::In(e, items) => {
-            Ok(Atomic::Bool(items.contains(eval_expr(e, row, resolver)?)))
+        Expr::In(e, keys) => truth(env.contains(keys, eval(e, row, env)?.into_owned())?),
+        Expr::Between(e, lo, hi) => {
+            let v = eval(e, row, env)?;
+            truth(
+                !v.is_null()
+                    && cmp_atomics(&v, lo) != Ordering::Less
+                    && cmp_atomics(&v, hi) != Ordering::Greater,
+            )
         }
-        SqlExpr::Between(e, lo, hi) => {
-            let v = eval_expr(e, row, resolver)?;
-            if v.is_null() {
-                return Ok(Atomic::Bool(false));
-            }
-            Ok(Atomic::Bool(
-                cmp_atomics(&v, lo) != Ordering::Less && cmp_atomics(&v, hi) != Ordering::Greater,
-            ))
-        }
-        SqlExpr::IsNull(e, negated) => {
-            let v = eval_expr(e, row, resolver)?;
-            Ok(Atomic::Bool(v.is_null() != *negated))
-        }
-        SqlExpr::Agg(..) => Err(SqlError::new(
-            "aggregate used outside GROUP BY context",
-        )),
+        Expr::IsNull(e, negated) => truth(eval(e, row, env)?.is_null() != *negated),
+        Expr::Agg(..) => Err(SqlError::new("aggregate used outside GROUP BY context")),
     }
 }
 

@@ -20,16 +20,25 @@
 //!   pushdown experiments (E5) read.
 //!
 //! The mediator never touches these internals: its relational adapter
-//! ships SQL **text**, exactly as it would to a remote database.
+//! ships SQL, exactly as it would to a remote database over ODBC — text
+//! with `?` slots **prepared** once ([`Database::prepare`]: parsed,
+//! names resolved, access paths chosen) and **run** with each call's
+//! values bound ([`Database::run`]). Plain text goes the same way with
+//! nothing to bind ([`Database::execute`]).
 //!
 //! ```
-//! use nimble_relational::Database;
+//! use nimble_relational::{Database, SlotValue};
+//! use nimble_xml::Atomic;
 //!
 //! let mut db = Database::new();
 //! db.execute("CREATE TABLE t (id INT, name TEXT)").unwrap();
 //! db.execute("INSERT INTO t VALUES (1, 'ada'), (2, 'alan')").unwrap();
 //! let rs = db.execute("SELECT name FROM t WHERE id = 2").unwrap();
 //! assert_eq!(rs.rows[0][0].lexical(), "alan");
+//!
+//! let by_id = db.prepare("SELECT name FROM t WHERE id = ?").unwrap();
+//! let rows = db.run(&by_id, &[SlotValue::Value(&Atomic::Int(1))]).unwrap();
+//! assert_eq!(rows[0][0].lexical(), "ada");
 //! ```
 
 pub mod database;
@@ -41,6 +50,8 @@ pub mod table;
 pub mod types;
 
 pub use database::{Database, ExecStats, ResultSet};
+pub use exec::{Prepared, SlotValue};
+pub use sql::ast::SlotKind;
 pub use error::SqlError;
 pub use table::{IndexKind, Table};
 pub use types::{Column, ColumnType};

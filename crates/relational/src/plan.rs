@@ -10,6 +10,7 @@
 use crate::error::SqlError;
 use crate::sql::ast::*;
 use crate::types::Column;
+#[cfg(test)]
 use nimble_xml::Atomic;
 
 /// One table binding of the FROM/JOIN list, with its flat column offset.
@@ -97,32 +98,35 @@ impl Resolver {
     }
 }
 
-/// How a base table will be accessed.
+/// How a base table will be accessed. A key is an [`Operand`]: the path
+/// is the same whether the statement spelled the value or left a slot
+/// for it, which is what lets a prepared statement fix it once.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccessPath {
     /// Read every row.
     FullScan,
     /// Probe an index for equality on a column.
-    IndexEq { column: String, key: Atomic },
+    IndexEq { column: String, key: Operand },
     /// Probe an index once per key of an `IN` list. The probes answer
     /// the list exactly, so conjunct number `conjunct` (of those the
     /// path was chosen from) needs no evaluation on the rows they find.
     IndexIn {
         column: String,
-        keys: InList,
+        keys: InKeys,
         conjunct: usize,
     },
     /// Range scan of a B-tree index.
     IndexRange {
         column: String,
-        low: Option<(Atomic, bool)>,
-        high: Option<(Atomic, bool)>,
+        low: Option<(Operand, bool)>,
+        high: Option<(Operand, bool)>,
     },
 }
 
 /// Pick the best single-column access path for a table given its pushed
 /// conjuncts. Preference: equality probe > `IN` probes > range scan >
-/// full scan.
+/// full scan. The choice reads which columns are indexed and how, never
+/// a literal's value.
 pub fn choose_access_path(
     indexed: &[(String, crate::table::IndexKind)],
     conjuncts: &[SqlExpr],
@@ -170,8 +174,8 @@ pub fn choose_access_path(
                         {
                             return AccessPath::IndexRange {
                                 column: col,
-                                low: Some((lo.clone(), true)),
-                                high: Some((hi.clone(), true)),
+                                low: Some((Operand::Lit(lo.clone()), true)),
+                                high: Some((Operand::Lit(hi.clone()), true)),
                             };
                         }
                     }
@@ -219,15 +223,18 @@ pub fn choose_access_path(
     AccessPath::FullScan
 }
 
-/// If the comparison is `col <op> literal` (either orientation) with the
-/// column owned by `binding`, return the column name and literal.
-fn col_lit(l: &SqlExpr, r: &SqlExpr, binding: &str) -> Option<(String, Atomic)> {
+/// If the comparison is `col <op> literal` (either orientation, the
+/// literal written or left as a slot) with the column owned by
+/// `binding`, return the column name and the literal position.
+fn col_lit(l: &SqlExpr, r: &SqlExpr, binding: &str) -> Option<(String, Operand)> {
+    let operand = |e: &SqlExpr| match e {
+        SqlExpr::Lit(v) => Some(Operand::Lit(v.clone())),
+        SqlExpr::Slot(n) => Some(Operand::Slot(*n)),
+        _ => None,
+    };
     match (l, r) {
-        (SqlExpr::Col(c), SqlExpr::Lit(v)) if owned_by(c, binding) => {
-            Some((c.column.clone(), v.clone()))
-        }
-        (SqlExpr::Lit(v), SqlExpr::Col(c)) if owned_by(c, binding) => {
-            Some((c.column.clone(), v.clone()))
+        (SqlExpr::Col(c), other) | (other, SqlExpr::Col(c)) if owned_by(c, binding) => {
+            operand(other).map(|v| (c.column.clone(), v))
         }
         _ => None,
     }
@@ -302,7 +309,10 @@ mod tests {
         ];
         let col = |c: &str| Box::new(SqlExpr::Col(ColRef::new(Some("t"), c)));
         let range = SqlExpr::Cmp(SqlCmp::Gt, col("a"), Box::new(SqlExpr::Lit(Atomic::Int(5))));
-        let list = SqlExpr::In(col("b"), InList::new(vec![Atomic::Int(1), Atomic::Int(2)]));
+        let list = SqlExpr::In(
+            col("b"),
+            InKeys::List(InList::new(vec![Atomic::Int(1), Atomic::Int(2)])),
+        );
         match choose_access_path(&indexed, &[range.clone(), list.clone()], "t") {
             AccessPath::IndexIn {
                 column, conjunct, ..
@@ -354,7 +364,7 @@ mod tests {
         )];
         match choose_access_path(&btree, &conj, "t") {
             AccessPath::IndexRange { low, high, .. } => {
-                assert_eq!(low, Some((Atomic::Int(5), false)));
+                assert_eq!(low, Some((Operand::Lit(Atomic::Int(5)), false)));
                 assert_eq!(high, None);
             }
             other => panic!("{:?}", other),

@@ -29,9 +29,31 @@ pub enum Statement {
     Select(SelectStmt),
 }
 
+/// What a `?` slot of a prepared statement accepts, by where it stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotKind {
+    /// One value, where a literal could stand.
+    Value,
+    /// The whole list of an `IN (?)`: any number of keys, so a statement
+    /// does not depend on how many a caller binds.
+    List,
+    /// The pattern of a `LIKE ?`: a string.
+    Pattern,
+}
+
+/// A literal position of a statement: the value as written, or the slot
+/// (numbered left to right) that a `?` left open.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Operand {
+    Lit(Atomic),
+    Slot(usize),
+}
+
 /// A SELECT query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectStmt {
+    /// The statement's `?` slots, in the order they were written.
+    pub slots: Vec<SlotKind>,
     pub distinct: bool,
     pub items: Vec<SelectItem>,
     pub from: TableRef,
@@ -157,18 +179,29 @@ impl InList {
     }
 }
 
+/// What an `IN` tests against: the literal list as written, or the
+/// list-valued slot of `IN (?)`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum InKeys {
+    List(InList),
+    Slot(usize),
+}
+
 /// SQL scalar / boolean expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SqlExpr {
     Col(ColRef),
     Lit(Atomic),
+    /// A value slot (`?` where a literal could stand).
+    Slot(usize),
     Cmp(SqlCmp, Box<SqlExpr>, Box<SqlExpr>),
     And(Box<SqlExpr>, Box<SqlExpr>),
     Or(Box<SqlExpr>, Box<SqlExpr>),
     Not(Box<SqlExpr>),
     Arith(SqlArith, Box<SqlExpr>, Box<SqlExpr>),
-    Like(Box<SqlExpr>, String),
-    In(Box<SqlExpr>, InList),
+    /// The pattern is a string literal or a [`SlotKind::Pattern`] slot.
+    Like(Box<SqlExpr>, Operand),
+    In(Box<SqlExpr>, InKeys),
     Between(Box<SqlExpr>, Atomic, Atomic),
     IsNull(Box<SqlExpr>, /*negated=*/ bool),
     /// `COUNT(*)` has no argument.
@@ -186,7 +219,7 @@ impl SqlExpr {
     fn collect_columns<'a>(&'a self, out: &mut Vec<&'a ColRef>) {
         match self {
             SqlExpr::Col(c) => out.push(c),
-            SqlExpr::Lit(_) => {}
+            SqlExpr::Lit(_) | SqlExpr::Slot(_) => {}
             SqlExpr::Cmp(_, a, b) | SqlExpr::And(a, b) | SqlExpr::Or(a, b)
             | SqlExpr::Arith(_, a, b) => {
                 a.collect_columns(out);
@@ -209,7 +242,7 @@ impl SqlExpr {
     pub fn has_aggregate(&self) -> bool {
         match self {
             SqlExpr::Agg(..) => true,
-            SqlExpr::Col(_) | SqlExpr::Lit(_) => false,
+            SqlExpr::Col(_) | SqlExpr::Lit(_) | SqlExpr::Slot(_) => false,
             SqlExpr::Cmp(_, a, b) | SqlExpr::And(a, b) | SqlExpr::Or(a, b)
             | SqlExpr::Arith(_, a, b) => a.has_aggregate() || b.has_aggregate(),
             SqlExpr::Not(e)

@@ -2,16 +2,18 @@
 
 use crate::error::SqlError;
 
-/// SQL tokens. Keywords are recognized case-insensitively and carried as
-/// uppercase `Word`s; the parser matches on the uppercase spelling.
+/// SQL tokens. A keyword and an identifier are both a `Word`, carried as
+/// written; the parser compares keywords case-insensitively in place.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SqlToken {
-    /// A keyword or identifier; `upper` is the uppercase form, `raw` the
-    /// original spelling (identifiers keep their case).
-    Word { upper: String, raw: String },
+    /// A keyword or identifier in its original spelling (identifiers keep
+    /// their case).
+    Word(String),
     Str(String),
     Int(i64),
     Float(f64),
+    /// `?` — a slot a prepared statement leaves open for a bound value.
+    Question,
     Comma,
     Dot,
     Star,
@@ -29,170 +31,153 @@ pub enum SqlToken {
     Eof,
 }
 
-/// Tokenize a SQL string.
+/// Tokenize a SQL string. Every delimiter is ASCII, so the scan runs over
+/// bytes and slices the input at delimiter positions; only a non-ASCII
+/// byte outside a quoted run is decoded, to ask whether it may spell an
+/// identifier.
 pub fn tokenize_sql(input: &str) -> Result<Vec<SqlToken>, SqlError> {
-    let chars: Vec<char> = input.chars().collect();
+    let bytes = input.as_bytes();
+    let at = |i: usize| bytes.get(i).copied();
+    // The character starting at byte `i` (a char boundary) and its width.
+    let char_at = |i: usize| input[i..].chars().next().map(|c| (c, c.len_utf8()));
     let mut i = 0;
-    let mut out = Vec::new();
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            ' ' | '\t' | '\r' | '\n' => i += 1,
-            '-' if chars.get(i + 1) == Some(&'-') => {
+    // SQL runs near three bytes a token (`t.id = 7,`): sized so that a
+    // statement's tokens are allocated once, not regrown as they arrive.
+    let mut out = Vec::with_capacity(input.len() / 3 + 2);
+    let single = |t: SqlToken, out: &mut Vec<SqlToken>, i: &mut usize| {
+        out.push(t);
+        *i += 1;
+    };
+    while let Some(b) = at(i) {
+        match b {
+            b' ' | b'\t' | b'\r' | b'\n' => i += 1,
+            b'-' if at(i + 1) == Some(b'-') => {
                 // SQL line comment.
-                while i < chars.len() && chars[i] != '\n' {
+                while at(i).is_some_and(|c| c != b'\n') {
                     i += 1;
                 }
             }
-            ',' => {
-                out.push(SqlToken::Comma);
-                i += 1;
-            }
-            '.' => {
-                out.push(SqlToken::Dot);
-                i += 1;
-            }
-            '*' => {
-                out.push(SqlToken::Star);
-                i += 1;
-            }
-            '(' => {
-                out.push(SqlToken::LParen);
-                i += 1;
-            }
-            ')' => {
-                out.push(SqlToken::RParen);
-                i += 1;
-            }
-            '+' => {
-                out.push(SqlToken::Plus);
-                i += 1;
-            }
-            '-' => {
-                out.push(SqlToken::Minus);
-                i += 1;
-            }
-            '/' => {
-                out.push(SqlToken::Slash);
-                i += 1;
-            }
-            '=' => {
-                out.push(SqlToken::Eq);
-                i += 1;
-            }
-            '!' if chars.get(i + 1) == Some(&'=') => {
+            b',' => single(SqlToken::Comma, &mut out, &mut i),
+            b'.' => single(SqlToken::Dot, &mut out, &mut i),
+            b'*' => single(SqlToken::Star, &mut out, &mut i),
+            b'(' => single(SqlToken::LParen, &mut out, &mut i),
+            b')' => single(SqlToken::RParen, &mut out, &mut i),
+            b'+' => single(SqlToken::Plus, &mut out, &mut i),
+            b'-' => single(SqlToken::Minus, &mut out, &mut i),
+            b'/' => single(SqlToken::Slash, &mut out, &mut i),
+            b'=' => single(SqlToken::Eq, &mut out, &mut i),
+            b'?' => single(SqlToken::Question, &mut out, &mut i),
+            b'!' if at(i + 1) == Some(b'=') => {
                 out.push(SqlToken::Ne);
                 i += 2;
             }
-            '<' => {
-                if chars.get(i + 1) == Some(&'=') {
+            b'<' => match at(i + 1) {
+                Some(b'=') => {
                     out.push(SqlToken::Le);
                     i += 2;
-                } else if chars.get(i + 1) == Some(&'>') {
+                }
+                Some(b'>') => {
                     out.push(SqlToken::Ne);
                     i += 2;
-                } else {
-                    out.push(SqlToken::Lt);
-                    i += 1;
                 }
-            }
-            '>' => {
-                if chars.get(i + 1) == Some(&'=') {
+                _ => single(SqlToken::Lt, &mut out, &mut i),
+            },
+            b'>' => match at(i + 1) {
+                Some(b'=') => {
                     out.push(SqlToken::Ge);
                     i += 2;
-                } else {
-                    out.push(SqlToken::Gt);
-                    i += 1;
                 }
-            }
-            '\'' => {
+                _ => single(SqlToken::Gt, &mut out, &mut i),
+            },
+            b'\'' => {
                 i += 1;
                 let mut s = String::new();
                 loop {
-                    match chars.get(i) {
-                        None => return Err(SqlError::new("unterminated string literal")),
-                        Some('\'') if chars.get(i + 1) == Some(&'\'') => {
-                            // Doubled quote escapes a quote, SQL style.
-                            s.push('\'');
-                            i += 2;
-                        }
-                        Some('\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&d) => {
-                            s.push(d);
-                            i += 1;
-                        }
+                    let start = i;
+                    while at(i).is_some_and(|c| c != b'\'') {
+                        i += 1;
                     }
+                    if at(i).is_none() {
+                        return Err(SqlError::new("unterminated string literal"));
+                    }
+                    s.push_str(&input[start..i]);
+                    i += 1;
+                    if at(i) != Some(b'\'') {
+                        break;
+                    }
+                    // Doubled quote escapes a quote, SQL style.
+                    s.push('\'');
+                    i += 1;
                 }
                 out.push(SqlToken::Str(s));
             }
-            '"' => {
+            b'"' => {
                 // Quoted identifier.
+                let start = i + 1;
+                i = start;
+                while at(i).is_some_and(|c| c != b'"') {
+                    i += 1;
+                }
+                if at(i).is_none() {
+                    return Err(SqlError::new("unterminated quoted identifier"));
+                }
+                out.push(SqlToken::Word(input[start..i].to_string()));
                 i += 1;
-                let mut s = String::new();
-                loop {
-                    match chars.get(i) {
-                        None => return Err(SqlError::new("unterminated quoted identifier")),
-                        Some('"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&d) => {
-                            s.push(d);
-                            i += 1;
-                        }
-                    }
-                }
-                out.push(SqlToken::Word {
-                    upper: s.to_ascii_uppercase(),
-                    raw: s,
-                });
             }
-            d if d.is_ascii_digit() => {
+            b'0'..=b'9' => {
                 let start = i;
-                while i < chars.len() && chars[i].is_ascii_digit() {
+                while at(i).is_some_and(|c| c.is_ascii_digit()) {
                     i += 1;
                 }
-                let mut is_float = false;
-                if i < chars.len()
-                    && chars[i] == '.'
-                    && chars.get(i + 1).is_some_and(|x| x.is_ascii_digit())
-                {
-                    is_float = true;
+                let is_float =
+                    at(i) == Some(b'.') && at(i + 1).is_some_and(|c| c.is_ascii_digit());
+                if is_float {
                     i += 1;
-                    while i < chars.len() && chars[i].is_ascii_digit() {
+                    while at(i).is_some_and(|c| c.is_ascii_digit()) {
                         i += 1;
                     }
                 }
-                let text: String = chars[start..i].iter().collect();
-                if is_float {
-                    out.push(SqlToken::Float(text.parse().unwrap()));
+                let text = &input[start..i];
+                out.push(if is_float {
+                    SqlToken::Float(text.parse().map_err(|_| {
+                        SqlError::new(format!("bad float literal {}", text))
+                    })?)
                 } else {
-                    out.push(SqlToken::Int(text.parse().map_err(|_| {
+                    SqlToken::Int(text.parse().map_err(|_| {
                         SqlError::new(format!("integer literal {} overflows i64", text))
-                    })?));
-                }
-            }
-            a if a.is_alphabetic() || a == '_' => {
-                let start = i;
-                while i < chars.len()
-                    && (chars[i].is_alphanumeric() || chars[i] == '_')
-                {
-                    i += 1;
-                }
-                let raw: String = chars[start..i].iter().collect();
-                out.push(SqlToken::Word {
-                    upper: raw.to_ascii_uppercase(),
-                    raw,
+                    })?)
                 });
             }
-            other => {
-                return Err(SqlError::new(format!(
-                    "unexpected character {:?} in SQL",
-                    other
-                )))
+            _ => {
+                let start = i;
+                loop {
+                    let (fits, width) = match at(i) {
+                        Some(c) if c.is_ascii() => {
+                            let letter = c.is_ascii_alphabetic() || c == b'_';
+                            (letter || (i > start && c.is_ascii_digit()), 1)
+                        }
+                        Some(_) => char_at(i).map_or((false, 0), |(c, width)| {
+                            let fits = if i == start {
+                                c.is_alphabetic()
+                            } else {
+                                c.is_alphanumeric()
+                            };
+                            (fits, width)
+                        }),
+                        None => (false, 0),
+                    };
+                    if !fits {
+                        break;
+                    }
+                    i += width;
+                }
+                if i == start {
+                    return Err(SqlError::new(format!(
+                        "unexpected character {:?} in SQL",
+                        char_at(i).map_or('\u{fffd}', |(c, _)| c)
+                    )));
+                }
+                out.push(SqlToken::Word(input[start..i].to_string()));
             }
         }
     }
@@ -208,11 +193,11 @@ mod tests {
     fn keywords_and_identifiers() {
         let toks = tokenize_sql("SELECT name FROM People").unwrap();
         match &toks[0] {
-            SqlToken::Word { upper, .. } => assert_eq!(upper, "SELECT"),
+            SqlToken::Word(raw) => assert_eq!(raw, "SELECT"),
             other => panic!("{:?}", other),
         }
         match &toks[3] {
-            SqlToken::Word { raw, .. } => assert_eq!(raw, "People"),
+            SqlToken::Word(raw) => assert_eq!(raw, "People"),
             other => panic!("{:?}", other),
         }
     }

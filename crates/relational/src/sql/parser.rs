@@ -10,7 +10,11 @@ use nimble_xml::Atomic;
 /// Parse one SQL statement.
 pub fn parse_statement(sql: &str) -> Result<Statement, SqlError> {
     let tokens = tokenize_sql(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        slots: Vec::new(),
+    };
     let stmt = p.statement()?;
     // A trailing semicolon-free end is required; we never lex ';' so just
     // check for EOF.
@@ -21,6 +25,13 @@ pub fn parse_statement(sql: &str) -> Result<Statement, SqlError> {
 struct Parser {
     tokens: Vec<SqlToken>,
     pos: usize,
+    /// The `?` slots read so far; a slot's number is its position here.
+    slots: Vec<SlotKind>,
+}
+
+/// True when the token is the keyword `kw`, in any case.
+fn is_kw(t: &SqlToken, kw: &str) -> bool {
+    matches!(t, SqlToken::Word(w) if w.eq_ignore_ascii_case(kw))
 }
 
 impl Parser {
@@ -28,12 +39,28 @@ impl Parser {
         &self.tokens[self.pos]
     }
 
+    /// Consume the current token, moving it out of the stream (nothing
+    /// reads a consumed token again). The final `Eof` is never moved past.
     fn bump(&mut self) -> SqlToken {
-        let t = self.tokens[self.pos].clone();
+        if self.pos + 1 < self.tokens.len() {
+            self.pos += 1;
+            std::mem::replace(&mut self.tokens[self.pos - 1], SqlToken::Eof)
+        } else {
+            SqlToken::Eof
+        }
+    }
+
+    /// Consume the current token where it lies.
+    fn skip(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
+    }
+
+    /// Open the next slot.
+    fn slot(&mut self, kind: SlotKind) -> usize {
+        self.slots.push(kind);
+        self.slots.len() - 1
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, SqlError> {
@@ -52,15 +79,14 @@ impl Parser {
         }
     }
 
-    /// Consume a keyword (uppercase match); false if not present.
+    /// Consume a keyword (`kw` is its uppercase spelling); false if not
+    /// present.
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if let SqlToken::Word { upper, .. } = self.peek() {
-            if upper == kw {
-                self.bump();
-                return true;
-            }
+        let found = is_kw(self.peek(), kw);
+        if found {
+            self.skip();
         }
-        false
+        found
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), SqlError> {
@@ -73,7 +99,7 @@ impl Parser {
 
     fn eat_tok(&mut self, t: &SqlToken) -> bool {
         if self.peek() == t {
-            self.bump();
+            self.skip();
             true
         } else {
             false
@@ -91,11 +117,11 @@ impl Parser {
     /// An identifier (non-keyword match is not enforced; SQL's reserved
     /// words are contextual in this dialect).
     fn ident(&mut self) -> Result<String, SqlError> {
-        match self.peek().clone() {
-            SqlToken::Word { raw, .. } => {
-                self.bump();
-                Ok(raw)
-            }
+        match self.peek() {
+            SqlToken::Word(_) => match self.bump() {
+                SqlToken::Word(raw) => Ok(raw),
+                _ => self.err("expected identifier"),
+            },
             _ => self.err("expected identifier"),
         }
     }
@@ -122,7 +148,7 @@ impl Parser {
         if self.eat_kw("INSERT") {
             return self.insert();
         }
-        if matches!(self.peek(), SqlToken::Word { upper, .. } if upper == "SELECT") {
+        if is_kw(self.peek(), "SELECT") {
             return Ok(Statement::Select(self.select()?));
         }
         self.err("expected CREATE, DROP, INSERT, or SELECT")
@@ -138,7 +164,7 @@ impl Parser {
             // Swallow optional length like VARCHAR(100).
             if self.eat_tok(&SqlToken::LParen) {
                 while !matches!(self.peek(), SqlToken::RParen | SqlToken::Eof) {
-                    self.bump();
+                    self.skip();
                 }
                 self.expect_tok(&SqlToken::RParen)?;
             }
@@ -203,7 +229,7 @@ impl Parser {
             SqlToken::Int(i) => Ok(Atomic::Int(if negate { -i } else { i })),
             SqlToken::Float(f) => Ok(Atomic::Float(if negate { -f } else { f })),
             SqlToken::Str(s) if !negate => Ok(Atomic::Sym(nimble_xml::Sym::intern(&s))),
-            SqlToken::Word { upper, .. } if !negate => match upper.as_str() {
+            SqlToken::Word(w) if !negate => match w.to_ascii_uppercase().as_str() {
                 "NULL" => Ok(Atomic::Null),
                 "TRUE" => Ok(Atomic::Bool(true)),
                 "FALSE" => Ok(Atomic::Bool(false)),
@@ -305,6 +331,7 @@ impl Parser {
             None
         };
         Ok(SelectStmt {
+            slots: std::mem::take(&mut self.slots),
             distinct,
             items,
             from,
@@ -322,18 +349,16 @@ impl Parser {
         // must not be a clause keyword.
         let alias = if self.eat_kw("AS") {
             Some(self.ident()?)
-        } else if let SqlToken::Word { upper, raw } = self.peek().clone() {
+        } else {
             const CLAUSES: &[&str] = &[
                 "WHERE", "GROUP", "ORDER", "LIMIT", "JOIN", "LEFT", "INNER", "ON",
             ];
-            if CLAUSES.contains(&upper.as_str()) {
-                None
+            let next = self.peek();
+            if matches!(next, SqlToken::Word(_)) && !CLAUSES.iter().any(|kw| is_kw(next, kw)) {
+                Some(self.ident()?)
             } else {
-                self.bump();
-                Some(raw)
+                None
             }
-        } else {
-            None
         };
         Ok(TableRef { table, alias })
     }
@@ -389,40 +414,31 @@ impl Parser {
             self.expect_kw("NULL")?;
             return Ok(SqlExpr::IsNull(Box::new(left), negated));
         }
-        let negated = {
-            // `x NOT IN (...)` / `x NOT LIKE '...'` / `x NOT BETWEEN a AND b`
-            if let SqlToken::Word { upper, .. } = self.peek() {
-                if upper == "NOT" {
-                    if let Some(SqlToken::Word { upper: next, .. }) =
-                        self.tokens.get(self.pos + 1)
-                    {
-                        if matches!(next.as_str(), "IN" | "LIKE" | "BETWEEN") {
-                            self.bump();
-                            true
-                        } else {
-                            false
-                        }
-                    } else {
-                        false
-                    }
-                } else {
-                    false
-                }
-            } else {
-                false
-            }
-        };
+        // `x NOT IN (...)` / `x NOT LIKE '...'` / `x NOT BETWEEN a AND b`
+        let negated = is_kw(self.peek(), "NOT")
+            && self.tokens.get(self.pos + 1).is_some_and(|next| {
+                ["IN", "LIKE", "BETWEEN"].iter().any(|kw| is_kw(next, kw))
+            });
+        if negated {
+            self.skip();
+        }
         if self.eat_kw("IN") {
             self.expect_tok(&SqlToken::LParen)?;
-            let mut items = Vec::new();
-            loop {
-                items.push(self.literal()?);
-                if !self.eat_tok(&SqlToken::Comma) {
-                    break;
+            let keys = if self.eat_tok(&SqlToken::Question) {
+                // `IN (?)`: the whole list is the slot.
+                InKeys::Slot(self.slot(SlotKind::List))
+            } else {
+                let mut items = Vec::new();
+                loop {
+                    items.push(self.literal()?);
+                    if !self.eat_tok(&SqlToken::Comma) {
+                        break;
+                    }
                 }
-            }
+                InKeys::List(InList::new(items))
+            };
             self.expect_tok(&SqlToken::RParen)?;
-            let e = SqlExpr::In(Box::new(left), InList::new(items));
+            let e = SqlExpr::In(Box::new(left), keys);
             return Ok(if negated {
                 SqlExpr::Not(Box::new(e))
             } else {
@@ -430,11 +446,12 @@ impl Parser {
             });
         }
         if self.eat_kw("LIKE") {
-            let pat = match self.bump() {
-                SqlToken::Str(s) => s,
+            let pattern = match self.bump() {
+                SqlToken::Str(s) => Operand::Lit(Atomic::Str(s)),
+                SqlToken::Question => Operand::Slot(self.slot(SlotKind::Pattern)),
                 other => return Err(SqlError::new(format!("LIKE expects string, got {:?}", other))),
             };
-            let e = SqlExpr::Like(Box::new(left), pat);
+            let e = SqlExpr::Like(Box::new(left), pattern);
             return Ok(if negated {
                 SqlExpr::Not(Box::new(e))
             } else {
@@ -461,7 +478,7 @@ impl Parser {
             SqlToken::Ge => SqlCmp::Ge,
             _ => return Ok(left),
         };
-        self.bump();
+        self.skip();
         let right = self.add_expr()?;
         Ok(SqlExpr::Cmp(op, Box::new(left), Box::new(right)))
     }
@@ -474,7 +491,7 @@ impl Parser {
                 SqlToken::Minus => SqlArith::Sub,
                 _ => break,
             };
-            self.bump();
+            self.skip();
             let right = self.mul_expr()?;
             left = SqlExpr::Arith(op, Box::new(left), Box::new(right));
         }
@@ -489,7 +506,7 @@ impl Parser {
                 SqlToken::Slash => SqlArith::Div,
                 _ => break,
             };
-            self.bump();
+            self.skip();
             let right = self.primary()?;
             left = SqlExpr::Arith(op, Box::new(left), Box::new(right));
         }
@@ -497,30 +514,37 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<SqlExpr, SqlError> {
-        match self.peek().clone() {
+        const AGGREGATES: [(&str, AggKind); 5] = [
+            ("COUNT", AggKind::Count),
+            ("SUM", AggKind::Sum),
+            ("MIN", AggKind::Min),
+            ("MAX", AggKind::Max),
+            ("AVG", AggKind::Avg),
+        ];
+        match self.peek() {
             SqlToken::Int(_) | SqlToken::Float(_) | SqlToken::Str(_) | SqlToken::Minus => {
                 Ok(SqlExpr::Lit(self.literal()?))
             }
+            SqlToken::Question => {
+                self.skip();
+                Ok(SqlExpr::Slot(self.slot(SlotKind::Value)))
+            }
             SqlToken::LParen => {
-                self.bump();
+                self.skip();
                 let e = self.expr()?;
                 self.expect_tok(&SqlToken::RParen)?;
                 Ok(e)
             }
-            SqlToken::Word { upper, .. } => {
-                // Aggregates.
-                let agg = match upper.as_str() {
-                    "COUNT" => Some(AggKind::Count),
-                    "SUM" => Some(AggKind::Sum),
-                    "MIN" => Some(AggKind::Min),
-                    "MAX" => Some(AggKind::Max),
-                    "AVG" => Some(AggKind::Avg),
-                    _ => None,
-                };
+            word @ SqlToken::Word(_) => {
+                let agg = AGGREGATES
+                    .iter()
+                    .find(|(kw, _)| is_kw(word, kw))
+                    .map(|(_, kind)| *kind);
+                let literal = ["NULL", "TRUE", "FALSE"].iter().any(|kw| is_kw(word, kw));
                 if let Some(kind) = agg {
                     if matches!(self.tokens.get(self.pos + 1), Some(SqlToken::LParen)) {
-                        self.bump(); // function name
-                        self.bump(); // (
+                        self.skip(); // function name
+                        self.skip(); // (
                         if self.eat_tok(&SqlToken::Star) {
                             self.expect_tok(&SqlToken::RParen)?;
                             return Ok(SqlExpr::Agg(kind, None));
@@ -530,9 +554,10 @@ impl Parser {
                         return Ok(SqlExpr::Agg(kind, Some(Box::new(inner))));
                     }
                 }
-                match upper.as_str() {
-                    "NULL" | "TRUE" | "FALSE" => Ok(SqlExpr::Lit(self.literal()?)),
-                    _ => Ok(SqlExpr::Col(self.col_ref()?)),
+                if literal {
+                    Ok(SqlExpr::Lit(self.literal()?))
+                } else {
+                    Ok(SqlExpr::Col(self.col_ref()?))
                 }
             }
             other => Err(SqlError::new(format!(

@@ -98,7 +98,8 @@ pub struct Table {
     pub name: String,
     pub columns: Vec<Column>,
     pub(crate) rows: Vec<Vec<Atomic>>,
-    pub(crate) indexes: HashMap<String, Index>,
+    /// Column name → (column position, index over it).
+    pub(crate) indexes: HashMap<String, (usize, Index)>,
 }
 
 impl Table {
@@ -137,6 +138,29 @@ impl Table {
     /// Insert a row, coercing values to column types and maintaining all
     /// indexes.
     pub fn insert(&mut self, values: Vec<Atomic>) -> Result<(), SqlError> {
+        let row = self.coerce_row(values)?;
+        self.append(row);
+        Ok(())
+    }
+
+    /// Insert several rows, all or none: every row is arity-checked and
+    /// coerced before the first is appended, so a bad row anywhere in the
+    /// list leaves the table and its indexes as they were.
+    pub fn insert_all(&mut self, rows: Vec<Vec<Atomic>>) -> Result<(), SqlError> {
+        let rows: Vec<Vec<Atomic>> = rows
+            .into_iter()
+            .map(|values| self.coerce_row(values))
+            .collect::<Result<_, _>>()?;
+        self.rows.reserve(rows.len());
+        for row in rows {
+            self.append(row);
+        }
+        Ok(())
+    }
+
+    /// The row as it would be stored: one value per column, each coerced
+    /// to its column's type.
+    fn coerce_row(&self, values: Vec<Atomic>) -> Result<Vec<Atomic>, SqlError> {
         if values.len() != self.columns.len() {
             return Err(SqlError::new(format!(
                 "table {} expects {} values, got {}",
@@ -145,21 +169,20 @@ impl Table {
                 values.len()
             )));
         }
-        let mut row = Vec::with_capacity(values.len());
-        for (col, v) in self.columns.iter().zip(values) {
-            row.push(col.ty.coerce(v)?);
-        }
+        self.columns
+            .iter()
+            .zip(values)
+            .map(|(col, v)| col.ty.coerce(v))
+            .collect()
+    }
+
+    /// Store a coerced row and enter it in every index.
+    fn append(&mut self, row: Vec<Atomic>) {
         let rid = self.rows.len();
-        for (col_name, index) in self.indexes.iter_mut() {
-            let ci = self
-                .columns
-                .iter()
-                .position(|c| &c.name == col_name)
-                .expect("index on known column");
-            index.insert(row[ci].clone(), rid);
+        for (ci, index) in self.indexes.values_mut() {
+            index.insert(row[*ci].clone(), rid);
         }
         self.rows.push(row);
-        Ok(())
     }
 
     /// Create an index over an existing column, back-filling current rows.
@@ -171,7 +194,7 @@ impl Table {
         for (rid, row) in self.rows.iter().enumerate() {
             idx.insert(row[ci].clone(), rid);
         }
-        self.indexes.insert(column.to_string(), idx);
+        self.indexes.insert(column.to_string(), (ci, idx));
         Ok(())
     }
 
@@ -185,14 +208,14 @@ impl Table {
         let mut v: Vec<(String, IndexKind)> = self
             .indexes
             .iter()
-            .map(|(c, i)| (c.clone(), i.kind()))
+            .map(|(c, (_, i))| (c.clone(), i.kind()))
             .collect();
         v.sort();
         v
     }
 
     pub(crate) fn index_on(&self, column: &str) -> Option<&Index> {
-        self.indexes.get(column)
+        self.indexes.get(column).map(|(_, index)| index)
     }
 }
 

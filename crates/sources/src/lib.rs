@@ -14,9 +14,10 @@
 //!   execution ([`SourceQuery`] → XML rows), and row-count estimates for
 //!   costing.
 //! * Four concrete adapters:
-//!   [`relational::RelationalAdapter`] (generates **SQL text** against the
-//!   `nimble-relational` engine — the paper's "if an RDB is being queried,
-//!   then the compiler generates SQL"), [`hierarchical::HierarchicalAdapter`]
+//!   [`relational::RelationalAdapter`] (generates **prepared SQL** against
+//!   the `nimble-relational` engine — the paper's "if an RDB is being
+//!   queried, then the compiler generates SQL" — one statement per
+//!   fragment shape, each call's values bound to its `?` slots), [`hierarchical::HierarchicalAdapter`]
 //!   (an IMS-style segment store with limited query capability),
 //!   [`xmldoc::XmlDocAdapter`] (native XML documents), and
 //!   [`csv::CsvAdapter`] (flat files with schema inference).

@@ -1,7 +1,7 @@
 //! The fragment language: what the mediator pushes to adapters, and the
 //! `<rows>` result contract helpers.
 
-use nimble_xml::{Atomic, AtomicKey, AtomicType, Document, DocumentBuilder, NodeRef};
+use nimble_xml::{Atomic, AtomicKey, AtomicType, Document, DocumentBuilder, NodeRef, Sym};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -214,6 +214,7 @@ impl<'q> KeyFilter<'q> {
 /// Builds the `<rows><row>…` result document adapters return.
 pub struct RowsBuilder {
     builder: DocumentBuilder,
+    row: Sym,
     rows: usize,
 }
 
@@ -227,15 +228,31 @@ impl RowsBuilder {
     pub fn new() -> RowsBuilder {
         RowsBuilder {
             builder: DocumentBuilder::new("rows"),
+            row: Sym::intern("row"),
             rows: 0,
         }
     }
 
     /// Append one row of `(field, value)` pairs.
     pub fn row(&mut self, fields: &[(&str, Atomic)]) {
-        self.builder.start_element("row");
+        self.row_syms(
+            fields
+                .iter()
+                .map(|(name, value)| (Sym::intern(name), value.clone())),
+        );
+    }
+
+    /// Append one row of `(interned field name, value)` pairs, taking the
+    /// values as they come: an adapter that writes many rows of one shape
+    /// looks its names up once and hands each value over without a copy.
+    pub fn row_syms(&mut self, fields: impl IntoIterator<Item = (Sym, Atomic)>) {
+        self.builder.start_element_sym(self.row);
         for (name, value) in fields {
-            self.builder.leaf(name, value.clone());
+            self.builder.start_element_sym(name);
+            if !value.is_null() {
+                self.builder.text(value);
+            }
+            self.builder.end_element();
         }
         self.builder.end_element();
         self.rows += 1;

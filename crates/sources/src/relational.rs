@@ -1,20 +1,71 @@
-//! The relational adapter: compiles fragments to **SQL text** and ships
-//! it to a `nimble-relational` database, exactly the way the paper's
-//! compiler talks to customer RDBMSs.
+//! The relational adapter: compiles fragments to **prepared SQL** for a
+//! `nimble-relational` database, the way the paper's compiler talks to
+//! customer RDBMSs over ODBC. A fragment's *shape* — everything but the
+//! values of its selections and the keys of its key sets — is rendered
+//! to SQL text with a `?` where each value goes and prepared once; every
+//! call after that binds the call's values to the prepared statement and
+//! runs it. [`RelationalAdapter::to_sql`] spells the same statement with
+//! the values written in, for EXPLAIN and for tests.
 
 use crate::capabilities::Capabilities;
 use crate::error::SourceError;
 use crate::query::{CollectionInfo, RowsBuilder, SourceQuery};
 use crate::{SourceAdapter, SourceKind};
-use nimble_relational::{ColumnType, Database};
-use nimble_xml::{Atomic, AtomicType, Document};
-use parking_lot::RwLock;
+use nimble_relational::{ColumnType, Database, Prepared, SlotValue, SqlError};
+use nimble_xml::{Atomic, AtomicType, Document, Sym};
+use parking_lot::{Mutex, RwLock};
+use std::fmt::Write;
 use std::sync::Arc;
+
+/// Most fragment shapes an adapter keeps prepared. A mediator's plans
+/// push a handful of shapes per collection; past the bound the shape
+/// unused for longest makes room.
+const STATEMENT_CACHE_SHAPES: usize = 64;
+
+/// One prepared fragment shape.
+struct Statement {
+    /// The fragment it was prepared from, without its values: selection
+    /// values are null and key sets empty, so the cache holds no data of
+    /// any call.
+    shape: SourceQuery,
+    prepared: Arc<Prepared>,
+    /// The result document's element names, one per output column.
+    names: Arc<[Sym]>,
+    /// Tick of the last call that used it.
+    used: u64,
+}
+
+/// The adapter's prepared statements, found by comparing shapes.
+#[derive(Default)]
+struct StatementCache {
+    statements: Vec<Statement>,
+    tick: u64,
+}
+
+/// True when two fragments differ at most in their selections' values
+/// and their key sets' keys — that is, when one prepared statement
+/// serves both.
+fn same_shape(a: &SourceQuery, b: &SourceQuery) -> bool {
+    a.collections == b.collections
+        && a.join_conds == b.join_conds
+        && a.outputs == b.outputs
+        && a.limit == b.limit
+        && a.selections.len() == b.selections.len()
+        && a.key_sets.len() == b.key_sets.len()
+        && a.selections
+            .iter()
+            .zip(&b.selections)
+            .all(|(x, y)| x.field == y.field && x.op == y.op)
+        && a.key_sets.iter().zip(&b.key_sets).all(|(x, y)| x.0 == y.0)
+}
 
 /// Wraps a shared relational database as an integration source.
 pub struct RelationalAdapter {
     name: String,
     db: Arc<RwLock<Database>>,
+    /// Only ever locked while the database is, so the two never wait on
+    /// each other in the other order.
+    statements: Mutex<StatementCache>,
 }
 
 impl RelationalAdapter {
@@ -22,6 +73,7 @@ impl RelationalAdapter {
         RelationalAdapter {
             name: name.to_string(),
             db,
+            statements: Mutex::new(StatementCache::default()),
         }
     }
 
@@ -41,54 +93,121 @@ impl RelationalAdapter {
     }
 
     /// Generate the SQL text for a fragment — public so tests and EXPLAIN
-    /// output can show exactly what is shipped.
+    /// output can show exactly what is shipped. What is prepared is this
+    /// text with a `?` for each selection value and each key list.
     pub fn to_sql(query: &SourceQuery) -> String {
-        let mut sql = String::from("SELECT ");
-        if query.outputs.is_empty() {
-            // A fragment with only selections (no bound variables) is an
-            // existence scan; emit a constant so the SQL stays valid and
-            // the row count carries the match multiplicity.
-            sql.push_str("1 AS __match");
-        } else {
-            let outs: Vec<String> = query
-                .outputs
-                .iter()
-                .map(|(name, f)| format!("{}.{} AS {}", f.alias, f.field, name))
-                .collect();
-            sql.push_str(&outs.join(", "));
-        }
-        sql.push_str(" FROM ");
-        sql.push_str(&format!(
-            "{} {}",
-            query.collections[0].collection, query.collections[0].alias
-        ));
-        for (i, c) in query.collections.iter().enumerate().skip(1) {
-            // Join conditions pair up with the collections after the first;
-            // to_sql expects join_conds[i-1] to connect collection i.
-            let (l, r) = &query.join_conds[i - 1];
-            sql.push_str(&format!(
-                " JOIN {} {} ON {} = {}",
-                c.collection, c.alias, l, r
-            ));
-        }
-        let mut preds: Vec<String> = query
-            .selections
-            .iter()
-            .map(|s| format!("{} {} {}", s.field, s.op.sql(), sql_literal(&s.value)))
-            .collect();
-        for (field, keys) in &query.key_sets {
-            let list: Vec<String> = keys.iter().map(sql_literal).collect();
-            preds.push(format!("{} IN ({})", field, list.join(", ")));
-        }
-        if !preds.is_empty() {
-            sql.push_str(" WHERE ");
-            sql.push_str(&preds.join(" AND "));
-        }
-        if let Some(n) = query.limit {
-            sql.push_str(&format!(" LIMIT {}", n));
-        }
-        sql
+        render(query, true)
     }
+
+    /// The prepared statement for `query`'s shape: the cached one while
+    /// the database's schema is the one it was prepared under, a fresh
+    /// one otherwise. A hit compares shapes field by field and allocates
+    /// nothing.
+    fn statement(
+        &self,
+        db: &mut Database,
+        query: &SourceQuery,
+    ) -> Result<(Arc<Prepared>, Arc<[Sym]>), SqlError> {
+        let mut cache = self.statements.lock();
+        cache.tick += 1;
+        let tick = cache.tick;
+        let found = cache
+            .statements
+            .iter()
+            .position(|s| same_shape(&s.shape, query));
+        if let Some(at) = found {
+            let s = &mut cache.statements[at];
+            if db.is_current(&s.prepared) {
+                s.used = tick;
+                return Ok((Arc::clone(&s.prepared), Arc::clone(&s.names)));
+            }
+            cache.statements.swap_remove(at);
+        }
+        let prepared = Arc::new(db.prepare(&render(query, false))?);
+        let names: Arc<[Sym]> = prepared.columns().iter().map(|c| Sym::intern(c)).collect();
+        if cache.statements.len() >= STATEMENT_CACHE_SHAPES {
+            let oldest = cache
+                .statements
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, s)| s.used)
+                .map(|(at, _)| at);
+            if let Some(at) = oldest {
+                cache.statements.swap_remove(at);
+            }
+        }
+        let mut shape = query.clone();
+        for s in &mut shape.selections {
+            s.value = Atomic::Null;
+        }
+        for (_, keys) in &mut shape.key_sets {
+            *keys = Arc::new([]);
+        }
+        cache.statements.push(Statement {
+            shape,
+            prepared: Arc::clone(&prepared),
+            names: Arc::clone(&names),
+            used: tick,
+        });
+        Ok((prepared, names))
+    }
+}
+
+/// A fragment as SQL text: with its values written in as literals, or
+/// with a `?` slot where each selection's value and each key set's list
+/// would stand (in that order — the order [`SourceAdapter::execute`]
+/// binds them in).
+fn render(query: &SourceQuery, values: bool) -> String {
+    let mut sql = String::from("SELECT ");
+    if query.outputs.is_empty() {
+        // A fragment with only selections (no bound variables) is an
+        // existence scan; emit a constant so the SQL stays valid and
+        // the row count carries the match multiplicity.
+        sql.push_str("1 AS __match");
+    }
+    for (i, (name, f)) in query.outputs.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(sql, "{}{}.{} AS {}", sep, f.alias, f.field, name);
+    }
+    let _ = write!(
+        sql,
+        " FROM {} {}",
+        query.collections[0].collection, query.collections[0].alias
+    );
+    for (c, (l, r)) in query.collections.iter().skip(1).zip(&query.join_conds) {
+        // Join conditions pair up with the collections after the first:
+        // `join_conds[i - 1]` connects collection `i`.
+        let _ = write!(sql, " JOIN {} {} ON {} = {}", c.collection, c.alias, l, r);
+    }
+    let mut sep = " WHERE ";
+    for s in &query.selections {
+        let _ = write!(sql, "{}{} {} ", sep, s.field, s.op.sql());
+        if values {
+            sql.push_str(&sql_literal(&s.value));
+        } else {
+            sql.push('?');
+        }
+        sep = " AND ";
+    }
+    for (field, keys) in &query.key_sets {
+        let _ = write!(sql, "{}{} IN (", sep, field);
+        if values {
+            for (i, key) in keys.iter().enumerate() {
+                if i > 0 {
+                    sql.push_str(", ");
+                }
+                sql.push_str(&sql_literal(key));
+            }
+        } else {
+            sql.push('?');
+        }
+        sql.push(')');
+        sep = " AND ";
+    }
+    if let Some(n) = query.limit {
+        let _ = write!(sql, " LIMIT {}", n);
+    }
+    sql
 }
 
 fn sql_literal(a: &Atomic) -> String {
@@ -143,20 +262,24 @@ impl SourceAdapter for RelationalAdapter {
     }
 
     fn execute(&self, query: &SourceQuery) -> Result<Arc<Document>, SourceError> {
-        let sql = Self::to_sql(query);
-        let mut db = self.db.write();
-        let rs = db
-            .execute(&sql)
-            .map_err(|e| SourceError::query(&self.name, format!("{} (SQL: {})", e, sql)))?;
+        // The SQL is spelled out only to say which statement failed.
+        let failed = |e: SqlError| {
+            SourceError::query(&self.name, format!("{} (SQL: {})", e, Self::to_sql(query)))
+        };
+        let values: Vec<SlotValue<'_>> = query
+            .selections
+            .iter()
+            .map(|s| SlotValue::Value(&s.value))
+            .chain(query.key_sets.iter().map(|(_, keys)| SlotValue::List(keys)))
+            .collect();
+        let (rows, names) = {
+            let mut db = self.db.write();
+            let (prepared, names) = self.statement(&mut db, query).map_err(failed)?;
+            (db.run(&prepared, &values).map_err(failed)?, names)
+        };
         let mut out = RowsBuilder::new();
-        for row in &rs.rows {
-            let fields: Vec<(&str, Atomic)> = rs
-                .columns
-                .iter()
-                .zip(row.iter())
-                .map(|(c, v)| (c.as_str(), v.clone()))
-                .collect();
-            out.row(&fields);
+        for row in rows {
+            out.row_syms(names.iter().copied().zip(row));
         }
         Ok(out.finish())
     }
@@ -166,15 +289,10 @@ impl SourceAdapter for RelationalAdapter {
         let table = db
             .table(name)
             .ok_or_else(|| SourceError::query(&self.name, format!("no collection {:?}", name)))?;
+        let names: Vec<Sym> = table.columns.iter().map(|c| Sym::intern(&c.name)).collect();
         let mut out = RowsBuilder::new();
         for row in table.rows() {
-            let fields: Vec<(&str, Atomic)> = table
-                .columns
-                .iter()
-                .zip(row.iter())
-                .map(|(c, v)| (c.name.as_str(), v.clone()))
-                .collect();
-            out.row(&fields);
+            out.row_syms(names.iter().copied().zip(row.iter().cloned()));
         }
         Ok(out.finish())
     }
@@ -325,6 +443,41 @@ mod tests {
         let doc = adapter().execute(&q).unwrap();
         assert_eq!(rows_of(&doc).len(), 1);
         assert_eq!(row_field(&rows_of(&doc)[0], "i"), Atomic::Int(2));
+    }
+
+    #[test]
+    fn the_statement_cache_is_bounded_and_holds_no_values() {
+        let a = adapter();
+        let keys: Arc<[Atomic]> = vec![Atomic::Int(1), Atomic::Int(2)].into();
+        // Fragments that differ in shape only (the limit is part of it).
+        let shaped = |limit: usize| {
+            let mut q = SourceQuery::scan("orders", &[("o", "id")])
+                .with_selection("total", PredOp::Gt, Atomic::Float(1.0))
+                .with_key_set(FieldRef::new("t", "cust_id"), Arc::clone(&keys));
+            q.limit = Some(limit);
+            q
+        };
+        let shapes = 3 * STATEMENT_CACHE_SHAPES;
+        for limit in 0..shapes {
+            a.execute(&shaped(limit)).unwrap();
+        }
+        {
+            let cache = a.statements.lock();
+            assert_eq!(cache.statements.len(), STATEMENT_CACHE_SHAPES);
+            for s in &cache.statements {
+                assert!(s.shape.selections.iter().all(|x| x.value.is_null()));
+                assert!(s.shape.key_sets.iter().all(|(_, keys)| keys.is_empty()));
+            }
+        }
+        // The shapes used last are the ones still prepared.
+        let prepares = || a.database().read().stats().prepares;
+        assert_eq!(prepares(), shapes as u64);
+        for limit in shapes - STATEMENT_CACHE_SHAPES..shapes {
+            a.execute(&shaped(limit)).unwrap();
+        }
+        assert_eq!(prepares(), shapes as u64);
+        a.execute(&shaped(0)).unwrap();
+        assert_eq!(prepares(), shapes as u64 + 1);
     }
 
     #[test]

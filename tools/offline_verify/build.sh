@@ -95,6 +95,11 @@ T bind_differential crates/core/tests/bind_differential.rs nimble_core nimble_so
 # `plan_cache_capacity: 0`: answers, shipped SQL, source calls, lineage;
 # the stale-cache key and shard routing.
 T param_differential crates/core/tests/param_differential.rs nimble_core nimble_sources nimble_xml nimble_xmlql
+# The relational adapter's prepared statements against the SQL text
+# they stand for: documents node for node, ExecStats count for count;
+# one prepare per shape, DDL behind the adapter's back, two threads on
+# one shape, ill-fitting slot values.
+T prepared_differential crates/sources/tests/prepared_differential.rs nimble_sources nimble_relational nimble_xml
 # The default plan against the all-central oracle (`pushdown: false`)
 # and against itself with lineage tracked; the 8 optimizer
 # configurations through planck with pruning on and off; streamed
