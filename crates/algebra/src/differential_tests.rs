@@ -12,8 +12,7 @@
 //! * Numeric strings (`"42"`, `" 42 "`) — coerce into the numeric
 //!   class, whitespace-trimmed.
 //!
-//! The offline-harness counterpart of the cargo-only proptest suites:
-//! these run everywhere, with fixed inputs.
+//! The fixed-input counterpart of the seeded sweeps in `tests/props.rs`.
 
 use crate::ops::{DistinctOp, GroupAggOp, HashJoinOp, JoinType, Operator, SortKey, SortOp, ValuesOp};
 use crate::run_to_vec;

@@ -1,14 +1,14 @@
-//! Property-based tests for the physical algebra: join-strategy
-//! equivalence, sort/distinct laws, and the LIKE matcher against a
-//! reference implementation.
+//! Property sweeps for the physical algebra: join-strategy equivalence,
+//! sort/distinct laws, and the LIKE matcher against a reference
+//! implementation. Each property runs over [`sweep`]'s seeded cases.
 
 use nimble_algebra::ops::{
     DistinctOp, HashJoinOp, JoinType, MergeJoinOp, NestedLoopJoinOp, SortKey, SortOp, ValuesOp,
 };
 use nimble_algebra::{run_to_vec, CmpOp, FunctionRegistry, ScalarExpr, Schema, Tuple};
 use nimble_algebra::expr::like_match;
+use nimble_trace::rng::{sweep, Rng};
 use nimble_xml::Value;
-use proptest::prelude::*;
 use std::sync::Arc;
 
 fn tuples_of(rows: &[(i64, i64)], vars: [&str; 2]) -> (Schema, Vec<Tuple>) {
@@ -29,14 +29,17 @@ fn normalize(rows: Vec<Tuple>) -> Vec<Vec<String>> {
     out
 }
 
-proptest! {
-    /// Hash join, nested-loop join, and merge join (over sorted inputs)
-    /// produce identical result multisets for equi-joins.
-    #[test]
-    fn join_strategies_agree(
-        left in proptest::collection::vec((0i64..8, any::<i64>()), 0..24),
-        right in proptest::collection::vec((0i64..8, any::<i64>()), 0..24),
-    ) {
+/// Up to `max_rows - 1` rows of `(key in 0..keys, any i64)`.
+fn keyed_rows(rng: &mut Rng, keys: i64, max_rows: usize) -> Vec<(i64, i64)> {
+    (0..rng.below(max_rows)).map(|_| (rng.range(0..keys), rng.any_i64())).collect()
+}
+
+/// Hash join, nested-loop join, and merge join (over sorted inputs)
+/// produce identical result multisets for equi-joins.
+#[test]
+fn join_strategies_agree() {
+    sweep(256, |rng| {
+        let (left, right) = (keyed_rows(rng, 8, 24), keyed_rows(rng, 8, 24));
         let funcs = Arc::new(FunctionRegistry::with_builtins());
         let (ls, lt) = tuples_of(&left, ["k", "x"]);
         let (rs, rt) = tuples_of(&right, ["k2", "y"]);
@@ -59,7 +62,7 @@ proptest! {
             funcs,
         );
         let nl_rows = normalize(run_to_vec(&mut nl).unwrap());
-        prop_assert_eq!(&hash_rows, &nl_rows);
+        assert_eq!(&hash_rows, &nl_rows);
 
         // Merge join needs sorted inputs.
         let mut lt_sorted = lt;
@@ -73,16 +76,16 @@ proptest! {
             0,
         );
         let merge_rows = normalize(run_to_vec(&mut merge).unwrap());
-        prop_assert_eq!(hash_rows, merge_rows);
-    }
+        assert_eq!(hash_rows, merge_rows);
+    });
+}
 
-    /// Left-outer join preserves every left tuple exactly
-    /// max(1, matches) times.
-    #[test]
-    fn left_outer_preserves_left(
-        left in proptest::collection::vec((0i64..6, any::<i64>()), 0..16),
-        right in proptest::collection::vec((0i64..6, any::<i64>()), 0..16),
-    ) {
+/// Left-outer join preserves every left tuple exactly
+/// max(1, matches) times.
+#[test]
+fn left_outer_preserves_left() {
+    sweep(256, |rng| {
+        let (left, right) = (keyed_rows(rng, 6, 16), keyed_rows(rng, 6, 16));
         let (ls, lt) = tuples_of(&left, ["k", "x"]);
         let (rs, rt) = tuples_of(&right, ["k2", "y"]);
         let mut op = HashJoinOp::new(
@@ -97,48 +100,60 @@ proptest! {
             .iter()
             .map(|(k, _)| right.iter().filter(|(rk, _)| rk == k).count().max(1))
             .sum();
-        prop_assert_eq!(rows.len(), expected);
-    }
+        assert_eq!(rows.len(), expected);
+    });
+}
 
-    /// Sort output is a permutation of the input and is ordered.
-    #[test]
-    fn sort_is_ordered_permutation(rows in proptest::collection::vec((any::<i64>(), any::<i64>()), 0..40)) {
+/// Sort output is a permutation of the input and is ordered.
+#[test]
+fn sort_is_ordered_permutation() {
+    sweep(256, |rng| {
+        let rows: Vec<(i64, i64)> =
+            (0..rng.below(40)).map(|_| (rng.any_i64(), rng.any_i64())).collect();
         let (s, t) = tuples_of(&rows, ["a", "b"]);
         let mut op = SortOp::new(
             Box::new(ValuesOp::new(s, t.clone())),
             vec![SortKey { column: 0, descending: false }],
         );
         let sorted = run_to_vec(&mut op).unwrap();
-        prop_assert_eq!(sorted.len(), t.len());
+        assert_eq!(sorted.len(), t.len());
         for w in sorted.windows(2) {
-            prop_assert_ne!(
+            assert_ne!(
                 w[0][0].total_cmp(&w[1][0]),
                 std::cmp::Ordering::Greater
             );
         }
-        prop_assert_eq!(normalize(sorted), normalize(t));
-    }
+        assert_eq!(normalize(sorted), normalize(t));
+    });
+}
 
-    /// Distinct is idempotent and yields no duplicate tuples.
-    #[test]
-    fn distinct_laws(rows in proptest::collection::vec((0i64..5, 0i64..5), 0..40)) {
+/// Distinct is idempotent and yields no duplicate tuples.
+#[test]
+fn distinct_laws() {
+    sweep(256, |rng| {
+        let rows: Vec<(i64, i64)> =
+            (0..rng.below(40)).map(|_| (rng.range(0..5), rng.range(0..5))).collect();
         let (s, t) = tuples_of(&rows, ["a", "b"]);
         let mut op = DistinctOp::new(Box::new(ValuesOp::new(s.clone(), t)));
         let once = run_to_vec(&mut op).unwrap();
         let as_set: std::collections::HashSet<Vec<String>> =
             normalize(once.clone()).into_iter().collect();
-        prop_assert_eq!(as_set.len(), once.len());
+        assert_eq!(as_set.len(), once.len());
 
         let mut op2 = DistinctOp::new(Box::new(ValuesOp::new(s, once.clone())));
         let twice = run_to_vec(&mut op2).unwrap();
-        prop_assert_eq!(normalize(once), normalize(twice));
-    }
+        assert_eq!(normalize(once), normalize(twice));
+    });
+}
 
-    /// LIKE agrees with a naive reference matcher.
-    #[test]
-    fn like_matches_reference(text in "[ab%_]{0,8}", pattern in "[ab%_]{0,6}") {
-        prop_assert_eq!(like_match(&text, &pattern), reference_like(&text, &pattern));
-    }
+/// LIKE agrees with a naive reference matcher.
+#[test]
+fn like_matches_reference() {
+    sweep(256, |rng| {
+        let (text, pattern) = (rng.string("ab%_", 0..9), rng.string("ab%_", 0..7));
+        let want = reference_like(&text, &pattern);
+        assert_eq!(like_match(&text, &pattern), want, "{:?} LIKE {:?}", text, pattern);
+    });
 }
 
 /// Exponential reference implementation of SQL LIKE.

@@ -26,7 +26,7 @@
 //!   ≤ 2 passes outright (metering a sub-millisecond query is
 //!   dominated by fixed costs in quick mode).
 
-use serde_json::Value;
+use nimble_trace::json::Value;
 
 /// Multiplicative slack on higher-is-better ratios (speedups).
 pub const RATIO_SLACK: f64 = 1.8;
@@ -331,16 +331,17 @@ pub fn render(results: &[GateResult]) -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nimble_trace::json;
 
     fn obs_artifact(verify_us: f64, off: f64, on: f64) -> Value {
-        let mut suite = serde_json::Map::new();
+        let mut suite = json::Map::new();
         suite.insert(
             "two_way_join".to_string(),
-            serde_json::json!({
-                "verify": serde_json::json!({"runs": 20, "mean_us": verify_us}),
+            json!({
+                "verify": json!({"runs": 20, "mean_us": verify_us}),
             }),
         );
-        serde_json::json!({
+        json!({
             "suite": Value::Object(suite),
             "loop_profile_off_us_per_query": off,
             "loop_profile_on_us_per_query": on,
@@ -360,8 +361,8 @@ mod tests {
     #[test]
     fn overhead_regression_fails_only_past_both_bands() {
         let artifact = |off: f64, on: f64| {
-            serde_json::json!({
-                "suite": serde_json::json!({}),
+            json!({
+                "suite": json!({}),
                 "loop_profile_off_us_per_query": off,
                 "loop_profile_on_us_per_query": on,
             })
@@ -379,7 +380,7 @@ mod tests {
     }
 
     fn prov_artifact(ratio: f64, differential_ok: bool, attribution_ok: bool) -> Value {
-        serde_json::json!({
+        json!({
             "experiment": "provenance",
             "differential_ok": differential_ok,
             "attribution_ok": attribution_ok,
@@ -419,7 +420,7 @@ mod tests {
 
     #[test]
     fn dispatch_matches_artifact_names() {
-        let v = serde_json::json!({});
+        let v = json!({});
         assert!(compare("BENCH_observability.json", &v, &v).is_some());
         assert!(compare("BENCH_provenance.json", &v, &v).is_some());
         assert!(compare("BENCH_shard.json", &v, &v).is_some());
@@ -432,8 +433,8 @@ mod tests {
         loss_ok: bool,
         pruning_ok: bool,
     ) -> Value {
-        let loss = serde_json::json!({ "ok": loss_ok });
-        serde_json::json!({
+        let loss = json!({ "ok": loss_ok });
+        json!({
             "experiment": "shard",
             "differential_ok": differential_ok,
             "pruning_ok": pruning_ok,
@@ -492,13 +493,13 @@ mod tests {
         // A fresh run that lost a speedup metric (schema drift must not
         // silently pass the sentinel).
         let base = shard_artifact(3.8, true, true, true);
-        let fresh = serde_json::json!({
+        let fresh = json!({
             "differential_ok": true,
             "pruning_ok": true,
             "max_pruned_frac": 0.75,
             "speedup_8_over_1": 5.7,
             "eq_speedup_4_over_1": 3.8,
-            "shard_loss": serde_json::json!({ "ok": true }),
+            "shard_loss": json!({ "ok": true }),
         });
         let results = compare_shard(&base, &fresh);
         assert!(results

@@ -12,13 +12,14 @@
 //! `cargo xtask bench-check` drives this in CI.
 
 use nimble_bench::baseline;
+use nimble_trace::json;
 
-fn read_artifact(dir: &str, name: &str) -> Result<serde_json::Value, String> {
+fn read_artifact(dir: &str, name: &str) -> Result<json::Value, String> {
     let path = std::path::Path::new(dir).join(name);
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("{}: {}", path.display(), e))?;
-    let parsed: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("{}: parse: {}", path.display(), e))?;
+    let parsed: json::Value =
+        json::from_str(&text).map_err(|e| format!("{}: parse: {}", path.display(), e))?;
     Ok(parsed)
 }
 

@@ -17,6 +17,7 @@
 //! `cached` stay flat near zero.
 
 use nimble_bench::{customer_fixture, emit_jsonl, TablePrinter};
+use nimble_trace::json;
 use nimble_core::{Catalog, Engine, EngineConfig};
 use nimble_sources::sim::{LinkConfig, SimulatedLink};
 use nimble_sources::SourceAdapter;
@@ -108,7 +109,7 @@ fn main() {
         ]);
         emit_jsonl(
             "e1_virtual_vs_materialized",
-            &serde_json::json!({
+            &json!({
                 "latency_ms": latency,
                 "virtual_serial_ms": serial_ms,
                 "virtual_parallel_ms": parallel_ms,

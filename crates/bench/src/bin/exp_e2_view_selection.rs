@@ -17,10 +17,10 @@
 //! the upper bound on source traffic.
 
 use nimble_bench::{customer_fixture, emit_jsonl, TablePrinter};
+use nimble_trace::json;
 use nimble_core::Engine;
 use nimble_store::{select_views, SelectionPolicy};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use nimble_trace::rng::Rng;
 
 const REGIONS: [&str; 4] = ["NW", "SW", "NE", "SE"];
 
@@ -90,10 +90,10 @@ fn view_names() -> Vec<String> {
 }
 
 /// Zipf-ish skew: view i gets weight 1/(i+1).
-fn pick_view(rng: &mut StdRng, names: &[String]) -> String {
+fn pick_view(rng: &mut Rng, names: &[String]) -> String {
     let weights: Vec<f64> = (0..names.len()).map(|i| 1.0 / (i + 1) as f64).collect();
     let total: f64 = weights.iter().sum();
-    let mut roll = rng.gen::<f64>() * total;
+    let mut roll = rng.f64() * total;
     for (name, w) in names.iter().zip(weights) {
         roll -= w;
         if roll <= 0.0 {
@@ -116,7 +116,7 @@ fn workload_query(view: &str, nonce: usize) -> String {
 }
 
 fn run_workload(engine: &Engine, queries: usize, seed: u64) -> u64 {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let names = view_names();
     let mut source_calls = 0;
     for nonce in 0..queries {
@@ -179,7 +179,7 @@ fn main() {
             ]);
             emit_jsonl(
                 "e2_view_selection",
-                &serde_json::json!({
+                &json!({
                     "budget_pct": budget_pct,
                     "policy": label,
                     "materialized": picked.len(),

@@ -13,6 +13,7 @@
 //!   the fraction fully answered (live or stale).
 
 use nimble_bench::{emit_jsonl, TablePrinter};
+use nimble_trace::json;
 use nimble_core::{Catalog, Engine, UnavailablePolicy};
 use nimble_sources::sim::{LinkConfig, SimulatedLink};
 use nimble_sources::xmldoc::XmlDocAdapter;
@@ -125,7 +126,7 @@ fn main() {
             ]);
             emit_jsonl(
                 "e3_availability",
-                &serde_json::json!({
+                &json!({
                     "sources": k,
                     "p_up": p,
                     "fail_ok_pct": fail_ok,

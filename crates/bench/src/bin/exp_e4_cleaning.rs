@@ -15,6 +15,7 @@
 //! the human-decision count the concordance amortizes.
 
 use nimble_bench::{emit_jsonl, TablePrinter};
+use nimble_trace::json;
 use nimble_cleaning::matching::{JaroWinkler, QGramJaccard};
 use nimble_cleaning::synth::{generate, SynthConfig};
 use nimble_cleaning::{
@@ -95,7 +96,7 @@ fn main() {
         ]);
         emit_jsonl(
             "e4_cleaning",
-            &serde_json::json!({
+            &json!({
                 "records": n, "arm": "merge_purge_raw",
                 "precision": eval.precision, "recall": eval.recall, "f1": eval.f1,
                 "records_per_sec": n as f64 / elapsed,
@@ -124,7 +125,7 @@ fn main() {
         ]);
         emit_jsonl(
             "e4_cleaning",
-            &serde_json::json!({
+            &json!({
                 "records": n, "arm": "flow_auto",
                 "precision": eval.precision, "recall": eval.recall, "f1": eval.f1,
                 "records_per_sec": n as f64 / elapsed,
@@ -165,7 +166,7 @@ fn main() {
         ]);
         emit_jsonl(
             "e4_cleaning",
-            &serde_json::json!({
+            &json!({
                 "records": n, "arm": "flow_concordance",
                 "precision": eval.precision, "recall": eval.recall, "f1": eval.f1,
                 "records_per_sec": n as f64 / elapsed,

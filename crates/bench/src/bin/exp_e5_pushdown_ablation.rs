@@ -15,6 +15,7 @@
 //! inside the relational source, and end-to-end latency.
 
 use nimble_bench::{emit_jsonl, TablePrinter};
+use nimble_trace::json;
 use nimble_core::{Catalog, Engine, OptimizerConfig};
 use nimble_sources::relational::RelationalAdapter;
 use std::sync::Arc;
@@ -144,7 +145,7 @@ fn main() {
                 ]);
                 emit_jsonl(
                     "e5_pushdown_ablation",
-                    &serde_json::json!({
+                    &json!({
                         "pushdown": pushdown,
                         "capability_joins": capability_joins,
                         "index": index,

@@ -9,6 +9,7 @@
 //! genuinely block.
 
 use nimble_bench::{customer_fixture, emit_jsonl, percentile, TablePrinter};
+use nimble_trace::json;
 use nimble_core::{Catalog, DispatchStrategy, EngineCluster, EngineConfig};
 use nimble_sources::sim::{LinkConfig, SimulatedLink};
 use nimble_sources::SourceAdapter;
@@ -96,7 +97,7 @@ fn main() {
             ]);
             emit_jsonl(
                 "e6_load_balancing",
-                &serde_json::json!({
+                &json!({
                     "instances": instances,
                     "strategy": label,
                     "qps": qps,

@@ -18,6 +18,7 @@
 //! the cleaning cost paid once at replica-build time.
 
 use nimble_bench::{emit_jsonl, TablePrinter};
+use nimble_trace::json;
 use nimble_cleaning::normalize::{NameStandardizer, Normalizer};
 use nimble_cleaning::synth::{generate, SynthConfig};
 use nimble_core::{Catalog, Engine};
@@ -104,7 +105,7 @@ fn main() {
         ]);
         emit_jsonl(
             "e8_virtually_clean",
-            &serde_json::json!({
+            &json!({
                 "entities": entities, "arm": "dynamic",
                 "latency_ms": latency / runs as f64,
                 "rows_shipped": rows / runs as u64,
@@ -144,7 +145,7 @@ fn main() {
         ]);
         emit_jsonl(
             "e8_virtually_clean",
-            &serde_json::json!({
+            &json!({
                 "entities": entities, "arm": "replica",
                 "latency_ms": latency / runs as f64,
                 "rows_shipped": rows / runs as u64,

@@ -28,7 +28,7 @@ use nimble_bench::{
     TablePrinter,
 };
 use nimble_core::{Engine, EngineConfig, OptimizerConfig};
-use nimble_trace::{chrome_trace, prometheus_text, query_log_jsonl, TraceId};
+use nimble_trace::{chrome_trace, json, prometheus_text, query_log_jsonl, TraceId};
 use std::time::Instant;
 
 /// Unwrap an experiment-infrastructure result without a panic path
@@ -106,14 +106,14 @@ fn main() {
         ("mean_us", 10),
         ("total_ms", 10),
     ]);
-    let mut suite_json = serde_json::Map::new();
+    let mut suite_json = json::Map::new();
     for (name, q) in SUITE {
         let (_, window) = observe_window(engine.metrics(), || {
             for _ in 0..runs {
                 need(engine.query(q), "suite query");
             }
         });
-        let mut phases_json = serde_json::Map::new();
+        let mut phases_json = json::Map::new();
         for (phase, count, mean_ms, total_ms) in phase_summary(&window) {
             table.row(&[
                 name.to_string(),
@@ -124,7 +124,7 @@ fn main() {
             ]);
             phases_json.insert(
                 phase,
-                serde_json::json!({
+                json!({
                     "runs": count,
                     "mean_us": mean_ms * 1e3,
                     "mean_ms": mean_ms,
@@ -132,13 +132,13 @@ fn main() {
                 }),
             );
         }
-        suite_json.insert(name.to_string(), serde_json::Value::Object(phases_json));
+        suite_json.insert(name.to_string(), json::Value::Object(phases_json));
     }
 
     // Allocation accounting: per-query heap traffic from the engine's
     // own `AllocScope` (zeros when the `profile-alloc` feature of
     // nimble-trace is compiled out).
-    let mut alloc_per_query = serde_json::Map::new();
+    let mut alloc_per_query = json::Map::new();
     let mut bytes_sum = 0.0;
     let mut peak_sum = 0.0;
     for (name, q) in SUITE {
@@ -147,17 +147,17 @@ fn main() {
         peak_sum += r.stats.alloc_peak_bytes as f64;
         alloc_per_query.insert(
             name.to_string(),
-            serde_json::json!({
+            json!({
                 "alloc_bytes": r.stats.alloc_bytes,
                 "alloc_peak_bytes": r.stats.alloc_peak_bytes,
             }),
         );
     }
-    let alloc_json = serde_json::json!({
+    let alloc_json = json!({
         "enabled": nimble_trace::alloc::enabled(),
         "query_bytes_mean": bytes_sum / SUITE.len() as f64,
         "query_peak_bytes_mean": peak_sum / SUITE.len() as f64,
-        "per_query": serde_json::Value::Object(alloc_per_query),
+        "per_query": json::Value::Object(alloc_per_query),
     });
     println!(
         "\nallocation: enabled={}, mean {:.0} bytes/query (peak {:.0})",
@@ -232,12 +232,12 @@ fn main() {
     // histograms (stored as centi-Q; reported as plain Q) plus the
     // decision-flip counters.
     let qsnap = engine.metrics_snapshot();
-    let mut qerror_json = serde_json::Map::new();
+    let mut qerror_json = json::Map::new();
     for (hist_name, h) in &qsnap.histograms {
         if let Some(kind) = hist_name.strip_prefix("plan.qerror.") {
             qerror_json.insert(
                 kind.to_string(),
-                serde_json::json!({
+                json!({
                     "count": h.count,
                     "median_q": h.p50() as f64 / 100.0,
                     "p99_q": h.p99() as f64 / 100.0,
@@ -253,16 +253,16 @@ fn main() {
         qsnap.counter("plan.flips.parallel"),
         qsnap.counter("plan.feedback.gross"),
     );
-    let plan_quality_json = serde_json::json!({
-        "qerror": serde_json::Value::Object(qerror_json),
-        "flips": serde_json::json!({
+    let plan_quality_json = json!({
+        "qerror": json::Value::Object(qerror_json),
+        "flips": json!({
             "build_side": qsnap.counter("plan.flips.build_side"),
             "parallel": qsnap.counter("plan.flips.parallel"),
             "gross_feedback": qsnap.counter("plan.feedback.gross"),
         }),
     });
 
-    let record = serde_json::json!({
+    let record = json!({
         "experiment": "observability",
         "customers": customers,
         "runs": runs,
@@ -273,7 +273,7 @@ fn main() {
         "loop_profile_off_us_per_query": off_us,
         "loop_profile_on_us_per_query": on_us,
         "queries_total": engine.metrics_snapshot().counter("engine.queries"),
-        "export": serde_json::json!({
+        "export": json!({
             "chrome_trace_us": chrome_us,
             "chrome_trace_bytes": chrome.len(),
             "prometheus_us": prom_us,

@@ -19,6 +19,7 @@
 //! step, which fail on `differential_ok`/`attribution_ok` = false.
 
 use nimble_bench::{customer_fixture, emit_jsonl, write_bench_provenance, TablePrinter};
+use nimble_trace::json;
 use nimble_core::{Engine, EngineConfig, OptimizerConfig, QueryResult};
 use nimble_xml::to_string;
 use std::sync::Arc;
@@ -160,7 +161,7 @@ fn main() {
         ("on_us", 10),
         ("overhead", 10),
     ]);
-    let mut suite_json = serde_json::Map::new();
+    let mut suite_json = json::Map::new();
     let mut total_off_us = 0.0;
     let mut total_on_us = 0.0;
     for (name, q, _) in SUITE {
@@ -193,7 +194,7 @@ fn main() {
         ]);
         suite_json.insert(
             name.to_string(),
-            serde_json::json!({
+            json!({
                 "answers": answers,
                 "off_us_per_query": off_us,
                 "on_us_per_query": on_us,
@@ -211,7 +212,7 @@ fn main() {
         spilled,
     );
 
-    let record = serde_json::json!({
+    let record = json!({
         "experiment": "provenance",
         "customers": customers,
         "runs": runs,
@@ -219,7 +220,7 @@ fn main() {
         "differential_ok": differential_ok,
         "attribution_ok": attribution_ok,
         "answers_attributed": answers_attributed,
-        "suite": serde_json::Value::Object(suite_json),
+        "suite": json::Value::Object(suite_json),
         "lineage_overhead_ratio": overall,
         "spilled_sets": spilled,
         "tracked_queries": on.metrics_snapshot().counter("engine.provenance.tracked"),

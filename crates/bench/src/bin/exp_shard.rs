@@ -23,6 +23,7 @@
 //! for CI smoke.
 
 use nimble_bench::{emit_jsonl, write_bench_artifact, TablePrinter};
+use nimble_trace::json;
 use nimble_core::{
     Catalog, Engine, EngineConfig, ShardSpec, ShardedCluster, UnavailablePolicy,
 };
@@ -207,7 +208,7 @@ fn main() {
         ("build_ms", 10),
     ]);
 
-    let mut curve = serde_json::Map::new();
+    let mut curve = json::Map::new();
     let mut all_identical = true;
     let mut max_pruned_frac = 0.0f64;
     for (label, scheme, shards) in &layouts {
@@ -225,7 +226,7 @@ fn main() {
             "cluster build",
         );
         let build_ms = t.elapsed().as_secs_f64() * 1e3;
-        let mut layout_json = serde_json::Map::new();
+        let mut layout_json = json::Map::new();
         for ((name, q), want) in queries.iter().zip(&expected) {
             let obs = measure(&cluster, q, want, runs);
             all_identical &= obs.identical;
@@ -245,7 +246,7 @@ fn main() {
             ]);
             layout_json.insert(
                 (*name).to_string(),
-                serde_json::json!({
+                json!({
                     "e2e_ms": obs.e2e_ms,
                     "pruned_per_query": obs.pruned,
                     "fanned_per_query": obs.fanned,
@@ -254,8 +255,8 @@ fn main() {
                 }),
             );
         }
-        layout_json.insert("build_ms".to_string(), serde_json::json!(build_ms));
-        curve.insert(label.clone(), serde_json::Value::Object(layout_json));
+        layout_json.insert("build_ms".to_string(), json!(build_ms));
+        curve.insert(label.clone(), json::Value::Object(layout_json));
     }
 
     let ms = |layout: &str, q: &str| -> f64 {
@@ -263,7 +264,7 @@ fn main() {
             .get(layout)
             .and_then(|l| l.get(q))
             .and_then(|o| o.get("e2e_ms"))
-            .and_then(serde_json::Value::as_f64)
+            .and_then(json::Value::as_f64)
             .unwrap_or(f64::NAN)
     };
     let speedup_4_over_1 = ms("range/1", "selective") / ms("range/4", "selective").max(1e-9);
@@ -330,7 +331,7 @@ fn main() {
     }
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let loss_json = serde_json::json!({
+    let loss_json = json!({
         "ok": shard_loss_ok,
         "complete": loss.complete,
         "missing": loss.missing_sources,
@@ -338,7 +339,7 @@ fn main() {
         "answers_expected": loss_expected,
         "answer_frac": answer_frac,
     });
-    let record = serde_json::json!({
+    let record = json!({
         "experiment": "shard",
         "rows": rows,
         "runs": runs,
@@ -350,7 +351,7 @@ fn main() {
         "speedup_4_over_1": speedup_4_over_1,
         "speedup_8_over_1": speedup_8_over_1,
         "eq_speedup_4_over_1": eq_speedup_4_over_1,
-        "curve": serde_json::Value::Object(curve),
+        "curve": json::Value::Object(curve),
         "shard_loss": loss_json,
     });
     write_bench_artifact("BENCH_shard.json", &record);

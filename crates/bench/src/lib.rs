@@ -16,8 +16,8 @@
 //! * `exp_observability`              — E9: phase accounting and the
 //!   cost of metering (see DESIGN.md §9).
 //!
-//! Criterion benches `algebra_ops` and `query_pipeline` cover E7 (the
-//! physical algebra and front-end costs).
+//! E7 (the physical algebra and front-end costs) is timed by the serve
+//! benchmark's per-layer metrics (`benchmark/`, EXPERIMENTS.md E7).
 //!
 //! Every binary prints an aligned table and appends machine-readable
 //! JSON lines under `target/experiments/`.
@@ -27,12 +27,12 @@ pub mod baseline;
 use nimble_core::Catalog;
 use nimble_sources::relational::RelationalAdapter;
 use nimble_sources::xmldoc::XmlDocAdapter;
-use nimble_trace::{MetricsRegistry, MetricsSnapshot};
+use nimble_trace::{json, MetricsRegistry, MetricsSnapshot};
 use std::io::Write;
 use std::sync::Arc;
 
 /// Append a JSON-lines record for an experiment run.
-pub fn emit_jsonl(experiment: &str, record: &serde_json::Value) {
+pub fn emit_jsonl(experiment: &str, record: &json::Value) {
     let dir = std::path::Path::new("target/experiments");
     if std::fs::create_dir_all(dir).is_err() {
         return;
@@ -90,11 +90,8 @@ pub fn phase_summary(window: &MetricsSnapshot) -> Vec<(String, u64, f64, f64)> {
 /// directory instead (same basename). The regression sentinel
 /// (`cargo xtask bench-check`) uses this to collect a fresh run
 /// without clobbering the checked-in repo-root baselines.
-pub fn write_bench_artifact(file: &str, record: &serde_json::Value) {
-    let rendered = match serde_json::to_string_pretty(record) {
-        Ok(s) => s,
-        Err(_) => record.to_string(),
-    };
+pub fn write_bench_artifact(file: &str, record: &json::Value) {
+    let rendered = json::to_string_pretty(record);
     let path = match std::env::var("NIMBLE_BENCH_OUT_DIR") {
         Ok(dir) if !dir.is_empty() => {
             let _ = std::fs::create_dir_all(&dir);
@@ -107,12 +104,12 @@ pub fn write_bench_artifact(file: &str, record: &serde_json::Value) {
 }
 
 /// Write the observability benchmark artifact.
-pub fn write_bench_observability(record: &serde_json::Value) {
+pub fn write_bench_observability(record: &json::Value) {
     write_bench_artifact("BENCH_observability.json", record);
 }
 
 /// Write the provenance benchmark artifact.
-pub fn write_bench_provenance(record: &serde_json::Value) {
+pub fn write_bench_provenance(record: &json::Value) {
     write_bench_artifact("BENCH_provenance.json", record);
 }
 

@@ -2,7 +2,7 @@
 //!
 //! "We use a declarative representation of the flow" (after Galhardas et
 //! al., the paper's reference 7): a [`CleaningFlow`] is data — a named sequence
-//! of steps — serializable with serde so flows can be stored by the
+//! of steps — serializable as JSON so flows can be stored by the
 //! management tools, versioned, and shipped between deployments. "It
 //! will be easy to add new data sources to an existing flow": a flow is
 //! applied per record set, so adding a source means running the same
@@ -11,11 +11,10 @@
 use crate::lineage::{LineageLog, LineageOp};
 use crate::normalize;
 use crate::record::RecordSet;
-use serde::{Deserialize, Serialize};
+use nimble_trace::json::{self, Value};
 
 /// One declarative step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(tag = "op", rename_all = "snake_case")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlowStep {
     /// Apply a named normalizer to a field in place.
     Normalize { field: String, normalizer: String },
@@ -34,8 +33,78 @@ pub enum FlowStep {
     RequireField { field: String },
 }
 
+impl FlowStep {
+    /// The step as it is stored: the `op` tag, then the variant's fields
+    /// in declaration order.
+    fn wire_fields(&self) -> Vec<(&'static str, Value)> {
+        let s = |v: &String| Value::from(v.as_str());
+        match self {
+            FlowStep::Normalize { field, normalizer } => vec![
+                ("op", "normalize".into()),
+                ("field", s(field)),
+                ("normalizer", s(normalizer)),
+            ],
+            FlowStep::SplitAddress { field } => {
+                vec![("op", "split_address".into()), ("field", s(field))]
+            }
+            FlowStep::MergeFields {
+                inputs,
+                output,
+                separator,
+            } => vec![
+                ("op", "merge_fields".into()),
+                ("inputs", inputs.clone().into()),
+                ("output", s(output)),
+                ("separator", s(separator)),
+            ],
+            FlowStep::Copy { from, to } => {
+                vec![("op", "copy".into()), ("from", s(from)), ("to", s(to))]
+            }
+            FlowStep::RequireField { field } => {
+                vec![("op", "require_field".into()), ("field", s(field))]
+            }
+        }
+    }
+
+    fn from_wire(step: &Value) -> Result<FlowStep, String> {
+        if step.as_object().is_none() {
+            return Err("expected an object".into());
+        }
+        let text = |field: &str| {
+            let v = step.get(field).and_then(Value::as_str);
+            v.map(str::to_string).ok_or_else(|| format!("{:?}: expected a string", field))
+        };
+        Ok(match text("op")?.as_str() {
+            "normalize" => FlowStep::Normalize {
+                field: text("field")?,
+                normalizer: text("normalizer")?,
+            },
+            "split_address" => FlowStep::SplitAddress {
+                field: text("field")?,
+            },
+            "merge_fields" => FlowStep::MergeFields {
+                inputs: step
+                    .get("inputs")
+                    .and_then(Value::as_array)
+                    .and_then(|a| a.iter().map(|v| v.as_str().map(str::to_string)).collect())
+                    .ok_or("\"inputs\": expected an array of strings")?,
+                output: text("output")?,
+                separator: text("separator")?,
+            },
+            "copy" => FlowStep::Copy {
+                from: text("from")?,
+                to: text("to")?,
+            },
+            "require_field" => FlowStep::RequireField {
+                field: text("field")?,
+            },
+            other => return Err(format!("unknown \"op\" {:?}", other)),
+        })
+    }
+}
+
 /// A named, ordered cleaning flow.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CleaningFlow {
     pub name: String,
     pub steps: Vec<FlowStep>,
@@ -66,14 +135,40 @@ impl CleaningFlow {
         self
     }
 
-    /// Serialize to JSON (the storable representation).
+    /// Serialize to JSON (the storable representation): `{"name": …,
+    /// "steps": [{"op": "merge_fields", "inputs": […], …}, …]}`, each step
+    /// tagged by its snake_case `op` with its fields in declaration order,
+    /// two-space indented.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("flow serializes")
+        let name = Value::from(self.name.as_str());
+        let mut out = format!("{{\n  \"name\": {},\n  \"steps\": [", name);
+        for (i, step) in self.steps.iter().enumerate() {
+            out.push_str(if i == 0 { "\n    {" } else { ",\n    {" });
+            for (j, (key, value)) in step.wire_fields().iter().enumerate() {
+                let comma = if j == 0 { "" } else { "," };
+                out.push_str(&format!("{}\n      \"{}\": {}", comma, key, value.to_pretty_at(3)));
+            }
+            out.push_str("\n    }");
+        }
+        let close = if self.steps.is_empty() { "]\n}" } else { "\n  ]\n}" };
+        out + close
     }
 
-    /// Load from JSON.
+    /// Load from JSON. Members this version does not know are ignored; a
+    /// missing or mistyped one is an error naming the step and the field.
     pub fn from_json(text: &str) -> Result<CleaningFlow, FlowError> {
-        serde_json::from_str(text).map_err(|e| FlowError(e.to_string()))
+        let doc = json::from_str(text).map_err(|e| FlowError(e.to_string()))?;
+        let name = doc.get("name").and_then(Value::as_str);
+        let name = name.ok_or_else(|| FlowError("\"name\": expected a string".into()))?;
+        let steps = doc.get("steps").and_then(Value::as_array);
+        let steps = steps.ok_or_else(|| FlowError("\"steps\": expected an array".into()))?;
+        let steps = steps.iter().enumerate().map(|(i, step)| {
+            FlowStep::from_wire(step).map_err(|e| FlowError(format!("steps[{}]: {}", i, e)))
+        });
+        Ok(CleaningFlow {
+            name: name.to_string(),
+            steps: steps.collect::<Result<_, _>>()?,
+        })
     }
 
     /// Apply the flow to a record set in place, logging every change.
@@ -210,6 +305,109 @@ mod tests {
         let back = CleaningFlow::from_json(&json).unwrap();
         assert_eq!(back, f);
         assert!(CleaningFlow::from_json("{bad json").is_err());
+        // Awkward strings and the empty shapes survive too.
+        let odd = CleaningFlow::new("q\"\\\n\u{1}é😀").step(FlowStep::MergeFields {
+            inputs: vec![],
+            output: String::new(),
+            separator: "\t".into(),
+        });
+        assert_eq!(CleaningFlow::from_json(&odd.to_json()).unwrap(), odd);
+        let empty = CleaningFlow::new("");
+        assert_eq!(empty.to_json(), "{\n  \"name\": \"\",\n  \"steps\": []\n}");
+        assert_eq!(CleaningFlow::from_json(&empty.to_json()).unwrap(), empty);
+    }
+
+    /// The stored form, exactly as `serde_json::to_string_pretty` spelled
+    /// it when the format was derived: flows written by earlier versions
+    /// load, and what this version writes is byte-identical.
+    const GOLDEN: &str = r#"{
+  "name": "standardize_people",
+  "steps": [
+    {
+      "op": "copy",
+      "from": "name",
+      "to": "raw_name"
+    },
+    {
+      "op": "normalize",
+      "field": "name",
+      "normalizer": "name"
+    },
+    {
+      "op": "split_address",
+      "field": "addr"
+    },
+    {
+      "op": "merge_fields",
+      "inputs": [
+        "city",
+        "state"
+      ],
+      "output": "region",
+      "separator": ", "
+    },
+    {
+      "op": "require_field",
+      "field": "name"
+    }
+  ]
+}"#;
+
+    #[test]
+    fn json_wire_format_is_pinned() {
+        assert_eq!(CleaningFlow::from_json(GOLDEN).unwrap(), flow());
+        assert_eq!(flow().to_json(), GOLDEN);
+        // Compact spelling, reordered members and members this version
+        // does not know load to the same flow.
+        let compact =
+            r#"{"steps":[{"field":"name","op":"require_field","since":2}],"name":"x","v":1}"#;
+        let want = CleaningFlow::new("x").step(FlowStep::RequireField {
+            field: "name".into(),
+        });
+        assert_eq!(CleaningFlow::from_json(compact).unwrap(), want);
+    }
+
+    #[test]
+    fn json_errors_name_the_step_and_the_field() {
+        let expect = |text: &str, want: &str| {
+            let got = CleaningFlow::from_json(text);
+            assert_eq!(got, Err(FlowError(want.to_string())), "{}", text);
+        };
+        expect("[]", "\"name\": expected a string");
+        expect(r#"{"name": 1, "steps": []}"#, "\"name\": expected a string");
+        expect(r#"{"name": "x"}"#, "\"steps\": expected an array");
+        expect(r#"{"name": "x", "steps": {}}"#, "\"steps\": expected an array");
+        expect(r#"{"name": "x", "steps": []"#, "expected ',' or the closing bracket at byte 25");
+        // (steps, error)
+        let cases = [
+            ("7", "steps[0]: expected an object"),
+            ("{}", "steps[0]: \"op\": expected a string"),
+            (
+                r#"{"op": "copy", "from": "a", "to": "b"}, {"op": "explode"}"#,
+                "steps[1]: unknown \"op\" \"explode\"",
+            ),
+            (r#"{"op": "Copy", "from": "a", "to": "b"}"#, "steps[0]: unknown \"op\" \"Copy\""),
+            (r#"{"op": "copy", "from": "a"}"#, "steps[0]: \"to\": expected a string"),
+            (
+                r#"{"op": "normalize", "field": null, "normalizer": "n"}"#,
+                "steps[0]: \"field\": expected a string",
+            ),
+            (
+                r#"{"op": "merge_fields", "inputs": "a", "output": "o", "separator": ""}"#,
+                "steps[0]: \"inputs\": expected an array of strings",
+            ),
+            (
+                r#"{"op": "merge_fields", "inputs": ["a", 1], "output": "o", "separator": ""}"#,
+                "steps[0]: \"inputs\": expected an array of strings",
+            ),
+        ];
+        for (steps, want) in cases {
+            expect(&format!(r#"{{"name": "x", "steps": [{}]}}"#, steps), want);
+        }
+        // A bomb from outside is an error, not a stack overflow.
+        let bomb = format!("{{\"name\": \"x\", \"steps\": {}", "[".repeat(100_000));
+        let refused = CleaningFlow::from_json(&bomb).unwrap_err();
+        assert!(refused.0.starts_with("nesting too deep"), "{}", refused);
     }
 
     #[test]

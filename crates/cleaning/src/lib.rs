@@ -30,7 +30,7 @@
 //!   decisions, and supporting roll-back whenever possible".
 //! * **Declarative flows** — [`flow`]: cleaning pipelines as data
 //!   ("We use a declarative representation of the flow"), serializable
-//!   with `serde_json` so flows can be stored and shipped.
+//!   as JSON so flows can be stored and shipped.
 //! * **Synthetic dirty data** — [`synth`]: the stand-in for proprietary
 //!   customer databases, with parameterized error rates and ground
 //!   truth for precision/recall measurement.

@@ -9,9 +9,7 @@
 //! giving exact precision/recall for any matcher.
 
 use crate::record::Record;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use nimble_trace::rng::Rng;
 use std::collections::HashMap;
 
 const FIRST_NAMES: &[&str] = &[
@@ -169,32 +167,32 @@ pub struct Evaluation {
 /// Generate dirty data per the configuration (deterministic in the
 /// seed).
 pub fn generate(config: &SynthConfig) -> SynthData {
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Rng::new(config.seed);
     let mut records = Vec::new();
     let mut truth = HashMap::new();
     let mut counters: HashMap<String, usize> = HashMap::new();
 
     for entity in 0..config.entities {
-        let first = FIRST_NAMES[rng.gen_range(0..FIRST_NAMES.len())];
-        let last = LAST_NAMES[rng.gen_range(0..LAST_NAMES.len())];
+        let first = *rng.pick(FIRST_NAMES);
+        let last = *rng.pick(LAST_NAMES);
         let name = format!("{} {}", first, last);
-        let number = rng.gen_range(1..999);
-        let street = STREETS[rng.gen_range(0..STREETS.len())];
-        let (city, state) = CITIES[rng.gen_range(0..CITIES.len())];
+        let number = rng.range(1..999);
+        let street = *rng.pick(STREETS);
+        let (city, state) = *rng.pick(CITIES);
         let address = format!("{} {}, {}, {}", number, street, city, state);
         let phone = format!(
             "{:03}-{:03}-{:04}",
-            rng.gen_range(200..999),
-            rng.gen_range(200..999),
-            rng.gen_range(0..9999)
+            rng.range(200..999),
+            rng.range(200..999),
+            rng.range(0..9999)
         );
 
         // The entity's first record goes to a random source, clean-ish.
         let mut homes: Vec<&String> = config.sources.iter().collect();
-        homes.shuffle(&mut rng);
+        rng.shuffle(&mut homes);
         let mut copies = 1;
         for _ in 1..homes.len() {
-            if rng.gen_bool(config.duplicate_rate) {
+            if rng.chance(config.duplicate_rate) {
                 copies += 1;
             }
         }
@@ -217,47 +215,47 @@ pub fn generate(config: &SynthConfig) -> SynthData {
     SynthData { records, truth }
 }
 
-fn corrupt(rec: &mut Record, config: &SynthConfig, rng: &mut StdRng) {
-    if rng.gen_bool(config.typo_rate) {
+fn corrupt(rec: &mut Record, config: &SynthConfig, rng: &mut Rng) {
+    if rng.chance(config.typo_rate) {
         let v = typo(rec.get("name"), rng);
         rec.set("name", v);
     }
-    if rng.gen_bool(config.abbrev_rate) {
+    if rng.chance(config.abbrev_rate) {
         let mut addr = rec.get("address").to_string();
         for (long, short) in ABBREVS {
             addr = addr.replace(long, short);
         }
         rec.set("address", addr);
     }
-    if rng.gen_bool(config.reorder_name_rate) {
+    if rng.chance(config.reorder_name_rate) {
         let name = rec.get("name").to_string();
         if let Some((first, last)) = name.rsplit_once(' ') {
             rec.set("name", format!("{}, {}", last, first));
         }
     }
-    if rng.gen_bool(config.drop_field_rate) {
+    if rng.chance(config.drop_field_rate) {
         rec.set("phone", String::new());
     }
-    if rng.gen_bool(config.typo_rate / 2.0) {
+    if rng.chance(config.typo_rate / 2.0) {
         let v = typo(rec.get("address"), rng);
         rec.set("address", v);
     }
 }
 
 /// One random character edit: swap, delete, insert, or replace.
-fn typo(s: &str, rng: &mut StdRng) -> String {
+fn typo(s: &str, rng: &mut Rng) -> String {
     let mut chars: Vec<char> = s.chars().collect();
     if chars.len() < 2 {
         return s.to_string();
     }
-    let i = rng.gen_range(0..chars.len() - 1);
-    match rng.gen_range(0..4) {
+    let i = rng.below(chars.len() - 1);
+    match rng.below(4) {
         0 => chars.swap(i, i + 1),
         1 => {
             chars.remove(i);
         }
-        2 => chars.insert(i, (b'a' + rng.gen_range(0..26)) as char),
-        _ => chars[i] = (b'a' + rng.gen_range(0..26)) as char,
+        2 => chars.insert(i, (b'a' + rng.below(26) as u8) as char),
+        _ => chars[i] = (b'a' + rng.below(26) as u8) as char,
     }
     chars.into_iter().collect()
 }

@@ -1,5 +1,7 @@
-//! Property-based tests for the cleaning layer: metric laws for the
-//! matchers, normalizer idempotence, and union-find invariants.
+//! Property sweeps for the cleaning layer: metric laws for the
+//! matchers, normalizer idempotence, and union-find invariants. Each
+//! property runs over [`sweep`]'s seeded cases, after the inputs earlier
+//! failures shrank to.
 
 use nimble_cleaning::matching::{
     levenshtein_distance, soundex, JaroWinkler, Levenshtein, Matcher, QGramJaccard,
@@ -8,92 +10,120 @@ use nimble_cleaning::merge_purge::UnionFind;
 use nimble_cleaning::normalize::{
     AbbrevExpander, AddressNormalizer, BasicNormalizer, NameStandardizer, Normalizer,
 };
-use proptest::prelude::*;
+use nimble_trace::rng::sweep;
 
-proptest! {
-    /// Levenshtein is a metric: identity, symmetry, triangle inequality.
-    #[test]
-    fn levenshtein_is_a_metric(a in "[ab]{0,8}", b in "[ab]{0,8}", c in "[ab]{0,8}") {
-        prop_assert_eq!(levenshtein_distance(&a, &a), 0);
-        prop_assert_eq!(levenshtein_distance(&a, &b), levenshtein_distance(&b, &a));
-        prop_assert!(
+const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
+const UPPER: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+
+/// Levenshtein is a metric: identity, symmetry, triangle inequality.
+#[test]
+fn levenshtein_is_a_metric() {
+    sweep(256, |rng| {
+        let [a, b, c] = [(); 3].map(|_| rng.string("ab", 0..9));
+        assert_eq!(levenshtein_distance(&a, &a), 0);
+        assert_eq!(levenshtein_distance(&a, &b), levenshtein_distance(&b, &a));
+        assert!(
             levenshtein_distance(&a, &c)
                 <= levenshtein_distance(&a, &b) + levenshtein_distance(&b, &c)
         );
         if a != b {
-            prop_assert!(levenshtein_distance(&a, &b) > 0);
+            assert!(levenshtein_distance(&a, &b) > 0);
         }
-    }
+    });
+}
 
-    /// Every similarity stays in [0, 1], is symmetric, and scores
-    /// identity as 1.
-    #[test]
-    fn similarities_are_bounded_and_symmetric(a in "[a-c ]{0,10}", b in "[a-c ]{0,10}") {
-        let matchers: Vec<Box<dyn Matcher>> = vec![
-            Box::new(Levenshtein),
-            Box::new(JaroWinkler),
-            Box::new(QGramJaccard::default()),
-        ];
+/// Every similarity stays in [0, 1], is symmetric, and scores
+/// identity as 1.
+#[test]
+fn similarities_are_bounded_and_symmetric() {
+    let matchers: Vec<Box<dyn Matcher>> = vec![
+        Box::new(Levenshtein),
+        Box::new(JaroWinkler),
+        Box::new(QGramJaccard::default()),
+    ];
+    let check = |a: &str, b: &str| {
         for m in &matchers {
-            let s = m.similarity(&a, &b);
-            prop_assert!((0.0..=1.0).contains(&s), "{} out of range for {}", s, m.name());
-            let s2 = m.similarity(&b, &a);
-            prop_assert!((s - s2).abs() < 1e-9, "{} asymmetric", m.name());
-            prop_assert!((m.similarity(&a, &a) - 1.0).abs() < 1e-9);
+            let s = m.similarity(a, b);
+            assert!((0.0..=1.0).contains(&s), "{} out of range for {}", s, m.name());
+            let s2 = m.similarity(b, a);
+            assert!((s - s2).abs() < 1e-9, "{} asymmetric on {:?} / {:?}", m.name(), a, b);
+            assert!((m.similarity(a, a) - 1.0).abs() < 1e-9);
         }
-    }
+    };
+    // Shrunk from an earlier failure.
+    check("c b ", "  cbaa");
+    sweep(256, |rng| {
+        check(&rng.string("abc ", 0..11), &rng.string("abc ", 0..11))
+    });
+}
 
-    /// An edit of one character never drops normalized Levenshtein
-    /// similarity below (len-1)/len.
-    #[test]
-    fn single_typo_bounded_damage(s in "[a-z]{2,12}", pos in 0usize..12) {
+/// An edit of one character never drops normalized Levenshtein
+/// similarity below (len-1)/len.
+#[test]
+fn single_typo_bounded_damage() {
+    sweep(256, |rng| {
+        let s = rng.string(LOWER, 2..13);
         let chars: Vec<char> = s.chars().collect();
-        let pos = pos % chars.len();
+        let pos = rng.below(chars.len());
         let mut corrupted = chars.clone();
         corrupted[pos] = if corrupted[pos] == 'z' { 'a' } else { 'z' };
         let corrupted: String = corrupted.into_iter().collect();
-        prop_assert!(levenshtein_distance(&s, &corrupted) <= 1);
+        assert!(levenshtein_distance(&s, &corrupted) <= 1);
         let sim = Levenshtein.similarity(&s, &corrupted);
-        prop_assert!(sim >= (chars.len() as f64 - 1.0) / chars.len() as f64 - 1e-9);
-    }
+        assert!(sim >= (chars.len() as f64 - 1.0) / chars.len() as f64 - 1e-9);
+    });
+}
 
-    /// Soundex always yields letter + 3 digits and is case-insensitive.
-    #[test]
-    fn soundex_shape(s in "[a-zA-Z]{1,12}") {
+/// Soundex always yields letter + 3 digits and is case-insensitive.
+#[test]
+fn soundex_shape() {
+    sweep(256, |rng| {
+        let s = rng.string(&format!("{}{}", LOWER, UPPER), 1..13);
         let code = soundex(&s);
-        prop_assert_eq!(code.len(), 4);
-        prop_assert!(code.chars().next().unwrap().is_ascii_uppercase());
-        prop_assert!(code.chars().skip(1).all(|c| c.is_ascii_digit()));
-        prop_assert_eq!(soundex(&s.to_uppercase()), code);
-    }
+        assert_eq!(code.len(), 4);
+        assert!(code.chars().next().unwrap().is_ascii_uppercase());
+        assert!(code.chars().skip(1).all(|c| c.is_ascii_digit()));
+        assert_eq!(soundex(&s.to_uppercase()), code);
+    });
+}
 
-    /// Normalizers are idempotent: normalize(normalize(x)) ==
-    /// normalize(x). The address normalizer re-parses its own canonical
-    /// form (comma structure is gone), so it is only *eventually*
-    /// idempotent — it must reach a fixpoint by the second application.
-    #[test]
-    fn normalizers_idempotent(s in "[a-zA-Z0-9 ,.]{0,24}") {
-        let strict: Vec<Box<dyn Normalizer>> = vec![
-            Box::new(BasicNormalizer),
-            Box::new(AbbrevExpander::with_defaults()),
-            Box::new(NameStandardizer),
-        ];
+/// Normalizers are idempotent: normalize(normalize(x)) ==
+/// normalize(x). The address normalizer re-parses its own canonical
+/// form (comma structure is gone), so it is only *eventually*
+/// idempotent — it must reach a fixpoint by the second application.
+#[test]
+fn normalizers_idempotent() {
+    let strict: Vec<Box<dyn Normalizer>> = vec![
+        Box::new(BasicNormalizer),
+        Box::new(AbbrevExpander::with_defaults()),
+        Box::new(NameStandardizer),
+    ];
+    let check = |s: &str| {
         for n in &strict {
-            let once = n.normalize(&s);
+            let once = n.normalize(s);
             let twice = n.normalize(&once);
-            prop_assert_eq!(&twice, &once, "{} not idempotent on {:?}", n.name(), s);
+            assert_eq!(&twice, &once, "{} not idempotent on {:?}", n.name(), s);
         }
         let addr = AddressNormalizer;
-        let twice = addr.normalize(&addr.normalize(&s));
+        let twice = addr.normalize(&addr.normalize(s));
         let thrice = addr.normalize(&twice);
-        prop_assert_eq!(&thrice, &twice, "address does not converge on {:?}", s);
-    }
+        assert_eq!(&thrice, &twice, "address does not converge on {:?}", s);
+    };
+    // Shrunk from an earlier failure.
+    check(",S");
+    let alphabet = format!("{}{}0123456789 ,.", LOWER, UPPER);
+    sweep(256, |rng| check(&rng.string(&alphabet, 0..25)));
+}
 
-    /// Union-find: union is commutative/associative in effect; find is
-    /// consistent with the generated edge set's connected components.
-    #[test]
-    fn union_find_components(edges in proptest::collection::vec((0usize..12, 0usize..12), 0..24)) {
+/// Union-find: union is commutative/associative in effect; find is
+/// consistent with the generated edge set's connected components.
+#[test]
+fn union_find_components() {
+    sweep(256, |rng| {
         let n = 12;
+        let edges: Vec<(usize, usize)> = (0..rng.below(24))
+            .map(|_| (rng.below(n), rng.below(n)))
+            .collect();
         let mut uf = UnionFind::new(n);
         for &(a, b) in &edges {
             uf.union(a, b);
@@ -124,8 +154,8 @@ proptest! {
         }
         for a in 0..n {
             for b in 0..n {
-                prop_assert_eq!(uf.find(a) == uf.find(b), comp[a] == comp[b]);
+                assert_eq!(uf.find(a) == uf.find(b), comp[a] == comp[b]);
             }
         }
-    }
+    });
 }

@@ -13,7 +13,7 @@ use nimble_sources::{SourceAdapter, SourceQuery};
 use nimble_store::stats::SampleBuilder;
 use nimble_store::{LogicalClock, StatsCatalog};
 use nimble_xmlql::ast::Query;
-use parking_lot::RwLock;
+use nimble_trace::sync::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

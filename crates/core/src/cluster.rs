@@ -16,7 +16,7 @@ use nimble_sources::xmldoc::XmlDocAdapter;
 use nimble_store::stats::SampleBuilder;
 use nimble_store::{shard_stats_key, ShardSpec};
 use nimble_trace::{FlightRecord, MetricsSnapshot, QueryLogEntry};
-use parking_lot::Mutex;
+use nimble_trace::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};

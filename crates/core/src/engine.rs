@@ -26,7 +26,7 @@ use nimble_trace::{
 use nimble_xml::{Atomic, AtomicKey, Document, DocumentBuilder, Sym, Value, XmlWriter};
 use nimble_xmlql::ast::{Query, TagPattern};
 use nimble_xmlql::QueryShape;
-use parking_lot::RwLock;
+use nimble_trace::sync::RwLock;
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};

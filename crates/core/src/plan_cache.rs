@@ -24,7 +24,7 @@
 //! the plan's fold order makes the shape deterministic).
 
 use crate::planner::Plan;
-use parking_lot::Mutex;
+use nimble_trace::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 

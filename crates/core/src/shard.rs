@@ -23,7 +23,7 @@ use nimble_sources::query::row_field;
 use nimble_store::shard::{ShardMap, ShardSpec};
 use nimble_xml::{Document, DocumentBuilder, Value};
 use nimble_xmlql::ast::Pattern;
-use parking_lot::Mutex;
+use nimble_trace::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -13,10 +13,9 @@
 //! lineage comparison is on the serialized document.
 //!
 //! Hand-enumerated like `bind_differential.rs` and
-//! `shard_differential.rs`, so the offline harness needs no proptest:
-//! thresholds sit at the data's boundary values and every
-//! `SELECTIONS_ON_I` form runs at the first, an inner and a
-//! past-the-last key.
+//! `shard_differential.rs`: thresholds sit at the data's boundary
+//! values and every `SELECTIONS_ON_I` form runs at the first, an inner
+//! and a past-the-last key.
 
 use nimble_core::{Catalog, Engine, OptimizerConfig, QueryResult};
 use nimble_sources::relational::RelationalAdapter;

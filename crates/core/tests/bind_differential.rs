@@ -19,8 +19,7 @@
 //! the edge cases: empty driver, null and duplicate keys, more keys
 //! than the cap, field types that do not match, a quote in a key.
 //!
-//! Hand-enumerated like `shard_differential.rs`, so the offline harness
-//! needs no proptest.
+//! Hand-enumerated like `shard_differential.rs`.
 
 use nimble_core::engine::OptimizerConfig;
 use nimble_core::{Catalog, Engine, EngineConfig, QueryResult, UnavailablePolicy};
@@ -29,6 +28,7 @@ use nimble_sources::sim::{LinkConfig, SimulatedLink};
 use nimble_sources::{
     Capabilities, CollectionInfo, SourceAdapter, SourceError, SourceKind, SourceQuery,
 };
+use nimble_trace::rng::Rng;
 use nimble_xml::{to_string, Atomic, Document};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -107,26 +107,13 @@ impl SourceAdapter for Probe {
     }
 }
 
-/// A seeded stream of small numbers.
-struct Lcg(u64);
-
-impl Lcg {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (self.0 >> 33) % n
-    }
-}
-
 /// `crm.customers` (80), `billing.orders` (three each for the first 70
 /// customers), `support.tickets` (16, two of them for one customer, one
 /// for a customer that does not exist). Every access path answers a key
 /// list somewhere: `customers.id` has a B-tree, `orders.cust_id` a hash
 /// index, `tickets.cust_id` none.
 fn statements() -> [(&'static str, Vec<String>); 3] {
-    let mut rng = Lcg(2001);
+    let mut rng = Rng::new(2001);
     let regions = ["NW", "SW", "NE", "SE"];
     let mut crm = vec![
         "CREATE TABLE customers (id INT, name TEXT, region TEXT)".to_string(),
@@ -141,7 +128,7 @@ fn statements() -> [(&'static str, Vec<String>); 3] {
             "INSERT INTO customers VALUES ({}, 'c{:02}', '{}')",
             i,
             i,
-            regions[rng.below(4) as usize]
+            regions[rng.below(4)]
         ));
         for j in 0..(if i <= 70 { 3 } else { 0 }) {
             billing.push(format!(

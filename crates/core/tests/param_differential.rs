@@ -27,8 +27,7 @@
 //! Then what a wrong binding would break silently: the stale-cache key
 //! under `UnavailablePolicy::StaleCache`, and shard routing.
 //!
-//! Hand-enumerated like `bind_differential.rs`, so the offline harness
-//! needs no proptest.
+//! Hand-enumerated like `bind_differential.rs`.
 
 use nimble_core::engine::OptimizerConfig;
 use nimble_core::{
@@ -37,6 +36,7 @@ use nimble_core::{
 use nimble_sources::relational::RelationalAdapter;
 use nimble_sources::sim::{LinkConfig, SimulatedLink};
 use nimble_sources::xmldoc::XmlDocAdapter;
+use nimble_trace::rng::Rng;
 use nimble_sources::{
     Capabilities, CollectionInfo, SourceAdapter, SourceError, SourceKind, SourceQuery,
 };
@@ -46,19 +46,6 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 const SEED: u64 = 20_011_017;
-
-/// A seeded stream of small numbers.
-struct Lcg(u64);
-
-impl Lcg {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (self.0 >> 33) % n
-    }
-}
 
 /// Pass-through adapter that keeps what it was asked, in order: the SQL
 /// of each fragment, the name of each collection fetched whole.
@@ -111,7 +98,7 @@ const REGIONS: [&str; 4] = ["NW", "SW", "NE", "SE"];
 /// customer) and `support.tickets` (40) are sources of their own.
 /// Customers 7 and 8 have quotes in their names.
 fn statements() -> [(&'static str, Vec<String>); 3] {
-    let mut rng = Lcg(SEED);
+    let mut rng = Rng::new(SEED);
     let mut erp = vec![
         "CREATE TABLE customers (id INT, name TEXT, region TEXT)".to_string(),
         "CREATE TABLE orders (oid INT, cust_id INT, total FLOAT)".to_string(),
@@ -127,7 +114,7 @@ fn statements() -> [(&'static str, Vec<String>); 3] {
             "INSERT INTO customers VALUES ({}, '{}', '{}')",
             i,
             name,
-            REGIONS[rng.below(4) as usize]
+            REGIONS[rng.below(4)]
         ));
         for j in 0..ORDERS / CUSTOMERS {
             erp.push(format!(
@@ -146,7 +133,7 @@ fn statements() -> [(&'static str, Vec<String>); 3] {
         support.push(format!(
             "INSERT INTO tickets VALUES ({}, {}, {})",
             500 + t,
-            rng.below(CUSTOMERS) + 1,
+            rng.below(CUSTOMERS as usize) + 1,
             rng.below(3) + 1
         ));
     }
@@ -230,9 +217,9 @@ fn whys(r: &QueryResult) -> Vec<Vec<String>> {
 /// `n` keys in `lo..=hi` from the stream, then the edge keys every
 /// family gets: both sides out of every column's bounds, and a key
 /// served before.
-fn keys(rng: &mut Lcg, lo: u64, hi: u64, n: usize) -> Vec<String> {
+fn keys(rng: &mut Rng, lo: u64, hi: u64, n: usize) -> Vec<String> {
     let mut keys: Vec<String> = (0..n)
-        .map(|_| (lo + rng.below(hi - lo + 1)).to_string())
+        .map(|_| (lo + rng.below((hi - lo + 1) as usize) as u64).to_string())
         .collect();
     keys.push("0".to_string());
     keys.push("100000".to_string());
@@ -267,7 +254,7 @@ fn spellings(template: &str, var: &str, k: u64) -> Vec<String> {
 /// The families' texts, in serving order. `$K = K` in a template is
 /// where the key goes.
 fn all_ops() -> Vec<String> {
-    let mut rng = Lcg(SEED ^ 0x5eed);
+    let mut rng = Rng::new(SEED ^ 0x5eed);
     let mut ops: Vec<String> = Vec::new();
 
     // `lens_point`'s three lookups.
@@ -330,7 +317,7 @@ CONSTRUCT <o><n>$n</n><a>$a</a></o>"#;
       $K = K, $t > 450
 CONSTRUCT <v><n>$n</n><o>$o</o></v> ORDER-BY $o"#;
     let mut regions: Vec<String> = (0..36)
-        .map(|_| format!("\"{}\"", REGIONS[rng.below(4) as usize]))
+        .map(|_| format!("\"{}\"", REGIONS[rng.below(4)]))
         .collect();
     regions.extend([r#""ZZ""#, r#""it's \"x\"""#, r#""7""#, r#""NW""#].map(String::from));
     ops.extend(family(view_read, "$r", &regions));

@@ -16,7 +16,7 @@
 //! agree.
 //!
 //! Hand-enumerated like `bind_differential.rs` and
-//! `shard_differential.rs`, so the offline harness needs no proptest.
+//! `shard_differential.rs`.
 
 use nimble_core::planner::{plan_query, verify_plan};
 use nimble_core::{Catalog, Engine, OptimizerConfig};

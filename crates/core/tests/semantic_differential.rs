@@ -1,5 +1,6 @@
-//! Property tests for the semantic analyzer's satisfiability verdicts:
-//! the static analysis must agree with execution.
+//! Property sweeps (seeded, `nimble_trace::rng::sweep`) for the semantic
+//! analyzer's satisfiability verdicts: the static analysis must agree
+//! with execution.
 //!
 //! 1. **Statically empty really is empty.** When the analyzer prunes a
 //!    query (the plan carries `[pruned: …]`), running the *same* query
@@ -13,8 +14,8 @@
 
 use nimble_core::{Catalog, Engine, OptimizerConfig};
 use nimble_sources::relational::RelationalAdapter;
+use nimble_trace::rng::{sweep, Rng};
 use nimble_xml::serialize::to_string;
-use proptest::prelude::*;
 use std::sync::Arc;
 
 fn catalog() -> Arc<Catalog> {
@@ -50,45 +51,41 @@ fn engine(cat: &Arc<Catalog>, prune_unsat: bool) -> Engine {
 /// a lower bound, an optional upper bound, and an optional join. Wide
 /// constant ranges generate all three analyzer outcomes — satisfiable,
 /// contradictory (`lo > hi`), and out-of-bounds (`$t > 250`).
-fn query_strategy() -> impl Strategy<Value = String> {
-    (
-        -50i64..400,
-        proptest::option::of(-50i64..400),
-        any::<bool>(),
+fn query(rng: &mut Rng) -> String {
+    let lo = rng.range(-50..400);
+    let hi = rng.chance(0.5).then(|| rng.range(-50..400));
+    let mut pats =
+        vec![r#"<row><cust_id>$i</cust_id><total>$t</total></row> IN "orders""#.to_string()];
+    let mut construct = String::from("<t>$t</t>");
+    if rng.chance(0.5) {
+        pats.push(r#"<row><id>$i</id><name>$n</name></row> IN "customers""#.into());
+        construct.push_str("<n>$n</n>");
+    }
+    let mut preds = vec![format!("$t > {}", lo)];
+    if let Some(hi) = hi {
+        preds.push(format!("$t < {}", hi));
+    }
+    format!(
+        "WHERE {}, {} CONSTRUCT <hit>{}</hit> ORDER-BY $t",
+        pats.join(", "),
+        preds.join(", "),
+        construct
     )
-        .prop_map(|(lo, hi, join)| {
-            let mut pats = vec![r#"<row><cust_id>$i</cust_id><total>$t</total></row> IN "orders""#.to_string()];
-            let mut construct = String::from("<t>$t</t>");
-            if join {
-                pats.push(r#"<row><id>$i</id><name>$n</name></row> IN "customers""#.into());
-                construct.push_str("<n>$n</n>");
-            }
-            let mut preds = vec![format!("$t > {}", lo)];
-            if let Some(hi) = hi {
-                preds.push(format!("$t < {}", hi));
-            }
-            format!(
-                "WHERE {}, {} CONSTRUCT <hit>{}</hit> ORDER-BY $t",
-                pats.join(", "),
-                preds.join(", "),
-                construct
-            )
-        })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Analyzer verdicts agree with execution: a statically-pruned plan
-    /// means the honestly-executed query returns zero rows, and pruning
-    /// never changes the produced document.
-    #[test]
-    fn pruning_agrees_with_execution(text in query_strategy()) {
+/// Analyzer verdicts agree with execution: a statically-pruned plan
+/// means the honestly-executed query returns zero rows, and pruning
+/// never changes the produced document.
+#[test]
+fn pruning_agrees_with_execution() {
+    let mut pruned = 0;
+    sweep(64, |rng| {
+        let text = query(rng);
         let cat = catalog();
         let on = engine(&cat, true).query(&text).unwrap();
         let off = engine(&cat, false).query(&text).unwrap();
 
-        prop_assert_eq!(
+        assert_eq!(
             to_string(&on.document.root()),
             to_string(&off.document.root()),
             "prune-on and prune-off disagree for {:?}",
@@ -98,7 +95,7 @@ proptest! {
         if on.stats.plan.contains("[pruned:") {
             // The static verdict "this can never hold" must match the
             // ground truth computed without the analyzer's help…
-            prop_assert_eq!(
+            assert_eq!(
                 off.document.root().children().count(),
                 0,
                 "analyzer pruned a non-empty result for {:?}\nplan: {}",
@@ -106,16 +103,22 @@ proptest! {
                 &on.stats.plan
             );
             // …and the point of the verdict is skipping the fetch.
-            prop_assert_eq!(on.stats.source_calls, 0);
+            assert_eq!(on.stats.source_calls, 0);
+            pruned += 1;
         }
-    }
+    });
+    // The sweep saw both verdicts.
+    assert!((1..64).contains(&pruned), "{} of 64 pruned", pruned);
+}
 
-    /// The engine must never prune a query whose honest execution
-    /// returns rows; equivalently, any query with a non-empty answer
-    /// keeps a live plan. (The contrapositive of soundness, checked
-    /// from the execution side so a too-eager analyzer cannot hide.)
-    #[test]
-    fn non_empty_results_are_never_pruned(lo in -50i64..240) {
+/// The engine must never prune a query whose honest execution
+/// returns rows; equivalently, any query with a non-empty answer
+/// keeps a live plan. (The contrapositive of soundness, checked
+/// from the execution side so a too-eager analyzer cannot hide.)
+#[test]
+fn non_empty_results_are_never_pruned() {
+    sweep(64, |rng| {
+        let lo = rng.range(-50..240);
         let cat = catalog();
         // `$t > lo` with lo < 250 always keeps at least the 250 row.
         let text = format!(
@@ -123,7 +126,7 @@ proptest! {
             lo
         );
         let r = engine(&cat, true).query(&text).unwrap();
-        prop_assert!(r.document.root().children().count() > 0);
-        prop_assert!(!r.stats.plan.contains("[pruned:"), "plan: {}", &r.stats.plan);
-    }
+        assert!(r.document.root().children().count() > 0);
+        assert!(!r.stats.plan.contains("[pruned:"), "plan: {}", &r.stats.plan);
+    });
 }

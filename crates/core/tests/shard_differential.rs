@@ -10,8 +10,7 @@
 //! its answer, its lineage, and the way it fails.
 //!
 //! Mirrors `batch_differential.rs` but hand-rolls the enumeration: the
-//! grammar axes are small enough to sweep exhaustively, which keeps the
-//! offline harness free of the proptest dependency.
+//! grammar axes are small enough to sweep exhaustively.
 
 use nimble_core::{
     Catalog, Engine, EngineConfig, ShardSpec, ShardedCluster, UnavailablePolicy,

@@ -14,7 +14,7 @@
 //! path instead.
 //!
 //! Hand-enumerated like `bind_differential.rs` and
-//! `shard_differential.rs`, so the offline harness needs no proptest.
+//! `shard_differential.rs`.
 
 use nimble_core::{Catalog, Engine, OptimizerConfig};
 use nimble_sources::relational::RelationalAdapter;

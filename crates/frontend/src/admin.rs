@@ -19,7 +19,7 @@
 use nimble_cleaning::{CleaningFlow, LineageLog, Record};
 use nimble_core::{CoreError, Engine};
 use nimble_xml::{Document, DocumentBuilder, NodeRef};
-use parking_lot::Mutex;
+use nimble_trace::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

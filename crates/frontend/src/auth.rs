@@ -1,7 +1,7 @@
 //! Users, roles, and lens-level access control ("authentication
 //! information" carried by lenses).
 
-use parking_lot::RwLock;
+use nimble_trace::sync::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
 

@@ -11,7 +11,7 @@ use crate::auth::{AuthError, Directory, Role};
 use crate::format::{Device, Template, TemplateError};
 use crate::monitor::SystemMonitor;
 use nimble_core::{CoreError, Engine, QueryResult};
-use parking_lot::RwLock;
+use nimble_trace::sync::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;

@@ -14,7 +14,7 @@ use nimble_store::Freshness;
 use nimble_trace::{
     Alert, AlertEngine, AlertRule, BurnRateRule, FlightRecord, MetricsSnapshot, QueryLogEntry,
 };
-use parking_lot::Mutex;
+use nimble_trace::sync::Mutex;
 use std::fmt::Write as _;
 use std::sync::Arc;
 

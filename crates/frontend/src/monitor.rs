@@ -5,7 +5,7 @@
 //! lens: request counts, failure-annotated responses, and latency
 //! aggregates (mean and max).
 
-use parking_lot::Mutex;
+use nimble_trace::sync::Mutex;
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -13,7 +13,7 @@ use crate::query::{CollectionInfo, RowsBuilder, SourceQuery};
 use crate::{SourceAdapter, SourceKind};
 use nimble_relational::{ColumnType, Database, Prepared, SlotValue, SqlError};
 use nimble_xml::{Atomic, AtomicType, Document, Sym};
-use parking_lot::{Mutex, RwLock};
+use nimble_trace::sync::{Mutex, RwLock};
 use std::fmt::Write;
 use std::sync::Arc;
 

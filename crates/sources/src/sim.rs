@@ -11,11 +11,10 @@
 use crate::error::SourceError;
 use crate::query::{CollectionInfo, SourceQuery};
 use crate::{Capabilities, SourceAdapter, SourceKind};
+use nimble_trace::rng::Rng;
+use nimble_trace::sync::Mutex;
 use nimble_trace::{MetricsRegistry, QueryCtx, SourceCall};
 use nimble_xml::Document;
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,7 +66,7 @@ pub struct SimulatedLink {
     /// fail probability ×1e6, stored atomically.
     fail_ppm: AtomicU64,
     real_sleep: AtomicBool,
-    rng: Mutex<StdRng>,
+    rng: Mutex<Rng>,
     calls: AtomicU64,
     failures: AtomicU64,
     charged_latency_ms: AtomicU64,
@@ -88,7 +87,7 @@ impl SimulatedLink {
             latency_ms: AtomicU64::new(config.latency_ms),
             fail_ppm: AtomicU64::new((config.fail_probability * 1e6) as u64),
             real_sleep: AtomicBool::new(config.real_sleep),
-            rng: Mutex::new(StdRng::seed_from_u64(config.seed)),
+            rng: Mutex::new(Rng::new(config.seed)),
             calls: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             charged_latency_ms: AtomicU64::new(0),
@@ -182,7 +181,7 @@ impl SimulatedLink {
         }
         let ppm = self.fail_ppm.load(Ordering::SeqCst);
         if ppm > 0 {
-            let roll: f64 = self.rng.lock().gen();
+            let roll = self.rng.lock().f64();
             if roll < ppm as f64 / 1e6 {
                 let failures = self.failures.fetch_add(1, Ordering::SeqCst) + 1;
                 self.gauge_failures.fetch_max(failures, Ordering::Relaxed);

@@ -1,8 +1,7 @@
 //! The relational adapter's prepared path against the SQL text it stands
 //! for: `adapter.execute(q)` — find the statement prepared for `q`'s
 //! shape, bind `q`'s values, run — must be `Database::execute(&to_sql(q))`
-//! in everything a caller can see. Seeded sweeps, the seed printed; no
-//! proptest, so the offline harness builds and runs it.
+//! in everything a caller can see. Seeded sweeps, the seed printed.
 //!
 //! * **Same document, same evidence.** Over every `PredOp` × every kind
 //!   of value (strings with `'`, `?` and `%`, negative and fractional
@@ -46,25 +45,11 @@ use nimble_relational::{Database, ExecStats, SlotValue};
 use nimble_sources::query::{CollectionRef, FieldRef, PredOp, RowsBuilder, Selection, SourceQuery};
 use nimble_sources::relational::RelationalAdapter;
 use nimble_sources::SourceAdapter;
+use nimble_trace::rng::Rng;
 use nimble_xml::{Atomic, Document, Sym};
 use std::sync::{Arc, Barrier};
 
 const SEED: u64 = 0x5eed_2026_1001;
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 const WORDS: [&str; 8] = ["acme", "O'Hare", "what?", "50%", "it''s", "", "Zed", "a_b"];
 
@@ -72,7 +57,7 @@ const WORDS: [&str; 8] = ["acme", "O'Hare", "what?", "50%", "it''s", "", "Zed", 
 /// and fractional numbers and awkward strings; `u`: 90 rows that join to
 /// it on `t_id` (some dangling).
 fn statements(seed: u64) -> Vec<String> {
-    let mut rng = Rng(seed);
+    let mut rng = Rng::new(seed);
     let quoted = |s: &str| format!("'{}'", s.replace('\'', "''"));
     let mut out = vec![
         "CREATE TABLE t (id INT, k INT, f FLOAT, s TEXT, b BOOL)".to_string(),
@@ -86,13 +71,13 @@ fn statements(seed: u64) -> Vec<String> {
             };
             let f = match rng.below(12) {
                 0 => "NULL".to_string(),
-                _ => format!("{}.{}", rng.below(30) as i64 - 10, [0, 25, 5, 75][rng.below(4) as usize]),
+                _ => format!("{}.{}", rng.below(30) as i64 - 10, [0, 25, 5, 75][rng.below(4)]),
             };
             let s = match rng.below(10) {
                 0 => "NULL".to_string(),
-                _ => quoted(WORDS[rng.below(WORDS.len() as u64) as usize]),
+                _ => quoted(WORDS[rng.below(WORDS.len())]),
             };
-            let b = ["TRUE", "FALSE", "NULL"][rng.below(3) as usize];
+            let b = ["TRUE", "FALSE", "NULL"][rng.below(3)];
             format!("({}, {}, {}, {}, {})", id, k, f, s, b)
         })
         .collect();
@@ -194,7 +179,7 @@ fn values(rng: &mut Rng) -> Vec<Atomic> {
         Atomic::Float(rng.below(30) as f64 - 10.0 + 0.25),
         Atomic::Float(-0.5),
         Atomic::Float(rng.below(20) as f64),
-        Atomic::Str(WORDS[rng.below(WORDS.len() as u64) as usize].to_string()),
+        Atomic::Str(WORDS[rng.below(WORDS.len())].to_string()),
         Atomic::Str("O'Hare".into()),
         Atomic::Str("what?".into()),
         Atomic::Str("%a%".into()),
@@ -265,13 +250,13 @@ fn sweep(pair: &mut Pair, rng: &mut Rng) -> (usize, usize) {
         for _ in 0..2 + rng.below(2) {
             let vs = values(rng);
             q = q.with_selection(
-                FIELDS[rng.below(5) as usize],
-                OPS[rng.below(6) as usize],
-                vs[rng.below(vs.len() as u64) as usize].clone(),
+                FIELDS[rng.below(5)],
+                OPS[rng.below(6)],
+                vs[rng.below(vs.len())].clone(),
             );
         }
         if rng.below(3) == 0 {
-            q.limit = Some(rng.below(20) as usize);
+            q.limit = Some(rng.below(20));
         }
         run(pair, &q);
     }
@@ -326,9 +311,9 @@ fn sweep(pair: &mut Pair, rng: &mut Rng) -> (usize, usize) {
             ],
             join_conds: vec![(FieldRef::new("b", "t_id"), FieldRef::new("a", "id"))],
             selections: vec![Selection {
-                field: FieldRef::new("a", FIELDS[rng.below(5) as usize]),
-                op: OPS[rng.below(6) as usize],
-                value: vs[rng.below(vs.len() as u64) as usize].clone(),
+                field: FieldRef::new("a", FIELDS[rng.below(5)]),
+                op: OPS[rng.below(6)],
+                value: vs[rng.below(vs.len())].clone(),
             }],
             outputs: vec![
                 ("i".into(), FieldRef::new("a", "id")),
@@ -356,7 +341,7 @@ fn sweep(pair: &mut Pair, rng: &mut Rng) -> (usize, usize) {
 #[test]
 fn prepared_equals_text_node_for_node_and_count_for_count() {
     println!("prepared_differential seed {:#x}", SEED);
-    let mut rng = Rng(SEED);
+    let mut rng = Rng::new(SEED);
     // Unindexed, then the same tables indexed — with a canary fragment
     // run on either side of the DDL, so that its statement is one
     // prepared against the unindexed schema when the indexes arrive.
@@ -406,7 +391,7 @@ fn one_shape_prepares_once_whatever_the_values() {
         pair.ddl(index);
     }
     pair.adapter.database().write().reset_stats();
-    let mut rng = Rng(SEED ^ 1);
+    let mut rng = Rng::new(SEED ^ 2);
     for round in 0..1000i64 {
         let by_id = scan_t().with_selection("id", PredOp::Eq, Atomic::Int(round % 240));
         assert_eq!(ids(&pair.adapter.execute(&by_id).unwrap()), [round % 240]);
@@ -414,7 +399,7 @@ fn one_shape_prepares_once_whatever_the_values() {
             .with_selection("k", PredOp::Ge, Atomic::Int(rng.below(30) as i64))
             .with_selection("f", PredOp::Lt, Atomic::Float(rng.below(20) as f64 + 0.5));
         let keyed = SourceQuery::scan("u", &[("i", "id")])
-            .with_key_set(FieldRef::new("t", "t_id"), key_set("id", 1 + rng.below(40) as usize));
+            .with_key_set(FieldRef::new("t", "t_id"), key_set("id", 1 + rng.below(40)));
         for q in [ranged, keyed] {
             let got = pair.adapter.execute(&q).unwrap();
             let want = pair.reference.execute(&RelationalAdapter::to_sql(&q)).unwrap();

@@ -1,7 +1,7 @@
 //! An LRU result cache with a node-count budget.
 
 use nimble_xml::Document;
-use parking_lot::Mutex;
+use nimble_trace::sync::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -15,7 +15,7 @@
 
 use crate::clock::LogicalClock;
 use nimble_xml::Atomic;
-use parking_lot::RwLock;
+use nimble_trace::sync::RwLock;
 use std::collections::BTreeMap;
 
 /// How rows of a collection map to shards.

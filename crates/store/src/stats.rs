@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nimble_xml::Atomic;
-use parking_lot::RwLock;
+use nimble_trace::sync::RwLock;
 
 /// Per-field statistics gathered from a sample.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -1,7 +1,7 @@
 //! Materialized views over the mediated schema.
 
 use nimble_xml::Document;
-use parking_lot::RwLock;
+use nimble_trace::sync::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -19,11 +19,11 @@
 //!   totals, and peaks compose (the outer peak is at least the inner's
 //!   high-water mark above the outer's entry level).
 //!
-//! Everything is gated on the `profile-alloc` feature (enabled for
-//! tests and benches; see the offline harness and CI). With the feature
-//! off, [`AllocScope`] is a no-op returning zeros, no global allocator
-//! is installed, and [`enabled`] returns `false` so callers can skip
-//! recording zero metrics.
+//! Everything is gated on the `profile-alloc` feature (the workspace's
+//! manifests enable it for tests and experiment binaries). With the
+//! feature off, [`AllocScope`] is a no-op returning zeros, no global
+//! allocator is installed, and [`enabled`] returns `false` so callers
+//! can skip recording zero metrics.
 //!
 //! Caveat (documented, accepted): frees are subtracted on the thread
 //! that frees, so a buffer allocated on a worker thread and dropped on

@@ -14,11 +14,11 @@
 //! adapter wrappers both append, with a grew-while-called check so a
 //! call instrumented at both layers is recorded once.
 
-use crate::lock;
+use crate::sync::Mutex;
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Process-unique query identifier. Minting is a single atomic
@@ -105,7 +105,7 @@ impl QueryCtx {
 
     /// Append one adapter-call record.
     pub fn record_source_call(&self, call: SourceCall) {
-        lock(&self.calls).push(call);
+        self.calls.lock().push(call);
     }
 
     /// Number of call records so far. Callers instrumenting a layered
@@ -113,7 +113,7 @@ impl QueryCtx {
     /// append when an inner layer recorded the call meanwhile
     /// ([`QueryCtx::recorded_since`]).
     pub fn calls_len(&self) -> usize {
-        lock(&self.calls).len()
+        self.calls.lock().len()
     }
 
     /// Whether a record of `source` was appended after the first
@@ -121,7 +121,7 @@ impl QueryCtx {
     /// fetches, so its growth alone says nothing: the new record may be
     /// another source's.
     pub fn recorded_since(&self, since: usize, source: &str) -> bool {
-        lock(&self.calls)
+        self.calls.lock()
             .iter()
             .skip(since)
             .any(|c| c.source == source)
@@ -129,7 +129,7 @@ impl QueryCtx {
 
     /// Snapshot of the call records.
     pub fn source_calls(&self) -> Vec<SourceCall> {
-        lock(&self.calls).clone()
+        self.calls.lock().clone()
     }
 }
 

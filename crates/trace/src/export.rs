@@ -170,7 +170,7 @@ mod tests {
         assert!(json.contains("\"name\":\"parse\""));
         assert!(json.contains(&TraceId(7).to_string()));
         // Structurally balanced (cheap sanity; real parsing happens in
-        // the integration suite with serde_json).
+        // the integration suite with `json::from_str`).
         assert_eq!(
             json.matches('{').count(),
             json.matches('}').count()

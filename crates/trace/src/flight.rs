@@ -16,11 +16,10 @@
 
 use crate::ctx::{SourceCall, TraceId};
 use crate::export::{json_escape, json_num, source_call_json, span_json};
-use crate::lock;
+use crate::sync::Mutex;
 use crate::span::SpanView;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// Everything retained about one kept query.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,7 +163,7 @@ impl FlightRecorder {
 
     /// Retain one record, evicting the oldest past capacity.
     pub fn admit(&self, record: FlightRecord) {
-        let mut inner = lock(&self.inner);
+        let mut inner = self.inner.lock();
         if inner.len() == self.capacity {
             inner.pop_front();
         }
@@ -173,12 +172,12 @@ impl FlightRecorder {
 
     /// Retained records, oldest first.
     pub fn records(&self) -> Vec<FlightRecord> {
-        lock(&self.inner).iter().cloned().collect()
+        self.inner.lock().iter().cloned().collect()
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        lock(&self.inner).len()
+        self.inner.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {

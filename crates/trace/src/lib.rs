@@ -1,6 +1,10 @@
 //! # nimble-trace
 //!
-//! Dependency-free observability primitives for the Nimble reproduction.
+//! The workspace's std-only leaf: observability primitives for the Nimble
+//! reproduction, and the three modules every other crate shares so that
+//! the workspace needs no external crate — [`sync`] (locks whose guards
+//! come back without a `Result`), [`rng`] (the seeded generator and the
+//! `sweep` runner) and [`json`] (values, a strict reader, writers).
 //!
 //! The paper's product ships "management tools [that] support system
 //! monitoring" and reports fine-grained usage; §3.4 promises partial
@@ -46,10 +50,13 @@ pub mod ctx;
 pub mod export;
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod metrics;
 pub mod prom;
 pub mod querylog;
+pub mod rng;
 pub mod span;
+pub mod sync;
 
 pub use alert::{Alert, AlertEngine, AlertOp, AlertRule, BurnRateRule};
 pub use alloc::{AllocScope, AllocStats};
@@ -61,12 +68,3 @@ pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use prom::prometheus_text;
 pub use querylog::{QueryEvent, QueryLog, QueryLogEntry};
 pub use span::{SpanGuard, SpanView, Trace};
-
-use std::sync::{Mutex, MutexGuard};
-
-/// Lock a mutex, recovering from poisoning (a panicked holder leaves the
-/// observability data best-effort-consistent, which is acceptable for
-/// metrics; losing the whole process over it is not).
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}

@@ -8,11 +8,11 @@
 //! parsing.
 
 use crate::hist::{Histogram, HistogramSnapshot};
-use crate::lock;
+use crate::sync::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// A process-wide or per-subsystem collection of named metrics.
 ///
@@ -40,7 +40,7 @@ impl MetricsRegistry {
 
     /// Handle to a monotonic counter, created on first use.
     pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        let mut counters = lock(&self.counters);
+        let mut counters = self.counters.lock();
         Arc::clone(
             counters
                 .entry(name.to_string())
@@ -55,7 +55,7 @@ impl MetricsRegistry {
 
     /// Current value of a counter (0 when absent).
     pub fn counter_value(&self, name: &str) -> u64 {
-        lock(&self.counters)
+        self.counters.lock()
             .get(name)
             .map(|c| c.load(Ordering::Relaxed))
             .unwrap_or(0)
@@ -65,7 +65,7 @@ impl MetricsRegistry {
     /// the simulated-link publisher) look the gauge up once and
     /// `fetch_max` on the handle.
     pub fn gauge(&self, name: &str) -> Arc<AtomicU64> {
-        let mut gauges = lock(&self.gauges);
+        let mut gauges = self.gauges.lock();
         Arc::clone(
             gauges
                 .entry(name.to_string())
@@ -80,7 +80,7 @@ impl MetricsRegistry {
 
     /// Handle to a histogram, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut histograms = lock(&self.histograms);
+        let mut histograms = self.histograms.lock();
         Arc::clone(
             histograms
                 .entry(name.to_string())
@@ -96,15 +96,15 @@ impl MetricsRegistry {
     /// An immutable, diffable, mergeable copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: lock(&self.counters)
+            counters: self.counters.lock()
                 .iter()
                 .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
                 .collect(),
-            gauges: lock(&self.gauges)
+            gauges: self.gauges.lock()
                 .iter()
                 .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
                 .collect(),
-            histograms: lock(&self.histograms)
+            histograms: self.histograms.lock()
                 .iter()
                 .map(|(k, v)| (k.clone(), v.snapshot()))
                 .collect(),
@@ -115,9 +115,9 @@ impl MetricsRegistry {
     /// observation window for one subsystem). Existing handles keep
     /// working but are detached from the registry.
     pub fn remove_prefix(&self, prefix: &str) {
-        lock(&self.counters).retain(|k, _| !k.starts_with(prefix));
-        lock(&self.gauges).retain(|k, _| !k.starts_with(prefix));
-        lock(&self.histograms).retain(|k, _| !k.starts_with(prefix));
+        self.counters.lock().retain(|k, _| !k.starts_with(prefix));
+        self.gauges.lock().retain(|k, _| !k.starts_with(prefix));
+        self.histograms.lock().retain(|k, _| !k.starts_with(prefix));
     }
 }
 

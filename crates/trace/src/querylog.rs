@@ -7,9 +7,8 @@
 //! ones. Both are hard-bounded, so the log can stay enabled under
 //! production load.
 
-use crate::lock;
+use crate::sync::Mutex;
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
 /// One logged query.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,7 +114,7 @@ impl QueryLog {
     /// detail; returns its sequence number.
     pub fn record_event(&self, event: QueryEvent) -> u64 {
         let text: String = event.text.chars().take(Self::MAX_TEXT).collect();
-        let mut inner = lock(&self.inner);
+        let mut inner = self.inner.lock();
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let entry = QueryLogEntry {
@@ -146,19 +145,19 @@ impl QueryLog {
 
     /// The latest `n` entries, newest first.
     pub fn recent(&self, n: usize) -> Vec<QueryLogEntry> {
-        let inner = lock(&self.inner);
+        let inner = self.inner.lock();
         inner.ring.iter().rev().take(n).cloned().collect()
     }
 
     /// The slowest captured entries, slowest first.
     pub fn slow(&self, n: usize) -> Vec<QueryLogEntry> {
-        let inner = lock(&self.inner);
+        let inner = self.inner.lock();
         inner.slow.iter().take(n).cloned().collect()
     }
 
     /// Total queries admitted over the log's lifetime.
     pub fn total(&self) -> u64 {
-        lock(&self.inner).next_seq
+        self.inner.lock().next_seq
     }
 
     pub fn slow_threshold_ms(&self) -> f64 {

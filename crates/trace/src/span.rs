@@ -7,8 +7,7 @@
 //! Interior mutability keeps the API ergonomic around `?`-heavy code (the
 //! guard borrows the trace immutably).
 
-use crate::lock;
-use std::sync::Mutex;
+use crate::sync::Mutex;
 use std::time::Instant;
 
 struct SpanRecord {
@@ -74,7 +73,7 @@ impl Trace {
     #[must_use = "the span records its duration when the guard drops"]
     pub fn span(&self, name: impl Into<String>) -> SpanGuard<'_> {
         let start_ms = self.now_ms();
-        let mut inner = lock(&self.inner);
+        let mut inner = self.inner.lock();
         let parent = inner.stack.last().copied();
         let idx = inner.spans.len();
         inner.spans.push(SpanRecord {
@@ -97,7 +96,7 @@ impl Trace {
     pub fn add_ms(&self, name: impl Into<String>, ms: f64) {
         // The phase just finished; back-date its start by its duration.
         let start_ms = (self.now_ms() - ms).max(0.0);
-        let mut inner = lock(&self.inner);
+        let mut inner = self.inner.lock();
         let parent = inner.stack.last().copied();
         inner.spans.push(SpanRecord {
             name: name.into(),
@@ -109,7 +108,7 @@ impl Trace {
     }
 
     fn finish_span(&self, idx: usize, ms: f64) {
-        let mut inner = lock(&self.inner);
+        let mut inner = self.inner.lock();
         if let Some(s) = inner.spans.get_mut(idx) {
             s.ms = ms;
             s.finished = true;
@@ -123,7 +122,7 @@ impl Trace {
 
     /// The spans in creation (pre-)order with computed depths.
     pub fn report(&self) -> Vec<SpanView> {
-        let inner = lock(&self.inner);
+        let inner = self.inner.lock();
         let mut depths: Vec<usize> = Vec::with_capacity(inner.spans.len());
         inner
             .spans

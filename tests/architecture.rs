@@ -117,7 +117,7 @@ fn management_tools_introspection() {
     catalog
         .register_source(Arc::new(RelationalAdapter::new(
             "empty_db",
-            Arc::new(parking_lot::RwLock::new(Database::new())),
+            Arc::new(nimble::trace::sync::RwLock::new(Database::new())),
         )))
         .unwrap();
     catalog

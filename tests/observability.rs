@@ -9,7 +9,7 @@ use nimble::frontend::ManagementConsole;
 use nimble::sources::csv::CsvAdapter;
 use nimble::sources::relational::RelationalAdapter;
 use nimble::sources::sim::{LinkConfig, SimulatedLink};
-use nimble::trace::{chrome_trace, MetricsRegistry, TraceId};
+use nimble::trace::{chrome_trace, json, MetricsRegistry, TraceId};
 use nimble::xml::Value;
 use std::sync::Arc;
 
@@ -223,8 +223,8 @@ fn chrome_trace_export_is_valid_json_and_matches_phases() {
     assert!(!r.stats.spans.is_empty());
 
     let json = chrome_trace(&r.stats.spans, TraceId(r.stats.trace_id), engine.instance());
-    let parsed: serde_json::Value =
-        serde_json::from_str(&json).expect("chrome export must be valid JSON");
+    let parsed: json::Value =
+        json::from_str(&json).expect("chrome export must be valid JSON");
     let events = parsed["traceEvents"].as_array().unwrap();
     // One complete ("X") event per span, every one tagged with the
     // query's trace id and this engine's instance name.
@@ -282,8 +282,8 @@ fn failed_queries_are_flight_recorded_with_error_kind() {
     // ...and flight-recorded even though it failed fast.
     assert_eq!(engine.flight_recorder().len(), 1);
     let dump = engine.flight_recorder().dump();
-    let rec: serde_json::Value =
-        serde_json::from_str(dump.lines().next().unwrap()).expect("dump line is JSON");
+    let rec: json::Value =
+        json::from_str(dump.lines().next().unwrap()).expect("dump line is JSON");
     assert_eq!(rec["trace_id"], TraceId(entry.trace_id).to_string().as_str());
     assert_eq!(rec["complete"], false);
     assert!(rec["error"].as_str().unwrap().starts_with("source:"));
@@ -321,8 +321,8 @@ fn slow_queries_keep_full_evidence_for_offline_reconstruction() {
 
     // The dump round-trips as JSONL with the same correlates.
     let dump = engine.flight_recorder().dump();
-    let parsed: serde_json::Value =
-        serde_json::from_str(dump.lines().next().unwrap()).unwrap();
+    let parsed: json::Value =
+        json::from_str(dump.lines().next().unwrap()).unwrap();
     assert_eq!(parsed["trace_id"], rec.trace_id.to_string().as_str());
     assert!(!parsed["plan"].as_str().unwrap().is_empty());
     assert_eq!(parsed["spans"].as_array().unwrap().len(), rec.spans.len());
@@ -431,8 +431,8 @@ fn flight_records_carry_resource_accounting() {
 
     // The dump exposes the same numbers under the "resource" block.
     let dump = engine.flight_recorder().dump();
-    let parsed: serde_json::Value =
-        serde_json::from_str(dump.lines().next().unwrap()).unwrap();
+    let parsed: json::Value =
+        json::from_str(dump.lines().next().unwrap()).unwrap();
     assert_eq!(
         parsed["resource"]["alloc_bytes"].as_u64().unwrap(),
         rec.alloc_bytes

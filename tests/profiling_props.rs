@@ -1,82 +1,23 @@
-//! Property tests for the resource profiler: over randomly generated
-//! databases, forcing per-operator metering and allocation accounting
-//! on never changes a query's answer, and the accounting it produces is
-//! internally conserved (peaks bounded by totals, metered root rows
-//! equal to materialized tuples).
+//! Property sweep (seeded, `nimble::trace::rng::sweep`) for the resource
+//! profiler: over randomly generated databases, forcing per-operator
+//! metering and allocation accounting on never changes a query's answer,
+//! and the accounting it produces is internally conserved (peaks bounded
+//! by totals, metered root rows equal to materialized tuples).
 
-use nimble::core::{Catalog, Engine};
-use nimble::sources::relational::RelationalAdapter;
+mod common;
+
+use common::{build_catalog, customers, orders};
+use nimble::core::Engine;
+use nimble::trace::rng::sweep;
 use nimble::xml::to_string;
-use proptest::prelude::*;
-use std::sync::Arc;
 
-fn build_catalog(
-    customers: &[(i64, String, String)],
-    orders: &[(i64, i64, i64)],
-) -> Arc<Catalog> {
-    let mut stmts = vec![
-        "CREATE TABLE customers (id INT, name TEXT, region TEXT)".to_string(),
-        "CREATE TABLE orders (oid INT, cust_id INT, total INT)".to_string(),
-    ];
-    for (id, name, region) in customers {
-        stmts.push(format!(
-            "INSERT INTO customers VALUES ({}, '{}', '{}')",
-            id, name, region
-        ));
-    }
-    for (oid, cust, total) in orders {
-        stmts.push(format!(
-            "INSERT INTO orders VALUES ({}, {}, {})",
-            oid, cust, total
-        ));
-    }
-    let catalog = Catalog::new();
-    catalog
-        .register_source(Arc::new(
-            RelationalAdapter::from_statements(
-                "erp",
-                &stmts.iter().map(String::as_str).collect::<Vec<_>>(),
-            )
-            .unwrap(),
-        ))
-        .unwrap();
-    Arc::new(catalog)
-}
-
-fn customers_strategy() -> impl Strategy<Value = Vec<(i64, String, String)>> {
-    proptest::collection::vec(
-        (0i64..20, "[a-d]{1,4}", prop_oneof![Just("NW"), Just("SW")]),
-        0..15,
-    )
-    .prop_map(|v| {
-        v.into_iter()
-            .enumerate()
-            .map(|(i, (_, name, region))| (i as i64, name, region.to_string()))
-            .collect()
-    })
-}
-
-fn orders_strategy() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
-    proptest::collection::vec((0i64..100, 0i64..15, 0i64..100), 0..20).prop_map(|v| {
-        v.into_iter()
-            .enumerate()
-            .map(|(i, (_, cust, total))| (i as i64, cust, total))
-            .collect()
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Profiling is an observer: the profiled run of every generated
-    /// query constructs a byte-identical document, and its accounting
-    /// is conserved.
-    #[test]
-    fn profiling_never_changes_answers_and_accounting_is_conserved(
-        customers in customers_strategy(),
-        orders in orders_strategy(),
-        threshold in 0i64..100,
-    ) {
+/// Profiling is an observer: the profiled run of every generated
+/// query constructs a byte-identical document, and its accounting
+/// is conserved.
+#[test]
+fn profiling_never_changes_answers_and_accounting_is_conserved() {
+    sweep(32, |rng| {
+        let (customers, orders, threshold) = (customers(rng), orders(rng), rng.range(0..100));
         let query = format!(
             r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
                      <row><cust_id>$i</cust_id><total>$t</total></row> IN "orders",
@@ -91,24 +32,24 @@ proptest! {
         let profiled = engine.query_profiled(&query).unwrap();
 
         // Byte-identical result documents and tuple counts.
-        prop_assert_eq!(
+        assert_eq!(
             to_string(&plain.document.root()),
             to_string(&profiled.document.root())
         );
-        prop_assert_eq!(plain.stats.tuples, profiled.stats.tuples);
+        assert_eq!(plain.stats.tuples, profiled.stats.tuples);
 
         // Allocation conservation (when the counting allocator is
         // compiled in): a peak above entry can only come from bytes
         // allocated inside the scope.
         if nimble::trace::alloc::enabled() {
-            prop_assert!(profiled.stats.alloc_bytes > 0);
-            prop_assert!(profiled.stats.alloc_peak_bytes <= profiled.stats.alloc_bytes);
+            assert!(profiled.stats.alloc_bytes > 0);
+            assert!(profiled.stats.alloc_peak_bytes <= profiled.stats.alloc_bytes);
         }
 
         // Plan-quality scoring: when a worst offender is named, its
         // Q-error is a ratio >= 1 by construction.
         if profiled.stats.worst_qerror_op.is_some() {
-            prop_assert!(profiled.stats.worst_qerror >= 1.0);
+            assert!(profiled.stats.worst_qerror >= 1.0);
         }
 
         // Row conservation: the metered root of the analyzed plan
@@ -120,7 +61,7 @@ proptest! {
                 .take_while(|c| c.is_ascii_digit())
                 .collect();
             let root_rows: usize = digits.parse().unwrap();
-            prop_assert_eq!(root_rows, profiled.stats.tuples);
+            assert_eq!(root_rows, profiled.stats.tuples);
         }
-    }
+    });
 }

@@ -1,80 +1,22 @@
-//! Cross-crate property tests: the mediator's optimizer choices never
-//! change answers over randomly generated databases, and pattern
-//! matching agrees between pushed fragments and central matching.
+//! Cross-crate property sweeps (seeded, `nimble::trace::rng::sweep`):
+//! the mediator's optimizer choices never change answers over randomly
+//! generated databases, and pattern matching agrees between pushed
+//! fragments and central matching.
 
-use nimble::core::{Catalog, Engine, OptimizerConfig};
-use nimble::sources::relational::RelationalAdapter;
+mod common;
+
+use common::{build_catalog, customers, orders};
+use nimble::core::{Engine, OptimizerConfig};
+use nimble::trace::rng::sweep;
 use nimble::xml::to_string;
-use proptest::prelude::*;
-use std::sync::Arc;
 
-fn build_catalog(
-    customers: &[(i64, String, String)],
-    orders: &[(i64, i64, i64)],
-) -> Arc<Catalog> {
-    let mut stmts = vec![
-        "CREATE TABLE customers (id INT, name TEXT, region TEXT)".to_string(),
-        "CREATE TABLE orders (oid INT, cust_id INT, total INT)".to_string(),
-    ];
-    for (id, name, region) in customers {
-        stmts.push(format!(
-            "INSERT INTO customers VALUES ({}, '{}', '{}')",
-            id, name, region
-        ));
-    }
-    for (oid, cust, total) in orders {
-        stmts.push(format!(
-            "INSERT INTO orders VALUES ({}, {}, {})",
-            oid, cust, total
-        ));
-    }
-    let catalog = Catalog::new();
-    catalog
-        .register_source(Arc::new(
-            RelationalAdapter::from_statements(
-                "erp",
-                &stmts.iter().map(String::as_str).collect::<Vec<_>>(),
-            )
-            .unwrap(),
-        ))
-        .unwrap();
-    Arc::new(catalog)
-}
-
-fn customers_strategy() -> impl Strategy<Value = Vec<(i64, String, String)>> {
-    proptest::collection::vec(
-        (0i64..20, "[a-d]{1,4}", prop_oneof![Just("NW"), Just("SW")]),
-        0..15,
-    )
-    .prop_map(|v| {
-        v.into_iter()
-            .enumerate()
-            .map(|(i, (_, name, region))| (i as i64, name, region.to_string()))
-            .collect()
-    })
-}
-
-fn orders_strategy() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
-    proptest::collection::vec((0i64..100, 0i64..15, 0i64..100), 0..20).prop_map(|v| {
-        v.into_iter()
-            .enumerate()
-            .map(|(i, (_, cust, total))| (i as i64, cust, total))
-            .collect()
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The four optimizer configurations agree on every generated
-    /// database and threshold — pushdown, join merging, and join
-    /// ordering are pure performance choices.
-    #[test]
-    fn optimizer_is_semantics_preserving(
-        customers in customers_strategy(),
-        orders in orders_strategy(),
-        threshold in 0i64..100,
-    ) {
+/// The four optimizer configurations agree on every generated
+/// database and threshold — pushdown, join merging, and join
+/// ordering are pure performance choices.
+#[test]
+fn optimizer_is_semantics_preserving() {
+    sweep(48, |rng| {
+        let (customers, orders, threshold) = (customers(rng), orders(rng), rng.range(0..100));
         let query = format!(
             r#"WHERE <row><id>$i</id><name>$n</name><region>"NW"</region></row> IN "customers",
                      <row><cust_id>$i</cust_id><total>$t</total></row> IN "orders",
@@ -94,22 +36,21 @@ proptest! {
             let engine = Engine::new(build_catalog(&customers, &orders));
             engine.set_optimizer(config);
             let r = engine.query(&query).unwrap();
-            prop_assert!(r.complete);
+            assert!(r.complete);
             outputs.push(to_string(&r.document.root()));
         }
         for o in &outputs[1..] {
-            prop_assert_eq!(o, &outputs[0]);
+            assert_eq!(o, &outputs[0]);
         }
-    }
+    });
+}
 
-    /// The engine's answer matches a direct reference join computed in
-    /// Rust.
-    #[test]
-    fn engine_matches_reference_join(
-        customers in customers_strategy(),
-        orders in orders_strategy(),
-        threshold in 0i64..100,
-    ) {
+/// The engine's answer matches a direct reference join computed in
+/// Rust.
+#[test]
+fn engine_matches_reference_join() {
+    sweep(48, |rng| {
+        let (customers, orders, threshold) = (customers(rng), orders(rng), rng.range(0..100));
         let query = format!(
             r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
                      <row><cust_id>$i</cust_id><total>$t</total></row> IN "orders",
@@ -140,6 +81,6 @@ proptest! {
             }
         }
         expected.sort();
-        prop_assert_eq!(got, expected);
-    }
+        assert_eq!(got, expected);
+    });
 }

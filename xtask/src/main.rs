@@ -67,21 +67,12 @@ const BENCH_BINS: [&str; 3] = [
     "exp_shard",
 ];
 
-/// Build a command for a workspace binary: the offline harness output
-/// (`target/manual/tests/<bin>`) when present — registry-less
-/// containers cannot `cargo run` — else `cargo run --release`.
+/// `cargo run --release` of a workspace binary, from the workspace root.
 fn tool_command(root: &Path, bin: &str) -> Command {
-    let manual = root.join("target/manual/tests").join(bin);
-    if manual.exists() {
-        let mut c = Command::new(manual);
-        c.current_dir(root);
-        c
-    } else {
-        let mut c = Command::new("cargo");
-        c.args(["run", "--release", "--quiet", "--bin", bin, "--"]);
-        c.current_dir(root);
-        c
-    }
+    let mut c = Command::new("cargo");
+    c.args(["run", "--release", "--quiet", "--bin", bin, "--"]);
+    c.current_dir(root);
+    c
 }
 
 /// `cargo xtask bench-check`: the perf regression sentinel.
@@ -509,7 +500,7 @@ fn string_literals(source: &str) -> Vec<(String, bool)> {
 
 /// Flag `.execute(` / `.fetch_collection(` adapter calls made while a
 /// lock/borrow guard bound by a `let` in an enclosing scope is still
-/// live. Scope-based, not statement-based: parking_lot guards (and
+/// live. Scope-based, not statement-based: lock guards (and
 /// `if let` scrutinee temporaries) live to the end of their block.
 fn check_lock_across_call(root: &Path, files: &[PathBuf]) -> Vec<String> {
     let mut violations = Vec::new();
