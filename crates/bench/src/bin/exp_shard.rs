@@ -138,7 +138,7 @@ fn measure(cluster: &ShardedCluster, q: &str, want: &str, runs: usize) -> Obs {
     let first = need(cluster.query(q), "sharded query");
     let got = to_string(&first.document.root());
     let identical = got == *want;
-    let answer_rows = first.document.root().children().count() as u64;
+    let answer_rows = first.document.root().child_element_count() as u64;
     let before = cluster.coordinator().metrics_snapshot();
     let t = Instant::now();
     for _ in 0..runs {
@@ -279,8 +279,7 @@ fn main() {
     let loss_expected = need(unsharded.query(&loss_q), "unsharded loss query")
         .document
         .root()
-        .children()
-        .count() as u64;
+        .child_element_count() as u64;
     let loss_cluster = need(
         ShardedCluster::build(
             fixture(&events, &dims),
@@ -294,7 +293,7 @@ fn main() {
     );
     loss_cluster.set_shard_alive(1, false);
     let loss = need(loss_cluster.query(&loss_q), "shard-loss query");
-    let loss_got = loss.document.root().children().count() as u64;
+    let loss_got = loss.document.root().child_element_count() as u64;
     let loss_pinned = loss
         .missing_sources
         .iter()

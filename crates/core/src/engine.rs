@@ -17,7 +17,7 @@ use nimble_algebra::{
     run_to_vec, run_to_vec_batched, ExecError, FunctionRegistry, LineageMask, ScalarExpr, Schema,
     Tuple,
 };
-use nimble_sources::query::{row_field, FieldRef, SourceQuery};
+use nimble_sources::query::{cursor_field, FieldRef, SourceQuery};
 use nimble_store::{LogicalClock, ResultCache, ViewStore, WorkloadMonitor};
 use nimble_trace::{
     AllocScope, AllocStats, FlightRecord, FlightRecorder, MetricsRegistry, MetricsSnapshot,
@@ -428,6 +428,11 @@ struct ExecCtx {
     fragments: usize,
     rows_fetched: u64,
     plan_text: String,
+    /// Whether anyone can read `plan_text`: a result envelope, EXPLAIN or
+    /// a flight record. [`Engine::query_serialized`] returns the answer's
+    /// bytes alone and clears it, and then no EXPLAIN text — the sources'
+    /// SQL included — is rendered.
+    want_plan_text: bool,
     /// EXPLAIN's first line: [`Compiled::path`] of the top-level query.
     plan_path: String,
     /// Wrap assembled operators in `MeteredOp` for EXPLAIN ANALYZE.
@@ -463,6 +468,7 @@ impl ExecCtx {
             fragments: 0,
             rows_fetched: 0,
             plan_text: String::new(),
+            want_plan_text: true,
             plan_path: String::new(),
             profile: false,
             phases: Vec::new(),
@@ -716,6 +722,7 @@ impl Engine {
         let Compiled { query, plan, path, .. } = compiled;
         let mut ctx = ExecCtx::new();
         ctx.profile = config.profile;
+        ctx.want_plan_text = false;
         ctx.plan_path = path;
         let (schema, tuples) = self.eval_planned(&plan, None, 0, &mut ctx, 0.0, 0.0, false)?;
         let a_construct = AllocScope::enter();
@@ -1270,6 +1277,7 @@ impl Engine {
             .view(name)
             .ok_or_else(|| CoreError::UnknownCollection(name.to_string()))?;
         let mut ctx = ExecCtx::new();
+        ctx.want_plan_text = false;
         let doc = self.eval_view_virtually(&def.query, 0, &mut ctx)?;
         if !ctx.missing.is_empty() {
             return Err(CoreError::Exec(format!(
@@ -1812,8 +1820,12 @@ impl Engine {
             self.phase_alloc("execute", exec_alloc);
         }
         // Record the plan (top-level query only).
-        if depth == 0 && ctx.plan_text.is_empty() {
-            let mut text = explain_notes(&ctx.plan_path, plan.notes.iter().chain(&bind_note));
+        if depth == 0 && ctx.want_plan_text && ctx.plan_text.is_empty() {
+            let of_values = planner::value_notes(&self.catalog, plan);
+            let mut text = explain_notes(
+                &ctx.plan_path,
+                plan.notes.iter().chain(&of_values).chain(&bind_note),
+            );
             if ctx.profile {
                 text.push_str(&explain_analyze_ops(op.as_ref()));
             } else {
@@ -1885,8 +1897,9 @@ impl Engine {
             ctx.phases.push(("verify", verify_ms));
             ctx.phases.push(("execute", execute_ms));
         }
-        if depth == 0 && ctx.plan_text.is_empty() {
-            let mut text = explain_notes(&ctx.plan_path, plan.notes.iter());
+        if depth == 0 && ctx.want_plan_text && ctx.plan_text.is_empty() {
+            let of_values = planner::value_notes(&self.catalog, plan);
+            let mut text = explain_notes(&ctx.plan_path, plan.notes.iter().chain(&of_values));
             text.push_str(&explain_ops(op.as_ref()));
             ctx.plan_text = text;
         }
@@ -2343,7 +2356,7 @@ impl Engine {
                 // same measure sampling seeds), not pattern matches.
                 self.note_stats_rows(
                     &format!("{}.{}", source, collection),
-                    doc.root().child_elements().count() as u64,
+                    doc.root_cursor().child_element_count() as u64,
                 );
                 note_source_call(
                     calls_before,
@@ -2387,7 +2400,7 @@ impl Engine {
                 // alternation.
                 self.note_stats_rows(
                     &format!("view:{}", view),
-                    doc.root().child_elements().count() as u64,
+                    doc.root_cursor().child_element_count() as u64,
                 );
                 let prov = track.then(|| ProvSource {
                     name: view.clone(),
@@ -2880,7 +2893,7 @@ impl ShardScan {
             .map_err(|e| shard_err(e.to_string()))?;
         // A row without an origin would sort wherever its made-up index
         // put it; a slice of another length is not this partition's.
-        let slice_rows = doc.root().child_elements().count();
+        let slice_rows = doc.root_cursor().child_element_count();
         if slice_rows != origins.len() {
             return Err(shard_err(format!(
                 "slice has {} rows, origin map has {}",
@@ -2929,11 +2942,11 @@ fn shred_slice(
     vars: &[String],
 ) -> Vec<Value> {
     let mut values = Vec::with_capacity(origins.len() * (vars.len() + 1));
-    for (row, &origin) in doc.root().child_elements().zip(origins) {
+    for (row, &origin) in doc.root_cursor().child_elements().zip(origins) {
         if matches!(&pattern.tag, TagPattern::Name(n) if row.name() != Some(n.as_str())) {
             continue;
         }
-        for b in matcher::match_pattern(&row, pattern) {
+        for b in matcher::match_pattern_at(doc, row, pattern) {
             values.push(Value::from(origin as i64));
             values.extend(vars.iter().map(|v| b.get(v).cloned().unwrap_or_else(Value::null)));
         }
@@ -3205,7 +3218,7 @@ fn fragment_tuples(doc: &Arc<Document>, vars: &[String]) -> Vec<Tuple> {
         .iter()
         .enumerate()
         .all(|(i, name)| name.is_some() && !names[..i].contains(name));
-    doc.root()
+    doc.root_cursor()
         .children_named("row")
         .map(|row| {
             if positional {
@@ -3221,7 +3234,7 @@ fn fragment_tuples(doc: &Arc<Document>, vars: &[String]) -> Vec<Tuple> {
                 }
             }
             vars.iter()
-                .map(|v| Value::Atomic(row_field(&row, v)))
+                .map(|v| Value::Atomic(cursor_field(row, v)))
                 .collect()
         })
         .collect()
@@ -3400,5 +3413,61 @@ mod fragment_tests {
         rows.row(&[("a", Atomic::Int(1))]);
         let unknown: Vec<String> = vec!["a".into(), "never_interned_anywhere_q".into()];
         assert_eq!(fragment_tuples(&rows.finish(), &unknown), vec![vec![int(1), null()]]);
+    }
+
+    /// The cursor walk against the reading it replaced: every `<row>`
+    /// through an owned handle, every variable looked up by name
+    /// (`rows_of` + `row_field`). Rows in fragment order take the
+    /// positional path, the rest the by-name one; both must be that
+    /// reading, value for value and type for type.
+    #[test]
+    fn cursor_read_tuples_are_the_owned_handle_reading() {
+        use nimble_sources::query::{row_field, rows_of};
+        use nimble_trace::rng::{sweep, SWEEP_SEED};
+        eprintln!("fragment_tuples sweep seed {:#x}", SWEEP_SEED);
+        const FIELDS: [&str; 5] = ["a", "b", "c", "d", "e"];
+        sweep(256, |rng| {
+            let mut vars: Vec<String> = FIELDS.iter().map(|f| f.to_string()).collect();
+            rng.shuffle(&mut vars);
+            vars.truncate(1 + rng.below(4));
+            if rng.chance(0.1) {
+                vars.push(vars[0].clone());
+            }
+            let mut rows = RowsBuilder::new();
+            for _ in 0..rng.below(40) {
+                // Mostly what an adapter sends: the fragment's outputs
+                // in order. Otherwise shuffled, short, or with strangers.
+                let mut fields: Vec<&str> = vars.iter().map(String::as_str).collect();
+                if rng.chance(0.3) {
+                    fields.extend(["z", FIELDS[rng.below(5)]]);
+                    rng.shuffle(&mut fields);
+                    fields.truncate(rng.below(fields.len() + 1));
+                }
+                let row: Vec<(&str, Atomic)> = fields
+                    .into_iter()
+                    .map(|f| {
+                        let value = match rng.below(5) {
+                            0 => Atomic::Null,
+                            1 => Atomic::Int(rng.any_i64()),
+                            2 => Atomic::Float(rng.range(-40..40) as f64 / 4.0),
+                            3 => Atomic::Bool(rng.chance(0.5)),
+                            _ => Atomic::Str(rng.string("ab<&1 ", 0..5)),
+                        };
+                        (f, value)
+                    })
+                    .collect();
+                rows.row(&row);
+            }
+            let doc = rows.finish();
+            let want: Vec<Vec<Value>> = rows_of(&doc)
+                .iter()
+                .map(|row| vars.iter().map(|v| Value::Atomic(row_field(row, v))).collect())
+                .collect();
+            let got = fragment_tuples(&doc, &vars);
+            assert_eq!(got, want);
+            // `==` equates `Str` with `Sym` and `Int 2` with nothing
+            // else; the variants must be the same ones too.
+            assert_eq!(format!("{:?}", got), format!("{:?}", want));
+        });
     }
 }

@@ -6,9 +6,10 @@
 //! binding tuples through the same matcher, which is what lets "XML as
 //! the unifying model" actually unify heterogeneous sources.
 
-use nimble_xml::{Atomic, NodeRef, Value};
+use nimble_xml::{Atomic, Cursor, Document, NodeRef, Sym, Value};
 use nimble_xmlql::ast::{Pattern, PatternContent, PatternValue, TagPattern};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One match: variable → bound value.
 pub type Bindings = HashMap<String, Value>;
@@ -18,9 +19,16 @@ pub type Bindings = HashMap<String, Value>;
 /// a pattern denotes *all* ways it embeds into the data; repeated
 /// variables join implicitly.
 pub fn match_pattern(context: &NodeRef, pattern: &Pattern) -> Vec<Bindings> {
+    match_pattern_at(context.document(), context.cursor(), pattern)
+}
+
+/// [`match_pattern`] for a caller already walking `doc` by cursor (a
+/// shard slice's rows): no owned handle is made per context. `context`
+/// must be a cursor of `doc`.
+pub fn match_pattern_at(doc: &Arc<Document>, context: Cursor<'_>, pattern: &Pattern) -> Vec<Bindings> {
     let mut out = Vec::new();
     for candidate in top_candidates(context, &pattern.tag) {
-        match_element(&candidate, pattern, &Bindings::new(), &mut out);
+        match_element(doc, candidate, pattern, &Bindings::new(), &mut out);
     }
     out
 }
@@ -30,8 +38,8 @@ pub fn match_pattern(context: &NodeRef, pattern: &Pattern) -> Vec<Bindings> {
 /// container.
 pub fn match_within(context: &NodeRef, pattern: &Pattern) -> Vec<Bindings> {
     let mut out = Vec::new();
-    for candidate in child_candidates(context, &pattern.tag) {
-        match_element(&candidate, pattern, &Bindings::new(), &mut out);
+    for candidate in child_candidates(context.cursor(), &pattern.tag) {
+        match_element(context.document(), candidate, pattern, &Bindings::new(), &mut out);
     }
     out
 }
@@ -42,26 +50,26 @@ pub fn match_within(context: &NodeRef, pattern: &Pattern) -> Vec<Bindings> {
 /// collections, not physical wrappers — a top-level `Name` tag that does
 /// not match the root also tries the root's children (e.g. pattern
 /// `<row>…` against a `<rows>` result document).
-fn top_candidates(context: &NodeRef, tag: &TagPattern) -> Vec<NodeRef> {
+///
+/// Candidates are borrowed cursors: enumerating them touches no
+/// reference count, and only a node a pattern binds (`ELEMENT_AS`)
+/// becomes an owned `NodeRef`.
+fn top_candidates<'a>(context: Cursor<'a>, tag: &TagPattern) -> Vec<Cursor<'a>> {
     match tag {
         TagPattern::Name(n) => {
             if context.name() == Some(n.as_str()) {
-                vec![context.clone()]
+                vec![context]
             } else {
                 context.children_named(n).collect()
             }
         }
-        TagPattern::Wildcard => vec![context.clone()],
+        TagPattern::Wildcard => vec![context],
         TagPattern::Descendant(n) => {
             let mut v = Vec::new();
             if context.name() == Some(n.as_str()) {
-                v.push(context.clone());
+                v.push(context);
             }
-            v.extend(
-                context
-                    .descendants()
-                    .filter(|d| d.name() == Some(n.as_str())),
-            );
+            v.extend(descendants_named(context, n));
             v
         }
         TagPattern::ClosurePlus(n) => closure_candidates(context, n),
@@ -69,35 +77,45 @@ fn top_candidates(context: &NodeRef, tag: &TagPattern) -> Vec<NodeRef> {
 }
 
 /// Candidates among the children of `parent` for a nested pattern tag.
-fn child_candidates(parent: &NodeRef, tag: &TagPattern) -> Vec<NodeRef> {
+fn child_candidates<'a>(parent: Cursor<'a>, tag: &TagPattern) -> Vec<Cursor<'a>> {
     match tag {
         TagPattern::Name(n) => parent.children_named(n).collect(),
         TagPattern::Wildcard => parent.child_elements().collect(),
-        TagPattern::Descendant(n) => parent
-            .descendants()
-            .filter(|d| d.name() == Some(n.as_str()))
-            .collect(),
+        TagPattern::Descendant(n) => descendants_named(parent, n).collect(),
         TagPattern::ClosurePlus(n) => closure_candidates(parent, n),
     }
 }
 
+fn descendants_named<'a>(node: Cursor<'a>, name: &str) -> impl Iterator<Item = Cursor<'a>> {
+    // A name never interned names no element.
+    let needle = Sym::find(name);
+    node.descendants()
+        .filter(move |d| needle.is_some() && d.name_sym() == needle)
+}
+
 /// `name+`: elements reachable from `parent` by one or more steps, each
 /// step descending into a child element named `name`.
-fn closure_candidates(parent: &NodeRef, name: &str) -> Vec<NodeRef> {
+fn closure_candidates<'a>(parent: Cursor<'a>, name: &str) -> Vec<Cursor<'a>> {
     let mut out = Vec::new();
-    let mut frontier: Vec<NodeRef> = parent.children_named(name).collect();
+    let mut frontier: Vec<Cursor<'a>> = parent.children_named(name).collect();
     while let Some(node) = frontier.pop() {
         frontier.extend(node.children_named(name));
         out.push(node);
     }
     // Stable order: document order.
-    out.sort_by(|a, b| a.doc_order(b));
+    out.sort_by_key(|c| c.id());
     out
 }
 
 /// Try to match `pattern` exactly at `element`, extending `inherited`
 /// bindings; push every consistent completion into `out`.
-fn match_element(element: &NodeRef, pattern: &Pattern, inherited: &Bindings, out: &mut Vec<Bindings>) {
+fn match_element(
+    doc: &Arc<Document>,
+    element: Cursor<'_>,
+    pattern: &Pattern,
+    inherited: &Bindings,
+    out: &mut Vec<Bindings>,
+) {
     let mut bindings = inherited.clone();
 
     // Attributes.
@@ -122,7 +140,7 @@ fn match_element(element: &NodeRef, pattern: &Pattern, inherited: &Bindings, out
 
     // ELEMENT_AS / CONTENT_AS.
     if let Some(v) = &pattern.element_as {
-        if !bind(&mut bindings, v, Value::Node(element.clone())) {
+        if !bind(&mut bindings, v, Value::Node(doc.node(element.id()))) {
             return;
         }
     }
@@ -156,8 +174,8 @@ fn match_element(element: &NodeRef, pattern: &Pattern, inherited: &Bindings, out
             PatternContent::Nested(sub) => {
                 let candidates = child_candidates(element, &sub.tag);
                 for p in &partials {
-                    for cand in &candidates {
-                        match_element(cand, sub, p, &mut next);
+                    for &cand in &candidates {
+                        match_element(doc, cand, sub, p, &mut next);
                     }
                 }
             }

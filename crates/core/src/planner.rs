@@ -123,11 +123,9 @@ pub struct Plan {
     /// equality parameters ([`Query::eq_params`]). Nothing else in a
     /// plan without [`Plan::shards`] depends on those values but what
     /// [`bind`] recomputes, so such a plan, cached, serves every value.
+    /// (`notes` hold for every value; what EXPLAIN says of the values
+    /// is [`value_notes`].)
     pub param_sites: Vec<ParamSite>,
-    /// `notes[..shape_notes]` hold for every value of the parameters;
-    /// the rest (the verdict, the source queries' text) are rewritten
-    /// when the plan is bound to other values.
-    pub shape_notes: usize,
 }
 
 /// One copy of an equality parameter's value inside a [`Plan`].
@@ -430,29 +428,33 @@ pub fn plan_query_sharded(
         plan_shards(catalog, &mut plan, rt);
     }
 
-    plan.shape_notes = plan.notes.len();
     finish(catalog, &mut plan, config);
     Ok(plan)
 }
 
 /// The tail of planning, which reads the values of equality parameters
-/// and nothing decides on afterwards. It runs when a plan is made and
-/// again when a cached one is bound to other values ([`bind`]):
-///
-/// * the satisfiability verdict ([`unsat_verdict`]) — a plan whose
-///   predicates can never hold executes as an annotated empty relation;
-/// * the exact per-source query text that will be shipped — for
-///   relational sources, the generated SQL (the paper's "if an RDB is
-///   being queried, then the compiler generates SQL").
+/// and nothing decides on afterwards: the satisfiability verdict
+/// ([`unsat_verdict`]) — a plan whose predicates can never hold executes
+/// as an annotated empty relation. It runs when a plan is made and again
+/// when a cached one is bound to other values ([`bind`]).
 fn finish(catalog: &Catalog, plan: &mut Plan, config: &OptimizerConfig) {
-    plan.notes.truncate(plan.shape_notes);
     plan.pruned = if config.prune_unsat {
         unsat_verdict(catalog, plan)
     } else {
         None
     };
+}
+
+/// What EXPLAIN says of a plan's parameter values, after [`Plan::notes`]:
+/// the verdict, and the exact per-source query text that will be shipped
+/// — for relational sources, the generated SQL (the paper's "if an RDB is
+/// being queried, then the compiler generates SQL"). Rendered where the
+/// EXPLAIN text is assembled, not when a plan is made or bound: a serve
+/// nobody reads the plan of renders no SQL text.
+pub fn value_notes(catalog: &Catalog, plan: &Plan) -> Vec<String> {
+    let mut notes = Vec::new();
     if let Some(reason) = &plan.pruned {
-        plan.notes.push(format!("pruned: {}", reason));
+        notes.push(format!("pruned: {}", reason));
     }
     for (i, atom) in plan.independents.iter().enumerate() {
         if let AtomExec::Fragment { source, query, .. } = atom {
@@ -465,17 +467,18 @@ fn finish(catalog: &Catalog, plan: &mut Plan, config: &OptimizerConfig) {
                 if let Some((stage, t)) = plan.bind.as_ref().and_then(|b| Some((b, b.target(i)?))) {
                     note.push_str(&format!("  [+ {} IN (keys of ${})]", t.field, stage.var));
                 }
-                plan.notes.push(note);
+                notes.push(note);
             }
         }
     }
+    notes
 }
 
 /// A cached plan made for other values of its query's equality
 /// parameters, bound to `params` ([`Query::eq_params`] of the query
 /// being served): the values are written at the plan's
 /// [`Plan::param_sites`] and the value-reading tail of planning
-/// ([`finish`]) runs again. The result is the plan
+/// (the verdict) runs again. The result is the plan
 /// [`plan_query_sharded`] makes for the query itself, as long as the
 /// cached plan routes no shards (`shards` is empty): every other
 /// decision reads an equality literal's type at most (DESIGN.md §12).
@@ -2118,7 +2121,15 @@ mod tests {
         c.register_source(crm).unwrap();
         c.register_source(billing).unwrap();
         let q = parse(&format!("{}, {} CONSTRUCT <o>$n</o>", LOOKUP, pred));
-        plan_query(&c, &q, &OptimizerConfig::default()).unwrap()
+        explained(&c, plan_query(&c, &q, &OptimizerConfig::default()).unwrap())
+    }
+
+    /// The plan with what EXPLAIN prints after its own notes appended
+    /// to them, for [`has_note`].
+    fn explained(c: &Catalog, mut plan: Plan) -> Plan {
+        let of_values = value_notes(c, &plan);
+        plan.notes.extend(of_values);
+        plan
     }
 
     /// Pushed selections per source, as SQL-ish text.
@@ -2401,7 +2412,7 @@ mod tests {
             c.register_source(wrap(name, relational(name, &stmts))).unwrap();
         }
         let q = parse(&format!("{}{} CONSTRUCT <o>$n</o>", THREE_WAY, tail));
-        plan_query(&c, &q, &OptimizerConfig::default()).unwrap()
+        explained(&c, plan_query(&c, &q, &OptimizerConfig::default()).unwrap())
     }
 
     #[test]

@@ -240,7 +240,7 @@ impl SourceAdapter for CsvAdapter {
 
     fn fetch_collection(&self, name: &str) -> Result<Arc<Document>, SourceError> {
         let f = self.file(name)?;
-        let mut out = RowsBuilder::new();
+        let mut out = RowsBuilder::with_capacity(f.rows.len(), f.fields.len());
         for row in &f.rows {
             let fields: Vec<(&str, Atomic)> = f
                 .fields

@@ -1,7 +1,7 @@
 //! The fragment language: what the mediator pushes to adapters, and the
 //! `<rows>` result contract helpers.
 
-use nimble_xml::{Atomic, AtomicKey, AtomicType, Document, DocumentBuilder, NodeRef, Sym};
+use nimble_xml::{Atomic, AtomicKey, AtomicType, Cursor, Document, DocumentBuilder, NodeRef, Sym};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -226,8 +226,17 @@ impl Default for RowsBuilder {
 
 impl RowsBuilder {
     pub fn new() -> RowsBuilder {
+        Self::with_capacity(0, 0)
+    }
+
+    /// A builder with room for `rows` rows of `columns` non-null fields:
+    /// an adapter that holds its answer before writing it allocates the
+    /// node table once.
+    pub fn with_capacity(rows: usize, columns: usize) -> RowsBuilder {
         RowsBuilder {
-            builder: DocumentBuilder::new("rows"),
+            // The root; per row the `<row>` and per field an element
+            // and its text.
+            builder: DocumentBuilder::with_capacity("rows", 1 + rows * (1 + 2 * columns)),
             row: Sym::intern("row"),
             rows: 0,
         }
@@ -278,12 +287,43 @@ pub fn rows_of(doc: &Arc<Document>) -> Vec<NodeRef> {
 
 /// Read a named field of a row as a typed atomic (`Null` when absent).
 pub fn row_field(row: &NodeRef, name: &str) -> Atomic {
-    row.child(name).map(|c| c.typed_value()).unwrap_or(Atomic::Null)
+    cursor_field(row.cursor(), name)
+}
+
+/// [`row_field`] for a reader walking the rows by cursor.
+pub fn cursor_field(row: Cursor<'_>, name: &str) -> Atomic {
+    row.child(name).map_or(Atomic::Null, |c| c.typed_value())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_sized_rows_document_allocates_o1_blocks() {
+        if !nimble_trace::alloc::enabled() {
+            return; // profile-alloc compiled out: nothing to count
+        }
+        let names = [Sym::intern("id"), Sym::intern("name"), Sym::intern("total")];
+        let name = Sym::intern("n");
+        let build = |rows: usize| {
+            let scope = nimble_trace::alloc::AllocScope::enter();
+            let mut b = RowsBuilder::with_capacity(rows, names.len());
+            for i in 0..rows {
+                let values = [Atomic::Int(i as i64), Atomic::Sym(name), Atomic::Float(i as f64)];
+                b.row_syms(names.iter().copied().zip(values));
+            }
+            let doc = b.finish();
+            (doc.len(), scope.finish().allocs)
+        };
+        build(1); // the first document interns `rows` and `row`
+        let (small_nodes, small) = build(10);
+        let (nodes, large) = build(1_000);
+        assert_eq!((small_nodes, nodes), (1 + 10 * 7, 1 + 1_000 * 7));
+        // The node table and the `Arc`; no block per row, element or value.
+        assert!(large <= 4, "{} blocks for 1 000 rows", large);
+        assert_eq!(large, small, "blocks grow with the row count");
+    }
 
     #[test]
     fn rows_roundtrip() {

@@ -277,7 +277,7 @@ impl SourceAdapter for RelationalAdapter {
             let (prepared, names) = self.statement(&mut db, query).map_err(failed)?;
             (db.run(&prepared, &values).map_err(failed)?, names)
         };
-        let mut out = RowsBuilder::new();
+        let mut out = RowsBuilder::with_capacity(rows.len(), names.len());
         for row in rows {
             out.row_syms(names.iter().copied().zip(row));
         }
@@ -290,7 +290,7 @@ impl SourceAdapter for RelationalAdapter {
             .table(name)
             .ok_or_else(|| SourceError::query(&self.name, format!("no collection {:?}", name)))?;
         let names: Vec<Sym> = table.columns.iter().map(|c| Sym::intern(&c.name)).collect();
-        let mut out = RowsBuilder::new();
+        let mut out = RowsBuilder::with_capacity(table.rows().len(), names.len());
         for row in table.rows() {
             out.row_syms(names.iter().copied().zip(row.iter().cloned()));
         }

@@ -69,7 +69,7 @@ impl SourceAdapter for XmlDocAdapter {
                 CollectionInfo {
                     name: name.clone(),
                     fields,
-                    estimated_rows: Some(doc.root().child_elements().count() as u64),
+                    estimated_rows: Some(doc.root_cursor().child_element_count() as u64),
                 }
             })
             .collect()
@@ -92,7 +92,7 @@ impl SourceAdapter for XmlDocAdapter {
     fn estimated_rows(&self, collection: &str) -> Option<u64> {
         self.documents
             .get(collection)
-            .map(|d| d.root().child_elements().count() as u64)
+            .map(|d| d.root_cursor().child_element_count() as u64)
     }
 }
 

@@ -7,7 +7,8 @@
 
 use crate::atomic::Atomic;
 use crate::intern::Sym;
-use crate::node::{Document, NodeData, NodeId, NodeKind, NodeRef};
+use crate::node::{Children, Cursor, Document, NodeData, NodeId, NodeRef, Payload, NO_PARENT, OPEN};
+use crate::serialize::write_compact;
 use std::sync::Arc;
 
 /// Incrementally builds a [`Document`] with a cursor-based API.
@@ -24,38 +25,66 @@ use std::sync::Arc;
 /// assert_eq!(doc.root().child("person").unwrap().text(), "Ada");
 /// ```
 pub struct DocumentBuilder {
-    nodes: Vec<NodeData>,
-    /// Stack of open elements; the root stays at the bottom until `finish`.
-    open: Vec<NodeId>,
+    /// The arena being filled. Open elements carry `end == OPEN`, which
+    /// the shared traversal reads as "ends where the table does".
+    doc: Document,
+    /// Innermost open element. Always a valid element id: the root is
+    /// node 0 and stays open until `finish`.
+    cur: u32,
+    /// Number of open elements (1 = only the root).
+    depth: usize,
 }
 
 impl DocumentBuilder {
     /// Start a new document whose root element has the given tag name.
     pub fn new(root_name: &str) -> Self {
-        let root = NodeData {
-            kind: NodeKind::Element {
-                name: Sym::intern(root_name),
+        Self::with_capacity(root_name, 1)
+    }
+
+    /// Like [`new`](Self::new), with room for `nodes` nodes (the root
+    /// included) so that a caller who knows the size allocates the table
+    /// once.
+    pub fn with_capacity(root_name: &str, nodes: usize) -> Self {
+        let mut table = Vec::with_capacity(nodes.max(1));
+        table.push(NodeData {
+            payload: element(Sym::intern(root_name)),
+            parent: NO_PARENT,
+            end: OPEN,
+        });
+        DocumentBuilder {
+            doc: Document {
+                nodes: table,
                 attrs: Vec::new(),
             },
-            parent: None,
-            children: Vec::new(),
-        };
-        DocumentBuilder {
-            nodes: vec![root],
-            open: vec![NodeId(0)],
+            cur: 0,
+            depth: 1,
         }
     }
 
-    fn push_node(&mut self, kind: NodeKind) -> NodeId {
-        let parent = *self.open.last().expect("builder has no open element");
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeData {
-            kind,
-            parent: Some(parent),
-            children: Vec::new(),
+    /// Append a node under the current element; `end` is `id + 1` for a
+    /// leaf and [`OPEN`] for an element about to receive children.
+    fn push_node(&mut self, payload: Payload, end: u32) -> NodeId {
+        let id = self.doc.nodes.len() as u32;
+        self.doc.nodes.push(NodeData {
+            payload,
+            parent: self.cur,
+            end,
         });
-        self.nodes[parent.0 as usize].children.push(id);
-        id
+        NodeId(id)
+    }
+
+    fn push_leaf(&mut self, payload: Payload) -> NodeId {
+        let end = self.doc.nodes.len() as u32 + 1;
+        self.push_node(payload, end)
+    }
+
+    /// Count one more element child of the current element.
+    fn count_child_element(&mut self) {
+        if let Payload::Element { child_elements, .. } =
+            &mut self.doc.nodes[self.cur as usize].payload
+        {
+            *child_elements += 1;
+        }
     }
 
     /// Open a child element; subsequent nodes nest inside it until
@@ -67,22 +96,25 @@ impl DocumentBuilder {
     /// Open a child element by interned name (the zero-allocation path
     /// used when copying subtrees and streaming construction).
     pub fn start_element_sym(&mut self, name: Sym) -> NodeId {
-        let id = self.push_node(NodeKind::Element {
-            name,
-            attrs: Vec::new(),
-        });
-        self.open.push(id);
+        self.count_child_element();
+        let id = self.push_node(element(name), OPEN);
+        self.cur = id.0;
+        self.depth += 1;
         id
     }
 
     /// Close the innermost open element. Panics on attempts to close the
     /// root (the root is closed by [`finish`](Self::finish)).
     pub fn end_element(&mut self) {
+        let len = self.doc.nodes.len() as u32;
+        let open = &mut self.doc.nodes[self.cur as usize];
         assert!(
-            self.open.len() > 1,
+            open.parent != NO_PARENT,
             "end_element would close the document root"
         );
-        self.open.pop();
+        open.end = len;
+        self.cur = open.parent;
+        self.depth -= 1;
     }
 
     /// Add an attribute to the innermost open element.
@@ -92,16 +124,27 @@ impl DocumentBuilder {
 
     /// Add an attribute by interned name/value.
     pub fn attr_sym(&mut self, name: Sym, value: Sym) {
-        let cur = *self.open.last().unwrap();
-        match &mut self.nodes[cur.0 as usize].kind {
-            NodeKind::Element { attrs, .. } => attrs.push((name, value)),
-            _ => unreachable!("open stack only holds elements"),
+        let tail = self.doc.attrs.len() as u32;
+        if let Payload::Element {
+            attrs, attr_count, ..
+        } = &mut self.doc.nodes[self.cur as usize].payload
+        {
+            if *attrs + *attr_count != tail {
+                // First attribute, or a descendant's attributes were
+                // appended after this element's last one: (re)start the
+                // run at the tail so that it stays contiguous.
+                let run = *attrs as usize..(*attrs + *attr_count) as usize;
+                self.doc.attrs.extend_from_within(run);
+                *attrs = tail;
+            }
+            *attr_count += 1;
+            self.doc.attrs.push((name, value));
         }
     }
 
     /// Append a typed text node.
     pub fn text(&mut self, value: Atomic) -> NodeId {
-        self.push_node(NodeKind::Text(value))
+        self.push_leaf(Payload::Text(value))
     }
 
     /// Append a string text node (interned).
@@ -111,15 +154,12 @@ impl DocumentBuilder {
 
     /// Append a comment node.
     pub fn comment(&mut self, text: &str) -> NodeId {
-        self.push_node(NodeKind::Comment(text.to_string()))
+        self.push_leaf(Payload::Comment(text.into()))
     }
 
     /// Append a processing instruction.
     pub fn pi(&mut self, target: &str, data: &str) -> NodeId {
-        self.push_node(NodeKind::Pi {
-            target: target.to_string(),
-            data: data.to_string(),
-        })
+        self.push_leaf(Payload::Pi(Box::new((target.to_string(), data.to_string()))))
     }
 
     /// Convenience: `<name>value</name>` as a single call.
@@ -136,35 +176,51 @@ impl DocumentBuilder {
     /// child of the current element. Used by `Construct` when query results
     /// embed source fragments.
     pub fn copy_subtree(&mut self, node: &NodeRef) {
-        match node.kind() {
-            NodeKind::Element { name, attrs } => {
-                let name = *name;
-                let attrs = attrs.clone();
-                self.start_element_sym(name);
-                for (k, v) in attrs {
-                    self.attr_sym(k, v);
-                }
-                let children: Vec<NodeRef> = node.children().collect();
-                for c in &children {
-                    self.copy_subtree(c);
-                }
-                self.end_element();
+        self.copy_cursor(node.cursor());
+    }
+
+    /// Deep-copy a subtree of another (unfinished) builder's arena as a
+    /// child of the current element. The cross-builder analogue of
+    /// [`copy_subtree`](Self::copy_subtree).
+    pub fn copy_from(&mut self, src: &DocumentBuilder, id: NodeId) {
+        self.copy_cursor(src.doc.cursor(id));
+    }
+
+    /// A subtree is a contiguous run of the source table, so the copy is
+    /// one pass over it: records are appended with their links moved by
+    /// the distance between the two positions, attribute runs are
+    /// re-homed, and interned names make each record an id copy.
+    fn copy_cursor(&mut self, src: Cursor<'_>) {
+        let first = src.id().0;
+        let base = self.doc.nodes.len() as u32;
+        self.doc.nodes.reserve(src.subtree_size());
+        if src.is_element() {
+            self.count_child_element();
+        }
+        for n in src.subtree() {
+            let mut payload = n.data().payload.clone();
+            if let Payload::Element { attrs, .. } = &mut payload {
+                *attrs = self.doc.attrs.len() as u32;
+                self.doc.attrs.extend_from_slice(n.attrs());
             }
-            NodeKind::Text(a) => {
-                self.text(a.clone());
-            }
-            NodeKind::Comment(c) => {
-                self.comment(&c.clone());
-            }
-            NodeKind::Pi { target, data } => {
-                self.pi(&target.clone(), &data.clone());
-            }
+            let parent = if n.id().0 == first {
+                self.cur
+            } else {
+                n.data().parent - first + base
+            };
+            // `subtree_size` closes what the source still has open.
+            let end = self.doc.nodes.len() as u32 + n.subtree_size() as u32;
+            self.doc.nodes.push(NodeData {
+                payload,
+                parent,
+                end,
+            });
         }
     }
 
     /// Depth of currently open elements (1 = only the root is open).
     pub fn depth(&self) -> usize {
-        self.open.len()
+        self.depth
     }
 
     /// Checkpoint the current append position. Everything appended after
@@ -174,46 +230,61 @@ impl DocumentBuilder {
     /// building each candidate in a scratch document.
     pub fn mark(&self) -> BuildMark {
         BuildMark {
-            nodes_len: self.nodes.len(),
-            open_len: self.open.len(),
+            nodes_len: self.doc.nodes.len(),
+            attrs_len: self.doc.attrs.len(),
+            cur: self.cur,
+            depth: self.depth,
+            child_elements: self.doc.cursor(NodeId(self.cur)).child_element_count() as u32,
         }
     }
 
-    /// Discard every node appended since `mark` and restore the open
-    /// stack. The mark must come from this builder, with no intervening
-    /// rollback to an earlier mark.
+    /// Discard every node appended since `mark` and make the element
+    /// that was innermost at the mark current again, with the element
+    /// count it had; elements opened since need not have been closed.
+    /// Attributes added since to that element itself are kept. The mark
+    /// must come from this builder, with no intervening rollback to an
+    /// earlier mark, and the elements open at the mark must still be
+    /// open. Two truncates and one record write, whatever the tree's
+    /// size.
     pub fn rollback(&mut self, mark: &BuildMark) {
-        self.nodes.truncate(mark.nodes_len);
-        self.open.truncate(mark.open_len);
-        let cutoff = mark.nodes_len as u32;
-        // Only elements still open at the mark can have gained children
-        // since it was taken.
-        for &id in &self.open {
-            self.nodes[id.0 as usize]
-                .children
-                .retain(|c| c.0 < cutoff);
+        self.doc.nodes.truncate(mark.nodes_len);
+        self.cur = mark.cur;
+        self.depth = mark.depth;
+        let mut attrs_len = mark.attrs_len;
+        if let Payload::Element {
+            attrs,
+            attr_count,
+            child_elements,
+            ..
+        } = &mut self.doc.nodes[mark.cur as usize].payload
+        {
+            *child_elements = mark.child_elements;
+            if *attr_count > 0 {
+                attrs_len = attrs_len.max((*attrs + *attr_count) as usize);
+            }
         }
+        self.doc.attrs.truncate(attrs_len);
     }
 
     /// True when nothing has been appended since `mark`.
     pub fn is_empty_since(&self, mark: &BuildMark) -> bool {
-        self.nodes.len() == mark.nodes_len
+        self.doc.nodes.len() == mark.nodes_len
+    }
+
+    /// The top-level nodes appended since `mark`. An element among them
+    /// that is still open ends at the current length, so it is the last.
+    fn forest_since(&self, mark: &BuildMark) -> Children<'_> {
+        Children::of_range(&self.doc, mark.nodes_len as u32..self.doc.nodes.len() as u32)
     }
 
     /// Compact-serialize the forest appended since `mark` into `out`
     /// (append; caller clears). Byte-identical to running
     /// [`crate::serialize::to_string`] over each appended root in order,
-    /// which is what makes it usable as a duplicate-elimination key.
+    /// which is what makes it usable as a duplicate-elimination key. An
+    /// element still open prints the children appended so far.
     pub fn serialize_since(&self, mark: &BuildMark, out: &mut String) {
-        for (i, n) in self.nodes[mark.nodes_len..].iter().enumerate() {
-            let id = NodeId((mark.nodes_len + i) as u32);
-            let root = match n.parent {
-                Some(p) => (p.0 as usize) < mark.nodes_len,
-                None => true,
-            };
-            if root {
-                self.write_raw(id, out);
-            }
+        for root in self.forest_since(mark) {
+            write_compact(out, root);
         }
     }
 
@@ -221,117 +292,45 @@ impl DocumentBuilder {
     /// the per-child granularity `Construct`'s duplicate elimination
     /// works at.
     pub fn roots_since(&self, mark: &BuildMark) -> Vec<NodeId> {
-        self.nodes[mark.nodes_len..]
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| match n.parent {
-                Some(p) => (p.0 as usize) < mark.nodes_len,
-                None => true,
-            })
-            .map(|(i, _)| NodeId((mark.nodes_len + i) as u32))
-            .collect()
+        self.forest_since(mark).map(Cursor::id).collect()
     }
 
     /// Compact-serialize one appended subtree into `out` (append;
     /// caller clears). Matches [`crate::serialize::to_string`] byte for
-    /// byte.
+    /// byte; an element still open prints the children appended so far.
     pub fn serialize_node_into(&self, id: NodeId, out: &mut String) {
-        self.write_raw(id, out);
-    }
-
-    /// Deep-copy a subtree of another (unfinished) builder's arena as a
-    /// child of the current element. The cross-builder analogue of
-    /// [`copy_subtree`](Self::copy_subtree); interned names make it an
-    /// id copy per node.
-    pub fn copy_from(&mut self, src: &DocumentBuilder, id: NodeId) {
-        let n = &src.nodes[id.0 as usize];
-        match &n.kind {
-            NodeKind::Element { name, attrs } => {
-                self.start_element_sym(*name);
-                for &(k, v) in attrs {
-                    self.attr_sym(k, v);
-                }
-                for &c in &n.children {
-                    self.copy_from(src, c);
-                }
-                self.end_element();
-            }
-            k => {
-                self.push_node(k.clone());
-            }
-        }
-    }
-
-    /// Compact serialization of one arena subtree, matching
-    /// `serialize::to_string` byte for byte.
-    fn write_raw(&self, id: NodeId, out: &mut String) {
-        use std::fmt::Write;
-        let n = &self.nodes[id.0 as usize];
-        match &n.kind {
-            NodeKind::Element { name, attrs } => {
-                out.push('<');
-                out.push_str(name.as_str());
-                for (k, v) in attrs {
-                    let _ = write!(
-                        out,
-                        " {}=\"{}\"",
-                        k.as_str(),
-                        crate::serialize::escape_attr(v.as_str())
-                    );
-                }
-                if n.children.is_empty() {
-                    out.push_str("/>");
-                    return;
-                }
-                out.push('>');
-                for &c in &n.children {
-                    self.write_raw(c, out);
-                }
-                out.push_str("</");
-                out.push_str(name.as_str());
-                out.push('>');
-            }
-            NodeKind::Text(a) => {
-                match a {
-                    Atomic::Str(s) => crate::serialize::escape_text_into(out, s),
-                    Atomic::Sym(s) => {
-                        crate::serialize::escape_text_into(out, s.as_str())
-                    }
-                    other => {
-                        crate::serialize::escape_text_into(out, &other.lexical())
-                    }
-                }
-            }
-            NodeKind::Comment(c) => {
-                let _ = write!(out, "<!--{}-->", c);
-            }
-            NodeKind::Pi { target, data } => {
-                if data.is_empty() {
-                    let _ = write!(out, "<?{}?>", target);
-                } else {
-                    let _ = write!(out, "<?{} {}?>", target, data);
-                }
-            }
-        }
+        write_compact(out, self.doc.cursor(id));
     }
 
     /// Number of nodes appended so far (root included).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.doc.nodes.len()
     }
 
     /// True when only the root exists.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
+        self.doc.nodes.len() <= 1
     }
 
     /// Close any open elements and freeze the document.
     pub fn finish(mut self) -> Arc<Document> {
-        self.open.clear();
-        Arc::new(Document {
-            nodes: self.nodes,
-            root: NodeId(0),
-        })
+        let len = self.doc.nodes.len() as u32;
+        let mut open = self.cur;
+        while open != NO_PARENT {
+            let n = &mut self.doc.nodes[open as usize];
+            n.end = len;
+            open = n.parent;
+        }
+        Arc::new(self.doc)
+    }
+}
+
+fn element(name: Sym) -> Payload {
+    Payload::Element {
+        name,
+        attrs: 0,
+        attr_count: 0,
+        child_elements: 0,
     }
 }
 
@@ -340,7 +339,12 @@ impl DocumentBuilder {
 #[derive(Debug, Clone)]
 pub struct BuildMark {
     nodes_len: usize,
-    open_len: usize,
+    attrs_len: usize,
+    /// The innermost open element at the mark, its depth, and how many
+    /// element children it had.
+    cur: u32,
+    depth: usize,
+    child_elements: u32,
 }
 
 #[cfg(test)]
@@ -383,6 +387,26 @@ mod tests {
         b.copy_subtree(&node);
         let doc = b.finish();
         assert!(doc.root().child("b").unwrap().deep_eq(&node));
+    }
+
+    #[test]
+    fn a_sized_table_never_regrows() {
+        let n = 1 + 500 * 3;
+        let mut b = DocumentBuilder::with_capacity("rows", n);
+        let (table, capacity) = (b.doc.nodes.as_ptr(), b.doc.nodes.capacity());
+        for i in 0..500 {
+            b.start_element("row");
+            b.leaf("id", Atomic::Int(i));
+            b.end_element();
+        }
+        assert_eq!(b.len(), n);
+        assert_eq!((b.doc.nodes.as_ptr(), b.doc.nodes.capacity()), (table, capacity));
+        // Copying a subtree reserves its size in one step.
+        let src = b.finish();
+        let mut b = DocumentBuilder::with_capacity("out", 1);
+        b.copy_subtree(&src.root());
+        assert!(b.doc.nodes.capacity() > n);
+        assert_eq!(to_string(&b.finish().root().child("rows").unwrap()), to_string(&src.root()));
     }
 
     #[test]

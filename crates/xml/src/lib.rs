@@ -14,10 +14,12 @@
 //! * Atomic values are **typed** ([`Atomic`]: null, boolean, integer,
 //!   float, string) rather than uniformly text, so relational columns round
 //!   trip without reparsing.
-//! * Documents are **ordered trees** stored in an arena ([`Document`]) with
-//!   pre-order node ids, so document order (an XML requirement the paper
-//!   calls "intrinsic") is a cheap integer comparison and navigation "up,
-//!   down and sideways" is O(1) per step.
+//! * Documents are **ordered trees** stored in one flat pre-order table
+//!   ([`Document`]): a node's id is its position, its subtree the id range
+//!   up to its `end` link, so document order (an XML requirement the paper
+//!   calls "intrinsic") is a cheap integer comparison, navigation "up,
+//!   down and sideways" is O(1) per step, a relational row costs no heap
+//!   block of its own, and bulk readers walk a borrowed [`Cursor`].
 //! * Elements may be annotated with a [`shape::Shape`] describing
 //!   record-like or list-like regular structure, which adapters for
 //!   relational and hierarchical sources exploit.
@@ -49,7 +51,7 @@ pub mod value;
 pub use atomic::{Atomic, AtomicKey, AtomicType};
 pub use build::{BuildMark, DocumentBuilder};
 pub use intern::Sym;
-pub use node::{Document, NodeId, NodeKind, NodeRef};
+pub use node::{Cursor, Document, NodeId, NodeKind, NodeRef};
 pub use parse::{parse, ParseError};
 pub use path::{Path, Step};
 pub use serialize::{to_string, to_string_pretty, XmlWriter};

@@ -129,7 +129,11 @@ impl<'a> Parser<'a> {
             return self.err("expected root element");
         }
         let root_name = self.peek_element_name()?;
-        let mut builder = DocumentBuilder::new(&root_name);
+        // Every node but character data costs a `<`, and an element with
+        // content two, so outside mixed content the count of `<` bounds
+        // the node count from above (by under 2x): size the table once.
+        let nodes = self.input[self.pos..].iter().filter(|&&b| b == b'<').count();
+        let mut builder = DocumentBuilder::with_capacity(&root_name, nodes);
         self.parse_element_into(&mut builder, true)?;
         self.skip_ws();
         // Trailing comments/PIs are permitted and discarded.

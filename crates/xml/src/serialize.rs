@@ -2,13 +2,16 @@
 
 use crate::atomic::Atomic;
 use crate::intern::Sym;
-use crate::node::{NodeKind, NodeRef};
+use crate::node::{Cursor, NodeKind, NodeRef};
 use std::fmt::Write;
 
 /// Serialize a subtree to compact XML (no added whitespace).
 pub fn to_string(node: &NodeRef) -> String {
     let mut out = String::new();
-    write_node(&mut out, node, None, 0);
+    write_compact(&mut out, node.cursor());
+    // Doubling leaves up to half the buffer unused, and callers keep
+    // answers (a cache, a client's batch): hand the slack back.
+    out.shrink_to_fit();
     out
 }
 
@@ -17,11 +20,18 @@ pub fn to_string(node: &NodeRef) -> String {
 /// not distorted.
 pub fn to_string_pretty(node: &NodeRef) -> String {
     let mut out = String::new();
-    write_node(&mut out, node, Some(2), 0);
+    write_node(&mut out, node.cursor(), Some(2), 0);
     out
 }
 
-fn write_node(out: &mut String, node: &NodeRef, indent: Option<usize>, depth: usize) {
+/// Append the compact form of the subtree at `node` — what
+/// [`to_string`] returns, for any arena a cursor can walk (a builder's
+/// unfinished one included).
+pub(crate) fn write_compact(out: &mut String, node: Cursor<'_>) {
+    write_node(out, node, None, 0);
+}
+
+fn write_node(out: &mut String, node: Cursor<'_>, indent: Option<usize>, depth: usize) {
     match node.kind() {
         NodeKind::Element { name, attrs } => {
             if let Some(w) = indent {
@@ -30,32 +40,36 @@ fn write_node(out: &mut String, node: &NodeRef, indent: Option<usize>, depth: us
                     out.push_str(&" ".repeat(w * depth));
                 }
             }
+            let name = name.as_str();
             out.push('<');
-            out.push_str(name.as_str());
+            out.push_str(name);
             for (k, v) in attrs {
-                let _ = write!(out, " {}=\"{}\"", k.as_str(), escape_attr(v.as_str()));
+                out.push(' ');
+                out.push_str(k.as_str());
+                out.push_str("=\"");
+                escape_attr_into(out, v.as_str());
+                out.push('"');
             }
-            let children: Vec<NodeRef> = node.children().collect();
-            if children.is_empty() {
+            if node.first_child().is_none() {
                 out.push_str("/>");
                 return;
             }
             out.push('>');
-            let mixed = children
-                .iter()
-                .any(|c| matches!(c.kind(), NodeKind::Text(_)));
-            let child_indent = if mixed { None } else { indent };
-            for c in &children {
+            // Only indentation cares whether the content is mixed.
+            let child_indent = indent.filter(|_| {
+                !node
+                    .children()
+                    .any(|c| matches!(c.kind(), NodeKind::Text(_)))
+            });
+            for c in node.children() {
                 write_node(out, c, child_indent, depth + 1);
             }
-            if let Some(w) = indent {
-                if !mixed {
-                    out.push('\n');
-                    out.push_str(&" ".repeat(w * depth));
-                }
+            if let Some(w) = child_indent {
+                out.push('\n');
+                out.push_str(&" ".repeat(w * depth));
             }
             out.push_str("</");
-            out.push_str(name.as_str());
+            out.push_str(name);
             out.push('>');
         }
         NodeKind::Text(a) => match a {
@@ -251,7 +265,7 @@ impl XmlWriter {
     /// to [`to_string`] of that subtree).
     pub fn write_node(&mut self, node: &NodeRef) {
         self.seal();
-        write_node(&mut self.out, node, None, 0);
+        write_compact(&mut self.out, node.cursor());
     }
 
     /// Close the innermost open element (self-closing when empty).
@@ -314,6 +328,8 @@ impl XmlWriter {
         while !self.stack.is_empty() {
             self.close_top();
         }
+        // As in `to_string`: the caller keeps this.
+        self.out.shrink_to_fit();
         self.out
     }
 }

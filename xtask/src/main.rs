@@ -1,6 +1,6 @@
 //! Workspace maintenance tasks, invoked as `cargo xtask <command>`.
 //!
-//! `lint` — three checks over non-test code, all compared against the
+//! `lint` — four checks over non-test code, all compared against the
 //! checked-in `lint-baseline.toml`:
 //!
 //! 1. **Panic paths** (`.unwrap()`, `.expect()`, `panic!`,
@@ -21,6 +21,12 @@
 //!    adapter call — sources can be slow or reentrant (a mediated view
 //!    queried during evaluation), and holding an engine lock across
 //!    them is a deadlock/latency hazard.
+//! 4. **Child count by walking** (`child_count_walk`, baseline 0):
+//!    `.child_elements().count()` / `.children().count()` follows a
+//!    sibling link per child — a dependent-load chain over a whole
+//!    collection when the node is a `<rows>` root (E24: +10 % `p50_ms`
+//!    on `shard_fanout`). The element count is a stored field; call
+//!    `child_element_count()`.
 //!
 //! The scanner is a plain text analysis (no syn, no dependencies):
 //! comments, string literals, and `#[cfg(test)]` regions are stripped
@@ -36,7 +42,7 @@ use std::process::{Command, ExitCode};
 const CATEGORIES: [&str; 4] = ["unwrap", "expect", "panic", "debug_assert"];
 /// Violation-style lints: the baseline entry is pinned at zero; any
 /// occurrence is a regression to fix, not to ratchet.
-const VIOLATION_CATEGORIES: [&str; 2] = ["metric_drift", "lock_across_call"];
+const VIOLATION_CATEGORIES: [&str; 3] = ["metric_drift", "lock_across_call", "child_count_walk"];
 const BASELINE_FILE: &str = "lint-baseline.toml";
 const METRIC_PREFIXES: [&str; 5] = ["engine.", "stats.", "plan_cache.", "plan.", "source."];
 
@@ -203,15 +209,18 @@ fn lint(update_baseline: bool) -> ExitCode {
 
     let metric_violations = check_metric_drift(&root, &files);
     let lock_violations = check_lock_across_call(&root, &files);
+    let count_violations = check_child_count_walk(&root, &files);
     totals.insert("metric_drift", metric_violations.len());
     totals.insert("lock_across_call", lock_violations.len());
-    for v in metric_violations.iter().chain(&lock_violations) {
+    totals.insert("child_count_walk", count_violations.len());
+    for v in metric_violations.iter().chain(&lock_violations).chain(&count_violations) {
         eprintln!("  {}", v);
     }
     println!(
-        "metric_drift: {}   lock_across_call: {}",
+        "metric_drift: {}   lock_across_call: {}   child_count_walk: {}",
         metric_violations.len(),
-        lock_violations.len()
+        lock_violations.len(),
+        count_violations.len()
     );
 
     let baseline_path = root.join(BASELINE_FILE);
@@ -280,7 +289,9 @@ fn lint(update_baseline: bool) -> ExitCode {
     if failed {
         ExitCode::FAILURE
     } else {
-        println!("lint OK: no panic-path, metric-drift, or lock-across-call regressions");
+        println!(
+            "lint OK: no panic-path, metric-drift, lock-across-call, or child-count-walk regressions"
+        );
         ExitCode::SUCCESS
     }
 }
@@ -525,80 +536,95 @@ fn check_lock_across_call(root: &Path, files: &[PathBuf]) -> Vec<String> {
 /// Byte offsets of adapter calls under a live guard (see
 /// [`check_lock_across_call`]); offsets index the original source.
 fn lock_across_call_sites(source: &str) -> Vec<usize> {
-    let cleaned = strip_noise(source);
+    let cleaned = non_test_code(source);
     let bytes = cleaned.as_bytes();
     let mut sites = Vec::new();
     let mut depth: usize = 0;
-    let mut skip_at: Option<usize> = None;
-    let mut pending = false;
     // Brace depths at which a guard-binding `let` appeared; a guard
     // dies when its block closes.
     let mut guards: Vec<usize> = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let c = bytes[i];
-        if c == b'#' && cleaned[i..].starts_with("#[cfg(test)]") {
-            if skip_at.is_none() {
-                pending = true;
-            }
-            i += "#[cfg(test)]".len();
-            continue;
-        }
+    for (i, &c) in bytes.iter().enumerate() {
         match c {
-            b'{' => {
-                depth += 1;
-                if pending {
-                    skip_at = Some(depth);
-                    pending = false;
-                }
-            }
+            b'{' => depth += 1,
             b'}' => {
-                if skip_at == Some(depth) {
-                    skip_at = None;
-                }
                 guards.retain(|&d| d < depth);
                 depth = depth.saturating_sub(1);
             }
-            b';' => pending = false,
             _ => {}
         }
-        if skip_at.is_none() {
-            if c == b'l'
-                && cleaned[i..].starts_with("let")
-                && (i == 0 || !is_ident_char(bytes[i - 1]))
-                && !bytes.get(i + 3).copied().is_some_and(is_ident_char)
-            {
-                // Scan the `let` statement: up to `;` or a block `{` at
-                // paren nesting 0 (an `if let` scrutinee ends there).
-                let mut nest: usize = 0;
-                let mut j = i + 3;
-                while j < bytes.len() {
-                    match bytes[j] {
-                        b'(' | b'[' => nest += 1,
-                        b')' | b']' => nest = nest.saturating_sub(1),
-                        b';' | b'{' | b'}' if nest == 0 => break,
-                        _ => {}
-                    }
-                    j += 1;
+        if c == b'l'
+            && cleaned[i..].starts_with("let")
+            && (i == 0 || !is_ident_char(bytes[i - 1]))
+            && !bytes.get(i + 3).copied().is_some_and(is_ident_char)
+        {
+            // Scan the `let` statement: up to `;` or a block `{` at
+            // paren nesting 0 (an `if let` scrutinee ends there).
+            let mut nest: usize = 0;
+            let mut j = i + 3;
+            while j < bytes.len() {
+                match bytes[j] {
+                    b'(' | b'[' => nest += 1,
+                    b')' | b']' => nest = nest.saturating_sub(1),
+                    b';' | b'{' | b'}' if nest == 0 => break,
+                    _ => {}
                 }
-                let stmt = &cleaned[i..j];
-                if stmt.contains(".lock()") || stmt.contains(".borrow_mut()") {
-                    // A plain `let …;` guard lives in the current block;
-                    // an `if let`/`while let` scrutinee temporary lives
-                    // in the block the `{` terminator is about to open.
-                    let block_scoped = bytes.get(j) == Some(&b'{');
-                    guards.push(if block_scoped { depth + 1 } else { depth });
-                }
+                j += 1;
             }
-            if c == b'.'
-                && (cleaned[i..].starts_with(".execute(")
-                    || cleaned[i..].starts_with(".fetch_collection("))
-                && !guards.is_empty()
-            {
+            let stmt = &cleaned[i..j];
+            if stmt.contains(".lock()") || stmt.contains(".borrow_mut()") {
+                // A plain `let …;` guard lives in the current block;
+                // an `if let`/`while let` scrutinee temporary lives
+                // in the block the `{` terminator is about to open.
+                let block_scoped = bytes.get(j) == Some(&b'{');
+                guards.push(if block_scoped { depth + 1 } else { depth });
+            }
+        }
+        if c == b'.'
+            && (cleaned[i..].starts_with(".execute(")
+                || cleaned[i..].starts_with(".fetch_collection("))
+            && !guards.is_empty()
+        {
+            sites.push(i);
+        }
+    }
+    sites
+}
+
+/// Flag `.child_elements().count()` / `.children().count()` in non-test
+/// code: the count is a stored field (`child_element_count()`), and
+/// walking for it chases one sibling link per child.
+fn check_child_count_walk(root: &Path, files: &[PathBuf]) -> Vec<String> {
+    let mut violations = Vec::new();
+    for f in files {
+        let src = match fs::read_to_string(f) {
+            Ok(t) => t,
+            Err(_) => continue,
+        };
+        for idx in child_count_walk_sites(&src) {
+            let line = 1 + src.as_bytes()[..idx].iter().filter(|&&b| b == b'\n').count();
+            violations.push(format!(
+                "child_count_walk: {}:{}: counting children by walking them — call \
+                 `child_element_count()` (O(1)) instead",
+                f.strip_prefix(root).unwrap_or(f).display(),
+                line
+            ));
+        }
+    }
+    violations
+}
+
+/// Byte offsets of `.child_elements()` / `.children()` calls whose
+/// result is `.count()`ed (whitespace between the calls allowed),
+/// outside comments, strings and `#[cfg(test)]` items.
+fn child_count_walk_sites(source: &str) -> Vec<usize> {
+    let cleaned = non_test_code(source);
+    let mut sites = Vec::new();
+    for walk in [".child_elements()", ".children()"] {
+        for (i, _) in cleaned.match_indices(walk) {
+            if cleaned[i + walk.len()..].trim_start().starts_with(".count()") {
                 sites.push(i);
             }
         }
-        i += 1;
     }
     sites
 }
@@ -644,44 +670,13 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// Count panic-path tokens in one file, ignoring comments, string and
 /// char literals, and code inside `#[cfg(test)]` items.
 fn count_panic_paths(source: &str) -> BTreeMap<&'static str, usize> {
-    let cleaned = strip_noise(source);
+    let cleaned = non_test_code(source);
     let bytes = cleaned.as_bytes();
     let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
-    let mut depth: usize = 0;
-    // Brace depth at which a `#[cfg(test)]` item's block began; counting
-    // is suspended while inside it.
-    let mut skip_at: Option<usize> = None;
-    // A `#[cfg(test)]` attribute was seen and its item's `{` is pending.
-    let mut pending = false;
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i];
-        if c == b'#' && cleaned[i..].starts_with("#[cfg(test)]") {
-            if skip_at.is_none() {
-                pending = true;
-            }
-            i += "#[cfg(test)]".len();
-            continue;
-        }
-        match c {
-            b'{' => {
-                depth += 1;
-                if pending {
-                    skip_at = Some(depth);
-                    pending = false;
-                }
-            }
-            b'}' => {
-                if skip_at == Some(depth) {
-                    skip_at = None;
-                }
-                depth = depth.saturating_sub(1);
-            }
-            // `#[cfg(test)] mod foo;` — the item has no block here.
-            b';' => pending = false,
-            _ => {}
-        }
-        if skip_at.is_none() && is_ident_start(c) && (i == 0 || !is_ident_char(bytes[i - 1])) {
+        if is_ident_start(c) && (i == 0 || !is_ident_char(bytes[i - 1])) {
             let mut j = i + 1;
             while j < bytes.len() && is_ident_char(bytes[j]) {
                 j += 1;
@@ -715,6 +710,56 @@ fn count_panic_paths(source: &str) -> BTreeMap<&'static str, usize> {
         i += 1;
     }
     counts
+}
+
+/// The code the scanners read: `source` with comments and literals
+/// ([`strip_noise`]) and the block of every `#[cfg(test)]` item replaced
+/// by spaces, position for position, so offsets index the original.
+fn non_test_code(source: &str) -> String {
+    let mut bytes = strip_noise(source).into_bytes();
+    let mut depth: usize = 0;
+    // Brace depth at which a `#[cfg(test)]` item's block began.
+    let mut skip_at: Option<usize> = None;
+    // A `#[cfg(test)]` attribute was seen and its item's `{` is pending.
+    let mut pending = false;
+    let mut i = 0;
+    while i < bytes.len() {
+        let c = bytes[i];
+        if c == b'#' && bytes[i..].starts_with(b"#[cfg(test)]") {
+            if skip_at.is_none() {
+                pending = true;
+            }
+            i += "#[cfg(test)]".len();
+            continue;
+        }
+        let was_skipping = skip_at.is_some();
+        match c {
+            b'{' => {
+                depth += 1;
+                if pending {
+                    skip_at = Some(depth);
+                    pending = false;
+                }
+            }
+            b'}' => {
+                if skip_at == Some(depth) {
+                    skip_at = None;
+                }
+                depth = depth.saturating_sub(1);
+            }
+            // `#[cfg(test)] mod foo;` — the item has no block here.
+            b';' => pending = false,
+            _ => {}
+        }
+        // Both braces of a skipped block go with it, so what is left
+        // stays balanced.
+        if was_skipping || skip_at.is_some() {
+            bytes[i] = b' ';
+        }
+        i += 1;
+    }
+    // Only ASCII was written over ASCII-or-space.
+    String::from_utf8(bytes).unwrap_or_default()
 }
 
 fn is_ident_start(c: u8) -> bool {
@@ -983,6 +1028,26 @@ fn f(a: &dyn A) {
 }
 ";
         assert_eq!(lock_across_call_sites(src).len(), 1);
+    }
+
+    #[test]
+    fn counting_children_by_walking_is_flagged_outside_tests() {
+        let src = "\
+fn rows(doc: &Doc) -> usize {
+    // doc.root().children().count() in a comment does not count
+    let a = doc.root().child_elements().count();
+    let b = doc.root()
+        .children()
+        .count();
+    let fine = doc.root().children().filter(|c| c.is_element()).count();
+    a + b + fine + doc.root().child_element_count()
+}
+#[cfg(test)]
+mod tests {
+    fn t(doc: &Doc) { assert_eq!(doc.root().children().count(), 3); }
+}
+";
+        assert_eq!(child_count_walk_sites(src).len(), 2);
     }
 
     #[test]
