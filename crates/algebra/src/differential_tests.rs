@@ -1,6 +1,6 @@
 //! Deterministic tests of the value-equality edges: the hash join's
 //! typed key is held to a written-down relation (`join_classes`), the
-//! cached-key sort to a stable `Value::total_cmp` sort, and DISTINCT
+//! index sort to a stable `Value::total_cmp` sort, and DISTINCT
 //! and grouping to their lexical-key semantics. The edges under test:
 //!
 //! * `NaN` — all NaNs collapse to one join/group key.
@@ -229,8 +229,8 @@ fn left_outer_pads_exactly_the_unmatched_probe_rows() {
 #[test]
 fn sort_matches_stable_total_cmp_on_edges() {
     // The specification of ORDER-BY: a stable sort under
-    // `Value::total_cmp`. The operator's cached-key sort must produce
-    // that order, with or without the parallel hint.
+    // `Value::total_cmp`. The operator's index sort must produce that
+    // order, whatever the (ignored) parallel hint says.
     let mut want = edge_values();
     want.sort_by(|a, b| a.total_cmp(b));
     let want: Vec<String> = want.into_iter().map(|v| render(&vec![v])).collect();

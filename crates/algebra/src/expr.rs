@@ -3,6 +3,7 @@
 use crate::error::ExecError;
 use crate::funcs::FunctionRegistry;
 use nimble_xml::{Atomic, Path, Value};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The value type carried by [`ScalarExpr::Lit`], re-exported so crates
@@ -89,74 +90,92 @@ impl ScalarExpr {
 
     /// Evaluate against a tuple — any row of values, so a caller holding
     /// rows in one contiguous block can evaluate without building a
-    /// [`Tuple`](crate::schema::Tuple) per row.
-    pub fn eval(&self, tuple: &[Value], funcs: &FunctionRegistry) -> Result<Value, ExecError> {
-        match self {
-            ScalarExpr::Col(i) => tuple
-                .get(*i)
-                .cloned()
-                .ok_or(ExecError::ColumnOutOfRange {
-                    index: *i,
-                    width: tuple.len(),
-                }),
-            ScalarExpr::Lit(v) => Ok(v.clone()),
-            ScalarExpr::Cmp(op, l, r) => {
-                let lv = l.eval(tuple, funcs)?;
-                let rv = r.eval(tuple, funcs)?;
-                Ok(Value::Atomic(Atomic::Bool(compare(*op, &lv, &rv))))
-            }
-            ScalarExpr::And(l, r) => {
-                // Short-circuit.
-                if !l.eval(tuple, funcs)?.truthy() {
-                    return Ok(Value::Atomic(Atomic::Bool(false)));
-                }
-                Ok(Value::Atomic(Atomic::Bool(r.eval(tuple, funcs)?.truthy())))
-            }
-            ScalarExpr::Or(l, r) => {
-                if l.eval(tuple, funcs)?.truthy() {
-                    return Ok(Value::Atomic(Atomic::Bool(true)));
-                }
-                Ok(Value::Atomic(Atomic::Bool(r.eval(tuple, funcs)?.truthy())))
-            }
-            ScalarExpr::Not(e) => Ok(Value::Atomic(Atomic::Bool(
-                !e.eval(tuple, funcs)?.truthy(),
-            ))),
-            ScalarExpr::Arith(op, l, r) => {
-                let lv = l.eval(tuple, funcs)?.atomize();
-                let rv = r.eval(tuple, funcs)?.atomize();
-                arith(*op, &lv, &rv).map(Value::Atomic)
-            }
-            ScalarExpr::Neg(e) => {
-                let v = e.eval(tuple, funcs)?.atomize();
-                match v {
-                    Atomic::Int(i) => Ok(Value::Atomic(Atomic::Int(-i))),
-                    Atomic::Float(f) => Ok(Value::Atomic(Atomic::Float(-f))),
-                    other => Err(ExecError::Arithmetic(format!(
-                        "cannot negate {:?}",
-                        other
-                    ))),
-                }
-            }
-            ScalarExpr::Call(name, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(a.eval(tuple, funcs)?);
-                }
-                funcs.call(name, &vals)
-            }
-            ScalarExpr::PathFirst(base, path) => {
-                let v = base.eval(tuple, funcs)?;
-                match v {
-                    Value::Node(n) => Ok(path.eval_first(&n).unwrap_or_else(Value::null)),
-                    _ => Ok(Value::null()),
-                }
-            }
+    /// [`Tuple`](crate::schema::Tuple) per row. A column or a literal is
+    /// read where it lies (`Cow::Borrowed`, from the row or from this
+    /// expression); only a computed value is owned.
+    #[inline]
+    pub fn eval<'a>(
+        &'a self,
+        tuple: &'a [Value],
+        funcs: &FunctionRegistry,
+    ) -> Result<Cow<'a, Value>, ExecError> {
+        match self.place(tuple) {
+            Some(v) => Ok(Cow::Borrowed(v)),
+            None => self.compute(tuple, funcs).map(Cow::Owned),
         }
     }
 
-    /// Evaluate as a boolean predicate.
+    /// The operand itself, when evaluating it only reads a value that
+    /// already exists: a column the row has, or this literal.
+    #[inline]
+    fn place<'a>(&'a self, tuple: &'a [Value]) -> Option<&'a Value> {
+        match self {
+            ScalarExpr::Col(i) => tuple.get(*i),
+            ScalarExpr::Lit(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// What [`place`](Self::place) could not read: the expressions that
+    /// build a value, out of line so the borrowing ones inline into
+    /// their callers.
+    fn compute(&self, tuple: &[Value], funcs: &FunctionRegistry) -> Result<Value, ExecError> {
+        match self {
+            // `place` reads every column the row has, and every literal.
+            ScalarExpr::Col(i) => Err(ExecError::ColumnOutOfRange {
+                index: *i,
+                width: tuple.len(),
+            }),
+            ScalarExpr::Lit(v) => Ok(v.clone()),
+            ScalarExpr::Cmp(..) | ScalarExpr::And(..) | ScalarExpr::Or(..) | ScalarExpr::Not(_) => {
+                Ok(Value::from(self.eval_bool(tuple, funcs)?))
+            }
+            ScalarExpr::Arith(op, l, r) => {
+                let lv = l.eval(tuple, funcs)?;
+                let rv = r.eval(tuple, funcs)?;
+                lv.with_atomics(&rv, |a, b| arith(*op, a, b)).map(Value::Atomic)
+            }
+            ScalarExpr::Neg(e) => e.eval(tuple, funcs)?.with_atomic(|a| match a {
+                Atomic::Int(i) => Ok(Value::from(i.wrapping_neg())),
+                Atomic::Float(f) => Ok(Value::from(-f)),
+                other => Err(ExecError::Arithmetic(format!(
+                    "cannot negate {:?}",
+                    other
+                ))),
+            }),
+            ScalarExpr::Call(name, args) => {
+                let mut vals = Vec::with_capacity(args.len());
+                for a in args {
+                    vals.push(a.eval(tuple, funcs)?.into_owned());
+                }
+                funcs.call(name, &vals)
+            }
+            ScalarExpr::PathFirst(base, path) => Ok(match &*base.eval(tuple, funcs)? {
+                Value::Node(n) => path.eval_first(n).unwrap_or_else(Value::null),
+                _ => Value::null(),
+            }),
+        }
+    }
+
+    /// Evaluate as a boolean predicate: the connectives and comparisons
+    /// recurse here without building a `Bool` value, left operand first
+    /// and short-circuiting; anything else is [`eval`](Self::eval)'s
+    /// value, read for truthiness. A comparison of two readable operands
+    /// skips the `Cow`s — nothing there can fail.
     pub fn eval_bool(&self, tuple: &[Value], funcs: &FunctionRegistry) -> Result<bool, ExecError> {
-        Ok(self.eval(tuple, funcs)?.truthy())
+        Ok(match self {
+            ScalarExpr::Cmp(op, l, r) => match (l.place(tuple), r.place(tuple)) {
+                (Some(lv), Some(rv)) => compare(*op, lv, rv),
+                _ => {
+                    let lv = l.eval(tuple, funcs)?;
+                    compare(*op, &lv, &*r.eval(tuple, funcs)?)
+                }
+            },
+            ScalarExpr::And(l, r) => l.eval_bool(tuple, funcs)? && r.eval_bool(tuple, funcs)?,
+            ScalarExpr::Or(l, r) => l.eval_bool(tuple, funcs)? || r.eval_bool(tuple, funcs)?,
+            ScalarExpr::Not(e) => !e.eval_bool(tuple, funcs)?,
+            other => other.eval(tuple, funcs)?.truthy(),
+        })
     }
 
     /// Column indices referenced anywhere in the expression.
@@ -232,39 +251,43 @@ impl ScalarExpr {
 /// comparison with Null is false except `Null = Null` / one-sided `!=`.
 /// Public so the static analyzer can constant-fold literal comparisons
 /// with exactly the runtime's semantics.
+#[inline]
 pub fn compare(op: CmpOp, l: &Value, r: &Value) -> bool {
-    use std::cmp::Ordering;
-    if op == CmpOp::Like {
-        return like_match(&l.atomize().lexical(), &r.atomize().lexical());
-    }
-    let la = l.atomize();
-    let ra = r.atomize();
-    // SQL-ish null semantics for comparisons: anything compared with
-    // Null is false except Null = Null.
-    if la.is_null() || ra.is_null() {
-        return match op {
-            CmpOp::Eq => la.is_null() && ra.is_null(),
-            CmpOp::Ne => la.is_null() != ra.is_null(),
-            _ => false,
-        };
-    }
-    // Numeric-looking strings compare numerically against numbers, which
-    // matters because parsed XML content is textual.
-    let ord = match (coerce_num(&la), coerce_num(&ra)) {
-        (Some(x), Some(y)) => x.total_cmp(&y),
-        _ => la.total_cmp(&ra),
-    };
-    match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::Ne => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::Le => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::Ge => ord != Ordering::Less,
-        CmpOp::Like => unreachable!(),
-    }
+    // Read in place: only a node operand atomizes to an owned value.
+    l.with_atomics(r, |la, ra| compare_atomics(op, la, ra))
 }
 
+#[inline]
+fn compare_atomics(op: CmpOp, la: &Atomic, ra: &Atomic) -> bool {
+    // Bit `ord + 1` is set when the operator accepts that ordering.
+    let accepts: u8 = match op {
+        CmpOp::Like => return like_match(&la.lexical(), &ra.lexical()),
+        CmpOp::Eq => 0b010,
+        CmpOp::Ne => 0b101,
+        CmpOp::Lt => 0b001,
+        CmpOp::Le => 0b011,
+        CmpOp::Gt => 0b100,
+        CmpOp::Ge => 0b110,
+    };
+    let ord = match (coerce_num(la), coerce_num(ra)) {
+        // Numeric-looking strings compare numerically against numbers,
+        // which matters because parsed XML content is textual.
+        (Some(x), Some(y)) => x.total_cmp(&y),
+        // SQL-ish null semantics for comparisons: anything compared
+        // with Null is false except Null = Null.
+        _ if la.is_null() || ra.is_null() => {
+            return match op {
+                CmpOp::Eq => la.is_null() && ra.is_null(),
+                CmpOp::Ne => la.is_null() != ra.is_null(),
+                _ => false,
+            }
+        }
+        _ => la.total_cmp(ra),
+    };
+    accepts >> (ord as i8 + 1) & 1 == 1
+}
+
+#[inline]
 fn coerce_num(a: &Atomic) -> Option<f64> {
     match a {
         Atomic::Int(i) => Some(*i as f64),
@@ -281,12 +304,12 @@ fn coerce_num(a: &Atomic) -> Option<f64> {
 /// numeric-looking string). Used by the static analyzer's interval
 /// propagation.
 pub fn literal_num(v: &Value) -> Option<f64> {
-    coerce_num(&v.atomize())
+    v.with_atomic(coerce_num)
 }
 
 /// Whether a literal value is Null after atomization.
 pub fn literal_is_null(v: &Value) -> bool {
-    v.atomize().is_null()
+    v.with_atomic(Atomic::is_null)
 }
 
 /// Whether a literal value is truthy under the predicate semantics
@@ -298,7 +321,7 @@ pub fn literal_truth(v: &Value) -> bool {
 /// The lexical form of a literal, as the runtime's LIKE and lexical
 /// comparisons see it.
 pub fn literal_lexical(v: &Value) -> String {
-    v.atomize().lexical()
+    v.with_atomic(Atomic::lexical)
 }
 
 /// SQL LIKE matcher: `%` matches any run, `_` any single char.
@@ -335,14 +358,14 @@ fn arith(op: ArithOp, l: &Atomic, r: &Atomic) -> Result<Atomic, ExecError> {
                 if *b == 0 {
                     Err(ExecError::Arithmetic("division by zero".into()))
                 } else {
-                    Ok(Atomic::Int(a / b))
+                    Ok(Atomic::Int(a.wrapping_div(*b)))
                 }
             }
             ArithOp::Mod => {
                 if *b == 0 {
                     Err(ExecError::Arithmetic("modulo by zero".into()))
                 } else {
-                    Ok(Atomic::Int(a % b))
+                    Ok(Atomic::Int(a.wrapping_rem(*b)))
                 }
             }
         };

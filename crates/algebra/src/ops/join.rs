@@ -366,14 +366,14 @@ fn typed_key(v: &Value, insert: bool) -> Option<Key> {
             },
         }
     }
-    match v.atomize() {
-        nimble_xml::Atomic::Int(i) => Some(int_key(i)),
-        nimble_xml::Atomic::Float(f) => Some((2, bits(f))),
-        nimble_xml::Atomic::Str(s) => str_key(&s, insert),
+    v.with_atomic(|a| match a {
+        nimble_xml::Atomic::Int(i) => Some(int_key(*i)),
+        nimble_xml::Atomic::Float(f) => Some((2, bits(*f))),
+        nimble_xml::Atomic::Str(s) => str_key(s, insert),
         nimble_xml::Atomic::Sym(sym) => str_key(sym.as_str(), insert).or(Some((3, sym.id() as u64))),
-        nimble_xml::Atomic::Bool(b) => Some((1, b as u64)),
+        nimble_xml::Atomic::Bool(b) => Some((1, *b as u64)),
         nimble_xml::Atomic::Null => Some((0, 0)),
-    }
+    })
 }
 
 /// Build-side key (interning never fails to produce one).

@@ -50,7 +50,7 @@ use crate::schema::{Schema, Tuple};
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 /// Per-worker busy times from one scoped fork/join section (hash-join
-/// build key extraction, parallel sort-key extraction).
+/// build key extraction).
 ///
 /// `workers == 0` means the operator ran in parallel mode but the input
 /// fell below the profitability threshold (or only one core was

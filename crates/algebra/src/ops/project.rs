@@ -90,7 +90,7 @@ impl Operator for ProjectOp {
             Some(t) => {
                 let mut out = Vec::with_capacity(self.exprs.len());
                 for e in &self.exprs {
-                    out.push(e.eval(&t, &self.funcs)?);
+                    out.push(e.eval(&t, &self.funcs)?.into_owned());
                 }
                 self.rows_out += 1;
                 Ok(Some(out))
@@ -120,7 +120,7 @@ impl Operator for ProjectOp {
                 for t in self.scratch.drain(..) {
                     let mut row = Vec::with_capacity(self.exprs.len());
                     for e in &self.exprs {
-                        row.push(e.eval(&t, &self.funcs)?);
+                        row.push(e.eval(&t, &self.funcs)?.into_owned());
                     }
                     out.push(row);
                 }

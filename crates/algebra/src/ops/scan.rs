@@ -230,20 +230,21 @@ impl Operator for LazySourceOp {
         Ok(())
     }
 
+    // Rows leave by move: `open` runs the producer again, so nothing
+    // reads a buffered row twice.
     fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        if self.cursor < self.buffered.len() {
-            let t = self.buffered[self.cursor].clone();
-            self.cursor += 1;
-            self.rows_out += 1;
-            Ok(Some(t))
-        } else {
-            Ok(None)
-        }
+        let Some(t) = self.buffered.get_mut(self.cursor) else {
+            return Ok(None);
+        };
+        self.cursor += 1;
+        self.rows_out += 1;
+        Ok(Some(std::mem::take(t)))
     }
 
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
-        let n = max.min(self.buffered.len().saturating_sub(self.cursor));
-        out.extend_from_slice(&self.buffered[self.cursor..self.cursor + n]);
+        let rest = self.buffered.get_mut(self.cursor..).unwrap_or_default();
+        let n = max.min(rest.len());
+        out.extend(rest[..n].iter_mut().map(std::mem::take));
         self.cursor += n;
         self.rows_out += n as u64;
         Ok(n)

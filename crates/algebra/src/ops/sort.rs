@@ -1,12 +1,10 @@
 //! Sorting with document-order tiebreak.
 
-use super::{BoxedOp, Operator, ParProfile};
+use super::{BoxedOp, Operator};
 use crate::error::ExecError;
 use crate::inspect::{OpInfo, OrderEffect, SchemaRule};
 use crate::lineage::LineageMask;
-use crate::par;
 use crate::schema::{Schema, Tuple};
-use nimble_xml::{Atomic, Value};
 use std::cmp::Ordering;
 
 /// One sort key: a column and a direction.
@@ -19,22 +17,25 @@ pub struct SortKey {
 /// Materializing sort. Ties preserve the input order (stable sort), which
 /// for single-document scans means **document order is the default
 /// order** — the XML requirement the paper highlights.
+///
+/// One sort for every key kind: a permutation of row indices ordered by
+/// [`nimble_xml::Value::total_cmp`] over the key columns where they lie
+/// in the buffer (atomic keys are read in place, node keys tiebreak on
+/// document order, list keys compare element-wise), the index breaking
+/// ties. Sorted rows leave by move — `open` re-ingests from the child,
+/// so nothing reads a row twice.
 pub struct SortOp {
     child: BoxedOp,
     keys: Vec<SortKey>,
     buffer: Vec<Tuple>,
+    /// `buffer` indices in output order; `cursor` walks it.
+    order: Vec<u32>,
     cursor: usize,
     rows_out: u64,
-    /// Hint that the input is large enough for the worker pool (the
-    /// operator still declines below its own threshold).
-    parallel: bool,
     est_rows: Option<u64>,
     /// Buffer footprint, computed once after materialization.
     mem_bytes: u64,
-    /// Busy times of the parallel key-extraction workers (see
-    /// [`ParProfile`]).
-    par_prof: Option<ParProfile>,
-    /// Lineage permuted alongside the buffer (tracking iff the child
+    /// The child's lineage in output order (tracking iff the child
     /// tracks); `lineage()` exposes the emitted prefix.
     lin: Option<Vec<LineageMask>>,
 }
@@ -45,128 +46,20 @@ impl SortOp {
             child,
             keys,
             buffer: Vec::new(),
+            order: Vec::new(),
             cursor: 0,
             rows_out: 0,
-            parallel: false,
             est_rows: None,
             mem_bytes: 0,
-            par_prof: None,
             lin: None,
         }
     }
 
-    /// Set the parallel hint: with `parallel`, a large input extracts
-    /// and sorts its keys on the worker pool. The sort batch-ingests and
-    /// caches keys either way.
-    pub fn vectorized(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
+    /// Kept for the frozen benchmark driver, which calls it; the hint is
+    /// ignored — the sort runs on the calling thread (DESIGN.md §20) —
+    /// and the method goes when ROADMAP item 1 unfreezes the driver.
+    pub fn vectorized(self, _parallel: bool) -> Self {
         self
-    }
-
-    /// Full `Value::total_cmp` per comparison, stable: the path for node
-    /// and list keys, which [`SortOp::sort_cached_keys`] cannot take.
-    fn sort_scalar(&mut self) {
-        let keys = self.keys.clone();
-        let cmp = |a: &Tuple, b: &Tuple| {
-            for k in &keys {
-                let ord = a[k.column].total_cmp(&b[k.column]);
-                let ord = if k.descending { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        };
-        if let Some(lin) = self.lin.as_mut() {
-            // Lineage must follow its tuple through the reorder, so sort
-            // a stable index permutation and apply it to both vectors.
-            let mut idx: Vec<usize> = (0..self.buffer.len()).collect();
-            idx.sort_by(|&ia, &ib| cmp(&self.buffer[ia], &self.buffer[ib]));
-            let mut sorted = Vec::with_capacity(self.buffer.len());
-            let mut sorted_lin = Vec::with_capacity(lin.len());
-            for &i in &idx {
-                sorted.push(std::mem::take(&mut self.buffer[i]));
-                sorted_lin.push(lin.get(i).copied().unwrap_or_default());
-            }
-            self.buffer = sorted;
-            *lin = sorted_lin;
-        } else {
-            self.buffer.sort_by(cmp);
-        }
-    }
-
-    /// Cached-key sort: atomize every key column once, then
-    /// `sort_unstable` over `(keys, input index)` so each comparison is
-    /// an `Atomic::total_cmp` instead of a fresh atomization.
-    ///
-    /// Only exact when every key value is `Value::Atomic`: node-node
-    /// comparisons tiebreak on document order and lists compare
-    /// element-wise, neither of which survives atomization — those
-    /// inputs take [`SortOp::sort_scalar`].
-    fn sort_cached_keys(&mut self) {
-        let all_atomic = self.buffer.iter().all(|t| {
-            self.keys
-                .iter()
-                .all(|k| matches!(t[k.column], Value::Atomic(_)))
-        });
-        if !all_atomic {
-            self.sort_scalar();
-            return;
-        }
-        let keys = &self.keys;
-        let extract = |base: usize, chunk: &[Tuple]| -> Vec<(Vec<Atomic>, usize)> {
-            chunk
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    (
-                        keys.iter().map(|k| t[k.column].atomize()).collect(),
-                        base + i,
-                    )
-                })
-                .collect()
-        };
-        let (mut keyed, par_prof) = par::map_chunks(self.parallel, &self.buffer, extract);
-        let dirs: Vec<bool> = keys.iter().map(|k| k.descending).collect();
-        let cmp = |(ka, ia): &(Vec<Atomic>, usize), (kb, ib): &(Vec<Atomic>, usize)| {
-            for ((a, b), desc) in ka.iter().zip(kb.iter()).zip(&dirs) {
-                let ord = a.total_cmp(b);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            ia.cmp(ib)
-        };
-        // Parallel path: chunk-sort the keyed rows on the pool, k-way
-        // merge on this thread. The input-index tiebreak makes `cmp` a
-        // total order, so the merge is deterministic.
-        let pool = (self.parallel && keyed.len() >= par::PAR_THRESHOLD)
-            .then(par::pool)
-            .flatten();
-        let keyed = match pool {
-            Some(p) => par::par_sort_on(p, keyed, &cmp),
-            None => {
-                keyed.sort_unstable_by(cmp);
-                keyed
-            }
-        };
-        let mut sorted = Vec::with_capacity(self.buffer.len());
-        let mut sorted_lin = self
-            .lin
-            .as_ref()
-            .map(|l| Vec::with_capacity(l.len()));
-        for (_, i) in keyed {
-            sorted.push(std::mem::take(&mut self.buffer[i]));
-            if let (Some(sl), Some(l)) = (sorted_lin.as_mut(), self.lin.as_ref()) {
-                sl.push(l.get(i).copied().unwrap_or_default());
-            }
-        }
-        self.buffer = sorted;
-        if sorted_lin.is_some() {
-            self.lin = sorted_lin;
-        }
-        self.par_prof = par_prof;
     }
 }
 
@@ -177,8 +70,7 @@ impl Operator for SortOp {
 
     fn open(&mut self) -> Result<(), ExecError> {
         self.rows_out = 0;
-        self.mem_bytes = 0;
-        self.par_prof = None;
+        self.cursor = 0;
         self.child.open()?;
         self.buffer.clear();
         while self
@@ -186,37 +78,54 @@ impl Operator for SortOp {
             .next_batch(&mut self.buffer, super::DEFAULT_BATCH_SIZE)?
             > 0
         {}
-        // Snapshot the child's lineage before closing it: the ingest was
-        // a full drain, so its masks align 1:1 with `buffer`.
-        self.lin = self.child.lineage().map(|l| l.to_vec());
-        self.child.close();
-        self.sort_cached_keys();
         self.mem_bytes = super::tuples_mem_bytes(&self.buffer);
-        self.cursor = 0;
+        let rows = u32::try_from(self.buffer.len())
+            .map_err(|_| ExecError::Operator(format!("sort input of {} rows", self.buffer.len())))?;
+        let (buffer, keys) = (&self.buffer, &self.keys);
+        self.order.clear();
+        self.order.extend(0..rows);
+        self.order.sort_unstable_by(|&ia, &ib| {
+            let (a, b) = (&buffer[ia as usize], &buffer[ib as usize]);
+            for k in keys {
+                let ord = a[k.column].total_cmp(&b[k.column]);
+                if ord != Ordering::Equal {
+                    return if k.descending { ord.reverse() } else { ord };
+                }
+            }
+            ia.cmp(&ib)
+        });
+        // The ingest was a full drain, so the child's masks align 1:1
+        // with `buffer`; read them in output order before closing it.
+        self.lin = self.child.lineage().map(|l| {
+            let mask = |&i: &u32| l.get(i as usize).copied().unwrap_or_default();
+            self.order.iter().map(mask).collect()
+        });
+        self.child.close();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        if self.cursor < self.buffer.len() {
-            let t = self.buffer[self.cursor].clone();
-            self.cursor += 1;
-            self.rows_out += 1;
-            Ok(Some(t))
-        } else {
-            Ok(None)
-        }
+        let Some(&i) = self.order.get(self.cursor) else {
+            return Ok(None);
+        };
+        self.cursor += 1;
+        self.rows_out += 1;
+        Ok(Some(std::mem::take(&mut self.buffer[i as usize])))
     }
 
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
-        let n = max.min(self.buffer.len().saturating_sub(self.cursor));
-        out.extend_from_slice(&self.buffer[self.cursor..self.cursor + n]);
-        self.cursor += n;
-        self.rows_out += n as u64;
-        Ok(n)
+        let rest = self.order.get(self.cursor..).unwrap_or_default();
+        let picked = &rest[..max.min(rest.len())];
+        out.extend(picked.iter().map(|&i| std::mem::take(&mut self.buffer[i as usize])));
+        self.cursor += picked.len();
+        self.rows_out += picked.len() as u64;
+        Ok(picked.len())
     }
 
     fn close(&mut self) {
+        // `cursor` stays: `lineage()` is read after the close.
         self.buffer.clear();
+        self.order.clear();
     }
 
     fn describe(&self) -> String {
@@ -258,10 +167,6 @@ impl Operator for SortOp {
 
     fn mem_bytes(&self) -> u64 {
         self.mem_bytes
-    }
-
-    fn par_profile(&self) -> Option<&ParProfile> {
-        self.par_prof.as_ref()
     }
 
     fn lineage(&self) -> Option<&[LineageMask]> {

@@ -1,6 +1,5 @@
 //! Morsel-driven parallelism for batch kernels (hash-join build key
-//! extraction and partitioned index build, sort-key extraction and
-//! chunk sort).
+//! extraction and partitioned index build).
 //!
 //! One process-wide pool of persistent workers replaces the previous
 //! per-operator `std::thread::scope` fork/join: operators submit a
@@ -440,83 +439,6 @@ where
     Some(out)
 }
 
-/// Sort `items` on a pool: split into one contiguous run per
-/// participant, sort runs in parallel, then k-way merge on the calling
-/// thread (k ≤ [`MAX_WORKERS`], so the per-element head scan stays
-/// cheaper than the comparisons a full sort would spend). Always
-/// returns the fully sorted vector — a panicked round falls back to a
-/// serial sort internally. `cmp` must be a total order; the k-way merge
-/// is stable across runs, so a last-position tiebreak in `cmp` keeps
-/// the result deterministic.
-pub(crate) fn par_sort_on<T, C>(pool: &WorkerPool, items: Vec<T>, cmp: &C) -> Vec<T>
-where
-    T: Send,
-    C: Fn(&T, &T) -> std::cmp::Ordering + Sync,
-{
-    let n = pool.participants();
-    let len = items.len();
-    let chunk = len.div_ceil(n).max(1);
-    let mut runs: Vec<Vec<T>> = Vec::with_capacity(n);
-    let mut rest = items;
-    while rest.len() > chunk {
-        let tail = rest.split_off(chunk);
-        runs.push(rest);
-        rest = tail;
-    }
-    runs.push(rest);
-    let slots: Vec<Mutex<Vec<T>>> = runs.into_iter().map(Mutex::new).collect();
-    let cursor = AtomicUsize::new(0);
-    let ok = pool.run(&|_slot| loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= slots.len() {
-            break;
-        }
-        pool_lock!(slots[i]).sort_unstable_by(cmp);
-    });
-    let runs: Vec<Vec<T>> = slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .collect();
-    if !ok {
-        // A participant panicked (a panicking comparator would panic
-        // serially too — re-run it serially so the caller sees the
-        // deterministic behavior). Runs may be part-sorted; flatten and
-        // sort from scratch.
-        let mut all: Vec<T> = runs.into_iter().flatten().collect();
-        all.sort_unstable_by(cmp);
-        return all;
-    }
-    // K-way merge by linear head scan.
-    let mut iters: Vec<std::vec::IntoIter<T>> =
-        runs.into_iter().map(|r| r.into_iter()).collect();
-    let mut heads: Vec<Option<T>> = iters.iter_mut().map(|it| it.next()).collect();
-    let mut out = Vec::with_capacity(len);
-    loop {
-        let mut best: Option<usize> = None;
-        for i in 0..heads.len() {
-            if let Some(h) = heads[i].as_ref() {
-                best = match best {
-                    None => Some(i),
-                    Some(b) => match heads[b].as_ref() {
-                        Some(hb) if cmp(h, hb) == std::cmp::Ordering::Less => Some(i),
-                        _ => Some(b),
-                    },
-                };
-            }
-        }
-        match best {
-            None => break,
-            Some(b) => {
-                if let Some(v) = heads[b].take() {
-                    out.push(v);
-                }
-                heads[b] = iters[b].next();
-            }
-        }
-    }
-    out
-}
-
 /// A small shared pool for exercising parallel paths deterministically
 /// on single-core hosts (crate tests only).
 #[cfg(test)]
@@ -592,31 +514,6 @@ mod tests {
         let (mapped, _) =
             par_chunks_on(test_pool(), &items, |_, c| c.to_vec()).unwrap();
         assert_eq!(mapped.len(), items.len());
-    }
-
-    #[test]
-    fn par_sort_matches_serial_sort() {
-        let items: Vec<u32> = (0u32..10_000).map(|i| i.wrapping_mul(2_654_435_761) % 9_973).collect();
-        let mut expect = items.clone();
-        expect.sort_unstable();
-        let got = par_sort_on(test_pool(), items, &|a: &u32, b: &u32| a.cmp(b));
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn par_sort_survives_panicking_comparator_round() {
-        // A comparator that panics poisons the round; par_sort still
-        // returns a correctly sorted vector via its serial fallback.
-        let items: Vec<u32> = (0..5_000).rev().collect();
-        let hits = AtomicU64::new(0);
-        let got = par_sort_on(test_pool(), items, &|a: &u32, b: &u32| {
-            if hits.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("comparator bug");
-            }
-            a.cmp(b)
-        });
-        assert_eq!(got.len(), 5_000);
-        assert!(got.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -341,8 +341,7 @@ fn stream_children(
                 w.text_str(s);
             }
             TemplateNode::Var(v) => {
-                let value = lookup(schema, tuple, v)?;
-                stream_splice(w, &value, bounds.as_deref_mut());
+                stream_splice(w, lookup(schema, tuple, v)?, bounds.as_deref_mut());
             }
             TemplateNode::Subquery(_) => {
                 return Err(CoreError::Exec(
@@ -428,8 +427,7 @@ fn instantiate_children(
                 b.text_str(s);
             }
             TemplateNode::Var(v) => {
-                let value = lookup(schema, tuple, v)?;
-                splice_value(b, &value);
+                splice_value(b, lookup(schema, tuple, v)?);
             }
             TemplateNode::Subquery(q) => {
                 eval_subquery(q, schema, tuple, b)?;
@@ -566,11 +564,11 @@ fn template_attr_value(
     })
 }
 
-fn lookup(schema: &Schema, tuple: &Tuple, var: &str) -> Result<Value, CoreError> {
+fn lookup<'a>(schema: &Schema, tuple: &'a Tuple, var: &str) -> Result<&'a Value, CoreError> {
     let idx = schema
         .index_of(var)
         .ok_or_else(|| CoreError::Exec(format!("template variable ${} not bound", var)))?;
-    Ok(tuple[idx].clone())
+    Ok(&tuple[idx])
 }
 
 #[cfg(test)]

@@ -743,9 +743,12 @@ impl Engine {
             self.queries_served.fetch_add(1, Ordering::SeqCst);
             return Ok(xml);
         }
-        let mut w = XmlWriter::new("results");
+        // This shape's last answer sizes the buffer: no doubling, and no
+        // old copy held beside the new one at the peak.
+        let mut w = XmlWriter::with_capacity("results", plan.answer_bytes.load(Ordering::Relaxed));
         construct::append_instances_stream(&mut w, &query.construct, &schema, &tuples, None)?;
         let xml = w.finish();
+        plan.answer_bytes.store(xml.len(), Ordering::Relaxed);
         self.phase_alloc("construct", a_construct.finish());
         self.metrics
             .observe("engine.phase_us.construct", us(ms_since(t_construct)));
@@ -1735,10 +1738,7 @@ impl Engine {
             if let Some(e) = cur_est {
                 sort.set_est_rows(e);
             }
-            // Same statistics gate as the join build: skip the parallel
-            // key extraction when the estimated input is small.
-            let parallel_sort = cur_est.map_or(true, |e| e >= PARALLEL_EST_THRESHOLD);
-            op = meter(Box::new(sort.vectorized(parallel_sort)));
+            op = meter(Box::new(sort));
         }
 
         // Static verification of the assembled physical plan: every
@@ -2517,40 +2517,32 @@ impl Engine {
             .map_err(CoreError::from)?
             .fail_fast(config.unavailable == UnavailablePolicy::Fail);
         exchange.open()?;
-        let mut merged: Vec<Tuple> = Vec::new();
-        loop {
-            let n = exchange.next_batch(&mut merged, nimble_algebra::ops::DEFAULT_BATCH_SIZE)?;
-            if n == 0 {
-                break;
-            }
-        }
-        exchange.close();
+        let gather = if exchange.gathered_parallel() {
+            "engine.exchange.gather.parallel"
+        } else {
+            "engine.exchange.gather.serial"
+        };
+        // The gather buffered every shard's rows; they move out, not
+        // through `next_batch` (which copies: the exchange stays
+        // readable after a drain).
+        let (gathered, failures) = exchange.into_gathered();
         let call_ms = ms_since(t_call);
         self.metrics
             .observe(&format!("source.latency_us.{}", source), us(call_ms));
-        self.metrics.incr(
-            if exchange.gathered_parallel() {
-                "engine.exchange.gather.parallel"
-            } else {
-                "engine.exchange.gather.serial"
-            },
-            1,
-        );
+        self.metrics.incr(gather, 1);
 
-        // Shard attribution: the merged stream is contiguous per child,
-        // so the gathered counts map each tuple to its shard. Failed
-        // shards degrade to annotated partial answers.
-        let counts = exchange.gathered_counts();
-        let failures = exchange.failures();
-        for f in failures {
+        // Shard attribution: child `i`'s buffer is shard `i`'s rows.
+        // Failed shards degrade to annotated partial answers.
+        for f in &failures {
             self.metrics.incr("engine.shard.lost", 1);
             self.metrics.incr(&format!("source.failures.{}", source), 1);
             ctx.miss(&f.label);
         }
-        let mut tuple_src: Vec<u32> = Vec::with_capacity(merged.len());
-        for (i, &c) in counts.iter().enumerate() {
-            tuple_src.extend(std::iter::repeat(i as u32).take(c));
-        }
+        let mut rows: Vec<(Tuple, u32)> = gathered
+            .into_iter()
+            .enumerate()
+            .flat_map(|(i, buf)| buf.into_iter().map(move |t| (t, i as u32)))
+            .collect();
         self.metrics
             .gauge("engine.shard.memo.values")
             .store(rt.memo_values() as u64, Ordering::Relaxed);
@@ -2564,14 +2556,13 @@ impl Engine {
             ),
             failures.is_empty(),
             call_ms,
-            merged.len() as u64,
+            rows.len() as u64,
             failures.first().map(|f| f.error.to_string()),
         );
 
         // Restore original document order: stable-sort by the origin
-        // column, permuting the shard attribution identically, then
-        // strip the column.
-        let mut rows: Vec<(Tuple, u32)> = merged.into_iter().zip(tuple_src).collect();
+        // column, the shard attribution riding along, then strip the
+        // column.
         rows.sort_by_key(|(t, _)| origin_of(t));
         let mut tuples: Vec<Tuple> = Vec::with_capacity(rows.len());
         let mut tuple_src: Vec<u32> = Vec::with_capacity(rows.len());
@@ -2946,9 +2937,10 @@ fn shred_slice(
         if matches!(&pattern.tag, TagPattern::Name(n) if row.name() != Some(n.as_str())) {
             continue;
         }
-        for b in matcher::match_pattern_at(doc, row, pattern) {
+        // `vars` are distinct, so each value moves out of its binding.
+        for mut b in matcher::match_pattern_at(doc, row, pattern) {
             values.push(Value::from(origin as i64));
-            values.extend(vars.iter().map(|v| b.get(v).cloned().unwrap_or_else(Value::null)));
+            values.extend(vars.iter().map(|v| b.remove(v).unwrap_or_else(Value::null)));
         }
     }
     values
@@ -3240,16 +3232,15 @@ fn fragment_tuples(doc: &Arc<Document>, vars: &[String]) -> Vec<Tuple> {
         .collect()
 }
 
-/// Match a pattern against a document and project bindings to `vars`.
+/// Match a pattern against a document and project bindings to `vars`:
+/// each binding becomes its tuple as soon as it is found. `vars` are
+/// distinct, so each value moves out of its binding.
 fn match_tuples(doc: &Arc<Document>, pattern: &nimble_xmlql::ast::Pattern, vars: &[String]) -> Vec<Tuple> {
-    matcher::match_pattern(&doc.root(), pattern)
-        .into_iter()
-        .map(|b| {
-            vars.iter()
-                .map(|v| b.get(v).cloned().unwrap_or_else(Value::null))
-                .collect()
-        })
-        .collect()
+    let mut tuples = Vec::new();
+    matcher::match_each(doc, doc.root_cursor(), pattern, |mut b| {
+        tuples.push(vars.iter().map(|v| b.remove(v).unwrap_or_else(Value::null)).collect())
+    });
+    tuples
 }
 
 #[cfg(test)]

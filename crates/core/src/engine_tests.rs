@@ -879,6 +879,12 @@ fn current_stamp(e: &Engine) -> crate::plan_cache::PlanStamp {
 #[test]
 fn differential_replan_catches_poisoned_cache_hit() {
     let e = engine();
+    // The sampled re-plan is part of plan verification, whose default
+    // follows the build profile; the test must not.
+    e.set_optimizer(OptimizerConfig {
+        verify_plans: true,
+        ..OptimizerConfig::default()
+    });
     let q = r#"WHERE <bib><book year=$y><title>$t2</title></book></bib> IN "bib", $y > 1000
                CONSTRUCT <b>$t2</b>"#;
     assert_eq!(e.query(q).unwrap().document.root().children().count(), 2);
@@ -929,6 +935,7 @@ fn differential_replan_compares_the_bound_plan_with_the_ops_own() {
     let e = engine();
     e.set_optimizer(OptimizerConfig {
         capability_joins: false,
+        verify_plans: true, // whatever the build profile
         ..OptimizerConfig::default()
     });
     let config = e.config();

@@ -27,10 +27,25 @@ pub fn match_pattern(context: &NodeRef, pattern: &Pattern) -> Vec<Bindings> {
 /// must be a cursor of `doc`.
 pub fn match_pattern_at(doc: &Arc<Document>, context: Cursor<'_>, pattern: &Pattern) -> Vec<Bindings> {
     let mut out = Vec::new();
-    for candidate in top_candidates(context, &pattern.tag) {
-        match_element(doc, candidate, pattern, &Bindings::new(), &mut out);
-    }
+    match_each(doc, context, pattern, |b| out.push(b));
     out
+}
+
+/// [`match_pattern_at`], handing each top-level candidate's bindings to
+/// `sink` as soon as that candidate is matched: a caller that turns
+/// bindings into tuples never holds a collection's whole match set (a
+/// map per binding) beside them.
+pub fn match_each(
+    doc: &Arc<Document>,
+    context: Cursor<'_>,
+    pattern: &Pattern,
+    mut sink: impl FnMut(Bindings),
+) {
+    let mut found = Vec::new();
+    for candidate in top_candidates(context, &pattern.tag) {
+        match_element(doc, candidate, pattern, &Bindings::new(), &mut found);
+        found.drain(..).for_each(&mut sink);
+    }
 }
 
 /// Match a pattern against the *children* of a context element — the

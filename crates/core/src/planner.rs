@@ -27,6 +27,8 @@ use nimble_sources::relational::RelationalAdapter;
 use nimble_sources::{SourceAdapter, SourceKind, SourceQuery};
 use nimble_xml::{Atomic, AtomicType, Value};
 use nimble_xmlql::ast::{BinOp, Condition, Expr, OrderKey, Pattern, Query, SourceRef, TagPattern};
+use std::sync::atomic::AtomicUsize;
+use std::sync::Arc;
 
 /// One independent execution unit.
 #[derive(Debug, Clone)]
@@ -126,6 +128,12 @@ pub struct Plan {
     /// (`notes` hold for every value; what EXPLAIN says of the values
     /// is [`value_notes`].)
     pub param_sites: Vec<ParamSite>,
+    /// Bytes of the last answer [`Engine::query_serialized`] streamed
+    /// from this plan; the next serve's writer starts at that size. One
+    /// cell per cached shape: [`bind`]'s copies share it.
+    ///
+    /// [`Engine::query_serialized`]: crate::Engine::query_serialized
+    pub answer_bytes: Arc<AtomicUsize>,
 }
 
 /// One copy of an equality parameter's value inside a [`Plan`].
@@ -1885,7 +1893,7 @@ impl BindPatternOp {
         };
         let matches: Vec<Bindings> = match_within(&node, &self.pattern);
         let mut out = Vec::new();
-        'matches: for m in matches {
+        'matches: for mut m in matches {
             for (var, idx) in &self.shared {
                 match m.get(var) {
                     Some(v) if v.key_eq(&tuple[*idx]) => {}
@@ -1893,8 +1901,9 @@ impl BindPatternOp {
                 }
             }
             let mut t = tuple.clone();
+            // `new_vars` are distinct: each value moves out of the match.
             for var in &self.new_vars {
-                t.push(m.get(var).cloned().unwrap_or_else(Value::null));
+                t.push(m.remove(var).unwrap_or_else(Value::null));
             }
             out.push(t);
         }

@@ -168,8 +168,19 @@ impl XmlWriter {
 
     /// Start a document by interned root name.
     pub fn new_sym(root_name: Sym) -> XmlWriter {
+        XmlWriter::sized(root_name, 0)
+    }
+
+    /// [`new`](Self::new) with a buffer of `bytes`, for a caller that
+    /// knows how long the document will be: a document of exactly that
+    /// length is written, and [`finish`](Self::finish)ed, in one block.
+    pub fn with_capacity(root_name: &str, bytes: usize) -> XmlWriter {
+        XmlWriter::sized(Sym::intern(root_name), bytes)
+    }
+
+    fn sized(root_name: Sym, bytes: usize) -> XmlWriter {
         let mut w = XmlWriter {
-            out: String::new(),
+            out: String::with_capacity(bytes),
             stack: Vec::new(),
         };
         w.open_tag(root_name);

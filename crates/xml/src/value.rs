@@ -36,11 +36,41 @@ impl Value {
         match self {
             Value::Atomic(a) => a.clone(),
             Value::Node(n) => n.typed_value(),
-            Value::List(items) => items
-                .first()
-                .map(|v| v.atomize())
-                .unwrap_or(Atomic::Null),
+            Value::List(items) => items.first().map_or(Atomic::Null, Value::atomize),
         }
+    }
+
+    /// [`atomize`](Self::atomize) read in place: the atomic itself, or
+    /// that of a list's first element (`Null` for an empty list).
+    /// `None` when atomizing has to build a value — a node's typed
+    /// value — and the caller must [`atomize`](Self::atomize).
+    #[inline]
+    pub fn as_atomic(&self) -> Option<&Atomic> {
+        match self {
+            Value::Atomic(a) => Some(a),
+            Value::Node(_) => None,
+            Value::List(items) => items.first().map_or(Some(&Atomic::Null), Value::as_atomic),
+        }
+    }
+
+    /// Apply `f` to the atomization, read in place when the value already
+    /// is an atomic: only a node atomizes to an owned value.
+    #[inline]
+    pub fn with_atomic<R>(&self, f: impl FnOnce(&Atomic) -> R) -> R {
+        let owned;
+        f(match self.as_atomic() {
+            Some(a) => a,
+            None => {
+                owned = self.atomize();
+                &owned
+            }
+        })
+    }
+
+    /// [`with_atomic`](Self::with_atomic) over two operands.
+    #[inline]
+    pub fn with_atomics<R>(&self, other: &Value, f: impl FnOnce(&Atomic, &Atomic) -> R) -> R {
+        self.with_atomic(|a| other.with_atomic(|b| f(a, b)))
     }
 
     /// The value as display text.
@@ -106,7 +136,7 @@ impl Value {
                     a.doc_order(b)
                 }
             }
-            (a, b) => a.atomize().total_cmp(&b.atomize()),
+            (a, b) => a.with_atomics(b, Atomic::total_cmp),
         }
     }
 
@@ -120,7 +150,7 @@ impl Value {
             (Value::List(a), Value::List(b)) => {
                 a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.key_eq(y))
             }
-            (a, b) => a.atomize().key_eq(&b.atomize()),
+            (a, b) => a.with_atomics(b, Atomic::key_eq),
         }
     }
 }

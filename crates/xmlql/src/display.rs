@@ -152,7 +152,9 @@ impl fmt::Display for Expr {
             // Fully parenthesized so precedence survives the round trip.
             Expr::Binary(op, l, r) => write!(f, "({} {} {})", l, op, r),
             Expr::Not(e) => write!(f, "(NOT {})", e),
-            Expr::Neg(e) => write!(f, "(-{})", e),
+            // The space keeps the `-` an operator: `(-5)` would re-lex
+            // as the literal −5.
+            Expr::Neg(e) => write!(f, "(- {})", e),
             Expr::Call(name, args) => {
                 write!(f, "{}(", name)?;
                 for (i, a) in args.iter().enumerate() {
@@ -252,6 +254,7 @@ mod tests {
         let base = shape(&q("$i = 42"));
         assert!(base.contains("($i = ?int)"), "{}", base);
         assert_eq!(base, shape(&q("$i   =  7 # a comment\n")));
+        assert_eq!(base, shape(&q("$i = -42")));
         for other in ["$i = 42.0", r#"$i = "42""#, "$i = true", "42 = $i", "$i = null"] {
             assert_ne!(base, shape(&q(other)), "{}", other);
         }
@@ -265,8 +268,9 @@ mod tests {
             "$i = 42 AND $n = \"x\"",
             "$i = 40 + 2",
             "NOT $i = 42",
-            // A negation of a literal, to the parser and so to pushdown.
-            "$i = -42",
+            // A negation of a literal, to the parser and so to pushdown:
+            // a `-` is a sign only hard against its digits.
+            "$i = - 42",
         ] {
             let text = q(kept);
             assert_eq!(shape(&text), parse_query(&text).unwrap().to_string(), "{}", kept);

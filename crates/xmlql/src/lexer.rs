@@ -174,6 +174,20 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
 
     while let Some(ch) = lx.peek() {
         let (l, c) = (lx.line, lx.col);
+        // After an operand a `-` subtracts; anywhere else, before a
+        // digit, it is that number's sign.
+        let after_operand = ch == '-'
+            && matches!(
+                tokens.last().map(|t: &Token| &t.kind),
+                Some(
+                    TokenKind::Var(_)
+                        | TokenKind::Int(_)
+                        | TokenKind::Float(_)
+                        | TokenKind::Str(_)
+                        | TokenKind::Ident(_)
+                        | TokenKind::RParen
+                )
+            );
         let mut push = |kind: TokenKind| {
             tokens.push(Token {
                 kind,
@@ -248,7 +262,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 lx.bump();
                 push(TokenKind::Plus);
             }
-            '-' => {
+            '-' if after_operand || !lx.peek2().is_some_and(|d| d.is_ascii_digit()) => {
                 lx.bump();
                 push(TokenKind::Minus);
             }
@@ -318,8 +332,11 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 }
                 push(TokenKind::Str(s));
             }
-            d if d.is_ascii_digit() => {
-                let mut text = String::new();
+            // A sign is lexed with its digits — magnitude first would
+            // leave `i64::MIN` without a spelling.
+            d if d == '-' || d.is_ascii_digit() => {
+                let mut text = String::from(d);
+                lx.bump();
                 while lx.peek().is_some_and(|x| x.is_ascii_digit()) {
                     text.push(lx.bump().unwrap());
                 }
@@ -449,6 +466,25 @@ mod tests {
             kinds("12 3.5"),
             vec![TokenKind::Int(12), TokenKind::Float(3.5), TokenKind::Eof]
         );
+    }
+
+    #[test]
+    fn a_sign_is_lexed_with_its_digits_and_a_subtraction_is_not() {
+        use TokenKind::*;
+        assert_eq!(
+            kinds("> -9223372036854775808, -0 (-2.5)"),
+            vec![Gt, Int(i64::MIN), Comma, Int(0), LParen, Float(-2.5), RParen, Eof]
+        );
+        // After an operand, or before anything but a digit, `-` is the
+        // operator it was.
+        assert_eq!(
+            kinds("$a -5 - 5 -$b ORDER-BY"),
+            vec![
+                Var("a".into()), Minus, Int(5), Minus, Int(5), Minus, Var("b".into()),
+                Ident("ORDER".into()), Minus, Ident("BY".into()), Eof
+            ]
+        );
+        assert!(tokenize("-9223372036854775809").is_err());
     }
 
     #[test]

@@ -401,7 +401,8 @@ impl Parser {
     /// A numeric literal following a consumed `-` sign.
     fn negative_number(&mut self) -> Result<Atomic, ParseError> {
         match self.bump() {
-            TokenKind::Int(i) => Ok(Atomic::Int(-i)),
+            // (`- -9223372036854775808` has no i64.)
+            TokenKind::Int(i) if i != i64::MIN => Ok(Atomic::Int(-i)),
             TokenKind::Float(x) => Ok(Atomic::Float(-x)),
             other => Err(ParseError {
                 message: format!("expected number after '-', found {}", other),

@@ -7,8 +7,18 @@ mod common;
 
 use common::{build_catalog, customers, orders};
 use nimble::core::{Engine, OptimizerConfig};
-use nimble::trace::rng::sweep;
+use nimble::trace::rng::{sweep, Rng};
 use nimble::xml::to_string;
+
+/// A threshold on a boundary of the data: one of the generated totals
+/// or its neighbour on either side — where `>` and `>=` part ways. (A
+/// uniform draw over 0..100 almost never lands there: E23.)
+fn boundary_threshold(rng: &mut Rng, orders: &[(i64, i64, i64)]) -> i64 {
+    match orders {
+        [] => rng.range(0..100),
+        _ => rng.pick(orders).2 + rng.range(-1..2),
+    }
+}
 
 /// The four optimizer configurations agree on every generated
 /// database and threshold — pushdown, join merging, and join
@@ -16,7 +26,8 @@ use nimble::xml::to_string;
 #[test]
 fn optimizer_is_semantics_preserving() {
     sweep(48, |rng| {
-        let (customers, orders, threshold) = (customers(rng), orders(rng), rng.range(0..100));
+        let (customers, orders) = (customers(rng), orders(rng));
+        let threshold = boundary_threshold(rng, &orders);
         let query = format!(
             r#"WHERE <row><id>$i</id><name>$n</name><region>"NW"</region></row> IN "customers",
                      <row><cust_id>$i</cust_id><total>$t</total></row> IN "orders",
@@ -46,21 +57,40 @@ fn optimizer_is_semantics_preserving() {
 }
 
 /// The engine's answer matches a direct reference join computed in
-/// Rust.
+/// Rust — every comparison operator and a negation, at a boundary
+/// threshold, evaluated at the source or centrally, in the order
+/// ORDER-BY asks for.
 #[test]
 fn engine_matches_reference_join() {
-    sweep(48, |rng| {
-        let (customers, orders, threshold) = (customers(rng), orders(rng), rng.range(0..100));
+    type Holds = fn(i64, i64) -> bool;
+    let predicates: [(&str, Holds); 6] = [
+        ("$t > K", |t, k| t > k),
+        ("$t >= K", |t, k| t >= k),
+        ("$t < K", |t, k| t < k),
+        ("$t <= K", |t, k| t <= k),
+        ("NOT $t > K", |t, k| t <= k),
+        ("NOT ($t < K OR $t = K)", |t, k| t > k),
+    ];
+    sweep(96, |rng| {
+        let (customers, orders) = (customers(rng), orders(rng));
+        let threshold = boundary_threshold(rng, &orders);
+        let (predicate, holds) = *rng.pick(&predicates);
+        let descending = rng.chance(0.5);
         let query = format!(
             r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
                      <row><cust_id>$i</cust_id><total>$t</total></row> IN "orders",
-                     $t > {}
-               CONSTRUCT <hit><n>$n</n><t>$t</t></hit>"#,
-            threshold
+                     {}
+               CONSTRUCT <hit><n>$n</n><t>$t</t></hit> ORDER-BY $t{}, $n"#,
+            predicate.replace('K', &threshold.to_string()),
+            if descending { " DESC" } else { "" },
         );
         let engine = Engine::new(build_catalog(&customers, &orders));
+        engine.set_optimizer(OptimizerConfig {
+            pushdown: rng.chance(0.5),
+            ..OptimizerConfig::default()
+        });
         let r = engine.query(&query).unwrap();
-        let mut got: Vec<(String, i64)> = r
+        let got: Vec<(String, i64)> = r
             .document
             .root()
             .children_named("hit")
@@ -71,16 +101,18 @@ fn engine_matches_reference_join() {
                 )
             })
             .collect();
-        got.sort();
         let mut expected: Vec<(String, i64)> = Vec::new();
         for (id, name, _) in &customers {
             for (_, cust, total) in &orders {
-                if cust == id && *total > threshold {
+                if cust == id && holds(*total, threshold) {
                     expected.push((name.clone(), *total));
                 }
             }
         }
-        expected.sort();
-        assert_eq!(got, expected);
+        expected.sort_by(|(an, at), (bn, bt)| {
+            let by_total = if descending { bt.cmp(at) } else { at.cmp(bt) };
+            by_total.then(an.cmp(bn))
+        });
+        assert_eq!(got, expected, "{}", query);
     });
 }
