@@ -138,6 +138,7 @@ pub fn build_fragment(collection: &str, alias: &str, row: &RowPattern) -> Source
             .collect(),
         limit: None,
         key_sets: Vec::new(),
+        after_row: None,
     }
 }
 
@@ -228,6 +229,7 @@ pub fn merge_fragments(fragments: &[SourceQuery]) -> Option<SourceQuery> {
         outputs,
         limit: None,
         key_sets: Vec::new(),
+        after_row: None,
     })
 }
 

@@ -17,7 +17,7 @@ use nimble_algebra::{
     run_to_vec, run_to_vec_batched, ExecError, FunctionRegistry, LineageMask, ScalarExpr, Schema,
     Tuple,
 };
-use nimble_sources::query::{cursor_field, FieldRef, SourceQuery};
+use nimble_sources::query::{cursor_field, FieldRef, SourceQuery, Watermark};
 use nimble_store::{LogicalClock, ResultCache, ViewStore, WorkloadMonitor};
 use nimble_trace::{
     AllocScope, AllocStats, FlightRecord, FlightRecorder, MetricsRegistry, MetricsSnapshot,
@@ -33,6 +33,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+mod refresh;
 
 /// Maximum nesting of view evaluation / subqueries, guarding against
 /// transitively cyclic view definitions.
@@ -457,6 +459,10 @@ struct ExecCtx {
     /// `eval_planned`/`eval_pruned` run produced, aligned with its
     /// tuples; `None` when that run did not track.
     last_lin: Option<Vec<LineageMask>>,
+    /// The watermark of every stamped fragment answer a source gave this
+    /// evaluation, under its `source.collection` (a view refresh reads
+    /// them; no other fragment asks for one).
+    marks: Vec<(String, Watermark)>,
 }
 
 impl ExecCtx {
@@ -477,6 +483,7 @@ impl ExecCtx {
             track: true,
             prov: Vec::new(),
             last_lin: None,
+            marks: Vec::new(),
         }
     }
 
@@ -507,6 +514,7 @@ impl ExecCtx {
             self.plan_text = other.plan_text;
         }
         self.phases.extend(other.phases);
+        self.marks.extend(other.marks);
         if other.worst_qerror > self.worst_qerror {
             self.worst_qerror = other.worst_qerror;
             self.worst_qerror_op = other.worst_qerror_op;
@@ -1268,48 +1276,6 @@ impl Engine {
         let mut out = result.stats.span_tree;
         out.push_str(&result.stats.plan);
         Ok(out)
-    }
-
-    /// Materialize a mediated view into the local store with the given
-    /// TTL (or the view's default). "One materializes views over the
-    /// mediated schema" — the stored artifact is the view's result
-    /// document.
-    pub fn materialize_view(&self, name: &str, ttl: Option<u64>) -> Result<(), CoreError> {
-        let def = self
-            .catalog
-            .view(name)
-            .ok_or_else(|| CoreError::UnknownCollection(name.to_string()))?;
-        let mut ctx = ExecCtx::new();
-        ctx.want_plan_text = false;
-        let doc = self.eval_view_virtually(&def.query, 0, &mut ctx)?;
-        if !ctx.missing.is_empty() {
-            return Err(CoreError::Exec(format!(
-                "cannot materialize {:?}: sources unavailable ({})",
-                name,
-                ctx.missing.join(", ")
-            )));
-        }
-        self.views.materialize(
-            name,
-            &def.text,
-            doc,
-            self.clock.now(),
-            ttl.or(def.default_ttl),
-        );
-        Ok(())
-    }
-
-    /// Refresh every view whose TTL has lapsed; returns the refreshed
-    /// names ("should be refreshed on demand").
-    pub fn refresh_stale_views(&self) -> Vec<String> {
-        let mut refreshed = Vec::new();
-        for name in self.views.stale_views(self.clock.now()) {
-            let ttl = self.views.peek(&name).and_then(|v| v.ttl);
-            if self.materialize_view(&name, ttl).is_ok() {
-                refreshed.push(name);
-            }
-        }
-        refreshed
     }
 
     /// Evaluate a view definition virtually and construct its document.
@@ -2231,11 +2197,16 @@ impl Engine {
                             self.cache.put(cache_keys[0], Arc::clone(&doc));
                         }
                         let tuples = fragment_tuples(&doc, vars);
+                        if let Some(mark) = Watermark::of(&doc) {
+                            let collection = &query.collections[0].collection;
+                            ctx.marks.push((format!("{}.{}", source, collection), mark));
+                        }
                         // Only an unfiltered single-collection fragment
                         // observes the collection's true cardinality.
                         if query.limit.is_none()
                             && query.selections.is_empty()
                             && query.key_sets.is_empty()
+                            && query.after_row.unwrap_or(0) == 0
                             && query.collections.len() == 1
                         {
                             self.note_stats_rows(
@@ -3152,6 +3123,7 @@ fn fragment_key(source: &str, query: &SourceQuery) -> String {
         outputs,
         limit,
         key_sets,
+        after_row,
     } = query;
     let mut key = String::with_capacity(192);
     key.push_str("frag:");
@@ -3195,6 +3167,13 @@ fn fragment_key(source: &str, query: &SourceQuery) -> String {
         for k in keys.iter() {
             atom(&mut key, k);
         }
+    }
+    // A ten-row delta cached under the whole fragment's key would answer
+    // the next whole fetch.
+    key.push('a');
+    match after_row {
+        Some(n) => count(&mut key, usize::try_from(*n).unwrap_or(usize::MAX), ';'),
+        None => key.push('-'),
     }
     key
 }
@@ -3349,6 +3328,14 @@ mod fragment_tests {
         variants.push(q);
         variants.push(base.clone().with_key_set(FieldRef::new("t", "id"), Arc::clone(&keys)));
         variants.push(base.clone().with_key_set(FieldRef::new("t", "id"), keys[..1].into()));
+        // A floor, its absence and its value — beside a key set too, the
+        // last field written before it.
+        for floor in [0, 7, 70] {
+            let mut q = base.clone();
+            q.after_row = Some(floor);
+            variants.push(q.clone());
+            variants.push(q.with_key_set(FieldRef::new("t", "id"), Arc::clone(&keys)));
+        }
         let distinct: HashSet<String> = variants.iter().map(|q| fragment_key("crm", q)).collect();
         assert_eq!(distinct.len(), variants.len());
         // The source is part of the key, and an interned string is the

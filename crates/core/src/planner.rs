@@ -257,6 +257,37 @@ pub fn plan_query_sharded(
     config: &OptimizerConfig,
     shards: Option<&crate::shard::ShardRuntime>,
 ) -> Result<Plan, CoreError> {
+    plan_floored(catalog, query, config, shards, None)
+}
+
+/// [`plan_query`] for a view refresh (DESIGN.md §21): every fragment
+/// over one collection carries a row floor, so that its answer comes
+/// back stamped with how far into the collection it read. The floor is
+/// 0 — the whole collection — except for the collection `delta` names
+/// (as `source.collection`), whose fragment is floored at the mark the
+/// stored view was built up to: the plan's answer is then what the view
+/// gained. Nothing else differs from the query's own plan; the estimates
+/// see the floor, so a small delta drives the bind stage.
+pub fn plan_refresh(
+    catalog: &Catalog,
+    query: &Query,
+    config: &OptimizerConfig,
+    shards: Option<&crate::shard::ShardRuntime>,
+    delta: Option<(&str, u64)>,
+) -> Result<Plan, CoreError> {
+    plan_floored(catalog, query, config, shards, Some(delta))
+}
+
+/// The one planner. `refresh` is `None` for a query and, for a view
+/// refresh, what [`plan_refresh`] was given: the collection to floor at
+/// its mark, if any (every other one is floored at 0).
+fn plan_floored(
+    catalog: &Catalog,
+    query: &Query,
+    config: &OptimizerConfig,
+    shards: Option<&crate::shard::ShardRuntime>,
+    refresh: Option<Option<(&str, u64)>>,
+) -> Result<Plan, CoreError> {
     let mut plan = Plan {
         order_by: query.order_by.clone(),
         ..Plan::default()
@@ -403,6 +434,12 @@ pub fn plan_query_sharded(
         merge_same_source_fragments(catalog, &mut plan);
     }
 
+    // A refresh's row floors go on once the fragments are final and
+    // before anything is estimated.
+    if let Some(delta) = refresh {
+        floor_fragments(catalog, &mut plan, delta);
+    }
+
     // Phase 4: cardinality estimates from collection statistics, the
     // bind stage they justify, and the fold order over what is left to
     // join once the stage has shrunk its targets.
@@ -438,6 +475,59 @@ pub fn plan_query_sharded(
 
     finish(catalog, &mut plan, config);
     Ok(plan)
+}
+
+/// Give every single-collection fragment its row floor (see
+/// [`plan_refresh`]) and record the one that is not 0 as a
+/// `delta-refresh` rewrite: a restriction placed at one fragment, under
+/// which columns, keys and sources stay and the row bound can only fall.
+fn floor_fragments(catalog: &Catalog, plan: &mut Plan, delta: Option<(&str, u64)>) {
+    let mut placements: Vec<Placement> = Vec::new();
+    let (mut rows_before, mut rows_after) = (0u64, 0u64);
+    let pred = delta.map(|(collection, n)| format!("rows of {} past {}", collection, n));
+    for atom in &mut plan.independents {
+        let AtomExec::Fragment { source, query, vars } = atom else {
+            continue;
+        };
+        let [only] = query.collections.as_slice() else {
+            continue;
+        };
+        let key = format!("{}.{}", source, only.collection);
+        let floor = delta.filter(|(collection, _)| *collection == key);
+        query.after_row = Some(0);
+        let Some(((_, n), pred)) = floor.zip(pred.as_ref()) else {
+            continue;
+        };
+        rows_before = rows_before.saturating_add(cost::estimate_fragment(catalog, source, query));
+        query.after_row = Some(n);
+        rows_after = rows_after.saturating_add(cost::estimate_fragment(catalog, source, query));
+        placements.push(Placement {
+            pred: pred.clone(),
+            var: vars.first().cloned().unwrap_or_default(),
+            source: source.clone(),
+            outputs: vars.clone(),
+        });
+    }
+    let Some(pred) = pred else {
+        return;
+    };
+    let cols: Vec<String> = plan.independents.iter().flat_map(|a| a.vars().iter().cloned()).collect();
+    let sources: Vec<String> = plan
+        .independents
+        .iter()
+        .filter_map(|a| a.source().map(str::to_string))
+        .collect();
+    plan.notes.push(format!("delta refresh: {}", pred));
+    let side = |extra: Vec<String>, rows: u64| {
+        Fingerprint::new(cols.clone())
+            .with_extra(extra)
+            .with_sources(sources.clone())
+            .with_card_bound(rows)
+    };
+    plan.rewrites.push(
+        RewriteRecord::new("delta-refresh", true, side(vec![pred], rows_before), side(Vec::new(), rows_after))
+            .with_placements(placements),
+    );
 }
 
 /// The tail of planning, which reads the values of equality parameters
@@ -1361,9 +1451,11 @@ pub mod cost {
     /// dominant distinct count of each pushed join condition.
     pub fn estimate_fragment(catalog: &Catalog, source: &str, query: &SourceQuery) -> u64 {
         let mut per_alias: Vec<(String, f64, Option<CollectionStats>)> = Vec::new();
+        // A row floor leaves what lies past it.
+        let floor = query.row_floor().unwrap_or(0);
         for c in &query.collections {
             let stats = catalog.stats().get(&format!("{}.{}", source, c.collection));
-            let rows = stats.as_ref().map(|s| s.rows).unwrap_or(DEFAULT_ROWS) as f64;
+            let rows = stats.as_ref().map(|s| s.rows).unwrap_or(DEFAULT_ROWS).saturating_sub(floor) as f64;
             per_alias.push((c.alias.clone(), rows.max(1.0), stats));
         }
         let mut out = 1.0f64;

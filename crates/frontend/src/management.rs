@@ -38,6 +38,10 @@ pub struct ViewInfo {
     pub fresh: Option<bool>,
     pub hits: u64,
     pub size_nodes: usize,
+    /// How the last refresh got the stored document: `full (<reason>)`,
+    /// or `delta <collection> <from>..<upto>` — the rows one source
+    /// gained, appended. Empty when not materialized by the engine.
+    pub refreshed_by: String,
 }
 
 /// One row of the source-health report, derived from the engine's
@@ -197,6 +201,7 @@ impl ManagementConsole {
                     fresh: Some(m.freshness(now) == Freshness::Fresh),
                     hits: m.hits,
                     size_nodes: m.size_nodes,
+                    refreshed_by: m.refreshed_by,
                 },
                 None => ViewInfo {
                     name,
@@ -204,6 +209,7 @@ impl ManagementConsole {
                     fresh: None,
                     hits: 0,
                     size_nodes: 0,
+                    refreshed_by: String::new(),
                 },
             })
             .collect()
@@ -320,20 +326,36 @@ impl ManagementConsole {
         let _ = writeln!(out, "\n== mediated views ==");
         let _ = writeln!(
             out,
-            "{:<20}{:<14}{:<7}{:>6}{:>8}",
+            "{:<20}{:<14}{:<7}{:>6}{:>8}  last refresh",
             "name", "materialized", "fresh", "hits", "nodes"
         );
         for v in self.views() {
             let _ = writeln!(
                 out,
-                "{:<20}{:<14}{:<7}{:>6}{:>8}",
+                "{:<20}{:<14}{:<7}{:>6}{:>8}  {}",
                 v.name,
                 v.materialized,
                 v.fresh.map(|f| f.to_string()).unwrap_or_else(|| "-".into()),
                 v.hits,
-                v.size_nodes
+                v.size_nodes,
+                if v.refreshed_by.is_empty() { "-" } else { &v.refreshed_by }
             );
         }
+        // A refresh that failed left its view as it was; only the
+        // counters know.
+        let metrics = self.engine.metrics_snapshot();
+        let failed: Vec<String> = metrics
+            .counters
+            .iter()
+            .filter_map(|(k, n)| Some(format!("{} {}", n, k.strip_prefix("engine.view.refresh.failed.")?)))
+            .collect();
+        let _ = writeln!(
+            out,
+            "refreshes: {} delta, {} full, failed: {}",
+            metrics.counter("engine.view.refresh.delta"),
+            metrics.counter("engine.view.refresh.full"),
+            if failed.is_empty() { "none".to_string() } else { failed.join(", ") }
+        );
         if let Some(lenses) = &self.lenses {
             let _ = writeln!(out, "\n== lenses ==");
             for name in lenses.names() {
@@ -495,8 +517,22 @@ mod tests {
         // After materialization + TTL lapse.
         engine.materialize_view("hot_leads", Some(10)).unwrap();
         assert_eq!(console.views()[0].fresh, Some(true));
+        assert_eq!(console.views()[0].refreshed_by, "full (first)");
         engine.clock().advance(11);
         assert_eq!(console.views()[0].fresh, Some(false));
+
+        // A CSV file says nothing of how far it was read: every refresh
+        // recomputes, and the report says why.
+        assert_eq!(engine.refresh_stale_views(), ["hot_leads"]);
+        assert_eq!(console.views()[0].refreshed_by, "full (unstamped)");
+        assert!(console.render().contains("refreshes: 0 delta, 2 full, failed: none"));
+        // A refresh that fails leaves the view as it was — and a trace.
+        engine.clock().advance(11);
+        engine.catalog().unregister_source("files");
+        assert!(engine.refresh_stale_views().is_empty());
+        let report = console.render();
+        assert!(report.contains("full (unstamped)"), "{}", report);
+        assert!(report.contains("refreshes: 0 delta, 2 full, failed: 1 unknown_collection"), "{}", report);
     }
 
     #[test]

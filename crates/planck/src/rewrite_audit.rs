@@ -31,6 +31,15 @@
 //!   must name exactly one key, ship at least one copy, and every copy
 //!   must select on that key.
 //!
+//! * **Delta refresh** — a `delta-refresh` record plans a materialized
+//!   view's own query with one source fragment restricted to the rows
+//!   past a mark, so that the answer is what the view gained. The
+//!   restriction is a placement like any other (it must be accounted
+//!   for, at a fragment that binds its variable); on top of the checks
+//!   above — same columns, same keys, same sources, row bound not up —
+//!   exactly one fragment may take it: the join of two deltas is not
+//!   what a view gained.
+//!
 //! Fingerprints are deliberately string-shaped: they must survive
 //! serialization into cached-plan stamps and diff cheaply.
 
@@ -109,7 +118,8 @@ impl std::fmt::Display for Placement {
 #[derive(Debug, Clone)]
 pub struct RewriteRecord {
     /// Rule name for diagnostics (`"fold-reorder"`, `"pushdown"`,
-    /// `"bind-join"`, `"build-side-swap"`, `"plan-cache-hit"`).
+    /// `"bind-join"`, `"delta-refresh"`, `"build-side-swap"`,
+    /// `"plan-cache-hit"`).
     pub rule: String,
     /// Whether the rewrite promises to preserve column *order* (a
     /// substitution) rather than just the column set (a reordering).
@@ -285,6 +295,15 @@ pub fn audit(records: &[RewriteRecord]) -> Vec<PlanIssue> {
             if r.placements.is_empty() {
                 report("bind stage without a target".to_string());
             }
+        }
+
+        if r.rule == "delta-refresh" && r.placements.len() != 1 {
+            let floored: Vec<String> = r.placements.iter().map(Placement::to_string).collect();
+            report(format!(
+                "a delta refresh floors exactly one fragment, this one floors {}: {{{}}}",
+                floored.len(),
+                floored.join(", ")
+            ));
         }
 
         for p in &r.placements {
@@ -478,6 +497,48 @@ mod tests {
         assert!(issues.len() == 1 && issues[0].detail.contains("one join variable"));
         let issues = audit(&[stage(&["i"], 732, Vec::new())]);
         assert!(issues.len() == 1 && issues[0].detail.contains("without a target"));
+    }
+
+    #[test]
+    fn delta_refresh_floors_one_fragment_and_changes_nothing_else() {
+        let floor = |source: &str, outputs: &[&str]| Placement {
+            pred: "rows of billing.orders past 7500".to_string(),
+            var: outputs[0].to_string(),
+            source: source.to_string(),
+            outputs: cols(outputs),
+        };
+        let refresh = |after_cols: &[&str], sources: &[&str], rows_after: u64, floors: Vec<Placement>| {
+            RewriteRecord::new(
+                "delta-refresh",
+                true,
+                Fingerprint::new(cols(&["i", "n", "o", "i", "t"]))
+                    .with_keys(cols(&["i"]))
+                    .with_extra(cols(&["rows of billing.orders past 7500"]))
+                    .with_sources(cols(&["crm", "billing"]))
+                    .with_card_bound(7_510),
+                Fingerprint::new(cols(after_cols))
+                    .with_keys(cols(&["i"]))
+                    .with_sources(cols(sources))
+                    .with_card_bound(rows_after),
+            )
+            .with_placements(floors)
+        };
+        let all = ["i", "n", "o", "i", "t"];
+        let one = vec![floor("billing", &["o", "i", "t"])];
+        assert!(audit(&[refresh(&all, &["crm", "billing"], 10, one.clone())]).is_empty());
+        // No fragment floored, or two.
+        let issues = audit(&[refresh(&all, &["crm", "billing"], 10, Vec::new())]);
+        assert!(issues.iter().any(|i| i.detail.contains("floors exactly one fragment")));
+        let two = vec![floor("billing", &["o", "i", "t"]), floor("crm", &["i", "n"])];
+        let issues = audit(&[refresh(&all, &["crm", "billing"], 10, two)]);
+        assert!(issues.len() == 1 && issues[0].detail.contains("this one floors 2"));
+        // A column, a source or the row bound moved.
+        let issues = audit(&[refresh(&["i", "n", "o", "i"], &["crm", "billing"], 10, one.clone())]);
+        assert!(issues.len() == 1 && issues[0].detail.contains("schema changed"));
+        let issues = audit(&[refresh(&all, &["billing"], 10, one.clone())]);
+        assert!(issues.len() == 1 && issues[0].detail.contains("source set changed"));
+        let issues = audit(&[refresh(&all, &["crm", "billing"], 8_000, one)]);
+        assert!(issues.len() == 1 && issues[0].detail.contains("cardinality bound grew"));
     }
 
     #[test]

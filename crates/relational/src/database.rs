@@ -119,8 +119,12 @@ impl Database {
         self.tables.insert(table.name.clone(), table);
     }
 
-    /// The schema generation: what a [`Prepared`] is stamped with.
-    pub(crate) fn generation(&self) -> u64 {
+    /// The schema generation: what a [`Prepared`] is stamped with. It
+    /// moves whenever a table is created, replaced or handed out mutably
+    /// or an index comes or goes — and never when rows are inserted, so
+    /// between two reads of one generation a table has only grown at its
+    /// end (there is no `UPDATE` or `DELETE`).
+    pub fn generation(&self) -> u64 {
         self.generation
     }
 
@@ -607,6 +611,112 @@ mod tests {
         let stmt = db.prepare("SELECT name FROM customers WHERE id = ?").unwrap();
         assert!(sample_db().run(&stmt, &[SlotValue::Value(&two)]).is_err());
         assert!(db.run(&stmt, &[SlotValue::Value(&two)]).is_ok());
+    }
+
+    #[test]
+    fn after_row_is_the_statement_over_the_table_without_its_first_rows() {
+        // Whatever the access path and whatever else the statement
+        // holds, `FROM t AFTER ROW n` answers as the statement would over
+        // a table that never held its first n rows — the floor is taken
+        // before the WHERE clause, not after it.
+        let rest = [
+            "",
+            " WHERE k IN (3, 7, 11, 39)",
+            " WHERE k = 7",
+            " WHERE v >= 50",
+            " WHERE k >= 30",
+            " WHERE k IN (1, 2, 3) AND v < 70",
+            " WHERE v > 20 LIMIT 4",
+            " WHERE k <> 5 ORDER BY v DESC, id LIMIT 9",
+        ];
+        for index in [None, Some(" USING HASH"), Some("")] {
+            for floor in [0usize, 1, 150, 299, 300, 301, 10_000] {
+                // The reference: the same rows loaded without the first `floor`.
+                let all = keyed_db(None).execute("SELECT id, k, v FROM t").unwrap().rows;
+                let mut want_db = Database::new();
+                want_db.execute("CREATE TABLE t (id INT, k INT, v INT)").unwrap();
+                for r in all.iter().skip(floor) {
+                    want_db
+                        .execute(&format!(
+                            "INSERT INTO t VALUES ({}, {}, {})",
+                            r[0].lexical(),
+                            r[1].lexical(),
+                            r[2].lexical()
+                        ))
+                        .unwrap();
+                }
+                let mut db = keyed_db(index);
+                // A B-tree range hands its rows over in key order.
+                let in_order = |mut rows: Vec<Vec<Atomic>>, tail: &str| {
+                    if tail.ends_with("k >= 30") {
+                        rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+                    }
+                    rows
+                };
+                for tail in rest {
+                    let want = want_db.execute(&format!("SELECT id, k, v FROM t{}", tail)).unwrap().rows;
+                    let sql = format!("SELECT id, k, v FROM t AFTER ROW {}{}", floor, tail);
+                    assert_eq!(in_order(db.execute(&sql).unwrap().rows, tail), want, "{:?}: {}", index, sql);
+                    // Bound to a slot: one statement, any floor.
+                    let stmt = db.prepare(&format!("SELECT id, k, v FROM t AFTER ROW ?{}", tail)).unwrap();
+                    assert_eq!(stmt.slots(), [SlotKind::Value]);
+                    let n = Atomic::Int(floor as i64);
+                    let got = db.run(&stmt, &[SlotValue::Value(&n)]).unwrap();
+                    assert_eq!(in_order(got, tail), want, "{}", sql);
+                }
+            }
+        }
+        // A scan past the floor reads only what lies past it.
+        let mut db = keyed_db(None);
+        db.reset_stats();
+        db.execute("SELECT id FROM t AFTER ROW 290 WHERE v > 0").unwrap();
+        assert_eq!(db.stats().rows_scanned, 10);
+        // The floor counts rows; it is no place for anything else.
+        for bad in ["-1", "1.5", "'x'", "NULL"] {
+            let sql = format!("SELECT id FROM t AFTER ROW {}", bad);
+            assert!(db.execute(&sql).is_err(), "{}", sql);
+        }
+        // Only the FROM table takes one, and `after` is still a name.
+        assert!(db.execute("SELECT a.id FROM t a JOIN t b ON a.id = b.id AFTER ROW 3").is_err());
+        let joined = db
+            .execute("SELECT a.id FROM t a AFTER ROW 298 JOIN t b ON a.k = b.k WHERE b.id > 297")
+            .unwrap();
+        assert_eq!(joined.rows.len(), 2);
+        db.execute("CREATE TABLE after (row INT)").unwrap();
+        db.execute("INSERT INTO after VALUES (1), (2)").unwrap();
+        assert_eq!(db.execute("SELECT row FROM after AFTER ROW 1").unwrap().rows.len(), 1);
+    }
+
+    #[test]
+    fn a_plain_limit_projects_only_the_rows_it_keeps() {
+        if !nimble_trace::alloc::enabled() {
+            return; // profile-alloc compiled out: nothing to count
+        }
+        let allocs = |rows: usize, sql: &str| {
+            let mut db = Database::new();
+            db.execute("CREATE TABLE t (id INT, name TEXT, total FLOAT)").unwrap();
+            let values: Vec<String> = (0..rows).map(|i| format!("({}, 'n{}', {}.5)", i, i % 7, i)).collect();
+            db.execute(&format!("INSERT INTO t VALUES {}", values.join(", "))).unwrap();
+            let stmt = db.prepare(sql).unwrap();
+            let scope = nimble_trace::alloc::AllocScope::enter();
+            let out = db.run(&stmt, &[]).unwrap();
+            (out.len(), scope.finish().allocs)
+        };
+        let limited = "SELECT id, name, total FROM t LIMIT 5";
+        let (n_small, small) = allocs(100, limited);
+        let (n_large, large) = allocs(10_000, limited);
+        assert_eq!((n_small, n_large), (5, 5));
+        // One block per row that leaves; all that grows with the table
+        // is the list of row borrows the scan builds, by doubling.
+        assert!(large <= small + 8 && large < 40, "{} blocks over 100 rows, {} over 10 000", small, large);
+        // An ORDER BY or a DISTINCT has to see every row first.
+        let (_, sorted) = allocs(10_000, "SELECT id, name, total FROM t ORDER BY total DESC LIMIT 5");
+        assert!(sorted > 10_000, "{}", sorted);
+        // Same rows, same order, either way.
+        let mut db = keyed_db(None);
+        let all = db.execute("SELECT id, v FROM t WHERE v > 30").unwrap().rows;
+        let cut = db.execute("SELECT id, v FROM t WHERE v > 30 LIMIT 7").unwrap().rows;
+        assert_eq!(cut, all[..7]);
     }
 
     #[test]

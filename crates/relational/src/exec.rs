@@ -38,6 +38,8 @@ pub struct Prepared {
     slots: Vec<SlotKind>,
     /// One scan per table of the FROM/JOIN list, in that order.
     scans: Vec<Scan>,
+    /// `AFTER ROW`: how many leading rows the first scan passes over.
+    after_row: Option<Operand>,
     /// `joins[i]` attaches `scans[i + 1]` to the rows joined so far.
     joins: Vec<JoinStep>,
     /// Conjuncts no single scan could evaluate, over the joined row.
@@ -331,6 +333,7 @@ pub fn prepare_select(db: &Database, sel: &SelectStmt) -> Result<Prepared, SqlEr
         generation: db.generation(),
         slots: sel.slots.clone(),
         scans,
+        after_row: sel.after_row.clone(),
         joins,
         residual,
         output,
@@ -446,13 +449,20 @@ pub fn run_select(
     stats.statements += 1;
 
     // --- base rows of the driving table, then left-deep joins ---
-    let base = scan_rows(db, &p.scans[0], &env, stats)?;
+    let after_row = match &p.after_row {
+        None => 0,
+        Some(n) => match env.value(n)? {
+            Atomic::Int(n) if *n >= 0 => *n as usize,
+            other => return Err(SqlError::new(format!("AFTER ROW takes a row count, not {:?}", other))),
+        },
+    };
+    let base = scan_rows(db, &p.scans[0], after_row, &env, stats)?;
     let mut joined: Vec<Vec<Atomic>> = Vec::new();
     if !p.joins.is_empty() {
         joined = base.iter().map(|r| r.to_vec()).collect();
     }
     for (join, scan) in p.joins.iter().zip(&p.scans[1..]) {
-        let right_rows = scan_rows(db, scan, &env, stats)?;
+        let right_rows = scan_rows(db, scan, 0, &env, stats)?;
         // Hash the new table rows on their key.
         let mut table_map: HashMap<String, Vec<&[Atomic]>> = HashMap::new();
         for &r in &right_rows {
@@ -496,6 +506,13 @@ pub fn run_select(
     }
 
     // --- projection / aggregation ---
+    // A limit that nothing downstream can reorder or thin out is taken
+    // here, so only the rows that leave are projected.
+    if let Some(n) = p.limit {
+        if matches!(p.output, Output::Project(_)) && !p.distinct && p.order_by.is_empty() {
+            rows.truncate(n);
+        }
+    }
     let mut out_rows: Vec<Vec<Atomic>> = match &p.output {
         Output::Project(exprs) => rows
             .iter()
@@ -547,11 +564,13 @@ pub fn run_select(
     Ok(out_rows)
 }
 
-/// The rows of one table that pass its own conjuncts, read through the
-/// scan's access path and borrowed from the table.
+/// The rows of one table past its first `after_row` that pass its own
+/// conjuncts, read through the scan's access path and borrowed from the
+/// table. The rows passed over are neither tested nor counted.
 fn scan_rows<'d>(
     db: &'d Database,
     scan: &Scan,
+    after_row: usize,
     env: &Env<'_>,
     stats: &mut ExecStats,
 ) -> Result<Vec<&'d [Atomic]>, SqlError> {
@@ -617,12 +636,15 @@ fn scan_rows<'d>(
     };
     match candidates {
         None => {
-            stats.rows_scanned += all_rows.len() as u64;
-            all_rows.iter().try_for_each(&mut visit)?;
+            let rows = all_rows.get(after_row..).unwrap_or_default();
+            stats.rows_scanned += rows.len() as u64;
+            rows.iter().try_for_each(&mut visit)?;
         }
         Some(ids) => {
-            stats.rows_scanned += ids.len() as u64;
-            ids.iter().try_for_each(|&rid| visit(&all_rows[rid]))?;
+            for &rid in ids.iter().filter(|&&rid| rid >= after_row) {
+                stats.rows_scanned += 1;
+                visit(&all_rows[rid])?;
+            }
         }
     }
     Ok(out)

@@ -57,6 +57,12 @@ pub struct SelectStmt {
     pub distinct: bool,
     pub items: Vec<SelectItem>,
     pub from: TableRef,
+    /// `FROM t AFTER ROW n`: only the rows of the FROM table past its
+    /// first `n`, in insertion order — taken before the WHERE clause
+    /// looks at any of them. Tables only grow at the end, so `n` is a
+    /// high-water mark: the rows a reader that stopped at `n` has not
+    /// seen.
+    pub after_row: Option<Operand>,
     pub joins: Vec<Join>,
     pub where_clause: Option<SqlExpr>,
     pub group_by: Vec<ColRef>,

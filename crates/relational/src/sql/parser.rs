@@ -264,6 +264,16 @@ impl Parser {
         }
         self.expect_kw("FROM")?;
         let from = self.table_ref()?;
+        let after_row = if self.eat_kw("AFTER") {
+            self.expect_kw("ROW")?;
+            Some(if self.eat_tok(&SqlToken::Question) {
+                Operand::Slot(self.slot(SlotKind::Value))
+            } else {
+                Operand::Lit(self.literal()?)
+            })
+        } else {
+            None
+        };
         let mut joins = Vec::new();
         loop {
             let left_outer = if self.eat_kw("LEFT") {
@@ -335,6 +345,7 @@ impl Parser {
             distinct,
             items,
             from,
+            after_row,
             joins,
             where_clause,
             group_by,
@@ -351,7 +362,7 @@ impl Parser {
             Some(self.ident()?)
         } else {
             const CLAUSES: &[&str] = &[
-                "WHERE", "GROUP", "ORDER", "LIMIT", "JOIN", "LEFT", "INNER", "ON",
+                "WHERE", "GROUP", "ORDER", "LIMIT", "JOIN", "LEFT", "INNER", "ON", "AFTER",
             ];
             let next = self.peek();
             if matches!(next, SqlToken::Word(_)) && !CLAUSES.iter().any(|kw| is_kw(next, kw)) {
@@ -617,6 +628,25 @@ mod tests {
             }
             other => panic!("{:?}", other),
         }
+    }
+
+    #[test]
+    fn after_row_follows_the_from_table() {
+        let parsed = |sql: &str| match parse_statement(sql).unwrap() {
+            Statement::Select(sel) => sel,
+            other => panic!("{:?}", other),
+        };
+        let sel = parsed("SELECT t.id FROM orders t AFTER ROW 7500 WHERE t.total > ? LIMIT 3");
+        assert_eq!(sel.from.alias.as_deref(), Some("t"));
+        assert_eq!(sel.after_row, Some(Operand::Lit(Atomic::Int(7500))));
+        assert_eq!(sel.slots, [SlotKind::Value]);
+        // A slot there is the statement's first; no alias is fine too.
+        let sel = parsed("SELECT id FROM orders AFTER ROW ? WHERE total > ? AND id IN (?)");
+        assert_eq!((sel.from.alias, sel.after_row), (None, Some(Operand::Slot(0))));
+        assert_eq!(sel.slots, [SlotKind::Value, SlotKind::Value, SlotKind::List]);
+        assert_eq!(parsed("SELECT id FROM orders").after_row, None);
+        assert!(parse_statement("SELECT id FROM orders AFTER 3").is_err());
+        assert!(parse_statement("SELECT id FROM orders AFTER ROW").is_err());
     }
 
     #[test]

@@ -59,7 +59,7 @@ const TOKENS: &[&str] = &[
 const SOUP: &[&str] = &[
     "INSERT", "INTO", "VALUES", "CREATE", "TABLE", "INDEX", "ON", "USING", "HASH", "UPDATE", "SET",
     "DELETE", "ORDER", "LIMIT", "DESC", "AS", "AND", "OR", "NOT", "IN", "BETWEEN", "LIKE", "IS",
-    "NULL", "SUM", "MIN", "INT", "TEXT", "FLOAT", "select", "v", "s", "t.k", "?", "'", "''", "'a",
+    "NULL", "SUM", "MIN", "INT", "TEXT", "FLOAT", "AFTER", "ROW", "select", "v", "s", "t.k", "?", "'", "''", "'a",
     "\"", "\"k\"", "<", ">", "<=", ">=", "<>", "!=", "+", "-", "/", "%", ".", ";", "--", "0", "-1",
     "1e9", "0.5", "99999999999999999999", " ", "\t", "\n", "é", "ß", "本", "\u{301}", "\u{a0}", "😀",
     "\u{10ffff}",

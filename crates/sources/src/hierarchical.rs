@@ -296,6 +296,7 @@ mod tests {
             outputs: vec![],
             limit: None,
             key_sets: Vec::new(),
+            after_row: None,
         };
         assert!(a.execute(&q).is_err());
     }

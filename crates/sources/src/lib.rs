@@ -52,6 +52,24 @@
 //! wrappers pass the query through. Keys are distinct, non-null, of the
 //! field's declared type, and the list is never empty — a mediator that
 //! has no key does not call the source at all.
+//!
+//! ## Row floors
+//!
+//! A fragment over one collection may also carry a **row floor**
+//! ([`SourceQuery::after_row`]): "only the rows past the first `n`",
+//! which is how a materialized view is refreshed from what an
+//! append-only collection gained instead of from the whole of it. The
+//! contract is the opposite of a key set's: *a floor is a requirement* —
+//! the mediator appends the answer to rows it already holds. So an
+//! adapter opts in by stamping its answer with a [`query::Watermark`]
+//! (the floor it applied, the collection's length as read, and a
+//! generation that moves whenever anything but an append happened), and
+//! the mediator takes an answer for a delta only when the stamp echoes
+//! the floor it sent. An adapter that ignores the field never stamps,
+//! and gets asked for the whole collection — a new adapter needs no
+//! code for this either. Only the relational adapter stamps (its tables
+//! have no `UPDATE` or `DELETE`); the [`sim`] and [`metered`] wrappers
+//! hand query and answer through untouched.
 
 pub mod capabilities;
 pub mod csv;
@@ -67,7 +85,7 @@ pub use capabilities::Capabilities;
 pub use error::SourceError;
 pub use metered::MeteredAdapter;
 pub use query::{
-    CollectionInfo, CollectionRef, FieldRef, KeyFilter, PredOp, Selection, SourceQuery,
+    CollectionInfo, CollectionRef, FieldRef, KeyFilter, PredOp, Selection, SourceQuery, Watermark,
 };
 
 use nimble_xml::Document;

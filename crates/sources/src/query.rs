@@ -145,6 +145,49 @@ pub struct SourceQuery {
     /// use [`KeyFilter`]; the relational adapter renders
     /// `alias.field IN (…)`.
     pub key_sets: Vec<(FieldRef, Arc<[Atomic]>)>,
+    /// A row floor: `Some(n)` asks for the rows of the fragment's single
+    /// collection past its first `n` — base position, before any
+    /// selection or key set looks at them — and for a [`Watermark`] on
+    /// the answer. `None` is the plain call.
+    ///
+    /// **Contract: a floor is a requirement, never a hint.** Whoever
+    /// sends one appends the answer to what it already holds, so rows
+    /// from before the floor would be counted twice. An adapter whose
+    /// collections only grow at the end honours the floor and stamps the
+    /// answer with the floor it applied and the length it read, taken
+    /// under the same lock as the rows; the mediator trusts an answer as
+    /// a delta only when the stamp echoes the floor it sent. An adapter
+    /// that cannot honour one ignores the field and **never stamps** —
+    /// which every adapter that does not know the field does by
+    /// construction — and the mediator falls back to a whole answer.
+    pub after_row: Option<u64>,
+}
+
+/// How far into an append-only collection an answer reaches: rows
+/// `from..upto` of the collection as it stood under schema `generation`.
+/// Stamped on the answer document ([`RowsBuilder::finish_marked`]) by an
+/// adapter that honoured [`SourceQuery::after_row`]; it adds no node,
+/// attribute or interned string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Watermark {
+    /// Moves when anything but an append may have happened to the
+    /// collection: marks of two generations do not compare.
+    pub generation: u64,
+    /// The floor the adapter applied — the request's, echoed.
+    pub from: u64,
+    /// The collection's length when the rows were read.
+    pub upto: u64,
+}
+
+impl Watermark {
+    /// The watermark an answer carries, if its adapter stamped one.
+    pub fn of(doc: &Document) -> Option<Watermark> {
+        doc.stamp().map(|[generation, from, upto]| Watermark {
+            generation,
+            from,
+            upto,
+        })
+    }
 }
 
 impl SourceQuery {
@@ -163,7 +206,16 @@ impl SourceQuery {
                 .collect(),
             limit: None,
             key_sets: Vec::new(),
+            after_row: None,
         }
+    }
+
+    /// The floor an adapter can apply: [`SourceQuery::after_row`], when
+    /// the fragment reads one collection. Over a join "the rows past the
+    /// first `n`" names no set of answers that only grows, so such a
+    /// fragment is run whole and its answer is never stamped.
+    pub fn row_floor(&self) -> Option<u64> {
+        self.after_row.filter(|_| self.collections.len() == 1)
     }
 
     /// Restrict `field` to the given keys (see [`SourceQuery::key_sets`]).
@@ -276,6 +328,12 @@ impl RowsBuilder {
     }
 
     pub fn finish(self) -> Arc<Document> {
+        self.builder.finish()
+    }
+
+    /// [`finish`](Self::finish), stamping the answer (see [`Watermark`]).
+    pub fn finish_marked(mut self, mark: Watermark) -> Arc<Document> {
+        self.builder.stamp([mark.generation, mark.from, mark.upto]);
         self.builder.finish()
     }
 }

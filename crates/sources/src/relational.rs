@@ -1,7 +1,8 @@
 //! The relational adapter: compiles fragments to **prepared SQL** for a
 //! `nimble-relational` database, the way the paper's compiler talks to
 //! customer RDBMSs over ODBC. A fragment's *shape* — everything but the
-//! values of its selections and the keys of its key sets — is rendered
+//! values of its selections, the keys of its key sets and the number in
+//! its row floor — is rendered
 //! to SQL text with a `?` where each value goes and prepared once; every
 //! call after that binds the call's values to the prepared statement and
 //! runs it. [`RelationalAdapter::to_sql`] spells the same statement with
@@ -9,7 +10,7 @@
 
 use crate::capabilities::Capabilities;
 use crate::error::SourceError;
-use crate::query::{CollectionInfo, RowsBuilder, SourceQuery};
+use crate::query::{CollectionInfo, RowsBuilder, SourceQuery, Watermark};
 use crate::{SourceAdapter, SourceKind};
 use nimble_relational::{ColumnType, Database, Prepared, SlotValue, SqlError};
 use nimble_xml::{Atomic, AtomicType, Document, Sym};
@@ -42,11 +43,13 @@ struct StatementCache {
     tick: u64,
 }
 
-/// True when two fragments differ at most in their selections' values
-/// and their key sets' keys — that is, when one prepared statement
-/// serves both.
+/// True when two fragments differ at most in their selections' values,
+/// their key sets' keys and their row floors' numbers — that is, when one
+/// prepared statement serves both. Having a floor is shape (the statement
+/// has a slot for it); where it lies is a value.
 fn same_shape(a: &SourceQuery, b: &SourceQuery) -> bool {
     a.collections == b.collections
+        && a.after_row.is_some() == b.after_row.is_some()
         && a.join_conds == b.join_conds
         && a.outputs == b.outputs
         && a.limit == b.limit
@@ -143,6 +146,7 @@ impl RelationalAdapter {
         for (_, keys) in &mut shape.key_sets {
             *keys = Arc::new([]);
         }
+        shape.after_row = shape.after_row.map(|_| 0);
         cache.statements.push(Statement {
             shape,
             prepared: Arc::clone(&prepared),
@@ -154,9 +158,9 @@ impl RelationalAdapter {
 }
 
 /// A fragment as SQL text: with its values written in as literals, or
-/// with a `?` slot where each selection's value and each key set's list
-/// would stand (in that order — the order [`SourceAdapter::execute`]
-/// binds them in).
+/// with a `?` slot where the row floor, each selection's value and each
+/// key set's list would stand (in that order — the order
+/// [`SourceAdapter::execute`] binds them in).
 fn render(query: &SourceQuery, values: bool) -> String {
     let mut sql = String::from("SELECT ");
     if query.outputs.is_empty() {
@@ -174,6 +178,13 @@ fn render(query: &SourceQuery, values: bool) -> String {
         " FROM {} {}",
         query.collections[0].collection, query.collections[0].alias
     );
+    match query.row_floor() {
+        Some(n) if values => {
+            let _ = write!(sql, " AFTER ROW {}", n);
+        }
+        Some(_) => sql.push_str(" AFTER ROW ?"),
+        None => {}
+    }
     for (c, (l, r)) in query.collections.iter().skip(1).zip(&query.join_conds) {
         // Join conditions pair up with the collections after the first:
         // `join_conds[i - 1]` connects collection `i`.
@@ -266,22 +277,37 @@ impl SourceAdapter for RelationalAdapter {
         let failed = |e: SqlError| {
             SourceError::query(&self.name, format!("{} (SQL: {})", e, Self::to_sql(query)))
         };
-        let values: Vec<SlotValue<'_>> = query
-            .selections
+        let floor = query.row_floor();
+        let floor_value = floor.map(|n| Atomic::Int(i64::try_from(n).unwrap_or(i64::MAX)));
+        let values: Vec<SlotValue<'_>> = floor_value
             .iter()
-            .map(|s| SlotValue::Value(&s.value))
+            .map(SlotValue::Value)
+            .chain(query.selections.iter().map(|s| SlotValue::Value(&s.value)))
             .chain(query.key_sets.iter().map(|(_, keys)| SlotValue::List(keys)))
             .collect();
-        let (rows, names) = {
+        let (rows, names, mark) = {
             let mut db = self.db.write();
             let (prepared, names) = self.statement(&mut db, query).map_err(failed)?;
-            (db.run(&prepared, &values).map_err(failed)?, names)
+            let rows = db.run(&prepared, &values).map_err(failed)?;
+            // Read under the lock the rows were: no insert lies between.
+            let mark = floor.and_then(|from| {
+                let table = db.table(&query.collections[0].collection)?;
+                Some(Watermark {
+                    generation: db.generation(),
+                    from,
+                    upto: table.row_count() as u64,
+                })
+            });
+            (rows, names, mark)
         };
         let mut out = RowsBuilder::with_capacity(rows.len(), names.len());
         for row in rows {
             out.row_syms(names.iter().copied().zip(row));
         }
-        Ok(out.finish())
+        Ok(match mark {
+            Some(mark) => out.finish_marked(mark),
+            None => out.finish(),
+        })
     }
 
     fn fetch_collection(&self, name: &str) -> Result<Arc<Document>, SourceError> {
@@ -478,6 +504,95 @@ mod tests {
         assert_eq!(prepares(), shapes as u64);
         a.execute(&shaped(0)).unwrap();
         assert_eq!(prepares(), shapes as u64 + 1);
+
+        // Two floors of one shape share one prepared statement, a floor
+        // and no floor do not, and the cached shape keeps no floor's
+        // number.
+        let floored = |n: u64| {
+            let mut q = shaped(0);
+            q.after_row = Some(n);
+            q
+        };
+        let before = prepares();
+        a.execute(&floored(0)).unwrap();
+        a.execute(&floored(1)).unwrap();
+        a.execute(&floored(7_000)).unwrap();
+        assert_eq!(prepares(), before + 1);
+        a.execute(&shaped(0)).unwrap();
+        assert_eq!(prepares(), before + 1);
+        let cache = a.statements.lock();
+        assert!(cache.statements.iter().all(|s| s.shape.after_row.unwrap_or(0) == 0));
+    }
+
+    #[test]
+    fn a_floor_ships_the_rows_past_it_and_the_answer_says_how_far_it_read() {
+        let a = adapter();
+        let orders = |floor: Option<u64>| {
+            let mut q = SourceQuery::scan("orders", &[("o", "id"), ("t", "total")]);
+            q.after_row = floor;
+            q
+        };
+        // No floor: today's answer, and no stamp.
+        let whole = a.execute(&orders(None)).unwrap();
+        assert_eq!((rows_of(&whole).len(), Watermark::of(&whole)), (2, None));
+        // A floor of 0 is the same rows — same nodes — and a stamp.
+        let stamped = a.execute(&orders(Some(0))).unwrap();
+        assert_eq!(stamped.len(), whole.len());
+        assert!(stamped.root().deep_eq(&whole.root()));
+        let generation = a.database().read().generation();
+        assert_eq!(Watermark::of(&stamped), Some(Watermark { generation, from: 0, upto: 2 }));
+        assert_eq!(nimble_xml::to_string(&stamped.root()), nimble_xml::to_string(&whole.root()));
+
+        a.database()
+            .write()
+            .execute("INSERT INTO orders VALUES (12, 1, 1.0), (13, 2, 700.0)")
+            .unwrap();
+        let delta = a.execute(&orders(Some(2))).unwrap();
+        assert_eq!(Watermark::of(&delta), Some(Watermark { generation, from: 2, upto: 4 }));
+        let ids: Vec<Atomic> = rows_of(&delta).iter().map(|r| row_field(r, "o")).collect();
+        assert_eq!(ids, [Atomic::Int(12), Atomic::Int(13)]);
+        // The floor is applied before the selection and the key set: of
+        // the two rows below it only one passes them, and skipping two
+        // rows that pass would skip row 12.
+        let keys: Arc<[Atomic]> = vec![Atomic::Int(1)].into();
+        let q = orders(Some(2))
+            .with_selection("total", PredOp::Gt, Atomic::Float(0.5))
+            .with_key_set(FieldRef::new("t", "cust_id"), keys);
+        assert_eq!(
+            RelationalAdapter::to_sql(&q),
+            "SELECT t.id AS o, t.total AS t FROM orders t AFTER ROW 2 WHERE t.total > 0.5 AND t.cust_id IN (1)"
+        );
+        let doc = a.execute(&q).unwrap();
+        assert_eq!(Watermark::of(&doc).map(|w| (w.from, w.upto)), Some((2, 4)));
+        let ids: Vec<Atomic> = rows_of(&doc).iter().map(|r| row_field(r, "o")).collect();
+        assert_eq!(ids, [Atomic::Int(12)]);
+        // Past the end: no rows, and the stamp says where the end is.
+        let none = a.execute(&orders(Some(9))).unwrap();
+        assert_eq!((none.len(), Watermark::of(&none).map(|w| w.upto)), (1, Some(4)));
+        // What is shipped is what the text says.
+        let spelled = a.database().write().execute(&RelationalAdapter::to_sql(&q)).unwrap();
+        assert_eq!(spelled.rows, [[Atomic::Int(12), Atomic::Float(1.0)]]);
+
+        // DDL moves the generation; the next stamp shows it.
+        a.database().write().execute("CREATE INDEX ON orders (cust_id)").unwrap();
+        let after = Watermark::of(&a.execute(&orders(Some(4))).unwrap()).unwrap();
+        assert!(after.generation != generation && (after.from, after.upto) == (4, 4));
+        // A join fragment has no rows "past the first n": run whole, unstamped.
+        let joined = SourceQuery {
+            collections: vec![
+                crate::query::CollectionRef { alias: "c".into(), collection: "customers".into() },
+                crate::query::CollectionRef { alias: "o".into(), collection: "orders".into() },
+            ],
+            join_conds: vec![(FieldRef::new("o", "cust_id"), FieldRef::new("c", "id"))],
+            selections: Vec::new(),
+            outputs: vec![("n".into(), FieldRef::new("c", "name"))],
+            limit: None,
+            key_sets: Vec::new(),
+            after_row: Some(3),
+        };
+        assert!(!RelationalAdapter::to_sql(&joined).contains("AFTER"));
+        let doc = a.execute(&joined).unwrap();
+        assert_eq!((rows_of(&doc).len(), Watermark::of(&doc)), (4, None));
     }
 
     #[test]
@@ -511,6 +626,7 @@ mod tests {
             ],
             limit: None,
             key_sets: Vec::new(),
+            after_row: None,
         };
         let doc = a.execute(&q).unwrap();
         let rows = rows_of(&doc);
@@ -537,6 +653,7 @@ mod tests {
             outputs: vec![],
             limit: None,
             key_sets: Vec::new(),
+            after_row: None,
         };
         assert_eq!(
             RelationalAdapter::to_sql(&q),

@@ -322,6 +322,7 @@ fn sweep(pair: &mut Pair, rng: &mut Rng) -> (usize, usize) {
             ],
             limit: (round % 5 == 0).then_some(9),
             key_sets: Vec::new(),
+            after_row: None,
         };
         if round % 2 == 0 {
             q.selections.push(Selection {

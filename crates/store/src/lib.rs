@@ -37,4 +37,4 @@ pub use clock::LogicalClock;
 pub use shard::{shard_stats_key, ShardMap, ShardScheme, ShardSpec};
 pub use stats::{CollectionStats, ColumnStats, SampleBuilder, StatsCatalog};
 pub use selection::{select_views, CandidateView, SelectionPolicy, WorkloadMonitor};
-pub use views::{Freshness, MaterializedView, ViewStore};
+pub use views::{Freshness, MaterializedView, ViewMark, ViewStore};

@@ -15,6 +15,18 @@ pub enum Freshness {
     Stale,
 }
 
+/// How far into one append-only source collection a view's document was
+/// built: rows `..upto` of `collection` as it stood under schema
+/// `generation`. The next refresh asks the source for the rows past
+/// `upto` only (DESIGN.md §21).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ViewMark {
+    /// `source.collection`.
+    pub collection: String,
+    pub generation: u64,
+    pub upto: u64,
+}
+
 /// One materialized view: the stored result of a mediated-schema query.
 #[derive(Debug, Clone)]
 pub struct MaterializedView {
@@ -33,6 +45,14 @@ pub struct MaterializedView {
     pub hits: u64,
     /// Node count, the size proxy used against storage budgets.
     pub size_nodes: usize,
+    /// One mark per source fragment of the plan the document was built
+    /// from, when every one of them was stamped; empty otherwise (and
+    /// the next refresh recomputes).
+    pub marks: Vec<ViewMark>,
+    /// How the last refresh got the document, as the management console
+    /// prints it (`full (first)`, `delta billing.orders 7500..7510`);
+    /// empty for a document stored from outside.
+    pub refreshed_by: String,
 }
 
 impl MaterializedView {
@@ -56,7 +76,8 @@ impl ViewStore {
         ViewStore::default()
     }
 
-    /// Materialize (or re-materialize) a view.
+    /// Materialize (or re-materialize) a view from a document of
+    /// unknown provenance: it carries no marks.
     pub fn materialize(
         &self,
         name: &str,
@@ -64,6 +85,22 @@ impl ViewStore {
         document: Arc<Document>,
         now: u64,
         ttl: Option<u64>,
+    ) {
+        self.materialize_marked(name, definition, document, now, ttl, Vec::new(), "");
+    }
+
+    /// Materialize (or re-materialize) a view, remembering how far into
+    /// each source collection its document reaches.
+    #[allow(clippy::too_many_arguments)]
+    pub fn materialize_marked(
+        &self,
+        name: &str,
+        definition: &str,
+        document: Arc<Document>,
+        now: u64,
+        ttl: Option<u64>,
+        marks: Vec<ViewMark>,
+        refreshed_by: &str,
     ) {
         let size_nodes = document.len();
         let mut views = self.views.write();
@@ -78,6 +115,8 @@ impl ViewStore {
                 ttl,
                 hits,
                 size_nodes,
+                marks,
+                refreshed_by: refreshed_by.to_string(),
             },
         );
     }
@@ -154,6 +193,17 @@ mod tests {
         store.materialize("v", "q", doc("<r/>"), 6, Some(5));
         assert_eq!(store.lookup("v", 7).unwrap().1, Freshness::Fresh);
         assert_eq!(store.peek("v").unwrap().hits, 3);
+        // Marks are kept with the document they describe, and go with it.
+        let mark = ViewMark {
+            collection: "billing.orders".into(),
+            generation: 4,
+            upto: 7_500,
+        };
+        store.materialize_marked("v", "q", doc("<r/>"), 7, Some(5), vec![mark.clone()], "full (first)");
+        let v = store.peek("v").unwrap();
+        assert_eq!((v.marks, v.hits, v.refreshed_by.as_str()), (vec![mark], 3, "full (first)"));
+        store.materialize("v", "q", doc("<r/>"), 8, Some(5));
+        assert!(store.peek("v").unwrap().marks.is_empty());
     }
 
     #[test]

@@ -55,10 +55,38 @@ impl DocumentBuilder {
             doc: Document {
                 nodes: table,
                 attrs: Vec::new(),
+                stamp: None,
             },
             cur: 0,
             depth: 1,
         }
+    }
+
+    /// A builder that starts as a copy of `doc` with its root open
+    /// again and room for `more` nodes: what is appended lands behind
+    /// the root's last child. The copy is two `Vec` clones — no walk,
+    /// no link rewritten — and carries no stamp.
+    pub fn reopen(doc: &Document, more: usize) -> Self {
+        let mut nodes = Vec::with_capacity(doc.nodes.len() + more);
+        nodes.extend_from_slice(&doc.nodes);
+        if let Some(root) = nodes.first_mut() {
+            root.end = OPEN;
+        }
+        DocumentBuilder {
+            doc: Document {
+                nodes,
+                attrs: doc.attrs.clone(),
+                stamp: None,
+            },
+            cur: 0,
+            depth: 1,
+        }
+    }
+
+    /// Attach three numbers of the producer's to the document being
+    /// built (see [`Document::stamp`]).
+    pub fn stamp(&mut self, stamp: [u64; 3]) {
+        self.doc.stamp = Some(stamp);
     }
 
     /// Append a node under the current element; `end` is `id + 1` for a
@@ -364,6 +392,39 @@ mod tests {
             to_string(&doc.root()),
             "<db><book year=\"1999\"><title>Data on the Web</title></book></db>"
         );
+    }
+
+    #[test]
+    fn a_reopened_document_takes_more_children_and_no_stamp() {
+        let mut b = DocumentBuilder::new("results");
+        b.start_element("r");
+        b.attr("k", "1");
+        b.leaf("v", Atomic::Int(1));
+        b.end_element();
+        b.stamp([7, 0, 1]);
+        let first = b.finish();
+        assert_eq!(first.stamp(), Some([7, 0, 1]));
+
+        let mut again = DocumentBuilder::reopen(&first, 3);
+        again.start_element("r");
+        again.attr("k", "2");
+        again.leaf("v", Atomic::Int(2));
+        again.end_element();
+        let second = again.finish();
+        assert_eq!(second.stamp(), None);
+        assert_eq!(
+            to_string(&second.root()),
+            "<results><r k=\"1\"><v>1</v></r><r k=\"2\"><v>2</v></r></results>"
+        );
+        assert_eq!(second.root_cursor().child_element_count(), 2);
+        assert_eq!(second.root_cursor().subtree_size(), second.len());
+        // The original is untouched, and a built-from-scratch twin is equal.
+        assert_eq!(to_string(&first.root()), "<results><r k=\"1\"><v>1</v></r></results>");
+        let mut twin = DocumentBuilder::new("results");
+        for child in second.root().children() {
+            twin.copy_subtree(&child);
+        }
+        assert!(twin.finish().root().deep_eq(&second.root()));
     }
 
     #[test]

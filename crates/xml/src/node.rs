@@ -97,6 +97,8 @@ pub(crate) struct NodeData {
 pub struct Document {
     pub(crate) nodes: Vec<NodeData>,
     pub(crate) attrs: Vec<(Sym, Sym)>,
+    /// See [`Document::stamp`].
+    pub(crate) stamp: Option<[u64; 3]>,
 }
 
 impl Document {
@@ -137,6 +139,15 @@ impl Document {
     /// Total number of nodes (all kinds) in the document.
     pub fn len(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The numbers its producer attached with
+    /// [`DocumentBuilder::stamp`](crate::DocumentBuilder::stamp), if any.
+    /// They travel beside the tree, not in it: no node, no attribute and
+    /// no interned string carries them, they are not serialized, and a
+    /// subtree copy leaves them behind.
+    pub fn stamp(&self) -> Option<[u64; 3]> {
+        self.stamp
     }
 
     /// True when the document has no nodes (only possible for the empty

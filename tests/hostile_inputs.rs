@@ -99,3 +99,72 @@ fn downed_link_fails_structured_and_is_explained_by_the_flight_record() {
     assert!(dump.contains(&tid), "dump must carry the log's trace id");
     assert!(dump.contains("source_calls"));
 }
+
+/// View refreshes under hostile conditions: an unknown view, a source
+/// that goes away between two refreshes, a table replaced underneath
+/// the marks — structured errors or a visible full recompute, the stored
+/// view never half-updated.
+#[test]
+fn hostile_refreshes_fail_structured_or_recompute() {
+    let stmts = [
+        "CREATE TABLE customers (id INT, name TEXT)",
+        "INSERT INTO customers VALUES (1, 'ada'), (2, 'bob')",
+    ];
+    let inner = Arc::new(RelationalAdapter::from_statements("erp", &stmts).unwrap());
+    let link = SimulatedLink::new(inner.clone(), LinkConfig::default());
+    let cat = Catalog::new();
+    let adapter: Arc<dyn SourceAdapter> = link.clone();
+    cat.register_source(adapter).unwrap();
+    cat.define_view(
+        "names",
+        r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers" CONSTRUCT <n>$n</n>"#,
+        Some(5),
+    )
+    .unwrap();
+    let engine = Engine::with_config(Arc::new(cat), EngineConfig::default());
+    let refresh = |name: &str| match catch_unwind(AssertUnwindSafe(|| engine.materialize_view(name, None))) {
+        Ok(outcome) => outcome,
+        Err(_) => panic!("refreshing {:?} PANICKED — must be a structured error", name),
+    };
+    assert!(matches!(refresh("nope"), Err(CoreError::UnknownCollection(_))));
+    refresh("names").unwrap();
+    let stored = || engine.views().peek("names").unwrap();
+    let first = stored().document;
+
+    // The link drops: the refresh fails, the stored copy is the same `Arc`.
+    link.set_up(false);
+    assert!(matches!(refresh("names"), Err(CoreError::Source(_))));
+    assert!(Arc::ptr_eq(&first, &stored().document));
+    assert_eq!(engine.metrics_snapshot().counter("engine.view.refresh.failed.source"), 1);
+    link.set_up(true);
+
+    // The table is replaced by a shorter one of another generation: the
+    // marks no longer describe it, so the view is rebuilt — not appended to.
+    {
+        let db = inner.database();
+        let mut db = db.write();
+        let mut table = nimble::relational::Table::new(
+            "customers",
+            db.table("customers").unwrap().columns.clone(),
+        );
+        table.insert(vec![nimble::xml::Atomic::Int(9), nimble::xml::Atomic::Str("zed".into())]).unwrap();
+        db.add_table(table);
+    }
+    refresh("names").unwrap();
+    assert_eq!(stored().refreshed_by, "full (generation)");
+    assert_eq!(nimble::xml::to_string(&stored().document.root()), "<results><n>zed</n></results>");
+    // Same length as the mark, other rows: the generation says so.
+    {
+        let db = inner.database();
+        let mut db = db.write();
+        let mut table = nimble::relational::Table::new(
+            "customers",
+            db.table("customers").unwrap().columns.clone(),
+        );
+        table.insert(vec![nimble::xml::Atomic::Int(3), nimble::xml::Atomic::Str("kim".into())]).unwrap();
+        db.add_table(table);
+    }
+    refresh("names").unwrap();
+    assert_eq!(stored().refreshed_by, "full (generation)");
+    assert_eq!(nimble::xml::to_string(&stored().document.root()), "<results><n>kim</n></results>");
+}

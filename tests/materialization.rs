@@ -3,8 +3,12 @@
 
 use nimble::core::{Catalog, Engine};
 use nimble::sources::relational::RelationalAdapter;
+use nimble::sources::{
+    Capabilities, CollectionInfo, SourceAdapter, SourceError, SourceKind, SourceQuery,
+};
 use nimble::store::{select_views, CandidateView, SelectionPolicy};
-use nimble::xml::to_string;
+use nimble::xml::{to_string, Document};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn setup() -> (Engine, Arc<RelationalAdapter>) {
@@ -147,4 +151,198 @@ fn query_results_render_stably() {
          <line><item>gadget</item><amt>20.0</amt></line>\
          </results>"
     );
+}
+
+/// Pass-through adapter counting the calls the mediator makes and the
+/// XML nodes it gets back (as `federation.rs`'s does): what a refresh
+/// charges an autonomous source.
+struct Counting {
+    inner: Arc<RelationalAdapter>,
+    charged: Arc<(AtomicU64, AtomicU64)>,
+}
+
+impl SourceAdapter for Counting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn kind(&self) -> SourceKind {
+        self.inner.kind()
+    }
+    fn capabilities(&self) -> Capabilities {
+        self.inner.capabilities()
+    }
+    fn collections(&self) -> Vec<CollectionInfo> {
+        self.inner.collections()
+    }
+    fn execute(&self, query: &SourceQuery) -> Result<Arc<Document>, SourceError> {
+        let result = self.inner.execute(query);
+        self.charged.0.fetch_add(1, Ordering::Relaxed);
+        if let Ok(doc) = &result {
+            self.charged.1.fetch_add(doc.len() as u64, Ordering::Relaxed);
+        }
+        result
+    }
+    fn fetch_collection(&self, name: &str) -> Result<Arc<Document>, SourceError> {
+        self.inner.fetch_collection(name)
+    }
+    fn estimated_rows(&self, collection: &str) -> Option<u64> {
+        self.inner.estimated_rows(collection)
+    }
+}
+
+const C360: &str = r#"WHERE <row><id>$i</id><name>$n</name><region>$r</region></row> IN "customers",
+      <row><oid>$o</oid><cust_id>$i</cust_id><total>$t</total></row> IN "orders"
+CONSTRUCT <c360><id>$i</id><name>$n</name><region>$r</region><oid>$o</oid><total>$t</total></c360>"#;
+
+/// 2 500 customers in `crm`, 7 500 orders in `billing` (the last one for
+/// a customer 9999 that is not there yet), `customer360` over both; returns the two databases' adapters beside the engine.
+fn customer360(
+    charged: &Arc<(AtomicU64, AtomicU64)>,
+) -> (Engine, Arc<RelationalAdapter>, Arc<RelationalAdapter>) {
+    let customers: Vec<String> = (0..2_500)
+        .map(|i| format!("({}, 'c{}', '{}')", i, i, ["NW", "SW", "NE", "SE"][i % 4]))
+        .collect();
+    let orders: Vec<String> = (0..7_500)
+        .map(|o| format!("({}, {}, {}.5)", o, if o == 7_499 { 9_999 } else { (o * 7) % 2_500 }, o % 900))
+        .collect();
+    let crm = Arc::new(
+        RelationalAdapter::from_statements(
+            "crm",
+            &[
+                "CREATE TABLE customers (id INT, name TEXT, region TEXT)",
+                &format!("INSERT INTO customers VALUES {}", customers.join(", ")),
+            ],
+        )
+        .unwrap(),
+    );
+    let billing = Arc::new(
+        RelationalAdapter::from_statements(
+            "billing",
+            &[
+                "CREATE TABLE orders (oid INT, cust_id INT, total FLOAT)",
+                &format!("INSERT INTO orders VALUES {}", orders.join(", ")),
+            ],
+        )
+        .unwrap(),
+    );
+    let catalog = Catalog::new();
+    for adapter in [&crm, &billing] {
+        catalog
+            .register_source(Arc::new(Counting {
+                inner: Arc::clone(adapter),
+                charged: Arc::clone(charged),
+            }))
+            .unwrap();
+    }
+    catalog.define_view("customer360", C360, Some(100)).unwrap();
+    (Engine::new(Arc::new(catalog)), crm, billing)
+}
+
+#[test]
+fn a_refresh_ships_the_rows_a_source_gained_not_the_table() {
+    let charged = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
+    let (engine, crm, billing) = customer360(&charged);
+    engine.materialize_view("customer360", None).unwrap();
+    let stored = || engine.views().peek("customer360").unwrap();
+    assert_eq!(stored().refreshed_by, "full (first)");
+    assert_eq!(stored().document.root_cursor().child_element_count(), 7_499);
+
+    // What a refresh costs the sources, and how it went about it.
+    let refresh = || {
+        let before = (charged.0.load(Ordering::Relaxed), charged.1.load(Ordering::Relaxed));
+        engine.clock().advance(101);
+        assert_eq!(engine.refresh_stale_views(), ["customer360"]);
+        (
+            charged.0.load(Ordering::Relaxed) - before.0,
+            charged.1.load(Ordering::Relaxed) - before.1,
+            stored().refreshed_by,
+        )
+    };
+    // The reference: a fresh engine's full materialization of the same
+    // databases.
+    let recomputed = || {
+        let catalog = Catalog::new();
+        catalog.register_source(Arc::clone(&crm) as _).unwrap();
+        catalog.register_source(Arc::clone(&billing) as _).unwrap();
+        catalog.define_view("customer360", C360, None).unwrap();
+        let fresh = Engine::new(Arc::new(catalog));
+        fresh.materialize_view("customer360", None).unwrap();
+        to_string(&fresh.views().peek("customer360").unwrap().document.root())
+    };
+    let rows = |xml: &str| {
+        let body = xml.trim_end_matches("</results>");
+        let mut rows: Vec<String> = body.split("<c360>").skip(1).map(str::to_string).collect();
+        rows.sort();
+        rows
+    };
+
+    // A lapse with nothing inserted: one empty answer, nobody else asked.
+    assert_eq!(refresh(), (1, 1, "delta crm.customers 2500..2500".to_string()));
+    assert_eq!(to_string(&stored().document.root()), recomputed());
+
+    // Ten customers alone: a delta too — and `customers` is the side a
+    // recompute streams, so the stored document is the recompute's, byte
+    // for byte. (Customer 9999 finds the order that was waiting for it.)
+    let batch: Vec<String> = (0..10)
+        .map(|k| format!("({}, 'late{}', 'NW')", if k == 0 { 9_999 } else { 2_500 + k }, k))
+        .collect();
+    crm.database()
+        .write()
+        .execute(&format!("INSERT INTO customers VALUES {}", batch.join(", ")))
+        .unwrap();
+    let (calls, nodes, how) = refresh();
+    assert_eq!((calls, how.as_str()), (2, "delta crm.customers 2500..2510"));
+    assert_eq!(nodes, (1 + 10 * 7) + (1 + 7));
+    assert_eq!(stored().document.root_cursor().child_element_count(), 7_500);
+    assert_eq!(to_string(&stored().document.root()), recomputed());
+
+    // Ten orders (two for one customer, one for a customer that does
+    // not exist): the ten rows, then the customers they name.
+    let batch: Vec<String> = (0..10)
+        .map(|k| format!("({}, {}, 1.5)", 7_500 + k, [3, 3, 8_888, 17, 40, 41, 42, 43, 44, 45][k]))
+        .collect();
+    billing
+        .database()
+        .write()
+        .execute(&format!("INSERT INTO orders VALUES {}", batch.join(", ")))
+        .unwrap();
+    let (calls, nodes, how) = refresh();
+    assert_eq!(how, "delta billing.orders 7500..7510");
+    assert_eq!(calls, 2);
+    assert!(nodes <= 2 * (1 + 10 * 7), "{} nodes", nodes);
+    assert_eq!(nodes, (1 + 10 * 7) + (1 + 8 * 7));
+    assert_eq!(stored().document.root_cursor().child_element_count(), 7_509);
+    assert_eq!(rows(&to_string(&stored().document.root())), rows(&recomputed()));
+    assert_eq!(stored().hits, 0);
+
+    // The floor and the bind stage are in the plan for anyone to read.
+    let query = nimble::xmlql::compile(C360).unwrap().0;
+    let plan = nimble::core::planner::plan_refresh(
+        engine.catalog(),
+        &query,
+        &engine.config().optimizer,
+        None,
+        Some(("billing.orders", 7_500)),
+    )
+    .unwrap();
+    let notes = plan.notes.join("\n") + "\n" + &nimble::core::planner::value_notes(engine.catalog(), &plan).join("\n");
+    assert!(notes.contains("FROM orders t AFTER ROW 7500"), "{}", notes);
+    assert!(notes.contains("FROM customers t AFTER ROW 0  [+ t.id IN (keys of $i)]"), "{}", notes);
+    assert!(notes.contains("bind $i: billing \u{2192} crm"), "{}", notes);
+    assert!(notes.contains("delta refresh: rows of billing.orders past 7500"), "{}", notes);
+
+    // Both grew: no delta is the join of two deltas; recompute, and say so.
+    billing.database().write().execute("INSERT INTO orders VALUES (7510, 2501, 2.5)").unwrap();
+    crm.database().write().execute("INSERT INTO customers VALUES (2510, 'both', 'SE')").unwrap();
+    let (calls, nodes, how) = refresh();
+    assert_eq!((calls, how.as_str()), (2, "full (several_grew)"));
+    assert!(nodes > 7_500 * 7);
+    assert_eq!(to_string(&stored().document.root()), recomputed());
+
+    let m = engine.metrics_snapshot();
+    assert_eq!(m.counter("engine.view.refresh.delta"), 3);
+    assert_eq!(m.counter("engine.view.refresh.full"), 2);
+    assert_eq!(m.counter("engine.view.refresh.full.first"), 1);
+    assert_eq!(m.counter("engine.view.refresh.full.several_grew"), 1);
+    assert_eq!(m.histograms["engine.view.refresh_us"].count, 5);
 }
