@@ -10,11 +10,10 @@
 //! * `virtual_parallel` — fragments fetched concurrently (latency
 //!   tracks the slowest source instead of the sum).
 //! * `materialized`     — the view is materialized locally (fresh).
-//! * `cached`           — whole-query result cache (repeat queries).
 //!
 //! Expected shape: both virtual arms grow linearly with source latency
-//! (parallel with ~half the slope here: two sources); `materialized` and
-//! `cached` stay flat near zero.
+//! (parallel with ~half the slope here: two sources); `materialized`
+//! stays flat near zero.
 
 use nimble_bench::{customer_fixture, emit_jsonl, TablePrinter};
 use nimble_trace::json;
@@ -77,7 +76,6 @@ fn main() {
         ("virt_serial_ms", 16),
         ("virt_parallel_ms", 18),
         ("materialized_ms", 16),
-        ("cached_ms", 12),
     ]);
     let queries = 10;
     for latency in [0u64, 10, 25, 50, 100] {
@@ -94,18 +92,11 @@ fn main() {
         engine.materialize_view("customer360", None).expect("materializes");
         let materialized_ms = mean_latency_ms(&engine, queries);
 
-        // Arm 4: whole-result cache (first query pays, repeats don't).
-        let engine = build_engine(latency, true);
-        engine.set_cache_query_results(true);
-        engine.query(QUERY).expect("warm");
-        let cached_ms = mean_latency_ms(&engine, queries);
-
         table.row(&[
             latency.to_string(),
             format!("{:.2}", serial_ms),
             format!("{:.2}", parallel_ms),
             format!("{:.2}", materialized_ms),
-            format!("{:.2}", cached_ms),
         ]);
         emit_jsonl(
             "e1_virtual_vs_materialized",
@@ -114,13 +105,12 @@ fn main() {
                 "virtual_serial_ms": serial_ms,
                 "virtual_parallel_ms": parallel_ms,
                 "materialized_ms": materialized_ms,
-                "cached_ms": cached_ms,
             }),
         );
     }
     println!(
         "\nshape check: both virtual arms grow with latency (parallel at the\n\
-         slowest-source slope, serial at the sum); materialized/cached stay flat\n\
+         slowest-source slope, serial at the sum); materialized stays flat\n\
          (freshness trade-off: the materialized arm serves the snapshot until refresh)"
     );
 }

@@ -6,15 +6,14 @@
 //!
 //! Setup: 12 candidate views over the customer fixture; a Zipf-skewed
 //! workload observed by the engine's workload monitor; a storage-budget
-//! sweep. Policies compared: `none` (pure virtual), `cache` (LRU result
-//! cache only), `greedy` (benefit-per-node knapsack from monitor
-//! statistics), `all` (materialize everything that fits — the emulated
-//! warehouse arm). Metric: total source calls over the measured
-//! workload (the remote work a policy avoids).
+//! sweep. Policies compared: `none` (pure virtual), `greedy`
+//! (benefit-per-node knapsack from monitor statistics), `all`
+//! (materialize everything that fits — the emulated warehouse arm).
+//! Metric: total source calls over the measured workload (the remote
+//! work a policy avoids).
 //!
 //! Expected shape: greedy ≈ all at large budgets but dominates at small
-//! budgets; cache helps only for repeated identical queries; none is
-//! the upper bound on source traffic.
+//! budgets; none is the upper bound on source traffic.
 
 use nimble_bench::{customer_fixture, emit_jsonl, TablePrinter};
 use nimble_trace::json;
@@ -106,8 +105,7 @@ fn pick_view(rng: &mut Rng, names: &[String]) -> String {
 fn workload_query(view: &str, nonce: usize) -> String {
     // A thin query over the view so view access dominates. The nonce
     // predicate is always true but makes each query text unique, which
-    // is what real parameterized workloads look like — whole-result
-    // caching cannot shortcut them, materialized views can.
+    // is what real parameterized workloads look like.
     format!(
         r#"WHERE <e>$x</e> ELEMENT_AS $e IN "{}", length($x) + {} >= {}
            CONSTRUCT <r>$x</r>"#,
@@ -156,16 +154,12 @@ fn main() {
         let budget = total_size * budget_pct / 100;
         for (policy, label) in [
             (SelectionPolicy::None, "none"),
-            (SelectionPolicy::CacheOnly, "cache"),
             (SelectionPolicy::Greedy, "greedy"),
             (SelectionPolicy::All, "all"),
         ] {
             let (catalog, _) = customer_fixture(200);
             let engine = Engine::new(catalog);
             define_views(&engine);
-            if policy == SelectionPolicy::CacheOnly {
-                engine.set_cache_query_results(true);
-            }
             let picked = select_views(policy, &candidates, budget);
             for name in &picked {
                 engine.materialize_view(name, None).expect("materializes");
@@ -189,8 +183,7 @@ fn main() {
         }
     }
     println!(
-        "\nshape check: greedy ≤ all in source calls at every budget; the result\n\
-         cache cannot help a parameterized (unique-text) workload, so\n\
-         cache ≈ none; the greedy/all gap widens as the budget shrinks"
+        "\nshape check: greedy ≤ all in source calls at every budget; the\n\
+         greedy/all gap widens as the budget shrinks"
     );
 }

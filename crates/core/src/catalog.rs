@@ -9,9 +9,9 @@
 
 use crate::error::CoreError;
 use nimble_sources::query::{row_field, rows_of};
-use nimble_sources::{SourceAdapter, SourceQuery};
+use nimble_sources::{CollectionInfo, SourceAdapter, SourceQuery, Watermark};
 use nimble_store::stats::SampleBuilder;
-use nimble_store::{LogicalClock, StatsCatalog};
+use nimble_store::{LogicalClock, SampleMark, StatsCatalog};
 use nimble_xmlql::ast::Query;
 use nimble_trace::sync::RwLock;
 use std::collections::BTreeMap;
@@ -46,9 +46,10 @@ pub enum Resolved {
 pub struct Catalog {
     sources: RwLock<BTreeMap<String, Arc<dyn SourceAdapter>>>,
     views: RwLock<BTreeMap<String, ViewDef>>,
-    /// Catalog epoch: advanced on every registration/definition change
-    /// (and on explicit [`Catalog::note_source_mutation`]). The engine's
-    /// plan cache keys on it so schema changes evict cached plans.
+    /// Catalog epoch: advanced on every registration/definition change,
+    /// and when [`Catalog::note_source_mutation`] has to re-sample a
+    /// collection. The engine's plan cache keys on it so schema changes
+    /// evict cached plans.
     epoch: LogicalClock,
     /// Collection statistics for cost-based planning.
     stats: StatsCatalog,
@@ -74,7 +75,9 @@ impl Catalog {
             }
             sources.insert(name.clone(), adapter.clone());
         }
-        self.sample_source(&name, adapter.as_ref());
+        for info in adapter.collections() {
+            self.sample_collection(&format!("{}.{}", name, info.name), adapter.as_ref(), &info);
+        }
         self.epoch.advance(1);
         Ok(())
     }
@@ -102,16 +105,75 @@ impl Catalog {
     }
 
     /// Tell the catalog that `source`'s data changed underneath it
-    /// (rows added/removed out of band). Re-samples its statistics and
-    /// bumps the epoch so cached plans for it are re-planned.
+    /// (rows added out of band). Each collection's statistics are brought
+    /// up to date one of two ways, counted in
+    /// [`nimble_store::stats::StatsActivity`]:
+    ///
+    /// * **appended** — the collection's sample was full and stamped, and
+    ///   one floored probe proves the collection only grew since
+    ///   ([`Catalog::continue_sample`]). Its first rows are the ones
+    ///   sampled, so the statistics are re-extrapolated to the new length;
+    ///   the statistics generation moves only on a material change and the
+    ///   epoch does not move.
+    /// * **resampled** — anything else: the collection is sampled afresh,
+    ///   which moves the generation, and the epoch advances so cached plans
+    ///   are re-planned.
     pub fn note_source_mutation(&self, source: &str) {
-        if let Some(adapter) = self.source(source) {
-            self.sample_source(source, adapter.as_ref());
+        let Some(adapter) = self.source(source) else {
+            self.epoch.advance(1);
+            return;
+        };
+        let mut resampled = false;
+        for info in adapter.collections() {
+            let key = format!("{}.{}", source, info.name);
+            if !self.continue_sample(&key, adapter.as_ref(), &info) {
+                self.sample_collection(&key, adapter.as_ref(), &info);
+                self.stats.note_resample();
+                resampled = true;
+            }
         }
-        self.epoch.advance(1);
+        if resampled {
+            self.epoch.advance(1);
+        }
     }
 
-    /// Sample every collection of `adapter` into the stats catalog. Any
+    /// The appended road of [`Catalog::note_source_mutation`]: true when
+    /// `key`'s statistics were continued over the rows appended since its
+    /// sample was read, false (and nothing changed) when it declines. It
+    /// is taken only when
+    ///
+    /// * the stored sample is stamped ([`SampleMark`]),
+    /// * it is full and did not see the whole collection: a short sample
+    ///   would need its accumulators to take more rows in, and an
+    ///   exhaustive one gives the exact bounds `prune_unsat` proves
+    ///   predicates empty with, which an appended row can break;
+    /// * a probe floored at the mark, asking for no row, answers with a
+    ///   watermark of the same generation that echoes the floor — the
+    ///   proof that nothing but an append happened (DESIGN.md §21).
+    fn continue_sample(&self, key: &str, adapter: &dyn SourceAdapter, info: &CollectionInfo) -> bool {
+        let Some((stored, Some(mark))) = self.stats.get_sample(key) else {
+            return false;
+        };
+        if stored.sampled != SAMPLE_ROWS as u64 || mark.upto <= SAMPLE_ROWS as u64 {
+            return false;
+        }
+        let mut probe = SourceQuery::scan(&info.name, &[]);
+        probe.after_row = Some(mark.upto);
+        probe.limit = Some(0);
+        match adapter.execute(&probe).ok().and_then(|doc| Watermark::of(&doc)) {
+            Some(w) if w.generation == mark.generation && w.from == mark.upto && w.upto >= w.from => {
+                let mark = SampleMark {
+                    generation: w.generation,
+                    upto: w.upto,
+                };
+                self.stats.append(key, stored.with_rows(w.upto), mark);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Sample one collection into the stats catalog under `key`. Any
     /// fetch error (e.g. a link that is down at registration) leaves that
     /// collection without statistics; planning falls back to defaults.
     ///
@@ -120,57 +182,65 @@ impl Catalog {
     /// is asked for exactly those — one limited scan of the listed
     /// fields — instead of the whole collection. Same rows, same fields,
     /// same total: the statistics are the ones a full fetch would give.
-    fn sample_source(&self, name: &str, adapter: &dyn SourceAdapter) {
+    /// The scan is floored at row 0, which changes no row; a source that
+    /// can say how long its collection is stamps the answer, and the
+    /// stamp is kept beside the statistics for
+    /// [`Catalog::continue_sample`].
+    fn sample_collection(&self, key: &str, adapter: &dyn SourceAdapter, info: &CollectionInfo) {
         let limited = adapter.capabilities().limit;
-        for info in adapter.collections() {
-            let key = format!("{}.{}", name, info.name);
-            let fetched = if limited && !info.fields.is_empty() && info.estimated_rows.is_some() {
-                let fields: Vec<(&str, &str)> = info
-                    .fields
-                    .iter()
-                    .map(|(f, _)| (f.as_str(), f.as_str()))
-                    .collect();
-                let mut scan = SourceQuery::scan(&info.name, &fields);
-                scan.limit = Some(SAMPLE_ROWS);
-                adapter.execute(&scan)
-            } else {
-                adapter.fetch_collection(&info.name)
-            };
-            let doc = match fetched {
-                Ok(doc) => doc,
-                Err(_) => {
-                    // Unreachable source: keep the adapter's own estimate
-                    // if it has one, otherwise no entry at all.
-                    if let Some(rows) = info.estimated_rows {
-                        self.stats.set(&key, SampleBuilder::new().finish(rows));
-                    }
-                    continue;
+        let fetched = if limited && !info.fields.is_empty() && info.estimated_rows.is_some() {
+            let fields: Vec<(&str, &str)> = info
+                .fields
+                .iter()
+                .map(|(f, _)| (f.as_str(), f.as_str()))
+                .collect();
+            let mut scan = SourceQuery::scan(&info.name, &fields);
+            scan.limit = Some(SAMPLE_ROWS);
+            scan.after_row = Some(0);
+            adapter.execute(&scan)
+        } else {
+            adapter.fetch_collection(&info.name)
+        };
+        let doc = match fetched {
+            Ok(doc) => doc,
+            Err(_) => {
+                // Unreachable source: keep the adapter's own estimate
+                // if it has one, otherwise no entry at all.
+                if let Some(rows) = info.estimated_rows {
+                    self.stats.set(key, SampleBuilder::new().finish(rows));
                 }
-            };
-            let rows = rows_of(&doc);
-            if rows.is_empty() && info.estimated_rows.is_none() {
-                // Not row-shaped (native XML document) and no estimate:
-                // better no entry than a misleading zero.
-                continue;
+                return;
             }
-            let total = info.estimated_rows.unwrap_or(rows.len() as u64);
-            let mut b = SampleBuilder::new();
-            for row in rows.iter().take(SAMPLE_ROWS) {
-                b.add_row();
-                if info.fields.is_empty() {
-                    for child in row.children() {
-                        if let Some(f) = child.name() {
-                            b.observe(f, &child.typed_value());
-                        }
-                    }
-                } else {
-                    for (field, _) in &info.fields {
-                        b.observe(field, &row_field(row, field));
-                    }
-                }
-            }
-            self.stats.set(&key, b.finish(total));
+        };
+        let rows = rows_of(&doc);
+        if rows.is_empty() && info.estimated_rows.is_none() {
+            // Not row-shaped (native XML document) and no estimate:
+            // better no entry than a misleading zero.
+            return;
         }
+        let total = info.estimated_rows.unwrap_or(rows.len() as u64);
+        let mut b = SampleBuilder::new();
+        for row in rows.iter().take(SAMPLE_ROWS) {
+            b.add_row();
+            if info.fields.is_empty() {
+                for child in row.children() {
+                    if let Some(f) = child.name() {
+                        b.observe(f, &child.typed_value());
+                    }
+                }
+            } else {
+                for (field, _) in &info.fields {
+                    b.observe(field, &row_field(row, field));
+                }
+            }
+        }
+        let mark = Watermark::of(&doc)
+            .filter(|w| w.from == 0)
+            .map(|w| SampleMark {
+                generation: w.generation,
+                upto: w.upto,
+            });
+        self.stats.set_sample(key, b.finish(total), mark);
     }
 
     /// Look up a source adapter.
@@ -426,14 +496,235 @@ mod tests {
         assert_eq!((id.min, id.max), (Some(1.0), Some(4.0)));
         assert!(stats.columns.contains_key("region"));
 
+        // The epoch moves on registration, definition and re-sampling
+        // only. Four rows are an exhaustive sample: a mutation re-samples.
         let gen = c.stats().generation();
         c.note_source_mutation("crm");
         assert_eq!(c.epoch(), 2);
         assert!(c.stats().generation() > gen);
 
-        c.unregister_source("crm");
+        // A collection past its full sample that only grew is continued:
+        // neither the epoch nor the generation moves for ten rows.
+        let billing = Arc::new(
+            RelationalAdapter::from_statements("billing", &["CREATE TABLE orders (oid INT, total FLOAT)"]).unwrap(),
+        );
+        let insert = |from: usize, n: usize| {
+            let rows: Vec<String> = (from..from + n).map(|o| format!("({}, {}.5)", o, o % 90)).collect();
+            let sql = format!("INSERT INTO orders VALUES {}", rows.join(", "));
+            billing.database().write().execute(&sql).unwrap();
+        };
+        insert(0, 300);
+        c.register_source(billing.clone()).unwrap();
         assert_eq!(c.epoch(), 3);
+        insert(300, 10);
+        let gen = c.stats().generation();
+        c.note_source_mutation("billing");
+        assert_eq!((c.epoch(), c.stats().generation()), (3, gen));
+        assert_eq!(c.stats().rows("billing.orders"), Some(310));
+        let activity = c.stats().activity();
+        assert_eq!((activity.appended, activity.resampled), (1, 1));
+
+        c.unregister_source("crm");
+        assert_eq!(c.epoch(), 4);
         assert!(c.stats().get("crm.customers").is_none());
+    }
+
+    /// Answers every call honestly and stamps it as read from row 0,
+    /// whatever floor was asked: an echo that is right for the
+    /// registration sample and wrong for every later probe.
+    struct FromZero {
+        inner: Arc<dyn SourceAdapter>,
+    }
+
+    impl SourceAdapter for FromZero {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn kind(&self) -> nimble_sources::SourceKind {
+            self.inner.kind()
+        }
+        fn capabilities(&self) -> nimble_sources::Capabilities {
+            self.inner.capabilities()
+        }
+        fn collections(&self) -> Vec<CollectionInfo> {
+            self.inner.collections()
+        }
+        fn execute(
+            &self,
+            query: &SourceQuery,
+        ) -> Result<Arc<nimble_xml::Document>, nimble_sources::SourceError> {
+            let doc = self.inner.execute(query)?;
+            Ok(match Watermark::of(&doc) {
+                Some(w) => {
+                    let mut again = nimble_xml::DocumentBuilder::reopen(&doc, 0);
+                    again.stamp([w.generation, 0, w.upto]);
+                    again.finish()
+                }
+                None => doc,
+            })
+        }
+        fn fetch_collection(
+            &self,
+            name: &str,
+        ) -> Result<Arc<nimble_xml::Document>, nimble_sources::SourceError> {
+            self.inner.fetch_collection(name)
+        }
+        fn estimated_rows(&self, collection: &str) -> Option<u64> {
+            self.inner.estimated_rows(collection)
+        }
+    }
+
+    /// The appended road against its reference: after every mutation,
+    /// every collection's statistics and sample stamp are those a fresh
+    /// catalog registering the same databases reads, the road taken is
+    /// the one its three conditions predict, and the generation moves
+    /// exactly once per re-sample and per material growth.
+    #[test]
+    fn a_continued_sample_is_a_fresh_registration() {
+        use nimble_sources::csv::CsvAdapter;
+        use nimble_sources::relational::RelationalAdapter;
+        use nimble_trace::rng::{sweep, Rng};
+
+        let mut roads = [0usize; 3]; // appended, resampled, material
+        sweep(96, |rng| {
+            // `erp` answers honestly; `ops` through `FromZero`; `files` is
+            // a CSV file, which stamps nothing.
+            let erp = Arc::new(RelationalAdapter::from_statements("erp", &[]).unwrap());
+            let ops = Arc::new(RelationalAdapter::from_statements("ops", &[]).unwrap());
+            let dbs = [&erp, &ops];
+            let mut serial = 0u64;
+            let mut grow = |db: &RelationalAdapter, table: &str, n: usize, rng: &mut Rng| {
+                if n == 0 {
+                    return;
+                }
+                let rows: Vec<String> = (0..n)
+                    .map(|_| {
+                        serial += 1;
+                        let grp = match rng.below(5) {
+                            0 => "NULL".to_string(),
+                            g => format!("'g{}'", g),
+                        };
+                        format!("({}, {}, {}.5)", serial, grp, rng.below(150))
+                    })
+                    .collect();
+                let sql = format!("INSERT INTO {} VALUES {}", table, rows.join(", "));
+                db.database().write().execute(&sql).unwrap();
+            };
+            let create = |db: &RelationalAdapter, table: &str| {
+                let sql = format!("CREATE TABLE {} (id INT, grp TEXT, v FLOAT)", table);
+                db.database().write().execute(&sql).unwrap();
+            };
+            for (db, table) in [(&erp, "t0"), (&erp, "t1"), (&ops, "t0")] {
+                create(db, table);
+                grow(db, table, rng.below(601), rng);
+            }
+            let register = |c: &Catalog| {
+                c.register_source(Arc::new(RelationalAdapter::new("erp", erp.database()))).unwrap();
+                c.register_source(Arc::new(FromZero {
+                    inner: Arc::new(RelationalAdapter::new("ops", ops.database())),
+                }))
+                .unwrap();
+                c.register_source(Arc::new(
+                    CsvAdapter::new("files").add_csv("leads", "name,score\na,1\nb,2\nc,2\n").unwrap(),
+                ))
+                .unwrap();
+            };
+            let c = Catalog::new();
+            register(&c);
+            let mut tables = vec![("erp", "t0"), ("erp", "t1"), ("ops", "t0")];
+            for step in 0..10 {
+                let (source, action) = match rng.below(10) {
+                    0 => ("files", "note"),
+                    1 => ("erp", "index"),
+                    2 => ("erp", "create"),
+                    3 => ("ops", "table_mut"),
+                    _ => {
+                        let (source, table) = *rng.pick(&tables);
+                        let db = dbs[usize::from(source == "ops")];
+                        let n = match rng.below(6) {
+                            0 => 0,
+                            1 => 200 + rng.below(600),
+                            _ => 1 + rng.below(40),
+                        };
+                        grow(db, table, n, rng);
+                        (source, "insert")
+                    }
+                };
+                match action {
+                    "index" => {
+                        // The first time creates the index, later times
+                        // drop and re-create it: the schema moves, no row.
+                        let db = erp.database();
+                        let _ = db.write().execute("DROP INDEX ON t1 (id)");
+                        db.write().execute("CREATE INDEX ON t1 (id)").unwrap();
+                    }
+                    "create" => {
+                        let table = ["t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "t11"][step];
+                        create(&erp, table);
+                        grow(&erp, table, rng.below(400), rng);
+                        tables.push(("erp", table));
+                    }
+                    "table_mut" => {
+                        ops.database().write().table_mut("t0");
+                    }
+                    _ => {}
+                }
+                // What each collection of `source` should do: the three
+                // conditions, read off the stored entry and the database.
+                let db = match source {
+                    "erp" => Some(&erp),
+                    "ops" => Some(&ops),
+                    _ => None,
+                };
+                let adapter = c.source(source).unwrap();
+                let mut predicted = Vec::new();
+                for info in adapter.collections() {
+                    let key = format!("{}.{}", source, info.name);
+                    let appends = match (c.stats().get_sample(&key), db) {
+                        (Some((stats, Some(mark))), Some(db)) => {
+                            source == "erp"
+                                && stats.sampled == SAMPLE_ROWS as u64
+                                && mark.upto > SAMPLE_ROWS as u64
+                                && mark.generation == db.database().read().generation()
+                        }
+                        _ => false,
+                    };
+                    let before = c.stats().rows(&key).unwrap_or(0);
+                    let after = info.estimated_rows.unwrap_or(0);
+                    let material = after > before.saturating_mul(2) && after - before > 16;
+                    predicted.push((key, appends, material));
+                }
+                let (gen, epoch, activity) = (c.stats().generation(), c.epoch(), c.stats().activity());
+                c.note_source_mutation(source);
+
+                let context = format!("step {} {} {}", step, source, action);
+                let appended = predicted.iter().filter(|p| p.1).count();
+                let resampled = predicted.len() - appended;
+                let material = predicted.iter().filter(|p| p.1 && p.2).count();
+                let now = c.stats().activity();
+                assert_eq!(
+                    (now.appended - activity.appended, now.resampled - activity.resampled),
+                    (appended as u64, resampled as u64),
+                    "{} {:?}",
+                    context,
+                    predicted
+                );
+                assert_eq!(c.stats().generation() - gen, (resampled + material) as u64, "{}", context);
+                assert_eq!(c.epoch() - epoch, u64::from(resampled > 0), "{}", context);
+                roads[0] += appended;
+                roads[1] += resampled;
+                roads[2] += material;
+
+                let fresh = Catalog::new();
+                register(&fresh);
+                for (key, ..) in &predicted {
+                    assert_eq!(c.stats().get_sample(key), fresh.stats().get_sample(key), "{} {}", context, key);
+                }
+            }
+        });
+        // Both roads, and both kinds of growth on the appended one.
+        println!("appended {}, resampled {}, material {}", roads[0], roads[1], roads[2]);
+        assert!(roads.iter().all(|&n| n >= 20), "{:?}", roads);
     }
 
     /// Pass-through adapter that can hide the inner source's `limit`

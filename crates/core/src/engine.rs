@@ -152,11 +152,9 @@ pub enum UnavailablePolicy {
 pub struct EngineConfig {
     pub optimizer: OptimizerConfig,
     pub unavailable: UnavailablePolicy,
-    /// Node budget of the fragment/result cache. 0 disables caching
-    /// entirely (including the stale fallback).
+    /// Node budget of the stale-fragment cache (the
+    /// [`UnavailablePolicy::StaleCache`] fallback). 0 disables it.
     pub cache_nodes: usize,
-    /// Serve repeated identical queries straight from the cache.
-    pub cache_query_results: bool,
     /// Fetch independent fragments concurrently, as one round of tasks on
     /// the process-wide worker pool (serially when no pool exists). Query
     /// latency then tracks the slowest source instead of the sum of all
@@ -190,7 +188,6 @@ impl Default for EngineConfig {
             optimizer: OptimizerConfig::default(),
             unavailable: UnavailablePolicy::Fail,
             cache_nodes: 200_000,
-            cache_query_results: false,
             parallel_fetch: true,
             profile: false,
             slow_query_ms: 100.0,
@@ -217,10 +214,8 @@ pub struct QueryStats {
     /// EXPLAIN rendering of the physical plan (with row counts) and the
     /// optimizer's decomposition notes.
     pub plan: String,
-    /// Whole result served from the query cache.
-    pub from_query_cache: bool,
     /// Per-phase wall time, in pipeline order: parse, analyze, plan,
-    /// verify, execute, construct. Cache hits report no phases.
+    /// verify, execute, construct.
     pub phases: Vec<(String, f64)>,
     /// Rendered span tree (phase nesting). Populated when profiling.
     pub span_tree: String,
@@ -578,7 +573,7 @@ impl Engine {
         &self.monitor
     }
 
-    /// The result/fragment cache.
+    /// The stale-fragment cache.
     pub fn cache(&self) -> &ResultCache {
         &self.cache
     }
@@ -596,6 +591,7 @@ impl Engine {
 
     /// Point-in-time copy of every metric (diff two for a window).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.export_stats_activity();
         self.metrics.snapshot()
     }
 
@@ -663,11 +659,6 @@ impl Engine {
     fn plan(&self, query: &Query, config: &OptimizerConfig) -> Result<Plan, CoreError> {
         let guard = self.shards.read();
         planner::plan_query_sharded(&self.catalog, query, config, guard.as_deref())
-    }
-
-    /// Toggle whole-query result caching.
-    pub fn set_cache_query_results(&self, on: bool) {
-        self.config.write().cache_query_results = on;
     }
 
     /// Register a custom scalar function usable from XML-QL predicates
@@ -797,7 +788,6 @@ impl Engine {
                 elapsed_ms,
                 tuples: 0,
                 complete: false,
-                from_cache: false,
                 stale: false,
                 missing_sources: Vec::new(),
                 error: Some(error.clone()),
@@ -838,51 +828,6 @@ impl Engine {
         let started = Instant::now();
         let config = self.config();
         let profile = force_profile || config.profile;
-        // The optimizer fingerprint is part of the key: toggling any
-        // optimizer flag must never serve a result cached under a
-        // different configuration.
-        let opt_fp = config.optimizer.fingerprint();
-        let cache_key = format!("query:{:016x}:{}", opt_fp, text);
-        if config.cache_query_results && config.cache_nodes > 0 {
-            if let Some(doc) = self.cache.get(&cache_key) {
-                // A cache hit is still a served query: it must show up in
-                // the metrics, the query log, and the workload monitor
-                // (view selection would otherwise under-count exactly the
-                // references popular enough to be cached).
-                let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.metrics.incr("engine.queries", 1);
-                self.metrics.incr("engine.query_cache_hits", 1);
-                self.metrics.observe("engine.query_us", us(elapsed_ms));
-                self.query_log.record_event(QueryEvent {
-                    trace_id: qctx.trace_id.0,
-                    text: text.to_string(),
-                    elapsed_ms,
-                    tuples: 0,
-                    complete: true,
-                    from_cache: true,
-                    stale: false,
-                    missing_sources: Vec::new(),
-                    error: None,
-                });
-                if let Ok(query) = nimble_xmlql::parse_query(text) {
-                    self.feed_monitor(&query, elapsed_ms, doc.len());
-                }
-                return Ok(QueryResult {
-                    document: doc,
-                    complete: true,
-                    missing_sources: Vec::new(),
-                    stale: false,
-                    provenance: None,
-                    stats: QueryStats {
-                        from_query_cache: true,
-                        elapsed_ms,
-                        trace_id: qctx.trace_id.0,
-                        instance: self.instance.clone(),
-                        ..QueryStats::default()
-                    },
-                });
-            }
-        }
 
         // Whole-query allocation scope: deltas feed `QueryStats` and the
         // flight recorder. Free when `profile-alloc` is off (the scope
@@ -1015,7 +960,6 @@ impl Engine {
             elapsed_ms,
             tuples: tuple_count,
             complete,
-            from_cache: false,
             stale: ctx.stale,
             missing_sources: ctx.missing.clone(),
             error: None,
@@ -1049,9 +993,6 @@ impl Engine {
                 worst_qerror: ctx.worst_qerror,
             });
         }
-        if config.cache_query_results && config.cache_nodes > 0 && complete && !ctx.stale {
-            self.cache.put(&cache_key, Arc::clone(&document));
-        }
         Ok(QueryResult {
             document,
             complete,
@@ -1065,7 +1006,6 @@ impl Engine {
                 rows_fetched: ctx.rows_fetched,
                 elapsed_ms,
                 plan: ctx.plan_text,
-                from_query_cache: false,
                 phases,
                 span_tree: if profile { trace.render() } else { String::new() },
                 trace_id: qctx.trace_id.0,
@@ -1477,14 +1417,17 @@ impl Engine {
                 // Only a filtered single-collection fragment: its
                 // filtered row count is a certain lower bound on the
                 // base collection (unfiltered fetches already feed
-                // exact counts through `note_stats_rows`).
+                // exact counts through `note_stats_rows`). A bound
+                // raises the count and never lowers it: below the rows
+                // sampled, a partial sample would pass for exhaustive and
+                // its min/max for exact bounds.
                 if let AtomExec::Fragment { source, query, .. } = atom {
-                    if query.collections.len() == 1 && !query.selections.is_empty() {
-                        self.note_stats_rows(
-                            &format!("{}.{}", source, query.collections[0].collection),
-                            act,
-                        );
-                        self.metrics.incr("plan.feedback.gross", 1);
+                    if let ([collection], false) = (query.collections.as_slice(), query.selections.is_empty()) {
+                        let key = format!("{}.{}", source, collection.collection);
+                        if self.catalog.stats().rows(&key).is_none_or(|rows| act > rows) {
+                            self.note_stats_rows(&key, act);
+                            self.metrics.incr("plan.feedback.gross", 1);
+                        }
                     }
                 }
             }
@@ -1961,14 +1904,24 @@ impl Engine {
     /// the [`PlanStamp`] and so invalidates compiled plans built from
     /// the stale estimate on their next lookup.
     fn note_stats_rows(&self, key: &str, rows: u64) {
-        let stats = self.catalog.stats();
-        if stats.observe_rows(key, rows) {
+        if self.catalog.stats().observe_rows(key, rows) {
             self.metrics.incr("stats.invalidations", 1);
         }
         self.metrics.incr("stats.feedback", 1);
-        self.metrics
-            .gauge("stats.generation")
-            .store(stats.generation(), Ordering::Relaxed);
+        self.export_stats_activity();
+    }
+
+    /// Mirror the statistics catalog's activity into the registry: its
+    /// generation, and how source mutations brought samples up to date.
+    fn export_stats_activity(&self) {
+        let activity = self.catalog.stats().activity();
+        for (name, value) in [
+            ("stats.generation", activity.generation),
+            ("stats.sample.appended", activity.appended),
+            ("stats.sample.resampled", activity.resampled),
+        ] {
+            self.metrics.gauge(name).store(value, Ordering::Relaxed);
+        }
     }
 
     /// Fetch the independent units listed in `round` into their slots:

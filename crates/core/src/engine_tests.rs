@@ -523,18 +523,6 @@ fn hierarchical_and_csv_sources_integrate() {
 }
 
 #[test]
-fn query_result_cache_roundtrip() {
-    let e = engine();
-    e.set_cache_query_results(true);
-    let q = r#"WHERE <row><name>$n</name></row> IN "customers" CONSTRUCT <c>$n</c>"#;
-    let r1 = e.query(q).unwrap();
-    assert!(!r1.stats.from_query_cache);
-    let r2 = e.query(q).unwrap();
-    assert!(r2.stats.from_query_cache);
-    assert!(r2.document.root().deep_eq(&r1.document.root()));
-}
-
-#[test]
 fn explain_shows_plan() {
     let e = engine();
     let plan = e
@@ -710,6 +698,47 @@ fn stats_feedback_invalidates_compiled_plans() {
     assert_eq!(e.query(q).unwrap().document.root().children().count(), 23);
     assert_eq!(e.plan_cache().stats().invalidations, before + 1);
     assert!(e.metrics_snapshot().counter("stats.invalidations") >= 1);
+}
+
+/// The trap a continued sample must not fall into: a sample that saw the
+/// whole collection gives exact bounds, and a plan is proved empty on
+/// them. When the collection grows past the sample, the mutation must
+/// re-sample and move the stamp, or the cached proof keeps answering
+/// nothing for a key that is now there. A short sample (200 rows) and a
+/// full one that is exhaustive (256).
+#[test]
+fn an_exhaustive_sample_that_grows_is_resampled_not_continued() {
+    for size in [200, 256] {
+        let adapter = Arc::new(
+            RelationalAdapter::from_statements("erp", &["CREATE TABLE items (id INT, label TEXT)"]).unwrap(),
+        );
+        let insert = |ids: std::ops::Range<i64>| {
+            let rows: Vec<String> = ids.map(|i| format!("({}, 'i{}')", i, i)).collect();
+            let sql = format!("INSERT INTO items VALUES {}", rows.join(", "));
+            adapter.database().write().execute(&sql).unwrap();
+        };
+        insert(0..size);
+        let c = Catalog::new();
+        c.register_source(adapter.clone()).unwrap();
+        let e = Engine::new(Arc::new(c));
+        let point = r#"WHERE <row><id>$x</id><label>$l</label></row> IN "items", $x = 300 CONSTRUCT <i>$l</i>"#;
+        let range = r#"WHERE <row><id>$x</id><label>$l</label></row> IN "items", $x > 290, $x < 310 CONSTRUCT <i>$l</i>"#;
+        for q in [point, range] {
+            let r = e.query(q).unwrap();
+            assert!(r.stats.plan.contains("-- pruned: "), "{}", r.stats.plan);
+            assert_eq!((to_string(&r.document.root()).as_str(), r.stats.source_calls), ("<results/>", 0));
+        }
+
+        insert(300..301);
+        insert(1000..1100);
+        e.catalog().note_source_mutation("erp");
+        for q in [point, range] {
+            let r = e.query(q).unwrap();
+            assert_eq!(to_string(&r.document.root()), "<results><i>i300</i></results>", "{}\n{}", size, r.stats.plan);
+        }
+        let activity = e.catalog().stats().activity();
+        assert_eq!((activity.appended, activity.resampled), (0, 1), "{}", size);
+    }
 }
 
 #[test]

@@ -25,7 +25,10 @@
 //! shapes), `literal = $v`, quotes inside strings.
 //!
 //! Then what a wrong binding would break silently: the stale-cache key
-//! under `UnavailablePolicy::StaleCache`, and shard routing.
+//! under `UnavailablePolicy::StaleCache`, and shard routing. And what a
+//! wrong stamp would: seeded writes between serves, after which a plan
+//! the cache kept (an append no longer moves its stamp) must answer what
+//! a plan made afresh answers.
 //!
 //! Hand-enumerated like `bind_differential.rs`.
 
@@ -149,6 +152,8 @@ struct Rig {
     /// `erp`, `billing`, `support`.
     watches: Vec<Arc<Watch>>,
     links: Vec<Arc<SimulatedLink>>,
+    /// The databases behind the watches, in the same order.
+    sources: Vec<Arc<RelationalAdapter>>,
 }
 
 impl Rig {
@@ -162,11 +167,13 @@ impl Rig {
 /// that can be taken down, with `customer360` materialised.
 fn rig(config: EngineConfig) -> Rig {
     let catalog = Catalog::new();
-    let (mut watches, mut links) = (Vec::new(), Vec::new());
+    let (mut watches, mut links, mut sources) = (Vec::new(), Vec::new(), Vec::new());
     for (name, stmts) in statements() {
         let refs: Vec<&str> = stmts.iter().map(String::as_str).collect();
+        let source = Arc::new(RelationalAdapter::from_statements(name, &refs).unwrap());
+        sources.push(Arc::clone(&source));
         let watch = Arc::new(Watch {
-            inner: Arc::new(RelationalAdapter::from_statements(name, &refs).unwrap()),
+            inner: source,
             asked: Mutex::new(Vec::new()),
         });
         let link = SimulatedLink::new(watch.clone(), LinkConfig::default());
@@ -181,6 +188,7 @@ fn rig(config: EngineConfig) -> Rig {
         engine,
         watches,
         links,
+        sources,
     }
 }
 
@@ -585,4 +593,99 @@ fn shard_routed_plans_are_cached_per_value() {
         assert_eq!(document(&got), document(&unsharded.query(range).unwrap()));
         assert_eq!(got.stats.plan.lines().next(), Some(path), "{}", got.stats.plan);
     }
+}
+
+/// The answer as a bag of serialized result elements: two plans of one
+/// query may fold in different orders.
+fn bag(r: &QueryResult) -> Vec<String> {
+    let mut rows: Vec<String> = r.document.root().children().map(|c| to_string(&c)).collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn cached_plans_serve_what_fresh_plans_serve_across_writes() {
+    let cached = rig(config(128));
+    let fresh = rig(config(0));
+    let mut rng = Rng::new(SEED ^ 0x3717e5);
+    println!("param_differential writes seed {}", SEED ^ 0x3717e5);
+    let mut ops: Vec<String> = all_ops().into_iter().step_by(4).collect();
+    // Ranges past `customers`' exhaustive bounds: pruned, and cached as
+    // pruned, until the table grows into them.
+    for lo in [121, 200, 400] {
+        ops.push(format!(
+            r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers", $i >= {} CONSTRUCT <c>$n</c>"#,
+            lo
+        ));
+    }
+    let (mut next_id, mut writes, mut hits_after_writes) = (CUSTOMERS + 1, 0u64, 0u64);
+    for round in 0..3 {
+        for (n, text) in ops.iter().enumerate() {
+            if n % 5 == 4 {
+                // One write, the same on both sides, then noted.
+                let (source, sql) = match rng.below(4) {
+                    0 => {
+                        let k = if rng.chance(0.2) { 150 } else { 1 + rng.below(8) as u64 };
+                        let rows: Vec<String> = (next_id..next_id + k)
+                            .map(|i| format!("({}, 'w{:03}', '{}')", i, i, REGIONS[rng.below(4)]))
+                            .collect();
+                        next_id += k;
+                        (0, format!("INSERT INTO customers VALUES {}", rows.join(", ")))
+                    }
+                    1 => {
+                        let rows: Vec<String> = (0..1 + rng.below(12))
+                            .map(|_| {
+                                let oid = 9000 + rng.below(100_000);
+                                format!("({}, {}, {}.5)", oid, 1 + rng.below(next_id as usize), rng.below(600))
+                            })
+                            .collect();
+                        (0, format!("INSERT INTO orders VALUES {}", rows.join(", ")))
+                    }
+                    2 => (
+                        1,
+                        format!("INSERT INTO invoices VALUES ({}, {})", 1 + rng.below(next_id as usize), rng.below(90)),
+                    ),
+                    _ => (
+                        2,
+                        format!(
+                            "INSERT INTO tickets VALUES ({}, {}, {})",
+                            600 + rng.below(1000),
+                            1 + rng.below(next_id as usize),
+                            1 + rng.below(3)
+                        ),
+                    ),
+                };
+                for rig in [&cached, &fresh] {
+                    rig.sources[source].database().write().execute(&sql).unwrap();
+                    rig.engine.catalog().note_source_mutation(["erp", "billing", "support"][source]);
+                }
+                writes += 1;
+            }
+            let hits = cached.engine.plan_cache().stats().hits;
+            let got = cached.engine.query(text).unwrap_or_else(|e| panic!("{}: {}", text, e));
+            let want = fresh.engine.query(text).unwrap_or_else(|e| panic!("{}: {}", text, e));
+            let context = format!("round {} op {}\n{}\ncached:\n{}\nfresh:\n{}", round, n, text, got.stats.plan, want.stats.plan);
+            assert_eq!(bag(&got), bag(&want), "{}", context);
+            assert_eq!((got.complete, got.stale), (want.complete, want.stale), "{}", context);
+            if writes > 0 && cached.engine.plan_cache().stats().hits > hits {
+                hits_after_writes += 1;
+            }
+        }
+    }
+    // Not vacuous: both roads were taken, the grown range answered, and
+    // the cache kept serving plans across writes.
+    let activity = cached.engine.catalog().stats().activity();
+    let grown = fresh.engine.query(ops.last().unwrap()).unwrap();
+    println!(
+        "{} writes ({} customers): {} appended, {} resampled; {} hits after a write, {} invalidations",
+        writes,
+        next_id - 1,
+        activity.appended,
+        activity.resampled,
+        hits_after_writes,
+        cached.engine.plan_cache().stats().invalidations
+    );
+    assert!(activity.appended >= 20 && activity.resampled >= 20, "{:?}", activity);
+    assert!(bag(&grown).len() > 10, "{}\n{}\n{:?}", to_string(&grown.document.root()), grown.stats.plan, fresh.engine.catalog().stats().get_sample("erp.customers"));
+    assert!(hits_after_writes * 2 > ops.len() as u64, "{}", hits_after_writes);
 }

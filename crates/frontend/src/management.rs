@@ -356,6 +356,13 @@ impl ManagementConsole {
             metrics.counter("engine.view.refresh.full"),
             if failed.is_empty() { "none".to_string() } else { failed.join(", ") }
         );
+        let _ = writeln!(
+            out,
+            "statistics: generation {}, samples after source mutations: {} appended, {} resampled",
+            metrics.gauge("stats.generation"),
+            metrics.gauge("stats.sample.appended"),
+            metrics.gauge("stats.sample.resampled")
+        );
         if let Some(lenses) = &self.lenses {
             let _ = writeln!(out, "\n== lenses ==");
             for name in lenses.names() {
@@ -526,6 +533,13 @@ mod tests {
         assert_eq!(engine.refresh_stale_views(), ["hot_leads"]);
         assert_eq!(console.views()[0].refreshed_by, "full (unstamped)");
         assert!(console.render().contains("refreshes: 0 delta, 2 full, failed: none"));
+        // A CSV file stamps no sample either: a mutation re-samples it.
+        engine.catalog().note_source_mutation("files");
+        assert!(
+            console.render().contains("samples after source mutations: 0 appended, 1 resampled"),
+            "{}",
+            console.render()
+        );
         // A refresh that fails leaves the view as it was — and a trace.
         engine.clock().advance(11);
         engine.catalog().unregister_source("files");

@@ -1,4 +1,4 @@
-//! An LRU result cache with a node-count budget.
+//! An LRU document cache with a node-count budget.
 
 use nimble_xml::Document;
 use nimble_trace::sync::Mutex;
@@ -25,8 +25,12 @@ pub struct CacheStats {
     pub current_size: usize,
 }
 
-/// Cache of whole query results keyed by (normalized) query text. The
-/// budget is in document nodes, the same size proxy the view store uses.
+/// Cache of the answers last fetched from each source, keyed by the
+/// fragment as shipped (or the collection fetched whole): the stand-in
+/// the engine serves, marked stale, while that source is unavailable
+/// (§3.4). It is never read while the source answers, so it needs no
+/// invalidation. The budget is in document nodes, the same size proxy
+/// the view store uses.
 pub struct ResultCache {
     inner: Mutex<Inner>,
     budget: usize,

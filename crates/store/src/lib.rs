@@ -13,11 +13,11 @@
 //!   stamped with a logical refresh time and an optional TTL, and reports
 //!   freshness so the query processor "knows to make use of local copies
 //!   of data when available".
-//! * [`ResultCache`] is an LRU cache of whole query results under a size
-//!   budget — the "caching and other performance tuning capabilities" of
-//!   §4.
+//! * [`ResultCache`] is an LRU cache of the fragment answers last fetched
+//!   from each source, under a size budget: what the §3.4
+//!   `StaleCache` policy answers with while a source is down.
 //! * [`selection`] implements the view-selection policies experiment E2
-//!   compares (none / cache-only / greedy benefit-per-size / all),
+//!   compares (none / greedy benefit-per-size / all),
 //!   addressing the paper's open problem of "algorithms that decide which
 //!   data (and over which sources) need to be materialized" using a
 //!   workload monitor.
@@ -35,6 +35,6 @@ pub mod views;
 pub use cache::ResultCache;
 pub use clock::LogicalClock;
 pub use shard::{shard_stats_key, ShardMap, ShardScheme, ShardSpec};
-pub use stats::{CollectionStats, ColumnStats, SampleBuilder, StatsCatalog};
+pub use stats::{CollectionStats, ColumnStats, SampleBuilder, SampleMark, StatsCatalog};
 pub use selection::{select_views, CandidateView, SelectionPolicy, WorkloadMonitor};
 pub use views::{Freshness, MaterializedView, ViewMark, ViewStore};

@@ -41,8 +41,6 @@ impl CandidateView {
 pub enum SelectionPolicy {
     /// Pure virtual integration: nothing materialized.
     None,
-    /// No pre-materialization; rely on the LRU result cache only.
-    CacheOnly,
     /// Greedy knapsack by benefit-per-node under the budget.
     Greedy,
     /// Materialize every candidate that fits cumulatively (the emulated
@@ -57,7 +55,7 @@ pub fn select_views(
     budget_nodes: usize,
 ) -> Vec<String> {
     match policy {
-        SelectionPolicy::None | SelectionPolicy::CacheOnly => Vec::new(),
+        SelectionPolicy::None => Vec::new(),
         SelectionPolicy::All => {
             let mut used = 0usize;
             candidates
@@ -207,9 +205,8 @@ mod tests {
     }
 
     #[test]
-    fn none_and_cache_only_materialize_nothing() {
+    fn none_materializes_nothing() {
         assert!(select_views(SelectionPolicy::None, &cands(), 10_000).is_empty());
-        assert!(select_views(SelectionPolicy::CacheOnly, &cands(), 10_000).is_empty());
     }
 
     #[test]

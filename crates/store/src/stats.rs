@@ -12,6 +12,12 @@
 //! *generation* stamps every materially different snapshot; the engine's
 //! plan cache folds the generation into its key so plans built from
 //! stale statistics are re-planned, not served.
+//!
+//! A sample read from a source that stamps its answers keeps the stamp
+//! ([`SampleMark`]) in the same entry, so that an append to a collection
+//! whose full sample it cannot change is continued
+//! ([`CollectionStats::with_rows`], [`StatsCatalog::append`]) rather than
+//! re-read.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,6 +31,10 @@ pub struct ColumnStats {
     /// Estimated number of distinct values across the whole collection
     /// (extrapolated from the sample).
     pub distinct: u64,
+    /// Distinct values the sample itself held, or `None` when the field
+    /// held more than a sample tracks: what `distinct` is extrapolated
+    /// from ([`CollectionStats::with_rows`]).
+    pub sample_distinct: Option<u64>,
     /// Smallest numeric value seen, if the field ever held a number.
     pub min: Option<f64>,
     /// Largest numeric value seen, if the field ever held a number.
@@ -56,6 +66,27 @@ impl CollectionStats {
     pub fn exhaustive(&self) -> bool {
         self.sampled >= self.rows && self.rows > 0
     }
+
+    /// The same sample extrapolated to a collection of `rows` rows:
+    /// equal to what [`SampleBuilder::finish`] returns for `rows`, computed
+    /// from the counts the sample kept. A collection that only grew at its
+    /// end still begins with the rows a full sample read, so for it this
+    /// *is* the re-sample.
+    pub fn with_rows(mut self, rows: u64) -> CollectionStats {
+        for col in self.columns.values_mut() {
+            col.distinct = extrapolate(col.sample_distinct, self.sampled, rows);
+        }
+        self.rows = rows;
+        self
+    }
+}
+
+/// Where a sample was read, as its source stamped the answer: the
+/// collection's schema generation and its length at the time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SampleMark {
+    pub generation: u64,
+    pub upto: u64,
 }
 
 /// Counters describing stats activity, for metrics export.
@@ -65,21 +96,43 @@ pub struct StatsActivity {
     pub generation: u64,
     /// Row-count feedback observations applied from query execution.
     pub feedback_updates: u64,
+    /// Collections whose statistics a source mutation brought up to date
+    /// by continuing their sample ([`StatsCatalog::append`]).
+    pub appended: u64,
+    /// Collections a source mutation sampled afresh.
+    pub resampled: u64,
 }
 
 /// Thread-safe catalog of per-collection statistics with a generation
 /// stamp for cache invalidation.
 #[derive(Default)]
 pub struct StatsCatalog {
-    inner: RwLock<BTreeMap<String, CollectionStats>>,
+    inner: RwLock<BTreeMap<String, Entry>>,
     generation: AtomicU64,
     feedback_updates: AtomicU64,
+    appended: AtomicU64,
+    resampled: AtomicU64,
+}
+
+/// One collection's statistics and, beside them, where the sample they
+/// came from was read — one entry, so the two are never seen apart.
+struct Entry {
+    stats: CollectionStats,
+    mark: Option<SampleMark>,
 }
 
 /// Row-count feedback only bumps the generation (invalidating cached
 /// plans) when the observed count differs *materially* from the current
 /// estimate: more than 2x off and by more than this many rows.
 const FEEDBACK_ABS_SLACK: u64 = 16;
+
+/// Whether a row count moving from `old` to `new` makes plans built on
+/// the old one suspect: more than 2x off and by more than
+/// [`FEEDBACK_ABS_SLACK`] rows.
+fn material_change(old: u64, new: u64) -> bool {
+    let (lo, hi) = (old.min(new), old.max(new));
+    hi > lo.saturating_mul(2) && hi - lo > FEEDBACK_ABS_SLACK
+}
 
 impl StatsCatalog {
     /// New, empty catalog at generation 0.
@@ -88,20 +141,53 @@ impl StatsCatalog {
     }
 
     /// Install (or replace) the statistics for `key`, bumping the
-    /// generation. Used for registration-time seeding and re-sampling.
+    /// generation.
     pub fn set(&self, key: &str, stats: CollectionStats) {
-        self.inner.write().insert(key.to_string(), stats);
+        self.set_sample(key, stats, None);
+    }
+
+    /// [`set`](Self::set) for statistics sampled from a source, with the
+    /// stamp of the answer they were read from, if it had one. Used for
+    /// registration-time seeding and re-sampling.
+    pub fn set_sample(&self, key: &str, stats: CollectionStats, mark: Option<SampleMark>) {
+        self.inner.write().insert(key.to_string(), Entry { stats, mark });
         self.generation.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Continue `key`'s sample over rows appended since it was read:
+    /// install `stats` — the stored ones re-extrapolated with
+    /// [`CollectionStats::with_rows`] — and `mark`, and move the
+    /// generation only when the row count changed materially, the rule
+    /// [`observe_rows`](Self::observe_rows) applies.
+    pub fn append(&self, key: &str, stats: CollectionStats, mark: SampleMark) {
+        let mut inner = self.inner.write();
+        let old = inner.get(key).map_or(0, |e| e.stats.rows);
+        if material_change(old, stats.rows) {
+            self.generation.fetch_add(1, Ordering::Relaxed);
+        }
+        inner.insert(key.to_string(), Entry { stats, mark: Some(mark) });
+        self.appended.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one collection that a source mutation sampled afresh.
+    pub fn note_resample(&self) {
+        self.resampled.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of the statistics for `key`, if any.
     pub fn get(&self, key: &str) -> Option<CollectionStats> {
-        self.inner.read().get(key).cloned()
+        self.inner.read().get(key).map(|e| e.stats.clone())
+    }
+
+    /// Snapshot of the statistics for `key` and the stamp of the sample
+    /// they were read from, read together.
+    pub fn get_sample(&self, key: &str) -> Option<(CollectionStats, Option<SampleMark>)> {
+        self.inner.read().get(key).map(|e| (e.stats.clone(), e.mark))
     }
 
     /// Estimated row count for `key`, if known.
     pub fn rows(&self, key: &str) -> Option<u64> {
-        self.inner.read().get(key).map(|s| s.rows)
+        self.inner.read().get(key).map(|e| e.stats.rows)
     }
 
     /// *Exact* numeric bounds of `field` in collection `key`, or `None`.
@@ -113,7 +199,7 @@ impl StatsCatalog {
     /// cache the answer (out-of-band source mutations re-sample).
     pub fn exact_bounds(&self, key: &str, field: &str) -> Option<(f64, f64)> {
         let inner = self.inner.read();
-        let stats = inner.get(key)?;
+        let stats = &inner.get(key)?.stats;
         if !stats.exhaustive() {
             return None;
         }
@@ -146,23 +232,24 @@ impl StatsCatalog {
             None => {
                 inner.insert(
                     key.to_string(),
-                    CollectionStats {
-                        rows,
-                        ..CollectionStats::default()
+                    Entry {
+                        stats: CollectionStats {
+                            rows,
+                            ..CollectionStats::default()
+                        },
+                        mark: None,
                     },
                 );
                 self.feedback_updates.fetch_add(1, Ordering::Relaxed);
                 false
             }
-            Some(stats) => {
+            Some(Entry { stats, .. }) => {
                 if stats.rows == rows {
                     return false;
                 }
-                let old = stats.rows;
+                let material = material_change(stats.rows, rows);
                 stats.rows = rows;
                 self.feedback_updates.fetch_add(1, Ordering::Relaxed);
-                let (lo, hi) = (old.min(rows), old.max(rows));
-                let material = hi > lo.saturating_mul(2) && hi - lo > FEEDBACK_ABS_SLACK;
                 if material {
                     self.generation.fetch_add(1, Ordering::Relaxed);
                 }
@@ -200,6 +287,8 @@ impl StatsCatalog {
         StatsActivity {
             generation: self.generation(),
             feedback_updates: self.feedback_updates.load(Ordering::Relaxed),
+            appended: self.appended.load(Ordering::Relaxed),
+            resampled: self.resampled.load(Ordering::Relaxed),
         }
     }
 }
@@ -256,33 +345,19 @@ impl SampleBuilder {
     }
 
     /// Finish the sample, extrapolating distinct counts to an estimated
-    /// `total_rows` collection size. When every sampled value was unique
-    /// the field is assumed key-like (distinct == total); when values
-    /// clearly repeat (distinct ≤ half the sample) the sample most
-    /// likely saw the whole domain, so the observed count is kept;
-    /// in between the sample ratio is scaled up and capped at the total.
+    /// `total_rows` collection size ([`extrapolate`]).
     pub fn finish(self, total_rows: u64) -> CollectionStats {
         let sampled = self.rows;
         let columns = self
             .fields
             .into_iter()
             .map(|(name, acc)| {
-                let seen = acc.seen.len() as u64;
-                let distinct = if acc.overflow || (seen >= sampled && sampled > 0) {
-                    total_rows
-                } else if sampled == 0 {
-                    0
-                } else if seen * 2 <= sampled {
-                    seen.min(total_rows)
-                } else {
-                    let scaled =
-                        (seen as u128 * total_rows as u128 / sampled.max(1) as u128) as u64;
-                    scaled.clamp(seen, total_rows)
-                };
+                let sample_distinct = (!acc.overflow).then_some(acc.seen.len() as u64);
                 (
                     name,
                     ColumnStats {
-                        distinct: distinct.max(1),
+                        distinct: extrapolate(sample_distinct, sampled, total_rows),
+                        sample_distinct,
                         min: acc.min,
                         max: acc.max,
                     },
@@ -295,6 +370,27 @@ impl SampleBuilder {
             sampled,
         }
     }
+}
+
+/// A field's distinct count over `total` rows, from a sample of `sampled`
+/// rows that held `seen` distinct values (`None`: more than
+/// [`DISTINCT_CAP`]). When every sampled value was unique the field is
+/// assumed key-like (distinct == total); when values clearly repeat
+/// (distinct ≤ half the sample) the sample most likely saw the whole
+/// domain, so the observed count is kept; in between the sample ratio is
+/// scaled up and capped at the total.
+fn extrapolate(seen: Option<u64>, sampled: u64, total: u64) -> u64 {
+    let distinct = match seen {
+        None => total,
+        Some(seen) if seen >= sampled && sampled > 0 => total,
+        Some(_) if sampled == 0 => 0,
+        Some(seen) if seen * 2 <= sampled => seen.min(total),
+        Some(seen) => {
+            let scaled = (seen as u128 * total as u128 / sampled as u128) as u64;
+            scaled.clamp(seen, total)
+        }
+    };
+    distinct.max(1)
 }
 
 #[cfg(test)]
@@ -466,5 +562,97 @@ mod tests {
         // Removing nothing leaves the generation alone.
         cat.remove_prefix("nope.");
         assert_eq!(cat.generation(), gen + 1);
+    }
+
+    /// One sampled row's observations of every kind of field.
+    fn observe_row(b: &mut SampleBuilder, row: u64, sampled: u64, k: u64, rng: &mut nimble_trace::rng::Rng) {
+        b.add_row();
+        b.observe("unique", &Atomic::Int(row as i64));
+        // ≤ half the sample distinct: the observed domain is kept.
+        b.observe("repeating", &Atomic::Str(format!("r{}", row % (k % (sampled / 2).max(1) + 1))));
+        // Over half but not all distinct: the ratio is scaled.
+        let between = sampled / 2 + 1 + k % (sampled / 2).max(1);
+        b.observe("between", &Atomic::Int((row % between.min(sampled.saturating_sub(1)).max(1)) as i64));
+        if rng.chance(0.3) {
+            b.observe("nulls", &Atomic::Null);
+        } else {
+            b.observe("nulls", &Atomic::Float(rng.below(40) as f64 + 0.5));
+        }
+        // Four values a row: past the cap from 129 rows on.
+        for v in 0..4 {
+            b.observe("overflowing", &Atomic::Int(4 * row as i64 + v));
+        }
+    }
+
+    /// `with_rows` is `finish` at the other total, exactly — for every
+    /// kind of field and every total from the sample's size to 10⁶: the
+    /// one formula, applied to the counts the sample kept.
+    #[test]
+    fn with_rows_is_finish_at_the_other_total() {
+        // Columns seen by branch: overflowed, key-like, repeating, scaled.
+        let mut branches = [0usize; 4];
+        nimble_trace::rng::sweep(300, |rng| {
+            let sampled = 1 + rng.below(300) as u64;
+            let k = rng.next_u64() % 1000;
+            let total = |rng: &mut nimble_trace::rng::Rng| match rng.below(4) {
+                0 => sampled,
+                1 => sampled + rng.below(20) as u64,
+                2 => sampled + rng.below(10_000) as u64,
+                _ => (sampled + rng.below(1_000_000) as u64).min(1_000_000),
+            };
+            let (t1, t2) = (total(rng), total(rng));
+            let seed = rng.next_u64();
+            let finished = |t: u64| {
+                let mut values = nimble_trace::rng::Rng::new(seed);
+                let mut b = SampleBuilder::new();
+                for row in 0..sampled {
+                    observe_row(&mut b, row, sampled, k, &mut values);
+                }
+                b.finish(t)
+            };
+            let continued = finished(t1).with_rows(t2);
+            assert_eq!(continued, finished(t2), "sampled {} k {} totals {} -> {}", sampled, k, t1, t2);
+            for col in continued.columns.values() {
+                let branch = match col.sample_distinct {
+                    None => 0,
+                    Some(seen) if seen >= sampled => 1,
+                    Some(seen) if seen * 2 <= sampled => 2,
+                    Some(_) => 3,
+                };
+                branches[branch] += 1;
+            }
+        });
+        // Every branch of the formula was taken, many times over.
+        assert!(branches.iter().all(|&n| n >= 50), "{:?}", branches);
+    }
+
+    #[test]
+    fn an_append_moves_the_generation_only_on_a_material_change() {
+        let cat = StatsCatalog::new();
+        let mut b = SampleBuilder::new();
+        for i in 0..256 {
+            b.add_row();
+            b.observe("id", &Atomic::Int(i));
+        }
+        let stats = b.finish(1000);
+        let mark = |upto| SampleMark { generation: 9, upto };
+        cat.set_sample("erp.orders", stats.clone(), Some(mark(1000)));
+        assert_eq!(cat.get_sample("erp.orders"), Some((stats.clone(), Some(mark(1000)))));
+        let gen = cat.generation();
+
+        // Ten rows more: quiet, and the entry is the continued sample.
+        cat.append("erp.orders", stats.clone().with_rows(1010), mark(1010));
+        assert_eq!(cat.generation(), gen);
+        let (now, now_mark) = cat.get_sample("erp.orders").unwrap();
+        assert_eq!((now.rows, now.distinct("id"), now_mark), (1010, Some(1010), Some(mark(1010))));
+        // More than doubled: plans on the old count are suspect.
+        cat.append("erp.orders", stats.with_rows(2100), mark(2100));
+        assert_eq!(cat.generation(), gen + 1);
+        cat.note_resample();
+        let activity = cat.activity();
+        assert_eq!((activity.appended, activity.resampled), (2, 1));
+        // A plain `set` holds no stamp.
+        cat.set("erp.orders", CollectionStats::default());
+        assert_eq!(cat.get_sample("erp.orders").unwrap().1, None);
     }
 }

@@ -79,14 +79,13 @@ pub fn query_log_entry_json(e: &QueryLogEntry) -> String {
     let _ = write!(
         out,
         "{{\"seq\":{},\"trace_id\":\"{}\",\"text\":\"{}\",\"elapsed_ms\":{},\
-         \"tuples\":{},\"complete\":{},\"from_cache\":{}",
+         \"tuples\":{},\"complete\":{}",
         e.seq,
         TraceId(e.trace_id),
         json_escape(&e.text),
         json_num(e.elapsed_ms),
         e.tuples,
         e.complete,
-        e.from_cache,
     );
     let _ = write!(out, ",\"stale\":{},\"missing_sources\":[", e.stale);
     for (i, s) in e.missing_sources.iter().enumerate() {
@@ -181,14 +180,13 @@ mod tests {
     #[test]
     fn jsonl_is_one_object_per_line() {
         let log = crate::QueryLog::new(4, 4, f64::INFINITY);
-        log.record("q1", 1.0, 3, true, false);
+        log.record("q1", 1.0, 3, true);
         log.record_event(crate::querylog::QueryEvent {
             trace_id: 9,
             text: "q2 \"quoted\"".into(),
             elapsed_ms: 2.0,
             tuples: 0,
             complete: false,
-            from_cache: false,
             stale: true,
             missing_sources: vec!["billing".into(), "crm".into()],
             error: Some("source".into()),

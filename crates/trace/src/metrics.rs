@@ -267,7 +267,7 @@ mod tests {
         let b = MetricsRegistry::new();
         a.incr("engine.queries", 3);
         b.incr("engine.queries", 4);
-        b.incr("engine.query_cache_hits", 1);
+        b.incr("engine.query.error", 1);
         a.gauge_max("g", 5);
         b.gauge_max("g", 9);
         a.observe("lat", 10);
@@ -275,7 +275,7 @@ mod tests {
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
         assert_eq!(m.counter("engine.queries"), 7);
-        assert_eq!(m.counter("engine.query_cache_hits"), 1);
+        assert_eq!(m.counter("engine.query.error"), 1);
         assert_eq!(m.gauge("g"), 9);
         assert_eq!(m.histograms["lat"].count, 2);
         assert_eq!(m.histograms["lat"].sum, 30);

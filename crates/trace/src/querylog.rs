@@ -25,8 +25,6 @@ pub struct QueryLogEntry {
     pub tuples: usize,
     /// False when sources failed to contribute (§3.4 partial results).
     pub complete: bool,
-    /// Served from the whole-query result cache.
-    pub from_cache: bool,
     /// At least one unavailable source was answered from stale cached
     /// data (§3.4 stale-fallback).
     pub stale: bool,
@@ -47,7 +45,6 @@ pub struct QueryEvent {
     pub elapsed_ms: f64,
     pub tuples: usize,
     pub complete: bool,
-    pub from_cache: bool,
     pub stale: bool,
     pub missing_sources: Vec<String>,
     pub error: Option<String>,
@@ -89,21 +86,13 @@ impl QueryLog {
     }
 
     /// Admit one finished query; returns its sequence number.
-    pub fn record(
-        &self,
-        text: &str,
-        elapsed_ms: f64,
-        tuples: usize,
-        complete: bool,
-        from_cache: bool,
-    ) -> u64 {
+    pub fn record(&self, text: &str, elapsed_ms: f64, tuples: usize, complete: bool) -> u64 {
         self.record_event(QueryEvent {
             trace_id: 0,
             text: text.to_string(),
             elapsed_ms,
             tuples,
             complete,
-            from_cache,
             stale: false,
             missing_sources: Vec::new(),
             error: None,
@@ -124,7 +113,6 @@ impl QueryLog {
             elapsed_ms: event.elapsed_ms,
             tuples: event.tuples,
             complete: event.complete,
-            from_cache: event.from_cache,
             stale: event.stale,
             missing_sources: event.missing_sources,
             error: event.error,
@@ -173,7 +161,7 @@ mod tests {
     fn ring_evicts_oldest() {
         let log = QueryLog::new(3, 8, f64::INFINITY);
         for i in 0..5 {
-            log.record(&format!("q{}", i), 1.0, 0, true, false);
+            log.record(&format!("q{}", i), 1.0, 0, true);
         }
         let recent = log.recent(10);
         let texts: Vec<&str> = recent.iter().map(|e| e.text.as_str()).collect();
@@ -186,9 +174,9 @@ mod tests {
     #[test]
     fn slow_capture_survives_ring_eviction() {
         let log = QueryLog::new(2, 8, 50.0);
-        log.record("slow one", 120.0, 9, true, false);
+        log.record("slow one", 120.0, 9, true);
         for i in 0..10 {
-            log.record(&format!("fast{}", i), 1.0, 0, true, false);
+            log.record(&format!("fast{}", i), 1.0, 0, true);
         }
         assert!(log.recent(10).iter().all(|e| e.text.starts_with("fast")));
         let slow = log.slow(5);
@@ -200,7 +188,7 @@ mod tests {
     fn slow_list_is_bounded_and_sorted() {
         let log = QueryLog::new(16, 3, 0.0);
         for ms in [10.0, 50.0, 30.0, 40.0, 20.0] {
-            log.record("q", ms, 0, true, false);
+            log.record("q", ms, 0, true);
         }
         let slow = log.slow(10);
         let times: Vec<f64> = slow.iter().map(|e| e.elapsed_ms).collect();
@@ -216,7 +204,6 @@ mod tests {
             elapsed_ms: 0.3,
             tuples: 0,
             complete: false,
-            from_cache: false,
             stale: true,
             missing_sources: vec!["billing".into()],
             error: Some("compile".into()),
@@ -233,7 +220,7 @@ mod tests {
     fn text_is_truncated() {
         let log = QueryLog::new(2, 2, f64::INFINITY);
         let long = "x".repeat(1000);
-        log.record(&long, 1.0, 0, true, false);
+        log.record(&long, 1.0, 0, true);
         assert_eq!(log.recent(1)[0].text.len(), QueryLog::MAX_TEXT);
     }
 }

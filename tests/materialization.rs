@@ -346,3 +346,59 @@ fn a_refresh_ships_the_rows_a_source_gained_not_the_table() {
     assert_eq!(m.counter("engine.view.refresh.full.several_grew"), 1);
     assert_eq!(m.histograms["engine.view.refresh_us"].count, 5);
 }
+
+/// A write through the source, noted to the catalog, is in the next
+/// answer: nothing between the text and the sources answers from before
+/// the write as if it were complete and fresh.
+#[test]
+fn a_noted_write_is_in_the_next_answer() {
+    let (engine, adapter) = setup();
+    let q = r#"WHERE <row><item>$i</item></row> IN "orders" CONSTRUCT <o>$i</o>"#;
+    let before = engine.query(q).unwrap();
+    assert_eq!(to_string(&before.document.root()), "<results><o>widget</o><o>gadget</o></results>");
+    adapter
+        .database()
+        .write()
+        .execute("INSERT INTO orders VALUES (3, 'gizmo', 30.0)")
+        .unwrap();
+    engine.catalog().note_source_mutation("sales");
+    let after = engine.query(q).unwrap();
+    assert!(after.complete && !after.stale);
+    assert_eq!(
+        to_string(&after.document.root()),
+        "<results><o>widget</o><o>gadget</o><o>gizmo</o></results>"
+    );
+}
+
+#[test]
+fn a_write_costs_the_catalog_one_empty_answer() {
+    let charged = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
+    let (engine, _crm, billing) = customer360(&charged);
+    // A cached plan over the collection the write does not touch.
+    let q = r#"WHERE <row><id>$i</id><region>$r</region></row> IN "customers", $r = "NW", $i < 20
+               CONSTRUCT <c>$i</c>"#;
+    let first = to_string(&engine.query(q).unwrap().document.root());
+    let invalidations = engine.plan_cache().stats().invalidations;
+
+    let batch: Vec<String> = (0..10).map(|k| format!("({}, {}, 1.5)", 7_500 + k, k)).collect();
+    billing
+        .database()
+        .write()
+        .execute(&format!("INSERT INTO orders VALUES {}", batch.join(", ")))
+        .unwrap();
+    let before = (charged.0.load(Ordering::Relaxed), charged.1.load(Ordering::Relaxed));
+    engine.catalog().note_source_mutation("billing");
+    // One floored probe asking for no row: `<rows/>`, one node.
+    assert_eq!(
+        (charged.0.load(Ordering::Relaxed) - before.0, charged.1.load(Ordering::Relaxed) - before.1),
+        (1, 1)
+    );
+    assert_eq!(engine.catalog().stats().rows("billing.orders"), Some(7_510));
+
+    let again = engine.query(q).unwrap();
+    assert!(again.stats.plan.starts_with("-- plan: cached shape"), "{}", again.stats.plan);
+    assert_eq!(to_string(&again.document.root()), first);
+    assert_eq!(engine.plan_cache().stats().invalidations, invalidations);
+    let m = engine.metrics_snapshot();
+    assert_eq!((m.gauge("stats.sample.appended"), m.gauge("stats.sample.resampled")), (1, 0));
+}
