@@ -756,6 +756,27 @@ impl Engine {
         Ok(xml)
     }
 
+    /// Answer `text` with `plan` — one the caller made for it, or changed
+    /// (a differential's reference) — instead of the plan compiling the
+    /// text gives. The plan cache is neither read nor filled; the plan is
+    /// verified as a freshly made one is.
+    pub fn query_planned(&self, text: &str, plan: Plan) -> Result<QueryResult, CoreError> {
+        let query = nimble_xmlql::parse_query(text).map_err(|e| CoreError::Compile(e.to_string()))?;
+        if self.config().optimizer.verify_plans {
+            planner::verify_plan(&plan, None)?;
+        }
+        let compiled = Compiled {
+            query,
+            plan: Arc::new(plan),
+            pre_phases: Vec::new(),
+            plan_ms: 0.0,
+            verify_ms: 0.0,
+            planck_verify: true,
+            path: "plan: given".to_string(),
+        };
+        self.query_with(text, false, Some(compiled))
+    }
+
     /// `compiled` is the text's plan when the caller already has it
     /// ([`Engine::query_serialized`] falling back to the tree path), so
     /// that a serve is compiled — and counted by the plan cache — once.
@@ -1283,7 +1304,11 @@ impl Engine {
         }
         let config = self.config();
         let t_plan = Instant::now();
-        let plan = self.plan(query, &config.optimizer)?;
+        let mut plan = self.plan(query, &config.optimizer)?;
+        // A variable the outer row binds too is a join variable (§22).
+        if let Some((schema, _)) = outer {
+            plan.probes.retain(|p| schema.index_of(&p.var).is_none());
+        }
         let plan_ms = ms_since(t_plan);
         let mut verify_ms = 0.0;
         if config.optimizer.verify_plans {
@@ -1364,11 +1389,21 @@ impl Engine {
         };
         let rest: Vec<usize> = (0..n).filter(|i| !first.contains(i)).collect();
         self.fetch_round(plan, &rest, bound.as_ref(), depth, ctx, &mut fetched);
+        // What EXPLAIN ANALYZE says of each probed match.
+        let mut probed_notes: Vec<String> = Vec::new();
         for (atom, slot) in plan.independents.iter().zip(fetched) {
             let unit = slot.ok_or_else(|| {
                 CoreError::Internal("independent unit left unfetched".into())
             })??;
             ctx.rows_fetched += unit.tuples.len() as u64;
+            if let (Some((pruned, candidates)), true) = (unit.probed, ctx.profile) {
+                probed_notes.push(format!(
+                    "probe: pruned {} of {} candidates of {}",
+                    pruned,
+                    candidates,
+                    atom_name(atom)
+                ));
+            }
             // Interning is sequential, in atom order, whatever order
             // the units were fetched in: workers only describe their
             // unit, ids are assigned here.
@@ -1617,8 +1652,10 @@ impl Engine {
             let mut filter = FilterOp::new(op, ScalarExpr::conjunction(translated), Arc::clone(&funcs));
             if let Some(e) = cur_est {
                 // Default 1/3 selectivity per central predicate (matching
-                // the planner's cost model for unstated selections).
-                let preds = plan.residual_predicates.len().min(u32::MAX as usize) as u32;
+                // the planner's cost model for unstated selections) — but
+                // a probed one, which the scan's estimate applied already.
+                let preds = plan.residual_predicates.len().saturating_sub(plan.probes.len());
+                let preds = preds.min(u32::MAX as usize) as u32;
                 let est = (e / 3u64.saturating_pow(preds)).max(1);
                 filter.set_est_rows(est);
                 cur_est = Some(est);
@@ -1733,7 +1770,7 @@ impl Engine {
             let of_values = planner::value_notes(&self.catalog, plan);
             let mut text = explain_notes(
                 &ctx.plan_path,
-                plan.notes.iter().chain(&of_values).chain(&bind_note),
+                plan.notes.iter().chain(&of_values).chain(&bind_note).chain(&probed_notes),
             );
             if ctx.profile {
                 text.push_str(&explain_analyze_ops(op.as_ref()));
@@ -1948,7 +1985,7 @@ impl Engine {
                 .as_ref()
                 .zip(bound)
                 .and_then(|(stage, keys)| Some((&stage.target(i)?.field, keys)));
-            self.fetch_atom(&plan.independents[i], shard_plan_for(plan, i), bind, depth, ctx)
+            self.fetch_atom(plan, i, bind, depth, ctx)
         };
         let many = self.config().parallel_fetch && round.len() > 1;
         // The query context is thread-local, so each worker re-enters
@@ -2067,24 +2104,25 @@ impl Engine {
         (Some(bound), Some(note))
     }
 
-    /// Fetch one independent unit's tuples under the unavailability
+    /// Fetch independent unit `i`'s tuples under the unavailability
     /// policy. With lineage tracking on, the unit is described for the
     /// query's provenance table — the *caller* interns (sequentially, so
     /// ids stay dense even under parallel fetch). A FetchMatch atom
     /// with a [`ShardPlan`] routes through [`Engine::fetch_sharded`]
-    /// instead of the source adapter. `bind` is the bind stage's key
+    /// instead of the source adapter; one matched here skips the
+    /// candidates its probes rule out. `bind` is the bind stage's key
     /// list and this unit's field for it, when the unit is a target.
     fn fetch_atom(
         &self,
-        atom: &AtomExec,
-        shard_plan: Option<&ShardPlan>,
+        plan: &Plan,
+        i: usize,
         bind: Option<(&FieldRef, &BoundKeys)>,
         depth: usize,
         ctx: &mut ExecCtx,
     ) -> Result<Fetched, CoreError> {
         let config = self.config();
         let track = config.optimizer.track_lineage && ctx.track;
-        match atom {
+        match &plan.independents[i] {
             AtomExec::Fragment {
                 source,
                 query,
@@ -2146,7 +2184,11 @@ impl Engine {
                     .observe(&format!("source.latency_us.{}", source), us(call_ms));
                 match outcome {
                     Ok(doc) => {
-                        if config.cache_nodes > 0 {
+                        // A floored answer is a refresh's, and no one reads
+                        // it back: a refresh takes no stale answer, and
+                        // its floor is in the key, out of every query's
+                        // reach.
+                        if config.cache_nodes > 0 && query.after_row.is_none() {
                             self.cache.put(cache_keys[0], Arc::clone(&doc));
                         }
                         let tuples = fragment_tuples(&doc, vars);
@@ -2217,7 +2259,7 @@ impl Engine {
                 pattern,
                 vars,
             } => {
-                if let Some(sp) = shard_plan {
+                if let Some(sp) = shard_plan_for(plan, i) {
                     return self.fetch_sharded(sp, source, collection, pattern, vars, ctx, track);
                 }
                 let adapter = self
@@ -2258,7 +2300,7 @@ impl Engine {
                             e,
                             ctx,
                             track,
-                            &|doc| match_tuples(doc, pattern, vars),
+                            &|doc| match_tuples(doc, pattern, vars, None),
                         );
                     }
                     Err(e) => {
@@ -2275,7 +2317,8 @@ impl Engine {
                         return Err(CoreError::Source(e));
                     }
                 };
-                let tuples = match_tuples(&doc, pattern, vars);
+                let mut filter = self.candidate_filter(plan, i);
+                let tuples = match_tuples(&doc, pattern, vars, Some(&mut filter));
                 // Row count = the collection's top-level elements (the
                 // same measure sampling seeds), not pattern matches.
                 self.note_stats_rows(
@@ -2298,7 +2341,7 @@ impl Engine {
                     cache_age_ms: None,
                     view: false,
                 });
-                Ok(Fetched::fresh(vars.clone(), tuples, FetchProv::from_opt(prov)))
+                Ok(Fetched::fresh(vars.clone(), tuples, FetchProv::from_opt(prov)).probed(self.note_probed(&filter)))
             }
             AtomExec::ViewMatch {
                 view,
@@ -2315,7 +2358,8 @@ impl Engine {
                 let fetched = self.view_document(view, depth, ctx);
                 ctx.track = saved_track;
                 let doc = fetched?;
-                let tuples = match_tuples(&doc, pattern, vars);
+                let mut filter = self.candidate_filter(plan, i);
+                let tuples = match_tuples(&doc, pattern, vars, Some(&mut filter));
                 // Row count = the view result's top-level elements,
                 // mirroring the FetchMatch measure. The per-pattern match
                 // count would make the estimate oscillate between queries
@@ -2333,9 +2377,32 @@ impl Engine {
                     cache_age_ms: None,
                     view: true,
                 });
-                Ok(Fetched::fresh(vars.clone(), tuples, FetchProv::from_opt(prov)))
+                Ok(Fetched::fresh(vars.clone(), tuples, FetchProv::from_opt(prov)).probed(self.note_probed(&filter)))
             }
         }
+    }
+
+    /// The candidate filter of independent unit `i`: its probes, each
+    /// with the conjunct it reads — as bound for this serve — over a
+    /// one-column row.
+    fn candidate_filter(&self, plan: &Plan, i: usize) -> matcher::CandidateFilter {
+        let probes = plan.probes.iter().filter(|p| p.atom == i).filter_map(|p| {
+            let column = Schema::try_new(vec![p.var.clone()]).ok()?;
+            let test = planner::translate_expr(plan.residual_predicates.get(p.conjunct)?, &column).ok()?;
+            Some((p, test))
+        });
+        matcher::CandidateFilter::new(probes, Arc::clone(&self.funcs.read()))
+    }
+
+    /// Count what a candidate filter tested and ruled out; `(pruned,
+    /// candidates)` for EXPLAIN ANALYZE, when it had probes.
+    fn note_probed(&self, filter: &matcher::CandidateFilter) -> Option<(u64, u64)> {
+        if filter.is_empty() {
+            return None;
+        }
+        self.metrics.incr("engine.match.candidates", filter.candidates);
+        self.metrics.incr("engine.match.pruned", filter.pruned);
+        Some((filter.pruned, filter.candidates))
     }
 
     /// Fetch one sharded FetchMatch atom: fan the scan out across the
@@ -2554,6 +2621,7 @@ impl Engine {
                 tuples: Vec::new(),
                 prov: FetchProv::from_opt(missing_prov(track, source, detail)),
                 served: Served::Missing,
+                probed: None,
             })
         };
         match config.unavailable {
@@ -2580,6 +2648,7 @@ impl Engine {
                             tuples: to_tuples(&doc),
                             prov: FetchProv::from_opt(prov),
                             served: Served::Stale,
+                            probed: None,
                         });
                     }
                 }
@@ -2648,6 +2717,8 @@ struct Fetched {
     tuples: Vec<Tuple>,
     prov: FetchProv,
     served: Served,
+    /// `(pruned, candidates)` of a match whose candidates were probed.
+    probed: Option<(u64, u64)>,
 }
 
 /// Where a fetched unit's tuples came from (§3.4).
@@ -2668,7 +2739,12 @@ impl Fetched {
             tuples,
             prov,
             served: Served::Fresh,
+            probed: None,
         }
+    }
+
+    fn probed(self, probed: Option<(u64, u64)>) -> Fetched {
+        Fetched { probed, ..self }
     }
 }
 
@@ -2926,13 +3002,14 @@ fn note_source_call(
 fn plan_semantic_signature(plan: &Plan) -> String {
     format!(
         "independents: {:?}; dependents: {:?}; residuals: {:?}; order_by: {:?}; pruned: {:?}; \
-         shards: {:?}; bind: {:?}",
+         shards: {:?}; probes: {:?}; bind: {:?}",
         plan.independents,
         plan.dependents,
         plan.residual_predicates,
         plan.order_by,
         plan.pruned,
         plan.shards,
+        plan.probes,
         // The stage's shape; its key estimate is a cost annotation.
         plan.bind
             .as_ref()
@@ -3165,13 +3242,23 @@ fn fragment_tuples(doc: &Arc<Document>, vars: &[String]) -> Vec<Tuple> {
 }
 
 /// Match a pattern against a document and project bindings to `vars`:
-/// each binding becomes its tuple as soon as it is found. `vars` are
-/// distinct, so each value moves out of its binding.
-fn match_tuples(doc: &Arc<Document>, pattern: &nimble_xmlql::ast::Pattern, vars: &[String]) -> Vec<Tuple> {
+/// each binding becomes its tuple as soon as it is found, on the
+/// candidates `filter` admits. `vars` are distinct, so each value moves
+/// out of its binding.
+fn match_tuples(
+    doc: &Arc<Document>,
+    pattern: &nimble_xmlql::ast::Pattern,
+    vars: &[String],
+    mut filter: Option<&mut matcher::CandidateFilter>,
+) -> Vec<Tuple> {
     let mut tuples = Vec::new();
-    matcher::match_each(doc, doc.root_cursor(), pattern, |mut b| {
-        tuples.push(vars.iter().map(|v| b.remove(v).unwrap_or_else(Value::null)).collect())
-    });
+    matcher::match_each(
+        doc,
+        doc.root_cursor(),
+        pattern,
+        |c| filter.as_mut().is_none_or(|f| f.admits(c)),
+        |mut b| tuples.push(vars.iter().map(|v| b.remove(v).unwrap_or_else(Value::null)).collect()),
+    );
     tuples
 }
 

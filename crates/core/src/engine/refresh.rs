@@ -4,7 +4,8 @@
 //! document is rebuilt — or, when the stored document says how far into
 //! each append-only collection it reaches and exactly one of them has
 //! grown since, over the rows that collection gained: the new rows are
-//! constructed behind a copy of the stored document. Every answer a
+//! constructed on their own and appended to the stored document, in
+//! place unless a reader holds it. Every answer a
 //! delta rests on is checked against the mark it was asked to continue
 //! from; anything that does not check recomputes in full, in the same
 //! call, and says why.
@@ -15,7 +16,7 @@ use crate::error::CoreError;
 use crate::planner::{self, AtomExec, Plan};
 use nimble_algebra::{Schema, Tuple};
 use nimble_sources::Watermark;
-use nimble_store::{MaterializedView, ViewMark};
+use nimble_store::ViewMark;
 use nimble_xml::DocumentBuilder;
 use nimble_xmlql::ast::{ElementTemplate, Query, TemplateNode};
 use std::time::Instant;
@@ -60,15 +61,17 @@ impl Engine {
     }
 
     fn refresh_view(&self, def: &ViewDef, ttl: Option<u64>) -> Result<(), CoreError> {
-        // A copy of the entry: no store guard is held across a source call.
-        let stored = self.views.peek(&def.name);
+        // What the entry says, not its document: no store guard is held
+        // across a source call, and a refresh that held the document
+        // would make its own append copy it.
+        let stored = self.views.peek(&def.name).map(|v| (v.definition, v.marks));
         let why = match &stored {
             None => Some("first"),
-            Some(v) if v.definition != def.text => Some("definition"),
+            Some((text, _)) if *text != def.text => Some("definition"),
             // No marks: the full plan below says whether its shape or an
             // unstamped answer is why.
-            Some(v) if v.marks.is_empty() => None,
-            Some(v) => match self.refresh_delta(def, v, ttl)? {
+            Some((_, marks)) if marks.is_empty() => None,
+            Some((_, marks)) => match self.refresh_delta(def, marks, ttl)? {
                 None => return Ok(()),
                 declined => declined,
             },
@@ -116,20 +119,21 @@ impl Engine {
         Ok(())
     }
 
-    /// Try to refresh `stored` from the rows one collection gained.
-    /// `Ok(None)`: done, the new document is stored. `Ok(Some(reason))`:
-    /// not this time — nothing was stored, recompute.
+    /// Try to refresh the stored document, built up to `stored` marks,
+    /// from the rows one collection gained. `Ok(None)`: done, the rows
+    /// are appended. `Ok(Some(reason))`: not this time — nothing was
+    /// stored, recompute.
     fn refresh_delta(
         &self,
         def: &ViewDef,
-        stored: &MaterializedView,
+        stored: &[ViewMark],
         ttl: Option<u64>,
     ) -> Result<Option<Decline>, CoreError> {
         // The hint — what each source says its collection's length is,
         // a call the source does not count as a query — picks the one
         // collection to floor. The proof is on the answers, below.
         let mut grown: Vec<&ViewMark> = Vec::new();
-        for mark in &stored.marks {
+        for mark in stored {
             let rows = mark
                 .collection
                 .split_once('.')
@@ -143,14 +147,13 @@ impl Engine {
         }
         let floored = match grown.as_slice() {
             // Nothing grew: any one fragment's empty delta says so.
-            [] => &stored.marks[0],
+            [] => &stored[0],
             [one] => *one,
             _ => return Ok(Some("several_grew")),
         };
         let plan = self.plan_refresh(&def.query, Some((&floored.collection, floored.upto)))?;
         let same_fragments = row_wise(&def.query, &plan).is_some_and(|fragments| {
-            fragments.len() == stored.marks.len()
-                && stored.marks.iter().all(|m| fragments.contains(&m.collection))
+            fragments.len() == stored.len() && stored.iter().all(|m| fragments.contains(&m.collection))
         });
         if !same_fragments {
             return Ok(Some("shape"));
@@ -165,7 +168,7 @@ impl Engine {
         if ctx.marks.len() != ctx.fragments {
             return Ok(Some("unstamped"));
         }
-        let mut marks = stored.marks.clone();
+        let mut marks = stored.to_vec();
         let mut gained = 0..0;
         for mark in &mut marks {
             let Some(w) = mark_of(&ctx, &mark.collection) else {
@@ -187,20 +190,28 @@ impl Engine {
             }
         }
 
-        // The new rows go behind a copy of the stored ones.
-        let per_row = stored.size_nodes / stored.document.root_cursor().child_element_count().max(1);
-        let mut b = DocumentBuilder::reopen(&stored.document, tuples.len() * per_row);
+        // The new rows, on their own, go behind the stored ones — unless
+        // another refresh stored something else meanwhile.
+        let mut b = DocumentBuilder::new("results");
         self.construct_into(&mut b, &def.query.construct, &schema, &tuples, 0, &mut ctx, None, None)?;
-        self.views.materialize_marked(
+        let appended = self.views.append_marked(
             &def.name,
             &def.text,
-            b.finish(),
+            stored,
+            &b.finish(),
             self.clock.now(),
             ttl,
             marks,
             &format!("delta {} {}..{}", floored.collection, gained.start, gained.end),
         );
+        let Some(in_place) = appended else {
+            return Ok(Some("raced"));
+        };
         self.metrics.incr("engine.view.refresh.delta", 1);
+        self.metrics.incr(
+            if in_place { "engine.view.refresh.in_place" } else { "engine.view.refresh.copied" },
+            1,
+        );
         Ok(None)
     }
 

@@ -6,6 +6,8 @@
 //! binding tuples through the same matcher, which is what lets "XML as
 //! the unifying model" actually unify heterogeneous sources.
 
+use crate::planner::Probe;
+use nimble_algebra::{FunctionRegistry, ScalarExpr};
 use nimble_xml::{Atomic, Cursor, Document, NodeRef, Sym, Value};
 use nimble_xmlql::ast::{Pattern, PatternContent, PatternValue, TagPattern};
 use std::collections::HashMap;
@@ -27,24 +29,113 @@ pub fn match_pattern(context: &NodeRef, pattern: &Pattern) -> Vec<Bindings> {
 /// must be a cursor of `doc`.
 pub fn match_pattern_at(doc: &Arc<Document>, context: Cursor<'_>, pattern: &Pattern) -> Vec<Bindings> {
     let mut out = Vec::new();
-    match_each(doc, context, pattern, |b| out.push(b));
+    match_each(doc, context, pattern, |_| true, |b| out.push(b));
     out
 }
 
-/// [`match_pattern_at`], handing each top-level candidate's bindings to
-/// `sink` as soon as that candidate is matched: a caller that turns
-/// bindings into tuples never holds a collection's whole match set (a
-/// map per binding) beside them.
+/// [`match_pattern_at`] over the top-level candidates `keep` admits,
+/// handing each candidate's bindings to `sink` as soon as that
+/// candidate is matched: a caller that turns bindings into tuples never
+/// holds a collection's whole match set (a map per binding) beside
+/// them, and a candidate a [`CandidateFilter`] rules out is never
+/// matched at all.
 pub fn match_each(
     doc: &Arc<Document>,
     context: Cursor<'_>,
     pattern: &Pattern,
+    mut keep: impl FnMut(Cursor<'_>) -> bool,
     mut sink: impl FnMut(Bindings),
 ) {
     let mut found = Vec::new();
     for candidate in top_candidates(context, &pattern.tag) {
+        if !keep(candidate) {
+            continue;
+        }
         match_element(doc, candidate, pattern, &Bindings::new(), &mut found);
         found.drain(..).for_each(&mut sink);
+    }
+}
+
+/// The probes of one atom ([`Probe`], DESIGN.md §22), ready to run on its
+/// top-level candidates: a candidate is ruled out when, for some probe,
+/// no value at the probe's path passes the probe's conjunct. Each value
+/// is read as [`match_element`] would bind it — `typed_value` for
+/// content, [`Atomic::infer`] for an attribute — and tested on a
+/// one-column row. A test that fails with an error keeps its candidate:
+/// the conjunct is still in the Filter, which raises that error from
+/// that row.
+pub struct CandidateFilter {
+    probes: Vec<CandidateProbe>,
+    funcs: Arc<FunctionRegistry>,
+    /// Candidates tested, and those ruled out.
+    pub candidates: u64,
+    pub pruned: u64,
+}
+
+struct CandidateProbe {
+    /// Element names from the candidate down; `None` for a name never
+    /// interned, which no element has.
+    path: Vec<Option<Sym>>,
+    /// The attribute read at the end of the path (`None` inside: a name
+    /// no element carries), or the content when absent.
+    attr: Option<Option<Sym>>,
+    /// The conjunct, over the one column that holds the value.
+    test: ScalarExpr,
+}
+
+impl CandidateFilter {
+    /// The filter for `probes`, each with its conjunct translated to a
+    /// one-column row.
+    pub fn new<'a>(probes: impl IntoIterator<Item = (&'a Probe, ScalarExpr)>, funcs: Arc<FunctionRegistry>) -> Self {
+        let probes = probes
+            .into_iter()
+            .map(|(probe, test)| CandidateProbe {
+                path: probe.path.iter().map(|step| Sym::find(step)).collect(),
+                attr: probe.attr.as_deref().map(Sym::find),
+                test,
+            })
+            .collect();
+        CandidateFilter {
+            probes,
+            funcs,
+            candidates: 0,
+            pruned: 0,
+        }
+    }
+
+    /// Whether there is anything to test.
+    pub fn is_empty(&self) -> bool {
+        self.probes.is_empty()
+    }
+
+    /// Whether `candidate` may match, counted.
+    pub fn admits(&mut self, candidate: Cursor<'_>) -> bool {
+        if self.probes.is_empty() {
+            return true;
+        }
+        self.candidates += 1;
+        let funcs = &self.funcs;
+        let admitted = self.probes.iter().all(|p| p.finds(candidate, &p.path, funcs));
+        self.pruned += u64::from(!admitted);
+        admitted
+    }
+}
+
+impl CandidateProbe {
+    /// Whether some node at `path` under `node` holds a value that passes
+    /// or fails the test with an error.
+    fn finds(&self, node: Cursor<'_>, path: &[Option<Sym>], funcs: &FunctionRegistry) -> bool {
+        let Some((step, rest)) = path.split_first() else {
+            let value = match self.attr {
+                None => node.typed_value(),
+                Some(name) => match node.attrs().iter().find(|(k, _)| Some(*k) == name) {
+                    Some((_, v)) => Atomic::infer(v.as_str()),
+                    None => return false,
+                },
+            };
+            return !matches!(self.test.eval_bool(&[Value::Atomic(value)], funcs), Ok(false));
+        };
+        step.is_some() && node.children().any(|c| c.name_sym() == *step && self.finds(c, rest, funcs))
     }
 }
 

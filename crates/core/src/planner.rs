@@ -21,12 +21,14 @@ use crate::matcher::{match_within, Bindings};
 use nimble_algebra::inspect::{OpInfo, OrderEffect, SchemaRule};
 use nimble_algebra::ops::Operator;
 use nimble_algebra::{CmpOp, ExecError, LineageMask, ScalarExpr, Schema, Tuple};
-use nimble_planck::{Fingerprint, Placement, RewriteRecord};
+use nimble_planck::{Fingerprint, Placement, ProbeFacts, RewriteRecord};
 use nimble_sources::query::{FieldRef, PredOp};
 use nimble_sources::relational::RelationalAdapter;
 use nimble_sources::{SourceAdapter, SourceKind, SourceQuery};
 use nimble_xml::{Atomic, AtomicType, Value};
-use nimble_xmlql::ast::{BinOp, Condition, Expr, OrderKey, Pattern, Query, SourceRef, TagPattern};
+use nimble_xmlql::ast::{
+    BinOp, Condition, Expr, OrderKey, Pattern, PatternContent, PatternValue, Query, SourceRef, TagPattern,
+};
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
@@ -128,6 +130,10 @@ pub struct Plan {
     /// (`notes` hold for every value; what EXPLAIN says of the values
     /// is [`value_notes`].)
     pub param_sites: Vec<ParamSite>,
+    /// Residual conjuncts a central match checks on each candidate
+    /// before matching it ([`Probe`]). They hold for every value of the
+    /// query's parameters, so they are cached with the plan.
+    pub probes: Vec<Probe>,
     /// Bytes of the last answer [`Engine::query_serialized`] streamed
     /// from this plan; the next serve's writer starts at that size. One
     /// cell per cached shape: [`bind`]'s copies share it.
@@ -223,6 +229,38 @@ pub struct ShardPlan {
     pub survivors: Vec<usize>,
     /// Residual predicates pushed below the Exchange.
     pub pushed: Vec<Expr>,
+}
+
+/// A residual conjunct that a central match checks on each top-level
+/// candidate of one atom before matching it (DESIGN.md §22): the
+/// candidate is skipped when no value the pattern could bind the
+/// conjunct's variable to passes it. The conjunct stays in the Filter —
+/// a probe is a necessary condition, not a replacement.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Probe {
+    /// Index into [`Plan::independents`]: a `FetchMatch` or `ViewMatch`
+    /// atom that no shard plan routes.
+    pub atom: usize,
+    /// Index into [`Plan::residual_predicates`]. [`bind`] rewrites a
+    /// parameter there in place, so a serve reads its own values.
+    pub conjunct: usize,
+    /// The conjunct's one variable.
+    pub var: String,
+    /// Element names from the candidate down to the element that holds
+    /// the value; empty for the candidate itself.
+    pub path: Vec<String>,
+    /// The attribute of that element that holds the value; `None` for
+    /// its content.
+    pub attr: Option<String>,
+}
+
+impl Probe {
+    /// The path and then what is read at its end — `$` for the content,
+    /// `@name` for an attribute — as [`var_sites`] spells an occurrence.
+    pub fn walk(&self) -> Vec<String> {
+        let read = self.attr.as_ref().map_or("$".to_string(), |a| format!("@{}", a));
+        self.path.iter().cloned().chain([read]).collect()
+    }
 }
 
 fn dedup_vars(pattern: &Pattern) -> Vec<String> {
@@ -473,8 +511,199 @@ fn plan_floored(
         plan_shards(catalog, &mut plan, rt);
     }
 
+    // Phase 7: candidate probes, once the central predicates and the
+    // atoms the shard plans route are final.
+    plan_probes(&mut plan);
+
     finish(catalog, &mut plan, config);
     Ok(plan)
+}
+
+/// Phase 7 of planning (DESIGN.md §22): record as a [`Probe`] every
+/// residual conjunct a central match can check on its candidates, and
+/// apply the Filter's default selectivity once per probe to the probed
+/// atom's estimate (the Filter's own estimate leaves those conjuncts
+/// out). A conjunct qualifies when
+///
+/// * (a) it mentions exactly one variable and calls no function — a
+///   cleaning function may be costly or stateful, and would run again;
+/// * (b) that variable is bound by this atom alone — the value a join
+///   leaves in the row may be the other side's, `key_eq`-equal but of
+///   another type;
+/// * (c) it occurs once in the pattern, as a content `$v` or an
+///   attribute `a=$v`;
+/// * (d) under the candidate at a path of plain element names;
+///
+/// and no conjunct ahead of it in the Filter can fail: the Filter stops
+/// a row at its first false conjunct and raises at its first failing
+/// one, so a row the probe removed could have been the row to raise.
+fn plan_probes(plan: &mut Plan) {
+    let mut probes = Vec::new();
+    for (conjunct, pred) in plan.residual_predicates.iter().enumerate() {
+        probes.extend(probe_of(plan, conjunct, pred));
+        if may_fail(pred) {
+            break;
+        }
+    }
+    let shrink = |rows: u64, probes: usize| match probes {
+        0 => rows,
+        n => cost::clamp_rows(rows as f64 * cost::DEFAULT_SELECTIVITY.powi(n as i32)),
+    };
+    for (i, est) in plan.est_rows.iter_mut().enumerate() {
+        *est = shrink(*est, probes.iter().filter(|p| p.atom == i).count());
+    }
+    let mut folded = 0;
+    for (rows, &i) in plan.fold_rows.iter_mut().zip(&plan.fold_order) {
+        folded += probes.iter().filter(|p| p.atom == i).count();
+        *rows = shrink(*rows, folded);
+    }
+    plan.probes = probes;
+}
+
+/// The probe conjunct `conjunct` makes, if conditions (a)–(d) of
+/// [`plan_probes`] admit it.
+fn probe_of(plan: &Plan, conjunct: usize, pred: &Expr) -> Option<Probe> {
+    let mut vars = pred.vars();
+    vars.sort();
+    vars.dedup();
+    let [var] = vars.as_slice() else {
+        return None;
+    };
+    if calls(pred) || plan.dependents.iter().any(|d| &d.on_var == var || d.vars.contains(var)) {
+        return None;
+    }
+    let mut binders = plan.independents.iter().enumerate().filter(|(_, a)| a.vars().contains(var));
+    let (atom, unit) = binders.next()?;
+    let pattern = match unit {
+        AtomExec::FetchMatch { pattern, .. } | AtomExec::ViewMatch { pattern, .. } => pattern,
+        AtomExec::Fragment { .. } => return None,
+    };
+    if binders.next().is_some() || plan.shards.iter().any(|s| s.atom == atom) {
+        return None;
+    }
+    let [site] = var_sites(pattern, var).try_into().ok()?;
+    let (read, steps) = site.split_last()?;
+    let attr = match read.as_str() {
+        "$" => None,
+        read => Some(read.strip_prefix('@')?.to_string()),
+    };
+    if !steps.iter().all(|s| plain_step(s)) {
+        return None;
+    }
+    Some(Probe {
+        atom,
+        conjunct,
+        var: var.clone(),
+        path: steps.to_vec(),
+        attr,
+    })
+}
+
+/// Whether evaluating `e` can fail: arithmetic, negation and calls can;
+/// comparisons and connectives of variables and literals cannot.
+fn may_fail(e: &Expr) -> bool {
+    match e {
+        Expr::Var(_) | Expr::Lit(_) => false,
+        Expr::Not(e) => may_fail(e),
+        Expr::Binary(op, l, r) => {
+            matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod)
+                || may_fail(l)
+                || may_fail(r)
+        }
+        Expr::Neg(_) | Expr::Call(..) => true,
+    }
+}
+
+/// Whether `e` calls a function anywhere.
+fn calls(e: &Expr) -> bool {
+    match e {
+        Expr::Var(_) | Expr::Lit(_) => false,
+        Expr::Not(e) | Expr::Neg(e) => calls(e),
+        Expr::Binary(_, l, r) => calls(l) || calls(r),
+        Expr::Call(..) => true,
+    }
+}
+
+/// A pattern tag as the query spells it.
+fn tag_step(tag: &TagPattern) -> String {
+    match tag {
+        TagPattern::Name(n) => n.clone(),
+        TagPattern::Wildcard => "*".to_string(),
+        TagPattern::Descendant(n) => format!("**{}", n),
+        TagPattern::ClosurePlus(n) => format!("{}+", n),
+    }
+}
+
+/// A step [`tag_step`] spelled from a plain element name.
+fn plain_step(step: &str) -> bool {
+    !step.starts_with('*') && !step.ends_with('+')
+}
+
+/// Every place `var` occurs in `pattern`: the steps from the pattern's
+/// own element down ([`tag_step`]), then how it binds there — `$` for
+/// content, `@name` for an attribute, `ELEMENT_AS` or `CONTENT_AS`.
+fn var_sites(pattern: &Pattern, var: &str) -> Vec<Vec<String>> {
+    fn walk(p: &Pattern, var: &str, steps: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
+        let site = |steps: &[String], read: &str| steps.iter().cloned().chain([read.to_string()]).collect();
+        for a in &p.attrs {
+            if matches!(&a.value, PatternValue::Var(v) if v == var) {
+                out.push(site(steps, &format!("@{}", a.name)));
+            }
+        }
+        if p.element_as.as_deref() == Some(var) {
+            out.push(site(steps, "ELEMENT_AS"));
+        }
+        if p.content_as.as_deref() == Some(var) {
+            out.push(site(steps, "CONTENT_AS"));
+        }
+        for c in &p.content {
+            match c {
+                PatternContent::Var(v) if v == var => out.push(site(steps, "$")),
+                PatternContent::Nested(sub) => {
+                    steps.push(tag_step(&sub.tag));
+                    walk(sub, var, steps, out);
+                    steps.pop();
+                }
+                PatternContent::Var(_) | PatternContent::Lit(_) => {}
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(pattern, var, &mut Vec::new(), &mut out);
+    out
+}
+
+/// What the plan says about each of its probes, read off its atoms,
+/// dependents, predicates and `outer` (the correlated context it runs
+/// under), for planck's `candidate-probe` rule.
+fn probe_facts(plan: &Plan, outer: Option<&Schema>) -> Vec<ProbeFacts> {
+    plan.probes
+        .iter()
+        .map(|p| {
+            let conjunct = plan.residual_predicates.get(p.conjunct);
+            let pattern = match plan.independents.get(p.atom) {
+                Some(AtomExec::FetchMatch { pattern, .. } | AtomExec::ViewMatch { pattern, .. }) => Some(pattern),
+                _ => None,
+            };
+            ProbeFacts {
+                probe: format!("${} (conjunct {}, atom {})", p.var, p.conjunct, p.atom),
+                var: p.var.clone(),
+                vars: conjunct.map(Expr::vars).unwrap_or_default(),
+                calls: conjunct.is_some_and(calls),
+                failing_before: plan.residual_predicates.iter().take(p.conjunct).filter(|e| may_fail(e)).count(),
+                binders: plan.independents.iter().filter(|a| a.vars().contains(&p.var)).count()
+                    + plan
+                        .dependents
+                        .iter()
+                        .filter(|d| d.on_var == p.var || d.vars.contains(&p.var))
+                        .count()
+                    + usize::from(outer.is_some_and(|s| s.index_of(&p.var).is_some())),
+                central: pattern.is_some() && !plan.shards.iter().any(|s| s.atom == p.atom),
+                occurrences: pattern.map(|pattern| var_sites(pattern, &p.var)).unwrap_or_default(),
+                walk: p.walk(),
+            }
+        })
+        .collect()
 }
 
 /// Give every single-collection fragment its row floor (see
@@ -553,6 +782,34 @@ pub fn value_notes(catalog: &Catalog, plan: &Plan) -> Vec<String> {
     let mut notes = Vec::new();
     if let Some(reason) = &plan.pruned {
         notes.push(format!("pruned: {}", reason));
+    }
+    for probe in &plan.probes {
+        let (Some(pred), Some(atom)) = (
+            plan.residual_predicates.get(probe.conjunct),
+            plan.independents.get(probe.atom),
+        ) else {
+            continue;
+        };
+        let (unit, tag) = match atom {
+            AtomExec::ViewMatch { view, pattern, .. } => (view.clone(), &pattern.tag),
+            AtomExec::FetchMatch {
+                source,
+                collection,
+                pattern,
+                ..
+            } => (format!("{}.{}", source, collection), &pattern.tag),
+            AtomExec::Fragment { .. } => continue,
+        };
+        // A content read is the path's last element itself: no `$` step.
+        let mut at = vec![tag_step(tag)];
+        at.extend(probe.walk());
+        if probe.attr.is_none() {
+            at.pop();
+        }
+        // `Expr` prints fully parenthesized.
+        let pred = pred.to_string();
+        let pred = pred.strip_prefix('(').and_then(|p| p.strip_suffix(')')).unwrap_or(&pred);
+        notes.push(format!("probe: {} on {} at {}", pred, unit, at.join("/")));
     }
     for (i, atom) in plan.independents.iter().enumerate() {
         if let AtomExec::Fragment { source, query, .. } = atom {
@@ -1795,6 +2052,11 @@ pub fn verify_plan(plan: &Plan, outer: Option<&Schema>) -> Result<(), CoreError>
                 key.var
             )));
         }
+    }
+    let issues = nimble_planck::audit_probes(&probe_facts(plan, outer));
+    if !issues.is_empty() {
+        let details: Vec<String> = issues.iter().map(ToString::to_string).collect();
+        return Err(CoreError::PlanVerify(details.join("\n")));
     }
     Ok(())
 }

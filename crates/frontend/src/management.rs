@@ -42,6 +42,9 @@ pub struct ViewInfo {
     /// or `delta <collection> <from>..<upto>` — the rows one source
     /// gained, appended. Empty when not materialized by the engine.
     pub refreshed_by: String,
+    /// For an append: whether it went into the stored document in place
+    /// or into a copy, because a reader held the stored one.
+    pub appended_in_place: Option<bool>,
 }
 
 /// One row of the source-health report, derived from the engine's
@@ -202,6 +205,7 @@ impl ManagementConsole {
                     hits: m.hits,
                     size_nodes: m.size_nodes,
                     refreshed_by: m.refreshed_by,
+                    appended_in_place: m.appended_in_place,
                 },
                 None => ViewInfo {
                     name,
@@ -210,6 +214,7 @@ impl ManagementConsole {
                     hits: 0,
                     size_nodes: 0,
                     refreshed_by: String::new(),
+                    appended_in_place: None,
                 },
             })
             .collect()
@@ -330,15 +335,21 @@ impl ManagementConsole {
             "name", "materialized", "fresh", "hits", "nodes"
         );
         for v in self.views() {
+            let road = match v.appended_in_place {
+                Some(true) => ", in place",
+                Some(false) => ", to a copy",
+                None => "",
+            };
             let _ = writeln!(
                 out,
-                "{:<20}{:<14}{:<7}{:>6}{:>8}  {}",
+                "{:<20}{:<14}{:<7}{:>6}{:>8}  {}{}",
                 v.name,
                 v.materialized,
                 v.fresh.map(|f| f.to_string()).unwrap_or_else(|| "-".into()),
                 v.hits,
                 v.size_nodes,
-                if v.refreshed_by.is_empty() { "-" } else { &v.refreshed_by }
+                if v.refreshed_by.is_empty() { "-" } else { &v.refreshed_by },
+                road
             );
         }
         // A refresh that failed left its view as it was; only the

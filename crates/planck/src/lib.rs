@@ -53,13 +53,14 @@
 //!   pruning the subtree to an `EmptyOp`.
 //! * [`rewrite_audit`] — invariant checks over recorded optimizer
 //!   rewrites (schema/key-set preservation, cardinality-bound
-//!   monotonicity), including plan-cache reuse.
+//!   monotonicity), including plan-cache reuse, and over the candidate
+//!   probes a plan records ([`audit_probes`]).
 
 pub mod rewrite_audit;
 pub mod satisfy;
 pub mod types;
 
-pub use rewrite_audit::{audit, Fingerprint, Placement, RewriteRecord};
+pub use rewrite_audit::{audit, audit_probes, Fingerprint, Placement, ProbeFacts, RewriteRecord};
 pub use satisfy::Verdict;
 
 use nimble_algebra::inspect::{OpInfo, OrderEffect, SchemaRule};

@@ -40,6 +40,12 @@
 //!   exactly one fragment may take it: the join of two deltas is not
 //!   what a view gained.
 //!
+//! * **Candidate probes** — a central pattern match checks some residual
+//!   conjuncts on each candidate before matching it, keeping them in
+//!   the Filter. [`audit_probes`] (rule `candidate-probe`) admits each
+//!   probe again from [`ProbeFacts`] read off the plan, not from the
+//!   rule that chose it.
+//!
 //! Fingerprints are deliberately string-shaped: they must survive
 //! serialization into cached-plan stamps and diff cheaply.
 
@@ -316,6 +322,109 @@ pub fn audit(records: &[RewriteRecord]) -> Vec<PlanIssue> {
                     p.outputs.join(", ")
                 ));
             }
+        }
+    }
+    issues
+}
+
+/// What a plan says about one candidate probe — a residual conjunct a
+/// central pattern match checks on each top-level candidate before
+/// matching it — read off the plan, not taken from the rule that chose
+/// the probe.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeFacts {
+    /// The probe, for diagnostics.
+    pub probe: String,
+    /// The variable the probe reads.
+    pub var: String,
+    /// The variables the conjunct mentions.
+    pub vars: Vec<String>,
+    /// Whether the conjunct calls a function.
+    pub calls: bool,
+    /// Conjuncts ahead of it in the Filter whose evaluation can fail.
+    pub failing_before: usize,
+    /// Units that bind the variable: independent atoms, dependent atoms
+    /// (binding it, or navigating the element it holds) and the outer
+    /// context.
+    pub binders: usize,
+    /// Whether the probed atom is matched centrally: a fetch-and-match or
+    /// view atom that no shard plan routes.
+    pub central: bool,
+    /// Every occurrence of the variable in the atom's pattern: the steps
+    /// from the candidate down, spelled as the query spells them (`name`,
+    /// `*`, `**name`, `name+`), then how it binds there — `$` (content),
+    /// `@name`, `ELEMENT_AS` or `CONTENT_AS`.
+    pub occurrences: Vec<Vec<String>>,
+    /// What the probe walks and reads, in the same spelling.
+    pub walk: Vec<String>,
+}
+
+/// The `candidate-probe` rule: a probe must read a conjunct of one
+/// variable that calls no function, behind no conjunct that can fail;
+/// that variable must be bound by the probed atom alone, which must be
+/// matched centrally, and occur there once, as content or an attribute,
+/// under plain element names — exactly where the probe walks.
+pub fn audit_probes(probes: &[ProbeFacts]) -> Vec<PlanIssue> {
+    let mut issues = Vec::new();
+    for p in probes {
+        let mut report = |detail: String| {
+            issues.push(PlanIssue {
+                operator: "candidate-probe".to_string(),
+                path: format!("probe:{}", p.probe),
+                detail,
+            });
+        };
+        let vars = distinct(p.vars.iter());
+        if vars != [&p.var] {
+            report(format!(
+                "the conjunct mentions {{{}}}, not ${} alone",
+                p.vars.join(", "),
+                p.var
+            ));
+        }
+        if p.calls {
+            report("the conjunct calls a function, which the probe would call again".to_string());
+        }
+        if p.failing_before > 0 {
+            report(format!(
+                "{} conjunct(s) ahead of it can fail, and would not on the rows it removes",
+                p.failing_before
+            ));
+        }
+        if p.binders != 1 {
+            report(format!(
+                "${} is bound by {} units: a joined row may hold another unit's value",
+                p.var, p.binders
+            ));
+        }
+        if !p.central {
+            report("the atom is not matched centrally".to_string());
+        }
+        match p.occurrences.as_slice() {
+            [site] => {
+                let plain = site
+                    .split_last()
+                    .is_some_and(|(read, steps)| {
+                        (read == "$" || read.starts_with('@'))
+                            && steps.iter().all(|s| !s.starts_with('*') && !s.ends_with('+'))
+                    });
+                if !plain {
+                    report(format!(
+                        "${} sits at {}, not as content or an attribute under plain names",
+                        p.var,
+                        site.join("/")
+                    ));
+                }
+                if site != &p.walk {
+                    report(format!(
+                        "the probe reads {}, ${} sits at {}",
+                        p.walk.join("/"),
+                        p.var,
+                        site.join("/")
+                    ));
+                }
+            }
+            sites => report(format!("${} occurs {} times in the pattern", p.var, sites.len())),
         }
     }
     issues
@@ -630,5 +739,42 @@ mod tests {
             Fingerprint::new(cols(&["a"])).with_card_bound(10),
         );
         assert!(audit(&[r]).is_empty());
+    }
+
+    #[test]
+    fn a_probe_is_admitted_only_where_conditions_a_to_d_hold() {
+        let ok = ProbeFacts {
+            probe: "$r".into(),
+            var: "r".into(),
+            vars: cols(&["r", "r"]),
+            binders: 1,
+            central: true,
+            occurrences: vec![cols(&["region", "$"])],
+            walk: cols(&["region", "$"]),
+            ..ProbeFacts::default()
+        };
+        assert!(audit_probes(std::slice::from_ref(&ok)).is_empty());
+        let attr = ProbeFacts {
+            occurrences: vec![cols(&["@id"])],
+            walk: cols(&["@id"]),
+            ..ok.clone()
+        };
+        assert!(audit_probes(&[attr]).is_empty());
+        let broken: Vec<(ProbeFacts, &str)> = vec![
+            (ProbeFacts { vars: cols(&["r", "t"]), ..ok.clone() }, "not $r alone"),
+            (ProbeFacts { calls: true, ..ok.clone() }, "calls a function"),
+            (ProbeFacts { failing_before: 1, ..ok.clone() }, "can fail"),
+            (ProbeFacts { binders: 2, ..ok.clone() }, "bound by 2 units"),
+            (ProbeFacts { central: false, ..ok.clone() }, "not matched centrally"),
+            (ProbeFacts { occurrences: vec![cols(&["region", "$"]); 2], ..ok.clone() }, "occurs 2 times"),
+            (ProbeFacts { occurrences: vec![cols(&["ELEMENT_AS"])], walk: cols(&["ELEMENT_AS"]), ..ok.clone() }, "not as content"),
+            (ProbeFacts { occurrences: vec![cols(&["**region", "$"])], walk: cols(&["**region", "$"]), ..ok.clone() }, "under plain names"),
+            (ProbeFacts { occurrences: vec![cols(&["part+", "@id"])], walk: cols(&["part+", "@id"]), ..ok.clone() }, "under plain names"),
+            (ProbeFacts { walk: cols(&["name", "$"]), ..ok.clone() }, "the probe reads name/$"),
+        ];
+        for (facts, why) in broken {
+            let issues = audit_probes(&[facts]);
+            assert!(issues.iter().any(|i| i.operator == "candidate-probe" && i.detail.contains(why)), "{}: {:?}", why, issues);
+        }
     }
 }

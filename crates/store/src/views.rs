@@ -53,6 +53,12 @@ pub struct MaterializedView {
     /// prints it (`full (first)`, `delta billing.orders 7500..7510`);
     /// empty for a document stored from outside.
     pub refreshed_by: String,
+    /// For a document the last refresh appended to
+    /// ([`ViewStore::append_marked`]): whether the rows went into the
+    /// stored document in place (`Some(true)`) or into a copy, because a
+    /// reader held the stored one (`Some(false)`). `None` when the
+    /// document was stored whole.
+    pub appended_in_place: Option<bool>,
 }
 
 impl MaterializedView {
@@ -117,8 +123,44 @@ impl ViewStore {
                 size_nodes,
                 marks,
                 refreshed_by: refreshed_by.to_string(),
+                appended_in_place: None,
             },
         );
+    }
+
+    /// Append the root children of `rows` to view `name`'s stored
+    /// document and restamp the entry — provided the entry is still the
+    /// one the rows continue: `definition` and the marks `from`. The
+    /// append is in place when nobody else holds the stored document's
+    /// `Arc`; otherwise it goes into a copy that replaces it, so a
+    /// reader's document never changes under it, and no reader sees a
+    /// half-appended one (the store's write lock is held throughout).
+    /// Returns whether it was in place; `None`, changing nothing, when the
+    /// entry is gone or has moved on.
+    #[allow(clippy::too_many_arguments)]
+    pub fn append_marked(
+        &self,
+        name: &str,
+        definition: &str,
+        from: &[ViewMark],
+        rows: &Document,
+        now: u64,
+        ttl: Option<u64>,
+        marks: Vec<ViewMark>,
+        refreshed_by: &str,
+    ) -> Option<bool> {
+        let mut views = self.views.write();
+        let v = views.get_mut(name).filter(|v| v.definition == definition && v.marks == from)?;
+        let in_place = Arc::get_mut(&mut v.document).is_some();
+        let document = Arc::make_mut(&mut v.document);
+        document.append_children(rows);
+        v.size_nodes = document.len();
+        v.refreshed_at = now;
+        v.ttl = ttl;
+        v.marks = marks;
+        v.refreshed_by = refreshed_by.to_string();
+        v.appended_in_place = Some(in_place);
+        Some(in_place)
     }
 
     /// Look up a view, counting the hit. Returns the stored document and
@@ -204,6 +246,34 @@ mod tests {
         assert_eq!((v.marks, v.hits, v.refreshed_by.as_str()), (vec![mark], 3, "full (first)"));
         store.materialize("v", "q", doc("<r/>"), 8, Some(5));
         assert!(store.peek("v").unwrap().marks.is_empty());
+    }
+
+    #[test]
+    fn an_append_is_in_place_unless_a_reader_holds_the_document() {
+        let store = ViewStore::new();
+        let mark = |upto| ViewMark {
+            collection: "billing.orders".into(),
+            generation: 1,
+            upto,
+        };
+        store.materialize_marked("v", "q", doc("<r><a/></r>"), 0, Some(5), vec![mark(1)], "full (first)");
+        let (held, _) = store.lookup("v", 0).unwrap();
+        let rows = doc("<r><b/></r>");
+        assert_eq!(store.append_marked("v", "q", &[mark(1)], &rows, 1, Some(5), vec![mark(2)], "delta"), Some(false));
+        // The reader's snapshot is the document it was handed.
+        assert_eq!(held.len(), 2);
+        drop(held);
+        let again = doc("<r><c/></r>");
+        assert_eq!(store.append_marked("v", "q", &[mark(2)], &again, 2, Some(5), vec![mark(3)], "delta"), Some(true));
+        let v = store.peek("v").unwrap();
+        assert_eq!((v.document.len(), v.size_nodes, v.hits), (4, 4, 1));
+        assert_eq!((v.marks, v.refreshed_at, v.appended_in_place), (vec![mark(3)], 2, Some(true)));
+        // Rows that continue other marks, or another definition, are not
+        // this entry's: nothing changes.
+        assert_eq!(store.append_marked("v", "q", &[mark(2)], &again, 3, Some(5), vec![mark(3)], "delta"), None);
+        assert_eq!(store.append_marked("v", "q2", &[mark(3)], &again, 3, Some(5), vec![mark(4)], "delta"), None);
+        assert_eq!(store.append_marked("w", "q", &[mark(3)], &again, 3, Some(5), vec![mark(4)], "delta"), None);
+        assert_eq!(store.peek("v").unwrap().document.len(), 4);
     }
 
     #[test]

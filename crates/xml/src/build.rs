@@ -353,6 +353,47 @@ impl DocumentBuilder {
     }
 }
 
+impl Document {
+    /// Append the children of `rows`' root behind this document's last
+    /// node, as children of its root: the tree a
+    /// [`reopen`](DocumentBuilder::reopen)ed copy with each child copied
+    /// in would hold, built without copying this document. `rows`' table
+    /// is appended in one pass with its links moved by the distance
+    /// between the two positions and its attribute runs re-homed; the
+    /// stamp is dropped, since the producer's numbers described the
+    /// document before.
+    pub fn append_children(&mut self, rows: &Document) {
+        if self.nodes.is_empty() || rows.nodes.len() <= 1 {
+            return;
+        }
+        // Node `i` of `rows` (the root is 0 and stays behind) lands at
+        // `base + i - 1`.
+        let base = self.nodes.len() as u32 - 1;
+        let attrs = self.attrs.len() as u32;
+        self.attrs.extend_from_slice(&rows.attrs);
+        self.nodes.reserve(rows.nodes.len() - 1);
+        for (i, n) in rows.nodes.iter().enumerate().skip(1) {
+            let mut payload = n.payload.clone();
+            if let Payload::Element { attrs: run, .. } = &mut payload {
+                *run += attrs;
+            }
+            self.nodes.push(NodeData {
+                payload,
+                parent: if n.parent == 0 { 0 } else { n.parent + base },
+                end: rows.end_of(i as u32) + base,
+            });
+        }
+        let len = self.nodes.len() as u32;
+        let added = rows.root_cursor().child_element_count() as u32;
+        let root = &mut self.nodes[0];
+        root.end = len;
+        if let Payload::Element { child_elements, .. } = &mut root.payload {
+            *child_elements += added;
+        }
+        self.stamp = None;
+    }
+}
+
 fn element(name: Sym) -> Payload {
     Payload::Element {
         name,
@@ -425,6 +466,29 @@ mod tests {
             twin.copy_subtree(&child);
         }
         assert!(twin.finish().root().deep_eq(&second.root()));
+    }
+
+    #[test]
+    fn appended_children_are_a_reopened_copy_with_them_copied_in() {
+        let mut stored = (*crate::parse::parse("<results><r k='1'><v>1</v></r>tail</results>").unwrap()).clone();
+        stored.stamp = Some([7, 0, 1]);
+        let rows = crate::parse::parse("<results z='9'><r k='2'><v a='x'>2</v><!--c--></r><s/></results>").unwrap();
+        let mut twin = DocumentBuilder::reopen(&stored, 0);
+        for child in rows.root().children() {
+            twin.copy_subtree(&child);
+        }
+        let twin = twin.finish();
+        stored.append_children(&rows);
+        let grown = Arc::new(stored);
+        assert!(grown.root().deep_eq(&twin.root()));
+        assert_eq!(to_string(&grown.root()), to_string(&twin.root()));
+        assert_eq!(grown.root_cursor().child_element_count(), 3);
+        assert_eq!(grown.root_cursor().subtree_size(), grown.len());
+        assert_eq!(grown.stamp(), None);
+        // Nothing to append changes nothing.
+        let mut same = (*grown).clone();
+        same.append_children(&Document::empty("results"));
+        assert_eq!(to_string(&Arc::new(same).root()), to_string(&grown.root()));
     }
 
     #[test]

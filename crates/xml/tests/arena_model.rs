@@ -4,7 +4,8 @@
 //! attributes (also after children), typed and empty text, comments,
 //! processing instructions, `leaf` with `Null`, `copy_subtree`,
 //! `copy_from` out of an unfinished builder, `mark`/`rollback` at random
-//! depths, `finish` with elements left open — and applies each step to a
+//! depths, `finish` with elements left open, then `Document::
+//! append_children` onto the finished document — and applies each step to a
 //! model kept here, whose nodes own a child list the way the arena's used
 //! to. The finished document must then agree with the model on every
 //! navigation, on values, on equality and on the bytes it prints; on the
@@ -541,6 +542,17 @@ fn arena_agrees_with_a_vec_of_children_model() {
             let reparsed = parse(&printed).unwrap_or_else(|e| panic!("{}: {}", e, printed));
             assert_eq!(to_string(&reparsed.root()), printed);
         }
+
+        // The donor's children appended behind this document's: in place
+        // as copying each under the root would.
+        let mut grown = (*doc).clone();
+        grown.append_children(&donated);
+        let mut with = m.clone();
+        with.open = vec![0];
+        for &c in &donor.0.m.nodes[0].children {
+            with.copy(&donor.0.m, c);
+        }
+        compare(&Arc::new(grown), &with);
 
         // The donor's own builder, read while unfinished above.
         let (Pair { b, m, .. }, _) = donor;

@@ -1,8 +1,10 @@
 //! Warehousing vs. virtual integration (§3.3): materialized views over
 //! the mediated schema, freshness, refresh, and view selection.
 
-use nimble::core::{Catalog, Engine};
+use nimble::core::{Catalog, Engine, UnavailablePolicy};
+use nimble::frontend::ManagementConsole;
 use nimble::sources::relational::RelationalAdapter;
+use nimble::sources::sim::{LinkConfig, SimulatedLink};
 use nimble::sources::{
     Capabilities, CollectionInfo, SourceAdapter, SourceError, SourceKind, SourceQuery,
 };
@@ -195,10 +197,8 @@ const C360: &str = r#"WHERE <row><id>$i</id><name>$n</name><region>$r</region></
 CONSTRUCT <c360><id>$i</id><name>$n</name><region>$r</region><oid>$o</oid><total>$t</total></c360>"#;
 
 /// 2 500 customers in `crm`, 7 500 orders in `billing` (the last one for
-/// a customer 9999 that is not there yet), `customer360` over both; returns the two databases' adapters beside the engine.
-fn customer360(
-    charged: &Arc<(AtomicU64, AtomicU64)>,
-) -> (Engine, Arc<RelationalAdapter>, Arc<RelationalAdapter>) {
+/// a customer 9999 that is not there yet).
+fn c360_databases() -> (Arc<RelationalAdapter>, Arc<RelationalAdapter>) {
     let customers: Vec<String> = (0..2_500)
         .map(|i| format!("({}, 'c{}', '{}')", i, i, ["NW", "SW", "NE", "SE"][i % 4]))
         .collect();
@@ -225,6 +225,15 @@ fn customer360(
         )
         .unwrap(),
     );
+    (crm, billing)
+}
+
+/// [`c360_databases`] with `customer360` over both; returns the two
+/// databases' adapters beside the engine.
+fn customer360(
+    charged: &Arc<(AtomicU64, AtomicU64)>,
+) -> (Engine, Arc<RelationalAdapter>, Arc<RelationalAdapter>) {
+    let (crm, billing) = c360_databases();
     let catalog = Catalog::new();
     for adapter in [&crm, &billing] {
         catalog
@@ -401,4 +410,82 @@ fn a_write_costs_the_catalog_one_empty_answer() {
     assert_eq!(engine.plan_cache().stats().invalidations, invalidations);
     let m = engine.metrics_snapshot();
     assert_eq!((m.gauge("stats.sample.appended"), m.gauge("stats.sample.resampled")), (1, 0));
+}
+
+/// Ten orders past the ones `billing` holds, for existing customers.
+fn ten_orders(billing: &RelationalAdapter) {
+    let next = billing.estimated_rows("orders").unwrap();
+    let batch: Vec<String> = (next..next + 10).map(|o| format!("({}, {}, 1.5)", o, o % 2_500)).collect();
+    billing
+        .database()
+        .write()
+        .execute(&format!("INSERT INTO orders VALUES {}", batch.join(", ")))
+        .unwrap();
+}
+
+/// A delta refresh appends to the stored document in place — unless a
+/// reader holds it: then the rows go into a copy, and the reader's
+/// document stays what it was, byte for byte.
+#[test]
+fn a_reader_holding_the_view_keeps_its_snapshot() {
+    let charged = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
+    let (engine, _crm, billing) = customer360(&charged);
+    let engine = Arc::new(engine);
+    engine.materialize_view("customer360", None).unwrap();
+    let refresh = || {
+        ten_orders(&billing);
+        engine.clock().advance(101);
+        assert_eq!(engine.refresh_stale_views(), ["customer360"]);
+        engine.views().peek("customer360").unwrap()
+    };
+
+    let held = engine.views().peek("customer360").unwrap().document;
+    let before = to_string(&held.root());
+    let copied = refresh();
+    assert_eq!(to_string(&held.root()), before);
+    assert_eq!((copied.refreshed_by.as_str(), copied.appended_in_place), ("delta billing.orders 7500..7510", Some(false)));
+    assert_eq!(copied.document.root_cursor().child_element_count(), 7_509);
+    drop((held, copied));
+
+    let in_place = refresh();
+    assert_eq!(in_place.appended_in_place, Some(true));
+    assert_eq!(in_place.document.root_cursor().child_element_count(), 7_519);
+    assert_eq!(in_place.size_nodes, in_place.document.len());
+    let m = engine.metrics_snapshot();
+    assert_eq!((m.counter("engine.view.refresh.copied"), m.counter("engine.view.refresh.in_place")), (1, 1));
+    let console = ManagementConsole::new(Arc::clone(&engine)).render();
+    assert!(console.contains("delta billing.orders 7510..7520, in place"), "{}", console);
+}
+
+/// A refresh's answers are floored, and none of them is kept for the
+/// stale fallback, which no refresh reads (it takes no stale answer) and
+/// no query can (the floor is in the key). A query's own answer still
+/// stands in while its source is down.
+#[test]
+fn no_refresh_answer_is_kept_for_the_stale_fallback() {
+    let (crm, billing) = c360_databases();
+    let link = SimulatedLink::new(Arc::clone(&billing) as _, LinkConfig::default());
+    let catalog = Catalog::new();
+    catalog.register_source(crm).unwrap();
+    catalog.register_source(Arc::clone(&link) as _).unwrap();
+    catalog.define_view("customer360", C360, Some(100)).unwrap();
+    let engine = Engine::new(Arc::new(catalog));
+    engine.materialize_view("customer360", None).unwrap();
+    for _ in 0..3 {
+        ten_orders(&billing);
+        engine.catalog().note_source_mutation("billing");
+        engine.clock().advance(101);
+        assert_eq!(engine.refresh_stale_views(), ["customer360"]);
+    }
+    assert_eq!(engine.views().peek("customer360").unwrap().refreshed_by, "delta billing.orders 7520..7530");
+    assert_eq!(engine.cache().stats().current_size, 0);
+
+    engine.set_unavailable_policy(UnavailablePolicy::StaleCache);
+    let q = r#"WHERE <row><oid>$o</oid><total>$t</total></row> IN "orders", $t < 2 CONSTRUCT <o>$o</o>"#;
+    let live = engine.query(q).unwrap();
+    assert!(live.complete && !live.stale && engine.cache().stats().current_size > 0);
+    link.set_up(false);
+    let fallback = engine.query(q).unwrap();
+    assert!(fallback.stale, "{:?}", fallback.missing_sources);
+    assert_eq!(to_string(&fallback.document.root()), to_string(&live.document.root()));
 }
