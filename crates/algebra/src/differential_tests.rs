@@ -1,10 +1,10 @@
 //! Deterministic tests of the value-equality edges: the hash join's
-//! typed key is held to a written-down relation (`join_classes`), the
-//! index sort to a stable `Value::total_cmp` sort, and DISTINCT
-//! and grouping to their lexical-key semantics. The edges under test:
+//! typed key is held to a written-down relation (`join_classes`), and
+//! the index sort to a stable `Value::total_cmp` sort. The edges under
+//! test:
 //!
-//! * `NaN` — all NaNs collapse to one join/group key.
-//! * `0.0` vs `-0.0` — distinct (their lexical forms differ).
+//! * `NaN` — all NaNs collapse to one join key.
+//! * `0.0` vs `-0.0` — distinct.
 //! * `2^53` and `2^53 + 1` — the boundary where `i64` leaves the f64
 //!   numeric class for the exact-int class.
 //! * `""` — the empty string is a real string key, distinct from null.
@@ -14,7 +14,7 @@
 //!
 //! The fixed-input counterpart of the seeded sweeps in `tests/props.rs`.
 
-use crate::ops::{DistinctOp, GroupAggOp, HashJoinOp, JoinType, Operator, SortKey, SortOp, ValuesOp};
+use crate::ops::{HashJoinOp, JoinType, Operator, SortKey, SortOp, ValuesOp};
 use crate::run_to_vec;
 use crate::schema::{Schema, Tuple};
 use nimble_xml::{Atomic, Sym, Value};
@@ -190,43 +190,6 @@ fn hash_join_equality_classes_are_the_written_relation() {
 }
 
 #[test]
-fn left_outer_pads_exactly_the_unmatched_probe_rows() {
-    // Build side holds one member of some classes; a probe row is padded
-    // with nulls iff its class is absent from the build side.
-    let classes = join_classes();
-    let built: Vec<u32> = vec![1, 6, 7, 8];
-    let build_rows: Vec<Tuple> = built
-        .iter()
-        .map(|c| {
-            let (_, v) = classes.iter().find(|(k, _)| k == c).unwrap();
-            vec![v.clone()]
-        })
-        .collect();
-    for parallel in [false, true] {
-        let left = ValuesOp::new(
-            Schema::new(vec!["k".into()]),
-            classes.iter().map(|(_, v)| vec![v.clone()]).collect(),
-        );
-        let right = ValuesOp::new(Schema::new(vec!["k2".into()]), build_rows.clone());
-        let mut join =
-            HashJoinOp::new(Box::new(left), Box::new(right), vec![0], vec![0], JoinType::LeftOuter)
-                .vectorized(parallel);
-        let rows = crate::run_to_vec_batched(&mut join, 4).unwrap().0;
-        assert_eq!(rows.len(), classes.len());
-        for ((class, _), row) in classes.iter().zip(&rows) {
-            // Class 6 is null itself: matched, and its partner is null.
-            let matched = built.contains(class);
-            assert_eq!(
-                row[1].is_null(),
-                !matched || *class == 6,
-                "class {class} parallel={parallel}: {:?}",
-                row
-            );
-        }
-    }
-}
-
-#[test]
 fn sort_matches_stable_total_cmp_on_edges() {
     // The specification of ORDER-BY: a stable sort under
     // `Value::total_cmp`. The operator's index sort must produce that
@@ -243,67 +206,4 @@ fn sort_matches_stable_total_cmp_on_edges() {
             SortOp::new(Box::new(one_col_source("x", edge_values())), key).vectorized(parallel);
         assert_eq!(rows_rendered(&mut op), want, "parallel={parallel}");
     }
-}
-
-#[test]
-fn distinct_treats_sym_and_str_identically() {
-    let vals = vec![
-        Value::Atomic(Atomic::Str("apple".to_string())),
-        Value::Atomic(Atomic::Sym(Sym::intern("apple"))),
-        Value::Atomic(Atomic::Str(String::new())),
-        Value::Atomic(Atomic::Null),
-        Value::Atomic(Atomic::Float(f64::NAN)),
-        Value::Atomic(Atomic::Float(f64::NAN)),
-        Value::Atomic(Atomic::Float(0.0)),
-        Value::Atomic(Atomic::Float(-0.0)),
-    ];
-    let mut op = DistinctOp::new(Box::new(one_col_source("x", vals)));
-    let rows = rows_rendered(&mut op);
-    // DISTINCT keys on the *lexical* form (unchanged pre-interning
-    // semantics): Sym/Str apples merge, NaNs merge, null merges with
-    // the empty string (both render to empty text), 0.0 and -0.0 stay
-    // apart => 5 rows.
-    assert_eq!(rows.len(), 5, "rows: {:?}", rows);
-    assert_eq!(rows.iter().filter(|r| *r == "apple").count(), 1);
-    assert_eq!(rows.iter().filter(|r| r.contains("NaN")).count(), 1);
-}
-
-#[test]
-fn group_keys_preserve_coercion_edges() {
-    // Group a count over the edge column: group cardinality is exactly
-    // DISTINCT cardinality under lexical-key semantics.
-    let vals = vec![
-        Value::Atomic(Atomic::Str("x".to_string())),
-        Value::Atomic(Atomic::Sym(Sym::intern("x"))),
-        Value::Atomic(Atomic::Float(f64::NAN)),
-        Value::Atomic(Atomic::Float(f64::NAN)),
-        Value::Atomic(Atomic::Float(0.0)),
-        Value::Atomic(Atomic::Float(-0.0)),
-        Value::Atomic(Atomic::Str(String::new())),
-        Value::Atomic(Atomic::Null),
-    ];
-    let src = one_col_source("x", vals);
-    let mut op = GroupAggOp::new(
-        Box::new(src),
-        vec![0],
-        vec![crate::ops::AggSpec {
-            func: crate::AggFunc::Count,
-            input: None,
-            output: "n".to_string(),
-        }],
-    );
-    let rows = run_to_vec(&mut op).unwrap();
-    // Lexical group keys (unchanged pre-interning semantics): x
-    // (Sym+Str merged), NaN (merged), 0.0, -0.0, ""+null (both render
-    // empty) => 5 groups.
-    assert_eq!(rows.len(), 5, "groups: {:?}", rows);
-    let counts: Vec<i64> = rows
-        .iter()
-        .map(|t| match t[1].atomize() {
-            Atomic::Int(i) => i,
-            other => panic!("count must be an int, got {:?}", other),
-        })
-        .collect();
-    assert_eq!(counts.iter().sum::<i64>(), 8);
-    assert_eq!(counts.iter().filter(|&&c| c == 2).count(), 3);
 }

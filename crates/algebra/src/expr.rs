@@ -33,19 +33,6 @@ pub enum ArithOp {
     Mod,
 }
 
-/// Aggregate functions for [`crate::ops::GroupAggOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-    /// Collect input values into a `Value::List` preserving arrival order
-    /// (used by Skolem-ID grouping in CONSTRUCT).
-    Collect,
-}
-
 /// A scalar expression tree over tuple columns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScalarExpr {

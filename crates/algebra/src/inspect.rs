@@ -6,8 +6,8 @@
 //! execution. [`OpInfo`] closes that gap: every [`Operator`] can describe
 //! — without running — which scalar expressions it evaluates, how its
 //! output schema is derived from its children, and what ordering it
-//! requires or establishes. `nimble-planck` consumes this metadata to
-//! verify whole plans statically.
+//! establishes. `nimble-planck` consumes this metadata to verify whole
+//! plans statically.
 //!
 //! The default [`Operator::introspect`] is conservative: an opaque node
 //! whose schema the verifier accepts as-is. Operators opt in to stronger
@@ -26,7 +26,7 @@ use std::fmt;
 /// everything else compares lexically, and element-valued bindings are
 /// structural. `Unknown` is the lattice top for *tolerance* — it joins
 /// with anything without complaint — while `Mixed` records a witnessed
-/// disagreement (e.g. union arms typing a column differently) and
+/// disagreement (e.g. exchange arms typing a column differently) and
 /// `Never` marks a column that is declared to never be bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldType {
@@ -157,16 +157,16 @@ impl fmt::Display for FieldDomain {
 pub enum SchemaRule {
     /// A leaf: no children, the schema is self-contained.
     Source,
-    /// Output schema equals the schema of child `i` (filters, sorts,
-    /// limits, distinct).
+    /// Output schema equals the schema of child `i` (filters, sorts).
     Inherit(usize),
     /// Output schema is `children[0].schema().concat(children[1].schema())`
     /// — the join contract; collision columns are renamed `var#2`.
     Concat,
     /// Output schema extends child `i`'s schema: the child's columns are a
-    /// prefix, new columns are appended (navigation, pattern binding).
+    /// prefix, new columns are appended (pattern binding).
     Extends(usize),
-    /// All children share the output schema exactly (set operations).
+    /// All children share the output schema exactly (an exchange's
+    /// shard arms).
     Uniform,
     /// Each output column is produced by one entry of
     /// [`OpInfo::child_exprs`] over child 0 (projection).
@@ -182,8 +182,7 @@ pub enum OrderEffect {
     /// Establishes the ordering given by [`OpInfo::sort_keys`]
     /// regardless of input order.
     Establishes,
-    /// Preserves whatever ordering child `i` delivers (column indices are
-    /// remapped through [`OpInfo::projection_map`] when present).
+    /// Preserves whatever ordering child `i` delivers.
     Preserves(usize),
     /// Destroys or does not guarantee any ordering.
     Unknown,
@@ -203,7 +202,7 @@ pub struct ChildExpr {
 #[derive(Debug, Clone)]
 pub struct ChildCol {
     pub child: usize,
-    /// Human-readable role for diagnostics (`"group key"`, `"agg input"`).
+    /// Human-readable role for diagnostics (`"bind-pattern input"`).
     pub role: String,
     pub col: usize,
 }
@@ -213,15 +212,6 @@ pub struct ChildCol {
 pub struct JoinKeys {
     pub left: Vec<usize>,
     pub right: Vec<usize>,
-}
-
-/// Grouping structure of an aggregation operator.
-#[derive(Debug, Clone)]
-pub struct Grouping {
-    /// Group-key columns into child 0's schema, in output order.
-    pub cols: Vec<usize>,
-    /// Number of aggregate output columns following the group keys.
-    pub agg_outputs: usize,
 }
 
 /// Static metadata describing one operator node.
@@ -242,21 +232,12 @@ pub struct OpInfo {
     pub join_predicate: Option<ScalarExpr>,
     /// Equi-join keys, bounds-checked against both child schemas.
     pub join_keys: Option<JoinKeys>,
-    /// Orderings the operator's children must provably deliver
-    /// (`(child index, key)`), e.g. merge join inputs.
-    pub requires_sorted: Vec<(usize, SortKey)>,
     /// The ordering this operator establishes when
     /// [`OpInfo::order`] is [`OrderEffect::Establishes`].
     pub sort_keys: Vec<SortKey>,
-    /// Grouping structure, when the operator aggregates.
-    pub grouping: Option<Grouping>,
-    /// Plain column references into child schemas (navigation input,
-    /// aggregate inputs).
+    /// Plain column references into child schemas (the node column a
+    /// pattern binding reads).
     pub child_cols: Vec<ChildCol>,
-    /// For [`SchemaRule::PerColumnExprs`]: `Some(i)` when the output
-    /// column at that position is a pure copy of child column `i`. Lets
-    /// the verifier carry sort orders through projections.
-    pub projection_map: Option<Vec<Option<usize>>>,
     /// Declared typed domains of this operator's output columns (one per
     /// schema column), for leaves that know their types. `None` means
     /// "infer from children"; the semantic type pass fills the gap with
@@ -278,11 +259,8 @@ impl OpInfo {
             child_exprs: Vec::new(),
             join_predicate: None,
             join_keys: None,
-            requires_sorted: Vec::new(),
             sort_keys: Vec::new(),
-            grouping: None,
             child_cols: Vec::new(),
-            projection_map: None,
             out_types: None,
             provenance: Vec::new(),
         }
@@ -333,18 +311,8 @@ impl OpInfo {
         self
     }
 
-    pub fn with_required_sort(mut self, child: usize, key: SortKey) -> OpInfo {
-        self.requires_sorted.push((child, key));
-        self
-    }
-
     pub fn with_sort_keys(mut self, keys: Vec<SortKey>) -> OpInfo {
         self.sort_keys = keys;
-        self
-    }
-
-    pub fn with_grouping(mut self, cols: Vec<usize>, agg_outputs: usize) -> OpInfo {
-        self.grouping = Some(Grouping { cols, agg_outputs });
         self
     }
 
@@ -354,11 +322,6 @@ impl OpInfo {
             role: role.into(),
             col,
         });
-        self
-    }
-
-    pub fn with_projection_map(mut self, map: Vec<Option<usize>>) -> OpInfo {
-        self.projection_map = Some(map);
         self
     }
 

@@ -23,19 +23,24 @@
 //!
 //! ## Operators
 //!
-//! * [`ops::ValuesOp`] — in-memory tuple source.
+//! Exactly the operators the mediator's planner emits — XML-QL has no
+//! DISTINCT, LIMIT or outer join, and CONSTRUCT groups and aggregates
+//! over Skolem ids itself:
+//!
+//! * [`ops::ValuesOp`], [`ops::LazySourceOp`] — in-memory tuple sources
+//!   (the second fetches on `open`).
 //! * [`ops::FilterOp`] — predicate selection.
 //! * [`ops::ProjectOp`] — projection / computed columns / renaming.
-//! * [`ops::NestedLoopJoinOp`], [`ops::HashJoinOp`] (inner & left-outer),
-//!   [`ops::MergeJoinOp`] — joins.
-//! * [`ops::UnionOp`], [`ops::DistinctOp`] — set operations.
+//! * [`ops::HashJoinOp`] (equi-join), [`ops::NestedLoopJoinOp`]
+//!   (arbitrary predicate) — inner joins.
 //! * [`ops::SortOp`] — order by value with document-order tiebreak.
-//! * [`ops::GroupAggOp`] — grouping with COUNT/SUM/MIN/MAX/AVG/COLLECT.
-//! * [`ops::NavigateOp`] — path navigation, the XML-specific operator
-//!   that flattens "up, down and sideways" traversals into bindings.
-//! * [`ops::LimitOp`] — row limiting.
 //! * [`ops::ExchangeOp`] — scatter-gather over shard-local subtrees
 //!   (parallel gather on the morsel pool, partial-merge on shard loss).
+//! * [`ops::EmptyOp`] — a subtree the planner proved empty.
+//! * [`ops::MeteredOp`] — EXPLAIN ANALYZE's timing wrapper.
+//!
+//! Pattern binding over fetched documents is an operator of the
+//! mediator's own (`BindPatternOp` in `nimble-core`).
 //!
 //! ```
 //! use nimble_algebra::{ops, Schema, ScalarExpr, CmpOp, FunctionRegistry, run_to_vec};
@@ -63,7 +68,7 @@ pub(crate) mod par;
 pub mod schema;
 
 pub use error::ExecError;
-pub use expr::{AggFunc, ArithOp, CmpOp, ScalarExpr};
+pub use expr::{ArithOp, CmpOp, ScalarExpr};
 pub use par::{par_tasks, pool_stats};
 pub use funcs::FunctionRegistry;
 pub use inspect::{OpInfo, OrderEffect, SchemaRule};

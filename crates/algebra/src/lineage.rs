@@ -240,17 +240,16 @@ mod tests {
     }
 
     #[test]
-    fn masks_flow_through_filter_sort_join_distinct() {
+    fn masks_flow_through_filter_sort_join() {
         use crate::expr::{CmpOp, ScalarExpr};
         use crate::funcs::FunctionRegistry;
-        use crate::ops::{DistinctOp, FilterOp, HashJoinOp, JoinType, Operator, SortKey, SortOp};
+        use crate::ops::{FilterOp, HashJoinOp, JoinType, Operator, SortKey, SortOp};
         use crate::{run_to_vec, run_to_vec_batched};
         use std::sync::Arc;
 
         // left(src 0): k in {1,2,3}, filtered to k >= 2; right(src 1):
-        // k in {2,3,4}. Joined rows must carry {0,1}; sort reorders them
-        // without losing alignment; distinct keeps the masks of the
-        // emitted representatives.
+        // k in {2,3,4}. Joined rows must carry {0,1}, and the sort
+        // reorders them without losing alignment.
         for batched in [false, true] {
             let left = tagged(&["k"], &[&[1], &[3], &[2]], 0);
             let right = tagged(&["k2"], &[&[2], &[3], &[4]], 1);
@@ -266,14 +265,13 @@ mod tests {
                 vec![0],
                 JoinType::Inner,
             );
-            let sort = SortOp::new(
+            let mut plan = SortOp::new(
                 Box::new(join),
                 vec![SortKey {
                     column: 0,
                     descending: true,
                 }],
             );
-            let mut plan = DistinctOp::new(Box::new(sort));
             let rows = if batched {
                 run_to_vec_batched(&mut plan, 4).unwrap().0
             } else {
@@ -308,31 +306,5 @@ mod tests {
         );
         assert_eq!(run_to_vec(&mut join).unwrap().len(), 1);
         assert!(join.lineage().is_none());
-    }
-
-    #[test]
-    fn left_outer_pad_carries_probe_mask_only() {
-        use crate::ops::{HashJoinOp, JoinType, Operator};
-        use crate::run_to_vec;
-
-        let left = tagged(&["k"], &[&[1], &[5]], 0);
-        let right = tagged(&["k2"], &[&[1]], 1);
-        let mut join = HashJoinOp::new(
-            Box::new(left),
-            Box::new(right),
-            vec![0],
-            vec![0],
-            JoinType::LeftOuter,
-        );
-        let rows = run_to_vec(&mut join).unwrap();
-        assert_eq!(rows.len(), 2);
-        let masks = join.lineage().expect("both sides track");
-        assert_eq!(
-            masks,
-            [
-                LineageMask::single(0).or(LineageMask::single(1)),
-                LineageMask::single(0),
-            ]
-        );
     }
 }

@@ -1,10 +1,10 @@
-//! Join operators: nested-loop (arbitrary predicates), hash (equi-join,
-//! inner and left-outer), and merge (pre-sorted single-key inputs).
+//! Join operators: nested-loop (arbitrary predicates) and hash
+//! (equi-join). Both are inner joins.
 //!
 //! All joins output `left.schema ++ right.schema` (planners deduplicate
 //! shared variables with a projection above the join when needed).
 
-use super::{BoxedOp, Operator, ParProfile, SortKey};
+use super::{BoxedOp, Operator, ParProfile};
 use crate::error::ExecError;
 use crate::expr::ScalarExpr;
 use crate::funcs::FunctionRegistry;
@@ -16,11 +16,11 @@ use nimble_xml::{Sym, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Inner or left-outer semantics (outer pads right columns with nulls).
+/// Join semantics, named in EXPLAIN. XML-QL has no outer join, so a
+/// join emits only the pairs that match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinType {
     Inner,
-    LeftOuter,
 }
 
 fn concat_tuples(left: &Tuple, right: &Tuple) -> Tuple {
@@ -44,7 +44,6 @@ pub struct NestedLoopJoinOp {
     right_rows: Vec<Tuple>,
     current_left: Option<Tuple>,
     right_cursor: usize,
-    current_matched: bool,
     rows_out: u64,
     est_rows: Option<u64>,
     mem_bytes: u64,
@@ -76,7 +75,6 @@ impl NestedLoopJoinOp {
             right_rows: Vec::new(),
             current_left: None,
             right_cursor: 0,
-            current_matched: false,
             rows_out: 0,
             est_rows: None,
             mem_bytes: 0,
@@ -85,12 +83,6 @@ impl NestedLoopJoinOp {
             cur_left_mask: LineageMask::EMPTY,
             left_consumed: 0,
         }
-    }
-
-    fn null_padded(&self, left: &Tuple) -> Tuple {
-        let mut out = left.clone();
-        out.extend(std::iter::repeat_n(Value::null(), self.right.schema().len()));
-        out
     }
 }
 
@@ -137,7 +129,6 @@ impl Operator for NestedLoopJoinOp {
                         }
                         self.current_left = Some(t.clone());
                         self.right_cursor = 0;
-                        self.current_matched = false;
                         t
                     }
                 },
@@ -151,7 +142,6 @@ impl Operator for NestedLoopJoinOp {
                     Some(p) => p.eval_bool(&combined, &self.funcs)?,
                 };
                 if ok {
-                    self.current_matched = true;
                     if let Some(lin) = &mut self.lin {
                         let rm = self
                             .right_lin
@@ -166,17 +156,7 @@ impl Operator for NestedLoopJoinOp {
                 }
             }
             // Exhausted right side for this left tuple.
-            let emit_outer = self.join_type == JoinType::LeftOuter && !self.current_matched;
             self.current_left = None;
-            if emit_outer {
-                // A null-padded row owes its existence to the left input
-                // alone.
-                if let Some(lin) = &mut self.lin {
-                    lin.push(self.cur_left_mask);
-                }
-                self.rows_out += 1;
-                return Ok(Some(self.null_padded(&left)));
-            }
         }
     }
 
@@ -603,29 +583,17 @@ impl Operator for HashJoinOp {
             } else {
                 None
             };
-            match self.index.probe(&left, &self.left_keys, &mut self.probe_key) {
-                Some(idxs) => {
-                    for &i in idxs {
-                        self.pending
-                            .push(concat_tuples(&left, &self.build_rows[i as usize]));
-                    }
-                    if let Some(lm) = lm {
-                        self.pending_lin
-                            .extend(joined_masks(lm, &self.build_lin, idxs));
-                    }
+            if let Some(idxs) = self
+                .index
+                .probe(&left, &self.left_keys, &mut self.probe_key)
+            {
+                for &i in idxs {
+                    self.pending
+                        .push(concat_tuples(&left, &self.build_rows[i as usize]));
                 }
-                None => {
-                    if self.join_type == JoinType::LeftOuter {
-                        let mut padded = left;
-                        padded.extend(std::iter::repeat_n(
-                            Value::null(),
-                            self.right.schema().len(),
-                        ));
-                        self.pending.push(padded);
-                        if let Some(lm) = lm {
-                            self.pending_lin.push(lm);
-                        }
-                    }
+                if let Some(lm) = lm {
+                    self.pending_lin
+                        .extend(joined_masks(lm, &self.build_lin, idxs));
                 }
             }
         }
@@ -670,36 +638,28 @@ impl Operator for HashJoinOp {
                 } else {
                     None
                 };
-                match self.index.probe(&left, &self.left_keys, &mut self.probe_key) {
-                    Some(idxs) => {
-                        // Clone the probe tuple for all matches but the
-                        // last, which takes ownership (one probe row's
-                        // fan-out may overshoot `max`).
-                        appended += idxs.len();
-                        let (last, init) = match idxs.split_last() {
-                            Some(p) => p,
-                            None => continue, // buckets are never empty
-                        };
-                        for &i in init {
-                            out.push(concat_tuples(&left, &self.build_rows[i as usize]));
-                        }
-                        left.reserve(right_width);
-                        left.extend(self.build_rows[*last as usize].iter().cloned());
-                        out.push(left);
-                        if let (Some(lm), Some(lin)) = (lm, self.lin.as_mut()) {
-                            lin.extend(joined_masks(lm, &self.build_lin, idxs));
-                        }
-                    }
-                    None => {
-                        if self.join_type == JoinType::LeftOuter {
-                            left.extend(std::iter::repeat_n(Value::null(), right_width));
-                            out.push(left);
-                            appended += 1;
-                            if let (Some(lm), Some(lin)) = (lm, self.lin.as_mut()) {
-                                lin.push(lm);
-                            }
-                        }
-                    }
+                let Some(idxs) = self
+                    .index
+                    .probe(&left, &self.left_keys, &mut self.probe_key)
+                else {
+                    continue;
+                };
+                // Clone the probe tuple for all matches but the last,
+                // which takes ownership (one probe row's fan-out may
+                // overshoot `max`).
+                appended += idxs.len();
+                let (last, init) = match idxs.split_last() {
+                    Some(p) => p,
+                    None => continue, // buckets are never empty
+                };
+                for &i in init {
+                    out.push(concat_tuples(&left, &self.build_rows[i as usize]));
+                }
+                left.reserve(right_width);
+                left.extend(self.build_rows[*last as usize].iter().cloned());
+                out.push(left);
+                if let (Some(lm), Some(lin)) = (lm, self.lin.as_mut()) {
+                    lin.extend(joined_masks(lm, &self.build_lin, idxs));
                 }
             }
         }
@@ -758,176 +718,6 @@ impl Operator for HashJoinOp {
     }
 }
 
-// --- Merge join ---
-
-/// Single-key inner equi-join over inputs sorted ascending on their key
-/// columns. Verifies sortedness as it goes and errors otherwise.
-pub struct MergeJoinOp {
-    left: BoxedOp,
-    right: BoxedOp,
-    left_key: usize,
-    right_key: usize,
-    schema: Schema,
-    left_cur: Option<Tuple>,
-    right_group: Vec<Tuple>,
-    right_next: Option<Tuple>,
-    group_cursor: usize,
-    rows_out: u64,
-}
-
-impl MergeJoinOp {
-    pub fn new(left: BoxedOp, right: BoxedOp, left_key: usize, right_key: usize) -> Self {
-        let schema = left.schema().concat(right.schema());
-        MergeJoinOp {
-            left,
-            right,
-            left_key,
-            right_key,
-            schema,
-            left_cur: None,
-            right_group: Vec::new(),
-            right_next: None,
-            group_cursor: 0,
-            rows_out: 0,
-        }
-    }
-
-    fn advance_left(&mut self) -> Result<(), ExecError> {
-        let next = self.left.next()?;
-        if let (Some(prev), Some(cur)) = (&self.left_cur, &next) {
-            if prev[self.left_key].total_cmp(&cur[self.left_key]) == std::cmp::Ordering::Greater {
-                return Err(ExecError::Operator(
-                    "merge join: left input not sorted on key".into(),
-                ));
-            }
-        }
-        self.left_cur = next;
-        self.group_cursor = 0;
-        Ok(())
-    }
-
-    /// Load the next run of equal-keyed right tuples into `right_group`.
-    fn load_right_group(&mut self) -> Result<(), ExecError> {
-        self.right_group.clear();
-        let first = match self.right_next.take() {
-            Some(t) => t,
-            None => match self.right.next()? {
-                Some(t) => t,
-                None => return Ok(()),
-            },
-        };
-        let key = first[self.right_key].clone();
-        self.right_group.push(first);
-        loop {
-            match self.right.next()? {
-                None => break,
-                Some(t) => {
-                    match key.total_cmp(&t[self.right_key]) {
-                        std::cmp::Ordering::Equal => self.right_group.push(t),
-                        std::cmp::Ordering::Less => {
-                            self.right_next = Some(t);
-                            break;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            return Err(ExecError::Operator(
-                                "merge join: right input not sorted on key".into(),
-                            ))
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Operator for MergeJoinOp {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<(), ExecError> {
-        self.rows_out = 0;
-        self.left.open()?;
-        self.right.open()?;
-        self.left_cur = None;
-        self.right_next = None;
-        self.right_group.clear();
-        self.advance_left()?;
-        self.load_right_group()?;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        loop {
-            let left = match &self.left_cur {
-                None => return Ok(None),
-                Some(t) => t.clone(),
-            };
-            if self.right_group.is_empty() {
-                return Ok(None);
-            }
-            let lk = &left[self.left_key];
-            let rk = &self.right_group[0][self.right_key];
-            match lk.total_cmp(rk) {
-                std::cmp::Ordering::Less => {
-                    self.advance_left()?;
-                }
-                std::cmp::Ordering::Greater => {
-                    self.load_right_group()?;
-                }
-                std::cmp::Ordering::Equal => {
-                    if self.group_cursor < self.right_group.len() {
-                        let combined =
-                            concat_tuples(&left, &self.right_group[self.group_cursor]);
-                        self.group_cursor += 1;
-                        self.rows_out += 1;
-                        return Ok(Some(combined));
-                    }
-                    self.advance_left()?;
-                }
-            }
-        }
-    }
-
-    fn close(&mut self) {
-        self.left.close();
-        self.right.close();
-        self.right_group.clear();
-    }
-
-    fn describe(&self) -> String {
-        format!("MergeJoin keys {}={}", self.left_key, self.right_key)
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.left.as_ref(), self.right.as_ref()]
-    }
-
-    fn rows_out(&self) -> u64 {
-        self.rows_out
-    }
-
-    fn introspect(&self) -> OpInfo {
-        OpInfo::new("MergeJoin", SchemaRule::Concat)
-            .with_join_keys(vec![self.left_key], vec![self.right_key])
-            .with_required_sort(
-                0,
-                SortKey {
-                    column: self.left_key,
-                    descending: false,
-                },
-            )
-            .with_required_sort(
-                1,
-                SortKey {
-                    column: self.right_key,
-                    descending: false,
-                },
-            )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -956,23 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_loop_left_outer() {
-        let left = int_source(&["a"], &[&[1], &[9]]);
-        let right = int_source(&["b"], &[&[1]]);
-        let pred = ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::Col(0), ScalarExpr::Col(1));
-        let mut op = NestedLoopJoinOp::new(
-            Box::new(left),
-            Box::new(right),
-            Some(pred),
-            JoinType::LeftOuter,
-            Arc::new(FunctionRegistry::with_builtins()),
-        );
-        let rows = run_to_vec(&mut op).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert!(rows[1][1].is_null());
-    }
-
-    #[test]
     fn hash_join_inner() {
         let left = int_source(&["k", "x"], &[&[1, 10], &[2, 20], &[2, 21], &[3, 30]]);
         let right = int_source(&["k2", "y"], &[&[2, 200], &[3, 300], &[4, 400]]);
@@ -991,57 +764,6 @@ mod tests {
         let right = int_source(&["k", "y"], &[&[1, 99], &[2, 98]]);
         let mut op = HashJoinOp::natural(Box::new(left), Box::new(right), JoinType::Inner);
         assert_eq!(rows_of(&mut op), vec![vec![1, 10, 1, 99]]);
-    }
-
-    #[test]
-    fn hash_join_left_outer_pads_nulls() {
-        let left = int_source(&["k"], &[&[1], &[5]]);
-        let right = int_source(&["k2", "y"], &[&[1, 11]]);
-        let mut op = HashJoinOp::new(
-            Box::new(left),
-            Box::new(right),
-            vec![0],
-            vec![0],
-            JoinType::LeftOuter,
-        );
-        let rows = run_to_vec(&mut op).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert!(rows[1][1].is_null() && rows[1][2].is_null());
-    }
-
-    #[test]
-    fn merge_join_sorted_inputs() {
-        let left = int_source(&["k", "x"], &[&[1, 10], &[2, 20], &[2, 21], &[4, 40]]);
-        let right = int_source(&["k2", "y"], &[&[2, 200], &[2, 201], &[3, 300], &[4, 400]]);
-        let mut op = MergeJoinOp::new(Box::new(left), Box::new(right), 0, 0);
-        let mut rows = rows_of(&mut op);
-        rows.sort();
-        assert_eq!(
-            rows,
-            vec![
-                vec![2, 20, 2, 200],
-                vec![2, 20, 2, 201],
-                vec![2, 21, 2, 200],
-                vec![2, 21, 2, 201],
-                vec![4, 40, 4, 400]
-            ]
-        );
-    }
-
-    #[test]
-    fn merge_join_detects_unsorted() {
-        let left = int_source(&["k"], &[&[2], &[1]]);
-        let right = int_source(&["k2"], &[&[1], &[2]]);
-        let mut op = MergeJoinOp::new(Box::new(left), Box::new(right), 0, 0);
-        op.open().unwrap();
-        let mut result = Ok(None);
-        for _ in 0..4 {
-            result = op.next();
-            if result.is_err() {
-                break;
-            }
-        }
-        assert!(matches!(result, Err(ExecError::Operator(_))));
     }
 
     #[test]

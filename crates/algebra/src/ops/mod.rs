@@ -17,27 +17,19 @@
 mod empty;
 mod exchange;
 mod filter;
-mod group;
 mod join;
-mod limit;
 mod metered;
-mod navigate;
 mod project;
 mod scan;
-mod setops;
 mod sort;
 
 pub use empty::EmptyOp;
 pub use exchange::{ExchangeOp, ShardFailure};
 pub use filter::FilterOp;
-pub use group::{AggSpec, GroupAggOp};
-pub use join::{HashJoinOp, JoinType, MergeJoinOp, NestedLoopJoinOp};
-pub use limit::LimitOp;
+pub use join::{HashJoinOp, JoinType, NestedLoopJoinOp};
 pub use metered::{MeteredOp, OpProfile};
-pub use navigate::NavigateOp;
 pub use project::ProjectOp;
 pub use scan::{LazySourceOp, ValuesOp};
-pub use setops::{DistinctOp, UnionOp};
 pub use sort::{SortKey, SortOp};
 
 use crate::error::ExecError;
@@ -49,19 +41,20 @@ use crate::schema::{Schema, Tuple};
 /// per-call virtual dispatch to noise.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// Per-worker busy times from one scoped fork/join section (hash-join
-/// build key extraction).
+/// Per-participant busy times from one round on the worker pool
+/// (hash-join build key extraction).
 ///
 /// `workers == 0` means the operator ran in parallel mode but the input
-/// fell below the profitability threshold (or only one core was
-/// available), so the serial kernel ran — the "threshold-skipped" case
-/// the engine counts separately from genuine parallel sections.
+/// fell below the profitability threshold (or no pool exists on a
+/// single-core host), so the serial kernel ran — the "threshold-skipped"
+/// case the engine counts separately from genuine parallel rounds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParProfile {
-    /// Scoped threads actually spawned (0 = threshold-skipped).
+    /// Pool participants in the round, the submitting thread included
+    /// (0 = threshold-skipped).
     pub workers: usize,
-    /// Wall-clock busy time of each worker, in microseconds, in chunk
-    /// order. Spread across entries is idle/imbalance evidence.
+    /// Wall-clock busy time of each participant, in microseconds, by
+    /// pool slot. Spread across entries is idle/imbalance evidence.
     pub busy_us: Vec<u64>,
 }
 

@@ -149,17 +149,8 @@ impl Operator for ProjectOp {
     }
 
     fn introspect(&self) -> OpInfo {
-        let map = self
-            .exprs
-            .iter()
-            .map(|e| match e {
-                ScalarExpr::Col(i) => Some(*i),
-                _ => None,
-            })
-            .collect();
         let mut info = OpInfo::new("Project", SchemaRule::PerColumnExprs)
-            .with_order(OrderEffect::Preserves(0))
-            .with_projection_map(map);
+            .with_order(OrderEffect::Preserves(0));
         for (e, name) in self.exprs.iter().zip(self.schema.vars()) {
             info = info.with_child_expr(0, format!("column ${}", name), e.clone());
         }

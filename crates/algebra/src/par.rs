@@ -263,26 +263,14 @@ pub fn pool_stats() -> (usize, u64, u64) {
 
 /// Map `f` over morsels of `items` on the pool, concatenating the
 /// per-morsel outputs in input order. `f` receives the morsel's base
-/// index into `items` plus the morsel itself.
+/// index into `items` plus the morsel itself. Each participant also
+/// measures its own wall-clock over the morsels it ran, so the caller
+/// can surface utilization (and imbalance) instead of guessing it from
+/// end-to-end time.
 ///
 /// Returns `None` when the input is too small, no pool exists (single
 /// core), or any participant panicked — callers must then run their
 /// serial kernel instead.
-#[cfg_attr(not(test), allow(dead_code))] // operators call the profiled variant
-pub(crate) fn par_chunks<T, R, F>(items: &[T], f: F) -> Option<Vec<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> Vec<R> + Sync,
-{
-    par_chunks_profiled(items, f).map(|(out, _)| out)
-}
-
-/// [`par_chunks`] plus per-participant busy times: each participant
-/// measures its own wall-clock over the morsels it ran, so the caller
-/// can surface utilization (and imbalance) instead of guessing it from
-/// end-to-end time. Returns `None` under exactly the same conditions
-/// as [`par_chunks`].
 pub(crate) fn par_chunks_profiled<T, R, F>(
     items: &[T],
     f: F,
@@ -382,11 +370,12 @@ where
 }
 
 /// Run `n` independent coarse-grained tasks on the process-wide pool,
-/// returning their results in task order. Unlike [`par_chunks`], which
-/// carves one slice into fixed-size morsels, each *task index* here is
-/// one unit of work — the shape of scatter-gather fan-out (one task per
-/// shard) and of multi-source fetch (one task per source), where units
-/// are few and heavy rather than many and tiny.
+/// returning their results in task order. Unlike
+/// [`par_chunks_profiled`], which carves one slice into fixed-size
+/// morsels, each *task index* here is one unit of work — the shape of
+/// scatter-gather fan-out (one task per shard) and of multi-source fetch
+/// (one task per source), where units are few and heavy rather than
+/// many and tiny.
 ///
 /// Returns `None` when there is at most one task, no pool exists
 /// (single-core host), this thread is already inside a pool job (nested
@@ -459,7 +448,7 @@ mod tests {
     fn small_inputs_decline() {
         let items: Vec<u32> = (0..100).collect();
         // Either no pool exists (single core) or the threshold gates.
-        assert!(par_chunks(&items, |_, c| c.to_vec()).is_none());
+        assert!(par_chunks_profiled(&items, |_, c| c.to_vec()).is_none());
     }
 
     #[test]

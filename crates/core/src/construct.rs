@@ -18,6 +18,7 @@ use nimble_xmlql::ast::{
 };
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Callback that evaluates a nested subquery under one outer tuple and
@@ -145,9 +146,15 @@ pub fn append_instances_traced(
     Ok(())
 }
 
-/// Group tuple indices by the Skolem arguments' lexical values (joined
-/// with `\u{1}`), preserving first-seen order. Members are *indices* so
-/// group lineage can be folded from the same positions.
+/// Group tuple indices by the Skolem arguments, preserving first-seen
+/// order. Members are *indices* so group lineage can be folded from the
+/// same positions.
+///
+/// The key encodes each argument as a class tag plus, for a value, its
+/// length-prefixed lexical form: `n` for null, `v<len>:<text>` for
+/// anything else. So null and `""` are different groups, no byte of an
+/// argument can shift the boundary to the next one, and values of equal
+/// lexical form (`Int 42`, `"42"`) share a group.
 fn group_by_skolem(
     sk: &SkolemId,
     schema: &Schema,
@@ -167,13 +174,18 @@ fn group_by_skolem(
     // The key is rendered into one reused buffer; it is only cloned out
     // the first time a group appears.
     let mut key_buf = String::new();
+    let mut arg_buf = String::new();
     for (i, t) in tuples.iter().enumerate() {
         key_buf.clear();
-        for (j, &c) in key_cols.iter().enumerate() {
-            if j > 0 {
-                key_buf.push('\u{1}');
+        for &c in &key_cols {
+            if t[c].is_null() {
+                key_buf.push('n');
+                continue;
             }
-            t[c].lexical_into(&mut key_buf);
+            arg_buf.clear();
+            t[c].lexical_into(&mut arg_buf);
+            // Writing into a `String` cannot fail.
+            let _ = write!(key_buf, "v{}:{}", arg_buf.len(), arg_buf);
         }
         if let Some(members) = groups.get_mut(key_buf.as_str()) {
             members.push(i);
@@ -619,6 +631,37 @@ mod tests {
              <person><name>bob</name><tel>333</tel></person>\
              </results>"
         );
+    }
+
+    #[test]
+    fn skolem_keys_keep_their_arguments_apart() {
+        // Every split of one text into F($a, $b) is a different pair, so
+        // a different group — whatever separator, tag or length bytes the
+        // text holds: F("x\u{1}", "y") is not F("x", "\u{1}y"). Equal
+        // lexical forms still share a group: Int 42 ≡ "42".
+        let tpl = template_of(
+            r#"WHERE <a>$a</a> IN "s"
+               CONSTRUCT <g ID=F($a, $b)><m>$m</m></g>"#,
+        );
+        let schema = Schema::new(vec!["a".into(), "b".into(), "m".into()]);
+        let text = "xv\u{1}v1:ny";
+        let mut tuples: Vec<Tuple> = (0..=text.len())
+            .map(|i| {
+                let (a, b) = text.split_at(i);
+                vec![Value::from(a), Value::from(b), Value::from(i as i64)]
+            })
+            .collect();
+        for (k, m) in [(Value::from(42i64), 100i64), (Value::from("42"), 101)] {
+            tuples.push(vec![k, Value::from("z"), Value::from(m)]);
+        }
+        let mut cb = no_subqueries();
+        let doc = build_result_document(&tpl, &schema, &tuples, &mut cb).unwrap();
+        let mut want = String::from("<results>");
+        for i in 0..=text.len() {
+            want.push_str(&format!("<g><m>{}</m></g>", i));
+        }
+        want.push_str("<g><m>100</m><m>101</m></g></results>");
+        assert_eq!(xml_string(&doc.root()), want);
     }
 
     #[test]

@@ -232,6 +232,41 @@ fn skolem_grouping_end_to_end() {
 }
 
 #[test]
+fn skolem_groups_keep_null_apart_from_the_empty_string() {
+    // A NULL cell and a '' cell are different values, so they open
+    // different Skolem groups — on the tree path (`query`) and on the
+    // streamed one (`query_serialized`, above STREAM_MIN_TUPLES rows).
+    let mut insert =
+        String::from("INSERT INTO people VALUES (1, NULL), (2, ''), (3, NULL), (4, '')");
+    for i in 5..3000 {
+        insert.push_str(&format!(", ({}, 'p{}')", i, i));
+    }
+    let c = Catalog::new();
+    c.register_source(Arc::new(
+        RelationalAdapter::from_statements(
+            "hr",
+            &["CREATE TABLE people (id INT, nick TEXT)", &insert],
+        )
+        .unwrap(),
+    ))
+    .unwrap();
+    let e = Engine::new(Arc::new(c));
+    let q = r#"WHERE <row><id>$i</id><nick>$n</nick></row> IN "people"
+               CONSTRUCT <g ID=G($n)><m>$i</m></g>"#;
+    let tree = to_string(&e.query(q).unwrap().document.root());
+    let streamed = e.query_serialized(q).unwrap();
+    assert_eq!(e.metrics_snapshot().counter("engine.construct.streamed"), 1);
+    for doc in [&tree, &streamed] {
+        assert!(
+            doc.starts_with("<results><g><m>1</m><m>3</m></g><g><m>2</m><m>4</m></g>"),
+            "{}",
+            &doc[..doc.len().min(120)]
+        );
+        assert_eq!(doc.matches("<g>").count(), 2 + 2995);
+    }
+}
+
+#[test]
 fn aggregates_end_to_end() {
     let e = engine();
     let r = e

@@ -71,48 +71,65 @@ pub struct LensResponse {
     pub result: QueryResult,
 }
 
-/// Substitute `:name` placeholders. Values are escaped as XML-QL string
-/// literals when the placeholder appears inside quotes is the caller's
-/// concern; by convention placeholders stand for complete literals and
-/// are substituted with proper quoting.
-fn substitute(
+/// Substitute `:name` placeholders. By convention placeholders stand for
+/// complete literals and are substituted with proper quoting.
+///
+/// One left-to-right scan: a `:name` is replaced only when `name` is a
+/// declared parameter and the name is not the prefix of a longer
+/// identifier (`:id` leaves `:idx` alone), and a substituted value is
+/// never scanned again (a value spelling `:other` stays text).
+fn substitute(lens: &Lens, supplied: &BTreeMap<String, String>) -> Result<String, LensError> {
+    let mut out = String::with_capacity(lens.query.len());
+    let mut rest = lens.query.as_str();
+    while let Some(at) = rest.find(':') {
+        out.push_str(&rest[..at]);
+        let after = &rest[at + 1..];
+        let len = after
+            .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .unwrap_or(after.len());
+        let name = &after[..len];
+        match lens.params.iter().find(|p| p.name == name) {
+            Some(p) => out.push_str(&literal(lens, p, supplied)?),
+            None => {
+                out.push(':');
+                out.push_str(name);
+            }
+        }
+        rest = &after[len..];
+    }
+    out.push_str(rest);
+    Ok(out)
+}
+
+/// The XML-QL literal a parameter substitutes as: the supplied value,
+/// else its default, else [`LensError::MissingParam`].
+fn literal(
     lens: &Lens,
+    p: &ParamDef,
     supplied: &BTreeMap<String, String>,
 ) -> Result<String, LensError> {
-    let mut text = lens.query.clone();
-    for p in &lens.params {
-        let placeholder = format!(":{}", p.name);
-        if !text.contains(&placeholder) {
-            continue;
-        }
-        let value = match supplied.get(&p.name).cloned().or_else(|| p.default.clone()) {
-            Some(v) => v,
-            None => {
-                return Err(LensError::MissingParam {
-                    lens: lens.name.clone(),
-                    param: p.name.clone(),
-                })
-            }
-        };
-        // Plain decimal numbers substitute bare; everything else —
-        // including float spellings the XML-QL lexer does not accept
-        // ("inf", "NaN", "1e5") — as a quoted string.
-        let is_plain_number = {
-            let v = value.strip_prefix('-').unwrap_or(&value);
-            !v.is_empty()
-                && v.chars().all(|c| c.is_ascii_digit() || c == '.')
-                && v.chars().filter(|&c| c == '.').count() <= 1
-                && !v.starts_with('.')
-                && !v.ends_with('.')
-        };
-        let literal = if is_plain_number {
-            value
-        } else {
-            format!("\"{}\"", value.replace('\\', "\\\\").replace('"', "\\\""))
-        };
-        text = text.replace(&placeholder, &literal);
-    }
-    Ok(text)
+    let Some(value) = supplied.get(&p.name).or(p.default.as_ref()) else {
+        return Err(LensError::MissingParam {
+            lens: lens.name.clone(),
+            param: p.name.clone(),
+        });
+    };
+    // Plain decimal numbers substitute bare; everything else —
+    // including float spellings the XML-QL lexer does not accept
+    // ("inf", "NaN", "1e5") — as a quoted string.
+    let is_plain_number = {
+        let v = value.strip_prefix('-').unwrap_or(value);
+        !v.is_empty()
+            && v.chars().all(|c| c.is_ascii_digit() || c == '.')
+            && v.chars().filter(|&c| c == '.').count() <= 1
+            && !v.starts_with('.')
+            && !v.ends_with('.')
+    };
+    Ok(if is_plain_number {
+        value.clone()
+    } else {
+        format!("\"{}\"", value.replace('\\', "\\\\").replace('"', "\\\""))
+    })
 }
 
 /// The registry of lenses bound to one engine, directory, and monitor.
@@ -302,6 +319,48 @@ mod tests {
         let mut params = BTreeMap::new();
         params.insert("region".to_string(), "-12.5".to_string());
         assert!(reg.run("customers_by_region", "ana", "pw", &params).is_ok());
+    }
+
+    fn lens_over(query: &str, params: &[&str]) -> Lens {
+        Lens {
+            name: "l".into(),
+            query: query.into(),
+            params: params
+                .iter()
+                .map(|p| ParamDef {
+                    name: p.to_string(),
+                    default: None,
+                })
+                .collect(),
+            template: Template::parse("").unwrap(),
+            device: Device::PlainText,
+            required_role: None,
+        }
+    }
+
+    fn supplied(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn a_substituted_value_is_never_rescanned() {
+        let lens = lens_over(
+            "<name>:who</name><region>:region</region>",
+            &["who", "region"],
+        );
+        let text = substitute(&lens, &supplied(&[("who", ":region"), ("region", "NW")])).unwrap();
+        assert_eq!(text, r#"<name>":region"</name><region>"NW"</region>"#);
+    }
+
+    #[test]
+    fn a_parameter_never_rewrites_the_prefix_of_a_longer_name() {
+        let lens = lens_over("$a = :id, $b = :idx, $c = :ids", &["id", "idx"]);
+        let text = substitute(&lens, &supplied(&[("id", "1"), ("idx", "2")])).unwrap();
+        // `:ids` names no parameter, so it stays as written.
+        assert_eq!(text, "$a = 1, $b = 2, $c = :ids");
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //!
 //! The mediator compiles XML-QL *directly* into physical operator trees
 //! with no logical-algebra stage (paper §3.1), so a planner bug — a
-//! projection referencing a column the join did not produce, a merge
-//! join over unsorted inputs, a set operation over mismatched arms —
+//! projection referencing a column the join did not produce, a join key
+//! missing from its input, an exchange over mismatched shard arms —
 //! surfaces only at execution time, as a runtime error or a silently
 //! wrong answer. This crate walks an [`Operator`] tree *without
 //! executing it* and checks every operator's static contract, using the
-//! [`OpInfo`] metadata each operator exposes through
+//! [`OpInfo`](nimble_algebra::inspect::OpInfo) metadata each operator
+//! exposes through
 //! [`Operator::introspect`].
 //!
 //! ## Checks
@@ -21,12 +22,8 @@
 //!   resolves inside the child schema it is evaluated against.
 //! * **Join keys** — equi-join key columns exist on both inputs and the
 //!   key lists have equal arity.
-//! * **Sortedness** — operators that require sorted inputs (merge join)
-//!   get inputs whose ordering is *statically provable*: established by
-//!   an upstream [`SortOp`](nimble_algebra::ops::SortOp) and preserved
-//!   by every operator in between.
-//! * **Grouping** — group-key columns fall inside the input schema and
-//!   reappear, correctly named, as the output prefix.
+//! * **Column references** — plain column reads (the node column a
+//!   pattern binding navigates from) fall inside the input schema.
 //! * **Duplicate columns** — no operator outputs the same variable
 //!   twice, and `Schema::concat` collision renames (`var#2`) never leak
 //!   into the root schema a consumer sees.
@@ -63,8 +60,7 @@ pub mod types;
 pub use rewrite_audit::{audit, audit_probes, Fingerprint, Placement, ProbeFacts, RewriteRecord};
 pub use satisfy::Verdict;
 
-use nimble_algebra::inspect::{OpInfo, OrderEffect, SchemaRule};
-use nimble_algebra::ops::SortKey;
+use nimble_algebra::inspect::SchemaRule;
 use nimble_algebra::{Operator, Schema};
 use std::fmt;
 
@@ -73,7 +69,7 @@ use std::fmt;
 pub struct PlanIssue {
     /// Kind name of the operator the issue is anchored at (`"HashJoin"`).
     pub operator: String,
-    /// Root-to-operator path, e.g. `Sort/MergeJoin[0]/Values[1]`.
+    /// Root-to-operator path, e.g. `Sort/HashJoin[0]/Values[1]`.
     pub path: String,
     /// Human-readable description naming the offending variable/column.
     pub detail: String,
@@ -156,16 +152,14 @@ fn col_name(schema: &Schema, col: usize) -> String {
     }
 }
 
-/// Recursively check one node; returns the statically known output
-/// ordering of this operator, if any.
-fn walk(op: &dyn Operator, path: &str, issues: &mut Vec<PlanIssue>) -> Option<Vec<SortKey>> {
+/// Recursively check one node and its subtree.
+fn walk(op: &dyn Operator, path: &str, issues: &mut Vec<PlanIssue>) {
     let info = op.introspect();
     let children = op.children();
 
-    let mut child_orders = Vec::with_capacity(children.len());
     for (i, c) in children.iter().enumerate() {
         let child_path = format!("{}/{}[{}]", path, c.introspect().name, i);
-        child_orders.push(walk(*c, &child_path, issues));
+        walk(*c, &child_path, issues);
     }
 
     let mut report = |detail: String| {
@@ -244,7 +238,7 @@ fn walk(op: &dyn Operator, path: &str, issues: &mut Vec<PlanIssue>) -> Option<Ve
                 if c.schema() != schema {
                     report(format!(
                         "arm {} has schema {} but the operator outputs {}; \
-                         set-operation arms must match exactly",
+                         gathered arms must match exactly",
                         i,
                         c.schema(),
                         schema
@@ -346,7 +340,7 @@ fn walk(op: &dyn Operator, path: &str, issues: &mut Vec<PlanIssue>) -> Option<Ve
         }
     }
 
-    // 6. Plain column references (navigation input, aggregate inputs).
+    // 6. Plain column references (a pattern binding's node column).
     for cc in &info.child_cols {
         match children.get(cc.child) {
             None => report(format!("{} read from missing child {}", cc.role, cc.child)),
@@ -361,97 +355,6 @@ fn walk(op: &dyn Operator, path: &str, issues: &mut Vec<PlanIssue>) -> Option<Ve
                 }
             }
         }
-    }
-
-    // 7. Grouping: keys inside the input, re-emitted as the named prefix.
-    if let Some(g) = &info.grouping {
-        if let Some(c) = children.first() {
-            let input = c.schema();
-            for (j, &col) in g.cols.iter().enumerate() {
-                if col >= input.len() {
-                    report(format!(
-                        "group key #{} ({}) not in input schema {}",
-                        j,
-                        col_name(input, col),
-                        input
-                    ));
-                } else if schema.vars().get(j) != input.vars().get(col) {
-                    report(format!(
-                        "group key {} should appear as output column {}, found {}",
-                        col_name(input, col),
-                        j,
-                        schema
-                            .vars()
-                            .get(j)
-                            .map(|v| format!("${}", v))
-                            .unwrap_or_else(|| "nothing".into())
-                    ));
-                }
-            }
-            if schema.len() != g.cols.len() + g.agg_outputs {
-                report(format!(
-                    "output schema {} has {} columns; expected {} group keys + {} aggregates",
-                    schema,
-                    schema.len(),
-                    g.cols.len(),
-                    g.agg_outputs
-                ));
-            }
-        }
-    }
-
-    // 8. Required input orderings must be statically provable.
-    for (child, key) in &info.requires_sorted {
-        if let Some(c) = children.get(*child) {
-            let satisfied = matches!(
-                child_orders.get(*child),
-                Some(Some(keys)) if keys.first() == Some(key)
-            );
-            if !satisfied {
-                report(format!(
-                    "requires input {} sorted {} on {}, but that ordering is not \
-                     statically guaranteed — interpose a Sort",
-                    child,
-                    if key.descending { "descending" } else { "ascending" },
-                    col_name(c.schema(), key.column)
-                ));
-            }
-        }
-    }
-
-    known_order(&info, &child_orders)
-}
-
-/// The ordering this operator's output provably has, given its children's.
-fn known_order(info: &OpInfo, child_orders: &[Option<Vec<SortKey>>]) -> Option<Vec<SortKey>> {
-    match info.order {
-        OrderEffect::Establishes => Some(info.sort_keys.clone()),
-        OrderEffect::Preserves(i) => {
-            let keys = child_orders.get(i)?.clone()?;
-            match &info.projection_map {
-                None => Some(keys),
-                Some(map) => {
-                    // Remap each sort column through the projection; once a
-                    // key column is dropped the remaining keys are moot.
-                    let mut out = Vec::new();
-                    for k in keys {
-                        match map.iter().position(|m| *m == Some(k.column)) {
-                            Some(j) => out.push(SortKey {
-                                column: j,
-                                descending: k.descending,
-                            }),
-                            None => break,
-                        }
-                    }
-                    if out.is_empty() {
-                        None
-                    } else {
-                        Some(out)
-                    }
-                }
-            }
-        }
-        OrderEffect::Unknown => None,
     }
 }
 

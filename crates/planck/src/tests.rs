@@ -1,7 +1,8 @@
 use super::*;
 use nimble_algebra::expr::{CmpOp, ScalarExpr};
+use nimble_algebra::inspect::OpInfo;
 use nimble_algebra::ops::{
-    BoxedOp, FilterOp, HashJoinOp, JoinType, MergeJoinOp, MeteredOp, ProjectOp, SortOp, UnionOp,
+    BoxedOp, ExchangeOp, FilterOp, HashJoinOp, JoinType, MeteredOp, ProjectOp, SortKey, SortOp,
     ValuesOp,
 };
 use nimble_algebra::{ExecError, FunctionRegistry, Tuple};
@@ -16,24 +17,18 @@ fn funcs() -> Arc<FunctionRegistry> {
     Arc::new(FunctionRegistry::with_builtins())
 }
 
-fn sorted_on(child: BoxedOp, column: usize) -> BoxedOp {
-    Box::new(SortOp::new(
-        child,
-        vec![SortKey {
-            column,
-            descending: false,
-        }],
-    ))
+fn labels(n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("shard{}", i)).collect()
 }
 
-/// Simulates a planner bug `UnionOp::new` would catch at construction:
-/// an already-built set operation whose arms disagree.
-struct BrokenUnion {
+/// Simulates a planner bug `ExchangeOp::new` would catch at
+/// construction: an already-built exchange whose shard arms disagree.
+struct BrokenExchange {
     arms: Vec<BoxedOp>,
     schema: Schema,
 }
 
-impl Operator for BrokenUnion {
+impl Operator for BrokenExchange {
     fn schema(&self) -> &Schema {
         &self.schema
     }
@@ -45,7 +40,7 @@ impl Operator for BrokenUnion {
     }
     fn close(&mut self) {}
     fn describe(&self) -> String {
-        "BrokenUnion".into()
+        "BrokenExchange".into()
     }
     fn children(&self) -> Vec<&dyn Operator> {
         self.arms.iter().map(|a| a.as_ref()).collect()
@@ -54,11 +49,11 @@ impl Operator for BrokenUnion {
         0
     }
     fn introspect(&self) -> OpInfo {
-        OpInfo::new("Union", SchemaRule::Uniform)
+        OpInfo::new("Exchange", SchemaRule::Uniform)
     }
 }
 
-// --- The four seeded malformed-plan fixtures ---
+// --- The three seeded malformed-plan fixtures ---
 
 #[test]
 fn rejects_unbound_expression_variable() {
@@ -78,35 +73,23 @@ fn rejects_unbound_expression_variable() {
 }
 
 #[test]
-fn rejects_schema_mismatched_union() {
-    // Fixture 2: set-operation arms with different schemas.
-    let broken = BrokenUnion {
+fn rejects_schema_mismatched_exchange() {
+    // Fixture 2: exchange arms with different schemas.
+    let broken = BrokenExchange {
         schema: Schema::new(vec!["x".into()]),
         arms: vec![source(&["x"]), source(&["y"])],
     };
     let report = verify(&broken).expect_err("mismatched arms must be rejected");
     let issue = &report.issues[0];
-    assert_eq!(issue.operator, "Union");
+    assert_eq!(issue.operator, "Exchange");
     assert!(issue.detail.contains("arm 1"), "names the arm: {}", issue);
     assert!(issue.detail.contains("[y]"), "names the arm schema: {}", issue);
     assert!(issue.detail.contains("[x]"), "names the expected schema: {}", issue);
 }
 
 #[test]
-fn rejects_unsorted_merge_join_input() {
-    // Fixture 3: merge join straight over unsorted sources.
-    let join = MergeJoinOp::new(source(&["k", "x"]), source(&["k2", "y"]), 0, 0);
-    let report = verify(&join).expect_err("unproven sortedness must be rejected");
-    assert_eq!(report.issues.len(), 2, "both inputs unproven: {}", report);
-    let issue = &report.issues[0];
-    assert_eq!(issue.operator, "MergeJoin");
-    assert!(issue.detail.contains("$k"), "names the key variable: {}", issue);
-    assert!(issue.detail.contains("Sort"), "suggests the fix: {}", issue);
-}
-
-#[test]
 fn rejects_missing_join_key() {
-    // Fixture 4: the right key column does not exist on the right input.
+    // Fixture 3: the right key column does not exist on the right input.
     let join = HashJoinOp::new(
         source(&["k", "x"]),
         source(&["k2", "y"]),
@@ -133,54 +116,10 @@ fn accepts_well_formed_pipeline() {
 }
 
 #[test]
-fn accepts_merge_join_under_sorts() {
-    let join = MergeJoinOp::new(
-        sorted_on(source(&["k", "x"]), 0),
-        sorted_on(source(&["k2", "y"]), 0),
-        0,
-        0,
-    );
-    assert_verified(&join);
-}
-
-#[test]
-fn sortedness_survives_column_copying_projection() {
-    // Sort on $k, keep [$x, $k]: the sort column moves to position 1 and
-    // the ordering is still provable for a merge join keyed there.
-    let sorted = sorted_on(source(&["k", "x"]), 0);
-    let keep = ProjectOp::new(
-        sorted,
-        vec![
-            ("x".into(), ScalarExpr::Col(1)),
-            ("k".into(), ScalarExpr::Col(0)),
-        ],
-        funcs(),
-    );
-    let join = MergeJoinOp::new(Box::new(keep), sorted_on(source(&["k2"]), 0), 1, 0);
-    assert_verified(&join);
-}
-
-#[test]
-fn computed_projection_destroys_provable_order() {
-    // Replacing the sort column with a computed expression must not keep
-    // the sortedness proof alive.
-    let sorted = sorted_on(source(&["k"]), 0);
-    let computed = ProjectOp::new(
-        sorted,
-        vec![(
-            "k".into(),
-            ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::Col(0), ScalarExpr::Col(0)),
-        )],
-        funcs(),
-    );
-    let join = MergeJoinOp::new(Box::new(computed), sorted_on(source(&["k2"]), 0), 0, 0);
-    assert!(verify(&join).is_err());
-}
-
-#[test]
-fn union_of_matching_arms_accepted() {
-    let union = UnionOp::new(vec![source(&["x"]), source(&["x"])]).expect("arms match");
-    assert_verified(&union);
+fn exchange_of_matching_arms_accepted() {
+    let exchange =
+        ExchangeOp::new(vec![source(&["x"]), source(&["x"])], labels(2)).expect("arms match");
+    assert_verified(&exchange);
 }
 
 #[test]
@@ -380,16 +319,17 @@ fn rejects_filter_over_never_bound_field() {
 }
 
 #[test]
-fn rejects_sort_over_mixed_type_union_column() {
-    // Mutation: union arms disagree on $v's class (numeric vs text);
-    // sorting the union on $v interleaves numeric and lexical runs.
+fn rejects_sort_over_mixed_type_exchange_column() {
+    // Mutation: exchange arms disagree on $v's class (numeric vs text);
+    // sorting the gathered stream on $v interleaves numeric and lexical
+    // runs.
     let arms: Vec<BoxedOp> = vec![
         typed(&["v"], &[FieldType::Numeric]),
         typed(&["v"], &[FieldType::Text]),
     ];
-    let union = UnionOp::new(arms).expect("arms match structurally");
+    let exchange = ExchangeOp::new(arms, labels(2)).expect("arms match structurally");
     let sort = SortOp::new(
-        Box::new(union),
+        Box::new(exchange),
         vec![SortKey {
             column: 0,
             descending: false,
@@ -405,9 +345,9 @@ fn rejects_sort_over_mixed_type_union_column() {
         typed(&["v"], &[FieldType::Numeric]),
         typed(&["v"], &[FieldType::Numeric]),
     ];
-    let union = UnionOp::new(arms).expect("arms match");
+    let exchange = ExchangeOp::new(arms, labels(2)).expect("arms match");
     let sort = SortOp::new(
-        Box::new(union),
+        Box::new(exchange),
         vec![SortKey {
             column: 0,
             descending: false,

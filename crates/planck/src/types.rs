@@ -2,19 +2,19 @@
 //!
 //! Every operator output gets a typed field domain — coercion class
 //! (numeric / text / element) plus nullability — derived from the
-//! declared [`OpInfo::out_types`] of leaves and each operator's
+//! declared [`OpInfo::out_types`](nimble_algebra::inspect::OpInfo::out_types)
+//! of leaves and each operator's
 //! [`SchemaRule`]. The pass then checks the inferred domains against the
 //! operations performed on them:
 //!
 //! * **Join-key compatibility** — equi-join key pairs whose coercion
 //!   classes disagree (`numeric` vs `text`, `element` vs any scalar)
 //!   would silently compare lexically or never match; flagged.
-//! * **Never-bound references** — any expression, column reference, join
-//!   key, group key, or sort requirement over a column typed
-//!   [`FieldType::Never`] is an error: the planner declared the column
-//!   can never hold a value.
+//! * **Never-bound references** — any expression, column reference or
+//!   join key over a column typed [`FieldType::Never`] is an error: the
+//!   planner declared the column can never hold a value.
 //! * **Mixed-type sort keys** — sorting on a column whose contributing
-//!   types disagree ([`FieldType::Mixed`], e.g. union arms typing it
+//!   types disagree ([`FieldType::Mixed`], e.g. exchange arms typing it
 //!   differently) gives an interleaved lexical/numeric order; flagged.
 //!
 //! The pass is *tolerant by construction*: operators without declared
@@ -24,7 +24,7 @@
 //! subtree into stronger checking.
 
 use crate::PlanIssue;
-use nimble_algebra::inspect::{FieldDomain, FieldType, OpInfo, OrderEffect, SchemaRule};
+use nimble_algebra::inspect::{FieldDomain, FieldType, OrderEffect, SchemaRule};
 use nimble_algebra::{Operator, ScalarExpr};
 
 /// Infer the typed domains of an operator's output columns without
@@ -158,8 +158,8 @@ fn walk_types(op: &dyn Operator, path: &str, issues: &mut Vec<PlanIssue>) -> Vec
         }
     }
 
-    // References to never-bound columns: expressions, plain column
-    // references, group keys, and sort requirements.
+    // References to never-bound columns: expressions and plain column
+    // references.
     for ce in &info.child_exprs {
         if let Some(c) = children.get(ce.child) {
             let ds = &child_domains[ce.child];
@@ -185,22 +185,9 @@ fn walk_types(op: &dyn Operator, path: &str, issues: &mut Vec<PlanIssue>) -> Vec
             }
         }
     }
-    if let Some(g) = &info.grouping {
-        if let Some(c) = children.first() {
-            for &col in &g.cols {
-                if domain_of(&child_domains[0], col).ty == FieldType::Never {
-                    report(format!(
-                        "group key {} is declared never bound",
-                        col_desc(*c, col)
-                    ));
-                }
-            }
-        }
-    }
 
     // Sort keys over mixed-type columns order nonsensically (numeric and
-    // lexical runs interleave); flag both established orders and
-    // required input orders.
+    // lexical runs interleave).
     if info.order == OrderEffect::Establishes {
         for key in &info.sort_keys {
             let d = domain_of(&domains, key.column);
@@ -213,25 +200,6 @@ fn walk_types(op: &dyn Operator, path: &str, issues: &mut Vec<PlanIssue>) -> Vec
                         .get(key.column)
                         .map(|v| format!("${}", v))
                         .unwrap_or_else(|| format!("column {}", key.column))
-                ));
-            }
-        }
-    }
-    for (child, key) in &info.requires_sorted {
-        if let Some(c) = children.get(*child) {
-            let d = domain_of(&child_domains[*child], key.column);
-            if d.ty == FieldType::Mixed {
-                report(format!(
-                    "requires input {} sorted on {} whose inferred type is mixed",
-                    child,
-                    col_desc(*c, key.column)
-                ));
-            }
-            if d.ty == FieldType::Never {
-                report(format!(
-                    "requires input {} sorted on {}, which is declared never bound",
-                    child,
-                    col_desc(*c, key.column)
                 ));
             }
         }
@@ -271,6 +239,7 @@ fn type_expr(e: &ScalarExpr, input: &[FieldDomain]) -> FieldDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nimble_algebra::inspect::OpInfo;
     use nimble_algebra::ops::{HashJoinOp, JoinType, ValuesOp};
     use nimble_algebra::Schema;
 

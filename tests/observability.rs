@@ -2,8 +2,8 @@
 //! execution, metrics flow from engine to console to cluster, and the
 //! query log captures what ran.
 
-use nimble::algebra::ops::{AggSpec, GroupAggOp, MeteredOp, ValuesOp};
-use nimble::algebra::{explain_analyze, run_to_vec, AggFunc, Schema};
+use nimble::algebra::ops::{FilterOp, MeteredOp, ValuesOp};
+use nimble::algebra::{explain_analyze, run_to_vec, CmpOp, FunctionRegistry, ScalarExpr, Schema};
 use nimble::core::{Catalog, DispatchStrategy, Engine, EngineCluster, EngineConfig};
 use nimble::frontend::ManagementConsole;
 use nimble::sources::csv::CsvAdapter;
@@ -81,9 +81,9 @@ fn explain_analyze_rows_match_join_result() {
 }
 
 #[test]
-fn explain_analyze_rows_match_group_by_plan() {
-    // XML-QL planning never emits GroupAggOp, so drive the algebra
-    // directly: Metered(GroupAgg(Metered(Values))).
+fn explain_analyze_rows_match_filtered_plan() {
+    // Drive the algebra directly, so each metered node's count is known:
+    // Metered(Filter(Metered(Values))).
     let schema = Schema::new(vec!["region".into(), "total".into()]);
     let tuples: Vec<Vec<Value>> = [
         ("NW", 10i64),
@@ -96,22 +96,18 @@ fn explain_analyze_rows_match_group_by_plan() {
     .map(|(r, t)| vec![Value::from(*r), Value::from(*t)])
     .collect();
     let scan = MeteredOp::new(Box::new(ValuesOp::new(schema, tuples)));
-    let group = GroupAggOp::new(
+    let filter = FilterOp::new(
         Box::new(scan),
-        vec![0],
-        vec![AggSpec {
-            func: AggFunc::Sum,
-            input: Some(1),
-            output: "sum_total".into(),
-        }],
+        ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::Col(1), ScalarExpr::lit(6i64)),
+        Arc::new(FunctionRegistry::with_builtins()),
     );
-    let mut op = MeteredOp::new(Box::new(group));
+    let mut op = MeteredOp::new(Box::new(filter));
     let rows = run_to_vec(&mut op).unwrap();
     assert_eq!(rows.len(), 3);
 
     let listing = explain_analyze(&op);
     let annotated = actual_rows(&listing);
-    // Root (the group) produced 3 groups from 5 scanned rows.
+    // Root (the filter) kept 3 of 5 scanned rows.
     assert_eq!(annotated, vec![3, 5], "listing:\n{}", listing);
 }
 
