@@ -289,7 +289,8 @@ fn coerce_num(a: &Atomic) -> Option<f64> {
 /// The numeric coercion of a literal value, if it has one — the same
 /// rule `compare` and `arith` apply at runtime (Int, Float, or a
 /// numeric-looking string). Used by the static analyzer's interval
-/// propagation.
+/// propagation, and by a central match's join-variable probes to tell
+/// which values and literals compare as numbers.
 pub fn literal_num(v: &Value) -> Option<f64> {
     v.with_atomic(coerce_num)
 }

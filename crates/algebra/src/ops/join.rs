@@ -310,7 +310,9 @@ pub struct HashJoinOp {
 /// * tag 2, f64 bits — the numeric class: ints exactly representable as
 ///   f64, floats, and strings whose trimmed text parses as a number (so
 ///   `Int 5`, `Float 5.0` and node text `" 5 "` collide). All NaNs
-///   collapse to one key; `-0.0` stays distinct from `0.0`.
+///   collapse to one key; `-0.0` stays distinct from `0.0`, and text
+///   `"-0"` is `-0.0`. NaN aside, a key's bits are the f64 `compare`
+///   coerces the value to.
 /// * tag 4, i64 bits — integers f64 cannot represent, kept exact so
 ///   distinct keys beyond 2^53 never conflate.
 /// * tag 3, interned id — every other string (`Str` and `Sym` of equal
@@ -338,6 +340,8 @@ fn typed_key(v: &Value, insert: bool) -> Option<Key> {
     fn str_key(s: &str, insert: bool) -> Option<Key> {
         let t = s.trim();
         match t.parse::<i64>() {
+            // `compare` reads "-0" as -0.0, not the integer 0.
+            Ok(0) if t.starts_with('-') => Some((2, bits(-0.0))),
             Ok(i) => Some(int_key(i)),
             Err(_) => match t.parse::<f64>() {
                 Ok(f) => Some((2, bits(f))),

@@ -54,15 +54,6 @@ const PARALLEL_EST_THRESHOLD: u64 = 512;
 /// unfiltered fetch to correct it.
 const GROSS_QERROR: u64 = 16;
 
-/// Result sizes below which [`Engine::query_serialized`] renders
-/// through the tree builder instead of the streaming writer. The
-/// stream path wins on large results (no intermediate `Document` is
-/// materialized) but its per-instance writer bookkeeping is pure
-/// overhead while the result tree still fits comfortably in cache —
-/// small results fall back to the tree path the bench's dual-band
-/// streaming gate pins down.
-const STREAM_MIN_TUPLES: usize = 2048;
-
 /// Hidden leading column of a sharded scan's per-shard streams: the
 /// row's index in the *unsharded* document. The coordinator stable-sorts
 /// the merged stream by it and strips it, restoring original document
@@ -655,10 +646,14 @@ impl Engine {
     /// Plan a query against the catalog, shard-aware when a runtime is
     /// attached. Every planning site (fresh, subquery, differential
     /// re-plan) goes through here so cached and fresh plans always see
-    /// the same routing.
-    fn plan(&self, query: &Query, config: &OptimizerConfig) -> Result<Plan, CoreError> {
+    /// the same routing. `outer` is the row schema a correlated subquery
+    /// runs under.
+    fn plan(&self, query: &Query, config: &OptimizerConfig, outer: Option<&Schema>) -> Result<Plan, CoreError> {
         let guard = self.shards.read();
-        planner::plan_query_sharded(&self.catalog, query, config, guard.as_deref())
+        match outer {
+            Some(outer) => planner::plan_subquery(&self.catalog, query, config, guard.as_deref(), outer),
+            None => planner::plan_query_sharded(&self.catalog, query, config, guard.as_deref()),
+        }
     }
 
     /// Register a custom scalar function usable from XML-QL predicates
@@ -726,22 +721,6 @@ impl Engine {
         let (schema, tuples) = self.eval_planned(&plan, None, 0, &mut ctx, 0.0, 0.0, false)?;
         let a_construct = AllocScope::enter();
         let t_construct = Instant::now();
-        if tuples.len() < STREAM_MIN_TUPLES {
-            // Small results render faster through the tree path: the
-            // streaming writer's per-instance bookkeeping only pays for
-            // itself once construction dominates. Same bytes either way
-            // — the bench's construct differential pins that down.
-            let mut b = DocumentBuilder::new("results");
-            self.construct_into(&mut b, &query.construct, &schema, &tuples, 0, &mut ctx, None, None)?;
-            let doc = b.finish();
-            let xml = nimble_xml::to_string(&doc.root());
-            self.phase_alloc("construct", a_construct.finish());
-            self.metrics
-                .observe("engine.phase_us.construct", us(ms_since(t_construct)));
-            self.metrics.incr("engine.construct.small_fallback", 1);
-            self.queries_served.fetch_add(1, Ordering::SeqCst);
-            return Ok(xml);
-        }
         // This shape's last answer sizes the buffer: no doubling, and no
         // old copy held beside the new one at the peak.
         let mut w = XmlWriter::with_capacity("results", plan.answer_bytes.load(Ordering::Relaxed));
@@ -1122,7 +1101,7 @@ impl Engine {
             if config.optimizer.verify_plans && seq % DIFFERENTIAL_SAMPLE == 0 {
                 self.metrics.incr("engine.plan_cache.differential", 1);
                 analyzed(&query)?;
-                let fresh = self.plan(&query, &config.optimizer)?;
+                let fresh = self.plan(&query, &config.optimizer, None)?;
                 let served_sig = plan_semantic_signature(&plan);
                 let fresh_sig = plan_semantic_signature(&fresh);
                 if served_sig != fresh_sig {
@@ -1168,7 +1147,7 @@ impl Engine {
 
         let a_plan = AllocScope::enter();
         let t_plan = Instant::now();
-        let plan = self.plan(&query, &config.optimizer)?;
+        let plan = self.plan(&query, &config.optimizer, None)?;
         let plan_ms = ms_since(t_plan);
         self.phase_alloc("plan", a_plan.finish());
         let mut verify_ms = 0.0;
@@ -1304,11 +1283,7 @@ impl Engine {
         }
         let config = self.config();
         let t_plan = Instant::now();
-        let mut plan = self.plan(query, &config.optimizer)?;
-        // A variable the outer row binds too is a join variable (§22).
-        if let Some((schema, _)) = outer {
-            plan.probes.retain(|p| schema.index_of(&p.var).is_none());
-        }
+        let plan = self.plan(query, &config.optimizer, outer.map(|(s, _)| s))?;
         let plan_ms = ms_since(t_plan);
         let mut verify_ms = 0.0;
         if config.optimizer.verify_plans {
@@ -1654,7 +1629,10 @@ impl Engine {
                 // Default 1/3 selectivity per central predicate (matching
                 // the planner's cost model for unstated selections) — but
                 // a probed one, which the scan's estimate applied already.
-                let preds = plan.residual_predicates.len().saturating_sub(plan.probes.len());
+                let mut probed: Vec<usize> = plan.probes.iter().map(|p| p.conjunct).collect();
+                probed.sort_unstable();
+                probed.dedup();
+                let preds = plan.residual_predicates.len().saturating_sub(probed.len());
                 let preds = preds.min(u32::MAX as usize) as u32;
                 let est = (e / 3u64.saturating_pow(preds)).max(1);
                 filter.set_est_rows(est);
@@ -2387,9 +2365,7 @@ impl Engine {
     /// one-column row.
     fn candidate_filter(&self, plan: &Plan, i: usize) -> matcher::CandidateFilter {
         let probes = plan.probes.iter().filter(|p| p.atom == i).filter_map(|p| {
-            let column = Schema::try_new(vec![p.var.clone()]).ok()?;
-            let test = planner::translate_expr(plan.residual_predicates.get(p.conjunct)?, &column).ok()?;
-            Some((p, test))
+            Some((p, planner::probe_test(plan.residual_predicates.get(p.conjunct)?, &p.var)?))
         });
         matcher::CandidateFilter::new(probes, Arc::clone(&self.funcs.read()))
     }
@@ -3308,6 +3284,128 @@ mod qerror_tests {
         assert_eq!(metric_slug("Sort"), "sort");
         assert_eq!(metric_slug("Source crm"), "source_crm");
         assert_eq!(metric_slug("Values [a, b]"), "values__a__b_");
+    }
+}
+
+#[cfg(test)]
+mod correlated_probe_tests {
+    use super::{Engine, EngineConfig, ExecCtx, OptimizerConfig};
+    use crate::{planner, Catalog};
+    use nimble_algebra::Schema;
+    use nimble_sources::xmldoc::XmlDocAdapter;
+    use nimble_xml::{to_string, Atomic, DocumentBuilder, Value};
+    use std::sync::Arc;
+
+    /// `$x` on both sides of the correlation, spelled as numbers, text,
+    /// both zeros, a NaN and a word.
+    fn engine() -> Engine {
+        let mut coll = DocumentBuilder::new("coll");
+        for (x, v) in [
+            (Atomic::Int(995), "a"),
+            (Atomic::Float(995.0), "b"),
+            (Atomic::Str(" 995 ".into()), "c"),
+            (Atomic::Int(5), "d"),
+            (Atomic::Str("abc".into()), "e"),
+            (Atomic::Float(f64::NAN), "f"),
+            (Atomic::Str("-0".into()), "g"),
+            (Atomic::Float(0.0), "h"),
+            (Atomic::Int(999), "i"),
+        ] {
+            coll.start_element("rec");
+            coll.leaf("x", x);
+            coll.leaf("v", Atomic::Str(v.into()));
+            coll.end_element();
+        }
+        let mut outer = DocumentBuilder::new("outer");
+        for x in OUTER {
+            outer.start_element("o");
+            outer.leaf("x", x);
+            outer.end_element();
+        }
+        let catalog = Catalog::new();
+        catalog
+            .register_source(Arc::new(
+                XmlDocAdapter::new("src")
+                    .add_document("coll", coll.finish())
+                    .add_document("outer", outer.finish()),
+            ))
+            .unwrap();
+        let config = EngineConfig {
+            optimizer: OptimizerConfig {
+                verify_plans: true,
+                ..OptimizerConfig::default()
+            },
+            ..EngineConfig::default()
+        };
+        Engine::with_config(Arc::new(catalog), config)
+    }
+
+    const OUTER: [Atomic; 5] = [
+        Atomic::Int(995),
+        Atomic::Str(String::new()),
+        Atomic::Float(-0.0),
+        Atomic::Int(999),
+        Atomic::Float(f64::NAN),
+    ];
+
+    /// A subquery's match on the variable its outer row binds keeps its
+    /// probe, guarded: under every outer row it prunes the numbers the
+    /// conjunct rules out — EXPLAIN ANALYZE of the subquery's plan counts
+    /// them — and answers as the same plan with its probes cleared.
+    #[test]
+    fn a_subquery_probes_the_variable_its_outer_row_binds() {
+        let engine = engine();
+        let inner = nimble_xmlql::parse_query(
+            r#"WHERE <rec><x>$x</x><v>$v</v></rec> IN "coll", $x > 990 CONSTRUCT <i>$v</i>"#,
+        )
+        .unwrap();
+        let outer = Schema::try_new(vec!["x".to_string()]).unwrap();
+        let config = engine.config();
+        let plan = engine.plan(&inner, &config.optimizer, Some(&outer)).unwrap();
+        let [probe] = plan.probes.as_slice() else {
+            panic!("{:?}", plan.probes);
+        };
+        assert!(probe.joined && probe.var == "x");
+        planner::verify_plan(&plan, Some(&outer)).unwrap();
+        let mut cleared = plan.clone();
+        cleared.probes.clear();
+        let run = |plan: &planner::Plan, row: &Atomic| {
+            let mut ctx = ExecCtx::new();
+            ctx.profile = true;
+            let tuple = vec![Value::Atomic(row.clone())];
+            let (schema, tuples) = engine
+                .eval_planned(plan, Some((&outer, &tuple)), 0, &mut ctx, 0.0, 0.0, true)
+                .unwrap();
+            (format!("{:?} {:?}", schema, tuples), ctx.plan_text)
+        };
+        for row in &OUTER {
+            let (got, explained) = run(&plan, row);
+            assert_eq!(got, run(&cleared, row).0, "outer $x = {:?}", row);
+            // 5, "-0" and 0.0 are numbers at most 990; "abc", the NaN
+            // and the 995s and 999 stay.
+            assert!(
+                explained.contains("-- probe: $x > 990 on src.coll at rec/x, join variable: numbers only")
+                    && explained.contains("-- probe: pruned 3 of 9 candidates of src.coll"),
+                "{}",
+                explained
+            );
+        }
+        // The query that correlates them prunes as much per outer row.
+        let before = engine.metrics_snapshot().counter("engine.match.pruned");
+        let answer = engine
+            .query(
+                r#"WHERE <o><x>$x</x></o> IN "outer"
+                   CONSTRUCT <r>{ WHERE <rec><x>$x</x><v>$v</v></rec> IN "coll", $x > 990 CONSTRUCT <i>$v</i> }</r>"#,
+            )
+            .unwrap();
+        assert_eq!(
+            engine.metrics_snapshot().counter("engine.match.pruned") - before,
+            3 * OUTER.len() as u64
+        );
+        assert_eq!(
+            to_string(&answer.document.root()),
+            "<results><r><i>a</i><i>b</i><i>c</i></r><r/><r/><r><i>i</i></r><r><i>f</i></r></results>"
+        );
     }
 }
 

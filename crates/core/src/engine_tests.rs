@@ -235,7 +235,7 @@ fn skolem_grouping_end_to_end() {
 fn skolem_groups_keep_null_apart_from_the_empty_string() {
     // A NULL cell and a '' cell are different values, so they open
     // different Skolem groups — on the tree path (`query`) and on the
-    // streamed one (`query_serialized`, above STREAM_MIN_TUPLES rows).
+    // streamed one (`query_serialized`).
     let mut insert =
         String::from("INSERT INTO people VALUES (1, NULL), (2, ''), (3, NULL), (4, '')");
     for i in 5..3000 {
@@ -1342,8 +1342,7 @@ fn streamed_serialization_matches_tree_for_every_template_shape() {
 #[test]
 fn streamed_serialization_reports_its_path() {
     let e = engine();
-    // Small results take the tree-construct path: below the streaming
-    // threshold the per-batch machinery costs more than it saves.
+    // A small result streams like any other.
     e.query_serialized(
         r#"WHERE <row><name>$n</name></row> IN "customers" CONSTRUCT <c>$n</c>"#,
     )
@@ -1360,15 +1359,14 @@ fn streamed_serialization_reports_its_path() {
     )
     .unwrap();
     let snap = e.metrics_snapshot();
-    assert_eq!(snap.counter("engine.construct.streamed"), 0);
-    assert_eq!(snap.counter("engine.construct.small_fallback"), 1);
+    assert_eq!(snap.counter("engine.construct.streamed"), 1);
     assert_eq!(snap.counter("engine.construct.tree_fallback"), 1);
 }
 
 #[test]
 fn streamed_serialization_engages_above_the_threshold() {
-    // 3000 rows clears STREAM_MIN_TUPLES, so the streaming construct
-    // path fires and agrees byte-for-byte with the tree path.
+    // 3000 rows stream, as every answer without a subquery does, and
+    // agree byte-for-byte with the tree path.
     let mut xml = String::from("<items>");
     for i in 0..3000 {
         xml.push_str(&format!("<item><id>{}</id></item>", i));
@@ -1384,7 +1382,5 @@ fn streamed_serialization_engages_above_the_threshold() {
     let streamed = e.query_serialized(q).unwrap();
     let tree = to_string(&e.query(q).unwrap().document.root());
     assert_eq!(streamed, tree);
-    let snap = e.metrics_snapshot();
-    assert_eq!(snap.counter("engine.construct.streamed"), 1);
-    assert_eq!(snap.counter("engine.construct.small_fallback"), 0);
+    assert_eq!(e.metrics_snapshot().counter("engine.construct.streamed"), 1);
 }

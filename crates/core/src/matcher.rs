@@ -7,6 +7,7 @@
 //! the unifying model" actually unify heterogeneous sources.
 
 use crate::planner::Probe;
+use nimble_algebra::expr::literal_num;
 use nimble_algebra::{FunctionRegistry, ScalarExpr};
 use nimble_xml::{Atomic, Cursor, Document, NodeRef, Sym, Value};
 use nimble_xmlql::ast::{Pattern, PatternContent, PatternValue, TagPattern};
@@ -64,6 +65,13 @@ pub fn match_each(
 /// one-column row. A test that fails with an error keeps its candidate:
 /// the conjunct is still in the Filter, which raises that error from
 /// that row.
+///
+/// A probe on a join variable ([`Probe::joined`]) rules a candidate out
+/// only on values that are numbers, and only while every literal of its
+/// conjunct, as bound for this serve, is one: a value another unit
+/// joins to a number (`typed_key`-equal) coerces to the same `f64`, so
+/// it compares with a number the same way. Any other value keeps its
+/// candidate.
 pub struct CandidateFilter {
     probes: Vec<CandidateProbe>,
     funcs: Arc<FunctionRegistry>,
@@ -81,18 +89,23 @@ struct CandidateProbe {
     attr: Option<Option<Sym>>,
     /// The conjunct, over the one column that holds the value.
     test: ScalarExpr,
+    /// Whether only a value that is a number can rule the candidate out.
+    numbers_only: bool,
 }
 
 impl CandidateFilter {
     /// The filter for `probes`, each with its conjunct translated to a
-    /// one-column row.
+    /// one-column row. A join-variable probe with a literal that is not
+    /// a number is left out.
     pub fn new<'a>(probes: impl IntoIterator<Item = (&'a Probe, ScalarExpr)>, funcs: Arc<FunctionRegistry>) -> Self {
         let probes = probes
             .into_iter()
+            .filter(|(probe, test)| !probe.joined || numeric_literals(test))
             .map(|(probe, test)| CandidateProbe {
                 path: probe.path.iter().map(|step| Sym::find(step)).collect(),
                 attr: probe.attr.as_deref().map(Sym::find),
                 test,
+                numbers_only: probe.joined,
             })
             .collect();
         CandidateFilter {
@@ -126,16 +139,40 @@ impl CandidateProbe {
     /// or fails the test with an error.
     fn finds(&self, node: Cursor<'_>, path: &[Option<Sym>], funcs: &FunctionRegistry) -> bool {
         let Some((step, rest)) = path.split_first() else {
-            let value = match self.attr {
+            let value = Value::Atomic(match self.attr {
                 None => node.typed_value(),
                 Some(name) => match node.attrs().iter().find(|(k, _)| Some(*k) == name) {
                     Some((_, v)) => Atomic::infer(v.as_str()),
                     None => return false,
                 },
-            };
-            return !matches!(self.test.eval_bool(&[Value::Atomic(value)], funcs), Ok(false));
+            });
+            if self.numbers_only && !is_number(&value) {
+                return true;
+            }
+            return !matches!(self.test.eval_bool(std::slice::from_ref(&value), funcs), Ok(false));
         };
         step.is_some() && node.children().any(|c| c.name_sym() == *step && self.finds(c, rest, funcs))
+    }
+}
+
+/// Whether `v` coerces to a number that is not NaN, as `compare` reads it.
+fn is_number(v: &Value) -> bool {
+    literal_num(v).is_some_and(|x| !x.is_nan())
+}
+
+/// Whether every literal of a join-variable probe's test is a number
+/// ([`is_number`]). The planner admits only comparisons of the one
+/// column with literals under `AND`/`OR`/`NOT`; anything else is not
+/// read as numbers.
+fn numeric_literals(test: &ScalarExpr) -> bool {
+    match test {
+        ScalarExpr::Col(_) => true,
+        ScalarExpr::Lit(v) => is_number(v),
+        ScalarExpr::Cmp(_, l, r) | ScalarExpr::And(l, r) | ScalarExpr::Or(l, r) => {
+            numeric_literals(l) && numeric_literals(r)
+        }
+        ScalarExpr::Not(e) => numeric_literals(e),
+        _ => false,
     }
 }
 

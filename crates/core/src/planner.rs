@@ -252,6 +252,12 @@ pub struct Probe {
     /// The attribute of that element that holds the value; `None` for
     /// its content.
     pub attr: Option<String>,
+    /// Whether another unit binds the variable too — another atom, or
+    /// the outer row of a correlated subquery — so that a joined row may
+    /// hold that unit's value instead. The conjunct then only compares
+    /// the variable with literals, and a candidate is pruned only on a
+    /// value and literals that are numbers.
+    pub joined: bool,
 }
 
 impl Probe {
@@ -295,7 +301,19 @@ pub fn plan_query_sharded(
     config: &OptimizerConfig,
     shards: Option<&crate::shard::ShardRuntime>,
 ) -> Result<Plan, CoreError> {
-    plan_floored(catalog, query, config, shards, None)
+    plan_floored(catalog, query, config, shards, None, None)
+}
+
+/// [`plan_query_sharded`] for a correlated subquery, run under each row
+/// of `outer`: a variable `outer` binds is a join variable of the plan.
+pub(crate) fn plan_subquery(
+    catalog: &Catalog,
+    query: &Query,
+    config: &OptimizerConfig,
+    shards: Option<&crate::shard::ShardRuntime>,
+    outer: &Schema,
+) -> Result<Plan, CoreError> {
+    plan_floored(catalog, query, config, shards, None, Some(outer))
 }
 
 /// [`plan_query`] for a view refresh (DESIGN.md §21): every fragment
@@ -313,18 +331,20 @@ pub fn plan_refresh(
     shards: Option<&crate::shard::ShardRuntime>,
     delta: Option<(&str, u64)>,
 ) -> Result<Plan, CoreError> {
-    plan_floored(catalog, query, config, shards, Some(delta))
+    plan_floored(catalog, query, config, shards, Some(delta), None)
 }
 
 /// The one planner. `refresh` is `None` for a query and, for a view
 /// refresh, what [`plan_refresh`] was given: the collection to floor at
-/// its mark, if any (every other one is floored at 0).
+/// its mark, if any (every other one is floored at 0). `outer` is the
+/// row schema a correlated subquery runs under.
 fn plan_floored(
     catalog: &Catalog,
     query: &Query,
     config: &OptimizerConfig,
     shards: Option<&crate::shard::ShardRuntime>,
     refresh: Option<Option<(&str, u64)>>,
+    outer: Option<&Schema>,
 ) -> Result<Plan, CoreError> {
     let mut plan = Plan {
         order_by: query.order_by.clone(),
@@ -513,7 +533,7 @@ fn plan_floored(
 
     // Phase 7: candidate probes, once the central predicates and the
     // atoms the shard plans route are final.
-    plan_probes(&mut plan);
+    plan_probes(&mut plan, outer);
 
     finish(catalog, &mut plan, config);
     Ok(plan)
@@ -522,25 +542,30 @@ fn plan_floored(
 /// Phase 7 of planning (DESIGN.md §22): record as a [`Probe`] every
 /// residual conjunct a central match can check on its candidates, and
 /// apply the Filter's default selectivity once per probe to the probed
-/// atom's estimate (the Filter's own estimate leaves those conjuncts
-/// out). A conjunct qualifies when
+/// atom's estimate, and once per probed conjunct to the fold's (the
+/// Filter's own estimate leaves those conjuncts out). A conjunct
+/// qualifies when
 ///
 /// * (a) it mentions exactly one variable and calls no function — a
 ///   cleaning function may be costly or stateful, and would run again;
-/// * (b) that variable is bound by this atom alone — the value a join
-///   leaves in the row may be the other side's, `key_eq`-equal but of
-///   another type;
-/// * (c) it occurs once in the pattern, as a content `$v` or an
-///   attribute `a=$v`;
-/// * (d) under the candidate at a path of plain element names;
+/// * (b) if another unit binds that variable too (another atom, or the
+///   `outer` row), it only compares it with literals, by `=`, `!=`, `<`,
+///   `<=`, `>` or `>=` under `AND`/`OR`/`NOT` — the row a join leaves may
+///   hold the other unit's `typed_key`-equal value, and the matcher
+///   prunes only where both compare alike ([`Probe::joined`]);
 ///
 /// and no conjunct ahead of it in the Filter can fail: the Filter stops
 /// a row at its first false conjunct and raises at its first failing
-/// one, so a row the probe removed could have been the row to raise.
-fn plan_probes(plan: &mut Plan) {
+/// one, so a row the probe removed could have been the row to raise. It
+/// is then a probe of every `FetchMatch` or `ViewMatch` atom no shard
+/// plan routes that binds the variable
+///
+/// * (c) once, as a content `$v` or an attribute `a=$v`,
+/// * (d) under the candidate at a path of plain element names.
+fn plan_probes(plan: &mut Plan, outer: Option<&Schema>) {
     let mut probes = Vec::new();
     for (conjunct, pred) in plan.residual_predicates.iter().enumerate() {
-        probes.extend(probe_of(plan, conjunct, pred));
+        probes.extend(probes_of(plan, outer, conjunct, pred));
         if may_fail(pred) {
             break;
         }
@@ -552,51 +577,77 @@ fn plan_probes(plan: &mut Plan) {
     for (i, est) in plan.est_rows.iter_mut().enumerate() {
         *est = shrink(*est, probes.iter().filter(|p| p.atom == i).count());
     }
-    let mut folded = 0;
+    let mut folded: Vec<usize> = Vec::new();
     for (rows, &i) in plan.fold_rows.iter_mut().zip(&plan.fold_order) {
-        folded += probes.iter().filter(|p| p.atom == i).count();
-        *rows = shrink(*rows, folded);
+        for p in probes.iter().filter(|p| p.atom == i) {
+            if !folded.contains(&p.conjunct) {
+                folded.push(p.conjunct);
+            }
+        }
+        *rows = shrink(*rows, folded.len());
     }
     plan.probes = probes;
 }
 
-/// The probe conjunct `conjunct` makes, if conditions (a)–(d) of
-/// [`plan_probes`] admit it.
-fn probe_of(plan: &Plan, conjunct: usize, pred: &Expr) -> Option<Probe> {
+/// The probes conjunct `conjunct` makes, one per atom that conditions
+/// (a)–(d) of [`plan_probes`] admit.
+fn probes_of(plan: &Plan, outer: Option<&Schema>, conjunct: usize, pred: &Expr) -> Vec<Probe> {
     let mut vars = pred.vars();
     vars.sort();
     vars.dedup();
     let [var] = vars.as_slice() else {
-        return None;
+        return Vec::new();
     };
     if calls(pred) || plan.dependents.iter().any(|d| &d.on_var == var || d.vars.contains(var)) {
-        return None;
+        return Vec::new();
     }
-    let mut binders = plan.independents.iter().enumerate().filter(|(_, a)| a.vars().contains(var));
-    let (atom, unit) = binders.next()?;
-    let pattern = match unit {
-        AtomExec::FetchMatch { pattern, .. } | AtomExec::ViewMatch { pattern, .. } => pattern,
-        AtomExec::Fragment { .. } => return None,
-    };
-    if binders.next().is_some() || plan.shards.iter().any(|s| s.atom == atom) {
-        return None;
+    let binders: Vec<usize> = (0..plan.independents.len())
+        .filter(|&i| plan.independents[i].vars().contains(var))
+        .collect();
+    let joined = binders.len() + usize::from(outer.is_some_and(|s| s.index_of(var).is_some())) > 1;
+    if joined && !compares_with_literals(pred) {
+        return Vec::new();
     }
-    let [site] = var_sites(pattern, var).try_into().ok()?;
-    let (read, steps) = site.split_last()?;
-    let attr = match read.as_str() {
-        "$" => None,
-        read => Some(read.strip_prefix('@')?.to_string()),
-    };
-    if !steps.iter().all(|s| plain_step(s)) {
-        return None;
+    binders
+        .into_iter()
+        .filter_map(|atom| {
+            let (AtomExec::FetchMatch { pattern, .. } | AtomExec::ViewMatch { pattern, .. }) = &plan.independents[atom]
+            else {
+                return None;
+            };
+            if plan.shards.iter().any(|s| s.atom == atom) {
+                return None;
+            }
+            let [site] = var_sites(pattern, var).try_into().ok()?;
+            let (read, steps) = site.split_last()?;
+            let attr = match read.as_str() {
+                "$" => None,
+                read => Some(read.strip_prefix('@')?.to_string()),
+            };
+            steps.iter().all(|s| plain_step(s)).then(|| Probe {
+                atom,
+                conjunct,
+                var: var.clone(),
+                path: steps.to_vec(),
+                attr,
+                joined,
+            })
+        })
+        .collect()
+}
+
+/// Whether `e` is comparisons of a variable with a literal, by `=`, `!=`,
+/// `<`, `<=`, `>` or `>=`, under `AND`, `OR` and `NOT`.
+fn compares_with_literals(e: &Expr) -> bool {
+    match e {
+        Expr::Not(e) => compares_with_literals(e),
+        Expr::Binary(BinOp::And | BinOp::Or, l, r) => compares_with_literals(l) && compares_with_literals(r),
+        Expr::Binary(BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, l, r) => matches!(
+            (l.as_ref(), r.as_ref()),
+            (Expr::Var(_), Expr::Lit(_)) | (Expr::Lit(_), Expr::Var(_))
+        ),
+        _ => false,
     }
-    Some(Probe {
-        atom,
-        conjunct,
-        var: var.clone(),
-        path: steps.to_vec(),
-        attr,
-    })
 }
 
 /// Whether evaluating `e` can fail: arithmetic, negation and calls can;
@@ -690,6 +741,8 @@ fn probe_facts(plan: &Plan, outer: Option<&Schema>) -> Vec<ProbeFacts> {
                 var: p.var.clone(),
                 vars: conjunct.map(Expr::vars).unwrap_or_default(),
                 calls: conjunct.is_some_and(calls),
+                test: conjunct.and_then(|c| probe_test(c, &p.var)),
+                joined: p.joined,
                 failing_before: plan.residual_predicates.iter().take(p.conjunct).filter(|e| may_fail(e)).count(),
                 binders: plan.independents.iter().filter(|a| a.vars().contains(&p.var)).count()
                     + plan
@@ -704,6 +757,13 @@ fn probe_facts(plan: &Plan, outer: Option<&Schema>) -> Vec<ProbeFacts> {
             }
         })
         .collect()
+}
+
+/// A probe's conjunct as the matcher tests it: over a one-column row
+/// holding `var`. `None` when it reads another variable.
+pub(crate) fn probe_test(conjunct: &Expr, var: &str) -> Option<ScalarExpr> {
+    let column = Schema::try_new(vec![var.to_string()]).ok()?;
+    translate_expr(conjunct, &column).ok()
 }
 
 /// Give every single-collection fragment its row floor (see
@@ -809,7 +869,8 @@ pub fn value_notes(catalog: &Catalog, plan: &Plan) -> Vec<String> {
         // `Expr` prints fully parenthesized.
         let pred = pred.to_string();
         let pred = pred.strip_prefix('(').and_then(|p| p.strip_suffix(')')).unwrap_or(&pred);
-        notes.push(format!("probe: {} on {} at {}", pred, unit, at.join("/")));
+        let guard = if probe.joined { ", join variable: numbers only" } else { "" };
+        notes.push(format!("probe: {} on {} at {}{}", pred, unit, at.join("/"), guard));
     }
     for (i, atom) in plan.independents.iter().enumerate() {
         if let AtomExec::Fragment { source, query, .. } = atom {

@@ -17,6 +17,14 @@
 //! a join (b); the join's key takes `key_eq`-equal values of different
 //! types on its two sides.
 //!
+//! A second grammar is about join variables alone: two collections share
+//! `$k`, whose values on each side mix `Int`, `Float`, `Str`, `Sym`, NaN
+//! and null spellings the join equates, under comparisons with number,
+//! text and NaN literals — and the text is served twice, the second time
+//! through the cached plan with its equality parameters bound to other
+//! values of the same type, so that the literals the matcher checks are
+//! the ones bound for that serve.
+//!
 //! Seeded (`nimble_trace::rng::sweep`): a failure prints its case number.
 
 use nimble_core::planner::{self, Plan, Probe};
@@ -254,6 +262,145 @@ fn probed_plans_answer_as_the_same_plan_without_probes() {
     );
 }
 
+/// Text values of a join key: numbers spelled the ways the join
+/// equates, both zeros, NaNs of either sign, and words.
+const KEY_TEXT: [&str; 13] = ["2", " 2 ", "2.0", "-0", "0", "1e3", "1000", "NaN", "-nan", "inf", "abc", "", "10x"];
+
+/// A join key: mostly a spelling of 2, 0 or 1000 — so the two sides
+/// meet as values of different types — or null, a NaN (which the join
+/// equates with every other NaN), or a word.
+fn key(rng: &mut Rng) -> Atomic {
+    match rng.below(9) {
+        0 => Atomic::Int([2, 0, 1000, -3][rng.below(4)]),
+        1 => Atomic::Float([2.0, -0.0, 0.0, 1000.0, 2.5][rng.below(5)]),
+        2 | 3 => Atomic::Str(rng.pick(&KEY_TEXT).to_string()),
+        4 => Atomic::Sym(nimble_xml::Sym::intern(KEY_TEXT[rng.below(KEY_TEXT.len())])),
+        5 => Atomic::Float([f64::NAN, -f64::NAN][rng.below(2)]),
+        6 => Atomic::Null,
+        _ => two(rng),
+    }
+}
+
+/// `<name>` of `<row><k/><tag/></row>`, the key sometimes missing.
+fn keyed(rng: &mut Rng, name: &str, tag: &str) -> Arc<Document> {
+    let mut b = DocumentBuilder::new(name);
+    for i in 0..rng.below(20) {
+        b.start_element("row");
+        if rng.chance(0.9) {
+            b.leaf("k", key(rng));
+        }
+        b.leaf(tag, Atomic::Int(i as i64));
+        b.end_element();
+    }
+    b.finish()
+}
+
+/// Literals of one type each: a serve binds an equality parameter to
+/// another value of its type.
+const LITERALS: [&[&str]; 3] = [
+    &["2", "0", "1000", "-3"],
+    &["2.0", "2.5", "-0.0", "1000.0"],
+    &[r#""2""#, r#"" 2 ""#, r#""-0""#, r#""1e3""#, r#""abc""#, r#""NaN""#, r#""inf""#, r#""""#],
+];
+
+/// A conjunct on the join variable `$k`, `?` standing for an equality
+/// literal; or one on `$x`, which the left side alone binds.
+fn key_predicate(rng: &mut Rng) -> &'static str {
+    [
+        "$k = ?",
+        "$k = ?",
+        "$k != 2",
+        "$k > 1",
+        "$k <= 0",
+        "$k >= 1000.0",
+        r#"NOT ($k = "2")"#,
+        "($k < 0 OR $k > 999)",
+        r#"$k < "10x""#,
+        r#"$k > "NaN""#,
+        r#"$k LIKE "2%""#,
+        r#"$k LIKE "2""#,
+        "$k + 1 > 2",
+        "$x > 3",
+    ][rng.below(14)]
+}
+
+#[test]
+fn join_variable_probes_answer_as_the_same_plan_without_probes() {
+    let joined = AtomicU64::new(0);
+    let pruned = AtomicU64::new(0);
+    let failed = AtomicU64::new(0);
+    sweep(600, |rng| {
+        let catalog = Catalog::new();
+        let src = XmlDocAdapter::new("src")
+            .add_document("left", keyed(rng, "left", "x"))
+            .add_document("right", keyed(rng, "right", "y"));
+        catalog.register_source(Arc::new(src)).unwrap();
+        let engine = Engine::with_config(
+            Arc::new(catalog),
+            EngineConfig {
+                optimizer: OptimizerConfig {
+                    verify_plans: true,
+                    track_lineage: true,
+                    ..OptimizerConfig::default()
+                },
+                ..EngineConfig::default()
+            },
+        );
+        let mut shape = String::from(
+            r#"WHERE <row><k>$k</k><x>$x</x></row> IN "left", <row><k>$k</k><y>$y</y></row> IN "right""#,
+        );
+        for _ in 0..1 + rng.below(3) {
+            shape.push_str(",\n      ");
+            shape.push_str(key_predicate(rng));
+        }
+        shape.push_str("\nCONSTRUCT <o><k>$k</k><x>$x</x><y>$y</y></o>");
+        if rng.chance(0.5) {
+            shape.push_str(" ORDER-BY $y");
+        }
+        // The same shape twice: the first serve fills the plan cache, the
+        // second binds its own literals into the cached plan.
+        let literals = LITERALS[rng.below(LITERALS.len())];
+        let serves: Vec<String> = (0..2)
+            .map(|_| {
+                let mut text = shape.clone();
+                while let Some(at) = text.find('?') {
+                    text.replace_range(at..at + 1, *rng.pick(literals));
+                }
+                text
+            })
+            .collect();
+        for text in &serves {
+            let query = nimble_xmlql::parse_query(text).unwrap();
+            let plan =
+                planner::plan_query(engine.catalog(), &query, &engine.config().optimizer).unwrap();
+            let mut cleared = plan.clone();
+            cleared.probes.clear();
+            let before = engine.metrics_snapshot().counter("engine.match.pruned");
+            let served = engine.query(text).map(|r| to_string(&r.document.root()));
+            let after = engine.metrics_snapshot().counter("engine.match.pruned");
+            let got = answer(&engine, text, plan.clone());
+            let want = answer(&engine, text, cleared);
+            joined.fetch_add(u64::from(plan.probes.iter().any(|p| p.joined)), Ordering::Relaxed);
+            pruned.fetch_add(u64::from(after > before), Ordering::Relaxed);
+            failed.fetch_add(u64::from(want.is_err()), Ordering::Relaxed);
+            assert_eq!(got, want, "{}\nprobes {:?}", text, plan.probes);
+            assert_eq!(served, want.map(|(xml, _)| xml), "{}", text);
+        }
+    });
+    let (joined, pruned, failed) = (joined.into_inner(), pruned.into_inner(), failed.into_inner());
+    eprintln!(
+        "probe_differential: {} serves with join-variable probes, {} pruned, {} failed",
+        joined, pruned, failed
+    );
+    assert!(
+        joined >= 400 && pruned >= 200 && failed >= 25,
+        "joined {} pruned {} failed {}",
+        joined,
+        pruned,
+        failed
+    );
+}
+
 /// The probes `text` plans, as `(variable, path)`.
 fn probes_of(text: &str) -> Vec<(String, String)> {
     let engine = engine(&mut Rng::new(7));
@@ -296,14 +443,41 @@ fn each_condition_declines_a_probe_where_it_fails() {
         probes_of(&with(r#"$r = "west", $v + 1 > 3"#)),
         pairs(&[("r", "region/$"), ("v", "v/$")])
     );
-    // (b) a join variable, and a variable a dependent atom binds.
+    // (b) a join variable is probed on every atom that binds it, when the
+    // conjunct only compares it with literals; a variable a dependent
+    // atom binds is not probed.
+    let join = |preds: &str| {
+        format!(
+            r#"WHERE <rec><region>$r</region><v>$k</v></rec> IN "coll", <row><k>$k</k></row> IN "other", {}
+               CONSTRUCT <o/>"#,
+            preds
+        )
+    };
     assert_eq!(
-        probes_of(
-            r#"WHERE <rec><region>$r</region><v>$k</v></rec> IN "coll", <row><k>$k</k></row> IN "other", $k = 2, $r = "west"
-               CONSTRUCT <o/>"#
-        ),
-        pairs(&[("r", "region/$")])
+        probes_of(&join(r#"$k = 2, $r = "west""#)),
+        pairs(&[("k", "v/$"), ("k", "k/$"), ("r", "region/$")])
     );
+    assert_eq!(
+        probes_of(&join(r#"NOT ($k > "10x" OR $k <= -1), $r = "west""#)),
+        pairs(&[("k", "v/$"), ("k", "k/$"), ("r", "region/$")])
+    );
+    // Refused on $k; `$r` after it is probed unless the refused conjunct
+    // can fail.
+    let r_only: &[(&str, &str)] = &[("r", "region/$")];
+    for (refused, want) in [
+        (r#"$k LIKE "2""#, r_only),
+        ("$k = $r", r_only),
+        ("$k < $k", r_only),
+        ("$k + 1 > 3", &[]),
+        (r#"upper($k) = "2""#, &[]),
+    ] {
+        assert_eq!(
+            probes_of(&join(&format!(r#"{}, $r = "west""#, refused))),
+            pairs(want),
+            "{}",
+            refused
+        );
+    }
     assert_eq!(
         probes_of(
             r#"WHERE <rec/> ELEMENT_AS $e IN "coll", <v>$x</v> IN $e, $x = 2 CONSTRUCT <o/>"#
@@ -353,23 +527,31 @@ fn the_candidate_probe_rule_refuses_a_probe_the_conditions_do_not_admit() {
     let mut plan =
         planner::plan_query(engine.catalog(), &query, &engine.config().optimizer).unwrap();
     assert!(plan.probes.is_empty());
-    plan.probes.push(Probe {
+    let probe = Probe {
         atom: 0,
         conjunct: 0,
         var: "k".into(),
         path: vec!["v".into()],
         attr: None,
-    });
-    let err = planner::verify_plan(&plan, None).unwrap_err();
-    assert!(
-        matches!(&err, CoreError::PlanVerify(m) if m.contains("candidate-probe") && m.contains("bound by 2 units")),
-        "{}",
-        err
-    );
-    assert!(matches!(
-        engine.query_planned(text, plan),
-        Err(CoreError::PlanVerify(_))
-    ));
+        joined: false,
+    };
+    // Unguarded, and guarded over a `LIKE`.
+    for (probe, why) in [
+        (probe.clone(), "bound by 2 units"),
+        (Probe { joined: true, ..probe }, "compares $k with literals only"),
+    ] {
+        plan.probes = vec![probe];
+        let err = planner::verify_plan(&plan, None).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::PlanVerify(m) if m.contains("candidate-probe") && m.contains(why)),
+            "{}",
+            err
+        );
+        assert!(matches!(
+            engine.query_planned(text, plan.clone()),
+            Err(CoreError::PlanVerify(_))
+        ));
+    }
 }
 
 #[test]
@@ -406,10 +588,11 @@ fn explain_names_each_probe_and_analyze_counts_what_it_pruned() {
     );
 }
 
-/// Why (b) holds: the row a join leaves may carry the other side's value
-/// of the variable — `key_eq`-equal, but not the same under `LIKE` — so a
-/// probe on one side's value would drop a row the Filter keeps. Only the
-/// `candidate-probe` rule stands in the way, so it is off here.
+/// Why a join variable's probe guards (b): the row a join leaves may
+/// carry the other side's value of the variable — `typed_key`-equal, but
+/// not the same under `LIKE` — so an unguarded probe on one side's value
+/// would drop a row the Filter keeps. Only the `candidate-probe` rule
+/// stands in the way, so it is off here.
 #[test]
 fn a_probe_on_a_join_variable_would_lose_rows() {
     // `other` is the smaller side: the fold starts there, and the joined
@@ -458,6 +641,7 @@ fn a_probe_on_a_join_variable_would_lose_rows() {
         var: "k".into(),
         path: vec!["v".into()],
         attr: None,
+        joined: false,
     });
     let rows = |plan: Plan| {
         engine
@@ -472,7 +656,7 @@ fn a_probe_on_a_join_variable_would_lose_rows() {
 
 /// The outer row of a correlated subquery binds its variables too: a
 /// subquery atom's variable that the outer row also binds is a join
-/// variable, and is not probed.
+/// variable, and a `LIKE` on it is not probed.
 #[test]
 fn a_variable_the_outer_row_binds_is_not_probed() {
     let coll = {

@@ -50,6 +50,7 @@
 //! serialization into cached-plan stamps and diff cheaply.
 
 use crate::PlanIssue;
+use nimble_algebra::{CmpOp, ScalarExpr};
 
 /// A cheap structural summary of a plan (or plan fragment) taken before
 /// or after a rewrite.
@@ -341,6 +342,12 @@ pub struct ProbeFacts {
     pub vars: Vec<String>,
     /// Whether the conjunct calls a function.
     pub calls: bool,
+    /// The conjunct as the matcher tests it, over a one-column row that
+    /// holds the variable; `None` when it reads another variable.
+    pub test: Option<ScalarExpr>,
+    /// Whether the probe guards for a join variable: it prunes only on
+    /// values and literals that are numbers.
+    pub joined: bool,
     /// Conjuncts ahead of it in the Filter whose evaluation can fail.
     pub failing_before: usize,
     /// Units that bind the variable: independent atoms, dependent atoms
@@ -361,9 +368,14 @@ pub struct ProbeFacts {
 
 /// The `candidate-probe` rule: a probe must read a conjunct of one
 /// variable that calls no function, behind no conjunct that can fail;
-/// that variable must be bound by the probed atom alone, which must be
-/// matched centrally, and occur there once, as content or an attribute,
-/// under plain element names — exactly where the probe walks.
+/// the probed atom must be matched centrally and bind the variable
+/// once, as content or an attribute, under plain element names —
+/// exactly where the probe walks. A variable another unit binds too
+/// (another atom, or the outer row) is a join variable: its probe must
+/// guard (`joined`), and a guarded probe's conjunct may only compare the
+/// variable with literals by `=`, `!=`, `<`, `<=`, `>` or `>=`, under
+/// `AND`, `OR` and `NOT` — the comparisons on which a number and any
+/// value the join equates with it agree.
 pub fn audit_probes(probes: &[ProbeFacts]) -> Vec<PlanIssue> {
     let mut issues = Vec::new();
     for p in probes {
@@ -391,10 +403,16 @@ pub fn audit_probes(probes: &[ProbeFacts]) -> Vec<PlanIssue> {
                 p.failing_before
             ));
         }
-        if p.binders != 1 {
+        if p.binders == 0 || (p.binders > 1 && !p.joined) {
             report(format!(
-                "${} is bound by {} units: a joined row may hold another unit's value",
+                "${} is bound by {} units and the probe does not guard: a joined row may hold another unit's value",
                 p.var, p.binders
+            ));
+        }
+        if p.joined && !p.test.as_ref().is_some_and(compares_with_literals) {
+            report(format!(
+                "a join-variable probe compares ${} with literals only, by =, !=, <, <=, > or >= under AND, OR, NOT",
+                p.var
             ));
         }
         if !p.central {
@@ -430,9 +448,28 @@ pub fn audit_probes(probes: &[ProbeFacts]) -> Vec<PlanIssue> {
     issues
 }
 
+/// Whether `e` is comparisons of the one column with a literal, under
+/// `AND`, `OR` and `NOT` — no `LIKE`, arithmetic, call, or column
+/// compared with a column.
+fn compares_with_literals(e: &ScalarExpr) -> bool {
+    match e {
+        ScalarExpr::Not(e) => compares_with_literals(e),
+        ScalarExpr::And(l, r) | ScalarExpr::Or(l, r) => compares_with_literals(l) && compares_with_literals(r),
+        ScalarExpr::Cmp(op, l, r) => {
+            *op != CmpOp::Like
+                && matches!(
+                    (l.as_ref(), r.as_ref()),
+                    (ScalarExpr::Col(_), ScalarExpr::Lit(_)) | (ScalarExpr::Lit(_), ScalarExpr::Col(_))
+                )
+        }
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nimble_algebra::ArithOp;
 
     fn cols(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -773,6 +810,77 @@ mod tests {
             (ProbeFacts { walk: cols(&["name", "$"]), ..ok.clone() }, "the probe reads name/$"),
         ];
         for (facts, why) in broken {
+            let issues = audit_probes(&[facts]);
+            assert!(issues.iter().any(|i| i.operator == "candidate-probe" && i.detail.contains(why)), "{}: {:?}", why, issues);
+        }
+    }
+
+    #[test]
+    fn a_join_variable_probe_is_admitted_only_for_comparisons_with_literals() {
+        let col = || Box::new(ScalarExpr::Col(0));
+        let lit = |v: i64| Box::new(ScalarExpr::lit(v));
+        let cmp = |op, l, r| ScalarExpr::Cmp(op, l, r);
+        // `$k > 990 AND NOT (5 = $k) OR $k <= -1`, over a join variable
+        // (another atom, or the outer row, binds it too).
+        let comparisons = ScalarExpr::Or(
+            Box::new(ScalarExpr::And(
+                Box::new(cmp(CmpOp::Gt, col(), lit(990))),
+                Box::new(ScalarExpr::Not(Box::new(cmp(CmpOp::Eq, lit(5), col())))),
+            )),
+            Box::new(cmp(CmpOp::Le, col(), lit(-1))),
+        );
+        let ok = ProbeFacts {
+            probe: "$k".into(),
+            var: "k".into(),
+            vars: cols(&["k", "k", "k"]),
+            binders: 2,
+            joined: true,
+            test: Some(comparisons.clone()),
+            central: true,
+            occurrences: vec![cols(&["key", "$"])],
+            walk: cols(&["key", "$"]),
+            ..ProbeFacts::default()
+        };
+        assert!(audit_probes(std::slice::from_ref(&ok)).is_empty());
+        // Three binders, and a guarded probe on a variable one atom binds.
+        assert!(audit_probes(&[ProbeFacts { binders: 3, ..ok.clone() }]).is_empty());
+        assert!(audit_probes(&[ProbeFacts { binders: 1, ..ok.clone() }]).is_empty());
+        let shape = "compares $k with literals only";
+        let refused: Vec<(ProbeFacts, &str)> = vec![
+            (ProbeFacts { joined: false, ..ok.clone() }, "does not guard"),
+            (
+                ProbeFacts {
+                    test: Some(cmp(CmpOp::Like, col(), Box::new(ScalarExpr::lit("2")))),
+                    ..ok.clone()
+                },
+                shape,
+            ),
+            (
+                ProbeFacts {
+                    test: Some(cmp(CmpOp::Gt, Box::new(ScalarExpr::Arith(ArithOp::Add, col(), lit(1))), lit(3))),
+                    ..ok.clone()
+                },
+                shape,
+            ),
+            (
+                ProbeFacts {
+                    test: Some(cmp(CmpOp::Eq, Box::new(ScalarExpr::Call("upper".into(), vec![ScalarExpr::Col(0)])), lit(2))),
+                    calls: true,
+                    ..ok.clone()
+                },
+                shape,
+            ),
+            (ProbeFacts { test: Some(cmp(CmpOp::Lt, col(), col())), ..ok.clone() }, shape),
+            (
+                ProbeFacts {
+                    vars: cols(&["k", "n"]),
+                    test: None,
+                    ..ok.clone()
+                },
+                shape,
+            ),
+        ];
+        for (facts, why) in refused {
             let issues = audit_probes(&[facts]);
             assert!(issues.iter().any(|i| i.operator == "candidate-probe" && i.detail.contains(why)), "{}: {:?}", why, issues);
         }
