@@ -146,11 +146,6 @@ pub struct EngineConfig {
     /// Node budget of the stale-fragment cache (the
     /// [`UnavailablePolicy::StaleCache`] fallback). 0 disables it.
     pub cache_nodes: usize,
-    /// Fetch independent fragments concurrently, as one round of tasks on
-    /// the process-wide worker pool (serially when no pool exists). Query
-    /// latency then tracks the slowest source instead of the sum of all
-    /// sources.
-    pub parallel_fetch: bool,
     /// Wrap every physical operator in a [`MeteredOp`] so EXPLAIN
     /// ANALYZE annotations (actual rows, open/next time) are collected
     /// for every query. Off by default: plans then carry no wrappers
@@ -179,7 +174,6 @@ impl Default for EngineConfig {
             optimizer: OptimizerConfig::default(),
             unavailable: UnavailablePolicy::Fail,
             cache_nodes: 200_000,
-            parallel_fetch: true,
             profile: false,
             slow_query_ms: 100.0,
             flight_capacity: 64,
@@ -1965,7 +1959,7 @@ impl Engine {
                 .and_then(|(stage, keys)| Some((&stage.target(i)?.field, keys)));
             self.fetch_atom(plan, i, bind, depth, ctx)
         };
-        let many = self.config().parallel_fetch && round.len() > 1;
+        let many = round.len() > 1;
         // The query context is thread-local, so each worker re-enters
         // it to keep source calls attributed to the query.
         let pooled = if many {

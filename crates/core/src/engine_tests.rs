@@ -298,15 +298,19 @@ fn parallel_and_serial_fetch_agree() {
         let e = engine();
         to_string(&e.query(query).unwrap().document.root())
     };
-    let serial = {
-        let e = Engine::with_config(
-            catalog(),
-            EngineConfig {
-                parallel_fetch: false,
-                ..EngineConfig::default()
-            },
-        );
-        to_string(&e.query(query).unwrap().document.root())
+    // Inside a pool job `par_tasks` declines, so a serve there fetches
+    // its two sources one after the other: the single-core path and the
+    // nested-round path are the same serial loop.
+    let e = engine();
+    let serial = match nimble_algebra::par_tasks(2, |k| {
+        (k == 0).then(|| to_string(&e.query(query).unwrap().document.root()))
+    }) {
+        Some(served) => {
+            assert_eq!(e.metrics_snapshot().counter("engine.fetch.serial"), 1);
+            served.into_iter().flatten().collect()
+        }
+        // No pool (one core): every round is serial.
+        None => to_string(&e.query(query).unwrap().document.root()),
     };
     assert_eq!(parallel, serial);
 }

@@ -32,7 +32,8 @@ pub struct LinkConfig {
     /// tests); when true the calling thread actually sleeps (for
     /// wall-clock benchmarks).
     pub real_sleep: bool,
-    /// RNG seed for the failure coin flips.
+    /// RNG seed for the failure coin flips. Links with different seeds,
+    /// adjacent ones included, roll independent failures.
     pub seed: u64,
 }
 
@@ -56,6 +57,17 @@ pub struct LinkStats {
     pub failures: u64,
     /// Total latency charged, in milliseconds (whether or not slept).
     pub charged_latency_ms: u64,
+}
+
+/// The splitmix64 finalizer: spreads nearby seeds over the whole word.
+/// `Rng::new` keeps `seed | 1`, so links seeded 2k and 2k + 1 would
+/// otherwise roll the same failures, and xorshift's first draws from
+/// nearby seeds are nearby.
+fn splitmix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// An adapter wrapped with a simulated (un)reliable link.
@@ -87,7 +99,7 @@ impl SimulatedLink {
             latency_ms: AtomicU64::new(config.latency_ms),
             fail_ppm: AtomicU64::new((config.fail_probability * 1e6) as u64),
             real_sleep: AtomicBool::new(config.real_sleep),
-            rng: Mutex::new(Rng::new(config.seed)),
+            rng: Mutex::new(Rng::new(splitmix64(config.seed))),
             calls: AtomicU64::new(0),
             failures: AtomicU64::new(0),
             charged_latency_ms: AtomicU64::new(0),
@@ -285,6 +297,30 @@ mod tests {
             .map(|_| link2.fetch_collection("d").is_ok())
             .collect();
         assert_eq!(outcomes, outcomes2);
+    }
+
+    #[test]
+    fn adjacent_seeds_roll_independent_failures() {
+        let outcomes = |seed| {
+            let link = SimulatedLink::new(
+                base(),
+                LinkConfig {
+                    fail_probability: 0.5,
+                    seed,
+                    ..LinkConfig::default()
+                },
+            );
+            (0..1000)
+                .map(|_| link.fetch_collection("d").is_ok())
+                .collect::<Vec<bool>>()
+        };
+        let (a, b) = (outcomes(1000), outcomes(1001));
+        let disagree = a.iter().zip(&b).filter(|(x, y)| x != y).count();
+        assert!(
+            disagree >= 400,
+            "seeds 1000 and 1001 disagree on {} of 1000 calls",
+            disagree
+        );
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   totals, and peaks compose (the outer peak is at least the inner's
 //!   high-water mark above the outer's entry level).
 //!
-//! Everything is gated on the `profile-alloc` feature (the workspace's
-//! manifests enable it for tests and experiment binaries). With the
+//! Everything is gated on the `profile-alloc` feature (the umbrella
+//! crate's dev-dependency enables it for the workspace's tests, and
+//! `benchmark/build.sh` for the traced serve runs). With the
 //! feature off, [`AllocScope`] is a no-op returning zeros, no global
 //! allocator is installed, and [`enabled`] returns `false` so callers
 //! can skip recording zero metrics.

@@ -3,8 +3,10 @@
 //! hash-flooding defence depends on.
 //!
 //! The seeding (`seed | 1`), the step (13/7/17) and the `f64` draw (top
-//! 53 bits) are fixed: every `SimulatedLink` failure roll and every
-//! committed fixture is a function of them.
+//! 53 bits) are fixed: every committed fixture and every [`sweep`] is a
+//! function of them, and so is every `SimulatedLink` failure roll, from
+//! a seed the link first passes through a splitmix64 finalizer (seeds
+//! 2k and 2k + 1 would otherwise share a stream).
 
 /// A seeded xorshift64 stream.
 #[derive(Clone, Debug)]

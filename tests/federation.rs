@@ -7,12 +7,14 @@ use nimble::sources::csv::CsvAdapter;
 use nimble::sources::hierarchical::{HierarchicalAdapter, Segment};
 use nimble::sources::relational::RelationalAdapter;
 use nimble::sources::xmldoc::XmlDocAdapter;
-use nimble::sources::{
-    Capabilities, CollectionInfo, SourceAdapter, SourceError, SourceKind, SourceQuery,
-};
-use nimble::xml::{to_string, Atomic, Document};
+use nimble::sources::SourceAdapter;
+use nimble::xml::{to_string, Atomic};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+mod common;
+
+use common::Counting;
 
 fn four_source_catalog() -> Arc<Catalog> {
     let c = Catalog::new();
@@ -181,51 +183,6 @@ fn document_order_is_preserved_without_order_by() {
         to_string(&r.document.root()),
         "<results><o>3</o><o>1</o><o>2</o></results>"
     );
-}
-
-/// Pass-through adapter counting the calls the mediator makes and the
-/// XML nodes it gets back — what a remote, autonomous source is charged.
-struct Counting {
-    inner: Arc<dyn SourceAdapter>,
-    calls: Arc<AtomicU64>,
-    nodes: Arc<AtomicU64>,
-}
-
-impl Counting {
-    fn note(&self, result: &Result<Arc<Document>, SourceError>) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        if let Ok(doc) = result {
-            self.nodes.fetch_add(doc.len() as u64, Ordering::Relaxed);
-        }
-    }
-}
-
-impl SourceAdapter for Counting {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn kind(&self) -> SourceKind {
-        self.inner.kind()
-    }
-    fn capabilities(&self) -> Capabilities {
-        self.inner.capabilities()
-    }
-    fn collections(&self) -> Vec<CollectionInfo> {
-        self.inner.collections()
-    }
-    fn execute(&self, query: &SourceQuery) -> Result<Arc<Document>, SourceError> {
-        let result = self.inner.execute(query);
-        self.note(&result);
-        result
-    }
-    fn fetch_collection(&self, name: &str) -> Result<Arc<Document>, SourceError> {
-        let result = self.inner.fetch_collection(name);
-        self.note(&result);
-        result
-    }
-    fn estimated_rows(&self, collection: &str) -> Option<u64> {
-        self.inner.estimated_rows(collection)
-    }
 }
 
 #[test]

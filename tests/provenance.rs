@@ -12,6 +12,8 @@ use nimble::sources::SourceAdapter;
 use nimble::trace::{prometheus_text, query_log_jsonl};
 use std::sync::Arc;
 
+mod common;
+
 const JOIN_QUERY: &str = r#"
     WHERE <row><sku>$s</sku><pname>$p</pname><price>$pr</price></row> IN "products",
           <row><sku>$s</sku><pct>$d</pct></row> IN "discounts"
@@ -144,4 +146,33 @@ fn skipped_sources_surface_in_provenance_and_flight_records() {
 
     let jsonl = query_log_jsonl(&engine.query_log().recent(8));
     assert!(jsonl.lines().any(|l| l.contains("\"missing_sources\":[\"erp\"]")));
+}
+
+#[test]
+fn three_source_answers_name_exactly_their_three_sources() {
+    let (catalog, _) = common::customer_fixture(200);
+    let engine = Engine::new(catalog);
+    engine.set_optimizer(OptimizerConfig {
+        track_lineage: true,
+        ..OptimizerConfig::default()
+    });
+    let r = engine
+        .query(
+            r#"WHERE <row><id>$i</id><name>$n</name><region>$r</region></row> IN "customers",
+                     <row><cust_id>$i</cust_id><total>$t</total></row> IN "orders",
+                     <row><cust_id>$i</cust_id><severity>$sev</severity></row> IN "tickets",
+                     $t > 300, $sev > 1
+               CONSTRUCT <atrisk><name>$n</name><sev>$sev</sev></atrisk>
+               ORDER-BY $n"#,
+        )
+        .unwrap();
+    let answers = r.provenance.as_ref().unwrap().answers.len();
+    assert_eq!(answers, r.document.root().child_element_count());
+    assert!(answers > 0);
+    for i in 0..answers {
+        let mut names: Vec<String> = r.why(i).unwrap().iter().map(|s| s.name.clone()).collect();
+        names.sort();
+        names.dedup();
+        assert_eq!(names, ["billing", "crm", "support"], "answer {}", i);
+    }
 }

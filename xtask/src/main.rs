@@ -37,7 +37,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::ExitCode;
 
 const CATEGORIES: [&str; 4] = ["unwrap", "expect", "panic", "debug_assert"];
 /// Violation-style lints: the baseline entry is pinned at zero; any
@@ -50,109 +50,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(args.iter().any(|a| a == "--update-baseline")),
-        Some("bench-check") => bench_check(),
         _ => {
-            eprintln!("usage: cargo xtask <lint [--update-baseline] | bench-check>");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Benchmark artifacts the regression sentinel gates (basenames at the
-/// repo root, committed per PR).
-const BENCH_ARTIFACTS: [&str; 3] = [
-    "BENCH_observability.json",
-    "BENCH_provenance.json",
-    "BENCH_shard.json",
-];
-
-/// The bench binaries that regenerate those artifacts, in order.
-const BENCH_BINS: [&str; 3] = [
-    "exp_observability",
-    "exp_provenance",
-    "exp_shard",
-];
-
-/// `cargo run --release` of a workspace binary, from the workspace root.
-fn tool_command(root: &Path, bin: &str) -> Command {
-    let mut c = Command::new("cargo");
-    c.args(["run", "--release", "--quiet", "--bin", bin, "--"]);
-    c.current_dir(root);
-    c
-}
-
-/// `cargo xtask bench-check`: the perf regression sentinel.
-///
-/// 1. Collect the baseline artifacts from `git HEAD` (CI smoke steps
-///    overwrite the working-tree copies, so the committed content is
-///    the trustworthy baseline; the working tree is the fallback).
-/// 2. Re-run the bench binaries in quick mode with
-///    `NIMBLE_BENCH_OUT_DIR` pointing at a scratch directory, so the
-///    fresh artifacts never clobber the checked-in ones.
-/// 3. Gate fresh against baseline with `bench_check` (scale-invariant
-///    ratio gates — see `nimble_bench::baseline` for the noise floors).
-fn bench_check() -> ExitCode {
-    let root = workspace_root();
-    let base_dir = root.join("target/bench-check/baseline");
-    let fresh_dir = root.join("target/bench-check/fresh");
-    for d in [&base_dir, &fresh_dir] {
-        if let Err(e) = fs::create_dir_all(d) {
-            eprintln!("bench-check: cannot create {}: {}", d.display(), e);
-            return ExitCode::FAILURE;
-        }
-    }
-
-    for name in BENCH_ARTIFACTS {
-        let shown = Command::new("git")
-            .args(["show", &format!("HEAD:{}", name)])
-            .current_dir(&root)
-            .output();
-        let bytes = match shown {
-            Ok(o) if o.status.success() => o.stdout,
-            _ => match fs::read(root.join(name)) {
-                Ok(b) => {
-                    println!("bench-check: using working-tree {} as baseline (git show failed)", name);
-                    b
-                }
-                Err(e) => {
-                    eprintln!("bench-check: no baseline for {}: {}", name, e);
-                    return ExitCode::FAILURE;
-                }
-            },
-        };
-        if let Err(e) = fs::write(base_dir.join(name), bytes) {
-            eprintln!("bench-check: cannot write baseline {}: {}", name, e);
-            return ExitCode::FAILURE;
-        }
-    }
-
-    for bin in BENCH_BINS {
-        println!("bench-check: running {} --quick", bin);
-        let status = tool_command(&root, bin)
-            .arg("--quick")
-            .env("NIMBLE_BENCH_QUICK", "1")
-            .env("NIMBLE_BENCH_OUT_DIR", &fresh_dir)
-            .status();
-        match status {
-            Ok(s) if s.success() => {}
-            Ok(s) => {
-                eprintln!("bench-check: {} exited with {}", bin, s);
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("bench-check: cannot run {}: {}", bin, e);
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let mut gate = tool_command(&root, "bench_check");
-    gate.arg(&base_dir).arg(&fresh_dir).args(BENCH_ARTIFACTS);
-    match gate.status() {
-        Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(e) => {
-            eprintln!("bench-check: cannot run bench_check: {}", e);
+            eprintln!("usage: cargo xtask lint [--update-baseline]");
             ExitCode::FAILURE
         }
     }
