@@ -18,9 +18,12 @@
 //! join-variable probe rests on (DESIGN.md §22): two values the join
 //! calls equal compare alike with a number, when they are numbers
 //! themselves — and the counter-cases that say why the probe guards for
-//! exactly that.
+//! exactly that. And the kernel those probes and a shard scan run: a
+//! [`LiteralTest`] is `eval_bool` of the expression it compiles, over
+//! the same coercion edges.
 
-use crate::expr::{compare, literal_num, CmpOp};
+use crate::expr::{compare, literal_num, CmpOp, LiteralTest, ScalarExpr};
+use crate::funcs::FunctionRegistry;
 use crate::ops::{HashJoinOp, JoinType, Operator, SortKey, SortOp, ValuesOp};
 use crate::run_to_vec;
 use crate::schema::{Schema, Tuple};
@@ -380,6 +383,105 @@ fn like_a_string_literal_and_nan_are_where_joined_values_compare_apart() {
             why
         );
     }
+}
+
+const OPERATORS: [CmpOp; 7] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+    CmpOp::Like,
+];
+
+/// The coercion pool, and node values: elements holding a value of it as
+/// their one text child, an empty one, and one whose text is several
+/// nodes.
+fn values_with_nodes() -> Vec<Value> {
+    let doc = nimble_xml::parse("<r><v>2</v><v> 2 </v><v>-0</v><v>abc</v><v/><v><a>1</a>0</v></r>").unwrap();
+    let mut values = coercion_pool();
+    values.extend(doc.root().children().map(Value::Node));
+    values
+}
+
+fn lit(v: &Value) -> Box<ScalarExpr> {
+    Box::new(ScalarExpr::Lit(v.clone()))
+}
+
+#[test]
+fn a_literal_test_is_eval_bool_of_what_it_compiles() {
+    let (funcs, pool, values) = (FunctionRegistry::with_builtins(), coercion_pool(), values_with_nodes());
+    let col = |c: usize| Box::new(ScalarExpr::Col(c));
+    let mut checked = 0;
+    // Every value against every literal, by every operator, the column
+    // on either side: `lit LIKE col` reads its pattern from the row and
+    // is the one that does not compile.
+    for l in pool.iter().chain(&values) {
+        for op in OPERATORS {
+            for e in [ScalarExpr::Cmp(op, col(0), lit(l)), ScalarExpr::Cmp(op, lit(l), col(0))] {
+                let Some(test) = LiteralTest::compile(&e, 1) else {
+                    assert!(op == CmpOp::Like && matches!(&e, ScalarExpr::Cmp(_, left, _) if **left != ScalarExpr::Col(0)));
+                    continue;
+                };
+                for v in &values {
+                    let row = std::slice::from_ref(v);
+                    let want = e.eval_bool(row, &funcs).unwrap();
+                    assert_eq!(test.test(row), want, "{:?} over {:?}", e, v);
+                    if let Some(a) = v.as_atomic() {
+                        assert_eq!(test.test_value(a), want, "{:?} over {:?}", e, v);
+                    }
+                    checked += 1;
+                }
+            }
+        }
+    }
+    // Compositions under AND, OR and NOT of comparisons on two columns.
+    let leaves: Vec<ScalarExpr> = pool
+        .iter()
+        .step_by(3)
+        .enumerate()
+        .map(|(i, l)| match OPERATORS[i % OPERATORS.len()] {
+            op if i % 3 == 0 && op != CmpOp::Like => ScalarExpr::Cmp(op, lit(l), col(i % 2)),
+            op => ScalarExpr::Cmp(op, col(i % 2), lit(l)),
+        })
+        .collect();
+    let rows: Vec<[Value; 2]> = values
+        .iter()
+        .step_by(4)
+        .flat_map(|v| values.iter().step_by(5).map(move |w| [v.clone(), w.clone()]))
+        .collect();
+    for a in &leaves {
+        for b in &leaves {
+            let (a, b) = (Box::new(a.clone()), Box::new(b.clone()));
+            for e in [
+                ScalarExpr::And(a.clone(), b.clone()),
+                ScalarExpr::Or(a.clone(), Box::new(ScalarExpr::Not(b.clone()))),
+                ScalarExpr::Not(Box::new(ScalarExpr::And(a.clone(), Box::new(ScalarExpr::Or(b.clone(), a))))),
+            ] {
+                let test = LiteralTest::compile(&e, 2).unwrap();
+                for row in &rows {
+                    assert_eq!(test.test(row), e.eval_bool(row, &funcs).unwrap(), "{:?} over {:?}", e, row);
+                    checked += 1;
+                }
+            }
+        }
+    }
+    // Anything else is not a literal test.
+    let plus_one = ScalarExpr::Arith(crate::ArithOp::Add, col(0), lit(&Value::from(1i64)));
+    for e in [
+        ScalarExpr::Cmp(CmpOp::Gt, Box::new(plus_one), lit(&Value::from(3i64))),
+        ScalarExpr::Cmp(CmpOp::Eq, Box::new(ScalarExpr::Call("upper".into(), vec![ScalarExpr::Col(0)])), lit(&Value::from("A"))),
+        ScalarExpr::Cmp(CmpOp::Lt, col(0), col(1)),
+        ScalarExpr::Cmp(CmpOp::Eq, lit(&Value::from(1i64)), lit(&Value::from(1i64))),
+        ScalarExpr::Cmp(CmpOp::Eq, col(2), lit(&Value::from(1i64))),
+        ScalarExpr::Col(0),
+        ScalarExpr::lit(true),
+    ] {
+        assert_eq!(LiteralTest::compile(&e, 2), None, "{:?}", e);
+    }
+    eprintln!("literal test oracle: {} evaluations", checked);
+    assert!(checked > 50_000, "{} evaluations", checked);
 }
 
 #[test]

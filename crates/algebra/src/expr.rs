@@ -241,14 +241,16 @@ impl ScalarExpr {
 #[inline]
 pub fn compare(op: CmpOp, l: &Value, r: &Value) -> bool {
     // Read in place: only a node operand atomizes to an owned value.
-    l.with_atomics(r, |la, ra| compare_atomics(op, la, ra))
+    l.with_atomics(r, |la, ra| compare_atomics(op, la, ra, coerce_num(ra)))
 }
 
+/// The one comparison [`compare`] and [`LiteralTest`] run; `rnum` is
+/// `coerce_num(ra)`, and `la` is read as a number only when `ra` is one.
 #[inline]
-fn compare_atomics(op: CmpOp, la: &Atomic, ra: &Atomic) -> bool {
+fn compare_atomics(op: CmpOp, la: &Atomic, ra: &Atomic, rnum: Option<f64>) -> bool {
     // Bit `ord + 1` is set when the operator accepts that ordering.
     let accepts: u8 = match op {
-        CmpOp::Like => return like_match(&la.lexical(), &ra.lexical()),
+        CmpOp::Like => return like_atomics(la, ra),
         CmpOp::Eq => 0b010,
         CmpOp::Ne => 0b101,
         CmpOp::Lt => 0b001,
@@ -256,26 +258,155 @@ fn compare_atomics(op: CmpOp, la: &Atomic, ra: &Atomic) -> bool {
         CmpOp::Gt => 0b100,
         CmpOp::Ge => 0b110,
     };
-    let ord = match (coerce_num(la), coerce_num(ra)) {
+    let ord = match rnum.and_then(|y| Some((coerce_num(la)?, y))) {
         // Numeric-looking strings compare numerically against numbers,
         // which matters because parsed XML content is textual.
-        (Some(x), Some(y)) => x.total_cmp(&y),
+        Some((x, y)) => x.total_cmp(&y),
         // SQL-ish null semantics for comparisons: anything compared
         // with Null is false except Null = Null.
-        _ if la.is_null() || ra.is_null() => {
+        None if la.is_null() || ra.is_null() => {
             return match op {
                 CmpOp::Eq => la.is_null() && ra.is_null(),
                 CmpOp::Ne => la.is_null() != ra.is_null(),
                 _ => false,
             }
         }
-        _ => la.total_cmp(ra),
+        None => la.total_cmp(ra),
     };
     accepts >> (ord as i8 + 1) & 1 == 1
 }
 
+/// Out of line, so that the ordering comparisons inline without strings.
+#[cold]
+#[inline(never)]
+fn like_atomics(la: &Atomic, ra: &Atomic) -> bool {
+    like_match(&la.lexical(), &ra.lexical())
+}
+
+/// A conjunct compiled for where rows are read — a central match's
+/// candidates (DESIGN.md §22), a shard scan's memo (§17): comparisons of
+/// a column with a literal under `AND`, `OR` and `NOT`. It is
+/// [`ScalarExpr::eval_bool`] of that shape with each literal's numeric
+/// reading taken once, reads a value where it is stored, and cannot fail.
+#[derive(Debug, Clone, PartialEq)]
+pub enum LiteralTest {
+    /// `row[col] op lit`; a literal on the left is flipped to the right.
+    Cmp(Comparison),
+    And(Box<LiteralTest>, Box<LiteralTest>),
+    Or(Box<LiteralTest>, Box<LiteralTest>),
+    Not(Box<LiteralTest>),
+}
+
+/// One comparison of a [`LiteralTest`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Comparison {
+    col: usize,
+    pub op: CmpOp,
+    lit: Atomic,
+    /// `lit`'s numeric reading, as `compare` coerces it.
+    num: Option<f64>,
+}
+
+impl Comparison {
+    #[inline]
+    fn holds(&self, value: &Atomic) -> bool {
+        compare_atomics(self.op, value, &self.lit, self.num)
+    }
+}
+
+impl LiteralTest {
+    /// `e` compiled for rows `width` values wide; `None` for arithmetic,
+    /// a call, two columns, a lone column or literal, a column past
+    /// `width`, or `lit LIKE col` (the pattern would come from the row).
+    pub fn compile(e: &ScalarExpr, width: usize) -> Option<LiteralTest> {
+        let sub = |e: &ScalarExpr| Self::compile(e, width).map(Box::new);
+        Some(match e {
+            ScalarExpr::Cmp(op, l, r) => {
+                let (col, op, lit) = match (l.as_ref(), r.as_ref()) {
+                    (ScalarExpr::Col(c), ScalarExpr::Lit(v)) => (*c, *op, v),
+                    (ScalarExpr::Lit(v), ScalarExpr::Col(c)) => (*c, flipped(*op)?, v),
+                    _ => return None,
+                };
+                let lit = lit.atomize();
+                (col < width).then(|| LiteralTest::Cmp(Comparison { col, op, num: coerce_num(&lit), lit }))?
+            }
+            ScalarExpr::And(l, r) => LiteralTest::And(sub(l)?, sub(r)?),
+            ScalarExpr::Or(l, r) => LiteralTest::Or(sub(l)?, sub(r)?),
+            ScalarExpr::Not(e) => LiteralTest::Not(sub(e)?),
+            _ => return None,
+        })
+    }
+
+    /// Whether `row` passes; a node value atomizes, as [`compare`] reads it.
+    #[inline]
+    pub fn test(&self, row: &[Value]) -> bool {
+        self.eval(&|c: &Comparison| match row.get(c.col) {
+            Some(Value::Atomic(a)) => c.holds(a),
+            Some(v) => v.with_atomic(|a| c.holds(a)),
+            None => false,
+        })
+    }
+
+    /// Whether `value` passes a test compiled for one-column rows.
+    #[inline]
+    pub fn test_value(&self, value: &Atomic) -> bool {
+        self.eval(&|c: &Comparison| c.holds(value))
+    }
+
+    /// The rows that pass, copied out: all a scan over shared rows allocates.
+    pub fn select<'a>(&self, rows: impl Iterator<Item = &'a [Value]>) -> Vec<Vec<Value>> {
+        rows.filter(|row| self.test(row)).map(<[Value]>::to_vec).collect()
+    }
+
+    /// A lone comparison is tested inline; only connectives recurse.
+    #[inline]
+    fn eval(&self, holds: &impl Fn(&Comparison) -> bool) -> bool {
+        match self {
+            LiteralTest::Cmp(c) => holds(c),
+            _ => self.connect(holds),
+        }
+    }
+
+    fn connect(&self, holds: &impl Fn(&Comparison) -> bool) -> bool {
+        match self {
+            LiteralTest::Cmp(c) => holds(c),
+            LiteralTest::And(l, r) => l.eval(holds) && r.eval(holds),
+            LiteralTest::Or(l, r) => l.eval(holds) || r.eval(holds),
+            LiteralTest::Not(t) => !t.eval(holds),
+        }
+    }
+
+    /// Whether every comparison satisfies `f`.
+    pub fn all(&self, f: &impl Fn(&Comparison) -> bool) -> bool {
+        match self {
+            LiteralTest::Cmp(c) => f(c),
+            LiteralTest::And(l, r) | LiteralTest::Or(l, r) => l.all(f) && r.all(f),
+            LiteralTest::Not(t) => t.all(f),
+        }
+    }
+
+    /// Whether every literal is a number that is not NaN (DESIGN.md §22).
+    pub fn number_literals(&self) -> bool {
+        self.all(&|c| c.num.is_some_and(|x| !x.is_nan()))
+    }
+}
+
+/// `op` with its operands swapped; `None` for `LIKE`.
+fn flipped(op: CmpOp) -> Option<CmpOp> {
+    Some(match op {
+        CmpOp::Lt => CmpOp::Gt,
+        CmpOp::Le => CmpOp::Ge,
+        CmpOp::Gt => CmpOp::Lt,
+        CmpOp::Ge => CmpOp::Le,
+        CmpOp::Eq | CmpOp::Ne => op,
+        CmpOp::Like => return None,
+    })
+}
+
+/// The numeric reading of an atomic, as [`compare`] and arithmetic
+/// coerce it: Int, Float, or a numeric-looking string.
 #[inline]
-fn coerce_num(a: &Atomic) -> Option<f64> {
+pub fn coerce_num(a: &Atomic) -> Option<f64> {
     match a {
         Atomic::Int(i) => Some(*i as f64),
         Atomic::Float(f) => Some(*f),
@@ -289,8 +420,7 @@ fn coerce_num(a: &Atomic) -> Option<f64> {
 /// The numeric coercion of a literal value, if it has one — the same
 /// rule `compare` and `arith` apply at runtime (Int, Float, or a
 /// numeric-looking string). Used by the static analyzer's interval
-/// propagation, and by a central match's join-variable probes to tell
-/// which values and literals compare as numbers.
+/// propagation.
 pub fn literal_num(v: &Value) -> Option<f64> {
     v.with_atomic(coerce_num)
 }

@@ -68,7 +68,7 @@ pub(crate) mod par;
 pub mod schema;
 
 pub use error::ExecError;
-pub use expr::{ArithOp, CmpOp, ScalarExpr};
+pub use expr::{ArithOp, CmpOp, LiteralTest, ScalarExpr};
 pub use par::{par_tasks, pool_stats};
 pub use funcs::FunctionRegistry;
 pub use inspect::{OpInfo, OrderEffect, SchemaRule};

@@ -14,7 +14,7 @@ use nimble_algebra::ops::{
 use nimble_planck::{Fingerprint, RewriteRecord};
 use nimble_algebra::{
     explain as explain_ops, explain_analyze as explain_analyze_ops, lineage, par_tasks,
-    run_to_vec, run_to_vec_batched, ExecError, FunctionRegistry, LineageMask, ScalarExpr, Schema,
+    run_to_vec, run_to_vec_batched, ExecError, FunctionRegistry, LineageMask, LiteralTest, ScalarExpr, Schema,
     Tuple,
 };
 use nimble_sources::query::{cursor_field, FieldRef, SourceQuery, Watermark};
@@ -2355,13 +2355,12 @@ impl Engine {
     }
 
     /// The candidate filter of independent unit `i`: its probes, each
-    /// with the conjunct it reads — as bound for this serve — over a
-    /// one-column row.
+    /// with the conjunct it reads — as bound for this serve — compiled
+    /// for a one-column row.
     fn candidate_filter(&self, plan: &Plan, i: usize) -> matcher::CandidateFilter {
-        let probes = plan.probes.iter().filter(|p| p.atom == i).filter_map(|p| {
+        matcher::CandidateFilter::new(plan.probes.iter().filter(|p| p.atom == i).filter_map(|p| {
             Some((p, planner::probe_test(plan.residual_predicates.get(p.conjunct)?, &p.var)?))
-        });
-        matcher::CandidateFilter::new(probes, Arc::clone(&self.funcs.read()))
+        }))
     }
 
     /// Count what a candidate filter tested and ruled out; `(pruned,
@@ -2431,44 +2430,35 @@ impl Engine {
         // One lazy child per surviving shard: the producer runs at
         // exchange-gather time (on a pool worker when one exists) and
         // emits the shard's rows — origin column first, the column the
-        // merge sorts by — that pass the pushed conjunction. The scan
-        // filters where it reads, so its label carries the predicate.
+        // merge sorts by — that pass the pushed test. The scan filters
+        // where it reads, so its label carries the predicate.
         let mut child_vars = vec![ORIGIN_COL.to_string()];
         child_vars.extend(vars.iter().cloned());
         let child_schema = unit_schema(child_vars)?;
-        let pushed: Vec<ScalarExpr> = sp
-            .pushed
-            .iter()
-            .map(|e| planner::translate_expr(e, &child_schema))
-            .collect::<Result<_, _>>()?;
-        let pushed = (!pushed.is_empty()).then(|| ScalarExpr::conjunction(pushed));
-        let funcs = self.funcs.read().clone();
-        let memo_hits = Arc::new(AtomicU64::new(0));
+        let scan = Arc::new(ShardScan {
+            rt: Arc::clone(&rt),
+            source: source.to_string(),
+            collection: collection.to_string(),
+            coll_key: sp.collection.clone(),
+            pattern: pattern.clone(),
+            vars: vars.to_vec(),
+            pushed: sp.pushed.clone(),
+            metrics: Arc::clone(&self.metrics),
+            memo_hits: AtomicU64::new(0),
+        });
         let mut children: Vec<BoxedOp> = Vec::new();
         let mut labels: Vec<String> = Vec::new();
         for &k in &sp.survivors {
             let label = format!("{}#shard{}", source, k);
-            let described = match &pushed {
-                Some(p) => format!("{} where {:?}", label, p),
+            let described = match &sp.pushed {
+                Some(_) => format!("{} where {}", label, sp.pushed_text),
                 None => label.clone(),
             };
-            let scan = ShardScan {
-                rt: Arc::clone(&rt),
-                k,
-                source: source.to_string(),
-                collection: collection.to_string(),
-                coll_key: sp.collection.clone(),
-                pattern: pattern.clone(),
-                vars: vars.to_vec(),
-                pushed: pushed.clone(),
-                funcs: Arc::clone(&funcs),
-                metrics: Arc::clone(&self.metrics),
-                memo_hits: Arc::clone(&memo_hits),
-            };
+            let scan = Arc::clone(&scan);
             children.push(Box::new(LazySourceOp::new(
                 child_schema.clone(),
                 described,
-                move || scan.run(),
+                move || scan.run(k),
             )));
             labels.push(label);
         }
@@ -2512,7 +2502,7 @@ impl Engine {
             source,
             &format!(
                 "fetch-sharded memo={}/{}",
-                memo_hits.load(Ordering::Relaxed),
+                scan.memo_hits.load(Ordering::Relaxed),
                 sp.survivors.len()
             ),
             failures.is_empty(),
@@ -2797,35 +2787,33 @@ fn origin_of(t: &Tuple) -> i64 {
 }
 
 /// Shard-local half of a sharded scan, run inside the exchange's gather
-/// (one [`ShardScan::run`] per surviving shard).
+/// (one [`ShardScan::run`] per surviving shard, all sharing this).
 struct ShardScan {
     rt: Arc<ShardRuntime>,
-    k: usize,
     source: String,
     collection: String,
     coll_key: String,
     pattern: nimble_xmlql::ast::Pattern,
     vars: Vec<String>,
-    /// Conjunction of the predicates pushed below the Exchange.
-    pushed: Option<ScalarExpr>,
-    funcs: Arc<FunctionRegistry>,
+    /// The test of the predicates pushed below the Exchange.
+    pushed: Option<LiteralTest>,
     metrics: Arc<MetricsRegistry>,
     /// Scans of this fetch that were served from a node's memo.
-    memo_hits: Arc<AtomicU64>,
+    memo_hits: AtomicU64,
 }
 
 impl ShardScan {
-    /// Fetch the shard slice from the shard-local catalog, take its rows
-    /// from the node's scan memo — building them on the first scan of
-    /// this slice document — and copy out, prefixed with the row's
-    /// original document index, those the pushed conjunction keeps.
+    /// Fetch shard `k`'s slice from the shard-local catalog, take its
+    /// rows from the node's scan memo — building them on the first scan
+    /// of this slice document — and copy out, prefixed with the row's
+    /// original document index, those the pushed test keeps.
     ///
     /// Liveness, the adapter call and the origin-map check all come
     /// before the memo, so a dead shard, a failing adapter and a slice
     /// that no longer is the one the partition was cut from fail the
-    /// same way warm and cold.
-    fn run(&self) -> Result<Vec<Tuple>, ExecError> {
-        let k = self.k;
+    /// same way warm and cold. Nothing after them fails: a predicate
+    /// that can is not pushed here.
+    fn run(&self, k: usize) -> Result<Vec<Tuple>, ExecError> {
         let shard_err = |message: String| ExecError::Source {
             source: format!("{}#shard{}", self.source, k),
             message,
@@ -2871,17 +2859,10 @@ impl ShardScan {
         } else {
             self.metrics.incr("engine.shard.memo.miss", 1);
         }
-        let mut out = Vec::new();
-        for row in rows.rows() {
-            let keep = match &self.pushed {
-                Some(p) => p.eval_bool(row, &self.funcs)?,
-                None => true,
-            };
-            if keep {
-                out.push(row.to_vec());
-            }
-        }
-        Ok(out)
+        Ok(match &self.pushed {
+            Some(test) => test.select(rows.rows()),
+            None => rows.rows().map(<[Value]>::to_vec).collect(),
+        })
     }
 }
 

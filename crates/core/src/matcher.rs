@@ -7,8 +7,8 @@
 //! the unifying model" actually unify heterogeneous sources.
 
 use crate::planner::Probe;
-use nimble_algebra::expr::literal_num;
-use nimble_algebra::{FunctionRegistry, ScalarExpr};
+use nimble_algebra::expr::coerce_num;
+use nimble_algebra::LiteralTest;
 use nimble_xml::{Atomic, Cursor, Document, NodeRef, Sym, Value};
 use nimble_xmlql::ast::{Pattern, PatternContent, PatternValue, TagPattern};
 use std::collections::HashMap;
@@ -59,22 +59,18 @@ pub fn match_each(
 
 /// The probes of one atom ([`Probe`], DESIGN.md §22), ready to run on its
 /// top-level candidates: a candidate is ruled out when, for some probe,
-/// no value at the probe's path passes the probe's conjunct. Each value
-/// is read as [`match_element`] would bind it — `typed_value` for
-/// content, [`Atomic::infer`] for an attribute — and tested on a
-/// one-column row. A test that fails with an error keeps its candidate:
-/// the conjunct is still in the Filter, which raises that error from
-/// that row.
+/// no value at the probe's path passes the probe's [`LiteralTest`]. Each
+/// value is read as [`match_element`] would bind it — the typed value of
+/// the content, where it is stored, or [`Atomic::infer`] of an attribute.
 ///
 /// A probe on a join variable ([`Probe::joined`]) rules a candidate out
 /// only on values that are numbers, and only while every literal of its
-/// conjunct, as bound for this serve, is one: a value another unit
-/// joins to a number (`typed_key`-equal) coerces to the same `f64`, so
-/// it compares with a number the same way. Any other value keeps its
+/// test, as bound for this serve, is one: a value another unit joins to
+/// a number (`typed_key`-equal) coerces to the same `f64`, so it
+/// compares with a number the same way. Any other value keeps its
 /// candidate.
 pub struct CandidateFilter {
     probes: Vec<CandidateProbe>,
-    funcs: Arc<FunctionRegistry>,
     /// Candidates tested, and those ruled out.
     pub candidates: u64,
     pub pruned: u64,
@@ -88,19 +84,20 @@ struct CandidateProbe {
     /// no element carries), or the content when absent.
     attr: Option<Option<Sym>>,
     /// The conjunct, over the one column that holds the value.
-    test: ScalarExpr,
+    test: LiteralTest,
     /// Whether only a value that is a number can rule the candidate out.
     numbers_only: bool,
 }
 
 impl CandidateFilter {
-    /// The filter for `probes`, each with its conjunct translated to a
+    /// The filter for `probes`, each with its conjunct compiled for a
     /// one-column row. A join-variable probe with a literal that is not
-    /// a number is left out.
-    pub fn new<'a>(probes: impl IntoIterator<Item = (&'a Probe, ScalarExpr)>, funcs: Arc<FunctionRegistry>) -> Self {
+    /// a number is left out. Names are looked up here, per serve: one a
+    /// document interns later is found then.
+    pub fn new<'a>(probes: impl IntoIterator<Item = (&'a Probe, LiteralTest)>) -> Self {
         let probes = probes
             .into_iter()
-            .filter(|(probe, test)| !probe.joined || numeric_literals(test))
+            .filter(|(probe, test)| !probe.joined || test.number_literals())
             .map(|(probe, test)| CandidateProbe {
                 path: probe.path.iter().map(|step| Sym::find(step)).collect(),
                 attr: probe.attr.as_deref().map(Sym::find),
@@ -110,7 +107,6 @@ impl CandidateFilter {
             .collect();
         CandidateFilter {
             probes,
-            funcs,
             candidates: 0,
             pruned: 0,
         }
@@ -127,52 +123,36 @@ impl CandidateFilter {
             return true;
         }
         self.candidates += 1;
-        let funcs = &self.funcs;
-        let admitted = self.probes.iter().all(|p| p.finds(candidate, &p.path, funcs));
+        let admitted = self.probes.iter().all(|p| p.finds(candidate, &p.path));
         self.pruned += u64::from(!admitted);
         admitted
     }
 }
 
 impl CandidateProbe {
-    /// Whether some node at `path` under `node` holds a value that passes
-    /// or fails the test with an error.
-    fn finds(&self, node: Cursor<'_>, path: &[Option<Sym>], funcs: &FunctionRegistry) -> bool {
+    /// Whether some node at `path` under `node` holds a value that keeps
+    /// the candidate.
+    fn finds(&self, node: Cursor<'_>, path: &[Option<Sym>]) -> bool {
         let Some((step, rest)) = path.split_first() else {
-            let value = Value::Atomic(match self.attr {
-                None => node.typed_value(),
-                Some(name) => match node.attrs().iter().find(|(k, _)| Some(*k) == name) {
-                    Some((_, v)) => Atomic::infer(v.as_str()),
-                    None => return false,
+            return match self.attr {
+                None => match node.typed_value_ref() {
+                    Some(value) => self.keeps(value),
+                    None => self.keeps(&node.typed_value()),
                 },
-            });
-            if self.numbers_only && !is_number(&value) {
-                return true;
-            }
-            return !matches!(self.test.eval_bool(std::slice::from_ref(&value), funcs), Ok(false));
+                Some(name) => node
+                    .attrs()
+                    .iter()
+                    .find(|(k, _)| Some(*k) == name)
+                    .is_some_and(|(_, v)| self.keeps(&Atomic::infer(v.as_str()))),
+            };
         };
-        step.is_some() && node.children().any(|c| c.name_sym() == *step && self.finds(c, rest, funcs))
+        step.is_some() && node.children().any(|c| c.name_sym() == *step && self.finds(c, rest))
     }
-}
 
-/// Whether `v` coerces to a number that is not NaN, as `compare` reads it.
-fn is_number(v: &Value) -> bool {
-    literal_num(v).is_some_and(|x| !x.is_nan())
-}
-
-/// Whether every literal of a join-variable probe's test is a number
-/// ([`is_number`]). The planner admits only comparisons of the one
-/// column with literals under `AND`/`OR`/`NOT`; anything else is not
-/// read as numbers.
-fn numeric_literals(test: &ScalarExpr) -> bool {
-    match test {
-        ScalarExpr::Col(_) => true,
-        ScalarExpr::Lit(v) => is_number(v),
-        ScalarExpr::Cmp(_, l, r) | ScalarExpr::And(l, r) | ScalarExpr::Or(l, r) => {
-            numeric_literals(l) && numeric_literals(r)
-        }
-        ScalarExpr::Not(e) => numeric_literals(e),
-        _ => false,
+    /// Whether `value` passes the test, or is not a number where only a
+    /// number can rule the candidate out.
+    fn keeps(&self, value: &Atomic) -> bool {
+        (self.numbers_only && coerce_num(value).is_none_or(f64::is_nan)) || self.test.test_value(value)
     }
 }
 

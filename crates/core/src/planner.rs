@@ -20,7 +20,7 @@ use crate::error::CoreError;
 use crate::matcher::{match_within, Bindings};
 use nimble_algebra::inspect::{OpInfo, OrderEffect, SchemaRule};
 use nimble_algebra::ops::Operator;
-use nimble_algebra::{CmpOp, ExecError, LineageMask, ScalarExpr, Schema, Tuple};
+use nimble_algebra::{CmpOp, ExecError, LineageMask, LiteralTest, ScalarExpr, Schema, Tuple};
 use nimble_planck::{Fingerprint, Placement, ProbeFacts, RewriteRecord};
 use nimble_sources::query::{FieldRef, PredOp};
 use nimble_sources::relational::RelationalAdapter;
@@ -207,9 +207,9 @@ impl BindStage {
 }
 
 /// Routing decision for one sharded scan: which shards of a partitioned
-/// collection the Exchange must contact, and which residual predicates
-/// are replicated below it (shard-local filtering; the same predicates
-/// stay central, so the rewrite is idempotent).
+/// collection the Exchange must contact, and the test of the residual
+/// predicates replicated below it (shard-local filtering; the same
+/// predicates stay central, so the rewrite is idempotent).
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     /// Index into [`Plan::independents`] of the sharded FetchMatch atom.
@@ -227,8 +227,12 @@ pub struct ShardPlan {
     /// and equality routing, ascending. May be empty (statically empty
     /// scan) — the engine then skips the Exchange entirely.
     pub survivors: Vec<usize>,
-    /// Residual predicates pushed below the Exchange.
-    pub pushed: Vec<Expr>,
+    /// The covered residual predicates that compile to a [`LiteralTest`],
+    /// as one test over a shard scan's row (origin column first), run
+    /// below the Exchange; the others, which can fail, stay central only.
+    pub pushed: Option<LiteralTest>,
+    /// `pushed` as EXPLAIN names it, in the query's spelling.
+    pub pushed_text: String,
 }
 
 /// A residual conjunct that a central match checks on each top-level
@@ -254,9 +258,9 @@ pub struct Probe {
     pub attr: Option<String>,
     /// Whether another unit binds the variable too — another atom, or
     /// the outer row of a correlated subquery — so that a joined row may
-    /// hold that unit's value instead. The conjunct then only compares
-    /// the variable with literals, and a candidate is pruned only on a
-    /// value and literals that are numbers.
+    /// hold that unit's value instead. The test then holds no `LIKE`, and
+    /// a candidate is pruned only on a value and literals that are
+    /// numbers.
     pub joined: bool,
 }
 
@@ -546,11 +550,12 @@ fn plan_floored(
 /// Filter's own estimate leaves those conjuncts out). A conjunct
 /// qualifies when
 ///
-/// * (a) it mentions exactly one variable and calls no function — a
-///   cleaning function may be costly or stateful, and would run again;
+/// * (a) it compiles to a [`LiteralTest`] of one variable
+///   ([`probe_test`]): comparisons of it with literals under
+///   `AND`/`OR`/`NOT`, which cannot fail — arithmetic and calls stay in
+///   the Filter alone;
 /// * (b) if another unit binds that variable too (another atom, or the
-///   `outer` row), it only compares it with literals, by `=`, `!=`, `<`,
-///   `<=`, `>` or `>=` under `AND`/`OR`/`NOT` — the row a join leaves may
+///   `outer` row), the test holds no `LIKE` — the row a join leaves may
 ///   hold the other unit's `typed_key`-equal value, and the matcher
 ///   prunes only where both compare alike ([`Probe::joined`]);
 ///
@@ -598,14 +603,17 @@ fn probes_of(plan: &Plan, outer: Option<&Schema>, conjunct: usize, pred: &Expr) 
     let [var] = vars.as_slice() else {
         return Vec::new();
     };
-    if calls(pred) || plan.dependents.iter().any(|d| &d.on_var == var || d.vars.contains(var)) {
+    let Some(test) = probe_test(pred, var) else {
+        return Vec::new();
+    };
+    if plan.dependents.iter().any(|d| &d.on_var == var || d.vars.contains(var)) {
         return Vec::new();
     }
     let binders: Vec<usize> = (0..plan.independents.len())
         .filter(|&i| plan.independents[i].vars().contains(var))
         .collect();
     let joined = binders.len() + usize::from(outer.is_some_and(|s| s.index_of(var).is_some())) > 1;
-    if joined && !compares_with_literals(pred) {
+    if joined && !test.all(&|c| c.op != CmpOp::Like) {
         return Vec::new();
     }
     binders
@@ -636,20 +644,6 @@ fn probes_of(plan: &Plan, outer: Option<&Schema>, conjunct: usize, pred: &Expr) 
         .collect()
 }
 
-/// Whether `e` is comparisons of a variable with a literal, by `=`, `!=`,
-/// `<`, `<=`, `>` or `>=`, under `AND`, `OR` and `NOT`.
-fn compares_with_literals(e: &Expr) -> bool {
-    match e {
-        Expr::Not(e) => compares_with_literals(e),
-        Expr::Binary(BinOp::And | BinOp::Or, l, r) => compares_with_literals(l) && compares_with_literals(r),
-        Expr::Binary(BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, l, r) => matches!(
-            (l.as_ref(), r.as_ref()),
-            (Expr::Var(_), Expr::Lit(_)) | (Expr::Lit(_), Expr::Var(_))
-        ),
-        _ => false,
-    }
-}
-
 /// Whether evaluating `e` can fail: arithmetic, negation and calls can;
 /// comparisons and connectives of variables and literals cannot.
 fn may_fail(e: &Expr) -> bool {
@@ -662,16 +656,6 @@ fn may_fail(e: &Expr) -> bool {
                 || may_fail(r)
         }
         Expr::Neg(_) | Expr::Call(..) => true,
-    }
-}
-
-/// Whether `e` calls a function anywhere.
-fn calls(e: &Expr) -> bool {
-    match e {
-        Expr::Var(_) | Expr::Lit(_) => false,
-        Expr::Not(e) | Expr::Neg(e) => calls(e),
-        Expr::Binary(_, l, r) => calls(l) || calls(r),
-        Expr::Call(..) => true,
     }
 }
 
@@ -740,7 +724,6 @@ fn probe_facts(plan: &Plan, outer: Option<&Schema>) -> Vec<ProbeFacts> {
                 probe: format!("${} (conjunct {}, atom {})", p.var, p.conjunct, p.atom),
                 var: p.var.clone(),
                 vars: conjunct.map(Expr::vars).unwrap_or_default(),
-                calls: conjunct.is_some_and(calls),
                 test: conjunct.and_then(|c| probe_test(c, &p.var)),
                 joined: p.joined,
                 failing_before: plan.residual_predicates.iter().take(p.conjunct).filter(|e| may_fail(e)).count(),
@@ -759,11 +742,12 @@ fn probe_facts(plan: &Plan, outer: Option<&Schema>) -> Vec<ProbeFacts> {
         .collect()
 }
 
-/// A probe's conjunct as the matcher tests it: over a one-column row
-/// holding `var`. `None` when it reads another variable.
-pub(crate) fn probe_test(conjunct: &Expr, var: &str) -> Option<ScalarExpr> {
+/// A probe's conjunct as the matcher tests it: compiled for a one-column
+/// row holding `var`. `None` when it reads another variable or is not a
+/// literal test.
+pub(crate) fn probe_test(conjunct: &Expr, var: &str) -> Option<LiteralTest> {
     let column = Schema::try_new(vec![var.to_string()]).ok()?;
-    translate_expr(conjunct, &column).ok()
+    LiteralTest::compile(&translate_expr(conjunct, &column).ok()?, 1)
 }
 
 /// Give every single-collection fragment its row floor (see
@@ -1443,9 +1427,10 @@ pub fn unsat_verdict(catalog: &Catalog, plan: &Plan) -> Option<String> {
 ///   shard-key variable routes to exactly `shard_of(literal)` under
 ///   both hash and range schemes.
 ///
-/// Predicates fully covered by the atom's variables are replicated
-/// below the Exchange (shard-local filtering) *and* kept central —
-/// filters are idempotent, so correctness never depends on the copy.
+/// Both read every predicate the atom's variables cover. Those that
+/// compile to a [`LiteralTest`] are also replicated below the Exchange
+/// (shard-local filtering) and kept central — filters are idempotent. One
+/// that can fail stays central only, and fails as it does unsharded.
 /// Both decisions are audited: `shard-prune` is a narrowing rewrite
 /// (payload/sources may shrink to the survivor set), `exchange-pushdown`
 /// a strict substitution.
@@ -1495,30 +1480,33 @@ fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRunti
                 .map(|(v, _)| v.clone())
         });
 
-        // Residual predicates this atom can evaluate alone.
-        let pushed: Vec<Expr> = plan
+        // Residual predicates this atom can evaluate alone, over its row.
+        let schema = Schema::try_new(vars.clone()).ok();
+        let covered: Vec<(Expr, ScalarExpr)> = plan
             .residual_predicates
             .iter()
             .filter(|p| {
                 let pv = p.vars();
                 !pv.is_empty() && pv.iter().all(|v| vars.contains(v))
             })
-            .cloned()
+            .filter_map(|p| Some((p.clone(), translate_expr(p, schema.as_ref()?).ok()?)))
             .collect();
-
-        // Per-shard satisfiability of the pushed conjunction.
-        let schema = Schema::try_new(vars.clone()).ok();
-        let conjuncts: Vec<ScalarExpr> = match &schema {
-            Some(s) => pushed
-                .iter()
-                .filter_map(|p| translate_expr(p, s).ok())
-                .collect(),
-            None => Vec::new(),
-        };
+        // Per-shard satisfiability of all of them.
+        let conjunction = (!covered.is_empty())
+            .then(|| ScalarExpr::conjunction(covered.iter().map(|(_, s)| s.clone()).collect()));
+        // Below the Exchange, those that compile, over a shard scan's row:
+        // the origin column first.
+        let (rendered, tests): (Vec<String>, Vec<LiteralTest>) = covered
+            .iter()
+            .filter_map(|(p, s)| {
+                Some((p.to_string(), LiteralTest::compile(&s.remap_columns(&|c| c + 1), vars.len() + 1)?))
+            })
+            .unzip();
+        let pushed = tests.into_iter().reduce(|l, r| LiteralTest::And(Box::new(l), Box::new(r)));
         // `$key = literal` routes to one shard under any scheme.
         let mut eq_routes: Vec<usize> = Vec::new();
         if let Some(kv) = &key_var {
-            for p in &pushed {
+            for (p, _) in &covered {
                 if let Expr::Binary(BinOp::Eq, l, r) = p {
                     let lit = match (l.as_ref(), r.as_ref()) {
                         (Expr::Var(v), Expr::Lit(a)) if v == kv => Some(a),
@@ -1542,9 +1530,7 @@ fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRunti
             if eq_routes.len() > 1 || (eq_routes.len() == 1 && eq_routes[0] != k) {
                 continue;
             }
-            let alive = if conjuncts.is_empty() {
-                true
-            } else {
+            let alive = conjunction.as_ref().is_none_or(|conjunction| {
                 let stats_key = shard_stats_key(k, &coll_key);
                 let bounds = |col: usize| -> Option<(f64, f64)> {
                     let v = schema.as_ref()?.vars().get(col)?;
@@ -1556,9 +1542,8 @@ fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRunti
                         .map(|(_, f)| f.clone())?;
                     catalog.stats().exact_bounds(&stats_key, &field)
                 };
-                satisfy::analyze(&ScalarExpr::conjunction(conjuncts.clone()), &bounds)
-                    != Verdict::Unsatisfiable
-            };
+                satisfy::analyze(conjunction, &bounds) != Verdict::Unsatisfiable
+            });
             if alive {
                 survivors.push(k);
             }
@@ -1598,8 +1583,7 @@ fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRunti
                 coll_key, n
             ));
         }
-        if !pushed.is_empty() && !survivors.is_empty() {
-            let rendered: Vec<String> = pushed.iter().map(|p| format!("{:?}", p)).collect();
+        if pushed.is_some() && !survivors.is_empty() {
             let srcs: Vec<String> = survivors.iter().copied().map(shard_label).collect();
             plan.rewrites.push(RewriteRecord::new(
                 "exchange-pushdown",
@@ -1608,7 +1592,7 @@ fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRunti
                     .with_extra(rendered.clone())
                     .with_sources(srcs.clone()),
                 Fingerprint::new(vars.clone())
-                    .with_extra(rendered)
+                    .with_extra(rendered.clone())
                     .with_sources(srcs),
             ));
         }
@@ -1620,6 +1604,7 @@ fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRunti
             shards: n,
             survivors,
             pushed,
+            pushed_text: rendered.join(" AND "),
         });
     }
 }

@@ -433,15 +433,16 @@ fn each_condition_declines_a_probe_where_it_fails() {
         probes_of(&with(r#"$s > $v, upper($r) = "WEST""#)),
         pairs(&[])
     );
-    // Behind a conjunct that can fail, nothing; ahead of it, and the
-    // failing one itself, yes.
+    // Behind a conjunct that can fail, nothing; ahead of it, yes. The
+    // one that can fail is not a literal test — arithmetic does not
+    // compile — so it stays in the Filter alone, and raises there.
     assert_eq!(
         probes_of(&with(r#"$v + 1 > 3, $r = "west""#)),
-        pairs(&[("v", "v/$")])
+        pairs(&[])
     );
     assert_eq!(
         probes_of(&with(r#"$r = "west", $v + 1 > 3"#)),
-        pairs(&[("r", "region/$"), ("v", "v/$")])
+        pairs(&[("r", "region/$")])
     );
     // (b) a join variable is probed on every atom that binds it, when the
     // conjunct only compares it with literals; a variable a dependent
@@ -521,12 +522,10 @@ fn each_condition_declines_a_probe_where_it_fails() {
 #[test]
 fn the_candidate_probe_rule_refuses_a_probe_the_conditions_do_not_admit() {
     let engine = engine(&mut Rng::new(7));
-    let text = r#"WHERE <rec><region>$r</region><v>$k</v></rec> IN "coll", <row><k>$k</k></row> IN "other", $k LIKE "2"
+    let like = r#"WHERE <rec><region>$r</region><v>$k</v></rec> IN "coll", <row><k>$k</k></row> IN "other", $k LIKE "2"
                   CONSTRUCT <o>$k</o>"#;
-    let query = nimble_xmlql::parse_query(text).unwrap();
-    let mut plan =
-        planner::plan_query(engine.catalog(), &query, &engine.config().optimizer).unwrap();
-    assert!(plan.probes.is_empty());
+    let plus_one = r#"WHERE <rec><region>$r</region><v>$k</v></rec> IN "coll", $k + 1 > 3
+                      CONSTRUCT <o>$k</o>"#;
     let probe = Probe {
         atom: 0,
         conjunct: 0,
@@ -535,11 +534,17 @@ fn the_candidate_probe_rule_refuses_a_probe_the_conditions_do_not_admit() {
         attr: None,
         joined: false,
     };
-    // Unguarded, and guarded over a `LIKE`.
-    for (probe, why) in [
-        (probe.clone(), "bound by 2 units"),
-        (Probe { joined: true, ..probe }, "compares $k with literals only"),
+    // Unguarded, and guarded over a `LIKE`; and over arithmetic, which
+    // is not a literal test.
+    for (text, probe, why) in [
+        (like, probe.clone(), "bound by 2 units"),
+        (like, Probe { joined: true, ..probe.clone() }, "compares $k with literals only"),
+        (plus_one, probe, "not a literal test of $k"),
     ] {
+        let query = nimble_xmlql::parse_query(text).unwrap();
+        let mut plan =
+            planner::plan_query(engine.catalog(), &query, &engine.config().optimizer).unwrap();
+        assert!(plan.probes.is_empty());
         plan.probes = vec![probe];
         let err = planner::verify_plan(&plan, None).unwrap_err();
         assert!(

@@ -13,7 +13,7 @@
 //! grammar axes are small enough to sweep exhaustively.
 
 use nimble_core::{
-    Catalog, Engine, EngineConfig, ShardSpec, ShardedCluster, UnavailablePolicy,
+    Catalog, CoreError, Engine, EngineConfig, ShardSpec, ShardedCluster, UnavailablePolicy,
 };
 use nimble_sources::xmldoc::XmlDocAdapter;
 use nimble_xml::to_string;
@@ -475,50 +475,77 @@ fn multiplying_pattern_is_answered_but_not_memoised() {
 
 #[test]
 fn pushed_predicate_error_is_the_same_warm_and_cold() {
-    // `$n * 2` over names is an arithmetic error at evaluation time.
-    // The conjunction is evaluated below the Exchange — against the
-    // memo's shared rows when warm — and must surface as the error the
-    // per-shard filter raised.
+    // `$n * 2` over names is an arithmetic error at evaluation time. It
+    // can fail, so it is not a literal test and never runs below the
+    // Exchange: the central Filter raises it, from the rows the shards
+    // shipped — read from the memo when warm — and under every policy,
+    // as the unsharded engine does. No shard reads as lost for it.
     let warmup = r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers" CONSTRUCT <c>$n</c>"#;
     let bad = r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers", $n * 2 > 1
                  CONSTRUCT <c>$n</c>"#;
     let specs = vec![("customers", ShardSpec::hash("id", 2))];
-    let skip = EngineConfig {
-        unavailable: UnavailablePolicy::SkipAndAnnotate,
-        ..EngineConfig::default()
-    };
-    let mut failed = Vec::new();
-    let mut skipped = Vec::new();
-    for warm in [false, true] {
-        let cluster = ShardedCluster::build(catalog(), EngineConfig::default(), &specs).unwrap();
-        if warm {
-            cluster.query(warmup).unwrap();
+    for policy in POLICIES {
+        let config = EngineConfig {
+            unavailable: policy,
+            ..EngineConfig::default()
+        };
+        let want = Engine::with_config(catalog(), config.clone()).query(bad).unwrap_err();
+        assert!(want.to_string().contains("non-numeric operand"), "{}", want);
+        for warm in [false, true] {
+            let cluster = ShardedCluster::build(catalog(), config.clone(), &specs).unwrap();
+            if warm {
+                cluster.query(warmup).unwrap();
+            }
+            let before = memo_counters(&cluster);
+            assert_eq!(cluster.query(bad).unwrap_err(), want, "{:?} warm={}", policy, warm);
+            if warm {
+                assert!(memo_counters(&cluster).0 > before.0, "the failing scan read the memo");
+            }
         }
-        let before = memo_counters(&cluster);
-        let err = cluster.query(bad).unwrap_err().to_string();
-        assert!(err.contains("non-numeric operand"), "{}", err);
-        if warm {
-            assert!(memo_counters(&cluster).0 > before.0, "the failing scan read the memo");
-        }
-        failed.push(err);
-
-        let cluster = ShardedCluster::build(catalog(), skip.clone(), &specs).unwrap();
-        if warm {
-            cluster.query(warmup).unwrap();
-        }
-        let r = cluster.query(bad).unwrap();
-        skipped.push((r.complete, r.missing_sources.clone(), to_string(&r.document.root())));
     }
-    assert_eq!(failed[0], failed[1]);
-    assert_eq!(skipped[0], skipped[1]);
-    assert_eq!(
-        skipped[0],
-        (
-            false,
-            vec!["shop#shard0".to_string(), "shop#shard1".to_string()],
-            "<results/>".to_string()
-        )
-    );
+}
+
+const POLICIES: [UnavailablePolicy; 3] = [
+    UnavailablePolicy::Fail,
+    UnavailablePolicy::SkipAndAnnotate,
+    UnavailablePolicy::StaleCache,
+];
+
+/// A query's own error is not a lost shard: `$v % ($k - $k)` fails on
+/// every row, and a range/4 cluster answers it as the unsharded engine
+/// does under each policy — the same `CoreError`, not `<results/>`,
+/// incomplete, with all four shards missing.
+#[test]
+fn a_failing_conjunct_fails_as_unsharded_not_as_lost_shards() {
+    let events = || {
+        let mut xml = String::from("<events>");
+        for i in 0..40 {
+            xml.push_str(&format!("<row><key>{}</key><val>{}</val></row>", i, i * 7 % 40));
+        }
+        xml.push_str("</events>");
+        let c = Catalog::new();
+        c.register_source(Arc::new(XmlDocAdapter::new("w").add_xml("events", &xml).unwrap()))
+            .unwrap();
+        Arc::new(c)
+    };
+    let q = r#"WHERE <row><key>$k</key><val>$v</val></row> IN "events", $v % ($k - $k) > 1
+               CONSTRUCT <e>$v</e>"#;
+    let specs = [("events", ShardSpec::range("key", vec![10.0, 20.0, 30.0]))];
+    let answer = |r: Result<nimble_core::QueryResult, CoreError>| {
+        r.map(|r| (to_string(&r.document.root()), r.complete, r.missing_sources))
+    };
+    for policy in POLICIES {
+        let config = EngineConfig {
+            unavailable: policy,
+            ..EngineConfig::default()
+        };
+        let want = answer(Engine::with_config(events(), config.clone()).query(q));
+        assert_eq!(want, Err(CoreError::Exec("arithmetic error: modulo by zero".into())));
+        let cluster = ShardedCluster::build(events(), config, &specs).unwrap();
+        for pass in ["cold", "warm"] {
+            assert_eq!(answer(cluster.query(q)), want, "{:?}, {}", policy, pass);
+        }
+    }
 }
 
 #[test]

@@ -50,7 +50,7 @@
 //! serialization into cached-plan stamps and diff cheaply.
 
 use crate::PlanIssue;
-use nimble_algebra::{CmpOp, ScalarExpr};
+use nimble_algebra::{CmpOp, LiteralTest};
 
 /// A cheap structural summary of a plan (or plan fragment) taken before
 /// or after a rewrite.
@@ -340,11 +340,10 @@ pub struct ProbeFacts {
     pub var: String,
     /// The variables the conjunct mentions.
     pub vars: Vec<String>,
-    /// Whether the conjunct calls a function.
-    pub calls: bool,
-    /// The conjunct as the matcher tests it, over a one-column row that
-    /// holds the variable; `None` when it reads another variable.
-    pub test: Option<ScalarExpr>,
+    /// The conjunct as the matcher tests it, compiled for a one-column
+    /// row that holds the variable; `None` when it reads another variable
+    /// or is not a literal test (arithmetic, a call, two columns).
+    pub test: Option<LiteralTest>,
     /// Whether the probe guards for a join variable: it prunes only on
     /// values and literals that are numbers.
     pub joined: bool,
@@ -367,15 +366,16 @@ pub struct ProbeFacts {
 }
 
 /// The `candidate-probe` rule: a probe must read a conjunct of one
-/// variable that calls no function, behind no conjunct that can fail;
-/// the probed atom must be matched centrally and bind the variable
-/// once, as content or an attribute, under plain element names —
-/// exactly where the probe walks. A variable another unit binds too
-/// (another atom, or the outer row) is a join variable: its probe must
-/// guard (`joined`), and a guarded probe's conjunct may only compare the
-/// variable with literals by `=`, `!=`, `<`, `<=`, `>` or `>=`, under
-/// `AND`, `OR` and `NOT` — the comparisons on which a number and any
-/// value the join equates with it agree.
+/// variable that compiles to a [`LiteralTest`] — which cannot fail, and
+/// calls nothing — behind no conjunct that can fail; the probed atom
+/// must be matched centrally and bind the variable once, as content or
+/// an attribute, under plain element names — exactly where the probe
+/// walks. A variable another unit binds too (another atom, or the outer
+/// row) is a join variable: its probe must guard (`joined`), and a
+/// guarded probe's test may hold no `LIKE` — the comparisons left are
+/// those on which a number and any value the join equates with it agree.
+/// Whether its literals are numbers is read per serve, as the matcher
+/// binds them: an equality parameter's value is not the plan's to know.
 pub fn audit_probes(probes: &[ProbeFacts]) -> Vec<PlanIssue> {
     let mut issues = Vec::new();
     for p in probes {
@@ -394,9 +394,6 @@ pub fn audit_probes(probes: &[ProbeFacts]) -> Vec<PlanIssue> {
                 p.var
             ));
         }
-        if p.calls {
-            report("the conjunct calls a function, which the probe would call again".to_string());
-        }
         if p.failing_before > 0 {
             report(format!(
                 "{} conjunct(s) ahead of it can fail, and would not on the rows it removes",
@@ -409,11 +406,16 @@ pub fn audit_probes(probes: &[ProbeFacts]) -> Vec<PlanIssue> {
                 p.var, p.binders
             ));
         }
-        if p.joined && !p.test.as_ref().is_some_and(compares_with_literals) {
-            report(format!(
+        match &p.test {
+            None => report(format!(
+                "the conjunct is not a literal test of ${}: comparisons with literals under AND, OR, NOT",
+                p.var
+            )),
+            Some(test) if p.joined && !test.all(&|c| c.op != CmpOp::Like) => report(format!(
                 "a join-variable probe compares ${} with literals only, by =, !=, <, <=, > or >= under AND, OR, NOT",
                 p.var
-            ));
+            )),
+            Some(_) => {}
         }
         if !p.central {
             report("the atom is not matched centrally".to_string());
@@ -448,28 +450,10 @@ pub fn audit_probes(probes: &[ProbeFacts]) -> Vec<PlanIssue> {
     issues
 }
 
-/// Whether `e` is comparisons of the one column with a literal, under
-/// `AND`, `OR` and `NOT` — no `LIKE`, arithmetic, call, or column
-/// compared with a column.
-fn compares_with_literals(e: &ScalarExpr) -> bool {
-    match e {
-        ScalarExpr::Not(e) => compares_with_literals(e),
-        ScalarExpr::And(l, r) | ScalarExpr::Or(l, r) => compares_with_literals(l) && compares_with_literals(r),
-        ScalarExpr::Cmp(op, l, r) => {
-            *op != CmpOp::Like
-                && matches!(
-                    (l.as_ref(), r.as_ref()),
-                    (ScalarExpr::Col(_), ScalarExpr::Lit(_)) | (ScalarExpr::Lit(_), ScalarExpr::Col(_))
-                )
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nimble_algebra::ArithOp;
+    use nimble_algebra::{ArithOp, ScalarExpr};
 
     fn cols(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -778,12 +762,26 @@ mod tests {
         assert!(audit(&[r]).is_empty());
     }
 
+    /// `e`, compiled as the matcher tests a probe: over one column.
+    fn compiled(e: ScalarExpr) -> Option<LiteralTest> {
+        LiteralTest::compile(&e, 1)
+    }
+
+    fn col() -> Box<ScalarExpr> {
+        Box::new(ScalarExpr::Col(0))
+    }
+
+    fn lit(v: impl Into<nimble_algebra::expr::LiteralValue>) -> Box<ScalarExpr> {
+        Box::new(ScalarExpr::Lit(v.into()))
+    }
+
     #[test]
     fn a_probe_is_admitted_only_where_conditions_a_to_d_hold() {
         let ok = ProbeFacts {
             probe: "$r".into(),
             var: "r".into(),
             vars: cols(&["r", "r"]),
+            test: compiled(ScalarExpr::Cmp(CmpOp::Eq, col(), lit("west"))),
             binders: 1,
             central: true,
             occurrences: vec![cols(&["region", "$"])],
@@ -797,9 +795,14 @@ mod tests {
             ..ok.clone()
         };
         assert!(audit_probes(&[attr]).is_empty());
+        // `upper($r) = "WEST"` and `$r + 1 > 3`: a call and arithmetic do
+        // not compile, so the matcher has nothing to run that could fail.
+        let upper = ScalarExpr::Cmp(CmpOp::Eq, Box::new(ScalarExpr::Call("upper".into(), vec![ScalarExpr::Col(0)])), lit("WEST"));
+        let plus_one = ScalarExpr::Cmp(CmpOp::Gt, Box::new(ScalarExpr::Arith(ArithOp::Add, col(), lit(1i64))), lit(3i64));
         let broken: Vec<(ProbeFacts, &str)> = vec![
             (ProbeFacts { vars: cols(&["r", "t"]), ..ok.clone() }, "not $r alone"),
-            (ProbeFacts { calls: true, ..ok.clone() }, "calls a function"),
+            (ProbeFacts { test: compiled(upper), ..ok.clone() }, "not a literal test"),
+            (ProbeFacts { test: compiled(plus_one), ..ok.clone() }, "not a literal test"),
             (ProbeFacts { failing_before: 1, ..ok.clone() }, "can fail"),
             (ProbeFacts { binders: 2, ..ok.clone() }, "bound by 2 units"),
             (ProbeFacts { central: false, ..ok.clone() }, "not matched centrally"),
@@ -817,17 +820,15 @@ mod tests {
 
     #[test]
     fn a_join_variable_probe_is_admitted_only_for_comparisons_with_literals() {
-        let col = || Box::new(ScalarExpr::Col(0));
-        let lit = |v: i64| Box::new(ScalarExpr::lit(v));
         let cmp = |op, l, r| ScalarExpr::Cmp(op, l, r);
         // `$k > 990 AND NOT (5 = $k) OR $k <= -1`, over a join variable
         // (another atom, or the outer row, binds it too).
         let comparisons = ScalarExpr::Or(
             Box::new(ScalarExpr::And(
-                Box::new(cmp(CmpOp::Gt, col(), lit(990))),
-                Box::new(ScalarExpr::Not(Box::new(cmp(CmpOp::Eq, lit(5), col())))),
+                Box::new(cmp(CmpOp::Gt, col(), lit(990i64))),
+                Box::new(ScalarExpr::Not(Box::new(cmp(CmpOp::Eq, lit(5i64), col())))),
             )),
-            Box::new(cmp(CmpOp::Le, col(), lit(-1))),
+            Box::new(cmp(CmpOp::Le, col(), lit(-1i64))),
         );
         let ok = ProbeFacts {
             probe: "$k".into(),
@@ -835,7 +836,7 @@ mod tests {
             vars: cols(&["k", "k", "k"]),
             binders: 2,
             joined: true,
-            test: Some(comparisons.clone()),
+            test: compiled(comparisons),
             central: true,
             occurrences: vec![cols(&["key", "$"])],
             walk: cols(&["key", "$"]),
@@ -845,39 +846,33 @@ mod tests {
         // Three binders, and a guarded probe on a variable one atom binds.
         assert!(audit_probes(&[ProbeFacts { binders: 3, ..ok.clone() }]).is_empty());
         assert!(audit_probes(&[ProbeFacts { binders: 1, ..ok.clone() }]).is_empty());
-        let shape = "compares $k with literals only";
+        let (shape, uncompiled) = ("compares $k with literals only", "not a literal test of $k");
         let refused: Vec<(ProbeFacts, &str)> = vec![
             (ProbeFacts { joined: false, ..ok.clone() }, "does not guard"),
+            (ProbeFacts { test: compiled(cmp(CmpOp::Like, col(), lit("2"))), ..ok.clone() }, shape),
             (
                 ProbeFacts {
-                    test: Some(cmp(CmpOp::Like, col(), Box::new(ScalarExpr::lit("2")))),
+                    test: compiled(cmp(CmpOp::Gt, Box::new(ScalarExpr::Arith(ArithOp::Add, col(), lit(1i64))), lit(3i64))),
                     ..ok.clone()
                 },
-                shape,
+                uncompiled,
             ),
             (
                 ProbeFacts {
-                    test: Some(cmp(CmpOp::Gt, Box::new(ScalarExpr::Arith(ArithOp::Add, col(), lit(1))), lit(3))),
+                    test: compiled(cmp(CmpOp::Eq, Box::new(ScalarExpr::Call("upper".into(), vec![ScalarExpr::Col(0)])), lit(2i64))),
                     ..ok.clone()
                 },
-                shape,
+                uncompiled,
             ),
-            (
-                ProbeFacts {
-                    test: Some(cmp(CmpOp::Eq, Box::new(ScalarExpr::Call("upper".into(), vec![ScalarExpr::Col(0)])), lit(2))),
-                    calls: true,
-                    ..ok.clone()
-                },
-                shape,
-            ),
-            (ProbeFacts { test: Some(cmp(CmpOp::Lt, col(), col())), ..ok.clone() }, shape),
+            (ProbeFacts { test: compiled(cmp(CmpOp::Lt, col(), col())), ..ok.clone() }, uncompiled),
+            (ProbeFacts { test: compiled(cmp(CmpOp::Like, lit("2"), col())), ..ok.clone() }, uncompiled),
             (
                 ProbeFacts {
                     vars: cols(&["k", "n"]),
                     test: None,
                     ..ok.clone()
                 },
-                shape,
+                uncompiled,
             ),
         ];
         for (facts, why) in refused {

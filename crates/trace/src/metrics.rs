@@ -14,6 +14,18 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+/// The metric `name` in `map`, made by `make` on first use. A name that
+/// is there already is found by lookup: no key is allocated for it.
+fn handle<T>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str, make: impl FnOnce() -> T) -> Arc<T> {
+    let mut map = map.lock();
+    if let Some(found) = map.get(name) {
+        return Arc::clone(found);
+    }
+    let made = Arc::new(make());
+    map.insert(name.to_string(), Arc::clone(&made));
+    made
+}
+
 /// A process-wide or per-subsystem collection of named metrics.
 ///
 /// Handles returned by [`MetricsRegistry::counter`] and
@@ -40,12 +52,7 @@ impl MetricsRegistry {
 
     /// Handle to a monotonic counter, created on first use.
     pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        let mut counters = self.counters.lock();
-        Arc::clone(
-            counters
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
+        handle(&self.counters, name, || AtomicU64::new(0))
     }
 
     /// Increment a counter by `n`.
@@ -65,12 +72,7 @@ impl MetricsRegistry {
     /// the simulated-link publisher) look the gauge up once and
     /// `fetch_max` on the handle.
     pub fn gauge(&self, name: &str) -> Arc<AtomicU64> {
-        let mut gauges = self.gauges.lock();
-        Arc::clone(
-            gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
+        handle(&self.gauges, name, || AtomicU64::new(0))
     }
 
     /// Raise a max-gauge to at least `v` (e.g. high-water marks, sizes).
@@ -80,12 +82,7 @@ impl MetricsRegistry {
 
     /// Handle to a histogram, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut histograms = self.histograms.lock();
-        Arc::clone(
-            histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
+        handle(&self.histograms, name, Histogram::new)
     }
 
     /// Record one observation into a histogram by name.

@@ -366,20 +366,28 @@ impl<'a> Cursor<'a> {
     /// element with a single text child that child's atomic, otherwise the
     /// concatenated text as a string (empty elements yield `Null`).
     pub fn typed_value(self) -> Atomic {
+        match self.typed_value_ref() {
+            Some(a) => a.clone(),
+            None => Atomic::Str(self.text()),
+        }
+    }
+
+    /// [`typed_value`](Self::typed_value) where it is stored; `None` only
+    /// for text of several nodes, which `typed_value` concatenates.
+    pub fn typed_value_ref(self) -> Option<&'a Atomic> {
+        static NULL: Atomic = Atomic::Null;
         match &self.data().payload {
-            Payload::Text(a) => a.clone(),
+            Payload::Text(a) => Some(a),
             Payload::Element { .. } => {
                 let Some(first) = self.first_child() else {
-                    return Atomic::Null;
+                    return Some(&NULL);
                 };
-                if first.end() == self.end() {
-                    if let Payload::Text(a) = &first.data().payload {
-                        return a.clone();
-                    }
+                match &first.data().payload {
+                    Payload::Text(a) if first.end() == self.end() => Some(a),
+                    _ => None,
                 }
-                Atomic::Str(self.text())
             }
-            Payload::Comment(_) | Payload::Pi(_) => Atomic::Null,
+            Payload::Comment(_) | Payload::Pi(_) => Some(&NULL),
         }
     }
 

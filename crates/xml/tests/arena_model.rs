@@ -445,6 +445,19 @@ fn compare(doc: &Arc<Document>, m: &Model) {
         let (got, want_v) = (n.typed_value(), m.typed_value(i));
         assert_eq!(got.atomic_type(), want_v.atomic_type());
         assert_eq!(got.lexical(), want_v.lexical());
+        // Read in place unless it is text of several nodes, and then the
+        // same value.
+        let concatenated = match want.children.as_slice() {
+            [] => false,
+            [only] => !matches!(m.nodes[*only].kind, Kind::Text(_)),
+            _ => true,
+        };
+        let stored = n.cursor().typed_value_ref();
+        assert_eq!(stored.is_none(), concatenated, "node {}", i);
+        if let Some(stored) = stored {
+            assert_eq!(stored.atomic_type(), got.atomic_type());
+            assert_eq!(stored.lexical(), got.lexical());
+        }
         let mut text = String::new();
         m.text(i, &mut text);
         assert_eq!(n.text(), text);

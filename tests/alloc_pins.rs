@@ -1,11 +1,16 @@
 //! Counted, not timed: what the executor allocates per row when it
-//! filters, sorts and hands sorted rows on. The counting allocator is
-//! per thread, so each pin reads only its own test's work.
+//! filters, sorts and hands sorted rows on, what a central match's probes
+//! and a shard scan's test allocate per value they read, and what a
+//! metric lookup allocates. The counting allocator is per thread, so
+//! each pin reads only its own test's work.
 
 use nimble::algebra::ops::{Operator, SortKey, SortOp, ValuesOp};
-use nimble::algebra::{CmpOp, FunctionRegistry, ScalarExpr, Schema, Tuple};
+use nimble::algebra::{CmpOp, FunctionRegistry, LiteralTest, ScalarExpr, Schema, Tuple};
+use nimble::core::matcher::CandidateFilter;
+use nimble::core::planner::Probe;
 use nimble::trace::alloc::{enabled, AllocScope};
-use nimble::xml::Value;
+use nimble::trace::MetricsRegistry;
+use nimble::xml::{Atomic, DocumentBuilder, Sym, Value};
 
 /// `n` rows `(i, i % 97, "k<i % 1000>", "x" | "y")`.
 fn rows(n: i64) -> Vec<Tuple> {
@@ -77,4 +82,90 @@ fn a_sort_allocates_a_constant_beside_its_input_and_moves_its_rows_out() {
     assert_eq!(drain, 0, "draining cloned: {} blocks", drain);
     assert_eq!(out.len(), rows.len());
     assert!(out.windows(2).all(|w| w[0][2].total_cmp(&w[1][2]).is_le()));
+}
+
+/// `$v op lit`, compiled for a one-column row.
+fn test(op: CmpOp, lit: impl Into<Value>) -> LiteralTest {
+    LiteralTest::compile(&ScalarExpr::cmp(op, ScalarExpr::Col(0), ScalarExpr::lit(lit)), 1).unwrap()
+}
+
+#[test]
+fn probing_a_candidate_allocates_nothing() {
+    if !enabled() {
+        return;
+    }
+    // `<rec><v/></rec>` x 1 000, the values `Int`, `Float` and `Sym`.
+    let mut b = DocumentBuilder::new("coll");
+    for i in 0..1_000i64 {
+        b.start_element("rec");
+        let v = match i % 3 {
+            0 => Atomic::Int(i),
+            1 => Atomic::Float(i as f64 / 2.0),
+            _ => Atomic::Sym(Sym::intern(["east", "west", "north"][(i % 7) as usize % 3])),
+        };
+        b.leaf("v", v);
+        b.end_element();
+    }
+    let doc = b.finish();
+    let probe = |joined| Probe {
+        atom: 0,
+        conjunct: 0,
+        var: "v".into(),
+        path: vec!["v".into()],
+        attr: None,
+        joined,
+    };
+    let (plain, joined) = (probe(false), probe(true));
+    let candidates: Vec<_> = doc.root_cursor().children_named("rec").collect();
+    for probes in [
+        vec![(&plain, test(CmpOp::Ne, "east"))],
+        vec![(&plain, test(CmpOp::Gt, 300i64)), (&joined, test(CmpOp::Le, 400.5))],
+    ] {
+        let mut filter = CandidateFilter::new(probes);
+        let scope = AllocScope::enter();
+        let admitted = candidates.iter().filter(|c| filter.admits(**c)).count();
+        let stats = scope.finish();
+        assert!((100..900).contains(&admitted), "{} of 1 000 admitted", admitted);
+        assert_eq!(filter.candidates, 1_000);
+        assert_eq!(stats.allocs, 0, "{} blocks over 1 000 candidates", stats.allocs);
+    }
+}
+
+#[test]
+fn a_memo_scan_allocates_only_the_rows_it_keeps() {
+    if !enabled() {
+        return;
+    }
+    // A shard scan's memo: rows `(origin, $k, $v)` in one block, tested
+    // by `$v > 90` where they lie.
+    let block: Vec<Value> = (0..5_000i64)
+        .flat_map(|i| [Value::from(i), Value::from(i % 37), Value::from(i % 101)])
+        .collect();
+    let keep = LiteralTest::compile(&ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::Col(2), ScalarExpr::lit(90i64)), 3).unwrap();
+    let scope = AllocScope::enter();
+    let kept = keep.select(block.chunks_exact(3));
+    let allocs = scope.finish().allocs;
+    assert!((400..600).contains(&kept.len()), "{} rows kept", kept.len());
+    // One block per row kept, and the list's doublings.
+    assert!(allocs <= kept.len() as u64 + 16, "{} blocks for {} rows kept", allocs, kept.len());
+}
+
+#[test]
+fn a_metric_that_exists_is_found_without_allocating() {
+    if !enabled() {
+        return;
+    }
+    let metrics = MetricsRegistry::new();
+    metrics.incr("engine.match.candidates", 1);
+    metrics.observe("source.latency_us.crm", 1);
+    metrics.gauge_max("engine.shard.memo.values", 1);
+    let scope = AllocScope::enter();
+    for i in 0..1_000 {
+        metrics.incr("engine.match.candidates", i);
+        metrics.observe("source.latency_us.crm", i);
+        metrics.gauge_max("engine.shard.memo.values", i);
+    }
+    let allocs = scope.finish().allocs;
+    assert_eq!(allocs, 0, "{} blocks over 3 000 lookups", allocs);
+    assert_eq!(metrics.counter_value("engine.match.candidates"), 1 + 999 * 1_000 / 2);
 }
