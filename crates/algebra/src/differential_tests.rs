@@ -502,3 +502,60 @@ fn sort_matches_stable_total_cmp_on_edges() {
         assert_eq!(rows_rendered(&mut op), want, "parallel={parallel}");
     }
 }
+
+#[test]
+fn the_decorated_sort_is_a_stable_total_cmp_sort() {
+    // The sort reads each row's keys once into a borrowed key vector;
+    // the specification is still a stable sort under `Value::total_cmp`,
+    // key by key in each direction. Over the coercion pool, nodes (one
+    // whose text spans two nodes, two that tie but for document order)
+    // and lists (empty, one item, several), for one to three keys.
+    let mut values = values_with_nodes();
+    // Two nodes of one typed value no atom shares, in reverse document
+    // order: only the document-order tiebreak orders them.
+    let twins = nimble_xml::parse("<r><t>twin</t><t>twin</t></r>").unwrap();
+    values.extend(twins.root().children().map(Value::Node).collect::<Vec<_>>().into_iter().rev());
+    let list = |items: Vec<Value>| Value::List(std::sync::Arc::new(items));
+    values.extend([
+        list(vec![]),
+        list(vec![Value::from(7i64)]),
+        list(vec![Value::from(7i64), Value::from("x")]),
+        list(vec![Value::from("zz"), Value::from(1i64)]),
+    ]);
+    let n = values.len();
+    let mut checked = 0;
+    for width in 1..=3usize {
+        let rows: Vec<Tuple> = (0..3 * n)
+            .map(|i| {
+                let mut row: Vec<Value> = (0..width).map(|j| values[(i * [1, 7, 13][j] + j) % n].clone()).collect();
+                row.push(Value::from(i as i64));
+                row
+            })
+            .collect();
+        for directions in 0..1u32 << width {
+            let keys: Vec<SortKey> = (0..width)
+                .map(|j| SortKey {
+                    column: j,
+                    descending: directions >> j & 1 == 1,
+                })
+                .collect();
+            let mut want = rows.clone();
+            want.sort_by(|a, b| {
+                keys.iter()
+                    .map(|k| {
+                        let ord = a[k.column].total_cmp(&b[k.column]);
+                        if k.descending { ord.reverse() } else { ord }
+                    })
+                    .find(|o| o.is_ne())
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let vars = (0..=width).map(|c| format!("c{}", c)).collect();
+            let mut op = SortOp::new(Box::new(ValuesOp::new(Schema::new(vars), rows.clone())), keys.clone());
+            let id = |t: &Tuple| t[width].as_atomic().cloned();
+            let got: Vec<_> = run_to_vec(&mut op).unwrap().iter().map(id).collect();
+            assert_eq!(got, want.iter().map(id).collect::<Vec<_>>(), "keys {:?}", keys);
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 2 + 4 + 8);
+}

@@ -58,19 +58,22 @@ impl ProjectOp {
         }
     }
 
-    /// Keep only the named columns of the child (classic projection).
-    pub fn keep(child: BoxedOp, vars: &[&str], funcs: Arc<FunctionRegistry>) -> Self {
+    /// Keep only the named columns of the child (classic projection); an
+    /// error names a variable the child does not bind.
+    pub fn keep(
+        child: BoxedOp,
+        vars: &[&str],
+        funcs: Arc<FunctionRegistry>,
+    ) -> Result<Self, ExecError> {
+        let schema = child.schema();
         let columns = vars
             .iter()
-            .map(|v| {
-                let idx = child
-                    .schema()
-                    .index_of(v)
-                    .unwrap_or_else(|| panic!("projection var {:?} not in {}", v, child.schema()));
-                (v.to_string(), ScalarExpr::Col(idx))
+            .map(|v| match schema.index_of(v) {
+                Some(idx) => Ok((v.to_string(), ScalarExpr::Col(idx))),
+                None => Err(ExecError::Operator(format!("projection var {:?} not in {}", v, schema))),
             })
-            .collect();
-        ProjectOp::new(child, columns, funcs)
+            .collect::<Result<_, _>>()?;
+        Ok(ProjectOp::new(child, columns, funcs))
     }
 }
 
@@ -186,10 +189,18 @@ mod tests {
             Box::new(src),
             &["c", "a"],
             Arc::new(FunctionRegistry::with_builtins()),
-        );
+        )
+        .unwrap();
         let rows = run_to_vec(&mut op).unwrap();
         assert_eq!(ints(&rows[0]), [3, 1]);
         assert_eq!(op.schema().vars(), &["c", "a"]);
+    }
+
+    #[test]
+    fn keeping_a_variable_the_child_lacks_is_an_error() {
+        let src = int_source(&["a"], &[&[1]]);
+        let err = ProjectOp::keep(Box::new(src), &["a", "z"], Arc::new(FunctionRegistry::with_builtins()));
+        assert!(matches!(err, Err(ExecError::Operator(m)) if m.contains("\"z\"")));
     }
 
     #[test]

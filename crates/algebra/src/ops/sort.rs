@@ -5,6 +5,7 @@ use crate::error::ExecError;
 use crate::inspect::{OpInfo, OrderEffect, SchemaRule};
 use crate::lineage::LineageMask;
 use crate::schema::{Schema, Tuple};
+use nimble_xml::ValueKey;
 use std::cmp::Ordering;
 
 /// One sort key: a column and a direction.
@@ -18,12 +19,13 @@ pub struct SortKey {
 /// for single-document scans means **document order is the default
 /// order** — the XML requirement the paper highlights.
 ///
-/// One sort for every key kind: a permutation of row indices ordered by
-/// [`nimble_xml::Value::total_cmp`] over the key columns where they lie
-/// in the buffer (atomic keys are read in place, node keys tiebreak on
-/// document order, list keys compare element-wise), the index breaking
-/// ties. Sorted rows leave by move — `open` re-ingests from the child,
-/// so nothing reads a row twice.
+/// One sort for every key kind and any number of keys: a permutation of
+/// row indices ordered by [`nimble_xml::Value::total_cmp`] over the key
+/// columns, the index breaking ties. Each row's keys are read once
+/// before sorting ([`nimble_xml::Value::order_key`]), borrowed from the
+/// buffer: a string's text, a number by value, a node's typed value
+/// where it is stored. Sorted rows leave by move — `open` re-ingests
+/// from the child, so nothing reads a row twice.
 pub struct SortOp {
     child: BoxedOp,
     keys: Vec<SortKey>,
@@ -81,13 +83,19 @@ impl Operator for SortOp {
         self.mem_bytes = super::tuples_mem_bytes(&self.buffer);
         let rows = u32::try_from(self.buffer.len())
             .map_err(|_| ExecError::Operator(format!("sort input of {} rows", self.buffer.len())))?;
-        let (buffer, keys) = (&self.buffer, &self.keys);
+        // Each row's keys are read once, into one vector borrowing the
+        // buffer: row `i`'s keys at `i * width..`.
+        let (buffer, keys, width) = (&self.buffer, &self.keys, self.keys.len());
+        let read: Vec<ValueKey<'_>> = buffer
+            .iter()
+            .flat_map(|row| keys.iter().map(move |k| row[k.column].order_key()))
+            .collect();
         self.order.clear();
         self.order.extend(0..rows);
         self.order.sort_unstable_by(|&ia, &ib| {
-            let (a, b) = (&buffer[ia as usize], &buffer[ib as usize]);
-            for k in keys {
-                let ord = a[k.column].total_cmp(&b[k.column]);
+            let (a, b) = (&read[ia as usize * width..], &read[ib as usize * width..]);
+            for ((x, y), k) in a.iter().zip(b).zip(keys) {
+                let ord = x.total_cmp(y);
                 if ord != Ordering::Equal {
                     return if k.descending { ord.reverse() } else { ord };
                 }

@@ -1604,7 +1604,7 @@ impl Engine {
                 .cloned()
                 .collect();
             let keep_refs: Vec<&str> = keep.iter().map(String::as_str).collect();
-            let mut project = ProjectOp::keep(op, &keep_refs, Arc::clone(&funcs));
+            let mut project = ProjectOp::keep(op, &keep_refs, Arc::clone(&funcs))?;
             if let Some(e) = cur_est {
                 project.set_est_rows(e);
             }

@@ -1388,3 +1388,41 @@ fn streamed_serialization_engages_above_the_threshold() {
     assert_eq!(streamed, tree);
     assert_eq!(e.metrics_snapshot().counter("engine.construct.streamed"), 1);
 }
+
+#[test]
+fn order_by_sorts_ints_and_floats_beyond_2_pow_53_exactly() {
+    // Ints 2^53 + k beside the even k spelled as floats: an i64 there
+    // rounds to the nearest even f64, so comparing an Int with a Float
+    // through f64 made Int 2^53+3 equal to both Float 2^53+4 and Int
+    // 2^53+5 while the two Ints differ — no total order, and the sort
+    // panicked. Exact comparison orders them by value.
+    let p53 = 1i64 << 53;
+    let mut xml = String::from("<rs>");
+    for i in 0..2000i64 {
+        let k = (i * 7) % 16;
+        if k % 2 == 0 {
+            xml.push_str(&format!("<r v=\"{}.0\"/>", p53 + k));
+        } else {
+            xml.push_str(&format!("<r v=\"{}\"/>", p53 + k));
+        }
+    }
+    xml.push_str("</rs>");
+    let c = Catalog::new();
+    c.register_source(Arc::new(XmlDocAdapter::new("big").add_xml("x", &xml).unwrap()))
+        .unwrap();
+    let e = Engine::new(Arc::new(c));
+    let out = e
+        .query_serialized(r#"WHERE <r v=$v/> IN "x" CONSTRUCT <o>$v</o> ORDER-BY $v"#)
+        .unwrap();
+    let got: Vec<i64> = out
+        .split("<o>")
+        .skip(1)
+        .map(|s| {
+            let text = &s[..s.find("</o>").unwrap()];
+            text.trim_end_matches(".0").parse().unwrap()
+        })
+        .collect();
+    assert_eq!(got.len(), 2000);
+    assert!(got.windows(2).all(|w| w[0] <= w[1]), "out of order: {}", &out[..400]);
+    assert_eq!((got[0], got[1999]), (p53, p53 + 15));
+}

@@ -132,7 +132,7 @@ fn collision_rename_must_not_leak_to_root() {
 
     // Projecting the duplicate away fixes it.
     let join = HashJoinOp::natural(source(&["k", "x"]), source(&["k", "y"]), JoinType::Inner);
-    let clean = ProjectOp::keep(Box::new(join), &["k", "x", "y"], funcs());
+    let clean = ProjectOp::keep(Box::new(join), &["k", "x", "y"], funcs()).unwrap();
     assert_verified(&clean);
 }
 
@@ -361,7 +361,7 @@ fn semantic_pass_is_silent_on_untyped_plans() {
     // The engine's usual case: no declared types anywhere. Every check
     // must stay quiet — `Unknown` tolerates everything.
     let join = HashJoinOp::natural(source(&["k", "x"]), source(&["k", "y"]), JoinType::Inner);
-    let clean = ProjectOp::keep(Box::new(join), &["k", "x", "y"], funcs());
+    let clean = ProjectOp::keep(Box::new(join), &["k", "x", "y"], funcs()).unwrap();
     assert!(check_semantic(&clean).is_empty());
 }
 

@@ -170,31 +170,27 @@ impl Atomic {
         }
     }
 
-    /// Total-order comparison usable for sorting and B-tree keys.
-    ///
-    /// Values of different types order by type rank
-    /// (`Null < Bool < numbers < Str`); `Int` and `Float` compare
-    /// numerically with each other.
+    /// Total-order comparison usable for sorting and B-tree keys: the
+    /// order of [`OrderKey`].
     pub fn total_cmp(&self, other: &Atomic) -> Ordering {
-        use Atomic::*;
         match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => f64_total(*a, *b),
-            (Int(a), Float(b)) => f64_total(*a as f64, *b),
-            (Float(a), Int(b)) => f64_total(*a, *b as f64),
-            (Str(a), Str(b)) => a.cmp(b),
-            (Sym(a), Sym(b)) => {
-                if a == b {
-                    Ordering::Equal
-                } else {
-                    a.as_str().cmp(b.as_str())
-                }
-            }
-            (Str(a), Sym(b)) => a.as_str().cmp(b.as_str()),
-            (Sym(a), Str(b)) => a.as_str().cmp(b.as_str()),
-            _ => self.type_rank().cmp(&other.type_rank()),
+            // Equal ids are equal text: no lookup.
+            (Atomic::Sym(a), Atomic::Sym(b)) if a == b => Ordering::Equal,
+            _ => self.order_key().total_cmp(other.order_key()),
+        }
+    }
+
+    /// This value read for ordering: a string's text is looked up once
+    /// (a `Sym`'s takes the interner's lock), everything else is copied.
+    #[inline]
+    pub fn order_key(&self) -> OrderKey<'_> {
+        match self {
+            Atomic::Null => OrderKey::Null,
+            Atomic::Bool(b) => OrderKey::Bool(*b),
+            Atomic::Int(i) => OrderKey::Int(*i),
+            Atomic::Float(f) => OrderKey::Float(*f),
+            Atomic::Str(s) => OrderKey::Text(s),
+            Atomic::Sym(s) => OrderKey::Text(s.as_str()),
         }
     }
 
@@ -204,19 +200,61 @@ impl Atomic {
     pub fn key_eq(&self, other: &Atomic) -> bool {
         self.total_cmp(other) == Ordering::Equal
     }
+}
 
-    fn type_rank(&self) -> u8 {
+/// An [`Atomic`] as [`Atomic::total_cmp`] orders it, with a string's
+/// text borrowed: what a sort reads once per key instead of once per
+/// comparison.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum OrderKey<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+}
+
+impl OrderKey<'_> {
+    /// The total order of atomics. Values of different types order by
+    /// type rank (`Null < Bool < numbers < Str`). `Int` and `Float`
+    /// compare by exact value, so that ints past 2^53 that round to one
+    /// f64 stay apart; `-0.0` sits just below `0`, and NaNs at the ends,
+    /// as `f64::total_cmp` places them.
+    #[inline]
+    pub fn total_cmp(self, other: OrderKey<'_>) -> Ordering {
+        use OrderKey::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => a.total_cmp(&b),
+            (Int(a), Float(b)) => int_float_cmp(a, b),
+            (Float(a), Int(b)) => int_float_cmp(b, a).reverse(),
+            (Text(a), Text(b)) => a.cmp(b),
+            _ => self.type_rank().cmp(&other.type_rank()),
+        }
+    }
+
+    fn type_rank(self) -> u8 {
         match self {
-            Atomic::Null => 0,
-            Atomic::Bool(_) => 1,
-            Atomic::Int(_) | Atomic::Float(_) => 2,
-            Atomic::Str(_) | Atomic::Sym(_) => 3,
+            OrderKey::Null => 0,
+            OrderKey::Bool(_) => 1,
+            OrderKey::Int(_) | OrderKey::Float(_) => 2,
+            OrderKey::Text(_) => 3,
         }
     }
 }
 
-fn f64_total(a: f64, b: f64) -> Ordering {
-    a.total_cmp(&b)
+/// `i` against `f` exactly. Rounding is monotone, so where `i as f64`
+/// differs from `f` it orders as `i` does; where it ties, `f` is an
+/// integer and the tie breaks on the exact values.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    match (i as f64).total_cmp(&f) {
+        // 2^63 is the one tie past every i64.
+        Ordering::Equal if f >= i64::MAX as f64 => Ordering::Less,
+        Ordering::Equal => i.cmp(&(f as i64)),
+        ord => ord,
+    }
 }
 
 fn format_float(f: f64) -> String {
@@ -350,6 +388,35 @@ mod tests {
     fn numeric_cross_type_equality() {
         assert!(Atomic::Int(2).key_eq(&Atomic::Float(2.0)));
         assert!(!Atomic::Int(2).key_eq(&Atomic::Float(2.5)));
+    }
+
+    #[test]
+    fn ints_and_floats_compare_exactly() {
+        use std::cmp::Ordering::*;
+        let p53 = 1i64 << 53;
+        let two63 = 9_223_372_036_854_775_808.0;
+        for (i, f, want) in [
+            // Ints that round to the float they are compared with.
+            (p53 + 1, p53 as f64, Greater),
+            (p53 + 1, (p53 + 2) as f64, Less),
+            (p53 + 3, (p53 + 4) as f64, Less),
+            (i64::MAX, two63, Less),
+            (i64::MIN, -two63, Equal),
+            (i64::MIN + 1, -two63, Greater),
+            // Exact ties, the zeros and NaNs where f64::total_cmp puts them.
+            (p53, p53 as f64, Equal),
+            (0, 0.0, Equal),
+            (0, -0.0, Greater),
+            (-1, -0.0, Less),
+            (i64::MAX, f64::NAN, Less),
+            (i64::MIN, -f64::NAN, Greater),
+            (i64::MAX, f64::INFINITY, Less),
+        ] {
+            let (a, b) = (Atomic::Int(i), Atomic::Float(f));
+            assert_eq!(a.total_cmp(&b), want, "{} vs {:?}", i, f);
+            assert_eq!(b.total_cmp(&a), want.reverse(), "{:?} vs {}", f, i);
+            assert_eq!(a.key_eq(&b), want == Equal);
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod serialize;
 pub mod shape;
 pub mod value;
 
-pub use atomic::{Atomic, AtomicKey, AtomicType};
+pub use atomic::{Atomic, AtomicKey, AtomicType, OrderKey};
 pub use build::{BuildMark, DocumentBuilder};
 pub use intern::Sym;
 pub use node::{Cursor, Document, NodeId, NodeKind, NodeRef};
@@ -56,4 +56,4 @@ pub use parse::{parse, ParseError};
 pub use path::{Path, Step};
 pub use serialize::{to_string, to_string_pretty, XmlWriter};
 pub use shape::{Multiplicity, Shape, ShapeError};
-pub use value::Value;
+pub use value::{Value, ValueKey};

@@ -1,8 +1,8 @@
 //! Serialization of documents back to XML text.
 
 use crate::atomic::Atomic;
-use crate::intern::Sym;
 use crate::node::{Cursor, NodeKind, NodeRef};
+use crate::value::Value;
 use std::fmt::Write;
 
 /// Serialize a subtree to compact XML (no added whitespace).
@@ -145,10 +145,12 @@ pub fn escape_attr_into(out: &mut String, s: &str) {
 /// for duplicate elimination.
 pub struct XmlWriter {
     out: String,
-    /// Open elements: interned name plus whether the start tag has been
-    /// closed with `>` (it stays open until the first child arrives so
-    /// childless elements can self-close).
-    stack: Vec<(Sym, bool)>,
+    /// Open elements: where the name lies in `out` (behind its `<`) plus
+    /// whether the start tag has been closed with `>` (it stays open
+    /// until the first child arrives so childless elements can
+    /// self-close). The end tag copies the name from there, so a name
+    /// is never looked up.
+    stack: Vec<(usize, usize, bool)>,
 }
 
 /// Checkpoint of an [`XmlWriter`]'s output position; see
@@ -163,22 +165,13 @@ pub struct WriteMark {
 impl XmlWriter {
     /// Start a document whose root element has the given name.
     pub fn new(root_name: &str) -> XmlWriter {
-        XmlWriter::new_sym(Sym::intern(root_name))
-    }
-
-    /// Start a document by interned root name.
-    pub fn new_sym(root_name: Sym) -> XmlWriter {
-        XmlWriter::sized(root_name, 0)
+        XmlWriter::with_capacity(root_name, 0)
     }
 
     /// [`new`](Self::new) with a buffer of `bytes`, for a caller that
     /// knows how long the document will be: a document of exactly that
     /// length is written, and [`finish`](Self::finish)ed, in one block.
     pub fn with_capacity(root_name: &str, bytes: usize) -> XmlWriter {
-        XmlWriter::sized(Sym::intern(root_name), bytes)
-    }
-
-    fn sized(root_name: Sym, bytes: usize) -> XmlWriter {
         let mut w = XmlWriter {
             out: String::with_capacity(bytes),
             stack: Vec::new(),
@@ -187,16 +180,17 @@ impl XmlWriter {
         w
     }
 
-    fn open_tag(&mut self, name: Sym) {
+    fn open_tag(&mut self, name: &str) {
         self.out.push('<');
-        self.out.push_str(name.as_str());
-        self.stack.push((name, false));
+        let start = self.out.len();
+        self.out.push_str(name);
+        self.stack.push((start, self.out.len(), false));
     }
 
     /// Close the innermost start tag with `>` if the element is about to
     /// receive content.
     fn seal(&mut self) {
-        if let Some((_, closed)) = self.stack.last_mut() {
+        if let Some((_, _, closed)) = self.stack.last_mut() {
             if !*closed {
                 *closed = true;
                 self.out.push('>');
@@ -206,11 +200,6 @@ impl XmlWriter {
 
     /// Open a child element.
     pub fn start_element(&mut self, name: &str) {
-        self.start_element_sym(Sym::intern(name));
-    }
-
-    /// Open a child element by interned name.
-    pub fn start_element_sym(&mut self, name: Sym) {
         self.seal();
         self.open_tag(name);
     }
@@ -219,13 +208,37 @@ impl XmlWriter {
     /// content of that element (panics otherwise — attribute-after-child
     /// is a construction bug, not data-dependent).
     pub fn attr(&mut self, name: &str, value: &str) {
-        let sealed = self.stack.last().map(|(_, c)| *c).unwrap_or(true);
+        self.open_attr(name);
+        escape_attr_into(&mut self.out, value);
+        self.out.push('"');
+    }
+
+    /// [`attr`](Self::attr) with `value`'s lexical form, written escaped
+    /// straight into the output.
+    pub fn attr_value(&mut self, name: &str, value: &Value) {
+        self.open_attr(name);
+        match value {
+            Value::Atomic(Atomic::Str(s)) => escape_attr_into(&mut self.out, s),
+            Value::Atomic(Atomic::Sym(s)) => escape_attr_into(&mut self.out, s.as_str()),
+            _ => {
+                let start = self.out.len();
+                value.lexical_into(&mut self.out);
+                // A number's form holds no markup; a node's text may.
+                if self.out[start..].contains(['<', '&', '"']) {
+                    let raw = self.out.split_off(start);
+                    escape_attr_into(&mut self.out, &raw);
+                }
+            }
+        }
+        self.out.push('"');
+    }
+
+    fn open_attr(&mut self, name: &str) {
+        let sealed = self.stack.last().map(|(_, _, c)| *c).unwrap_or(true);
         assert!(!sealed, "attr after element content");
         self.out.push(' ');
         self.out.push_str(name);
         self.out.push_str("=\"");
-        escape_attr_into(&mut self.out, value);
-        self.out.push('"');
     }
 
     /// Append escaped text content.
@@ -288,10 +301,10 @@ impl XmlWriter {
     }
 
     fn close_top(&mut self) {
-        if let Some((name, closed)) = self.stack.pop() {
+        if let Some((start, end, closed)) = self.stack.pop() {
             if closed {
                 self.out.push_str("</");
-                self.out.push_str(name.as_str());
+                self.out.extend_from_within(start..end);
                 self.out.push('>');
             } else {
                 self.out.push_str("/>");
@@ -304,7 +317,7 @@ impl XmlWriter {
         WriteMark {
             len: self.out.len(),
             depth: self.stack.len(),
-            parent_closed: self.stack.last().map(|(_, c)| *c).unwrap_or(true),
+            parent_closed: self.stack.last().map(|(_, _, c)| *c).unwrap_or(true),
         }
     }
 
@@ -319,7 +332,7 @@ impl XmlWriter {
     pub fn rollback(&mut self, mark: &WriteMark) {
         assert!(self.stack.len() == mark.depth, "rollback across open elements");
         self.out.truncate(mark.len);
-        if let Some((_, closed)) = self.stack.last_mut() {
+        if let Some((_, _, closed)) = self.stack.last_mut() {
             *closed = mark.parent_closed;
         }
     }
@@ -331,7 +344,7 @@ impl XmlWriter {
 
     /// True when nothing beyond the root's start tag has been emitted.
     pub fn is_empty(&self) -> bool {
-        self.stack.len() == 1 && !self.stack[0].1
+        self.stack.len() == 1 && !self.stack[0].2
     }
 
     /// Close all open elements and return the document text.
@@ -405,6 +418,27 @@ mod tests {
         w.end_element();
         w.end_element();
         assert_eq!(w.finish(), tree);
+    }
+
+    #[test]
+    fn an_attribute_value_is_written_as_attr_writes_its_lexical_form() {
+        use crate::{Atomic, Sym};
+        let doc = parse("<v>a<b>&amp;\"</b>c</v>").unwrap();
+        for value in [
+            Value::Atomic(Atomic::Str("x<y&\"z".into())),
+            Value::Atomic(Atomic::Sym(Sym::intern("q\"&"))),
+            Value::Atomic(Atomic::Int(-7)),
+            Value::Atomic(Atomic::Float(2.5)),
+            Value::Atomic(Atomic::Null),
+            Value::Node(doc.root()),
+            Value::List(std::sync::Arc::new(vec![Value::from("<"), Value::from(1i64)])),
+        ] {
+            let mut want = XmlWriter::new("r");
+            want.attr("a", &value.lexical());
+            let mut got = XmlWriter::new("r");
+            got.attr_value("a", &value);
+            assert_eq!(got.finish(), want.finish(), "{:?}", value);
+        }
     }
 
     #[test]

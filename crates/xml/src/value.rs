@@ -1,7 +1,7 @@
 //! The runtime value domain shared by the whole engine: atomics, nodes,
 //! and lists (the result of grouping/collection).
 
-use crate::atomic::Atomic;
+use crate::atomic::{Atomic, OrderKey};
 use crate::node::NodeRef;
 use std::cmp::Ordering;
 use std::fmt;
@@ -116,28 +116,20 @@ impl Value {
     /// Total order used by Sort and Distinct: atomics by
     /// [`Atomic::total_cmp`] (after atomizing nodes), then by node
     /// identity/document order for pure node comparisons, lists
-    /// lexicographically.
+    /// lexicographically. It is the order of [`ValueKey`].
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        match (self, other) {
-            (Value::List(a), Value::List(b)) => {
-                for (x, y) in a.iter().zip(b.iter()) {
-                    let c = x.total_cmp(y);
-                    if c != Ordering::Equal {
-                        return c;
-                    }
-                }
-                a.len().cmp(&b.len())
-            }
-            (Value::Node(a), Value::Node(b)) => {
-                let c = a.typed_value().total_cmp(&b.typed_value());
-                if c != Ordering::Equal {
-                    c
-                } else {
-                    a.doc_order(b)
-                }
-            }
-            (a, b) => a.with_atomics(b, Atomic::total_cmp),
-        }
+        self.order_key().total_cmp(&other.order_key())
+    }
+
+    /// This value read for ordering: an atomic's ordering fields, or a
+    /// node's typed value where it is stored, are read once.
+    pub fn order_key(&self) -> ValueKey<'_> {
+        let atomic = match self {
+            Value::Atomic(a) => Some(a.order_key()),
+            Value::Node(n) => n.cursor().typed_value_ref().map(Atomic::order_key),
+            Value::List(_) => None,
+        };
+        ValueKey { value: self, atomic }
     }
 
     /// Join-key / grouping equality: compares atomized values for mixed
@@ -152,6 +144,32 @@ impl Value {
             }
             (a, b) => a.with_atomics(b, Atomic::key_eq),
         }
+    }
+}
+
+/// A [`Value`] as [`Value::total_cmp`] orders it: what a sort reads once
+/// per row instead of at every comparison.
+#[derive(Clone, Copy)]
+pub struct ValueKey<'a> {
+    value: &'a Value,
+    /// `None` for a list, or a node whose text spans several nodes.
+    atomic: Option<OrderKey<'a>>,
+}
+
+impl ValueKey<'_> {
+    pub fn total_cmp(&self, other: &ValueKey<'_>) -> Ordering {
+        let ord = match (self.atomic, other.atomic, self.value, other.value) {
+            (Some(a), Some(b), _, _) => a.total_cmp(b),
+            (_, _, Value::List(a), Value::List(b)) => {
+                let mut items = a.iter().zip(b.iter()).map(|(x, y)| x.total_cmp(y));
+                return items.find(|o| o.is_ne()).unwrap_or_else(|| a.len().cmp(&b.len()));
+            }
+            (_, _, a, b) => a.with_atomics(b, Atomic::total_cmp),
+        };
+        ord.then_with(|| match (self.value, other.value) {
+            (Value::Node(a), Value::Node(b)) => a.doc_order(b),
+            _ => Ordering::Equal,
+        })
     }
 }
 

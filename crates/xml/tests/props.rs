@@ -191,13 +191,29 @@ fn atomic(rng: &mut Rng) -> Atomic {
     }
 }
 
+/// A number where `i64` and `f64` part: ±2^53 ± k as an Int or as the
+/// Float it rounds to, the `i64` extremes and 2^63, both zeros.
+fn edge_number(rng: &mut Rng) -> Atomic {
+    let p53 = 1i64 << 53;
+    let base = *rng.pick(&[p53, -p53, i64::MAX, i64::MIN, 0]);
+    let i = base.saturating_add(rng.below(9) as i64 - 4);
+    match rng.below(4) {
+        0 | 1 => Atomic::Int(i),
+        2 => Atomic::Float(i as f64),
+        _ => Atomic::Float(*rng.pick(&[-0.0, 0.0, 9_223_372_036_854_775_808.0, -9_223_372_036_854_775_808.0])),
+    }
+}
+
 /// Atomic total order is antisymmetric and transitive (checked by
-/// sorting consistency) and key_eq agrees with Ordering::Equal.
+/// sorting consistency and over every triple) and key_eq agrees with
+/// Ordering::Equal — numbers where i64 and f64 part included.
 #[test]
 fn atomic_order_laws() {
     use std::cmp::Ordering;
     sweep(256, |rng| {
-        let values: Vec<Atomic> = (0..2 + rng.below(10)).map(|_| atomic(rng)).collect();
+        let values: Vec<Atomic> = (0..2 + rng.below(14))
+            .map(|_| if rng.chance(0.5) { edge_number(rng) } else { atomic(rng) })
+            .collect();
         let mut sorted = values.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
         for w in sorted.windows(2) {
@@ -207,6 +223,11 @@ fn atomic_order_laws() {
             for b in &values {
                 assert_eq!(a.key_eq(b), a.total_cmp(b) == Ordering::Equal);
                 assert_eq!(a.total_cmp(b), b.total_cmp(a).reverse());
+                for c in &values {
+                    if a.total_cmp(b).is_le() && b.total_cmp(c).is_le() {
+                        assert!(a.total_cmp(c).is_le(), "{:?} <= {:?} <= {:?}", a, b, c);
+                    }
+                }
             }
         }
     });

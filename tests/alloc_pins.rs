@@ -84,6 +84,28 @@ fn a_sort_allocates_a_constant_beside_its_input_and_moves_its_rows_out() {
     assert!(out.windows(2).all(|w| w[0][2].total_cmp(&w[1][2]).is_le()));
 }
 
+#[test]
+fn streaming_construct_allocates_a_constant_beside_the_writers_buffer() {
+    if !enabled() {
+        return;
+    }
+    // `<hit id=$i><c>$c</c></hit>` over 1 000 rows: the template is
+    // compiled once, names are written from it, and the attribute's value
+    // is written escaped into the buffer — no block per row.
+    let query = nimble::xmlql::parse_query(r#"WHERE <r>$i</r> IN "s" CONSTRUCT <hit id=$i><c>$c</c></hit>"#).unwrap();
+    let schema = Schema::new(["i", "c"].map(String::from).to_vec());
+    let rows: Vec<Tuple> = (0..1_000i64)
+        .map(|i| vec![Value::from(i), Value::Atomic(Atomic::Sym(Sym::intern(if i % 2 == 0 { "a&b" } else { "c" })))])
+        .collect();
+    let mut w = nimble::xml::XmlWriter::with_capacity("results", 64 * 1024);
+    let scope = AllocScope::enter();
+    nimble::core::construct::append_instances_stream(&mut w, &query.construct, &schema, &rows, None).unwrap();
+    let blocks = scope.finish().allocs;
+    let xml = w.finish();
+    assert!(xml.starts_with(r#"<results><hit id="0"><c>a&amp;b</c></hit><hit id="1"><c>c</c></hit>"#), "{:.120}", xml);
+    assert!(blocks <= 16, "{} blocks for 1 000 rows", blocks);
+}
+
 /// `$v op lit`, compiled for a one-column row.
 fn test(op: CmpOp, lit: impl Into<Value>) -> LiteralTest {
     LiteralTest::compile(&ScalarExpr::cmp(op, ScalarExpr::Col(0), ScalarExpr::lit(lit)), 1).unwrap()
