@@ -5,7 +5,7 @@ use crate::construct;
 use crate::error::CoreError;
 use crate::matcher;
 use crate::plan_cache::{PlanCache, PlanStamp};
-use crate::planner::{self, cost, AtomExec, BindPatternOp, BindStage, Plan, ShardPlan};
+use crate::planner::{self, cost, AtomExec, BindPatternOp, BindStage, Bound, Plan, ShardPlan};
 use crate::shard::ShardRuntime;
 use nimble_algebra::ops::{
     BoxedOp, EmptyOp, ExchangeOp, FilterOp, HashJoinOp, JoinType, LazySourceOp, MeteredOp,
@@ -20,18 +20,18 @@ use nimble_algebra::{
 use nimble_sources::query::{cursor_field, FieldRef, SourceQuery, Watermark};
 use nimble_store::{LogicalClock, ResultCache, ViewStore, WorkloadMonitor};
 use nimble_trace::{
-    AllocScope, AllocStats, FlightRecord, FlightRecorder, MetricsRegistry, MetricsSnapshot,
+    AllocScope, AllocStats, FlightRecord, FlightRecorder, Histogram, MetricsRegistry, MetricsSnapshot,
     QueryCtx, QueryEvent, QueryLog, QueryLogEntry, SourceCall, SpanView, Trace,
 };
 use nimble_xml::{Atomic, AtomicKey, Document, DocumentBuilder, Sym, Value, XmlWriter};
 use nimble_xmlql::ast::{Query, TagPattern};
-use nimble_xmlql::QueryShape;
 use nimble_trace::sync::RwLock;
+use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 mod refresh;
@@ -373,6 +373,92 @@ pub struct Engine {
     /// is attached route scans over its partitions through an Exchange,
     /// and the plan-cache stamp folds in its map epoch.
     shards: RwLock<Option<Arc<ShardRuntime>>>,
+    /// Each source's `source.*` metric handles, looked up on first use.
+    source_metrics: RwLock<HashMap<String, Arc<SourceMetrics>>>,
+}
+
+/// The `source.*` metrics of one source. Each is looked up in the
+/// registry the first time it moves, so a fetch formats no metric name
+/// and a metric that never moved is not in the registry.
+struct SourceMetrics {
+    registry: Arc<MetricsRegistry>,
+    source: String,
+    calls: OnceLock<Arc<AtomicU64>>,
+    latency_us: OnceLock<Arc<Histogram>>,
+    errors: OnceLock<Arc<AtomicU64>>,
+    failures: OnceLock<Arc<AtomicU64>>,
+    stale_served: OnceLock<Arc<AtomicU64>>,
+}
+
+impl SourceMetrics {
+    fn new(registry: Arc<MetricsRegistry>, source: &str) -> SourceMetrics {
+        SourceMetrics {
+            registry,
+            source: source.to_string(),
+            calls: OnceLock::new(),
+            latency_us: OnceLock::new(),
+            errors: OnceLock::new(),
+            failures: OnceLock::new(),
+            stale_served: OnceLock::new(),
+        }
+    }
+
+    /// Count one on the counter `family` + the source's name, held in
+    /// `cell`.
+    fn count(&self, cell: &OnceLock<Arc<AtomicU64>>, family: &str) {
+        cell.get_or_init(|| self.registry.counter(&format!("{}{}", family, self.source)))
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn call(&self) {
+        self.count(&self.calls, "source.calls.");
+    }
+
+    fn error(&self) {
+        self.count(&self.errors, "source.errors.");
+    }
+
+    fn failure(&self) {
+        self.count(&self.failures, "source.failures.");
+    }
+
+    fn stale_served(&self) {
+        self.count(&self.stale_served, "source.stale_served.");
+    }
+
+    fn latency(&self, call_ms: f64) {
+        self.latency_us
+            .get_or_init(|| self.registry.histogram(&format!("source.latency_us.{}", self.source)))
+            .record(us(call_ms));
+    }
+}
+
+/// Which way a serve came by its plan, as EXPLAIN's first line says it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PlanPath {
+    /// Planned for the text (a plan-cache miss).
+    Planned,
+    /// The cached plan of the text's shape, served with the text's
+    /// values.
+    Shape,
+    /// A cached plan that routes shards on the text's values, and so
+    /// serves those values alone.
+    Routed,
+    /// The caller's ([`Engine::query_planned`]).
+    Given,
+}
+
+impl PlanPath {
+    /// The line EXPLAIN opens with, for a serve of `params` parameter
+    /// values.
+    fn explain(self, params: usize) -> Cow<'static, str> {
+        match self {
+            PlanPath::Planned => "plan: planned".into(),
+            PlanPath::Shape => format!("plan: cached shape, {} parameters bound", params).into(),
+            PlanPath::Routed => "plan: cached for these values only (shard routing)".into(),
+            PlanPath::Given => "plan: given".into(),
+        }
+    }
 }
 
 /// One in how many plan-cache hits is differentially re-planned under
@@ -386,20 +472,21 @@ const QUERY_LOG_CAPACITY: usize = 256;
 const SLOW_QUERY_CAPACITY: usize = 32;
 
 /// A query ready to execute: what [`Engine::compile`] makes of a text.
+/// The plan is served with the query's equality parameter values
+/// ([`Query::eq_params`]).
 struct Compiled {
     query: Query,
     plan: Arc<Plan>,
     /// `parse` and `analyze`, when they ran as phases of their own (a
     /// plan-cache miss). On a hit there are none and `plan_ms` is
-    /// everything between the text and the bound plan.
+    /// everything between the text and a plan ready to run.
     pre_phases: Vec<(String, f64)>,
     plan_ms: f64,
     verify_ms: f64,
     /// False when the plan's operator shape verified clean when it was
     /// cached.
     planck_verify: bool,
-    /// Which path the plan came by, as EXPLAIN says it.
-    path: String,
+    path: PlanPath,
 }
 
 /// Mutable context threaded through one query's evaluation.
@@ -416,7 +503,7 @@ struct ExecCtx {
     /// SQL included — is rendered.
     want_plan_text: bool,
     /// EXPLAIN's first line: [`Compiled::path`] of the top-level query.
-    plan_path: String,
+    plan_path: Option<PlanPath>,
     /// Wrap assembled operators in `MeteredOp` for EXPLAIN ANALYZE.
     profile: bool,
     /// Top-level phase timings (plan/verify/execute), in order.
@@ -455,7 +542,7 @@ impl ExecCtx {
             rows_fetched: 0,
             plan_text: String::new(),
             want_plan_text: true,
-            plan_path: String::new(),
+            plan_path: None,
             profile: false,
             phases: Vec::new(),
             worst_qerror_op: None,
@@ -520,6 +607,7 @@ impl Engine {
             plans: PlanCache::new(config.plan_cache_capacity),
             differential_seq: AtomicU64::new(0),
             shards: RwLock::new(None),
+            source_metrics: RwLock::new(HashMap::new()),
             catalog,
             views: ViewStore::new(),
             cache: ResultCache::new(config.cache_nodes),
@@ -637,6 +725,15 @@ impl Engine {
         self.shards.read().as_ref().map_or(0, |rt| rt.epoch())
     }
 
+    /// `source`'s metric handles.
+    fn source_metrics(&self, source: &str) -> Arc<SourceMetrics> {
+        if let Some(found) = self.source_metrics.read().get(source) {
+            return Arc::clone(found);
+        }
+        let made = Arc::new(SourceMetrics::new(Arc::clone(&self.metrics), source));
+        Arc::clone(self.source_metrics.write().entry(source.to_string()).or_insert(made))
+    }
+
     /// Plan a query against the catalog, shard-aware when a runtime is
     /// attached. Every planning site (fresh, subquery, differential
     /// re-plan) goes through here so cached and fresh plans always see
@@ -711,8 +808,9 @@ impl Engine {
         let mut ctx = ExecCtx::new();
         ctx.profile = config.profile;
         ctx.want_plan_text = false;
-        ctx.plan_path = path;
-        let (schema, tuples) = self.eval_planned(&plan, None, 0, &mut ctx, 0.0, 0.0, false)?;
+        ctx.plan_path = Some(path);
+        let params = query.eq_params();
+        let (schema, tuples) = self.eval_planned(&plan, &params, None, 0, &mut ctx, 0.0, 0.0, false)?;
         let a_construct = AllocScope::enter();
         let t_construct = Instant::now();
         // This shape's last answer sizes the buffer: no doubling, and no
@@ -731,8 +829,9 @@ impl Engine {
 
     /// Answer `text` with `plan` — one the caller made for it, or changed
     /// (a differential's reference) — instead of the plan compiling the
-    /// text gives. The plan cache is neither read nor filled; the plan is
-    /// verified as a freshly made one is.
+    /// text gives, served with the text's values. The plan cache is
+    /// neither read nor filled; the plan is verified and audited as a
+    /// freshly made one is, before any source is called.
     pub fn query_planned(&self, text: &str, plan: Plan) -> Result<QueryResult, CoreError> {
         let query = nimble_xmlql::parse_query(text).map_err(|e| CoreError::Compile(e.to_string()))?;
         if self.config().optimizer.verify_plans {
@@ -745,7 +844,7 @@ impl Engine {
             plan_ms: 0.0,
             verify_ms: 0.0,
             planck_verify: true,
-            path: "plan: given".to_string(),
+            path: PlanPath::Given,
         };
         self.query_with(text, false, Some(compiled))
     }
@@ -850,9 +949,11 @@ impl Engine {
 
         let mut ctx = ExecCtx::new();
         ctx.profile = profile;
-        ctx.plan_path = path;
+        ctx.plan_path = Some(path);
+        let params = query.eq_params();
         let (schema, tuples) = self.eval_planned(
             &plan,
+            &params,
             None,
             0,
             &mut ctx,
@@ -1014,22 +1115,23 @@ impl Engine {
     }
 
     /// Text to executable plan, the one way every serve takes: parse,
-    /// lift the equality parameters out ([`QueryShape`]), probe the plan
-    /// cache for the shape, then bind the cached plan to this query's
-    /// values — or, on a miss, analyze, plan, verify and cache.
+    /// cut the shape key from the text ([`nimble_xmlql::parse_keyed`]),
+    /// probe the plan cache for the shape — or, on a miss, analyze, plan,
+    /// verify, audit and cache. Either way the plan is served as it is,
+    /// shared, with the text's own values beside it ([`Bound`]).
     ///
     /// A plan serves the whole shape unless it routes shards on the
     /// values ([`Plan::shards`]); such a plan is cached under — and, on
     /// an engine with a shard runtime, a query with parameters is also
-    /// looked up under — the query's own spelling. A query without
-    /// equality parameters is its own shape.
+    /// looked up under — the text itself. A query without equality
+    /// parameters is its own shape.
     ///
     /// A hit skips analysis, planning and, because the plan's fold order
     /// makes the assembled operator shape deterministic, planck
     /// re-verification. Under `verify_plans` every
     /// [`DIFFERENTIAL_SAMPLE`]-th hit is planned afresh and compared
-    /// with the plan about to be served. `trace`, when given, receives
-    /// the front-end phases as they end.
+    /// with the plan about to be served, under this text's values.
+    /// `trace`, when given, receives the front-end phases as they end.
     fn compile(
         &self,
         text: &str,
@@ -1038,22 +1140,21 @@ impl Engine {
     ) -> Result<Compiled, CoreError> {
         let t_compile = Instant::now();
         let a_parse = AllocScope::enter();
-        let query =
-            nimble_xmlql::parse_query(text).map_err(|e| CoreError::Compile(e.to_string()))?;
+        let (query, shape) =
+            nimble_xmlql::parse_keyed(text).map_err(|e| CoreError::Compile(e.to_string()))?;
         let parse_ms = ms_since(t_compile);
         let parse_alloc = a_parse.finish();
 
-        let params = query.eq_params();
-        let shape = QueryShape(&query).to_string();
-        // Only a coordinator's plans route shards, so only there is a
-        // query's own spelling a key worth printing.
+        // Only a coordinator's plans route shards, so only there is the
+        // text itself a second key worth probing — when it is not the
+        // shape already, that is, when the text has parameters.
         let (shard_epoch, routes) = match &*self.shards.read() {
             Some(rt) => (rt.epoch(), true),
             None => (0, false),
         };
-        let spelled = (routes && !params.is_empty()).then(|| query.to_string());
-        let key_of = |plan: &Plan| match &spelled {
-            Some(spelled) if !plan.shards.is_empty() => spelled.as_str(),
+        let spelled = (routes && shape != text).then_some(text);
+        let key_of = |plan: &Plan| match spelled {
+            Some(spelled) if !plan.shards.is_empty() => spelled,
             _ => shape.as_str(),
         };
         let stamp = PlanStamp {
@@ -1062,10 +1163,8 @@ impl Engine {
             stats_generation: self.catalog.stats().generation(),
             shard_epoch,
         };
-        let keys: Vec<&str> = std::iter::once(shape.as_str())
-            .chain(spelled.as_deref())
-            .collect();
-        let lookup = self.plans.get(&keys, stamp);
+        let keys = [shape.as_str(), text];
+        let lookup = self.plans.get(&keys[..1 + usize::from(spelled.is_some())], stamp);
         if lookup.invalidated > 0 {
             self.metrics
                 .incr("engine.plan_cache.invalidations", lookup.invalidated);
@@ -1074,17 +1173,12 @@ impl Engine {
             nimble_xmlql::analyze(query).map_err(|e| CoreError::Compile(e.to_string()))
         };
 
-        if let Some(cached) = lookup.value {
+        if let Some(plan) = lookup.value {
             self.metrics.incr("engine.plan_cache.hits", 1);
-            let (plan, path) = if !params.is_empty() && !cached.shards.is_empty() {
-                (cached, "plan: cached for these values only (shard routing)".to_string())
+            let path = if spelled.is_some() && !plan.shards.is_empty() {
+                PlanPath::Routed
             } else {
-                let plan = if params.is_empty() {
-                    cached
-                } else {
-                    Arc::new(planner::bind(&self.catalog, &cached, &params, &config.optimizer)?)
-                };
-                (plan, format!("plan: cached shape, {} parameters bound", params.len()))
+                PlanPath::Shape
             };
             // Sampled differential re-plan (semantic pass 3 applied to
             // cache reuse): the stamp guarantees the same
@@ -1096,8 +1190,11 @@ impl Engine {
                 self.metrics.incr("engine.plan_cache.differential", 1);
                 analyzed(&query)?;
                 let fresh = self.plan(&query, &config.optimizer, None)?;
-                let served_sig = plan_semantic_signature(&plan);
-                let fresh_sig = plan_semantic_signature(&fresh);
+                let params = query.eq_params();
+                let served = Bound::new(&plan, &params)?;
+                let served_sig =
+                    plan_semantic_signature(served, served.verdict(&self.catalog, &config.optimizer).as_deref());
+                let fresh_sig = plan_semantic_signature(Bound::own(&fresh), fresh.pruned.as_deref());
                 if served_sig != fresh_sig {
                     self.metrics
                         .incr("engine.plan_cache.differential_mismatch", 1);
@@ -1105,8 +1202,8 @@ impl Engine {
                     // execution runs the freshly planned shape.
                     self.plans.put(key_of(&fresh), stamp, Arc::new(fresh));
                     return Err(CoreError::PlanVerify(format!(
-                        "plan-cache differential mismatch: the cached plan, bound to this \
-                         query, does not match a fresh plan under the same stamp\n  cached: {}\n  fresh:  {}",
+                        "plan-cache differential mismatch: the cached plan, served with this \
+                         query's values, does not match a fresh plan under the same stamp\n  cached: {}\n  fresh:  {}",
                         served_sig, fresh_sig
                     )));
                 }
@@ -1152,6 +1249,10 @@ impl Engine {
             verify_ms = ms_since(t_verify);
             self.phase_alloc("verify", a_verify.finish());
         }
+        // Audited before it is cached: a plan that fails is never served.
+        let t_audit = Instant::now();
+        planner::audit(&plan)?;
+        verify_ms += ms_since(t_audit);
         let plan = Arc::new(plan);
         if self.plans.put(key_of(&plan), stamp, Arc::clone(&plan)) {
             self.metrics.incr("engine.plan_cache.evictions", 1);
@@ -1163,7 +1264,7 @@ impl Engine {
             plan_ms,
             verify_ms,
             planck_verify: true,
-            path: "plan: planned".to_string(),
+            path: PlanPath::Planned,
         })
     }
 
@@ -1279,26 +1380,31 @@ impl Engine {
         let t_plan = Instant::now();
         let plan = self.plan(query, &config.optimizer, outer.map(|(s, _)| s))?;
         let plan_ms = ms_since(t_plan);
-        let mut verify_ms = 0.0;
+        let t_verify = Instant::now();
         if config.optimizer.verify_plans {
-            let t_verify = Instant::now();
             planner::verify_plan(&plan, outer.map(|(s, _)| s))?;
-            verify_ms += ms_since(t_verify);
         }
-        self.eval_planned(&plan, outer, depth, ctx, plan_ms, verify_ms, true)
+        planner::audit(&plan)?;
+        let verify_ms = ms_since(t_verify);
+        self.eval_planned(&plan, &query.eq_params(), outer, depth, ctx, plan_ms, verify_ms, true)
     }
 
-    /// Execute an already-decomposed plan: fetch the independent units,
-    /// fold the mediator-side join tree, run dependents/residuals/sort,
-    /// and drive the pipeline. `plan_ms`/`plan_verify_ms` report how the
-    /// plan was obtained (fresh planning or a cache lookup) for the
-    /// phase breakdown; `planck_verify` is false when the operator shape
-    /// already verified clean (a plan-cache hit: the plan's fold order
-    /// makes the assembled shape deterministic).
+    /// Execute an already-decomposed plan with `params`, the values of
+    /// its query's equality parameters ([`Query::eq_params`]): fetch the
+    /// independent units, fold the mediator-side join tree, run
+    /// dependents/residuals/sort, and drive the pipeline. The plan is
+    /// only read — a cached one is shared by every serve of its shape —
+    /// and each value is read at its site ([`Bound`]).
+    /// `plan_ms`/`plan_verify_ms` report how the plan was obtained (fresh
+    /// planning or a cache lookup) for the phase breakdown;
+    /// `planck_verify` is false when the operator shape already verified
+    /// clean (a plan-cache hit: the plan's fold order makes the assembled
+    /// shape deterministic).
     #[allow(clippy::too_many_arguments)]
     fn eval_planned(
         &self,
         plan: &Plan,
+        params: &[&Atomic],
         outer: Option<(&Schema, &Tuple)>,
         depth: usize,
         ctx: &mut ExecCtx,
@@ -1307,11 +1413,17 @@ impl Engine {
         planck_verify: bool,
     ) -> Result<(Schema, Vec<Tuple>), CoreError> {
         let config = self.config();
-        // A statically-pruned plan (unsatisfiable WHERE clause) skips
+        // A plan's own rewrites are audited once, before its first serve
+        // and so before any source is called: a plan made here was
+        // audited when it was made, one installed in the plan cache or
+        // handed to `query_planned` is audited now.
+        planner::audit(plan)?;
+        let bound = Bound::new(plan, params)?;
+        // A statically-pruned serve (unsatisfiable WHERE clause) skips
         // the entire pipeline: no source is contacted, no join is
         // folded — the measurable win of satisfiability analysis.
-        if let Some(reason) = &plan.pruned {
-            return self.eval_pruned(plan, reason, outer, depth, ctx, plan_ms, plan_verify_ms);
+        if let Some(reason) = bound.verdict(&self.catalog, &config.optimizer) {
+            return self.eval_pruned(bound, &reason, outer, depth, ctx, plan_ms, plan_verify_ms);
         }
         let mut verify_ms = plan_verify_ms;
         let a_execute = AllocScope::enter();
@@ -1351,13 +1463,13 @@ impl Engine {
         let mut fetched: Vec<Option<Result<Fetched, CoreError>>> = Vec::new();
         fetched.resize_with(n, || None);
         let first: Vec<usize> = plan.bind.iter().map(|stage| stage.driver).collect();
-        self.fetch_round(plan, &first, None, depth, ctx, &mut fetched);
-        let (bound, bind_note) = match &plan.bind {
+        self.fetch_round(bound, &first, None, depth, ctx, &mut fetched);
+        let (keys, bind_note) = match &plan.bind {
             Some(stage) => self.bind_keys(stage, fetched[stage.driver].as_ref()),
             None => (None, None),
         };
         let rest: Vec<usize> = (0..n).filter(|i| !first.contains(i)).collect();
-        self.fetch_round(plan, &rest, bound.as_ref(), depth, ctx, &mut fetched);
+        self.fetch_round(bound, &rest, keys.as_ref(), depth, ctx, &mut fetched);
         // What EXPLAIN ANALYZE says of each probed match.
         let mut probed_notes: Vec<String> = Vec::new();
         for (atom, slot) in plan.independents.iter().zip(fetched) {
@@ -1611,12 +1723,11 @@ impl Engine {
             op = meter(Box::new(project));
         }
 
-        // Residual predicates.
+        // Residual predicates, as this serve reads them.
         if !plan.residual_predicates.is_empty() {
-            let translated: Vec<ScalarExpr> = plan
-                .residual_predicates
-                .iter()
-                .map(|e| planner::translate_expr(e, op.schema()))
+            let translated: Vec<ScalarExpr> = (0..plan.residual_predicates.len())
+                .filter_map(|i| bound.residual(i))
+                .map(|e| planner::translate_expr(&e, op.schema()))
                 .collect::<Result<_, _>>()?;
             let mut filter = FilterOp::new(op, ScalarExpr::conjunction(translated), Arc::clone(&funcs));
             if let Some(e) = cur_est {
@@ -1675,25 +1786,13 @@ impl Engine {
             verify_ms += ms_since(t_verify);
         }
 
-        // Semantic pass 3: audit every rewrite the optimizer applied to
-        // this query — plan-level (pushdown, fold reorder) and
-        // execution-level (build-side swap) — for schema, key-set, and
-        // cardinality-bound preservation.
-        if !(plan.rewrites.is_empty() && exec_rewrites.is_empty()) {
+        // Semantic pass 3 on this serve's execution-level rewrites
+        // (build-side swaps) — for schema, key-set, and cardinality-bound
+        // preservation. The plan-level ones (pushdown, fold reorder) were
+        // audited before the plan's first serve (`planner::audit`).
+        if !exec_rewrites.is_empty() {
             let t_verify = Instant::now();
-            let mut records = plan.rewrites.clone();
-            records.append(&mut exec_rewrites);
-            let issues = nimble_planck::audit(&records);
-            if !issues.is_empty() {
-                let details: Vec<String> = issues
-                    .iter()
-                    .map(|i| format!("{}: {}", i.operator, i.detail))
-                    .collect();
-                return Err(CoreError::PlanVerify(format!(
-                    "rewrite audit failed:\n  {}",
-                    details.join("\n  ")
-                )));
-            }
+            planner::audit_records(&exec_rewrites).map_err(CoreError::PlanVerify)?;
             verify_ms += ms_since(t_verify);
         }
 
@@ -1739,9 +1838,9 @@ impl Engine {
         }
         // Record the plan (top-level query only).
         if depth == 0 && ctx.want_plan_text && ctx.plan_text.is_empty() {
-            let of_values = planner::value_notes(&self.catalog, plan);
+            let of_values = bound.value_notes(&self.catalog, None);
             let mut text = explain_notes(
-                &ctx.plan_path,
+                ctx.plan_path.map(|path| path.explain(bound.param_count())),
                 plan.notes.iter().chain(&of_values).chain(&bind_note).chain(&probed_notes),
             );
             if ctx.profile {
@@ -1762,7 +1861,7 @@ impl Engine {
     #[allow(clippy::too_many_arguments)]
     fn eval_pruned(
         &self,
-        plan: &Plan,
+        bound: Bound<'_>,
         reason: &str,
         outer: Option<(&Schema, &Tuple)>,
         depth: usize,
@@ -1771,6 +1870,7 @@ impl Engine {
         plan_verify_ms: f64,
     ) -> Result<(Schema, Vec<Tuple>), CoreError> {
         let config = self.config();
+        let plan = bound.plan;
         let t_pipeline = Instant::now();
         let mut vars: Vec<String> = outer
             .map(|(s, _)| s.vars().to_vec())
@@ -1816,8 +1916,11 @@ impl Engine {
             ctx.phases.push(("execute", execute_ms));
         }
         if depth == 0 && ctx.want_plan_text && ctx.plan_text.is_empty() {
-            let of_values = planner::value_notes(&self.catalog, plan);
-            let mut text = explain_notes(&ctx.plan_path, plan.notes.iter().chain(&of_values));
+            let of_values = bound.value_notes(&self.catalog, Some(reason));
+            let mut text = explain_notes(
+                ctx.plan_path.map(|path| path.explain(bound.param_count())),
+                plan.notes.iter().chain(&of_values),
+            );
             text.push_str(&explain_ops(op.as_ref()));
             ctx.plan_text = text;
         }
@@ -1944,20 +2047,21 @@ impl Engine {
     /// failure, leaving the slots behind it empty.
     fn fetch_round(
         &self,
-        plan: &Plan,
+        bound: Bound<'_>,
         round: &[usize],
-        bound: Option<&BoundKeys>,
+        keys: Option<&BoundKeys>,
         depth: usize,
         ctx: &mut ExecCtx,
         fetched: &mut [Option<Result<Fetched, CoreError>>],
     ) {
         let fetch = |i: usize, ctx: &mut ExecCtx| {
-            let bind = plan
+            let bind = bound
+                .plan
                 .bind
                 .as_ref()
-                .zip(bound)
+                .zip(keys)
                 .and_then(|(stage, keys)| Some((&stage.target(i)?.field, keys)));
-            self.fetch_atom(plan, i, bind, depth, ctx)
+            self.fetch_atom(bound, i, bind, depth, ctx)
         };
         let many = round.len() > 1;
         // The query context is thread-local, so each worker re-enters
@@ -2086,7 +2190,7 @@ impl Engine {
     /// list and this unit's field for it, when the unit is a target.
     fn fetch_atom(
         &self,
-        plan: &Plan,
+        bound: Bound<'_>,
         i: usize,
         bind: Option<(&FieldRef, &BoundKeys)>,
         depth: usize,
@@ -2094,12 +2198,9 @@ impl Engine {
     ) -> Result<Fetched, CoreError> {
         let config = self.config();
         let track = config.optimizer.track_lineage && ctx.track;
+        let plan = bound.plan;
         match &plan.independents[i] {
-            AtomExec::Fragment {
-                source,
-                query,
-                vars,
-            } => {
+            AtomExec::Fragment { source, vars, .. } => {
                 let adapter = self
                     .catalog
                     .source(source)
@@ -2113,8 +2214,8 @@ impl Engine {
                         view: false,
                     })
                 };
-                let keyed = bind.filter(|(_, bound)| bound.send);
-                if keyed.is_some_and(|(_, bound)| bound.keys.is_empty()) {
+                let keyed = bind.filter(|(_, keys)| keys.send);
+                if keyed.is_some_and(|(_, keys)| keys.keys.is_empty()) {
                     // A healthy driver bound no key, so the inner join
                     // is empty whatever this source holds: it is not
                     // asked (and never sent `IN ()`).
@@ -2126,34 +2227,43 @@ impl Engine {
                 }
                 ctx.source_calls += 1;
                 ctx.fragments += 1;
-                self.metrics.incr(&format!("source.calls.{}", source), 1);
-                // A keyed answer is stored under its keys' digest, so the
-                // stale cache can serve it for these keys only. With a
-                // list that is not sent (the driver was served stale)
-                // the document cached for these keys still answers, as
+                let metrics = self.source_metrics(source);
+                metrics.call();
+                // What this serve sends: the plan's fragment with this
+                // serve's values, and the bind stage's keys when it has
+                // them. The stale cache is keyed by what is sent, so that
+                // it answers each value with its own document. A keyed
+                // answer is stored under its keys' digest, so the stale
+                // cache can serve it for these keys only. With a list
+                // that is not sent (the driver was served stale) the
+                // document cached for these keys still answers, as
                 // second choice; with one that is, the whole fragment
                 // does — a superset the join filters.
-                let whole_key = fragment_key(source, query);
-                let keyed_key = bind.map(|(_, bound)| {
-                    format!("{}:bind={}:{:016x}", whole_key, bound.keys.len(), bound.digest)
+                let query = bound
+                    .fragment_query(i)
+                    .ok_or_else(|| CoreError::Internal(format!("unit {} is not a fragment", i)))?;
+                let whole_key = fragment_key(source, &query);
+                let keyed_key = bind.map(|(_, keys)| {
+                    format!("{}:bind={}:{:016x}", whole_key, keys.keys.len(), keys.digest)
                 });
                 let mut cache_keys: Vec<&str> = vec![&whole_key];
                 cache_keys.extend(keyed_key.as_deref());
                 if keyed.is_some() {
                     cache_keys.reverse();
                 }
-                let sent = keyed.map(|(field, bound)| {
-                    query.clone().with_key_set(field.clone(), Arc::clone(&bound.keys))
-                });
-                let query = sent.as_ref().unwrap_or(query);
-                let kind = keyed.map(|(_, bound)| format!("execute bind={}", bound.keys.len()));
+                let query = match keyed {
+                    Some((field, keys)) => {
+                        Cow::Owned(query.into_owned().with_key_set(field.clone(), Arc::clone(&keys.keys)))
+                    }
+                    None => query,
+                };
+                let kind = keyed.map(|(_, keys)| format!("execute bind={}", keys.keys.len()));
                 let kind = kind.as_deref().unwrap_or("execute");
                 let calls_before = QueryCtx::current().map(|c| c.calls_len());
                 let t_call = Instant::now();
-                let outcome = adapter.execute(query);
+                let outcome = adapter.execute(&query);
                 let call_ms = ms_since(t_call);
-                self.metrics
-                    .observe(&format!("source.latency_us.{}", source), us(call_ms));
+                metrics.latency(call_ms);
                 match outcome {
                     Ok(doc) => {
                         // A floored answer is a refresh's, and no one reads
@@ -2211,7 +2321,7 @@ impl Engine {
                         })
                     }
                     Err(e) => {
-                        self.metrics.incr(&format!("source.errors.{}", source), 1);
+                        metrics.error();
                         note_source_call(
                             calls_before,
                             source,
@@ -2239,14 +2349,14 @@ impl Engine {
                     .source(source)
                     .ok_or_else(|| CoreError::UnknownCollection(source.clone()))?;
                 ctx.source_calls += 1;
-                self.metrics.incr(&format!("source.calls.{}", source), 1);
+                let metrics = self.source_metrics(source);
+                metrics.call();
                 let key = format!("coll:{}:{}", source, collection);
                 let calls_before = QueryCtx::current().map(|c| c.calls_len());
                 let t_call = Instant::now();
                 let outcome = adapter.fetch_collection(collection);
                 let call_ms = ms_since(t_call);
-                self.metrics
-                    .observe(&format!("source.latency_us.{}", source), us(call_ms));
+                metrics.latency(call_ms);
                 let doc = match outcome {
                     Ok(doc) => {
                         if config.cache_nodes > 0 {
@@ -2276,7 +2386,7 @@ impl Engine {
                         );
                     }
                     Err(e) => {
-                        self.metrics.incr(&format!("source.errors.{}", source), 1);
+                        metrics.error();
                         note_source_call(
                             calls_before,
                             source,
@@ -2289,7 +2399,7 @@ impl Engine {
                         return Err(CoreError::Source(e));
                     }
                 };
-                let mut filter = self.candidate_filter(plan, i);
+                let mut filter = self.candidate_filter(bound, i);
                 let tuples = match_tuples(&doc, pattern, vars, Some(&mut filter));
                 // Row count = the collection's top-level elements (the
                 // same measure sampling seeds), not pattern matches.
@@ -2330,7 +2440,7 @@ impl Engine {
                 let fetched = self.view_document(view, depth, ctx);
                 ctx.track = saved_track;
                 let doc = fetched?;
-                let mut filter = self.candidate_filter(plan, i);
+                let mut filter = self.candidate_filter(bound, i);
                 let tuples = match_tuples(&doc, pattern, vars, Some(&mut filter));
                 // Row count = the view result's top-level elements,
                 // mirroring the FetchMatch measure. The per-pattern match
@@ -2355,11 +2465,12 @@ impl Engine {
     }
 
     /// The candidate filter of independent unit `i`: its probes, each
-    /// with the conjunct it reads — as bound for this serve — compiled
-    /// for a one-column row.
-    fn candidate_filter(&self, plan: &Plan, i: usize) -> matcher::CandidateFilter {
-        matcher::CandidateFilter::new(plan.probes.iter().filter(|p| p.atom == i).filter_map(|p| {
-            Some((p, planner::probe_test(plan.residual_predicates.get(p.conjunct)?, &p.var)?))
+    /// with the conjunct it reads — holding this serve's values —
+    /// compiled for a one-column row.
+    fn candidate_filter(&self, bound: Bound<'_>, i: usize) -> matcher::CandidateFilter {
+        matcher::CandidateFilter::new(bound.plan.probes.iter().filter(|p| p.atom == i).filter_map(|p| {
+            let conjunct = bound.residual(p.conjunct)?;
+            Some((p, planner::probe_test(&conjunct, &p.var)?))
         }))
     }
 
@@ -2425,7 +2536,8 @@ impl Engine {
         self.metrics
             .incr("engine.shard.fanout", sp.survivors.len() as u64);
         ctx.source_calls += 1;
-        self.metrics.incr(&format!("source.calls.{}", source), 1);
+        let metrics = self.source_metrics(source);
+        metrics.call();
 
         // One lazy child per surviving shard: the producer runs at
         // exchange-gather time (on a pool worker when one exists) and
@@ -2478,15 +2590,14 @@ impl Engine {
         // readable after a drain).
         let (gathered, failures) = exchange.into_gathered();
         let call_ms = ms_since(t_call);
-        self.metrics
-            .observe(&format!("source.latency_us.{}", source), us(call_ms));
+        metrics.latency(call_ms);
         self.metrics.incr(gather, 1);
 
         // Shard attribution: child `i`'s buffer is shard `i`'s rows.
         // Failed shards degrade to annotated partial answers.
         for f in &failures {
             self.metrics.incr("engine.shard.lost", 1);
-            self.metrics.incr(&format!("source.failures.{}", source), 1);
+            metrics.failure();
             ctx.miss(&f.label);
         }
         let mut rows: Vec<(Tuple, u32)> = gathered
@@ -2573,7 +2684,8 @@ impl Engine {
         to_tuples: &dyn Fn(&Arc<Document>) -> Vec<Tuple>,
     ) -> Result<Fetched, CoreError> {
         let config = self.config();
-        self.metrics.incr(&format!("source.failures.{}", source), 1);
+        let metrics = self.source_metrics(source);
+        metrics.failure();
         let missing = |ctx: &mut ExecCtx| {
             ctx.miss(source);
             Ok(Fetched {
@@ -2594,8 +2706,7 @@ impl Engine {
                         .find_map(|key| self.cache.get_with_age(key));
                     if let Some((doc, age)) = cached {
                         ctx.stale = true;
-                        self.metrics
-                            .incr(&format!("source.stale_served.{}", source), 1);
+                        metrics.stale_served();
                         let prov = track.then(|| ProvSource {
                             name: source.to_string(),
                             detail: detail.to_string(),
@@ -2942,23 +3053,40 @@ fn note_source_call(
     }
 }
 
-/// Canonical rendering of a plan's *semantic* content, for the sampled
-/// plan-cache differential. Cost annotations (`est_rows`, `fold_order`,
-/// notes) are deliberately excluded: row-count feedback may drift them
-/// within one statistics generation without making the cached plan
-/// wrong, whereas a difference in the execution units, the pushed or
-/// residual predicates, the ORDER-BY keys, or the prune verdict means
-/// the cache is serving a query the planner would now decompose
-/// differently.
-fn plan_semantic_signature(plan: &Plan) -> String {
+/// Canonical rendering of a plan's *semantic* content as one serve
+/// reads it — the fragments it sends and the predicates it filters with
+/// holding the serve's values, and `pruned`, its verdict — for the
+/// sampled plan-cache differential. Cost annotations (`est_rows`,
+/// `fold_order`, notes) are deliberately excluded: row-count feedback
+/// may drift them within one statistics generation without making the
+/// cached plan wrong, whereas a difference in the execution units, the
+/// pushed or residual predicates, the ORDER-BY keys, or the prune
+/// verdict means the cache is serving a query the planner would now
+/// decompose differently.
+fn plan_semantic_signature(bound: Bound<'_>, pruned: Option<&str>) -> String {
+    let plan = bound.plan;
+    let independents: Vec<Cow<'_, AtomExec>> = plan
+        .independents
+        .iter()
+        .enumerate()
+        .map(|(i, atom)| match (atom, bound.fragment_query(i)) {
+            (AtomExec::Fragment { source, vars, .. }, Some(Cow::Owned(query))) => Cow::Owned(AtomExec::Fragment {
+                source: source.clone(),
+                query,
+                vars: vars.clone(),
+            }),
+            _ => Cow::Borrowed(atom),
+        })
+        .collect();
+    let residuals: Vec<_> = (0..plan.residual_predicates.len()).filter_map(|i| bound.residual(i)).collect();
     format!(
         "independents: {:?}; dependents: {:?}; residuals: {:?}; order_by: {:?}; pruned: {:?}; \
          shards: {:?}; probes: {:?}; bind: {:?}",
-        plan.independents,
+        independents,
         plan.dependents,
-        plan.residual_predicates,
+        residuals,
         plan.order_by,
-        plan.pruned,
+        pruned,
         plan.shards,
         plan.probes,
         // The stage's shape; its key estimate is a cost annotation.
@@ -2969,15 +3097,18 @@ fn plan_semantic_signature(plan: &Plan) -> String {
 }
 
 /// The `-- ` lines EXPLAIN opens with: which path the plan came by (the
-/// top-level query's; empty below it), then the planner's notes.
-fn explain_notes<'a>(path: &'a str, notes: impl Iterator<Item = &'a String>) -> String {
+/// top-level query's; none below it), then the planner's notes.
+fn explain_notes<'a>(path: Option<Cow<'_, str>>, notes: impl Iterator<Item = &'a String>) -> String {
     let mut text = String::new();
-    let path = Some(path).filter(|p| !p.is_empty());
-    for note in path.into_iter().chain(notes.map(String::as_str)) {
+    let mut line = |note: &str| {
         text.push_str("-- ");
         text.push_str(note);
         text.push('\n');
+    };
+    if let Some(path) = path {
+        line(&path);
     }
+    notes.for_each(|note| line(note));
     text
 }
 
@@ -3349,7 +3480,7 @@ mod correlated_probe_tests {
             ctx.profile = true;
             let tuple = vec![Value::Atomic(row.clone())];
             let (schema, tuples) = engine
-                .eval_planned(plan, Some((&outer, &tuple)), 0, &mut ctx, 0.0, 0.0, true)
+                .eval_planned(plan, &[], Some((&outer, &tuple)), 0, &mut ctx, 0.0, 0.0, true)
                 .unwrap();
             (format!("{:?} {:?}", schema, tuples), ctx.plan_text)
         };

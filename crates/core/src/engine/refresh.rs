@@ -85,7 +85,7 @@ impl Engine {
     /// the plan is row-wise and every fragment was stamped.
     fn refresh_full(&self, def: &ViewDef, ttl: Option<u64>, why: Option<Decline>) -> Result<(), CoreError> {
         let plan = self.plan_refresh(&def.query, None)?;
-        let (schema, tuples, mut ctx) = self.run_refresh(&plan)?;
+        let (schema, tuples, mut ctx) = self.run_refresh(&def.query, &plan)?;
         let mut b = DocumentBuilder::new("results");
         self.construct_into(&mut b, &def.query.construct, &schema, &tuples, 0, &mut ctx, None, None)?;
         answered_live(&ctx, &def.name)?;
@@ -158,7 +158,7 @@ impl Engine {
         if !same_fragments {
             return Ok(Some("shape"));
         }
-        let (schema, tuples, mut ctx) = self.run_refresh(&plan)?;
+        let (schema, tuples, mut ctx) = self.run_refresh(&def.query, &plan)?;
         answered_live(&ctx, &def.name)?;
 
         // Every fragment that was asked answered with a stamp (one that
@@ -216,8 +216,8 @@ impl Engine {
     }
 
     /// The view's plan with a row floor on every single-collection
-    /// fragment ([`planner::plan_refresh`]), statically verified like
-    /// any other.
+    /// fragment ([`planner::plan_refresh`]), statically verified and
+    /// audited like any other.
     fn plan_refresh(&self, query: &Query, delta: Option<(&str, u64)>) -> Result<Plan, CoreError> {
         let optimizer = self.config().optimizer;
         let plan = {
@@ -227,15 +227,16 @@ impl Engine {
         if optimizer.verify_plans {
             planner::verify_plan(&plan, None)?;
         }
+        planner::audit(&plan)?;
         Ok(plan)
     }
 
-    /// Run a refresh plan through the executor. The context comes back
-    /// with the watermarks the sources stamped.
-    fn run_refresh(&self, plan: &Plan) -> Result<(Schema, Vec<Tuple>, ExecCtx), CoreError> {
+    /// Run `query`'s refresh plan through the executor. The context
+    /// comes back with the watermarks the sources stamped.
+    fn run_refresh(&self, query: &Query, plan: &Plan) -> Result<(Schema, Vec<Tuple>, ExecCtx), CoreError> {
         let mut ctx = ExecCtx::new();
         ctx.want_plan_text = false;
-        let (schema, tuples) = self.eval_planned(plan, None, 0, &mut ctx, 0.0, 0.0, true)?;
+        let (schema, tuples) = self.eval_planned(plan, &query.eq_params(), None, 0, &mut ctx, 0.0, 0.0, true)?;
         Ok((schema, tuples, ctx))
     }
 }

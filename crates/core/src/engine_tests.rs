@@ -73,10 +73,11 @@ fn relational_pushdown_end_to_end() {
 
 #[test]
 fn a_lens_is_prepared_once_at_the_source_too() {
-    // Plan once, bind per serve — end to end: the values of a cached
-    // shape reach the database bound to a statement it prepared on the
-    // first serve, so the count of statements it has parsed and planned
-    // stands still while the count of statements it has run goes up.
+    // Plan once, serve each text's values — end to end: the values of a
+    // cached shape reach the database bound to a statement it prepared
+    // on the first serve, so the count of statements it has parsed and
+    // planned stands still while the count of statements it has run goes
+    // up.
     let crm = crm();
     let catalog = Catalog::new();
     catalog.register_source(crm.clone()).unwrap();
@@ -673,8 +674,7 @@ fn plan_cache_serves_repeats_and_catalog_changes_evict() {
     let q = r#"WHERE <row><name>$n</name><region>"NW"</region></row> IN "customers"
                CONSTRUCT <c>$n</c> ORDER-BY $n"#;
     let r1 = e.query(q).unwrap();
-    // Reformatted whitespace normalizes to the same cache entry.
-    let r2 = e.query(&q.replace("  ", "\n ")).unwrap();
+    let r2 = e.query(q).unwrap();
     assert_eq!(
         to_string(&r2.document.root()),
         to_string(&r1.document.root())
@@ -686,6 +686,15 @@ fn plan_cache_serves_repeats_and_catalog_changes_evict() {
     assert!(r1.stats.phases.iter().any(|(n, _)| n == "parse"));
     assert!(r2.stats.phases.iter().all(|(n, _)| n != "parse"));
     assert!(r2.stats.phases.iter().any(|(n, _)| n == "execute"));
+    // The key is cut from the text, so reformatted whitespace is an
+    // entry of its own: planned once, then served, answering alike.
+    let reformatted = q.replace("  ", "\n ");
+    for _ in 0..2 {
+        let r = e.query(&reformatted).unwrap();
+        assert_eq!(to_string(&r.document.root()), to_string(&r1.document.root()));
+    }
+    let s = e.plan_cache().stats();
+    assert_eq!((s.hits, s.misses, s.entries), (2, 2, 2));
 
     // Any catalog change moves the epoch, so the cached template is
     // provably dropped (invalidation, not a silent stale answer).
@@ -700,7 +709,7 @@ fn plan_cache_serves_repeats_and_catalog_changes_evict() {
         to_string(&r1.document.root())
     );
     let s = e.plan_cache().stats();
-    assert_eq!((s.hits, s.misses, s.invalidations), (1, 2, 1));
+    assert_eq!((s.hits, s.misses, s.invalidations), (2, 3, 1));
 }
 
 #[test]
@@ -962,10 +971,9 @@ fn differential_replan_catches_poisoned_cache_hit() {
     // key and stamp — exactly the corruption a stale or buggy cache
     // would serve silently.
     let config = e.config();
-    let query = nimble_xmlql::parse_query(q).unwrap();
+    let (query, key) = nimble_xmlql::parse_keyed(q).unwrap();
     let mut plan = crate::planner::plan_query(e.catalog(), &query, &config.optimizer).unwrap();
     plan.residual_predicates.clear();
-    let key = nimble_xmlql::QueryShape(&query).to_string();
     e.plan_cache().put(&key, current_stamp(&e), Arc::new(plan));
 
     // The very first hit is differentially re-planned and the
@@ -987,11 +995,11 @@ fn differential_replan_catches_poisoned_cache_hit() {
 #[test]
 fn differential_replan_compares_the_bound_plan_with_the_ops_own() {
     // `$i = K` goes to both fragments of the join: one parameter, two
-    // sites. A template that has lost one of them binds the new key at
-    // crm and leaves the key it was planned with at billing — a plan
-    // that matches a fresh plan of the text it was made for, and of no
+    // sites. A template that has lost one of them reads the new key at
+    // crm and the key it was planned with at billing — a plan that
+    // matches a fresh plan of the text it was made for, and of no
     // other. The sampled re-plan has to compare what is about to run
-    // (the *bound* plan) with a plan of *this* op's text.
+    // (the plan under this op's values) with a plan of *this* op's text.
     let lookup = |k: i64| {
         format!(
             r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
@@ -1007,11 +1015,10 @@ fn differential_replan_compares_the_bound_plan_with_the_ops_own() {
         ..OptimizerConfig::default()
     });
     let config = e.config();
-    let query = nimble_xmlql::parse_query(&lookup(1)).unwrap();
+    let (query, key) = nimble_xmlql::parse_keyed(&lookup(1)).unwrap();
     let mut plan = crate::planner::plan_query(e.catalog(), &query, &config.optimizer).unwrap();
     assert_eq!(plan.param_sites.len(), 2, "{:?}", plan.param_sites);
     plan.param_sites.pop();
-    let key = nimble_xmlql::QueryShape(&query).to_string();
     e.plan_cache().put(&key, current_stamp(&e), Arc::new(plan));
 
     let err = e.query(&lookup(2)).unwrap_err().to_string();

@@ -3,12 +3,13 @@
 //! Repeated queries dominate mediator traffic (ROADMAP's north star), and
 //! analyze → plan → static-verify is pure CPU the engine would repeat for
 //! every value a lens substitutes into one parameterized query. The
-//! cache is keyed by the parsed query printed with its equality
-//! parameters lifted out ([`nimble_xmlql::QueryShape`]); an entry is the
-//! decomposed [`Plan`], which the engine binds to each serve's own
-//! values ([`crate::planner::bind`]). A plan that routes shards on those
-//! values serves them alone and is keyed by the query's own spelling
-//! (DESIGN.md §12).
+//! cache is keyed by the query's text with the spelling of each equality
+//! parameter cut out and replaced by its type
+//! ([`nimble_xmlql::parse_keyed`]); an entry is the decomposed [`Plan`],
+//! which every serve of the shape shares, reading its own values beside
+//! it (`planner::Bound`). A plan that routes shards on those
+//! values serves them alone and is keyed by the text itself (DESIGN.md
+//! §12).
 //!
 //! Entries sit under a [`PlanStamp`] — the optimizer-config fingerprint,
 //! the catalog epoch, and the statistics generation — so a hit is only
@@ -21,7 +22,8 @@
 //! assembles fresh operators, and executes per query — only the
 //! analysis and planner work is skipped (plus the planck
 //! re-verification of an operator shape that already verified clean:
-//! the plan's fold order makes the shape deterministic).
+//! the plan's fold order makes the shape deterministic, and the rewrite
+//! audit of the plan's own records, taken before its first serve).
 
 use crate::planner::Plan;
 use nimble_trace::sync::Mutex;

@@ -29,8 +29,10 @@ use nimble_xml::{Atomic, AtomicType, Value};
 use nimble_xmlql::ast::{
     BinOp, Condition, Expr, OrderKey, Pattern, PatternContent, PatternValue, Query, SourceRef, TagPattern,
 };
+use std::borrow::Cow;
+use std::fmt;
 use std::sync::atomic::AtomicUsize;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One independent execution unit.
 #[derive(Debug, Clone)]
@@ -113,8 +115,8 @@ pub struct Plan {
     pub pruned: Option<String>,
     /// Before/after fingerprints of every plan-level rewrite the
     /// optimizer applied (predicate pushdown, fold reordering), audited
-    /// by `nimble_planck::audit` together with the engine's
-    /// execution-time rewrites.
+    /// by `nimble_planck::audit` once, before the plan's first serve
+    /// (`audit`).
     pub rewrites: Vec<RewriteRecord>,
     /// Scatter-gather routing for independent atoms over partitioned
     /// collections (one entry per sharded scan). Empty when no shard
@@ -125,10 +127,10 @@ pub struct Plan {
     pub bind: Option<BindStage>,
     /// Every place the plan holds the value of one of its query's
     /// equality parameters ([`Query::eq_params`]). Nothing else in a
-    /// plan without [`Plan::shards`] depends on those values but what
-    /// [`bind`] recomputes, so such a plan, cached, serves every value.
-    /// (`notes` hold for every value; what EXPLAIN says of the values
-    /// is [`value_notes`].)
+    /// plan without [`Plan::shards`] depends on those values but what a
+    /// serve reads through `Bound`, so such a plan, cached, serves
+    /// every value. (`notes` hold for every value; what EXPLAIN says of
+    /// the values is `Bound::value_notes`.)
     pub param_sites: Vec<ParamSite>,
     /// Residual conjuncts a central match checks on each candidate
     /// before matching it ([`Probe`]). They hold for every value of the
@@ -136,10 +138,54 @@ pub struct Plan {
     pub probes: Vec<Probe>,
     /// Bytes of the last answer [`Engine::query_serialized`] streamed
     /// from this plan; the next serve's writer starts at that size. One
-    /// cell per cached shape: [`bind`]'s copies share it.
+    /// cell per cached shape, shared by every serve of it.
     ///
     /// [`Engine::query_serialized`]: crate::Engine::query_serialized
     pub answer_bytes: Arc<AtomicUsize>,
+    /// The rewrite audit's verdict on `rewrites` ([`audit`]).
+    audited: Audited,
+}
+
+/// The rewrite audit's verdict on a plan's own records, taken on the
+/// first [`audit`] and read back by every later one. A copy of a plan
+/// starts unaudited: its records may be changed before it is served.
+#[derive(Default)]
+struct Audited(OnceLock<Result<(), String>>);
+
+impl Clone for Audited {
+    fn clone(&self) -> Audited {
+        Audited::default()
+    }
+}
+
+impl fmt::Debug for Audited {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Audited")
+    }
+}
+
+/// The rewrite audit (`nimble_planck::audit`) of `plan.rewrites`, run
+/// once per plan, before its first serve: the audit checks each record
+/// on its own, and a plan's records do not change while it is served,
+/// so a verdict taken once holds for every serve. The engine's
+/// execution-time rewrites are audited per serve ([`audit_records`]).
+pub(crate) fn audit(plan: &Plan) -> Result<(), CoreError> {
+    plan.audited
+        .0
+        .get_or_init(|| audit_records(&plan.rewrites))
+        .clone()
+        .map_err(CoreError::PlanVerify)
+}
+
+/// `nimble_planck::audit` of `records`: what it found, as
+/// [`CoreError::PlanVerify`] says it.
+pub(crate) fn audit_records(records: &[RewriteRecord]) -> Result<(), String> {
+    let issues = nimble_planck::audit(records);
+    if issues.is_empty() {
+        return Ok(());
+    }
+    let details: Vec<String> = issues.iter().map(|i| format!("{}: {}", i.operator, i.detail)).collect();
+    Err(format!("rewrite audit failed:\n  {}", details.join("\n  ")))
 }
 
 /// One copy of an equality parameter's value inside a [`Plan`].
@@ -245,8 +291,8 @@ pub struct Probe {
     /// Index into [`Plan::independents`]: a `FetchMatch` or `ViewMatch`
     /// atom that no shard plan routes.
     pub atom: usize,
-    /// Index into [`Plan::residual_predicates`]. [`bind`] rewrites a
-    /// parameter there in place, so a serve reads its own values.
+    /// Index into [`Plan::residual_predicates`], read through
+    /// `Bound::residual`, so a serve tests its own values.
     pub conjunct: usize,
     /// The conjunct's one variable.
     pub var: String,
@@ -804,65 +850,205 @@ fn floor_fragments(catalog: &Catalog, plan: &mut Plan, delta: Option<(&str, u64)
 }
 
 /// The tail of planning, which reads the values of equality parameters
-/// and nothing decides on afterwards: the satisfiability verdict
-/// ([`unsat_verdict`]) — a plan whose predicates can never hold executes
-/// as an annotated empty relation. It runs when a plan is made and again
-/// when a cached one is bound to other values ([`bind`]).
+/// and nothing decides on afterwards: the satisfiability verdict on the
+/// plan's own values ([`unsat_verdict`]) — a plan whose predicates can
+/// never hold executes as an annotated empty relation. A serve of other
+/// values asks it again ([`Bound::verdict`]).
 fn finish(catalog: &Catalog, plan: &mut Plan, config: &OptimizerConfig) {
     plan.pruned = if config.prune_unsat {
-        unsat_verdict(catalog, plan)
+        unsat_verdict(catalog, Bound::own(plan))
     } else {
         None
     };
 }
 
-/// What EXPLAIN says of a plan's parameter values, after [`Plan::notes`]:
-/// the verdict, and the exact per-source query text that will be shipped
-/// — for relational sources, the generated SQL (the paper's "if an RDB is
-/// being queried, then the compiler generates SQL"). Rendered where the
-/// EXPLAIN text is assembled, not when a plan is made or bound: a serve
-/// nobody reads the plan of renders no SQL text.
+/// What EXPLAIN says of a plan's own parameter values, after
+/// [`Plan::notes`] (`Bound::value_notes`).
 pub fn value_notes(catalog: &Catalog, plan: &Plan) -> Vec<String> {
-    let mut notes = Vec::new();
-    if let Some(reason) = &plan.pruned {
-        notes.push(format!("pruned: {}", reason));
-    }
-    for probe in &plan.probes {
-        let (Some(pred), Some(atom)) = (
-            plan.residual_predicates.get(probe.conjunct),
-            plan.independents.get(probe.atom),
-        ) else {
-            continue;
-        };
-        let (unit, tag) = match atom {
-            AtomExec::ViewMatch { view, pattern, .. } => (view.clone(), &pattern.tag),
-            AtomExec::FetchMatch {
-                source,
-                collection,
-                pattern,
-                ..
-            } => (format!("{}.{}", source, collection), &pattern.tag),
-            AtomExec::Fragment { .. } => continue,
-        };
-        // A content read is the path's last element itself: no `$` step.
-        let mut at = vec![tag_step(tag)];
-        at.extend(probe.walk());
-        if probe.attr.is_none() {
-            at.pop();
+    Bound::own(plan).value_notes(catalog, plan.pruned.as_deref())
+}
+
+/// A plan and the values one serve gives its query's equality
+/// parameters ([`Query::eq_params`] of the text served). The plan is
+/// shared — a cached one serves every value of its shape — and holds the
+/// values it was made with at its [`Plan::param_sites`]; a serve reads
+/// each value at its site through here, and only there: the fragment it
+/// sends ([`Bound::fragment_query`]), the central predicates it filters
+/// and probes with ([`Bound::residual`]), the verdict, and what EXPLAIN
+/// says. Every other decision of a plan without [`Plan::shards`] reads
+/// an equality literal's type at most (DESIGN.md §12), and the type is
+/// part of the plan-cache key.
+#[derive(Clone, Copy)]
+pub(crate) struct Bound<'a> {
+    pub plan: &'a Plan,
+    params: &'a [&'a Atomic],
+}
+
+impl<'a> Bound<'a> {
+    /// `plan` served with `params`. A site that is not there, or holds a
+    /// value of another type than the one given, means the plan is not
+    /// this query's shape, and is an error.
+    pub fn new(plan: &'a Plan, params: &'a [&'a Atomic]) -> Result<Bound<'a>, CoreError> {
+        for site in &plan.param_sites {
+            let (param, held) = match *site {
+                ParamSite::Selection {
+                    param,
+                    atom,
+                    selection,
+                } => {
+                    let held = match plan.independents.get(atom) {
+                        Some(AtomExec::Fragment { query, .. }) => query
+                            .selections
+                            .get(selection)
+                            .filter(|s| s.op == PredOp::Eq)
+                            .map(|s| &s.value),
+                        _ => None,
+                    };
+                    (param, held)
+                }
+                ParamSite::Residual { param, index } => (
+                    param,
+                    plan.residual_predicates.get(index).and_then(Expr::eq_param),
+                ),
+            };
+            match (held, params.get(param)) {
+                (Some(held), Some(value)) if held.atomic_type() == value.atomic_type() => {}
+                _ => {
+                    return Err(CoreError::Internal(format!(
+                        "plan does not hold parameter {} at {:?}",
+                        param, site
+                    )))
+                }
+            }
         }
-        // `Expr` prints fully parenthesized.
-        let pred = pred.to_string();
-        let pred = pred.strip_prefix('(').and_then(|p| p.strip_suffix(')')).unwrap_or(&pred);
-        let guard = if probe.joined { ", join variable: numbers only" } else { "" };
-        notes.push(format!("probe: {} on {} at {}{}", pred, unit, at.join("/"), guard));
+        Ok(Bound { plan, params })
     }
-    for (i, atom) in plan.independents.iter().enumerate() {
-        if let AtomExec::Fragment { source, query, .. } = atom {
+
+    /// `plan` with the values it was made with.
+    pub fn own(plan: &'a Plan) -> Bound<'a> {
+        Bound { plan, params: &[] }
+    }
+
+    /// How many values this serve gives.
+    pub fn param_count(&self) -> usize {
+        self.params.len()
+    }
+
+    /// The value this serve gives the parameter a site holds: `None`
+    /// reads the plan's own.
+    fn value(&self, param: usize) -> Option<&'a Atomic> {
+        self.params.get(param).copied()
+    }
+
+    /// This serve's value of the parameter in `residual_predicates[index]`,
+    /// if one is there.
+    fn residual_value(&self, index: usize) -> Option<&'a Atomic> {
+        self.plan.param_sites.iter().find_map(|site| match *site {
+            ParamSite::Residual { param, index: at } if at == index => self.value(param),
+            _ => None,
+        })
+    }
+
+    /// This serve's value of `selections[selection]` of the fragment
+    /// `independents[atom]`, if a parameter is there.
+    fn selection_value(&self, atom: usize, selection: usize) -> Option<&'a Atomic> {
+        self.plan.param_sites.iter().find_map(|site| match *site {
+            ParamSite::Selection { param, atom: a, selection: s } if (a, s) == (atom, selection) => self.value(param),
+            _ => None,
+        })
+    }
+
+    /// The fragment `independents[atom]` sends on this serve: the plan's
+    /// own, or a copy holding this serve's values. `None` when the atom
+    /// is not a fragment.
+    pub fn fragment_query(&self, atom: usize) -> Option<Cow<'a, SourceQuery>> {
+        let Some(AtomExec::Fragment { query, .. }) = self.plan.independents.get(atom) else {
+            return None;
+        };
+        let mut sent = Cow::Borrowed(query);
+        for j in 0..query.selections.len() {
+            if let Some(value) = self.selection_value(atom, j) {
+                if let Some(s) = sent.to_mut().selections.get_mut(j) {
+                    s.value = value.clone();
+                }
+            }
+        }
+        Some(sent)
+    }
+
+    /// `residual_predicates[index]` as this serve reads it.
+    pub fn residual(&self, index: usize) -> Option<Cow<'a, Expr>> {
+        let pred = self.plan.residual_predicates.get(index)?;
+        Some(match self.residual_value(index) {
+            None => Cow::Borrowed(pred),
+            Some(value) => {
+                let mut pred = pred.clone();
+                if let Some(slot) = pred.eq_param_mut() {
+                    *slot = value.clone();
+                }
+                Cow::Owned(pred)
+            }
+        })
+    }
+
+    /// The satisfiability verdict on this serve. A plan without a
+    /// parameter site keeps the one it was made with; every other plan
+    /// is judged on this serve's values.
+    pub fn verdict(&self, catalog: &Catalog, config: &OptimizerConfig) -> Option<Cow<'a, str>> {
+        if self.plan.param_sites.is_empty() {
+            return self.plan.pruned.as_deref().map(Cow::Borrowed);
+        }
+        config.prune_unsat.then(|| unsat_verdict(catalog, *self)).flatten().map(Cow::Owned)
+    }
+
+    /// What EXPLAIN says of this serve's values, after [`Plan::notes`]:
+    /// the verdict `pruned`, the probes, and the exact per-source query
+    /// text that will be shipped — for relational sources, the generated
+    /// SQL (the paper's "if an RDB is being queried, then the compiler
+    /// generates SQL"). Rendered where the EXPLAIN text is assembled, not
+    /// when a plan is made or served: a serve nobody reads the plan of
+    /// renders no SQL text.
+    pub fn value_notes(&self, catalog: &Catalog, pruned: Option<&str>) -> Vec<String> {
+        let plan = self.plan;
+        let mut notes = Vec::new();
+        if let Some(reason) = pruned {
+            notes.push(format!("pruned: {}", reason));
+        }
+        for probe in &plan.probes {
+            let (Some(pred), Some(atom)) = (self.residual(probe.conjunct), plan.independents.get(probe.atom)) else {
+                continue;
+            };
+            let (unit, tag) = match atom {
+                AtomExec::ViewMatch { view, pattern, .. } => (view.clone(), &pattern.tag),
+                AtomExec::FetchMatch {
+                    source,
+                    collection,
+                    pattern,
+                    ..
+                } => (format!("{}.{}", source, collection), &pattern.tag),
+                AtomExec::Fragment { .. } => continue,
+            };
+            // A content read is the path's last element itself: no `$` step.
+            let mut at = vec![tag_step(tag)];
+            at.extend(probe.walk());
+            if probe.attr.is_none() {
+                at.pop();
+            }
+            // `Expr` prints fully parenthesized.
+            let pred = pred.to_string();
+            let pred = pred.strip_prefix('(').and_then(|p| p.strip_suffix(')')).unwrap_or(&pred);
+            let guard = if probe.joined { ", join variable: numbers only" } else { "" };
+            notes.push(format!("probe: {} on {} at {}{}", pred, unit, at.join("/"), guard));
+        }
+        for (i, atom) in plan.independents.iter().enumerate() {
+            let (AtomExec::Fragment { source, .. }, Some(query)) = (atom, self.fragment_query(i)) else {
+                continue;
+            };
             if catalog
                 .source(source)
                 .is_some_and(|a| a.kind() == SourceKind::Relational)
             {
-                let mut note = format!("  {} <- {}", source, RelationalAdapter::to_sql(query));
+                let mut note = format!("  {} <- {}", source, RelationalAdapter::to_sql(&query));
                 // The key list only exists at run time.
                 if let Some((stage, t)) = plan.bind.as_ref().and_then(|b| Some((b, b.target(i)?))) {
                     note.push_str(&format!("  [+ {} IN (keys of ${})]", t.field, stage.var));
@@ -870,67 +1056,8 @@ pub fn value_notes(catalog: &Catalog, plan: &Plan) -> Vec<String> {
                 notes.push(note);
             }
         }
+        notes
     }
-    notes
-}
-
-/// A cached plan made for other values of its query's equality
-/// parameters, bound to `params` ([`Query::eq_params`] of the query
-/// being served): the values are written at the plan's
-/// [`Plan::param_sites`] and the value-reading tail of planning
-/// (the verdict) runs again. The result is the plan
-/// [`plan_query_sharded`] makes for the query itself, as long as the
-/// cached plan routes no shards (`shards` is empty): every other
-/// decision reads an equality literal's type at most (DESIGN.md §12).
-///
-/// A site that is not there, or holds a value of another type than the
-/// one bound — the type is part of the cache key — means the cached plan
-/// is not this shape's, and is an error.
-pub fn bind(
-    catalog: &Catalog,
-    cached: &Plan,
-    params: &[&Atomic],
-    config: &OptimizerConfig,
-) -> Result<Plan, CoreError> {
-    let mut plan = cached.clone();
-    for site in &cached.param_sites {
-        let (param, slot) = match *site {
-            ParamSite::Selection {
-                param,
-                atom,
-                selection,
-            } => {
-                let slot = match plan.independents.get_mut(atom) {
-                    Some(AtomExec::Fragment { query, .. }) => query
-                        .selections
-                        .get_mut(selection)
-                        .filter(|s| s.op == PredOp::Eq)
-                        .map(|s| &mut s.value),
-                    _ => None,
-                };
-                (param, slot)
-            }
-            ParamSite::Residual { param, index } => (
-                param,
-                plan.residual_predicates
-                    .get_mut(index)
-                    .and_then(Expr::eq_param_mut),
-            ),
-        };
-        match (slot, params.get(param)) {
-            (Some(slot), Some(value)) if slot.atomic_type() == value.atomic_type() => {
-                *slot = (*value).clone();
-            }
-            _ => {
-                return Err(CoreError::Internal(format!(
-                    "cached plan does not hold parameter {} at {:?}",
-                    param, site
-                )))
-            }
-        }
-    }
-    finish(catalog, &mut plan, config);
-    Ok(plan)
 }
 
 /// Why a fragment that binds a selection's variable did not take a copy.
@@ -1333,11 +1460,12 @@ fn eliminate_tautologies(plan: &mut Plan, params: &mut Vec<Option<usize>>) {
     *params = kept_params;
 }
 
-/// The satisfiability verdict on a decomposed plan (pass 2 of
-/// `nimble-planck`'s semantic analyzer): why its WHERE clause can never
-/// hold, if it cannot. Reads the plan and the statistics, changes
-/// neither — it is asked again each time a cached plan is bound to other
-/// parameter values ([`finish`]).
+/// The satisfiability verdict on a decomposed plan served with some
+/// values (pass 2 of `nimble-planck`'s semantic analyzer): why its WHERE
+/// clause can never hold, if it cannot. Reads the plan, the values and
+/// the statistics, changes none of them — it is asked when a plan is
+/// made ([`finish`]) and on each serve of other values
+/// ([`Bound::verdict`]).
 ///
 /// * The conjunction of the residual predicates is interval-checked; a
 ///   contradiction (`$x > 5 AND $x < 3`) is a verdict.
@@ -1345,15 +1473,15 @@ fn eliminate_tautologies(plan: &mut Plan, params: &mut Vec<Option<usize>>) {
 ///   way, cross-referenced against exhaustive-sample min/max bounds
 ///   from the statistics catalog. Every mediator-side fold is an inner
 ///   join, so one statically-empty unit empties the whole result.
-pub fn unsat_verdict(catalog: &Catalog, plan: &Plan) -> Option<String> {
+fn unsat_verdict(catalog: &Catalog, bound: Bound<'_>) -> Option<String> {
     use nimble_planck::satisfy::{self, Verdict};
 
+    let plan = bound.plan;
     if !plan.residual_predicates.is_empty() {
         let schema = bound_schema(plan)?;
-        let conjuncts: Vec<ScalarExpr> = plan
-            .residual_predicates
-            .iter()
-            .filter_map(|pred| translate_expr(pred, &schema).ok())
+        let conjuncts: Vec<ScalarExpr> = (0..plan.residual_predicates.len())
+            .filter_map(|index| bound.residual(index))
+            .filter_map(|pred| translate_expr(&pred, &schema).ok())
             .collect();
         let bounds = |col: usize| -> Option<(f64, f64)> {
             schema
@@ -1369,7 +1497,7 @@ pub fn unsat_verdict(catalog: &Catalog, plan: &Plan) -> Option<String> {
         }
     }
 
-    for atom in &plan.independents {
+    for (i, atom) in plan.independents.iter().enumerate() {
         let AtomExec::Fragment { source, query, .. } = atom else {
             continue;
         };
@@ -1385,12 +1513,14 @@ pub fn unsat_verdict(catalog: &Catalog, plan: &Plan) -> Option<String> {
         let conjuncts: Vec<ScalarExpr> = query
             .selections
             .iter()
-            .filter_map(|sel| {
+            .enumerate()
+            .filter_map(|(j, sel)| {
                 let idx = cols.iter().position(|f| *f == &sel.field)?;
+                let value = bound.selection_value(i, j).unwrap_or(&sel.value);
                 Some(ScalarExpr::Cmp(
                     cmp_of(sel.op),
                     Box::new(ScalarExpr::Col(idx)),
-                    Box::new(ScalarExpr::Lit(Value::Atomic(sel.value.clone()))),
+                    Box::new(ScalarExpr::Lit(Value::Atomic(value.clone()))),
                 ))
             })
             .collect();
@@ -2732,34 +2862,53 @@ mod tests {
             (&c, r#"WHERE <row><id>$i</id><name>$n</name></row> IN "erp.customers", $n = "K" CONSTRUCT <o>$i</o>"#.into(), 1),
         ];
         let config = OptimizerConfig::default();
+        // The rewrite records quote the predicates of the text that was
+        // planned; everything else is compared.
+        let strip = |mut p: Plan| {
+            p.rewrites.clear();
+            format!("{:?}", p)
+        };
+        // `plan` as a serve of `query`'s values reads it, written out
+        // whole: the fragments it sends, the predicates it filters and
+        // probes with, and its verdict.
+        let served = |catalog: &Catalog, plan: &Plan, query: &Query| {
+            let params = query.eq_params();
+            let bound = Bound::new(plan, &params).unwrap();
+            let mut p = plan.clone();
+            for (i, atom) in p.independents.iter_mut().enumerate() {
+                if let AtomExec::Fragment { query, .. } = atom {
+                    *query = bound.fragment_query(i).unwrap().into_owned();
+                }
+            }
+            for (i, pred) in p.residual_predicates.iter_mut().enumerate() {
+                *pred = bound.residual(i).unwrap().into_owned();
+            }
+            p.pruned = bound.verdict(catalog, &config).map(Cow::into_owned);
+            p
+        };
         for (catalog, template, sites) in cases {
             let at = |k: &str, l: &str| parse(&template.replace('K', k).replace('L', l));
             let (first, second) = (at("1", "1"), at("7", "8"));
             let cached = plan_query(catalog, &first, &config).unwrap();
             assert_eq!(cached.param_sites.len(), sites, "{}\n{:?}", template, cached);
             let fresh = plan_query(catalog, &second, &config).unwrap();
-            let bound = bind(catalog, &cached, &second.eq_params(), &config).unwrap();
-            // The rewrite records quote the predicates of the text that
-            // was planned; everything else is the fresh plan's.
-            let strip = |mut p: Plan| {
-                p.rewrites.clear();
-                format!("{:?}", p)
-            };
-            assert_eq!(strip(bound), strip(fresh.clone()), "{}", template);
-            // Bound back, it is the plan it was cloned from.
-            let back = bind(catalog, &fresh, &first.eq_params(), &config).unwrap();
+            // Served with the second text's values, the cached plan is
+            // the second text's own.
+            assert_eq!(strip(served(catalog, &cached, &second)), strip(fresh.clone()), "{}", template);
+            // And the other way round.
+            let back = served(catalog, &fresh, &first);
             assert_eq!(format!("{:?}", back.notes), format!("{:?}", cached.notes), "{}", template);
             assert_eq!(back.pruned, cached.pruned, "{}", template);
         }
 
-        // A plan bound to a parameter list that is not its shape's is
-        // refused, not half-written.
+        // A plan served with a parameter list that is not its shape's is
+        // refused, not half-read.
         let q = parse(r#"WHERE <row><id>$i</id></row> IN "erp.customers", $i = 1 CONSTRUCT <o>$i</o>"#);
         let plan = plan_query(&c, &q, &config).unwrap();
         assert_eq!(plan.param_sites.len(), 1);
-        assert!(matches!(bind(&c, &plan, &[], &config), Err(CoreError::Internal(_))));
+        assert!(matches!(Bound::new(&plan, &[]), Err(CoreError::Internal(_))));
         let text = Atomic::Str("1".into());
-        assert!(matches!(bind(&c, &plan, &[&text], &config), Err(CoreError::Internal(_))));
+        assert!(matches!(Bound::new(&plan, &[&text]), Err(CoreError::Internal(_))));
     }
 
     #[test]

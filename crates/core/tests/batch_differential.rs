@@ -17,6 +17,8 @@
 //! values and every `SELECTIONS_ON_I` form runs at the first, an inner
 //! and a past-the-last key.
 
+mod shape_keys;
+
 use nimble_core::{Catalog, Engine, OptimizerConfig, QueryResult};
 use nimble_sources::relational::RelationalAdapter;
 use nimble_xml::to_string;
@@ -237,4 +239,10 @@ fn probe_outweighs_build(plan: &str) -> bool {
             && indent(w[1]) == indent(w[2])
             && matches!((est(w[1]), est(w[2])), (Some(p), Some(b)) if p > b.saturating_mul(4))
     })
+}
+
+#[test]
+fn a_key_is_shared_only_by_texts_of_the_grammars_one_shape() {
+    let keys = shape_keys::keys_partition_like_shapes(&all_queries());
+    assert!(keys >= 100, "{} keys", keys);
 }

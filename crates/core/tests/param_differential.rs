@@ -48,6 +48,8 @@ use nimble_xmlql::QueryShape;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
+mod shape_keys;
+
 const SEED: u64 = 20_011_017;
 
 /// Pass-through adapter that keeps what it was asked, in order: the SQL
@@ -688,4 +690,10 @@ fn cached_plans_serve_what_fresh_plans_serve_across_writes() {
     assert!(activity.appended >= 20 && activity.resampled >= 20, "{:?}", activity);
     assert!(bag(&grown).len() > 10, "{}\n{}\n{:?}", to_string(&grown.document.root()), grown.stats.plan, fresh.engine.catalog().stats().get_sample("erp.customers"));
     assert!(hits_after_writes * 2 > ops.len() as u64, "{}", hits_after_writes);
+}
+
+#[test]
+fn a_key_is_shared_only_by_texts_of_one_shape() {
+    let keys = shape_keys::keys_partition_like_shapes(&all_ops());
+    assert!(keys >= 40, "{} keys", keys);
 }

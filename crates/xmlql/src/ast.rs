@@ -281,7 +281,7 @@ impl Expr {
     /// `Str`, `Bool`). The value a lens substitutes into a point lookup
     /// arrives in this position; no planning decision except the ones
     /// `nimble-core`'s planner names depends on it, so plans are cached
-    /// with it lifted out ([`crate::display::QueryShape`]).
+    /// with it cut out of the text ([`crate::parse_keyed`]).
     pub fn eq_param(&self) -> Option<&Atomic> {
         let Expr::Binary(BinOp::Eq, l, r) = self else {
             return None;
@@ -313,8 +313,9 @@ fn liftable(a: &Atomic) -> bool {
 
 impl Query {
     /// The equality parameters of the top-level WHERE clause, in
-    /// condition order — the order [`crate::display::QueryShape`] writes
-    /// their placeholders in. Nested subqueries keep their literals.
+    /// condition order — the order [`crate::parse_keyed`] and
+    /// [`crate::display::QueryShape`] write their placeholders in. Nested
+    /// subqueries keep their literals.
     pub fn eq_params(&self) -> Vec<&Atomic> {
         self.conditions
             .iter()

@@ -18,9 +18,11 @@ impl fmt::Display for Query {
 /// ([`Query::eq_params`]) lifted out: `($i = 42)` prints as
 /// `($i = ?int)`, everything else as [`Query`] prints it. Two queries
 /// print alike exactly when they are one AST up to those values — the
-/// type and the orientation stay — which makes the text the key a plan
-/// serving all of them is cached under. It is not XML-QL: `?` lexes
-/// nowhere, so no query's own spelling is another's shape.
+/// type and the orientation stay. It is not XML-QL: `?` lexes nowhere,
+/// so no query's own spelling is another's shape. The plan cache's key
+/// is cut from the text instead ([`crate::parse_keyed`]), without
+/// printing the parsed query; this print is the reference the tests
+/// hold that key to.
 pub struct QueryShape<'a>(pub &'a Query);
 
 impl fmt::Display for QueryShape<'_> {
@@ -68,12 +70,7 @@ fn write_query(q: &Query, f: &mut fmt::Formatter<'_>, lifted: bool) -> fmt::Resu
 /// An equality parameter as [`Expr`] prints it, its literal `a`
 /// replaced by a placeholder naming the literal's type.
 fn write_lifted(e: &Expr, a: &nimble_xml::Atomic, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    let slot = match a.atomic_type() {
-        nimble_xml::AtomicType::Int => "?int",
-        nimble_xml::AtomicType::Float => "?float",
-        nimble_xml::AtomicType::Bool => "?bool",
-        _ => "?str",
-    };
+    let slot = crate::parser::placeholder(a.atomic_type());
     match e {
         Expr::Binary(op, l, _) if matches!(**l, Expr::Var(_)) => write!(f, "({} {} {})", l, op, slot),
         Expr::Binary(op, _, r) => write!(f, "({} {} {})", slot, op, r),
@@ -289,6 +286,36 @@ mod tests {
         );
         assert!(shape(&q(r#"$i = 5, "x" = $n, $i = 6"#))
             .contains("($i = ?int), (?str = $n), ($i = ?int)"));
+    }
+
+    #[test]
+    fn a_shape_key_is_the_text_with_each_parameter_cut_to_its_type() {
+        let key = |text: &str| crate::parse_keyed(text).unwrap().1;
+        let q = |tail: &str| {
+            format!(
+                r#"WHERE <row><id>$i</id><n>$n</n></row> IN "c", {} CONSTRUCT <o>$n</o>"#,
+                tail
+            )
+        };
+        assert_eq!(key(&q("$i = 42")), q("$i = ?int"));
+        assert_eq!(key(&q("$i = 42")), key(&q("$i = -7")));
+        assert_eq!(key(&q(r#""a \"b\"" = $n"#)), q("?str = $n"));
+        assert_eq!(key(&q("$n = true, $i = 4.5")), q("$n = ?bool, $i = ?float"));
+        // What the shape keeps, the key keeps: types, orientation, every
+        // literal that is not an equality parameter's.
+        let base = key(&q("$i = 42"));
+        for other in ["$i = 42.0", r#"$i = "42""#, "42 = $i", "$i = null", "$i = - 42", "$i > 42"] {
+            assert_ne!(base, key(&q(other)), "{}", other);
+        }
+        let nested = r#"WHERE <row><id>$i</id><r>"NW"</r></row> IN "c", ($i = 1)
+                        CONSTRUCT <o>{ WHERE <x>$y</x> IN "d", $y = 5 CONSTRUCT <p>$y</p> }</o>"#;
+        assert_eq!(key(nested), nested.replacen("1", "?int", 1));
+        // A text without parameters is its own key; another spelling of
+        // one shape is another key.
+        let plain = q("$i > 42");
+        assert_eq!(key(&plain), plain);
+        assert_ne!(base, key(&q("$i  =  42")));
+        assert_eq!(shape(&q("$i = 42")), shape(&q("$i  =  42")));
     }
 
     #[test]

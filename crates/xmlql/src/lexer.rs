@@ -7,18 +7,24 @@
 //! `<` and letting the parser decide; the compound tokens `</`, `/>`,
 //! `<=` are resolved here.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 
-/// A token with its position (line, column).
+/// A token with its position (line, column) and its byte span in the
+/// input.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+pub struct Token<'a> {
+    pub kind: TokenKind<'a>,
+    pub span: Range<usize>,
     pub line: usize,
     pub col: usize,
 }
 
+/// What a token is. Names and variables borrow their spelling from the
+/// input; a string literal does too unless it holds an escape.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     // Keywords (case-insensitive in source).
     Where,
     In,
@@ -33,9 +39,9 @@ pub enum TokenKind {
     Asc,
     Desc,
     // Identifiers & literals.
-    Ident(String),
-    Var(String),
-    Str(String),
+    Ident(&'a str),
+    Var(&'a str),
+    Str(Cow<'a, str>),
     Int(i64),
     Float(f64),
     // Punctuation.
@@ -61,7 +67,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use TokenKind::*;
         match self {
@@ -125,25 +131,31 @@ impl fmt::Display for LexError {
 }
 impl std::error::Error for LexError {}
 
-struct Lexer {
-    chars: Vec<char>,
+/// Walks the input's bytes. A position is always at a character
+/// boundary; columns count characters.
+struct Lexer<'a> {
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
 }
 
-impl Lexer {
+impl<'a> Lexer<'a> {
     fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+        match *self.src.as_bytes().get(self.pos)? {
+            b if b.is_ascii() => Some(char::from(b)),
+            _ => self.src.get(self.pos..)?.chars().next(),
+        }
     }
 
-    fn peek2(&self) -> Option<char> {
-        self.chars.get(self.pos + 1).copied()
+    /// Whether the character after the current one is an ASCII digit.
+    fn digit_follows(&self) -> bool {
+        self.src.as_bytes().get(self.pos + 1).is_some_and(u8::is_ascii_digit)
     }
 
     fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
-        self.pos += 1;
+        self.pos += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.col = 1;
@@ -151,6 +163,16 @@ impl Lexer {
             self.col += 1;
         }
         Some(c)
+    }
+
+    /// Consume characters while `keep` holds of them; returns the text
+    /// consumed.
+    fn take_while(&mut self, keep: impl Fn(char) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(&keep) {
+            self.bump();
+        }
+        &self.src[start..self.pos]
     }
 
     fn err(&self, message: impl Into<String>, line: usize, col: usize) -> LexError {
@@ -163,22 +185,23 @@ impl Lexer {
 }
 
 /// Tokenize the whole input; the result always ends with `Eof`.
-pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
+pub fn tokenize(input: &str) -> Result<Vec<Token<'_>>, LexError> {
     let mut lx = Lexer {
-        chars: input.chars().collect(),
+        src: input,
         pos: 0,
         line: 1,
         col: 1,
     };
-    let mut tokens = Vec::new();
+    // A token spans two bytes or more but for a few punctuation marks.
+    let mut tokens: Vec<Token<'_>> = Vec::with_capacity(input.len() / 2 + 1);
 
     while let Some(ch) = lx.peek() {
-        let (l, c) = (lx.line, lx.col);
+        let (start, l, c) = (lx.pos, lx.line, lx.col);
         // After an operand a `-` subtracts; anywhere else, before a
         // digit, it is that number's sign.
         let after_operand = ch == '-'
             && matches!(
-                tokens.last().map(|t: &Token| &t.kind),
+                tokens.last().map(|t| &t.kind),
                 Some(
                     TokenKind::Var(_)
                         | TokenKind::Int(_)
@@ -188,198 +211,180 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                         | TokenKind::RParen
                 )
             );
-        let mut push = |kind: TokenKind| {
-            tokens.push(Token {
-                kind,
-                line: l,
-                col: c,
-            })
+        // Single-character tokens are consumed here; every arm below
+        // that lexes more consumes the rest itself.
+        let single = match ch {
+            '=' => Some(TokenKind::Eq),
+            '+' => Some(TokenKind::Plus),
+            '*' => Some(TokenKind::StarTok),
+            '%' => Some(TokenKind::Percent),
+            ',' => Some(TokenKind::Comma),
+            '(' => Some(TokenKind::LParen),
+            ')' => Some(TokenKind::RParen),
+            '{' => Some(TokenKind::LBrace),
+            '}' => Some(TokenKind::RBrace),
+            '-' if after_operand || !lx.digit_follows() => Some(TokenKind::Minus),
+            _ => None,
         };
-        match ch {
-            ' ' | '\t' | '\r' | '\n' => {
-                lx.bump();
-            }
-            '#' => {
-                while lx.peek().is_some_and(|d| d != '\n') {
+        let kind = if let Some(kind) = single {
+            lx.bump();
+            kind
+        } else {
+            match ch {
+                ' ' | '\t' | '\r' | '\n' => {
                     lx.bump();
+                    continue;
                 }
-            }
-            '<' => {
-                lx.bump();
-                match lx.peek() {
-                    Some('/') => {
-                        lx.bump();
-                        push(TokenKind::LtSlash);
-                    }
-                    Some('=') => {
-                        lx.bump();
-                        push(TokenKind::Le);
-                    }
-                    Some('>') => {
-                        lx.bump();
-                        push(TokenKind::Ne);
-                    }
-                    _ => push(TokenKind::Lt),
+                '#' => {
+                    lx.take_while(|d| d != '\n');
+                    continue;
                 }
-            }
-            '>' => {
-                lx.bump();
-                if lx.peek() == Some('=') {
+                '<' => {
                     lx.bump();
-                    push(TokenKind::Ge);
-                } else {
-                    push(TokenKind::Gt);
-                }
-            }
-            '/' => {
-                lx.bump();
-                match lx.peek() {
-                    Some('>') => {
+                    let kind = match lx.peek() {
+                        Some('/') => TokenKind::LtSlash,
+                        Some('=') => TokenKind::Le,
+                        Some('>') => TokenKind::Ne,
+                        _ => TokenKind::Lt,
+                    };
+                    if kind != TokenKind::Lt {
                         lx.bump();
-                        push(TokenKind::SlashGt);
                     }
-                    Some('/') => {
-                        lx.bump();
-                        push(TokenKind::SlashSlash);
-                    }
-                    _ => push(TokenKind::Slash),
+                    kind
                 }
-            }
-            '!' => {
-                lx.bump();
-                if lx.peek() == Some('=') {
+                '>' => {
                     lx.bump();
-                    push(TokenKind::Ne);
-                } else {
-                    return Err(lx.err("unexpected '!'", l, c));
+                    if lx.peek() == Some('=') {
+                        lx.bump();
+                        TokenKind::Ge
+                    } else {
+                        TokenKind::Gt
+                    }
                 }
-            }
-            '=' => {
-                lx.bump();
-                push(TokenKind::Eq);
-            }
-            '+' => {
-                lx.bump();
-                push(TokenKind::Plus);
-            }
-            '-' if after_operand || !lx.peek2().is_some_and(|d| d.is_ascii_digit()) => {
-                lx.bump();
-                push(TokenKind::Minus);
-            }
-            '*' => {
-                lx.bump();
-                push(TokenKind::StarTok);
-            }
-            '%' => {
-                lx.bump();
-                push(TokenKind::Percent);
-            }
-            ',' => {
-                lx.bump();
-                push(TokenKind::Comma);
-            }
-            '(' => {
-                lx.bump();
-                push(TokenKind::LParen);
-            }
-            ')' => {
-                lx.bump();
-                push(TokenKind::RParen);
-            }
-            '{' => {
-                lx.bump();
-                push(TokenKind::LBrace);
-            }
-            '}' => {
-                lx.bump();
-                push(TokenKind::RBrace);
-            }
-            '$' => {
-                lx.bump();
-                let mut name = String::new();
-                while lx.peek().is_some_and(is_ident_char) {
-                    name.push(lx.bump().unwrap());
+                '/' => {
+                    lx.bump();
+                    let kind = match lx.peek() {
+                        Some('>') => TokenKind::SlashGt,
+                        Some('/') => TokenKind::SlashSlash,
+                        _ => TokenKind::Slash,
+                    };
+                    if kind != TokenKind::Slash {
+                        lx.bump();
+                    }
+                    kind
                 }
-                if name.is_empty() {
-                    return Err(lx.err("expected variable name after '$'", l, c));
+                '!' => {
+                    lx.bump();
+                    if lx.peek() != Some('=') {
+                        return Err(lx.err("unexpected '!'", l, c));
+                    }
+                    lx.bump();
+                    TokenKind::Ne
                 }
-                push(TokenKind::Var(name));
-            }
-            quote @ ('"' | '\'') => {
-                lx.bump();
-                let mut s = String::new();
-                loop {
-                    match lx.peek() {
-                        None => return Err(lx.err("unterminated string literal", l, c)),
-                        Some(d) if d == quote => {
-                            lx.bump();
-                            break;
+                '$' => {
+                    lx.bump();
+                    let name = lx.take_while(is_ident_char);
+                    if name.is_empty() {
+                        return Err(lx.err("expected variable name after '$'", l, c));
+                    }
+                    TokenKind::Var(name)
+                }
+                quote @ ('"' | '\'') => {
+                    lx.bump();
+                    TokenKind::Str(string_body(&mut lx, quote, l, c)?)
+                }
+                // A sign is lexed with its digits — magnitude first would
+                // leave `i64::MIN` without a spelling.
+                d if d == '-' || d.is_ascii_digit() => {
+                    lx.bump();
+                    lx.take_while(|x| x.is_ascii_digit());
+                    let is_float = lx.peek() == Some('.') && lx.digit_follows();
+                    if is_float {
+                        lx.bump();
+                        lx.take_while(|x| x.is_ascii_digit());
+                    }
+                    let text = &input[start..lx.pos];
+                    if is_float {
+                        match text.parse() {
+                            Ok(x) => TokenKind::Float(x),
+                            Err(_) => return Err(lx.err("malformed number", l, c)),
                         }
-                        Some('\\') => {
-                            lx.bump();
-                            match lx.bump() {
-                                None => return Err(lx.err("dangling escape", l, c)),
-                                Some('n') => s.push('\n'),
-                                Some('t') => s.push('\t'),
-                                Some(other) => s.push(other),
-                            }
-                        }
-                        Some(d) => {
-                            s.push(d);
-                            lx.bump();
+                    } else {
+                        match text.parse() {
+                            Ok(i) => TokenKind::Int(i),
+                            Err(_) => return Err(lx.err("integer literal overflows i64", l, c)),
                         }
                     }
                 }
-                push(TokenKind::Str(s));
-            }
-            // A sign is lexed with its digits — magnitude first would
-            // leave `i64::MIN` without a spelling.
-            d if d == '-' || d.is_ascii_digit() => {
-                let mut text = String::from(d);
-                lx.bump();
-                while lx.peek().is_some_and(|x| x.is_ascii_digit()) {
-                    text.push(lx.bump().unwrap());
+                a if is_ident_start(a) => {
+                    let word = lx.take_while(is_ident_char);
+                    keyword(word).unwrap_or(TokenKind::Ident(word))
                 }
-                let mut is_float = false;
-                if lx.peek() == Some('.') && lx.peek2().is_some_and(|x| x.is_ascii_digit()) {
-                    is_float = true;
-                    text.push(lx.bump().unwrap());
-                    while lx.peek().is_some_and(|x| x.is_ascii_digit()) {
-                        text.push(lx.bump().unwrap());
-                    }
-                }
-                if is_float {
-                    push(TokenKind::Float(text.parse().unwrap()));
-                } else {
-                    match text.parse() {
-                        Ok(i) => push(TokenKind::Int(i)),
-                        Err(_) => return Err(lx.err("integer literal overflows i64", l, c)),
-                    }
+                other => {
+                    return Err(lx.err(format!("unexpected character {:?}", other), l, c));
                 }
             }
-            a if is_ident_start(a) => {
-                let mut word = String::new();
-                while lx.peek().is_some_and(is_ident_char) {
-                    word.push(lx.bump().unwrap());
-                }
-                push(keyword(&word).unwrap_or(TokenKind::Ident(word)));
-            }
-            other => {
-                return Err(lx.err(format!("unexpected character {:?}", other), l, c));
-            }
-        }
+        };
+        tokens.push(Token {
+            kind,
+            span: start..lx.pos,
+            line: l,
+            col: c,
+        });
     }
     tokens.push(Token {
         kind: TokenKind::Eof,
+        span: lx.pos..lx.pos,
         line: lx.line,
         col: lx.col,
     });
     Ok(tokens)
 }
 
+/// The rest of a string literal opened by `quote` at (`line`, `col`),
+/// through its closing quote. The text is borrowed from the input
+/// unless an escape makes it differ.
+fn string_body<'a>(lx: &mut Lexer<'a>, quote: char, line: usize, col: usize) -> Result<Cow<'a, str>, LexError> {
+    let src = lx.src;
+    // `copied` holds the unescaped text up to `from` once an escape has
+    // been met.
+    let mut copied: Option<String> = None;
+    let mut from = lx.pos;
+    loop {
+        match lx.peek() {
+            None => return Err(lx.err("unterminated string literal", line, col)),
+            Some(d) if d == quote => break,
+            Some('\\') => {
+                let text = copied.get_or_insert_with(String::new);
+                text.push_str(&src[from..lx.pos]);
+                lx.bump();
+                match lx.bump() {
+                    None => return Err(lx.err("dangling escape", line, col)),
+                    Some('n') => text.push('\n'),
+                    Some('t') => text.push('\t'),
+                    Some(other) => text.push(other),
+                }
+                from = lx.pos;
+            }
+            Some(_) => {
+                lx.bump();
+            }
+        }
+    }
+    let rest = &src[from..lx.pos];
+    lx.bump();
+    Ok(match copied {
+        None => Cow::Borrowed(rest),
+        Some(mut text) => {
+            text.push_str(rest);
+            Cow::Owned(text)
+        }
+    })
+}
+
 /// The keyword `word` spells, in any case.
-fn keyword(word: &str) -> Option<TokenKind> {
-    const KEYWORDS: [(&str, TokenKind); 12] = [
+fn keyword(word: &str) -> Option<TokenKind<'static>> {
+    const KEYWORDS: [(&str, TokenKind<'static>); 12] = [
         ("WHERE", TokenKind::Where),
         ("IN", TokenKind::In),
         ("CONSTRUCT", TokenKind::Construct),

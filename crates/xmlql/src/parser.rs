@@ -6,8 +6,9 @@
 
 use crate::ast::*;
 use crate::lexer::{tokenize, LexError, Token, TokenKind};
-use nimble_xml::Atomic;
+use nimble_xml::{Atomic, AtomicType};
 use std::fmt;
+use std::ops::Range;
 
 /// A syntax error with position information.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,15 +64,62 @@ pub fn parse_query(text: &str) -> Result<Query, ParseError> {
 /// the engine's runtime coercion — so every diagnostic is a certainty,
 /// never a guess.
 pub fn parse_query_checked(text: &str) -> Result<(Query, Vec<TypeDiag>), ParseError> {
+    parse(text).map(|(q, p)| (q, p.type_diags))
+}
+
+/// Parse a query and cut its **shape key** from the text: the text with
+/// the spelling of each equality parameter's literal ([`Query::eq_params`])
+/// replaced by its type — `$i = 42` reads `$i = ?int`, and `?float`,
+/// `?str`, `?bool` stand for the others. A text without one is its own
+/// key. The plan cache keys a plan that serves every value of its
+/// parameters by this (DESIGN.md §12).
+///
+/// Two texts share a key only if they parse to one query up to the
+/// values of parameters of the same types: `?` lexes nowhere outside a
+/// string or a comment, and what the lexer makes of a character depends
+/// only on the text before it, so a placeholder can only stand where
+/// the other text has a literal too. Two spellings of one query (other
+/// whitespace, say) are two keys. [`crate::QueryShape`] prints the same
+/// classes from the parsed query, as the reference for this cut.
+pub fn parse_keyed(text: &str) -> Result<(Query, String), ParseError> {
+    let (query, p) = parse(text)?;
+    if p.params.is_empty() {
+        return Ok((query, text.to_string()));
+    }
+    let mut key = String::with_capacity(text.len() + 8 * p.params.len());
+    let mut at = 0;
+    for (span, ty) in &p.params {
+        key.push_str(&text[at..span.start]);
+        key.push_str(placeholder(*ty));
+        at = span.end;
+    }
+    key.push_str(&text[at..]);
+    Ok((query, key))
+}
+
+/// What a shape key writes in place of an equality parameter's literal.
+pub(crate) fn placeholder(ty: AtomicType) -> &'static str {
+    match ty {
+        AtomicType::Int => "?int",
+        AtomicType::Float => "?float",
+        AtomicType::Bool => "?bool",
+        _ => "?str",
+    }
+}
+
+fn parse(text: &str) -> Result<(Query, Parser<'_>), ParseError> {
     let tokens = tokenize(text)?;
     let mut p = Parser {
         tokens,
         pos: 0,
         type_diags: Vec::new(),
+        depth: 0,
+        last_literal: 0..0,
+        params: Vec::new(),
     };
     let q = p.query()?;
     p.expect(&TokenKind::Eof)?;
-    Ok((q, p.type_diags))
+    Ok((q, p))
 }
 
 /// Why a literal can never be an arithmetic operand, or `None` when it
@@ -100,26 +148,33 @@ fn like_operand_error(e: &Expr) -> Option<String> {
     }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     /// Surface type diagnostics collected during expression parsing.
     type_diags: Vec<TypeDiag>,
+    /// How many queries the parser is inside: 1 in the top-level one.
+    depth: usize,
+    /// The span of the last literal an expression was parsed with.
+    last_literal: Range<usize>,
+    /// The span and type of each equality parameter's literal of the
+    /// top-level query, in [`Query::eq_params`] order.
+    params: Vec<(Range<usize>, AtomicType)>,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &TokenKind<'a> {
         &self.tokens[self.pos].kind
     }
 
-    fn peek2(&self) -> &TokenKind {
+    fn peek2(&self) -> &TokenKind<'a> {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
     }
 
     /// Consume the current token, moving it out of the stream (nothing
     /// reads a consumed token's kind again; positions stay). The final
     /// `Eof` is never moved past.
-    fn bump(&mut self) -> TokenKind {
+    fn bump(&mut self) -> TokenKind<'a> {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
             std::mem::replace(&mut self.tokens[self.pos - 1].kind, TokenKind::Eof)
@@ -131,7 +186,8 @@ impl Parser {
     /// Consume an `Ident`, `Var` or `Str` token, taking its text.
     fn bump_text(&mut self) -> String {
         match self.bump() {
-            TokenKind::Ident(s) | TokenKind::Var(s) | TokenKind::Str(s) => s,
+            TokenKind::Ident(s) | TokenKind::Var(s) => s.to_string(),
+            TokenKind::Str(s) => s.into_owned(),
             _ => String::new(),
         }
     }
@@ -164,7 +220,7 @@ impl Parser {
         })
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<(), ParseError> {
+    fn expect(&mut self, kind: &TokenKind<'_>) -> Result<(), ParseError> {
         if self.peek() == kind {
             self.bump();
             Ok(())
@@ -173,7 +229,7 @@ impl Parser {
         }
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: &TokenKind<'_>) -> bool {
         if self.peek() == kind {
             self.bump();
             true
@@ -198,10 +254,11 @@ impl Parser {
 
     // query := WHERE condition (',' condition)* CONSTRUCT template [orderby]
     fn query(&mut self) -> Result<Query, ParseError> {
+        self.depth += 1;
         self.expect(&TokenKind::Where)?;
-        let mut conditions = vec![self.condition()?];
+        let mut conditions = vec![self.top_condition()?];
         while self.eat(&TokenKind::Comma) {
-            conditions.push(self.condition()?);
+            conditions.push(self.top_condition()?);
         }
         self.expect(&TokenKind::Construct)?;
         let construct = self.element_template()?;
@@ -210,11 +267,25 @@ impl Parser {
         } else {
             Vec::new()
         };
+        self.depth -= 1;
         Ok(Query {
             conditions,
             construct,
             order_by,
         })
+    }
+
+    /// A condition of a query's WHERE clause; an equality parameter of
+    /// the top-level query leaves its literal's span in `params` (its
+    /// one literal, so the last one parsed).
+    fn top_condition(&mut self) -> Result<Condition, ParseError> {
+        let condition = self.condition()?;
+        if let (1, Condition::Predicate(e)) = (self.depth, &condition) {
+            if let Some(a) = e.eq_param() {
+                self.params.push((self.last_literal.clone(), a.atomic_type()));
+            }
+        }
+        Ok(condition)
     }
 
     fn at_order_by(&self) -> bool {
@@ -503,12 +574,11 @@ impl Parser {
                 TokenKind::Where => {
                     children.push(TemplateNode::Subquery(Box::new(self.query()?)));
                 }
-                TokenKind::Ident(ref name) => {
+                TokenKind::Ident(name) => {
                     // Aggregate call: count() / sum($t) / ...
                     let func = match AggName::parse(name) {
                         Some(f) => f,
                         None => {
-                            let name = name.clone();
                             return self.err(format!(
                                 "unknown aggregate {:?} in template (expected \
                                  count/sum/min/max/avg/collect)",
@@ -664,6 +734,12 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
+        if matches!(
+            self.peek(),
+            TokenKind::Int(_) | TokenKind::Float(_) | TokenKind::Str(_) | TokenKind::Ident(_)
+        ) {
+            self.last_literal = self.tokens[self.pos].span.clone();
+        }
         match *self.peek() {
             TokenKind::Var(_) => Ok(Expr::Var(self.bump_text())),
             TokenKind::Int(i) => {

@@ -1,13 +1,17 @@
 //! Counted, not timed: what the executor allocates per row when it
 //! filters, sorts and hands sorted rows on, what a central match's probes
-//! and a shard scan's test allocate per value they read, and what a
-//! metric lookup allocates. The counting allocator is per thread, so
-//! each pin reads only its own test's work.
+//! and a shard scan's test allocate per value they read, what a metric
+//! lookup allocates, and what a serve of a cached shape allocates. The
+//! counting allocator is per thread, so each pin reads only its own
+//! test's work.
+
+mod common;
 
 use nimble::algebra::ops::{Operator, SortKey, SortOp, ValuesOp};
 use nimble::algebra::{CmpOp, FunctionRegistry, LiteralTest, ScalarExpr, Schema, Tuple};
 use nimble::core::matcher::CandidateFilter;
 use nimble::core::planner::Probe;
+use nimble::core::{Catalog, Engine, EngineConfig};
 use nimble::trace::alloc::{enabled, AllocScope};
 use nimble::trace::MetricsRegistry;
 use nimble::xml::{Atomic, DocumentBuilder, Sym, Value};
@@ -191,3 +195,87 @@ fn a_metric_that_exists_is_found_without_allocating() {
     assert_eq!(allocs, 0, "{} blocks over 3 000 lookups", allocs);
     assert_eq!(metrics.counter_value("engine.match.candidates"), 1 + 999 * 1_000 / 2);
 }
+
+/// An engine over one relational source `name` holding `customers`
+/// (200 rows, hash-indexed on `id`), as the serve benchmark's lookups
+/// read it — in release, where plans are not verified, so no hit is
+/// differentially re-planned.
+fn lookup_engine(name: &str) -> Engine {
+    let catalog = Catalog::new();
+    let customers = common::relational(
+        name,
+        &[
+            "CREATE TABLE customers (id INT, name TEXT, region TEXT)",
+            "CREATE INDEX ON customers (id) USING HASH",
+        ],
+        &[("customers", common::customer_rows(200))],
+    );
+    catalog.register_source(customers).unwrap();
+    let mut config = EngineConfig::default();
+    config.optimizer.verify_plans = false;
+    Engine::with_config(std::sync::Arc::new(catalog), config)
+}
+
+/// The serve benchmark's `lens_point` customer lookup at key `k`.
+fn lookup(k: i64) -> String {
+    format!(
+        r#"WHERE <row><id>$i</id><name>$n</name><region>$r</region></row> IN "customers", $i = {} CONSTRUCT <c><n>$n</n><r>$r</r></c>"#,
+        k
+    )
+}
+
+/// Blocks and bytes one `query_serialized` of `text` allocates.
+fn serve(engine: &Engine, text: &str) -> (String, nimble::trace::AllocStats) {
+    let scope = AllocScope::enter();
+    let xml = engine.query_serialized(text).unwrap();
+    (xml, scope.finish())
+}
+
+#[test]
+fn a_cached_shape_hit_copies_no_plan() {
+    if !enabled() {
+        return;
+    }
+    let engine = lookup_engine("crm");
+    // The first key plans the shape; the second is a hit. A hit cuts
+    // its key from the text and serves the cached plan as it is, with
+    // the text's value beside it: no plan is copied, printed or freed.
+    serve(&engine, &lookup(7));
+    let (xml, stats) = serve(&engine, &lookup(42));
+    assert_eq!(xml, "<results><c><n>customer42</n><r>NE</r></c></results>");
+    assert_eq!(engine.plan_cache().stats().hits, 1);
+    assert!(stats.allocs <= 120, "{} blocks for a hit", stats.allocs);
+    assert_eq!(stats.allocs, HIT_BLOCKS, "{} blocks for a hit", stats.allocs);
+}
+
+/// Blocks a hit of [`a_cached_shape_hit_copies_no_plan`] allocates.
+const HIT_BLOCKS: u64 = 118;
+
+#[test]
+fn a_fetch_formats_no_metric_name() {
+    if !enabled() {
+        return;
+    }
+    // Two engines alike but for the source's name, one of them 4 KiB
+    // long. Warm, a serve carries the name in the blocks that hold it
+    // for their own sake — the stale-cache key of the fragment sent, the
+    // query's record of the call, the unit's label — and in no metric
+    // name: each source's metric handles are looked up once and kept.
+    // Two names more a fetch, `source.calls.*` and `source.latency_us.*`,
+    // would be two lengths more.
+    const LONG: usize = 4096;
+    let long = format!("crm{}", "x".repeat(LONG));
+    let bytes = |name: &str| {
+        let engine = lookup_engine(name);
+        serve(&engine, &lookup(7));
+        serve(&engine, &lookup(8));
+        let (_, stats) = serve(&engine, &lookup(9));
+        stats.bytes
+    };
+    let extra = bytes(&long) - bytes("crm");
+    assert_eq!(extra as usize / LONG, NAME_COPIES, "{} bytes more for a {}-byte name", extra, LONG);
+}
+
+/// How many name lengths a warm serve of [`a_fetch_formats_no_metric_name`]
+/// allocates beyond the short-named engine.
+const NAME_COPIES: usize = 9;

@@ -253,7 +253,7 @@ fn lookup_join_ships_the_matching_rows_not_the_table() {
     assert_eq!(plan.matches("predicate pushed to").count(), 2, "{}", plan);
 
     // `$i = K` is an equality parameter: the plan made for 42 is cached
-    // for the shape and bound to each later key — plan-cache hits that
+    // for the shape and served with each later key — plan-cache hits that
     // ship their own key's SQL, not the SQL the shape was planned with.
     let hits = engine.plan_cache().stats().hits;
     let (next, q_calls, q_nodes) = charged(&lookup(43));
@@ -276,7 +276,7 @@ fn lookup_join_ships_the_matching_rows_not_the_table() {
         "{}",
         plan
     );
-    // The verdict is asked of the bound plan: 150 lies outside
+    // The verdict is asked of each serve's key: 150 lies outside
     // orders.cust_id's bounds (see below) and contacts no source.
     let (empty, q_calls, _) = charged(&lookup(150));
     assert_eq!((empty.as_str(), q_calls), ("<results/>", 0));
@@ -365,4 +365,67 @@ fn bind_stage_ships_the_rows_the_small_side_can_join() {
     });
     let central = engine.query(text).unwrap();
     assert_eq!(to_string(&central.document.root()), to_string(&r.document.root()));
+}
+
+#[test]
+fn a_plan_that_fails_its_rewrite_audit_calls_no_source() {
+    // A two-source join with `$i = K` pushed to both: its plan carries a
+    // `pushdown` rewrite record. Doctored so that the rewrite claims to
+    // change the columns of an order-preserving rewrite, the plan fails
+    // the audit — and is refused before any source is called, however
+    // it reaches the engine.
+    let calls = Arc::new(AtomicU64::new(0));
+    let c = Catalog::new();
+    for (name, ddl, rows) in [
+        ("crm", "CREATE TABLE customers (id INT, name TEXT)", "INSERT INTO customers VALUES (1, 'a'), (2, 'b')"),
+        ("billing", "CREATE TABLE orders (oid INT, cust_id INT)", "INSERT INTO orders VALUES (10, 1), (11, 2)"),
+    ] {
+        c.register_source(Arc::new(Counting {
+            inner: Arc::new(RelationalAdapter::from_statements(name, &[ddl, rows]).unwrap()),
+            calls: Arc::clone(&calls),
+            nodes: Arc::new(AtomicU64::new(0)),
+        }))
+        .unwrap();
+    }
+    let engine = Engine::new(Arc::new(c));
+    let text = r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
+                     <row><oid>$o</oid><cust_id>$i</cust_id></row> IN "orders", $i = 1
+               CONSTRUCT <o><n>$n</n><k>$o</k></o>"#;
+    let (query, key) = nimble::xmlql::parse_keyed(text).unwrap();
+    let mut plan =
+        nimble::core::planner::plan_query(engine.catalog(), &query, &engine.config().optimizer).unwrap();
+    assert_eq!(plan.independents.len(), 2);
+    let pushdown = plan.rewrites.iter_mut().find(|r| r.rule == "pushdown").unwrap();
+    assert!(pushdown.ordered);
+    pushdown.after.columns = vec!["$i".to_string()];
+    assert_ne!(pushdown.before.columns, pushdown.after.columns);
+    let refused = |result: Result<nimble::core::QueryResult, nimble::core::CoreError>| match result {
+        Err(nimble::core::CoreError::PlanVerify(msg)) => assert!(msg.contains("rewrite audit failed"), "{}", msg),
+        Err(other) => panic!("{}", other),
+        Ok(r) => panic!("served: {}", to_string(&r.document.root())),
+    };
+
+    // Handed to `query_planned`.
+    let before = calls.load(Ordering::Relaxed);
+    refused(engine.query_planned(text, plan.clone()));
+    assert_eq!(calls.load(Ordering::Relaxed) - before, 0);
+
+    // Installed in the plan cache under the text's key: its first hit.
+    let stamp = nimble::core::PlanStamp {
+        config_fp: engine.config().optimizer.fingerprint(),
+        catalog_epoch: engine.catalog().epoch(),
+        stats_generation: engine.catalog().stats().generation(),
+        shard_epoch: engine.shard_epoch(),
+    };
+    engine.plan_cache().put(&key, stamp, Arc::new(plan));
+    let before = calls.load(Ordering::Relaxed);
+    refused(engine.query(text));
+    assert_eq!(engine.plan_cache().stats().hits, 1);
+    assert_eq!(calls.load(Ordering::Relaxed) - before, 0);
+
+    // The engine's own plan of the text passes and answers.
+    engine.plan_cache().clear();
+    let r = engine.query(text).unwrap();
+    assert_eq!(to_string(&r.document.root()), "<results><o><n>a</n><k>10</k></o></results>");
+    assert_eq!(calls.load(Ordering::Relaxed) - before, 2);
 }
