@@ -348,26 +348,25 @@ impl Catalog {
 }
 
 /// Every `IN "name"` reference anywhere in a query, including nested
-/// subqueries.
-pub fn referenced_names(query: &Query) -> Vec<String> {
-    use nimble_xmlql::ast::{Condition, SourceRef};
-    let mut out = Vec::new();
-    for c in &query.conditions {
-        if let Condition::Pattern(pb) = c {
-            if let SourceRef::Named(n) = &pb.source {
-                if !out.contains(n) {
-                    out.push(n.clone());
+/// subqueries, each once, in first-reference order.
+pub fn referenced_names(query: &Query) -> Vec<&str> {
+    fn walk<'q>(query: &'q Query, out: &mut Vec<&'q str>) {
+        use nimble_xmlql::ast::{Condition, SourceRef};
+        for c in &query.conditions {
+            if let Condition::Pattern(pb) = c {
+                if let SourceRef::Named(n) = &pb.source {
+                    if !out.contains(&n.as_str()) {
+                        out.push(n);
+                    }
                 }
             }
         }
-    }
-    for sub in query.construct.subqueries() {
-        for n in referenced_names(sub) {
-            if !out.contains(&n) {
-                out.push(n);
-            }
+        for sub in query.construct.subqueries() {
+            walk(sub, out);
         }
     }
+    let mut out = Vec::new();
+    walk(query, &mut out);
     out
 }
 

@@ -15,7 +15,7 @@ use crate::Catalog;
 use nimble_sources::xmldoc::XmlDocAdapter;
 use nimble_store::stats::SampleBuilder;
 use nimble_store::{shard_stats_key, ShardSpec};
-use nimble_trace::{FlightRecord, MetricsSnapshot, QueryLogEntry};
+use nimble_trace::{MetricsSnapshot, ServeReport};
 use nimble_trace::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,8 +159,8 @@ impl EngineCluster {
     }
 
     /// The `n` slowest queries across all instances, slowest first.
-    pub fn slow_queries(&self, n: usize) -> Vec<QueryLogEntry> {
-        let mut all: Vec<QueryLogEntry> = self
+    pub fn slow_queries(&self, n: usize) -> Vec<ServeReport> {
+        let mut all: Vec<ServeReport> = self
             .engines
             .iter()
             .flat_map(|e| e.slow_queries(n))
@@ -174,8 +174,8 @@ impl EngineCluster {
     /// order. Trace ids are minted from one process-wide counter, so
     /// sorting by id recovers start order across instances; each
     /// record carries its instance name for attribution.
-    pub fn flight_records(&self) -> Vec<FlightRecord> {
-        let mut all: Vec<FlightRecord> = self
+    pub fn flight_records(&self) -> Vec<ServeReport> {
+        let mut all: Vec<ServeReport> = self
             .engines
             .iter()
             .flat_map(|e| e.flight_recorder().records())

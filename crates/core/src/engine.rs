@@ -20,8 +20,8 @@ use nimble_algebra::{
 use nimble_sources::query::{cursor_field, FieldRef, SourceQuery, Watermark};
 use nimble_store::{LogicalClock, ResultCache, ViewStore, WorkloadMonitor};
 use nimble_trace::{
-    AllocScope, AllocStats, FlightRecord, FlightRecorder, Histogram, MetricsRegistry, MetricsSnapshot,
-    QueryCtx, QueryEvent, QueryLog, QueryLogEntry, SourceCall, SpanView, Trace,
+    AllocScope, AllocStats, FlightRecorder, Histogram, MetricsRegistry, MetricsSnapshot, QueryCtx,
+    QueryLog, ServeReport, SourceCall, SpanView, Stage,
 };
 use nimble_xml::{Atomic, AtomicKey, Document, DocumentBuilder, Sym, Value, XmlWriter};
 use nimble_xmlql::ast::{Query, TagPattern};
@@ -182,51 +182,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Per-query statistics.
-#[derive(Debug, Clone, Default)]
-pub struct QueryStats {
-    /// Adapter calls made (fragment executions + collection fetches).
-    pub source_calls: u64,
-    /// Fragments pushed down to sources.
-    pub fragments_pushed: usize,
-    /// Binding tuples that reached CONSTRUCT.
-    pub tuples: usize,
-    /// Rows shipped from sources into the mediator (fragment rows plus
-    /// pattern matches over fetched collections).
-    pub rows_fetched: u64,
-    /// Wall-clock time.
-    pub elapsed_ms: f64,
-    /// EXPLAIN rendering of the physical plan (with row counts) and the
-    /// optimizer's decomposition notes.
-    pub plan: String,
-    /// Per-phase wall time, in pipeline order: parse, analyze, plan,
-    /// verify, execute, construct.
-    pub phases: Vec<(String, f64)>,
-    /// Rendered span tree (phase nesting). Populated when profiling.
-    pub span_tree: String,
-    /// The query's correlation id (see `nimble_trace::TraceId`); the
-    /// same id tags the query-log entry, every flight record, and the
-    /// Chrome-trace export.
-    pub trace_id: u64,
-    /// Engine instance that served the query.
-    pub instance: String,
-    /// The span tree as structured views (exportable via
-    /// `nimble_trace::chrome_trace`). Populated when profiling.
-    pub spans: Vec<SpanView>,
-    /// Heap bytes allocated while serving the query (0 unless the
-    /// `profile-alloc` feature of `nimble-trace` is compiled in).
-    pub alloc_bytes: u64,
-    /// High-water mark of live heap bytes above the query's entry
-    /// level (0 unless `profile-alloc` is on).
-    pub alloc_peak_bytes: u64,
-    /// Operator kind whose cardinality estimate missed the measured
-    /// actual by the largest factor (profiled queries only).
-    pub worst_qerror_op: Option<String>,
-    /// That operator's Q-error, `max(est/act, act/est)` — 1.0 is a
-    /// perfect estimate; 0 when no plan-quality scoring ran.
-    pub worst_qerror: f64,
-}
-
 /// One contributing unit in a query's provenance table: a source
 /// fragment, a fetched collection, or a mediated view, as it answered
 /// *this* query. The table index is the unit's per-query lineage id —
@@ -332,9 +287,11 @@ pub struct QueryResult {
     /// True when stale cached data substituted for a live source.
     pub stale: bool,
     /// Per-answer lineage, when [`OptimizerConfig::track_lineage`] was
-    /// on for this query (`None` on cache hits, which skip execution).
+    /// on for this query.
     pub provenance: Option<Provenance>,
-    pub stats: QueryStats,
+    /// The serve's report: the record the query log and flight recorder
+    /// were given, with the EXPLAIN text of its plan.
+    pub stats: ServeReport,
 }
 
 impl QueryResult {
@@ -357,10 +314,12 @@ pub struct Engine {
     in_flight: AtomicU64,
     queries_served: AtomicU64,
     metrics: Arc<MetricsRegistry>,
+    /// The serve-level metric handles [`Engine::record`] moves.
+    serve_metrics: ServeMetrics,
     query_log: QueryLog,
     /// Process-unique instance name (`engine-N`), carried in every
     /// trace export so merged cluster records stay attributable.
-    instance: String,
+    instance: Arc<str>,
     flight: FlightRecorder,
     /// Compiled plans keyed by query shape + validity stamp.
     plans: PlanCache,
@@ -433,6 +392,133 @@ impl SourceMetrics {
     }
 }
 
+/// The engine-wide metrics every serve moves. Each is looked up in the
+/// registry the first time it moves, as [`SourceMetrics`] are, so a
+/// serve formats no metric name and takes no registry lock.
+struct ServeMetrics {
+    registry: Arc<MetricsRegistry>,
+    counters: [OnceLock<Arc<AtomicU64>>; 8],
+    histograms: [OnceLock<Arc<Histogram>>; 3],
+    peaks: [OnceLock<Arc<AtomicU64>>; 4],
+    /// `engine.phase_us.*`, by [`Stage`].
+    phase_us: [OnceLock<Arc<Histogram>>; 6],
+    /// `engine.phase_alloc.{bytes, allocs, peak}.*`, by [`Stage`].
+    phase_alloc: [[OnceLock<Arc<Histogram>>; 3]; 6],
+}
+
+/// A counter of [`ServeMetrics`].
+#[derive(Clone, Copy)]
+enum Count {
+    Queries,
+    Errors,
+    PlanCacheHits,
+    PlanCacheMisses,
+    Batches,
+    BatchRows,
+    Streamed,
+    TreeFallback,
+}
+
+/// A histogram of [`ServeMetrics`].
+#[derive(Clone, Copy)]
+enum Hist {
+    QueryUs,
+    PipelineUs,
+    ScanQerror,
+}
+
+/// A max-gauge of [`ServeMetrics`].
+#[derive(Clone, Copy)]
+enum Peak {
+    InFlight,
+    PoolSize,
+    PoolRounds,
+    PoolMorsels,
+}
+
+impl ServeMetrics {
+    fn new(registry: Arc<MetricsRegistry>) -> ServeMetrics {
+        ServeMetrics {
+            registry,
+            counters: Default::default(),
+            histograms: Default::default(),
+            peaks: Default::default(),
+            phase_us: Default::default(),
+            phase_alloc: Default::default(),
+        }
+    }
+
+    fn incr(&self, count: Count, n: u64) {
+        let name = match count {
+            Count::Queries => "engine.queries",
+            Count::Errors => "engine.query.error",
+            Count::PlanCacheHits => "engine.plan_cache.hits",
+            Count::PlanCacheMisses => "engine.plan_cache.misses",
+            Count::Batches => "engine.exec.batches",
+            Count::BatchRows => "engine.exec.batch_rows",
+            Count::Streamed => "engine.construct.streamed",
+            Count::TreeFallback => "engine.construct.tree_fallback",
+        };
+        self.counters[count as usize]
+            .get_or_init(|| self.registry.counter(name))
+            .fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn observe(&self, hist: Hist, v: u64) {
+        let name = match hist {
+            Hist::QueryUs => "engine.query_us",
+            Hist::PipelineUs => "engine.exec.pipeline_us",
+            Hist::ScanQerror => "plan.qerror.scan",
+        };
+        self.histograms[hist as usize].get_or_init(|| self.registry.histogram(name)).record(v);
+    }
+
+    /// Raise a max-gauge to at least `v`.
+    fn peak(&self, peak: Peak, v: u64) {
+        let name = match peak {
+            Peak::InFlight => "engine.in_flight",
+            Peak::PoolSize => "engine.pool.size",
+            Peak::PoolRounds => "engine.pool.rounds",
+            Peak::PoolMorsels => "engine.pool.morsels",
+        };
+        let gauge = self.peaks[peak as usize].get_or_init(|| self.registry.gauge(name));
+        if v > gauge.load(Ordering::Relaxed) {
+            gauge.fetch_max(v, Ordering::Relaxed);
+        }
+    }
+
+    fn stage<'a>(&self, cell: &'a OnceLock<Arc<Histogram>>, family: &str, stage: Stage) -> &'a Histogram {
+        cell.get_or_init(|| self.registry.histogram(&format!("{}{}", family, stage)))
+    }
+
+    /// One serve recorded: counted, timed, and its stages timed.
+    fn served(&self, report: &ServeReport) {
+        self.incr(Count::Queries, 1);
+        self.observe(Hist::QueryUs, us(report.elapsed_ms));
+        for &(stage, ms) in &report.phases {
+            self.stage(&self.phase_us[stage as usize], "engine.phase_us.", stage).record(us(ms));
+        }
+    }
+
+    /// One failed serve, by its error's kind.
+    fn failed(&self, kind: &str) {
+        self.incr(Count::Errors, 1);
+        self.registry.incr(&format!("engine.query.error.{}", kind), 1);
+    }
+
+    /// One stage's allocations. A no-op when the `profile-alloc` feature
+    /// is compiled out, so its histograms never exist there.
+    fn stage_alloc(&self, stage: Stage, stats: AllocStats) {
+        if !nimble_trace::alloc::enabled() {
+            return;
+        }
+        let [bytes, allocs, peak] = &self.phase_alloc[stage as usize];
+        self.stage(bytes, "engine.phase_alloc.bytes.", stage).record(stats.bytes);
+        self.stage(allocs, "engine.phase_alloc.allocs.", stage).record(stats.allocs);
+        self.stage(peak, "engine.phase_alloc.peak.", stage).record(stats.peak_bytes);
+    }
+}
+
 /// Which way a serve came by its plan, as EXPLAIN's first line says it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PlanPath {
@@ -477,42 +563,100 @@ const SLOW_QUERY_CAPACITY: usize = 32;
 struct Compiled {
     query: Query,
     plan: Arc<Plan>,
-    /// `parse` and `analyze`, when they ran as phases of their own (a
-    /// plan-cache miss). On a hit there are none and `plan_ms` is
-    /// everything between the text and a plan ready to run.
-    pre_phases: Vec<(String, f64)>,
-    plan_ms: f64,
-    verify_ms: f64,
     /// False when the plan's operator shape verified clean when it was
     /// cached.
     planck_verify: bool,
     path: PlanPath,
 }
 
+/// Where a serve's answer goes — the one way the serve methods differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sink {
+    /// A result envelope ([`QueryResult`]): the answer as a document
+    /// (built through a [`DocumentBuilder`]), its report with the EXPLAIN
+    /// text, and its provenance. `profile` meters every operator.
+    Tree { profile: bool },
+    /// The answer's bytes alone, streamed through an [`XmlWriter`] when
+    /// the template nests no subquery (and serialized from a document
+    /// when it does); no EXPLAIN text is rendered.
+    Xml,
+}
+
+/// What a serve produced, before it is recorded.
+struct Answered {
+    query: Query,
+    /// Nodes of the answer document; 0 for a streamed one, which has
+    /// no node count.
+    nodes: usize,
+    answer: Answer,
+}
+
+enum Answer {
+    Document(Arc<Document>, Option<Provenance>),
+    Xml(String),
+}
+
+/// A serve's stage clock. Each stage is a lap of it, timed and
+/// allocation-scoped from where the previous stage ended, inside one
+/// scope for the whole serve — so the stages cover the serve.
+struct Laps {
+    started: Instant,
+    serve: AllocScope,
+    at: Instant,
+    lap: Option<AllocScope>,
+}
+
+impl Laps {
+    /// The clock of a serve admitted at `started`.
+    fn start(started: Instant) -> Laps {
+        Laps {
+            started,
+            serve: AllocScope::enter(),
+            at: started,
+            lap: Some(AllocScope::enter()),
+        }
+    }
+
+    /// End the running lap: its milliseconds and allocations.
+    fn lap(&mut self) -> (f64, AllocStats) {
+        let now = Instant::now();
+        let ms = now.duration_since(self.at).as_secs_f64() * 1e3;
+        self.at = now;
+        let stats = self.lap.take().map(AllocScope::finish).unwrap_or_default();
+        self.lap = Some(AllocScope::enter());
+        (ms, stats)
+    }
+
+    /// The whole serve's milliseconds and allocations.
+    fn finish(mut self) -> (f64, AllocStats) {
+        if let Some(lap) = self.lap.take() {
+            lap.finish();
+        }
+        (ms_since(self.started), self.serve.finish())
+    }
+}
+
 /// Mutable context threaded through one query's evaluation.
 struct ExecCtx {
-    missing: Vec<String>,
-    stale: bool,
-    source_calls: u64,
-    fragments: usize,
-    rows_fetched: u64,
-    plan_text: String,
-    /// Whether anyone can read `plan_text`: a result envelope, EXPLAIN or
-    /// a flight record. [`Engine::query_serialized`] returns the answer's
-    /// bytes alone and clears it, and then no EXPLAIN text — the sources'
-    /// SQL included — is rendered.
+    /// What the evaluation found: missing sources, staleness, counts,
+    /// EXPLAIN text, the worst Q-error. A serve's top-level context
+    /// carries the serve's report, its stages filled as they end.
+    report: ServeReport,
+    /// The serve's stage clock (top-level context only).
+    laps: Option<Laps>,
+    /// Of the running stage's time, what a stage nested in it took
+    /// (verification inside execute, [`ExecCtx::lend`]): [`Engine::end_stage`]
+    /// gives it back.
+    lent_ms: f64,
+    /// Whether anyone can read the EXPLAIN text: a result envelope or
+    /// EXPLAIN. A streamed serve returns the answer's bytes alone and
+    /// clears it, and then no EXPLAIN text — the sources' SQL included —
+    /// is rendered.
     want_plan_text: bool,
     /// EXPLAIN's first line: [`Compiled::path`] of the top-level query.
     plan_path: Option<PlanPath>,
     /// Wrap assembled operators in `MeteredOp` for EXPLAIN ANALYZE.
     profile: bool,
-    /// Top-level phase timings (plan/verify/execute), in order.
-    phases: Vec<(&'static str, f64)>,
-    /// Operator kind of the worst estimate-vs-actual offender seen by
-    /// plan-quality scoring during this query.
-    worst_qerror_op: Option<String>,
-    /// That offender's Q-error (0 until scoring runs).
-    worst_qerror: f64,
     /// Lineage tracking enabled for this evaluation scope. Starts true;
     /// view materialization internals clear it (a view contributes as
     /// one unit, not per underlying source). Only effective when
@@ -535,22 +679,26 @@ struct ExecCtx {
 impl ExecCtx {
     fn new() -> ExecCtx {
         ExecCtx {
-            missing: Vec::new(),
-            stale: false,
-            source_calls: 0,
-            fragments: 0,
-            rows_fetched: 0,
-            plan_text: String::new(),
+            report: ServeReport::default(),
+            laps: None,
+            lent_ms: 0.0,
             want_plan_text: true,
             plan_path: None,
             profile: false,
-            phases: Vec::new(),
-            worst_qerror_op: None,
-            worst_qerror: 0.0,
             track: true,
             prov: Vec::new(),
             last_lin: None,
             marks: Vec::new(),
+        }
+    }
+
+    /// The top-level context of the serve `report` describes, admitted
+    /// at `started`: its stage clock runs from there.
+    fn serving(report: ServeReport, started: Instant) -> ExecCtx {
+        ExecCtx {
+            report,
+            laps: Some(Laps::start(started)),
+            ..ExecCtx::new()
         }
     }
 
@@ -563,29 +711,48 @@ impl ExecCtx {
     }
 
     fn miss(&mut self, source: &str) {
-        if !self.missing.iter().any(|s| s == source) {
-            self.missing.push(source.to_string());
+        if !self.report.missing_sources.iter().any(|s| s == source) {
+            self.report.missing_sources.push(source.to_string());
+        }
+    }
+
+    /// Attribute `ms` of the running stage to `stage`, which ran nested
+    /// in it — verification inside execute — when this is a serve's
+    /// top-level context.
+    fn lend(&mut self, stage: Stage, ms: f64) {
+        if self.laps.is_some() {
+            self.report.phases.add(stage, ms);
+            self.lent_ms += ms;
+        }
+    }
+
+    /// Note the Q-error of `op`'s estimate, when it is the worst yet.
+    fn qerror(&mut self, q: f64, op: &str) {
+        if q > self.report.worst_qerror {
+            self.report.worst_qerror = q;
+            self.report.worst_qerror_op = Some(op.to_string());
         }
     }
 
     /// Fold a per-thread context back into the query's context.
     fn merge(&mut self, other: ExecCtx) {
-        for m in other.missing {
-            self.miss(&m);
+        let ExecCtx { report, marks, .. } = other;
+        for m in &report.missing_sources {
+            self.miss(m);
         }
-        self.stale |= other.stale;
-        self.source_calls += other.source_calls;
-        self.fragments += other.fragments;
-        self.rows_fetched += other.rows_fetched;
-        if self.plan_text.is_empty() {
-            self.plan_text = other.plan_text;
+        let mine = &mut self.report;
+        mine.stale |= report.stale;
+        mine.source_calls.count += report.source_calls.count;
+        mine.fragments_pushed += report.fragments_pushed;
+        mine.rows_fetched += report.rows_fetched;
+        if mine.plan.is_empty() {
+            mine.plan = report.plan;
         }
-        self.phases.extend(other.phases);
-        self.marks.extend(other.marks);
-        if other.worst_qerror > self.worst_qerror {
-            self.worst_qerror = other.worst_qerror;
-            self.worst_qerror_op = other.worst_qerror_op;
+        if report.worst_qerror > mine.worst_qerror {
+            mine.worst_qerror = report.worst_qerror;
+            mine.worst_qerror_op = report.worst_qerror_op;
         }
+        self.marks.extend(marks);
         // `prov`/`last_lin` are deliberately not merged: fetch workers
         // never intern (the caller interns sequentially after the join)
         // and view-internal evaluations run with tracking suppressed.
@@ -602,7 +769,8 @@ impl Engine {
         let metrics = Arc::new(MetricsRegistry::new());
         let instance = format!("engine-{}", INSTANCE_SEQ.fetch_add(1, Ordering::Relaxed));
         Engine {
-            instance,
+            instance: instance.into(),
+            serve_metrics: ServeMetrics::new(Arc::clone(&metrics)),
             flight: FlightRecorder::new(config.flight_capacity, config.slow_query_ms),
             plans: PlanCache::new(config.plan_cache_capacity),
             differential_seq: AtomicU64::new(0),
@@ -686,7 +854,7 @@ impl Engine {
 
     /// The slowest queries seen so far (slowest first), surviving ring
     /// eviction.
-    pub fn slow_queries(&self, n: usize) -> Vec<QueryLogEntry> {
+    pub fn slow_queries(&self, n: usize) -> Vec<ServeReport> {
         self.query_log.slow(n)
     }
 
@@ -772,13 +940,13 @@ impl Engine {
 
     /// Answer an XML-QL query.
     pub fn query(&self, text: &str) -> Result<QueryResult, CoreError> {
-        self.query_with(text, false, None)
+        self.serve_result(text, Sink::Tree { profile: false }, None)
     }
 
     /// Answer a query with per-operator profiling forced on for this one
     /// execution, regardless of `EngineConfig::profile`.
     pub fn query_profiled(&self, text: &str) -> Result<QueryResult, CoreError> {
-        self.query_with(text, true, None)
+        self.serve_result(text, Sink::Tree { profile: true }, None)
     }
 
     /// Answer a query and return the compact serialized `<results>`
@@ -788,43 +956,18 @@ impl Engine {
     /// through an [`XmlWriter`] — no result `Document` tree is ever
     /// materialized — and the output is byte-identical to
     /// `to_string(&query(text)?.document.root())`. Templates with
-    /// subqueries fall back to [`query`](Self::query) plus tree
-    /// serialization (subquery evaluation appends into a builder).
+    /// subqueries construct a tree and serialize it (subquery evaluation
+    /// appends into a builder).
     ///
-    /// This path reports no [`QueryResult`] envelope (stats,
-    /// provenance, staleness); callers that need those should use
-    /// [`query`](Self::query).
+    /// The serve is recorded as every other is (its report is in the
+    /// query log, and in the flight recorder when kept), but no
+    /// [`QueryResult`] envelope comes back and no EXPLAIN text is
+    /// rendered; callers that need those should use [`query`](Self::query).
     pub fn query_serialized(&self, text: &str) -> Result<String, CoreError> {
-        let qctx = QueryCtx::new(self.instance.clone());
-        let _ctx_guard = qctx.enter();
-        let config = self.config();
-        let compiled = self.compile(text, &config, None)?;
-        if construct::template_has_subquery(&compiled.query.construct) {
-            self.metrics.incr("engine.construct.tree_fallback", 1);
-            let result = self.query_with(text, false, Some(compiled))?;
-            return Ok(nimble_xml::to_string(&result.document.root()));
+        match self.serve(text, Sink::Xml, None)? {
+            (Answer::Xml(xml), _) => Ok(xml),
+            (Answer::Document(document, _), _) => Ok(nimble_xml::to_string(&document.root())),
         }
-        let Compiled { query, plan, path, .. } = compiled;
-        let mut ctx = ExecCtx::new();
-        ctx.profile = config.profile;
-        ctx.want_plan_text = false;
-        ctx.plan_path = Some(path);
-        let params = query.eq_params();
-        let (schema, tuples) = self.eval_planned(&plan, &params, None, 0, &mut ctx, 0.0, 0.0, false)?;
-        let a_construct = AllocScope::enter();
-        let t_construct = Instant::now();
-        // This shape's last answer sizes the buffer: no doubling, and no
-        // old copy held beside the new one at the peak.
-        let mut w = XmlWriter::with_capacity("results", plan.answer_bytes.load(Ordering::Relaxed));
-        construct::append_instances_stream(&mut w, &query.construct, &schema, &tuples, None)?;
-        let xml = w.finish();
-        plan.answer_bytes.store(xml.len(), Ordering::Relaxed);
-        self.phase_alloc("construct", a_construct.finish());
-        self.metrics
-            .observe("engine.phase_us.construct", us(ms_since(t_construct)));
-        self.metrics.incr("engine.construct.streamed", 1);
-        self.queries_served.fetch_add(1, Ordering::SeqCst);
-        Ok(xml)
     }
 
     /// Answer `text` with `plan` — one the caller made for it, or changed
@@ -833,147 +976,87 @@ impl Engine {
     /// neither read nor filled; the plan is verified and audited as a
     /// freshly made one is, before any source is called.
     pub fn query_planned(&self, text: &str, plan: Plan) -> Result<QueryResult, CoreError> {
-        let query = nimble_xmlql::parse_query(text).map_err(|e| CoreError::Compile(e.to_string()))?;
-        if self.config().optimizer.verify_plans {
-            planner::verify_plan(&plan, None)?;
-        }
-        let compiled = Compiled {
-            query,
-            plan: Arc::new(plan),
-            pre_phases: Vec::new(),
-            plan_ms: 0.0,
-            verify_ms: 0.0,
-            planck_verify: true,
-            path: PlanPath::Given,
-        };
-        self.query_with(text, false, Some(compiled))
+        self.serve_result(text, Sink::Tree { profile: false }, Some(plan))
     }
 
-    /// `compiled` is the text's plan when the caller already has it
-    /// ([`Engine::query_serialized`] falling back to the tree path), so
-    /// that a serve is compiled — and counted by the plan cache — once.
-    fn query_with(
-        &self,
-        text: &str,
-        force_profile: bool,
-        compiled: Option<Compiled>,
-    ) -> Result<QueryResult, CoreError> {
-        // Mint the query's correlation context and make it current on
-        // this thread: everything downstream (adapter wrappers, fetch
-        // worker threads, the cleaning pipeline) tags its records with
-        // the same trace id.
-        let qctx = QueryCtx::new(self.instance.clone());
+    /// A serve into a result envelope.
+    fn serve_result(&self, text: &str, sink: Sink, given: Option<Plan>) -> Result<QueryResult, CoreError> {
+        match self.serve(text, sink, given)? {
+            (Answer::Document(document, provenance), Some(stats)) => Ok(QueryResult {
+                document,
+                complete: stats.complete,
+                missing_sources: stats.missing_sources.clone(),
+                stale: stats.stale,
+                provenance,
+                stats,
+            }),
+            _ => Err(CoreError::Internal("a result envelope's serve came back without a document".into())),
+        }
+    }
+
+    /// The one serve path. It mints the query's correlation context and
+    /// makes it current on this thread — everything downstream (adapter
+    /// wrappers, fetch workers, the cleaning pipeline) tags its records
+    /// with the same trace id — then compiles, executes and constructs
+    /// into `sink`, and records the serve once, answered or failed
+    /// ([`Engine::record`]). The report comes back for a result envelope.
+    fn serve(&self, text: &str, sink: Sink, given: Option<Plan>) -> Result<(Answer, Option<ServeReport>), CoreError> {
+        let qctx = QueryCtx::new(Arc::clone(&self.instance));
         let _ctx_guard = qctx.enter();
         let in_flight = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.metrics.gauge_max("engine.in_flight", in_flight);
-        let result = self.query_inner(text, force_profile, &qctx, compiled);
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        self.queries_served.fetch_add(1, Ordering::SeqCst);
-        if let Err(e) = &result {
-            let elapsed_ms = qctx.elapsed_ms();
-            let error = format!("{}: {}", e.kind(), e);
-            self.metrics.incr("engine.query.error", 1);
-            self.metrics
-                .incr(&format!("engine.query.error.{}", e.kind()), 1);
-            self.query_log.record_event(QueryEvent {
-                trace_id: qctx.trace_id.0,
-                text: text.to_string(),
-                elapsed_ms,
-                tuples: 0,
-                complete: false,
-                stale: false,
-                missing_sources: Vec::new(),
-                error: Some(error.clone()),
-            });
-            // Failed queries are always kept, however fast they died.
-            self.flight.admit(FlightRecord {
-                trace_id: qctx.trace_id,
-                instance: self.instance.clone(),
-                text: text.to_string(),
-                elapsed_ms,
-                tuples: 0,
-                complete: false,
-                stale: false,
-                missing_sources: Vec::new(),
-                affected_answers: Vec::new(),
-                error: Some(error),
-                plan: String::new(),
-                spans: Vec::new(),
-                source_calls: qctx.source_calls(),
-                // Failed queries abandon their allocation scope mid-query,
-                // so no per-query footprint is reported for them.
-                alloc_bytes: 0,
-                alloc_peak_bytes: 0,
-                worst_qerror_op: None,
-                worst_qerror: 0.0,
-            });
-        }
-        result
+        self.serve_metrics.peak(Peak::InFlight, in_flight);
+        let config = self.config();
+        let report = ServeReport::new(qctx.trace_id.0, &self.instance, text);
+        let mut ctx = ExecCtx::serving(report, qctx.started);
+        ctx.profile = config.profile || sink == Sink::Tree { profile: true };
+        ctx.want_plan_text = sink != Sink::Xml;
+        let served = self.serve_stages(text, &config, sink, given, &mut ctx);
+        self.record(ctx, &qctx, served, sink)
     }
 
-    fn query_inner(
+    /// Compile, execute and construct: the serve's stages, each ended
+    /// into the report `ctx` carries as it finishes.
+    fn serve_stages(
         &self,
         text: &str,
-        force_profile: bool,
-        qctx: &QueryCtx,
-        compiled: Option<Compiled>,
-    ) -> Result<QueryResult, CoreError> {
-        let started = Instant::now();
-        let config = self.config();
-        let profile = force_profile || config.profile;
-
-        // Whole-query allocation scope: deltas feed `QueryStats` and the
-        // flight recorder. Free when `profile-alloc` is off (the scope
-        // collapses to a unit struct).
-        let query_scope = AllocScope::enter();
-        let trace = Trace::new();
-        let total_span = trace.span("query");
-
+        config: &EngineConfig,
+        sink: Sink,
+        given: Option<Plan>,
+        ctx: &mut ExecCtx,
+    ) -> Result<Answered, CoreError> {
         let Compiled {
             query,
             plan,
-            pre_phases,
-            plan_ms,
-            verify_ms: plan_verify_ms,
             planck_verify,
             path,
-        } = match compiled {
-            Some(compiled) => {
-                for (name, phase_ms) in &compiled.pre_phases {
-                    trace.add_ms(name.as_str(), *phase_ms);
-                }
-                compiled
-            }
-            None => self.compile(text, &config, Some(&trace))?,
-        };
-
-        let mut ctx = ExecCtx::new();
-        ctx.profile = profile;
+        } = self.compile(text, config, given, ctx)?;
         ctx.plan_path = Some(path);
         let params = query.eq_params();
-        let (schema, tuples) = self.eval_planned(
-            &plan,
-            &params,
-            None,
-            0,
-            &mut ctx,
-            plan_ms,
-            plan_verify_ms,
-            planck_verify,
-        )?;
-        for (name, phase_ms) in &ctx.phases {
-            trace.add_ms(*name, *phase_ms);
+        let (schema, tuples) = self.eval_planned(&plan, &params, None, 0, ctx, planck_verify)?;
+        self.end_stage(ctx, Stage::Execute);
+        ctx.report.tuples = tuples.len();
+
+        if sink == Sink::Xml && !construct::template_has_subquery(&query.construct) {
+            // This shape's last answer sizes the buffer: no doubling, and
+            // no old copy held beside the new one at the peak.
+            let mut w = XmlWriter::with_capacity("results", plan.answer_bytes.load(Ordering::Relaxed));
+            construct::append_instances_stream(&mut w, &query.construct, &schema, &tuples, None)?;
+            let xml = w.finish();
+            plan.answer_bytes.store(xml.len(), Ordering::Relaxed);
+            self.end_stage(ctx, Stage::Construct);
+            self.serve_metrics.incr(Count::Streamed, 1);
+            return Ok(Answered {
+                query,
+                nodes: 0,
+                answer: Answer::Xml(xml),
+            });
         }
-        let tuple_count = tuples.len();
         // Per-tuple masks of the top-level relation (tracking on) move
         // out of the context before CONSTRUCT; the answer accumulator
         // is shared with nested-subquery evaluation through a cell so
         // subquery lineage folds into the answer being built.
         let tuple_lin = ctx.last_lin.take();
         let answer_cell = tuple_lin.as_ref().map(|_| RefCell::new(Vec::new()));
-
-        let a_construct = AllocScope::enter();
-        let t_construct = Instant::now();
         let mut builder = DocumentBuilder::new("results");
         self.construct_into(
             &mut builder,
@@ -981,144 +1064,141 @@ impl Engine {
             &schema,
             &tuples,
             0,
-            &mut ctx,
+            ctx,
             tuple_lin.as_deref(),
             answer_cell.as_ref(),
         )?;
         let document = builder.finish();
-        let construct_ms = ms_since(t_construct);
-        self.phase_alloc("construct", a_construct.finish());
-        trace.add_ms("construct", construct_ms);
-        drop(total_span);
-        let query_alloc = query_scope.finish();
-
-        let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-        // Plan-cache hits skip parse/analyze, so `pre_phases` is empty
-        // and the phase list starts at `plan` (the cache lookup time).
-        let mut phases: Vec<(String, f64)> = pre_phases;
-        phases.extend(ctx.phases.iter().map(|(n, p)| (n.to_string(), *p)));
-        phases.push(("construct".into(), construct_ms));
-        for (name, phase_ms) in &phases {
-            self.metrics
-                .observe(&format!("engine.phase_us.{}", name), us(*phase_ms));
-        }
-        self.metrics.incr("engine.queries", 1);
-        self.metrics.observe("engine.query_us", us(elapsed_ms));
-
-        // Feed the workload monitor: every named reference shares the
-        // measured cost (used by view selection, E2).
-        self.feed_monitor(&query, elapsed_ms, document.len());
-
-        let complete = ctx.missing.is_empty();
-        // The miss list deduplicates on insert but arrival order depends
-        // on fetch scheduling; sort so every consumer (result, log
-        // exports, flight records) sees one canonical rendering.
-        ctx.missing.sort();
-        ctx.missing.dedup();
-
-        // Assemble the provenance report and its metrics.
-        let provenance = answer_cell.map(|cell| {
-            let answers: Vec<LineageMask> = cell.into_inner();
-            let prov = Provenance {
-                sources: std::mem::take(&mut ctx.prov),
-                answers,
-                missing: ctx.missing.clone(),
-            };
-            self.metrics.incr("engine.provenance.tracked", 1);
-            self.metrics
-                .incr("engine.provenance.answers", prov.answers.len() as u64);
-            let stale_answers = prov.stale_answers().len() as u64;
-            if stale_answers > 0 {
-                self.metrics
-                    .incr("engine.provenance.stale_answers", stale_answers);
-            }
-            for (name, count) in prov.contributions() {
-                if count > 0 {
-                    self.metrics.incr(
-                        &format!("engine.provenance.source_answers.{}", name),
-                        count as u64,
-                    );
-                }
-            }
-            self.metrics
-                .gauge("engine.provenance.spilled_sets")
-                .store(lineage::spilled_sets() as u64, Ordering::Relaxed);
-            prov
-        });
-        let affected_answers = provenance
-            .as_ref()
-            .map(|p| p.stale_answers())
-            .unwrap_or_default();
-        self.query_log.record_event(QueryEvent {
-            trace_id: qctx.trace_id.0,
-            text: text.to_string(),
-            elapsed_ms,
-            tuples: tuple_count,
-            complete,
-            stale: ctx.stale,
-            missing_sources: ctx.missing.clone(),
-            error: None,
-        });
-        // Tail-sample into the flight recorder: the keep decision is
-        // one compare; evidence is only materialized for kept queries.
-        let keep = self.flight.should_keep(elapsed_ms, complete, false);
-        let spans = if profile || keep {
-            trace.report()
+        let nodes = document.len();
+        let answer = if sink == Sink::Xml {
+            self.serve_metrics.incr(Count::TreeFallback, 1);
+            Answer::Xml(nimble_xml::to_string(&document.root()))
         } else {
-            Vec::new()
+            let provenance = answer_cell.map(|cell| self.provenance(ctx, cell.into_inner()));
+            Answer::Document(document, provenance)
         };
-        if keep {
-            self.flight.admit(FlightRecord {
-                trace_id: qctx.trace_id,
-                instance: self.instance.clone(),
-                text: text.to_string(),
-                elapsed_ms,
-                tuples: tuple_count,
-                complete,
-                stale: ctx.stale,
-                missing_sources: ctx.missing.clone(),
-                affected_answers: affected_answers.clone(),
-                error: None,
-                plan: ctx.plan_text.clone(),
-                spans: spans.clone(),
-                source_calls: qctx.source_calls(),
-                alloc_bytes: query_alloc.bytes,
-                alloc_peak_bytes: query_alloc.peak_bytes,
-                worst_qerror_op: ctx.worst_qerror_op.clone(),
-                worst_qerror: ctx.worst_qerror,
-            });
+        self.end_stage(ctx, Stage::Construct);
+        Ok(Answered { query, nodes, answer })
+    }
+
+    /// The provenance report of a tracked serve whose answers carry
+    /// `answers`, and its metrics.
+    fn provenance(&self, ctx: &mut ExecCtx, answers: Vec<LineageMask>) -> Provenance {
+        let mut missing = ctx.report.missing_sources.clone();
+        missing.sort();
+        let prov = Provenance {
+            sources: std::mem::take(&mut ctx.prov),
+            answers,
+            missing,
+        };
+        self.metrics.incr("engine.provenance.tracked", 1);
+        self.metrics
+            .incr("engine.provenance.answers", prov.answers.len() as u64);
+        ctx.report.affected_answers = prov.stale_answers();
+        let stale_answers = ctx.report.affected_answers.len() as u64;
+        if stale_answers > 0 {
+            self.metrics
+                .incr("engine.provenance.stale_answers", stale_answers);
         }
-        Ok(QueryResult {
-            document,
-            complete,
-            missing_sources: ctx.missing,
-            stale: ctx.stale,
-            provenance,
-            stats: QueryStats {
-                source_calls: ctx.source_calls,
-                fragments_pushed: ctx.fragments,
-                tuples: tuple_count,
-                rows_fetched: ctx.rows_fetched,
-                elapsed_ms,
-                plan: ctx.plan_text,
-                phases,
-                span_tree: if profile { trace.render() } else { String::new() },
-                trace_id: qctx.trace_id.0,
-                instance: self.instance.clone(),
-                spans: if profile { spans } else { Vec::new() },
-                alloc_bytes: query_alloc.bytes,
-                alloc_peak_bytes: query_alloc.peak_bytes,
-                worst_qerror_op: ctx.worst_qerror_op,
-                worst_qerror: ctx.worst_qerror,
-            },
-        })
+        for (name, count) in prov.contributions() {
+            if count > 0 {
+                self.metrics.incr(
+                    &format!("engine.provenance.source_answers.{}", name),
+                    count as u64,
+                );
+            }
+        }
+        self.metrics
+            .gauge("engine.provenance.spilled_sets")
+            .store(lineage::spilled_sets() as u64, Ordering::Relaxed);
+        prov
+    }
+
+    /// End the running stage of the serve `ctx` carries as `stage`: its
+    /// wall time since the previous stage ended — less what a stage
+    /// nested in it took — goes into the report, and its allocations
+    /// into `engine.phase_alloc.*`. A no-op below the top level.
+    fn end_stage(&self, ctx: &mut ExecCtx, stage: Stage) {
+        let Some(laps) = ctx.laps.as_mut() else {
+            return;
+        };
+        let (ms, alloc) = laps.lap();
+        let lent = std::mem::take(&mut ctx.lent_ms);
+        ctx.report.phases.add(stage, (ms - lent).max(0.0));
+        self.serve_metrics.stage_alloc(stage, alloc);
+    }
+
+    /// The one site every serve is recorded at, once, whether it
+    /// answered or failed. It closes the report — elapsed time,
+    /// allocations, the completeness verdict, the error — updates
+    /// `in_flight`, the served count and every serve-level metric
+    /// (`engine.queries`, `engine.query_us`, `engine.query.error.*`,
+    /// `engine.phase_us.*`), shares the serve's cost among the names it
+    /// read in the workload monitor, and hands the report to the query
+    /// log and — when the keep policy holds — the flight recorder, the
+    /// evidence (spans, per-call records) gathered only then or when
+    /// profiled. A result envelope gets the report back.
+    fn record(
+        &self,
+        ctx: ExecCtx,
+        qctx: &QueryCtx,
+        served: Result<Answered, CoreError>,
+        sink: Sink,
+    ) -> Result<(Answer, Option<ServeReport>), CoreError> {
+        let ExecCtx {
+            mut report,
+            laps,
+            profile,
+            ..
+        } = ctx;
+        if let Some(laps) = laps {
+            let (elapsed_ms, alloc) = laps.finish();
+            report.elapsed_ms = elapsed_ms;
+            report.alloc_bytes = alloc.bytes;
+            report.alloc_peak_bytes = alloc.peak_bytes;
+        }
+        // The miss list deduplicates on insert, but arrival order depends
+        // on fetch scheduling: one canonical order for every consumer.
+        report.missing_sources.sort();
+        report.complete = served.is_ok() && report.missing_sources.is_empty();
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.queries_served.fetch_add(1, Ordering::SeqCst);
+        self.serve_metrics.served(&report);
+        match &served {
+            Ok(served) => self.feed_monitor(&served.query, report.elapsed_ms, served.nodes),
+            Err(e) => {
+                self.serve_metrics.failed(e.kind());
+                report.error = Some(format!("{}: {}", e.kind(), e));
+            }
+        }
+        // Tail-sampled: the keep decision is one compare, and the
+        // evidence is gathered only for kept or profiled serves.
+        let keep = self
+            .flight
+            .should_keep(report.elapsed_ms, report.complete, report.error.is_some());
+        if keep || profile {
+            report.spans = SpanView::tree(report.elapsed_ms, &report.phases);
+            report.source_calls.records = qctx.take_source_calls();
+        }
+        let kept = keep.then(|| report.clone());
+        let (seq, report) = match sink {
+            Sink::Tree { .. } => (self.query_log.admit(report.summary()), Some(report)),
+            Sink::Xml => (self.query_log.admit(report), None),
+        };
+        if let Some(mut kept) = kept {
+            kept.seq = seq;
+            self.flight.admit(kept);
+        }
+        served.map(|served| (served.answer, report.map(|report| ServeReport { seq, ..report })))
     }
 
     /// Text to executable plan, the one way every serve takes: parse,
     /// cut the shape key from the text ([`nimble_xmlql::parse_keyed`]),
     /// probe the plan cache for the shape — or, on a miss, analyze, plan,
     /// verify, audit and cache. Either way the plan is served as it is,
-    /// shared, with the text's own values beside it ([`Bound`]).
+    /// shared, with the text's own values beside it ([`Bound`]). A plan
+    /// the caller `given` ([`Engine::query_planned`]) is verified as a
+    /// fresh one is, and neither looked up nor cached.
     ///
     /// A plan serves the whole shape unless it routes shards on the
     /// values ([`Plan::shards`]); such a plan is cached under — and, on
@@ -1128,22 +1208,35 @@ impl Engine {
     ///
     /// A hit skips analysis, planning and, because the plan's fold order
     /// makes the assembled operator shape deterministic, planck
-    /// re-verification. Under `verify_plans` every
-    /// [`DIFFERENTIAL_SAMPLE`]-th hit is planned afresh and compared
-    /// with the plan about to be served, under this text's values.
-    /// `trace`, when given, receives the front-end phases as they end.
+    /// re-verification; its one stage is `plan`, from the text to a plan
+    /// ready to run. Under `verify_plans` every [`DIFFERENTIAL_SAMPLE`]-th
+    /// hit is planned afresh and compared with the plan about to be
+    /// served, under this text's values.
     fn compile(
         &self,
         text: &str,
         config: &EngineConfig,
-        trace: Option<&Trace>,
+        given: Option<Plan>,
+        ctx: &mut ExecCtx,
     ) -> Result<Compiled, CoreError> {
-        let t_compile = Instant::now();
-        let a_parse = AllocScope::enter();
-        let (query, shape) =
-            nimble_xmlql::parse_keyed(text).map_err(|e| CoreError::Compile(e.to_string()))?;
-        let parse_ms = ms_since(t_compile);
-        let parse_alloc = a_parse.finish();
+        fn compile_error(e: impl ToString) -> CoreError {
+            CoreError::Compile(e.to_string())
+        }
+        if let Some(plan) = given {
+            let query = nimble_xmlql::parse_query(text).map_err(compile_error)?;
+            self.end_stage(ctx, Stage::Parse);
+            if config.optimizer.verify_plans {
+                planner::verify_plan(&plan, None)?;
+            }
+            self.end_stage(ctx, Stage::Verify);
+            return Ok(Compiled {
+                query,
+                plan: Arc::new(plan),
+                planck_verify: true,
+                path: PlanPath::Given,
+            });
+        }
+        let (query, shape) = nimble_xmlql::parse_keyed(text).map_err(compile_error)?;
 
         // Only a coordinator's plans route shards, so only there is the
         // text itself a second key worth probing — when it is not the
@@ -1169,12 +1262,10 @@ impl Engine {
             self.metrics
                 .incr("engine.plan_cache.invalidations", lookup.invalidated);
         }
-        let analyzed = |query: &Query| {
-            nimble_xmlql::analyze(query).map_err(|e| CoreError::Compile(e.to_string()))
-        };
+        let analyzed = |query: &Query| nimble_xmlql::analyze(query).map_err(compile_error);
 
         if let Some(plan) = lookup.value {
-            self.metrics.incr("engine.plan_cache.hits", 1);
+            self.serve_metrics.incr(Count::PlanCacheHits, 1);
             let path = if spelled.is_some() && !plan.shards.is_empty() {
                 PlanPath::Routed
             } else {
@@ -1208,51 +1299,27 @@ impl Engine {
                     )));
                 }
             }
+            self.end_stage(ctx, Stage::Plan);
             return Ok(Compiled {
                 query,
                 plan,
-                pre_phases: Vec::new(),
-                plan_ms: ms_since(t_compile),
-                verify_ms: 0.0,
                 planck_verify: false,
                 path,
             });
         }
 
-        self.metrics.incr("engine.plan_cache.misses", 1);
-        let mut pre_phases: Vec<(String, f64)> = Vec::new();
-        let mut phase = |name: &str, ms: f64| {
-            if let Some(trace) = trace {
-                trace.add_ms(name, ms);
-            }
-            pre_phases.push((name.to_string(), ms));
-        };
-        self.phase_alloc("parse", parse_alloc);
-        phase("parse", parse_ms);
-
-        let a_analyze = AllocScope::enter();
-        let t_analyze = Instant::now();
+        self.serve_metrics.incr(Count::PlanCacheMisses, 1);
+        self.end_stage(ctx, Stage::Parse);
         analyzed(&query)?;
-        self.phase_alloc("analyze", a_analyze.finish());
-        phase("analyze", ms_since(t_analyze));
-
-        let a_plan = AllocScope::enter();
-        let t_plan = Instant::now();
+        self.end_stage(ctx, Stage::Analyze);
         let plan = self.plan(&query, &config.optimizer, None)?;
-        let plan_ms = ms_since(t_plan);
-        self.phase_alloc("plan", a_plan.finish());
-        let mut verify_ms = 0.0;
+        self.end_stage(ctx, Stage::Plan);
         if config.optimizer.verify_plans {
-            let a_verify = AllocScope::enter();
-            let t_verify = Instant::now();
             planner::verify_plan(&plan, None)?;
-            verify_ms = ms_since(t_verify);
-            self.phase_alloc("verify", a_verify.finish());
         }
         // Audited before it is cached: a plan that fails is never served.
-        let t_audit = Instant::now();
         planner::audit(&plan)?;
-        verify_ms += ms_since(t_audit);
+        self.end_stage(ctx, Stage::Verify);
         let plan = Arc::new(plan);
         if self.plans.put(key_of(&plan), stamp, Arc::clone(&plan)) {
             self.metrics.incr("engine.plan_cache.evictions", 1);
@@ -1260,31 +1327,14 @@ impl Engine {
         Ok(Compiled {
             query,
             plan,
-            pre_phases,
-            plan_ms,
-            verify_ms,
             planck_verify: true,
             path: PlanPath::Planned,
         })
     }
 
-    /// Record one phase's allocation deltas into the
-    /// `engine.phase_alloc.*` histograms. A no-op when the
-    /// `profile-alloc` feature is compiled out, so profiling-off builds
-    /// never even format the metric names.
-    fn phase_alloc(&self, name: &str, stats: AllocStats) {
-        if !nimble_trace::alloc::enabled() {
-            return;
-        }
-        self.metrics
-            .observe(&format!("engine.phase_alloc.bytes.{}", name), stats.bytes);
-        self.metrics
-            .observe(&format!("engine.phase_alloc.allocs.{}", name), stats.allocs);
-        self.metrics
-            .observe(&format!("engine.phase_alloc.peak.{}", name), stats.peak_bytes);
-    }
-
-    /// Share a query's measured cost among its named references.
+    /// Share a query's measured cost among its named references. A
+    /// streamed answer has no node count: its 0 leaves each view's size
+    /// (a max-gauge) as it was.
     fn feed_monitor(&self, query: &Query, elapsed_ms: f64, result_nodes: usize) {
         let names = crate::catalog::referenced_names(query);
         if !names.is_empty() {
@@ -1307,10 +1357,8 @@ impl Engine {
     /// with each operator annotated with its actual row count and
     /// measured open/next time.
     pub fn explain_analyze(&self, text: &str) -> Result<String, CoreError> {
-        let result = self.query_profiled(text)?;
-        let mut out = result.stats.span_tree;
-        out.push_str(&result.stats.plan);
-        Ok(out)
+        let stats = self.query_profiled(text)?.stats;
+        Ok(SpanView::render(&stats.spans) + &stats.plan)
     }
 
     /// Evaluate a view definition virtually and construct its document.
@@ -1352,7 +1400,7 @@ impl Engine {
             Err(CoreError::Source(e)) => {
                 if self.config().unavailable == UnavailablePolicy::StaleCache {
                     if let Some((doc, _)) = cached {
-                        ctx.stale = true;
+                        ctx.report.stale = true;
                         return Ok(doc);
                     }
                 }
@@ -1365,7 +1413,7 @@ impl Engine {
     /// Evaluate a query's WHERE clause to a binding-tuple relation,
     /// planning it first. Subqueries and view expansion enter here; the
     /// top-level query plans (or takes a plan-cache hit) in
-    /// `query_inner` and calls [`Engine::eval_planned`] directly.
+    /// [`Engine::compile`] and calls [`Engine::eval_planned`] directly.
     fn eval(
         &self,
         query: &Query,
@@ -1377,16 +1425,12 @@ impl Engine {
             return Err(CoreError::CyclicView("<subquery>".to_string()));
         }
         let config = self.config();
-        let t_plan = Instant::now();
         let plan = self.plan(query, &config.optimizer, outer.map(|(s, _)| s))?;
-        let plan_ms = ms_since(t_plan);
-        let t_verify = Instant::now();
         if config.optimizer.verify_plans {
             planner::verify_plan(&plan, outer.map(|(s, _)| s))?;
         }
         planner::audit(&plan)?;
-        let verify_ms = ms_since(t_verify);
-        self.eval_planned(&plan, &query.eq_params(), outer, depth, ctx, plan_ms, verify_ms, true)
+        self.eval_planned(&plan, &query.eq_params(), outer, depth, ctx, true)
     }
 
     /// Execute an already-decomposed plan with `params`, the values of
@@ -1395,12 +1439,10 @@ impl Engine {
     /// dependents/residuals/sort, and drive the pipeline. The plan is
     /// only read — a cached one is shared by every serve of its shape —
     /// and each value is read at its site ([`Bound`]).
-    /// `plan_ms`/`plan_verify_ms` report how the plan was obtained (fresh
-    /// planning or a cache lookup) for the phase breakdown;
     /// `planck_verify` is false when the operator shape already verified
     /// clean (a plan-cache hit: the plan's fold order makes the assembled
-    /// shape deterministic).
-    #[allow(clippy::too_many_arguments)]
+    /// shape deterministic). A serve's verification here is lent to its
+    /// `verify` stage out of the running `execute` ([`ExecCtx::lend`]).
     fn eval_planned(
         &self,
         plan: &Plan,
@@ -1408,8 +1450,6 @@ impl Engine {
         outer: Option<(&Schema, &Tuple)>,
         depth: usize,
         ctx: &mut ExecCtx,
-        plan_ms: f64,
-        plan_verify_ms: f64,
         planck_verify: bool,
     ) -> Result<(Schema, Vec<Tuple>), CoreError> {
         let config = self.config();
@@ -1423,12 +1463,11 @@ impl Engine {
         // the entire pipeline: no source is contacted, no join is
         // folded — the measurable win of satisfiability analysis.
         if let Some(reason) = bound.verdict(&self.catalog, &config.optimizer) {
-            return self.eval_pruned(bound, &reason, outer, depth, ctx, plan_ms, plan_verify_ms);
+            return self.eval_pruned(bound, &reason, outer, depth, ctx);
         }
-        let mut verify_ms = plan_verify_ms;
-        let a_execute = AllocScope::enter();
-        let t_execute = Instant::now();
-        let verify_pre_ms = verify_ms;
+        // Verification of the assembled tree, timed apart from the
+        // pipeline it sits in.
+        let mut verify_ms = 0.0;
 
         // Lineage tracking for this run: tag every fetched unit's scan
         // with its interned mask; the outer context (a subquery's
@@ -1476,7 +1515,7 @@ impl Engine {
             let unit = slot.ok_or_else(|| {
                 CoreError::Internal("independent unit left unfetched".into())
             })??;
-            ctx.rows_fetched += unit.tuples.len() as u64;
+            ctx.report.rows_fetched += unit.tuples.len() as u64;
             if let (Some((pruned, candidates)), true) = (unit.probed, ctx.profile) {
                 probed_notes.push(format!(
                     "probe: pruned {} of {} candidates of {}",
@@ -1520,11 +1559,8 @@ impl Engine {
             let est = plan.est_rows[i];
             let act = fetched.len() as u64;
             let q = qerror(est, act);
-            self.metrics.observe("plan.qerror.scan", centi_q(q));
-            if q > ctx.worst_qerror {
-                ctx.worst_qerror = q;
-                ctx.worst_qerror_op = Some("Scan".to_string());
-            }
+            self.serve_metrics.observe(Hist::ScanQerror, centi_q(q));
+            ctx.qerror(q, "Scan");
             // A bind target's estimate is for the rows its keys leave;
             // what it shipped — keyed, or whole when the stage was
             // declined — says nothing about the collection.
@@ -1798,12 +1834,10 @@ impl Engine {
 
         let (tuples, batches) =
             run_to_vec_batched(op.as_mut(), nimble_algebra::ops::DEFAULT_BATCH_SIZE)?;
-        self.metrics.incr("engine.exec.batches", batches);
-        self.metrics.incr("engine.exec.batch_rows", tuples.len() as u64);
-        self.metrics.observe(
-            "engine.exec.pipeline_us",
-            us((ms_since(t_pipeline) - (verify_ms - verify_pre_ms)).max(0.0)),
-        );
+        self.serve_metrics.incr(Count::Batches, batches);
+        self.serve_metrics.incr(Count::BatchRows, tuples.len() as u64);
+        self.serve_metrics
+            .observe(Hist::PipelineUs, us((ms_since(t_pipeline) - verify_ms).max(0.0)));
         // Harvest per-tuple lineage from the root operator (operators
         // keep their masks across close, so the drained run above left
         // them intact). `None` when any leaf lacked a mask.
@@ -1822,22 +1856,15 @@ impl Engine {
         // so snapshots merge like the stats epoch).
         let (pool_size, pool_rounds, pool_morsels) = nimble_algebra::pool_stats();
         if pool_size > 0 {
-            self.metrics.gauge_max("engine.pool.size", pool_size as u64);
-            self.metrics.gauge_max("engine.pool.rounds", pool_rounds);
-            self.metrics.gauge_max("engine.pool.morsels", pool_morsels);
+            self.serve_metrics.peak(Peak::PoolSize, pool_size as u64);
+            self.serve_metrics.peak(Peak::PoolRounds, pool_rounds);
+            self.serve_metrics.peak(Peak::PoolMorsels, pool_morsels);
         }
-        let exec_alloc = a_execute.finish();
-        if depth == 0 && ctx.phases.is_empty() {
-            // Execute covers fetch + join run; verification of the
-            // assembled tree happened inside the window, so subtract it.
-            let execute_ms = (ms_since(t_execute) - (verify_ms - verify_pre_ms)).max(0.0);
-            ctx.phases.push(("plan", plan_ms));
-            ctx.phases.push(("verify", verify_ms));
-            ctx.phases.push(("execute", execute_ms));
-            self.phase_alloc("execute", exec_alloc);
+        if depth == 0 && verify_ms > 0.0 {
+            ctx.lend(Stage::Verify, verify_ms);
         }
         // Record the plan (top-level query only).
-        if depth == 0 && ctx.want_plan_text && ctx.plan_text.is_empty() {
+        if depth == 0 && ctx.want_plan_text && ctx.report.plan.is_empty() {
             let of_values = bound.value_notes(&self.catalog, None);
             let mut text = explain_notes(
                 ctx.plan_path.map(|path| path.explain(bound.param_count())),
@@ -1848,7 +1875,7 @@ impl Engine {
             } else {
                 text.push_str(&explain_ops(op.as_ref()));
             }
-            ctx.plan_text = text;
+            ctx.report.plan = text;
         }
         Ok((schema, tuples))
     }
@@ -1858,7 +1885,6 @@ impl Engine {
     /// pipeline would have produced (so CONSTRUCT and correlated
     /// subqueries still resolve every variable) and run it. No adapter
     /// is called and no rows are fetched.
-    #[allow(clippy::too_many_arguments)]
     fn eval_pruned(
         &self,
         bound: Bound<'_>,
@@ -1866,8 +1892,6 @@ impl Engine {
         outer: Option<(&Schema, &Tuple)>,
         depth: usize,
         ctx: &mut ExecCtx,
-        plan_ms: f64,
-        plan_verify_ms: f64,
     ) -> Result<(Schema, Vec<Tuple>), CoreError> {
         let config = self.config();
         let plan = bound.plan;
@@ -1892,12 +1916,12 @@ impl Engine {
         let schema = unit_schema(vars)?;
         let mut op: Box<dyn Operator> =
             Box::new(EmptyOp::new(schema.clone(), format!("pruned: {}", reason)));
-        let mut verify_ms = plan_verify_ms;
+        let mut verify_ms = 0.0;
         if config.optimizer.verify_plans {
             let t_verify = Instant::now();
             nimble_planck::verify_semantic(op.as_ref())
                 .map_err(|report| CoreError::PlanVerify(report.to_string()))?;
-            verify_ms += ms_since(t_verify);
+            verify_ms = ms_since(t_verify);
         }
         self.metrics.incr("engine.plan.pruned", 1);
         let tuples = run_to_vec(op.as_mut())?;
@@ -1905,24 +1929,19 @@ impl Engine {
         // per-tuple list — tracked queries still get a (vacuously
         // complete) provenance report.
         ctx.last_lin = (config.optimizer.track_lineage && ctx.track).then(Vec::new);
-        self.metrics.observe(
-            "engine.exec.pipeline_us",
-            us((ms_since(t_pipeline) - (verify_ms - plan_verify_ms)).max(0.0)),
-        );
-        if depth == 0 && ctx.phases.is_empty() {
-            let execute_ms = (ms_since(t_pipeline) - (verify_ms - plan_verify_ms)).max(0.0);
-            ctx.phases.push(("plan", plan_ms));
-            ctx.phases.push(("verify", verify_ms));
-            ctx.phases.push(("execute", execute_ms));
+        self.serve_metrics
+            .observe(Hist::PipelineUs, us((ms_since(t_pipeline) - verify_ms).max(0.0)));
+        if depth == 0 && verify_ms > 0.0 {
+            ctx.lend(Stage::Verify, verify_ms);
         }
-        if depth == 0 && ctx.want_plan_text && ctx.plan_text.is_empty() {
+        if depth == 0 && ctx.want_plan_text && ctx.report.plan.is_empty() {
             let of_values = bound.value_notes(&self.catalog, Some(reason));
             let mut text = explain_notes(
                 ctx.plan_path.map(|path| path.explain(bound.param_count())),
                 plan.notes.iter().chain(&of_values),
             );
             text.push_str(&explain_ops(op.as_ref()));
-            ctx.plan_text = text;
+            ctx.report.plan = text;
         }
         Ok((schema, tuples))
     }
@@ -1962,10 +1981,7 @@ impl Engine {
             let q = qerror(est, p.rows);
             self.metrics
                 .observe(&format!("plan.qerror.{}", metric_slug(&info.name)), centi_q(q));
-            if q > ctx.worst_qerror {
-                ctx.worst_qerror = q;
-                ctx.worst_qerror_op = Some(info.name.clone());
-            }
+            ctx.qerror(q, &info.name);
         }
         if info.name == "HashJoin" {
             let children = op.children();
@@ -2225,8 +2241,8 @@ impl Engine {
                         FetchProv::from_opt(fragment_prov()),
                     ));
                 }
-                ctx.source_calls += 1;
-                ctx.fragments += 1;
+                ctx.report.source_calls.count += 1;
+                ctx.report.fragments_pushed += 1;
                 let metrics = self.source_metrics(source);
                 metrics.call();
                 // What this serve sends: the plan's fragment with this
@@ -2348,7 +2364,7 @@ impl Engine {
                     .catalog
                     .source(source)
                     .ok_or_else(|| CoreError::UnknownCollection(source.clone()))?;
-                ctx.source_calls += 1;
+                ctx.report.source_calls.count += 1;
                 let metrics = self.source_metrics(source);
                 metrics.call();
                 let key = format!("coll:{}:{}", source, collection);
@@ -2434,7 +2450,7 @@ impl Engine {
                 // inside its (possibly virtual) evaluation so its
                 // underlying sources don't intern ids of their own, and
                 // note whether the evaluation fell back to stale data.
-                let stale_before = ctx.stale;
+                let stale_before = ctx.report.stale;
                 let saved_track = ctx.track;
                 ctx.track = false;
                 let fetched = self.view_document(view, depth, ctx);
@@ -2455,7 +2471,7 @@ impl Engine {
                 let prov = track.then(|| ProvSource {
                     name: view.clone(),
                     detail: "view".to_string(),
-                    stale: ctx.stale && !stale_before,
+                    stale: ctx.report.stale && !stale_before,
                     cache_age_ms: None,
                     view: true,
                 });
@@ -2535,7 +2551,7 @@ impl Engine {
         }
         self.metrics
             .incr("engine.shard.fanout", sp.survivors.len() as u64);
-        ctx.source_calls += 1;
+        ctx.report.source_calls.count += 1;
         let metrics = self.source_metrics(source);
         metrics.call();
 
@@ -2705,7 +2721,7 @@ impl Engine {
                         .iter()
                         .find_map(|key| self.cache.get_with_age(key));
                     if let Some((doc, age)) = cached {
-                        ctx.stale = true;
+                        ctx.report.stale = true;
                         metrics.stale_served();
                         let prov = track.then(|| ProvSource {
                             name: source.to_string(),
@@ -3480,9 +3496,9 @@ mod correlated_probe_tests {
             ctx.profile = true;
             let tuple = vec![Value::Atomic(row.clone())];
             let (schema, tuples) = engine
-                .eval_planned(plan, &[], Some((&outer, &tuple)), 0, &mut ctx, 0.0, 0.0, true)
+                .eval_planned(plan, &[], Some((&outer, &tuple)), 0, &mut ctx, true)
                 .unwrap();
-            (format!("{:?} {:?}", schema, tuples), ctx.plan_text)
+            (format!("{:?} {:?}", schema, tuples), ctx.report.plan)
         };
         for row in &OUTER {
             let (got, explained) = run(&plan, row);

@@ -165,7 +165,7 @@ impl Engine {
         // was not — the delta bound no key for it — keeps its mark), the
         // floored one continues where the stored document stops, and no
         // other collection has moved.
-        if ctx.marks.len() != ctx.fragments {
+        if ctx.marks.len() != ctx.report.fragments_pushed {
             return Ok(Some("unstamped"));
         }
         let mut marks = stored.to_vec();
@@ -236,7 +236,7 @@ impl Engine {
     fn run_refresh(&self, query: &Query, plan: &Plan) -> Result<(Schema, Vec<Tuple>, ExecCtx), CoreError> {
         let mut ctx = ExecCtx::new();
         ctx.want_plan_text = false;
-        let (schema, tuples) = self.eval_planned(plan, &query.eq_params(), None, 0, &mut ctx, 0.0, 0.0, true)?;
+        let (schema, tuples) = self.eval_planned(plan, &query.eq_params(), None, 0, &mut ctx, true)?;
         Ok((schema, tuples, ctx))
     }
 }
@@ -244,10 +244,10 @@ impl Engine {
 /// A stored view is built from live answers only: one that a skipped
 /// source or a cached copy stood in for would be kept as fresh.
 fn answered_live(ctx: &ExecCtx, view: &str) -> Result<(), CoreError> {
-    if ctx.missing.is_empty() && !ctx.stale {
+    if ctx.report.missing_sources.is_empty() && !ctx.report.stale {
         return Ok(());
     }
-    let which = match ctx.missing.as_slice() {
+    let which = match ctx.report.missing_sources.as_slice() {
         [] => "an answer was served from the stale cache".to_string(),
         missing => missing.join(", "),
     };

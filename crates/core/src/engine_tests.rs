@@ -774,7 +774,7 @@ fn an_exhaustive_sample_that_grows_is_resampled_not_continued() {
         for q in [point, range] {
             let r = e.query(q).unwrap();
             assert!(r.stats.plan.contains("-- pruned: "), "{}", r.stats.plan);
-            assert_eq!((to_string(&r.document.root()).as_str(), r.stats.source_calls), ("<results/>", 0));
+            assert_eq!((to_string(&r.document.root()).as_str(), r.stats.source_calls.count), ("<results/>", 0));
         }
 
         insert(300..301);

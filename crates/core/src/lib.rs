@@ -57,10 +57,11 @@ pub use cluster::{DispatchStrategy, EngineCluster, ShardedCluster};
 pub use nimble_store::{ShardScheme, ShardSpec};
 pub use shard::{Partition, ShardNode, ShardRuntime};
 pub use engine::{
-    Engine, EngineConfig, OptimizerConfig, ProvSource, Provenance, QueryResult, QueryStats,
+    Engine, EngineConfig, OptimizerConfig, ProvSource, Provenance, QueryResult,
     UnavailablePolicy,
 };
 pub use nimble_algebra::LineageMask;
+pub use nimble_trace::{Phases, ServeReport, SourceCalls, Stage};
 pub use plan_cache::{PlanCache, PlanCacheStats, PlanStamp};
 pub use error::CoreError;
 

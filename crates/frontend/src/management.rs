@@ -12,7 +12,7 @@ use crate::lens::LensRegistry;
 use nimble_core::Engine;
 use nimble_store::Freshness;
 use nimble_trace::{
-    Alert, AlertEngine, AlertRule, BurnRateRule, FlightRecord, MetricsSnapshot, QueryLogEntry,
+    Alert, AlertEngine, AlertRule, BurnRateRule, MetricsSnapshot, ServeReport,
 };
 use nimble_trace::sync::Mutex;
 use std::fmt::Write as _;
@@ -160,7 +160,7 @@ impl ManagementConsole {
 
     /// The engine's most recent flight records (slow, partial, or
     /// failed queries with full evidence), newest last.
-    pub fn flight_records(&self, n: usize) -> Vec<FlightRecord> {
+    pub fn flight_records(&self, n: usize) -> Vec<ServeReport> {
         let mut records = self.engine.flight_recorder().records();
         if records.len() > n {
             records.drain(..records.len() - n);
@@ -226,7 +226,7 @@ impl ManagementConsole {
     }
 
     /// The slowest queries this engine has served, slowest first.
-    pub fn slow_queries(&self, n: usize) -> Vec<QueryLogEntry> {
+    pub fn slow_queries(&self, n: usize) -> Vec<ServeReport> {
         self.engine.slow_queries(n)
     }
 
@@ -474,7 +474,7 @@ impl ManagementConsole {
                     "{}  {:>10.2}ms  {:>3} calls  {:<10}  {}",
                     r.trace_id,
                     r.elapsed_ms,
-                    r.source_calls.len(),
+                    r.source_calls,
                     outcome,
                     r.text.split_whitespace().collect::<Vec<_>>().join(" ")
                 );

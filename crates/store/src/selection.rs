@@ -9,7 +9,10 @@
 //! into a materialization set under a storage budget. Experiment E2
 //! compares the policies.
 
-use nimble_trace::{Alert, AlertEngine, MetricsRegistry};
+use nimble_trace::sync::RwLock;
+use nimble_trace::{Alert, AlertEngine, Histogram, MetricsRegistry};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A candidate view with the observed statistics the selector needs.
@@ -103,9 +106,27 @@ pub fn select_views(
 /// (`view.cost_us.<name>` histograms, `view.size_nodes.<name>`
 /// max-gauges), so when the monitor shares the engine's registry the
 /// workload statistics appear in the same management-console snapshot
-/// as every other metric.
+/// as every other metric. Each view's two handles are looked up once
+/// and kept, so a warm `record` formats no metric name.
 pub struct WorkloadMonitor {
     registry: Arc<MetricsRegistry>,
+    views: RwLock<HashMap<String, ViewMeters>>,
+}
+
+/// One view's `view.cost_us.*` histogram and `view.size_nodes.*` gauge.
+struct ViewMeters {
+    cost_us: Arc<Histogram>,
+    size_nodes: Arc<AtomicU64>,
+}
+
+impl ViewMeters {
+    fn record(&self, cost_ms: f64, size_nodes: usize) {
+        self.cost_us.record((cost_ms * 1e3).max(0.0) as u64);
+        let size_nodes = size_nodes as u64;
+        if size_nodes > self.size_nodes.load(Ordering::Relaxed) {
+            self.size_nodes.fetch_max(size_nodes, Ordering::Relaxed);
+        }
+    }
 }
 
 impl Default for WorkloadMonitor {
@@ -122,7 +143,10 @@ impl WorkloadMonitor {
     /// Record observations into a shared registry (the engine passes its
     /// own, so `view.*` metrics ride along in engine snapshots).
     pub fn with_registry(registry: Arc<MetricsRegistry>) -> WorkloadMonitor {
-        WorkloadMonitor { registry }
+        WorkloadMonitor {
+            registry,
+            views: RwLock::new(HashMap::new()),
+        }
     }
 
     /// The registry observations land in.
@@ -133,10 +157,15 @@ impl WorkloadMonitor {
     /// Record one virtually-answered query against a view: its measured
     /// cost and the result size.
     pub fn record(&self, view: &str, cost_ms: f64, size_nodes: usize) {
-        self.registry
-            .observe(&format!("view.cost_us.{}", view), (cost_ms * 1e3).max(0.0) as u64);
-        self.registry
-            .gauge_max(&format!("view.size_nodes.{}", view), size_nodes as u64);
+        if let Some(meters) = self.views.read().get(view) {
+            meters.record(cost_ms, size_nodes);
+            return;
+        }
+        let made = ViewMeters {
+            cost_us: self.registry.histogram(&format!("view.cost_us.{}", view)),
+            size_nodes: self.registry.gauge(&format!("view.size_nodes.{}", view)),
+        };
+        self.views.write().entry(view.to_string()).or_insert(made).record(cost_ms, size_nodes);
     }
 
     /// Snapshot candidates with mean costs, sorted by name.
@@ -159,6 +188,10 @@ impl WorkloadMonitor {
     /// Start a new observation window (drops only `view.` metrics, so a
     /// shared registry keeps its other subsystems' history).
     pub fn reset(&self) {
+        // Held across the removal, so that no `record` meanwhile keeps a
+        // handle to a metric the registry no longer lists.
+        let mut views = self.views.write();
+        views.clear();
         self.registry.remove_prefix("view.");
     }
 

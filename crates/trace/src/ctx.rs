@@ -56,13 +56,13 @@ pub struct SourceCall {
 
 /// Everything one query's work shares: its id, the engine instance
 /// serving it, its admission time, and the growing list of source
-/// calls made on its behalf. Cloning is cheap and shares the call
-/// list, so a context can fan out across fetch threads.
+/// calls made on its behalf. Cloning allocates nothing and shares the
+/// call list, so a context can fan out across fetch threads.
 #[derive(Clone)]
 pub struct QueryCtx {
     pub trace_id: TraceId,
     /// Name of the engine instance serving the query.
-    pub instance: String,
+    pub instance: Arc<str>,
     pub started: Instant,
     calls: Arc<Mutex<Vec<SourceCall>>>,
 }
@@ -73,7 +73,7 @@ thread_local! {
 
 impl QueryCtx {
     /// Mint a fresh context for one query.
-    pub fn new(instance: impl Into<String>) -> QueryCtx {
+    pub fn new(instance: impl Into<Arc<str>>) -> QueryCtx {
         QueryCtx {
             trace_id: TraceId::mint(),
             instance: instance.into(),
@@ -96,11 +96,6 @@ impl QueryCtx {
     /// The context current on this thread, if any.
     pub fn current() -> Option<QueryCtx> {
         STACK.with(|s| s.borrow().last().cloned())
-    }
-
-    /// Milliseconds since the query was admitted.
-    pub fn elapsed_ms(&self) -> f64 {
-        self.started.elapsed().as_secs_f64() * 1e3
     }
 
     /// Append one adapter-call record.
@@ -130,6 +125,12 @@ impl QueryCtx {
     /// Snapshot of the call records.
     pub fn source_calls(&self) -> Vec<SourceCall> {
         self.calls.lock().clone()
+    }
+
+    /// The call records, moved out: the query is over and its report
+    /// keeps them.
+    pub fn take_source_calls(&self) -> Vec<SourceCall> {
+        std::mem::take(&mut *self.calls.lock())
     }
 }
 

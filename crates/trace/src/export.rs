@@ -10,11 +10,12 @@
 //!   Every event carries the query's trace id and engine instance in
 //!   its `args`, so traces from several queries or instances can be
 //!   concatenated and still told apart.
-//! * [`query_log_jsonl`] — query-log entries as one JSON object per
-//!   line, the grep-able structured event stream.
+//! * [`query_log_jsonl`] — serve reports (query-log entries, flight
+//!   records) as one JSON object per line ([`ServeReport::to_json`]),
+//!   the grep-able structured event stream.
 
-use crate::ctx::{SourceCall, TraceId};
-use crate::querylog::QueryLogEntry;
+use crate::ctx::TraceId;
+use crate::report::ServeReport;
 use crate::span::SpanView;
 use std::fmt::Write as _;
 
@@ -73,81 +74,20 @@ pub fn chrome_trace(spans: &[SpanView], trace_id: TraceId, instance: &str) -> St
     out
 }
 
-/// One query-log entry as a single-line JSON object.
-pub fn query_log_entry_json(e: &QueryLogEntry) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"seq\":{},\"trace_id\":\"{}\",\"text\":\"{}\",\"elapsed_ms\":{},\
-         \"tuples\":{},\"complete\":{}",
-        e.seq,
-        TraceId(e.trace_id),
-        json_escape(&e.text),
-        json_num(e.elapsed_ms),
-        e.tuples,
-        e.complete,
-    );
-    let _ = write!(out, ",\"stale\":{},\"missing_sources\":[", e.stale);
-    for (i, s) in e.missing_sources.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", json_escape(s));
-    }
-    out.push(']');
-    match &e.error {
-        Some(err) => {
-            let _ = write!(out, ",\"error\":\"{}\"}}", json_escape(err));
-        }
-        None => out.push_str(",\"error\":null}"),
-    }
-    out
-}
-
-/// Query-log entries as JSONL: one JSON object per line.
-pub fn query_log_jsonl(entries: &[QueryLogEntry]) -> String {
+/// Serve reports as JSONL: one JSON object per line.
+pub fn query_log_jsonl(entries: &[ServeReport]) -> String {
     let mut out = String::new();
     for e in entries {
-        out.push_str(&query_log_entry_json(e));
+        out.push_str(&e.to_json());
         out.push('\n');
     }
     out
 }
 
-/// A span as a JSON object (shared by the flight recorder's dump).
-pub(crate) fn span_json(s: &SpanView) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"depth\":{},\"start_ms\":{},\"ms\":{}}}",
-        json_escape(&s.name),
-        s.depth,
-        json_num(s.start_ms),
-        json_num(s.ms),
-    )
-}
-
-/// A source-call record as a JSON object (shared by the flight
-/// recorder's dump).
-pub(crate) fn source_call_json(c: &SourceCall) -> String {
-    let error = match &c.error {
-        Some(e) => format!("\"{}\"", json_escape(e)),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"source\":\"{}\",\"kind\":\"{}\",\"ok\":{},\"latency_ms\":{},\"rows\":{},\
-         \"error\":{}}}",
-        json_escape(&c.source),
-        json_escape(&c.kind),
-        c.ok,
-        json_num(c.latency_ms),
-        c.rows,
-        error,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Trace;
+    use crate::report::Stage;
 
     #[test]
     fn escapes_specials() {
@@ -157,12 +97,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_one_x_event_per_span() {
-        let t = Trace::new();
-        {
-            let _q = t.span("query");
-            t.add_ms("parse", 0.5);
-        }
-        let spans = t.report();
+        let spans = SpanView::tree(1.0, &[(Stage::Parse, 0.5)]);
         let json = chrome_trace(&spans, TraceId(7), "engine-0");
         assert_eq!(json.matches("\"ph\":\"X\"").count(), spans.len());
         assert!(json.contains("\"name\":\"query\""));
@@ -180,16 +115,16 @@ mod tests {
     #[test]
     fn jsonl_is_one_object_per_line() {
         let log = crate::QueryLog::new(4, 4, f64::INFINITY);
-        log.record("q1", 1.0, 3, true);
-        log.record_event(crate::querylog::QueryEvent {
-            trace_id: 9,
-            text: "q2 \"quoted\"".into(),
-            elapsed_ms: 2.0,
-            tuples: 0,
-            complete: false,
+        log.admit(ServeReport {
+            tuples: 3,
+            complete: true,
+            ..ServeReport::new(1, &"engine-0".into(), "q1")
+        });
+        log.admit(ServeReport {
             stale: true,
             missing_sources: vec!["billing".into(), "crm".into()],
             error: Some("source".into()),
+            ..ServeReport::new(9, &"engine-0".into(), "q2 \"quoted\"")
         });
         let entries = log.recent(10);
         let jsonl = query_log_jsonl(&entries);

@@ -1,138 +1,21 @@
-//! The flight recorder: retained evidence for the queries that matter.
+//! The flight recorder: retained evidence for the serves that matter.
 //!
 //! The query log tells you *that* a query was slow or failed; the
 //! flight recorder keeps enough to reconstruct *why*, offline: the
-//! full span tree, the physical plan, and the per-source call records,
-//! all tagged with the query's trace id. It tail-samples — the keep
-//! decision ([`FlightRecorder::should_keep`]) is made *after* the
-//! query finishes, from its outcome — so the always-on cost for the
-//! overwhelming majority of healthy queries is a single float compare;
-//! the expensive part (cloning plan text and spans) only happens for
-//! queries that are kept.
+//! whole [`ServeReport`] — span tree, physical plan, per-source call
+//! records — under the query's trace id. It tail-samples: the keep
+//! decision ([`FlightRecorder::should_keep`]) is made *after* the serve
+//! finishes, from its outcome, so the always-on cost for the
+//! overwhelming majority of healthy serves is a single float compare;
+//! the evidence is only gathered for serves that are kept.
 //!
-//! The buffer is a hard-bounded ring of the most recent kept records;
-//! [`FlightRecorder::dump`] renders everything as JSONL for offline
-//! analysis next to the Chrome-trace and query-log exports.
+//! The buffer is a hard-bounded ring of the most recent kept reports;
+//! [`FlightRecorder::dump`] renders them as JSONL for offline analysis
+//! next to the Chrome-trace and query-log exports.
 
-use crate::ctx::{SourceCall, TraceId};
-use crate::export::{json_escape, json_num, source_call_json, span_json};
+use crate::report::ServeReport;
 use crate::sync::Mutex;
-use crate::span::SpanView;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
-
-/// Everything retained about one kept query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightRecord {
-    pub trace_id: TraceId,
-    /// Engine instance that served the query.
-    pub instance: String,
-    /// Query text (truncated by the producer's own policy).
-    pub text: String,
-    pub elapsed_ms: f64,
-    pub tuples: usize,
-    pub complete: bool,
-    /// At least one unavailable source was answered from stale cache.
-    pub stale: bool,
-    /// Sources that contributed nothing (sorted, deduplicated).
-    pub missing_sources: Vec<String>,
-    /// Indices (in document order) of the answers whose lineage touches
-    /// a stale-served source — empty when lineage tracking was off or
-    /// nothing was stale.
-    pub affected_answers: Vec<usize>,
-    /// Error-kind and message when the query failed outright.
-    pub error: Option<String>,
-    /// EXPLAIN rendering of the physical plan (empty when the query
-    /// failed before planning).
-    pub plan: String,
-    /// The full span tree.
-    pub spans: Vec<SpanView>,
-    /// Every adapter call made on the query's behalf.
-    pub source_calls: Vec<SourceCall>,
-    /// Heap bytes allocated while serving the query (0 when the
-    /// `profile-alloc` feature is off).
-    pub alloc_bytes: u64,
-    /// High-water mark of live bytes above the query's entry level.
-    pub alloc_peak_bytes: u64,
-    /// Operator kind of the worst estimate-vs-actual offender, when
-    /// plan-quality scoring ran (profiled queries).
-    pub worst_qerror_op: Option<String>,
-    /// That offender's Q-error (`max(est/act, act/est)`, ≥ 1); 0 when
-    /// no scoring happened.
-    pub worst_qerror: f64,
-}
-
-impl FlightRecord {
-    /// Single-line JSON rendering (one dump line).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"trace_id\":\"{}\",\"instance\":\"{}\",\"text\":\"{}\",\
-             \"elapsed_ms\":{},\"tuples\":{},\"complete\":{},",
-            self.trace_id,
-            json_escape(&self.instance),
-            json_escape(&self.text),
-            json_num(self.elapsed_ms),
-            self.tuples,
-            self.complete,
-        );
-        let _ = write!(out, "\"stale\":{},\"missing_sources\":[", self.stale);
-        for (i, s) in self.missing_sources.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", json_escape(s));
-        }
-        out.push_str("],\"affected_answers\":[");
-        for (i, a) in self.affected_answers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}", a);
-        }
-        out.push_str("],");
-        match &self.error {
-            Some(e) => {
-                let _ = write!(out, "\"error\":\"{}\",", json_escape(e));
-            }
-            None => out.push_str("\"error\":null,"),
-        }
-        let _ = write!(out, "\"plan\":\"{}\",\"spans\":[", json_escape(&self.plan));
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&span_json(s));
-        }
-        out.push_str("],\"source_calls\":[");
-        for (i, c) in self.source_calls.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&source_call_json(c));
-        }
-        out.push_str("],\"resource\":{");
-        let _ = write!(
-            out,
-            "\"alloc_bytes\":{},\"alloc_peak_bytes\":{},",
-            self.alloc_bytes, self.alloc_peak_bytes
-        );
-        match &self.worst_qerror_op {
-            Some(op) => {
-                let _ = write!(
-                    out,
-                    "\"worst_qerror_op\":\"{}\",\"worst_qerror\":{}",
-                    json_escape(op),
-                    json_num(self.worst_qerror)
-                );
-            }
-            None => out.push_str("\"worst_qerror_op\":null,\"worst_qerror\":0"),
-        }
-        out.push_str("}}");
-        out
-    }
-}
 
 /// Bounded tail-sampling recorder. Keep policy and capacity are fixed
 /// at construction; `admit` never blocks query progress on anything
@@ -140,12 +23,12 @@ impl FlightRecord {
 pub struct FlightRecorder {
     capacity: usize,
     slow_ms: f64,
-    inner: Mutex<VecDeque<FlightRecord>>,
+    inner: Mutex<VecDeque<ServeReport>>,
 }
 
 impl FlightRecorder {
-    /// `capacity` bounds retained records; queries at or above
-    /// `slow_ms`, incomplete, or failed are kept.
+    /// `capacity` bounds retained reports; serves at or above `slow_ms`,
+    /// incomplete, or failed are kept.
     pub fn new(capacity: usize, slow_ms: f64) -> FlightRecorder {
         FlightRecorder {
             capacity: capacity.max(1),
@@ -155,27 +38,27 @@ impl FlightRecorder {
     }
 
     /// The tail-sampling predicate. Callers check this *before*
-    /// materializing a record so healthy fast queries pay only this
+    /// gathering the evidence, so healthy fast serves pay only this
     /// compare.
     pub fn should_keep(&self, elapsed_ms: f64, complete: bool, failed: bool) -> bool {
         failed || !complete || elapsed_ms >= self.slow_ms
     }
 
-    /// Retain one record, evicting the oldest past capacity.
-    pub fn admit(&self, record: FlightRecord) {
+    /// Retain one report, evicting the oldest past capacity.
+    pub fn admit(&self, report: ServeReport) {
         let mut inner = self.inner.lock();
         if inner.len() == self.capacity {
             inner.pop_front();
         }
-        inner.push_back(record);
+        inner.push_back(report);
     }
 
-    /// Retained records, oldest first.
-    pub fn records(&self) -> Vec<FlightRecord> {
+    /// Retained reports, oldest first.
+    pub fn records(&self) -> Vec<ServeReport> {
         self.inner.lock().iter().cloned().collect()
     }
 
-    /// Number of retained records.
+    /// Number of retained reports.
     pub fn len(&self) -> usize {
         self.inner.lock().len()
     }
@@ -184,15 +67,10 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// The slow-query threshold of the keep policy.
-    pub fn slow_ms(&self) -> f64 {
-        self.slow_ms
-    }
-
-    /// Everything as JSONL, oldest first: one record per line.
+    /// Everything as JSONL, oldest first: one report per line.
     pub fn dump(&self) -> String {
         let mut out = String::new();
-        for r in self.records() {
+        for r in self.inner.lock().iter() {
             out.push_str(&r.to_json());
             out.push('\n');
         }
@@ -203,38 +81,39 @@ impl FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::{SourceCall, TraceId};
+    use crate::report::{Phases, SourceCalls, Stage};
+    use crate::span::SpanView;
 
-    fn record(id: u64, elapsed_ms: f64, error: Option<&str>) -> FlightRecord {
-        FlightRecord {
-            trace_id: TraceId(id),
-            instance: "engine-0".into(),
-            text: "WHERE … CONSTRUCT …".into(),
+    fn record(id: u64, elapsed_ms: f64, error: Option<&str>) -> ServeReport {
+        let mut phases = Phases::default();
+        phases.add(Stage::Execute, elapsed_ms);
+        ServeReport {
             elapsed_ms,
             tuples: 3,
             complete: error.is_none(),
-            stale: false,
             missing_sources: vec!["press".into()],
             affected_answers: vec![0, 2],
             error: error.map(String::from),
             plan: "-- pushed\nValues [a]".into(),
-            spans: vec![SpanView {
-                name: "query".into(),
-                depth: 0,
-                start_ms: 0.0,
-                ms: elapsed_ms,
-            }],
-            source_calls: vec![SourceCall {
-                source: "crm".into(),
-                kind: "execute".into(),
-                ok: error.is_none(),
-                latency_ms: 0.4,
-                rows: 10,
-                error: error.map(String::from),
-            }],
+            spans: SpanView::tree(elapsed_ms, &phases),
+            phases,
+            source_calls: SourceCalls {
+                count: 1,
+                records: vec![SourceCall {
+                    source: "crm".into(),
+                    kind: "execute".into(),
+                    ok: error.is_none(),
+                    latency_ms: 0.4,
+                    rows: 10,
+                    error: error.map(String::from),
+                }],
+            },
             alloc_bytes: 2048,
             alloc_peak_bytes: 1024,
             worst_qerror_op: Some("hash join".into()),
             worst_qerror: 3.5,
+            ..ServeReport::new(id, &"engine-0".into(), "WHERE … CONSTRUCT …")
         }
     }
 
@@ -255,8 +134,8 @@ mod tests {
         }
         let kept = fr.records();
         assert_eq!(kept.len(), 2);
-        assert_eq!(kept[0].trace_id, TraceId(3));
-        assert_eq!(kept[1].trace_id, TraceId(4));
+        assert_eq!(kept[0].trace_id, 3);
+        assert_eq!(kept[1].trace_id, 4);
     }
 
     #[test]

@@ -26,10 +26,11 @@ pub fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-/// A concurrent histogram. All operations are lock-free atomics.
+/// A concurrent histogram. All operations are lock-free atomics. The
+/// count is the buckets' sum, read by [`Histogram::snapshot`]: an
+/// observation moves one bucket, the sum and — rarely — an extreme.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -45,7 +46,6 @@ impl Histogram {
     pub fn new() -> Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -55,10 +55,15 @@ impl Histogram {
     /// Record one observation.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // A new extreme is rare once a histogram is warm: read first, so
+        // the common observation pays no read-modify-write for them.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Record a duration, in whole microseconds.
@@ -66,15 +71,12 @@ impl Histogram {
         self.record(d.as_micros().min(u64::MAX as u128) as u64);
     }
 
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
     /// An immutable copy of the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
+        let buckets: [u64; BUCKETS] = std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let count = buckets.iter().sum();
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            buckets,
             count,
             sum: self.sum.load(Ordering::Relaxed),
             min: if count == 0 {
@@ -91,7 +93,6 @@ impl Histogram {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.min.store(u64::MAX, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);

@@ -11,17 +11,20 @@
 //! results whose quality an operator must be able to see. This crate is
 //! the substrate those promises stand on:
 //!
-//! * [`Trace`] / [`SpanGuard`] — per-query span trees with parent/child
-//!   nesting. The engine opens one trace per query and emits phase spans
-//!   (`parse → analyze → plan → verify → execute → construct`).
+//! * [`ServeReport`] — the one record of one serve: ids, text, the
+//!   [`Stage`] times (`parse → analyze → plan → verify → execute →
+//!   construct`), counts, the §3.4 completeness verdict and — when
+//!   profiled or kept — the evidence (plan, [`SpanView`]s, per-call
+//!   records). The engine's metrics, query log and flight recorder are
+//!   all fed from it, at one site.
 //! * [`Histogram`] — lock-free log-bucketed latency histograms with
 //!   p50/p95/p99, exact count/sum/min/max, and mergeable snapshots.
 //! * [`MetricsRegistry`] — a named collection of monotonic counters,
 //!   max-gauges, and histograms with [`MetricsRegistry::snapshot`],
 //!   snapshot [`MetricsSnapshot::diff`]/[`MetricsSnapshot::merge`], and a
 //!   process-global instance ([`MetricsRegistry::global`]).
-//! * [`QueryLog`] — a bounded ring buffer of recent queries plus a
-//!   bounded capture of the slowest ones.
+//! * [`QueryLog`] — a bounded ring of recent serve reports' summaries
+//!   plus a bounded capture of the slowest ones.
 //! * [`QueryCtx`] / [`TraceId`] — per-query correlation context,
 //!   propagated through a thread-local stack so adapters and the
 //!   cleaning pipeline tag their work with the query's trace id.
@@ -29,8 +32,8 @@
 //!   exporters into formats external tools read directly
 //!   (`about:tracing`/Perfetto, JSONL streams, Prometheus scrapes).
 //! * [`FlightRecorder`] — a bounded tail-sampling ring that retains
-//!   full evidence (span tree, plan, source calls) for slow, partial,
-//!   or failed queries only.
+//!   whole reports (span tree, plan, source calls) for slow, partial,
+//!   or failed serves only.
 //! * [`AlertEngine`] — declarative threshold and burn-rate rules
 //!   evaluated over snapshot diffs, firing once per sustained breach.
 //! * [`AllocScope`] — scope-based allocation deltas (count, bytes,
@@ -54,6 +57,7 @@ pub mod json;
 pub mod metrics;
 pub mod prom;
 pub mod querylog;
+pub mod report;
 pub mod rng;
 pub mod span;
 pub mod sync;
@@ -61,10 +65,11 @@ pub mod sync;
 pub use alert::{Alert, AlertEngine, AlertOp, AlertRule, BurnRateRule};
 pub use alloc::{AllocScope, AllocStats};
 pub use ctx::{CtxGuard, QueryCtx, SourceCall, TraceId};
-pub use export::{chrome_trace, json_escape, query_log_entry_json, query_log_jsonl};
-pub use flight::{FlightRecord, FlightRecorder};
+pub use export::{chrome_trace, json_escape, query_log_jsonl};
+pub use flight::FlightRecorder;
 pub use hist::{Histogram, HistogramSnapshot};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use prom::prometheus_text;
-pub use querylog::{QueryEvent, QueryLog, QueryLogEntry};
-pub use span::{SpanGuard, SpanView, Trace};
+pub use querylog::QueryLog;
+pub use report::{Phases, ServeReport, SourceCalls, Stage};
+pub use span::SpanView;

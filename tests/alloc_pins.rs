@@ -249,7 +249,7 @@ fn a_cached_shape_hit_copies_no_plan() {
 }
 
 /// Blocks a hit of [`a_cached_shape_hit_copies_no_plan`] allocates.
-const HIT_BLOCKS: u64 = 118;
+const HIT_BLOCKS: u64 = 109;
 
 #[test]
 fn a_fetch_formats_no_metric_name() {

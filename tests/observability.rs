@@ -2,15 +2,21 @@
 //! execution, metrics flow from engine to console to cluster, and the
 //! query log captures what ran.
 
+mod common;
+
+use common::Counting;
 use nimble::algebra::ops::{FilterOp, MeteredOp, ValuesOp};
 use nimble::algebra::{explain_analyze, run_to_vec, CmpOp, FunctionRegistry, ScalarExpr, Schema};
-use nimble::core::{Catalog, DispatchStrategy, Engine, EngineCluster, EngineConfig};
+use nimble::core::{
+    Catalog, DispatchStrategy, Engine, EngineCluster, EngineConfig, ServeReport, UnavailablePolicy,
+};
 use nimble::frontend::ManagementConsole;
 use nimble::sources::csv::CsvAdapter;
 use nimble::sources::relational::RelationalAdapter;
 use nimble::sources::sim::{LinkConfig, SimulatedLink};
 use nimble::trace::{chrome_trace, json, MetricsRegistry, TraceId};
 use nimble::xml::{to_string, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn catalog() -> Arc<Catalog> {
@@ -299,8 +305,8 @@ fn slow_queries_keep_full_evidence_for_offline_reconstruction() {
     let records = engine.flight_recorder().records();
     assert_eq!(records.len(), 1);
     let rec = &records[0];
-    assert_eq!(rec.trace_id, TraceId(r.stats.trace_id));
-    assert_eq!(rec.instance, engine.instance());
+    assert_eq!(rec.trace_id, r.stats.trace_id);
+    assert_eq!(&*rec.instance, engine.instance());
     assert_eq!(rec.tuples, r.stats.tuples);
     assert!(rec.complete);
     // Full evidence rides along even though profiling was off: the
@@ -314,7 +320,7 @@ fn slow_queries_keep_full_evidence_for_offline_reconstruction() {
     let dump = engine.flight_recorder().dump();
     let parsed: json::Value =
         json::from_str(dump.lines().next().unwrap()).unwrap();
-    assert_eq!(parsed["trace_id"], rec.trace_id.to_string().as_str());
+    assert_eq!(parsed["trace_id"], TraceId(rec.trace_id).to_string().as_str());
     assert!(!parsed["plan"].as_str().unwrap().is_empty());
     assert_eq!(parsed["spans"].as_array().unwrap().len(), rec.spans.len());
     assert_eq!(
@@ -449,7 +455,7 @@ fn cluster_merges_flight_records_in_start_order() {
     assert!(records.windows(2).all(|w| w[0].trace_id < w[1].trace_id));
     // ...and each record names the instance that served it.
     let instances: std::collections::BTreeSet<&str> =
-        records.iter().map(|r| r.instance.as_str()).collect();
+        records.iter().map(|r| &*r.instance).collect();
     assert_eq!(instances.len(), 2, "round-robin spread over both engines");
     cluster.shutdown();
 }
@@ -496,7 +502,7 @@ fn every_parallel_fetch_leaves_its_own_source_call_record() {
         assert_eq!(r.stats.tuples, 16);
         let records = engine.flight_recorder().records();
         let rec = records.last().unwrap();
-        assert_eq!(rec.trace_id, TraceId(r.stats.trace_id));
+        assert_eq!(rec.trace_id, r.stats.trace_id);
         let mut calls: Vec<(&str, &str, u64)> = rec
             .source_calls
             .iter()
@@ -530,4 +536,185 @@ fn explain_analyze_sets_estimated_against_actual_keys() {
     assert!(listing.contains("-- bind $i: support \u{2192} crm, billing (~8 keys)"), "{}", listing);
     assert!(listing.contains("-- bind $i: 8 keys sent (est ~8)"), "{}", listing);
     assert!(listing.contains("actual rows=16"), "{}", listing);
+}
+
+#[test]
+fn failed_and_partial_streamed_serves_are_logged_kept_and_counted() {
+    let (catalog, link) = linked_catalog();
+    let engine = Engine::with_config(catalog, EngineConfig::default());
+    // A text that does not parse, and a source that is down under `Fail`.
+    assert!(engine.query_serialized("not xml-ql at all").is_err());
+    link.set_up(false);
+    assert!(engine.query_serialized(JOIN_QUERY).is_err());
+
+    // Each failure is one log entry, one flight record, one count.
+    let recent = engine.query_log().recent(10);
+    let errors: Vec<&str> = recent.iter().map(|e| e.error.as_deref().unwrap_or("")).collect();
+    assert_eq!(errors.len(), 2, "{:?}", errors);
+    assert!(errors[0].starts_with("source:") && errors[1].starts_with("compile:"), "{:?}", errors);
+    let kept = engine.flight_recorder().records();
+    let kept_ids: Vec<u64> = kept.iter().map(|r| r.trace_id).collect();
+    let logged_ids: Vec<u64> = recent.iter().rev().map(|r| r.trace_id).collect();
+    assert_eq!(kept_ids, logged_ids);
+    assert!(kept[1].source_calls.iter().any(|c| c.source == "pricing" && !c.ok), "{:?}", kept[1]);
+    let snap = engine.metrics_snapshot();
+    assert_eq!(snap.counter("engine.query.error.compile"), 1);
+    assert_eq!(snap.counter("engine.query.error.source"), 1);
+
+    // Skipped, the source leaves a partial answer that says so (§3.4).
+    engine.set_unavailable_policy(UnavailablePolicy::SkipAndAnnotate);
+    engine.query_serialized(JOIN_QUERY).unwrap();
+    let kept = engine.flight_recorder().records();
+    let partial = kept.last().unwrap();
+    assert!(!partial.complete && partial.error.is_none(), "{:?}", partial);
+    assert_eq!(partial.missing_sources, ["pricing"]);
+    assert_eq!(engine.query_log().recent(1)[0].missing_sources, ["pricing"]);
+    assert_eq!(engine.load(), 0);
+}
+
+#[test]
+fn engine_queries_counts_every_serve_on_both_sinks() {
+    for streamed in [false, true] {
+        let engine = Engine::new(catalog());
+        let serve = |text: &str| match streamed {
+            true => engine.query_serialized(text).map(drop),
+            false => engine.query(text).map(drop),
+        };
+        assert!(serve("not xml-ql at all").is_err());
+        serve(JOIN_QUERY).unwrap();
+        let snap = engine.metrics_snapshot();
+        let counts = (snap.counter("engine.queries"), snap.counter("engine.query.error"));
+        assert_eq!(counts, (2, 1), "streamed: {}", streamed);
+        assert_eq!(engine.queries_served(), 2);
+    }
+}
+
+/// `batch_differential`'s catalog (`crates/core/tests`), each source
+/// behind a [`Counting`] adapter sharing one call counter: customers and
+/// 40 orders for five of them in `erp`, invoices in `billing`.
+fn grammar_catalog() -> (Arc<Catalog>, Arc<AtomicU64>) {
+    let customers = [("ada", "NW"), ("bob", "SW"), ("cyd", "NW"), ("dee", "SE"), ("eve", "SW"), ("fay", "NE")];
+    let customers: Vec<String> =
+        customers.iter().enumerate().map(|(i, (n, r))| format!("({}, '{}', '{}')", i + 1, n, r)).collect();
+    let totals = [250, 40, 75, 8, 40, 249];
+    let orders: Vec<String> = (0..40).map(|j| format!("({}, {}, {})", 10 + j, j % 5 + 1, totals[j % 6])).collect();
+    let invoices: Vec<String> =
+        ["(1, 30)", "(3, 5)", "(2, 90)", "(1, 12)", "(9, 3)", "(4, 7)", "(5, 61)"].map(String::from).to_vec();
+    let erp = common::relational(
+        "erp",
+        &["CREATE TABLE customers (id INT, name TEXT, region TEXT)", "CREATE TABLE orders (oid INT, cust_id INT, total INT)"],
+        &[("customers", customers), ("orders", orders)],
+    );
+    let billing =
+        common::relational("billing", &["CREATE TABLE invoices (cust_id INT, amount INT)"], &[("invoices", invoices)]);
+    let calls = Arc::new(AtomicU64::new(0));
+    let c = Catalog::new();
+    for inner in [erp as Arc<dyn nimble::sources::SourceAdapter>, billing] {
+        let nodes = Arc::new(AtomicU64::new(0));
+        c.register_source(Arc::new(Counting { inner, calls: Arc::clone(&calls), nodes })).unwrap();
+    }
+    (Arc::new(c), calls)
+}
+
+/// `batch_differential`'s query grammar: optional join to `orders`,
+/// literal and bound regions, a threshold on the total, ORDER-BY, the
+/// `invoices` fragment of a second source, and a selection on the join
+/// variable `$i`.
+fn grammar_queries() -> Vec<String> {
+    let mut selections = vec![String::new()];
+    for form in ["$i = K", "$i != K", "$i < K", "$i <= K", "$i > K", "$i >= K", "K < $i"] {
+        for k in ["1", "3", "7"] {
+            selections.push(format!(", {}", form.replace('K', k)));
+        }
+    }
+    let mut queries = Vec::new();
+    for join in [false, true] {
+        let thresholds: &[&str] = if join { &["", "7", "8", "40", "249", "250"] } else { &[""] };
+        for lit_region in ["", "<region>\"NW\"</region>"] {
+            for bind_region in [false, true] {
+                for threshold in thresholds {
+                    for order in ["", " ORDER-BY $n", " ORDER-BY $i"] {
+                        for cross in [false, true] {
+                            for sel_i in &selections {
+                                let mut pats = format!(
+                                    "<row><id>$i</id><name>$n</name>{}{}</row> IN \"customers\"",
+                                    lit_region,
+                                    if bind_region { "<region>$r</region>" } else { "" },
+                                );
+                                let mut construct = String::from("<n>$n</n>");
+                                let mut preds = String::new();
+                                if join {
+                                    pats.push_str(", <row><cust_id>$i</cust_id><total>$t</total></row> IN \"orders\"");
+                                    construct.push_str("<t>$t</t>");
+                                    if !threshold.is_empty() {
+                                        preds = format!(", $t > {}", threshold);
+                                    }
+                                }
+                                if cross {
+                                    pats.push_str(", <row><cust_id>$i</cust_id><amount>$a</amount></row> IN \"invoices\"");
+                                    construct.push_str("<a>$a</a>");
+                                }
+                                if bind_region {
+                                    construct.push_str("<r>$r</r>");
+                                }
+                                queries.push(format!(
+                                    "WHERE {}{}{} CONSTRUCT <hit>{}</hit>{}",
+                                    pats, preds, sel_i, construct, order
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    queries
+}
+
+/// Each text of the grammar served into a result envelope and streamed,
+/// on one engine; `each` gets both reports and the source calls each
+/// serve made, by the [`Counting`] adapters' count.
+fn serve_the_grammar(mut each: impl FnMut(&str, [(ServeReport, u64); 2])) {
+    let (catalog, calls) = grammar_catalog();
+    let engine = Engine::new(catalog);
+    let queries = grammar_queries();
+    assert_eq!(queries.len(), 3696);
+    for text in &queries {
+        let before = calls.load(Ordering::Relaxed);
+        let tree = engine.query(text).unwrap().stats;
+        let between = calls.load(Ordering::Relaxed);
+        engine.query_serialized(text).unwrap();
+        let streamed = engine.query_log().recent(1).remove(0);
+        let after = calls.load(Ordering::Relaxed);
+        each(text, [(tree, between - before), (streamed, after - between)]);
+    }
+}
+
+#[test]
+fn both_sinks_report_a_serve_alike() {
+    let summary = |r: &ServeReport| {
+        (r.tuples, r.source_calls.count, r.fragments_pushed, r.rows_fetched, r.complete, r.stale, r.missing_sources.clone())
+    };
+    serve_the_grammar(|text, [(tree, tree_calls), (streamed, streamed_calls)]| {
+        // The log's newest entry is the streamed serve's own.
+        assert!(streamed.trace_id > tree.trace_id, "{}", text);
+        assert_eq!(summary(&tree), summary(&streamed), "{}", text);
+        assert_eq!(tree.source_calls, tree_calls, "{}", text);
+        assert_eq!(streamed.source_calls, streamed_calls, "{}", text);
+    });
+}
+
+#[test]
+fn the_stages_cover_the_serve() {
+    // Summed over every serve, so that µs-scale queries cannot make the
+    // bound flaky: a serve's stages are laps of one clock, and only its
+    // bookkeeping falls outside them.
+    let (mut staged, mut elapsed) = (0.0, 0.0);
+    serve_the_grammar(|_, reports| {
+        for (report, _) in &reports {
+            staged += report.phases.iter().map(|(_, ms)| ms).sum::<f64>();
+            elapsed += report.elapsed_ms;
+        }
+    });
+    assert!(staged >= 0.95 * elapsed && staged <= elapsed, "stages {} ms of {} ms", staged, elapsed);
 }

@@ -176,7 +176,7 @@ fn e2_workload(engine: &Engine) -> u64 {
                CONSTRUCT <r>$x</r>"#,
             view, nonce, nonce
         );
-        source_calls += engine.query(&text).unwrap().stats.source_calls;
+        source_calls += engine.query(&text).unwrap().stats.source_calls.count;
     }
     source_calls
 }
