@@ -2,7 +2,8 @@
 
 use crate::error::ExecError;
 use crate::funcs::FunctionRegistry;
-use nimble_xml::{Atomic, Path, Value};
+use nimble_xml::atomic::{cmp, cmp_read};
+use nimble_xml::{Atomic, OrderKey, Path, Value};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -10,18 +11,12 @@ use std::sync::Arc;
 /// that link only `nimble-algebra` (the static analyzer) can name it.
 pub use nimble_xml::Value as LiteralValue;
 
-/// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    /// SQL LIKE with `%` (any run) and `_` (any char).
-    Like,
-}
+/// Comparison operators: the one enum the fragments a source is sent
+/// use too (`nimble_sources::PredOp`).
+pub use nimble_xml::CmpOp;
+
+/// SQL LIKE matcher: `%` matches any run, `_` any single char.
+pub use nimble_xml::atomic::like as like_match;
 
 /// Arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,54 +228,14 @@ impl ScalarExpr {
     }
 }
 
-/// Compare two values under the engine's coercion semantics: LIKE is
-/// lexical, numeric-looking operands compare numerically, and any
-/// comparison with Null is false except `Null = Null` / one-sided `!=`.
-/// Public so the static analyzer can constant-fold literal comparisons
-/// with exactly the runtime's semantics.
+/// Compare two values as the mediator does: the one comparison,
+/// [`nimble_xml::atomic::cmp`], of their atomized forms. Public so the
+/// static analyzer can constant-fold literal comparisons with exactly
+/// the runtime's semantics.
 #[inline]
 pub fn compare(op: CmpOp, l: &Value, r: &Value) -> bool {
     // Read in place: only a node operand atomizes to an owned value.
-    l.with_atomics(r, |la, ra| compare_atomics(op, la, ra, coerce_num(ra)))
-}
-
-/// The one comparison [`compare`] and [`LiteralTest`] run; `rnum` is
-/// `coerce_num(ra)`, and `la` is read as a number only when `ra` is one.
-#[inline]
-fn compare_atomics(op: CmpOp, la: &Atomic, ra: &Atomic, rnum: Option<f64>) -> bool {
-    // Bit `ord + 1` is set when the operator accepts that ordering.
-    let accepts: u8 = match op {
-        CmpOp::Like => return like_atomics(la, ra),
-        CmpOp::Eq => 0b010,
-        CmpOp::Ne => 0b101,
-        CmpOp::Lt => 0b001,
-        CmpOp::Le => 0b011,
-        CmpOp::Gt => 0b100,
-        CmpOp::Ge => 0b110,
-    };
-    let ord = match rnum.and_then(|y| Some((coerce_num(la)?, y))) {
-        // Numeric-looking strings compare numerically against numbers,
-        // which matters because parsed XML content is textual.
-        Some((x, y)) => x.total_cmp(&y),
-        // SQL-ish null semantics for comparisons: anything compared
-        // with Null is false except Null = Null.
-        None if la.is_null() || ra.is_null() => {
-            return match op {
-                CmpOp::Eq => la.is_null() && ra.is_null(),
-                CmpOp::Ne => la.is_null() != ra.is_null(),
-                _ => false,
-            }
-        }
-        None => la.total_cmp(ra),
-    };
-    accepts >> (ord as i8 + 1) & 1 == 1
-}
-
-/// Out of line, so that the ordering comparisons inline without strings.
-#[cold]
-#[inline(never)]
-fn like_atomics(la: &Atomic, ra: &Atomic) -> bool {
-    like_match(&la.lexical(), &ra.lexical())
+    l.with_atomics(r, |la, ra| cmp(op, la, ra))
 }
 
 /// A conjunct compiled for where rows are read — a central match's
@@ -303,14 +258,14 @@ pub struct Comparison {
     col: usize,
     pub op: CmpOp,
     lit: Atomic,
-    /// `lit`'s numeric reading, as `compare` coerces it.
-    num: Option<f64>,
+    /// `lit`'s numeric reading ([`Atomic::numeric`]).
+    num: Option<OrderKey<'static>>,
 }
 
 impl Comparison {
     #[inline]
     fn holds(&self, value: &Atomic) -> bool {
-        compare_atomics(self.op, value, &self.lit, self.num)
+        cmp_read(self.op, value, &self.lit, self.num)
     }
 }
 
@@ -324,11 +279,11 @@ impl LiteralTest {
             ScalarExpr::Cmp(op, l, r) => {
                 let (col, op, lit) = match (l.as_ref(), r.as_ref()) {
                     (ScalarExpr::Col(c), ScalarExpr::Lit(v)) => (*c, *op, v),
-                    (ScalarExpr::Lit(v), ScalarExpr::Col(c)) => (*c, flipped(*op)?, v),
+                    (ScalarExpr::Lit(v), ScalarExpr::Col(c)) => (*c, op.flipped()?, v),
                     _ => return None,
                 };
                 let lit = lit.atomize();
-                (col < width).then(|| LiteralTest::Cmp(Comparison { col, op, num: coerce_num(&lit), lit }))?
+                (col < width).then(|| LiteralTest::Cmp(Comparison { col, op, num: lit.numeric(), lit }))?
             }
             ScalarExpr::And(l, r) => LiteralTest::And(sub(l)?, sub(r)?),
             ScalarExpr::Or(l, r) => LiteralTest::Or(sub(l)?, sub(r)?),
@@ -387,40 +342,25 @@ impl LiteralTest {
 
     /// Whether every literal is a number that is not NaN (DESIGN.md §22).
     pub fn number_literals(&self) -> bool {
-        self.all(&|c| c.num.is_some_and(|x| !x.is_nan()))
+        self.all(&|c| match c.num {
+            Some(OrderKey::Float(x)) => !x.is_nan(),
+            num => num.is_some(),
+        })
     }
 }
 
-/// `op` with its operands swapped; `None` for `LIKE`.
-fn flipped(op: CmpOp) -> Option<CmpOp> {
-    Some(match op {
-        CmpOp::Lt => CmpOp::Gt,
-        CmpOp::Le => CmpOp::Ge,
-        CmpOp::Gt => CmpOp::Lt,
-        CmpOp::Ge => CmpOp::Le,
-        CmpOp::Eq | CmpOp::Ne => op,
-        CmpOp::Like => return None,
-    })
-}
-
-/// The numeric reading of an atomic, as [`compare`] and arithmetic
-/// coerce it: Int, Float, or a numeric-looking string.
+/// [`Atomic::numeric`] as an `f64`, as arithmetic on a float takes it.
 #[inline]
 pub fn coerce_num(a: &Atomic) -> Option<f64> {
-    match a {
-        Atomic::Int(i) => Some(*i as f64),
-        Atomic::Float(f) => Some(*f),
-        Atomic::Str(_) | Atomic::Sym(_) => {
-            a.as_str().and_then(|s| s.trim().parse::<f64>().ok())
-        }
+    match a.numeric()? {
+        OrderKey::Int(i) => Some(i as f64),
+        OrderKey::Float(f) => Some(f),
         _ => None,
     }
 }
 
-/// The numeric coercion of a literal value, if it has one — the same
-/// rule `compare` and `arith` apply at runtime (Int, Float, or a
-/// numeric-looking string). Used by the static analyzer's interval
-/// propagation.
+/// The numeric reading of a literal value as an `f64`, if it has one
+/// ([`coerce_num`]). Used by the static analyzer's interval propagation.
 pub fn literal_num(v: &Value) -> Option<f64> {
     v.with_atomic(coerce_num)
 }
@@ -440,29 +380,6 @@ pub fn literal_truth(v: &Value) -> bool {
 /// comparisons see it.
 pub fn literal_lexical(v: &Value) -> String {
     v.with_atomic(Atomic::lexical)
-}
-
-/// SQL LIKE matcher: `%` matches any run, `_` any single char.
-pub fn like_match(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[char], p: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some(('%', rest)) => {
-                (0..=t.len()).any(|k| rec(&t[k..], rest))
-            }
-            Some(('_', rest)) => match t.split_first() {
-                Some((_, t_rest)) => rec(t_rest, rest),
-                None => false,
-            },
-            Some((c, rest)) => match t.split_first() {
-                Some((tc, t_rest)) => tc == c && rec(t_rest, rest),
-                None => false,
-            },
-        }
-    }
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&t, &p)
 }
 
 fn arith(op: ArithOp, l: &Atomic, r: &Atomic) -> Result<Atomic, ExecError> {

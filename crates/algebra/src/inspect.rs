@@ -57,27 +57,17 @@ impl FieldType {
         }
     }
 
-    /// The coercion class of a literal value, mirroring the runtime's
-    /// `numeric_key` / `coerce_num` semantics: anything that coerces to
-    /// a number is `Numeric` (including numeric-looking strings), other
-    /// strings are `Text`, element nodes are `Element`, and values the
-    /// lattice makes no claim about (Null, Bool, lists) are `Unknown`.
+    /// The coercion class of a literal value, as the runtime compares
+    /// it: a value that reads as a number ([`nimble_xml::Atomic::numeric`])
+    /// is `Numeric` (including numeric-looking strings), other strings are
+    /// `Text`, element nodes are `Element`, and values the lattice makes
+    /// no claim about (Null, Bool, lists) are `Unknown`.
     pub fn of_literal(v: &nimble_xml::Value) -> FieldType {
         use nimble_xml::{Atomic, Value};
         match v {
             Value::Node(_) => FieldType::Element,
-            Value::Atomic(a) => match a {
-                Atomic::Int(_) | Atomic::Float(_) => FieldType::Numeric,
-                Atomic::Str(_) | Atomic::Sym(_) => {
-                    let s = a.as_str().unwrap_or("");
-                    if s.trim().parse::<f64>().is_ok() {
-                        FieldType::Numeric
-                    } else {
-                        FieldType::Text
-                    }
-                }
-                _ => FieldType::Unknown,
-            },
+            Value::Atomic(a) if a.numeric().is_some() => FieldType::Numeric,
+            Value::Atomic(Atomic::Str(_) | Atomic::Sym(_)) => FieldType::Text,
             _ => FieldType::Unknown,
         }
     }

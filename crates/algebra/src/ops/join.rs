@@ -12,7 +12,7 @@ use crate::inspect::{OpInfo, SchemaRule};
 use crate::lineage::LineageMask;
 use crate::par;
 use crate::schema::{Schema, Tuple};
-use nimble_xml::{Sym, Value};
+use nimble_xml::{Atomic, OrderKey, Sym, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -304,15 +304,15 @@ pub struct HashJoinOp {
 
 /// The join's equality relation, defined here and nowhere else: two
 /// values join iff their keys are equal. A key is a `(class tag, bits)`
-/// pair mirroring `Value::key_eq`'s numeric coercion, with no string
-/// rendering:
+/// pair of the value's numeric reading ([`Atomic::numeric`], the one
+/// every comparison takes), with no string rendering; for non-null,
+/// non-NaN values, keys are equal iff `cmp(Eq, ..)` holds (DESIGN.md §23):
 ///
 /// * tag 2, f64 bits — the numeric class: ints exactly representable as
-///   f64, floats, and strings whose trimmed text parses as a number (so
-///   `Int 5`, `Float 5.0` and node text `" 5 "` collide). All NaNs
-///   collapse to one key; `-0.0` stays distinct from `0.0`, and text
-///   `"-0"` is `-0.0`. NaN aside, a key's bits are the f64 `compare`
-///   coerces the value to.
+///   f64, floats, and text that reads as a number (so `Int 5`,
+///   `Float 5.0` and node text `" 5 "` collide). All NaNs collapse to
+///   one key; `-0.0` stays distinct from `0.0`, and text `"-0"` is
+///   `-0.0`.
 /// * tag 4, i64 bits — integers f64 cannot represent, kept exact so
 ///   distinct keys beyond 2^53 never conflate.
 /// * tag 3, interned id — every other string (`Str` and `Sym` of equal
@@ -337,26 +337,14 @@ fn typed_key(v: &Value, insert: bool) -> Option<Key> {
             (4, i as u64)
         }
     }
-    fn str_key(s: &str, insert: bool) -> Option<Key> {
-        let t = s.trim();
-        match t.parse::<i64>() {
-            // `compare` reads "-0" as -0.0, not the integer 0.
-            Ok(0) if t.starts_with('-') => Some((2, bits(-0.0))),
-            Ok(i) => Some(int_key(i)),
-            Err(_) => match t.parse::<f64>() {
-                Ok(f) => Some((2, bits(f))),
-                Err(_) if insert => Some((3, Sym::intern(s).id() as u64)),
-                Err(_) => Sym::find(s).map(|sym| (3, sym.id() as u64)),
-            },
-        }
-    }
-    v.with_atomic(|a| match a {
-        nimble_xml::Atomic::Int(i) => Some(int_key(*i)),
-        nimble_xml::Atomic::Float(f) => Some((2, bits(*f))),
-        nimble_xml::Atomic::Str(s) => str_key(s, insert),
-        nimble_xml::Atomic::Sym(sym) => str_key(sym.as_str(), insert).or(Some((3, sym.id() as u64))),
-        nimble_xml::Atomic::Bool(b) => Some((1, *b as u64)),
-        nimble_xml::Atomic::Null => Some((0, 0)),
+    v.with_atomic(|a| match (a.numeric(), a) {
+        (Some(OrderKey::Int(i)), _) => Some(int_key(i)),
+        (Some(OrderKey::Float(f)), _) => Some((2, bits(f))),
+        (_, Atomic::Str(s)) if insert => Some((3, Sym::intern(s).id() as u64)),
+        (_, Atomic::Str(s)) => Sym::find(s).map(|sym| (3, sym.id() as u64)),
+        (_, Atomic::Sym(sym)) => Some((3, sym.id() as u64)),
+        (_, Atomic::Bool(b)) => Some((1, *b as u64)),
+        _ => Some((0, 0)),
     })
 }
 

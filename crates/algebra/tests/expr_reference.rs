@@ -3,7 +3,7 @@
 //! owns every value it touches, and `slice::sort_by`.
 
 use nimble_algebra::expr::like_match;
-use nimble_algebra::ops::{Operator, SortKey, SortOp, ValuesOp};
+use nimble_algebra::ops::{HashJoinOp, JoinType, Operator, SortKey, SortOp, ValuesOp};
 use nimble_algebra::{
     run_to_vec, run_to_vec_batched, ArithOp, CmpOp, ExecError, FunctionRegistry, LineageMask,
     ScalarExpr, Schema, Tuple,
@@ -14,6 +14,51 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 // ---- the reference: every read is a clone, every verdict a `Value` ----
+
+/// A number as a comparison reads it, kept exact: an integer stays one.
+#[derive(Clone, Copy)]
+enum Num {
+    I(i128),
+    F(f64),
+}
+
+/// The comparison's numeric reading: an integer, a float, or text whose
+/// trim parses as an integer (`"-0"` is −0.0), else as a float.
+fn exact(a: &Atomic) -> Option<Num> {
+    let t = match a {
+        Atomic::Int(i) => return Some(Num::I(*i as i128)),
+        Atomic::Float(f) => return Some(Num::F(*f)),
+        _ => a.as_str()?.trim(),
+    };
+    match t.parse::<i64>() {
+        Ok(0) if t.starts_with('-') => Some(Num::F(-0.0)),
+        Ok(i) => Some(Num::I(i as i128)),
+        Err(_) => t.parse().ok().map(Num::F),
+    }
+}
+
+/// Two numbers by exact value; floats in `f64::total_cmp`'s order, where
+/// an integer sits as the float of its value would, `0` as `+0.0`.
+fn exact_cmp(x: Num, y: Num) -> Ordering {
+    fn int_float(i: i128, f: f64) -> Ordering {
+        if !f.is_finite() {
+            return 0.0f64.total_cmp(&f);
+        }
+        if f == 0.0 {
+            return i.cmp(&0).then(if f.is_sign_negative() { Ordering::Greater } else { Ordering::Equal });
+        }
+        match i.cmp(&(f.floor() as i128)) {
+            Ordering::Equal if f.floor() != f => Ordering::Less,
+            ord => ord,
+        }
+    }
+    match (x, y) {
+        (Num::I(a), Num::I(b)) => a.cmp(&b),
+        (Num::F(a), Num::F(b)) => a.total_cmp(&b),
+        (Num::I(a), Num::F(b)) => int_float(a, b),
+        (Num::F(a), Num::I(b)) => int_float(b, a).reverse(),
+    }
+}
 
 fn reference(e: &ScalarExpr, row: &[Value], funcs: &FunctionRegistry) -> Result<Value, ExecError> {
     let num = |a: &Atomic| match a {
@@ -35,8 +80,8 @@ fn reference(e: &ScalarExpr, row: &[Value], funcs: &FunctionRegistry) -> Result<
         ScalarExpr::Not(x) => Value::from(!truth(x)?),
         ScalarExpr::Cmp(op, l, r) => {
             let (la, ra) = (reference(l, row, funcs)?.atomize(), reference(r, row, funcs)?.atomize());
-            let ord = match (num(&la), num(&ra)) {
-                (Some(x), Some(y)) => x.total_cmp(&y),
+            let ord = match (exact(&la), exact(&ra)) {
+                (Some(x), Some(y)) => exact_cmp(x, y),
                 _ => la.total_cmp(&ra),
             };
             Value::from(match op {
@@ -212,10 +257,10 @@ fn borrowed_eval_agrees_with_the_owned_reference_on_values_errors_and_failing_ro
 }
 
 #[test]
-fn comparison_coerces_through_f64_at_the_integer_edges() {
+fn comparison_is_exact_at_the_integer_edges() {
     // Every pair of the edge values, every operator, as integers and as
     // their spellings: the borrowed `compare` and the reference agree —
-    // and the known consequences of comparing through `f64` are pinned.
+    // and no two integers meet as one `f64`.
     let funcs = registry();
     let edges = [i64::MIN, i64::MAX, 0, -1, TWO53, TWO53 + 1, TWO53 - 1, -TWO53 - 1];
     let mut forms: Vec<Value> = edges.iter().map(|&i| Value::from(i)).collect();
@@ -237,12 +282,50 @@ fn comparison_coerces_through_f64_at_the_integer_edges() {
         }
     }
     let holds = |l: Value, op, r: Value| nimble_algebra::expr::compare(op, &l, &r);
-    assert!(holds(Value::from(TWO53), CmpOp::Eq, Value::from(TWO53 + 1)), "2^53 + 1 rounds to 2^53");
+    assert!(!holds(Value::from(TWO53), CmpOp::Eq, Value::from(TWO53 + 1)), "2^53 + 1 is not 2^53");
     assert!(holds(Value::from(TWO53 - 1), CmpOp::Lt, Value::from(TWO53)));
     assert!(holds(Value::from(i64::MIN), CmpOp::Lt, Value::from(i64::MAX)));
-    assert!(holds(Value::from(i64::MAX), CmpOp::Eq, Value::from(i64::MAX - 1)), "both round to 2^63");
+    assert!(!holds(Value::from(i64::MAX), CmpOp::Eq, Value::from(i64::MAX - 1)), "nor i64::MAX - 1 i64::MAX");
     assert!(holds(Value::from("-0"), CmpOp::Lt, Value::from(0i64)), "f64 total order: -0 < +0");
     assert!(holds(Value::from(i64::MIN), CmpOp::Eq, Value::from("-9223372036854775808")));
+}
+
+#[test]
+fn the_hash_join_equates_exactly_the_values_compare_calls_equal() {
+    // `compare(Eq, a, b)` iff the hash join pairs `a` with `b` (its
+    // `typed_key`), for non-null values that do not read as NaN: the
+    // generator's values, atomized, and the mixed classes.
+    let docs = docs();
+    let mut pool: Vec<Atomic> = ["2", " 2 ", "2.0", "x", "", "-0", "+2", "9007199254740993", "true"]
+        .map(Atomic::from)
+        .into_iter()
+        .chain([2.0, -0.0, 0.0, TWO53 as f64].map(Atomic::Float))
+        .chain([2, 0, TWO53, TWO53 + 1].map(Atomic::Int))
+        .chain([Atomic::Bool(true), Atomic::Sym(Sym::intern(" 2 "))])
+        .collect();
+    let mut rng = Rng::new(SWEEP_SEED);
+    pool.extend((0..300).map(|_| value(&mut rng, &docs, 0).atomize()));
+    pool.retain(|a| !a.is_null() && !exact(a).is_some_and(|n| matches!(n, Num::F(f) if f.is_nan())));
+    let side = |name: &str| {
+        let rows = pool.iter().enumerate().map(|(i, a)| vec![Value::Atomic(a.clone()), Value::from(i as i64)]);
+        ValuesOp::new(Schema::new(vec![format!("{}k", name), format!("{}i", name)]), rows.collect())
+    };
+    let mut join = HashJoinOp::new(Box::new(side("l")), Box::new(side("r")), vec![0], vec![0], JoinType::Inner);
+    let id = |v: &Value| match v.atomize() {
+        Atomic::Int(i) => i as usize,
+        other => panic!("{:?}", other),
+    };
+    let joined: std::collections::HashSet<(usize, usize)> =
+        run_to_vec(&mut join).unwrap().iter().map(|t| (id(&t[1]), id(&t[3]))).collect();
+    let mut equal = 0;
+    for (i, a) in pool.iter().enumerate() {
+        for (j, b) in pool.iter().enumerate() {
+            let eq = nimble_algebra::expr::compare(CmpOp::Eq, &Value::Atomic(a.clone()), &Value::Atomic(b.clone()));
+            assert_eq!(eq, joined.contains(&(i, j)), "{:?} = {:?}", a, b);
+            equal += usize::from(eq && i != j);
+        }
+    }
+    assert!(equal > 100, "{} equal pairs", equal);
 }
 
 // ---- (b) the sort ----

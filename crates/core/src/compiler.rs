@@ -15,7 +15,7 @@ use nimble_sources::{
     Capabilities, CollectionRef, FieldRef, PredOp, Selection, SourceQuery,
 };
 use nimble_xml::Atomic;
-use nimble_xmlql::ast::{BinOp, Expr, Pattern, PatternContent, TagPattern};
+use nimble_xmlql::ast::{Expr, Pattern, PatternContent, TagPattern};
 
 /// A pattern recognized as a flat record scan: every bound variable maps
 /// to one field of one collection row.
@@ -240,22 +240,12 @@ pub fn simple_selection(expr: &Expr) -> Option<(&str, PredOp, &Atomic)> {
     let Expr::Binary(op, l, r) = expr else {
         return None;
     };
-    let (op, var, lit) = match (l.as_ref(), r.as_ref()) {
-        (Expr::Var(v), Expr::Lit(a)) => (*op, v, a),
-        (Expr::Lit(a), Expr::Var(v)) => (flip(*op)?, v, a),
-        _ => return None,
-    };
-    let pred_op = match op {
-        BinOp::Eq => PredOp::Eq,
-        BinOp::Ne => PredOp::Ne,
-        BinOp::Lt => PredOp::Lt,
-        BinOp::Le => PredOp::Le,
-        BinOp::Gt => PredOp::Gt,
-        BinOp::Ge => PredOp::Ge,
-        BinOp::Like => PredOp::Like,
-        _ => return None,
-    };
-    Some((var, pred_op, lit))
+    let op = op.cmp_op()?;
+    match (l.as_ref(), r.as_ref()) {
+        (Expr::Var(v), Expr::Lit(a)) => Some((v, op, a)),
+        (Expr::Lit(a), Expr::Var(v)) => Some((v, op.flipped()?, a)),
+        _ => None,
+    }
 }
 
 /// Try to fold a residual predicate of shape `$var <op> literal` into a
@@ -279,22 +269,10 @@ pub fn push_predicate(fragment: &mut SourceQuery, expr: &Expr, caps: &Capabiliti
     true
 }
 
-fn flip(op: BinOp) -> Option<BinOp> {
-    Some(match op {
-        BinOp::Eq => BinOp::Eq,
-        BinOp::Ne => BinOp::Ne,
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nimble_xmlql::ast::Condition;
+    use nimble_xmlql::ast::{BinOp, Condition};
 
     fn pattern_of(text: &str) -> Pattern {
         let q = nimble_xmlql::parse_query(text).unwrap();

@@ -3272,8 +3272,8 @@ fn fragment_key(source: &str, query: &SourceQuery) -> String {
     count(&mut key, selections.len(), ';');
     for s in selections {
         field(&mut key, &s.field);
-        key.push_str(s.op.sql());
-        key.push(' ');
+        // One byte an operator, in `CmpOp`'s order.
+        key.push(char::from(b"=!<{>}~"[s.op as usize]));
         atom(&mut key, &s.value);
     }
     key.push('o');

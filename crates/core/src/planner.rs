@@ -21,11 +21,12 @@ use crate::matcher::{match_within, Bindings};
 use nimble_algebra::inspect::{OpInfo, OrderEffect, SchemaRule};
 use nimble_algebra::ops::Operator;
 use nimble_algebra::{CmpOp, ExecError, LineageMask, LiteralTest, ScalarExpr, Schema, Tuple};
-use nimble_planck::{Fingerprint, Placement, ProbeFacts, RewriteRecord};
+use nimble_planck::{Fingerprint, Placement, ProbeFacts, RewriteRecord, SourceRead};
 use nimble_sources::query::{FieldRef, PredOp};
 use nimble_sources::relational::RelationalAdapter;
 use nimble_sources::{SourceAdapter, SourceKind, SourceQuery};
-use nimble_xml::{Atomic, AtomicType, Value};
+use nimble_xml::atomic::{joins_alike, reads_alike};
+use nimble_xml::{Atomic, AtomicType, Sym, Value};
 use nimble_xmlql::ast::{
     BinOp, Condition, Expr, OrderKey, Pattern, PatternContent, PatternValue, Query, SourceRef, TagPattern,
 };
@@ -244,11 +245,10 @@ impl BindStage {
     /// non-null value of the declared type can — the mediator's join
     /// equates two absent values and a number with its text, a source's
     /// `IN` does neither — and, among strings, only one that does not
-    /// read as a number (the join compares `"42"` and `" 42 "` as
-    /// numbers).
+    /// read as a number ([`Atomic::numeric`]: the join compares `"42"`
+    /// and `" 42 "` as numbers).
     pub fn admits(&self, key: &Atomic) -> bool {
-        key.atomic_type() == self.key_type
-            && key.as_str().map_or(true, |s| s.trim().parse::<f64>().is_err())
+        key.atomic_type() == self.key_type && (key.as_str().is_none() || key.numeric().is_none())
     }
 }
 
@@ -433,9 +433,16 @@ fn plan_floored(
                                 .source(&source)
                                 .ok_or_else(|| CoreError::UnknownCollection(name.clone()))?;
                             let caps = adapter.capabilities();
+                            // A literal field is sent only where the source
+                            // reads it as the matcher does.
+                            let alike = |rp: &compiler::RowPattern| {
+                                rp.eq_selections.iter().all(|(field, lit)| {
+                                    reads_alike(CmpOp::Eq, lit, declared(adapter.as_ref(), &collection, field), false)
+                                })
+                            };
                             let pushed = if config.pushdown {
                                 compiler::recognize_row_pattern(&pb.pattern)
-                                    .filter(|rp| compiler::pushable(rp, &caps))
+                                    .filter(|rp| compiler::pushable(rp, &caps) && alike(rp))
                             } else {
                                 None
                             };
@@ -497,12 +504,11 @@ fn plan_floored(
             .into_iter()
             .zip(std::mem::take(&mut params))
         {
-            let placed = place_selection(catalog, &mut plan, &pred, param);
-            if placed.is_empty() {
+            let (placed, central) = place_selection(catalog, &mut plan, &pred, param, outer);
+            placements.extend(placed);
+            if central {
                 remaining.push(pred);
                 remaining_params.push(param);
-            } else {
-                placements.extend(placed);
             }
         }
         params = remaining_params;
@@ -658,7 +664,7 @@ fn probes_of(plan: &Plan, outer: Option<&Schema>, conjunct: usize, pred: &Expr) 
     let binders: Vec<usize> = (0..plan.independents.len())
         .filter(|&i| plan.independents[i].vars().contains(var))
         .collect();
-    let joined = binders.len() + usize::from(outer.is_some_and(|s| s.index_of(var).is_some())) > 1;
+    let joined = binders_of(plan, outer, var) > 1;
     if joined && !test.all(&|c| c.op != CmpOp::Like) {
         return Vec::new();
     }
@@ -773,19 +779,21 @@ fn probe_facts(plan: &Plan, outer: Option<&Schema>) -> Vec<ProbeFacts> {
                 test: conjunct.and_then(|c| probe_test(c, &p.var)),
                 joined: p.joined,
                 failing_before: plan.residual_predicates.iter().take(p.conjunct).filter(|e| may_fail(e)).count(),
-                binders: plan.independents.iter().filter(|a| a.vars().contains(&p.var)).count()
-                    + plan
-                        .dependents
-                        .iter()
-                        .filter(|d| d.on_var == p.var || d.vars.contains(&p.var))
-                        .count()
-                    + usize::from(outer.is_some_and(|s| s.index_of(&p.var).is_some())),
+                binders: binders_of(plan, outer, &p.var),
                 central: pattern.is_some() && !plan.shards.iter().any(|s| s.atom == p.atom),
                 occurrences: pattern.map(|pattern| var_sites(pattern, &p.var)).unwrap_or_default(),
                 walk: p.walk(),
             }
         })
         .collect()
+}
+
+/// Units that bind `var`: independent atoms, dependent atoms (binding it,
+/// or navigating the element it holds) and the `outer` row.
+fn binders_of(plan: &Plan, outer: Option<&Schema>, var: &str) -> usize {
+    plan.independents.iter().filter(|a| a.vars().iter().any(|v| v == var)).count()
+        + plan.dependents.iter().filter(|d| d.on_var == var || d.vars.iter().any(|v| v == var)).count()
+        + usize::from(outer.is_some_and(|s| s.index_of(var).is_some()))
 }
 
 /// A probe's conjunct as the matcher tests it: compiled for a one-column
@@ -825,6 +833,7 @@ fn floor_fragments(catalog: &Catalog, plan: &mut Plan, delta: Option<(&str, u64)
             var: vars.first().cloned().unwrap_or_default(),
             source: source.clone(),
             outputs: vars.clone(),
+            reads: None,
         });
     }
     let Some(pred) = pred else {
@@ -959,15 +968,21 @@ impl<'a> Bound<'a> {
     }
 
     /// The fragment `independents[atom]` sends on this serve: the plan's
-    /// own, or a copy holding this serve's values. `None` when the atom
-    /// is not a fragment.
+    /// own, or a copy holding this serve's values. An equality whose
+    /// value is text that reads as a number is not sent: the source would
+    /// compare it as text (`reads_alike`), and it stays central too
+    /// (`place_selection`). `None` when the atom is not a fragment.
     pub fn fragment_query(&self, atom: usize) -> Option<Cow<'a, SourceQuery>> {
         let Some(AtomExec::Fragment { query, .. }) = self.plan.independents.get(atom) else {
             return None;
         };
         let mut sent = Cow::Borrowed(query);
-        for j in 0..query.selections.len() {
-            if let Some(value) = self.selection_value(atom, j) {
+        for (j, sel) in query.selections.iter().enumerate().rev() {
+            let value = self.selection_value(atom, j);
+            let held = value.unwrap_or(&sel.value);
+            if sel.op == PredOp::Eq && held.as_str().is_some() && held.numeric().is_some() {
+                sent.to_mut().selections.remove(j);
+            } else if let Some(value) = value {
                 if let Some(s) = sent.to_mut().selections.get_mut(j) {
                     s.value = value.clone();
                 }
@@ -1064,8 +1079,8 @@ impl<'a> Bound<'a> {
 enum Declined {
     /// The source cannot evaluate selections.
     Caps,
-    /// The field's declared type (or the first placement's) is outside
-    /// the literal's coercion class.
+    /// The source's typed comparison of the field, as declared, would
+    /// keep other rows than the mediator's ([`reads_alike`]).
     Type,
     /// Estimated selectivity too weak to shrink the transfer.
     Cost(f64),
@@ -1090,61 +1105,52 @@ fn field_type(
     field: &FieldRef,
 ) -> Option<AtomicType> {
     let coll = query.collections.iter().find(|c| c.alias == field.alias)?;
-    let info = adapter
-        .collections()
-        .into_iter()
-        .find(|c| c.name == coll.collection)?;
-    info.fields
-        .iter()
-        .find(|(name, _)| name == &field.field)
-        .map(|(_, ty)| *ty)
+    declared(adapter, &coll.collection, &field.field)
 }
 
-/// Whether a source comparing a field of type `field` with `lit` agrees
-/// with the mediator's join on every pair of join-equal values.
-fn in_coercion_class(lit: &Atomic, field: Option<AtomicType>) -> bool {
-    use AtomicType::*;
-    matches!(
-        (lit.atomic_type(), field),
-        (Int | Float, Some(Int | Float)) | (Str, Some(Str)) | (Bool, Some(Bool))
-    )
+/// Declared type of a collection's field.
+fn declared(adapter: &dyn SourceAdapter, collection: &str, field: &str) -> Option<AtomicType> {
+    let info = adapter.collections().into_iter().find(|c| c.name == collection)?;
+    info.fields.iter().find(|(name, _)| name == field).map(|(_, ty)| *ty)
 }
 
 /// Phase 2 for one predicate: gives `$v op literal` to every fragment
-/// that outputs `$v` and returns the copies placed (none when the
-/// predicate stays central). `param` says which equality parameter the
-/// literal is, if it is one: each copy is then recorded as a
-/// [`ParamSite`].
+/// that outputs `$v` and returns the copies placed, and whether the
+/// predicate stays central too (always, when none is placed). `param`
+/// says which equality parameter the literal is, if it is one: each
+/// copy is then recorded as a [`ParamSite`].
 ///
-/// Each fragment decides for itself: its source must evaluate
-/// selections, and a predicate whose estimated selectivity *there* is
-/// too weak to shrink the transfer is not shipped (same semantics, one less thing the source has to do). The
-/// first fragment to take the predicate takes it unconditionally, as a
-/// single placement always has. Further copies are evaluated by other
-/// sources on other representations of the joined value, and the
-/// mediator's hash join equates across representations (`Int 2` with
-/// `Float 2.0`, trimmed numeric text) where a source's `WHERE` may not,
-/// so a copy is placed only when both its field and the first
-/// placement's are declared in the literal's coercion class.
+/// Each fragment decides for itself. Its source must evaluate
+/// selections; its typed comparison of the field, as declared, must keep
+/// exactly the rows the mediator's would ([`reads_alike`], DESIGN.md
+/// §23) — where another unit binds `$v` too (another atom, a dependent
+/// atom, the `outer` row), for every value the join equates with the one
+/// it holds; and a predicate whose estimated selectivity there is too
+/// weak to shrink the transfer is not shipped.
+///
+/// A plan serves every value of an equality parameter's type (DESIGN.md
+/// §12), so a text parameter is placed as text that does not read as a
+/// number would be, and stays central too: a serve whose text reads as
+/// one does not send it ([`Bound::fragment_query`]).
 fn place_selection(
     catalog: &Catalog,
     plan: &mut Plan,
     pred: &Expr,
     param: Option<usize>,
-) -> Vec<Placement> {
-    let Some((var, _, lit)) = compiler::simple_selection(pred) else {
-        return Vec::new();
+    outer: Option<&Schema>,
+) -> (Vec<Placement>, bool) {
+    let Some((var, op, lit)) = compiler::simple_selection(pred) else {
+        return (Vec::new(), true);
     };
+    let text_param = param.is_some() && lit.as_str().is_some();
+    let lit = if text_param { &Atomic::Sym(Sym::EMPTY) } else { lit };
     let binds = |atom: &AtomExec| {
         matches!(atom, AtomExec::Fragment { query, .. }
             if query.outputs.iter().any(|(v, _)| v == var))
     };
-    // Field types are looked up only when there is a copy to guard.
-    let shared = plan.independents.iter().filter(|a| binds(a)).count() > 1;
+    let joined = binders_of(plan, outer, var) > 1;
     let mut placed: Vec<Placement> = Vec::new();
     let mut declined: Vec<(&str, Declined)> = Vec::new();
-    // Whether the first placement's field admits copies elsewhere.
-    let mut first_in_class = false;
     for (i, atom) in plan.independents.iter_mut().enumerate().filter(|(_, a)| binds(a)) {
         let AtomExec::Fragment {
             source,
@@ -1164,9 +1170,8 @@ fn place_selection(
         let Some(sel) = query.selections.last() else {
             continue;
         };
-        let in_class =
-            shared && in_coercion_class(lit, field_type(adapter.as_ref(), query, &sel.field));
-        let why = if !placed.is_empty() && !(first_in_class && in_class) {
+        let field = field_type(adapter.as_ref(), query, &sel.field);
+        let why = if !reads_alike(op, lit, field, joined) {
             Some(Declined::Type)
         } else {
             cost::fragment_selection_selectivity(catalog, source, query, sel)
@@ -1177,9 +1182,6 @@ fn place_selection(
             query.selections.pop();
             declined.push((source, why));
             continue;
-        }
-        if placed.is_empty() {
-            first_in_class = in_class;
         }
         plan.notes.push(format!("predicate pushed to {}", source));
         if let Some(param) = param {
@@ -1194,6 +1196,7 @@ fn place_selection(
             var: var.to_string(),
             source: source.clone(),
             outputs: vars.clone(),
+            reads: Some(SourceRead::Selection { op, lit: lit.clone(), field, joined }),
         });
     }
     for (source, why) in declined {
@@ -1202,13 +1205,15 @@ fn place_selection(
                 "cost: predicate kept central (est selectivity {:.2} at {})",
                 s, source
             ),
+            (true, Declined::Type) => format!("type: predicate kept central ({} reads it otherwise)", source),
             // Nothing was shipped, so nothing was replicated either.
-            (true, _) => continue,
+            (true, Declined::Caps) => continue,
             (false, why) => format!("predicate not replicated to {}: {}", source, why.tag()),
         };
         plan.notes.push(note);
     }
-    placed
+    let central = placed.is_empty() || text_param;
+    (placed, central)
 }
 
 /// Phase 4, between the estimates and the fold order: choose the bind
@@ -1359,6 +1364,7 @@ fn plan_bind_stage(catalog: &Catalog, plan: &mut Plan) {
                 var: choice.var.clone(),
                 source: source.clone(),
                 outputs: vars.clone(),
+                reads: None,
             });
         }
         before_rows = before_rows.saturating_add(plan.est_rows[*t]);
@@ -1518,7 +1524,7 @@ fn unsat_verdict(catalog: &Catalog, bound: Bound<'_>) -> Option<String> {
                 let idx = cols.iter().position(|f| *f == &sel.field)?;
                 let value = bound.selection_value(i, j).unwrap_or(&sel.value);
                 Some(ScalarExpr::Cmp(
-                    cmp_of(sel.op),
+                    sel.op,
                     Box::new(ScalarExpr::Col(idx)),
                     Box::new(ScalarExpr::Lit(Value::Atomic(value.clone()))),
                 ))
@@ -1778,19 +1784,6 @@ fn var_exact_bounds(
         }
     }
     None
-}
-
-/// Physical comparison operator for a pushed-selection predicate.
-fn cmp_of(op: PredOp) -> CmpOp {
-    match op {
-        PredOp::Eq => CmpOp::Eq,
-        PredOp::Ne => CmpOp::Ne,
-        PredOp::Lt => CmpOp::Lt,
-        PredOp::Le => CmpOp::Le,
-        PredOp::Gt => CmpOp::Gt,
-        PredOp::Ge => CmpOp::Ge,
-        PredOp::Like => CmpOp::Like,
-    }
 }
 
 /// Cardinality estimation from the catalog's [`nimble_store::StatsCatalog`].
@@ -2268,10 +2261,35 @@ fn merge_same_source_fragments(catalog: &Catalog, plan: &mut Plan) {
             }
         }
     }
+    let mut placements: Vec<Placement> = Vec::new();
     for (source, frags) in by_source {
         if frags.len() >= 2 {
             let queries: Vec<SourceQuery> = frags.iter().map(|(_, q, _)| q.clone()).collect();
-            if let Some(joined) = compiler::merge_fragments(&queries) {
+            // Sent only where the source's typed join pairs the rows the
+            // mediator's hash join pairs (`joins_alike`, DESIGN.md §23).
+            let merge = compiler::merge_fragments(&queries).and_then(|joined| {
+                let adapter = catalog.source(&source)?;
+                let declared = |f: &FieldRef| field_type(adapter.as_ref(), &joined, f);
+                let outputs: Vec<String> = joined.outputs.iter().map(|(v, _)| v.clone()).collect();
+                let joins: Vec<Placement> = joined
+                    .join_conds
+                    .iter()
+                    .map(|(l, r)| Placement {
+                        pred: format!("{} = {}", l, r),
+                        var: joined.outputs.iter().find(|(_, f)| f == l).map_or_else(String::new, |(v, _)| v.clone()),
+                        source: source.clone(),
+                        outputs: outputs.clone(),
+                        reads: Some(SourceRead::Join(declared(l), declared(r))),
+                    })
+                    .collect();
+                let alike = joins.iter().all(|p| matches!(p.reads, Some(SourceRead::Join(a, b)) if joins_alike(a, b)));
+                if !alike {
+                    plan.notes.push(format!("join kept central ({} reads it otherwise)", source));
+                }
+                alike.then_some((joined, joins, outputs))
+            });
+            if let Some((joined, joins, vars)) = merge {
+                placements.extend(joins);
                 // The joined fragment lists its parts' selections part
                 // by part, in order.
                 let mut before = 0;
@@ -2279,7 +2297,6 @@ fn merge_same_source_fragments(catalog: &Catalog, plan: &mut Plan) {
                     moved[*old] = (merged.len(), before);
                     before += query.selections.len();
                 }
-                let vars: Vec<String> = joined.outputs.iter().map(|(v, _)| v.clone()).collect();
                 plan.notes.push(format!(
                     "join of {} fragments pushed to {}",
                     frags.len(),
@@ -2303,6 +2320,20 @@ fn merge_same_source_fragments(catalog: &Catalog, plan: &mut Plan) {
         }
     }
     plan.independents = merged;
+    // Rewrite record: each merged join condition moves from the central
+    // join into a source, as the source reads it.
+    if !placements.is_empty() {
+        let preds: Vec<String> = placements.iter().map(|p| p.pred.clone()).collect();
+        plan.rewrites.push(
+            RewriteRecord::new(
+                "join-pushdown",
+                false,
+                Fingerprint::new(Vec::new()).with_extra(preds),
+                Fingerprint::new(Vec::new()),
+            )
+            .with_placements(placements),
+        );
+    }
     for site in &mut plan.param_sites {
         if let ParamSite::Selection {
             atom, selection, ..
@@ -2681,7 +2712,7 @@ mod tests {
                         "{}: {} {} {}",
                         source,
                         sel.field,
-                        sel.op.sql(),
+                        nimble_sources::relational::sql_op(sel.op),
                         sel.value.lexical()
                     ));
                 }
@@ -2777,17 +2808,21 @@ mod tests {
     #[test]
     fn join_fields_of_different_classes_get_a_single_placement() {
         // TEXT id joined to INT cust_id: the mediator equates '7' with
-        // 7, a source comparing text with a number may not.
+        // 7, a source comparing text with a number does not — so only
+        // the INT field takes the copy.
         let (crm, billing) = lookup_sources("TEXT", 1..=20, 1..=20);
         let plan = lookup_plan(crm, billing, "$i = 7");
-        assert_eq!(shipped(&plan), ["crm: t.id = 7"]);
+        assert_eq!(shipped(&plan), ["billing: t.cust_id = 7"]);
         assert!(plan.residual_predicates.is_empty());
-        assert!(has_note(&plan, "predicate not replicated to billing: type"));
+        assert!(has_note(&plan, "predicate not replicated to crm: type"));
 
-        // A literal outside both fields' class is not replicated either.
+        // A literal neither field reads as the mediator does stays
+        // central, and EXPLAIN says why.
         let (crm, billing) = lookup_sources("INT", 1..=20, 1..=20);
         let plan = lookup_plan(crm, billing, r#"$i = "7""#);
-        assert_eq!(shipped(&plan), ["crm: t.id = 7"]);
+        assert!(shipped(&plan).is_empty());
+        assert_eq!(plan.residual_predicates.len(), 1);
+        assert!(has_note(&plan, "type: predicate kept central (crm reads it otherwise)"));
     }
 
     #[test]
@@ -2859,7 +2894,8 @@ mod tests {
             (&c, r#"WHERE <row><id>$i</id><region>"NW"</region></row> IN "erp.customers", K = $i CONSTRUCT <o>$i</o>"#.into(), 1),
             (&c, r#"WHERE <bib><book year=$y><title>$x</title></book></bib> IN "bib", 3 < 5, $y = K CONSTRUCT <o>$x</o>"#.into(), 1),
             (&c, format!("WHERE {}, $t = 9.5, $i = K, $i = L CONSTRUCT <o>$n</o>", join), 5),
-            (&c, r#"WHERE <row><id>$i</id><name>$n</name></row> IN "erp.customers", $n = "K" CONSTRUCT <o>$i</o>"#.into(), 1),
+            // A text parameter is sent and stays central: two sites.
+            (&c, r#"WHERE <row><id>$i</id><name>$n</name></row> IN "erp.customers", $n = "cK" CONSTRUCT <o>$i</o>"#.into(), 2),
         ];
         let config = OptimizerConfig::default();
         // The rewrite records quote the predicates of the text that was

@@ -57,7 +57,7 @@ pub mod rewrite_audit;
 pub mod satisfy;
 pub mod types;
 
-pub use rewrite_audit::{audit, audit_probes, Fingerprint, Placement, ProbeFacts, RewriteRecord};
+pub use rewrite_audit::{audit, audit_probes, Fingerprint, Placement, ProbeFacts, RewriteRecord, SourceRead};
 pub use satisfy::Verdict;
 
 use nimble_algebra::inspect::SchemaRule;

@@ -40,6 +40,13 @@
 //!   exactly one fragment may take it: the join of two deltas is not
 //!   what a view gained.
 //!
+//! * **What a source reads** — a `pushdown` copy, or a same-source join
+//!   a `join-pushdown` record sends, is evaluated by the source's typed
+//!   comparison. Each such placement states what the source is asked
+//!   ([`SourceRead`]) against the declared field types, and must pass the
+//!   one rule (`nimble_xml::atomic::{reads_alike, joins_alike}`), or the
+//!   source would keep other rows than the mediator (DESIGN.md §23).
+//!
 //! * **Candidate probes** — a central pattern match checks some residual
 //!   conjuncts on each candidate before matching it, keeping them in
 //!   the Filter. [`audit_probes`] (rule `candidate-probe`) admits each
@@ -51,6 +58,8 @@
 
 use crate::PlanIssue;
 use nimble_algebra::{CmpOp, LiteralTest};
+use nimble_xml::atomic::{joins_alike, reads_alike};
+use nimble_xml::{Atomic, AtomicType};
 
 /// A cheap structural summary of a plan (or plan fragment) taken before
 /// or after a rewrite.
@@ -102,7 +111,7 @@ impl Fingerprint {
 }
 
 /// One copy of a predicate the `pushdown` rule shipped to a fragment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     /// Predicate rendering, as it appears in the `before` payload.
     pub pred: String,
@@ -112,6 +121,21 @@ pub struct Placement {
     pub source: String,
     /// Variables that fragment outputs.
     pub outputs: Vec<String>,
+    /// What the source is asked to compare, for a placement the source
+    /// evaluates (`pushdown`, `join-pushdown`).
+    pub reads: Option<SourceRead>,
+}
+
+/// A comparison a source is sent, with the declared types of the fields
+/// it reads (`None`: undeclared).
+#[derive(Debug, Clone, PartialEq)]
+pub enum SourceRead {
+    /// `field op lit`; `joined` when another unit binds the variable. A
+    /// text equality parameter's `lit` is `""`: it stands for every text
+    /// a serve sends, one that reads as a number being withheld.
+    Selection { op: CmpOp, lit: Atomic, field: Option<AtomicType>, joined: bool },
+    /// An equi-join of two fields.
+    Join(Option<AtomicType>, Option<AtomicType>),
 }
 
 impl std::fmt::Display for Placement {
@@ -314,6 +338,17 @@ pub fn audit(records: &[RewriteRecord]) -> Vec<PlanIssue> {
         }
 
         for p in &r.placements {
+            let alike = match &p.reads {
+                Some(SourceRead::Selection { op, lit, field, joined }) => reads_alike(*op, lit, *field, *joined),
+                Some(SourceRead::Join(a, b)) => joins_alike(*a, *b),
+                None => false,
+            };
+            if matches!(r.rule.as_str(), "pushdown" | "join-pushdown") && !alike {
+                report(format!(
+                    "{} is sent to a source that reads it otherwise than the mediator: {:?}",
+                    p, p.reads
+                ));
+            }
             if !p.outputs.contains(&p.var) {
                 report(format!(
                     "predicate placed at a fragment that does not bind its \
@@ -558,6 +593,12 @@ mod tests {
             var: "i".to_string(),
             source: source.to_string(),
             outputs: cols(outputs),
+            reads: Some(SourceRead::Selection {
+                op: CmpOp::Eq,
+                lit: Atomic::Int(7),
+                field: Some(AtomicType::Int),
+                joined: true,
+            }),
         };
         let replicated = |placements: Vec<Placement>, central: &[&str]| {
             RewriteRecord::new(
@@ -590,12 +631,60 @@ mod tests {
     }
 
     #[test]
+    fn a_source_is_sent_only_what_it_reads_as_the_mediator_does() {
+        use AtomicType::{Bool, Float, Int, Str};
+        let sent = |rule: &str, reads: Option<SourceRead>| {
+            let record = |extra: &[&str]| Fingerprint::new(Vec::new()).with_extra(cols(extra));
+            let placement = Placement {
+                pred: "$v op lit".to_string(),
+                var: "v".to_string(),
+                source: "crm".to_string(),
+                outputs: cols(&["v"]),
+                reads,
+            };
+            let r = RewriteRecord::new(rule, true, record(&["$v op lit"]), record(&[])).with_placements(vec![placement]);
+            audit(&[r])
+        };
+        let sel = |op, lit: Atomic, field, joined| Some(SourceRead::Selection { op, lit, field: Some(field), joined });
+        for reads in [
+            sel(CmpOp::Lt, Atomic::Int(2), Float, true),
+            sel(CmpOp::Eq, Atomic::Str("x".into()), Str, true),
+            sel(CmpOp::Ge, Atomic::Str("x".into()), Str, false),
+            sel(CmpOp::Like, Atomic::Str("2%".into()), Float, false),
+            sel(CmpOp::Gt, Atomic::Bool(false), Bool, true),
+        ] {
+            assert!(sent("pushdown", reads.clone()).is_empty(), "{:?}", reads);
+        }
+        assert!(sent("join-pushdown", Some(SourceRead::Join(Some(Int), Some(Float)))).is_empty());
+        for (rule, reads) in [
+            // `<>` drops the null rows the mediator keeps.
+            ("pushdown", sel(CmpOp::Ne, Atomic::Int(2), Int, false)),
+            // A number against text, text that reads as a number.
+            ("pushdown", sel(CmpOp::Eq, Atomic::Int(2), Str, false)),
+            ("pushdown", sel(CmpOp::Eq, Atomic::Str(" 2 ".into()), Str, false)),
+            // Join-equal values spelled otherwise: `LIKE`, text orders.
+            ("pushdown", sel(CmpOp::Like, Atomic::Str("2%".into()), Str, true)),
+            ("pushdown", sel(CmpOp::Lt, Atomic::Str("x".into()), Str, true)),
+            // An undeclared field, or nothing said.
+            ("pushdown", Some(SourceRead::Selection { op: CmpOp::Eq, lit: Atomic::Int(2), field: None, joined: false })),
+            ("pushdown", None),
+            // A text join: the mediator equates "2" and " 2 ".
+            ("join-pushdown", Some(SourceRead::Join(Some(Str), Some(Str)))),
+            ("join-pushdown", Some(SourceRead::Join(Some(Int), Some(Bool)))),
+        ] {
+            let issues = sent(rule, reads.clone());
+            assert!(issues.len() == 1 && issues[0].detail.contains("reads it otherwise"), "{:?}: {:?}", reads, issues);
+        }
+    }
+
+    #[test]
     fn bind_stage_ships_one_key_to_fragments_that_bind_it() {
         let place = |var: &str, source: &str, outputs: &[&str]| Placement {
             pred: "$i in keys(support)".to_string(),
             var: var.to_string(),
             source: source.to_string(),
             outputs: cols(outputs),
+            reads: None,
         };
         let stage = |keys: &[&str], rows_after: u64, placements: Vec<Placement>| {
             let side = |rows: u64| {
@@ -636,6 +725,7 @@ mod tests {
             var: outputs[0].to_string(),
             source: source.to_string(),
             outputs: cols(outputs),
+            reads: None,
         };
         let refresh = |after_cols: &[&str], sources: &[&str], rows_after: u64, floors: Vec<Placement>| {
             RewriteRecord::new(

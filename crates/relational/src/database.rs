@@ -420,6 +420,29 @@ mod tests {
         assert_eq!(rs.rows.len(), 2);
     }
 
+    #[test]
+    fn a_join_pairs_keys_by_value_and_type_and_null_with_null() {
+        // Keys join as `Atomic::key_eq` equates them: NULL with NULL (as
+        // the mediator's hash join does), text with equal text only, a
+        // bool with no text. No NULL with '', no TRUE with 'true'.
+        let mut db = Database::new();
+        db.execute("CREATE TABLE a (id INT, x TEXT, t BOOL)").unwrap();
+        db.execute("CREATE TABLE b (id INT, y TEXT)").unwrap();
+        db.execute("INSERT INTO a VALUES (1, NULL, NULL), (2, '', FALSE), (3, 'k', TRUE)").unwrap();
+        db.execute("INSERT INTO b VALUES (10, NULL), (20, ''), (30, 'k'), (40, 'true')").unwrap();
+        let pairs = |db: &mut Database, on: &str| -> Vec<(i64, i64)> {
+            let sql = format!("SELECT a.id, b.id FROM a a JOIN b b ON {} ORDER BY a.id, b.id", on);
+            let rs = db.execute(&sql).unwrap();
+            let int = |v: &Atomic| match v {
+                Atomic::Int(i) => *i,
+                other => panic!("{:?}", other),
+            };
+            rs.rows.iter().map(|r| (int(&r[0]), int(&r[1]))).collect()
+        };
+        assert_eq!(pairs(&mut db, "a.x = b.y"), [(1, 10), (2, 20), (3, 30)]);
+        assert_eq!(pairs(&mut db, "a.t = b.y"), [(1, 10)]);
+    }
+
     /// 300 rows of `(id, k, v)`: `id` is the insertion order, `k` takes
     /// 40 values with repeats, `v` is a second seeded column.
     fn keyed_db(index: Option<&str>) -> Database {

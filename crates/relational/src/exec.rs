@@ -13,7 +13,8 @@ use crate::database::{Database, ExecStats};
 use crate::error::SqlError;
 use crate::plan::{choose_access_path, refers_only_to, AccessPath, Binding, Resolver};
 use crate::sql::ast::*;
-use nimble_xml::{Atomic, AtomicKey};
+use nimble_xml::atomic::cmp;
+use nimble_xml::{Atomic, AtomicKey, CmpOp};
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::cmp::Ordering;
@@ -463,14 +464,15 @@ pub fn run_select(
     }
     for (join, scan) in p.joins.iter().zip(&p.scans[1..]) {
         let right_rows = scan_rows(db, scan, 0, &env, stats)?;
-        // Hash the new table rows on their key.
-        let mut table_map: HashMap<String, Vec<&[Atomic]>> = HashMap::new();
+        // Hash the new table rows on their key, borrowed: keys join as
+        // `Atomic::key_eq` equates them, NULL with NULL (README).
+        let mut table_map: HashMap<AtomicKey<&Atomic>, Vec<&[Atomic]>> = HashMap::new();
         for &r in &right_rows {
-            table_map.entry(hash_key(&r[join.new_key])).or_default().push(r);
+            table_map.entry(AtomicKey(&r[join.new_key])).or_default().push(r);
         }
         let mut next = Vec::new();
         for left_row in joined {
-            match table_map.get(&hash_key(&left_row[join.acc_key])) {
+            match table_map.get(&AtomicKey(&left_row[join.acc_key])) {
                 Some(matches) => {
                     for m in matches {
                         let mut combined = left_row.clone();
@@ -547,7 +549,7 @@ pub fn run_select(
     if !p.order_by.is_empty() {
         out_rows.sort_by(|a, b| {
             for (idx, desc) in &p.order_by {
-                let ord = cmp_atomics(&a[*idx], &b[*idx]);
+                let ord = a[*idx].total_cmp(&b[*idx]);
                 let ord = if *desc { ord.reverse() } else { ord };
                 if ord != Ordering::Equal {
                     return ord;
@@ -759,12 +761,12 @@ fn agg_compute(kind: AggKind, values: &[Atomic]) -> Result<Atomic, SqlError> {
         }
         AggKind::Min => Ok(non_null
             .iter()
-            .min_by(|a, b| cmp_atomics(a, b))
+            .min_by(|a, b| a.total_cmp(b))
             .map(|v| (*v).clone())
             .unwrap_or(Atomic::Null)),
         AggKind::Max => Ok(non_null
             .iter()
-            .max_by(|a, b| cmp_atomics(a, b))
+            .max_by(|a, b| a.total_cmp(b))
             .map(|v| (*v).clone())
             .unwrap_or(Atomic::Null)),
         AggKind::Avg => {
@@ -793,15 +795,7 @@ fn eval<'a>(expr: &'a Expr, row: &'a [Atomic], env: &Env<'a>) -> Result<Cow<'a, 
                 // SQL three-valued logic collapsed to false.
                 return truth(false);
             }
-            let ord = cmp_atomics(&lv, &rv);
-            truth(match op {
-                SqlCmp::Eq => ord == Ordering::Equal,
-                SqlCmp::Ne => ord != Ordering::Equal,
-                SqlCmp::Lt => ord == Ordering::Less,
-                SqlCmp::Le => ord != Ordering::Greater,
-                SqlCmp::Gt => ord == Ordering::Greater,
-                SqlCmp::Ge => ord != Ordering::Less,
-            })
+            truth(op.accepts(lv.total_cmp(&rv)))
         }
         Expr::And(a, b) => truth(eval(a, row, env)?.truthy() && eval(b, row, env)?.truthy()),
         Expr::Or(a, b) => truth(eval(a, row, env)?.truthy() || eval(b, row, env)?.truthy()),
@@ -811,21 +805,14 @@ fn eval<'a>(expr: &'a Expr, row: &'a [Atomic], env: &Env<'a>) -> Result<Cow<'a, 
             let r = eval(b, row, env)?;
             arith(*op, &l, &r).map(Cow::Owned)
         }
-        Expr::Like(e, pattern) => {
-            let v = eval(e, row, env)?;
-            let pattern = env.value(pattern)?.as_str().unwrap_or("");
-            truth(match v.as_str() {
-                Some(text) => like_match(text, pattern),
-                None => like_match(&v.lexical(), pattern),
-            })
-        }
+        Expr::Like(e, pattern) => truth(cmp(CmpOp::Like, &*eval(e, row, env)?, env.value(pattern)?)),
         Expr::In(e, keys) => truth(env.contains(keys, eval(e, row, env)?.into_owned())?),
         Expr::Between(e, lo, hi) => {
             let v = eval(e, row, env)?;
             truth(
                 !v.is_null()
-                    && cmp_atomics(&v, lo) != Ordering::Less
-                    && cmp_atomics(&v, hi) != Ordering::Greater,
+                    && v.total_cmp(lo) != Ordering::Less
+                    && v.total_cmp(hi) != Ordering::Greater,
             )
         }
         Expr::IsNull(e, negated) => truth(eval(e, row, env)?.is_null() != *negated),
@@ -866,38 +853,4 @@ fn arith(op: SqlArith, l: &Atomic, r: &Atomic) -> Result<Atomic, SqlError> {
             }
         }
     }
-}
-
-fn cmp_atomics(a: &Atomic, b: &Atomic) -> Ordering {
-    a.total_cmp(b)
-}
-
-fn hash_key(a: &Atomic) -> String {
-    match a {
-        // Integers exactly representable as f64 coerce through f64 so
-        // INT/FLOAT keys join; larger ones render exactly so distinct
-        // i64 keys beyond 2^53 never conflate.
-        Atomic::Int(i) if (*i as f64) as i64 == *i => format!("n{}", *i as f64),
-        Atomic::Int(i) => format!("ix{}", i),
-        Atomic::Float(f) => format!("n{}", f),
-        other => format!("s{}", other.lexical()),
-    }
-}
-
-fn like_match(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[char], p: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some(('%', rest)) => (0..=t.len()).any(|k| rec(&t[k..], rest)),
-            Some(('_', rest)) => t
-                .split_first()
-                .is_some_and(|(_, t_rest)| rec(t_rest, rest)),
-            Some((c, rest)) => t
-                .split_first()
-                .is_some_and(|(tc, t_rest)| tc == c && rec(t_rest, rest)),
-        }
-    }
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&t, &p)
 }

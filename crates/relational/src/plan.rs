@@ -193,24 +193,24 @@ pub fn choose_access_path(
             }
             // Orient the operator so the column is on the left.
             let col_on_left = matches!(l.as_ref(), SqlExpr::Col(_));
-            let op = if col_on_left { op } else { flip(op) };
+            let op = if col_on_left { Some(op) } else { op.flipped() };
             let path = match op {
-                SqlCmp::Lt => AccessPath::IndexRange {
+                Some(SqlCmp::Lt) => AccessPath::IndexRange {
                     column: col,
                     low: None,
                     high: Some((lit, false)),
                 },
-                SqlCmp::Le => AccessPath::IndexRange {
+                Some(SqlCmp::Le) => AccessPath::IndexRange {
                     column: col,
                     low: None,
                     high: Some((lit, true)),
                 },
-                SqlCmp::Gt => AccessPath::IndexRange {
+                Some(SqlCmp::Gt) => AccessPath::IndexRange {
                     column: col,
                     low: Some((lit, false)),
                     high: None,
                 },
-                SqlCmp::Ge => AccessPath::IndexRange {
+                Some(SqlCmp::Ge) => AccessPath::IndexRange {
                     column: col,
                     low: Some((lit, true)),
                     high: None,
@@ -246,16 +246,6 @@ fn owned_by(c: &ColRef, binding: &str) -> bool {
         // Unqualified columns reach here only when the query has a single
         // binding, so ownership is unambiguous.
         None => true,
-    }
-}
-
-fn flip(op: SqlCmp) -> SqlCmp {
-    match op {
-        SqlCmp::Lt => SqlCmp::Gt,
-        SqlCmp::Le => SqlCmp::Ge,
-        SqlCmp::Gt => SqlCmp::Lt,
-        SqlCmp::Ge => SqlCmp::Le,
-        other => other,
     }
 }
 

@@ -127,16 +127,9 @@ impl std::fmt::Display for ColRef {
     }
 }
 
-/// SQL comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SqlCmp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
+/// SQL comparison operators: the mediator's (`LIKE` is
+/// [`SqlExpr::Like`]).
+pub use nimble_xml::CmpOp as SqlCmp;
 
 /// SQL arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,6 +4,7 @@ use crate::capabilities::Capabilities;
 use crate::error::SourceError;
 use crate::query::{CollectionInfo, KeyFilter, RowsBuilder, SourceQuery};
 use crate::{SourceAdapter, SourceKind};
+use nimble_xml::atomic::cmp;
 use nimble_xml::{Atomic, AtomicType, Document};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -216,7 +217,7 @@ impl SourceAdapter for CsvAdapter {
         'rows: for row in &f.rows {
             for sel in &query.selections {
                 let v = &row[field_idx(&sel.field.field)?];
-                if !sel.op.eval(v, &sel.value) {
+                if !cmp(sel.op, v, &sel.value) {
                     continue 'rows;
                 }
             }

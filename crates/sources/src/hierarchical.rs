@@ -12,6 +12,7 @@ use crate::capabilities::Capabilities;
 use crate::error::SourceError;
 use crate::query::{CollectionInfo, KeyFilter, RowsBuilder, SourceQuery};
 use crate::{SourceAdapter, SourceKind};
+use nimble_xml::atomic::cmp;
 use nimble_xml::{Atomic, AtomicType, Document, DocumentBuilder};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -166,7 +167,7 @@ impl SourceAdapter for HierarchicalAdapter {
             }
             type_seen = true;
             for sel in &query.selections {
-                if !sel.op.eval(&seg.field(&sel.field.field), &sel.value) {
+                if !cmp(sel.op, &seg.field(&sel.field.field), &sel.value) {
                     return;
                 }
             }

@@ -45,69 +45,10 @@ impl fmt::Display for FieldRef {
     }
 }
 
-/// Predicate operators a fragment may carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Like,
-}
-
-impl PredOp {
-    /// SQL spelling, used by the relational adapter's generator.
-    pub fn sql(self) -> &'static str {
-        match self {
-            PredOp::Eq => "=",
-            PredOp::Ne => "<>",
-            PredOp::Lt => "<",
-            PredOp::Le => "<=",
-            PredOp::Gt => ">",
-            PredOp::Ge => ">=",
-            PredOp::Like => "LIKE",
-        }
-    }
-
-    /// Evaluate against two atomics (adapters that filter in-process).
-    pub fn eval(self, left: &Atomic, right: &Atomic) -> bool {
-        use std::cmp::Ordering;
-        if self == PredOp::Like {
-            return like(&left.lexical(), &right.lexical());
-        }
-        if left.is_null() || right.is_null() {
-            return false;
-        }
-        let ord = left.total_cmp(right);
-        match self {
-            PredOp::Eq => ord == Ordering::Equal,
-            PredOp::Ne => ord != Ordering::Equal,
-            PredOp::Lt => ord == Ordering::Less,
-            PredOp::Le => ord != Ordering::Greater,
-            PredOp::Gt => ord == Ordering::Greater,
-            PredOp::Ge => ord != Ordering::Less,
-            PredOp::Like => unreachable!(),
-        }
-    }
-}
-
-fn like(text: &str, pattern: &str) -> bool {
-    fn rec(t: &[char], p: &[char]) -> bool {
-        match p.split_first() {
-            None => t.is_empty(),
-            Some(('%', rest)) => (0..=t.len()).any(|k| rec(&t[k..], rest)),
-            Some(('_', rest)) => t.split_first().is_some_and(|(_, tr)| rec(tr, rest)),
-            Some((c, rest)) => t
-                .split_first()
-                .is_some_and(|(tc, tr)| tc == c && rec(tr, rest)),
-        }
-    }
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    rec(&t, &p)
-}
+/// Predicate operators a fragment may carry: the mediator's own
+/// [`nimble_xml::CmpOp`]. An adapter that filters in-process compares
+/// with [`nimble_xml::atomic::cmp`], as the mediator does.
+pub use nimble_xml::CmpOp as PredOp;
 
 /// One pushed selection: `field <op> literal`.
 #[derive(Debug, Clone, PartialEq)]
@@ -399,12 +340,14 @@ mod tests {
 
     #[test]
     fn predop_eval() {
-        assert!(PredOp::Gt.eval(&Atomic::Int(5), &Atomic::Int(3)));
-        assert!(PredOp::Like.eval(
+        use nimble_xml::atomic::cmp;
+        assert!(cmp(PredOp::Gt, &Atomic::Int(5), &Atomic::Int(3)));
+        assert!(cmp(
+            PredOp::Like,
             &Atomic::Str("hello world".into()),
             &Atomic::Str("%wor%".into())
         ));
-        assert!(!PredOp::Eq.eval(&Atomic::Null, &Atomic::Int(1)));
+        assert!(!cmp(PredOp::Eq, &Atomic::Null, &Atomic::Int(1)));
     }
 
     #[test]

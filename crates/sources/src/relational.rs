@@ -10,7 +10,7 @@
 
 use crate::capabilities::Capabilities;
 use crate::error::SourceError;
-use crate::query::{CollectionInfo, RowsBuilder, SourceQuery, Watermark};
+use crate::query::{CollectionInfo, PredOp, RowsBuilder, SourceQuery, Watermark};
 use crate::{SourceAdapter, SourceKind};
 use nimble_relational::{ColumnType, Database, Prepared, SlotValue, SqlError};
 use nimble_xml::{Atomic, AtomicType, Document, Sym};
@@ -192,7 +192,7 @@ fn render(query: &SourceQuery, values: bool) -> String {
     }
     let mut sep = " WHERE ";
     for s in &query.selections {
-        let _ = write!(sql, "{}{} {} ", sep, s.field, s.op.sql());
+        let _ = write!(sql, "{}{} {} ", sep, s.field, sql_op(s.op));
         if values {
             sql.push_str(&sql_literal(&s.value));
         } else {
@@ -219,6 +219,19 @@ fn render(query: &SourceQuery, values: bool) -> String {
         let _ = write!(sql, " LIMIT {}", n);
     }
     sql
+}
+
+/// An operator's SQL spelling.
+pub fn sql_op(op: PredOp) -> &'static str {
+    match op {
+        PredOp::Eq => "=",
+        PredOp::Ne => "<>",
+        PredOp::Lt => "<",
+        PredOp::Le => "<=",
+        PredOp::Gt => ">",
+        PredOp::Ge => ">=",
+        PredOp::Like => "LIKE",
+    }
 }
 
 fn sql_literal(a: &Atomic) -> String {

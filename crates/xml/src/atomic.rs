@@ -7,6 +7,7 @@
 //! for sorting, B-tree indexing, and merge joins — live here.
 
 use crate::intern::Sym;
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -118,6 +119,21 @@ impl Atomic {
             "true" | "TRUE" => Atomic::Bool(true),
             "false" | "FALSE" => Atomic::Bool(false),
             _ => Atomic::Sym(Sym::intern(text)),
+        }
+    }
+
+    /// This value read as a number: the one reading every comparison
+    /// takes ([`cmp`], the hash join's keys). An `Int`, a `Float`, or
+    /// text whose trim parses as an `i64`, else as an `f64` (`"-0"` is
+    /// −0.0); always an [`OrderKey::Int`] or [`OrderKey::Float`].
+    #[inline]
+    pub fn numeric(&self) -> Option<OrderKey<'static>> {
+        match self {
+            Atomic::Int(i) => Some(OrderKey::Int(*i)),
+            Atomic::Float(f) => Some(OrderKey::Float(*f)),
+            Atomic::Str(s) => numeric_text(s),
+            Atomic::Sym(s) => numeric_text(s.as_str()),
+            Atomic::Null | Atomic::Bool(_) => None,
         }
     }
 
@@ -245,6 +261,18 @@ impl OrderKey<'_> {
     }
 }
 
+/// [`Atomic::numeric`] of text: out of line, so that a number's reading
+/// inlines without a parser.
+#[inline(never)]
+fn numeric_text(s: &str) -> Option<OrderKey<'static>> {
+    let t = s.trim();
+    match t.parse::<i64>() {
+        Ok(0) if t.starts_with('-') => Some(OrderKey::Float(-0.0)),
+        Ok(i) => Some(OrderKey::Int(i)),
+        Err(_) => t.parse().ok().map(OrderKey::Float),
+    }
+}
+
 /// `i` against `f` exactly. Rounding is monotone, so where `i as f64`
 /// differs from `f` it orders as `i` does; where it ties, `f` is an
 /// integer and the tie breaks on the exact values.
@@ -255,6 +283,152 @@ fn int_float_cmp(i: i64, f: f64) -> Ordering {
         Ordering::Equal => i.cmp(&(f as i64)),
         ord => ord,
     }
+}
+
+/// A comparison operator, in the mediator's predicates and in the
+/// fragments it sends a source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpOp {
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+    /// SQL LIKE with `%` (any run) and `_` (any char).
+    Like,
+}
+
+impl CmpOp {
+    /// Whether a comparison that found `ord` holds; `LIKE` reads text
+    /// ([`like`]), not an ordering, and holds for none.
+    #[inline]
+    pub fn accepts(self, ord: Ordering) -> bool {
+        // Bit `ord + 1` is set when the operator accepts that ordering.
+        let bits: u8 = match self {
+            CmpOp::Eq => 0b010,
+            CmpOp::Ne => 0b101,
+            CmpOp::Lt => 0b001,
+            CmpOp::Le => 0b011,
+            CmpOp::Gt => 0b100,
+            CmpOp::Ge => 0b110,
+            CmpOp::Like => 0,
+        };
+        bits >> (ord as i8 + 1) & 1 == 1
+    }
+
+    /// This operator with its operands swapped; `None` for `LIKE`.
+    pub fn flipped(self) -> Option<CmpOp> {
+        Some(match self {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            CmpOp::Eq | CmpOp::Ne => self,
+            CmpOp::Like => return None,
+        })
+    }
+}
+
+/// `a op b` as the mediator compares (DESIGN.md §23): `LIKE` matches
+/// lexical forms; two values that both read as numbers
+/// ([`Atomic::numeric`]) compare as numbers, exactly; a comparison with
+/// Null is false but for `Null = Null` and a one-sided `!=`; anything
+/// else orders as [`Atomic::total_cmp`], by type and then value.
+#[inline]
+pub fn cmp(op: CmpOp, a: &Atomic, b: &Atomic) -> bool {
+    cmp_read(op, a, b, b.numeric())
+}
+
+/// [`cmp`] with `b`'s numeric reading `b_num` taken already, as a test
+/// compiled against a literal keeps it; `a` is read as a number only
+/// when `b` is one.
+#[inline]
+pub fn cmp_read(op: CmpOp, a: &Atomic, b: &Atomic, b_num: Option<OrderKey<'_>>) -> bool {
+    if op == CmpOp::Like {
+        return like_lexical(a, b);
+    }
+    let ord = match b_num.and_then(|y| Some((a.numeric()?, y))) {
+        Some((x, y)) => x.total_cmp(y),
+        None if a.is_null() || b.is_null() => {
+            return match op {
+                CmpOp::Eq => a.is_null() && b.is_null(),
+                CmpOp::Ne => a.is_null() != b.is_null(),
+                _ => false,
+            }
+        }
+        None => a.total_cmp(b),
+    };
+    op.accepts(ord)
+}
+
+/// Out of line, so that the orderings inline without strings.
+#[cold]
+#[inline(never)]
+fn like_lexical(a: &Atomic, b: &Atomic) -> bool {
+    fn text(x: &Atomic) -> Cow<'_, str> {
+        x.as_str().map_or_else(|| Cow::Owned(x.lexical()), Cow::Borrowed)
+    }
+    like(&text(a), &text(b))
+}
+
+/// SQL `LIKE`: `%` matches any run of chars and `_` one char. Greedy,
+/// backing up only to the last `%`, so O(|text|·|pattern|) at worst.
+pub fn like(text: &str, pattern: &str) -> bool {
+    let (mut t, mut p) = (text, pattern);
+    // The pattern after the last `%`, and the text it was last tried at.
+    let mut star: Option<(&str, &str)> = None;
+    loop {
+        let (mut tc, mut pc) = (t.chars(), p.chars());
+        match (pc.next(), tc.next()) {
+            (Some('%'), _) => {
+                p = pc.as_str();
+                star = Some((p, t));
+            }
+            (Some(c), Some(x)) if c == '_' || c == x => (t, p) = (tc.as_str(), pc.as_str()),
+            (None, None) => return true,
+            // A mismatch: the last `%` takes one more char, or none can.
+            _ => {
+                let Some((after, tried)) = star else { return false };
+                let mut rest = tried.chars();
+                if rest.next().is_none() {
+                    return false;
+                }
+                (t, p) = (rest.as_str(), after);
+                star = Some((after, t));
+            }
+        }
+    }
+}
+
+/// Whether a source that compares by type — a `WHERE` on a field
+/// declared `field` — keeps exactly the rows `cmp(op, value, lit)`
+/// keeps, so that `field op lit` may be sent to it (DESIGN.md §23): a
+/// number against a numeric field, text that does not read as a number
+/// against text, a bool against a bool, and `LIKE` with a text pattern
+/// (both sides read the lexical form). Never `!=`: a source's `<>` drops
+/// the null rows the mediator keeps. `joined`: another unit binds the
+/// value too, so a row may hold a join-equal value spelled otherwise
+/// (`Int 2`, `" 2 "`), and the test must read all of them alike — no
+/// `LIKE`, and text only under `=`.
+pub fn reads_alike(op: CmpOp, lit: &Atomic, field: Option<AtomicType>, joined: bool) -> bool {
+    use AtomicType::*;
+    match (op, lit.atomic_type(), field) {
+        (_, _, None) | (CmpOp::Ne, ..) => false,
+        (CmpOp::Like, ty, _) => ty == Str && !joined,
+        (_, Int | Float, Some(Int | Float)) | (_, Bool, Some(Bool)) => true,
+        (op, Str, Some(Str)) => lit.numeric().is_none() && (op == CmpOp::Eq || !joined),
+        _ => false,
+    }
+}
+
+/// Whether a source's typed equi-join of fields declared `a` and `b`
+/// pairs exactly the rows the mediator's hash join pairs: two numeric
+/// fields or two bool fields, Null joining Null in both. Text joins stay
+/// central: the mediator equates `"2"` and `" 2 "`.
+pub fn joins_alike(a: Option<AtomicType>, b: Option<AtomicType>) -> bool {
+    use AtomicType::*;
+    matches!((a, b), (Some(Int | Float), Some(Int | Float)) | (Some(Bool), Some(Bool)))
 }
 
 fn format_float(f: f64) -> String {
@@ -318,54 +492,38 @@ impl From<String> for Atomic {
 }
 
 /// Wrapper giving [`Atomic`] the `Eq + Ord + Hash` bounds required by
-/// `BTreeMap`/`HashMap` keys (B-tree indexes, hash join tables).
+/// `BTreeMap`/`HashMap` keys (B-tree indexes, hash join tables), owning
+/// the value or, as `AtomicKey<&Atomic>`, borrowing it.
 #[derive(Debug, Clone)]
-pub struct AtomicKey(pub Atomic);
+pub struct AtomicKey<A: Borrow<Atomic> = Atomic>(pub A);
 
-impl PartialEq for AtomicKey {
+impl<A: Borrow<Atomic>> PartialEq for AtomicKey<A> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.key_eq(&other.0)
+        self.0.borrow().key_eq(other.0.borrow())
     }
 }
-impl Eq for AtomicKey {}
-impl PartialOrd for AtomicKey {
+impl<A: Borrow<Atomic>> Eq for AtomicKey<A> {}
+impl<A: Borrow<Atomic>> PartialOrd for AtomicKey<A> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for AtomicKey {
+impl<A: Borrow<Atomic>> Ord for AtomicKey<A> {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
+        self.0.borrow().total_cmp(other.0.borrow())
     }
 }
-impl std::hash::Hash for AtomicKey {
+impl<A: Borrow<Atomic>> std::hash::Hash for AtomicKey<A> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        match &self.0 {
-            Atomic::Null => 0u8.hash(state),
-            Atomic::Bool(b) => {
-                1u8.hash(state);
-                b.hash(state);
-            }
+        match self.0.borrow().order_key() {
+            OrderKey::Null => 0u8.hash(state),
+            OrderKey::Bool(b) => (1u8, b).hash(state),
             // Ints and equal-valued floats must hash identically because
             // key_eq treats them as equal.
-            Atomic::Int(i) => {
-                2u8.hash(state);
-                (*i as f64).to_bits().hash(state);
-            }
-            Atomic::Float(f) => {
-                2u8.hash(state);
-                f.to_bits().hash(state);
-            }
-            // Str and Sym are one logical type: hash by content with
-            // the same tag so cross-representation keys collide.
-            Atomic::Str(s) => {
-                3u8.hash(state);
-                s.hash(state);
-            }
-            Atomic::Sym(s) => {
-                3u8.hash(state);
-                s.as_str().hash(state);
-            }
+            OrderKey::Int(i) => (2u8, (i as f64).to_bits()).hash(state),
+            OrderKey::Float(f) => (2u8, f.to_bits()).hash(state),
+            // Str and Sym are one logical type, read by content.
+            OrderKey::Text(s) => (3u8, s).hash(state),
         }
     }
 }

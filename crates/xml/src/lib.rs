@@ -48,7 +48,7 @@ pub mod serialize;
 pub mod shape;
 pub mod value;
 
-pub use atomic::{Atomic, AtomicKey, AtomicType, OrderKey};
+pub use atomic::{Atomic, AtomicKey, AtomicType, CmpOp, OrderKey};
 pub use build::{BuildMark, DocumentBuilder};
 pub use intern::Sym;
 pub use node::{Cursor, Document, NodeId, NodeKind, NodeRef};

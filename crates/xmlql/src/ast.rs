@@ -1,6 +1,6 @@
 //! Abstract syntax of the XML-QL dialect.
 
-use nimble_xml::Atomic;
+use nimble_xml::{Atomic, CmpOp};
 use std::fmt;
 
 /// A complete query: `WHERE conditions CONSTRUCT template [ORDER-BY keys]`.
@@ -118,6 +118,22 @@ pub enum BinOp {
     Mul,
     Div,
     Mod,
+}
+
+impl BinOp {
+    /// The comparison this operator is, if it is one.
+    pub fn cmp_op(self) -> Option<CmpOp> {
+        Some(match self {
+            BinOp::Eq => CmpOp::Eq,
+            BinOp::Ne => CmpOp::Ne,
+            BinOp::Lt => CmpOp::Lt,
+            BinOp::Le => CmpOp::Le,
+            BinOp::Gt => CmpOp::Gt,
+            BinOp::Ge => CmpOp::Ge,
+            BinOp::Like => CmpOp::Like,
+            _ => return None,
+        })
+    }
 }
 
 impl fmt::Display for BinOp {

@@ -429,3 +429,263 @@ fn a_plan_that_fails_its_rewrite_audit_calls_no_source() {
     assert_eq!(to_string(&r.document.root()), "<results><o><n>a</n><k>10</k></o></results>");
     assert_eq!(calls.load(Ordering::Relaxed) - before, 2);
 }
+
+// ---- the mixed-class oracle: a source is sent only what it reads the
+// way the mediator does (DESIGN.md §23) ----
+
+/// A row of `t (k, s TEXT, b INT, f FLOAT)`; `None` is NULL.
+type MixedRow = (i64, Option<&'static str>, Option<i64>, Option<f64>);
+
+/// Text that reads as a number in several spellings, plain and empty
+/// text, NULLs, integers at 2^53, and the float zeros.
+const MIXED: [MixedRow; 9] = [
+    (1, Some("2"), Some(2), Some(2.0)),
+    (2, Some(" 2 "), Some(9_007_199_254_740_992), Some(-0.0)),
+    (3, Some("2.0"), Some(9_007_199_254_740_993), Some(0.0)),
+    (4, Some("x"), Some(-1), Some(2.5)),
+    (5, Some(""), Some(0), None),
+    (6, None, None, Some(9_007_199_254_740_992.0)),
+    (7, Some("-0"), Some(3), Some(-1.5)),
+    (8, Some("+2"), None, Some(2.0)),
+    (9, Some("true"), Some(2), None),
+];
+
+/// The mixed table behind each adapter kind, as collection `t_<kind>`.
+fn mixed_catalog() -> Arc<Catalog> {
+    let sql = |v: Option<String>| v.unwrap_or_else(|| "NULL".to_string());
+    let mut ddl = vec!["CREATE TABLE t_rel (k INT, s TEXT, b INT, f FLOAT)".to_string()];
+    let mut csv = String::from("k,s,b,f\n");
+    let mut segments = Vec::new();
+    let mut xml = String::from("<t>");
+    for (k, s, b, f) in MIXED {
+        ddl.push(format!(
+            "INSERT INTO t_rel VALUES ({}, {}, {}, {})",
+            k,
+            sql(s.map(|s| format!("'{}'", s))),
+            sql(b.map(|b| b.to_string())),
+            sql(f.map(nimble::xml::atomic::float_literal)),
+        ));
+        let cell = |v: Option<String>| v.map_or(String::new(), |v| format!("\"{}\"", v));
+        csv.push_str(&format!(
+            "{},{},{},{}\n",
+            k,
+            cell(s.map(str::to_string)),
+            cell(b.map(|b| b.to_string())),
+            cell(f.map(nimble::xml::atomic::float_literal))
+        ));
+        let atom = |v: Option<Atomic>| v.unwrap_or(Atomic::Null);
+        segments.push(Segment::new(
+            "t_ims",
+            vec![
+                ("k", Atomic::Int(k)),
+                ("s", atom(s.map(Atomic::from))),
+                ("b", atom(b.map(Atomic::Int))),
+                ("f", atom(f.map(Atomic::Float))),
+            ],
+        ));
+        let elem = |name: &str, v: Option<String>| v.map_or(format!("<{}/>", name), |v| format!("<{0}>{1}</{0}>", name, v));
+        xml.push_str(&format!(
+            "<row><k>{}</k>{}{}{}</row>",
+            k,
+            elem("s", s.map(str::to_string)),
+            elem("b", b.map(|b| b.to_string())),
+            elem("f", f.map(nimble::xml::atomic::float_literal))
+        ));
+    }
+    xml.push_str("</t>");
+    let ddl: Vec<&str> = ddl.iter().map(String::as_str).collect();
+    let c = Catalog::new();
+    let sources: [Arc<dyn SourceAdapter>; 4] = [
+        Arc::new(RelationalAdapter::from_statements("rel", &ddl).unwrap()),
+        Arc::new(CsvAdapter::new("csv").add_csv("t_csv", &csv).unwrap()),
+        Arc::new(HierarchicalAdapter::new("ims", segments)),
+        Arc::new(XmlDocAdapter::new("xml").add_xml("t_xml", &xml).unwrap()),
+    ];
+    for s in sources {
+        c.register_source(s).unwrap();
+    }
+    Arc::new(c)
+}
+
+/// The pattern that reads `t_<kind>`'s four fields.
+fn mixed_pattern(kind: &str) -> String {
+    let row = "<row><k>$k</k><s>$s</s><b>$b</b><f>$f</f></row>";
+    match kind {
+        "xml" => format!(r#"<t>{}</t> IN "t_xml""#, row),
+        kind => format!(r#"{} IN "t_{}""#, row, kind),
+    }
+}
+
+/// The answer as a sorted bag of its children, or the error.
+fn bag(engine: &Engine, text: &str) -> Result<Vec<String>, String> {
+    let r = engine.query(text).map_err(|e| e.to_string())?;
+    let mut rows: Vec<String> = r.document.root().children().map(|n| to_string(&n)).collect();
+    rows.sort();
+    Ok(rows)
+}
+
+/// The answer of `text` under each value of one optimizer switch, when
+/// they differ.
+fn diverges(engine: &Engine, text: &str, switch: impl Fn(bool) -> OptimizerConfig) -> Option<String> {
+    engine.set_optimizer(switch(true));
+    let on = bag(engine, text);
+    engine.set_optimizer(switch(false));
+    let off = bag(engine, text);
+    (on != off).then(|| format!("{}\n  on:  {:?}\n  off: {:?}", text, on, off))
+}
+
+fn pushdown(on: bool) -> OptimizerConfig {
+    OptimizerConfig {
+        pushdown: on,
+        ..OptimizerConfig::default()
+    }
+}
+
+fn capability_joins(on: bool) -> OptimizerConfig {
+    OptimizerConfig {
+        capability_joins: on,
+        ..OptimizerConfig::default()
+    }
+}
+
+/// Seventeen predicate forms over the mixed table, the rows of the
+/// before/after table in EXPERIMENTS.md (E36).
+const FORMS: [&str; 17] = [
+    "$s = 2",
+    r#"$s = "2""#,
+    r#"$s = "x""#,
+    r#"$s != "x""#,
+    r#"$s < "x""#,
+    "$s > 1",
+    r#"$s LIKE "2%""#,
+    r#"$s = """#,
+    "$b = 9007199254740992",
+    "$b = 9007199254740993",
+    r#"$b = "2""#,
+    "$b > 2.5",
+    "$b != 2",
+    "$f = 2",
+    r#"$f = "2""#,
+    "$f < 0",
+    r#"$f LIKE "2%""#,
+];
+
+#[test]
+fn pushdown_keeps_the_answer_of_every_mixed_class_form() {
+    let engine = Engine::new(mixed_catalog());
+    let mut table = Vec::new();
+    for kind in ["rel", "csv", "ims", "xml"] {
+        for form in FORMS {
+            let text = format!("WHERE {}, {} CONSTRUCT <r>$k</r>", mixed_pattern(kind), form);
+            if let Some(diff) = diverges(&engine, &text, pushdown) {
+                table.push(format!("{} | {}", kind, diff));
+            }
+            // Left central by `diverges`: no form is vacuous but `= ""`
+            // where the adapter reads empty text as NULL.
+            assert!(bag(&engine, &text).is_ok_and(|rows| !rows.is_empty() || form.ends_with(r#""""#)), "{}", text);
+        }
+    }
+    assert!(table.is_empty(), "{} of {} forms diverge:\n{}", table.len(), 4 * FORMS.len(), table.join("\n"));
+}
+
+const OPS: [&str; 7] = ["=", "!=", "<", "<=", ">", ">=", "LIKE"];
+
+/// A numeric, a numeric-text and a plain-text literal, and a few more of
+/// each class.
+const LITERALS: [&str; 8] = ["2", r#""2""#, r#""x""#, "9007199254740993", "2.0", r#"" 2 ""#, r#""""#, r#""-0""#];
+
+#[test]
+fn pushdown_keeps_the_answer_of_every_operator_and_literal_class() {
+    let engine = Engine::new(mixed_catalog());
+    let mut diverged = Vec::new();
+    let mut served = 0;
+    for kind in ["rel", "csv", "ims", "xml"] {
+        for var in ["$s", "$b", "$f"] {
+            for op in OPS {
+                for lit in LITERALS {
+                    let text = format!("WHERE {}, {} {} {} CONSTRUCT <r>$k</r>", mixed_pattern(kind), var, op, lit);
+                    served += usize::from(bag(&engine, &text).is_ok());
+                    diverged.extend(diverges(&engine, &text, pushdown));
+                }
+            }
+        }
+    }
+    assert_eq!(served, 4 * 3 * 7 * 8);
+    assert!(diverged.is_empty(), "{} diverge:\n{}", diverged.len(), diverged.join("\n"));
+}
+
+/// `u (j INT, v TEXT, w INT)` in a source of its own, beside the mixed
+/// table: the variables it shares are joined across two sources.
+fn with_u(kind: &str) -> Arc<Catalog> {
+    let rows: [(i64, Option<&str>, Option<i64>); 6] =
+        [(10, Some("2"), Some(2)), (20, Some("x"), Some(9_007_199_254_740_993)), (30, Some(" 2 "), None), (40, None, Some(-1)), (50, Some(""), Some(0)), (60, Some("2.0"), Some(2))];
+    let c = mixed_catalog();
+    let u: Arc<dyn SourceAdapter> = match kind {
+        "rel" => {
+            let mut ddl = vec!["CREATE TABLE u (j INT, v TEXT, w INT)".to_string()];
+            for (j, v, w) in rows {
+                ddl.push(format!(
+                    "INSERT INTO u VALUES ({}, {}, {})",
+                    j,
+                    v.map_or("NULL".to_string(), |v| format!("'{}'", v)),
+                    w.map_or("NULL".to_string(), |w| w.to_string())
+                ));
+            }
+            let ddl: Vec<&str> = ddl.iter().map(String::as_str).collect();
+            Arc::new(RelationalAdapter::from_statements("rel2", &ddl).unwrap())
+        }
+        _ => Arc::new(HierarchicalAdapter::new(
+            "ims2",
+            rows.iter()
+                .map(|(j, v, w)| {
+                    let v = v.map_or(Atomic::Null, Atomic::from);
+                    let w = w.map_or(Atomic::Null, Atomic::Int);
+                    Segment::new("u", vec![("j", Atomic::Int(*j)), ("v", v), ("w", w)])
+                })
+                .collect(),
+        )),
+    };
+    c.register_source(u).unwrap();
+    c
+}
+
+#[test]
+fn pushdown_keeps_the_answer_of_a_join_on_a_mixed_class_variable() {
+    let mut diverged = Vec::new();
+    for u in ["rel", "ims"] {
+        let engine = Engine::new(with_u(u));
+        // `$v` is TEXT on both sides, then TEXT against INT, then INT
+        // against INT: copies go wherever each side reads the predicate
+        // as the mediator does.
+        for (mine, theirs) in [("s", "v"), ("s", "w"), ("b", "w")] {
+            let pattern = mixed_pattern("rel").replace(&format!("${}", mine), "$v");
+            let u_row = format!(r#"<row><j>$j</j><{0}>$v</{0}></row> IN "u""#, theirs);
+            for op in OPS {
+                for lit in LITERALS {
+                    let text = format!("WHERE {}, {}, $v {} {} CONSTRUCT <r><k>$k</k><j>$j</j></r>", pattern, u_row, op, lit);
+                    diverged.extend(diverges(&engine, &text, pushdown));
+                }
+            }
+        }
+    }
+    assert!(diverged.is_empty(), "{} diverge:\n{}", diverged.len(), diverged.join("\n"));
+}
+
+#[test]
+fn a_same_source_join_keeps_its_answer_on_text_and_on_int_keys_with_nulls() {
+    // The mixed table joined to itself in its own source: on TEXT (the
+    // mediator equates "2" with " 2 " and "2.0", a source does not, so
+    // the join stays central) and on INT with NULLs (NULL joins NULL in
+    // both, so the source may run it).
+    let engine = Engine::new(mixed_catalog());
+    let mut diverged = Vec::new();
+    for field in ["s", "b", "f"] {
+        let other = mixed_pattern("rel").replace("$k", "$k2").replace(&format!("${}", field), "$v");
+        let mine = mixed_pattern("rel").replace(&format!("${}", field), "$v");
+        let other = other.replace(['$'], "$o_").replace("$o_v", "$v").replace("$o_k2", "$k2");
+        let text = format!("WHERE {}, {} CONSTRUCT <r><k>$k</k><k2>$k2</k2></r>", mine, other);
+        assert!(bag(&engine, &text).is_ok_and(|rows| rows.len() > 5), "{}", text);
+        diverged.extend(diverges(&engine, &text, capability_joins));
+    }
+    assert!(diverged.is_empty(), "{} diverge:\n{}", diverged.len(), diverged.join("\n"));
+}
