@@ -360,7 +360,8 @@ pub fn coerce_num(a: &Atomic) -> Option<f64> {
 }
 
 /// The numeric reading of a literal value as an `f64`, if it has one
-/// ([`coerce_num`]). Used by the static analyzer's interval propagation.
+/// ([`coerce_num`]): as arithmetic reads it, not as comparisons do
+/// (those read [`Atomic::numeric`] exactly).
 pub fn literal_num(v: &Value) -> Option<f64> {
     v.with_atomic(coerce_num)
 }

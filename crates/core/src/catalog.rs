@@ -374,6 +374,7 @@ pub fn referenced_names(query: &Query) -> Vec<&str> {
 mod tests {
     use super::*;
     use nimble_sources::xmldoc::XmlDocAdapter;
+    use nimble_xml::{Atomic, OrderKey};
 
     fn catalog() -> Catalog {
         let c = Catalog::new();
@@ -492,7 +493,7 @@ mod tests {
         assert_eq!(stats.rows, 4);
         assert_eq!(stats.distinct("id"), Some(4));
         let id = &stats.columns["id"];
-        assert_eq!((id.min, id.max), (Some(1.0), Some(4.0)));
+        assert_eq!((&id.min, &id.max), (&Some(Atomic::Int(1)), &Some(Atomic::Int(4))));
         assert!(stats.columns.contains_key("region"));
 
         // The epoch moves on registration, definition and re-sampling
@@ -832,7 +833,7 @@ mod tests {
         assert!(limited.stats().get("crm.small").unwrap().exhaustive());
         assert_eq!(
             limited.stats().exact_bounds("crm.small", "score"),
-            Some((901.0, 1000.0))
+            Some((OrderKey::Int(901), OrderKey::Int(1000)))
         );
         // The whole-collection path shipped the table to look at its
         // head; the limited path never shipped more than the sample.

@@ -203,18 +203,16 @@ impl Drop for EngineCluster {
 }
 
 /// XML-parsed text stays a string atom (adapters produce typed atoms),
-/// so shard-slice sampling coerces lexically numeric values — without
-/// this, per-shard min/max bounds never exist and the planner cannot
-/// prune shards on key predicates. Matches [`ShardSpec::shard_of`]'s
-/// own lexical parse for range keys.
+/// so shard-slice sampling reads each value as the comparisons do
+/// ([`Atomic::numeric`](nimble_xml::Atomic::numeric)) — without this,
+/// per-shard min/max bounds never exist and the planner cannot prune
+/// shards on key predicates.
 fn numeric_view(a: &nimble_xml::Atomic) -> nimble_xml::Atomic {
-    use nimble_xml::Atomic;
-    if a.as_f64().is_some() || matches!(a, Atomic::Null) {
-        return a.clone();
-    }
-    match a.lexical().trim().parse::<f64>() {
-        Ok(v) => Atomic::Float(v),
-        Err(_) => a.clone(),
+    use nimble_xml::{Atomic, OrderKey};
+    match a.numeric() {
+        Some(OrderKey::Int(i)) => Atomic::Int(i),
+        Some(OrderKey::Float(f)) => Atomic::Float(f),
+        _ => a.clone(),
     }
 }
 

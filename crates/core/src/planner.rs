@@ -26,7 +26,7 @@ use nimble_sources::query::{FieldRef, PredOp};
 use nimble_sources::relational::RelationalAdapter;
 use nimble_sources::{SourceAdapter, SourceKind, SourceQuery};
 use nimble_xml::atomic::{joins_alike, reads_alike};
-use nimble_xml::{Atomic, AtomicType, Sym, Value};
+use nimble_xml::{Atomic, AtomicType, Value};
 use nimble_xmlql::ast::{
     BinOp, Condition, Expr, OrderKey, Pattern, PatternContent, PatternValue, Query, SourceRef, TagPattern,
 };
@@ -968,21 +968,15 @@ impl<'a> Bound<'a> {
     }
 
     /// The fragment `independents[atom]` sends on this serve: the plan's
-    /// own, or a copy holding this serve's values. An equality whose
-    /// value is text that reads as a number is not sent: the source would
-    /// compare it as text (`reads_alike`), and it stays central too
-    /// (`place_selection`). `None` when the atom is not a fragment.
+    /// own, or a copy holding this serve's values. `None` when the atom
+    /// is not a fragment.
     pub fn fragment_query(&self, atom: usize) -> Option<Cow<'a, SourceQuery>> {
         let Some(AtomExec::Fragment { query, .. }) = self.plan.independents.get(atom) else {
             return None;
         };
         let mut sent = Cow::Borrowed(query);
-        for (j, sel) in query.selections.iter().enumerate().rev() {
-            let value = self.selection_value(atom, j);
-            let held = value.unwrap_or(&sel.value);
-            if sel.op == PredOp::Eq && held.as_str().is_some() && held.numeric().is_some() {
-                sent.to_mut().selections.remove(j);
-            } else if let Some(value) = value {
+        for j in 0..query.selections.len() {
+            if let Some(value) = self.selection_value(atom, j) {
                 if let Some(s) = sent.to_mut().selections.get_mut(j) {
                     s.value = value.clone();
                 }
@@ -1129,9 +1123,8 @@ fn declared(adapter: &dyn SourceAdapter, collection: &str, field: &str) -> Optio
 /// weak to shrink the transfer is not shipped.
 ///
 /// A plan serves every value of an equality parameter's type (DESIGN.md
-/// §12), so a text parameter is placed as text that does not read as a
-/// number would be, and stays central too: a serve whose text reads as
-/// one does not send it ([`Bound::fragment_query`]).
+/// §12), and each places alike: a text parameter never reads as a number
+/// ([`Expr::eq_param`]).
 fn place_selection(
     catalog: &Catalog,
     plan: &mut Plan,
@@ -1142,8 +1135,6 @@ fn place_selection(
     let Some((var, op, lit)) = compiler::simple_selection(pred) else {
         return (Vec::new(), true);
     };
-    let text_param = param.is_some() && lit.as_str().is_some();
-    let lit = if text_param { &Atomic::Sym(Sym::EMPTY) } else { lit };
     let binds = |atom: &AtomExec| {
         matches!(atom, AtomExec::Fragment { query, .. }
             if query.outputs.iter().any(|(v, _)| v == var))
@@ -1212,7 +1203,7 @@ fn place_selection(
         };
         plan.notes.push(note);
     }
-    let central = placed.is_empty() || text_param;
+    let central = placed.is_empty();
     (placed, central)
 }
 
@@ -1489,7 +1480,7 @@ fn unsat_verdict(catalog: &Catalog, bound: Bound<'_>) -> Option<String> {
             .filter_map(|index| bound.residual(index))
             .filter_map(|pred| translate_expr(&pred, &schema).ok())
             .collect();
-        let bounds = |col: usize| -> Option<(f64, f64)> {
+        let bounds = |col: usize| -> Option<(satisfy::Number, satisfy::Number)> {
             schema
                 .vars()
                 .get(col)
@@ -1530,7 +1521,7 @@ fn unsat_verdict(catalog: &Catalog, bound: Bound<'_>) -> Option<String> {
                 ))
             })
             .collect();
-        let bounds = |col: usize| -> Option<(f64, f64)> {
+        let bounds = |col: usize| -> Option<(satisfy::Number, satisfy::Number)> {
             let f = cols.get(col)?;
             let coll = query.collections.iter().find(|c| c.alias == f.alias)?;
             catalog
@@ -1668,7 +1659,7 @@ fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRunti
             }
             let alive = conjunction.as_ref().is_none_or(|conjunction| {
                 let stats_key = shard_stats_key(k, &coll_key);
-                let bounds = |col: usize| -> Option<(f64, f64)> {
+                let bounds = |col: usize| -> Option<(satisfy::Number, satisfy::Number)> {
                     let v = schema.as_ref()?.vars().get(col)?;
                     let field = rp
                         .as_ref()?
@@ -1753,7 +1744,7 @@ fn var_exact_bounds(
     catalog: &Catalog,
     independents: &[AtomExec],
     var: &str,
-) -> Option<(f64, f64)> {
+) -> Option<(nimble_planck::satisfy::Number, nimble_planck::satisfy::Number)> {
     for atom in independents {
         let found = match atom {
             AtomExec::Fragment { source, query, .. } => query
@@ -1826,7 +1817,7 @@ pub mod cost {
             PredOp::Eq => Some(1.0 / distinct),
             PredOp::Ne => Some(1.0 - 1.0 / distinct),
             PredOp::Lt | PredOp::Le | PredOp::Gt | PredOp::Ge => {
-                let (min, max) = (col.min?, col.max?);
+                let (min, max) = (col.min.as_ref()?.as_f64()?, col.max.as_ref()?.as_f64()?);
                 let v = sel.value.as_f64()?;
                 if max <= min {
                     return Some(0.5);
@@ -2894,8 +2885,7 @@ mod tests {
             (&c, r#"WHERE <row><id>$i</id><region>"NW"</region></row> IN "erp.customers", K = $i CONSTRUCT <o>$i</o>"#.into(), 1),
             (&c, r#"WHERE <bib><book year=$y><title>$x</title></book></bib> IN "bib", 3 < 5, $y = K CONSTRUCT <o>$x</o>"#.into(), 1),
             (&c, format!("WHERE {}, $t = 9.5, $i = K, $i = L CONSTRUCT <o>$n</o>", join), 5),
-            // A text parameter is sent and stays central: two sites.
-            (&c, r#"WHERE <row><id>$i</id><name>$n</name></row> IN "erp.customers", $n = "cK" CONSTRUCT <o>$i</o>"#.into(), 2),
+            (&c, r#"WHERE <row><id>$i</id><name>$n</name></row> IN "erp.customers", $n = "cK" CONSTRUCT <o>$i</o>"#.into(), 1),
         ];
         let config = OptimizerConfig::default();
         // The rewrite records quote the predicates of the text that was
@@ -2936,6 +2926,22 @@ mod tests {
             assert_eq!(format!("{:?}", back.notes), format!("{:?}", cached.notes), "{}", template);
             assert_eq!(back.pruned, cached.pruned, "{}", template);
         }
+
+        // Text that reads as a number is no parameter: each value is a
+        // shape of its own, planned for that value, and a TEXT field
+        // does not take it (the source would compare it as text).
+        let numeric_text = r#"WHERE <row><id>$i</id><name>$n</name></row> IN "erp.customers", $n = "K" CONSTRUCT <o>$i</o>"#;
+        for k in ["1", "7"] {
+            let text = numeric_text.replace('K', k);
+            let query = parse(&text);
+            assert!(query.eq_params().is_empty(), "{}", text);
+            let plan = plan_query(&c, &query, &config).unwrap();
+            assert!(plan.param_sites.is_empty(), "{:?}", plan);
+            assert!(plan.notes.iter().any(|n| n == "type: predicate kept central (erp reads it otherwise)"), "{:?}", plan.notes);
+            assert_eq!(strip(served(&c, &plan, &query)), strip(plan_query(&c, &query, &config).unwrap()));
+        }
+        let key = |k: &str| nimble_xmlql::parse_keyed(&numeric_text.replace('K', k)).unwrap().1;
+        assert_ne!(key("1"), key("7"));
 
         // A plan served with a parameter list that is not its shape's is
         // refused, not half-read.

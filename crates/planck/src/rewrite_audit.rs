@@ -130,9 +130,7 @@ pub struct Placement {
 /// it reads (`None`: undeclared).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SourceRead {
-    /// `field op lit`; `joined` when another unit binds the variable. A
-    /// text equality parameter's `lit` is `""`: it stands for every text
-    /// a serve sends, one that reads as a number being withheld.
+    /// `field op lit`; `joined` when another unit binds the variable.
     Selection { op: CmpOp, lit: Atomic, field: Option<AtomicType>, joined: bool },
     /// An equi-join of two fields.
     Join(Option<AtomicType>, Option<AtomicType>),
@@ -650,7 +648,7 @@ mod tests {
             sel(CmpOp::Lt, Atomic::Int(2), Float, true),
             sel(CmpOp::Eq, Atomic::Str("x".into()), Str, true),
             sel(CmpOp::Ge, Atomic::Str("x".into()), Str, false),
-            sel(CmpOp::Like, Atomic::Str("2%".into()), Float, false),
+            sel(CmpOp::Like, Atomic::Str("2%".into()), Str, false),
             sel(CmpOp::Gt, Atomic::Bool(false), Bool, true),
         ] {
             assert!(sent("pushdown", reads.clone()).is_empty(), "{:?}", reads);
@@ -662,6 +660,9 @@ mod tests {
             // A number against text, text that reads as a number.
             ("pushdown", sel(CmpOp::Eq, Atomic::Int(2), Str, false)),
             ("pushdown", sel(CmpOp::Eq, Atomic::Str(" 2 ".into()), Str, false)),
+            // `LIKE` of a number's spelling, or a pattern NULL's `""` matches.
+            ("pushdown", sel(CmpOp::Like, Atomic::Str("2%".into()), Float, false)),
+            ("pushdown", sel(CmpOp::Like, Atomic::Str("%".into()), Str, false)),
             // Join-equal values spelled otherwise: `LIKE`, text orders.
             ("pushdown", sel(CmpOp::Like, Atomic::Str("2%".into()), Str, true)),
             ("pushdown", sel(CmpOp::Lt, Atomic::Str("x".into()), Str, true)),

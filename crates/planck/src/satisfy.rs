@@ -17,15 +17,21 @@
 //!   that is false on a Null would change results.
 //! * [`Verdict::Unknown`] — no static claim.
 //!
+//! An interval's ends are numeric readings ([`Atomic::numeric`]) ordered
+//! as `nimble_xml::atomic::cmp` orders them ([`OrderKey::total_cmp`]):
+//! exact for integers past 2^53, so the verdict never differs from what
+//! the runtime's comparisons find (DESIGN.md §23).
+//!
 //! Column bounds are supplied by the caller as a closure so this crate
 //! stays independent of the statistics store. Callers must only pass
 //! bounds they can vouch for as **exact** over the data the predicate
-//! will see (e.g. a full-coverage sample); advisory bounds make
-//! `Unsatisfiable` unsound.
+//! will see (e.g. a full-coverage sample of a field that holds only
+//! numbers); advisory bounds make `Unsatisfiable` unsound.
 
-use nimble_algebra::expr::{compare, CmpOp, LiteralValue};
-use nimble_algebra::expr::{literal_lexical, literal_num, literal_truth};
+use nimble_algebra::expr::{compare, literal_lexical, literal_truth, CmpOp, LiteralValue};
 use nimble_algebra::ScalarExpr;
+use nimble_xml::{Atomic, OrderKey};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// The result of statically analyzing a predicate.
@@ -39,12 +45,15 @@ pub enum Verdict {
     Unknown,
 }
 
+/// A numeric reading: an [`OrderKey::Int`] or [`OrderKey::Float`].
+pub type Number = OrderKey<'static>;
+
 /// Per-column numeric bounds: `Some((min, max))` when the caller knows
 /// the *exact* value range of that column, `None` otherwise.
-pub type ColumnBounds<'a> = &'a dyn Fn(usize) -> Option<(f64, f64)>;
+pub type ColumnBounds<'a> = &'a dyn Fn(usize) -> Option<(Number, Number)>;
 
 /// Bounds source claiming nothing.
-pub fn no_bounds(_: usize) -> Option<(f64, f64)> {
+pub fn no_bounds(_: usize) -> Option<(Number, Number)> {
     None
 }
 
@@ -84,51 +93,50 @@ pub fn analyze(expr: &ScalarExpr, bounds: ColumnBounds) -> Verdict {
     }
 }
 
-/// Open or closed end of an interval constraint.
-#[derive(Debug, Clone, Copy)]
+/// The values a column may still hold: each end, when one is known, with
+/// whether it is open.
+#[derive(Debug, Clone, Copy, Default)]
 struct Interval {
-    lo: f64,
-    lo_open: bool,
-    hi: f64,
-    hi_open: bool,
+    lo: Option<(Number, bool)>,
+    hi: Option<(Number, bool)>,
 }
 
 impl Interval {
-    fn full() -> Interval {
-        Interval {
-            lo: f64::NEG_INFINITY,
-            lo_open: false,
-            hi: f64::INFINITY,
-            hi_open: false,
-        }
-    }
-
-    fn from_bounds(lo: f64, hi: f64) -> Interval {
-        Interval {
-            lo,
-            lo_open: false,
-            hi,
-            hi_open: false,
-        }
-    }
-
+    /// Both ends are known and leave nothing between them. With an end
+    /// unknown it is never empty: a value that does not read as a number
+    /// orders below every number (`Bool`) or above it (text) against a
+    /// number literal, so it passes every bound on one side.
     fn empty(&self) -> bool {
-        self.lo > self.hi || (self.lo == self.hi && (self.lo_open || self.hi_open))
-    }
-
-    fn clamp_lo(&mut self, v: f64, open: bool) {
-        if v > self.lo || (v == self.lo && open && !self.lo_open) {
-            self.lo = v;
-            self.lo_open = open;
+        let (Some((lo, lo_open)), Some((hi, hi_open))) = (self.lo, self.hi) else {
+            return false;
+        };
+        match lo.total_cmp(hi) {
+            Ordering::Greater => true,
+            Ordering::Equal => lo_open || hi_open,
+            Ordering::Less => false,
         }
     }
 
-    fn clamp_hi(&mut self, v: f64, open: bool) {
-        if v < self.hi || (v == self.hi && open && !self.hi_open) {
-            self.hi = v;
-            self.hi_open = open;
+    fn clamp_lo(&mut self, v: Number, open: bool) {
+        if tighter(self.lo, v, open, Ordering::Greater) {
+            self.lo = Some((v, open));
         }
     }
+
+    fn clamp_hi(&mut self, v: Number, open: bool) {
+        if tighter(self.hi, v, open, Ordering::Less) {
+            self.hi = Some((v, open));
+        }
+    }
+}
+
+/// Whether the end `(v, open)` cuts more than `end`, on the side where
+/// cutting more means ordering `inward` of it.
+fn tighter(end: Option<(Number, bool)>, v: Number, open: bool, inward: Ordering) -> bool {
+    end.is_none_or(|(at, at_open)| match v.total_cmp(at) {
+        Ordering::Equal => open && !at_open,
+        ord => ord == inward,
+    })
 }
 
 /// Flatten a conjunction, fold its literal conjuncts, and intersect the
@@ -222,20 +230,14 @@ fn constrain(
     text_eq: &mut BTreeMap<usize, String>,
 ) -> Verdict {
     // Normalize `lit OP col` to `col OP' lit` by mirroring the operator.
-    let op = if flipped {
-        match op {
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-            other => other,
-        }
-    } else {
-        op
-    };
+    let op = if flipped { op.flipped().unwrap_or(op) } else { op };
 
-    if let Some(n) = literal_num(lit) {
-        let iv = intervals.entry(col).or_insert_with(Interval::full);
+    // A number, or text that reads as one under `=`: text orders other
+    // text by its spelling, not on the number line, so only its equality
+    // is a point there.
+    let read = |a: &Atomic| a.numeric().filter(|_| op == CmpOp::Eq || a.as_str().is_none());
+    if let Some(n) = lit.with_atomic(read) {
+        let iv = intervals.entry(col).or_default();
         match op {
             CmpOp::Eq => {
                 iv.clamp_lo(n, false);
@@ -327,7 +329,7 @@ mod tests {
 
     #[test]
     fn exact_bounds_refute_out_of_range_predicates() {
-        let bounds = |c: usize| if c == 0 { Some((10.0, 20.0)) } else { None };
+        let bounds = |c: usize| (c == 0).then_some((OrderKey::Int(10), OrderKey::Int(20)));
         // x < 5 with x in [10, 20]
         assert_eq!(
             analyze(&col_cmp(CmpOp::Lt, 0, 5), &bounds),
@@ -362,7 +364,7 @@ mod tests {
 
     #[test]
     fn negation_never_uses_bounds() {
-        let bounds = |c: usize| if c == 0 { Some((10.0, 20.0)) } else { None };
+        let bounds = |c: usize| (c == 0).then_some((OrderKey::Int(10), OrderKey::Int(20)));
         // NOT(x < 5): bounds would prove the inner unsatisfiable, but
         // promoting the negation to AlwaysTrue would rest on sampled
         // data; must stay Unknown.
@@ -393,6 +395,39 @@ mod tests {
             ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::Col(0), ScalarExpr::lit("10")),
             col_cmp(CmpOp::Gt, 0, 20),
         );
+        assert_eq!(analyze_pure(&e), Verdict::Unsatisfiable);
+    }
+
+    #[test]
+    fn integer_ends_are_exact_past_2_pow_53() {
+        // 2^53 and 2^53 + 1 are one f64, but two integers.
+        let edge = 9_007_199_254_740_992i64;
+        let e = and(col_cmp(CmpOp::Gt, 0, edge), col_cmp(CmpOp::Le, 0, edge + 1));
+        assert_eq!(analyze_pure(&e), Verdict::Unknown);
+        let e = and(col_cmp(CmpOp::Gt, 0, edge), col_cmp(CmpOp::Le, 0, edge));
+        assert_eq!(analyze_pure(&e), Verdict::Unsatisfiable);
+        // A column whose largest value is 2^53 + 1 holds one above 2^53.
+        let bounds = |_: usize| Some((OrderKey::Int(-1), OrderKey::Int(edge + 1)));
+        assert_eq!(analyze(&col_cmp(CmpOp::Gt, 0, edge), &bounds), Verdict::Unknown);
+        assert_eq!(analyze(&col_cmp(CmpOp::Gt, 0, edge + 1), &bounds), Verdict::Unsatisfiable);
+        // An integer and the float it rounds to are different points.
+        let e = and(
+            col_cmp(CmpOp::Eq, 0, edge + 1),
+            ScalarExpr::cmp(CmpOp::Eq, ScalarExpr::Col(0), ScalarExpr::lit(edge as f64)),
+        );
+        assert_eq!(analyze_pure(&e), Verdict::Unsatisfiable);
+    }
+
+    #[test]
+    fn numeric_text_orders_text_by_its_spelling() {
+        // "2x" > "10" and "2x" < "5" both hold: text that does not read as
+        // a number compares with numeric text as text.
+        let text = |op, t: &str| ScalarExpr::cmp(op, ScalarExpr::Col(0), ScalarExpr::lit(t));
+        let e = and(text(CmpOp::Gt, "10"), text(CmpOp::Lt, "5"));
+        assert_eq!(analyze_pure(&e), Verdict::Unknown);
+        // Against number literals, text orders above every number: it
+        // passes `> 10` and fails `< 5`.
+        let e = and(col_cmp(CmpOp::Gt, 0, 10), col_cmp(CmpOp::Lt, 0, 5));
         assert_eq!(analyze_pure(&e), Verdict::Unsatisfiable);
     }
 

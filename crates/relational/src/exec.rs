@@ -805,7 +805,11 @@ fn eval<'a>(expr: &'a Expr, row: &'a [Atomic], env: &Env<'a>) -> Result<Cow<'a, 
             let r = eval(b, row, env)?;
             arith(*op, &l, &r).map(Cow::Owned)
         }
-        Expr::Like(e, pattern) => truth(cmp(CmpOp::Like, &*eval(e, row, env)?, env.value(pattern)?)),
+        Expr::Like(e, pattern) => {
+            // As in SQL, a NULL matches no pattern.
+            let v = eval(e, row, env)?;
+            truth(!v.is_null() && cmp(CmpOp::Like, &v, env.value(pattern)?))
+        }
         Expr::In(e, keys) => truth(env.contains(keys, eval(e, row, env)?.into_owned())?),
         Expr::Between(e, lo, hi) => {
             let v = eval(e, row, env)?;

@@ -14,21 +14,22 @@
 //! min/max bounds are exact), and routes scans.
 
 use crate::clock::LogicalClock;
-use nimble_xml::Atomic;
+use nimble_xml::{Atomic, OrderKey};
 use nimble_trace::sync::RwLock;
 use std::collections::BTreeMap;
 
 /// How rows of a collection map to shards.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardScheme {
-    /// `shard = fnv64(lexical(key)) % shards`. Placement is uniform and
-    /// key-type-agnostic (the hash runs over the canonical lexical
-    /// form, so `42` routes identically whether typed int or string).
+    /// `shard = fnv64(text) % shards`, where `text` spells the key's
+    /// numeric reading when it has one ([`Atomic::numeric`]), and is its
+    /// lexical form otherwise: the values an equality equates — `42`,
+    /// `42.0`, `"42"`, `" 42 "` — route alike.
     Hash { shards: usize },
     /// Ascending split points over the numeric key: shard `k` holds
     /// rows with `bounds[k-1] <= key < bounds[k]` (`shards =
-    /// bounds.len() + 1`). Rows whose key does not parse as a number
-    /// fall into shard 0.
+    /// bounds.len() + 1`), the key read by [`Atomic::numeric`]. Rows
+    /// whose key does not read as a number fall into shard 0.
     Range { bounds: Vec<f64> },
 }
 
@@ -81,18 +82,27 @@ impl ShardSpec {
     /// value routes somewhere (nulls and non-numeric range keys to
     /// shard 0), so partitioning never drops rows.
     pub fn shard_of(&self, key: &Atomic) -> usize {
+        let num = key.numeric();
         match &self.scheme {
             ShardScheme::Hash { shards } => {
-                (fnv64(&key.lexical()) % (*shards).max(1) as u64) as usize
+                let text = match num {
+                    Some(OrderKey::Int(i)) => i.to_string(),
+                    // An integral float is the integer it equals.
+                    Some(OrderKey::Float(f))
+                        if f.fract() == 0.0 && (i64::MIN as f64..i64::MAX as f64).contains(&f) =>
+                    {
+                        (f as i64).to_string()
+                    }
+                    Some(OrderKey::Float(f)) => Atomic::Float(f).lexical(),
+                    _ => key.lexical(),
+                };
+                (fnv64(&text) % (*shards).max(1) as u64) as usize
             }
             ShardScheme::Range { bounds } => {
-                let v = match key {
-                    Atomic::Int(i) => *i as f64,
-                    Atomic::Float(f) => *f,
-                    other => match other.lexical().trim().parse::<f64>() {
-                        Ok(v) => v,
-                        Err(_) => return 0,
-                    },
+                let v = match num {
+                    Some(OrderKey::Int(i)) => i as f64,
+                    Some(OrderKey::Float(f)) => f,
+                    _ => return 0,
                 };
                 bounds.iter().take_while(|b| v >= **b).count()
             }
@@ -167,6 +177,17 @@ mod tests {
         let distinct: std::collections::HashSet<usize> =
             (0..100i64).map(|i| spec.shard_of(&Atomic::Int(i))).collect();
         assert!(distinct.len() > 1);
+    }
+
+    #[test]
+    fn hash_placement_reads_a_key_as_the_comparisons_do() {
+        let spec = ShardSpec::hash("id", 8);
+        let at = |v: Atomic| spec.shard_of(&v);
+        for two in [Atomic::Float(2.0), Atomic::Str(" 2 ".into()), Atomic::Str("+2".into()), Atomic::Str("2.0".into())] {
+            assert_eq!(at(two.clone()), at(Atomic::Int(2)), "{:?}", two);
+        }
+        assert_eq!(at(Atomic::Str("2.50".into())), at(Atomic::Float(2.5)));
+        assert_eq!(at(Atomic::Float(-(2f64.powi(63)))), at(Atomic::Int(i64::MIN)));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nimble_xml::Atomic;
+use nimble_xml::{Atomic, OrderKey};
 use nimble_trace::sync::RwLock;
 
 /// Per-field statistics gathered from a sample.
@@ -35,10 +35,11 @@ pub struct ColumnStats {
     /// held more than a sample tracks: what `distinct` is extrapolated
     /// from ([`CollectionStats::with_rows`]).
     pub sample_distinct: Option<u64>,
-    /// Smallest numeric value seen, if the field ever held a number.
-    pub min: Option<f64>,
-    /// Largest numeric value seen, if the field ever held a number.
-    pub max: Option<f64>,
+    /// Smallest value seen (`Int` or `Float`), if the field held a
+    /// number and nothing else but NULL.
+    pub min: Option<Atomic>,
+    /// Largest value seen, as `min`.
+    pub max: Option<Atomic>,
 }
 
 /// Statistics for one collection (or one materialized view).
@@ -190,24 +191,22 @@ impl StatsCatalog {
         self.inner.read().get(key).map(|e| e.stats.rows)
     }
 
-    /// *Exact* numeric bounds of `field` in collection `key`, or `None`.
-    /// Bounds are returned only when the sample was exhaustive
+    /// *Exact* numeric bounds of `field` in collection `key`, as the
+    /// comparisons read them ([`Atomic::numeric`]), or `None`. Bounds are
+    /// returned only when the sample was exhaustive
     /// ([`CollectionStats::exhaustive`]): a partial sample's min/max can
     /// be narrower than the data, and callers use these bounds to prove
     /// predicates unsatisfiable — an unsound claim over advisory
     /// bounds. Callers must still re-check the stats generation if they
     /// cache the answer (out-of-band source mutations re-sample).
-    pub fn exact_bounds(&self, key: &str, field: &str) -> Option<(f64, f64)> {
+    pub fn exact_bounds(&self, key: &str, field: &str) -> Option<(OrderKey<'static>, OrderKey<'static>)> {
         let inner = self.inner.read();
         let stats = &inner.get(key)?.stats;
         if !stats.exhaustive() {
             return None;
         }
         let col = stats.columns.get(field)?;
-        match (col.min, col.max) {
-            (Some(lo), Some(hi)) => Some((lo, hi)),
-            _ => None,
-        }
+        Some((col.min.as_ref()?.numeric()?, col.max.as_ref()?.numeric()?))
     }
 
     /// Current generation. Bumped whenever statistics change enough to
@@ -309,8 +308,10 @@ pub struct SampleBuilder {
 struct FieldAcc {
     seen: HashSet<String>,
     overflow: bool,
-    min: Option<f64>,
-    max: Option<f64>,
+    min: Option<Atomic>,
+    max: Option<Atomic>,
+    /// A value that is not a number was seen: the field has no bounds.
+    other: bool,
 }
 
 impl SampleBuilder {
@@ -338,9 +339,15 @@ impl SampleBuilder {
                 acc.seen.clear();
             }
         }
-        if let Some(n) = value.as_f64() {
-            acc.min = Some(acc.min.map_or(n, |m| m.min(n)));
-            acc.max = Some(acc.max.map_or(n, |m| m.max(n)));
+        if !matches!(value, Atomic::Int(_) | Atomic::Float(_)) {
+            acc.other = true;
+            return;
+        }
+        if acc.min.as_ref().is_none_or(|m| value.total_cmp(m).is_lt()) {
+            acc.min = Some(value.clone());
+        }
+        if acc.max.as_ref().is_none_or(|m| value.total_cmp(m).is_gt()) {
+            acc.max = Some(value.clone());
         }
     }
 
@@ -358,8 +365,8 @@ impl SampleBuilder {
                     ColumnStats {
                         distinct: extrapolate(sample_distinct, sampled, total_rows),
                         sample_distinct,
-                        min: acc.min,
-                        max: acc.max,
+                        min: acc.min.filter(|_| !acc.other),
+                        max: acc.max.filter(|_| !acc.other),
                     },
                 )
             })
@@ -427,8 +434,8 @@ mod tests {
         assert_eq!(stats.rows, 1000);
         assert_eq!(stats.distinct("id"), Some(1000));
         let col = &stats.columns["id"];
-        assert_eq!(col.min, Some(1.0));
-        assert_eq!(col.max, Some(4.0));
+        assert_eq!(col.min, Some(Atomic::Int(1)));
+        assert_eq!(col.max, Some(Atomic::Int(4)));
     }
 
     #[test]
@@ -465,7 +472,7 @@ mod tests {
         b.observe("x", &Atomic::Int(7));
         let stats = b.finish(2);
         let col = &stats.columns["x"];
-        assert_eq!((col.min, col.max), (Some(7.0), Some(7.0)));
+        assert_eq!((&col.min, &col.max), (&Some(Atomic::Int(7)), &Some(Atomic::Int(7))));
     }
 
     #[test]
@@ -511,7 +518,7 @@ mod tests {
         }
         // Sample of 10 over 10 total rows: exhaustive, bounds are exact.
         cat.set("erp.orders", b.finish(10));
-        assert_eq!(cat.exact_bounds("erp.orders", "total"), Some((0.0, 90.0)));
+        assert_eq!(cat.exact_bounds("erp.orders", "total"), Some((OrderKey::Int(0), OrderKey::Int(90))));
         // No such field / no such key.
         assert_eq!(cat.exact_bounds("erp.orders", "nope"), None);
         assert_eq!(cat.exact_bounds("erp.nope", "total"), None);
@@ -532,6 +539,31 @@ mod tests {
         b.observe("name", &Atomic::Str("ada".into()));
         cat.set("erp.people", b.finish(1));
         assert_eq!(cat.exact_bounds("erp.people", "name"), None);
+    }
+
+    #[test]
+    fn bounds_are_exact_numbers_of_a_field_that_holds_only_numbers() {
+        let cat = StatsCatalog::new();
+        let edge = 9_007_199_254_740_992i64;
+        let bounds_of = |values: &[Atomic]| {
+            let mut b = SampleBuilder::new();
+            for v in values {
+                b.add_row();
+                b.observe("x", v);
+            }
+            cat.set("t", b.finish(values.len() as u64));
+            cat.exact_bounds("t", "x")
+        };
+        // Integers past 2^53 stay apart; NULL widens nothing.
+        let got = bounds_of(&[Atomic::Int(edge + 1), Atomic::Null, Atomic::Int(edge), Atomic::Float(-0.5)]);
+        assert_eq!(got, Some((OrderKey::Float(-0.5), OrderKey::Int(edge + 1))));
+        // A NaN orders above every number, as the comparisons order it.
+        let got = bounds_of(&[Atomic::Float(f64::NAN), Atomic::Int(3)]);
+        assert!(matches!(got, Some((OrderKey::Int(3), OrderKey::Float(x))) if x.is_nan()), "{:?}", got);
+        // A field that also holds text or a bool has none: against a
+        // number, text orders above every number and a bool below.
+        assert_eq!(bounds_of(&[Atomic::Int(5), Atomic::Str("abc".into())]), None);
+        assert_eq!(bounds_of(&[Atomic::Int(5), Atomic::Bool(true)]), None);
     }
 
     #[test]

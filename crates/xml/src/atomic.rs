@@ -405,8 +405,9 @@ pub fn like(text: &str, pattern: &str) -> bool {
 /// declared `field` — keeps exactly the rows `cmp(op, value, lit)`
 /// keeps, so that `field op lit` may be sent to it (DESIGN.md §23): a
 /// number against a numeric field, text that does not read as a number
-/// against text, a bool against a bool, and `LIKE` with a text pattern
-/// (both sides read the lexical form). Never `!=`: a source's `<>` drops
+/// against text, a bool against a bool, and `LIKE` of a text field with
+/// a pattern that the empty text does not match (the mediator reads a
+/// NULL as `""`, an RDBMS drops it). Never `!=`: a source's `<>` drops
 /// the null rows the mediator keeps. `joined`: another unit binds the
 /// value too, so a row may hold a join-equal value spelled otherwise
 /// (`Int 2`, `" 2 "`), and the test must read all of them alike — no
@@ -415,7 +416,8 @@ pub fn reads_alike(op: CmpOp, lit: &Atomic, field: Option<AtomicType>, joined: b
     use AtomicType::*;
     match (op, lit.atomic_type(), field) {
         (_, _, None) | (CmpOp::Ne, ..) => false,
-        (CmpOp::Like, ty, _) => ty == Str && !joined,
+        (CmpOp::Like, Str, Some(Str)) => !joined && lit.as_str().is_some_and(|p| !like("", p)),
+        (CmpOp::Like, ..) => false,
         (_, Int | Float, Some(Int | Float)) | (_, Bool, Some(Bool)) => true,
         (op, Str, Some(Str)) => lit.numeric().is_none() && (op == CmpOp::Eq || !joined),
         _ => false,

@@ -294,10 +294,12 @@ impl Expr {
 impl Expr {
     /// The literal of an **equality parameter**: `$v = literal` in either
     /// orientation, the literal one the lexer spells (`Int`, `Float`,
-    /// `Str`, `Bool`). The value a lens substitutes into a point lookup
-    /// arrives in this position; no planning decision except the ones
-    /// `nimble-core`'s planner names depends on it, so plans are cached
-    /// with it cut out of the text ([`crate::parse_keyed`]).
+    /// `Str`, `Bool`) — a `Str` only if it does not read as a number
+    /// ([`Atomic::numeric`]), since a source compares `"42"` as text and
+    /// the mediator as 42. The value a lens substitutes into a point
+    /// lookup arrives in this position; no planning decision except the
+    /// ones `nimble-core`'s planner names depends on it, so plans are
+    /// cached with it cut out of the text ([`crate::parse_keyed`]).
     pub fn eq_param(&self) -> Option<&Atomic> {
         let Expr::Binary(BinOp::Eq, l, r) = self else {
             return None;
@@ -321,10 +323,11 @@ impl Expr {
 }
 
 fn liftable(a: &Atomic) -> bool {
-    matches!(
-        a,
-        Atomic::Int(_) | Atomic::Float(_) | Atomic::Str(_) | Atomic::Bool(_)
-    )
+    match a {
+        Atomic::Int(_) | Atomic::Float(_) | Atomic::Bool(_) => true,
+        Atomic::Str(_) => a.numeric().is_none(),
+        _ => false,
+    }
 }
 
 impl Query {

@@ -268,6 +268,9 @@ mod tests {
             // A negation of a literal, to the parser and so to pushdown:
             // a `-` is a sign only hard against its digits.
             "$i = - 42",
+            // Text that reads as a number: a source would compare it as
+            // text, the mediator as a number.
+            r#"$n = " 42 ""#,
         ] {
             let text = q(kept);
             assert_eq!(shape(&text), parse_query(&text).unwrap().to_string(), "{}", kept);

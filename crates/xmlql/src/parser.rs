@@ -70,8 +70,9 @@ pub fn parse_query_checked(text: &str) -> Result<(Query, Vec<TypeDiag>), ParseEr
 /// Parse a query and cut its **shape key** from the text: the text with
 /// the spelling of each equality parameter's literal ([`Query::eq_params`])
 /// replaced by its type — `$i = 42` reads `$i = ?int`, and `?float`,
-/// `?str`, `?bool` stand for the others. A text without one is its own
-/// key. The plan cache keys a plan that serves every value of its
+/// `?str` (text that does not read as a number: `"42"` is no parameter
+/// and stays), `?bool` stand for the others. A text without one is its
+/// own key. The plan cache keys a plan that serves every value of its
 /// parameters by this (DESIGN.md §12).
 ///
 /// Two texts share a key only if they parse to one query up to the

@@ -2,7 +2,7 @@
 //! queries identically regardless of optimizer choices, and the four
 //! adapter kinds interoperate.
 
-use nimble::core::{Catalog, Engine, OptimizerConfig};
+use nimble::core::{Catalog, Engine, EngineConfig, OptimizerConfig, ShardSpec, ShardedCluster};
 use nimble::sources::csv::CsvAdapter;
 use nimble::sources::hierarchical::{HierarchicalAdapter, Segment};
 use nimble::sources::relational::RelationalAdapter;
@@ -686,6 +686,86 @@ fn a_same_source_join_keeps_its_answer_on_text_and_on_int_keys_with_nulls() {
         let text = format!("WHERE {}, {} CONSTRUCT <r><k>$k</k><k2>$k2</k2></r>", mine, other);
         assert!(bag(&engine, &text).is_ok_and(|rows| rows.len() > 5), "{}", text);
         diverged.extend(diverges(&engine, &text, capability_joins));
+    }
+    assert!(diverged.is_empty(), "{} diverge:\n{}", diverged.len(), diverged.join("\n"));
+}
+
+fn prune_unsat(on: bool) -> OptimizerConfig {
+    OptimizerConfig {
+        prune_unsat: on,
+        ..OptimizerConfig::default()
+    }
+}
+
+/// Conjunctions the satisfiability pass judges over the mixed table's
+/// exact bounds (a full sample of nine rows): integers past 2^53, which
+/// one `f64` cannot tell apart, and text against numeric text.
+const RANGES: [&str; 8] = [
+    "$b > 9007199254740992, $b <= 9007199254740993",
+    "$b > 9007199254740992",
+    "$b >= 9007199254740993",
+    "$b = 9007199254740993, $b >= 9007199254740993",
+    "$b < 9007199254740993, $b > 3",
+    r#"$s > "10", $s < "5""#,
+    "$s > 1, $s < 3",
+    "$f > 2, $f < 2.5",
+];
+
+#[test]
+fn the_satisfiability_pass_keeps_the_answer_of_every_mixed_class_range() {
+    let engine = Engine::new(mixed_catalog());
+    let mut diverged = Vec::new();
+    for kind in ["rel", "csv", "ims", "xml"] {
+        for range in RANGES {
+            let text = format!("WHERE {}, {} CONSTRUCT <r>$k</r>", mixed_pattern(kind), range);
+            diverged.extend(diverges(&engine, &text, prune_unsat));
+        }
+    }
+    assert!(diverged.is_empty(), "{} diverge:\n{}", diverged.len(), diverged.join("\n"));
+    // The edge is there to be lost: row 3 holds 2^53 + 1.
+    let text = format!("WHERE {}, {} CONSTRUCT <r>$k</r>", mixed_pattern("rel"), RANGES[0]);
+    engine.set_optimizer(prune_unsat(true));
+    assert_eq!(bag(&engine, &text), Ok(vec!["<r>3</r>".to_string()]));
+}
+
+#[test]
+fn shard_bounds_prune_no_shard_that_holds_a_row_past_2_pow_53() {
+    // The mixed XML table split on `b` at 0: shard 1 holds 0, 2, 3, 2^53
+    // and 2^53 + 1 as text, each shard's bounds taken from all its rows.
+    let specs = vec![("t_xml", ShardSpec::range("b", vec![0.0]))];
+    let cluster = ShardedCluster::build(mixed_catalog(), EngineConfig::default(), &specs).unwrap();
+    let unsharded = Engine::new(mixed_catalog());
+    unsharded.set_optimizer(prune_unsat(false));
+    let row = "<row><k>$k</k><s>$s</s><b>$b</b><f>$f</f></row>";
+    for range in ["$b > 9007199254740992", "$b >= 9007199254740993", "$b > 9007199254740992, $b <= 9007199254740993", "$b < 0"] {
+        let text = format!(r#"WHERE {} IN "t_xml", {} CONSTRUCT <r>$k</r>"#, row, range);
+        let got = cluster.query(&text).unwrap();
+        let mut rows: Vec<String> = got.document.root().children().map(|n| to_string(&n)).collect();
+        rows.sort();
+        assert_eq!(Ok(rows), bag(&unsharded, &text), "{}\n{}", text, got.stats.plan);
+        assert!(got.stats.plan.contains("pruned to 1/2 shards"), "{}", got.stats.plan);
+    }
+}
+
+#[test]
+fn hash_routing_sends_an_equality_to_the_shard_of_every_value_it_equals() {
+    // The mixed XML table hashed on `s`, then on `b`: `$v = 2.0` routes
+    // to the one shard that holds `"2"`, `" 2 "`, `"2.0"` and `"+2"`.
+    let unsharded = Engine::new(mixed_catalog());
+    let row = "<row><k>$k</k><s>$s</s><b>$b</b><f>$f</f></row>";
+    let mut diverged = Vec::new();
+    for key in ["s", "b"] {
+        let specs = vec![("t_xml", ShardSpec::hash(key, 4))];
+        let cluster = ShardedCluster::build(mixed_catalog(), EngineConfig::default(), &specs).unwrap();
+        for lit in LITERALS {
+            let text = format!(r#"WHERE {} IN "t_xml", ${} = {} CONSTRUCT <r>$k</r>"#, row, key, lit);
+            let got = cluster.query(&text).unwrap();
+            let mut rows: Vec<String> = got.document.root().children().map(|n| to_string(&n)).collect();
+            rows.sort();
+            if Ok(&rows) != bag(&unsharded, &text).as_ref() {
+                diverged.push(format!("{}\n  sharded: {:?}\n  {}", text, rows, got.stats.plan));
+            }
+        }
     }
     assert!(diverged.is_empty(), "{} diverge:\n{}", diverged.len(), diverged.join("\n"));
 }
