@@ -117,7 +117,7 @@ fn join_classes() -> Vec<(u32, Value)> {
 /// Self-join `rows` (key columns first, row id last) on the first
 /// `arity` columns and return the joined `(left id, right id)` pairs,
 /// sorted.
-fn joined_ids(rows: &[Tuple], arity: usize, parallel: bool, batched: bool) -> Vec<(i64, i64)> {
+fn joined_ids(rows: &[Tuple], arity: usize, batched: bool) -> Vec<(i64, i64)> {
     let source = |prefix: &str| {
         let vars = (0..=arity).map(|c| format!("{}{}", prefix, c)).collect();
         ValuesOp::new(Schema::new(vars), rows.to_vec())
@@ -129,8 +129,7 @@ fn joined_ids(rows: &[Tuple], arity: usize, parallel: bool, batched: bool) -> Ve
         keys.clone(),
         keys,
         JoinType::Inner,
-    )
-    .vectorized(parallel);
+    );
     let out = if batched {
         crate::run_to_vec_batched(&mut join, 4).unwrap().0
     } else {
@@ -151,9 +150,7 @@ fn joined_ids(rows: &[Tuple], arity: usize, parallel: bool, batched: bool) -> Ve
 #[test]
 fn hash_join_equality_classes_are_the_written_relation() {
     let classes = join_classes();
-    // Single-column key. Every value appears 30 times so the build side
-    // clears the pool threshold and `.vectorized(true)` takes the
-    // partitioned index wherever a pool exists.
+    // Single-column key, every value 30 times.
     let single: Vec<(u32, Value)> = (0..30).flat_map(|_| classes.iter().cloned()).collect();
     let single_rows: Vec<Tuple> = single
         .iter()
@@ -187,19 +184,17 @@ fn hash_join_equality_classes_are_the_written_relation() {
             }
         }
     }
-    for parallel in [false, true] {
-        for batched in [false, true] {
-            assert_eq!(
-                joined_ids(&single_rows, 1, parallel, batched),
-                single_want,
-                "single-column key, parallel={parallel} batched={batched}"
-            );
-            assert_eq!(
-                joined_ids(&pair_rows, 2, parallel, batched),
-                pair_want,
-                "composite key, parallel={parallel} batched={batched}"
-            );
-        }
+    for batched in [false, true] {
+        assert_eq!(
+            joined_ids(&single_rows, 1, batched),
+            single_want,
+            "single-column key, batched={batched}"
+        );
+        assert_eq!(
+            joined_ids(&pair_rows, 2, batched),
+            pair_want,
+            "composite key, batched={batched}"
+        );
     }
 }
 
@@ -277,7 +272,7 @@ fn values_the_join_equates_compare_alike_with_a_number_when_they_are_numbers() {
         .enumerate()
         .map(|(id, v)| vec![v.clone(), Value::from(id as i64)])
         .collect();
-    let mut pairs: Vec<(usize, usize)> = joined_ids(&rows, 1, false, false)
+    let mut pairs: Vec<(usize, usize)> = joined_ids(&rows, 1, false)
         .into_iter()
         .map(|(a, b)| (a as usize, b as usize))
         .collect();
@@ -368,7 +363,7 @@ fn like_a_string_literal_and_nan_are_where_joined_values_compare_apart() {
             vec![y.clone(), Value::from(1i64)],
         ];
         assert!(
-            joined_ids(&rows, 1, false, false).contains(&(0, 1)),
+            joined_ids(&rows, 1, false).contains(&(0, 1)),
             "{}: {:?} and {:?} must join",
             why,
             x,
@@ -488,19 +483,16 @@ fn a_literal_test_is_eval_bool_of_what_it_compiles() {
 fn sort_matches_stable_total_cmp_on_edges() {
     // The specification of ORDER-BY: a stable sort under
     // `Value::total_cmp`. The operator's index sort must produce that
-    // order, whatever the (ignored) parallel hint says.
+    // order.
     let mut want = edge_values();
     want.sort_by(|a, b| a.total_cmp(b));
     let want: Vec<String> = want.into_iter().map(|v| render(&vec![v])).collect();
-    for parallel in [false, true] {
-        let key = vec![SortKey {
-            column: 0,
-            descending: false,
-        }];
-        let mut op =
-            SortOp::new(Box::new(one_col_source("x", edge_values())), key).vectorized(parallel);
-        assert_eq!(rows_rendered(&mut op), want, "parallel={parallel}");
-    }
+    let key = vec![SortKey {
+        column: 0,
+        descending: false,
+    }];
+    let mut op = SortOp::new(Box::new(one_col_source("x", edge_values())), key);
+    assert_eq!(rows_rendered(&mut op), want);
 }
 
 #[test]

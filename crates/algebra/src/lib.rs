@@ -35,7 +35,7 @@
 //!   (arbitrary predicate) — inner joins.
 //! * [`ops::SortOp`] — order by value with document-order tiebreak.
 //! * [`ops::ExchangeOp`] — scatter-gather over shard-local subtrees
-//!   (parallel gather on the morsel pool, partial-merge on shard loss).
+//!   (parallel gather on the task pool, partial-merge on shard loss).
 //! * [`ops::EmptyOp`] — a subtree the planner proved empty.
 //! * [`ops::MeteredOp`] — EXPLAIN ANALYZE's timing wrapper.
 //!
@@ -69,7 +69,7 @@ pub mod schema;
 
 pub use error::ExecError;
 pub use expr::{ArithOp, CmpOp, LiteralTest, ScalarExpr};
-pub use par::{par_tasks, pool_stats};
+pub use par::{par_tasks, pool_stats, Tasks};
 pub use funcs::FunctionRegistry;
 pub use inspect::{OpInfo, OrderEffect, SchemaRule};
 pub use lineage::LineageMask;

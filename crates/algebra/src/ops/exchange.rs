@@ -4,9 +4,9 @@
 //! Each child produces one shard's slice of a partitioned collection
 //! (typically a [`super::LazySourceOp`] wrapping a shard-local fetch).
 //! `open` **gathers**: every child is opened and drained to completion —
-//! in parallel over the process-wide morsel pool when one exists, one
-//! pool task per child — and the buffered shard streams are then served
-//! in child order through `next`/`next_batch`.
+//! one task per child, on the process-wide task pool when it can take
+//! the round, inline otherwise — and the buffered shard streams are then
+//! served in child order through `next`/`next_batch`.
 //!
 //! A failing child is not fatal by default: the error is recorded as a
 //! [`ShardFailure`] and the merge proceeds with the surviving shards —
@@ -121,8 +121,8 @@ impl ExchangeOp {
         self.gathered.iter().map(Vec::len).collect()
     }
 
-    /// True when the last gather fanned out over the morsel pool (one
-    /// task per child); false for the serial fallback.
+    /// True when the last gather ran on the task pool (one task per
+    /// child); false when it ran inline.
     pub fn gathered_parallel(&self) -> bool {
         self.parallel_gather
     }
@@ -145,27 +145,17 @@ impl Operator for ExchangeOp {
         self.current = 0;
         self.pos = 0;
         self.failures.clear();
-        // Scatter: one pool task per child. `par_tasks` declines (no
-        // pool, single child, nested round, or a panicked participant)
-        // into the serial loop below; children must therefore be
-        // replayable across a declined partial round, which holds for
-        // the lazy per-shard producers the planner wires in.
+        // Scatter: one task per child, on the pool when it can take the
+        // round (`par_tasks`).
         let results: Vec<Result<Vec<Tuple>, ExecError>> = {
             let slots: Vec<Mutex<&mut BoxedOp>> =
                 self.children.iter_mut().map(Mutex::new).collect();
-            match crate::par::par_tasks(slots.len(), |i| {
+            let tasks = crate::par::par_tasks(slots.len(), |i| {
                 let mut child = slots[i].lock().unwrap_or_else(|e| e.into_inner());
                 gather_child(&mut child)
-            }) {
-                Some(results) => {
-                    self.parallel_gather = true;
-                    results
-                }
-                None => {
-                    self.parallel_gather = false;
-                    self.children.iter_mut().map(gather_child).collect()
-                }
-            }
+            });
+            self.parallel_gather = tasks.pooled();
+            tasks.collect()
         };
         self.gathered = Vec::with_capacity(results.len());
         for (i, r) in results.into_iter().enumerate() {
@@ -362,17 +352,16 @@ mod tests {
         };
         let mut serial = make();
         let expect = run_to_vec(&mut serial).unwrap();
-        let got = crate::par::par_tasks_on(pool, 2, |_| {
+        let got = crate::par::par_tasks_on(Some(pool), 2, |_| {
             // Run the whole exchange inside a pool task: its own nested
-            // gather then declines to serial — exercising the guard.
+            // gather then runs inline — exercising the guard.
             let mut op = make();
             run_to_vec(&mut op).map(|rows| (rows, op.gathered_parallel()))
-        })
-        .unwrap();
+        });
         for r in got {
             let (rows, parallel) = r.unwrap();
             assert_eq!(rows, expect);
-            assert!(!parallel, "nested gather must have declined to serial");
+            assert!(!parallel, "nested gather must have run inline");
         }
     }
 }

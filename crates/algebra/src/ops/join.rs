@@ -4,13 +4,12 @@
 //! All joins output `left.schema ++ right.schema` (planners deduplicate
 //! shared variables with a projection above the join when needed).
 
-use super::{BoxedOp, Operator, ParProfile};
+use super::{BoxedOp, Operator};
 use crate::error::ExecError;
 use crate::expr::ScalarExpr;
 use crate::funcs::FunctionRegistry;
 use crate::inspect::{OpInfo, SchemaRule};
 use crate::lineage::LineageMask;
-use crate::par;
 use crate::schema::{Schema, Tuple};
 use nimble_xml::{Atomic, OrderKey, Sym, Value};
 use std::collections::HashMap;
@@ -217,10 +216,6 @@ type Key = (u8, u64);
 enum JoinIndex {
     /// Single-column key: the bare pair.
     Single(HashMap<Key, Vec<u32>>),
-    /// Single-column key built in parallel on the worker pool: partition
-    /// `part_of(key, n)` owns the key, so build inserts race-free per
-    /// partition and probe hashes straight to the owner.
-    Parts(Vec<HashMap<Key, Vec<u32>>>),
     /// Composite key: one pair per key column.
     Composite(HashMap<Box<[Key]>, Vec<u32>>),
 }
@@ -231,10 +226,6 @@ impl JoinIndex {
     fn probe(&self, row: &Tuple, cols: &[usize], buf: &mut Vec<Key>) -> Option<&Vec<u32>> {
         match self {
             JoinIndex::Single(map) => map.get(&typed_key(&row[cols[0]], false)?),
-            JoinIndex::Parts(parts) => {
-                let k = typed_key(&row[cols[0]], false)?;
-                parts[part_of(&k, parts.len())].get(&k)
-            }
             JoinIndex::Composite(map) => {
                 buf.clear();
                 for &c in cols {
@@ -249,10 +240,6 @@ impl JoinIndex {
     fn entry_bytes(&self) -> u64 {
         let bytes = match self {
             JoinIndex::Single(map) => map.len() * std::mem::size_of::<(Key, Vec<u32>)>(),
-            JoinIndex::Parts(parts) => {
-                parts.iter().map(HashMap::len).sum::<usize>()
-                    * std::mem::size_of::<(Key, Vec<u32>)>()
-            }
             JoinIndex::Composite(map) => map
                 .iter()
                 .map(|(k, _)| {
@@ -276,9 +263,6 @@ pub struct HashJoinOp {
     pending: Vec<Tuple>,
     pending_cursor: usize,
     rows_out: u64,
-    /// Hint that the build side is large enough for the worker pool
-    /// (the operator still declines below its own threshold).
-    parallel: bool,
     build_rows: Vec<Tuple>,
     index: JoinIndex,
     /// Reusable composite probe key.
@@ -288,9 +272,6 @@ pub struct HashJoinOp {
     /// Build-side footprint estimate, computed once at the end of the
     /// build phase (see [`Operator::mem_bytes`]).
     mem_bytes: u64,
-    /// Per-worker busy times of the parallel build-key extraction
-    /// (`workers == 0` when the build side fell below the threshold).
-    par_prof: Option<ParProfile>,
     /// Build-side lineage, aligned with `build_rows` (present iff the
     /// right child tracks).
     build_lin: Option<Vec<LineageMask>>,
@@ -353,53 +334,12 @@ fn typed_key_build(v: &Value) -> Key {
     typed_key(v, true).unwrap_or((0, 0))
 }
 
-/// Partition owner of a typed key: a multiply-shift hash over the tag
-/// and bits. Build and probe must agree, so this is the only place the
-/// partition function lives.
-fn part_of(k: &Key, n: usize) -> usize {
-    let h = (k.1 ^ ((k.0 as u64) << 56)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((h >> 32) as usize) % n
-}
-
-/// Build the single-column index partitioned across the worker pool:
-/// every participant claims partitions off a cursor and inserts exactly
-/// the keys it owns (each scans the flat key vector — sequential reads —
-/// instead of contending on shared buckets). `None` when no pool exists
-/// or a participant panicked; the caller then inserts serially.
-fn build_partitioned(keys: &[Key]) -> Option<Vec<HashMap<Key, Vec<u32>>>> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let pool = par::pool()?;
-    let n = pool.participants();
-    let parts: Vec<std::sync::Mutex<HashMap<Key, Vec<u32>>>> =
-        (0..n).map(|_| std::sync::Mutex::new(HashMap::new())).collect();
-    let cursor = AtomicUsize::new(0);
-    let ok = pool.run(&|_slot| loop {
-        let p = cursor.fetch_add(1, Ordering::Relaxed);
-        if p >= n {
-            break;
-        }
-        let mut map = parts[p].lock().unwrap_or_else(|e| e.into_inner());
-        for (i, k) in keys.iter().enumerate() {
-            if part_of(k, n) == p {
-                map.entry(*k).or_default().push(i as u32);
-            }
-        }
-    });
-    if !ok {
-        return None;
-    }
-    Some(
-        parts
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect(),
-    )
-}
-
-/// Serial index build: one bucket of row indices per distinct key.
-fn bucket_rows<K: std::hash::Hash + Eq>(keys: Vec<K>) -> HashMap<K, Vec<u32>> {
+/// Index build: one bucket of row indices per distinct key.
+fn bucket_rows<K: std::hash::Hash + Eq>(
+    keys: impl ExactSizeIterator<Item = K>,
+) -> HashMap<K, Vec<u32>> {
     let mut map: HashMap<K, Vec<u32>> = HashMap::with_capacity(keys.len());
-    for (i, k) in keys.into_iter().enumerate() {
+    for (i, k) in keys.enumerate() {
         map.entry(k).or_default().push(i as u32);
     }
     map
@@ -437,14 +377,12 @@ impl HashJoinOp {
             pending: Vec::new(),
             pending_cursor: 0,
             rows_out: 0,
-            parallel: false,
             build_rows: Vec::new(),
             index: JoinIndex::Single(HashMap::new()),
             probe_key: Vec::new(),
             scratch: Vec::new(),
             est_rows: None,
             mem_bytes: 0,
-            par_prof: None,
             build_lin: None,
             pending_lin: Vec::new(),
             left_consumed: 0,
@@ -452,11 +390,11 @@ impl HashJoinOp {
         }
     }
 
-    /// Set the parallel hint: with `parallel`, a large build side
-    /// extracts its keys (and, for a single-column key, inserts them)
-    /// on the worker pool. The join is batch-native either way.
-    pub fn vectorized(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
+    /// Kept because the frozen `benchmark/src/layers.rs` calls it; the
+    /// hint is ignored — the build runs on the calling thread — and the
+    /// method goes when ROADMAP item 1 unfreezes the benchmark.
+    #[doc(hidden)]
+    pub fn vectorized(self, _parallel: bool) -> Self {
         self
     }
 
@@ -504,32 +442,16 @@ impl Operator for HashJoinOp {
         self.build_lin = self.right.lineage().map(|l| l.to_vec());
         self.right.close();
         let rows = &self.build_rows;
-        if let [col] = self.right_keys[..] {
-            let (keys, prof) = par::map_chunks(self.parallel, rows, |_, chunk: &[Tuple]| {
-                chunk.iter().map(|t| typed_key_build(&t[col])).collect()
-            });
-            self.par_prof = prof;
-            // Large parallel builds also insert in parallel: each pool
-            // participant owns a key partition, so no bucket is ever
-            // contended.
-            let partitioned = (self.parallel && keys.len() >= par::PAR_THRESHOLD)
-                .then(|| build_partitioned(&keys))
-                .flatten();
-            self.index = match partitioned {
-                Some(parts) => JoinIndex::Parts(parts),
-                None => JoinIndex::Single(bucket_rows(keys)),
-            };
+        self.index = if let [col] = self.right_keys[..] {
+            JoinIndex::Single(bucket_rows(rows.iter().map(|t| typed_key_build(&t[col]))))
         } else {
             let cols = &self.right_keys;
-            let (keys, prof) = par::map_chunks(self.parallel, rows, |_, chunk: &[Tuple]| {
-                chunk
-                    .iter()
-                    .map(|t| cols.iter().map(|&c| typed_key_build(&t[c])).collect::<Box<[Key]>>())
-                    .collect()
-            });
-            self.par_prof = prof;
-            self.index = JoinIndex::Composite(bucket_rows(keys));
-        }
+            JoinIndex::Composite(bucket_rows(rows.iter().map(|t| {
+                cols.iter()
+                    .map(|&c| typed_key_build(&t[c]))
+                    .collect::<Box<[Key]>>()
+            })))
+        };
         let bucket_slots = (self.build_rows.len() * std::mem::size_of::<u32>()) as u64;
         self.mem_bytes =
             super::tuples_mem_bytes(&self.build_rows) + self.index.entry_bytes() + bucket_slots;
@@ -699,10 +621,6 @@ impl Operator for HashJoinOp {
 
     fn mem_bytes(&self) -> u64 {
         self.mem_bytes
-    }
-
-    fn par_profile(&self) -> Option<&ParProfile> {
-        self.par_prof.as_ref()
     }
 
     fn lineage(&self) -> Option<&[LineageMask]> {

@@ -145,10 +145,6 @@ impl Operator for MeteredOp {
         self.inner.mem_bytes()
     }
 
-    fn par_profile(&self) -> Option<&super::ParProfile> {
-        self.inner.par_profile()
-    }
-
     fn lineage(&self) -> Option<&[crate::LineageMask]> {
         self.inner.lineage()
     }

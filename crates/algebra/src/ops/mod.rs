@@ -41,23 +41,6 @@ use crate::schema::{Schema, Tuple};
 /// per-call virtual dispatch to noise.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// Per-participant busy times from one round on the worker pool
-/// (hash-join build key extraction).
-///
-/// `workers == 0` means the operator ran in parallel mode but the input
-/// fell below the profitability threshold (or no pool exists on a
-/// single-core host), so the serial kernel ran — the "threshold-skipped"
-/// case the engine counts separately from genuine parallel rounds.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParProfile {
-    /// Pool participants in the round, the submitting thread included
-    /// (0 = threshold-skipped).
-    pub workers: usize,
-    /// Wall-clock busy time of each participant, in microseconds, by
-    /// pool slot. Spread across entries is idle/imbalance evidence.
-    pub busy_us: Vec<u64>,
-}
-
 /// Approximate heap footprint of a buffered tuple set: `Vec` headers
 /// plus value slots. Deliberately O(n) in tuples but O(1) per tuple —
 /// string payloads are not walked — so operators can afford to compute
@@ -139,12 +122,6 @@ pub trait Operator: Send {
     /// streaming operators. EXPLAIN ANALYZE renders it as `[mem=N]`.
     fn mem_bytes(&self) -> u64 {
         0
-    }
-    /// Per-worker busy times of this operator's most recent parallel
-    /// section, when it ran one (see [`ParProfile`]). `None` for
-    /// operators that never fork.
-    fn par_profile(&self) -> Option<&ParProfile> {
-        None
     }
     /// Where-provenance side channel. `None` means this operator does
     /// not track lineage (the default — zero cost); `Some(masks)` holds

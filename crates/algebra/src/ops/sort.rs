@@ -60,6 +60,7 @@ impl SortOp {
     /// Kept for the frozen benchmark driver, which calls it; the hint is
     /// ignored — the sort runs on the calling thread (DESIGN.md §20) —
     /// and the method goes when ROADMAP item 1 unfreezes the driver.
+    #[doc(hidden)]
     pub fn vectorized(self, _parallel: bool) -> Self {
         self
     }

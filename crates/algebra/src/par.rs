@@ -1,45 +1,35 @@
-//! Morsel-driven parallelism for batch kernels (hash-join build key
-//! extraction and partitioned index build).
+//! The task pool: a round of a few coarse, independent tasks — one per
+//! source of a fetch round, one per child of an Exchange gather — run
+//! at once, so a round's latency tracks its slowest task, not the sum.
 //!
-//! One process-wide pool of persistent workers replaces the previous
-//! per-operator `std::thread::scope` fork/join: operators submit a
-//! *job* (a closure every participant runs once), and participants pull
-//! fixed-size **morsels** off a shared atomic cursor until the input is
-//! exhausted. The submitting thread participates too, so a pool of
-//! `N - 1` workers saturates `N` cores and a round trip never blocks on
-//! a thread spawn. Workers *join* a round when they wake; the submitter
+//! One process-wide pool of persistent workers serves every round:
+//! [`par_tasks`] publishes a *job* (a closure every participant runs
+//! once), and participants pull task indices off a shared atomic cursor
+//! until none is left. The submitting thread participates too, so a pool
+//! of `N - 1` workers saturates `N` cores and a round never waits on a
+//! thread spawn. Workers *join* a round when they wake; the submitter
 //! closes the round once its own pass has drained the cursor and waits
 //! only for the workers that joined, so a round of tiny tasks costs one
 //! wake-up signal and never a wait on the scheduler.
 //!
-//! Callers always keep a serial path — [`par_chunks_profiled`] returns
-//! `None` below the profitability threshold, when fewer than two
-//! participants are available, or if any participant panicked, and the
-//! caller falls back to the serial kernel (which will surface a
-//! deterministic panic or error if the input itself is at fault).
+//! There is one path: where no pool can run a round (one core, one
+//! task, or a caller that is itself a pool task) the same tasks run
+//! inline, in order, and a task's panic reaches the caller either way.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::any::Any;
+use std::cell::Cell;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::thread;
 
-/// Inputs smaller than this are not worth a fork/join round trip. With
-/// persistent workers the round trip is two condvar signals, so the
-/// bar sits far below the old spawn-per-operator threshold.
-pub(crate) const PAR_THRESHOLD: usize = 512;
-
-/// Rows per morsel: small enough that a skewed chunk cannot strand one
-/// participant with half the input, big enough that the cursor
-/// `fetch_add` amortizes to nothing.
-pub(crate) const MORSEL_SIZE: usize = 1024;
-
-/// Upper bound on participants (pool workers + the submitting thread) —
-/// the kernels parallelized here are memory-bound key extraction, which
-/// stops scaling early.
+/// Upper bound on participants (pool workers + the submitting thread):
+/// a round holds one task per source or shard, which are few.
 const MAX_WORKERS: usize = 8;
 
-/// Recover a poisoned pool lock: a worker panic already marks the
-/// round as failed, so the state itself is never half-written.
+/// Recover a poisoned pool lock: a participant's panic is caught and
+/// handed to the submitter, so the state itself is never half-written.
 macro_rules! pool_lock {
     ($m:expr) => {
         $m.lock().unwrap_or_else(|e| e.into_inner())
@@ -48,13 +38,14 @@ macro_rules! pool_lock {
 
 thread_local! {
     /// True while this thread is executing a pool job — set around both
-    /// the worker-loop job call and the submitter's own slot-0 run. See
-    /// the re-entrancy guard in [`WorkerPool::run`].
-    static IN_JOB: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// the worker-loop job call and the submitter's own slot-0 run. A
+    /// round submitted from inside a job runs inline (see
+    /// [`par_tasks`]).
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Worker count for this machine (1 when parallelism is unavailable).
-pub(crate) fn workers() -> usize {
+fn workers() -> usize {
     thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -66,6 +57,9 @@ pub(crate) fn workers() -> usize {
 /// never returns before every participant has finished the round.
 #[derive(Clone, Copy)]
 struct JobPtr(*const (dyn Fn(usize) + Sync));
+// SAFETY: the one field points at a `Sync` closure, so calling it from
+// another thread is sound; the pointer is dereferenced only while it is
+// valid (see `WorkerPool::run`).
 unsafe impl Send for JobPtr {}
 
 struct PoolState {
@@ -74,16 +68,16 @@ struct PoolState {
     generation: u64,
     /// Workers that joined the current round and have not finished it.
     active: usize,
-    /// A participant panicked during the current round.
-    panicked: bool,
+    /// The first panic a worker caught during the current round.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
-/// A persistent pool of workers driving morsel jobs.
+/// A persistent pool of workers driving task rounds.
 ///
-/// The process-wide instance behind [`par_chunks_profiled`] is sized to
-/// the machine; tests build small private pools to exercise the
-/// parallel path on single-core hosts.
-pub struct WorkerPool {
+/// The process-wide instance behind [`par_tasks`] is sized to the
+/// machine; tests build a small private pool to exercise the pooled
+/// path on single-core hosts.
+pub(crate) struct WorkerPool {
     m: Mutex<PoolState>,
     /// Wakes workers when a round is published.
     work_cv: Condvar,
@@ -93,51 +87,49 @@ pub struct WorkerPool {
     submit: Mutex<()>,
     /// Workers actually running (spawn failures just shrink the pool).
     live: AtomicUsize,
-    /// Fork/join rounds completed (telemetry).
+    /// Rounds completed (telemetry).
     rounds: AtomicU64,
-    /// Morsels pulled across all rounds (telemetry).
-    morsels: AtomicU64,
+    /// Tasks run across all rounds (telemetry).
+    tasks: AtomicU64,
 }
 
 impl WorkerPool {
     /// Spawn a pool with `extra_workers` persistent threads (the
     /// submitting thread is participant 0, so total parallelism is
     /// `extra_workers + 1`). Workers park on a condvar between rounds.
-    pub fn new(extra_workers: usize) -> &'static WorkerPool {
-        let pool = Box::leak(Box::new(WorkerPool {
+    fn new(extra_workers: usize) -> &'static WorkerPool {
+        let pool: &'static WorkerPool = Box::leak(Box::new(WorkerPool {
             m: Mutex::new(PoolState {
                 job: None,
                 generation: 0,
                 active: 0,
-                panicked: false,
+                panic: None,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             submit: Mutex::new(()),
             live: AtomicUsize::new(0),
             rounds: AtomicU64::new(0),
-            morsels: AtomicU64::new(0),
+            tasks: AtomicU64::new(0),
         }));
-        let spawned: &'static WorkerPool = pool;
         let mut live = 0;
         for slot in 1..=extra_workers {
-            let p: &'static WorkerPool = spawned;
             // Worker threads are daemons: they live for the process and
             // park between rounds, so handles are not retained.
             if thread::Builder::new()
                 .name(format!("nimble-pool-{}", slot))
-                .spawn(move || p.worker_loop(slot))
+                .spawn(move || pool.worker_loop(slot))
                 .is_ok()
             {
                 live += 1;
             }
         }
-        spawned.live.store(live, Ordering::SeqCst);
-        spawned
+        pool.live.store(live, Ordering::SeqCst);
+        pool
     }
 
     /// Participants a round can use (pool workers + the submitter).
-    pub fn participants(&self) -> usize {
+    fn participants(&self) -> usize {
         self.live.load(Ordering::SeqCst) + 1
     }
 
@@ -156,18 +148,18 @@ impl WorkerPool {
                             break j;
                         }
                     }
-                    st = self
-                        .work_cv
-                        .wait(st)
-                        .unwrap_or_else(|e| e.into_inner());
+                    st = self.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
                 }
             };
             IN_JOB.with(|f| f.set(true));
-            let ok = catch_unwind(AssertUnwindSafe(|| (unsafe { &*job.0 })(slot)));
+            // SAFETY: this worker joined an open round under the lock, and
+            // `run` does not return — so the submitter's closure lives —
+            // until every joined worker has left the round below.
+            let ran = catch_unwind(AssertUnwindSafe(|| (unsafe { &*job.0 })(slot)));
             IN_JOB.with(|f| f.set(false));
             let mut st = pool_lock!(self.m);
-            if ok.is_err() {
-                st.panicked = true;
+            if let Err(payload) = ran {
+                st.panic.get_or_insert(payload);
             }
             st.active -= 1;
             if st.active == 0 {
@@ -182,58 +174,76 @@ impl WorkerPool {
     /// after the caller drained it has nothing to add: the round is
     /// closed under the lock and that worker skips it, which keeps the
     /// cost of a round of tiny tasks independent of how soon the
-    /// scheduler runs a parked thread. Returns `false` if any participant
-    /// panicked — the caller must then fall back to its serial kernel.
-    /// Never returns while a worker still holds the job pointer (a worker
-    /// takes it only by joining an open round under the lock), which is
-    /// what makes publishing a stack closure sound.
-    pub fn run(&self, job: &(dyn Fn(usize) + Sync)) -> bool {
-        // Re-entrancy guard: a job already running on this pool must not
-        // submit another round. The submitter blocks on `submit` until
-        // the current round finishes, and the current round cannot finish
-        // while one of its participants is blocked here — a deadlock.
-        // Declining (like any other "could not parallelize" condition)
-        // sends nested sections down their serial fallback instead.
-        if IN_JOB.with(|f| f.get()) {
-            return false;
-        }
-        let _turn = pool_lock!(self.submit);
-        {
-            // Erase the borrow lifetime: `JobPtr` defaults to `+ 'static`,
-            // but the pointer is only ever dereferenced before this call
-            // returns (see the doc invariant above).
-            let ptr: *const (dyn Fn(usize) + Sync) = job;
-            let ptr: *const (dyn Fn(usize) + Sync + 'static) =
-                unsafe { std::mem::transmute(ptr) };
+    /// scheduler runs a parked thread. A participant's panic is re-raised
+    /// here once the round is over. Never returns while a worker still
+    /// holds the job pointer (a worker takes it only by joining an open
+    /// round under the lock), which is what makes publishing a stack
+    /// closure sound.
+    ///
+    /// Must not be called from inside a job: the round in flight cannot
+    /// finish while one of its participants waits on `submit` here.
+    /// [`par_tasks_on`] runs such a round inline instead.
+    fn run(&self, job: &(dyn Fn(usize) + Sync)) {
+        let panic = {
+            let _turn = pool_lock!(self.submit);
+            {
+                // Erase the borrow lifetime: `JobPtr` defaults to
+                // `+ 'static`.
+                // SAFETY: the two pointer types differ only in lifetime,
+                // and the pointer is dereferenced only before this call
+                // returns (see the doc invariant above).
+                let ptr: *const (dyn Fn(usize) + Sync) = job;
+                let ptr: *const (dyn Fn(usize) + Sync + 'static) =
+                    unsafe { std::mem::transmute(ptr) };
+                let mut st = pool_lock!(self.m);
+                st.job = Some(JobPtr(ptr));
+                st.generation = st.generation.wrapping_add(1);
+                st.active = 0;
+                st.panic = None;
+            }
+            self.work_cv.notify_all();
+            IN_JOB.with(|f| f.set(true));
+            let ran = catch_unwind(AssertUnwindSafe(|| job(0)));
+            IN_JOB.with(|f| f.set(false));
             let mut st = pool_lock!(self.m);
-            st.job = Some(JobPtr(ptr));
-            st.generation = st.generation.wrapping_add(1);
-            st.active = 0;
-            st.panicked = false;
+            // Close the round: no worker joins from here on.
+            st.job = None;
+            while st.active > 0 {
+                st = self.done_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            }
+            self.rounds.fetch_add(1, Ordering::Relaxed);
+            ran.err().or_else(|| st.panic.take())
+        };
+        if let Some(payload) = panic {
+            resume_unwind(payload);
         }
-        self.work_cv.notify_all();
-        IN_JOB.with(|f| f.set(true));
-        let caller_ok = catch_unwind(AssertUnwindSafe(|| job(0))).is_ok();
-        IN_JOB.with(|f| f.set(false));
-        let mut st = pool_lock!(self.m);
-        // Close the round: no worker joins from here on.
-        st.job = None;
-        while st.active > 0 {
-            st = self
-                .done_cv
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        self.rounds.fetch_add(1, Ordering::Relaxed);
-        caller_ok && !st.panicked
+    }
+
+    /// One round of tasks `f(0)` … `f(n - 1)`, their results in task
+    /// order.
+    fn round<R: Send>(&self, n: usize, f: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
+        let cursor = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        self.run(&|_slot| loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else { break };
+            let r = f(i);
+            *pool_lock!(slot) = Some(r);
+        });
+        self.tasks.fetch_add(n as u64, Ordering::Relaxed);
+        // No participant panicked, so the cursor was drained and every
+        // slot holds its result.
+        slots
+            .into_iter()
+            .filter_map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()))
+            .collect()
     }
 }
 
-/// The process-wide pool, or `None` on single-core machines (parallel
-/// sections then decline and callers run their serial kernels).
-/// `NIMBLE_POOL_WORKERS` overrides the participant count (useful to
-/// exercise the pool on CI hosts that report one core).
-pub fn pool() -> Option<&'static WorkerPool> {
+/// The process-wide pool, or `None` on single-core machines (rounds then
+/// run inline). `NIMBLE_POOL_WORKERS` overrides the participant count
+/// (useful to exercise the pool on CI hosts that report one core).
+fn pool() -> Option<&'static WorkerPool> {
     static POOL: OnceLock<Option<&'static WorkerPool>> = OnceLock::new();
     *POOL.get_or_init(|| {
         let participants = std::env::var("NIMBLE_POOL_WORKERS")
@@ -248,188 +258,82 @@ pub fn pool() -> Option<&'static WorkerPool> {
     })
 }
 
-/// Pool telemetry snapshot: `(participants, rounds, morsels)`. All
-/// zeros when no pool exists (single-core host).
+/// Pool telemetry snapshot: `(participants, rounds, tasks)`, starting
+/// the pool if it has not started yet. All zeros when no pool exists
+/// (single-core host).
 pub fn pool_stats() -> (usize, u64, u64) {
     match pool() {
         Some(p) => (
             p.participants(),
             p.rounds.load(Ordering::Relaxed),
-            p.morsels.load(Ordering::Relaxed),
+            p.tasks.load(Ordering::Relaxed),
         ),
         None => (0, 0, 0),
     }
 }
 
-/// Map `f` over morsels of `items` on the pool, concatenating the
-/// per-morsel outputs in input order. `f` receives the morsel's base
-/// index into `items` plus the morsel itself. Each participant also
-/// measures its own wall-clock over the morsels it ran, so the caller
-/// can surface utilization (and imbalance) instead of guessing it from
-/// end-to-end time.
+/// The results of [`par_tasks`], in task order.
+#[must_use = "tasks that run inline run only as their results are taken"]
+pub struct Tasks<R, F> {
+    /// The results, when the pool ran the round.
+    pooled: Option<std::vec::IntoIter<R>>,
+    /// The tasks left to run inline (empty when the pool ran them).
+    inline: Range<usize>,
+    f: F,
+}
+
+impl<R, F> Tasks<R, F> {
+    /// Whether the pool ran the round (else the tasks run inline).
+    pub fn pooled(&self) -> bool {
+        self.pooled.is_some()
+    }
+}
+
+impl<R, F: Fn(usize) -> R> Iterator for Tasks<R, F> {
+    type Item = R;
+
+    fn next(&mut self) -> Option<R> {
+        match &mut self.pooled {
+            Some(done) => done.next(),
+            None => self.inline.next().map(|i| (self.f)(i)),
+        }
+    }
+}
+
+/// Run `n` independent tasks, `f(0)` … `f(n - 1)`, and yield their
+/// results in task order.
 ///
-/// Returns `None` when the input is too small, no pool exists (single
-/// core), or any participant panicked — callers must then run their
-/// serial kernel instead.
-pub(crate) fn par_chunks_profiled<T, R, F>(
-    items: &[T],
-    f: F,
-) -> Option<(Vec<R>, crate::ops::ParProfile)>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> Vec<R> + Sync,
-{
-    let pool = pool()?;
-    if items.len() < PAR_THRESHOLD {
-        return None;
-    }
-    par_chunks_on(pool, items, f)
-}
-
-/// Map `f` over `items` with a serial fallback: on the pool when the
-/// caller's `parallel` hint is set and [`par_chunks_profiled`] accepts
-/// the input, as one chunk on this thread otherwise. The profile is
-/// `None` when parallelism was never asked for and has `workers == 0`
-/// when it was asked for and declined, so utilization telemetry can tell
-/// the two apart.
-pub(crate) fn map_chunks<T, R, F>(
-    parallel: bool,
-    items: &[T],
-    f: F,
-) -> (Vec<R>, Option<crate::ops::ParProfile>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> Vec<R> + Sync,
-{
-    if !parallel {
-        return (f(0, items), None);
-    }
-    match par_chunks_profiled(items, &f) {
-        Some((out, prof)) => (out, Some(prof)),
-        None => (f(0, items), Some(crate::ops::ParProfile::default())),
-    }
-}
-
-/// [`par_chunks_profiled`] on an explicit pool, with no size gate —
-/// the building block tests use to drive the parallel path
-/// deterministically.
-pub(crate) fn par_chunks_on<T, R, F>(
-    pool: &WorkerPool,
-    items: &[T],
-    f: F,
-) -> Option<(Vec<R>, crate::ops::ParProfile)>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> Vec<R> + Sync,
-{
-    let participants = pool.participants();
-    let cursor = AtomicUsize::new(0);
-    let parts: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
-    let busy: Vec<AtomicU64> = (0..participants).map(|_| AtomicU64::new(0)).collect();
-    let pulled = AtomicU64::new(0);
-    let job = |slot: usize| {
-        let start = std::time::Instant::now();
-        let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-        loop {
-            let m = cursor.fetch_add(1, Ordering::Relaxed);
-            let base = m * MORSEL_SIZE;
-            if base >= items.len() {
-                break;
-            }
-            let end = (base + MORSEL_SIZE).min(items.len());
-            local.push((m, f(base, &items[base..end])));
-        }
-        if !local.is_empty() {
-            pulled.fetch_add(local.len() as u64, Ordering::Relaxed);
-            pool_lock!(parts).extend(local);
-        }
-        let busy_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        if let Some(b) = busy.get(slot) {
-            b.store(busy_us, Ordering::Relaxed);
-        }
-    };
-    if !pool.run(&job) {
-        return None;
-    }
-    pool.morsels
-        .fetch_add(pulled.load(Ordering::Relaxed), Ordering::Relaxed);
-    let mut parts = parts.into_inner().unwrap_or_else(|e| e.into_inner());
-    parts.sort_unstable_by_key(|(m, _)| *m);
-    let mut out = Vec::with_capacity(items.len());
-    for (_, p) in parts {
-        out.extend(p);
-    }
-    let profile = crate::ops::ParProfile {
-        workers: participants,
-        busy_us: busy.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-    };
-    Some((out, profile))
-}
-
-/// Run `n` independent coarse-grained tasks on the process-wide pool,
-/// returning their results in task order. Unlike
-/// [`par_chunks_profiled`], which carves one slice into fixed-size
-/// morsels, each *task index* here is one unit of work — the shape of
-/// scatter-gather fan-out (one task per shard) and of multi-source fetch
-/// (one task per source), where units are few and heavy rather than
-/// many and tiny.
-///
-/// Returns `None` when there is at most one task, no pool exists
-/// (single-core host), this thread is already inside a pool job (nested
-/// submission declines, see [`WorkerPool::run`]), or a participant
-/// panicked — the caller must then run its serial loop. On `None` some
-/// tasks may already have executed; callers whose tasks are not
-/// idempotent must re-run from scratch only if that is safe, or use the
-/// serial path outright.
-pub fn par_tasks<R, F>(n: usize, f: F) -> Option<Vec<R>>
+/// A round of two or more tasks runs on the process-wide pool when one
+/// exists and the caller is not itself running a pool task (a nested
+/// round would wait on the round it runs in); all of it has run when
+/// this returns. Otherwise the tasks run inline, in order, each as its
+/// result is taken — a round of one task allocates nothing. Either way
+/// a task's panic reaches the caller: a pooled round re-raises the
+/// first once every participant has finished.
+pub fn par_tasks<R, F>(n: usize, f: F) -> Tasks<R, F>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    if n < 2 {
-        return None;
-    }
-    par_tasks_on(pool()?, n, f)
+    par_tasks_on(pool(), n, f)
 }
 
-/// [`par_tasks`] on an explicit pool with no size gate — the building
-/// block tests use to drive the parallel path on single-core hosts.
-pub(crate) fn par_tasks_on<R, F>(pool: &WorkerPool, n: usize, f: F) -> Option<Vec<R>>
+/// [`par_tasks`] on an explicit pool (or none) — the building block
+/// tests use to drive the pooled path on single-core hosts.
+pub(crate) fn par_tasks_on<R, F>(pool: Option<&WorkerPool>, n: usize, f: F) -> Tasks<R, F>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let pulled = AtomicU64::new(0);
-    let job = |_slot: usize| loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        let r = f(i);
-        pulled.fetch_add(1, Ordering::Relaxed);
-        if let Some(slot) = slots.get(i) {
-            *pool_lock!(slot) = Some(r);
-        }
-    };
-    if !pool.run(&job) {
-        return None;
-    }
-    pool.morsels
-        .fetch_add(pulled.load(Ordering::Relaxed), Ordering::Relaxed);
-    let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        out.push(slot.into_inner().unwrap_or_else(|e| e.into_inner())?);
-    }
-    Some(out)
+    let pooled = pool
+        .filter(|_| n > 1 && !IN_JOB.with(Cell::get))
+        .map(|pool| pool.round(n, &f).into_iter());
+    let inline = if pooled.is_some() { n..n } else { 0..n };
+    Tasks { pooled, inline, f }
 }
 
-/// A small shared pool for exercising parallel paths deterministically
-/// on single-core hosts (crate tests only).
+/// A small shared pool for exercising the pooled path on single-core
+/// hosts (crate tests only).
 #[cfg(test)]
 pub(crate) fn tests_pool() -> &'static WorkerPool {
     static P: OnceLock<&'static WorkerPool> = OnceLock::new();
@@ -444,84 +348,51 @@ mod tests {
         tests_pool()
     }
 
-    #[test]
-    fn small_inputs_decline() {
-        let items: Vec<u32> = (0..100).collect();
-        // Either no pool exists (single core) or the threshold gates.
-        assert!(par_chunks_profiled(&items, |_, c| c.to_vec()).is_none());
+    fn tests_par_tasks<R: Send, F: Fn(usize) -> R + Sync>(n: usize, f: F) -> Tasks<R, F> {
+        par_tasks_on(Some(test_pool()), n, f)
     }
 
-    #[test]
-    fn profiled_variant_reports_one_busy_time_per_participant() {
-        let items: Vec<u32> = (0..10_000).collect();
-        let (mapped, profile) =
-            par_chunks_on(test_pool(), &items, |_, c| c.to_vec()).unwrap();
-        assert_eq!(mapped.len(), items.len());
-        assert_eq!(profile.workers, 3);
-        assert_eq!(profile.busy_us.len(), profile.workers);
-    }
-
-    #[test]
-    fn preserves_order_across_morsels() {
-        let items: Vec<u32> = (0..10_000).collect();
-        let (mapped, _) = par_chunks_on(test_pool(), &items, |base, c| {
-            c.iter()
-                .enumerate()
-                .map(|(i, v)| (base + i, *v * 2))
-                .collect::<Vec<_>>()
-        })
-        .unwrap();
-        assert_eq!(mapped.len(), items.len());
-        for (i, (idx, v)) in mapped.iter().enumerate() {
-            assert_eq!(*idx, i);
-            assert_eq!(*v, items[i] * 2);
-        }
-    }
-
-    #[test]
-    fn participant_panic_falls_back() {
-        let items: Vec<u32> = (0..10_000).collect();
-        let got = par_chunks_on(test_pool(), &items, |base, c| {
-            if base == 0 {
-                panic!("worker bug");
-            }
-            c.to_vec()
-        });
-        assert!(got.is_none());
-    }
-
-    #[test]
-    fn pool_survives_a_panicked_round() {
-        let items: Vec<u32> = (0..5_000).collect();
-        let _ = par_chunks_on(test_pool(), &items, |base, c| {
-            if base == 0 {
-                panic!("worker bug");
-            }
-            c.to_vec()
-        });
-        // The same pool serves the next round normally.
-        let (mapped, _) =
-            par_chunks_on(test_pool(), &items, |_, c| c.to_vec()).unwrap();
-        assert_eq!(mapped.len(), items.len());
+    /// The panic message a round raised, if it panicked.
+    fn raised(round: impl FnOnce() + std::panic::UnwindSafe) -> Option<String> {
+        let payload = catch_unwind(round).err()?;
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
     }
 
     #[test]
     fn par_tasks_returns_results_in_task_order() {
-        let got = par_tasks_on(test_pool(), 37, |i| i * 3).unwrap();
-        assert_eq!(got, (0..37).map(|i| i * 3).collect::<Vec<_>>());
+        let tasks = tests_par_tasks(37, |i| i * 3);
+        assert!(tasks.pooled());
+        assert_eq!(
+            tasks.collect::<Vec<_>>(),
+            (0..37).map(|i| i * 3).collect::<Vec<_>>()
+        );
     }
 
     #[test]
-    fn par_tasks_declines_on_panicked_task() {
-        let got = par_tasks_on(test_pool(), 8, |i| {
-            if i == 3 {
-                panic!("task bug");
-            }
-            i
+    fn par_tasks_reraises_a_panicked_task() {
+        let got = raised(|| {
+            tests_par_tasks(8, |i| assert!(i != 3, "task bug")).for_each(drop);
         });
-        assert!(got.is_none());
-        // The pool still serves the next round.
-        assert_eq!(par_tasks_on(test_pool(), 4, |i| i).unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(got.as_deref(), Some("task bug"));
+        // Inline, the panic reaches the caller as the task runs.
+        let got = raised(|| {
+            par_tasks_on(None, 2, |i| assert!(i < 1, "inline bug")).for_each(drop);
+        });
+        assert_eq!(got.as_deref(), Some("inline bug"));
+    }
+
+    #[test]
+    fn pool_survives_a_panicked_round() {
+        let _ = raised(|| {
+            tests_par_tasks(50, |i| assert!(i != 0, "worker bug")).for_each(drop);
+        });
+        // The same pool serves the next round normally.
+        let tasks = tests_par_tasks(4, |i| i);
+        assert!(tasks.pooled());
+        assert_eq!(tasks.collect::<Vec<_>>(), [0, 1, 2, 3]);
     }
 
     #[test]
@@ -530,29 +401,39 @@ mod tests {
         // worker that does join mid-round must still be waited for, and
         // one that wakes late must skip the round, not read its job.
         for round in 0..2_000usize {
-            let got = par_tasks_on(test_pool(), 2, |i| round * 2 + i).unwrap();
+            let got: Vec<usize> = tests_par_tasks(2, |i| round * 2 + i).collect();
             assert_eq!(got, vec![round * 2, round * 2 + 1]);
         }
     }
 
     #[test]
-    fn par_tasks_declines_below_two_tasks() {
-        // The public entry gates on task count before touching the pool.
-        assert!(par_tasks(0, |i| i).is_none());
-        assert!(par_tasks(1, |i| i).is_none());
+    fn par_tasks_runs_inline_below_two_tasks() {
+        // One task is not worth a round: it runs inline, as every round
+        // does when there is no pool.
+        let before = test_pool().rounds.load(Ordering::Relaxed);
+        for n in [0, 1] {
+            let tasks = tests_par_tasks(n, |i| i + 7);
+            assert!(!tasks.pooled());
+            assert_eq!(tasks.collect::<Vec<_>>(), (7..7 + n).collect::<Vec<_>>());
+        }
+        let tasks = par_tasks_on(None, 3, |i| i + 7);
+        assert!(!tasks.pooled());
+        assert_eq!(tasks.collect::<Vec<_>>(), [7, 8, 9]);
+        assert_eq!(test_pool().rounds.load(Ordering::Relaxed), before);
     }
 
     #[test]
     fn nested_submission_declines_instead_of_deadlocking() {
-        // A task that itself tries to run a pool round must get a clean
-        // `false`/`None` (serial fallback), not a deadlock: the outer
-        // round cannot finish while its participant waits on `submit`.
-        let got = par_tasks_on(test_pool(), 6, |i| {
-            let inner = par_tasks_on(test_pool(), 4, |j| j);
-            assert!(inner.is_none(), "nested round must decline");
+        // A task that itself submits a round gets it run inline, not a
+        // deadlock: the outer round cannot finish while its participant
+        // waits on `submit`.
+        let got: Vec<usize> = tests_par_tasks(6, |i| {
+            let inner = tests_par_tasks(4, |j| j);
+            assert!(!inner.pooled(), "nested round must run inline");
+            assert_eq!(inner.collect::<Vec<_>>(), [0, 1, 2, 3]);
             i * 10
         })
-        .unwrap();
+        .collect();
         assert_eq!(got, vec![0, 10, 20, 30, 40, 50]);
     }
 
@@ -560,10 +441,8 @@ mod tests {
     fn many_rounds_reuse_the_same_workers() {
         let before = test_pool().rounds.load(Ordering::Relaxed);
         for _ in 0..20 {
-            let items: Vec<u32> = (0..3_000).collect();
-            let (mapped, _) =
-                par_chunks_on(test_pool(), &items, |_, c| c.to_vec()).unwrap();
-            assert_eq!(mapped.len(), items.len());
+            let got: Vec<usize> = tests_par_tasks(30, |i| i).collect();
+            assert_eq!(got, (0..30).collect::<Vec<_>>());
         }
         let after = test_pool().rounds.load(Ordering::Relaxed);
         assert!(after >= before + 20);

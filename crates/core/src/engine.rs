@@ -40,14 +40,6 @@ mod refresh;
 /// transitively cyclic view definitions.
 const MAX_DEPTH: usize = 16;
 
-/// Estimated build-side rows below which the parallel hash-join build
-/// is skipped (matches the operator's own internal serial cutoff, but
-/// decided from statistics before any work is submitted). The morsel
-/// pool keeps persistent workers, so a round costs two condvar signals
-/// instead of thread spawns and the bar sits much lower than the old
-/// spawn-per-operator gate.
-const PARALLEL_EST_THRESHOLD: u64 = 512;
-
 /// A scan estimate that undershoots the actual row count by more than
 /// this factor is a *gross* misestimate: the observed count is fed back
 /// into the statistics catalog instead of waiting for the next
@@ -399,7 +391,8 @@ struct ServeMetrics {
     registry: Arc<MetricsRegistry>,
     counters: [OnceLock<Arc<AtomicU64>>; 8],
     histograms: [OnceLock<Arc<Histogram>>; 3],
-    peaks: [OnceLock<Arc<AtomicU64>>; 4],
+    /// `engine.in_flight`, a max-gauge.
+    in_flight: OnceLock<Arc<AtomicU64>>,
     /// `engine.phase_us.*`, by [`Stage`].
     phase_us: [OnceLock<Arc<Histogram>>; 6],
     /// `engine.phase_alloc.{bytes, allocs, peak}.*`, by [`Stage`].
@@ -427,22 +420,13 @@ enum Hist {
     ScanQerror,
 }
 
-/// A max-gauge of [`ServeMetrics`].
-#[derive(Clone, Copy)]
-enum Peak {
-    InFlight,
-    PoolSize,
-    PoolRounds,
-    PoolMorsels,
-}
-
 impl ServeMetrics {
     fn new(registry: Arc<MetricsRegistry>) -> ServeMetrics {
         ServeMetrics {
             registry,
             counters: Default::default(),
             histograms: Default::default(),
-            peaks: Default::default(),
+            in_flight: Default::default(),
             phase_us: Default::default(),
             phase_alloc: Default::default(),
         }
@@ -473,15 +457,9 @@ impl ServeMetrics {
         self.histograms[hist as usize].get_or_init(|| self.registry.histogram(name)).record(v);
     }
 
-    /// Raise a max-gauge to at least `v`.
-    fn peak(&self, peak: Peak, v: u64) {
-        let name = match peak {
-            Peak::InFlight => "engine.in_flight",
-            Peak::PoolSize => "engine.pool.size",
-            Peak::PoolRounds => "engine.pool.rounds",
-            Peak::PoolMorsels => "engine.pool.morsels",
-        };
-        let gauge = self.peaks[peak as usize].get_or_init(|| self.registry.gauge(name));
+    /// Raise the in-flight max-gauge to at least `v`.
+    fn peak_in_flight(&self, v: u64) {
+        let gauge = self.in_flight.get_or_init(|| self.registry.gauge("engine.in_flight"));
         if v > gauge.load(Ordering::Relaxed) {
             gauge.fetch_max(v, Ordering::Relaxed);
         }
@@ -663,8 +641,8 @@ struct ExecCtx {
     /// `OptimizerConfig::track_lineage` is also on.
     track: bool,
     /// Per-query provenance table, indexed by lineage id. Interning is
-    /// always sequential (the parallel fetch path interns in the join
-    /// loop), so ids are dense and in plan order.
+    /// always sequential (fetch tasks never intern; the join loop does),
+    /// so ids are dense and in plan order.
     prov: Vec<ProvSource>,
     /// Per-tuple masks of the relation the most recent
     /// `eval_planned`/`eval_pruned` run produced, aligned with its
@@ -734,7 +712,7 @@ impl ExecCtx {
         }
     }
 
-    /// Fold a per-thread context back into the query's context.
+    /// Fold a fetch task's context back into the query's context.
     fn merge(&mut self, other: ExecCtx) {
         let ExecCtx { report, marks, .. } = other;
         for m in &report.missing_sources {
@@ -753,7 +731,7 @@ impl ExecCtx {
             mine.worst_qerror_op = report.worst_qerror_op;
         }
         self.marks.extend(marks);
-        // `prov`/`last_lin` are deliberately not merged: fetch workers
+        // `prov`/`last_lin` are deliberately not merged: fetch tasks
         // never intern (the caller interns sequentially after the join)
         // and view-internal evaluations run with tracking suppressed.
     }
@@ -1004,7 +982,7 @@ impl Engine {
         let qctx = QueryCtx::new(Arc::clone(&self.instance));
         let _ctx_guard = qctx.enter();
         let in_flight = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.serve_metrics.peak(Peak::InFlight, in_flight);
+        self.serve_metrics.peak_in_flight(in_flight);
         let config = self.config();
         let report = ServeReport::new(qctx.trace_id.0, &self.instance, text);
         let mut ctx = ExecCtx::serving(report, qctx.started);
@@ -1687,9 +1665,8 @@ impl Engine {
                 } else {
                     None
                 };
-                let build_est = if swap { cur_est } else { this_est };
                 let (probe, build) = if swap { (right, op) } else { (op, right) };
-                let join = HashJoinOp::natural(probe, build, JoinType::Inner);
+                let mut join = HashJoinOp::natural(probe, build, JoinType::Inner);
                 if let Some((before_cols, keys)) = swap_before {
                     let after_cols: Vec<String> = join
                         .schema()
@@ -1712,11 +1689,6 @@ impl Engine {
                             .with_sources(cur_srcs.clone()),
                     ));
                 }
-                // Parallel build pays for itself only on large builds;
-                // with estimates in hand, gate it instead of always
-                // submitting a pool round.
-                let parallel_join = build_est.map_or(true, |e| e >= PARALLEL_EST_THRESHOLD);
-                let mut join = join.vectorized(parallel_join);
                 if let Some(e) = next_est {
                     join.set_est_rows(e);
                 }
@@ -1848,18 +1820,9 @@ impl Engine {
         };
         let schema = op.schema().clone();
         // Plan-quality telemetry over the finished operator tree:
-        // per-kind Q-error histograms and decision flips (profiled
-        // nodes), per-worker busy times of parallel sections (always).
+        // per-kind Q-error histograms and build-side flips (profiled
+        // nodes).
         self.plan_quality_walk(op.as_ref(), ctx);
-        // Pool utilization gauges: cumulative fork/join rounds and
-        // morsels pulled by the process-wide worker pool (max-gauges,
-        // so snapshots merge like the stats epoch).
-        let (pool_size, pool_rounds, pool_morsels) = nimble_algebra::pool_stats();
-        if pool_size > 0 {
-            self.serve_metrics.peak(Peak::PoolSize, pool_size as u64);
-            self.serve_metrics.peak(Peak::PoolRounds, pool_rounds);
-            self.serve_metrics.peak(Peak::PoolMorsels, pool_morsels);
-        }
         if depth == 0 && verify_ms > 0.0 {
             ctx.lend(Stage::Verify, verify_ms);
         }
@@ -1956,27 +1919,8 @@ impl Engine {
     ///   estimates picked one side, the actuals say the other (the
     ///   assembled tree always encodes the estimate-preferred side, so
     ///   the reversed inequality is exactly a flipped decision).
-    /// * `plan.flips.parallel` — parallel-build gate decisions the
-    ///   actuals reversed, in either direction: gated on by a ≥threshold
-    ///   estimate but runtime-declined (build actually small), or gated
-    ///   off by a small estimate when the build actually crossed the
-    ///   threshold.
-    /// * `engine.par.worker_busy_us` / `engine.par.workers` /
-    ///   `engine.par.skipped` — per-worker busy times and spawn/skip
-    ///   counts of every parallel section, recorded whether or not the
-    ///   query was profiled.
     fn plan_quality_walk(&self, op: &dyn Operator, ctx: &mut ExecCtx) {
         let info = op.introspect();
-        if let Some(pp) = op.par_profile() {
-            if pp.workers > 0 {
-                self.metrics.incr("engine.par.workers", pp.workers as u64);
-                for &busy in &pp.busy_us {
-                    self.metrics.observe("engine.par.worker_busy_us", busy);
-                }
-            } else {
-                self.metrics.incr("engine.par.skipped", 1);
-            }
-        }
         if let (Some(p), Some(est)) = (op.profile(), op.est_rows()) {
             let q = qerror(est, p.rows);
             self.metrics
@@ -1986,38 +1930,14 @@ impl Engine {
         if info.name == "HashJoin" {
             let children = op.children();
             if let [probe, build] = children[..] {
-                let acts = (
-                    probe.profile().map(|p| p.rows),
-                    build.profile().map(|p| p.rows),
-                );
-                if let (Some(p_act), Some(b_act)) = acts {
+                if let (Some(p), Some(b)) = (probe.profile(), build.profile()) {
                     // Both sides carried estimates iff the swap rule ran.
                     if probe.est_rows().is_some()
                         && build.est_rows().is_some()
-                        && b_act > p_act.saturating_mul(4)
+                        && b.rows > p.rows.saturating_mul(4)
                     {
                         self.metrics.incr("plan.flips.build_side", 1);
                     }
-                }
-                let b_est = build.est_rows();
-                match op.par_profile() {
-                    // Estimate opened the gate; the operator declined at
-                    // runtime because the actual build was small.
-                    Some(pp) if pp.workers == 0 => {
-                        if b_est.map_or(false, |e| e >= PARALLEL_EST_THRESHOLD) {
-                            self.metrics.incr("plan.flips.parallel", 1);
-                        }
-                    }
-                    // Estimate closed the gate but the build actually
-                    // crossed the operator's own threshold.
-                    None => {
-                        if b_est.map_or(false, |e| e < PARALLEL_EST_THRESHOLD)
-                            && acts.1.map_or(false, |a| a >= PARALLEL_EST_THRESHOLD)
-                        {
-                            self.metrics.incr("plan.flips.parallel", 1);
-                        }
-                    }
-                    Some(_) => {}
                 }
             }
         }
@@ -2052,15 +1972,12 @@ impl Engine {
         }
     }
 
-    /// Fetch the independent units listed in `round` into their slots:
-    /// through the shared morsel pool — one task per unit, so latency
-    /// tracks the slowest source, not the sum — or, when the round has
-    /// one unit or `par_tasks` declines (single core, no pool, nested
-    /// round), one after the other. `bound` is the bind stage's key
-    /// list, for the units that are its targets.
-    ///
-    /// The pool runs every unit; the serial loop stops at the first
-    /// failure, leaving the slots behind it empty.
+    /// Fetch the independent units listed in `round` into their slots,
+    /// one task per unit ([`par_tasks`]): on the pool when it can take
+    /// the round, so latency tracks the slowest source, not the sum, and
+    /// inline otherwise. Every unit is fetched; a failure waits in its
+    /// slot. `bound` is the bind stage's key list, for the units that are
+    /// its targets.
     fn fetch_round(
         &self,
         bound: Bound<'_>,
@@ -2070,50 +1987,34 @@ impl Engine {
         ctx: &mut ExecCtx,
         fetched: &mut [Option<Result<Fetched, CoreError>>],
     ) {
-        let fetch = |i: usize, ctx: &mut ExecCtx| {
+        // Each task fetches into a context of its own, with this one's
+        // switches, and the query context — thread-local — re-entered,
+        // so source calls on a worker stay attributed to the query.
+        let (track, profile) = (ctx.track, ctx.profile);
+        let qctx = QueryCtx::current();
+        let tasks = par_tasks(round.len(), |k| {
+            let _g = qctx.as_ref().map(|c| c.enter());
+            let mut local = ExecCtx {
+                track,
+                profile,
+                ..ExecCtx::new()
+            };
+            let i = round[k];
             let bind = bound
                 .plan
                 .bind
                 .as_ref()
                 .zip(keys)
                 .and_then(|(stage, keys)| Some((&stage.target(i)?.field, keys)));
-            self.fetch_atom(bound, i, bind, depth, ctx)
-        };
-        let many = round.len() > 1;
-        // The query context is thread-local, so each worker re-enters
-        // it to keep source calls attributed to the query.
-        let pooled = if many {
-            let qctx = QueryCtx::current();
-            par_tasks(round.len(), |k| {
-                let _g = qctx.as_ref().map(|c| c.enter());
-                let mut local = ExecCtx::new();
-                let unit = fetch(round[k], &mut local);
-                (unit, local)
-            })
-        } else {
-            None
-        };
-        match pooled {
-            Some(results) => {
-                self.metrics.incr("engine.fetch.pool", 1);
-                for (&i, (unit, local)) in round.iter().zip(results) {
-                    ctx.merge(local);
-                    fetched[i] = Some(unit);
-                }
-            }
-            None => {
-                if many {
-                    self.metrics.incr("engine.fetch.serial", 1);
-                }
-                for &i in round {
-                    let unit = fetch(i, ctx);
-                    let failed = unit.is_err();
-                    fetched[i] = Some(unit);
-                    if failed {
-                        break;
-                    }
-                }
-            }
+            (self.fetch_atom(bound, i, bind, depth, &mut local), local)
+        });
+        if round.len() > 1 {
+            let way = if tasks.pooled() { "engine.fetch.pool" } else { "engine.fetch.serial" };
+            self.metrics.incr(way, 1);
+        }
+        for (&i, (unit, local)) in round.iter().zip(tasks) {
+            ctx.merge(local);
+            fetched[i] = Some(unit);
         }
     }
 

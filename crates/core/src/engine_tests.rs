@@ -295,25 +295,21 @@ fn parallel_and_serial_fetch_agree() {
     let query = r#"WHERE <bib><book><publisher>$n</publisher><title>$t</title></book></bib> IN "bib",
                          <row><name>$n</name><region>$r</region></row> IN "customers"
                    CONSTRUCT <hit><t>$t</t><r>$r</r></hit> ORDER-BY $t"#;
-    let parallel = {
-        let e = engine();
-        to_string(&e.query(query).unwrap().document.root())
-    };
-    // Inside a pool job `par_tasks` declines, so a serve there fetches
-    // its two sources one after the other: the single-core path and the
-    // nested-round path are the same serial loop.
-    let e = engine();
-    let serial = match nimble_algebra::par_tasks(2, |k| {
-        (k == 0).then(|| to_string(&e.query(query).unwrap().document.root()))
-    }) {
-        Some(served) => {
-            assert_eq!(e.metrics_snapshot().counter("engine.fetch.serial"), 1);
-            served.into_iter().flatten().collect()
-        }
-        // No pool (one core): every round is serial.
-        None => to_string(&e.query(query).unwrap().document.root()),
-    };
-    assert_eq!(parallel, serial);
+    let serve = |e: &Engine| to_string(&e.query(query).unwrap().document.root());
+    let counted = |e: &Engine, name| e.metrics_snapshot().counter(name);
+    // A serve's round of two units runs on the pool, when there is one.
+    let top = engine();
+    let pooled = serve(&top);
+    let has_pool = nimble_algebra::pool_stats().0 > 0;
+    assert_eq!(counted(&top, "engine.fetch.pool"), u64::from(has_pool));
+    // Inside a pool task the same round runs inline, through the same
+    // path: the two sources are fetched one after the other.
+    let nested = engine();
+    let inline: String = nimble_algebra::par_tasks(2, |k| (k == 0).then(|| serve(&nested)))
+        .flatten()
+        .collect();
+    assert_eq!(counted(&nested, "engine.fetch.serial"), 1);
+    assert_eq!(pooled, inline);
 }
 
 #[test]

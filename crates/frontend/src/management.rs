@@ -412,9 +412,8 @@ impl ManagementConsole {
             }
             let _ = writeln!(
                 out,
-                "decision flips: build_side={} parallel={} gross_feedback={}",
+                "decision flips: build_side={} gross_feedback={}",
                 snap.counter("plan.flips.build_side"),
-                snap.counter("plan.flips.parallel"),
                 snap.counter("plan.feedback.gross"),
             );
         }

@@ -443,6 +443,26 @@ mod tests {
         assert_eq!(pairs(&mut db, "a.t = b.y"), [(1, 10)]);
     }
 
+    #[test]
+    fn distinct_and_group_by_keep_apart_the_rows_a_join_keeps_apart() {
+        // DISTINCT and GROUP BY equate rows column by column as a join
+        // equates keys: NULL is not '', and no separator a value may
+        // hold can make two rows spell alike.
+        let mut db = Database::new();
+        db.execute("CREATE TABLE t (x TEXT, y TEXT)").unwrap();
+        db.execute("INSERT INTO t VALUES (NULL, 'n'), ('', 'e')").unwrap();
+        let rs = db.execute("SELECT DISTINCT x FROM t").unwrap();
+        assert_eq!(rs.rows, [[Atomic::Null], [Atomic::Str(String::new())]]);
+        let rs = db.execute("SELECT x, COUNT(*) AS n FROM t GROUP BY x").unwrap();
+        let counts: Vec<&Atomic> = rs.rows.iter().map(|r| &r[1]).collect();
+        assert_eq!(counts, [&Atomic::Int(1), &Atomic::Int(1)]);
+
+        db.execute("CREATE TABLE s (x TEXT, y TEXT)").unwrap();
+        db.execute("INSERT INTO s VALUES ('a\u{1}b', 'c'), ('a', 'b\u{1}c')").unwrap();
+        assert_eq!(db.execute("SELECT DISTINCT x, y FROM s").unwrap().rows.len(), 2);
+        assert_eq!(db.execute("SELECT x, y, COUNT(*) FROM s GROUP BY x, y").unwrap().rows.len(), 2);
+    }
+
     /// 300 rows of `(id, k, v)`: `id` is the insertion order, `k` takes
     /// 40 values with repeats, `v` is a second seeded column.
     fn keyed_db(index: Option<&str>) -> Database {

@@ -533,16 +533,16 @@ pub fn run_select(
     };
 
     // --- distinct ---
+    // Rows are equal when every column is `AtomicKey`-equal, the
+    // relation a join pairs keys by.
     if p.distinct {
         let mut seen = HashSet::new();
-        out_rows.retain(|r| {
-            seen.insert(
-                r.iter()
-                    .map(|a| a.lexical())
-                    .collect::<Vec<_>>()
-                    .join("\u{1}"),
-            )
-        });
+        let firsts: Vec<bool> = out_rows
+            .iter()
+            .map(|r| seen.insert(r.iter().map(AtomicKey).collect::<Vec<_>>()))
+            .collect();
+        let mut firsts = firsts.into_iter();
+        out_rows.retain(|_| firsts.next() == Some(true));
     }
 
     // --- order by ---
@@ -663,13 +663,9 @@ fn aggregate(
     // Groups in first-seen order: (representative row, member rows).
     let null_row = vec![Atomic::Null; width];
     let mut groups: Vec<(&[Atomic], Vec<&[Atomic]>)> = Vec::new();
-    let mut group_of: HashMap<String, usize> = HashMap::new();
+    let mut group_of: HashMap<Vec<AtomicKey<&Atomic>>, usize> = HashMap::new();
     for &row in rows {
-        let key: String = group_by
-            .iter()
-            .map(|&c| row[c].lexical())
-            .collect::<Vec<_>>()
-            .join("\u{1}");
+        let key = group_by.iter().map(|&c| AtomicKey(&row[c])).collect();
         let at = *group_of.entry(key).or_insert_with(|| {
             groups.push((row, Vec::new()));
             groups.len() - 1

@@ -1,10 +1,16 @@
 //! Source availability (§3.4): partial results, annotations, and the
 //! stale-cache fallback under flaky and offline links.
 
+mod common;
+
 use nimble::core::{Catalog, Engine, UnavailablePolicy};
 use nimble::sources::sim::{LinkConfig, SimulatedLink};
 use nimble::sources::xmldoc::XmlDocAdapter;
-use nimble::sources::SourceAdapter;
+use nimble::sources::{
+    Capabilities, CollectionInfo, SourceAdapter, SourceError, SourceKind, SourceQuery,
+};
+use nimble::xml::Document;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn feed(name: &str, items: &[&str]) -> Arc<dyn SourceAdapter> {
@@ -159,4 +165,82 @@ fn view_over_failed_source_uses_stale_materialization() {
         .unwrap();
     assert!(r.stale);
     assert_eq!(r.document.root().children().count(), 2);
+}
+
+/// An adapter with a bug: it describes `inner`'s collections, and once
+/// `armed`, any call for data panics.
+struct Panicking(Arc<dyn SourceAdapter>, AtomicBool);
+
+impl Panicking {
+    fn call(&self) -> Result<Arc<Document>, SourceError> {
+        if self.1.load(Ordering::Relaxed) {
+            panic!("adapter bug in {}", self.0.name());
+        }
+        self.0.fetch_collection("data")
+    }
+}
+
+impl SourceAdapter for Panicking {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn kind(&self) -> SourceKind {
+        self.0.kind()
+    }
+    fn capabilities(&self) -> Capabilities {
+        self.0.capabilities()
+    }
+    fn collections(&self) -> Vec<CollectionInfo> {
+        self.0.collections()
+    }
+    fn execute(&self, _: &SourceQuery) -> Result<Arc<Document>, SourceError> {
+        self.call()
+    }
+    fn fetch_collection(&self, _: &str) -> Result<Arc<Document>, SourceError> {
+        self.call()
+    }
+    fn estimated_rows(&self, collection: &str) -> Option<u64> {
+        self.0.estimated_rows(collection)
+    }
+}
+
+#[test]
+fn a_panicking_unit_fetches_its_round_once() {
+    // One round fetches both units. The second unit's adapter panics:
+    // the panic reaches the caller, and the first unit's source is
+    // asked once, not again in a serial re-run of the round.
+    let calls = Arc::new(AtomicU64::new(0));
+    let north = common::Counting {
+        inner: feed("north", &["n1", "n2"]),
+        calls: calls.clone(),
+        nodes: Arc::new(AtomicU64::new(0)),
+    };
+    let south = Arc::new(Panicking(feed("south", &["s1"]), AtomicBool::new(false)));
+    let catalog = Catalog::new();
+    catalog.register_source(Arc::new(north)).unwrap();
+    catalog.register_source(south.clone()).unwrap();
+    let engine = Engine::new(Arc::new(catalog));
+    // Registration sampled both sources; from here the south one fails.
+    south.1.store(true, Ordering::Relaxed);
+    let before = calls.load(Ordering::Relaxed);
+    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.query(
+            r#"WHERE <data><item><v>$v</v></item></data> IN "north.data",
+                     <data><item><v>$w</v></item></data> IN "south.data"
+               CONSTRUCT <o>$v$w</o>"#,
+        )
+    }));
+    let Err(panic) = served else {
+        panic!("the adapter's panic must reach the caller");
+    };
+    let message = panic
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .unwrap_or_default();
+    assert_eq!(message, "adapter bug in south");
+    assert_eq!(
+        calls.load(Ordering::Relaxed) - before,
+        1,
+        "the north source was asked again"
+    );
 }
