@@ -4,7 +4,7 @@ use crate::catalog::Catalog;
 use crate::construct;
 use crate::error::CoreError;
 use crate::matcher;
-use crate::plan_cache::{PlanCache, PlanStamp};
+use crate::plan_cache::{PlanCache, PlanStamp, Prepared};
 use crate::planner::{self, cost, AtomExec, BindPatternOp, BindStage, Bound, Plan, ShardPlan};
 use crate::shard::ShardRuntime;
 use nimble_algebra::ops::{
@@ -536,11 +536,11 @@ const QUERY_LOG_CAPACITY: usize = 256;
 const SLOW_QUERY_CAPACITY: usize = 32;
 
 /// A query ready to execute: what [`Engine::compile`] makes of a text.
-/// The plan is served with the query's equality parameter values
-/// ([`Query::eq_params`]).
+/// The prepared plan is served with `params`, the text's own values of
+/// its equality parameters ([`Query::eq_params`]).
 struct Compiled {
-    query: Query,
-    plan: Arc<Plan>,
+    prepared: Arc<Prepared>,
+    params: Vec<Atomic>,
     /// False when the plan's operator shape verified clean when it was
     /// cached.
     planck_verify: bool,
@@ -562,7 +562,7 @@ enum Sink {
 
 /// What a serve produced, before it is recorded.
 struct Answered {
-    query: Query,
+    prepared: Arc<Prepared>,
     /// Nodes of the answer document; 0 for a streamed one, which has
     /// no node count.
     nodes: usize,
@@ -1003,18 +1003,19 @@ impl Engine {
         ctx: &mut ExecCtx,
     ) -> Result<Answered, CoreError> {
         let Compiled {
-            query,
-            plan,
+            prepared,
+            params,
             planck_verify,
             path,
         } = self.compile(text, config, given, ctx)?;
         ctx.plan_path = Some(path);
-        let params = query.eq_params();
-        let (schema, tuples) = self.eval_planned(&plan, &params, None, 0, ctx, planck_verify)?;
+        let (plan, query) = (&prepared.plan, &prepared.query);
+        let params: Vec<&Atomic> = params.iter().collect();
+        let (schema, tuples) = self.eval_planned(plan, &params, None, 0, ctx, planck_verify)?;
         self.end_stage(ctx, Stage::Execute);
         ctx.report.tuples = tuples.len();
 
-        if sink == Sink::Xml && !construct::template_has_subquery(&query.construct) {
+        if sink == Sink::Xml && prepared.streams {
             // This shape's last answer sizes the buffer: no doubling, and
             // no old copy held beside the new one at the peak.
             let mut w = XmlWriter::with_capacity("results", plan.answer_bytes.load(Ordering::Relaxed));
@@ -1024,7 +1025,7 @@ impl Engine {
             self.end_stage(ctx, Stage::Construct);
             self.serve_metrics.incr(Count::Streamed, 1);
             return Ok(Answered {
-                query,
+                prepared,
                 nodes: 0,
                 answer: Answer::Xml(xml),
             });
@@ -1056,7 +1057,7 @@ impl Engine {
             Answer::Document(document, provenance)
         };
         self.end_stage(ctx, Stage::Construct);
-        Ok(Answered { query, nodes, answer })
+        Ok(Answered { prepared, nodes, answer })
     }
 
     /// The provenance report of a tracked serve whose answers carry
@@ -1143,7 +1144,7 @@ impl Engine {
         self.queries_served.fetch_add(1, Ordering::SeqCst);
         self.serve_metrics.served(&report);
         match &served {
-            Ok(served) => self.feed_monitor(&served.query, report.elapsed_ms, served.nodes),
+            Ok(served) => self.feed_monitor(&served.prepared.names, report.elapsed_ms, served.nodes),
             Err(e) => {
                 self.serve_metrics.failed(e.kind());
                 report.error = Some(format!("{}: {}", e.kind(), e));
@@ -1170,11 +1171,17 @@ impl Engine {
         served.map(|served| (served.answer, report.map(|report| ServeReport { seq, ..report })))
     }
 
-    /// Text to executable plan, the one way every serve takes: parse,
-    /// cut the shape key from the text ([`nimble_xmlql::parse_keyed`]),
-    /// probe the plan cache for the shape — or, on a miss, analyze, plan,
-    /// verify, audit and cache. Either way the plan is served as it is,
-    /// shared, with the text's own values beside it ([`Bound`]). A plan
+    /// Text to executable plan, the one way every serve takes. The
+    /// text's shape key and its values of the shape's equality
+    /// parameters are cut from its tokens ([`nimble_xmlql::lex_keyed`]),
+    /// and the plan cache is probed with the key. A hit is served as it
+    /// is, shared, with the query it was planned from and these values
+    /// beside it ([`Bound`]): the text is neither parsed nor analyzed,
+    /// and nothing walks its query. On a miss the text is parsed,
+    /// analyzed, planned, verified and audited, and the plan is cached
+    /// under the key only when the parser cuts the same key and values
+    /// from the text ([`nimble_xmlql::parse_keyed`]): a text the two
+    /// cuts read apart is served as planned, uncached, every time. A plan
     /// the caller `given` ([`Engine::query_planned`]) is verified as a
     /// fresh one is, and neither looked up nor cached.
     ///
@@ -1184,12 +1191,12 @@ impl Engine {
     /// looked up under — the text itself. A query without equality
     /// parameters is its own shape.
     ///
-    /// A hit skips analysis, planning and, because the plan's fold order
-    /// makes the assembled operator shape deterministic, planck
-    /// re-verification; its one stage is `plan`, from the text to a plan
-    /// ready to run. Under `verify_plans` every [`DIFFERENTIAL_SAMPLE`]-th
-    /// hit is planned afresh and compared with the plan about to be
-    /// served, under this text's values.
+    /// A hit skips parsing, analysis, planning and, because the plan's
+    /// fold order makes the assembled operator shape deterministic,
+    /// planck re-verification; its one stage is `plan`: lex, key and
+    /// lookup. Under `verify_plans` every [`DIFFERENTIAL_SAMPLE`]-th hit
+    /// parses its text, is planned afresh and compared with the plan
+    /// about to be served, under the values cut from the text.
     fn compile(
         &self,
         text: &str,
@@ -1200,21 +1207,24 @@ impl Engine {
         fn compile_error(e: impl ToString) -> CoreError {
             CoreError::Compile(e.to_string())
         }
+        let parsed = |text: &str| nimble_xmlql::parse_query(text).map_err(compile_error);
+        let analyzed = |query: &Query| nimble_xmlql::analyze(query).map_err(compile_error);
         if let Some(plan) = given {
-            let query = nimble_xmlql::parse_query(text).map_err(compile_error)?;
+            let query = parsed(text)?;
             self.end_stage(ctx, Stage::Parse);
             if config.optimizer.verify_plans {
                 planner::verify_plan(&plan, None)?;
             }
             self.end_stage(ctx, Stage::Verify);
             return Ok(Compiled {
-                query,
-                plan: Arc::new(plan),
+                params: query.eq_params().into_iter().cloned().collect(),
+                prepared: Arc::new(Prepared::new(plan, query)),
                 planck_verify: true,
                 path: PlanPath::Given,
             });
         }
-        let (query, shape) = nimble_xmlql::parse_keyed(text).map_err(compile_error)?;
+        let lexed = nimble_xmlql::lex_keyed(text).map_err(compile_error)?;
+        let shape = lexed.key.as_ref();
 
         // Only a coordinator's plans route shards, so only there is the
         // text itself a second key worth probing — when it is not the
@@ -1226,7 +1236,7 @@ impl Engine {
         let spelled = (routes && shape != text).then_some(text);
         let key_of = |plan: &Plan| match spelled {
             Some(spelled) if !plan.shards.is_empty() => spelled,
-            _ => shape.as_str(),
+            _ => shape,
         };
         let stamp = PlanStamp {
             config_fp: config.optimizer.fingerprint(),
@@ -1234,17 +1244,16 @@ impl Engine {
             stats_generation: self.catalog.stats().generation(),
             shard_epoch,
         };
-        let keys = [shape.as_str(), text];
+        let keys = [shape, text];
         let lookup = self.plans.get(&keys[..1 + usize::from(spelled.is_some())], stamp);
         if lookup.invalidated > 0 {
             self.metrics
                 .incr("engine.plan_cache.invalidations", lookup.invalidated);
         }
-        let analyzed = |query: &Query| nimble_xmlql::analyze(query).map_err(compile_error);
 
-        if let Some(plan) = lookup.value {
+        if let Some(prepared) = lookup.value {
             self.serve_metrics.incr(Count::PlanCacheHits, 1);
-            let path = if spelled.is_some() && !plan.shards.is_empty() {
+            let path = if spelled.is_some() && !prepared.plan.shards.is_empty() {
                 PlanPath::Routed
             } else {
                 PlanPath::Shape
@@ -1257,10 +1266,11 @@ impl Engine {
             let seq = self.differential_seq.fetch_add(1, Ordering::Relaxed);
             if config.optimizer.verify_plans && seq % DIFFERENTIAL_SAMPLE == 0 {
                 self.metrics.incr("engine.plan_cache.differential", 1);
+                let query = parsed(text)?;
                 analyzed(&query)?;
                 let fresh = self.plan(&query, &config.optimizer, None)?;
-                let params = query.eq_params();
-                let served = Bound::new(&plan, &params)?;
+                let params: Vec<&Atomic> = lexed.params.iter().collect();
+                let served = Bound::new(&prepared.plan, &params)?;
                 let served_sig =
                     plan_semantic_signature(served, served.verdict(&self.catalog, &config.optimizer).as_deref());
                 let fresh_sig = plan_semantic_signature(Bound::own(&fresh), fresh.pruned.as_deref());
@@ -1269,7 +1279,8 @@ impl Engine {
                         .incr("engine.plan_cache.differential_mismatch", 1);
                     // Self-heal: replace the divergent entry so the next
                     // execution runs the freshly planned shape.
-                    self.plans.put(key_of(&fresh), stamp, Arc::new(fresh));
+                    let key = key_of(&fresh);
+                    self.plans.put(key, stamp, Arc::new(Prepared::new(fresh, query)));
                     return Err(CoreError::PlanVerify(format!(
                         "plan-cache differential mismatch: the cached plan, served with this \
                          query's values, does not match a fresh plan under the same stamp\n  cached: {}\n  fresh:  {}",
@@ -1279,14 +1290,15 @@ impl Engine {
             }
             self.end_stage(ctx, Stage::Plan);
             return Ok(Compiled {
-                query,
-                plan,
+                prepared,
+                params: lexed.params,
                 planck_verify: false,
                 path,
             });
         }
 
         self.serve_metrics.incr(Count::PlanCacheMisses, 1);
+        let (query, keyed) = nimble_xmlql::parse_keyed(text).map_err(compile_error)?;
         self.end_stage(ctx, Stage::Parse);
         analyzed(&query)?;
         self.end_stage(ctx, Stage::Analyze);
@@ -1298,13 +1310,15 @@ impl Engine {
         // Audited before it is cached: a plan that fails is never served.
         planner::audit(&plan)?;
         self.end_stage(ctx, Stage::Verify);
-        let plan = Arc::new(plan);
-        if self.plans.put(key_of(&plan), stamp, Arc::clone(&plan)) {
+        let prepared = Arc::new(Prepared::new(plan, query));
+        // A hit finds its values where the lexer finds them: only a text
+        // the lexer cuts as the parser does may be found that way.
+        if keyed == lexed && self.plans.put(key_of(&prepared.plan), stamp, Arc::clone(&prepared)) {
             self.metrics.incr("engine.plan_cache.evictions", 1);
         }
         Ok(Compiled {
-            query,
-            plan,
+            prepared,
+            params: keyed.params,
             planck_verify: true,
             path: PlanPath::Planned,
         })
@@ -1313,11 +1327,10 @@ impl Engine {
     /// Share a query's measured cost among its named references. A
     /// streamed answer has no node count: its 0 leaves each view's size
     /// (a max-gauge) as it was.
-    fn feed_monitor(&self, query: &Query, elapsed_ms: f64, result_nodes: usize) {
-        let names = crate::catalog::referenced_names(query);
+    fn feed_monitor(&self, names: &[String], elapsed_ms: f64, result_nodes: usize) {
         if !names.is_empty() {
             let share = elapsed_ms / names.len() as f64;
-            for n in &names {
+            for n in names {
                 self.monitor.record(n, share, result_nodes);
             }
         }

@@ -2,7 +2,7 @@
 //! pipeline over relational, hierarchical, XML, and CSV sources.
 
 use crate::engine::{Engine, EngineConfig, OptimizerConfig, UnavailablePolicy};
-use crate::Catalog;
+use crate::{Catalog, Prepared};
 use nimble_sources::hierarchical::{HierarchicalAdapter, Segment};
 use nimble_sources::relational::RelationalAdapter;
 use nimble_sources::sim::{LinkConfig, SimulatedLink};
@@ -709,6 +709,31 @@ fn plan_cache_serves_repeats_and_catalog_changes_evict() {
 }
 
 #[test]
+fn a_text_the_two_key_cuts_read_apart_is_served_uncached() {
+    // The parser sees through parentheses and the lexer's cut does not,
+    // so the two cut `($i = K)` apart. A hit binds the values the lexer
+    // cut, so such a text is never cached: it is planned, and answered
+    // right, on every serve. Its bare spelling is cached as usual.
+    let e = engine();
+    let text = |cond: &str| {
+        format!(r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers", {} CONSTRUCT <c>$n</c>"#, cond)
+    };
+    for (cond, name) in [("($i = 1)", "Acme"), ("($i = 2)", "Globex"), ("($i = 1)", "Acme")] {
+        let r = e.query(&text(cond)).unwrap();
+        assert_eq!(to_string(&r.document.root()), format!("<results><c>{}</c></results>", name));
+        assert!(r.stats.plan.starts_with("-- plan: planned"), "{}", r.stats.plan);
+    }
+    let s = e.plan_cache().stats();
+    assert_eq!((s.hits, s.misses, s.entries), (0, 3, 0));
+    for (cond, name) in [("$i = 1", "Acme"), ("$i = 2", "Globex")] {
+        let r = e.query(&text(cond)).unwrap();
+        assert_eq!(to_string(&r.document.root()), format!("<results><c>{}</c></results>", name));
+    }
+    let s = e.plan_cache().stats();
+    assert_eq!((s.hits, s.misses, s.entries), (1, 4, 1));
+}
+
+#[test]
 fn stats_feedback_invalidates_compiled_plans() {
     let adapter = crm();
     let db = adapter.database();
@@ -967,10 +992,10 @@ fn differential_replan_catches_poisoned_cache_hit() {
     // key and stamp — exactly the corruption a stale or buggy cache
     // would serve silently.
     let config = e.config();
-    let (query, key) = nimble_xmlql::parse_keyed(q).unwrap();
+    let (query, key) = (nimble_xmlql::parse_query(q).unwrap(), nimble_xmlql::lex_keyed(q).unwrap().key);
     let mut plan = crate::planner::plan_query(e.catalog(), &query, &config.optimizer).unwrap();
     plan.residual_predicates.clear();
-    e.plan_cache().put(&key, current_stamp(&e), Arc::new(plan));
+    e.plan_cache().put(&key, current_stamp(&e), Arc::new(Prepared::new(plan, query)));
 
     // The very first hit is differentially re-planned and the
     // divergence surfaces as a verification error, not a wrong answer.
@@ -1011,11 +1036,12 @@ fn differential_replan_compares_the_bound_plan_with_the_ops_own() {
         ..OptimizerConfig::default()
     });
     let config = e.config();
-    let (query, key) = nimble_xmlql::parse_keyed(&lookup(1)).unwrap();
+    let text = lookup(1);
+    let (query, key) = (nimble_xmlql::parse_query(&text).unwrap(), nimble_xmlql::lex_keyed(&text).unwrap().key);
     let mut plan = crate::planner::plan_query(e.catalog(), &query, &config.optimizer).unwrap();
     assert_eq!(plan.param_sites.len(), 2, "{:?}", plan.param_sites);
     plan.param_sites.pop();
-    e.plan_cache().put(&key, current_stamp(&e), Arc::new(plan));
+    e.plan_cache().put(&key, current_stamp(&e), Arc::new(Prepared::new(plan, query)));
 
     let err = e.query(&lookup(2)).unwrap_err().to_string();
     assert!(err.contains("differential mismatch"), "{}", err);

@@ -4,12 +4,15 @@
 //! analyze → plan → static-verify is pure CPU the engine would repeat for
 //! every value a lens substitutes into one parameterized query. The
 //! cache is keyed by the query's text with the spelling of each equality
-//! parameter cut out and replaced by its type
-//! ([`nimble_xmlql::parse_keyed`]); an entry is the decomposed [`Plan`],
-//! which every serve of the shape shares, reading its own values beside
-//! it (`planner::Bound`). A plan that routes shards on those
-//! values serves them alone and is keyed by the text itself (DESIGN.md
-//! §12).
+//! parameter cut out and replaced by its type, cut from the text's
+//! tokens ([`nimble_xmlql::lex_keyed`]), so a hit is found without
+//! parsing. An entry is a [`Prepared`]: the decomposed [`Plan`], which
+//! every serve of the shape shares, reading its own values beside it
+//! (`planner::Bound`), and the query it was planned from, which holds
+//! what the serve reads besides — the CONSTRUCT template, whether the
+//! answer streams, the names it reads. A plan that routes shards on
+//! those values serves them alone and is keyed by the text itself
+//! (DESIGN.md §12).
 //!
 //! Entries sit under a [`PlanStamp`] — the optimizer-config fingerprint,
 //! the catalog epoch, and the statistics generation — so a hit is only
@@ -19,16 +22,45 @@
 //! dropped on its next lookup.
 //!
 //! The cached object is a *template*: the engine still fetches sources,
-//! assembles fresh operators, and executes per query — only the
-//! analysis and planner work is skipped (plus the planck
+//! assembles fresh operators, and executes per query — only the parse,
+//! the analysis and the planner work are skipped (plus the planck
 //! re-verification of an operator shape that already verified clean:
 //! the plan's fold order makes the shape deterministic, and the rewrite
 //! audit of the plan's own records, taken before its first serve).
 
 use crate::planner::Plan;
 use nimble_trace::sync::Mutex;
+use nimble_xmlql::Query;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// A query ready to serve with any values of its equality parameters:
+/// its plan and the query it was planned from, with what a serve reads
+/// off that query worked out once.
+#[derive(Debug)]
+pub struct Prepared {
+    pub plan: Plan,
+    /// The query as the text that was planned spelled it: its equality
+    /// parameters hold that text's values, which a serve never reads.
+    pub query: Query,
+    /// The CONSTRUCT template nests no subquery, so an answer into bytes
+    /// streams.
+    pub streams: bool,
+    /// The collections and views the query reads, nested subqueries
+    /// included, each once: the workload monitor charges them.
+    pub names: Vec<String>,
+}
+
+impl Prepared {
+    pub fn new(plan: Plan, query: Query) -> Prepared {
+        Prepared {
+            streams: !crate::construct::template_has_subquery(&query.construct),
+            names: crate::catalog::referenced_names(&query).into_iter().map(str::to_string).collect(),
+            plan,
+            query,
+        }
+    }
+}
 
 /// Everything a cached plan's validity depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +79,7 @@ pub struct PlanStamp {
 
 /// Outcome of one cache lookup.
 pub struct Lookup {
-    pub value: Option<Arc<Plan>>,
+    pub value: Option<Arc<Prepared>>,
     /// Entries that existed under a probed key but carried a stale
     /// stamp, and were dropped.
     pub invalidated: u64,
@@ -65,7 +97,7 @@ pub struct PlanCacheStats {
 
 struct Entry {
     stamp: PlanStamp,
-    value: Arc<Plan>,
+    value: Arc<Prepared>,
     last_used: u64,
 }
 
@@ -130,9 +162,9 @@ impl PlanCache {
         lookup
     }
 
-    /// Install a plan; returns true when a least-recently-used entry was
-    /// evicted to make room.
-    pub fn put(&self, key: &str, stamp: PlanStamp, value: Arc<Plan>) -> bool {
+    /// Install a prepared query; returns true when a least-recently-used
+    /// entry was evicted to make room.
+    pub fn put(&self, key: &str, stamp: PlanStamp, value: Arc<Prepared>) -> bool {
         if self.capacity == 0 {
             return false;
         }
@@ -185,8 +217,9 @@ impl PlanCache {
 mod tests {
     use super::*;
 
-    fn cached() -> Arc<Plan> {
-        Arc::new(Plan::default())
+    fn cached() -> Arc<Prepared> {
+        let query = nimble_xmlql::parse_query(r#"WHERE <a>$x</a> IN "c" CONSTRUCT <o>$x</o>"#).unwrap();
+        Arc::new(Prepared::new(Plan::default(), query))
     }
 
     fn stamp(n: u64) -> PlanStamp {

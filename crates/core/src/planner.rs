@@ -2940,7 +2940,7 @@ mod tests {
             assert!(plan.notes.iter().any(|n| n == "type: predicate kept central (erp reads it otherwise)"), "{:?}", plan.notes);
             assert_eq!(strip(served(&c, &plan, &query)), strip(plan_query(&c, &query, &config).unwrap()));
         }
-        let key = |k: &str| nimble_xmlql::parse_keyed(&numeric_text.replace('K', k)).unwrap().1;
+        let key = |k: &str| nimble_xmlql::parse_keyed(&numeric_text.replace('K', k)).unwrap().1.key.into_owned();
         assert_ne!(key("1"), key("7"));
 
         // A plan served with a parameter list that is not its shape's is

@@ -465,6 +465,27 @@ fn serialized_serves_take_the_same_path_and_count() {
 }
 
 #[test]
+fn a_hit_streams_byte_for_byte_what_a_miss_streams() {
+    // A hit is served from its tokens alone: the entry's query — parsed
+    // from the first text of the shape — builds the answer, and the
+    // values the lexer cut from this text bind the plan. Every op but
+    // the first of its shape is such a hit, and streams the bytes a
+    // plan made for its own text streams.
+    let cached = rig(config(128));
+    let fresh = rig(config(0));
+    let ops = all_ops();
+    let mut shapes: HashSet<String> = HashSet::new();
+    for text in &ops {
+        shapes.insert(QueryShape(&nimble_xmlql::parse_query(text).unwrap()).to_string());
+        let got = cached.engine.query_serialized(text).unwrap_or_else(|e| panic!("{}: {}", text, e));
+        let want = fresh.engine.query_serialized(text).unwrap_or_else(|e| panic!("{}: {}", text, e));
+        assert_eq!(got, want, "seed {}\n{}", SEED, text);
+    }
+    let stats = cached.engine.plan_cache().stats();
+    assert_eq!((stats.hits, stats.misses), ((ops.len() - shapes.len()) as u64, shapes.len() as u64));
+}
+
+#[test]
 fn stale_cache_answers_each_key_with_its_own_document() {
     // The stale cache is keyed by the fragment *as shipped*. Keyed by the
     // cached plan's fragment it would hold one document for the whole
@@ -696,4 +717,7 @@ fn cached_plans_serve_what_fresh_plans_serve_across_writes() {
 fn a_key_is_shared_only_by_texts_of_one_shape() {
     let keys = shape_keys::keys_partition_like_shapes(&all_ops());
     assert!(keys >= 40, "{} keys", keys);
+    // Of the literal forms, only `$i = 42` and `$i = -42` share a key.
+    let forms = shape_keys::literal_forms();
+    assert!(shape_keys::keys_partition_like_shapes(&forms) >= forms.len() - 1);
 }

@@ -93,7 +93,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, s: &str) -> Result<(), ParseError> {
+    fn require(&mut self, s: &str) -> Result<(), ParseError> {
         if self.consume(s) {
             Ok(())
         } else {
@@ -184,7 +184,7 @@ impl<'a> Parser<'a> {
         b: &mut DocumentBuilder,
         is_root: bool,
     ) -> Result<(), ParseError> {
-        self.expect("<")?;
+        self.require("<")?;
         let name = self.parse_name()?;
         if !is_root {
             b.start_element(&name);
@@ -194,7 +194,7 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b'/') => {
                     self.bump();
-                    self.expect(">")?;
+                    self.require(">")?;
                     if !is_root {
                         b.end_element();
                     }
@@ -226,7 +226,7 @@ impl<'a> Parser<'a> {
                             ));
                         }
                         self.skip_ws();
-                        self.expect(">")?;
+                        self.require(">")?;
                         if !is_root {
                             b.end_element();
                         }
@@ -274,7 +274,7 @@ impl<'a> Parser<'a> {
     fn parse_attribute(&mut self) -> Result<(String, String), ParseError> {
         let name = self.parse_name()?;
         self.skip_ws();
-        self.expect("=")?;
+        self.require("=")?;
         self.skip_ws();
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => {
@@ -315,7 +315,9 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_utf8_char(&mut self) -> Result<char, ParseError> {
-        let first = self.peek().unwrap();
+        let Some(first) = self.peek() else {
+            return self.err("unexpected end of input");
+        };
         let len = match first {
             0x00..=0x7F => 1,
             0xC0..=0xDF => 2,
@@ -332,7 +334,9 @@ impl<'a> Parser<'a> {
                 line: self.line,
                 column: self.col,
             })?;
-        let c = s.chars().next().unwrap();
+        let Some(c) = s.chars().next() else {
+            return self.err("invalid UTF-8 sequence");
+        };
         for _ in 0..len {
             self.bump();
         }
@@ -340,7 +344,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_entity(&mut self) -> Result<String, ParseError> {
-        self.expect("&")?;
+        self.require("&")?;
         let start = self.pos;
         while matches!(self.peek(), Some(c) if c != b';') {
             self.bump();
@@ -349,7 +353,7 @@ impl<'a> Parser<'a> {
             }
         }
         let body = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-        self.expect(";")?;
+        self.require(";")?;
         match body.as_str() {
             "lt" => Ok("<".into()),
             "gt" => Ok(">".into()),
@@ -377,7 +381,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_comment_text(&mut self) -> Result<String, ParseError> {
-        self.expect("<!--")?;
+        self.require("<!--")?;
         let start = self.pos;
         loop {
             if self.starts_with("-->") {
@@ -396,7 +400,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_cdata(&mut self) -> Result<String, ParseError> {
-        self.expect("<![CDATA[")?;
+        self.require("<![CDATA[")?;
         let start = self.pos;
         loop {
             if self.starts_with("]]>") {
@@ -411,7 +415,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_pi(&mut self) -> Result<(String, String), ParseError> {
-        self.expect("<?")?;
+        self.require("<?")?;
         let target = self.parse_name()?;
         self.skip_ws();
         let start = self.pos;
@@ -441,7 +445,7 @@ impl<'a> Parser<'a> {
     /// DOCTYPE declarations may nest `[ ... ]` internal subsets; skip the
     /// whole declaration without interpreting it.
     fn skip_doctype(&mut self) -> Result<(), ParseError> {
-        self.expect("<!DOCTYPE")?;
+        self.require("<!DOCTYPE")?;
         let mut depth = 0usize;
         loop {
             match self.peek() {

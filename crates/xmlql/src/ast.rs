@@ -322,7 +322,7 @@ impl Expr {
     }
 }
 
-fn liftable(a: &Atomic) -> bool {
+pub(crate) fn liftable(a: &Atomic) -> bool {
     match a {
         Atomic::Int(_) | Atomic::Float(_) | Atomic::Bool(_) => true,
         Atomic::Str(_) => a.numeric().is_none(),

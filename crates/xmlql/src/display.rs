@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn a_shape_key_is_the_text_with_each_parameter_cut_to_its_type() {
-        let key = |text: &str| crate::parse_keyed(text).unwrap().1;
+        let key = |text: &str| crate::parse_keyed(text).unwrap().1.key.into_owned();
         let q = |tail: &str| {
             format!(
                 r#"WHERE <row><id>$i</id><n>$n</n></row> IN "c", {} CONSTRUCT <o>$n</o>"#,

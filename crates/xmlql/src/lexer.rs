@@ -7,6 +7,7 @@
 //! `<` and letting the parser decide; the compound tokens `</`, `/>`,
 //! `<=` are resolved here.
 
+use nimble_xml::Atomic;
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
@@ -65,6 +66,24 @@ pub enum TokenKind<'a> {
     LBrace,
     RBrace,
     Eof,
+}
+
+impl TokenKind<'_> {
+    /// The value a literal token spells in an expression: a number, a
+    /// string, or `true`, `false` or `null`. The one reading of a
+    /// literal: the parser's and the plan-cache key cut's
+    /// ([`crate::lex_keyed`]).
+    pub(crate) fn literal(&self) -> Option<Atomic> {
+        match self {
+            TokenKind::Int(i) => Some(Atomic::Int(*i)),
+            TokenKind::Float(x) => Some(Atomic::Float(*x)),
+            TokenKind::Str(s) => Some(Atomic::Str(s.to_string())),
+            TokenKind::Ident("true") => Some(Atomic::Bool(true)),
+            TokenKind::Ident("false") => Some(Atomic::Bool(false)),
+            TokenKind::Ident("null") => Some(Atomic::Null),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for TokenKind<'_> {
@@ -186,159 +205,200 @@ impl<'a> Lexer<'a> {
 
 /// Tokenize the whole input; the result always ends with `Eof`.
 pub fn tokenize(input: &str) -> Result<Vec<Token<'_>>, LexError> {
-    let mut lx = Lexer {
-        src: input,
-        pos: 0,
-        line: 1,
-        col: 1,
-    };
     // A token spans two bytes or more but for a few punctuation marks.
     let mut tokens: Vec<Token<'_>> = Vec::with_capacity(input.len() / 2 + 1);
+    for token in tokens_of(input) {
+        tokens.push(token?);
+    }
+    Ok(tokens)
+}
 
-    while let Some(ch) = lx.peek() {
-        let (start, l, c) = (lx.pos, lx.line, lx.col);
-        // After an operand a `-` subtracts; anywhere else, before a
-        // digit, it is that number's sign.
-        let after_operand = ch == '-'
-            && matches!(
-                tokens.last().map(|t| &t.kind),
-                Some(
-                    TokenKind::Var(_)
-                        | TokenKind::Int(_)
-                        | TokenKind::Float(_)
-                        | TokenKind::Str(_)
-                        | TokenKind::Ident(_)
-                        | TokenKind::RParen
-                )
-            );
-        // Single-character tokens are consumed here; every arm below
-        // that lexes more consumes the rest itself.
-        let single = match ch {
-            '=' => Some(TokenKind::Eq),
-            '+' => Some(TokenKind::Plus),
-            '*' => Some(TokenKind::StarTok),
-            '%' => Some(TokenKind::Percent),
-            ',' => Some(TokenKind::Comma),
-            '(' => Some(TokenKind::LParen),
-            ')' => Some(TokenKind::RParen),
-            '{' => Some(TokenKind::LBrace),
-            '}' => Some(TokenKind::RBrace),
-            '-' if after_operand || !lx.digit_follows() => Some(TokenKind::Minus),
-            _ => None,
-        };
-        let kind = if let Some(kind) = single {
-            lx.bump();
-            kind
-        } else {
-            match ch {
-                ' ' | '\t' | '\r' | '\n' => {
-                    lx.bump();
-                    continue;
-                }
-                '#' => {
-                    lx.take_while(|d| d != '\n');
-                    continue;
-                }
-                '<' => {
-                    lx.bump();
-                    let kind = match lx.peek() {
-                        Some('/') => TokenKind::LtSlash,
-                        Some('=') => TokenKind::Le,
-                        Some('>') => TokenKind::Ne,
-                        _ => TokenKind::Lt,
-                    };
-                    if kind != TokenKind::Lt {
+/// The input's tokens, lexed one at a time as they are read: the last is
+/// `Eof`, or the first error.
+pub(crate) fn tokens_of(input: &str) -> Tokens<'_> {
+    Tokens {
+        lx: Lexer {
+            src: input,
+            pos: 0,
+            line: 1,
+            col: 1,
+        },
+        after_operand: false,
+        done: false,
+    }
+}
+
+/// An iterator over a text's tokens ([`tokens_of`]).
+pub(crate) struct Tokens<'a> {
+    lx: Lexer<'a>,
+    /// Whether the last token was an operand: a `-` after one subtracts.
+    after_operand: bool,
+    done: bool,
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Result<Token<'a>, LexError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let token = self.lex();
+        self.done = !matches!(&token, Ok(t) if t.kind != TokenKind::Eof);
+        self.after_operand = matches!(
+            &token,
+            Ok(Token {
+                kind: TokenKind::Var(_)
+                    | TokenKind::Int(_)
+                    | TokenKind::Float(_)
+                    | TokenKind::Str(_)
+                    | TokenKind::Ident(_)
+                    | TokenKind::RParen,
+                ..
+            })
+        );
+        Some(token)
+    }
+}
+
+impl<'a> Tokens<'a> {
+    /// The next token: `Eof` at the end of the input.
+    fn lex(&mut self) -> Result<Token<'a>, LexError> {
+        let lx = &mut self.lx;
+        let input = lx.src;
+        while let Some(ch) = lx.peek() {
+            let (start, l, c) = (lx.pos, lx.line, lx.col);
+            // After an operand a `-` subtracts; anywhere else, before a
+            // digit, it is that number's sign.
+            let after_operand = ch == '-' && self.after_operand;
+            // Single-character tokens are consumed here; every arm below
+            // that lexes more consumes the rest itself.
+            let single = match ch {
+                '=' => Some(TokenKind::Eq),
+                '+' => Some(TokenKind::Plus),
+                '*' => Some(TokenKind::StarTok),
+                '%' => Some(TokenKind::Percent),
+                ',' => Some(TokenKind::Comma),
+                '(' => Some(TokenKind::LParen),
+                ')' => Some(TokenKind::RParen),
+                '{' => Some(TokenKind::LBrace),
+                '}' => Some(TokenKind::RBrace),
+                '-' if after_operand || !lx.digit_follows() => Some(TokenKind::Minus),
+                _ => None,
+            };
+            let kind = if let Some(kind) = single {
+                lx.bump();
+                kind
+            } else {
+                match ch {
+                    ' ' | '\t' | '\r' | '\n' => {
                         lx.bump();
+                        continue;
                     }
-                    kind
-                }
-                '>' => {
-                    lx.bump();
-                    if lx.peek() == Some('=') {
+                    '#' => {
+                        lx.take_while(|d| d != '\n');
+                        continue;
+                    }
+                    '<' => {
                         lx.bump();
-                        TokenKind::Ge
-                    } else {
-                        TokenKind::Gt
+                        let kind = match lx.peek() {
+                            Some('/') => TokenKind::LtSlash,
+                            Some('=') => TokenKind::Le,
+                            Some('>') => TokenKind::Ne,
+                            _ => TokenKind::Lt,
+                        };
+                        if kind != TokenKind::Lt {
+                            lx.bump();
+                        }
+                        kind
                     }
-                }
-                '/' => {
-                    lx.bump();
-                    let kind = match lx.peek() {
-                        Some('>') => TokenKind::SlashGt,
-                        Some('/') => TokenKind::SlashSlash,
-                        _ => TokenKind::Slash,
-                    };
-                    if kind != TokenKind::Slash {
+                    '>' => {
                         lx.bump();
+                        if lx.peek() == Some('=') {
+                            lx.bump();
+                            TokenKind::Ge
+                        } else {
+                            TokenKind::Gt
+                        }
                     }
-                    kind
-                }
-                '!' => {
-                    lx.bump();
-                    if lx.peek() != Some('=') {
-                        return Err(lx.err("unexpected '!'", l, c));
+                    '/' => {
+                        lx.bump();
+                        let kind = match lx.peek() {
+                            Some('>') => TokenKind::SlashGt,
+                            Some('/') => TokenKind::SlashSlash,
+                            _ => TokenKind::Slash,
+                        };
+                        if kind != TokenKind::Slash {
+                            lx.bump();
+                        }
+                        kind
                     }
-                    lx.bump();
-                    TokenKind::Ne
-                }
-                '$' => {
-                    lx.bump();
-                    let name = lx.take_while(is_ident_char);
-                    if name.is_empty() {
-                        return Err(lx.err("expected variable name after '$'", l, c));
+                    '!' => {
+                        lx.bump();
+                        if lx.peek() != Some('=') {
+                            return Err(lx.err("unexpected '!'", l, c));
+                        }
+                        lx.bump();
+                        TokenKind::Ne
                     }
-                    TokenKind::Var(name)
-                }
-                quote @ ('"' | '\'') => {
-                    lx.bump();
-                    TokenKind::Str(string_body(&mut lx, quote, l, c)?)
-                }
-                // A sign is lexed with its digits — magnitude first would
-                // leave `i64::MIN` without a spelling.
-                d if d == '-' || d.is_ascii_digit() => {
-                    lx.bump();
-                    lx.take_while(|x| x.is_ascii_digit());
-                    let is_float = lx.peek() == Some('.') && lx.digit_follows();
-                    if is_float {
+                    '$' => {
+                        lx.bump();
+                        let name = lx.take_while(is_ident_char);
+                        if name.is_empty() {
+                            return Err(lx.err("expected variable name after '$'", l, c));
+                        }
+                        TokenKind::Var(name)
+                    }
+                    quote @ ('"' | '\'') => {
+                        lx.bump();
+                        TokenKind::Str(string_body(lx, quote, l, c)?)
+                    }
+                    // A sign is lexed with its digits — magnitude first would
+                    // leave `i64::MIN` without a spelling.
+                    d if d == '-' || d.is_ascii_digit() => {
                         lx.bump();
                         lx.take_while(|x| x.is_ascii_digit());
-                    }
-                    let text = &input[start..lx.pos];
-                    if is_float {
-                        match text.parse() {
-                            Ok(x) => TokenKind::Float(x),
-                            Err(_) => return Err(lx.err("malformed number", l, c)),
+                        let is_float = lx.peek() == Some('.') && lx.digit_follows();
+                        if is_float {
+                            lx.bump();
+                            lx.take_while(|x| x.is_ascii_digit());
                         }
-                    } else {
-                        match text.parse() {
-                            Ok(i) => TokenKind::Int(i),
-                            Err(_) => return Err(lx.err("integer literal overflows i64", l, c)),
+                        let text = &input[start..lx.pos];
+                        if is_float {
+                            match text.parse() {
+                                Ok(x) => TokenKind::Float(x),
+                                Err(_) => return Err(lx.err("malformed number", l, c)),
+                            }
+                        } else {
+                            match text.parse() {
+                                Ok(i) => TokenKind::Int(i),
+                                Err(_) => return Err(lx.err("integer literal overflows i64", l, c)),
+                            }
                         }
                     }
+                    a if is_ident_start(a) => {
+                        let word = lx.take_while(is_ident_char);
+                        keyword(word).unwrap_or(TokenKind::Ident(word))
+                    }
+                    other => {
+                        return Err(lx.err(format!("unexpected character {:?}", other), l, c));
+                    }
                 }
-                a if is_ident_start(a) => {
-                    let word = lx.take_while(is_ident_char);
-                    keyword(word).unwrap_or(TokenKind::Ident(word))
-                }
-                other => {
-                    return Err(lx.err(format!("unexpected character {:?}", other), l, c));
-                }
-            }
-        };
-        tokens.push(Token {
-            kind,
-            span: start..lx.pos,
-            line: l,
-            col: c,
-        });
+            };
+            return Ok(Token {
+                kind,
+                span: start..lx.pos,
+                line: l,
+                col: c,
+            });
+        }
+        Ok(Token {
+            kind: TokenKind::Eof,
+            span: lx.pos..lx.pos,
+            line: lx.line,
+            col: lx.col,
+        })
     }
-    tokens.push(Token {
-        kind: TokenKind::Eof,
-        span: lx.pos..lx.pos,
-        line: lx.line,
-        col: lx.col,
-    });
-    Ok(tokens)
 }
 
 /// The rest of a string literal opened by `quote` at (`line`, `col`),

@@ -59,7 +59,7 @@ pub mod parser;
 pub use analyze::{analyze, AnalysisError, QueryInfo};
 pub use ast::*;
 pub use display::QueryShape;
-pub use parser::{parse_keyed, parse_query, parse_query_checked, ParseError, TypeDiag};
+pub use parser::{lex_keyed, parse_keyed, parse_query, parse_query_checked, Keyed, ParseError, TypeDiag};
 
 /// Parse and semantically check a query in one step. Surface type
 /// diagnostics (arithmetic on a non-numeric literal, `LIKE` on a

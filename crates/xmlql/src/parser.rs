@@ -5,8 +5,9 @@
 //! leading `Lt` always opens a pattern.
 
 use crate::ast::*;
-use crate::lexer::{tokenize, LexError, Token, TokenKind};
+use crate::lexer::{tokenize, tokens_of, LexError, Token, TokenKind};
 use nimble_xml::{Atomic, AtomicType};
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 
@@ -67,35 +68,141 @@ pub fn parse_query_checked(text: &str) -> Result<(Query, Vec<TypeDiag>), ParseEr
     parse(text).map(|(q, p)| (q, p.type_diags))
 }
 
-/// Parse a query and cut its **shape key** from the text: the text with
-/// the spelling of each equality parameter's literal ([`Query::eq_params`])
-/// replaced by its type — `$i = 42` reads `$i = ?int`, and `?float`,
-/// `?str` (text that does not read as a number: `"42"` is no parameter
-/// and stays), `?bool` stand for the others. A text without one is its
-/// own key. The plan cache keys a plan that serves every value of its
-/// parameters by this (DESIGN.md §12).
+/// A text's **shape key** and the values its equality parameters
+/// ([`Query::eq_params`]) take in it. The key is the text with the
+/// spelling of each parameter's literal replaced by its type — `$i = 42`
+/// reads `$i = ?int`, and `?float`, `?str` (text that does not read as a
+/// number: `"42"` is no parameter and stays), `?bool` stand for the
+/// others. A text without one is its own key. The plan cache keys a
+/// plan that serves every value of its parameters by this (DESIGN.md
+/// §12).
 ///
-/// Two texts share a key only if they parse to one query up to the
-/// values of parameters of the same types: `?` lexes nowhere outside a
-/// string or a comment, and what the lexer makes of a character depends
-/// only on the text before it, so a placeholder can only stand where
-/// the other text has a literal too. Two spellings of one query (other
-/// whitespace, say) are two keys. [`crate::QueryShape`] prints the same
-/// classes from the parsed query, as the reference for this cut.
-pub fn parse_keyed(text: &str) -> Result<(Query, String), ParseError> {
+/// Two texts share a key only if they lex alike up to the values of
+/// parameters of the same types: `?` lexes nowhere outside a string or a
+/// comment, and what the lexer makes of a character depends only on the
+/// text before it, so a placeholder can only stand where the other text
+/// has a literal too. Two spellings of one query (other whitespace, say)
+/// are two keys. [`crate::QueryShape`] prints the same classes from the
+/// parsed query, as the reference for the cut.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Keyed<'a> {
+    pub key: Cow<'a, str>,
+    /// Each parameter's value, in [`Query::eq_params`] order.
+    pub params: Vec<Atomic>,
+}
+
+/// Parse a query and cut its [`Keyed`] from the parse: the reference
+/// for [`lex_keyed`], which cuts the same from the tokens alone.
+pub fn parse_keyed(text: &str) -> Result<(Query, Keyed<'_>), ParseError> {
     let (query, p) = parse(text)?;
-    if p.params.is_empty() {
-        return Ok((query, text.to_string()));
+    let mut key = KeyCut::new(text);
+    for (span, ty) in p.params {
+        key.cut(span, ty);
     }
-    let mut key = String::with_capacity(text.len() + 8 * p.params.len());
-    let mut at = 0;
-    for (span, ty) in &p.params {
-        key.push_str(&text[at..span.start]);
-        key.push_str(placeholder(*ty));
-        at = span.end;
+    let params = query.eq_params().into_iter().cloned().collect();
+    Ok((query, Keyed { key: key.finish(), params }))
+}
+
+/// Cut a query's [`Keyed`] from its tokens, without parsing it: a
+/// plan-cache hit is found from this alone. The rule is
+/// [`Expr::eq_param`]'s, read off the tokens: a whole condition of the
+/// top-level WHERE clause that is `$v = lit` or `lit = $v`, where `lit`
+/// is one literal token — `-42` is one, `- 42` is two and no parameter.
+/// The values are read as the parser reads them ([`TokenKind::literal`]).
+///
+/// A condition the parser lifts but the tokens spell otherwise (`($i =
+/// 42)`, say) stays in the key here, so the two cuts can disagree; the
+/// engine caches a plan only under a key both cut alike. Lexing stops at
+/// the clause's end, the first CONSTRUCT: a text whose key a cached one
+/// shares lexes as that one does, so an error only the rest would show
+/// is the parser's to report. An error before it is the lexer's, as the
+/// parser reports it.
+pub fn lex_keyed(text: &str) -> Result<Keyed<'_>, ParseError> {
+    let mut key = KeyCut::new(text);
+    let mut params = Vec::new();
+    let mut tokens = tokens_of(text);
+    if let Some(Token { kind: TokenKind::Where, .. }) = tokens.next().transpose()? {
+        // The top-level WHERE clause runs to the first CONSTRUCT: a
+        // nested query stands only in a template, after it.
+        let mut condition: [Option<Token<'_>>; 3] = [None, None, None];
+        let (mut len, mut depth) = (0, 0usize);
+        for token in tokens {
+            let token = token?;
+            match token.kind {
+                TokenKind::LParen => depth += 1,
+                TokenKind::RParen => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+            let end = matches!(token.kind, TokenKind::Construct | TokenKind::Eof);
+            if !end && (depth > 0 || token.kind != TokenKind::Comma) {
+                if let Some(slot) = condition.get_mut(len) {
+                    *slot = Some(token);
+                }
+                len += 1;
+                continue;
+            }
+            if let (3, [Some(left), Some(eq), Some(right)]) = (len, &condition) {
+                if let Some((span, value)) = param_literal(left, eq, right) {
+                    key.cut(span, value.atomic_type());
+                    params.push(value);
+                }
+            }
+            len = 0;
+            if end {
+                break;
+            }
+        }
     }
-    key.push_str(&text[at..]);
-    Ok((query, key))
+    Ok(Keyed { key: key.finish(), params })
+}
+
+/// The span and value of the literal of a condition spelled `$v = lit`
+/// or `lit = $v`, when that literal is a parameter.
+fn param_literal(left: &Token<'_>, eq: &Token<'_>, right: &Token<'_>) -> Option<(Range<usize>, Atomic)> {
+    let literal = match (&left.kind, &eq.kind, &right.kind) {
+        (TokenKind::Var(_), TokenKind::Eq, _) => right,
+        (_, TokenKind::Eq, TokenKind::Var(_)) => left,
+        _ => return None,
+    };
+    let value = literal.kind.literal().filter(liftable)?;
+    Some((literal.span.clone(), value))
+}
+
+/// A shape key being written: the text, with each literal cut, in text
+/// order, replaced by its type's placeholder.
+struct KeyCut<'a> {
+    text: &'a str,
+    key: String,
+    /// Where the text not yet copied starts.
+    at: usize,
+}
+
+impl<'a> KeyCut<'a> {
+    fn new(text: &'a str) -> KeyCut<'a> {
+        KeyCut {
+            text,
+            key: String::new(),
+            at: 0,
+        }
+    }
+
+    fn cut(&mut self, span: Range<usize>, ty: AtomicType) {
+        if self.key.is_empty() {
+            self.key.reserve(self.text.len() + 16);
+        }
+        self.key.push_str(&self.text[self.at..span.start]);
+        self.key.push_str(placeholder(ty));
+        self.at = span.end;
+    }
+
+    /// The key: the text itself when nothing was cut.
+    fn finish(mut self) -> Cow<'a, str> {
+        if self.key.is_empty() {
+            return Cow::Borrowed(self.text);
+        }
+        self.key.push_str(&self.text[self.at..]);
+        Cow::Owned(self.key)
+    }
 }
 
 /// What a shape key writes in place of an equality parameter's literal.
@@ -119,7 +226,7 @@ fn parse(text: &str) -> Result<(Query, Parser<'_>), ParseError> {
         params: Vec::new(),
     };
     let q = p.query()?;
-    p.expect(&TokenKind::Eof)?;
+    p.require(&TokenKind::Eof)?;
     Ok((q, p))
 }
 
@@ -221,7 +328,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn expect(&mut self, kind: &TokenKind<'_>) -> Result<(), ParseError> {
+    fn require(&mut self, kind: &TokenKind<'_>) -> Result<(), ParseError> {
         if self.peek() == kind {
             self.bump();
             Ok(())
@@ -256,12 +363,12 @@ impl<'a> Parser<'a> {
     // query := WHERE condition (',' condition)* CONSTRUCT template [orderby]
     fn query(&mut self) -> Result<Query, ParseError> {
         self.depth += 1;
-        self.expect(&TokenKind::Where)?;
+        self.require(&TokenKind::Where)?;
         let mut conditions = vec![self.top_condition()?];
         while self.eat(&TokenKind::Comma) {
             conditions.push(self.top_condition()?);
         }
-        self.expect(&TokenKind::Construct)?;
+        self.require(&TokenKind::Construct)?;
         let construct = self.element_template()?;
         let order_by = if self.at_order_by() {
             self.order_by()?
@@ -303,7 +410,7 @@ impl<'a> Parser<'a> {
         if !self.eat(&TokenKind::OrderBy) {
             // The hyphen spelling: Ident("ORDER") '-' Ident("BY").
             self.bump(); // ORDER
-            self.expect(&TokenKind::Minus)?;
+            self.require(&TokenKind::Minus)?;
             let by = self.ident()?;
             if !by.eq_ignore_ascii_case("by") {
                 return self.err("expected BY after ORDER-");
@@ -329,7 +436,7 @@ impl<'a> Parser<'a> {
     fn condition(&mut self) -> Result<Condition, ParseError> {
         if matches!(self.peek(), TokenKind::Lt) {
             let pattern = self.pattern()?;
-            self.expect(&TokenKind::In)?;
+            self.require(&TokenKind::In)?;
             let source = match self.peek() {
                 TokenKind::Str(_) => SourceRef::Named(self.bump_text()),
                 TokenKind::Var(_) => SourceRef::Var(self.bump_text()),
@@ -343,14 +450,14 @@ impl<'a> Parser<'a> {
 
     // pattern := '<' tagpat attrpat* ('/>' | '>' pcontent* endtag) binders
     fn pattern(&mut self) -> Result<Pattern, ParseError> {
-        self.expect(&TokenKind::Lt)?;
+        self.require(&TokenKind::Lt)?;
         let tag = self.tag_pattern()?;
         let mut attrs = Vec::new();
         loop {
             match self.peek() {
                 TokenKind::Ident(_) => {
                     let name = self.bump_text();
-                    self.expect(&TokenKind::Eq)?;
+                    self.require(&TokenKind::Eq)?;
                     let value = self.pattern_value()?;
                     attrs.push(AttrPattern { name, value });
                 }
@@ -391,7 +498,7 @@ impl<'a> Parser<'a> {
                             }
                         }
                     }
-                    self.expect(&TokenKind::Gt)?;
+                    self.require(&TokenKind::Gt)?;
                     return self.pattern_binders(tag, attrs, content);
                 }
                 TokenKind::Var(_) => content.push(PatternContent::Var(self.bump_text())),
@@ -507,7 +614,7 @@ impl<'a> Parser<'a> {
     // --- templates ---
 
     fn element_template(&mut self) -> Result<ElementTemplate, ParseError> {
-        self.expect(&TokenKind::Lt)?;
+        self.require(&TokenKind::Lt)?;
         let tag = self.ident()?;
         let mut skolem = None;
         let mut attrs = Vec::new();
@@ -515,16 +622,16 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 TokenKind::Ident(_) => {
                     let name = self.bump_text();
-                    self.expect(&TokenKind::Eq)?;
+                    self.require(&TokenKind::Eq)?;
                     if name == "ID" {
                         // Skolem grouping: ID=Func($x,$y)
                         let func = self.ident()?;
-                        self.expect(&TokenKind::LParen)?;
+                        self.require(&TokenKind::LParen)?;
                         let mut args = vec![self.var()?];
                         while self.eat(&TokenKind::Comma) {
                             args.push(self.var()?);
                         }
-                        self.expect(&TokenKind::RParen)?;
+                        self.require(&TokenKind::RParen)?;
                         if skolem.is_some() {
                             return self.err("duplicate ID attribute");
                         }
@@ -588,13 +695,13 @@ impl<'a> Parser<'a> {
                         }
                     };
                     self.bump();
-                    self.expect(&TokenKind::LParen)?;
+                    self.require(&TokenKind::LParen)?;
                     let var = if self.peek() == &TokenKind::RParen {
                         None
                     } else {
                         Some(self.var()?)
                     };
-                    self.expect(&TokenKind::RParen)?;
+                    self.require(&TokenKind::RParen)?;
                     if func != AggName::Count && var.is_none() {
                         return self.err(format!("{:?} requires an argument", func));
                     }
@@ -604,7 +711,7 @@ impl<'a> Parser<'a> {
                     // Optional braces around a subquery for readability.
                     self.bump();
                     children.push(TemplateNode::Subquery(Box::new(self.query()?)));
-                    self.expect(&TokenKind::RBrace)?;
+                    self.require(&TokenKind::RBrace)?;
                 }
                 TokenKind::LtSlash => {
                     self.bump();
@@ -615,7 +722,7 @@ impl<'a> Parser<'a> {
                                 .err(format!("end tag </{}> does not match <{}>", name, tag));
                         }
                     }
-                    self.expect(&TokenKind::Gt)?;
+                    self.require(&TokenKind::Gt)?;
                     return Ok(ElementTemplate {
                         tag,
                         skolem,
@@ -735,32 +842,16 @@ impl<'a> Parser<'a> {
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        if matches!(
-            self.peek(),
-            TokenKind::Int(_) | TokenKind::Float(_) | TokenKind::Str(_) | TokenKind::Ident(_)
-        ) {
+        if let Some(value) = self.peek().literal() {
             self.last_literal = self.tokens[self.pos].span.clone();
+            self.bump();
+            return Ok(Expr::Lit(value));
         }
         match *self.peek() {
             TokenKind::Var(_) => Ok(Expr::Var(self.bump_text())),
-            TokenKind::Int(i) => {
-                self.bump();
-                Ok(Expr::Lit(Atomic::Int(i)))
-            }
-            TokenKind::Float(x) => {
-                self.bump();
-                Ok(Expr::Lit(Atomic::Float(x)))
-            }
-            TokenKind::Str(_) => Ok(Expr::Lit(Atomic::Str(self.bump_text()))),
             TokenKind::Ident(_) => {
                 let name = self.bump_text();
-                match name.as_str() {
-                    "true" => return Ok(Expr::Lit(Atomic::Bool(true))),
-                    "false" => return Ok(Expr::Lit(Atomic::Bool(false))),
-                    "null" => return Ok(Expr::Lit(Atomic::Null)),
-                    _ => {}
-                }
-                self.expect(&TokenKind::LParen)?;
+                self.require(&TokenKind::LParen)?;
                 let mut args = Vec::new();
                 if self.peek() != &TokenKind::RParen {
                     args.push(self.or_expr()?);
@@ -768,13 +859,13 @@ impl<'a> Parser<'a> {
                         args.push(self.or_expr()?);
                     }
                 }
-                self.expect(&TokenKind::RParen)?;
+                self.require(&TokenKind::RParen)?;
                 Ok(Expr::Call(name, args))
             }
             TokenKind::LParen => {
                 self.bump();
                 let e = self.or_expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.require(&TokenKind::RParen)?;
                 Ok(e)
             }
             _ => self.err("expected expression"),
@@ -991,6 +1082,74 @@ mod tests {
     fn error_has_position() {
         let err = parse_query("WHERE\n  CONSTRUCT <o/>").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    // ---- the shape key, cut from the tokens and from the parse ----
+
+    /// `lex_keyed(text)`, checked against the parser's cut.
+    fn lexed(text: &str) -> (String, Vec<Atomic>) {
+        let lexed = lex_keyed(text).unwrap();
+        assert_eq!(lexed, parse_keyed(text).unwrap().1, "{}", text);
+        (lexed.key.into_owned(), lexed.params)
+    }
+
+    const LOOKUP: &str = r#"WHERE <row><id>$i</id><n>$n</n></row> IN "t", COND CONSTRUCT <o>$n</o>"#;
+
+    #[test]
+    fn the_lexer_cuts_each_literal_form_as_the_parser_does() {
+        use Atomic::*;
+        let cases: [(&str, &str, Vec<Atomic>); 12] = [
+            ("$i = 42", "$i = ?int", vec![Int(42)]),
+            ("$i = 42.0", "$i = ?float", vec![Float(42.0)]),
+            // Text that reads as a number is no parameter.
+            (r#"$i = "42""#, r#"$i = "42""#, vec![]),
+            ("42 = $i", "?int = $i", vec![Int(42)]),
+            ("$i = -42", "$i = ?int", vec![Int(-42)]),
+            // A sign apart from its digits is an expression.
+            ("$i = - 42", "$i = - 42", vec![]),
+            ("$i = true", "$i = ?bool", vec![Bool(true)]),
+            ("$i = null", "$i = null", vec![]),
+            (r#"$n = "say \"hi\"""#, "$n = ?str", vec![Str(r#"say "hi""#.into())]),
+            ("$n = 'x', $i = 7", "$n = ?str, $i = ?int", vec![Str("x".into()), Int(7)]),
+            // Only a whole condition is one.
+            ("$i = 4 AND $n = 5, NOT $i = 3", "$i = 4 AND $n = 5, NOT $i = 3", vec![]),
+            ("$i > 300, f(1, $i = 3, 2)", "$i > 300, f(1, $i = 3, 2)", vec![]),
+        ];
+        for (cond, key, params) in cases {
+            let got = lexed(&LOOKUP.replace("COND", cond));
+            assert_eq!(got, (LOOKUP.replace("COND", key), params), "{}", cond);
+        }
+    }
+
+    #[test]
+    fn the_lexer_keeps_what_is_no_top_level_parameter() {
+        // A range keeps its bound: 300 and 3 are two keys.
+        let (a, b) = (LOOKUP.replace("COND", "$i > 300"), LOOKUP.replace("COND", "$i > 3"));
+        assert_ne!(lexed(&a).0, lexed(&b).0);
+        assert!(matches!(lex_keyed(&a).unwrap().key, Cow::Borrowed(_)));
+        // A nested subquery keeps its literals.
+        let nested = r#"WHERE <a>$x</a> ELEMENT_AS $e IN "top", $x = 1
+               CONSTRUCT <o>WHERE <b>$y</b> IN $e, $y = 5 CONSTRUCT <i>$y</i></o>"#;
+        let (key, params) = lexed(nested);
+        assert_eq!(params, vec![Atomic::Int(1)]);
+        assert!(key.contains("$x = ?int") && key.contains("$y = 5"), "{}", key);
+        // Other whitespace is another key, each cut alike.
+        let spaced = [("$i=42", "$i=?int"), ("$i =\n   42", "$i =\n   ?int"), ("\t42\t=\t$i", "\t?int\t=\t$i")];
+        for (cond, key) in spaced {
+            let got = lexed(&LOOKUP.replace("COND", cond));
+            assert_eq!(got, (LOOKUP.replace("COND", key), vec![Atomic::Int(42)]));
+        }
+    }
+
+    #[test]
+    fn the_two_cuts_differ_only_where_the_parser_sees_through_parentheses() {
+        let text = LOOKUP.replace("COND", "($i = 42)");
+        let lexed = lex_keyed(&text).unwrap();
+        let (_, parsed) = parse_keyed(&text).unwrap();
+        assert_eq!((lexed.key.as_ref(), lexed.params.len()), (text.as_str(), 0));
+        assert_eq!(parsed.key, LOOKUP.replace("COND", "($i = ?int)"));
+        // Neither cut reads what does not lex.
+        assert_eq!(lex_keyed("WHERE $i = ?int").unwrap_err(), parse_keyed("WHERE $i = ?int").unwrap_err());
     }
 
     // ---- surface type diagnostics ----

@@ -238,8 +238,9 @@ fn a_cached_shape_hit_copies_no_plan() {
     }
     let engine = lookup_engine("crm");
     // The first key plans the shape; the second is a hit. A hit cuts
-    // its key from the text and serves the cached plan as it is, with
-    // the text's value beside it: no plan is copied, printed or freed.
+    // its key and value from the text's tokens and serves the cached
+    // plan as it is, with that value beside it: no query is parsed, and
+    // no plan is copied, printed or freed.
     serve(&engine, &lookup(7));
     let (xml, stats) = serve(&engine, &lookup(42));
     assert_eq!(xml, "<results><c><n>customer42</n><r>NE</r></c></results>");
@@ -249,7 +250,48 @@ fn a_cached_shape_hit_copies_no_plan() {
 }
 
 /// Blocks a hit of [`a_cached_shape_hit_copies_no_plan`] allocates.
-const HIT_BLOCKS: u64 = 109;
+const HIT_BLOCKS: u64 = 75;
+
+#[test]
+fn a_hit_neither_parses_nor_analyzes() {
+    if !enabled() {
+        return;
+    }
+    // Two shapes alike but for the template of a nested subquery, one
+    // element wide or 400, which no row reaches (no customer has id
+    // 1000).
+    // Parsing the wide text builds 400 elements more, and analyzing it
+    // walks them; a hit of either allocates alike, so it did neither.
+    let text = |k: i64, width: usize| {
+        format!(
+            r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers", $i = {}
+CONSTRUCT <c>{{ WHERE <row><name>$m</name></row> IN "customers", $m = $n CONSTRUCT <m>{}</m> }}</c>"#,
+            k,
+            "<x>$m</x>".repeat(width)
+        )
+    };
+    let blocks = |what: &dyn Fn() -> usize| {
+        let scope = AllocScope::enter();
+        let got = what();
+        (got, scope.finish().allocs)
+    };
+    let mut hits = Vec::new();
+    for width in [1, 400] {
+        let engine = lookup_engine("crm");
+        serve(&engine, &text(7, width));
+        serve(&engine, &text(8, width));
+        let (xml, stats) = serve(&engine, &text(1000, width));
+        assert_eq!(xml, "<results/>");
+        assert_eq!(engine.plan_cache().stats().hits, 2);
+        let (_, parsed) = blocks(&|| nimble::xmlql::parse_query(&text(1000, width)).unwrap().conditions.len());
+        hits.push((stats.allocs, parsed));
+    }
+    let [(narrow_hit, narrow_parse), (wide_hit, wide_parse)] = hits[..] else {
+        unreachable!()
+    };
+    assert!(wide_parse >= narrow_parse + 400, "{} against {} blocks to parse", wide_parse, narrow_parse);
+    assert_eq!(wide_hit, narrow_hit, "a hit of the wide text against the narrow one");
+}
 
 #[test]
 fn a_fetch_formats_no_metric_name() {

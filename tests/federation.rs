@@ -391,7 +391,7 @@ fn a_plan_that_fails_its_rewrite_audit_calls_no_source() {
     let text = r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
                      <row><oid>$o</oid><cust_id>$i</cust_id></row> IN "orders", $i = 1
                CONSTRUCT <o><n>$n</n><k>$o</k></o>"#;
-    let (query, key) = nimble::xmlql::parse_keyed(text).unwrap();
+    let (query, key) = (nimble::xmlql::parse_query(text).unwrap(), nimble::xmlql::lex_keyed(text).unwrap().key);
     let mut plan =
         nimble::core::planner::plan_query(engine.catalog(), &query, &engine.config().optimizer).unwrap();
     assert_eq!(plan.independents.len(), 2);
@@ -417,7 +417,7 @@ fn a_plan_that_fails_its_rewrite_audit_calls_no_source() {
         stats_generation: engine.catalog().stats().generation(),
         shard_epoch: engine.shard_epoch(),
     };
-    engine.plan_cache().put(&key, stamp, Arc::new(plan));
+    engine.plan_cache().put(&key, stamp, Arc::new(nimble::core::Prepared::new(plan, query)));
     let before = calls.load(Ordering::Relaxed);
     refused(engine.query(text));
     assert_eq!(engine.plan_cache().stats().hits, 1);
