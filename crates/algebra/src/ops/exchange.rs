@@ -4,9 +4,10 @@
 //! Each child produces one shard's slice of a partitioned collection
 //! (typically a [`super::LazySourceOp`] wrapping a shard-local fetch).
 //! `open` **gathers**: every child is opened and drained to completion —
-//! one task per child, on the process-wide task pool when it can take
-//! the round, inline otherwise — and the buffered shard streams are then
-//! served in child order through `next`/`next_batch`.
+//! one task per child, on the process-wide task pool when the round pays
+//! for it, inline otherwise ([`crate::par_tasks`], priced by each child's
+//! expected gather time, [`ExchangeOp::with_costs`]) — and the buffered shard
+//! streams are then served in child order through `next`/`next_batch`.
 //!
 //! A failing child is not fatal by default: the error is recorded as a
 //! [`ShardFailure`] and the merge proceeds with the surviving shards —
@@ -17,8 +18,10 @@
 use super::{BoxedOp, Operator};
 use crate::error::ExecError;
 use crate::inspect::{OpInfo, SchemaRule};
+use crate::par::Fork;
 use crate::schema::{Schema, Tuple};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// One child that failed to produce its shard during gather.
 #[derive(Debug)]
@@ -35,11 +38,16 @@ pub struct ExchangeOp {
     children: Vec<BoxedOp>,
     labels: Vec<String>,
     fail_fast: bool,
+    /// Each child's expected gather time, in child order; empty when
+    /// none is known.
+    costs: Vec<Option<Duration>>,
     /// Per-child gathered buffers, in child order (empty for failures).
     gathered: Vec<Vec<Tuple>>,
+    /// What each child's gather took during the last `open`.
+    took: Vec<Duration>,
     failures: Vec<ShardFailure>,
-    /// True when the last gather ran as one pool task per child.
-    parallel_gather: bool,
+    /// How the last gather's round ran.
+    fork: Option<Fork>,
     current: usize,
     pos: usize,
     rows_out: u64,
@@ -91,9 +99,11 @@ impl ExchangeOp {
             children,
             labels,
             fail_fast: false,
+            costs: Vec::new(),
             gathered: Vec::new(),
+            took: Vec::new(),
             failures: Vec::new(),
-            parallel_gather: false,
+            fork: None,
             current: 0,
             pos: 0,
             rows_out: 0,
@@ -105,6 +115,13 @@ impl ExchangeOp {
     /// instead of degrading to a partial merge.
     pub fn fail_fast(mut self, yes: bool) -> Self {
         self.fail_fast = yes;
+        self
+    }
+
+    /// Each child's expected gather time, in child order, which prices
+    /// the gather's round; a list of another length is no price.
+    pub fn with_costs(mut self, costs: Vec<Option<Duration>>) -> Self {
+        self.costs = costs;
         self
     }
 
@@ -124,7 +141,18 @@ impl ExchangeOp {
     /// True when the last gather ran on the task pool (one task per
     /// child); false when it ran inline.
     pub fn gathered_parallel(&self) -> bool {
-        self.parallel_gather
+        self.fork.is_some_and(|fork| fork.pooled)
+    }
+
+    /// How the last gather's round ran, and what it was priced at.
+    pub fn fork(&self) -> Option<Fork> {
+        self.fork
+    }
+
+    /// What each child's gather took during the last `open`, in child
+    /// order.
+    pub fn took(&self) -> &[Duration] {
+        &self.took
     }
 
     /// Move the gathered buffers out (per child, in child order),
@@ -145,20 +173,27 @@ impl Operator for ExchangeOp {
         self.current = 0;
         self.pos = 0;
         self.failures.clear();
-        // Scatter: one task per child, on the pool when it can take the
-        // round (`par_tasks`).
-        let results: Vec<Result<Vec<Tuple>, ExecError>> = {
+        // Scatter: one task per child, on the pool when the round pays
+        // for it (`par_tasks`).
+        let results: Vec<(Result<Vec<Tuple>, ExecError>, Duration)> = {
             let slots: Vec<Mutex<&mut BoxedOp>> =
                 self.children.iter_mut().map(Mutex::new).collect();
-            let tasks = crate::par::par_tasks(slots.len(), |i| {
+            let gather = |i: usize| {
                 let mut child = slots[i].lock().unwrap_or_else(|e| e.into_inner());
-                gather_child(&mut child)
-            });
-            self.parallel_gather = tasks.pooled();
+                let started = Instant::now();
+                (gather_child(&mut child), started.elapsed())
+            };
+            let tasks = if self.costs.len() == slots.len() {
+                crate::par::par_tasks(&self.costs[..], gather)
+            } else {
+                crate::par::par_tasks(slots.len(), gather)
+            };
+            self.fork = Some(tasks.fork());
             tasks.collect()
         };
         self.gathered = Vec::with_capacity(results.len());
-        for (i, r) in results.into_iter().enumerate() {
+        self.took = results.iter().map(|(_, took)| *took).collect();
+        for (i, (r, _)) in results.into_iter().enumerate() {
             match r {
                 Ok(buf) => self.gathered.push(buf),
                 Err(error) => {

@@ -4,7 +4,7 @@ use crate::catalog::Catalog;
 use crate::construct;
 use crate::error::CoreError;
 use crate::matcher;
-use crate::plan_cache::{PlanCache, PlanStamp, Prepared};
+use crate::plan_cache::{Observed, PlanCache, PlanStamp, Prepared, Took};
 use crate::planner::{self, cost, AtomExec, BindPatternOp, BindStage, Bound, Plan, ShardPlan};
 use crate::shard::ShardRuntime;
 use nimble_algebra::ops::{
@@ -14,14 +14,14 @@ use nimble_algebra::ops::{
 use nimble_planck::{Fingerprint, RewriteRecord};
 use nimble_algebra::{
     explain as explain_ops, explain_analyze as explain_analyze_ops, lineage, par_tasks,
-    run_to_vec, run_to_vec_batched, ExecError, FunctionRegistry, LineageMask, LiteralTest, ScalarExpr, Schema,
+    run_to_vec, run_to_vec_batched, Costs, ExecError, FunctionRegistry, LineageMask, LiteralTest, ScalarExpr, Schema,
     Tuple,
 };
 use nimble_sources::query::{cursor_field, FieldRef, SourceQuery, Watermark};
 use nimble_store::{LogicalClock, ResultCache, ViewStore, WorkloadMonitor};
 use nimble_trace::{
     AllocScope, AllocStats, FlightRecorder, Histogram, MetricsRegistry, MetricsSnapshot, QueryCtx,
-    QueryLog, ServeReport, SourceCall, SpanView, Stage,
+    QueryLog, RoundFork, ServeReport, SourceCall, SpanView, Stage,
 };
 use nimble_xml::{Atomic, AtomicKey, Document, DocumentBuilder, Sym, Value, XmlWriter};
 use nimble_xmlql::ast::{Query, TagPattern};
@@ -32,7 +32,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 mod refresh;
 
@@ -719,6 +719,7 @@ impl ExecCtx {
             self.miss(m);
         }
         let mine = &mut self.report;
+        mine.rounds.extend(report.rounds);
         mine.stale |= report.stale;
         mine.source_calls.count += report.source_calls.count;
         mine.fragments_pushed += report.fragments_pushed;
@@ -1011,7 +1012,8 @@ impl Engine {
         ctx.plan_path = Some(path);
         let (plan, query) = (&prepared.plan, &prepared.query);
         let params: Vec<&Atomic> = params.iter().collect();
-        let (schema, tuples) = self.eval_planned(plan, &params, None, 0, ctx, planck_verify)?;
+        let (schema, tuples) =
+            self.eval_planned(plan, &params, None, 0, ctx, planck_verify, Some(&prepared.observed))?;
         self.end_stage(ctx, Stage::Execute);
         ctx.report.tuples = tuples.len();
 
@@ -1421,7 +1423,7 @@ impl Engine {
             planner::verify_plan(&plan, outer.map(|(s, _)| s))?;
         }
         planner::audit(&plan)?;
-        self.eval_planned(&plan, &query.eq_params(), outer, depth, ctx, true)
+        self.eval_planned(&plan, &query.eq_params(), outer, depth, ctx, true, None)
     }
 
     /// Execute an already-decomposed plan with `params`, the values of
@@ -1434,6 +1436,10 @@ impl Engine {
     /// clean (a plan-cache hit: the plan's fold order makes the assembled
     /// shape deterministic). A serve's verification here is lent to its
     /// `verify` stage out of the running `execute` ([`ExecCtx::lend`]).
+    /// `observed` is what the plan's earlier serves observed its units
+    /// take, when it is a prepared plan's: it prices the fetch rounds,
+    /// and this serve's times go into it.
+    #[allow(clippy::too_many_arguments)]
     fn eval_planned(
         &self,
         plan: &Plan,
@@ -1442,6 +1448,7 @@ impl Engine {
         depth: usize,
         ctx: &mut ExecCtx,
         planck_verify: bool,
+        observed: Option<&Observed>,
     ) -> Result<(Schema, Vec<Tuple>), CoreError> {
         let config = self.config();
         // A plan's own rewrites are audited once, before its first serve
@@ -1493,13 +1500,13 @@ impl Engine {
         let mut fetched: Vec<Option<Result<Fetched, CoreError>>> = Vec::new();
         fetched.resize_with(n, || None);
         let first: Vec<usize> = plan.bind.iter().map(|stage| stage.driver).collect();
-        self.fetch_round(bound, &first, None, depth, ctx, &mut fetched);
+        self.fetch_round(bound, &first, None, observed, depth, ctx, &mut fetched);
         let (keys, bind_note) = match &plan.bind {
             Some(stage) => self.bind_keys(stage, fetched[stage.driver].as_ref()),
             None => (None, None),
         };
         let rest: Vec<usize> = (0..n).filter(|i| !first.contains(i)).collect();
-        self.fetch_round(bound, &rest, keys.as_ref(), depth, ctx, &mut fetched);
+        self.fetch_round(bound, &rest, keys.as_ref(), observed, depth, ctx, &mut fetched);
         // What EXPLAIN ANALYZE says of each probed match.
         let mut probed_notes: Vec<String> = Vec::new();
         for (atom, slot) in plan.independents.iter().zip(fetched) {
@@ -1842,9 +1849,15 @@ impl Engine {
         // Record the plan (top-level query only).
         if depth == 0 && ctx.want_plan_text && ctx.report.plan.is_empty() {
             let of_values = bound.value_notes(&self.catalog, None);
+            // EXPLAIN ANALYZE says how each round ran.
+            let rounds: Vec<String> = if ctx.profile {
+                ctx.report.rounds.iter().map(RoundFork::to_string).collect()
+            } else {
+                Vec::new()
+            };
             let mut text = explain_notes(
                 ctx.plan_path.map(|path| path.explain(bound.param_count())),
-                plan.notes.iter().chain(&of_values).chain(&bind_note).chain(&probed_notes),
+                plan.notes.iter().chain(&of_values).chain(&bind_note).chain(&probed_notes).chain(&rounds),
             );
             if ctx.profile {
                 text.push_str(&explain_analyze_ops(op.as_ref()));
@@ -1986,16 +1999,20 @@ impl Engine {
     }
 
     /// Fetch the independent units listed in `round` into their slots,
-    /// one task per unit ([`par_tasks`]): on the pool when it can take
-    /// the round, so latency tracks the slowest source, not the sum, and
-    /// inline otherwise. Every unit is fetched; a failure waits in its
-    /// slot. `bound` is the bind stage's key list, for the units that are
-    /// its targets.
+    /// one task per unit ([`par_tasks`]): on the pool when the round pays
+    /// for a wake-up, so latency tracks the slowest source, not the sum,
+    /// and inline otherwise. Each unit is priced at what it took at the
+    /// plan's earlier serves (`observed`; unknown without one), and what
+    /// it takes now is folded in. Every unit is fetched; a failure waits in
+    /// its slot. `keys` is the bind stage's key list, for the units that
+    /// are its targets.
+    #[allow(clippy::too_many_arguments)]
     fn fetch_round(
         &self,
         bound: Bound<'_>,
         round: &[usize],
         keys: Option<&BoundKeys>,
+        observed: Option<&Observed>,
         depth: usize,
         ctx: &mut ExecCtx,
         fetched: &mut [Option<Result<Fetched, CoreError>>],
@@ -2005,7 +2022,12 @@ impl Engine {
         // so source calls on a worker stay attributed to the query.
         let (track, profile) = (ctx.track, ctx.profile);
         let qctx = QueryCtx::current();
-        let tasks = par_tasks(round.len(), |k| {
+        // A round of one unit is never priced, and its unit is in no
+        // other round of the plan, so only a round of two or more keeps
+        // its units' times (a sharded unit's gather keeps its shards'
+        // whatever its round).
+        let priced = observed.filter(|_| round.len() > 1);
+        let tasks = par_tasks(RoundCosts { round, observed: priced }, |k| {
             let _g = qctx.as_ref().map(|c| c.enter());
             let mut local = ExecCtx {
                 track,
@@ -2019,13 +2041,20 @@ impl Engine {
                 .as_ref()
                 .zip(keys)
                 .and_then(|(stage, keys)| Some((&stage.target(i)?.field, keys)));
-            (self.fetch_atom(bound, i, bind, depth, &mut local), local)
+            let started = priced.map(|_| Instant::now());
+            let unit = self.fetch_atom(bound, i, bind, observed, depth, &mut local);
+            (unit, local, started.map(|t| t.elapsed()))
         });
         if round.len() > 1 {
-            let way = if tasks.pooled() { "engine.fetch.pool" } else { "engine.fetch.serial" };
+            let fork = tasks.fork();
+            let way = if fork.pooled { "engine.fetch.pool" } else { "engine.fetch.serial" };
             self.metrics.incr(way, 1);
+            ctx.report.rounds.push(round_fork("fetch", round.len(), fork));
         }
-        for (&i, (unit, local)) in round.iter().zip(tasks) {
+        for (&i, (unit, local, took)) in round.iter().zip(tasks) {
+            if let (Some(slot), Some(took)) = (priced.and_then(|o| o.unit(i)), took) {
+                slot.note(took);
+            }
             ctx.merge(local);
             fetched[i] = Some(unit);
         }
@@ -2117,12 +2146,14 @@ impl Engine {
     /// with a [`ShardPlan`] routes through [`Engine::fetch_sharded`]
     /// instead of the source adapter; one matched here skips the
     /// candidates its probes rule out. `bind` is the bind stage's key
-    /// list and this unit's field for it, when the unit is a target.
+    /// list and this unit's field for it, when the unit is a target;
+    /// `observed` prices a sharded unit's gather ([`Engine::fetch_round`]).
     fn fetch_atom(
         &self,
         bound: Bound<'_>,
         i: usize,
         bind: Option<(&FieldRef, &BoundKeys)>,
+        observed: Option<&Observed>,
         depth: usize,
         ctx: &mut ExecCtx,
     ) -> Result<Fetched, CoreError> {
@@ -2272,7 +2303,8 @@ impl Engine {
                 vars,
             } => {
                 if let Some(sp) = shard_plan_for(plan, i) {
-                    return self.fetch_sharded(sp, source, collection, pattern, vars, ctx, track);
+                    let took = observed.map_or(&[][..], |o| o.shards(i));
+                    return self.fetch_sharded(sp, took, source, collection, pattern, vars, ctx, track);
                 }
                 let adapter = self
                     .catalog
@@ -2431,10 +2463,16 @@ impl Engine {
     /// Deliberately skips `note_stats_rows`: a survivor-only row count
     /// would corrupt the whole-collection statistics the planner's
     /// estimates come from.
+    ///
+    /// `took` is what each shard's gather took at the plan's earlier
+    /// serves, by shard number (empty when unknown): it prices the
+    /// gather's round as a fetch round is priced, and this gather's
+    /// times are folded in.
     #[allow(clippy::too_many_arguments)]
     fn fetch_sharded(
         &self,
         sp: &ShardPlan,
+        took: &[Took],
         source: &str,
         collection: &str,
         pattern: &nimble_xmlql::ast::Pattern,
@@ -2506,10 +2544,20 @@ impl Engine {
         }
         let calls_before = QueryCtx::current().map(|c| c.calls_len());
         let t_call = Instant::now();
+        let expected = sp.survivors.iter().map(|&k| took.get(k).and_then(Took::get)).collect();
         let mut exchange = ExchangeOp::new(children, labels)
             .map_err(CoreError::from)?
-            .fail_fast(config.unavailable == UnavailablePolicy::Fail);
+            .fail_fast(config.unavailable == UnavailablePolicy::Fail)
+            .with_costs(expected);
         exchange.open()?;
+        for (&k, &t) in sp.survivors.iter().zip(exchange.took()) {
+            if let Some(slot) = took.get(k) {
+                slot.note(t);
+            }
+        }
+        if let (Some(fork), true) = (exchange.fork(), sp.survivors.len() > 1) {
+            ctx.report.rounds.push(round_fork("gather", sp.survivors.len(), fork));
+        }
         let gather = if exchange.gathered_parallel() {
             "engine.exchange.gather.parallel"
         } else {
@@ -2813,8 +2861,37 @@ fn intern_masks(ctx: &mut ExecCtx, prov: FetchProv) -> ScanMasks {
     }
 }
 
+/// A fetch round's units, each priced at what it took at its plan's
+/// earlier serves (unknown without one).
+struct RoundCosts<'a> {
+    round: &'a [usize],
+    observed: Option<&'a Observed>,
+}
+
+impl Costs for RoundCosts<'_> {
+    fn tasks(&self) -> usize {
+        self.round.len()
+    }
+
+    fn cost(&self, k: usize) -> Option<Duration> {
+        self.observed?.unit(*self.round.get(k)?)?.get()
+    }
+}
+
+/// The serve report's record of a round of `tasks` at `site` that took
+/// `fork`.
+fn round_fork(site: &'static str, tasks: usize, fork: nimble_algebra::Fork) -> RoundFork {
+    RoundFork {
+        site,
+        tasks,
+        pooled: fork.pooled,
+        expected: fork.expected,
+        wake: fork.wake,
+    }
+}
+
 /// The plan's shard routing for independent atom `i`, if any.
-fn shard_plan_for(plan: &Plan, i: usize) -> Option<&ShardPlan> {
+pub(crate) fn shard_plan_for(plan: &Plan, i: usize) -> Option<&ShardPlan> {
     plan.shards.iter().find(|s| s.atom == i)
 }
 
@@ -3410,7 +3487,7 @@ mod correlated_probe_tests {
             ctx.profile = true;
             let tuple = vec![Value::Atomic(row.clone())];
             let (schema, tuples) = engine
-                .eval_planned(plan, &[], Some((&outer, &tuple)), 0, &mut ctx, true)
+                .eval_planned(plan, &[], Some((&outer, &tuple)), 0, &mut ctx, true, None)
                 .unwrap();
             (format!("{:?} {:?}", schema, tuples), ctx.report.plan)
         };

@@ -236,7 +236,7 @@ impl Engine {
     fn run_refresh(&self, query: &Query, plan: &Plan) -> Result<(Schema, Vec<Tuple>, ExecCtx), CoreError> {
         let mut ctx = ExecCtx::new();
         ctx.want_plan_text = false;
-        let (schema, tuples) = self.eval_planned(plan, &query.eq_params(), None, 0, &mut ctx, true)?;
+        let (schema, tuples) = self.eval_planned(plan, &query.eq_params(), None, 0, &mut ctx, true, None)?;
         Ok((schema, tuples, ctx))
     }
 }

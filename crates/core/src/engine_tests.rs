@@ -10,6 +10,7 @@ use nimble_sources::xmldoc::XmlDocAdapter;
 use nimble_sources::SourceAdapter;
 use nimble_xml::{to_string, Atomic};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// CRM relational source shared across tests.
 fn crm() -> Arc<RelationalAdapter> {
@@ -310,6 +311,89 @@ fn parallel_and_serial_fetch_agree() {
         .collect();
     assert_eq!(counted(&nested, "engine.fetch.serial"), 1);
     assert_eq!(pooled, inline);
+}
+
+/// The two-unit round of [`parallel_and_serial_fetch_agree`]'s query.
+const TWO_UNITS: &str = r#"WHERE <bib><book><publisher>$n</publisher><title>$t</title></book></bib> IN "bib",
+                         <row><name>$n</name><region>$r</region></row> IN "customers"
+                   CONSTRUCT <hit><t>$t</t><r>$r</r></hit> ORDER-BY $t"#;
+
+#[test]
+fn a_round_of_cheap_units_runs_inline_after_its_first_serve() {
+    let e = engine();
+    let has_pool = nimble_algebra::pool_stats().0 > 0;
+    let first = e.query(TWO_UNITS).unwrap();
+    let [round] = first.stats.rounds[..] else {
+        panic!("{:?}", first.stats.rounds)
+    };
+    assert_eq!((round.site, round.tasks, round.pooled, round.expected), ("fetch", 2, has_pool, None));
+    // The serve kept each unit's fetch time beside the cached plan.
+    let [prepared] = &e.plan_cache().entries()[..] else {
+        panic!("one cached plan")
+    };
+    assert!((0..2).all(|i| prepared.observed.unit(i).and_then(|t| t.get()).is_some()));
+    // Seen cheaper than any wake-up — a nanosecond each — the units run
+    // inline. A worker measures its wake-up as it wakes, which can be
+    // after the first round: until then a round is pooled.
+    let cheap = || {
+        for i in 0..2 {
+            let took = prepared.observed.unit(i).expect("two units");
+            while took.get() != Some(Duration::from_nanos(1)) {
+                took.note(Duration::ZERO);
+            }
+        }
+    };
+    let later = |e: &Engine| {
+        cheap();
+        let r = e.query(TWO_UNITS).unwrap();
+        (to_string(&r.document.root()), r.stats.rounds[0])
+    };
+    let priced = (0..10_000).map(|_| later(&e)).find(|(_, round)| round.wake.is_some() || !has_pool);
+    let (answer, round) = priced.expect("a round priced against a measured wake-up");
+    let one_ns = Duration::from_nanos(1);
+    assert_eq!((round.pooled, round.expected), (false, Some((2 * one_ns, one_ns))));
+    assert_eq!(answer, to_string(&first.document.root()));
+    for _ in 0..3 {
+        let (again, round) = later(&e);
+        assert!(!round.pooled, "{}", round);
+        assert_eq!(again, answer);
+    }
+    // EXPLAIN ANALYZE says so.
+    cheap();
+    let analyzed = e.explain_analyze(TWO_UNITS).unwrap();
+    assert!(analyzed.contains("-- round: fetch 2 units inline, expected 0.0 µs"), "{}", analyzed);
+    let counted = |name| e.metrics_snapshot().counter(name);
+    assert_eq!(counted("engine.fetch.pool") + counted("engine.fetch.serial"), e.queries_served());
+}
+
+#[test]
+fn a_round_of_slow_links_stays_pooled() {
+    // Two sources a 5 ms link away: each unit costs a link's latency, far
+    // above any wake-up, so their round is pooled on every serve.
+    let slow = LinkConfig {
+        latency_ms: 5,
+        real_sleep: true,
+        ..LinkConfig::default()
+    };
+    let c = Catalog::new();
+    c.register_source(SimulatedLink::new(crm(), slow.clone()) as Arc<dyn SourceAdapter>).unwrap();
+    c.register_source(SimulatedLink::new(bib_xml(), slow) as Arc<dyn SourceAdapter>).unwrap();
+    let e = Engine::new(Arc::new(c));
+    let has_pool = nimble_algebra::pool_stats().0 > 0;
+    let mut answers = Vec::new();
+    for serve in 0..4 {
+        let r = e.query(TWO_UNITS).unwrap();
+        let [round] = r.stats.rounds[..] else {
+            panic!("{:?}", r.stats.rounds)
+        };
+        assert_eq!(round.pooled, has_pool, "serve {}: {}", serve, round);
+        if let (true, Some((total, largest))) = (serve > 0, round.expected) {
+            assert!(total - largest >= Duration::from_millis(5), "serve {}: {}", serve, round);
+        }
+        assert_eq!(round.expected.is_some(), serve > 0, "serve {}: {}", serve, round);
+        answers.push(to_string(&r.document.root()));
+    }
+    assert!(answers.windows(2).all(|w| w[0] == w[1]));
 }
 
 #[test]
@@ -710,27 +794,33 @@ fn plan_cache_serves_repeats_and_catalog_changes_evict() {
 
 #[test]
 fn a_text_the_two_key_cuts_read_apart_is_served_uncached() {
-    // The parser sees through parentheses and the lexer's cut does not,
-    // so the two cut `($i = K)` apart. A hit binds the values the lexer
-    // cut, so such a text is never cached: it is planned, and answered
-    // right, on every serve. Its bare spelling is cached as usual.
+    // A lens whose condition is wrapped whole in parentheses is cut by
+    // the lexer as the parser cuts it, so its later values are hits.
     let e = engine();
     let text = |cond: &str| {
         format!(r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers", {} CONSTRUCT <c>$n</c>"#, cond)
     };
-    for (cond, name) in [("($i = 1)", "Acme"), ("($i = 2)", "Globex"), ("($i = 1)", "Acme")] {
+    let serve = |cond: &str, name: &str| {
         let r = e.query(&text(cond)).unwrap();
         assert_eq!(to_string(&r.document.root()), format!("<results><c>{}</c></results>", name));
-        assert!(r.stats.plan.starts_with("-- plan: planned"), "{}", r.stats.plan);
+        r.stats.plan
+    };
+    for (cond, name, path) in [("($i = 1)", "Acme", "planned"), ("($i = 2)", "Globex", "cached"), ("(($i = 3))", "Initech", "planned")] {
+        let plan = serve(cond, name);
+        assert!(plan.starts_with(&format!("-- plan: {}", path)), "{}: {}", cond, plan);
     }
     let s = e.plan_cache().stats();
-    assert_eq!((s.hits, s.misses, s.entries), (0, 3, 0));
-    for (cond, name) in [("$i = 1", "Acme"), ("$i = 2", "Globex")] {
-        let r = e.query(&text(cond)).unwrap();
-        assert_eq!(to_string(&r.document.root()), format!("<results><c>{}</c></results>", name));
+    assert_eq!((s.hits, s.misses, s.entries), (1, 2, 2));
+    // The parser sees through a parenthesized operand and the lexer's
+    // cut does not, so the two cut `($i) = K` apart. A hit binds the
+    // values the lexer cut, so such a text is never cached: it is
+    // planned, and answered right, on every serve.
+    for (cond, name) in [("($i) = 1", "Acme"), ("($i) = 2", "Globex"), ("($i) = 1", "Acme")] {
+        let plan = serve(cond, name);
+        assert!(plan.starts_with("-- plan: planned"), "{}", plan);
     }
     let s = e.plan_cache().stats();
-    assert_eq!((s.hits, s.misses, s.entries), (1, 4, 1));
+    assert_eq!((s.hits, s.misses, s.entries), (1, 5, 2));
 }
 
 #[test]
@@ -1455,3 +1545,4 @@ fn order_by_sorts_ints_and_floats_beyond_2_pow_53_exactly() {
     assert!(got.windows(2).all(|w| w[0] <= w[1]), "out of order: {}", &out[..400]);
     assert_eq!((got[0], got[1999]), (p53, p53 + 15));
 }
+

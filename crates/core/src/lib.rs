@@ -62,7 +62,7 @@ pub use engine::{
 };
 pub use nimble_algebra::LineageMask;
 pub use nimble_trace::{Phases, ServeReport, SourceCalls, Stage};
-pub use plan_cache::{PlanCache, PlanCacheStats, PlanStamp, Prepared};
+pub use plan_cache::{Observed, PlanCache, PlanCacheStats, PlanStamp, Prepared, Took};
 pub use error::CoreError;
 
 #[cfg(test)]

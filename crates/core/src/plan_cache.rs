@@ -21,6 +21,11 @@
 //! material statistics drift changes the stamp and the stale entry is
 //! dropped on its next lookup.
 //!
+//! An entry also keeps what its plan's serves observed of their units'
+//! fetch times ([`Observed`]): a fetch round, and a sharded unit's
+//! Exchange gather, are priced by them (DESIGN.md §16), and the plan
+//! itself is never written.
+//!
 //! The cached object is a *template*: the engine still fetches sources,
 //! assembles fresh operators, and executes per query — only the parse,
 //! the analysis and the planner work are skipped (plus the planck
@@ -32,7 +37,9 @@ use crate::planner::Plan;
 use nimble_trace::sync::Mutex;
 use nimble_xmlql::Query;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A query ready to serve with any values of its equality parameters:
 /// its plan and the query it was planned from, with what a serve reads
@@ -49,6 +56,8 @@ pub struct Prepared {
     /// The collections and views the query reads, nested subqueries
     /// included, each once: the workload monitor charges them.
     pub names: Vec<String>,
+    /// What the plan's serves observed its units take.
+    pub observed: Observed,
 }
 
 impl Prepared {
@@ -56,9 +65,76 @@ impl Prepared {
         Prepared {
             streams: !crate::construct::template_has_subquery(&query.construct),
             names: crate::catalog::referenced_names(&query).into_iter().map(str::to_string).collect(),
+            observed: Observed::new(&plan),
             plan,
             query,
         }
+    }
+}
+
+/// The time each of a plan's independent units takes — its fetch, and
+/// for a sharded unit each shard's gather too — as its serves observed
+/// it, which a later serve expects of it. A unit not yet served has
+/// none, and a round holding it goes to the pool
+/// ([`nimble_algebra::par_tasks`]).
+#[derive(Debug, Default)]
+pub struct Observed {
+    units: Vec<Took>,
+    /// Per unit, its shards' gather times by shard number; empty for an
+    /// unsharded unit.
+    shards: Vec<Vec<Took>>,
+}
+
+impl Observed {
+    fn new(plan: &Plan) -> Observed {
+        let n = plan.independents.len();
+        let shards = (0..n)
+            .map(|i| {
+                let count = crate::engine::shard_plan_for(plan, i).map_or(0, |sp| sp.shards);
+                (0..count).map(|_| Took::default()).collect()
+            })
+            .collect();
+        Observed {
+            units: (0..n).map(|_| Took::default()).collect(),
+            shards,
+        }
+    }
+
+    /// Unit `i`'s fetch.
+    pub fn unit(&self, i: usize) -> Option<&Took> {
+        self.units.get(i)
+    }
+
+    /// Unit `i`'s shards' gathers, by shard number.
+    pub fn shards(&self, i: usize) -> &[Took] {
+        self.shards.get(i).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// One observed time: what a unit's fetch or a shard's gather takes, a
+/// running mean of its serves that weighs the newest a quarter — one
+/// fast or slow serve moves it, and does not make it.
+#[derive(Debug, Default)]
+pub struct Took(AtomicU64);
+
+impl Took {
+    /// The time expected, once one was observed.
+    pub fn get(&self) -> Option<Duration> {
+        match self.0.load(Ordering::Relaxed) {
+            0 => None,
+            ns => Some(Duration::from_nanos(ns)),
+        }
+    }
+
+    /// Fold in what one serve took. Two serves at once may each fold
+    /// into the same old mean; either result is a fair price.
+    pub fn note(&self, took: Duration) {
+        let ns = took.as_nanos();
+        let mean = match self.0.load(Ordering::Relaxed) {
+            0 => ns,
+            mean => (3 * mean as u128 + ns) / 4,
+        };
+        self.0.store(mean.clamp(1, u64::MAX as u128) as u64, Ordering::Relaxed);
     }
 }
 
@@ -194,6 +270,12 @@ impl PlanCache {
             },
         );
         evicted
+    }
+
+    /// Every entry, in no order.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> Vec<Arc<Prepared>> {
+        self.inner.lock().entries.values().map(|e| Arc::clone(&e.value)).collect()
     }
 
     /// Drop every entry.

@@ -71,5 +71,5 @@ pub use hist::{Histogram, HistogramSnapshot};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use prom::prometheus_text;
 pub use querylog::QueryLog;
-pub use report::{Phases, ServeReport, SourceCalls, Stage};
+pub use report::{Phases, RoundFork, ServeReport, SourceCalls, Stage};
 pub use span::SpanView;

@@ -22,6 +22,7 @@ use crate::export::{json_escape, json_num};
 use std::fmt::{self, Write as _};
 use std::ops::Deref;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// A serve's stages, in the order they run. A plan-cache hit runs no
 /// `Parse`/`Analyze` of its own: its `Plan` stage is everything between
@@ -155,6 +156,46 @@ impl fmt::Display for SourceCalls {
     }
 }
 
+/// How one round of two or more independent tasks ran — a fetch round's
+/// units, or an Exchange gather's shards — and what it was priced at:
+/// on the task pool, or inline on the serving thread.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RoundFork {
+    /// `fetch` or `gather`.
+    pub site: &'static str,
+    pub tasks: usize,
+    pub pooled: bool,
+    /// The tasks' expected total and largest time, when every task's was
+    /// known.
+    pub expected: Option<(Duration, Duration)>,
+    /// The pool's wake-up the round was priced against, when a pool
+    /// could take it (none on one core, or for a round nested in a pool
+    /// task) and had measured one.
+    pub wake: Option<Duration>,
+}
+
+impl fmt::Display for RoundFork {
+    /// EXPLAIN ANALYZE's line: `round: fetch 2 units inline, expected 4.2
+    /// µs (1.9 beside the largest) against a 30.5 µs wake-up`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let us = |d: Duration| d.as_secs_f64() * 1e6;
+        let unit = if self.site == "gather" { "shards" } else { "units" };
+        let way = if self.pooled { "pooled" } else { "inline" };
+        write!(f, "round: {} {} {} {}, ", self.site, self.tasks, unit, way)?;
+        match (self.expected, self.wake) {
+            (None, _) => f.write_str("cost unknown"),
+            (Some((total, largest)), wake) => {
+                write!(f, "expected {:.1} µs ({:.1} beside the largest)", us(total), us(total - largest))?;
+                match (wake, self.pooled) {
+                    (Some(wake), _) => write!(f, " against a {:.1} µs wake-up", us(wake)),
+                    (None, true) => f.write_str(", no wake-up measured yet"),
+                    (None, false) => f.write_str(", no pool to take it"),
+                }
+            }
+        }
+    }
+}
+
 /// Everything recorded about one serve. See the module docs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeReport {
@@ -212,6 +253,9 @@ pub struct ServeReport {
     /// That operator's Q-error, `max(est/act, act/est)` — 1.0 is a
     /// perfect estimate; 0 when no scoring ran.
     pub worst_qerror: f64,
+    /// Each round of two or more tasks the serve ran, in the order they
+    /// ran: on the pool or inline.
+    pub rounds: Vec<RoundFork>,
 }
 
 impl ServeReport {
@@ -281,12 +325,14 @@ impl ServeReport {
         );
         let spans: Vec<String> = self.spans.iter().map(span_json).collect();
         let calls: Vec<String> = self.source_calls.iter().map(source_call_json).collect();
+        let rounds: Vec<String> = self.rounds.iter().map(round_json).collect();
         let _ = write!(
             out,
-            "\"spans\":[{}],\"source_calls\":[{}],\"resource\":{{\"alloc_bytes\":{},\
+            "\"spans\":[{}],\"source_calls\":[{}],\"rounds\":[{}],\"resource\":{{\"alloc_bytes\":{},\
              \"alloc_peak_bytes\":{},\"worst_qerror_op\":{},\"worst_qerror\":{}}}}}",
             spans.join(","),
             calls.join(","),
+            rounds.join(","),
             self.alloc_bytes,
             self.alloc_peak_bytes,
             json_opt(self.worst_qerror_op.as_deref()),
@@ -308,6 +354,19 @@ fn span_json(s: &SpanView) -> String {
         s.depth,
         json_num(s.start_ms),
         json_num(s.ms),
+    )
+}
+
+fn round_json(r: &RoundFork) -> String {
+    let us = |d: Option<Duration>| d.map_or_else(|| "null".to_string(), |d| json_num(d.as_secs_f64() * 1e6));
+    format!(
+        "{{\"site\":\"{}\",\"tasks\":{},\"pooled\":{},\"expected_us\":{},\"largest_us\":{},\"wake_us\":{}}}",
+        r.site,
+        r.tasks,
+        r.pooled,
+        us(r.expected.map(|(total, _)| total)),
+        us(r.expected.map(|(_, largest)| largest)),
+        us(r.wake),
     )
 }
 
@@ -387,6 +446,7 @@ mod tests {
     fn the_json_line_carries_summary_and_evidence() {
         let mut r = report(Some("source: crm offline"));
         r.spans = SpanView::tree(r.elapsed_ms, &r.phases);
+        r.rounds = vec![ROUND, RoundFork { pooled: true, expected: None, ..ROUND }];
         let line = r.to_json();
         let parsed: json::Value = json::from_str(&line).expect("one JSON object");
         assert_eq!(parsed["trace_id"], crate::TraceId(9).to_string().as_str());
@@ -398,10 +458,32 @@ mod tests {
         assert_eq!(parsed["resource"]["alloc_bytes"].as_u64(), Some(2048));
         assert!(line.contains("\"affected_answers\":[0,2]"));
         assert!(line.contains("\"worst_qerror_op\":\"hash join\""));
+        let rounds = parsed["rounds"].as_array().expect("the rounds");
+        assert_eq!((rounds[0]["pooled"].as_bool(), rounds[0]["wake_us"].as_f64()), (Some(false), Some(30.0)));
+        assert_eq!((rounds[1]["pooled"].as_bool(), &rounds[1]["expected_us"]), (Some(true), &json::Value::Null));
 
         let summary = report(None).summary().to_json();
         assert!(summary.contains("\"error\":null"));
         assert!(summary.contains("\"plan\":\"\",\"spans\":[],\"source_calls\":[]"));
+    }
+
+    const ROUND: RoundFork = RoundFork {
+        site: "fetch",
+        tasks: 2,
+        pooled: false,
+        expected: Some((Duration::from_micros(4), Duration::from_micros(3))),
+        wake: Some(Duration::from_micros(30)),
+    };
+
+    #[test]
+    fn a_round_prints_its_fork_and_its_price() {
+        assert_eq!(ROUND.to_string(), "round: fetch 2 units inline, expected 4.0 µs (1.0 beside the largest) against a 30.0 µs wake-up");
+        let gather = RoundFork { site: "gather", tasks: 4, pooled: true, expected: None, ..ROUND };
+        assert_eq!(gather.to_string(), "round: gather 4 shards pooled, cost unknown");
+        let unmeasured = RoundFork { pooled: true, wake: None, ..ROUND };
+        assert!(unmeasured.to_string().ends_with("(1.0 beside the largest), no wake-up measured yet"));
+        let nested = RoundFork { wake: None, ..ROUND };
+        assert!(nested.to_string().ends_with(", no pool to take it"));
     }
 
     #[test]

@@ -107,11 +107,12 @@ pub fn parse_keyed(text: &str) -> Result<(Query, Keyed<'_>), ParseError> {
 /// plan-cache hit is found from this alone. The rule is
 /// [`Expr::eq_param`]'s, read off the tokens: a whole condition of the
 /// top-level WHERE clause that is `$v = lit` or `lit = $v`, where `lit`
-/// is one literal token — `-42` is one, `- 42` is two and no parameter.
-/// The values are read as the parser reads them ([`TokenKind::literal`]).
+/// is one literal token — `-42` is one, `- 42` is two and no parameter —
+/// alone or wrapped whole in parentheses, `(($i = 42))`. The values are
+/// read as the parser reads them ([`TokenKind::literal`]).
 ///
-/// A condition the parser lifts but the tokens spell otherwise (`($i =
-/// 42)`, say) stays in the key here, so the two cuts can disagree; the
+/// A condition the parser lifts but the tokens spell otherwise (`($i) =
+/// 42`, say) stays in the key here, so the two cuts can disagree; the
 /// engine caches a plan only under a key both cut alike. Lexing stops at
 /// the clause's end, the first CONSTRUCT: a text whose key a cached one
 /// shares lexes as that one does, so an error only the rest would show
@@ -124,8 +125,8 @@ pub fn lex_keyed(text: &str) -> Result<Keyed<'_>, ParseError> {
     if let Some(Token { kind: TokenKind::Where, .. }) = tokens.next().transpose()? {
         // The top-level WHERE clause runs to the first CONSTRUCT: a
         // nested query stands only in a template, after it.
-        let mut condition: [Option<Token<'_>>; 3] = [None, None, None];
-        let (mut len, mut depth) = (0, 0usize);
+        let mut condition = CutCondition::default();
+        let mut depth = 0usize;
         for token in tokens {
             let token = token?;
             match token.kind {
@@ -135,25 +136,60 @@ pub fn lex_keyed(text: &str) -> Result<Keyed<'_>, ParseError> {
             }
             let end = matches!(token.kind, TokenKind::Construct | TokenKind::Eof);
             if !end && (depth > 0 || token.kind != TokenKind::Comma) {
-                if let Some(slot) = condition.get_mut(len) {
-                    *slot = Some(token);
-                }
-                len += 1;
+                condition.push(token);
                 continue;
             }
-            if let (3, [Some(left), Some(eq), Some(right)]) = (len, &condition) {
-                if let Some((span, value)) = param_literal(left, eq, right) {
-                    key.cut(span, value.atomic_type());
-                    params.push(value);
-                }
+            if let Some((span, value)) = condition.param() {
+                key.cut(span, value.atomic_type());
+                params.push(value);
             }
-            len = 0;
+            condition = CutCondition::default();
             if end {
                 break;
             }
         }
     }
     Ok(Keyed { key: key.finish(), params })
+}
+
+/// A top-level condition as [`lex_keyed`] reads it, token by token: a
+/// parameter's is three tokens, wrapped in as many `(` before them as
+/// `)` after.
+#[derive(Default)]
+struct CutCondition<'a> {
+    /// The `(` before any other token.
+    open: usize,
+    /// The first three tokens after those.
+    core: [Option<Token<'a>>; 3],
+    len: usize,
+    /// The `)` after those three.
+    close: usize,
+    /// A token past that shape.
+    other: bool,
+}
+
+impl<'a> CutCondition<'a> {
+    fn push(&mut self, token: Token<'a>) {
+        match (&token.kind, self.len) {
+            (TokenKind::LParen, 0) => self.open += 1,
+            (TokenKind::RParen, 3) => self.close += 1,
+            (_, len) if len < 3 => {
+                self.core[len] = Some(token);
+                self.len += 1;
+            }
+            _ => self.other = true,
+        }
+    }
+
+    /// The span and value of the condition's parameter, if it is one.
+    fn param(&self) -> Option<(Range<usize>, Atomic)> {
+        match &self.core {
+            [Some(left), Some(eq), Some(right)] if !self.other && self.open == self.close => {
+                param_literal(left, eq, right)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// The span and value of the literal of a condition spelled `$v = lit`
@@ -1142,12 +1178,35 @@ mod tests {
     }
 
     #[test]
+    fn a_condition_wrapped_whole_in_parentheses_is_cut_alike() {
+        let cases = [
+            ("($i = 42)", "($i = ?int)"),
+            ("(( 42 = $i ))", "(( ?int = $i ))"),
+            ("($n = 'x'), ($i = -7)", "($n = ?str), ($i = ?int)"),
+        ];
+        for (cond, key) in cases {
+            let (got, params) = lexed(&LOOKUP.replace("COND", cond));
+            assert_eq!(got, LOOKUP.replace("COND", key), "{}", cond);
+            assert_eq!(params.len(), key.matches('?').count(), "{}", cond);
+        }
+        // Parentheses that wrap more than the condition keep it whole.
+        for cond in ["($i = 4) AND ($n = 5)", "($i = 4 AND $n = 5)", "NOT ($i = 3)"] {
+            let text = LOOKUP.replace("COND", cond);
+            assert_eq!(lexed(&text), (text.clone(), vec![]), "{}", cond);
+        }
+    }
+
+    #[test]
     fn the_two_cuts_differ_only_where_the_parser_sees_through_parentheses() {
-        let text = LOOKUP.replace("COND", "($i = 42)");
-        let lexed = lex_keyed(&text).unwrap();
-        let (_, parsed) = parse_keyed(&text).unwrap();
-        assert_eq!((lexed.key.as_ref(), lexed.params.len()), (text.as_str(), 0));
-        assert_eq!(parsed.key, LOOKUP.replace("COND", "($i = ?int)"));
+        // The parser lifts a parenthesized operand; the lexer's cut reads
+        // a parameter's three tokens only bare or wrapped whole.
+        for (cond, parsed_key) in [("($i) = 42", "($i) = ?int"), ("$i = (42)", "$i = (?int)")] {
+            let text = LOOKUP.replace("COND", cond);
+            let lexed = lex_keyed(&text).unwrap();
+            let (_, parsed) = parse_keyed(&text).unwrap();
+            assert_eq!((lexed.key.as_ref(), lexed.params.len()), (text.as_str(), 0));
+            assert_eq!(parsed.key, LOOKUP.replace("COND", parsed_key));
+        }
         // Neither cut reads what does not lex.
         assert_eq!(lex_keyed("WHERE $i = ?int").unwrap_err(), parse_keyed("WHERE $i = ?int").unwrap_err());
     }

@@ -252,6 +252,35 @@ fn a_cached_shape_hit_copies_no_plan() {
 /// Blocks a hit of [`a_cached_shape_hit_copies_no_plan`] allocates.
 const HIT_BLOCKS: u64 = 75;
 
+/// A lookup of customer `k` whose template nests a subquery, with a
+/// template `width` elements wide.
+fn nested_lookup(k: i64, width: usize) -> String {
+    format!(
+        r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers", $i = {}
+CONSTRUCT <c>{{ WHERE <row><name>$m</name></row> IN "customers", $m = $n CONSTRUCT <m>{}</m> }}</c>"#,
+        k,
+        "<x>$m</x>".repeat(width)
+    )
+}
+
+#[test]
+fn a_wide_template_lexes_into_one_block() {
+    if !enabled() {
+        return;
+    }
+    // `<x>$m</x>` is 7 tokens in 9 bytes: a vector sized for fewer
+    // tokens than bytes grows while the wide text is lexed.
+    let blocks = |width: usize| {
+        let text = nested_lookup(1000, width);
+        let scope = AllocScope::enter();
+        let tokens = nimble::xmlql::lexer::tokenize(&text).unwrap().len();
+        (tokens, scope.finish().allocs)
+    };
+    let ((narrow_tokens, narrow), (wide_tokens, wide)) = (blocks(1), blocks(400));
+    assert!(wide_tokens >= narrow_tokens + 7 * 399, "{} tokens against {}", wide_tokens, narrow_tokens);
+    assert_eq!((narrow, wide), (1, 1), "blocks to lex the narrow and the wide text");
+}
+
 #[test]
 fn a_hit_neither_parses_nor_analyzes() {
     if !enabled() {
@@ -262,14 +291,7 @@ fn a_hit_neither_parses_nor_analyzes() {
     // 1000).
     // Parsing the wide text builds 400 elements more, and analyzing it
     // walks them; a hit of either allocates alike, so it did neither.
-    let text = |k: i64, width: usize| {
-        format!(
-            r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers", $i = {}
-CONSTRUCT <c>{{ WHERE <row><name>$m</name></row> IN "customers", $m = $n CONSTRUCT <m>{}</m> }}</c>"#,
-            k,
-            "<x>$m</x>".repeat(width)
-        )
-    };
+    let text = nested_lookup;
     let blocks = |what: &dyn Fn() -> usize| {
         let scope = AllocScope::enter();
         let got = what();
