@@ -5,7 +5,6 @@ use crate::funcs::FunctionRegistry;
 use nimble_xml::atomic::{cmp, cmp_read};
 use nimble_xml::{Atomic, OrderKey, Path, Value};
 use std::borrow::Cow;
-use std::sync::Arc;
 
 /// The value type carried by [`ScalarExpr::Lit`], re-exported so crates
 /// that link only `nimble-algebra` (the static analyzer) can name it.
@@ -428,11 +427,6 @@ fn arith(op: ArithOp, l: &Atomic, r: &Atomic) -> Result<Atomic, ExecError> {
         }
     };
     Ok(Atomic::Float(v))
-}
-
-/// Convenience: a registry wrapped for sharing across operators.
-pub fn shared_registry() -> Arc<FunctionRegistry> {
-    Arc::new(FunctionRegistry::with_builtins())
 }
 
 #[cfg(test)]

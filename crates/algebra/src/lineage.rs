@@ -137,8 +137,8 @@ impl LineageMask {
     }
 }
 
-/// Number of distinct spilled sets interned so far (an `engine.
-/// provenance.spilled_sets` gauge feed; 0 in every sane workload).
+/// Number of distinct spilled sets interned so far (0 in every sane
+/// workload).
 pub fn spilled_sets() -> usize {
     registry()
         .lock()

@@ -8,10 +8,10 @@
 //! plan. Times are *inclusive* — a parent's `next()` time contains its
 //! children's, as in every EXPLAIN ANALYZE.
 //!
-//! The planner inserts these wrappers around every node it assembles
-//! when `EngineConfig::profile` is on (or `Engine::explain_analyze`
-//! forces it); with profiling off, plans carry no wrappers and pay no
-//! per-tuple cost.
+//! The engine inserts these wrappers around every node it assembles
+//! for a profiled serve (`Engine::query_profiled`,
+//! `Engine::explain_analyze`); any other serve's plan carries no
+//! wrappers and pays no per-tuple cost.
 
 use super::{BoxedOp, Operator};
 use crate::error::ExecError;

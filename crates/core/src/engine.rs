@@ -13,7 +13,7 @@ use nimble_algebra::ops::{
 };
 use nimble_planck::{Fingerprint, RewriteRecord};
 use nimble_algebra::{
-    explain as explain_ops, explain_analyze as explain_analyze_ops, lineage, par_tasks,
+    explain as explain_ops, explain_analyze as explain_analyze_ops, par_tasks,
     run_to_vec, run_to_vec_batched, Costs, ExecError, FunctionRegistry, LineageMask, LiteralTest, ScalarExpr, Schema,
     Tuple,
 };
@@ -138,20 +138,10 @@ pub struct EngineConfig {
     /// Node budget of the stale-fragment cache (the
     /// [`UnavailablePolicy::StaleCache`] fallback). 0 disables it.
     pub cache_nodes: usize,
-    /// Wrap every physical operator in a [`MeteredOp`] so EXPLAIN
-    /// ANALYZE annotations (actual rows, open/next time) are collected
-    /// for every query. Off by default: plans then carry no wrappers
-    /// and pay no per-tuple cost. `Engine::explain_analyze` profiles a
-    /// single query regardless of this switch.
-    pub profile: bool,
     /// Queries at or above this wall time enter the slow-query capture
     /// of the engine's query log. The flight recorder uses the same
     /// threshold for its keep decision.
     pub slow_query_ms: f64,
-    /// Flight-recorder ring capacity: how many slow/partial/failed
-    /// queries retain their full evidence (span tree, plan, source
-    /// calls).
-    pub flight_capacity: usize,
     /// Compiled-plan cache capacity (distinct query shapes: texts that
     /// differ only in their equality parameters share one). Repeated
     /// shapes skip analyze/plan/planck-verify while the catalog epoch,
@@ -166,9 +156,7 @@ impl Default for EngineConfig {
             optimizer: OptimizerConfig::default(),
             unavailable: UnavailablePolicy::Fail,
             cache_nodes: 200_000,
-            profile: false,
             slow_query_ms: 100.0,
-            flight_capacity: 64,
             plan_cache_capacity: 128,
         }
     }
@@ -361,22 +349,6 @@ impl SourceMetrics {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    fn call(&self) {
-        self.count(&self.calls, "source.calls.");
-    }
-
-    fn error(&self) {
-        self.count(&self.errors, "source.errors.");
-    }
-
-    fn failure(&self) {
-        self.count(&self.failures, "source.failures.");
-    }
-
-    fn stale_served(&self) {
-        self.count(&self.stale_served, "source.stale_served.");
-    }
-
     fn latency(&self, call_ms: f64) {
         self.latency_us
             .get_or_init(|| self.registry.histogram(&format!("source.latency_us.{}", self.source)))
@@ -391,12 +363,10 @@ struct ServeMetrics {
     registry: Arc<MetricsRegistry>,
     counters: [OnceLock<Arc<AtomicU64>>; 8],
     histograms: [OnceLock<Arc<Histogram>>; 3],
-    /// `engine.in_flight`, a max-gauge.
-    in_flight: OnceLock<Arc<AtomicU64>>,
     /// `engine.phase_us.*`, by [`Stage`].
     phase_us: [OnceLock<Arc<Histogram>>; 6],
-    /// `engine.phase_alloc.{bytes, allocs, peak}.*`, by [`Stage`].
-    phase_alloc: [[OnceLock<Arc<Histogram>>; 3]; 6],
+    /// `engine.phase_alloc.bytes.*`, by [`Stage`].
+    phase_alloc: [OnceLock<Arc<Histogram>>; 6],
 }
 
 /// A counter of [`ServeMetrics`].
@@ -426,7 +396,6 @@ impl ServeMetrics {
             registry,
             counters: Default::default(),
             histograms: Default::default(),
-            in_flight: Default::default(),
             phase_us: Default::default(),
             phase_alloc: Default::default(),
         }
@@ -457,14 +426,6 @@ impl ServeMetrics {
         self.histograms[hist as usize].get_or_init(|| self.registry.histogram(name)).record(v);
     }
 
-    /// Raise the in-flight max-gauge to at least `v`.
-    fn peak_in_flight(&self, v: u64) {
-        let gauge = self.in_flight.get_or_init(|| self.registry.gauge("engine.in_flight"));
-        if v > gauge.load(Ordering::Relaxed) {
-            gauge.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
     fn stage<'a>(&self, cell: &'a OnceLock<Arc<Histogram>>, family: &str, stage: Stage) -> &'a Histogram {
         cell.get_or_init(|| self.registry.histogram(&format!("{}{}", family, stage)))
     }
@@ -484,16 +445,13 @@ impl ServeMetrics {
         self.registry.incr(&format!("engine.query.error.{}", kind), 1);
     }
 
-    /// One stage's allocations. A no-op when the `profile-alloc` feature
-    /// is compiled out, so its histograms never exist there.
+    /// The bytes one stage allocated. A no-op when the `profile-alloc`
+    /// feature is compiled out, so its histograms never exist there.
     fn stage_alloc(&self, stage: Stage, stats: AllocStats) {
-        if !nimble_trace::alloc::enabled() {
-            return;
+        if nimble_trace::alloc::enabled() {
+            let cell = &self.phase_alloc[stage as usize];
+            self.stage(cell, "engine.phase_alloc.bytes.", stage).record(stats.bytes);
         }
-        let [bytes, allocs, peak] = &self.phase_alloc[stage as usize];
-        self.stage(bytes, "engine.phase_alloc.bytes.", stage).record(stats.bytes);
-        self.stage(allocs, "engine.phase_alloc.allocs.", stage).record(stats.allocs);
-        self.stage(peak, "engine.phase_alloc.peak.", stage).record(stats.peak_bytes);
     }
 }
 
@@ -534,6 +492,9 @@ const DIFFERENTIAL_SAMPLE: u64 = 16;
 const QUERY_LOG_CAPACITY: usize = 256;
 /// Slowest-query entries retained past ring eviction.
 const SLOW_QUERY_CAPACITY: usize = 32;
+/// Flight-recorder ring capacity: how many slow, partial or failed
+/// serves keep their whole evidence (span tree, plan, source calls).
+const FLIGHT_CAPACITY: usize = 64;
 
 /// A query ready to execute: what [`Engine::compile`] makes of a text.
 /// The prepared plan is served with `params`, the text's own values of
@@ -750,7 +711,7 @@ impl Engine {
         Engine {
             instance: instance.into(),
             serve_metrics: ServeMetrics::new(Arc::clone(&metrics)),
-            flight: FlightRecorder::new(config.flight_capacity, config.slow_query_ms),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY, config.slow_query_ms),
             plans: PlanCache::new(config.plan_cache_capacity),
             differential_seq: AtomicU64::new(0),
             shards: RwLock::new(None),
@@ -922,8 +883,8 @@ impl Engine {
         self.serve_result(text, Sink::Tree { profile: false }, None)
     }
 
-    /// Answer a query with per-operator profiling forced on for this one
-    /// execution, regardless of `EngineConfig::profile`.
+    /// Answer a query with every operator metered for this one
+    /// execution (EXPLAIN ANALYZE's actual rows and times).
     pub fn query_profiled(&self, text: &str) -> Result<QueryResult, CoreError> {
         self.serve_result(text, Sink::Tree { profile: true }, None)
     }
@@ -982,12 +943,11 @@ impl Engine {
     fn serve(&self, text: &str, sink: Sink, given: Option<Plan>) -> Result<(Answer, Option<ServeReport>), CoreError> {
         let qctx = QueryCtx::new(Arc::clone(&self.instance));
         let _ctx_guard = qctx.enter();
-        let in_flight = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.serve_metrics.peak_in_flight(in_flight);
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
         let config = self.config();
         let report = ServeReport::new(qctx.trace_id.0, &self.instance, text);
         let mut ctx = ExecCtx::serving(report, qctx.started);
-        ctx.profile = config.profile || sink == Sink::Tree { profile: true };
+        ctx.profile = sink == Sink::Tree { profile: true };
         ctx.want_plan_text = sink != Sink::Xml;
         let served = self.serve_stages(text, &config, sink, given, &mut ctx);
         self.record(ctx, &qctx, served, sink)
@@ -1089,9 +1049,6 @@ impl Engine {
                 );
             }
         }
-        self.metrics
-            .gauge("engine.provenance.spilled_sets")
-            .store(lineage::spilled_sets() as u64, Ordering::Relaxed);
         prov
     }
 
@@ -1315,8 +1272,8 @@ impl Engine {
         let prepared = Arc::new(Prepared::new(plan, query));
         // A hit finds its values where the lexer finds them: only a text
         // the lexer cuts as the parser does may be found that way.
-        if keyed == lexed && self.plans.put(key_of(&prepared.plan), stamp, Arc::clone(&prepared)) {
-            self.metrics.incr("engine.plan_cache.evictions", 1);
+        if keyed == lexed {
+            self.plans.put(key_of(&prepared.plan), stamp, Arc::clone(&prepared));
         }
         Ok(Compiled {
             prepared,
@@ -1981,7 +1938,6 @@ impl Engine {
         if self.catalog.stats().observe_rows(key, rows) {
             self.metrics.incr("stats.invalidations", 1);
         }
-        self.metrics.incr("stats.feedback", 1);
         self.export_stats_activity();
     }
 
@@ -2166,30 +2122,15 @@ impl Engine {
                     .catalog
                     .source(source)
                     .ok_or_else(|| CoreError::UnknownCollection(source.clone()))?;
-                let fragment_prov = || {
-                    track.then(|| ProvSource {
-                        name: source.clone(),
-                        detail: "fragment".to_string(),
-                        stale: false,
-                        cache_age_ms: None,
-                        view: false,
-                    })
-                };
+                let unit = Unit::Fragment;
                 let keyed = bind.filter(|(_, keys)| keys.send);
                 if keyed.is_some_and(|(_, keys)| keys.keys.is_empty()) {
                     // A healthy driver bound no key, so the inner join
                     // is empty whatever this source holds: it is not
                     // asked (and never sent `IN ()`).
-                    return Ok(Fetched::fresh(
-                        vars.clone(),
-                        Vec::new(),
-                        FetchProv::from_opt(fragment_prov()),
-                    ));
+                    return Ok(Fetched::fresh(vars.clone(), Vec::new(), unit.prov(track, source)));
                 }
-                ctx.report.source_calls.count += 1;
                 ctx.report.fragments_pushed += 1;
-                let metrics = self.source_metrics(source);
-                metrics.call();
                 // What this serve sends: the plan's fragment with this
                 // serve's values, and the bind stage's keys when it has
                 // them. The stale cache is keyed by what is sent, so that
@@ -2218,83 +2159,46 @@ impl Engine {
                     }
                     None => query,
                 };
-                let kind = keyed.map(|(_, keys)| format!("execute bind={}", keys.keys.len()));
-                let kind = kind.as_deref().unwrap_or("execute");
-                let calls_before = QueryCtx::current().map(|c| c.calls_len());
-                let t_call = Instant::now();
-                let outcome = adapter.execute(&query);
-                let call_ms = ms_since(t_call);
-                metrics.latency(call_ms);
-                match outcome {
-                    Ok(doc) => {
-                        // A floored answer is a refresh's, and no one reads
-                        // it back: a refresh takes no stale answer, and
-                        // its floor is in the key, out of every query's
-                        // reach.
-                        if config.cache_nodes > 0 && query.after_row.is_none() {
-                            self.cache.put(cache_keys[0], Arc::clone(&doc));
-                        }
-                        let tuples = fragment_tuples(&doc, vars);
-                        if let Some(mark) = Watermark::of(&doc) {
-                            let collection = &query.collections[0].collection;
-                            ctx.marks.push((format!("{}.{}", source, collection), mark));
-                        }
-                        // Only an unfiltered single-collection fragment
-                        // observes the collection's true cardinality.
-                        if query.limit.is_none()
-                            && query.selections.is_empty()
-                            && query.key_sets.is_empty()
-                            && query.after_row.unwrap_or(0) == 0
-                            && query.collections.len() == 1
-                        {
-                            self.note_stats_rows(
-                                &format!("{}.{}", source, query.collections[0].collection),
-                                tuples.len() as u64,
-                            );
-                        }
-                        note_source_call(
-                            calls_before,
-                            source,
-                            kind,
-                            true,
-                            call_ms,
+                let kind = || match keyed {
+                    Some((_, keys)) => format!("execute bind={}", keys.keys.len()),
+                    None => "execute".to_string(),
+                };
+                let to_tuples = |doc: &Arc<Document>| fragment_tuples(doc, vars);
+                let fallback = Fallback {
+                    cache_keys: &cache_keys,
+                    unit,
+                    vars,
+                    track,
+                    to_tuples: &to_tuples,
+                };
+                let call = || Ok(adapter.execute(&query)?);
+                self.call_source(source, kind, fallback, ctx, call, |doc, ctx| {
+                    // A floored answer is a refresh's, and no one reads
+                    // it back: a refresh takes no stale answer, and its
+                    // floor is in the key, out of every query's reach.
+                    if config.cache_nodes > 0 && query.after_row.is_none() {
+                        self.cache.put(cache_keys[0], Arc::clone(&doc));
+                    }
+                    let tuples = to_tuples(&doc);
+                    if let Some(mark) = Watermark::of(&doc) {
+                        let collection = &query.collections[0].collection;
+                        ctx.marks.push((format!("{}.{}", source, collection), mark));
+                    }
+                    // Only an unfiltered single-collection fragment
+                    // observes the collection's true cardinality.
+                    if query.limit.is_none()
+                        && query.selections.is_empty()
+                        && query.key_sets.is_empty()
+                        && query.after_row.unwrap_or(0) == 0
+                        && query.collections.len() == 1
+                    {
+                        self.note_stats_rows(
+                            &format!("{}.{}", source, query.collections[0].collection),
                             tuples.len() as u64,
-                            None,
                         );
-                        Ok(Fetched::fresh(
-                            vars.clone(),
-                            tuples,
-                            FetchProv::from_opt(fragment_prov()),
-                        ))
                     }
-                    Err(e) if e.is_unavailable() => {
-                        note_source_call(
-                            calls_before,
-                            source,
-                            kind,
-                            false,
-                            call_ms,
-                            0,
-                            Some(e.to_string()),
-                        );
-                        self.handle_unavailable(source, &cache_keys, "fragment", vars, e, ctx, track, &|doc| {
-                            fragment_tuples(doc, vars)
-                        })
-                    }
-                    Err(e) => {
-                        metrics.error();
-                        note_source_call(
-                            calls_before,
-                            source,
-                            kind,
-                            false,
-                            call_ms,
-                            0,
-                            Some(e.to_string()),
-                        );
-                        Err(CoreError::Source(e))
-                    }
-                }
+                    (Fetched::fresh(vars.clone(), tuples, unit.prov(track, source)), None)
+                })
             }
             AtomExec::FetchMatch {
                 source,
@@ -2310,82 +2214,31 @@ impl Engine {
                     .catalog
                     .source(source)
                     .ok_or_else(|| CoreError::UnknownCollection(source.clone()))?;
-                ctx.report.source_calls.count += 1;
-                let metrics = self.source_metrics(source);
-                metrics.call();
                 let key = format!("coll:{}:{}", source, collection);
-                let calls_before = QueryCtx::current().map(|c| c.calls_len());
-                let t_call = Instant::now();
-                let outcome = adapter.fetch_collection(collection);
-                let call_ms = ms_since(t_call);
-                metrics.latency(call_ms);
-                let doc = match outcome {
-                    Ok(doc) => {
-                        if config.cache_nodes > 0 {
-                            self.cache.put(&key, Arc::clone(&doc));
-                        }
-                        doc
-                    }
-                    Err(e) if e.is_unavailable() => {
-                        note_source_call(
-                            calls_before,
-                            source,
-                            "fetch",
-                            false,
-                            call_ms,
-                            0,
-                            Some(e.to_string()),
-                        );
-                        return self.handle_unavailable(
-                            source,
-                            &[&key],
-                            &format!("collection:{}", collection),
-                            vars,
-                            e,
-                            ctx,
-                            track,
-                            &|doc| match_tuples(doc, pattern, vars, None),
-                        );
-                    }
-                    Err(e) => {
-                        metrics.error();
-                        note_source_call(
-                            calls_before,
-                            source,
-                            "fetch",
-                            false,
-                            call_ms,
-                            0,
-                            Some(e.to_string()),
-                        );
-                        return Err(CoreError::Source(e));
-                    }
+                let unit = Unit::Collection(collection);
+                let fallback = Fallback {
+                    cache_keys: &[&key],
+                    unit,
+                    vars,
+                    track,
+                    to_tuples: &|doc| match_tuples(doc, pattern, vars, None),
                 };
-                let mut filter = self.candidate_filter(bound, i);
-                let tuples = match_tuples(&doc, pattern, vars, Some(&mut filter));
-                // Row count = the collection's top-level elements (the
-                // same measure sampling seeds), not pattern matches.
-                self.note_stats_rows(
-                    &format!("{}.{}", source, collection),
-                    doc.root_cursor().child_element_count() as u64,
-                );
-                note_source_call(
-                    calls_before,
-                    source,
-                    "fetch",
-                    true,
-                    call_ms,
-                    tuples.len() as u64,
-                    None,
-                );
-                let prov = track.then(|| ProvSource {
-                    name: source.clone(),
-                    detail: format!("collection:{}", collection),
-                    stale: false,
-                    cache_age_ms: None,
-                    view: false,
-                });
-                Ok(Fetched::fresh(vars.clone(), tuples, FetchProv::from_opt(prov)).probed(self.note_probed(&filter)))
+                let call = || Ok(adapter.fetch_collection(collection)?);
+                self.call_source(source, || "fetch".to_string(), fallback, ctx, call, |doc, _| {
+                    if config.cache_nodes > 0 {
+                        self.cache.put(&key, Arc::clone(&doc));
+                    }
+                    let mut filter = self.candidate_filter(bound, i);
+                    let tuples = match_tuples(&doc, pattern, vars, Some(&mut filter));
+                    // Row count = the collection's top-level elements (the
+                    // same measure sampling seeds), not pattern matches.
+                    self.note_stats_rows(
+                        &format!("{}.{}", source, collection),
+                        doc.root_cursor().child_element_count() as u64,
+                    );
+                    let fetched = Fetched::fresh(vars.clone(), tuples, unit.prov(track, source));
+                    (fetched.probed(self.note_probed(&filter)), None)
+                })
             }
             AtomExec::ViewMatch {
                 view,
@@ -2453,9 +2306,11 @@ impl Engine {
     /// restore original document order from the hidden origin column,
     /// so the answer is byte-identical to the unsharded scan's.
     ///
-    /// A dead or failing shard degrades by policy exactly like a dead
-    /// source: `Fail` aborts (the exchange gathers fail-fast), otherwise
-    /// the shard is skipped and annotated as `{source}#shard{k}` in
+    /// The gather is one source call ([`Engine::call_source`]): one
+    /// count, and one failure however many shards it lost. A dead or
+    /// failing shard degrades by policy exactly like a dead source:
+    /// `Fail` aborts (the exchange gathers fail-fast), otherwise the
+    /// shard is skipped and annotated as `{source}#shard{k}` in
     /// `missing_sources` and — under tracking — as a missing provenance
     /// unit (`StaleCache` keeps no per-shard cache, so for shards it
     /// degrades to skip-and-annotate).
@@ -2503,9 +2358,6 @@ impl Engine {
         }
         self.metrics
             .incr("engine.shard.fanout", sp.survivors.len() as u64);
-        ctx.report.source_calls.count += 1;
-        let metrics = self.source_metrics(source);
-        metrics.call();
 
         // One lazy child per surviving shard: the producer runs at
         // exchange-gather time (on a pool worker when one exists) and
@@ -2542,168 +2394,204 @@ impl Engine {
             )));
             labels.push(label);
         }
-        let calls_before = QueryCtx::current().map(|c| c.calls_len());
-        let t_call = Instant::now();
         let expected = sp.survivors.iter().map(|&k| took.get(k).and_then(Took::get)).collect();
         let mut exchange = ExchangeOp::new(children, labels)
             .map_err(CoreError::from)?
             .fail_fast(config.unavailable == UnavailablePolicy::Fail)
             .with_costs(expected);
-        exchange.open()?;
-        for (&k, &t) in sp.survivors.iter().zip(exchange.took()) {
-            if let Some(slot) = took.get(k) {
-                slot.note(t);
+        let kind = || {
+            let hits = scan.memo_hits.load(Ordering::Relaxed);
+            format!("fetch-sharded memo={}/{}", hits, sp.survivors.len())
+        };
+        let unit = Unit::Collection(collection);
+        let fallback = Fallback {
+            cache_keys: &[],
+            unit,
+            vars,
+            track,
+            to_tuples: &|_| Vec::new(),
+        };
+        let gather = || match exchange.open() {
+            Ok(()) => Ok(exchange),
+            Err(e) => Err(CallError::Unavailable(e.into())),
+        };
+        self.call_source(source, kind, fallback, ctx, gather, |exchange, ctx| {
+            for (&k, &t) in sp.survivors.iter().zip(exchange.took()) {
+                if let Some(slot) = took.get(k) {
+                    slot.note(t);
+                }
             }
-        }
-        if let (Some(fork), true) = (exchange.fork(), sp.survivors.len() > 1) {
-            ctx.report.rounds.push(round_fork("gather", sp.survivors.len(), fork));
-        }
-        let gather = if exchange.gathered_parallel() {
-            "engine.exchange.gather.parallel"
-        } else {
-            "engine.exchange.gather.serial"
-        };
-        // The gather buffered every shard's rows; they move out, not
-        // through `next_batch` (which copies: the exchange stays
-        // readable after a drain).
-        let (gathered, failures) = exchange.into_gathered();
-        let call_ms = ms_since(t_call);
-        metrics.latency(call_ms);
-        self.metrics.incr(gather, 1);
-
-        // Shard attribution: child `i`'s buffer is shard `i`'s rows.
-        // Failed shards degrade to annotated partial answers.
-        for f in &failures {
-            self.metrics.incr("engine.shard.lost", 1);
-            metrics.failure();
-            ctx.miss(&f.label);
-        }
-        let mut rows: Vec<(Tuple, u32)> = gathered
-            .into_iter()
-            .enumerate()
-            .flat_map(|(i, buf)| buf.into_iter().map(move |t| (t, i as u32)))
-            .collect();
-        self.metrics
-            .gauge("engine.shard.memo.values")
-            .store(rt.memo_values() as u64, Ordering::Relaxed);
-        note_source_call(
-            calls_before,
-            source,
-            &format!(
-                "fetch-sharded memo={}/{}",
-                scan.memo_hits.load(Ordering::Relaxed),
-                sp.survivors.len()
-            ),
-            failures.is_empty(),
-            call_ms,
-            rows.len() as u64,
-            failures.first().map(|f| f.error.to_string()),
-        );
-
-        // Restore original document order: stable-sort by the origin
-        // column, the shard attribution riding along, then strip the
-        // column.
-        rows.sort_by_key(|(t, _)| origin_of(t));
-        let mut tuples: Vec<Tuple> = Vec::with_capacity(rows.len());
-        let mut tuple_src: Vec<u32> = Vec::with_capacity(rows.len());
-        for (mut t, s) in rows {
-            t.remove(0);
-            tuples.push(t);
-            tuple_src.push(s);
-        }
-        self.metrics.incr("engine.shard.rows", tuples.len() as u64);
-
-        let prov = if track {
-            let sources: Vec<ProvSource> = sp
-                .survivors
-                .iter()
-                .map(|&k| {
-                    let label = format!("{}#shard{}", source, k);
-                    let lost = failures.iter().any(|f| f.label == label);
-                    ProvSource {
-                        name: label,
-                        detail: if lost {
-                            format!("missing:collection:{}", collection)
-                        } else {
-                            format!("collection:{}", collection)
-                        },
-                        stale: false,
-                        cache_age_ms: None,
-                        view: false,
-                    }
-                })
+            if let (Some(fork), true) = (exchange.fork(), sp.survivors.len() > 1) {
+                ctx.report.rounds.push(round_fork("gather", sp.survivors.len(), fork));
+            }
+            self.metrics.incr(
+                if exchange.gathered_parallel() {
+                    "engine.exchange.gather.parallel"
+                } else {
+                    "engine.exchange.gather.serial"
+                },
+                1,
+            );
+            // The gather buffered every shard's rows; they move out, not
+            // through `next_batch` (which copies: the exchange stays
+            // readable after a drain). Child `i`'s buffer is shard `i`'s
+            // rows.
+            let (gathered, failures) = exchange.into_gathered();
+            for f in &failures {
+                ctx.miss(&f.label);
+            }
+            let mut rows: Vec<(Tuple, u32)> = gathered
+                .into_iter()
+                .enumerate()
+                .flat_map(|(i, buf)| buf.into_iter().map(move |t| (t, i as u32)))
                 .collect();
-            FetchProv::Per { sources, tuple_src }
-        } else {
-            FetchProv::None
-        };
-        Ok(Fetched::fresh(vars.to_vec(), tuples, prov))
+            self.metrics
+                .gauge("engine.shard.memo.values")
+                .store(rt.memo_values() as u64, Ordering::Relaxed);
+
+            // Restore original document order: stable-sort by the origin
+            // column, the shard attribution riding along, then strip the
+            // column.
+            rows.sort_by_key(|(t, _)| origin_of(t));
+            let mut tuples: Vec<Tuple> = Vec::with_capacity(rows.len());
+            let mut tuple_src: Vec<u32> = Vec::with_capacity(rows.len());
+            for (mut t, s) in rows {
+                t.remove(0);
+                tuples.push(t);
+                tuple_src.push(s);
+            }
+            self.metrics.incr("engine.shard.rows", tuples.len() as u64);
+
+            let prov = if track {
+                let sources: Vec<ProvSource> = sp
+                    .survivors
+                    .iter()
+                    .map(|&k| {
+                        let name = format!("{}#shard{}", source, k);
+                        match failures.iter().any(|f| f.label == name) {
+                            true => unit.missing(name),
+                            false => unit.source(name),
+                        }
+                    })
+                    .collect();
+                FetchProv::Per { sources, tuple_src }
+            } else {
+                FetchProv::None
+            };
+            let lost = failures.first().map(|f| f.error.to_string());
+            (Fetched::fresh(vars.to_vec(), tuples, prov), lost)
+        })
     }
 
-    /// Apply the unavailability policy for a failed source call.
-    /// `cache_keys` name the cached documents that may stand in under
-    /// `StaleCache`, best first (a bind target has two: the answer for
-    /// its keys, and the whole fragment — a superset the join filters).
-    /// `to_tuples` converts the cached document back into binding tuples
-    /// (fragment rows and collection documents decode differently).
-    /// `detail` labels the unit in the provenance table when lineage
-    /// tracking (`track`) is on; stale-served units report the cached
-    /// copy's age.
-    #[allow(clippy::too_many_arguments)]
+    /// The one site a serve calls a source at: a pushed fragment, a
+    /// whole collection, or a sharded gather. It counts the call in the
+    /// serve's report and in `source.calls.<s>`, times `call` into
+    /// `source.latency_us.<s>`, and writes the call's one record into the
+    /// query's context — unless a [`nimble_sources::sim::SimulatedLink`]
+    /// under the adapter wrote it during the call. `answer` makes the
+    /// unit of what `call` returned, untimed; with it comes the error of
+    /// a gather's first lost shard, if it lost one.
+    ///
+    /// A call fails at most once: an unavailable source, or a gather that
+    /// lost a shard, counts in `source.failures.<s>` — a source that did
+    /// not answer then goes to [`Engine::handle_unavailable`]'s policy,
+    /// `fallback` standing in — and any other error in `source.errors.<s>`.
+    fn call_source<R>(
+        &self,
+        source: &str,
+        kind: impl FnOnce() -> String,
+        fallback: Fallback<'_>,
+        ctx: &mut ExecCtx,
+        call: impl FnOnce() -> Result<R, CallError>,
+        answer: impl FnOnce(R, &mut ExecCtx) -> (Fetched, Option<String>),
+    ) -> Result<Fetched, CoreError> {
+        ctx.report.source_calls.count += 1;
+        let metrics = self.source_metrics(source);
+        metrics.count(&metrics.calls, "source.calls.");
+        let calls_before = QueryCtx::current().map(|c| c.calls_len());
+        let started = Instant::now();
+        let outcome = call();
+        let call_ms = ms_since(started);
+        metrics.latency(call_ms);
+        let (outcome, error) = match outcome {
+            Ok(reply) => {
+                let (fetched, lost) = answer(reply, ctx);
+                (Ok(fetched), lost)
+            }
+            Err(e) => {
+                let error = match &e {
+                    CallError::Unavailable(e) | CallError::Failed(e) => e.to_string(),
+                };
+                (Err(e), Some(error))
+            }
+        };
+        match (&outcome, &error) {
+            (Err(CallError::Failed(_)), _) => metrics.count(&metrics.errors, "source.errors."),
+            (_, Some(_)) => metrics.count(&metrics.failures, "source.failures."),
+            _ => {}
+        }
+        let rows = outcome.as_ref().map_or(0, |f| f.tuples.len() as u64);
+        note_source_call(calls_before, source, kind, error.is_none(), call_ms, rows, error);
+        match outcome {
+            Ok(fetched) => Ok(fetched),
+            Err(CallError::Unavailable(e)) => self.handle_unavailable(source, fallback, e, ctx),
+            Err(CallError::Failed(e)) => Err(e),
+        }
+    }
+
+    /// Apply the unavailability policy to a source that did not answer,
+    /// `fallback` standing in for its unit: under `StaleCache`, the first
+    /// of its cached documents the cache still holds, made into tuples;
+    /// else — and under `SkipAndAnnotate` — no tuples, the source named
+    /// missing. With lineage tracking on, the unit is described in the
+    /// provenance table; a stale-served one reports its copy's age.
     fn handle_unavailable(
         &self,
         source: &str,
-        cache_keys: &[&str],
-        detail: &str,
-        vars: &[String],
-        err: nimble_sources::SourceError,
+        fallback: Fallback<'_>,
+        err: CoreError,
         ctx: &mut ExecCtx,
-        track: bool,
-        to_tuples: &dyn Fn(&Arc<Document>) -> Vec<Tuple>,
     ) -> Result<Fetched, CoreError> {
         let config = self.config();
-        let metrics = self.source_metrics(source);
-        metrics.failure();
-        let missing = |ctx: &mut ExecCtx| {
-            ctx.miss(source);
-            Ok(Fetched {
-                vars: vars.to_vec(),
-                tuples: Vec::new(),
-                prov: FetchProv::from_opt(missing_prov(track, source, detail)),
-                served: Served::Missing,
-                probed: None,
-            })
+        let Fallback {
+            cache_keys,
+            unit,
+            vars,
+            track,
+            to_tuples,
+        } = fallback;
+        let fetched = |tuples, prov: Option<ProvSource>, served| Fetched {
+            vars: vars.to_vec(),
+            tuples,
+            prov: FetchProv::from_opt(prov),
+            served,
+            probed: None,
         };
         match config.unavailable {
-            UnavailablePolicy::Fail => Err(CoreError::Source(err)),
-            UnavailablePolicy::SkipAndAnnotate => missing(ctx),
+            UnavailablePolicy::Fail => return Err(err),
+            UnavailablePolicy::SkipAndAnnotate => {}
             UnavailablePolicy::StaleCache => {
-                if config.cache_nodes > 0 {
-                    let cached = cache_keys
-                        .iter()
-                        .find_map(|key| self.cache.get_with_age(key));
-                    if let Some((doc, age)) = cached {
-                        ctx.report.stale = true;
-                        metrics.stale_served();
-                        let prov = track.then(|| ProvSource {
-                            name: source.to_string(),
-                            detail: detail.to_string(),
-                            stale: true,
-                            cache_age_ms: Some(age.as_secs_f64() * 1e3),
-                            view: false,
-                        });
-                        return Ok(Fetched {
-                            vars: vars.to_vec(),
-                            tuples: to_tuples(&doc),
-                            prov: FetchProv::from_opt(prov),
-                            served: Served::Stale,
-                            probed: None,
-                        });
-                    }
+                let cached = || cache_keys.iter().find_map(|key| self.cache.get_with_age(key));
+                if let Some((doc, age)) = (config.cache_nodes > 0).then(cached).flatten() {
+                    ctx.report.stale = true;
+                    let metrics = self.source_metrics(source);
+                    metrics.count(&metrics.stale_served, "source.stale_served.");
+                    let prov = track.then(|| ProvSource {
+                        stale: true,
+                        cache_age_ms: Some(age.as_secs_f64() * 1e3),
+                        ..unit.source(source.to_string())
+                    });
+                    return Ok(fetched(to_tuples(&doc), prov, Served::Stale));
                 }
-                missing(ctx)
             }
         }
+        ctx.miss(source);
+        // A missing unit is still interned: it keeps tracking alive
+        // through the pipeline — an untagged scan would disable it for
+        // every operator above — and surfaces the hole in the provenance
+        // table.
+        let prov = track.then(|| unit.missing(source.to_string()));
+        Ok(fetched(Vec::new(), prov, Served::Missing))
     }
 
     /// Construct template instances into an open builder, recursively
@@ -2757,6 +2645,80 @@ impl Engine {
             _ => None,
         };
         construct::append_instances_traced(b, template, schema, tuples, &mut cb, sink)
+    }
+}
+
+/// What a fetched unit is, as its provenance entry's `detail` names it.
+#[derive(Clone, Copy)]
+enum Unit<'a> {
+    /// A pushed fragment: `fragment`.
+    Fragment,
+    /// A whole collection, matched centrally: `collection:<name>`.
+    Collection(&'a str),
+}
+
+impl Unit<'_> {
+    /// The provenance entry of `name` answering as this unit.
+    fn source(self, name: String) -> ProvSource {
+        ProvSource {
+            name,
+            detail: match self {
+                Unit::Fragment => "fragment".to_string(),
+                Unit::Collection(c) => format!("collection:{}", c),
+            },
+            stale: false,
+            cache_age_ms: None,
+            view: false,
+        }
+    }
+
+    /// The provenance entry of `name`, which contributed nothing to this
+    /// unit: `missing:<detail>`.
+    fn missing(self, name: String) -> ProvSource {
+        let mut p = self.source(name);
+        p.detail = format!("missing:{}", p.detail);
+        p
+    }
+
+    /// `source`'s provenance as this unit, when tracking.
+    fn prov(self, track: bool, source: &str) -> FetchProv {
+        FetchProv::from_opt(track.then(|| self.source(source.to_string())))
+    }
+}
+
+/// What stands in for a unit whose source did not answer (§3.4).
+struct Fallback<'a> {
+    /// The cached documents that may answer under `StaleCache`, best
+    /// first (a bind target has two: the answer for its keys, and the
+    /// whole fragment — a superset the join filters).
+    cache_keys: &'a [&'a str],
+    unit: Unit<'a>,
+    vars: &'a [String],
+    /// Lineage tracking is on: the unit is described for the provenance
+    /// table.
+    track: bool,
+    /// A cached document made into the unit's tuples (fragment rows and
+    /// collection documents decode differently).
+    to_tuples: &'a dyn Fn(&Arc<Document>) -> Vec<Tuple>,
+}
+
+/// How a source call failed, as [`Engine::call_source`] counts it.
+enum CallError {
+    /// The source — or a shard of it — did not answer: counted in
+    /// `source.failures.<s>`, and the unavailability policy decides.
+    Unavailable(CoreError),
+    /// Any other error: counted in `source.errors.<s>`, and the serve
+    /// fails with it.
+    Failed(CoreError),
+}
+
+impl From<nimble_sources::SourceError> for CallError {
+    fn from(e: nimble_sources::SourceError) -> CallError {
+        if e.is_unavailable() {
+            CallError::Unavailable(CoreError::Source(e))
+        } else {
+            CallError::Failed(CoreError::Source(e))
+        }
     }
 }
 
@@ -3015,42 +2977,27 @@ fn shred_slice(
     values
 }
 
-/// Provenance entry for a unit that contributed nothing (skipped after
-/// an unavailability, no stale copy). Interning it keeps the lineage
-/// pipeline alive — an untagged scan would disable tracking for every
-/// operator above it — and surfaces the hole in the provenance table.
-fn missing_prov(track: bool, source: &str, detail: &str) -> Option<ProvSource> {
-    track.then(|| ProvSource {
-        name: source.to_string(),
-        detail: format!("missing:{}", detail),
-        stale: false,
-        cache_age_ms: None,
-        view: false,
-    })
-}
-
-/// Record one adapter call into the current query context, unless an
-/// inner instrumented layer (a `MeteredAdapter` or `SimulatedLink`
-/// wrapper) already appended a record during the call — `calls_before`
-/// is the context's call count read before invoking the adapter, and
-/// the records added since are searched for one of *this* source: the
-/// list is shared with the query's other fetches, which run beside
-/// this one.
+/// Record one adapter call into the current query context, unless a
+/// `SimulatedLink` under the adapter already recorded it during the
+/// call — `calls_before` is the context's call count read before
+/// invoking the adapter, and the records added since are searched for
+/// one of *this* source: the list is shared with the query's other
+/// fetches, which run beside this one.
 fn note_source_call(
     calls_before: Option<usize>,
     source: &str,
-    kind: &str,
+    kind: impl FnOnce() -> String,
     ok: bool,
     latency_ms: f64,
     rows: u64,
     error: Option<String>,
 ) {
     if let Some(qctx) = QueryCtx::current() {
-        let recorded_inside = calls_before.map_or(false, |n| qctx.recorded_since(n, source));
+        let recorded_inside = calls_before.is_some_and(|n| qctx.recorded_since(n, source));
         if !recorded_inside {
             qctx.record_source_call(SourceCall {
                 source: source.to_string(),
-                kind: kind.to_string(),
+                kind: kind(),
                 ok,
                 latency_ms,
                 rows,

@@ -238,17 +238,16 @@ impl PlanCache {
         lookup
     }
 
-    /// Install a prepared query; returns true when a least-recently-used
-    /// entry was evicted to make room.
-    pub fn put(&self, key: &str, stamp: PlanStamp, value: Arc<Prepared>) -> bool {
+    /// Install a prepared query, evicting the least-recently-used entry
+    /// when the cache is full.
+    pub fn put(&self, key: &str, stamp: PlanStamp, value: Arc<Prepared>) {
         if self.capacity == 0 {
-            return false;
+            return;
         }
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         inner.tick += 1;
         let tick = inner.tick;
-        let mut evicted = false;
         if inner.entries.len() >= self.capacity && !inner.entries.contains_key(key) {
             let victim = inner
                 .entries
@@ -258,7 +257,6 @@ impl PlanCache {
             if let Some(victim) = victim {
                 inner.entries.remove(&victim);
                 inner.evictions += 1;
-                evicted = true;
             }
         }
         inner.entries.insert(
@@ -269,7 +267,6 @@ impl PlanCache {
                 last_used: tick,
             },
         );
-        evicted
     }
 
     /// Every entry, in no order.
@@ -375,8 +372,9 @@ mod tests {
         cache.put("a", stamp(1), cached());
         cache.put("b", stamp(1), cached());
         assert!(cache.get(&["a"], stamp(1)).value.is_some()); // a recently used
-        assert!(!cache.put("a", stamp(1), cached())); // overwrite, no evict
-        assert!(cache.put("c", stamp(1), cached())); // evicts b (LRU)
+        cache.put("a", stamp(1), cached()); // overwrite, no evict
+        assert_eq!(cache.stats().evictions, 0);
+        cache.put("c", stamp(1), cached()); // evicts b (LRU)
         assert!(cache.get(&["b"], stamp(1)).value.is_none());
         assert!(cache.get(&["a"], stamp(1)).value.is_some());
         assert!(cache.get(&["c"], stamp(1)).value.is_some());

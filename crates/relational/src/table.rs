@@ -1,7 +1,7 @@
 //! Heap tables with secondary indexes.
 
 use crate::error::SqlError;
-use crate::types::{Column, ColumnType};
+use crate::types::Column;
 use nimble_xml::{Atomic, AtomicKey};
 use std::collections::{BTreeMap, HashMap};
 
@@ -117,14 +117,6 @@ impl Table {
         self.columns.iter().position(|c| c.name == name)
     }
 
-    /// Column type by name.
-    pub fn column_type(&self, name: &str) -> Option<ColumnType> {
-        self.columns
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.ty)
-    }
-
     /// Number of rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()
@@ -222,6 +214,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::ColumnType;
 
     fn people() -> Table {
         let mut t = Table::new(

@@ -48,8 +48,8 @@
 //! [`nimble_xml::Atomic::key_eq`]s a key. A new adapter therefore needs
 //! no code to stay correct. The relational adapter renders
 //! `alias.field IN (…)`; adapters that filter in-process (`csv`,
-//! `hierarchical`) share [`KeyFilter`]; the [`sim`] and [`metered`]
-//! wrappers pass the query through. Keys are distinct, non-null, of the
+//! `hierarchical`) share [`KeyFilter`]; the [`sim`] wrapper passes the
+//! query through. Keys are distinct, non-null, of the
 //! field's declared type, and the list is never empty — a mediator that
 //! has no key does not call the source at all.
 //!
@@ -68,14 +68,13 @@
 //! the floor it sent. An adapter that ignores the field never stamps,
 //! and gets asked for the whole collection — a new adapter needs no
 //! code for this either. Only the relational adapter stamps (its tables
-//! have no `UPDATE` or `DELETE`); the [`sim`] and [`metered`] wrappers
-//! hand query and answer through untouched.
+//! have no `UPDATE` or `DELETE`); the [`sim`] wrapper hands query and
+//! answer through untouched.
 
 pub mod capabilities;
 pub mod csv;
 pub mod error;
 pub mod hierarchical;
-pub mod metered;
 pub mod query;
 pub mod relational;
 pub mod sim;
@@ -83,7 +82,6 @@ pub mod xmldoc;
 
 pub use capabilities::Capabilities;
 pub use error::SourceError;
-pub use metered::MeteredAdapter;
 pub use query::{
     CollectionInfo, CollectionRef, FieldRef, KeyFilter, PredOp, Selection, SourceQuery, Watermark,
 };

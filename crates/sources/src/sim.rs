@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Link configuration. All fields can be changed at run time through the
-/// [`SimulatedLink`] handles.
+/// Link configuration, fixed when the link is made; only whether the
+/// source is up changes at run time ([`SimulatedLink::set_up`]).
 #[derive(Debug, Clone)]
 pub struct LinkConfig {
     /// Round-trip latency added to every call, in milliseconds.
@@ -74,10 +74,10 @@ fn splitmix64(seed: u64) -> u64 {
 pub struct SimulatedLink {
     inner: Arc<dyn SourceAdapter>,
     up: AtomicBool,
-    latency_ms: AtomicU64,
-    /// fail probability ×1e6, stored atomically.
-    fail_ppm: AtomicU64,
-    real_sleep: AtomicBool,
+    latency_ms: u64,
+    /// The fail probability ×1e6.
+    fail_ppm: u64,
+    real_sleep: bool,
     rng: Mutex<Rng>,
     calls: AtomicU64,
     failures: AtomicU64,
@@ -96,9 +96,9 @@ impl SimulatedLink {
         let name = inner.name().to_string();
         Arc::new(SimulatedLink {
             up: AtomicBool::new(true),
-            latency_ms: AtomicU64::new(config.latency_ms),
-            fail_ppm: AtomicU64::new((config.fail_probability * 1e6) as u64),
-            real_sleep: AtomicBool::new(config.real_sleep),
+            latency_ms: config.latency_ms,
+            fail_ppm: (config.fail_probability * 1e6) as u64,
+            real_sleep: config.real_sleep,
             rng: Mutex::new(Rng::new(splitmix64(config.seed))),
             calls: AtomicU64::new(0),
             failures: AtomicU64::new(0),
@@ -113,22 +113,6 @@ impl SimulatedLink {
     /// Take the source offline / bring it back.
     pub fn set_up(&self, up: bool) {
         self.up.store(up, Ordering::SeqCst);
-    }
-
-    /// True when the simulated source is online.
-    pub fn is_up(&self) -> bool {
-        self.up.load(Ordering::SeqCst)
-    }
-
-    /// Change the added latency.
-    pub fn set_latency_ms(&self, ms: u64) {
-        self.latency_ms.store(ms, Ordering::SeqCst);
-    }
-
-    /// Change the per-call transient failure probability.
-    pub fn set_fail_probability(&self, p: f64) {
-        self.fail_ppm
-            .store((p.clamp(0.0, 1.0) * 1e6) as u64, Ordering::SeqCst);
     }
 
     /// Snapshot the counters.
@@ -176,10 +160,10 @@ impl SimulatedLink {
     fn gate(&self) -> Result<(), SourceError> {
         let calls = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
         self.gauge_calls.fetch_max(calls, Ordering::Relaxed);
-        let ms = self.latency_ms.load(Ordering::SeqCst);
+        let ms = self.latency_ms;
         let charged = self.charged_latency_ms.fetch_add(ms, Ordering::SeqCst) + ms;
         self.gauge_charged.fetch_max(charged, Ordering::Relaxed);
-        if ms > 0 && self.real_sleep.load(Ordering::SeqCst) {
+        if ms > 0 && self.real_sleep {
             std::thread::sleep(Duration::from_millis(ms));
         }
         if !self.up.load(Ordering::SeqCst) {
@@ -191,7 +175,7 @@ impl SimulatedLink {
                 "source is offline",
             ));
         }
-        let ppm = self.fail_ppm.load(Ordering::SeqCst);
+        let ppm = self.fail_ppm;
         if ppm > 0 {
             let roll = self.rng.lock().f64();
             if roll < ppm as f64 / 1e6 {

@@ -10,7 +10,7 @@
 //! compares the policies.
 
 use nimble_trace::sync::RwLock;
-use nimble_trace::{Alert, AlertEngine, Histogram, MetricsRegistry};
+use nimble_trace::{Histogram, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -194,14 +194,6 @@ impl WorkloadMonitor {
         views.clear();
         self.registry.remove_prefix("view.");
     }
-
-    /// One alert-evaluation tick over this monitor's registry: snapshot
-    /// it and let `alerts` judge the window since its previous tick.
-    /// Background monitoring loops that already own a [`WorkloadMonitor`]
-    /// get alerting without also holding an engine handle.
-    pub fn eval_alerts(&self, alerts: &mut AlertEngine) -> Vec<Alert> {
-        alerts.eval(&self.registry.snapshot())
-    }
 }
 
 #[cfg(test)]
@@ -264,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn monitor_records_into_shared_registry() {
+    fn monitor_records_into_the_given_registry() {
         let reg = Arc::new(MetricsRegistry::new());
         let m = WorkloadMonitor::with_registry(Arc::clone(&reg));
         m.record("v1", 2.0, 5);
@@ -282,7 +274,7 @@ mod tests {
 
     #[test]
     fn monitor_drives_alert_evaluation() {
-        use nimble_trace::{AlertOp, AlertRule};
+        use nimble_trace::{AlertEngine, AlertOp, AlertRule};
         let m = WorkloadMonitor::new();
         let mut alerts = AlertEngine::new();
         alerts.add_rule(AlertRule {
@@ -292,10 +284,10 @@ mod tests {
             threshold: 2.0,
             window: 1,
         });
-        assert!(m.eval_alerts(&mut alerts).is_empty(), "baseline tick");
+        assert!(alerts.eval(&m.registry.snapshot()).is_empty(), "baseline tick");
         m.record("v1", 1.0, 5);
         m.record("v1", 1.0, 5);
-        let fired = m.eval_alerts(&mut alerts);
+        let fired = alerts.eval(&m.registry.snapshot());
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].rule, "hot_view");
     }

@@ -10,9 +10,9 @@
 //! query log, the flight recorder, and the Chrome-trace export.
 //!
 //! The context also accumulates per-source call records
-//! ([`SourceCall`]) in a shared, thread-safe list: the engine and the
-//! adapter wrappers both append, with a grew-while-called check so a
-//! call instrumented at both layers is recorded once.
+//! ([`SourceCall`]) in a shared, thread-safe list: the engine and a
+//! simulated link under an adapter both append, with a grew-while-called
+//! check so a call instrumented at both layers is recorded once.
 
 use crate::sync::Mutex;
 use std::cell::RefCell;

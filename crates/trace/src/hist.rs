@@ -66,11 +66,6 @@ impl Histogram {
         }
     }
 
-    /// Record a duration, in whole microseconds.
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_micros().min(u64::MAX as u128) as u64);
-    }
-
     /// An immutable copy of the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: [u64; BUCKETS] = std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));

@@ -98,12 +98,12 @@ mod tests {
     fn counters_and_gauges_expose() {
         let r = MetricsRegistry::new();
         r.incr("engine.queries", 5);
-        r.gauge_max("engine.in_flight", 3);
+        r.gauge_max("stats.generation", 3);
         let text = prometheus_text(&r.snapshot());
         assert!(text.contains("# TYPE engine_queries counter"));
         assert!(text.contains("\nengine_queries 5\n"));
-        assert!(text.contains("# TYPE engine_in_flight gauge"));
-        assert!(text.contains("\nengine_in_flight 3\n"));
+        assert!(text.contains("# TYPE stats_generation gauge"));
+        assert!(text.contains("\nstats_generation 3\n"));
     }
 
     /// Parse `<name>_bucket{le="…"} v`, `_sum`, `_count` lines back out

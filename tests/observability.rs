@@ -8,14 +8,17 @@ use common::Counting;
 use nimble::algebra::ops::{FilterOp, MeteredOp, ValuesOp};
 use nimble::algebra::{explain_analyze, run_to_vec, CmpOp, FunctionRegistry, ScalarExpr, Schema};
 use nimble::core::{
-    Catalog, DispatchStrategy, Engine, EngineCluster, EngineConfig, ServeReport, UnavailablePolicy,
+    Catalog, DispatchStrategy, Engine, EngineCluster, EngineConfig, OptimizerConfig, ServeReport, ShardSpec,
+    ShardedCluster, UnavailablePolicy,
 };
 use nimble::frontend::ManagementConsole;
 use nimble::sources::csv::CsvAdapter;
 use nimble::sources::relational::RelationalAdapter;
 use nimble::sources::sim::{LinkConfig, SimulatedLink};
+use nimble::sources::xmldoc::XmlDocAdapter;
+use nimble::sources::SourceError;
 use nimble::trace::{chrome_trace, json, MetricsRegistry, TraceId};
-use nimble::xml::{to_string, Value};
+use nimble::xml::{to_string, Document, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -717,4 +720,229 @@ fn the_stages_cover_the_serve() {
         }
     });
     assert!(staged >= 0.95 * elapsed && staged <= elapsed, "stages {} ms of {} ms", staged, elapsed);
+}
+
+/// `w.events`, 40 rows of `(key, val)`, as an XML document source.
+fn events_adapter() -> Arc<dyn nimble::sources::SourceAdapter> {
+    let mut xml = String::from("<events>");
+    for i in 0..40 {
+        xml.push_str(&format!("<row><key>{}</key><val>{}</val></row>", i, i * 7 % 40));
+    }
+    xml.push_str("</events>");
+    Arc::new(XmlDocAdapter::new("w").add_xml("events", &xml).unwrap())
+}
+
+const EVENTS: &str = r#"WHERE <row><key>$k</key><val>$v</val></row> IN "events" CONSTRUCT <e>$v</e>"#;
+
+fn kept_config(unavailable: UnavailablePolicy) -> EngineConfig {
+    EngineConfig { unavailable, slow_query_ms: 0.0, ..EngineConfig::default() }
+}
+
+/// `w.events` range-split four ways on `key`, every serve kept.
+fn events_cluster(unavailable: UnavailablePolicy) -> ShardedCluster {
+    let catalog = Catalog::new();
+    catalog.register_source(events_adapter()).unwrap();
+    let specs = [("events", ShardSpec::range("key", vec![10.0, 20.0, 30.0]))];
+    ShardedCluster::build(Arc::new(catalog), kept_config(unavailable), &specs).unwrap()
+}
+
+/// What `engine` accounted for source `w` — calls, failures, errors,
+/// latency observations — and the last kept serve's call records, as
+/// `(source, ok)`.
+fn w_accounts(engine: &Engine) -> ((u64, u64, u64, u64), Vec<(String, bool)>) {
+    let snap = engine.metrics_snapshot();
+    let latencies = snap.histograms.get("source.latency_us.w").map_or(0, |h| h.count);
+    let counts =
+        (snap.counter("source.calls.w"), snap.counter("source.failures.w"), snap.counter("source.errors.w"), latencies);
+    let kept = engine.flight_recorder().records();
+    let records = kept.last().unwrap().source_calls.iter().map(|c| (c.source.clone(), c.ok)).collect();
+    (counts, records)
+}
+
+#[test]
+fn a_sharded_outage_under_fail_is_one_failed_call_as_an_unsharded_one_is() {
+    // Sharded: shard 1 of four is down, and the gather fails fast.
+    let cluster = events_cluster(UnavailablePolicy::Fail);
+    cluster.set_shard_alive(1, false);
+    let err = cluster.query(EVENTS).unwrap_err().to_string();
+    assert!(err.contains("w#shard1"), "{}", err);
+    let sharded = w_accounts(cluster.coordinator());
+
+    // Unsharded: the same source behind a link that is down.
+    let link = SimulatedLink::new(events_adapter(), LinkConfig::default());
+    let catalog = Catalog::new();
+    catalog.register_source(link.clone() as Arc<dyn nimble::sources::SourceAdapter>).unwrap();
+    let engine = Engine::with_config(Arc::new(catalog), kept_config(UnavailablePolicy::Fail));
+    link.set_up(false);
+    assert!(engine.query(EVENTS).is_err());
+    let unsharded = w_accounts(&engine);
+
+    // One call, one failure, one latency, one failed call record.
+    let want = ((1, 1, 0, 1), vec![("w".to_string(), false)]);
+    assert_eq!(unsharded, want);
+    assert_eq!(sharded, want);
+}
+
+#[test]
+fn a_gather_that_loses_two_shards_is_one_call_and_one_failure() {
+    let cluster = events_cluster(UnavailablePolicy::SkipAndAnnotate);
+    cluster.set_shard_alive(1, false);
+    cluster.set_shard_alive(2, false);
+    let r = cluster.query(EVENTS).unwrap();
+    assert!(!r.complete);
+    // Every lost shard stays named.
+    assert_eq!(r.missing_sources, ["w#shard1", "w#shard2"]);
+    assert_eq!(r.stats.source_calls.count, 1);
+    assert_eq!(w_accounts(cluster.coordinator()), ((1, 1, 0, 1), vec![("w".to_string(), false)]));
+    let console = ManagementConsole::new(Arc::clone(cluster.coordinator()));
+    let health = console.source_health();
+    let w = health.iter().find(|h| h.name == "w").unwrap();
+    assert_eq!((w.calls, w.failures), (1, 1));
+}
+
+/// An adapter that fails every call with an error that is not
+/// unavailability.
+struct Erring(Arc<dyn nimble::sources::SourceAdapter>);
+
+impl nimble::sources::SourceAdapter for Erring {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn kind(&self) -> nimble::sources::SourceKind {
+        self.0.kind()
+    }
+    fn capabilities(&self) -> nimble::sources::Capabilities {
+        self.0.capabilities()
+    }
+    fn collections(&self) -> Vec<nimble::sources::CollectionInfo> {
+        self.0.collections()
+    }
+    fn execute(&self, _: &nimble::sources::SourceQuery) -> Result<Arc<Document>, SourceError> {
+        Err(SourceError::internal(self.name(), "corrupt page"))
+    }
+    fn fetch_collection(&self, _: &str) -> Result<Arc<Document>, SourceError> {
+        Err(SourceError::internal(self.name(), "corrupt page"))
+    }
+    fn estimated_rows(&self, collection: &str) -> Option<u64> {
+        self.0.estimated_rows(collection)
+    }
+}
+
+/// One serve's source calls, as each account has them: its kept
+/// report's count, the `source.calls.*` counters' growth, the adapters'
+/// own count (by `adapter_calls`), and the kept report's call records.
+fn serve_accounts(engine: &Engine, adapter_calls: &dyn Fn() -> u64, serve: impl FnOnce()) -> [u64; 4] {
+    let calls = |snap: &nimble::trace::MetricsSnapshot| -> u64 {
+        snap.counters.iter().filter(|(name, _)| name.starts_with("source.calls.")).map(|(_, n)| n).sum()
+    };
+    let (before, adapters_before) = (engine.metrics_snapshot(), adapter_calls());
+    serve();
+    let after = engine.metrics_snapshot();
+    let kept = engine.flight_recorder().records();
+    let report = kept.last().unwrap();
+    // No source failed or erred more often than it was called.
+    for name in after.counters.keys() {
+        let Some(source) = name.strip_prefix("source.failures.").or_else(|| name.strip_prefix("source.errors.")) else {
+            continue;
+        };
+        let failed = after.counter(&format!("source.failures.{}", source))
+            + after.counter(&format!("source.errors.{}", source));
+        assert!(failed <= after.counter(&format!("source.calls.{}", source)), "{}: {:?}", source, after.counters);
+    }
+    [
+        report.source_calls.count,
+        calls(&after) - calls(&before),
+        adapter_calls() - adapters_before,
+        report.source_calls.len() as u64,
+    ]
+}
+
+#[test]
+fn every_call_path_accounts_one_call_alike() {
+    // `crm`, `billing`, `support` (pushed fragments, a bind stage), an
+    // XML feed behind a link (fetched and matched centrally) and a
+    // source that errs, each behind one shared `Counting`.
+    let calls = Arc::new(AtomicU64::new(0));
+    let counted = |inner: Arc<dyn nimble::sources::SourceAdapter>| {
+        Arc::new(Counting { inner, calls: Arc::clone(&calls), nodes: Arc::new(AtomicU64::new(0)) })
+    };
+    let (three, catalog) = (three_source_catalog(), Catalog::new());
+    for name in ["crm", "billing", "support"] {
+        catalog.register_source(counted(three.source(name).unwrap())).unwrap();
+    }
+    let feed = XmlDocAdapter::new("feed")
+        .add_xml("items", "<items><item><v>1</v></item><item><v>2</v></item></items>")
+        .unwrap()
+        .add_xml("more", "<more><item><v>3</v></item></more>")
+        .unwrap();
+    let link = SimulatedLink::new(Arc::new(feed), LinkConfig::default());
+    catalog.register_source(counted(link.clone())).unwrap();
+    catalog.register_source(counted(Arc::new(Erring(events_adapter())))).unwrap();
+    // Not pruned by the statistics: the driver is asked, and binds no key.
+    let optimizer = OptimizerConfig { prune_unsat: false, ..OptimizerConfig::default() };
+    let engine = Engine::with_config(Arc::new(catalog), EngineConfig { optimizer, ..kept_config(UnavailablePolicy::Fail) });
+    let adapter_calls = || calls.load(Ordering::Relaxed);
+    let serve = |text: &str, answers: bool| {
+        let served = engine.query(text);
+        assert_eq!(served.is_ok(), answers, "{}: {:?}", text, served.as_ref().err());
+        if let Ok(r) = served {
+            let kept = engine.flight_recorder().records();
+            assert_eq!(r.stats.source_calls.count, kept.last().unwrap().source_calls.count, "{}", text);
+        }
+    };
+    let items = r#"WHERE <items><item><v>$v</v></item></items> IN "feed.items" CONSTRUCT <v>$v</v>"#;
+    let more = r#"WHERE <more><item><v>$v</v></item></more> IN "feed.more" CONSTRUCT <v>$v</v>"#;
+    let unkeyed = THREE_SOURCE_JOIN.replace("IN \"tickets\"", "IN \"tickets\", $k > 1000");
+    let cases: Vec<(&str, &str, UnavailablePolicy, bool, u64)> = vec![
+        ("pushed fragment", r#"WHERE <row><id>$i</id></row> IN "customers" CONSTRUCT <i>$i</i>"#, UnavailablePolicy::Fail, true, 1),
+        ("bind stage", THREE_SOURCE_JOIN, UnavailablePolicy::Fail, true, 3),
+        ("bind target with no key", &unkeyed, UnavailablePolicy::Fail, true, 1),
+        ("fetch+match", items, UnavailablePolicy::Fail, true, 1),
+        ("adapter error", EVENTS, UnavailablePolicy::SkipAndAnnotate, false, 1),
+    ];
+    for (path, text, policy, answers, want) in cases {
+        engine.set_unavailable_policy(policy);
+        assert_eq!(serve_accounts(&engine, &adapter_calls, || serve(text, answers)), [want; 4], "{}", path);
+    }
+    link.set_up(false);
+    let outages = [
+        ("unavailable, Fail", items, UnavailablePolicy::Fail, false),
+        ("unavailable, SkipAndAnnotate", items, UnavailablePolicy::SkipAndAnnotate, true),
+        ("unavailable, StaleCache hit", items, UnavailablePolicy::StaleCache, true),
+        ("unavailable, StaleCache miss", more, UnavailablePolicy::StaleCache, true),
+    ];
+    for (path, text, policy, answers) in outages {
+        engine.set_unavailable_policy(policy);
+        assert_eq!(serve_accounts(&engine, &adapter_calls, || serve(text, answers)), [1; 4], "{}", path);
+    }
+    let snap = engine.metrics_snapshot();
+    assert_eq!(snap.counter("source.stale_served.feed"), 1);
+    assert_eq!(snap.counter("source.errors.w"), 1);
+
+    // A sharded gather is one call, however many shard adapters it asks:
+    // each node's `w` is counted here.
+    for (policy, lost, answers) in [
+        (UnavailablePolicy::SkipAndAnnotate, None, true),
+        (UnavailablePolicy::SkipAndAnnotate, Some(3), true),
+        (UnavailablePolicy::Fail, Some(3), false),
+    ] {
+        let cluster = events_cluster(policy);
+        let shard_calls = Arc::new(AtomicU64::new(0));
+        for k in 0..4 {
+            let node = cluster.runtime().node(k).unwrap();
+            let inner = node.catalog.source("w").unwrap();
+            assert!(node.catalog.unregister_source("w"));
+            let nodes = Arc::new(AtomicU64::new(0));
+            node.catalog.register_source(Arc::new(Counting { inner, calls: Arc::clone(&shard_calls), nodes })).unwrap();
+        }
+        if let Some(k) = lost {
+            cluster.set_shard_alive(k, false);
+        }
+        let coordinator = cluster.coordinator();
+        let accounts = serve_accounts(coordinator, &|| shard_calls.load(Ordering::Relaxed), || {
+            assert_eq!(cluster.query(EVENTS).is_ok(), answers, "{:?} lost {:?}", policy, lost);
+        });
+        let asked = if lost.is_some() { 3 } else { 4 };
+        assert_eq!(accounts, [1, 1, asked, 1], "{:?} lost {:?}", policy, lost);
+    }
 }
