@@ -13,8 +13,8 @@ pub enum ExecError {
     FunctionArgs { func: String, message: String },
     /// Arithmetic on non-numeric operands, division by zero, etc.
     Arithmetic(String),
-    /// An operator invariant was violated (mismatched exchange schemas,
-    /// a sort input too large to index, …).
+    /// An operator invariant was violated (a sort input too large to
+    /// index, …).
     Operator(String),
     /// A failure raised by a source underneath a scan.
     Source { source: String, message: String },

@@ -20,14 +20,13 @@ use crate::expr::ScalarExpr;
 use crate::ops::SortKey;
 use std::fmt;
 
-/// Coercion class of a field, the lattice the semantic type pass works
-/// over. The classes mirror the runtime's join-key coercion semantics
+/// Coercion class of a field, as the semantic type pass reads it. The
+/// classes mirror the runtime's join-key coercion semantics
 /// (`numeric_key`): values that coerce to numbers compare numerically,
 /// everything else compares lexically, and element-valued bindings are
-/// structural. `Unknown` is the lattice top for *tolerance* — it joins
-/// with anything without complaint — while `Mixed` records a witnessed
-/// disagreement (e.g. exchange arms typing a column differently) and
-/// `Never` marks a column that is declared to never be bound.
+/// structural. `Unknown` is the top for *tolerance* — it compares with
+/// anything without complaint — and `Never` marks a column that is
+/// declared to never be bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldType {
     /// Coerces to a number (Int/Float/numeric string).
@@ -38,29 +37,15 @@ pub enum FieldType {
     Element,
     /// Not statically known; compatible with every class.
     Unknown,
-    /// Witnessed disagreement between contributing types.
-    Mixed,
     /// Declared never bound; any reference is an error.
     Never,
 }
 
 impl FieldType {
-    /// Lattice join of two types: `Unknown` defers, equal types keep,
-    /// `Never` is absorbed by the other side, anything else is `Mixed`.
-    pub fn join(self, other: FieldType) -> FieldType {
-        use FieldType::*;
-        match (self, other) {
-            (Unknown, t) | (t, Unknown) => t,
-            (Never, t) | (t, Never) => t,
-            (a, b) if a == b => a,
-            _ => Mixed,
-        }
-    }
-
     /// The coercion class of a literal value, as the runtime compares
     /// it: a value that reads as a number ([`nimble_xml::Atomic::numeric`])
     /// is `Numeric` (including numeric-looking strings), other strings are
-    /// `Text`, element nodes are `Element`, and values the lattice makes
+    /// `Text`, element nodes are `Element`, and values the type pass makes
     /// no claim about (Null, Bool, lists) are `Unknown`.
     pub fn of_literal(v: &nimble_xml::Value) -> FieldType {
         use nimble_xml::{Atomic, Value};
@@ -73,13 +58,13 @@ impl FieldType {
     }
 
     /// Whether values of the two classes can be meaningfully compared as
-    /// join keys. `Unknown` and `Mixed` are tolerated (no static claim);
+    /// join keys. `Unknown` is tolerated (no static claim);
     /// `Never` is never comparable; otherwise classes must agree.
     pub fn comparable(self, other: FieldType) -> bool {
         use FieldType::*;
         match (self, other) {
             (Never, _) | (_, Never) => false,
-            (Unknown, _) | (_, Unknown) | (Mixed, _) | (_, Mixed) => true,
+            (Unknown, _) | (_, Unknown) => true,
             (a, b) => a == b,
         }
     }
@@ -92,7 +77,6 @@ impl fmt::Display for FieldType {
             FieldType::Text => "text",
             FieldType::Element => "element",
             FieldType::Unknown => "unknown",
-            FieldType::Mixed => "mixed",
             FieldType::Never => "never",
         };
         f.write_str(s)
@@ -121,15 +105,6 @@ impl FieldDomain {
         self.nullable = true;
         self
     }
-
-    /// Join with another domain: lattice join on types, nullable if
-    /// either side may be null.
-    pub fn join(self, other: FieldDomain) -> FieldDomain {
-        FieldDomain {
-            ty: self.ty.join(other.ty),
-            nullable: self.nullable || other.nullable,
-        }
-    }
 }
 
 impl fmt::Display for FieldDomain {
@@ -155,9 +130,6 @@ pub enum SchemaRule {
     /// Output schema extends child `i`'s schema: the child's columns are a
     /// prefix, new columns are appended (pattern binding).
     Extends(usize),
-    /// All children share the output schema exactly (an exchange's
-    /// shard arms).
-    Uniform,
     /// Each output column is produced by one entry of
     /// [`OpInfo::child_exprs`] over child 0 (projection).
     PerColumnExprs,
@@ -352,27 +324,13 @@ mod tests {
 
     #[test]
     fn type_lattice_join_and_comparability() {
+        // Which classes compare as join keys.
         use FieldType::*;
-        assert_eq!(Numeric.join(Numeric), Numeric);
-        assert_eq!(Numeric.join(Text), Mixed);
-        assert_eq!(Unknown.join(Text), Text);
-        assert_eq!(Never.join(Numeric), Numeric);
         assert!(Numeric.comparable(Numeric));
         assert!(Unknown.comparable(Element));
-        assert!(Mixed.comparable(Text));
         assert!(!Numeric.comparable(Text));
         assert!(!Element.comparable(Numeric));
         assert!(!Never.comparable(Unknown));
-    }
-
-    #[test]
-    fn domain_join_widens_nullability() {
-        let a = FieldDomain::new(FieldType::Numeric);
-        let b = FieldDomain::new(FieldType::Numeric).nullable();
-        let j = a.join(b);
-        assert_eq!(j.ty, FieldType::Numeric);
-        assert!(j.nullable);
-        assert_eq!(j.to_string(), "numeric?");
     }
 
     #[test]

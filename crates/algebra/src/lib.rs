@@ -27,15 +27,12 @@
 //! DISTINCT, LIMIT or outer join, and CONSTRUCT groups and aggregates
 //! over Skolem ids itself:
 //!
-//! * [`ops::ValuesOp`], [`ops::LazySourceOp`] — in-memory tuple sources
-//!   (the second fetches on `open`).
+//! * [`ops::ValuesOp`] — an in-memory tuple source.
 //! * [`ops::FilterOp`] — predicate selection.
 //! * [`ops::ProjectOp`] — projection / computed columns / renaming.
 //! * [`ops::HashJoinOp`] (equi-join), [`ops::NestedLoopJoinOp`]
 //!   (arbitrary predicate) — inner joins.
 //! * [`ops::SortOp`] — order by value with document-order tiebreak.
-//! * [`ops::ExchangeOp`] — scatter-gather over shard-local subtrees
-//!   (parallel gather on the task pool, partial-merge on shard loss).
 //! * [`ops::EmptyOp`] — a subtree the planner proved empty.
 //! * [`ops::MeteredOp`] — EXPLAIN ANALYZE's timing wrapper.
 //!

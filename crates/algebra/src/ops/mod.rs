@@ -15,7 +15,6 @@
 //! hot built-ins override it with batch-native kernels.
 
 mod empty;
-mod exchange;
 mod filter;
 mod join;
 mod metered;
@@ -24,12 +23,11 @@ mod scan;
 mod sort;
 
 pub use empty::EmptyOp;
-pub use exchange::{ExchangeOp, ShardFailure};
 pub use filter::FilterOp;
 pub use join::{HashJoinOp, JoinType, NestedLoopJoinOp};
 pub use metered::{MeteredOp, OpProfile};
 pub use project::ProjectOp;
-pub use scan::{LazySourceOp, ValuesOp};
+pub use scan::ValuesOp;
 pub use sort::{SortKey, SortOp};
 
 use crate::error::ExecError;

@@ -1,4 +1,4 @@
-//! Tuple sources: in-memory values and lazily-produced batches.
+//! Tuple source: in-memory values.
 
 use super::Operator;
 use crate::error::ExecError;
@@ -22,8 +22,8 @@ pub struct ValuesOp {
     /// disables lineage tracking entirely (the default).
     lin_mask: Option<LineageMask>,
     /// Per-tuple provenance, parallel to `tuples` — set when one scan
-    /// carries rows from several units (a sharded collection merged by
-    /// an Exchange). Takes precedence over `lin_mask`.
+    /// carries rows from several units (the shards of a sharded
+    /// collection). Takes precedence over `lin_mask`.
     lin_per_tuple: Option<Vec<LineageMask>>,
     lin: Vec<LineageMask>,
 }
@@ -183,99 +183,6 @@ impl Operator for ValuesOp {
     }
 }
 
-/// Producer invoked at `open` time by [`LazySourceOp`].
-pub type TupleProducer = dyn FnMut() -> Result<Vec<Tuple>, ExecError> + Send;
-
-/// A source whose tuples are produced when the plan opens — the hook the
-/// mediator uses to wire remote source fetches (and their failures) into
-/// plans without eager evaluation at plan-build time.
-pub struct LazySourceOp {
-    schema: Schema,
-    producer: Box<TupleProducer>,
-    buffered: Vec<Tuple>,
-    cursor: usize,
-    rows_out: u64,
-    label: String,
-    mem_bytes: u64,
-}
-
-impl LazySourceOp {
-    pub fn new(
-        schema: Schema,
-        label: impl Into<String>,
-        producer: impl FnMut() -> Result<Vec<Tuple>, ExecError> + Send + 'static,
-    ) -> Self {
-        LazySourceOp {
-            schema,
-            producer: Box::new(producer),
-            buffered: Vec::new(),
-            cursor: 0,
-            rows_out: 0,
-            label: label.into(),
-            mem_bytes: 0,
-        }
-    }
-}
-
-impl Operator for LazySourceOp {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<(), ExecError> {
-        self.buffered = (self.producer)()?;
-        self.cursor = 0;
-        self.rows_out = 0;
-        self.mem_bytes = super::tuples_mem_bytes(&self.buffered);
-        Ok(())
-    }
-
-    // Rows leave by move: `open` runs the producer again, so nothing
-    // reads a buffered row twice.
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        let Some(t) = self.buffered.get_mut(self.cursor) else {
-            return Ok(None);
-        };
-        self.cursor += 1;
-        self.rows_out += 1;
-        Ok(Some(std::mem::take(t)))
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
-        let rest = self.buffered.get_mut(self.cursor..).unwrap_or_default();
-        let n = max.min(rest.len());
-        out.extend(rest[..n].iter_mut().map(std::mem::take));
-        self.cursor += n;
-        self.rows_out += n as u64;
-        Ok(n)
-    }
-
-    fn close(&mut self) {
-        self.buffered.clear();
-        self.cursor = 0;
-    }
-
-    fn describe(&self) -> String {
-        format!("Source {} {}", self.label, self.schema)
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        Vec::new()
-    }
-
-    fn rows_out(&self) -> u64 {
-        self.rows_out
-    }
-
-    fn introspect(&self) -> OpInfo {
-        OpInfo::source(format!("Source {}", self.label))
-    }
-
-    fn mem_bytes(&self) -> u64 {
-        self.mem_bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,26 +213,5 @@ mod tests {
         assert!(lin[0].contains(0) && lin[1].contains(1));
         // Rows past the mask vector get the empty mask, not a panic.
         assert!(lin[2].is_empty());
-    }
-
-    #[test]
-    fn lazy_source_defers_and_propagates_errors() {
-        let schema = Schema::new(vec!["x".into()]);
-        let mut calls = 0u32;
-        let mut op = LazySourceOp::new(schema, "flaky", move || {
-            calls += 1;
-            if calls == 1 {
-                Err(ExecError::Source {
-                    source: "flaky".into(),
-                    message: "offline".into(),
-                })
-            } else {
-                Ok(vec![vec![Value::from(7i64)]])
-            }
-        });
-        assert!(matches!(op.open(), Err(ExecError::Source { .. })));
-        // Second attempt succeeds (source came back).
-        op.open().unwrap();
-        assert_eq!(op.next().unwrap().unwrap()[0].atomize().lexical(), "7");
     }
 }

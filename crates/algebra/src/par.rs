@@ -1,6 +1,7 @@
 //! The task pool: a round of a few coarse, independent tasks — one per
-//! source of a fetch round, one per child of an Exchange gather — run
-//! at once, so a round's latency tracks its slowest task, not the sum.
+//! fetch task of a fetch round: an unsharded unit, or one surviving
+//! shard of a sharded one — run at once, so a round's latency tracks its
+//! slowest task, not the sum.
 //!
 //! One process-wide pool of persistent workers serves every round:
 //! [`par_tasks`] publishes a *job* (a closure every participant runs
@@ -504,20 +505,15 @@ where
     Tasks { pooled, inline, fork, f }
 }
 
-/// A small shared pool for exercising the pooled path on single-core
-/// hosts (crate tests only).
-#[cfg(test)]
-pub(crate) fn tests_pool() -> &'static WorkerPool {
-    static P: OnceLock<&'static WorkerPool> = OnceLock::new();
-    P.get_or_init(|| WorkerPool::new(2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A small shared pool for exercising the pooled path on single-core
+    /// hosts.
     fn test_pool() -> &'static WorkerPool {
-        tests_pool()
+        static P: OnceLock<&'static WorkerPool> = OnceLock::new();
+        P.get_or_init(|| WorkerPool::new(2))
     }
 
     fn tests_par_tasks<R: Send, F: Fn(usize) -> R + Sync>(costs: impl Costs, f: F) -> Tasks<R, F> {

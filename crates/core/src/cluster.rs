@@ -220,8 +220,8 @@ fn numeric_view(a: &nimble_xml::Atomic) -> nimble_xml::Atomic {
 /// slice of every partitioned collection. Unlike [`EngineCluster`]
 /// (N whole replicas, queries load-balanced across them), a
 /// `ShardedCluster` splits the *data*: one query fans its scans out to
-/// every surviving shard through an Exchange operator and merges the
-/// streams back in original document order.
+/// every surviving shard, one task of its fetch round each, and folds
+/// their rows back into original document order.
 pub struct ShardedCluster {
     coordinator: Arc<Engine>,
     runtime: Arc<ShardRuntime>,

@@ -4,18 +4,18 @@ use crate::catalog::Catalog;
 use crate::construct;
 use crate::error::CoreError;
 use crate::matcher;
-use crate::plan_cache::{Observed, PlanCache, PlanStamp, Prepared, Took};
+use crate::plan_cache::{Observed, PlanCache, PlanStamp, Prepared};
 use crate::planner::{self, cost, AtomExec, BindPatternOp, BindStage, Bound, Plan, ShardPlan};
 use crate::shard::ShardRuntime;
 use nimble_algebra::ops::{
-    BoxedOp, EmptyOp, ExchangeOp, FilterOp, HashJoinOp, JoinType, LazySourceOp, MeteredOp,
-    NestedLoopJoinOp, Operator, ProjectOp, SortKey, SortOp, ValuesOp,
+    EmptyOp, FilterOp, HashJoinOp, JoinType, MeteredOp, NestedLoopJoinOp, Operator, ProjectOp,
+    SortKey, SortOp, ValuesOp,
 };
 use nimble_planck::{Fingerprint, RewriteRecord};
 use nimble_algebra::{
     explain as explain_ops, explain_analyze as explain_analyze_ops, par_tasks,
-    run_to_vec, run_to_vec_batched, Costs, ExecError, FunctionRegistry, LineageMask, LiteralTest, ScalarExpr, Schema,
-    Tuple,
+    run_to_vec, run_to_vec_batched, Costs, ExecError, FunctionRegistry, LineageMask, ScalarExpr,
+    Schema, Tuple,
 };
 use nimble_sources::query::{cursor_field, FieldRef, SourceQuery, Watermark};
 use nimble_store::{LogicalClock, ResultCache, ViewStore, WorkloadMonitor};
@@ -45,12 +45,6 @@ const MAX_DEPTH: usize = 16;
 /// into the statistics catalog instead of waiting for the next
 /// unfiltered fetch to correct it.
 const GROSS_QERROR: u64 = 16;
-
-/// Hidden leading column of a sharded scan's per-shard streams: the
-/// row's index in the *unsharded* document. The coordinator stable-sorts
-/// the merged stream by it and strips it, restoring original document
-/// order so sharded and unsharded answers are byte-identical.
-const ORIGIN_COL: &str = "__shard_origin";
 
 /// Optimizer switches. Each one changes what the sources are asked or
 /// what the caller is promised, and its off arm is a skipped phase, not
@@ -309,8 +303,8 @@ pub struct Engine {
     differential_seq: AtomicU64,
     /// Shard runtime for partitioned collections, when this engine acts
     /// as the coordinator of a sharded cluster. Plans compiled while one
-    /// is attached route scans over its partitions through an Exchange,
-    /// and the plan-cache stamp folds in its map epoch.
+    /// is attached route scans over its partitions to one fetch task per
+    /// shard, and the plan-cache stamp folds in its map epoch.
     shards: RwLock<Option<Arc<ShardRuntime>>>,
     /// Each source's `source.*` metric handles, looked up on first use.
     source_metrics: RwLock<HashMap<String, Arc<SourceMetrics>>>,
@@ -815,7 +809,7 @@ impl Engine {
 
     /// Attach a shard runtime, making this engine the coordinator of a
     /// sharded cluster: scans over its partitioned collections fan out
-    /// to the shard-local engines through an Exchange, and compiled
+    /// to the shard-local engines, one fetch task per shard, and compiled
     /// plans are stamped with the shard-map epoch so re-sharding
     /// invalidates them.
     pub fn attach_shards(&self, rt: Arc<ShardRuntime>) {
@@ -1456,14 +1450,15 @@ impl Engine {
         let n = plan.independents.len();
         let mut fetched: Vec<Option<Result<Fetched, CoreError>>> = Vec::new();
         fetched.resize_with(n, || None);
-        let first: Vec<usize> = plan.bind.iter().map(|stage| stage.driver).collect();
-        self.fetch_round(bound, &first, None, observed, depth, ctx, &mut fetched);
+        let driver = plan.bind.as_ref().map(|stage| stage.driver);
+        let first = driver.into_iter();
+        self.fetch_round(bound, first, None, observed, &config, depth, ctx, &mut fetched);
         let (keys, bind_note) = match &plan.bind {
             Some(stage) => self.bind_keys(stage, fetched[stage.driver].as_ref()),
             None => (None, None),
         };
-        let rest: Vec<usize> = (0..n).filter(|i| !first.contains(i)).collect();
-        self.fetch_round(bound, &rest, keys.as_ref(), observed, depth, ctx, &mut fetched);
+        let rest = (0..n).filter(|&i| Some(i) != driver);
+        self.fetch_round(bound, rest, keys.as_ref(), observed, &config, depth, ctx, &mut fetched);
         // What EXPLAIN ANALYZE says of each probed match.
         let mut probed_notes: Vec<String> = Vec::new();
         for (atom, slot) in plan.independents.iter().zip(fetched) {
@@ -1955,64 +1950,123 @@ impl Engine {
     }
 
     /// Fetch the independent units listed in `round` into their slots,
-    /// one task per unit ([`par_tasks`]): on the pool when the round pays
-    /// for a wake-up, so latency tracks the slowest source, not the sum,
-    /// and inline otherwise. Each unit is priced at what it took at the
-    /// plan's earlier serves (`observed`; unknown without one), and what
-    /// it takes now is folded in. Every unit is fetched; a failure waits in
-    /// its slot. `keys` is the bind stage's key list, for the units that
-    /// are its targets.
+    /// in one round of fetch tasks ([`par_tasks`]): one per unsharded
+    /// unit, and one per surviving shard of a sharded unit, which reads
+    /// that shard's slice ([`ShardScan::run`]). The round goes to the pool
+    /// when it pays for a wake-up, so latency tracks the slowest task,
+    /// not the sum, and runs inline otherwise. Each task is priced at
+    /// what it took at the plan's earlier serves (`observed`; unknown
+    /// without one), and what it takes now is folded in. A sharded unit's
+    /// shards are folded into its answer after the round
+    /// ([`Engine::fold_shards`]). Every unit is fetched; a failure waits
+    /// in its slot. `keys` is the bind stage's key list, for the units
+    /// that are its targets.
     #[allow(clippy::too_many_arguments)]
     fn fetch_round(
         &self,
         bound: Bound<'_>,
-        round: &[usize],
+        round: impl Iterator<Item = usize>,
         keys: Option<&BoundKeys>,
         observed: Option<&Observed>,
+        config: &EngineConfig,
         depth: usize,
         ctx: &mut ExecCtx,
         fetched: &mut [Option<Result<Fetched, CoreError>>],
     ) {
+        let plan = bound.plan;
+        let mut scans: Vec<ShardScan<'_>> = Vec::new();
+        let mut tasks: Vec<FetchTask> = Vec::new();
+        for i in round {
+            let sharded = match &plan.independents[i] {
+                AtomExec::FetchMatch { source, collection, pattern, vars } => {
+                    shard_plan_for(plan, i).map(|sp| (sp, source, collection, pattern, vars))
+                }
+                _ => None,
+            };
+            let Some((sp, source, collection, pattern, vars)) = sharded else {
+                tasks.push(FetchTask { unit: i, shard: None });
+                continue;
+            };
+            let Some(rt) = self.shards.read().clone() else {
+                let missing = CoreError::Internal("sharded plan without a shard runtime".into());
+                fetched[i] = Some(Err(missing));
+                continue;
+            };
+            let scan = scans.len();
+            let shard = |k| FetchTask {
+                unit: i,
+                shard: Some((scan, k)),
+            };
+            tasks.extend(sp.survivors.iter().copied().map(shard));
+            scans.push(ShardScan {
+                unit: i,
+                rt,
+                sp,
+                source,
+                collection,
+                pattern,
+                vars,
+                metrics: &self.metrics,
+                memo_hits: AtomicU64::new(0),
+            });
+        }
         // Each task fetches into a context of its own, with this one's
         // switches, and the query context — thread-local — re-entered,
         // so source calls on a worker stay attributed to the query.
         let (track, profile) = (ctx.track, ctx.profile);
         let qctx = QueryCtx::current();
-        // A round of one unit is never priced, and its unit is in no
+        // A shard's adapter may record its own call during the round: the
+        // records are searched for one from here (`note_source_call`).
+        let calls_before = qctx.as_ref().map(|c| c.calls_len());
+        // A round of one task is never priced, and its task is in no
         // other round of the plan, so only a round of two or more keeps
-        // its units' times (a sharded unit's gather keeps its shards'
-        // whatever its round).
-        let priced = observed.filter(|_| round.len() > 1);
-        let tasks = par_tasks(RoundCosts { round, observed: priced }, |k| {
+        // its tasks' times.
+        let priced = observed.filter(|_| tasks.len() > 1);
+        let run = par_tasks(RoundCosts { tasks: &tasks, observed: priced }, |k| {
             let _g = qctx.as_ref().map(|c| c.enter());
-            let mut local = ExecCtx {
-                track,
-                profile,
-                ..ExecCtx::new()
+            let task = tasks[k];
+            let started = Instant::now();
+            let done = match task.shard {
+                Some((scan, shard)) => TaskDone::Shard(scan, scans[scan].run(shard)),
+                None => {
+                    let mut local = ExecCtx {
+                        track,
+                        profile,
+                        ..ExecCtx::new()
+                    };
+                    let bind = plan
+                        .bind
+                        .as_ref()
+                        .zip(keys)
+                        .and_then(|(stage, keys)| Some((&stage.target(task.unit)?.field, keys)));
+                    let unit = self.fetch_atom(bound, task.unit, bind, config, depth, &mut local);
+                    TaskDone::Unit(unit, local)
+                }
             };
-            let i = round[k];
-            let bind = bound
-                .plan
-                .bind
-                .as_ref()
-                .zip(keys)
-                .and_then(|(stage, keys)| Some((&stage.target(i)?.field, keys)));
-            let started = priced.map(|_| Instant::now());
-            let unit = self.fetch_atom(bound, i, bind, observed, depth, &mut local);
-            (unit, local, started.map(|t| t.elapsed()))
+            (done, started.elapsed())
         });
-        if round.len() > 1 {
-            let fork = tasks.fork();
+        let fork = run.fork();
+        if tasks.len() > 1 {
             let way = if fork.pooled { "engine.fetch.pool" } else { "engine.fetch.serial" };
             self.metrics.incr(way, 1);
-            ctx.report.rounds.push(round_fork("fetch", round.len(), fork));
+            ctx.report.rounds.push(round_fork("fetch", tasks.len(), fork));
         }
-        for (&i, (unit, local, took)) in round.iter().zip(tasks) {
-            if let (Some(slot), Some(took)) = (priced.and_then(|o| o.unit(i)), took) {
+        let mut gathered: Vec<Vec<ShardTook>> = scans.iter().map(|_| Vec::new()).collect();
+        for (task, (done, took)) in tasks.iter().zip(run) {
+            if let Some(slot) = priced.and_then(|o| o.task(task.unit, task.shard_number())) {
                 slot.note(took);
             }
-            ctx.merge(local);
-            fetched[i] = Some(unit);
+            match done {
+                TaskDone::Unit(unit, local) => {
+                    ctx.merge(local);
+                    fetched[task.unit] = Some(unit);
+                }
+                TaskDone::Shard(scan, rows) => gathered[scan].push((rows, took)),
+            }
+        }
+        for (scan, shards) in scans.iter().zip(gathered) {
+            let unit = self.fold_shards(scan, shards, fork.pooled, calls_before, config, ctx);
+            fetched[scan.unit] = Some(unit);
         }
     }
 
@@ -2099,21 +2153,19 @@ impl Engine {
     /// policy. With lineage tracking on, the unit is described for the
     /// query's provenance table — the *caller* interns (sequentially, so
     /// ids stay dense even under parallel fetch). A FetchMatch atom
-    /// with a [`ShardPlan`] routes through [`Engine::fetch_sharded`]
-    /// instead of the source adapter; one matched here skips the
-    /// candidates its probes rule out. `bind` is the bind stage's key
-    /// list and this unit's field for it, when the unit is a target;
-    /// `observed` prices a sharded unit's gather ([`Engine::fetch_round`]).
+    /// matched here skips the candidates its probes rule out; a sharded
+    /// one is never fetched here, its shards are tasks of the round
+    /// ([`Engine::fetch_round`]). `bind` is the bind stage's key list and
+    /// this unit's field for it, when the unit is a target.
     fn fetch_atom(
         &self,
         bound: Bound<'_>,
         i: usize,
         bind: Option<(&FieldRef, &BoundKeys)>,
-        observed: Option<&Observed>,
+        config: &EngineConfig,
         depth: usize,
         ctx: &mut ExecCtx,
     ) -> Result<Fetched, CoreError> {
-        let config = self.config();
         let track = config.optimizer.track_lineage && ctx.track;
         let plan = bound.plan;
         match &plan.independents[i] {
@@ -2171,7 +2223,7 @@ impl Engine {
                     track,
                     to_tuples: &to_tuples,
                 };
-                let call = || Ok(adapter.execute(&query)?);
+                let call = Call::run(|| Ok(adapter.execute(&query)?));
                 self.call_source(source, kind, fallback, ctx, call, |doc, ctx| {
                     // A floored answer is a refresh's, and no one reads
                     // it back: a refresh takes no stale answer, and its
@@ -2206,10 +2258,6 @@ impl Engine {
                 pattern,
                 vars,
             } => {
-                if let Some(sp) = shard_plan_for(plan, i) {
-                    let took = observed.map_or(&[][..], |o| o.shards(i));
-                    return self.fetch_sharded(sp, took, source, collection, pattern, vars, ctx, track);
-                }
                 let adapter = self
                     .catalog
                     .source(source)
@@ -2223,7 +2271,7 @@ impl Engine {
                     track,
                     to_tuples: &|doc| match_tuples(doc, pattern, vars, None),
                 };
-                let call = || Ok(adapter.fetch_collection(collection)?);
+                let call = Call::run(|| Ok(adapter.fetch_collection(collection)?));
                 self.call_source(source, || "fetch".to_string(), fallback, ctx, call, |doc, _| {
                     if config.cache_nodes > 0 {
                         self.cache.put(&key, Arc::clone(&doc));
@@ -2300,53 +2348,40 @@ impl Engine {
         Some((filter.pruned, filter.candidates))
     }
 
-    /// Fetch one sharded FetchMatch atom: fan the scan out across the
-    /// surviving shard-local nodes through an [`ExchangeOp`] — pushed
-    /// filters replicated below it — merge the shard streams, and
-    /// restore original document order from the hidden origin column,
-    /// so the answer is byte-identical to the unsharded scan's.
+    /// Fold a sharded FetchMatch unit's shards, each fetched by a task of
+    /// its round (`shards`, in survivor order), into the unit: restore
+    /// original document order from the hidden origin column, so the
+    /// answer is byte-identical to the unsharded scan's.
     ///
-    /// The gather is one source call ([`Engine::call_source`]): one
-    /// count, and one failure however many shards it lost. A dead or
-    /// failing shard degrades by policy exactly like a dead source:
-    /// `Fail` aborts (the exchange gathers fail-fast), otherwise the
-    /// shard is skipped and annotated as `{source}#shard{k}` in
-    /// `missing_sources` and — under tracking — as a missing provenance
-    /// unit (`StaleCache` keeps no per-shard cache, so for shards it
-    /// degrades to skip-and-annotate).
+    /// The unit is one source call ([`Engine::call_source`]) that took
+    /// its slowest shard's time: one count, and one failure however many
+    /// shards it lost. A dead or failing shard degrades by policy exactly
+    /// like a dead source: under `Fail` the serve fails with the first
+    /// lost shard's error, otherwise the shard is skipped and annotated
+    /// as `{source}#shard{k}` in `missing_sources` and — under tracking —
+    /// as a missing provenance unit (`StaleCache` keeps no per-shard
+    /// cache, so for shards it degrades to skip-and-annotate). A unit
+    /// whose every shard was pruned makes no call.
     ///
     /// Deliberately skips `note_stats_rows`: a survivor-only row count
     /// would corrupt the whole-collection statistics the planner's
     /// estimates come from.
-    ///
-    /// `took` is what each shard's gather took at the plan's earlier
-    /// serves, by shard number (empty when unknown): it prices the
-    /// gather's round as a fetch round is priced, and this gather's
-    /// times are folded in.
-    #[allow(clippy::too_many_arguments)]
-    fn fetch_sharded(
+    fn fold_shards(
         &self,
-        sp: &ShardPlan,
-        took: &[Took],
-        source: &str,
-        collection: &str,
-        pattern: &nimble_xmlql::ast::Pattern,
-        vars: &[String],
+        scan: &ShardScan<'_>,
+        shards: Vec<ShardTook>,
+        pooled: bool,
+        calls_before: Option<usize>,
+        config: &EngineConfig,
         ctx: &mut ExecCtx,
-        track: bool,
     ) -> Result<Fetched, CoreError> {
-        let config = self.config();
-        let rt = self
-            .shards
-            .read()
-            .clone()
-            .ok_or_else(|| CoreError::Internal("sharded plan without a shard runtime".into()))?;
+        let ShardScan { sp, source, collection, vars, .. } = *scan;
+        let track = config.optimizer.track_lineage && ctx.track;
         self.metrics
             .incr("engine.shard.pruned", (sp.shards - sp.survivors.len()) as u64);
         if sp.survivors.is_empty() {
-            // Every shard statically pruned: an empty scan, no Exchange
-            // (the operator rejects zero children). Tracking still
-            // interns the unit so lineage stays alive above it.
+            // Every shard statically pruned: an empty scan. Tracking
+            // still interns the unit so lineage stays alive above it.
             let prov = track.then(|| ProvSource {
                 name: source.to_string(),
                 detail: format!("collection:{} (all shards pruned)", collection),
@@ -2358,47 +2393,31 @@ impl Engine {
         }
         self.metrics
             .incr("engine.shard.fanout", sp.survivors.len() as u64);
-
-        // One lazy child per surviving shard: the producer runs at
-        // exchange-gather time (on a pool worker when one exists) and
-        // emits the shard's rows — origin column first, the column the
-        // merge sorts by — that pass the pushed test. The scan filters
-        // where it reads, so its label carries the predicate.
-        let mut child_vars = vec![ORIGIN_COL.to_string()];
-        child_vars.extend(vars.iter().cloned());
-        let child_schema = unit_schema(child_vars)?;
-        let scan = Arc::new(ShardScan {
-            rt: Arc::clone(&rt),
-            source: source.to_string(),
-            collection: collection.to_string(),
-            coll_key: sp.collection.clone(),
-            pattern: pattern.clone(),
-            vars: vars.to_vec(),
-            pushed: sp.pushed.clone(),
-            metrics: Arc::clone(&self.metrics),
-            memo_hits: AtomicU64::new(0),
-        });
-        let mut children: Vec<BoxedOp> = Vec::new();
-        let mut labels: Vec<String> = Vec::new();
-        for &k in &sp.survivors {
-            let label = format!("{}#shard{}", source, k);
-            let described = match &sp.pushed {
-                Some(_) => format!("{} where {}", label, sp.pushed_text),
-                None => label.clone(),
-            };
-            let scan = Arc::clone(&scan);
-            children.push(Box::new(LazySourceOp::new(
-                child_schema.clone(),
-                described,
-                move || scan.run(k),
-            )));
-            labels.push(label);
+        let way = if pooled {
+            "engine.exchange.gather.parallel"
+        } else {
+            "engine.exchange.gather.serial"
+        };
+        self.metrics.incr(way, 1);
+        let slowest = shards.iter().map(|(_, took)| *took).max().unwrap_or_default();
+        let mut lost: Vec<(String, ExecError)> = Vec::new();
+        let mut rows: Vec<(Tuple, u32)> = Vec::new();
+        for (s, (&k, (slice, _))) in sp.survivors.iter().zip(shards).enumerate() {
+            match slice {
+                Ok(slice) => rows.extend(slice.into_iter().map(|t| (t, s as u32))),
+                Err(e) => lost.push((format!("{}#shard{}", source, k), e)),
+            }
         }
-        let expected = sp.survivors.iter().map(|&k| took.get(k).and_then(Took::get)).collect();
-        let mut exchange = ExchangeOp::new(children, labels)
-            .map_err(CoreError::from)?
-            .fail_fast(config.unavailable == UnavailablePolicy::Fail)
-            .with_costs(expected);
+        let outcome = if config.unavailable == UnavailablePolicy::Fail && !lost.is_empty() {
+            Err(CallError::Unavailable(lost.swap_remove(0).1.into()))
+        } else {
+            Ok(rows)
+        };
+        let call = Call {
+            outcome,
+            ms: slowest.as_secs_f64() * 1e3,
+            calls_before,
+        };
         let kind = || {
             let hits = scan.memo_hits.load(Ordering::Relaxed);
             format!("fetch-sharded memo={}/{}", hits, sp.survivors.len())
@@ -2411,43 +2430,13 @@ impl Engine {
             track,
             to_tuples: &|_| Vec::new(),
         };
-        let gather = || match exchange.open() {
-            Ok(()) => Ok(exchange),
-            Err(e) => Err(CallError::Unavailable(e.into())),
-        };
-        self.call_source(source, kind, fallback, ctx, gather, |exchange, ctx| {
-            for (&k, &t) in sp.survivors.iter().zip(exchange.took()) {
-                if let Some(slot) = took.get(k) {
-                    slot.note(t);
-                }
+        self.call_source(source, kind, fallback, ctx, call, |mut rows, ctx| {
+            for (label, _) in &lost {
+                ctx.miss(label);
             }
-            if let (Some(fork), true) = (exchange.fork(), sp.survivors.len() > 1) {
-                ctx.report.rounds.push(round_fork("gather", sp.survivors.len(), fork));
-            }
-            self.metrics.incr(
-                if exchange.gathered_parallel() {
-                    "engine.exchange.gather.parallel"
-                } else {
-                    "engine.exchange.gather.serial"
-                },
-                1,
-            );
-            // The gather buffered every shard's rows; they move out, not
-            // through `next_batch` (which copies: the exchange stays
-            // readable after a drain). Child `i`'s buffer is shard `i`'s
-            // rows.
-            let (gathered, failures) = exchange.into_gathered();
-            for f in &failures {
-                ctx.miss(&f.label);
-            }
-            let mut rows: Vec<(Tuple, u32)> = gathered
-                .into_iter()
-                .enumerate()
-                .flat_map(|(i, buf)| buf.into_iter().map(move |t| (t, i as u32)))
-                .collect();
             self.metrics
                 .gauge("engine.shard.memo.values")
-                .store(rt.memo_values() as u64, Ordering::Relaxed);
+                .store(scan.rt.memo_values() as u64, Ordering::Relaxed);
 
             // Restore original document order: stable-sort by the origin
             // column, the shard attribution riding along, then strip the
@@ -2468,7 +2457,7 @@ impl Engine {
                     .iter()
                     .map(|&k| {
                         let name = format!("{}#shard{}", source, k);
-                        match failures.iter().any(|f| f.label == name) {
+                        match lost.iter().any(|(label, _)| *label == name) {
                             true => unit.missing(name),
                             false => unit.source(name),
                         }
@@ -2478,42 +2467,39 @@ impl Engine {
             } else {
                 FetchProv::None
             };
-            let lost = failures.first().map(|f| f.error.to_string());
+            let lost = lost.first().map(|(_, e)| e.to_string());
             (Fetched::fresh(vars.to_vec(), tuples, prov), lost)
         })
     }
 
-    /// The one site a serve calls a source at: a pushed fragment, a
-    /// whole collection, or a sharded gather. It counts the call in the
-    /// serve's report and in `source.calls.<s>`, times `call` into
+    /// The one site a serve accounts a source call at: a pushed fragment,
+    /// a whole collection, or a sharded unit's shards. It counts the call
+    /// in the serve's report and in `source.calls.<s>`, times it into
     /// `source.latency_us.<s>`, and writes the call's one record into the
     /// query's context — unless a [`nimble_sources::sim::SimulatedLink`]
     /// under the adapter wrote it during the call. `answer` makes the
-    /// unit of what `call` returned, untimed; with it comes the error of
-    /// a gather's first lost shard, if it lost one.
+    /// unit of what the call returned, untimed; with it comes the error of
+    /// a sharded unit's first lost shard, if it lost one.
     ///
-    /// A call fails at most once: an unavailable source, or a gather that
-    /// lost a shard, counts in `source.failures.<s>` — a source that did
-    /// not answer then goes to [`Engine::handle_unavailable`]'s policy,
-    /// `fallback` standing in — and any other error in `source.errors.<s>`.
+    /// A call fails at most once: an unavailable source, or a sharded
+    /// unit that lost a shard, counts in `source.failures.<s>` — a source
+    /// that did not answer then goes to [`Engine::handle_unavailable`]'s
+    /// policy, `fallback` standing in — and any other error in
+    /// `source.errors.<s>`.
     fn call_source<R>(
         &self,
         source: &str,
         kind: impl FnOnce() -> String,
         fallback: Fallback<'_>,
         ctx: &mut ExecCtx,
-        call: impl FnOnce() -> Result<R, CallError>,
+        call: Call<R>,
         answer: impl FnOnce(R, &mut ExecCtx) -> (Fetched, Option<String>),
     ) -> Result<Fetched, CoreError> {
         ctx.report.source_calls.count += 1;
         let metrics = self.source_metrics(source);
         metrics.count(&metrics.calls, "source.calls.");
-        let calls_before = QueryCtx::current().map(|c| c.calls_len());
-        let started = Instant::now();
-        let outcome = call();
-        let call_ms = ms_since(started);
-        metrics.latency(call_ms);
-        let (outcome, error) = match outcome {
+        metrics.latency(call.ms);
+        let (outcome, error) = match call.outcome {
             Ok(reply) => {
                 let (fetched, lost) = answer(reply, ctx);
                 (Ok(fetched), lost)
@@ -2531,7 +2517,7 @@ impl Engine {
             _ => {}
         }
         let rows = outcome.as_ref().map_or(0, |f| f.tuples.len() as u64);
-        note_source_call(calls_before, source, kind, error.is_none(), call_ms, rows, error);
+        note_source_call(call.calls_before, source, kind, error.is_none(), call.ms, rows, error);
         match outcome {
             Ok(fetched) => Ok(fetched),
             Err(CallError::Unavailable(e)) => self.handle_unavailable(source, fallback, e, ctx),
@@ -2702,6 +2688,29 @@ struct Fallback<'a> {
     to_tuples: &'a dyn Fn(&Arc<Document>) -> Vec<Tuple>,
 }
 
+/// A source call as [`Engine::call_source`] accounts it: what it
+/// returned, what it took, and the query's call-record count read
+/// before it ran (`note_source_call`).
+struct Call<R> {
+    outcome: Result<R, CallError>,
+    ms: f64,
+    calls_before: Option<usize>,
+}
+
+impl<R> Call<R> {
+    /// Run `call` now, timed.
+    fn run(call: impl FnOnce() -> Result<R, CallError>) -> Call<R> {
+        let calls_before = QueryCtx::current().map(|c| c.calls_len());
+        let started = Instant::now();
+        let outcome = call();
+        Call {
+            outcome,
+            ms: ms_since(started),
+            calls_before,
+        }
+    }
+}
+
 /// How a source call failed, as [`Engine::call_source`] counts it.
 enum CallError {
     /// The source — or a shard of it — did not answer: counted in
@@ -2823,20 +2832,51 @@ fn intern_masks(ctx: &mut ExecCtx, prov: FetchProv) -> ScanMasks {
     }
 }
 
-/// A fetch round's units, each priced at what it took at its plan's
+/// One task of a fetch round: unsharded unit `unit`'s fetch, or, with
+/// `shard` = `(scan, k)`, shard `k`'s scan of sharded unit `unit` through
+/// the round's `scans[scan]`.
+#[derive(Clone, Copy)]
+struct FetchTask {
+    unit: usize,
+    shard: Option<(usize, usize)>,
+}
+
+impl FetchTask {
+    /// The task's slot among its unit's in [`Observed::task`].
+    fn shard_number(self) -> usize {
+        self.shard.map_or(0, |(_, k)| k)
+    }
+}
+
+/// What a fetch task brought back. Not boxed: a round holds one per
+/// task, and a box would be one more allocation per unit fetched.
+#[allow(clippy::large_enum_variant)]
+enum TaskDone {
+    /// An unsharded unit, and the context it was fetched in.
+    Unit(Result<Fetched, CoreError>, ExecCtx),
+    /// The rows of a shard scanned through the round's `scans[i]` that
+    /// pass its pushed test, origin column first.
+    Shard(usize, Result<Vec<Tuple>, ExecError>),
+}
+
+/// A shard's rows, and what its task took.
+type ShardTook = (Result<Vec<Tuple>, ExecError>, Duration);
+
+/// A fetch round's tasks, each priced at what it took at its plan's
 /// earlier serves (unknown without one).
 struct RoundCosts<'a> {
-    round: &'a [usize],
+    tasks: &'a [FetchTask],
     observed: Option<&'a Observed>,
 }
 
 impl Costs for RoundCosts<'_> {
     fn tasks(&self) -> usize {
-        self.round.len()
+        self.tasks.len()
     }
 
     fn cost(&self, k: usize) -> Option<Duration> {
-        self.observed?.unit(*self.round.get(k)?)?.get()
+        let task = self.tasks.get(k)?;
+        self.observed?.task(task.unit, task.shard_number())?.get()
     }
 }
 
@@ -2857,8 +2897,11 @@ pub(crate) fn shard_plan_for(plan: &Plan, i: usize) -> Option<&ShardPlan> {
     plan.shards.iter().find(|s| s.atom == i)
 }
 
-/// Original document index carried in a sharded tuple's hidden leading
-/// origin column (malformed tuples sort last instead of panicking).
+/// A shard row's hidden leading column: the row's index in the
+/// *unsharded* document. The fold stable-sorts its unit's rows by it and
+/// strips it, restoring original document order so sharded and
+/// unsharded answers are byte-identical (malformed tuples sort last
+/// instead of panicking).
 fn origin_of(t: &Tuple) -> i64 {
     match t.first() {
         Some(Value::Atomic(Atomic::Int(v))) => *v,
@@ -2866,23 +2909,23 @@ fn origin_of(t: &Tuple) -> i64 {
     }
 }
 
-/// Shard-local half of a sharded scan, run inside the exchange's gather
-/// (one [`ShardScan::run`] per surviving shard, all sharing this).
-struct ShardScan {
+/// A sharded FetchMatch unit's scan, shared by its shards' tasks in
+/// the fetch round (one [`ShardScan::run`] per surviving shard).
+struct ShardScan<'a> {
+    /// Index into [`Plan::independents`].
+    unit: usize,
     rt: Arc<ShardRuntime>,
-    source: String,
-    collection: String,
-    coll_key: String,
-    pattern: nimble_xmlql::ast::Pattern,
-    vars: Vec<String>,
-    /// The test of the predicates pushed below the Exchange.
-    pushed: Option<LiteralTest>,
-    metrics: Arc<MetricsRegistry>,
-    /// Scans of this fetch that were served from a node's memo.
+    sp: &'a ShardPlan,
+    source: &'a str,
+    collection: &'a str,
+    pattern: &'a nimble_xmlql::ast::Pattern,
+    vars: &'a [String],
+    metrics: &'a MetricsRegistry,
+    /// Scans of this unit that were served from a node's memo.
     memo_hits: AtomicU64,
 }
 
-impl ShardScan {
+impl ShardScan<'_> {
     /// Fetch shard `k`'s slice from the shard-local catalog, take its
     /// rows from the node's scan memo — building them on the first scan
     /// of this slice document — and copy out, prefixed with the row's
@@ -2907,7 +2950,7 @@ impl ShardScan {
             .ok_or_else(|| shard_err("no such shard node".into()))?;
         let part = self
             .rt
-            .partition(&self.coll_key)
+            .partition(&self.sp.collection)
             .ok_or_else(|| shard_err("collection not partitioned".into()))?;
         let origins = part
             .origins
@@ -2915,10 +2958,10 @@ impl ShardScan {
             .ok_or_else(|| shard_err("no origin map for shard".into()))?;
         let adapter = node
             .catalog
-            .source(&self.source)
+            .source(self.source)
             .ok_or_else(|| shard_err("unknown source on shard".into()))?;
         let doc = adapter
-            .fetch_collection(&self.collection)
+            .fetch_collection(self.collection)
             .map_err(|e| shard_err(e.to_string()))?;
         // A row without an origin would sort wherever its made-up index
         // put it; a slice of another length is not this partition's.
@@ -2930,8 +2973,8 @@ impl ShardScan {
                 origins.len()
             )));
         }
-        let (rows, hit) = node.scan_rows(&self.coll_key, &doc, &self.pattern, &self.vars, || {
-            shred_slice(&doc, origins, &self.pattern, &self.vars)
+        let (rows, hit) = node.scan_rows(&self.sp.collection, &doc, self.pattern, self.vars, || {
+            shred_slice(&doc, origins, self.pattern, self.vars)
         });
         if hit {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
@@ -2939,7 +2982,7 @@ impl ShardScan {
         } else {
             self.metrics.incr("engine.shard.memo.miss", 1);
         }
-        Ok(match &self.pushed {
+        Ok(match &self.sp.pushed {
             Some(test) => test.select(rows.rows()),
             None => rows.rows().map(<[Value]>::to_vec).collect(),
         })

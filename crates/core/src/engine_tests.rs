@@ -331,13 +331,13 @@ fn a_round_of_cheap_units_runs_inline_after_its_first_serve() {
     let [prepared] = &e.plan_cache().entries()[..] else {
         panic!("one cached plan")
     };
-    assert!((0..2).all(|i| prepared.observed.unit(i).and_then(|t| t.get()).is_some()));
+    assert!((0..2).all(|i| prepared.observed.task(i, 0).and_then(|t| t.get()).is_some()));
     // Seen cheaper than any wake-up — a nanosecond each — the units run
     // inline. A worker measures its wake-up as it wakes, which can be
     // after the first round: until then a round is pooled.
     let cheap = || {
         for i in 0..2 {
-            let took = prepared.observed.unit(i).expect("two units");
+            let took = prepared.observed.task(i, 0).expect("two units");
             while took.get() != Some(Duration::from_nanos(1)) {
                 took.note(Duration::ZERO);
             }
@@ -394,6 +394,91 @@ fn a_round_of_slow_links_stays_pooled() {
         answers.push(to_string(&r.document.root()));
     }
     assert!(answers.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// `w.events`, 40 rows keyed 0..40 and each naming one of the CRM's
+/// customers, beside the CRM.
+fn events_catalog() -> Arc<Catalog> {
+    let mut events = String::from("<events>");
+    for k in 0..40 {
+        let (cust, val) = (k % 3 + 1, k * 7 % 50);
+        events.push_str(&format!("<row><key>{k}</key><cust>{cust}</cust><val>{val}</val></row>"));
+    }
+    events.push_str("</events>");
+    let c = Catalog::new();
+    c.register_source(crm()).unwrap();
+    let w = XmlDocAdapter::new("w").add_xml("events", &events).unwrap();
+    c.register_source(Arc::new(w)).unwrap();
+    Arc::new(c)
+}
+
+/// Each event joined to its customer: a sharded unit and an unsharded one.
+const SHARDED_JOIN: &str = r#"WHERE <row><key>$k</key><cust>$c</cust><val>$v</val></row> IN "events",
+                         <row><id>$c</id><name>$n</name></row> IN "customers"
+                   CONSTRUCT <e><k>$k</k><n>$n</n><v>$v</v></e>"#;
+
+/// [`SHARDED_JOIN`] over shard 0's keys only: the other three are pruned,
+/// and the smaller estimate folds the join the other way round, so the
+/// answer is ordered.
+const PRUNED_JOIN: &str = r#"WHERE <row><key>$k</key><cust>$c</cust><val>$v</val></row> IN "events",
+                         <row><id>$c</id><name>$n</name></row> IN "customers", $k < 10
+                   CONSTRUCT <e><k>$k</k><n>$n</n><v>$v</v></e> ORDER-BY $k"#;
+
+#[test]
+fn a_round_holds_each_surviving_shard_as_a_task() {
+    use crate::{ShardSpec, ShardedCluster};
+    let cluster = || {
+        let specs = [("events", ShardSpec::range("key", vec![10.0, 20.0, 30.0]))];
+        ShardedCluster::build(events_catalog(), EngineConfig::default(), &specs).unwrap()
+    };
+    let has_pool = nimble_algebra::pool_stats().0 > 0;
+    let answer = |r: &crate::engine::QueryResult| to_string(&r.document.root());
+    // One round holds the customers' fetch and the four shards' scans,
+    // and nothing runs a round of its own inside one of its tasks.
+    let top = cluster();
+    let fanned = top.query(SHARDED_JOIN).unwrap();
+    let [round] = fanned.stats.rounds[..] else {
+        panic!("{:?}", fanned.stats.rounds)
+    };
+    let fork = (round.site, round.tasks, round.pooled, round.expected);
+    assert_eq!(fork, ("fetch", 5, has_pool, None));
+    let counted = |e: &Engine, name| e.metrics_snapshot().counter(name);
+    assert_eq!(counted(top.coordinator(), "engine.exchange.gather.parallel"), u64::from(has_pool));
+    assert_eq!(fanned.stats.source_calls.count, 2);
+    // The serve kept every task's time beside the cached plan.
+    let [prepared] = &top.coordinator().plan_cache().entries()[..] else {
+        panic!("one cached plan")
+    };
+    let [sp] = &prepared.plan.shards[..] else {
+        panic!("one sharded unit")
+    };
+    assert_eq!(sp.survivors, [0, 1, 2, 3]);
+    let unsharded = 1 - sp.atom;
+    assert!(prepared.observed.task(unsharded, 0).and_then(|t| t.get()).is_some());
+    assert!((0..4).all(|k| prepared.observed.task(sp.atom, k).and_then(|t| t.get()).is_some()));
+    // A pruned serve holds its one survivor.
+    let pruned = top.query(PRUNED_JOIN).unwrap();
+    let [round] = pruned.stats.rounds[..] else {
+        panic!("{:?}", pruned.stats.rounds)
+    };
+    assert_eq!((round.site, round.tasks), ("fetch", 2));
+    assert_eq!(counted(top.coordinator(), "engine.shard.pruned"), 3);
+    // Inside a pool task the same round runs inline, through the same
+    // path, and answers alike — as the unsharded engine does.
+    let nested = cluster();
+    let serve = |k| (k == 0).then(|| nested.query(SHARDED_JOIN).unwrap());
+    let inline = nimble_algebra::par_tasks(2, serve).flatten().next().unwrap();
+    let [round] = inline.stats.rounds[..] else {
+        panic!("{:?}", inline.stats.rounds)
+    };
+    assert_eq!((round.site, round.tasks, round.pooled), ("fetch", 5, false));
+    let reference = Engine::new(events_catalog()).query(SHARDED_JOIN).unwrap();
+    assert_eq!(answer(&fanned), answer(&reference));
+    assert_eq!(answer(&inline), answer(&reference));
+    assert_eq!(answer(&fanned).matches("<e>").count(), 40);
+    let reference = Engine::new(events_catalog()).query(PRUNED_JOIN).unwrap();
+    assert_eq!(answer(&pruned), answer(&reference));
+    assert_eq!(answer(&pruned).matches("<e>").count(), 10);
 }
 
 #[test]

@@ -21,10 +21,9 @@
 //! material statistics drift changes the stamp and the stale entry is
 //! dropped on its next lookup.
 //!
-//! An entry also keeps what its plan's serves observed of their units'
-//! fetch times ([`Observed`]): a fetch round, and a sharded unit's
-//! Exchange gather, are priced by them (DESIGN.md §16), and the plan
-//! itself is never written.
+//! An entry also keeps what its plan's serves observed of their fetch
+//! tasks' times ([`Observed`]): a fetch round is priced by them
+//! (DESIGN.md §16), and the plan itself is never written.
 //!
 //! The cached object is a *template*: the engine still fetches sources,
 //! assembles fresh operators, and executes per query — only the parse,
@@ -72,48 +71,39 @@ impl Prepared {
     }
 }
 
-/// The time each of a plan's independent units takes — its fetch, and
-/// for a sharded unit each shard's gather too — as its serves observed
-/// it, which a later serve expects of it. A unit not yet served has
+/// The time each of a plan's fetch tasks takes — an unsharded unit's
+/// fetch, or one shard's scan of a sharded unit — as its serves observed
+/// it, which a later serve expects of it. A task not yet served has
 /// none, and a round holding it goes to the pool
 /// ([`nimble_algebra::par_tasks`]).
 #[derive(Debug, Default)]
 pub struct Observed {
-    units: Vec<Took>,
-    /// Per unit, its shards' gather times by shard number; empty for an
-    /// unsharded unit.
-    shards: Vec<Vec<Took>>,
+    /// Per unit, one for an unsharded unit's fetch, or one per shard of
+    /// a sharded unit, by shard number.
+    tasks: Vec<Vec<Took>>,
 }
 
 impl Observed {
     fn new(plan: &Plan) -> Observed {
-        let n = plan.independents.len();
-        let shards = (0..n)
+        let tasks = (0..plan.independents.len())
             .map(|i| {
-                let count = crate::engine::shard_plan_for(plan, i).map_or(0, |sp| sp.shards);
+                let count = crate::engine::shard_plan_for(plan, i).map_or(1, |sp| sp.shards);
                 (0..count).map(|_| Took::default()).collect()
             })
             .collect();
-        Observed {
-            units: (0..n).map(|_| Took::default()).collect(),
-            shards,
-        }
+        Observed { tasks }
     }
 
-    /// Unit `i`'s fetch.
-    pub fn unit(&self, i: usize) -> Option<&Took> {
-        self.units.get(i)
-    }
-
-    /// Unit `i`'s shards' gathers, by shard number.
-    pub fn shards(&self, i: usize) -> &[Took] {
-        self.shards.get(i).map_or(&[], Vec::as_slice)
+    /// Unit `i`'s fetch task: its shard `shard`'s scan when it is
+    /// sharded, its fetch (`shard` 0) otherwise.
+    pub fn task(&self, i: usize, shard: usize) -> Option<&Took> {
+        self.tasks.get(i)?.get(shard)
     }
 }
 
-/// One observed time: what a unit's fetch or a shard's gather takes, a
-/// running mean of its serves that weighs the newest a quarter — one
-/// fast or slow serve moves it, and does not make it.
+/// One observed time: what a fetch task takes, a running mean of its
+/// serves that weighs the newest a quarter — one fast or slow serve
+/// moves it, and does not make it.
 #[derive(Debug, Default)]
 pub struct Took(AtomicU64);
 

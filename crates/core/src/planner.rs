@@ -253,9 +253,10 @@ impl BindStage {
 }
 
 /// Routing decision for one sharded scan: which shards of a partitioned
-/// collection the Exchange must contact, and the test of the residual
-/// predicates replicated below it (shard-local filtering; the same
-/// predicates stay central, so the rewrite is idempotent).
+/// collection the fetch round must contact, one task each, and the test
+/// of the residual predicates each shard runs on its slice (shard-local
+/// filtering; the same predicates stay central, so the rewrite is
+/// idempotent).
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     /// Index into [`Plan::independents`] of the sharded FetchMatch atom.
@@ -271,14 +272,12 @@ pub struct ShardPlan {
     pub shards: usize,
     /// Shards that can still contribute rows after stats-bounds pruning
     /// and equality routing, ascending. May be empty (statically empty
-    /// scan) — the engine then skips the Exchange entirely.
+    /// scan) — the engine then makes no call and no task for it.
     pub survivors: Vec<usize>,
     /// The covered residual predicates that compile to a [`LiteralTest`],
-    /// as one test over a shard scan's row (origin column first), run
-    /// below the Exchange; the others, which can fail, stay central only.
+    /// as one test over a shard scan's row (origin column first), run by
+    /// each shard's task; the others, which can fail, stay central only.
     pub pushed: Option<LiteralTest>,
-    /// `pushed` as EXPLAIN names it, in the query's spelling.
-    pub pushed_text: String,
 }
 
 /// A residual conjunct that a central match checks on each top-level
@@ -344,7 +343,7 @@ pub fn plan_query(
 /// records a [`ShardPlan`] per sharded scan — surviving shards after
 /// stats-bounds pruning (planck's satisfiability pass run per shard
 /// against the exhaustive per-shard statistics) and equality routing,
-/// plus the residual predicates replicated below the Exchange.
+/// plus the residual predicates replicated into each shard's scan.
 pub fn plan_query_sharded(
     catalog: &Catalog,
     query: &Query,
@@ -1541,8 +1540,8 @@ fn unsat_verdict(catalog: &Catalog, bound: Bound<'_>) -> Option<String> {
 /// Phase 6 of planning: partition-aware shard routing.
 ///
 /// For every independent FetchMatch atom over a collection the shard
-/// runtime declares partitioned, decide which shards the Exchange must
-/// contact:
+/// runtime declares partitioned, decide which shards the fetch round
+/// must contact:
 ///
 /// * **Bounds pruning** — re-run planck's satisfiability pass once per
 ///   shard, with the bounds callback answering from the *per-shard*
@@ -1555,8 +1554,8 @@ fn unsat_verdict(catalog: &Catalog, bound: Bound<'_>) -> Option<String> {
 ///   both hash and range schemes.
 ///
 /// Both read every predicate the atom's variables cover. Those that
-/// compile to a [`LiteralTest`] are also replicated below the Exchange
-/// (shard-local filtering) and kept central — filters are idempotent. One
+/// compile to a [`LiteralTest`] are also replicated into each shard's
+/// scan (shard-local filtering) and kept central — filters are idempotent. One
 /// that can fail stays central only, and fails as it does unsharded.
 /// Both decisions are audited: `shard-prune` is a narrowing rewrite
 /// (payload/sources may shrink to the survivor set), `exchange-pushdown`
@@ -1621,7 +1620,7 @@ fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRunti
         // Per-shard satisfiability of all of them.
         let conjunction = (!covered.is_empty())
             .then(|| ScalarExpr::conjunction(covered.iter().map(|(_, s)| s.clone()).collect()));
-        // Below the Exchange, those that compile, over a shard scan's row:
+        // In each shard's scan, those that compile, over its row:
         // the origin column first.
         let (rendered, tests): (Vec<String>, Vec<LiteralTest>) = covered
             .iter()
@@ -1719,7 +1718,7 @@ fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRunti
                     .with_extra(rendered.clone())
                     .with_sources(srcs.clone()),
                 Fingerprint::new(vars.clone())
-                    .with_extra(rendered.clone())
+                    .with_extra(rendered)
                     .with_sources(srcs),
             ));
         }
@@ -1731,7 +1730,6 @@ fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRunti
             shards: n,
             survivors,
             pushed,
-            pushed_text: rendered.join(" AND "),
         });
     }
 }

@@ -4,7 +4,8 @@
 //! "Multiple instances of the integration engine can be run
 //! simultaneously" (§4) — here those instances each own a *slice* of a
 //! collection, split by the declared shard key, and the coordinator
-//! fans a plan's scan subtree out to them through an Exchange operator.
+//! fans a plan's scan out to them, one task of its fetch round per
+//! shard.
 //! The [`ShardRuntime`] holds what the coordinator needs to do that:
 //! the shard map (specs + epoch for plan stamping), the per-collection
 //! [`Partition`] bookkeeping that lets merged shard streams be restored

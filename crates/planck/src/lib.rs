@@ -5,9 +5,8 @@
 //! The mediator compiles XML-QL *directly* into physical operator trees
 //! with no logical-algebra stage (paper §3.1), so a planner bug — a
 //! projection referencing a column the join did not produce, a join key
-//! missing from its input, an exchange over mismatched shard arms —
-//! surfaces only at execution time, as a runtime error or a silently
-//! wrong answer. This crate walks an [`Operator`] tree *without
+//! missing from its input — surfaces only at execution time, as a
+//! runtime error or a silently wrong answer. This crate walks an [`Operator`] tree *without
 //! executing it* and checks every operator's static contract, using the
 //! [`OpInfo`](nimble_algebra::inspect::OpInfo) metadata each operator
 //! exposes through
@@ -17,7 +16,7 @@
 //!
 //! * **Schema derivation** — each operator's output schema matches what
 //!   its [`SchemaRule`] predicts from its children (`Inherit`, `Concat`,
-//!   `Extends`, `Uniform`, `PerColumnExprs`).
+//!   `Extends`, `PerColumnExprs`).
 //! * **Expression binding** — every [`ScalarExpr`] column reference
 //!   resolves inside the child schema it is evaluated against.
 //! * **Join keys** — equi-join key columns exist on both inputs and the
@@ -38,8 +37,8 @@
 //! On top of the structural checks, three semantic passes:
 //!
 //! * [`types`] — bottom-up typed field-domain inference (coercion class
-//!   + nullability per output column), flagging type-confused join
-//!   keys, references to never-bound columns, and mixed-type sort keys.
+//!   and nullability per output column), flagging type-confused join
+//!   keys and references to never-bound columns.
 //!   Run together with the structural pass by [`check_semantic`] /
 //!   [`verify_semantic`].
 //! * [`satisfy`] — interval/domain propagation over predicate trees:
@@ -233,19 +232,6 @@ fn walk(op: &dyn Operator, path: &str, issues: &mut Vec<PlanIssue>) {
                 }
             }
         },
-        SchemaRule::Uniform => {
-            for (i, c) in children.iter().enumerate() {
-                if c.schema() != schema {
-                    report(format!(
-                        "arm {} has schema {} but the operator outputs {}; \
-                         gathered arms must match exactly",
-                        i,
-                        c.schema(),
-                        schema
-                    ));
-                }
-            }
-        }
         SchemaRule::PerColumnExprs => {
             if info.child_exprs.len() != schema.len() {
                 report(format!(

@@ -2,8 +2,7 @@ use super::*;
 use nimble_algebra::expr::{CmpOp, ScalarExpr};
 use nimble_algebra::inspect::OpInfo;
 use nimble_algebra::ops::{
-    BoxedOp, ExchangeOp, FilterOp, HashJoinOp, JoinType, MeteredOp, ProjectOp, SortKey, SortOp,
-    ValuesOp,
+    BoxedOp, FilterOp, HashJoinOp, JoinType, MeteredOp, ProjectOp, SortKey, SortOp, ValuesOp,
 };
 use nimble_algebra::{ExecError, FunctionRegistry, Tuple};
 use std::sync::Arc;
@@ -17,43 +16,7 @@ fn funcs() -> Arc<FunctionRegistry> {
     Arc::new(FunctionRegistry::with_builtins())
 }
 
-fn labels(n: usize) -> Vec<String> {
-    (0..n).map(|i| format!("shard{}", i)).collect()
-}
-
-/// Simulates a planner bug `ExchangeOp::new` would catch at
-/// construction: an already-built exchange whose shard arms disagree.
-struct BrokenExchange {
-    arms: Vec<BoxedOp>,
-    schema: Schema,
-}
-
-impl Operator for BrokenExchange {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-    fn open(&mut self) -> Result<(), ExecError> {
-        Ok(())
-    }
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        Ok(None)
-    }
-    fn close(&mut self) {}
-    fn describe(&self) -> String {
-        "BrokenExchange".into()
-    }
-    fn children(&self) -> Vec<&dyn Operator> {
-        self.arms.iter().map(|a| a.as_ref()).collect()
-    }
-    fn rows_out(&self) -> u64 {
-        0
-    }
-    fn introspect(&self) -> OpInfo {
-        OpInfo::new("Exchange", SchemaRule::Uniform)
-    }
-}
-
-// --- The three seeded malformed-plan fixtures ---
+// --- The seeded malformed-plan fixtures ---
 
 #[test]
 fn rejects_unbound_expression_variable() {
@@ -73,23 +36,8 @@ fn rejects_unbound_expression_variable() {
 }
 
 #[test]
-fn rejects_schema_mismatched_exchange() {
-    // Fixture 2: exchange arms with different schemas.
-    let broken = BrokenExchange {
-        schema: Schema::new(vec!["x".into()]),
-        arms: vec![source(&["x"]), source(&["y"])],
-    };
-    let report = verify(&broken).expect_err("mismatched arms must be rejected");
-    let issue = &report.issues[0];
-    assert_eq!(issue.operator, "Exchange");
-    assert!(issue.detail.contains("arm 1"), "names the arm: {}", issue);
-    assert!(issue.detail.contains("[y]"), "names the arm schema: {}", issue);
-    assert!(issue.detail.contains("[x]"), "names the expected schema: {}", issue);
-}
-
-#[test]
 fn rejects_missing_join_key() {
-    // Fixture 3: the right key column does not exist on the right input.
+    // Fixture 2: the right key column does not exist on the right input.
     let join = HashJoinOp::new(
         source(&["k", "x"]),
         source(&["k2", "y"]),
@@ -113,13 +61,6 @@ fn accepts_well_formed_pipeline() {
     let filter = Box::new(FilterOp::new(source(&["a", "b"]), pred, funcs()));
     let proj = ProjectOp::new(filter, vec![("b".into(), ScalarExpr::Col(1))], funcs());
     assert_verified(&proj);
-}
-
-#[test]
-fn exchange_of_matching_arms_accepted() {
-    let exchange =
-        ExchangeOp::new(vec![source(&["x"]), source(&["x"])], labels(2)).expect("arms match");
-    assert_verified(&exchange);
 }
 
 #[test]
@@ -292,44 +233,6 @@ fn rejects_filter_over_never_bound_field() {
     assert_eq!(issues.len(), 1, "{:?}", issues);
     assert!(issues[0].detail.contains("never bound"), "{}", issues[0]);
     assert_eq!(issues[0].operator, "Filter");
-}
-
-#[test]
-fn rejects_sort_over_mixed_type_exchange_column() {
-    // Mutation: exchange arms disagree on $v's class (numeric vs text);
-    // sorting the gathered stream on $v interleaves numeric and lexical
-    // runs.
-    let arms: Vec<BoxedOp> = vec![
-        typed(&["v"], &[FieldType::Numeric]),
-        typed(&["v"], &[FieldType::Text]),
-    ];
-    let exchange = ExchangeOp::new(arms, labels(2)).expect("arms match structurally");
-    let sort = SortOp::new(
-        Box::new(exchange),
-        vec![SortKey {
-            column: 0,
-            descending: false,
-        }],
-    );
-    let issues = check_semantic(&sort);
-    assert_eq!(issues.len(), 1, "{:?}", issues);
-    assert!(issues[0].detail.contains("mixed"), "{}", issues[0]);
-    assert_eq!(issues[0].operator, "Sort");
-
-    // Twin: agreeing arms sort cleanly.
-    let arms: Vec<BoxedOp> = vec![
-        typed(&["v"], &[FieldType::Numeric]),
-        typed(&["v"], &[FieldType::Numeric]),
-    ];
-    let exchange = ExchangeOp::new(arms, labels(2)).expect("arms match");
-    let sort = SortOp::new(
-        Box::new(exchange),
-        vec![SortKey {
-            column: 0,
-            descending: false,
-        }],
-    );
-    assert!(check_semantic(&sort).is_empty());
 }
 
 #[test]

@@ -13,9 +13,6 @@
 //! * **Never-bound references** — any expression, column reference or
 //!   join key over a column typed [`FieldType::Never`] is an error: the
 //!   planner declared the column can never hold a value.
-//! * **Mixed-type sort keys** — sorting on a column whose contributing
-//!   types disagree ([`FieldType::Mixed`], e.g. exchange arms typing it
-//!   differently) gives an interleaved lexical/numeric order; flagged.
 //!
 //! The pass is *tolerant by construction*: operators without declared
 //! types infer [`FieldType::Unknown`], which is compatible with
@@ -24,7 +21,7 @@
 //! subtree into stronger checking.
 
 use crate::PlanIssue;
-use nimble_algebra::inspect::{FieldDomain, FieldType, OrderEffect, SchemaRule};
+use nimble_algebra::inspect::{FieldDomain, FieldType, SchemaRule};
 use nimble_algebra::{Operator, ScalarExpr};
 
 /// Infer the typed domains of an operator's output columns without
@@ -79,19 +76,6 @@ fn walk_types(op: &dyn Operator, path: &str, issues: &mut Vec<PlanIssue>) -> Vec
             out
         }
         SchemaRule::Extends(i) => child_domains.get(*i).cloned().unwrap_or_default(),
-        SchemaRule::Uniform => {
-            let mut out: Vec<FieldDomain> = vec![FieldDomain::new(FieldType::Never); width];
-            for d in &child_domains {
-                for (j, slot) in out.iter_mut().enumerate() {
-                    let contributed = d.get(j).copied().unwrap_or_else(FieldDomain::unknown);
-                    *slot = slot.join(contributed);
-                }
-            }
-            if child_domains.is_empty() {
-                out = vec![FieldDomain::unknown(); width];
-            }
-            out
-        }
         SchemaRule::PerColumnExprs => {
             let input = child_domains.first().map(Vec::as_slice).unwrap_or(&[]);
             info.child_exprs
@@ -181,25 +165,6 @@ fn walk_types(op: &dyn Operator, path: &str, issues: &mut Vec<PlanIssue>) -> Vec
                     "{} reads {}, which is declared never bound",
                     cc.role,
                     col_desc(*c, cc.col)
-                ));
-            }
-        }
-    }
-
-    // Sort keys over mixed-type columns order nonsensically (numeric and
-    // lexical runs interleave).
-    if info.order == OrderEffect::Establishes {
-        for key in &info.sort_keys {
-            let d = domain_of(&domains, key.column);
-            if d.ty == FieldType::Mixed {
-                report(format!(
-                    "sorts on {} whose inferred type is mixed; contributing \
-                     inputs disagree on its coercion class",
-                    schema
-                        .vars()
-                        .get(key.column)
-                        .map(|v| format!("${}", v))
-                        .unwrap_or_else(|| format!("column {}", key.column))
                 ));
             }
         }

@@ -156,12 +156,12 @@ impl fmt::Display for SourceCalls {
     }
 }
 
-/// How one round of two or more independent tasks ran — a fetch round's
-/// units, or an Exchange gather's shards — and what it was priced at:
-/// on the task pool, or inline on the serving thread.
+/// How one fetch round of two or more independent tasks ran — each an
+/// unsharded unit or one shard of a sharded one — and what it was priced
+/// at: on the task pool, or inline on the serving thread.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundFork {
-    /// `fetch` or `gather`.
+    /// `fetch`, the one round site.
     pub site: &'static str,
     pub tasks: usize,
     pub pooled: bool,
@@ -179,9 +179,8 @@ impl fmt::Display for RoundFork {
     /// µs (1.9 beside the largest) against a 30.5 µs wake-up`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let us = |d: Duration| d.as_secs_f64() * 1e6;
-        let unit = if self.site == "gather" { "shards" } else { "units" };
         let way = if self.pooled { "pooled" } else { "inline" };
-        write!(f, "round: {} {} {} {}, ", self.site, self.tasks, unit, way)?;
+        write!(f, "round: {} {} units {}, ", self.site, self.tasks, way)?;
         match (self.expected, self.wake) {
             (None, _) => f.write_str("cost unknown"),
             (Some((total, largest)), wake) => {
@@ -478,8 +477,8 @@ mod tests {
     #[test]
     fn a_round_prints_its_fork_and_its_price() {
         assert_eq!(ROUND.to_string(), "round: fetch 2 units inline, expected 4.0 µs (1.0 beside the largest) against a 30.0 µs wake-up");
-        let gather = RoundFork { site: "gather", tasks: 4, pooled: true, expected: None, ..ROUND };
-        assert_eq!(gather.to_string(), "round: gather 4 shards pooled, cost unknown");
+        let unknown = RoundFork { tasks: 5, pooled: true, expected: None, ..ROUND };
+        assert_eq!(unknown.to_string(), "round: fetch 5 units pooled, cost unknown");
         let unmeasured = RoundFork { pooled: true, wake: None, ..ROUND };
         assert!(unmeasured.to_string().ends_with("(1.0 beside the largest), no wake-up measured yet"));
         let nested = RoundFork { wake: None, ..ROUND };
