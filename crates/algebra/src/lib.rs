@@ -34,7 +34,6 @@
 //!   (arbitrary predicate) — inner joins.
 //! * [`ops::SortOp`] — order by value with document-order tiebreak.
 //! * [`ops::EmptyOp`] — a subtree the planner proved empty.
-//! * [`ops::MeteredOp`] — EXPLAIN ANALYZE's timing wrapper.
 //!
 //! Pattern binding over fetched documents is an operator of the
 //! mediator's own (`BindPatternOp` in `nimble-core`).
@@ -107,23 +106,13 @@ pub fn run_to_vec_batched(
     Ok((out, batches))
 }
 
-/// Render an operator tree as an indented EXPLAIN listing with row counts
-/// (row counts are populated after execution).
+/// Render an operator tree as an indented EXPLAIN listing, one line per
+/// operator, read after a run: `[rows=N]` it emitted (when any),
+/// `[est=N]` the planner expected, `[src=N]` distinct source sets of its
+/// rows (when it tracks lineage) and `[mem=N]` bytes it buffered (when
+/// any).
 pub fn explain(op: &dyn Operator) -> String {
-    explain_walk(op, false)
-}
-
-/// EXPLAIN ANALYZE rendering: the same listing as [`explain`], with each
-/// metered node (see [`ops::MeteredOp`]) annotated with its actual row
-/// count and measured open/next times. Times are inclusive of children,
-/// so a node's cost is read as `total - sum(children)`.
-pub fn explain_analyze(op: &dyn Operator) -> String {
-    explain_walk(op, true)
-}
-
-fn explain_walk(op: &dyn Operator, analyze: bool) -> String {
-    let mut out = String::new();
-    fn walk(op: &dyn Operator, depth: usize, analyze: bool, out: &mut String) {
+    fn walk(op: &dyn Operator, depth: usize, out: &mut String) {
         out.push_str(&"  ".repeat(depth));
         out.push_str(&op.describe());
         if op.rows_out() > 0 {
@@ -132,31 +121,18 @@ fn explain_walk(op: &dyn Operator, analyze: bool) -> String {
         if let Some(est) = op.est_rows() {
             out.push_str(&format!("  [est={}]", est));
         }
-        if analyze {
-            if let Some(masks) = op.lineage() {
-                if !masks.is_empty() {
-                    out.push_str(&format!("  [src={}]", lineage::distinct_masks(masks)));
-                }
-            }
-            if let Some(p) = op.profile() {
-                out.push_str(&format!(
-                    "  (actual rows={} open={:.3}ms next={:.3}ms)",
-                    p.rows,
-                    p.open_ns as f64 / 1e6,
-                    p.next_ns as f64 / 1e6
-                ));
-                if p.mem_bytes > 0 {
-                    out.push_str(&format!("  [mem={}]", p.mem_bytes));
-                }
-            } else if op.mem_bytes() > 0 {
-                out.push_str(&format!("  [mem={}]", op.mem_bytes()));
-            }
+        if let Some(masks) = op.lineage().filter(|masks| !masks.is_empty()) {
+            out.push_str(&format!("  [src={}]", lineage::distinct_masks(masks)));
+        }
+        if op.mem_bytes() > 0 {
+            out.push_str(&format!("  [mem={}]", op.mem_bytes()));
         }
         out.push('\n');
         for c in op.children() {
-            walk(c, depth + 1, analyze, out);
+            walk(c, depth + 1, out);
         }
     }
-    walk(op, 0, analyze, &mut out);
+    let mut out = String::new();
+    walk(op, 0, &mut out);
     out
 }

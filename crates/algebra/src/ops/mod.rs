@@ -17,7 +17,6 @@
 mod empty;
 mod filter;
 mod join;
-mod metered;
 mod project;
 mod scan;
 mod sort;
@@ -25,7 +24,6 @@ mod sort;
 pub use empty::EmptyOp;
 pub use filter::FilterOp;
 pub use join::{HashJoinOp, JoinType, NestedLoopJoinOp};
-pub use metered::{MeteredOp, OpProfile};
 pub use project::ProjectOp;
 pub use scan::ValuesOp;
 pub use sort::{SortKey, SortOp};
@@ -99,11 +97,6 @@ pub trait Operator: Send {
     fn introspect(&self) -> OpInfo {
         OpInfo::opaque(self.describe())
     }
-    /// Measured execution profile, when this node is wrapped by
-    /// [`MeteredOp`] (EXPLAIN ANALYZE). Plain operators report `None`.
-    fn profile(&self) -> Option<OpProfile> {
-        None
-    }
     /// Planner-estimated output rows, rendered by EXPLAIN as `[est=N]`
     /// next to the actual `[rows=N]`. `None` when the planner had no
     /// statistics for this node.
@@ -114,10 +107,11 @@ pub trait Operator: Send {
     /// the default silently ignores it, so opaque operators need no
     /// changes).
     fn set_est_rows(&mut self, _rows: u64) {}
-    /// Bytes of buffered state this operator currently holds (hash-join
-    /// build tables, sort buffers, scan batches). An O(1) hint computed
-    /// when the buffer is built, not a live measurement; 0 for
-    /// streaming operators. EXPLAIN ANALYZE renders it as `[mem=N]`.
+    /// Bytes of buffered state this operator built (hash-join build
+    /// tables, sort buffers, scan batches). An O(1) hint computed when
+    /// the buffer is built, not a live measurement, and still readable
+    /// after `close`; 0 for streaming operators. EXPLAIN renders it as
+    /// `[mem=N]`.
     fn mem_bytes(&self) -> u64 {
         0
     }

@@ -8,14 +8,13 @@ use crate::plan_cache::{Observed, PlanCache, PlanStamp, Prepared};
 use crate::planner::{self, cost, AtomExec, BindPatternOp, BindStage, Bound, Plan, ShardPlan};
 use crate::shard::ShardRuntime;
 use nimble_algebra::ops::{
-    EmptyOp, FilterOp, HashJoinOp, JoinType, MeteredOp, NestedLoopJoinOp, Operator, ProjectOp,
+    EmptyOp, FilterOp, HashJoinOp, JoinType, NestedLoopJoinOp, Operator, ProjectOp,
     SortKey, SortOp, ValuesOp,
 };
 use nimble_planck::{Fingerprint, RewriteRecord};
 use nimble_algebra::{
-    explain as explain_ops, explain_analyze as explain_analyze_ops, par_tasks,
-    run_to_vec, run_to_vec_batched, Costs, ExecError, FunctionRegistry, LineageMask, ScalarExpr,
-    Schema, Tuple,
+    explain as explain_ops, par_tasks, run_to_vec, run_to_vec_batched, Costs, ExecError,
+    FunctionRegistry, LineageMask, ScalarExpr, Schema, Tuple,
 };
 use nimble_sources::query::{cursor_field, FieldRef, SourceQuery, Watermark};
 use nimble_store::{LogicalClock, ResultCache, ViewStore, WorkloadMonitor};
@@ -507,8 +506,8 @@ struct Compiled {
 enum Sink {
     /// A result envelope ([`QueryResult`]): the answer as a document
     /// (built through a [`DocumentBuilder`]), its report with the EXPLAIN
-    /// text, and its provenance. `profile` meters every operator.
-    Tree { profile: bool },
+    /// text, and its provenance.
+    Tree,
     /// The answer's bytes alone, streamed through an [`XmlWriter`] when
     /// the template nests no subquery (and serialized from a document
     /// when it does); no EXPLAIN text is rendered.
@@ -584,12 +583,11 @@ struct ExecCtx {
     /// Whether anyone can read the EXPLAIN text: a result envelope or
     /// EXPLAIN. A streamed serve returns the answer's bytes alone and
     /// clears it, and then no EXPLAIN text — the sources' SQL included —
-    /// is rendered.
+    /// is rendered, and no operator tree is walked for its Q-errors.
+    /// A fetch task's context inherits it.
     want_plan_text: bool,
     /// EXPLAIN's first line: [`Compiled::path`] of the top-level query.
     plan_path: Option<PlanPath>,
-    /// Wrap assembled operators in `MeteredOp` for EXPLAIN ANALYZE.
-    profile: bool,
     /// Lineage tracking enabled for this evaluation scope. Starts true;
     /// view materialization internals clear it (a view contributes as
     /// one unit, not per underlying source). Only effective when
@@ -617,7 +615,6 @@ impl ExecCtx {
             lent_ms: 0.0,
             want_plan_text: true,
             plan_path: None,
-            profile: false,
             track: true,
             prov: Vec::new(),
             last_lin: None,
@@ -874,13 +871,7 @@ impl Engine {
 
     /// Answer an XML-QL query.
     pub fn query(&self, text: &str) -> Result<QueryResult, CoreError> {
-        self.serve_result(text, Sink::Tree { profile: false }, None)
-    }
-
-    /// Answer a query with every operator metered for this one
-    /// execution (EXPLAIN ANALYZE's actual rows and times).
-    pub fn query_profiled(&self, text: &str) -> Result<QueryResult, CoreError> {
-        self.serve_result(text, Sink::Tree { profile: true }, None)
+        self.serve_result(text, Sink::Tree, None)
     }
 
     /// Answer a query and return the compact serialized `<results>`
@@ -910,7 +901,7 @@ impl Engine {
     /// neither read nor filled; the plan is verified and audited as a
     /// freshly made one is, before any source is called.
     pub fn query_planned(&self, text: &str, plan: Plan) -> Result<QueryResult, CoreError> {
-        self.serve_result(text, Sink::Tree { profile: false }, Some(plan))
+        self.serve_result(text, Sink::Tree, Some(plan))
     }
 
     /// A serve into a result envelope.
@@ -941,7 +932,6 @@ impl Engine {
         let config = self.config();
         let report = ServeReport::new(qctx.trace_id.0, &self.instance, text);
         let mut ctx = ExecCtx::serving(report, qctx.started);
-        ctx.profile = sink == Sink::Tree { profile: true };
         ctx.want_plan_text = sink != Sink::Xml;
         let served = self.serve_stages(text, &config, sink, given, &mut ctx);
         self.record(ctx, &qctx, served, sink)
@@ -1068,8 +1058,8 @@ impl Engine {
     /// `engine.phase_us.*`), shares the serve's cost among the names it
     /// read in the workload monitor, and hands the report to the query
     /// log and — when the keep policy holds — the flight recorder, the
-    /// evidence (spans, per-call records) gathered only then or when
-    /// profiled. A result envelope gets the report back.
+    /// evidence (spans, per-call records) gathered only then. A result
+    /// envelope gets the report back.
     fn record(
         &self,
         ctx: ExecCtx,
@@ -1077,12 +1067,7 @@ impl Engine {
         served: Result<Answered, CoreError>,
         sink: Sink,
     ) -> Result<(Answer, Option<ServeReport>), CoreError> {
-        let ExecCtx {
-            mut report,
-            laps,
-            profile,
-            ..
-        } = ctx;
+        let ExecCtx { mut report, laps, .. } = ctx;
         if let Some(laps) = laps {
             let (elapsed_ms, alloc) = laps.finish();
             report.elapsed_ms = elapsed_ms;
@@ -1104,17 +1089,17 @@ impl Engine {
             }
         }
         // Tail-sampled: the keep decision is one compare, and the
-        // evidence is gathered only for kept or profiled serves.
+        // evidence is gathered only for kept serves.
         let keep = self
             .flight
             .should_keep(report.elapsed_ms, report.complete, report.error.is_some());
-        if keep || profile {
+        if keep {
             report.spans = SpanView::tree(report.elapsed_ms, &report.phases);
             report.source_calls.records = qctx.take_source_calls();
         }
         let kept = keep.then(|| report.clone());
         let (seq, report) = match sink {
-            Sink::Tree { .. } => (self.query_log.admit(report.summary()), Some(report)),
+            Sink::Tree => (self.query_log.admit(report.summary()), Some(report)),
             Sink::Xml => (self.query_log.admit(report), None),
         };
         if let Some(mut kept) = kept {
@@ -1296,13 +1281,19 @@ impl Engine {
         Ok(result.stats.plan)
     }
 
-    /// EXPLAIN ANALYZE: execute the query with per-operator profiling
-    /// forced on, returning the phase span tree followed by the plan
-    /// with each operator annotated with its actual row count and
-    /// measured open/next time.
+    /// EXPLAIN ANALYZE: a plain serve of the query, rendered — its
+    /// stages as a span tree, one `-- round:` line for each round of
+    /// tasks it ran, and its plan, every operator annotated with what
+    /// it emitted and buffered. Rounds stay out of the plan text: how a
+    /// round ran changes from one serve to the next, the plan's notes do
+    /// not.
     pub fn explain_analyze(&self, text: &str) -> Result<String, CoreError> {
-        let stats = self.query_profiled(text)?.stats;
-        Ok(SpanView::render(&stats.spans) + &stats.plan)
+        let stats = self.query(text)?.stats;
+        let mut out = SpanView::render(&SpanView::tree(stats.elapsed_ms, &stats.phases));
+        for round in &stats.rounds {
+            out.push_str(&format!("-- {}\n", round));
+        }
+        Ok(out + &stats.plan)
     }
 
     /// Evaluate a view definition virtually and construct its document.
@@ -1412,7 +1403,7 @@ impl Engine {
         // the entire pipeline: no source is contacted, no join is
         // folded — the measurable win of satisfiability analysis.
         if let Some(reason) = bound.verdict(&self.catalog, &config.optimizer) {
-            return self.eval_pruned(bound, &reason, outer, depth, ctx);
+            return self.eval_pruned(bound, &reason, &config, outer, depth, ctx);
         }
         // Verification of the assembled tree, timed apart from the
         // pipeline it sits in.
@@ -1459,14 +1450,15 @@ impl Engine {
         };
         let rest = (0..n).filter(|&i| Some(i) != driver);
         self.fetch_round(bound, rest, keys.as_ref(), observed, &config, depth, ctx, &mut fetched);
-        // What EXPLAIN ANALYZE says of each probed match.
+        // What EXPLAIN says of each probed match, where it is read.
         let mut probed_notes: Vec<String> = Vec::new();
+        let note_probes = depth == 0 && ctx.want_plan_text;
         for (atom, slot) in plan.independents.iter().zip(fetched) {
             let unit = slot.ok_or_else(|| {
                 CoreError::Internal("independent unit left unfetched".into())
             })??;
             ctx.report.rows_fetched += unit.tuples.len() as u64;
-            if let (Some((pruned, candidates)), true) = (unit.probed, ctx.profile) {
+            if let (Some((pruned, candidates)), true) = (unit.probed, note_probes) {
                 probed_notes.push(format!(
                     "probe: pruned {} of {} candidates of {}",
                     pruned,
@@ -1497,7 +1489,7 @@ impl Engine {
 
         // Score the planner's per-unit cardinality estimates against the
         // rows each unit actually shipped (inputs are still in atom
-        // order here). This runs on every query, profiled or not — the
+        // order here). This runs on every serve, streamed or not — the
         // scan layer is where estimates are cheapest to check — and a
         // gross miss on a filtered fragment feeds the observed count
         // back into the statistics catalog as a sound lower bound on the
@@ -1565,14 +1557,6 @@ impl Engine {
         let (_, (first_schema, first_tuples, first_mask, first_name)) = iter
             .next()
             .ok_or_else(|| CoreError::Internal("join fold over zero inputs".into()))?;
-        let profile = ctx.profile;
-        let meter = move |op: Box<dyn Operator>| -> Box<dyn Operator> {
-            if profile {
-                Box::new(MeteredOp::new(op))
-            } else {
-                op
-            }
-        };
         // The batch drive pulls each scan exactly once, so scans move
         // their tuples out instead of cloning.
         let scan = |values: ValuesOp| values.labeled("Scan").drain_on_batch();
@@ -1585,7 +1569,7 @@ impl Engine {
         if let Some(e) = input_est.first().copied().flatten() {
             first_scan.set_est_rows(e);
         }
-        let mut op: Box<dyn Operator> = meter(Box::new(first_scan));
+        let mut op: Box<dyn Operator> = Box::new(first_scan);
         // Source labels of every unit folded in so far, for the rewrite
         // audit's source-set fingerprints (a faithful execution rewrite
         // must not change where the joined rows come from).
@@ -1611,7 +1595,7 @@ impl Engine {
             if let Some(e) = this_est {
                 right_scan.set_est_rows(e);
             }
-            let right: Box<dyn Operator> = meter(Box::new(right_scan));
+            let right: Box<dyn Operator> = Box::new(right_scan);
             let has_common = !op.schema().common_vars(&schema).is_empty();
             op = if has_common {
                 // Build side: `HashJoinOp` builds its table on the right
@@ -1664,7 +1648,7 @@ impl Engine {
                 if let Some(e) = next_est {
                     join.set_est_rows(e);
                 }
-                meter(Box::new(join))
+                Box::new(join)
             } else {
                 let mut join = NestedLoopJoinOp::new(
                     op,
@@ -1676,14 +1660,14 @@ impl Engine {
                 if let Some(e) = next_est {
                     join.set_est_rows(e);
                 }
-                meter(Box::new(join))
+                Box::new(join)
             };
             cur_est = next_est;
         }
 
         // Dependent navigation atoms, in syntactic order.
         for dep in &plan.dependents {
-            op = meter(Box::new(BindPatternOp::new(op, &dep.on_var, dep.pattern.clone())?));
+            op = Box::new(BindPatternOp::new(op, &dep.on_var, dep.pattern.clone())?);
         }
 
         // Drop duplicate join columns (`var#2` …).
@@ -1700,7 +1684,7 @@ impl Engine {
             if let Some(e) = cur_est {
                 project.set_est_rows(e);
             }
-            op = meter(Box::new(project));
+            op = Box::new(project);
         }
 
         // Residual predicates, as this serve reads them.
@@ -1723,7 +1707,7 @@ impl Engine {
                 filter.set_est_rows(est);
                 cur_est = Some(est);
             }
-            op = meter(Box::new(filter));
+            op = Box::new(filter);
         }
 
         // ORDER-BY.
@@ -1747,16 +1731,14 @@ impl Engine {
             if let Some(e) = cur_est {
                 sort.set_est_rows(e);
             }
-            op = meter(Box::new(sort));
+            op = Box::new(sort);
         }
 
         // Static verification of the assembled physical plan: every
         // operator's schema/expression/ordering contract must hold before
-        // we open anything. (`MeteredOp` wrappers delegate `introspect`,
-        // so the verifier sees the identical plan.) A plan-cache hit
-        // (`planck_verify` false) skips this: the plan's fold order
-        // drives assembly, so a hit assembles the shape verified at
-        // cache-fill time.
+        // we open anything. A plan-cache hit (`planck_verify` false)
+        // skips this: the plan's fold order drives assembly, so a hit
+        // assembles the shape verified at cache-fill time.
         if config.optimizer.verify_plans && planck_verify {
             let t_verify = Instant::now();
             // The structural pass plus bottom-up type/nullability
@@ -1792,30 +1774,22 @@ impl Engine {
         };
         let schema = op.schema().clone();
         // Plan-quality telemetry over the finished operator tree:
-        // per-kind Q-error histograms and build-side flips (profiled
-        // nodes).
-        self.plan_quality_walk(op.as_ref(), ctx);
+        // per-kind Q-error histograms and build-side flips, wherever the
+        // report has a reader (a streamed serve scores its scans alone).
+        if ctx.want_plan_text {
+            self.plan_quality_walk(op.as_ref(), ctx);
+        }
         if depth == 0 && verify_ms > 0.0 {
             ctx.lend(Stage::Verify, verify_ms);
         }
         // Record the plan (top-level query only).
         if depth == 0 && ctx.want_plan_text && ctx.report.plan.is_empty() {
             let of_values = bound.value_notes(&self.catalog, None);
-            // EXPLAIN ANALYZE says how each round ran.
-            let rounds: Vec<String> = if ctx.profile {
-                ctx.report.rounds.iter().map(RoundFork::to_string).collect()
-            } else {
-                Vec::new()
-            };
             let mut text = explain_notes(
                 ctx.plan_path.map(|path| path.explain(bound.param_count())),
-                plan.notes.iter().chain(&of_values).chain(&bind_note).chain(&probed_notes).chain(&rounds),
+                plan.notes.iter().chain(&of_values).chain(&bind_note).chain(&probed_notes),
             );
-            if ctx.profile {
-                text.push_str(&explain_analyze_ops(op.as_ref()));
-            } else {
-                text.push_str(&explain_ops(op.as_ref()));
-            }
+            text.push_str(&explain_ops(op.as_ref()));
             ctx.report.plan = text;
         }
         Ok((schema, tuples))
@@ -1830,11 +1804,11 @@ impl Engine {
         &self,
         bound: Bound<'_>,
         reason: &str,
+        config: &EngineConfig,
         outer: Option<(&Schema, &Tuple)>,
         depth: usize,
         ctx: &mut ExecCtx,
     ) -> Result<(Schema, Vec<Tuple>), CoreError> {
-        let config = self.config();
         let plan = bound.plan;
         let t_pipeline = Instant::now();
         let mut vars: Vec<String> = outer
@@ -1891,7 +1865,8 @@ impl Engine {
     ///
     /// * `plan.qerror.<kind>` — Q-error (`max(est/act, act/est)`, stored
     ///   as centi-Q so near-1 estimates stay distinguishable in the
-    ///   log₂ buckets) of every profiled node that carried an estimate.
+    ///   log₂ buckets) of every node that carried an estimate, against
+    ///   the rows it emitted.
     /// * `plan.flips.build_side` — hash joins whose chosen build side
     ///   turned out more than 4× larger than the probe side: the
     ///   estimates picked one side, the actuals say the other (the
@@ -1899,8 +1874,8 @@ impl Engine {
     ///   the reversed inequality is exactly a flipped decision).
     fn plan_quality_walk(&self, op: &dyn Operator, ctx: &mut ExecCtx) {
         let info = op.introspect();
-        if let (Some(p), Some(est)) = (op.profile(), op.est_rows()) {
-            let q = qerror(est, p.rows);
+        if let Some(est) = op.est_rows() {
+            let q = qerror(est, op.rows_out());
             self.metrics
                 .observe(&format!("plan.qerror.{}", metric_slug(&info.name)), centi_q(q));
             ctx.qerror(q, &info.name);
@@ -1908,14 +1883,12 @@ impl Engine {
         if info.name == "HashJoin" {
             let children = op.children();
             if let [probe, build] = children[..] {
-                if let (Some(p), Some(b)) = (probe.profile(), build.profile()) {
-                    // Both sides carried estimates iff the swap rule ran.
-                    if probe.est_rows().is_some()
-                        && build.est_rows().is_some()
-                        && b.rows > p.rows.saturating_mul(4)
-                    {
-                        self.metrics.incr("plan.flips.build_side", 1);
-                    }
+                // Both sides carried estimates iff the swap rule ran.
+                if probe.est_rows().is_some()
+                    && build.est_rows().is_some()
+                    && build.rows_out() > probe.rows_out().saturating_mul(4)
+                {
+                    self.metrics.incr("plan.flips.build_side", 1);
                 }
             }
         }
@@ -2013,7 +1986,7 @@ impl Engine {
         // Each task fetches into a context of its own, with this one's
         // switches, and the query context — thread-local — re-entered,
         // so source calls on a worker stay attributed to the query.
-        let (track, profile) = (ctx.track, ctx.profile);
+        let (track, want_plan_text) = (ctx.track, ctx.want_plan_text);
         let qctx = QueryCtx::current();
         // A shard's adapter may record its own call during the round: the
         // records are searched for one from here (`note_source_call`).
@@ -2031,7 +2004,7 @@ impl Engine {
                 None => {
                     let mut local = ExecCtx {
                         track,
-                        profile,
+                        want_plan_text,
                         ..ExecCtx::new()
                     };
                     let bind = plan
@@ -3474,7 +3447,6 @@ mod correlated_probe_tests {
         cleared.probes.clear();
         let run = |plan: &planner::Plan, row: &Atomic| {
             let mut ctx = ExecCtx::new();
-            ctx.profile = true;
             let tuple = vec![Value::Atomic(row.clone())];
             let (schema, tuples) = engine
                 .eval_planned(plan, &[], Some((&outer, &tuple)), 0, &mut ctx, true, None)

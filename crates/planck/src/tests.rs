@@ -1,9 +1,7 @@
 use super::*;
 use nimble_algebra::expr::{CmpOp, ScalarExpr};
 use nimble_algebra::inspect::OpInfo;
-use nimble_algebra::ops::{
-    BoxedOp, FilterOp, HashJoinOp, JoinType, MeteredOp, ProjectOp, SortKey, SortOp, ValuesOp,
-};
+use nimble_algebra::ops::{BoxedOp, FilterOp, HashJoinOp, JoinType, ProjectOp, ValuesOp};
 use nimble_algebra::{ExecError, FunctionRegistry, Tuple};
 use std::sync::Arc;
 
@@ -89,27 +87,6 @@ fn issue_paths_locate_the_operator() {
     let filter = FilterOp::new(proj, pred, funcs());
     let report = verify(&filter).expect_err("nested issue found");
     assert_eq!(report.issues[0].path, "Filter/Project[0]");
-}
-
-#[test]
-fn a_metered_join_under_a_metered_sort_verifies() {
-    // The shape the engine builds: a hash join and a sort, each wrapped
-    // in a meter, which the verifier sees through.
-    let join = HashJoinOp::new(
-        source(&["k", "x"]),
-        source(&["k2", "y"]),
-        vec![0],
-        vec![0],
-        JoinType::Inner,
-    );
-    let sort = SortOp::new(
-        Box::new(MeteredOp::new(Box::new(join))),
-        vec![SortKey {
-            column: 1,
-            descending: false,
-        }],
-    );
-    assert_verified(&MeteredOp::new(Box::new(sort)));
 }
 
 // --- Semantic pass: seeded-mutation corpus ---

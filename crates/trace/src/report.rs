@@ -239,7 +239,7 @@ pub struct ServeReport {
     /// serve had a reader for it (a result envelope).
     pub plan: String,
     /// The serve as a span tree — a `query` root over its stages — when
-    /// profiled or kept.
+    /// kept.
     pub spans: Vec<SpanView>,
     /// Heap bytes allocated while serving (0 unless the `profile-alloc`
     /// feature is compiled in).

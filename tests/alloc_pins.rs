@@ -250,7 +250,7 @@ fn a_cached_shape_hit_copies_no_plan() {
 }
 
 /// Blocks a hit of [`a_cached_shape_hit_copies_no_plan`] allocates.
-const HIT_BLOCKS: u64 = 75;
+const HIT_BLOCKS: u64 = 74;
 
 /// A lookup of customer `k` whose template nests a subquery, with a
 /// template `width` elements wide.

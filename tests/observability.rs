@@ -5,8 +5,8 @@
 mod common;
 
 use common::Counting;
-use nimble::algebra::ops::{FilterOp, MeteredOp, ValuesOp};
-use nimble::algebra::{explain_analyze, run_to_vec, CmpOp, FunctionRegistry, ScalarExpr, Schema};
+use nimble::algebra::ops::{FilterOp, ValuesOp};
+use nimble::algebra::{explain, run_to_vec, CmpOp, FunctionRegistry, ScalarExpr, Schema};
 use nimble::core::{
     Catalog, DispatchStrategy, Engine, EngineCluster, EngineConfig, OptimizerConfig, ServeReport, ShardSpec,
     ShardedCluster, UnavailablePolicy,
@@ -17,7 +17,7 @@ use nimble::sources::relational::RelationalAdapter;
 use nimble::sources::sim::{LinkConfig, SimulatedLink};
 use nimble::sources::xmldoc::XmlDocAdapter;
 use nimble::sources::SourceError;
-use nimble::trace::{chrome_trace, json, MetricsRegistry, TraceId};
+use nimble::trace::{chrome_trace, json, MetricsRegistry, SpanView, TraceId};
 use nimble::xml::{to_string, Document, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,14 +54,13 @@ const JOIN_QUERY: &str = r#"
     ORDER-BY $p
 "#;
 
-/// Pull `actual rows=N` annotations out of an EXPLAIN ANALYZE listing,
-/// top-down.
+/// Pull `[rows=N]` annotations out of an EXPLAIN listing, top-down.
 fn actual_rows(listing: &str) -> Vec<u64> {
     listing
         .lines()
         .filter_map(|l| {
-            let at = l.find("actual rows=")?;
-            let rest = &l[at + "actual rows=".len()..];
+            let at = l.find("[rows=")?;
+            let rest = &l[at + "[rows=".len()..];
             let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
             digits.parse().ok()
         })
@@ -86,13 +85,12 @@ fn explain_analyze_rows_match_join_result() {
     // The phase spans rode along.
     assert!(listing.contains("query:"), "listing:\n{}", listing);
     assert!(listing.contains("execute:"), "listing:\n{}", listing);
-    assert!(listing.contains("open="), "listing:\n{}", listing);
 }
 
 #[test]
 fn explain_analyze_rows_match_filtered_plan() {
-    // Drive the algebra directly, so each metered node's count is known:
-    // Metered(Filter(Metered(Values))).
+    // Drive the algebra directly, so each node's count is known:
+    // Filter(Values).
     let schema = Schema::new(vec!["region".into(), "total".into()]);
     let tuples: Vec<Vec<Value>> = [
         ("NW", 10i64),
@@ -104,17 +102,16 @@ fn explain_analyze_rows_match_filtered_plan() {
     .iter()
     .map(|(r, t)| vec![Value::from(*r), Value::from(*t)])
     .collect();
-    let scan = MeteredOp::new(Box::new(ValuesOp::new(schema, tuples)));
-    let filter = FilterOp::new(
+    let scan = ValuesOp::new(schema, tuples);
+    let mut op = FilterOp::new(
         Box::new(scan),
         ScalarExpr::cmp(CmpOp::Gt, ScalarExpr::Col(1), ScalarExpr::lit(6i64)),
         Arc::new(FunctionRegistry::with_builtins()),
     );
-    let mut op = MeteredOp::new(Box::new(filter));
     let rows = run_to_vec(&mut op).unwrap();
     assert_eq!(rows.len(), 3);
 
-    let listing = explain_analyze(&op);
+    let listing = explain(&op);
     let annotated = actual_rows(&listing);
     // Root (the filter) kept 3 of 5 scanned rows.
     assert_eq!(annotated, vec![3, 5], "listing:\n{}", listing);
@@ -218,17 +215,17 @@ fn linked_catalog() -> (Arc<Catalog>, Arc<SimulatedLink>) {
 #[test]
 fn chrome_trace_export_is_valid_json_and_matches_phases() {
     let engine = Engine::new(catalog());
-    let r = engine.query_profiled(JOIN_QUERY).unwrap();
+    let r = engine.query(JOIN_QUERY).unwrap();
     assert!(r.stats.trace_id > 0);
-    assert!(!r.stats.spans.is_empty());
+    let spans = SpanView::tree(r.stats.elapsed_ms, &r.stats.phases);
 
-    let json = chrome_trace(&r.stats.spans, TraceId(r.stats.trace_id), engine.instance());
+    let json = chrome_trace(&spans, TraceId(r.stats.trace_id), engine.instance());
     let parsed: json::Value =
         json::from_str(&json).expect("chrome export must be valid JSON");
     let events = parsed["traceEvents"].as_array().unwrap();
     // One complete ("X") event per span, every one tagged with the
     // query's trace id and this engine's instance name.
-    assert_eq!(events.len(), r.stats.spans.len());
+    assert_eq!(events.len(), spans.len());
     let tid = TraceId(r.stats.trace_id).to_string();
     for ev in events {
         assert_eq!(ev["ph"], "X", "event: {}", ev);
@@ -238,7 +235,7 @@ fn chrome_trace_export_is_valid_json_and_matches_phases() {
         assert_eq!(ev["args"]["instance"], engine.instance());
     }
     // Every phase the stats report appears as an event whose duration
-    // (µs) is the phase timing (ms) the profile reported.
+    // (µs) is the phase timing (ms) the report holds.
     for (phase, ms) in &r.stats.phases {
         let ev = events
             .iter()
@@ -361,23 +358,41 @@ fn link_stats_surface_as_gauges() {
 }
 
 #[test]
-fn profiling_on_off_results_are_byte_identical() {
-    // Per-operator metering and allocation accounting are observers:
-    // the same query with profiling forced on must construct the same
-    // document, tuple for tuple, as the plain path.
-    let engine = Engine::new(catalog());
-    let plain = engine.query(JOIN_QUERY).unwrap();
-    let profiled = engine.query_profiled(JOIN_QUERY).unwrap();
-    assert_eq!(
-        nimble::xml::to_string(&plain.document.root()),
-        nimble::xml::to_string(&profiled.document.root()),
-    );
-    assert_eq!(plain.stats.tuples, profiled.stats.tuples);
-    // Row conservation: the metered root materialized exactly the
-    // tuples the result reports.
-    let listing = engine.explain_analyze(JOIN_QUERY).unwrap();
-    let rows = actual_rows(&listing);
-    assert_eq!(rows[0] as usize, profiled.stats.tuples, "listing:\n{}", listing);
+fn explain_analyze_is_a_plain_serve_rendered() {
+    // EXPLAIN ANALYZE meters nothing of its own: its operator lines and
+    // notes are a plain serve's plan (rounds aside, which it prints
+    // apart), and a plain serve is scored as it is.
+    let round = |l: &&str| l.starts_with("-- round:");
+    let body = |text: &str| -> Vec<String> {
+        text.lines()
+            .skip_while(|l| !l.starts_with("-- ") || round(l))
+            .filter(|l| !round(l))
+            .map(str::to_string)
+            .collect()
+    };
+    for track_lineage in [false, true] {
+        let engine = Engine::new(catalog());
+        engine.set_optimizer(OptimizerConfig { track_lineage, ..OptimizerConfig::default() });
+        engine.query(JOIN_QUERY).unwrap();
+        let before = engine.metrics_snapshot();
+        let plain = engine.query(JOIN_QUERY).unwrap();
+        let scored = engine.metrics_snapshot().diff(&before);
+        let listing = engine.explain_analyze(JOIN_QUERY).unwrap();
+        assert_eq!(body(&listing), body(&plain.stats.plan), "listing:\n{}", listing);
+        assert!(listing.starts_with("query:"), "listing:\n{}", listing);
+        let rows = actual_rows(&listing);
+        assert_eq!(rows[0] as usize, plain.stats.tuples, "listing:\n{}", listing);
+        assert!(plain.stats.worst_qerror_op.is_some(), "{:?}", plain.stats);
+        assert!(plain.stats.worst_qerror >= 1.0, "{:?}", plain.stats);
+        // The operators above the scans were scored too.
+        let operators: Vec<&String> = scored
+            .histograms
+            .iter()
+            .filter(|(name, h)| name.starts_with("plan.qerror.") && *name != "plan.qerror.scan" && h.count > 0)
+            .map(|(name, _)| name)
+            .collect();
+        assert!(!operators.is_empty(), "{:?}", scored.histograms.keys());
+    }
 }
 
 #[test]
@@ -416,7 +431,7 @@ fn query_allocation_accounting_is_conserved_across_phases() {
 fn flight_records_carry_resource_accounting() {
     let config = EngineConfig { slow_query_ms: 0.0, ..EngineConfig::default() };
     let engine = Engine::with_config(catalog(), config);
-    engine.query_profiled(JOIN_QUERY).unwrap();
+    engine.query(JOIN_QUERY).unwrap();
 
     let records = engine.flight_recorder().records();
     let rec = &records[0];
@@ -424,7 +439,7 @@ fn flight_records_carry_resource_accounting() {
         assert!(rec.alloc_bytes > 0);
         assert!(rec.alloc_peak_bytes <= rec.alloc_bytes);
     }
-    // A profiled cost-based query gets plan-quality scoring: a worst
+    // A plain cost-based query gets plan-quality scoring: a worst
     // offender is named and its Q-error is at least 1 (perfect).
     assert!(rec.worst_qerror >= 1.0, "worst_qerror: {}", rec.worst_qerror);
     assert!(rec.worst_qerror_op.is_some());
@@ -538,7 +553,7 @@ fn explain_analyze_sets_estimated_against_actual_keys() {
     let listing = engine.explain_analyze(THREE_SOURCE_JOIN).unwrap();
     assert!(listing.contains("-- bind $i: support \u{2192} crm, billing (~8 keys)"), "{}", listing);
     assert!(listing.contains("-- bind $i: 8 keys sent (est ~8)"), "{}", listing);
-    assert!(listing.contains("actual rows=16"), "{}", listing);
+    assert!(listing.contains("[rows=16]"), "{}", listing);
 }
 
 #[test]
