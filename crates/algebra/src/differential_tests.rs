@@ -115,9 +115,9 @@ fn join_classes() -> Vec<(u32, Value)> {
 }
 
 /// Self-join `rows` (key columns first, row id last) on the first
-/// `arity` columns and return the joined `(left id, right id)` pairs,
-/// sorted.
-fn joined_ids(rows: &[Tuple], arity: usize, batched: bool) -> Vec<(i64, i64)> {
+/// `arity` columns, drained in batches of `batch`, and return the joined
+/// `(left id, right id)` pairs, sorted.
+fn joined_ids(rows: &[Tuple], arity: usize, batch: usize) -> Vec<(i64, i64)> {
     let source = |prefix: &str| {
         let vars = (0..=arity).map(|c| format!("{}{}", prefix, c)).collect();
         ValuesOp::new(Schema::new(vars), rows.to_vec())
@@ -130,11 +130,7 @@ fn joined_ids(rows: &[Tuple], arity: usize, batched: bool) -> Vec<(i64, i64)> {
         keys,
         JoinType::Inner,
     );
-    let out = if batched {
-        crate::run_to_vec_batched(&mut join, 4).unwrap().0
-    } else {
-        run_to_vec(&mut join).unwrap()
-    };
+    let out = crate::run_to_vec_batched(&mut join, batch).unwrap().0;
     let id = |v: &Value| match v.atomize() {
         Atomic::Int(i) => i,
         other => panic!("row id must be an int, got {:?}", other),
@@ -184,16 +180,16 @@ fn hash_join_equality_classes_are_the_written_relation() {
             }
         }
     }
-    for batched in [false, true] {
+    for batch in [1, 4] {
         assert_eq!(
-            joined_ids(&single_rows, 1, batched),
+            joined_ids(&single_rows, 1, batch),
             single_want,
-            "single-column key, batched={batched}"
+            "single-column key, batch={batch}"
         );
         assert_eq!(
-            joined_ids(&pair_rows, 2, batched),
+            joined_ids(&pair_rows, 2, batch),
             pair_want,
-            "composite key, batched={batched}"
+            "composite key, batch={batch}"
         );
     }
 }
@@ -272,7 +268,7 @@ fn values_the_join_equates_compare_alike_with_a_number_when_they_are_numbers() {
         .enumerate()
         .map(|(id, v)| vec![v.clone(), Value::from(id as i64)])
         .collect();
-    let mut pairs: Vec<(usize, usize)> = joined_ids(&rows, 1, false)
+    let mut pairs: Vec<(usize, usize)> = joined_ids(&rows, 1, 1)
         .into_iter()
         .map(|(a, b)| (a as usize, b as usize))
         .collect();
@@ -363,7 +359,7 @@ fn like_a_string_literal_and_nan_are_where_joined_values_compare_apart() {
             vec![y.clone(), Value::from(1i64)],
         ];
         assert!(
-            joined_ids(&rows, 1, false).contains(&(0, 1)),
+            joined_ids(&rows, 1, 1).contains(&(0, 1)),
             "{}: {:?} and {:?} must join",
             why,
             x,

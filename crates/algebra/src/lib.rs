@@ -1,7 +1,7 @@
 //! # nimble-algebra
 //!
-//! The **physical algebra** of the Nimble reproduction and its
-//! Volcano-style (open/next/close) executor.
+//! The **physical algebra** of the Nimble reproduction and its pull
+//! executor (open / next_batch / close).
 //!
 //! The paper (§3.1) distinguishes two roles an algebra can play — an
 //! abstraction of the query language, and a model of the physical
@@ -72,15 +72,10 @@ pub use lineage::LineageMask;
 pub use ops::Operator;
 pub use schema::{Schema, SchemaError, Tuple};
 
-/// Drain an operator into a vector (open → next* → close).
+/// Drain an operator into a vector in batches of
+/// [`ops::DEFAULT_BATCH_SIZE`] (open → next_batch* → close).
 pub fn run_to_vec(op: &mut dyn Operator) -> Result<Vec<Tuple>, ExecError> {
-    op.open()?;
-    let mut out = Vec::new();
-    while let Some(t) = op.next()? {
-        out.push(t);
-    }
-    op.close();
-    Ok(out)
+    Ok(run_to_vec_batched(op, ops::DEFAULT_BATCH_SIZE)?.0)
 }
 
 /// Drain an operator through [`Operator::next_batch`] in batches of

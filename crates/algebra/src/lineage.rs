@@ -244,13 +244,13 @@ mod tests {
         use crate::expr::{CmpOp, ScalarExpr};
         use crate::funcs::FunctionRegistry;
         use crate::ops::{FilterOp, HashJoinOp, JoinType, Operator, SortKey, SortOp};
-        use crate::{run_to_vec, run_to_vec_batched};
+        use crate::run_to_vec_batched;
         use std::sync::Arc;
 
         // left(src 0): k in {1,2,3}, filtered to k >= 2; right(src 1):
         // k in {2,3,4}. Joined rows must carry {0,1}, and the sort
-        // reorders them without losing alignment.
-        for batched in [false, true] {
+        // reorders them without losing alignment, at every batch size.
+        for batch in [1, 4, 1024] {
             let left = tagged(&["k"], &[&[1], &[3], &[2]], 0);
             let right = tagged(&["k2"], &[&[2], &[3], &[4]], 1);
             let filt = FilterOp::new(
@@ -272,11 +272,7 @@ mod tests {
                     descending: true,
                 }],
             );
-            let rows = if batched {
-                run_to_vec_batched(&mut plan, 4).unwrap().0
-            } else {
-                run_to_vec(&mut plan).unwrap()
-            };
+            let rows = run_to_vec_batched(&mut plan, batch).unwrap().0;
             assert_eq!(rows.len(), 2);
             let masks = plan.lineage().expect("pipeline tracks lineage");
             assert_eq!(masks.len(), 2);

@@ -45,10 +45,6 @@ impl Operator for EmptyOp {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        Ok(None)
-    }
-
     fn next_batch(&mut self, _out: &mut Vec<Tuple>, _max: usize) -> Result<usize, ExecError> {
         Ok(0)
     }

@@ -72,27 +72,6 @@ impl Operator for FilterOp {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        while let Some(t) = self.child.next()? {
-            let idx = self.consumed;
-            self.consumed += 1;
-            if keeps(self.test.as_ref(), &self.predicate, &self.funcs, &t)? {
-                if let Some(lin) = &mut self.lin {
-                    let mask = self
-                        .child
-                        .lineage()
-                        .and_then(|l| l.get(idx))
-                        .copied()
-                        .unwrap_or_default();
-                    lin.push(mask);
-                }
-                self.rows_out += 1;
-                return Ok(Some(t));
-            }
-        }
-        Ok(None)
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
         // One batch pull from the child per batch of survivors keeps the
         // child's dispatch amortized even under selective predicates.
@@ -233,7 +212,10 @@ mod tests {
         );
         assert!(op.test.is_none());
         op.open().unwrap();
-        assert!(matches!(op.next(), Err(ExecError::UnknownFunction(_))));
+        assert!(matches!(
+            op.next_batch(&mut Vec::new(), 1),
+            Err(ExecError::UnknownFunction(_))
+        ));
     }
 
     #[test]
@@ -246,6 +228,9 @@ mod tests {
             Arc::new(FunctionRegistry::with_builtins()),
         );
         op.open().unwrap();
-        assert!(matches!(op.next(), Err(ExecError::UnknownFunction(_))));
+        assert!(matches!(
+            op.next_batch(&mut Vec::new(), 1),
+            Err(ExecError::UnknownFunction(_))
+        ));
     }
 }

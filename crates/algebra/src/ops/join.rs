@@ -32,7 +32,10 @@ fn concat_tuples(left: &Tuple, right: &Tuple) -> Tuple {
 // --- Nested-loop join ---
 
 /// Join with an arbitrary predicate over the concatenated tuple; the
-/// right side is materialized at open.
+/// right side is materialized at open. Each left row is tested against
+/// every right row, in order (left-major). A batch pulls only as many
+/// left rows as its room can take at one right side's fan-out each, so
+/// it overshoots `max` by at most one left row's fan-out.
 pub struct NestedLoopJoinOp {
     left: BoxedOp,
     right: BoxedOp,
@@ -41,8 +44,7 @@ pub struct NestedLoopJoinOp {
     schema: Schema,
     funcs: Arc<FunctionRegistry>,
     right_rows: Vec<Tuple>,
-    current_left: Option<Tuple>,
-    right_cursor: usize,
+    scratch: Vec<Tuple>,
     rows_out: u64,
     est_rows: Option<u64>,
     mem_bytes: u64,
@@ -51,7 +53,7 @@ pub struct NestedLoopJoinOp {
     right_lin: Option<Vec<LineageMask>>,
     /// Lineage of emitted tuples (tracking iff *both* children track).
     lin: Option<Vec<LineageMask>>,
-    cur_left_mask: LineageMask,
+    /// Left-side emissions consumed so far — indexes its lineage.
     left_consumed: usize,
 }
 
@@ -72,14 +74,12 @@ impl NestedLoopJoinOp {
             schema,
             funcs,
             right_rows: Vec::new(),
-            current_left: None,
-            right_cursor: 0,
+            scratch: Vec::new(),
             rows_out: 0,
             est_rows: None,
             mem_bytes: 0,
             right_lin: None,
             lin: None,
-            cur_left_mask: LineageMask::EMPTY,
             left_consumed: 0,
         }
     }
@@ -95,74 +95,57 @@ impl Operator for NestedLoopJoinOp {
         self.left.open()?;
         self.right.open()?;
         self.right_rows.clear();
-        while let Some(t) = self.right.next()? {
-            self.right_rows.push(t);
-        }
+        super::drain(self.right.as_mut(), &mut self.right_rows)?;
         self.mem_bytes = super::tuples_mem_bytes(&self.right_rows);
         self.right_lin = self.right.lineage().map(|l| l.to_vec());
         self.right.close();
         self.lin = (self.right_lin.is_some() && self.left.lineage().is_some()).then(Vec::new);
-        self.cur_left_mask = LineageMask::EMPTY;
         self.left_consumed = 0;
-        self.current_left = None;
-        self.right_cursor = 0;
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        loop {
-            let left = match self.current_left.clone() {
-                Some(t) => t,
-                None => match self.left.next()? {
-                    None => return Ok(None),
-                    Some(t) => {
-                        if self.lin.is_some() {
-                            let idx = self.left_consumed;
-                            self.left_consumed += 1;
-                            self.cur_left_mask = self
-                                .left
-                                .lineage()
-                                .and_then(|l| l.get(idx))
-                                .copied()
-                                .unwrap_or_default();
+    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
+        let fan_out = self.right_rows.len().max(1);
+        let mut appended = 0;
+        while appended < max {
+            self.scratch.clear();
+            let room = ((max - appended) / fan_out).max(1);
+            let pulled = self.left.next_batch(&mut self.scratch, room)?;
+            if pulled == 0 {
+                break;
+            }
+            let base = self.left_consumed;
+            self.left_consumed += pulled;
+            for (i, left) in self.scratch.iter().enumerate() {
+                let lm = self.lin.is_some().then(|| {
+                    let masks = self.left.lineage().unwrap_or_default();
+                    masks.get(base + i).copied().unwrap_or_default()
+                });
+                for (j, right) in self.right_rows.iter().enumerate() {
+                    let combined = concat_tuples(left, right);
+                    if let Some(p) = &self.predicate {
+                        if !p.eval_bool(&combined, &self.funcs)? {
+                            continue;
                         }
-                        self.current_left = Some(t.clone());
-                        self.right_cursor = 0;
-                        t
                     }
-                },
-            };
-            while self.right_cursor < self.right_rows.len() {
-                let right = &self.right_rows[self.right_cursor];
-                self.right_cursor += 1;
-                let combined = concat_tuples(&left, right);
-                let ok = match &self.predicate {
-                    None => true,
-                    Some(p) => p.eval_bool(&combined, &self.funcs)?,
-                };
-                if ok {
-                    if let Some(lin) = &mut self.lin {
-                        let rm = self
-                            .right_lin
-                            .as_ref()
-                            .and_then(|r| r.get(self.right_cursor - 1))
-                            .copied()
-                            .unwrap_or_default();
-                        lin.push(self.cur_left_mask.or(rm));
+                    if let (Some(lm), Some(lin)) = (lm, self.lin.as_mut()) {
+                        let rm = self.right_lin.as_deref().and_then(|r| r.get(j));
+                        lin.push(lm.or(rm.copied().unwrap_or_default()));
                     }
-                    self.rows_out += 1;
-                    return Ok(Some(combined));
+                    out.push(combined);
+                    appended += 1;
                 }
             }
-            // Exhausted right side for this left tuple.
-            self.current_left = None;
         }
+        self.rows_out += appended as u64;
+        Ok(appended)
     }
 
     fn close(&mut self) {
         self.left.close();
         self.right_rows.clear();
         self.right_lin = None;
+        self.scratch = Vec::new();
     }
 
     fn describe(&self) -> String {
@@ -260,8 +243,6 @@ pub struct HashJoinOp {
     right_keys: Vec<usize>,
     join_type: JoinType,
     schema: Schema,
-    pending: Vec<Tuple>,
-    pending_cursor: usize,
     rows_out: u64,
     build_rows: Vec<Tuple>,
     index: JoinIndex,
@@ -275,8 +256,6 @@ pub struct HashJoinOp {
     /// Build-side lineage, aligned with `build_rows` (present iff the
     /// right child tracks).
     build_lin: Option<Vec<LineageMask>>,
-    /// Masks parallel to `pending`; drained into `lin` as rows emit.
-    pending_lin: Vec<LineageMask>,
     /// Probe-side emissions consumed so far.
     left_consumed: usize,
     /// Lineage of emitted tuples (tracking iff *both* children track).
@@ -374,8 +353,6 @@ impl HashJoinOp {
             right_keys,
             join_type,
             schema,
-            pending: Vec::new(),
-            pending_cursor: 0,
             rows_out: 0,
             build_rows: Vec::new(),
             index: JoinIndex::Single(HashMap::new()),
@@ -384,7 +361,6 @@ impl HashJoinOp {
             est_rows: None,
             mem_bytes: 0,
             build_lin: None,
-            pending_lin: Vec::new(),
             left_consumed: 0,
             lin: None,
         }
@@ -429,14 +405,9 @@ impl Operator for HashJoinOp {
     fn open(&mut self) -> Result<(), ExecError> {
         self.rows_out = 0;
         self.build_rows.clear();
-        self.pending_lin.clear();
         self.left_consumed = 0;
         self.right.open()?;
-        while self
-            .right
-            .next_batch(&mut self.build_rows, super::DEFAULT_BATCH_SIZE)?
-            > 0
-        {}
+        super::drain(self.right.as_mut(), &mut self.build_rows)?;
         // Snapshot before close: masks align 1:1 with `build_rows`, so
         // bucket row indices address them directly.
         self.build_lin = self.right.lineage().map(|l| l.to_vec());
@@ -457,78 +428,11 @@ impl Operator for HashJoinOp {
             super::tuples_mem_bytes(&self.build_rows) + self.index.entry_bytes() + bucket_slots;
         self.left.open()?;
         self.lin = (self.build_lin.is_some() && self.left.lineage().is_some()).then(Vec::new);
-        self.pending.clear();
-        self.pending_cursor = 0;
         Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        loop {
-            if self.pending_cursor < self.pending.len() {
-                let t = std::mem::take(&mut self.pending[self.pending_cursor]);
-                if let Some(lin) = &mut self.lin {
-                    lin.push(
-                        self.pending_lin
-                            .get(self.pending_cursor)
-                            .copied()
-                            .unwrap_or_default(),
-                    );
-                }
-                self.pending_cursor += 1;
-                self.rows_out += 1;
-                return Ok(Some(t));
-            }
-            let Some(left) = self.left.next()? else {
-                return Ok(None);
-            };
-            self.pending.clear();
-            self.pending_cursor = 0;
-            self.pending_lin.clear();
-            let lm = if self.lin.is_some() {
-                let idx = self.left_consumed;
-                self.left_consumed += 1;
-                Some(
-                    self.left
-                        .lineage()
-                        .and_then(|l| l.get(idx))
-                        .copied()
-                        .unwrap_or_default(),
-                )
-            } else {
-                None
-            };
-            if let Some(idxs) = self
-                .index
-                .probe(&left, &self.left_keys, &mut self.probe_key)
-            {
-                for &i in idxs {
-                    self.pending
-                        .push(concat_tuples(&left, &self.build_rows[i as usize]));
-                }
-                if let Some(lm) = lm {
-                    self.pending_lin
-                        .extend(joined_masks(lm, &self.build_lin, idxs));
-                }
-            }
-        }
     }
 
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
         let mut appended = 0;
-        // Drain pending left over from interleaved `next()` calls.
-        while self.pending_cursor < self.pending.len() && appended < max {
-            out.push(std::mem::take(&mut self.pending[self.pending_cursor]));
-            if let Some(lin) = &mut self.lin {
-                lin.push(
-                    self.pending_lin
-                        .get(self.pending_cursor)
-                        .copied()
-                        .unwrap_or_default(),
-                );
-            }
-            self.pending_cursor += 1;
-            appended += 1;
-        }
         let right_width = self.right.schema().len();
         while appended < max {
             self.scratch.clear();
@@ -583,8 +487,6 @@ impl Operator for HashJoinOp {
 
     fn close(&mut self) {
         self.left.close();
-        self.pending.clear();
-        self.pending_lin.clear();
         self.build_rows.clear();
         self.build_lin = None;
         self.index = JoinIndex::Single(HashMap::new());
@@ -721,11 +623,11 @@ mod tests {
     fn drain_scan_feeds_join_once() {
         use crate::ops::ValuesOp;
         use nimble_xml::Value;
-        // Drain-mode scans move tuples into the join; results match the
-        // cloning scan, and a drained scan replays empty by contract.
+        // Scans move their tuples into the join, and a scan that handed
+        // its rows out reads empty when re-opened.
         let rows: Vec<Tuple> = (0..10).map(|i| vec![Value::from(i as i64)]).collect();
-        let left = ValuesOp::new(Schema::new(vec!["k".into()]), rows.clone()).drain_on_batch();
-        let right = ValuesOp::new(Schema::new(vec!["k2".into()]), rows.clone()).drain_on_batch();
+        let left = ValuesOp::new(Schema::new(vec!["k".into()]), rows.clone());
+        let right = ValuesOp::new(Schema::new(vec!["k2".into()]), rows.clone());
         let mut join = HashJoinOp::new(
             Box::new(left),
             Box::new(right),
@@ -735,8 +637,7 @@ mod tests {
         );
         assert_eq!(run_to_vec(&mut join).unwrap().len(), 10);
 
-        let mut drained =
-            ValuesOp::new(Schema::new(vec!["k".into()]), rows).drain_on_batch();
+        let mut drained = ValuesOp::new(Schema::new(vec!["k".into()]), rows);
         assert_eq!(run_to_vec(&mut drained).unwrap().len(), 10);
         assert_eq!(run_to_vec(&mut drained).unwrap().len(), 0);
     }

@@ -1,18 +1,11 @@
-//! Physical operators (Volcano-style pull iterators with a vectorized
-//! batch interface).
+//! Physical operators: pull iterators that hand rows over in batches.
 //!
-//! Every operator implements [`Operator`]: `open` prepares state, `next`
-//! yields one tuple, `close` releases resources. Operators own their
-//! children as boxed trait objects; plans are trees built by the
-//! mediator's planner.
-//!
-//! On top of the tuple-at-a-time contract sits [`Operator::next_batch`]:
-//! consumers that can process many tuples per call (the engine's join
-//! run, materializing parents like sorts and hash builds) pull batches
-//! of ~[`DEFAULT_BATCH_SIZE`] tuples and pay one virtual dispatch per
-//! batch instead of one per row. The default implementation loops
-//! `next`, so third-party / opaque operators participate unchanged; the
-//! hot built-ins override it with batch-native kernels.
+//! Every operator implements [`Operator`]: `open` prepares state,
+//! [`Operator::next_batch`] appends up to ~[`DEFAULT_BATCH_SIZE`] rows
+//! per call, `close` releases resources. A batch is the one way rows
+//! move, so a parent pays one virtual dispatch per batch, not per row.
+//! Operators own their children as boxed trait objects; plans are trees
+//! built by the mediator's planner.
 
 mod empty;
 mod filter;
@@ -51,39 +44,26 @@ pub fn tuples_mem_bytes(tuples: &[Tuple]) -> u64 {
         .sum()
 }
 
+/// Append every row an opened `op` has left to `out`, in batches of
+/// [`DEFAULT_BATCH_SIZE`]: how a materializing operator reads a child.
+pub(crate) fn drain(op: &mut dyn Operator, out: &mut Vec<Tuple>) -> Result<(), ExecError> {
+    while op.next_batch(out, DEFAULT_BATCH_SIZE)? > 0 {}
+    Ok(())
+}
+
 /// The physical-operator interface.
 pub trait Operator: Send {
     /// Output schema (variable names per column).
     fn schema(&self) -> &Schema;
-    /// Prepare for iteration. Must be called before `next`.
+    /// Prepare for iteration. Must be called before `next_batch`.
     fn open(&mut self) -> Result<(), ExecError>;
-    /// Produce the next tuple, or `None` at end of stream.
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError>;
     /// Append up to `max` tuples to `out`, returning how many were
     /// appended. `Ok(0)` means end of stream (callers must not retry).
-    ///
-    /// Contract notes:
-    /// - `max` is a *hint*: batch-native operators whose unit of work
-    ///   fans out (one probe row matching many build rows) may append a
-    ///   few more than `max` rather than buffer the remainder.
-    /// - The default implementation loops [`Operator::next`], so opaque
-    ///   / third-party operators participate in batched pipelines
-    ///   unchanged, just without the batch speedup.
-    /// - Mixing `next` and `next_batch` on one open operator is
-    ///   allowed; both draw from the same stream position.
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
-        let mut appended = 0;
-        while appended < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
-                    appended += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(appended)
-    }
+    /// `max` is a *hint*: an operator whose input rows fan out (one
+    /// probe row matching many build rows, one row binding many
+    /// matches) may append more than `max` rather than buffer the
+    /// remainder.
+    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError>;
     /// Release resources. Idempotent.
     fn close(&mut self);
     /// One-line description for EXPLAIN output.

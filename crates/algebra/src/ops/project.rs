@@ -87,20 +87,6 @@ impl Operator for ProjectOp {
         self.child.open()
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        match self.child.next()? {
-            None => Ok(None),
-            Some(t) => {
-                let mut out = Vec::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    out.push(e.eval(&t, &self.funcs)?.into_owned());
-                }
-                self.rows_out += 1;
-                Ok(Some(out))
-            }
-        }
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
         let mut appended = 0;
         while appended < max {

@@ -1,4 +1,4 @@
-//! Tuple source: in-memory values.
+//! Tuple source: in-memory values, handed over by move.
 
 use super::Operator;
 use crate::error::ExecError;
@@ -6,14 +6,16 @@ use crate::inspect::OpInfo;
 use crate::lineage::LineageMask;
 use crate::schema::{Schema, Tuple};
 
-/// An in-memory tuple source.
+/// An in-memory tuple source. Its rows leave by **move**, so a scan
+/// feeds its one consumer without a per-row clone, and it is read once:
+/// re-opened after it handed rows out, it is empty (a fresh `ValuesOp`
+/// reads again).
 pub struct ValuesOp {
     schema: Schema,
     tuples: Vec<Tuple>,
     cursor: usize,
     rows_out: u64,
     label: String,
-    drain: bool,
     est_rows: Option<u64>,
     /// Buffer footprint, computed once at `open` (drained tuples keep
     /// their accounted size — the scan did hold them).
@@ -36,7 +38,6 @@ impl ValuesOp {
             cursor: 0,
             rows_out: 0,
             label: "Values".to_string(),
-            drain: false,
             est_rows: None,
             mem_bytes: 0,
             lin_mask: None,
@@ -66,17 +67,6 @@ impl ValuesOp {
         self.lin_per_tuple = Some(masks);
         self
     }
-
-    /// Single-pass mode: emitted tuples are **moved** out instead of
-    /// cloned, so a scan feeding one consumer pays no per-tuple clone.
-    /// Trades away replayability — reopening after any tuple was emitted
-    /// yields an empty scan (a fresh `ValuesOp` replays; see
-    /// `values_replayable`). The engine sets this on scans it drives
-    /// exactly once per query.
-    pub fn drain_on_batch(mut self) -> Self {
-        self.drain = true;
-        self
-    }
 }
 
 impl Operator for ValuesOp {
@@ -85,10 +75,9 @@ impl Operator for ValuesOp {
     }
 
     fn open(&mut self) -> Result<(), ExecError> {
-        if self.drain && self.cursor > 0 {
-            // Tuples already handed out were moved, not cloned; a
-            // replayed drain scan is defined to be empty rather than
-            // yielding husks.
+        if self.cursor > 0 {
+            // Rows already handed out were moved: a re-opened scan is
+            // empty rather than yielding husks.
             self.tuples.clear();
         }
         self.cursor = 0;
@@ -100,38 +89,9 @@ impl Operator for ValuesOp {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        if self.cursor < self.tuples.len() {
-            let t = if self.drain {
-                std::mem::take(&mut self.tuples[self.cursor])
-            } else {
-                self.tuples[self.cursor].clone()
-            };
-            self.cursor += 1;
-            self.rows_out += 1;
-            if let Some(masks) = &self.lin_per_tuple {
-                self.lin
-                    .push(masks.get(self.cursor - 1).copied().unwrap_or_default());
-            } else if let Some(mask) = self.lin_mask {
-                self.lin.push(mask);
-            }
-            Ok(Some(t))
-        } else {
-            Ok(None)
-        }
-    }
-
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
         let n = max.min(self.tuples.len().saturating_sub(self.cursor));
-        if self.drain {
-            out.extend(
-                self.tuples[self.cursor..self.cursor + n]
-                    .iter_mut()
-                    .map(std::mem::take),
-            );
-        } else {
-            out.extend_from_slice(&self.tuples[self.cursor..self.cursor + n]);
-        }
+        out.extend(self.tuples[self.cursor..self.cursor + n].iter_mut().map(std::mem::take));
         self.cursor += n;
         self.rows_out += n as u64;
         if let Some(masks) = &self.lin_per_tuple {
@@ -186,17 +146,7 @@ impl Operator for ValuesOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_to_vec;
     use nimble_xml::Value;
-
-    #[test]
-    fn values_replayable() {
-        let schema = Schema::new(vec!["x".into()]);
-        let mut op = ValuesOp::new(schema, vec![vec![Value::from(1i64)], vec![Value::from(2i64)]]);
-        assert_eq!(run_to_vec(&mut op).unwrap().len(), 2);
-        // Reopening restarts.
-        assert_eq!(run_to_vec(&mut op).unwrap().len(), 2);
-    }
 
     #[test]
     fn per_tuple_lineage_masks_attribute_each_row() {

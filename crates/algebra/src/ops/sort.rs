@@ -76,11 +76,7 @@ impl Operator for SortOp {
         self.cursor = 0;
         self.child.open()?;
         self.buffer.clear();
-        while self
-            .child
-            .next_batch(&mut self.buffer, super::DEFAULT_BATCH_SIZE)?
-            > 0
-        {}
+        super::drain(self.child.as_mut(), &mut self.buffer)?;
         self.mem_bytes = super::tuples_mem_bytes(&self.buffer);
         let rows = u32::try_from(self.buffer.len())
             .map_err(|_| ExecError::Operator(format!("sort input of {} rows", self.buffer.len())))?;
@@ -111,15 +107,6 @@ impl Operator for SortOp {
         });
         self.child.close();
         Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        let Some(&i) = self.order.get(self.cursor) else {
-            return Ok(None);
-        };
-        self.cursor += 1;
-        self.rows_out += 1;
-        Ok(Some(std::mem::take(&mut self.buffer[i as usize])))
     }
 
     fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {

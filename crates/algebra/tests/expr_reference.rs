@@ -330,6 +330,43 @@ fn the_hash_join_equates_exactly_the_values_compare_calls_equal() {
 
 // ---- (b) the sort ----
 
+/// A leaf that reads its rows afresh at every `open`, so that the sort
+/// above it can be re-opened: a `ValuesOp` hands its rows over once.
+struct Replay {
+    rows: Vec<Tuple>,
+    masks: Vec<LineageMask>,
+    scan: ValuesOp,
+}
+
+impl Operator for Replay {
+    fn schema(&self) -> &Schema {
+        self.scan.schema()
+    }
+    fn open(&mut self) -> Result<(), ExecError> {
+        let schema = self.scan.schema().clone();
+        self.scan = ValuesOp::new(schema, self.rows.clone()).with_lineage_masks(self.masks.clone());
+        self.scan.open()
+    }
+    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
+        self.scan.next_batch(out, max)
+    }
+    fn close(&mut self) {
+        self.scan.close()
+    }
+    fn describe(&self) -> String {
+        "Replay".into()
+    }
+    fn children(&self) -> Vec<&dyn Operator> {
+        Vec::new()
+    }
+    fn rows_out(&self) -> u64 {
+        self.scan.rows_out()
+    }
+    fn lineage(&self) -> Option<&[LineageMask]> {
+        self.scan.lineage()
+    }
+}
+
 #[test]
 fn sort_is_a_stable_total_cmp_sort_of_rows_and_lineage_and_reopens() {
     let docs = docs();
@@ -358,17 +395,14 @@ fn sort_is_a_stable_total_cmp_sort_of_rows_and_lineage_and_reopens() {
         let want_masks: Vec<LineageMask> = want.iter().map(|(_, m)| *m).collect();
 
         let schema = Schema::new((0..width).map(|i| format!("c{}", i)).collect());
-        let source = ValuesOp::new(schema, rows.clone()).with_lineage_masks(masks);
+        let scan = ValuesOp::new(schema, Vec::new());
+        let source = Replay { rows: rows.clone(), masks, scan };
         let mut op = SortOp::new(Box::new(source), keys.clone());
-        // Three drains of one operator: tuple at a time, in odd-sized
-        // batches, and tuple at a time again — each re-opens the sort,
-        // whose rows left by move the time before.
-        for batch in [0, 7, 0] {
-            let got = if batch == 0 {
-                run_to_vec(&mut op).unwrap()
-            } else {
-                run_to_vec_batched(&mut op, batch).unwrap().0
-            };
+        // Three drains of one operator: a row at a time, in odd-sized
+        // batches, and in whole ones — each re-opens the sort, whose rows
+        // left by move the time before.
+        for batch in [1, 7, 1024] {
+            let got = run_to_vec_batched(&mut op, batch).unwrap().0;
             let got: Vec<Vec<String>> = got.iter().map(|t| t.iter().map(shown).collect()).collect();
             assert_eq!(got, want_rows, "keys {:?} over {:?}", keys, rows);
             assert_eq!(op.lineage().unwrap(), &want_masks[..], "keys {:?}", keys);

@@ -957,7 +957,7 @@ impl Engine {
         let (plan, query) = (&prepared.plan, &prepared.query);
         let params: Vec<&Atomic> = params.iter().collect();
         let (schema, tuples) =
-            self.eval_planned(plan, &params, None, 0, ctx, planck_verify, Some(&prepared.observed))?;
+            self.eval_planned(config, plan, &params, None, 0, ctx, planck_verify, Some(&prepared.observed))?;
         self.end_stage(ctx, Stage::Execute);
         ctx.report.tuples = tuples.len();
 
@@ -1365,7 +1365,7 @@ impl Engine {
             planner::verify_plan(&plan, outer.map(|(s, _)| s))?;
         }
         planner::audit(&plan)?;
-        self.eval_planned(&plan, &query.eq_params(), outer, depth, ctx, true, None)
+        self.eval_planned(&config, &plan, &query.eq_params(), outer, depth, ctx, true, None)
     }
 
     /// Execute an already-decomposed plan with `params`, the values of
@@ -1380,10 +1380,13 @@ impl Engine {
     /// `verify` stage out of the running `execute` ([`ExecCtx::lend`]).
     /// `observed` is what the plan's earlier serves observed its units
     /// take, when it is a prepared plan's: it prices the fetch rounds,
-    /// and this serve's times go into it.
+    /// and this serve's times go into it. `config` is the settings the
+    /// serve started with: one read of them holds for all its units and
+    /// failures.
     #[allow(clippy::too_many_arguments)]
     fn eval_planned(
         &self,
+        config: &EngineConfig,
         plan: &Plan,
         params: &[&Atomic],
         outer: Option<(&Schema, &Tuple)>,
@@ -1392,7 +1395,6 @@ impl Engine {
         planck_verify: bool,
         observed: Option<&Observed>,
     ) -> Result<(Schema, Vec<Tuple>), CoreError> {
-        let config = self.config();
         // A plan's own rewrites are audited once, before its first serve
         // and so before any source is called: a plan made here was
         // audited when it was made, one installed in the plan cache or
@@ -1403,7 +1405,7 @@ impl Engine {
         // the entire pipeline: no source is contacted, no join is
         // folded — the measurable win of satisfiability analysis.
         if let Some(reason) = bound.verdict(&self.catalog, &config.optimizer) {
-            return self.eval_pruned(bound, &reason, &config, outer, depth, ctx);
+            return self.eval_pruned(bound, &reason, config, outer, depth, ctx);
         }
         // Verification of the assembled tree, timed apart from the
         // pipeline it sits in.
@@ -1443,13 +1445,13 @@ impl Engine {
         fetched.resize_with(n, || None);
         let driver = plan.bind.as_ref().map(|stage| stage.driver);
         let first = driver.into_iter();
-        self.fetch_round(bound, first, None, observed, &config, depth, ctx, &mut fetched);
+        self.fetch_round(bound, first, None, observed, config, depth, ctx, &mut fetched);
         let (keys, bind_note) = match &plan.bind {
             Some(stage) => self.bind_keys(stage, fetched[stage.driver].as_ref()),
             None => (None, None),
         };
         let rest = (0..n).filter(|&i| Some(i) != driver);
-        self.fetch_round(bound, rest, keys.as_ref(), observed, &config, depth, ctx, &mut fetched);
+        self.fetch_round(bound, rest, keys.as_ref(), observed, config, depth, ctx, &mut fetched);
         // What EXPLAIN says of each probed match, where it is read.
         let mut probed_notes: Vec<String> = Vec::new();
         let note_probes = depth == 0 && ctx.want_plan_text;
@@ -1557,10 +1559,7 @@ impl Engine {
         let (_, (first_schema, first_tuples, first_mask, first_name)) = iter
             .next()
             .ok_or_else(|| CoreError::Internal("join fold over zero inputs".into()))?;
-        // The batch drive pulls each scan exactly once, so scans move
-        // their tuples out instead of cloning.
-        let scan = |values: ValuesOp| values.labeled("Scan").drain_on_batch();
-        let mut first_scan = scan(ValuesOp::new(first_schema, first_tuples));
+        let mut first_scan = ValuesOp::new(first_schema, first_tuples).labeled("Scan");
         first_scan = match first_mask {
             ScanMasks::One(m) => first_scan.with_lineage(m),
             ScanMasks::Per(v) => first_scan.with_lineage_masks(v),
@@ -1586,7 +1585,7 @@ impl Engine {
             let next_est = idx
                 .checked_sub(start)
                 .and_then(|k| plan.fold_rows.get(k).copied());
-            let mut right_scan = scan(ValuesOp::new(schema.clone(), tuples));
+            let mut right_scan = ValuesOp::new(schema.clone(), tuples).labeled("Scan");
             right_scan = match mask {
                 ScanMasks::One(m) => right_scan.with_lineage(m),
                 ScanMasks::Per(v) => right_scan.with_lineage_masks(v),
@@ -2190,6 +2189,7 @@ impl Engine {
                 };
                 let to_tuples = |doc: &Arc<Document>| fragment_tuples(doc, vars);
                 let fallback = Fallback {
+                    config,
                     cache_keys: &cache_keys,
                     unit,
                     vars,
@@ -2238,6 +2238,7 @@ impl Engine {
                 let key = format!("coll:{}:{}", source, collection);
                 let unit = Unit::Collection(collection);
                 let fallback = Fallback {
+                    config,
                     cache_keys: &[&key],
                     unit,
                     vars,
@@ -2397,6 +2398,7 @@ impl Engine {
         };
         let unit = Unit::Collection(collection);
         let fallback = Fallback {
+            config,
             cache_keys: &[],
             unit,
             vars,
@@ -2511,8 +2513,8 @@ impl Engine {
         err: CoreError,
         ctx: &mut ExecCtx,
     ) -> Result<Fetched, CoreError> {
-        let config = self.config();
         let Fallback {
+            config,
             cache_keys,
             unit,
             vars,
@@ -2647,6 +2649,9 @@ impl Unit<'_> {
 
 /// What stands in for a unit whose source did not answer (§3.4).
 struct Fallback<'a> {
+    /// The serve's settings: the policy its failures take is the one it
+    /// started with.
+    config: &'a EngineConfig,
     /// The cached documents that may answer under `StaleCache`, best
     /// first (a bind target has two: the answer for its keys, and the
     /// whole fragment — a superset the join filters).
@@ -3449,7 +3454,7 @@ mod correlated_probe_tests {
             let mut ctx = ExecCtx::new();
             let tuple = vec![Value::Atomic(row.clone())];
             let (schema, tuples) = engine
-                .eval_planned(plan, &[], Some((&outer, &tuple)), 0, &mut ctx, true, None)
+                .eval_planned(&config, plan, &[], Some((&outer, &tuple)), 0, &mut ctx, true, None)
                 .unwrap();
             (format!("{:?} {:?}", schema, tuples), ctx.report.plan)
         };

@@ -10,7 +10,7 @@
 //! from; anything that does not check recomputes in full, in the same
 //! call, and says why.
 
-use super::{ms_since, us, Engine, ExecCtx};
+use super::{ms_since, us, Engine, EngineConfig, ExecCtx};
 use crate::catalog::ViewDef;
 use crate::error::CoreError;
 use crate::planner::{self, AtomExec, Plan};
@@ -37,7 +37,9 @@ impl Engine {
             .view(name)
             .ok_or_else(|| CoreError::UnknownCollection(name.to_string()))?;
         let started = Instant::now();
-        let outcome = self.refresh_view(&def, ttl.or(def.default_ttl));
+        // One read of the settings holds for the whole refresh.
+        let config = self.config();
+        let outcome = self.refresh_view(&config, &def, ttl.or(def.default_ttl));
         self.metrics.observe("engine.view.refresh_us", us(ms_since(started)));
         if let Err(e) = &outcome {
             self.metrics
@@ -60,7 +62,7 @@ impl Engine {
         refreshed
     }
 
-    fn refresh_view(&self, def: &ViewDef, ttl: Option<u64>) -> Result<(), CoreError> {
+    fn refresh_view(&self, config: &EngineConfig, def: &ViewDef, ttl: Option<u64>) -> Result<(), CoreError> {
         // What the entry says, not its document: no store guard is held
         // across a source call, and a refresh that held the document
         // would make its own append copy it.
@@ -71,21 +73,27 @@ impl Engine {
             // No marks: the full plan below says whether its shape or an
             // unstamped answer is why.
             Some((_, marks)) if marks.is_empty() => None,
-            Some((_, marks)) => match self.refresh_delta(def, marks, ttl)? {
+            Some((_, marks)) => match self.refresh_delta(config, def, marks, ttl)? {
                 None => return Ok(()),
                 declined => declined,
             },
         };
-        self.refresh_full(def, ttl, why)
+        self.refresh_full(config, def, ttl, why)
     }
 
     /// Rebuild the view's document from the whole of its sources. Every
     /// single-collection fragment is asked with a floor of 0, so that a
     /// source that can say how far it read does; the marks are kept when
     /// the plan is row-wise and every fragment was stamped.
-    fn refresh_full(&self, def: &ViewDef, ttl: Option<u64>, why: Option<Decline>) -> Result<(), CoreError> {
-        let plan = self.plan_refresh(&def.query, None)?;
-        let (schema, tuples, mut ctx) = self.run_refresh(&def.query, &plan)?;
+    fn refresh_full(
+        &self,
+        config: &EngineConfig,
+        def: &ViewDef,
+        ttl: Option<u64>,
+        why: Option<Decline>,
+    ) -> Result<(), CoreError> {
+        let plan = self.plan_refresh(config, &def.query, None)?;
+        let (schema, tuples, mut ctx) = self.run_refresh(config, &def.query, &plan)?;
         let mut b = DocumentBuilder::new("results");
         self.construct_into(&mut b, &def.query.construct, &schema, &tuples, 0, &mut ctx, None, None)?;
         answered_live(&ctx, &def.name)?;
@@ -125,6 +133,7 @@ impl Engine {
     /// stored, recompute.
     fn refresh_delta(
         &self,
+        config: &EngineConfig,
         def: &ViewDef,
         stored: &[ViewMark],
         ttl: Option<u64>,
@@ -151,14 +160,14 @@ impl Engine {
             [one] => *one,
             _ => return Ok(Some("several_grew")),
         };
-        let plan = self.plan_refresh(&def.query, Some((&floored.collection, floored.upto)))?;
+        let plan = self.plan_refresh(config, &def.query, Some((&floored.collection, floored.upto)))?;
         let same_fragments = row_wise(&def.query, &plan).is_some_and(|fragments| {
             fragments.len() == stored.len() && stored.iter().all(|m| fragments.contains(&m.collection))
         });
         if !same_fragments {
             return Ok(Some("shape"));
         }
-        let (schema, tuples, mut ctx) = self.run_refresh(&def.query, &plan)?;
+        let (schema, tuples, mut ctx) = self.run_refresh(config, &def.query, &plan)?;
         answered_live(&ctx, &def.name)?;
 
         // Every fragment that was asked answered with a stamp (one that
@@ -218,13 +227,18 @@ impl Engine {
     /// The view's plan with a row floor on every single-collection
     /// fragment ([`planner::plan_refresh`]), statically verified and
     /// audited like any other.
-    fn plan_refresh(&self, query: &Query, delta: Option<(&str, u64)>) -> Result<Plan, CoreError> {
-        let optimizer = self.config().optimizer;
+    fn plan_refresh(
+        &self,
+        config: &EngineConfig,
+        query: &Query,
+        delta: Option<(&str,
+        u64)>,
+    ) -> Result<Plan, CoreError> {
         let plan = {
             let guard = self.shards.read();
-            planner::plan_refresh(&self.catalog, query, &optimizer, guard.as_deref(), delta)?
+            planner::plan_refresh(&self.catalog, query, &config.optimizer, guard.as_deref(), delta)?
         };
-        if optimizer.verify_plans {
+        if config.optimizer.verify_plans {
             planner::verify_plan(&plan, None)?;
         }
         planner::audit(&plan)?;
@@ -233,10 +247,15 @@ impl Engine {
 
     /// Run `query`'s refresh plan through the executor. The context
     /// comes back with the watermarks the sources stamped.
-    fn run_refresh(&self, query: &Query, plan: &Plan) -> Result<(Schema, Vec<Tuple>, ExecCtx), CoreError> {
+    fn run_refresh(
+        &self,
+        config: &EngineConfig,
+        query: &Query,
+        plan: &Plan,
+    ) -> Result<(Schema, Vec<Tuple>, ExecCtx), CoreError> {
         let mut ctx = ExecCtx::new();
         ctx.want_plan_text = false;
-        let (schema, tuples) = self.eval_planned(plan, &query.eq_params(), None, 0, &mut ctx, true, None)?;
+        let (schema, tuples) = self.eval_planned(config, plan, &query.eq_params(), None, 0, &mut ctx, true, None)?;
         Ok((schema, tuples, ctx))
     }
 }

@@ -2377,7 +2377,9 @@ pub fn translate_expr(expr: &Expr, schema: &Schema) -> Result<ScalarExpr, CoreEr
 /// Physical operator for dependent atoms: for each input tuple, match a
 /// pattern inside the element bound to `on_var`, emitting one extended
 /// tuple per match. Variables already present in the input schema act as
-/// join constraints instead of new columns.
+/// join constraints instead of new columns. A batch expands every row of
+/// each child batch it pulls, so it may overshoot `max` by their
+/// fan-out, as the hash probe does.
 pub struct BindPatternOp {
     child: Box<dyn Operator>,
     on_col: usize,
@@ -2387,15 +2389,12 @@ pub struct BindPatternOp {
     /// Variables shared with the input schema: (name, input column).
     shared: Vec<(String, usize)>,
     schema: Schema,
-    pending: Vec<Tuple>,
-    cursor: usize,
+    scratch: Vec<Tuple>,
     rows_out: u64,
     /// Lineage of emitted tuples (tracking iff the child tracks); every
     /// row expanded from one input tuple inherits that tuple's mask —
     /// navigation stays inside the element the source already supplied.
     lin: Option<Vec<LineageMask>>,
-    /// Mask of the input tuple currently being expanded.
-    pending_mask: LineageMask,
     /// Child emissions consumed so far.
     consumed: usize,
 }
@@ -2427,22 +2426,20 @@ impl BindPatternOp {
             new_vars,
             shared,
             schema,
-            pending: Vec::new(),
-            cursor: 0,
+            scratch: Vec::new(),
             rows_out: 0,
             lin: None,
-            pending_mask: LineageMask::EMPTY,
             consumed: 0,
         })
     }
 
-    fn expand(&self, tuple: &Tuple) -> Vec<Tuple> {
-        let node = match &tuple[self.on_col] {
-            Value::Node(n) => n.clone(),
-            _ => return Vec::new(),
+    /// Append `tuple`'s expansions to `out`; returns how many.
+    fn expand(&self, tuple: &Tuple, out: &mut Vec<Tuple>) -> usize {
+        let Value::Node(node) = &tuple[self.on_col] else {
+            return 0;
         };
-        let matches: Vec<Bindings> = match_within(&node, &self.pattern);
-        let mut out = Vec::new();
+        let matches: Vec<Bindings> = match_within(node, &self.pattern);
+        let before = out.len();
         'matches: for mut m in matches {
             for (var, idx) in &self.shared {
                 match m.get(var) {
@@ -2457,7 +2454,7 @@ impl BindPatternOp {
             }
             out.push(t);
         }
-        out
+        out.len() - before
     }
 }
 
@@ -2468,49 +2465,38 @@ impl Operator for BindPatternOp {
 
     fn open(&mut self) -> Result<(), ExecError> {
         self.rows_out = 0;
-        self.pending.clear();
-        self.cursor = 0;
         self.consumed = 0;
-        self.pending_mask = LineageMask::EMPTY;
         self.child.open()?;
         self.lin = self.child.lineage().map(|_| Vec::new());
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        loop {
-            if self.cursor < self.pending.len() {
-                let t = self.pending[self.cursor].clone();
-                self.cursor += 1;
+    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
+        let mut appended = 0;
+        while appended < max {
+            self.scratch.clear();
+            let pulled = self.child.next_batch(&mut self.scratch, max - appended)?;
+            if pulled == 0 {
+                break;
+            }
+            for (i, t) in self.scratch.iter().enumerate() {
+                let n = self.expand(t, out);
+                appended += n;
                 if let Some(lin) = &mut self.lin {
-                    lin.push(self.pending_mask);
-                }
-                self.rows_out += 1;
-                return Ok(Some(t));
-            }
-            match self.child.next()? {
-                None => return Ok(None),
-                Some(t) => {
-                    if self.lin.is_some() {
-                        let idx = self.consumed;
-                        self.pending_mask = self
-                            .child
-                            .lineage()
-                            .and_then(|l| l.get(idx))
-                            .copied()
-                            .unwrap_or_default();
-                    }
-                    self.consumed += 1;
-                    self.pending = self.expand(&t);
-                    self.cursor = 0;
+                    let masks = self.child.lineage().unwrap_or_default();
+                    let mask = masks.get(self.consumed + i).copied().unwrap_or_default();
+                    lin.resize(lin.len() + n, mask);
                 }
             }
+            self.consumed += pulled;
         }
+        self.rows_out += appended as u64;
+        Ok(appended)
     }
 
     fn close(&mut self) {
         self.child.close();
-        self.pending.clear();
+        self.scratch = Vec::new();
     }
 
     fn describe(&self) -> String {
@@ -3166,5 +3152,37 @@ mod tests {
 
         let bad = Expr::Var("zzz".into());
         assert!(translate_expr(&bad, &schema).is_err());
+    }
+
+    #[test]
+    fn bind_pattern_answers_alike_at_every_batch_size() {
+        // Each book binds one row per author, so input rows expand to
+        // two, one and three rows; every row keeps its book's mask.
+        let doc = nimble_xml::parse(
+            "<bib><book><author>a</author><author>b</author></book>\
+             <book><author>c</author></book>\
+             <book><author>d</author><author>e</author><author>f</author></book></bib>",
+        )
+        .unwrap();
+        let books: Vec<Tuple> = doc.root().children_named("book").map(|b| vec![Value::Node(b)]).collect();
+        let masks: Vec<LineageMask> = (0..books.len() as u32).map(LineageMask::single).collect();
+        let pattern = match parse(r#"WHERE <author>$a</author> IN $b CONSTRUCT <o/>"#).conditions.remove(0) {
+            Condition::Pattern(binding) => binding.pattern,
+            other => panic!("{:?}", other),
+        };
+        let drain = |batch: usize| {
+            let scan = nimble_algebra::ops::ValuesOp::new(Schema::new(vec!["b".into()]), books.clone())
+                .with_lineage_masks(masks.clone());
+            let mut op = BindPatternOp::new(Box::new(scan), "b", pattern.clone()).unwrap();
+            let (rows, _) = nimble_algebra::run_to_vec_batched(&mut op, batch).unwrap();
+            let authors: Vec<String> = rows.iter().map(|t| t[1].atomize().lexical()).collect();
+            assert_eq!(op.rows_out(), rows.len() as u64);
+            (authors, op.lineage().unwrap().to_vec())
+        };
+        let (authors, lineage) = drain(1);
+        assert_eq!(authors, ["a", "b", "c", "d", "e", "f"]);
+        let book = LineageMask::single;
+        assert_eq!(lineage, [book(0), book(0), book(1), book(2), book(2), book(2)]);
+        assert_eq!(drain(1024), (authors, lineage));
     }
 }

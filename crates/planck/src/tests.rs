@@ -120,8 +120,8 @@ impl Operator for TypedValues {
     fn open(&mut self) -> Result<(), ExecError> {
         self.inner.open()
     }
-    fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-        self.inner.next()
+    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
+        self.inner.next_batch(out, max)
     }
     fn close(&mut self) {
         self.inner.close()
@@ -235,8 +235,8 @@ fn opaque_operators_are_tolerated() {
         fn open(&mut self) -> Result<(), ExecError> {
             Ok(())
         }
-        fn next(&mut self) -> Result<Option<Tuple>, ExecError> {
-            Ok(None)
+        fn next_batch(&mut self, _out: &mut Vec<Tuple>, _max: usize) -> Result<usize, ExecError> {
+            Ok(0)
         }
         fn close(&mut self) {}
         fn describe(&self) -> String {

@@ -228,8 +228,12 @@ mod tests {
         fn open(&mut self) -> Result<(), nimble_algebra::ExecError> {
             self.inner.open()
         }
-        fn next(&mut self) -> Result<Option<nimble_algebra::Tuple>, nimble_algebra::ExecError> {
-            self.inner.next()
+        fn next_batch(
+            &mut self,
+            out: &mut Vec<nimble_algebra::Tuple>,
+            max: usize,
+        ) -> Result<usize, nimble_algebra::ExecError> {
+            self.inner.next_batch(out, max)
         }
         fn close(&mut self) {
             self.inner.close()

@@ -11,7 +11,7 @@ use nimble::sources::{
 };
 use nimble::xml::Document;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 fn feed(name: &str, items: &[&str]) -> Arc<dyn SourceAdapter> {
     let body: String = items
@@ -243,4 +243,70 @@ fn a_panicking_unit_fetches_its_round_once() {
         1,
         "the north source was asked again"
     );
+}
+
+/// An adapter that, once armed, changes the engine's unavailability
+/// policy to `Fail` during its own call and then reports itself down.
+struct PolicyFlipping(Arc<dyn SourceAdapter>, AtomicBool, OnceLock<Weak<Engine>>);
+
+impl PolicyFlipping {
+    fn call(&self) -> Result<Arc<Document>, SourceError> {
+        if !self.1.load(Ordering::Relaxed) {
+            return self.0.fetch_collection("data");
+        }
+        if let Some(engine) = self.2.get().and_then(Weak::upgrade) {
+            engine.set_unavailable_policy(UnavailablePolicy::Fail);
+        }
+        Err(SourceError::unavailable(self.0.name(), "down mid-serve"))
+    }
+}
+
+impl SourceAdapter for PolicyFlipping {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn kind(&self) -> SourceKind {
+        self.0.kind()
+    }
+    fn capabilities(&self) -> Capabilities {
+        self.0.capabilities()
+    }
+    fn collections(&self) -> Vec<CollectionInfo> {
+        self.0.collections()
+    }
+    fn execute(&self, _: &SourceQuery) -> Result<Arc<Document>, SourceError> {
+        self.call()
+    }
+    fn fetch_collection(&self, _: &str) -> Result<Arc<Document>, SourceError> {
+        self.call()
+    }
+    fn estimated_rows(&self, collection: &str) -> Option<u64> {
+        self.0.estimated_rows(collection)
+    }
+}
+
+#[test]
+fn a_policy_changed_during_a_serve_does_not_reach_its_failures() {
+    // The serve starts under `SkipAndAnnotate`; its source switches the
+    // engine to `Fail` during the call and then fails. The failure takes
+    // the policy the serve started with: a partial answer naming the
+    // source. The next serve starts under `Fail` and fails.
+    let south = Arc::new(PolicyFlipping(
+        feed("south", &["s1"]),
+        AtomicBool::new(false),
+        OnceLock::new(),
+    ));
+    let catalog = Catalog::new();
+    catalog.register_source(south.clone()).unwrap();
+    let engine = Arc::new(Engine::new(Arc::new(catalog)));
+    engine.set_unavailable_policy(UnavailablePolicy::SkipAndAnnotate);
+    south.2.set(Arc::downgrade(&engine)).unwrap();
+    // Registration sampled the source; from here it fails.
+    south.1.store(true, Ordering::Relaxed);
+    let text = r#"WHERE <data><item><v>$v</v></item></data> IN "south.data" CONSTRUCT <o>$v</o>"#;
+    let r = engine.query(text).unwrap();
+    assert!(!r.complete);
+    assert_eq!(r.missing_sources, vec!["south"]);
+    let err = engine.query(text).unwrap_err();
+    assert!(err.to_string().contains("south"), "{}", err);
 }
