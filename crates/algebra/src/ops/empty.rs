@@ -70,6 +70,12 @@ impl Operator for EmptyOp {
     fn est_rows(&self) -> Option<u64> {
         Some(0)
     }
+
+    /// No row leaves it, so the lineage of every row it emits is known:
+    /// the empty list, whether the query tracks lineage or not.
+    fn lineage(&self) -> Option<&[crate::LineageMask]> {
+        Some(&[])
+    }
 }
 
 #[cfg(test)]
@@ -90,5 +96,6 @@ mod tests {
         assert_eq!(info.name, "Empty");
         assert_eq!(info.provenance.len(), 1);
         assert_eq!(op.est_rows(), Some(0));
+        assert_eq!(op.lineage(), Some(&[][..]));
     }
 }

@@ -163,7 +163,7 @@ impl EngineCluster {
         let mut all: Vec<ServeReport> = self
             .engines
             .iter()
-            .flat_map(|e| e.slow_queries(n))
+            .flat_map(|e| e.query_log().slow(n))
             .collect();
         all.sort_by(|a, b| b.elapsed_ms.total_cmp(&a.elapsed_ms));
         all.truncate(n);

@@ -13,7 +13,7 @@ use nimble_algebra::ops::{
 };
 use nimble_planck::{Fingerprint, RewriteRecord};
 use nimble_algebra::{
-    explain as explain_ops, par_tasks, run_to_vec, run_to_vec_batched, Costs, ExecError,
+    explain as explain_ops, par_tasks, run_to_vec_batched, Costs, ExecError,
     FunctionRegistry, LineageMask, ScalarExpr, Schema, Tuple,
 };
 use nimble_sources::query::{cursor_field, FieldRef, SourceQuery, Watermark};
@@ -37,7 +37,7 @@ mod refresh;
 
 /// Maximum nesting of view evaluation / subqueries, guarding against
 /// transitively cyclic view definitions.
-const MAX_DEPTH: usize = 16;
+const MAX_DEPTH: u32 = 16;
 
 /// A scan estimate that undershoots the actual row count by more than
 /// this factor is a *gross* misestimate: the observed count is fed back
@@ -568,8 +568,14 @@ impl Laps {
     }
 }
 
-/// Mutable context threaded through one query's evaluation.
+/// Mutable context threaded through one query's evaluation: the one
+/// thing every stage of a serve is handed.
 struct ExecCtx {
+    /// The settings the serve (or refresh) started with, read once: a
+    /// change that lands mid-serve reaches the next serve.
+    config: EngineConfig,
+    /// Views and subqueries this evaluation is nested in ([`Engine::nested`]).
+    depth: u32,
     /// What the evaluation found: missing sources, staleness, counts,
     /// EXPLAIN text, the worst Q-error. A serve's top-level context
     /// carries the serve's report, its stages filled as they end.
@@ -590,8 +596,8 @@ struct ExecCtx {
     plan_path: Option<PlanPath>,
     /// Lineage tracking enabled for this evaluation scope. Starts true;
     /// view materialization internals clear it (a view contributes as
-    /// one unit, not per underlying source). Only effective when
-    /// `OptimizerConfig::track_lineage` is also on.
+    /// one unit, not per underlying source). Read through
+    /// [`ExecCtx::tracking`].
     track: bool,
     /// Per-query provenance table, indexed by lineage id. Interning is
     /// always sequential (fetch tasks never intern; the join loop does),
@@ -608,8 +614,11 @@ struct ExecCtx {
 }
 
 impl ExecCtx {
-    fn new() -> ExecCtx {
+    /// A context under `config`, at the top level, that has found nothing.
+    fn new(config: EngineConfig) -> ExecCtx {
         ExecCtx {
+            config,
+            depth: 0,
             report: ServeReport::default(),
             laps: None,
             lent_ms: 0.0,
@@ -623,13 +632,31 @@ impl ExecCtx {
     }
 
     /// The top-level context of the serve `report` describes, admitted
-    /// at `started`: its stage clock runs from there.
-    fn serving(report: ServeReport, started: Instant) -> ExecCtx {
+    /// at `started` under `config`: its stage clock runs from there.
+    fn serving(config: EngineConfig, report: ServeReport, started: Instant) -> ExecCtx {
         ExecCtx {
             report,
             laps: Some(Laps::start(started)),
-            ..ExecCtx::new()
+            ..ExecCtx::new(config)
         }
+    }
+
+    /// A context with this one's settings and scope that has found
+    /// nothing yet: one run of a refresh. (A fetch task's is made the
+    /// same way, from copies, on the thread that runs it.)
+    fn fresh(&self) -> ExecCtx {
+        ExecCtx {
+            depth: self.depth,
+            track: self.track,
+            want_plan_text: self.want_plan_text,
+            ..ExecCtx::new(self.config.clone())
+        }
+    }
+
+    /// Whether this scope tags what it fetches with lineage: the serve's
+    /// `track_lineage`, outside a view's evaluation.
+    fn tracking(&self) -> bool {
+        self.config.optimizer.track_lineage && self.track
     }
 
     /// Register one contributing unit in the provenance table, handing
@@ -783,12 +810,6 @@ impl Engine {
         &self.flight
     }
 
-    /// The slowest queries seen so far (slowest first), surviving ring
-    /// eviction.
-    pub fn slow_queries(&self, n: usize) -> Vec<ServeReport> {
-        self.query_log.slow(n)
-    }
-
     /// Snapshot the configuration.
     pub fn config(&self) -> EngineConfig {
         self.config.read().clone()
@@ -816,12 +837,6 @@ impl Engine {
     /// The attached shard runtime, if any.
     pub fn shard_runtime(&self) -> Option<Arc<ShardRuntime>> {
         self.shards.read().clone()
-    }
-
-    /// Shard-map epoch of the attached runtime (0 when none); part of
-    /// the plan-cache validity stamp.
-    pub fn shard_epoch(&self) -> u64 {
-        self.shards.read().as_ref().map_or(0, |rt| rt.epoch())
     }
 
     /// `source`'s metric handles.
@@ -929,11 +944,10 @@ impl Engine {
         let qctx = QueryCtx::new(Arc::clone(&self.instance));
         let _ctx_guard = qctx.enter();
         self.in_flight.fetch_add(1, Ordering::SeqCst);
-        let config = self.config();
         let report = ServeReport::new(qctx.trace_id.0, &self.instance, text);
-        let mut ctx = ExecCtx::serving(report, qctx.started);
+        let mut ctx = ExecCtx::serving(self.config(), report, qctx.started);
         ctx.want_plan_text = sink != Sink::Xml;
-        let served = self.serve_stages(text, &config, sink, given, &mut ctx);
+        let served = self.serve_stages(text, sink, given, &mut ctx);
         self.record(ctx, &qctx, served, sink)
     }
 
@@ -942,7 +956,6 @@ impl Engine {
     fn serve_stages(
         &self,
         text: &str,
-        config: &EngineConfig,
         sink: Sink,
         given: Option<Plan>,
         ctx: &mut ExecCtx,
@@ -952,12 +965,12 @@ impl Engine {
             params,
             planck_verify,
             path,
-        } = self.compile(text, config, given, ctx)?;
+        } = self.compile(text, given, ctx)?;
         ctx.plan_path = Some(path);
         let (plan, query) = (&prepared.plan, &prepared.query);
         let params: Vec<&Atomic> = params.iter().collect();
         let (schema, tuples) =
-            self.eval_planned(config, plan, &params, None, 0, ctx, planck_verify, Some(&prepared.observed))?;
+            self.eval_planned(plan, &params, None, ctx, planck_verify, Some(&prepared.observed))?;
         self.end_stage(ctx, Stage::Execute);
         ctx.report.tuples = tuples.len();
 
@@ -982,17 +995,12 @@ impl Engine {
         // subquery lineage folds into the answer being built.
         let tuple_lin = ctx.last_lin.take();
         let answer_cell = tuple_lin.as_ref().map(|_| RefCell::new(Vec::new()));
+        let lineage = answer_cell.as_ref().map(|answers| AnswerLineage {
+            tuple_masks: tuple_lin.as_deref(),
+            answers,
+        });
         let mut builder = DocumentBuilder::new("results");
-        self.construct_into(
-            &mut builder,
-            &query.construct,
-            &schema,
-            &tuples,
-            0,
-            ctx,
-            tuple_lin.as_deref(),
-            answer_cell.as_ref(),
-        )?;
+        self.construct_into(&mut builder, &query.construct, &schema, &tuples, ctx, lineage)?;
         let document = builder.finish();
         let nodes = document.len();
         let answer = if sink == Sink::Xml {
@@ -1135,13 +1143,7 @@ impl Engine {
     /// lookup. Under `verify_plans` every [`DIFFERENTIAL_SAMPLE`]-th hit
     /// parses its text, is planned afresh and compared with the plan
     /// about to be served, under the values cut from the text.
-    fn compile(
-        &self,
-        text: &str,
-        config: &EngineConfig,
-        given: Option<Plan>,
-        ctx: &mut ExecCtx,
-    ) -> Result<Compiled, CoreError> {
+    fn compile(&self, text: &str, given: Option<Plan>, ctx: &mut ExecCtx) -> Result<Compiled, CoreError> {
         fn compile_error(e: impl ToString) -> CoreError {
             CoreError::Compile(e.to_string())
         }
@@ -1150,7 +1152,7 @@ impl Engine {
         if let Some(plan) = given {
             let query = parsed(text)?;
             self.end_stage(ctx, Stage::Parse);
-            if config.optimizer.verify_plans {
+            if ctx.config.optimizer.verify_plans {
                 planner::verify_plan(&plan, None)?;
             }
             self.end_stage(ctx, Stage::Verify);
@@ -1176,8 +1178,9 @@ impl Engine {
             Some(spelled) if !plan.shards.is_empty() => spelled,
             _ => shape,
         };
+        let optimizer = ctx.config.optimizer;
         let stamp = PlanStamp {
-            config_fp: config.optimizer.fingerprint(),
+            config_fp: optimizer.fingerprint(),
             catalog_epoch: self.catalog.epoch(),
             stats_generation: self.catalog.stats().generation(),
             shard_epoch,
@@ -1202,15 +1205,15 @@ impl Engine {
             // any divergence means the cache is about to serve a plan
             // the planner would not make for this query.
             let seq = self.differential_seq.fetch_add(1, Ordering::Relaxed);
-            if config.optimizer.verify_plans && seq % DIFFERENTIAL_SAMPLE == 0 {
+            if optimizer.verify_plans && seq.is_multiple_of(DIFFERENTIAL_SAMPLE) {
                 self.metrics.incr("engine.plan_cache.differential", 1);
                 let query = parsed(text)?;
                 analyzed(&query)?;
-                let fresh = self.plan(&query, &config.optimizer, None)?;
+                let fresh = self.plan(&query, &optimizer, None)?;
                 let params: Vec<&Atomic> = lexed.params.iter().collect();
                 let served = Bound::new(&prepared.plan, &params)?;
                 let served_sig =
-                    plan_semantic_signature(served, served.verdict(&self.catalog, &config.optimizer).as_deref());
+                    plan_semantic_signature(served, served.verdict(&self.catalog, &optimizer).as_deref());
                 let fresh_sig = plan_semantic_signature(Bound::own(&fresh), fresh.pruned.as_deref());
                 if served_sig != fresh_sig {
                     self.metrics
@@ -1240,9 +1243,9 @@ impl Engine {
         self.end_stage(ctx, Stage::Parse);
         analyzed(&query)?;
         self.end_stage(ctx, Stage::Analyze);
-        let plan = self.plan(&query, &config.optimizer, None)?;
+        let plan = self.plan(&query, &optimizer, None)?;
         self.end_stage(ctx, Stage::Plan);
-        if config.optimizer.verify_plans {
+        if optimizer.verify_plans {
             planner::verify_plan(&plan, None)?;
         }
         // Audited before it is cached: a plan that fails is never served.
@@ -1296,31 +1299,10 @@ impl Engine {
         Ok(out + &stats.plan)
     }
 
-    /// Evaluate a view definition virtually and construct its document.
-    fn eval_view_virtually(
-        &self,
-        query: &Query,
-        depth: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<Arc<Document>, CoreError> {
-        let (schema, tuples) = self.eval(query, None, depth, ctx)?;
-        let mut b = DocumentBuilder::new("results");
-        self.construct_into(&mut b, &query.construct, &schema, &tuples, depth, ctx, None, None)?;
-        Ok(b.finish())
-    }
-
     /// The document backing a view reference: fresh materialization if
     /// present, otherwise virtual evaluation (with stale fallback under
     /// the `StaleCache` policy).
-    fn view_document(
-        &self,
-        name: &str,
-        depth: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<Arc<Document>, CoreError> {
-        if depth >= MAX_DEPTH {
-            return Err(CoreError::CyclicView(name.to_string()));
-        }
+    fn view_document(&self, name: &str, ctx: &mut ExecCtx) -> Result<Arc<Document>, CoreError> {
         let now = self.clock.now();
         let cached = self.views.lookup(name, now);
         if let Some((doc, nimble_store::Freshness::Fresh)) = &cached {
@@ -1330,138 +1312,156 @@ impl Engine {
             .catalog
             .view(name)
             .ok_or_else(|| CoreError::UnknownCollection(name.to_string()))?;
-        match self.eval_view_virtually(&def.query, depth + 1, ctx) {
-            Ok(doc) => Ok(doc),
-            Err(CoreError::Source(e)) => {
-                if self.config().unavailable == UnavailablePolicy::StaleCache {
-                    if let Some((doc, _)) = cached {
-                        ctx.report.stale = true;
-                        return Ok(doc);
-                    }
-                }
-                Err(CoreError::Source(e))
+        let mut b = DocumentBuilder::new("results");
+        match (self.nested(&def.query, None, &mut b, ctx, None), cached) {
+            (Ok(()), _) => Ok(b.finish()),
+            (Err(CoreError::Source(_)), Some((doc, _))) if ctx.config.unavailable == UnavailablePolicy::StaleCache => {
+                ctx.report.stale = true;
+                Ok(doc)
             }
-            Err(other) => Err(other),
+            (Err(e), _) => Err(e),
         }
     }
 
-    /// Evaluate a query's WHERE clause to a binding-tuple relation,
-    /// planning it first. Subqueries and view expansion enter here; the
-    /// top-level query plans (or takes a plan-cache hit) in
-    /// [`Engine::compile`] and calls [`Engine::eval_planned`] directly.
-    fn eval(
+    /// Plan and evaluate `query` — a view's definition, or a subquery
+    /// under its `outer` row — one level below `ctx`, and construct its
+    /// answer into `b`; with `answers`, its lineage folds into the
+    /// answer being built (the top-level query is planned by
+    /// [`Engine::compile`]). The one place evaluation nests: the depth is
+    /// raised here, checked against [`MAX_DEPTH`] (a transitively cyclic
+    /// view), and restored after.
+    fn nested(
         &self,
         query: &Query,
         outer: Option<(&Schema, &Tuple)>,
-        depth: usize,
+        b: &mut DocumentBuilder,
         ctx: &mut ExecCtx,
-    ) -> Result<(Schema, Vec<Tuple>), CoreError> {
-        if depth >= MAX_DEPTH {
+        answers: Option<&RefCell<Vec<LineageMask>>>,
+    ) -> Result<(), CoreError> {
+        if ctx.depth + 1 >= MAX_DEPTH {
             return Err(CoreError::CyclicView("<subquery>".to_string()));
         }
-        let config = self.config();
-        let plan = self.plan(query, &config.optimizer, outer.map(|(s, _)| s))?;
-        if config.optimizer.verify_plans {
-            planner::verify_plan(&plan, outer.map(|(s, _)| s))?;
-        }
-        planner::audit(&plan)?;
-        self.eval_planned(&config, &plan, &query.eq_params(), outer, depth, ctx, true, None)
+        ctx.depth += 1;
+        let optimizer = ctx.config.optimizer;
+        let outer_schema = outer.map(|(s, _)| s);
+        let evaluated = self.plan(query, &optimizer, outer_schema).and_then(|plan| {
+            if optimizer.verify_plans {
+                planner::verify_plan(&plan, outer_schema)?;
+            }
+            self.eval_planned(&plan, &query.eq_params(), outer, ctx, true, None)
+        });
+        let built = evaluated.and_then(|(schema, tuples)| {
+            if let Some(cell) = answers {
+                if let (Some(sub_lin), Some(ans)) = (ctx.last_lin.take(), cell.borrow_mut().last_mut()) {
+                    for m in &sub_lin {
+                        ans.merge(*m);
+                    }
+                }
+            }
+            let lineage = answers.map(|answers| AnswerLineage {
+                tuple_masks: None,
+                answers,
+            });
+            self.construct_into(b, &query.construct, &schema, &tuples, ctx, lineage)
+        });
+        ctx.depth -= 1;
+        built
     }
 
     /// Execute an already-decomposed plan with `params`, the values of
-    /// its query's equality parameters ([`Query::eq_params`]): fetch the
-    /// independent units, fold the mediator-side join tree, run
-    /// dependents/residuals/sort, and drive the pipeline. The plan is
-    /// only read — a cached one is shared by every serve of its shape —
-    /// and each value is read at its site ([`Bound`]).
-    /// `planck_verify` is false when the operator shape already verified
-    /// clean (a plan-cache hit: the plan's fold order makes the assembled
-    /// shape deterministic). A serve's verification here is lent to its
-    /// `verify` stage out of the running `execute` ([`ExecCtx::lend`]).
+    /// its query's equality parameters ([`Query::eq_params`]), in three
+    /// stages: fetch the independent units ([`Engine::fetch_units`]),
+    /// assemble the operator tree over them ([`Engine::assemble`]), and
+    /// drive it ([`Engine::drive`]). The plan is only read — a cached
+    /// one is shared by every serve of its shape — and each value is
+    /// read at its site ([`Bound`]). `planck_verify` is false when the
+    /// operator shape already verified clean (a plan-cache hit: the
+    /// plan's fold order makes the assembled shape deterministic).
     /// `observed` is what the plan's earlier serves observed its units
     /// take, when it is a prepared plan's: it prices the fetch rounds,
-    /// and this serve's times go into it. `config` is the settings the
-    /// serve started with: one read of them holds for all its units and
-    /// failures.
-    #[allow(clippy::too_many_arguments)]
+    /// and this serve's times go into it.
     fn eval_planned(
         &self,
-        config: &EngineConfig,
         plan: &Plan,
         params: &[&Atomic],
         outer: Option<(&Schema, &Tuple)>,
-        depth: usize,
         ctx: &mut ExecCtx,
         planck_verify: bool,
         observed: Option<&Observed>,
     ) -> Result<(Schema, Vec<Tuple>), CoreError> {
-        // A plan's own rewrites are audited once, before its first serve
-        // and so before any source is called: a plan made here was
-        // audited when it was made, one installed in the plan cache or
-        // handed to `query_planned` is audited now.
+        // A plan's own rewrites are audited once — the plan keeps the
+        // verdict — before its first serve, and so before any source is
+        // called.
         planner::audit(plan)?;
         let bound = Bound::new(plan, params)?;
         // A statically-pruned serve (unsatisfiable WHERE clause) skips
         // the entire pipeline: no source is contacted, no join is
         // folded — the measurable win of satisfiability analysis.
-        if let Some(reason) = bound.verdict(&self.catalog, &config.optimizer) {
-            return self.eval_pruned(bound, &reason, config, outer, depth, ctx);
+        if let Some(reason) = bound.verdict(&self.catalog, &ctx.config.optimizer) {
+            return self.eval_pruned(bound, &reason, outer, ctx);
         }
-        // Verification of the assembled tree, timed apart from the
-        // pipeline it sits in.
-        let mut verify_ms = 0.0;
+        let units = self.fetch_units(bound, outer, observed, ctx)?;
+        let tree = self.assemble(bound, units)?;
+        self.drive(bound, tree, None, planck_verify, ctx)
+    }
 
-        // Lineage tracking for this run: tag every fetched unit's scan
-        // with its interned mask; the outer context (a subquery's
-        // correlated tuple) carries the empty mask — its own sources
-        // are already attributed to the enclosing answer.
-        let track = config.optimizer.track_lineage && ctx.track;
-
-        // Fetch every independent unit (the Scan layer). Each slot is
-        // `(schema, tuples, lineage masks, unit label)`; the masks are
-        // empty when tracking is off and the label feeds the rewrite
-        // audit's source-set fingerprints.
-        let mut inputs: Vec<(Schema, Vec<Tuple>, ScanMasks, String)> = Vec::new();
+    /// The scan layer: fetch every independent unit of the plan and hand
+    /// the units over as the join fold's inputs, in the plan's fold
+    /// order, behind a subquery's `outer` row. The fetch runs in two
+    /// rounds (DESIGN.md §18): a plan with a bind stage fetches its
+    /// driver first and sends the targets the keys the driver bound; a
+    /// plan without one has an empty first round. Each unit is interned
+    /// for lineage, and its row estimate scored against what it shipped
+    /// ([`Engine::score_scans`]).
+    fn fetch_units(
+        &self,
+        bound: Bound<'_>,
+        outer: Option<(&Schema, &Tuple)>,
+        observed: Option<&Observed>,
+        ctx: &mut ExecCtx,
+    ) -> Result<Units, CoreError> {
+        let plan = bound.plan;
+        let mut inputs: Vec<Input> = Vec::new();
         if let Some((schema, tuple)) = outer {
-            inputs.push((
-                schema.clone(),
-                vec![tuple.clone()],
-                if track {
+            // The outer row carries the empty mask: its own sources are
+            // already attributed to the enclosing answer.
+            inputs.push(Input {
+                schema: schema.clone(),
+                tuples: vec![tuple.clone()],
+                masks: if ctx.tracking() {
                     ScanMasks::One(LineageMask::EMPTY)
                 } else {
                     ScanMasks::None
                 },
-                "<outer>".to_string(),
-            ));
+                name: "<outer>".to_string(),
+            });
         }
-        // The Scan layer, in two rounds (DESIGN.md §18). A plan with a
-        // bind stage fetches its driver first and sends the targets the
-        // keys the driver bound; a plan without one has an empty first
-        // round. A failure waits in its slot until both rounds are
-        // through, so the error reported is the first in atom order
-        // whichever round met it.
+        // A failure waits in its slot until both rounds are through, so
+        // the error reported is the first in atom order whichever round
+        // met it.
         let n = plan.independents.len();
         let mut fetched: Vec<Option<Result<Fetched, CoreError>>> = Vec::new();
         fetched.resize_with(n, || None);
         let driver = plan.bind.as_ref().map(|stage| stage.driver);
-        let first = driver.into_iter();
-        self.fetch_round(bound, first, None, observed, config, depth, ctx, &mut fetched);
+        self.fetch_round(bound, driver.into_iter(), None, observed, ctx, &mut fetched);
         let (keys, bind_note) = match &plan.bind {
             Some(stage) => self.bind_keys(stage, fetched[stage.driver].as_ref()),
             None => (None, None),
         };
         let rest = (0..n).filter(|&i| Some(i) != driver);
-        self.fetch_round(bound, rest, keys.as_ref(), observed, config, depth, ctx, &mut fetched);
-        // What EXPLAIN says of each probed match, where it is read.
-        let mut probed_notes: Vec<String> = Vec::new();
-        let note_probes = depth == 0 && ctx.want_plan_text;
+        self.fetch_round(bound, rest, keys.as_ref(), observed, ctx, &mut fetched);
+        // What EXPLAIN says of the fetch — the bind stage's keys, each
+        // probed match — where it is read.
+        let explained = ctx.depth == 0 && ctx.want_plan_text;
+        let mut notes: Vec<String> = Vec::new();
+        notes.extend(bind_note.filter(|_| explained));
         for (atom, slot) in plan.independents.iter().zip(fetched) {
             let unit = slot.ok_or_else(|| {
                 CoreError::Internal("independent unit left unfetched".into())
             })??;
             ctx.report.rows_fetched += unit.tuples.len() as u64;
-            if let (Some((pruned, candidates)), true) = (unit.probed, note_probes) {
-                probed_notes.push(format!(
+            if let (Some((pruned, candidates)), true) = (unit.probed, explained) {
+                notes.push(format!(
                     "probe: pruned {} of {} candidates of {}",
                     pruned,
                     candidates,
@@ -1472,36 +1472,61 @@ impl Engine {
             // the units were fetched in: workers only describe their
             // unit, ids are assigned here.
             let masks = intern_masks(ctx, unit.prov);
-            inputs.push((unit_schema(unit.vars)?, unit.tuples, masks, atom_name(atom)));
+            inputs.push(Input {
+                schema: unit_schema(unit.vars)?,
+                tuples: unit.tuples,
+                masks,
+                name: atom_name(atom),
+            });
         }
         if inputs.is_empty() {
             return Err(CoreError::Exec("query has no inputs".into()));
         }
-
-        // Join ordering. The plan carries a fold order computed from
-        // collection statistics (estimated output cardinality of each
-        // intermediate join). The outer context always stays first so
-        // correlated variables bind early.
         let start = usize::from(outer.is_some());
         if plan.est_rows.len() != n || plan.fold_order.len() != n || plan.fold_rows.len() != n {
             return Err(CoreError::Internal(
                 "plan estimates and fold order do not cover its units".into(),
             ));
         }
+        self.score_scans(plan, &inputs[start..], ctx);
 
-        // Score the planner's per-unit cardinality estimates against the
-        // rows each unit actually shipped (inputs are still in atom
-        // order here). This runs on every serve, streamed or not — the
-        // scan layer is where estimates are cheapest to check — and a
-        // gross miss on a filtered fragment feeds the observed count
-        // back into the statistics catalog as a sound lower bound on the
-        // collection's cardinality.
-        for (i, atom) in plan.independents.iter().enumerate() {
-            let Some((_, fetched, _, _)) = inputs.get(start + i) else {
-                continue;
-            };
-            let est = plan.est_rows[i];
-            let act = fetched.len() as u64;
+        // Join ordering. The plan carries a fold order computed from
+        // collection statistics (estimated output cardinality of each
+        // intermediate join). The outer context always stays first so
+        // correlated variables bind early. Each input's estimated rows
+        // ride beside it, for operator annotations and build-side
+        // decisions.
+        let mut est: Vec<Option<u64>> = vec![None; inputs.len()];
+        let mut tail: Vec<Option<Input>> = inputs.drain(start..).map(Some).collect();
+        for (k, &i) in plan.fold_order.iter().enumerate() {
+            if let Some(input) = tail.get_mut(i).and_then(Option::take) {
+                inputs.push(input);
+                est[start + k] = plan.est_rows.get(i).copied();
+            }
+        }
+        // Defensive: a malformed permutation never drops inputs.
+        inputs.extend(tail.into_iter().flatten());
+        if start == 1 {
+            est[0] = Some(1);
+        }
+        Ok(Units {
+            inputs,
+            est,
+            outer: start == 1,
+            notes,
+        })
+    }
+
+    /// Score the planner's per-unit cardinality estimates against the
+    /// rows each unit actually shipped (`units`, in atom order). This
+    /// runs on every serve, streamed or not — the scan layer is where
+    /// estimates are cheapest to check — and a gross miss on a filtered
+    /// fragment feeds the observed count back into the statistics
+    /// catalog as a sound lower bound on the collection's cardinality.
+    fn score_scans(&self, plan: &Plan, units: &[Input], ctx: &mut ExecCtx) {
+        let scored = plan.independents.iter().zip(&plan.est_rows).zip(units);
+        for (i, ((atom, &est), unit)) in scored.enumerate() {
+            let act = unit.tuples.len() as u64;
             let q = qerror(est, act);
             self.serve_metrics.observe(Hist::ScanQerror, centi_q(q));
             ctx.qerror(q, "Scan");
@@ -1509,94 +1534,66 @@ impl Engine {
             // what it shipped — keyed, or whole when the stage was
             // declined — says nothing about the collection.
             let keyed = plan.bind.as_ref().is_some_and(|b| b.target(i).is_some());
-            if act > est.saturating_mul(GROSS_QERROR) && !keyed {
-                // Only a filtered single-collection fragment: its
-                // filtered row count is a certain lower bound on the
-                // base collection (unfiltered fetches already feed
-                // exact counts through `note_stats_rows`). A bound
-                // raises the count and never lowers it: below the rows
-                // sampled, a partial sample would pass for exhaustive and
-                // its min/max for exact bounds.
-                if let AtomExec::Fragment { source, query, .. } = atom {
-                    if let ([collection], false) = (query.collections.as_slice(), query.selections.is_empty()) {
-                        let key = format!("{}.{}", source, collection.collection);
-                        if self.catalog.stats().rows(&key).is_none_or(|rows| act > rows) {
-                            self.note_stats_rows(&key, act);
-                            self.metrics.incr("plan.feedback.gross", 1);
-                        }
+            if act <= est.saturating_mul(GROSS_QERROR) || keyed {
+                continue;
+            }
+            // Only a filtered single-collection fragment: its filtered
+            // row count is a certain lower bound on the base collection
+            // (unfiltered fetches already feed exact counts through
+            // `note_stats_rows`). A bound raises the count and never
+            // lowers it: below the rows sampled, a partial sample would
+            // pass for exhaustive and its min/max for exact bounds.
+            if let AtomExec::Fragment { source, query, .. } = atom {
+                if let ([collection], false) = (query.collections.as_slice(), query.selections.is_empty()) {
+                    let key = format!("{}.{}", source, collection.collection);
+                    if self.catalog.stats().rows(&key).is_none_or(|rows| act > rows) {
+                        self.note_stats_rows(&key, act);
+                        self.metrics.incr("plan.feedback.gross", 1);
                     }
                 }
             }
         }
-        // Estimated rows per input slot (post-permutation), for operator
-        // annotations and build-side/parallelism decisions.
-        let mut input_est: Vec<Option<u64>> = vec![None; inputs.len()];
-        let mut tail: Vec<Option<(Schema, Vec<Tuple>, ScanMasks, String)>> =
-            inputs.drain(start..).map(Some).collect();
-        for (k, &i) in plan.fold_order.iter().enumerate() {
-            if let Some(input) = tail.get_mut(i).and_then(Option::take) {
-                inputs.push(input);
-                input_est[start + k] = Some(plan.est_rows[i]);
-            }
-        }
-        // Defensive: a malformed permutation never drops inputs.
-        for input in tail.into_iter().flatten() {
-            inputs.push(input);
-        }
-        if start == 1 {
-            input_est[0] = Some(1);
-        }
+    }
 
-        // Fold into a physical join tree. From here to the end of the
-        // drive is the executor pipeline, timed separately from atom
-        // fetch as `engine.exec.pipeline_us`.
-        let t_pipeline = Instant::now();
+    /// Fold the units into the physical join tree, then navigate the
+    /// dependent atoms, drop duplicate join columns, filter on the
+    /// residual predicates as this serve reads them, and sort. From here
+    /// to the end of the drive is the executor pipeline, timed apart
+    /// from the fetch as `engine.exec.pipeline_us`.
+    fn assemble(&self, bound: Bound<'_>, units: Units) -> Result<Assembled, CoreError> {
+        let plan = bound.plan;
+        let Units { inputs, est, outer, notes } = units;
+        let started = Instant::now();
         let funcs = self.funcs.read().clone();
         // Execution-time rewrites (build-side swaps) recorded for the
         // rewrite audit.
-        let mut exec_rewrites: Vec<RewriteRecord> = Vec::new();
-        let mut iter = inputs.into_iter().enumerate();
-        let (_, (first_schema, first_tuples, first_mask, first_name)) = iter
+        let mut rewrites: Vec<RewriteRecord> = Vec::new();
+        let mut iter = inputs.into_iter().zip(est).enumerate();
+        let (_, (first, mut cur_est)) = iter
             .next()
             .ok_or_else(|| CoreError::Internal("join fold over zero inputs".into()))?;
-        let mut first_scan = ValuesOp::new(first_schema, first_tuples).labeled("Scan");
-        first_scan = match first_mask {
-            ScanMasks::One(m) => first_scan.with_lineage(m),
-            ScanMasks::Per(v) => first_scan.with_lineage_masks(v),
-            ScanMasks::None => first_scan,
-        };
-        if let Some(e) = input_est.first().copied().flatten() {
-            first_scan.set_est_rows(e);
-        }
+        let (first_scan, first_name) = first.scan(cur_est);
         let mut op: Box<dyn Operator> = Box::new(first_scan);
         // Source labels of every unit folded in so far, for the rewrite
         // audit's source-set fingerprints (a faithful execution rewrite
-        // must not change where the joined rows come from).
+        // must not change where the joined rows come from). `cur_est` is
+        // the estimated rows flowing out of the subtree folded so far.
         let mut cur_srcs: Vec<String> = vec![first_name];
-        // Estimated rows flowing out of the current accumulated subtree.
-        let mut cur_est: Option<u64> = input_est.first().copied().flatten();
-        for (idx, (schema, tuples, mask, unit_name)) in iter {
+        for (idx, (input, this_est)) in iter {
+            let (scan, unit_name) = input.scan(this_est);
             if !cur_srcs.contains(&unit_name) {
                 cur_srcs.push(unit_name);
             }
-            let this_est = input_est.get(idx).copied().flatten();
             // Estimated size after this fold step (from the planner's
             // greedy cost walk; index is offset by the outer slot).
             let next_est = idx
-                .checked_sub(start)
+                .checked_sub(usize::from(outer))
                 .and_then(|k| plan.fold_rows.get(k).copied());
-            let mut right_scan = ValuesOp::new(schema.clone(), tuples).labeled("Scan");
-            right_scan = match mask {
-                ScanMasks::One(m) => right_scan.with_lineage(m),
-                ScanMasks::Per(v) => right_scan.with_lineage_masks(v),
-                ScanMasks::None => right_scan,
-            };
-            if let Some(e) = this_est {
-                right_scan.set_est_rows(e);
-            }
-            let right: Box<dyn Operator> = Box::new(right_scan);
-            let has_common = !op.schema().common_vars(&schema).is_empty();
-            op = if has_common {
+            let keys = op.schema().common_vars(scan.schema());
+            let right: Box<dyn Operator> = Box::new(scan);
+            let mut join: Box<dyn Operator> = if keys.is_empty() {
+                Box::new(NestedLoopJoinOp::new(op, right, None, JoinType::Inner, Arc::clone(&funcs)))
+            } else {
                 // Build side: `HashJoinOp` builds its table on the right
                 // operand. When the statistics say the accumulated side
                 // is much smaller than the incoming unit, swap so the
@@ -1606,61 +1603,30 @@ impl Engine {
                     (cur_est, this_est),
                     (Some(acc), Some(next)) if next > acc.saturating_mul(4)
                 );
-                // Fingerprint the operand schemas before they move into
-                // the join: a faithful swap keeps the (deduplicated,
-                // `#`-free) column set and the natural-join key set.
-                let swap_before = if swap {
-                    let mut cols: Vec<String> = Vec::new();
-                    for v in op.schema().vars().iter().chain(schema.vars()) {
-                        if !v.contains('#') && !cols.iter().any(|x| x == v) {
-                            cols.push(v.clone());
-                        }
-                    }
-                    Some((cols, op.schema().common_vars(&schema)))
-                } else {
-                    None
-                };
+                // Fingerprint the operand columns before they move into
+                // the join: a faithful swap keeps the column set and the
+                // natural-join key set.
+                let before = swap.then(|| plain_columns(op.schema().vars().iter().chain(right.schema().vars())));
                 let (probe, build) = if swap { (right, op) } else { (op, right) };
-                let mut join = HashJoinOp::natural(probe, build, JoinType::Inner);
-                if let Some((before_cols, keys)) = swap_before {
-                    let after_cols: Vec<String> = join
-                        .schema()
-                        .vars()
-                        .iter()
-                        .filter(|v| !v.contains('#'))
-                        .cloned()
-                        .collect();
+                let join = HashJoinOp::natural(probe, build, JoinType::Inner);
+                if let Some(before) = before {
                     // A swap exchanges the operands, never the unit set:
                     // record the folded source labels on both sides so
                     // the audit's source-set check pins that down.
-                    exec_rewrites.push(RewriteRecord::new(
+                    let after = plain_columns(join.schema().vars().iter());
+                    rewrites.push(RewriteRecord::new(
                         "build-side-swap",
                         false,
-                        Fingerprint::new(before_cols)
-                            .with_keys(keys.clone())
-                            .with_sources(cur_srcs.clone()),
-                        Fingerprint::new(after_cols)
-                            .with_keys(keys)
-                            .with_sources(cur_srcs.clone()),
+                        Fingerprint::new(before).with_keys(keys.clone()).with_sources(cur_srcs.clone()),
+                        Fingerprint::new(after).with_keys(keys).with_sources(cur_srcs.clone()),
                     ));
-                }
-                if let Some(e) = next_est {
-                    join.set_est_rows(e);
-                }
-                Box::new(join)
-            } else {
-                let mut join = NestedLoopJoinOp::new(
-                    op,
-                    right,
-                    None,
-                    JoinType::Inner,
-                    Arc::clone(&funcs),
-                );
-                if let Some(e) = next_est {
-                    join.set_est_rows(e);
                 }
                 Box::new(join)
             };
+            if let Some(e) = next_est {
+                join.set_est_rows(e);
+            }
+            op = join;
             cur_est = next_est;
         }
 
@@ -1671,13 +1637,7 @@ impl Engine {
 
         // Drop duplicate join columns (`var#2` …).
         if op.schema().vars().iter().any(|v| v.contains('#')) {
-            let keep: Vec<String> = op
-                .schema()
-                .vars()
-                .iter()
-                .filter(|v| !v.contains('#'))
-                .cloned()
-                .collect();
+            let keep = plain_columns(op.schema().vars().iter());
             let keep_refs: Vec<&str> = keep.iter().map(String::as_str).collect();
             let mut project = ProjectOp::keep(op, &keep_refs, Arc::clone(&funcs))?;
             if let Some(e) = cur_est {
@@ -1732,13 +1692,43 @@ impl Engine {
             }
             op = Box::new(sort);
         }
+        Ok(Assembled {
+            op,
+            rewrites,
+            notes,
+            started,
+        })
+    }
 
+    /// Drive an assembled tree: verify it, audit its execution-time
+    /// rewrites, run it, and read off what the run says — the pipeline's
+    /// metrics, the rows' lineage, the plan's quality and, for the
+    /// top-level query where someone reads it, the EXPLAIN text. A
+    /// `pruned` tree is one satisfiability analysis proved empty, for
+    /// the reason given.
+    fn drive(
+        &self,
+        bound: Bound<'_>,
+        tree: Assembled,
+        pruned: Option<&str>,
+        planck_verify: bool,
+        ctx: &mut ExecCtx,
+    ) -> Result<(Schema, Vec<Tuple>), CoreError> {
+        let Assembled {
+            mut op,
+            rewrites,
+            notes,
+            started,
+        } = tree;
+        // Verification of the assembled tree, timed apart from the
+        // pipeline it sits in.
+        let mut verify_ms = 0.0;
         // Static verification of the assembled physical plan: every
         // operator's schema/expression/ordering contract must hold before
         // we open anything. A plan-cache hit (`planck_verify` false)
         // skips this: the plan's fold order drives assembly, so a hit
         // assembles the shape verified at cache-fill time.
-        if config.optimizer.verify_plans && planck_verify {
+        if ctx.config.optimizer.verify_plans && planck_verify {
             let t_verify = Instant::now();
             // The structural pass plus bottom-up type/nullability
             // inference (planck pass 1).
@@ -1746,14 +1736,13 @@ impl Engine {
                 .map_err(|report| CoreError::PlanVerify(report.to_string()))?;
             verify_ms += ms_since(t_verify);
         }
-
         // Semantic pass 3 on this serve's execution-level rewrites
         // (build-side swaps) — for schema, key-set, and cardinality-bound
         // preservation. The plan-level ones (pushdown, fold reorder) were
         // audited before the plan's first serve (`planner::audit`).
-        if !exec_rewrites.is_empty() {
+        if !rewrites.is_empty() {
             let t_verify = Instant::now();
-            planner::audit_records(&exec_rewrites).map_err(CoreError::PlanVerify)?;
+            planner::audit_records(&rewrites).map_err(CoreError::PlanVerify)?;
             verify_ms += ms_since(t_verify);
         }
 
@@ -1762,12 +1751,14 @@ impl Engine {
         self.serve_metrics.incr(Count::Batches, batches);
         self.serve_metrics.incr(Count::BatchRows, tuples.len() as u64);
         self.serve_metrics
-            .observe(Hist::PipelineUs, us((ms_since(t_pipeline) - verify_ms).max(0.0)));
+            .observe(Hist::PipelineUs, us((ms_since(started) - verify_ms).max(0.0)));
         // Harvest per-tuple lineage from the root operator (operators
         // keep their masks across close, so the drained run above left
-        // them intact). `None` when any leaf lacked a mask.
-        ctx.last_lin = if track {
-            op.lineage().map(|l| l.to_vec())
+        // them intact). `None` when any leaf lacked a mask; a pruned
+        // tree's is the empty list, so a tracked serve still gets a
+        // (vacuously complete) provenance report.
+        ctx.last_lin = if ctx.tracking() {
+            op.lineage().map(<[LineageMask]>::to_vec)
         } else {
             None
         };
@@ -1775,18 +1766,19 @@ impl Engine {
         // Plan-quality telemetry over the finished operator tree:
         // per-kind Q-error histograms and build-side flips, wherever the
         // report has a reader (a streamed serve scores its scans alone).
-        if ctx.want_plan_text {
+        // A pruned tree's row count is a proof, not an estimate.
+        if ctx.want_plan_text && pruned.is_none() {
             self.plan_quality_walk(op.as_ref(), ctx);
         }
-        if depth == 0 && verify_ms > 0.0 {
+        if ctx.depth == 0 && verify_ms > 0.0 {
             ctx.lend(Stage::Verify, verify_ms);
         }
         // Record the plan (top-level query only).
-        if depth == 0 && ctx.want_plan_text && ctx.report.plan.is_empty() {
-            let of_values = bound.value_notes(&self.catalog, None);
+        if ctx.depth == 0 && ctx.want_plan_text && ctx.report.plan.is_empty() {
+            let of_values = bound.value_notes(&self.catalog, pruned);
             let mut text = explain_notes(
                 ctx.plan_path.map(|path| path.explain(bound.param_count())),
-                plan.notes.iter().chain(&of_values).chain(&bind_note).chain(&probed_notes),
+                bound.plan.notes.iter().chain(&of_values).chain(&notes),
             );
             text.push_str(&explain_ops(op.as_ref()));
             ctx.report.plan = text;
@@ -1794,70 +1786,39 @@ impl Engine {
         Ok((schema, tuples))
     }
 
-    /// Execute a plan satisfiability analysis proved statically empty:
-    /// build an annotated [`EmptyOp`] over the schema the normal
-    /// pipeline would have produced (so CONSTRUCT and correlated
-    /// subqueries still resolve every variable) and run it. No adapter
-    /// is called and no rows are fetched.
+    /// Assemble a plan satisfiability analysis proved statically empty:
+    /// an annotated [`EmptyOp`] over the schema the normal pipeline
+    /// would have produced (so CONSTRUCT and correlated subqueries still
+    /// resolve every variable), driven as any tree is. No adapter is
+    /// called and no rows are fetched.
     fn eval_pruned(
         &self,
         bound: Bound<'_>,
         reason: &str,
-        config: &EngineConfig,
         outer: Option<(&Schema, &Tuple)>,
-        depth: usize,
         ctx: &mut ExecCtx,
     ) -> Result<(Schema, Vec<Tuple>), CoreError> {
         let plan = bound.plan;
-        let t_pipeline = Instant::now();
+        let started = Instant::now();
         let mut vars: Vec<String> = outer
             .map(|(s, _)| s.vars().to_vec())
             .unwrap_or_default();
-        for atom in &plan.independents {
-            for v in atom.vars() {
-                if !vars.iter().any(|x| x == v) {
-                    vars.push(v.clone());
-                }
+        let atom_vars = plan.independents.iter().flat_map(AtomExec::vars);
+        for v in atom_vars.chain(plan.dependents.iter().flat_map(|dep| &dep.vars)) {
+            if !vars.contains(v) {
+                vars.push(v.clone());
             }
         }
-        for dep in &plan.dependents {
-            for v in &dep.vars {
-                if !vars.iter().any(|x| x == v) {
-                    vars.push(v.clone());
-                }
-            }
-        }
-        let schema = unit_schema(vars)?;
-        let mut op: Box<dyn Operator> =
-            Box::new(EmptyOp::new(schema.clone(), format!("pruned: {}", reason)));
-        let mut verify_ms = 0.0;
-        if config.optimizer.verify_plans {
-            let t_verify = Instant::now();
-            nimble_planck::verify_semantic(op.as_ref())
-                .map_err(|report| CoreError::PlanVerify(report.to_string()))?;
-            verify_ms = ms_since(t_verify);
-        }
+        let tree = Assembled {
+            op: Box::new(EmptyOp::new(unit_schema(vars)?, format!("pruned: {}", reason))),
+            rewrites: Vec::new(),
+            notes: Vec::new(),
+            started,
+        };
+        // Its one node is verified on every serve, cached or not.
+        let driven = self.drive(bound, tree, Some(reason), true, ctx)?;
         self.metrics.incr("engine.plan.pruned", 1);
-        let tuples = run_to_vec(op.as_mut())?;
-        // A pruned plan emits no tuples, so its lineage is the empty
-        // per-tuple list — tracked queries still get a (vacuously
-        // complete) provenance report.
-        ctx.last_lin = (config.optimizer.track_lineage && ctx.track).then(Vec::new);
-        self.serve_metrics
-            .observe(Hist::PipelineUs, us((ms_since(t_pipeline) - verify_ms).max(0.0)));
-        if depth == 0 && verify_ms > 0.0 {
-            ctx.lend(Stage::Verify, verify_ms);
-        }
-        if depth == 0 && ctx.want_plan_text && ctx.report.plan.is_empty() {
-            let of_values = bound.value_notes(&self.catalog, Some(reason));
-            let mut text = explain_notes(
-                ctx.plan_path.map(|path| path.explain(bound.param_count())),
-                plan.notes.iter().chain(&of_values),
-            );
-            text.push_str(&explain_ops(op.as_ref()));
-            ctx.report.plan = text;
-        }
-        Ok((schema, tuples))
+        Ok(driven)
     }
 
     /// Walk a finished operator tree recording plan-quality telemetry:
@@ -1933,15 +1894,12 @@ impl Engine {
     /// ([`Engine::fold_shards`]). Every unit is fetched; a failure waits
     /// in its slot. `keys` is the bind stage's key list, for the units
     /// that are its targets.
-    #[allow(clippy::too_many_arguments)]
     fn fetch_round(
         &self,
         bound: Bound<'_>,
         round: impl Iterator<Item = usize>,
         keys: Option<&BoundKeys>,
         observed: Option<&Observed>,
-        config: &EngineConfig,
-        depth: usize,
         ctx: &mut ExecCtx,
         fetched: &mut [Option<Result<Fetched, CoreError>>],
     ) {
@@ -1982,10 +1940,11 @@ impl Engine {
                 memo_hits: AtomicU64::new(0),
             });
         }
-        // Each task fetches into a context of its own, with this one's
-        // switches, and the query context — thread-local — re-entered,
-        // so source calls on a worker stay attributed to the query.
-        let (track, want_plan_text) = (ctx.track, ctx.want_plan_text);
+        // Each task fetches into a context of its own, made on the thread
+        // that runs it from copies of this one's settings and scope, and
+        // the query context — thread-local — re-entered, so source calls
+        // on a worker stay attributed to the query.
+        let (config, depth, track, want_plan_text) = (ctx.config.clone(), ctx.depth, ctx.track, ctx.want_plan_text);
         let qctx = QueryCtx::current();
         // A shard's adapter may record its own call during the round: the
         // records are searched for one from here (`note_source_call`).
@@ -2002,16 +1961,17 @@ impl Engine {
                 Some((scan, shard)) => TaskDone::Shard(scan, scans[scan].run(shard)),
                 None => {
                     let mut local = ExecCtx {
+                        depth,
                         track,
                         want_plan_text,
-                        ..ExecCtx::new()
+                        ..ExecCtx::new(config.clone())
                     };
                     let bind = plan
                         .bind
                         .as_ref()
                         .zip(keys)
                         .and_then(|(stage, keys)| Some((&stage.target(task.unit)?.field, keys)));
-                    let unit = self.fetch_atom(bound, task.unit, bind, config, depth, &mut local);
+                    let unit = self.fetch_atom(bound, task.unit, bind, &mut local);
                     TaskDone::Unit(unit, local)
                 }
             };
@@ -2037,7 +1997,7 @@ impl Engine {
             }
         }
         for (scan, shards) in scans.iter().zip(gathered) {
-            let unit = self.fold_shards(scan, shards, fork.pooled, calls_before, config, ctx);
+            let unit = self.fold_shards(scan, shards, fork.pooled, calls_before, ctx);
             fetched[scan.unit] = Some(unit);
         }
     }
@@ -2134,11 +2094,9 @@ impl Engine {
         bound: Bound<'_>,
         i: usize,
         bind: Option<(&FieldRef, &BoundKeys)>,
-        config: &EngineConfig,
-        depth: usize,
         ctx: &mut ExecCtx,
     ) -> Result<Fetched, CoreError> {
-        let track = config.optimizer.track_lineage && ctx.track;
+        let track = ctx.tracking();
         let plan = bound.plan;
         match &plan.independents[i] {
             AtomExec::Fragment { source, vars, .. } => {
@@ -2189,11 +2147,9 @@ impl Engine {
                 };
                 let to_tuples = |doc: &Arc<Document>| fragment_tuples(doc, vars);
                 let fallback = Fallback {
-                    config,
                     cache_keys: &cache_keys,
                     unit,
                     vars,
-                    track,
                     to_tuples: &to_tuples,
                 };
                 let call = Call::run(|| Ok(adapter.execute(&query)?));
@@ -2201,7 +2157,7 @@ impl Engine {
                     // A floored answer is a refresh's, and no one reads
                     // it back: a refresh takes no stale answer, and its
                     // floor is in the key, out of every query's reach.
-                    if config.cache_nodes > 0 && query.after_row.is_none() {
+                    if query.after_row.is_none() {
                         self.cache.put(cache_keys[0], Arc::clone(&doc));
                     }
                     let tuples = to_tuples(&doc);
@@ -2238,18 +2194,14 @@ impl Engine {
                 let key = format!("coll:{}:{}", source, collection);
                 let unit = Unit::Collection(collection);
                 let fallback = Fallback {
-                    config,
                     cache_keys: &[&key],
                     unit,
                     vars,
-                    track,
                     to_tuples: &|doc| match_tuples(doc, pattern, vars, None),
                 };
                 let call = Call::run(|| Ok(adapter.fetch_collection(collection)?));
                 self.call_source(source, || "fetch".to_string(), fallback, ctx, call, |doc, _| {
-                    if config.cache_nodes > 0 {
-                        self.cache.put(&key, Arc::clone(&doc));
-                    }
+                    self.cache.put(&key, Arc::clone(&doc));
                     let mut filter = self.candidate_filter(bound, i);
                     let tuples = match_tuples(&doc, pattern, vars, Some(&mut filter));
                     // Row count = the collection's top-level elements (the
@@ -2274,7 +2226,7 @@ impl Engine {
                 let stale_before = ctx.report.stale;
                 let saved_track = ctx.track;
                 ctx.track = false;
-                let fetched = self.view_document(view, depth, ctx);
+                let fetched = self.view_document(view, ctx);
                 ctx.track = saved_track;
                 let doc = fetched?;
                 let mut filter = self.candidate_filter(bound, i);
@@ -2346,11 +2298,10 @@ impl Engine {
         shards: Vec<ShardTook>,
         pooled: bool,
         calls_before: Option<usize>,
-        config: &EngineConfig,
         ctx: &mut ExecCtx,
     ) -> Result<Fetched, CoreError> {
         let ShardScan { sp, source, collection, vars, .. } = *scan;
-        let track = config.optimizer.track_lineage && ctx.track;
+        let track = ctx.tracking();
         self.metrics
             .incr("engine.shard.pruned", (sp.shards - sp.survivors.len()) as u64);
         if sp.survivors.is_empty() {
@@ -2382,7 +2333,7 @@ impl Engine {
                 Err(e) => lost.push((format!("{}#shard{}", source, k), e)),
             }
         }
-        let outcome = if config.unavailable == UnavailablePolicy::Fail && !lost.is_empty() {
+        let outcome = if ctx.config.unavailable == UnavailablePolicy::Fail && !lost.is_empty() {
             Err(CallError::Unavailable(lost.swap_remove(0).1.into()))
         } else {
             Ok(rows)
@@ -2398,11 +2349,9 @@ impl Engine {
         };
         let unit = Unit::Collection(collection);
         let fallback = Fallback {
-            config,
             cache_keys: &[],
             unit,
             vars,
-            track,
             to_tuples: &|_| Vec::new(),
         };
         self.call_source(source, kind, fallback, ctx, call, |mut rows, ctx| {
@@ -2504,8 +2453,9 @@ impl Engine {
     /// `fallback` standing in for its unit: under `StaleCache`, the first
     /// of its cached documents the cache still holds, made into tuples;
     /// else — and under `SkipAndAnnotate` — no tuples, the source named
-    /// missing. With lineage tracking on, the unit is described in the
-    /// provenance table; a stale-served one reports its copy's age.
+    /// missing. The policy is the serve's, and with lineage tracking on,
+    /// the unit is described in the provenance table; a stale-served one
+    /// reports its copy's age.
     fn handle_unavailable(
         &self,
         source: &str,
@@ -2514,13 +2464,12 @@ impl Engine {
         ctx: &mut ExecCtx,
     ) -> Result<Fetched, CoreError> {
         let Fallback {
-            config,
             cache_keys,
             unit,
             vars,
-            track,
             to_tuples,
         } = fallback;
+        let track = ctx.tracking();
         let fetched = |tuples, prov: Option<ProvSource>, served| Fetched {
             vars: vars.to_vec(),
             tuples,
@@ -2528,12 +2477,11 @@ impl Engine {
             served,
             probed: None,
         };
-        match config.unavailable {
+        match ctx.config.unavailable {
             UnavailablePolicy::Fail => return Err(err),
             UnavailablePolicy::SkipAndAnnotate => {}
             UnavailablePolicy::StaleCache => {
-                let cached = || cache_keys.iter().find_map(|key| self.cache.get_with_age(key));
-                if let Some((doc, age)) = (config.cache_nodes > 0).then(cached).flatten() {
+                if let Some((doc, age)) = cache_keys.iter().find_map(|key| self.cache.get_with_age(key)) {
                     ctx.report.stale = true;
                     let metrics = self.source_metrics(source);
                     metrics.count(&metrics.stale_served, "source.stale_served.");
@@ -2556,57 +2504,105 @@ impl Engine {
     }
 
     /// Construct template instances into an open builder, recursively
-    /// evaluating nested subqueries.
+    /// evaluating nested subqueries ([`Engine::nested`]).
     ///
-    /// With lineage tracking on, `tuple_lin` carries the top-level
-    /// relation's per-tuple masks (the template module pushes one
-    /// per-answer mask into `answers` *before* rendering each answer)
-    /// and `answers` is threaded through every nesting level so a
-    /// subquery's lineage — at any depth — ORs into the answer it is
-    /// rendered inside.
-    #[allow(clippy::too_many_arguments)]
+    /// With lineage tracking on, `lineage` carries the answer cells — one
+    /// per answer, pushed by the template module *before* it renders the
+    /// answer — through every nesting level, so a subquery's lineage, at
+    /// any depth, ORs into the answer it is rendered inside; at the top
+    /// level it also carries the relation's per-tuple masks.
     fn construct_into(
         &self,
         b: &mut DocumentBuilder,
         template: &nimble_xmlql::ast::ElementTemplate,
         schema: &Schema,
         tuples: &[Tuple],
-        depth: usize,
         ctx: &mut ExecCtx,
-        tuple_lin: Option<&[LineageMask]>,
-        answers: Option<&RefCell<Vec<LineageMask>>>,
+        lineage: Option<AnswerLineage<'_>>,
     ) -> Result<(), CoreError> {
+        let answers = lineage.map(|l| l.answers);
         let mut cb = |q: &Query, s: &Schema, t: &Tuple, b2: &mut DocumentBuilder| {
-            let (sub_schema, sub_tuples) = self.eval(q, Some((s, t)), depth + 1, ctx)?;
-            if let Some(cell) = answers {
-                if let Some(sub_lin) = ctx.last_lin.take() {
-                    if let Some(ans) = cell.borrow_mut().last_mut() {
-                        for m in &sub_lin {
-                            ans.merge(*m);
-                        }
-                    }
-                }
-            }
-            self.construct_into(
-                b2,
-                &q.construct,
-                &sub_schema,
-                &sub_tuples,
-                depth + 1,
-                ctx,
-                None,
-                answers,
-            )
+            self.nested(q, Some((s, t)), b2, ctx, answers)
         };
-        let sink = match (tuple_lin, answers) {
-            (Some(masks), Some(cell)) => Some(construct::LineageSink {
-                tuple_masks: masks,
-                answers: cell,
-            }),
-            _ => None,
-        };
+        let sink = lineage.and_then(|l| {
+            Some(construct::LineageSink {
+                tuple_masks: l.tuple_masks?,
+                answers: l.answers,
+            })
+        });
         construct::append_instances_traced(b, template, schema, tuples, &mut cb, sink)
     }
+}
+
+/// A tracked answer's lineage as CONSTRUCT builds it: the answers' cells
+/// and, at the top level, the masks of the tuples they are made of.
+#[derive(Clone, Copy)]
+struct AnswerLineage<'a> {
+    tuple_masks: Option<&'a [LineageMask]>,
+    answers: &'a RefCell<Vec<LineageMask>>,
+}
+
+/// What [`Engine::fetch_units`] hands [`Engine::assemble`].
+struct Units {
+    /// The join fold's inputs, in fold order.
+    inputs: Vec<Input>,
+    /// The planner's row estimate of each input.
+    est: Vec<Option<u64>>,
+    /// The first input is a subquery's outer row.
+    outer: bool,
+    /// What EXPLAIN says of the fetch: the bind stage's keys and each
+    /// probed match.
+    notes: Vec<String>,
+}
+
+/// One input of the join fold: a fetched unit, or a subquery's outer row.
+struct Input {
+    schema: Schema,
+    tuples: Vec<Tuple>,
+    masks: ScanMasks,
+    /// The unit's label, for the rewrite audit's source-set fingerprints.
+    name: String,
+}
+
+impl Input {
+    /// The scan that reads this input, estimated at `est` rows, and the
+    /// input's label.
+    fn scan(self, est: Option<u64>) -> (ValuesOp, String) {
+        let scan = ValuesOp::new(self.schema, self.tuples).labeled("Scan");
+        let mut scan = match self.masks {
+            ScanMasks::One(m) => scan.with_lineage(m),
+            ScanMasks::Per(v) => scan.with_lineage_masks(v),
+            ScanMasks::None => scan,
+        };
+        if let Some(e) = est {
+            scan.set_est_rows(e);
+        }
+        (scan, self.name)
+    }
+}
+
+/// An operator tree ready for [`Engine::drive`].
+struct Assembled {
+    op: Box<dyn Operator>,
+    /// Execution-time rewrites made assembling it (build-side swaps),
+    /// for the rewrite audit.
+    rewrites: Vec<RewriteRecord>,
+    /// What EXPLAIN says of this run beyond the plan's notes.
+    notes: Vec<String>,
+    /// When the pipeline's clock started: assembly is in it, the fetch
+    /// is not.
+    started: Instant,
+}
+
+/// `vars` without the duplicate join columns (`var#2` …), each once.
+fn plain_columns<'a>(vars: impl Iterator<Item = &'a String>) -> Vec<String> {
+    let mut cols: Vec<String> = Vec::new();
+    for v in vars {
+        if !v.contains('#') && !cols.contains(v) {
+            cols.push(v.clone());
+        }
+    }
+    cols
 }
 
 /// What a fetched unit is, as its provenance entry's `detail` names it.
@@ -2649,18 +2645,12 @@ impl Unit<'_> {
 
 /// What stands in for a unit whose source did not answer (§3.4).
 struct Fallback<'a> {
-    /// The serve's settings: the policy its failures take is the one it
-    /// started with.
-    config: &'a EngineConfig,
     /// The cached documents that may answer under `StaleCache`, best
     /// first (a bind target has two: the answer for its keys, and the
     /// whole fragment — a superset the join filters).
     cache_keys: &'a [&'a str],
     unit: Unit<'a>,
     vars: &'a [String],
-    /// Lineage tracking is on: the unit is described for the provenance
-    /// table.
-    track: bool,
     /// A cached document made into the unit's tuples (fragment rows and
     /// collection documents decode differently).
     to_tuples: &'a dyn Fn(&Arc<Document>) -> Vec<Tuple>,
@@ -3451,10 +3441,10 @@ mod correlated_probe_tests {
         let mut cleared = plan.clone();
         cleared.probes.clear();
         let run = |plan: &planner::Plan, row: &Atomic| {
-            let mut ctx = ExecCtx::new();
+            let mut ctx = ExecCtx::new(config.clone());
             let tuple = vec![Value::Atomic(row.clone())];
             let (schema, tuples) = engine
-                .eval_planned(&config, plan, &[], Some((&outer, &tuple)), 0, &mut ctx, true, None)
+                .eval_planned(plan, &[], Some((&outer, &tuple)), &mut ctx, true, None)
                 .unwrap();
             (format!("{:?} {:?}", schema, tuples), ctx.report.plan)
         };

@@ -10,7 +10,7 @@
 //! from; anything that does not check recomputes in full, in the same
 //! call, and says why.
 
-use super::{ms_since, us, Engine, EngineConfig, ExecCtx};
+use super::{ms_since, us, Engine, ExecCtx};
 use crate::catalog::ViewDef;
 use crate::error::CoreError;
 use crate::planner::{self, AtomExec, Plan};
@@ -37,9 +37,14 @@ impl Engine {
             .view(name)
             .ok_or_else(|| CoreError::UnknownCollection(name.to_string()))?;
         let started = Instant::now();
-        // One read of the settings holds for the whole refresh.
-        let config = self.config();
-        let outcome = self.refresh_view(&config, &def, ttl.or(def.default_ttl));
+        // One read of the settings holds for the whole refresh: each of
+        // its runs takes a fresh context under them. Nobody reads a
+        // refresh's EXPLAIN text.
+        let scope = ExecCtx {
+            want_plan_text: false,
+            ..ExecCtx::new(self.config())
+        };
+        let outcome = self.refresh_view(&def, ttl.or(def.default_ttl), &scope);
         self.metrics.observe("engine.view.refresh_us", us(ms_since(started)));
         if let Err(e) = &outcome {
             self.metrics
@@ -62,7 +67,7 @@ impl Engine {
         refreshed
     }
 
-    fn refresh_view(&self, config: &EngineConfig, def: &ViewDef, ttl: Option<u64>) -> Result<(), CoreError> {
+    fn refresh_view(&self, def: &ViewDef, ttl: Option<u64>, scope: &ExecCtx) -> Result<(), CoreError> {
         // What the entry says, not its document: no store guard is held
         // across a source call, and a refresh that held the document
         // would make its own append copy it.
@@ -73,12 +78,12 @@ impl Engine {
             // No marks: the full plan below says whether its shape or an
             // unstamped answer is why.
             Some((_, marks)) if marks.is_empty() => None,
-            Some((_, marks)) => match self.refresh_delta(config, def, marks, ttl)? {
+            Some((_, marks)) => match self.refresh_delta(def, marks, ttl, scope)? {
                 None => return Ok(()),
                 declined => declined,
             },
         };
-        self.refresh_full(config, def, ttl, why)
+        self.refresh_full(def, ttl, why, scope)
     }
 
     /// Rebuild the view's document from the whole of its sources. Every
@@ -87,15 +92,15 @@ impl Engine {
     /// the plan is row-wise and every fragment was stamped.
     fn refresh_full(
         &self,
-        config: &EngineConfig,
         def: &ViewDef,
         ttl: Option<u64>,
         why: Option<Decline>,
+        scope: &ExecCtx,
     ) -> Result<(), CoreError> {
-        let plan = self.plan_refresh(config, &def.query, None)?;
-        let (schema, tuples, mut ctx) = self.run_refresh(config, &def.query, &plan)?;
+        let plan = self.plan_refresh(&def.query, None, scope)?;
+        let (schema, tuples, mut ctx) = self.run_refresh(&def.query, &plan, scope)?;
         let mut b = DocumentBuilder::new("results");
-        self.construct_into(&mut b, &def.query.construct, &schema, &tuples, 0, &mut ctx, None, None)?;
+        self.construct_into(&mut b, &def.query.construct, &schema, &tuples, &mut ctx, None)?;
         answered_live(&ctx, &def.name)?;
         let fragments = row_wise(&def.query, &plan);
         // All of them, each read from row 0, or none.
@@ -133,10 +138,10 @@ impl Engine {
     /// stored, recompute.
     fn refresh_delta(
         &self,
-        config: &EngineConfig,
         def: &ViewDef,
         stored: &[ViewMark],
         ttl: Option<u64>,
+        scope: &ExecCtx,
     ) -> Result<Option<Decline>, CoreError> {
         // The hint — what each source says its collection's length is,
         // a call the source does not count as a query — picks the one
@@ -160,14 +165,14 @@ impl Engine {
             [one] => *one,
             _ => return Ok(Some("several_grew")),
         };
-        let plan = self.plan_refresh(config, &def.query, Some((&floored.collection, floored.upto)))?;
+        let plan = self.plan_refresh(&def.query, Some((&floored.collection, floored.upto)), scope)?;
         let same_fragments = row_wise(&def.query, &plan).is_some_and(|fragments| {
             fragments.len() == stored.len() && stored.iter().all(|m| fragments.contains(&m.collection))
         });
         if !same_fragments {
             return Ok(Some("shape"));
         }
-        let (schema, tuples, mut ctx) = self.run_refresh(config, &def.query, &plan)?;
+        let (schema, tuples, mut ctx) = self.run_refresh(&def.query, &plan, scope)?;
         answered_live(&ctx, &def.name)?;
 
         // Every fragment that was asked answered with a stamp (one that
@@ -202,7 +207,7 @@ impl Engine {
         // The new rows, on their own, go behind the stored ones — unless
         // another refresh stored something else meanwhile.
         let mut b = DocumentBuilder::new("results");
-        self.construct_into(&mut b, &def.query.construct, &schema, &tuples, 0, &mut ctx, None, None)?;
+        self.construct_into(&mut b, &def.query.construct, &schema, &tuples, &mut ctx, None)?;
         let appended = self.views.append_marked(
             &def.name,
             &def.text,
@@ -225,37 +230,31 @@ impl Engine {
     }
 
     /// The view's plan with a row floor on every single-collection
-    /// fragment ([`planner::plan_refresh`]), statically verified and
-    /// audited like any other.
-    fn plan_refresh(
-        &self,
-        config: &EngineConfig,
-        query: &Query,
-        delta: Option<(&str,
-        u64)>,
-    ) -> Result<Plan, CoreError> {
+    /// fragment ([`planner::plan_refresh`]), statically verified like
+    /// any other (and audited before it runs, as any plan is).
+    fn plan_refresh(&self, query: &Query, delta: Option<(&str, u64)>, scope: &ExecCtx) -> Result<Plan, CoreError> {
+        let optimizer = &scope.config.optimizer;
         let plan = {
             let guard = self.shards.read();
-            planner::plan_refresh(&self.catalog, query, &config.optimizer, guard.as_deref(), delta)?
+            planner::plan_refresh(&self.catalog, query, optimizer, guard.as_deref(), delta)?
         };
-        if config.optimizer.verify_plans {
+        if optimizer.verify_plans {
             planner::verify_plan(&plan, None)?;
         }
-        planner::audit(&plan)?;
         Ok(plan)
     }
 
-    /// Run `query`'s refresh plan through the executor. The context
-    /// comes back with the watermarks the sources stamped.
+    /// Run `query`'s refresh plan through the executor, in a fresh
+    /// context under the refresh's settings. The context comes back with
+    /// the watermarks the sources stamped.
     fn run_refresh(
         &self,
-        config: &EngineConfig,
         query: &Query,
         plan: &Plan,
+        scope: &ExecCtx,
     ) -> Result<(Schema, Vec<Tuple>, ExecCtx), CoreError> {
-        let mut ctx = ExecCtx::new();
-        ctx.want_plan_text = false;
-        let (schema, tuples) = self.eval_planned(config, plan, &query.eq_params(), None, 0, &mut ctx, true, None)?;
+        let mut ctx = scope.fresh();
+        let (schema, tuples) = self.eval_planned(plan, &query.eq_params(), None, &mut ctx, true, None)?;
         Ok((schema, tuples, ctx))
     }
 }

@@ -1044,6 +1044,30 @@ fn unsatisfiable_predicates_prune_without_source_calls() {
 }
 
 #[test]
+fn a_tracked_pruned_serve_is_driven_like_any_other() {
+    // A pruned tree is driven as an assembled one is: under tracking the
+    // serve still reports provenance (no answers, no units), its EXPLAIN
+    // names the proof, and no source is asked. The Empty leaf's row
+    // count is a proof, not an estimate, so nothing is scored.
+    let e = engine();
+    e.set_optimizer(lineage_on());
+    let r = e
+        .query(
+            r#"WHERE <row><total>$t</total></row> IN "orders", $t > 500, $t < 3
+               CONSTRUCT <o>$t</o>"#,
+        )
+        .unwrap();
+    assert!(r.complete);
+    let prov = r.provenance.as_ref().expect("lineage tracking was on");
+    assert!(prov.answers.is_empty() && prov.sources.is_empty() && prov.missing.is_empty());
+    assert!(r.stats.plan.contains("pruned: unsatisfiable"), "{}", r.stats.plan);
+    assert!(r.stats.plan.contains("Empty"), "{}", r.stats.plan);
+    assert_eq!(r.stats.source_calls, 0);
+    assert_eq!(r.stats.worst_qerror_op, None);
+    assert_eq!(e.metrics_snapshot().counter("engine.plan.pruned"), 1);
+}
+
+#[test]
 fn stats_bounds_prune_out_of_range_predicates() {
     let e = engine();
     // orders.total spans [75.5, 250.0] and the 3-row table is sampled
@@ -1145,7 +1169,7 @@ fn current_stamp(e: &Engine) -> crate::plan_cache::PlanStamp {
         config_fp: e.config().optimizer.fingerprint(),
         catalog_epoch: e.catalog().epoch(),
         stats_generation: e.catalog().stats().generation(),
-        shard_epoch: e.shard_epoch(),
+        shard_epoch: e.shard_runtime().map_or(0, |rt| rt.epoch()),
     }
 }
 

@@ -227,7 +227,7 @@ impl ManagementConsole {
 
     /// The slowest queries this engine has served, slowest first.
     pub fn slow_queries(&self, n: usize) -> Vec<ServeReport> {
-        self.engine.slow_queries(n)
+        self.engine.query_log().slow(n)
     }
 
     /// Per-source health derived from the engine's metrics, one row per

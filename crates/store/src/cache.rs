@@ -30,7 +30,7 @@ pub struct CacheStats {
 /// the engine serves, marked stale, while that source is unavailable
 /// (§3.4). It is never read while the source answers, so it needs no
 /// invalidation. The budget is in document nodes, the same size proxy
-/// the view store uses.
+/// the view store uses; a budget of 0 switches the cache off.
 pub struct ResultCache {
     inner: Mutex<Inner>,
     budget: usize,
@@ -112,6 +112,11 @@ impl ResultCache {
     /// entry was inserted — the "staleness" a fallback consumer surfaces
     /// in provenance reports.
     pub fn get_with_age(&self, key: &str) -> Option<(Arc<Document>, Duration)> {
+        // A cache with no budget is switched off: it holds nothing, so
+        // it finds nothing, and a lookup of it is no miss.
+        if self.budget == 0 {
+            return None;
+        }
         let mut inner = self.inner.lock();
         let found = inner
             .entries
@@ -290,6 +295,15 @@ mod tests {
         let (doc, age2) = c.get_with_age("q").unwrap();
         assert_eq!(doc.len(), 3);
         assert!(age2 <= age + Duration::from_secs(60));
+    }
+
+    #[test]
+    fn a_zero_budget_stores_and_finds_nothing_and_counts_no_miss() {
+        let c = ResultCache::new(0);
+        c.put("q", doc_of_size(1));
+        assert!(c.get("q").is_none());
+        assert!(c.get_with_age("q").is_none());
+        assert_eq!(c.stats(), CacheStats::default());
     }
 
     #[test]

@@ -246,33 +246,47 @@ fn a_panicking_unit_fetches_its_round_once() {
 }
 
 /// An adapter that, once armed, changes the engine's unavailability
-/// policy to `Fail` during its own call and then reports itself down.
-struct PolicyFlipping(Arc<dyn SourceAdapter>, AtomicBool, OnceLock<Weak<Engine>>);
+/// policy to `to` during its own call and then reports itself down.
+struct PolicyFlipping {
+    inner: Arc<dyn SourceAdapter>,
+    armed: AtomicBool,
+    engine: OnceLock<Weak<Engine>>,
+    to: UnavailablePolicy,
+}
 
 impl PolicyFlipping {
+    fn new(name: &str, items: &[&str], to: UnavailablePolicy) -> Arc<PolicyFlipping> {
+        Arc::new(PolicyFlipping {
+            inner: feed(name, items),
+            armed: AtomicBool::new(false),
+            engine: OnceLock::new(),
+            to,
+        })
+    }
+
     fn call(&self) -> Result<Arc<Document>, SourceError> {
-        if !self.1.load(Ordering::Relaxed) {
-            return self.0.fetch_collection("data");
+        if !self.armed.load(Ordering::Relaxed) {
+            return self.inner.fetch_collection("data");
         }
-        if let Some(engine) = self.2.get().and_then(Weak::upgrade) {
-            engine.set_unavailable_policy(UnavailablePolicy::Fail);
+        if let Some(engine) = self.engine.get().and_then(Weak::upgrade) {
+            engine.set_unavailable_policy(self.to);
         }
-        Err(SourceError::unavailable(self.0.name(), "down mid-serve"))
+        Err(SourceError::unavailable(self.inner.name(), "down mid-serve"))
     }
 }
 
 impl SourceAdapter for PolicyFlipping {
     fn name(&self) -> &str {
-        self.0.name()
+        self.inner.name()
     }
     fn kind(&self) -> SourceKind {
-        self.0.kind()
+        self.inner.kind()
     }
     fn capabilities(&self) -> Capabilities {
-        self.0.capabilities()
+        self.inner.capabilities()
     }
     fn collections(&self) -> Vec<CollectionInfo> {
-        self.0.collections()
+        self.inner.collections()
     }
     fn execute(&self, _: &SourceQuery) -> Result<Arc<Document>, SourceError> {
         self.call()
@@ -281,8 +295,27 @@ impl SourceAdapter for PolicyFlipping {
         self.call()
     }
     fn estimated_rows(&self, collection: &str) -> Option<u64> {
-        self.0.estimated_rows(collection)
+        self.inner.estimated_rows(collection)
     }
+}
+
+/// An engine over `sources`, under `policy`, that each flipping source
+/// can reach.
+fn flipping_engine(
+    sources: Vec<Arc<dyn SourceAdapter>>,
+    flipping: &[&Arc<PolicyFlipping>],
+    policy: UnavailablePolicy,
+) -> Arc<Engine> {
+    let catalog = Catalog::new();
+    for source in sources {
+        catalog.register_source(source).unwrap();
+    }
+    let engine = Arc::new(Engine::new(Arc::new(catalog)));
+    engine.set_unavailable_policy(policy);
+    for source in flipping {
+        source.engine.set(Arc::downgrade(&engine)).unwrap();
+    }
+    engine
 }
 
 #[test]
@@ -291,22 +324,74 @@ fn a_policy_changed_during_a_serve_does_not_reach_its_failures() {
     // engine to `Fail` during the call and then fails. The failure takes
     // the policy the serve started with: a partial answer naming the
     // source. The next serve starts under `Fail` and fails.
-    let south = Arc::new(PolicyFlipping(
-        feed("south", &["s1"]),
-        AtomicBool::new(false),
-        OnceLock::new(),
-    ));
-    let catalog = Catalog::new();
-    catalog.register_source(south.clone()).unwrap();
-    let engine = Arc::new(Engine::new(Arc::new(catalog)));
-    engine.set_unavailable_policy(UnavailablePolicy::SkipAndAnnotate);
-    south.2.set(Arc::downgrade(&engine)).unwrap();
+    let south = PolicyFlipping::new("south", &["s1"], UnavailablePolicy::Fail);
+    let engine = flipping_engine(vec![south.clone()], &[&south], UnavailablePolicy::SkipAndAnnotate);
     // Registration sampled the source; from here it fails.
-    south.1.store(true, Ordering::Relaxed);
+    south.armed.store(true, Ordering::Relaxed);
     let text = r#"WHERE <data><item><v>$v</v></item></data> IN "south.data" CONSTRUCT <o>$v</o>"#;
     let r = engine.query(text).unwrap();
     assert!(!r.complete);
     assert_eq!(r.missing_sources, vec!["south"]);
     let err = engine.query(text).unwrap_err();
     assert!(err.to_string().contains("south"), "{}", err);
+}
+
+#[test]
+fn a_policy_changed_during_a_serve_does_not_reach_its_subqueries() {
+    // Each of north's two items evaluates the nested query over south.
+    // The first evaluation's call switches the engine to `Fail`; the
+    // second still takes the policy the serve started with, so both skip
+    // south and the answer is partial, not an error.
+    let south = PolicyFlipping::new("south", &["s1"], UnavailablePolicy::Fail);
+    let engine = flipping_engine(
+        vec![feed("north", &["n1", "n2"]), south.clone()],
+        &[&south],
+        UnavailablePolicy::SkipAndAnnotate,
+    );
+    south.armed.store(true, Ordering::Relaxed);
+    let text = r#"WHERE <data><item><v>$v</v></item></data> IN "north.data"
+                  CONSTRUCT <o><v>$v</v>{ WHERE <data><item><v>$w</v></item></data> IN "south.data"
+                                         CONSTRUCT <s>$w</s> }</o>"#;
+    let r = engine.query(text).unwrap();
+    assert!(!r.complete);
+    assert_eq!(r.missing_sources, vec!["south"]);
+    assert_eq!(
+        nimble::xml::to_string(&r.document.root()),
+        "<results><o><v>n1</v></o><o><v>n2</v></o></results>"
+    );
+    let err = engine.query(text).unwrap_err();
+    assert!(err.to_string().contains("south"), "{}", err);
+}
+
+#[test]
+fn a_policy_changed_during_a_serve_does_not_reach_its_virtual_views() {
+    // The serve starts under `Fail` and reads a view whose stored copy
+    // has gone stale, so the view is evaluated over its source. The
+    // source switches the engine to `StaleCache` during its call and
+    // fails: the serve fails as it started, naming the source, and does
+    // not fall back to the stored copy. The next serve starts under
+    // `StaleCache` and answers stale.
+    let north = PolicyFlipping::new("north", &["n1", "n2"], UnavailablePolicy::StaleCache);
+    let engine = flipping_engine(vec![north.clone()], &[&north], UnavailablePolicy::Fail);
+    engine
+        .catalog()
+        .define_view(
+            "northview",
+            r#"WHERE <data><item><v>$v</v></item></data> IN "north.data"
+               CONSTRUCT <n>$v</n>"#,
+            Some(5),
+        )
+        .unwrap();
+    engine.materialize_view("northview", Some(5)).unwrap();
+    engine.clock().advance(10);
+    north.armed.store(true, Ordering::Relaxed);
+    let text = r#"WHERE <n>$v</n> IN "northview" CONSTRUCT <o>$v</o>"#;
+    let err = engine.query(text).unwrap_err();
+    assert!(err.to_string().contains("north"), "{}", err);
+    let r = engine.query(text).unwrap();
+    assert!(r.stale);
+    assert_eq!(
+        nimble::xml::to_string(&r.document.root()),
+        "<results><o>n1</o><o>n2</o></results>"
+    );
 }

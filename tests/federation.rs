@@ -415,7 +415,7 @@ fn a_plan_that_fails_its_rewrite_audit_calls_no_source() {
         config_fp: engine.config().optimizer.fingerprint(),
         catalog_epoch: engine.catalog().epoch(),
         stats_generation: engine.catalog().stats().generation(),
-        shard_epoch: engine.shard_epoch(),
+        shard_epoch: engine.shard_runtime().map_or(0, |rt| rt.epoch()),
     };
     engine.plan_cache().put(&key, stamp, Arc::new(nimble::core::Prepared::new(plan, query)));
     let before = calls.load(Ordering::Relaxed);
