@@ -65,7 +65,7 @@ pub mod schema;
 
 pub use error::ExecError;
 pub use expr::{ArithOp, CmpOp, LiteralTest, ScalarExpr};
-pub use par::{par_tasks, pool_stats, Costs, Fork, Tasks};
+pub use par::{par_tasks, pool_stats, Costs, Fork, Tasks, WAKE};
 pub use funcs::FunctionRegistry;
 pub use inspect::{OpInfo, OrderEffect, SchemaRule};
 pub use lineage::LineageMask;

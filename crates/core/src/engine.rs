@@ -1313,7 +1313,7 @@ impl Engine {
             .view(name)
             .ok_or_else(|| CoreError::UnknownCollection(name.to_string()))?;
         let mut b = DocumentBuilder::new("results");
-        match (self.nested(&def.query, None, &mut b, ctx, None), cached) {
+        match (self.nested(name, &def.query, None, &mut b, ctx, None), cached) {
             (Ok(()), _) => Ok(b.finish()),
             (Err(CoreError::Source(_)), Some((doc, _))) if ctx.config.unavailable == UnavailablePolicy::StaleCache => {
                 ctx.report.stale = true;
@@ -1323,15 +1323,16 @@ impl Engine {
         }
     }
 
-    /// Plan and evaluate `query` — a view's definition, or a subquery
-    /// under its `outer` row — one level below `ctx`, and construct its
-    /// answer into `b`; with `answers`, its lineage folds into the
-    /// answer being built (the top-level query is planned by
-    /// [`Engine::compile`]). The one place evaluation nests: the depth is
-    /// raised here, checked against [`MAX_DEPTH`] (a transitively cyclic
-    /// view), and restored after.
+    /// Plan and evaluate `query` — view `entered`'s definition, or a
+    /// subquery (`<subquery>`) under its `outer` row — one level below
+    /// `ctx`, and construct its answer into `b`; with `answers`, its
+    /// lineage folds into the answer being built (the top-level query is
+    /// planned by [`Engine::compile`]). The one place evaluation nests:
+    /// the depth is raised here, checked against [`MAX_DEPTH`] (a
+    /// transitively cyclic view, named by `entered`), and restored after.
     fn nested(
         &self,
+        entered: &str,
         query: &Query,
         outer: Option<(&Schema, &Tuple)>,
         b: &mut DocumentBuilder,
@@ -1339,7 +1340,7 @@ impl Engine {
         answers: Option<&RefCell<Vec<LineageMask>>>,
     ) -> Result<(), CoreError> {
         if ctx.depth + 1 >= MAX_DEPTH {
-            return Err(CoreError::CyclicView("<subquery>".to_string()));
+            return Err(CoreError::CyclicView(entered.to_string()));
         }
         ctx.depth += 1;
         let optimizer = ctx.config.optimizer;
@@ -2522,7 +2523,7 @@ impl Engine {
     ) -> Result<(), CoreError> {
         let answers = lineage.map(|l| l.answers);
         let mut cb = |q: &Query, s: &Schema, t: &Tuple, b2: &mut DocumentBuilder| {
-            self.nested(q, Some((s, t)), b2, ctx, answers)
+            self.nested("<subquery>", q, Some((s, t)), b2, ctx, answers)
         };
         let sink = lineage.and_then(|l| {
             Some(construct::LineageSink {
@@ -2856,7 +2857,7 @@ fn round_fork(site: &'static str, tasks: usize, fork: nimble_algebra::Fork) -> R
         tasks,
         pooled: fork.pooled,
         expected: fork.expected,
-        wake: fork.wake,
+        wake: fork.poolable.then_some(nimble_algebra::WAKE),
     }
 }
 

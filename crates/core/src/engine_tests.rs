@@ -318,6 +318,11 @@ const TWO_UNITS: &str = r#"WHERE <bib><book><publisher>$n</publisher><title>$t</
                          <row><name>$n</name><region>$r</region></row> IN "customers"
                    CONSTRUCT <hit><t>$t</t><r>$r</r></hit> ORDER-BY $t"#;
 
+/// The wake-up a round is priced against, where a pool could take it.
+fn wake_priced() -> Option<Duration> {
+    (nimble_algebra::pool_stats().0 > 0).then_some(nimble_algebra::WAKE)
+}
+
 #[test]
 fn a_round_of_cheap_units_runs_inline_after_its_first_serve() {
     let e = engine();
@@ -332,9 +337,8 @@ fn a_round_of_cheap_units_runs_inline_after_its_first_serve() {
         panic!("one cached plan")
     };
     assert!((0..2).all(|i| prepared.observed.task(i, 0).and_then(|t| t.get()).is_some()));
-    // Seen cheaper than any wake-up — a nanosecond each — the units run
-    // inline. A worker measures its wake-up as it wakes, which can be
-    // after the first round: until then a round is pooled.
+    // Seen cheaper than a wake-up — a nanosecond each — the units run
+    // inline from the second serve on.
     let cheap = || {
         for i in 0..2 {
             let took = prepared.observed.task(i, 0).expect("two units");
@@ -343,33 +347,27 @@ fn a_round_of_cheap_units_runs_inline_after_its_first_serve() {
             }
         }
     };
-    let later = |e: &Engine| {
+    let one_ns = Duration::from_nanos(1);
+    for _ in 0..3 {
         cheap();
         let r = e.query(TWO_UNITS).unwrap();
-        (to_string(&r.document.root()), r.stats.rounds[0])
-    };
-    let priced = (0..10_000).map(|_| later(&e)).find(|(_, round)| round.wake.is_some() || !has_pool);
-    let (answer, round) = priced.expect("a round priced against a measured wake-up");
-    let one_ns = Duration::from_nanos(1);
-    assert_eq!((round.pooled, round.expected), (false, Some((2 * one_ns, one_ns))));
-    assert_eq!(answer, to_string(&first.document.root()));
-    for _ in 0..3 {
-        let (again, round) = later(&e);
-        assert!(!round.pooled, "{}", round);
-        assert_eq!(again, answer);
+        let round = r.stats.rounds[0];
+        assert_eq!((round.pooled, round.expected, round.wake), (false, Some((2 * one_ns, one_ns)), wake_priced()), "{}", round);
+        assert_eq!(to_string(&r.document.root()), to_string(&first.document.root()));
     }
     // EXPLAIN ANALYZE says so.
     cheap();
     let analyzed = e.explain_analyze(TWO_UNITS).unwrap();
     assert!(analyzed.contains("-- round: fetch 2 units inline, expected 0.0 µs"), "{}", analyzed);
     let counted = |name| e.metrics_snapshot().counter(name);
+    assert_eq!(counted("engine.fetch.pool"), u64::from(has_pool));
     assert_eq!(counted("engine.fetch.pool") + counted("engine.fetch.serial"), e.queries_served());
 }
 
 #[test]
 fn a_round_of_slow_links_stays_pooled() {
     // Two sources a 5 ms link away: each unit costs a link's latency, far
-    // above any wake-up, so their round is pooled on every serve.
+    // above a wake-up, so their round is pooled on every serve.
     let slow = LinkConfig {
         latency_ms: 5,
         real_sleep: true,
@@ -394,6 +392,66 @@ fn a_round_of_slow_links_stays_pooled() {
         answers.push(to_string(&r.document.root()));
     }
     assert!(answers.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// The latency fixture: an engine over three sources, each a 2 ms link
+/// away that the serving thread sleeps through.
+fn three_slow_links() -> Engine {
+    let slow = LinkConfig {
+        latency_ms: 2,
+        real_sleep: true,
+        ..LinkConfig::default()
+    };
+    let reviews = XmlDocAdapter::new("reviews")
+        .add_xml(
+            "reviews",
+            "<reviews><review><title>Web Data</title><stars>4</stars></review>\
+             <review><title>Integration</title><stars>5</stars></review></reviews>",
+        )
+        .unwrap();
+    let c = Catalog::new();
+    c.register_source(SimulatedLink::new(crm(), slow.clone()) as Arc<dyn SourceAdapter>).unwrap();
+    c.register_source(SimulatedLink::new(bib_xml(), slow.clone()) as Arc<dyn SourceAdapter>).unwrap();
+    c.register_source(SimulatedLink::new(Arc::new(reviews), slow) as Arc<dyn SourceAdapter>).unwrap();
+    Engine::new(Arc::new(c))
+}
+
+/// [`TWO_UNITS`] with each title's stars from the third source: a fetch
+/// round of three units, one per link.
+const THREE_UNITS: &str = r#"WHERE <bib><book><publisher>$n</publisher><title>$t</title></book></bib> IN "bib",
+                         <row><name>$n</name><region>$r</region></row> IN "customers",
+                         <reviews><review><title>$t</title><stars>$s</stars></review></reviews> IN "reviews"
+                   CONSTRUCT <hit><t>$t</t><r>$r</r><s>$s</s></hit> ORDER-BY $t"#;
+
+#[test]
+fn three_slow_links_are_fetched_pooled_and_answer_as_inline() {
+    // Priced at what the first serve saw — three link latencies, 4 ms
+    // beside the largest — the second serve's round is pooled on more
+    // than one core. (How much faster it serves is a wall time, recorded
+    // in EXPERIMENTS.md E46, not asserted.)
+    let e = three_slow_links();
+    let first = e.query(THREE_UNITS).unwrap();
+    let second = e.query(THREE_UNITS).unwrap();
+    let [round] = second.stats.rounds[..] else {
+        panic!("{:?}", second.stats.rounds)
+    };
+    let has_pool = nimble_algebra::pool_stats().0 > 0;
+    assert_eq!((round.tasks, round.pooled, round.wake), (3, has_pool, wake_priced()), "{}", round);
+    let (total, largest) = round.expected.expect("priced by the first serve");
+    assert!(total - largest >= Duration::from_millis(4), "{}", round);
+    let answer = to_string(&second.document.root());
+    assert_eq!(answer, to_string(&first.document.root()));
+    assert_eq!(answer.matches("<hit>").count(), 2, "{}", answer);
+    // The same serve made inside a task runs the round inline, and
+    // answers byte for byte alike.
+    let nested = three_slow_links();
+    let serve = |k| (k == 0).then(|| (nested.query(THREE_UNITS).unwrap(), nested.query(THREE_UNITS).unwrap()));
+    let (_, inline) = nimble_algebra::par_tasks(2, serve).flatten().next().unwrap();
+    let [round] = inline.stats.rounds[..] else {
+        panic!("{:?}", inline.stats.rounds)
+    };
+    assert_eq!((round.tasks, round.pooled, round.wake), (3, false, None), "{}", round);
+    assert_eq!(to_string(&inline.document.root()), answer);
 }
 
 /// `w.events`, 40 rows keyed 0..40 and each naming one of the CRM's
@@ -791,9 +849,11 @@ fn transitive_view_cycles_are_caught() {
     let err = e
         .query(r#"WHERE <x>$v</x> IN "cyc_a" CONSTRUCT <o>$v</o>"#)
         .unwrap_err();
+    // The error names the view whose entry the guard refused: with the
+    // depth bound even, the cycle is cut entering `cyc_b`.
     assert!(
-        matches!(err, crate::CoreError::CyclicView(_)),
-        "expected cycle error, got {}",
+        matches!(&err, crate::CoreError::CyclicView(v) if v == "cyc_b"),
+        "expected a cycle cut entering cyc_b, got {}",
         err
     );
 }

@@ -168,29 +168,25 @@ pub struct RoundFork {
     /// The tasks' expected total and largest time, when every task's was
     /// known.
     pub expected: Option<(Duration, Duration)>,
-    /// The pool's wake-up the round was priced against, when a pool
-    /// could take it (none on one core, or for a round nested in a pool
-    /// task) and had measured one.
+    /// The wake-up the round was priced against, when a pool could take
+    /// it (none on one core, or for a round nested in a pool task).
     pub wake: Option<Duration>,
 }
 
 impl fmt::Display for RoundFork {
     /// EXPLAIN ANALYZE's line: `round: fetch 2 units inline, expected 4.2
-    /// µs (1.9 beside the largest) against a 30.5 µs wake-up`.
+    /// µs (1.9 beside the largest) against a 25.0 µs wake-up`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let us = |d: Duration| d.as_secs_f64() * 1e6;
         let way = if self.pooled { "pooled" } else { "inline" };
         write!(f, "round: {} {} units {}, ", self.site, self.tasks, way)?;
-        match (self.expected, self.wake) {
-            (None, _) => f.write_str("cost unknown"),
-            (Some((total, largest)), wake) => {
-                write!(f, "expected {:.1} µs ({:.1} beside the largest)", us(total), us(total - largest))?;
-                match (wake, self.pooled) {
-                    (Some(wake), _) => write!(f, " against a {:.1} µs wake-up", us(wake)),
-                    (None, true) => f.write_str(", no wake-up measured yet"),
-                    (None, false) => f.write_str(", no pool to take it"),
-                }
-            }
+        let Some((total, largest)) = self.expected else {
+            return f.write_str("cost unknown");
+        };
+        write!(f, "expected {:.1} µs ({:.1} beside the largest)", us(total), us(total - largest))?;
+        match self.wake {
+            Some(wake) => write!(f, " against a {:.1} µs wake-up", us(wake)),
+            None => f.write_str(", no pool to take it"),
         }
     }
 }
@@ -479,10 +475,8 @@ mod tests {
         assert_eq!(ROUND.to_string(), "round: fetch 2 units inline, expected 4.0 µs (1.0 beside the largest) against a 30.0 µs wake-up");
         let unknown = RoundFork { tasks: 5, pooled: true, expected: None, ..ROUND };
         assert_eq!(unknown.to_string(), "round: fetch 5 units pooled, cost unknown");
-        let unmeasured = RoundFork { pooled: true, wake: None, ..ROUND };
-        assert!(unmeasured.to_string().ends_with("(1.0 beside the largest), no wake-up measured yet"));
         let nested = RoundFork { wake: None, ..ROUND };
-        assert!(nested.to_string().ends_with(", no pool to take it"));
+        assert!(nested.to_string().ends_with("(1.0 beside the largest), no pool to take it"));
     }
 
     #[test]

@@ -480,7 +480,7 @@ fn is_ident_char(c: char) -> bool {
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         tokenize(input)
             .unwrap()
             .into_iter()

@@ -7,7 +7,8 @@
 //!
 //! * [`xml`] — the XML data model, parser, serializer, paths, and shapes.
 //! * [`xmlql`] — the XML-QL query language front end.
-//! * [`algebra`] — the physical algebra and its Volcano-style executor.
+//! * [`algebra`] — the physical algebra and its batch-at-a-time executor
+//!   (`next_batch`).
 //! * [`relational`] — the in-memory relational engine substrate.
 //! * [`sources`] — source adapters and the availability/latency simulator.
 //! * [`core`] — the mediator: metadata server, view expansion, fragment
