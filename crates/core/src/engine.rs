@@ -5,13 +5,12 @@ use crate::construct;
 use crate::error::CoreError;
 use crate::matcher;
 use crate::plan_cache::{Observed, PlanCache, PlanStamp, Prepared};
-use crate::planner::{self, cost, AtomExec, BindPatternOp, BindStage, Bound, Plan, ShardPlan};
+use crate::planner::{self, cost, AtomExec, BindPatternOp, BindStage, Bound, Plan, Scope, ShardPlan};
 use crate::shard::ShardRuntime;
 use nimble_algebra::ops::{
     EmptyOp, FilterOp, HashJoinOp, JoinType, NestedLoopJoinOp, Operator, ProjectOp,
     SortKey, SortOp, ValuesOp,
 };
-use nimble_planck::{Fingerprint, RewriteRecord};
 use nimble_algebra::{
     explain as explain_ops, par_tasks, run_to_vec_batched, Costs, ExecError,
     FunctionRegistry, LineageMask, ScalarExpr, Schema, Tuple,
@@ -848,17 +847,23 @@ impl Engine {
         Arc::clone(self.source_metrics.write().entry(source.to_string()).or_insert(made))
     }
 
-    /// Plan a query against the catalog, shard-aware when a runtime is
-    /// attached. Every planning site (fresh, subquery, differential
-    /// re-plan) goes through here so cached and fresh plans always see
-    /// the same routing. `outer` is the row schema a correlated subquery
-    /// runs under.
-    fn plan(&self, query: &Query, config: &OptimizerConfig, outer: Option<&Schema>) -> Result<Plan, CoreError> {
-        let guard = self.shards.read();
-        match outer {
-            Some(outer) => planner::plan_subquery(&self.catalog, query, config, guard.as_deref(), outer),
-            None => planner::plan_query_sharded(&self.catalog, query, config, guard.as_deref()),
+    /// Plan `query` in `scope` under `config`, shard-aware when a
+    /// runtime is attached (the scope's own runtime is not read), and
+    /// verify the plan statically under `verify_plans`. Every planning
+    /// site goes through here — a serve's ([`Engine::compile`]: fresh or
+    /// its sampled re-plan), a view's or subquery's ([`Engine::nested`]),
+    /// a view refresh's — so cached and fresh plans always see the same
+    /// routing.
+    fn plan(&self, query: &Query, config: &OptimizerConfig, scope: Scope<'_>) -> Result<Plan, CoreError> {
+        let plan = {
+            let guard = self.shards.read();
+            let shards = guard.as_deref();
+            planner::plan_scoped(&self.catalog, query, config, Scope { shards, ..scope })?
+        };
+        if config.verify_plans {
+            planner::verify_plan(&plan, scope.outer)?;
         }
+        Ok(plan)
     }
 
     /// Register a custom scalar function usable from XML-QL predicates
@@ -1209,7 +1214,7 @@ impl Engine {
                 self.metrics.incr("engine.plan_cache.differential", 1);
                 let query = parsed(text)?;
                 analyzed(&query)?;
-                let fresh = self.plan(&query, &optimizer, None)?;
+                let fresh = self.plan(&query, &optimizer, Scope::default())?;
                 let params: Vec<&Atomic> = lexed.params.iter().collect();
                 let served = Bound::new(&prepared.plan, &params)?;
                 let served_sig =
@@ -1243,11 +1248,8 @@ impl Engine {
         self.end_stage(ctx, Stage::Parse);
         analyzed(&query)?;
         self.end_stage(ctx, Stage::Analyze);
-        let plan = self.plan(&query, &optimizer, None)?;
+        let plan = self.plan(&query, &optimizer, Scope::default())?;
         self.end_stage(ctx, Stage::Plan);
-        if optimizer.verify_plans {
-            planner::verify_plan(&plan, None)?;
-        }
         // Audited before it is cached: a plan that fails is never served.
         planner::audit(&plan)?;
         self.end_stage(ctx, Stage::Verify);
@@ -1343,14 +1345,13 @@ impl Engine {
             return Err(CoreError::CyclicView(entered.to_string()));
         }
         ctx.depth += 1;
-        let optimizer = ctx.config.optimizer;
-        let outer_schema = outer.map(|(s, _)| s);
-        let evaluated = self.plan(query, &optimizer, outer_schema).and_then(|plan| {
-            if optimizer.verify_plans {
-                planner::verify_plan(&plan, outer_schema)?;
-            }
-            self.eval_planned(&plan, &query.eq_params(), outer, ctx, true, None)
-        });
+        let scope = Scope {
+            outer: outer.map(|(s, _)| s),
+            ..Scope::default()
+        };
+        let evaluated = self
+            .plan(query, &ctx.config.optimizer, scope)
+            .and_then(|plan| self.eval_planned(&plan, &query.eq_params(), outer, ctx, true, None));
         let built = evaluated.and_then(|(schema, tuples)| {
             if let Some(cell) = answers {
                 if let (Some(sub_lin), Some(ans)) = (ctx.last_lin.take(), cell.borrow_mut().last_mut()) {
@@ -1434,7 +1435,6 @@ impl Engine {
                 } else {
                     ScanMasks::None
                 },
-                name: "<outer>".to_string(),
             });
         }
         // A failure waits in its slot until both rounds are through, so
@@ -1466,7 +1466,7 @@ impl Engine {
                     "probe: pruned {} of {} candidates of {}",
                     pruned,
                     candidates,
-                    atom_name(atom)
+                    atom.label()
                 ));
             }
             // Interning is sequential, in atom order, whatever order
@@ -1477,42 +1477,26 @@ impl Engine {
                 schema: unit_schema(unit.vars)?,
                 tuples: unit.tuples,
                 masks,
-                name: atom_name(atom),
             });
         }
         if inputs.is_empty() {
             return Err(CoreError::Exec("query has no inputs".into()));
         }
         let start = usize::from(outer.is_some());
-        if plan.est_rows.len() != n || plan.fold_order.len() != n || plan.fold_rows.len() != n {
-            return Err(CoreError::Internal(
-                "plan estimates and fold order do not cover its units".into(),
-            ));
+        let covered = [plan.est_rows.len(), plan.fold_order.len(), plan.fold_rows.len(), plan.swaps.len()];
+        if covered.iter().any(|&len| len != n) {
+            return Err(uncovered());
         }
         self.score_scans(plan, &inputs[start..], ctx);
 
-        // Join ordering. The plan carries a fold order computed from
-        // collection statistics (estimated output cardinality of each
-        // intermediate join). The outer context always stays first so
-        // correlated variables bind early. Each input's estimated rows
-        // ride beside it, for operator annotations and build-side
-        // decisions.
-        let mut est: Vec<Option<u64>> = vec![None; inputs.len()];
+        // The plan's fold order, behind the outer row, so that correlated
+        // variables bind early.
         let mut tail: Vec<Option<Input>> = inputs.drain(start..).map(Some).collect();
-        for (k, &i) in plan.fold_order.iter().enumerate() {
-            if let Some(input) = tail.get_mut(i).and_then(Option::take) {
-                inputs.push(input);
-                est[start + k] = plan.est_rows.get(i).copied();
-            }
-        }
-        // Defensive: a malformed permutation never drops inputs.
-        inputs.extend(tail.into_iter().flatten());
-        if start == 1 {
-            est[0] = Some(1);
+        for &i in &plan.fold_order {
+            inputs.push(tail.get_mut(i).and_then(Option::take).ok_or_else(uncovered)?);
         }
         Ok(Units {
             inputs,
-            est,
             outer: start == 1,
             notes,
         })
@@ -1558,77 +1542,44 @@ impl Engine {
 
     /// Fold the units into the physical join tree, then navigate the
     /// dependent atoms, drop duplicate join columns, filter on the
-    /// residual predicates as this serve reads them, and sort. From here
-    /// to the end of the drive is the executor pipeline, timed apart
-    /// from the fetch as `engine.exec.pipeline_us`.
+    /// residual predicates as this serve reads them, and sort. Every
+    /// estimate and every build side is the plan's: assembly only reads
+    /// them. From here to the end of the drive is the executor pipeline,
+    /// timed apart from the fetch as `engine.exec.pipeline_us`.
     fn assemble(&self, bound: Bound<'_>, units: Units) -> Result<Assembled, CoreError> {
         let plan = bound.plan;
-        let Units { inputs, est, outer, notes } = units;
+        let Units { inputs, outer, notes } = units;
         let started = Instant::now();
         let funcs = self.funcs.read().clone();
-        // Execution-time rewrites (build-side swaps) recorded for the
-        // rewrite audit.
-        let mut rewrites: Vec<RewriteRecord> = Vec::new();
-        let mut iter = inputs.into_iter().zip(est).enumerate();
-        let (_, (first, mut cur_est)) = iter
+        let mut inputs = inputs.into_iter();
+        let first = inputs
             .next()
             .ok_or_else(|| CoreError::Internal("join fold over zero inputs".into()))?;
-        let (first_scan, first_name) = first.scan(cur_est);
-        let mut op: Box<dyn Operator> = Box::new(first_scan);
-        // Source labels of every unit folded in so far, for the rewrite
-        // audit's source-set fingerprints (a faithful execution rewrite
-        // must not change where the joined rows come from). `cur_est` is
-        // the estimated rows flowing out of the subtree folded so far.
-        let mut cur_srcs: Vec<String> = vec![first_name];
-        for (idx, (input, this_est)) in iter {
-            let (scan, unit_name) = input.scan(this_est);
-            if !cur_srcs.contains(&unit_name) {
-                cur_srcs.push(unit_name);
-            }
-            // Estimated size after this fold step (from the planner's
-            // greedy cost walk; index is offset by the outer slot).
-            let next_est = idx
-                .checked_sub(usize::from(outer))
-                .and_then(|k| plan.fold_rows.get(k).copied());
-            let keys = op.schema().common_vars(scan.schema());
-            let right: Box<dyn Operator> = Box::new(scan);
-            let mut join: Box<dyn Operator> = if keys.is_empty() {
-                Box::new(NestedLoopJoinOp::new(op, right, None, JoinType::Inner, Arc::clone(&funcs)))
-            } else {
-                // Build side: `HashJoinOp` builds its table on the right
-                // operand. When the statistics say the accumulated side
-                // is much smaller than the incoming unit, swap so the
-                // small side is built and the large side streams as the
-                // probe.
-                let swap = matches!(
-                    (cur_est, this_est),
-                    (Some(acc), Some(next)) if next > acc.saturating_mul(4)
-                );
-                // Fingerprint the operand columns before they move into
-                // the join: a faithful swap keeps the column set and the
-                // natural-join key set.
-                let before = swap.then(|| plain_columns(op.schema().vars().iter().chain(right.schema().vars())));
-                let (probe, build) = if swap { (right, op) } else { (op, right) };
-                let join = HashJoinOp::natural(probe, build, JoinType::Inner);
-                if let Some(before) = before {
-                    // A swap exchanges the operands, never the unit set:
-                    // record the folded source labels on both sides so
-                    // the audit's source-set check pins that down.
-                    let after = plain_columns(join.schema().vars().iter());
-                    rewrites.push(RewriteRecord::new(
-                        "build-side-swap",
-                        false,
-                        Fingerprint::new(before).with_keys(keys.clone()).with_sources(cur_srcs.clone()),
-                        Fingerprint::new(after).with_keys(keys).with_sources(cur_srcs.clone()),
-                    ));
-                }
-                Box::new(join)
+        // The rows flowing out of the subtree folded so far: the outer
+        // row's one, or the first unit's estimate.
+        let first_unit = plan.fold_order.first().and_then(|&i| plan.est_rows.get(i));
+        let mut est = if outer { 1 } else { first_unit.copied().ok_or_else(uncovered)? };
+        let mut op: Box<dyn Operator> = Box::new(first.scan(est));
+        // Every other input folds in at its step of the plan's fold (the
+        // first unit's is step 0, the outer row's has none).
+        for (input, k) in inputs.zip(usize::from(!outer)..) {
+            let step = plan.fold_order.get(k).and_then(|&i| plan.est_rows.get(i));
+            let (Some(&unit), Some(&rows), Some(&swap)) = (step, plan.fold_rows.get(k), plan.swaps.get(k)) else {
+                return Err(uncovered());
             };
-            if let Some(e) = next_est {
-                join.set_est_rows(e);
-            }
+            let scan: Box<dyn Operator> = Box::new(input.scan(unit));
+            let mut join: Box<dyn Operator> = if !op.schema().vars().iter().any(|v| scan.schema().contains(v)) {
+                Box::new(NestedLoopJoinOp::new(op, scan, None, JoinType::Inner, Arc::clone(&funcs)))
+            } else if swap {
+                // `HashJoinOp` builds on its right operand: here, the
+                // rows folded so far, and the unit streams as the probe.
+                Box::new(HashJoinOp::natural(scan, op, JoinType::Inner))
+            } else {
+                Box::new(HashJoinOp::natural(op, scan, JoinType::Inner))
+            };
+            join.set_est_rows(rows);
             op = join;
-            cur_est = next_est;
+            est = rows;
         }
 
         // Dependent navigation atoms, in syntactic order.
@@ -1641,9 +1592,7 @@ impl Engine {
             let keep = plain_columns(op.schema().vars().iter());
             let keep_refs: Vec<&str> = keep.iter().map(String::as_str).collect();
             let mut project = ProjectOp::keep(op, &keep_refs, Arc::clone(&funcs))?;
-            if let Some(e) = cur_est {
-                project.set_est_rows(e);
-            }
+            project.set_est_rows(est);
             op = Box::new(project);
         }
 
@@ -1654,19 +1603,8 @@ impl Engine {
                 .map(|e| planner::translate_expr(&e, op.schema()))
                 .collect::<Result<_, _>>()?;
             let mut filter = FilterOp::new(op, ScalarExpr::conjunction(translated), Arc::clone(&funcs));
-            if let Some(e) = cur_est {
-                // Default 1/3 selectivity per central predicate (matching
-                // the planner's cost model for unstated selections) — but
-                // a probed one, which the scan's estimate applied already.
-                let mut probed: Vec<usize> = plan.probes.iter().map(|p| p.conjunct).collect();
-                probed.sort_unstable();
-                probed.dedup();
-                let preds = plan.residual_predicates.len().saturating_sub(probed.len());
-                let preds = preds.min(u32::MAX as usize) as u32;
-                let est = (e / 3u64.saturating_pow(preds)).max(1);
-                filter.set_est_rows(est);
-                cur_est = Some(est);
-            }
+            filter.set_est_rows(plan.filter_rows);
+            est = plan.filter_rows;
             op = Box::new(filter);
         }
 
@@ -1688,21 +1626,14 @@ impl Engine {
                 })
                 .collect::<Result<_, _>>()?;
             let mut sort = SortOp::new(op, keys);
-            if let Some(e) = cur_est {
-                sort.set_est_rows(e);
-            }
+            sort.set_est_rows(est);
             op = Box::new(sort);
         }
-        Ok(Assembled {
-            op,
-            rewrites,
-            notes,
-            started,
-        })
+        Ok(Assembled { op, notes, started })
     }
 
-    /// Drive an assembled tree: verify it, audit its execution-time
-    /// rewrites, run it, and read off what the run says — the pipeline's
+    /// Drive an assembled tree: verify it, run it, and read off what the
+    /// run says — the pipeline's
     /// metrics, the rows' lineage, the plan's quality and, for the
     /// top-level query where someone reads it, the EXPLAIN text. A
     /// `pruned` tree is one satisfiability analysis proved empty, for
@@ -1715,12 +1646,7 @@ impl Engine {
         planck_verify: bool,
         ctx: &mut ExecCtx,
     ) -> Result<(Schema, Vec<Tuple>), CoreError> {
-        let Assembled {
-            mut op,
-            rewrites,
-            notes,
-            started,
-        } = tree;
+        let Assembled { mut op, notes, started } = tree;
         // Verification of the assembled tree, timed apart from the
         // pipeline it sits in.
         let mut verify_ms = 0.0;
@@ -1735,15 +1661,6 @@ impl Engine {
             // inference (planck pass 1).
             nimble_planck::verify_semantic(op.as_ref())
                 .map_err(|report| CoreError::PlanVerify(report.to_string()))?;
-            verify_ms += ms_since(t_verify);
-        }
-        // Semantic pass 3 on this serve's execution-level rewrites
-        // (build-side swaps) — for schema, key-set, and cardinality-bound
-        // preservation. The plan-level ones (pushdown, fold reorder) were
-        // audited before the plan's first serve (`planner::audit`).
-        if !rewrites.is_empty() {
-            let t_verify = Instant::now();
-            planner::audit_records(&rewrites).map_err(CoreError::PlanVerify)?;
             verify_ms += ms_since(t_verify);
         }
 
@@ -1812,7 +1729,6 @@ impl Engine {
         }
         let tree = Assembled {
             op: Box::new(EmptyOp::new(unit_schema(vars)?, format!("pruned: {}", reason))),
-            rewrites: Vec::new(),
             notes: Vec::new(),
             started,
         };
@@ -1829,10 +1745,11 @@ impl Engine {
     ///   log₂ buckets) of every node that carried an estimate, against
     ///   the rows it emitted.
     /// * `plan.flips.build_side` — hash joins whose chosen build side
-    ///   turned out more than 4× larger than the probe side: the
-    ///   estimates picked one side, the actuals say the other (the
-    ///   assembled tree always encodes the estimate-preferred side, so
-    ///   the reversed inequality is exactly a flipped decision).
+    ///   turned out more than [`cost::BUILD_SWAP_RATIO`] times larger
+    ///   than the probe side: the estimates picked one side, the actuals
+    ///   say the other (the assembled tree always encodes the
+    ///   estimate-preferred side, so the reversed inequality is exactly a
+    ///   flipped decision).
     fn plan_quality_walk(&self, op: &dyn Operator, ctx: &mut ExecCtx) {
         let info = op.introspect();
         if let Some(est) = op.est_rows() {
@@ -1847,7 +1764,7 @@ impl Engine {
                 // Both sides carried estimates iff the swap rule ran.
                 if probe.est_rows().is_some()
                     && build.est_rows().is_some()
-                    && build.rows_out() > probe.rows_out().saturating_mul(4)
+                    && build.rows_out() > probe.rows_out().saturating_mul(cost::BUILD_SWAP_RATIO)
                 {
                     self.metrics.incr("plan.flips.build_side", 1);
                 }
@@ -2547,8 +2464,6 @@ struct AnswerLineage<'a> {
 struct Units {
     /// The join fold's inputs, in fold order.
     inputs: Vec<Input>,
-    /// The planner's row estimate of each input.
-    est: Vec<Option<u64>>,
     /// The first input is a subquery's outer row.
     outer: bool,
     /// What EXPLAIN says of the fetch: the bind stage's keys and each
@@ -2561,33 +2476,30 @@ struct Input {
     schema: Schema,
     tuples: Vec<Tuple>,
     masks: ScanMasks,
-    /// The unit's label, for the rewrite audit's source-set fingerprints.
-    name: String,
 }
 
 impl Input {
-    /// The scan that reads this input, estimated at `est` rows, and the
-    /// input's label.
-    fn scan(self, est: Option<u64>) -> (ValuesOp, String) {
+    /// The scan that reads this input, estimated at `est` rows.
+    fn scan(self, est: u64) -> ValuesOp {
         let scan = ValuesOp::new(self.schema, self.tuples).labeled("Scan");
         let mut scan = match self.masks {
             ScanMasks::One(m) => scan.with_lineage(m),
             ScanMasks::Per(v) => scan.with_lineage_masks(v),
             ScanMasks::None => scan,
         };
-        if let Some(e) = est {
-            scan.set_est_rows(e);
-        }
-        (scan, self.name)
+        scan.set_est_rows(est);
+        scan
     }
+}
+
+/// A plan whose estimates or fold order do not cover its units.
+fn uncovered() -> CoreError {
+    CoreError::Internal("plan estimates and fold order do not cover its units".into())
 }
 
 /// An operator tree ready for [`Engine::drive`].
 struct Assembled {
     op: Box<dyn Operator>,
-    /// Execution-time rewrites made assembling it (build-side swaps),
-    /// for the rewrite audit.
-    rewrites: Vec<RewriteRecord>,
     /// What EXPLAIN says of this run beyond the plan's notes.
     notes: Vec<String>,
     /// When the pipeline's clock started: assembly is in it, the fetch
@@ -3132,17 +3044,6 @@ fn unit_schema(vars: Vec<String>) -> Result<Schema, CoreError> {
         .map_err(|e| CoreError::Internal(format!("execution unit schema: {}", e)))
 }
 
-/// Display name of an independent unit, for error attribution.
-fn atom_name(atom: &AtomExec) -> String {
-    match atom {
-        AtomExec::Fragment { source, .. } => format!("fragment on {}", source),
-        AtomExec::FetchMatch {
-            source, collection, ..
-        } => format!("{}.{}", source, collection),
-        AtomExec::ViewMatch { view, .. } => format!("view {}", view),
-    }
-}
-
 /// The stale cache's key for a fragment sent to `source`: `frag:`, the
 /// source, then every field of the fragment — its selections with the
 /// values bound for this serve — each string length-prefixed, each list
@@ -3433,7 +3334,11 @@ mod correlated_probe_tests {
         .unwrap();
         let outer = Schema::try_new(vec!["x".to_string()]).unwrap();
         let config = engine.config();
-        let plan = engine.plan(&inner, &config.optimizer, Some(&outer)).unwrap();
+        let scope = planner::Scope {
+            outer: Some(&outer),
+            ..planner::Scope::default()
+        };
+        let plan = engine.plan(&inner, &config.optimizer, scope).unwrap();
         let [probe] = plan.probes.as_slice() else {
             panic!("{:?}", plan.probes);
         };

@@ -13,7 +13,7 @@
 use super::{ms_since, us, Engine, ExecCtx};
 use crate::catalog::ViewDef;
 use crate::error::CoreError;
-use crate::planner::{self, AtomExec, Plan};
+use crate::planner::{AtomExec, Plan, Refresh, Scope};
 use nimble_algebra::{Schema, Tuple};
 use nimble_sources::Watermark;
 use nimble_store::ViewMark;
@@ -97,7 +97,11 @@ impl Engine {
         why: Option<Decline>,
         scope: &ExecCtx,
     ) -> Result<(), CoreError> {
-        let plan = self.plan_refresh(&def.query, None, scope)?;
+        let full = Scope {
+            refresh: Some(Refresh::Full),
+            ..Scope::default()
+        };
+        let plan = self.plan(&def.query, &scope.config.optimizer, full)?;
         let (schema, tuples, mut ctx) = self.run_refresh(&def.query, &plan, scope)?;
         let mut b = DocumentBuilder::new("results");
         self.construct_into(&mut b, &def.query.construct, &schema, &tuples, &mut ctx, None)?;
@@ -165,7 +169,11 @@ impl Engine {
             [one] => *one,
             _ => return Ok(Some("several_grew")),
         };
-        let plan = self.plan_refresh(&def.query, Some((&floored.collection, floored.upto)), scope)?;
+        let delta = Scope {
+            refresh: Some(Refresh::Delta(&floored.collection, floored.upto)),
+            ..Scope::default()
+        };
+        let plan = self.plan(&def.query, &scope.config.optimizer, delta)?;
         let same_fragments = row_wise(&def.query, &plan).is_some_and(|fragments| {
             fragments.len() == stored.len() && stored.iter().all(|m| fragments.contains(&m.collection))
         });
@@ -227,21 +235,6 @@ impl Engine {
             1,
         );
         Ok(None)
-    }
-
-    /// The view's plan with a row floor on every single-collection
-    /// fragment ([`planner::plan_refresh`]), statically verified like
-    /// any other (and audited before it runs, as any plan is).
-    fn plan_refresh(&self, query: &Query, delta: Option<(&str, u64)>, scope: &ExecCtx) -> Result<Plan, CoreError> {
-        let optimizer = &scope.config.optimizer;
-        let plan = {
-            let guard = self.shards.read();
-            planner::plan_refresh(&self.catalog, query, optimizer, guard.as_deref(), delta)?
-        };
-        if optimizer.verify_plans {
-            planner::verify_plan(&plan, None)?;
-        }
-        Ok(plan)
     }
 
     /// Run `query`'s refresh plan through the executor, in a fresh

@@ -81,6 +81,15 @@ impl AtomExec {
             AtomExec::ViewMatch { .. } => None,
         }
     }
+
+    /// The unit as EXPLAIN and the rewrite audit name it.
+    pub fn label(&self) -> String {
+        match self {
+            AtomExec::Fragment { source, .. } => format!("fragment on {}", source),
+            AtomExec::FetchMatch { source, collection, .. } => format!("{}.{}", source, collection),
+            AtomExec::ViewMatch { view, .. } => format!("view {}", view),
+        }
+    }
 }
 
 /// A navigation atom (`pattern IN $var`), run after its variable binds.
@@ -109,6 +118,16 @@ pub struct Plan {
     /// Estimated accumulated row count after each fold step, aligned
     /// with `fold_order` (`fold_rows[0]` is the first atom's estimate).
     pub fold_rows: Vec<u64>,
+    /// Per fold step, aligned with `fold_order`: whether the hash join
+    /// that folds that unit in builds its table on the rows folded before
+    /// it rather than on the unit ([`cost::BUILD_SWAP_RATIO`]), each one
+    /// a `build-side-swap` rewrite. False where the step is a nested
+    /// loop (no shared variable) or no join at all (the first unit of a
+    /// plan without an outer row).
+    pub swaps: Vec<bool>,
+    /// Estimated rows out of the central Filter of the residual
+    /// predicates (out of the fold when there is none).
+    pub filter_rows: u64,
     /// Set when satisfiability analysis proved the WHERE clause can
     /// never hold: the reason string. The engine then executes an
     /// annotated `EmptyOp` over the plan's output schema instead of
@@ -165,28 +184,21 @@ impl fmt::Debug for Audited {
     }
 }
 
-/// The rewrite audit (`nimble_planck::audit`) of `plan.rewrites`, run
-/// once per plan, before its first serve: the audit checks each record
-/// on its own, and a plan's records do not change while it is served,
-/// so a verdict taken once holds for every serve. The engine's
-/// execution-time rewrites are audited per serve ([`audit_records`]).
+/// The rewrite audit (`nimble_planck::audit`) of `plan.rewrites` —
+/// every rewrite the planner made, build-side swaps included — run once
+/// per plan, before its first serve: the audit checks each record on
+/// its own, and a plan's records do not change while it is served, so a
+/// verdict taken once holds for every serve.
 pub(crate) fn audit(plan: &Plan) -> Result<(), CoreError> {
-    plan.audited
-        .0
-        .get_or_init(|| audit_records(&plan.rewrites))
-        .clone()
-        .map_err(CoreError::PlanVerify)
-}
-
-/// `nimble_planck::audit` of `records`: what it found, as
-/// [`CoreError::PlanVerify`] says it.
-pub(crate) fn audit_records(records: &[RewriteRecord]) -> Result<(), String> {
-    let issues = nimble_planck::audit(records);
-    if issues.is_empty() {
-        return Ok(());
-    }
-    let details: Vec<String> = issues.iter().map(|i| format!("{}: {}", i.operator, i.detail)).collect();
-    Err(format!("rewrite audit failed:\n  {}", details.join("\n  ")))
+    let verdict = plan.audited.0.get_or_init(|| {
+        let issues = nimble_planck::audit(&plan.rewrites);
+        if issues.is_empty() {
+            return Ok(());
+        }
+        let details: Vec<String> = issues.iter().map(|i| format!("{}: {}", i.operator, i.detail)).collect();
+        Err(format!("rewrite audit failed:\n  {}", details.join("\n  ")))
+    });
+    verdict.clone().map_err(CoreError::PlanVerify)
 }
 
 /// One copy of an equality parameter's value inside a [`Plan`].
@@ -335,7 +347,7 @@ pub fn plan_query(
     query: &Query,
     config: &OptimizerConfig,
 ) -> Result<Plan, CoreError> {
-    plan_query_sharded(catalog, query, config, None)
+    plan_scoped(catalog, query, config, Scope::default())
 }
 
 /// [`plan_query`] plus partition-aware routing: when a shard runtime is
@@ -350,248 +362,222 @@ pub fn plan_query_sharded(
     config: &OptimizerConfig,
     shards: Option<&crate::shard::ShardRuntime>,
 ) -> Result<Plan, CoreError> {
-    plan_floored(catalog, query, config, shards, None, None)
+    plan_scoped(catalog, query, config, Scope { shards, ..Scope::default() })
 }
 
-/// [`plan_query_sharded`] for a correlated subquery, run under each row
-/// of `outer`: a variable `outer` binds is a join variable of the plan.
-pub(crate) fn plan_subquery(
+/// What a query is planned for beyond its text and the optimizer's
+/// switches. The default is a top-level query with no shard routing.
+#[derive(Clone, Copy, Default)]
+pub struct Scope<'a> {
+    /// The shard runtime whose partitioned collections the plan routes
+    /// ([`ShardPlan`]).
+    pub shards: Option<&'a crate::shard::ShardRuntime>,
+    /// The row schema a correlated subquery runs under: a variable it
+    /// binds is a join variable of the plan, and the outer row is the
+    /// first input of the fold.
+    pub outer: Option<&'a Schema>,
+    /// Planned for a view refresh (DESIGN.md §21).
+    pub refresh: Option<Refresh<'a>>,
+}
+
+/// The row floors of a view refresh's plan: every fragment over one
+/// collection carries one, so that its answer comes back stamped with
+/// how far into the collection it read. Nothing else differs from the
+/// query's own plan; the estimates see the floors, so a small delta
+/// drives the bind stage.
+#[derive(Clone, Copy, Debug)]
+pub enum Refresh<'a> {
+    /// Every floor at 0: the whole collection.
+    Full,
+    /// The collection named (`source.collection`) floored at the mark
+    /// the stored view was built up to, every other at 0: the plan's
+    /// answer is what the view gained.
+    Delta(&'a str, u64),
+}
+
+/// The one planner: its passes, in order. Each reads what the ones
+/// before it decided and records what it rewrote in [`Plan::rewrites`],
+/// named by the record's rule; the rewrite audit reads them all once,
+/// before the plan's first serve ([`audit`]).
+pub fn plan_scoped(
     catalog: &Catalog,
     query: &Query,
     config: &OptimizerConfig,
-    shards: Option<&crate::shard::ShardRuntime>,
-    outer: &Schema,
-) -> Result<Plan, CoreError> {
-    plan_floored(catalog, query, config, shards, None, Some(outer))
-}
-
-/// [`plan_query`] for a view refresh (DESIGN.md §21): every fragment
-/// over one collection carries a row floor, so that its answer comes
-/// back stamped with how far into the collection it read. The floor is
-/// 0 — the whole collection — except for the collection `delta` names
-/// (as `source.collection`), whose fragment is floored at the mark the
-/// stored view was built up to: the plan's answer is then what the view
-/// gained. Nothing else differs from the query's own plan; the estimates
-/// see the floor, so a small delta drives the bind stage.
-pub fn plan_refresh(
-    catalog: &Catalog,
-    query: &Query,
-    config: &OptimizerConfig,
-    shards: Option<&crate::shard::ShardRuntime>,
-    delta: Option<(&str, u64)>,
-) -> Result<Plan, CoreError> {
-    plan_floored(catalog, query, config, shards, Some(delta), None)
-}
-
-/// The one planner. `refresh` is `None` for a query and, for a view
-/// refresh, what [`plan_refresh`] was given: the collection to floor at
-/// its mark, if any (every other one is floored at 0). `outer` is the
-/// row schema a correlated subquery runs under.
-fn plan_floored(
-    catalog: &Catalog,
-    query: &Query,
-    config: &OptimizerConfig,
-    shards: Option<&crate::shard::ShardRuntime>,
-    refresh: Option<Option<(&str, u64)>>,
-    outer: Option<&Schema>,
+    scope: Scope<'_>,
 ) -> Result<Plan, CoreError> {
     let mut plan = Plan {
         order_by: query.order_by.clone(),
         ..Plan::default()
     };
-    // Beside `plan.residual_predicates` until phase 5: which equality
-    // parameter each predicate is, if it is one.
-    let mut params: Vec<Option<usize>> = Vec::new();
-    let mut next_param = 0..;
-
-    // Phase 1: classify atoms.
-    for cond in &query.conditions {
-        match cond {
-            Condition::Predicate(e) => {
-                params.push(e.eq_param().and_then(|_| next_param.next()));
-                plan.residual_predicates.push(e.clone());
-            }
-            Condition::Pattern(pb) => {
-                let vars = dedup_vars(&pb.pattern);
-                match &pb.source {
-                    SourceRef::Var(v) => plan.dependents.push(DependentAtom {
-                        on_var: v.clone(),
-                        pattern: pb.pattern.clone(),
-                        vars,
-                    }),
-                    SourceRef::Named(name) => match catalog.resolve(name)? {
-                        Resolved::View(view) => {
-                            plan.independents.push(AtomExec::ViewMatch {
-                                view,
-                                pattern: pb.pattern.clone(),
-                                vars,
-                            });
-                        }
-                        Resolved::Collection { source, collection } => {
-                            let adapter = catalog
-                                .source(&source)
-                                .ok_or_else(|| CoreError::UnknownCollection(name.clone()))?;
-                            let caps = adapter.capabilities();
-                            // A literal field is sent only where the source
-                            // reads it as the matcher does.
-                            let alike = |rp: &compiler::RowPattern| {
-                                rp.eq_selections.iter().all(|(field, lit)| {
-                                    reads_alike(CmpOp::Eq, lit, declared(adapter.as_ref(), &collection, field), false)
-                                })
-                            };
-                            let pushed = if config.pushdown {
-                                compiler::recognize_row_pattern(&pb.pattern)
-                                    .filter(|rp| compiler::pushable(rp, &caps) && alike(rp))
-                            } else {
-                                None
-                            };
-                            match pushed {
-                                Some(rp) => {
-                                    let frag = compiler::build_fragment(&collection, "t", &rp);
-                                    plan.notes.push(format!(
-                                        "pushdown: {} vars to {}.{}",
-                                        rp.fields.len(),
-                                        source,
-                                        collection
-                                    ));
-                                    plan.independents.push(AtomExec::Fragment {
-                                        source,
-                                        query: frag,
-                                        vars: rp
-                                            .fields
-                                            .iter()
-                                            .map(|(v, _)| v.clone())
-                                            .collect(),
-                                    });
-                                }
-                                None => {
-                                    plan.notes.push(format!(
-                                        "fetch+match: {}.{} (caps {})",
-                                        source,
-                                        collection,
-                                        caps.tag()
-                                    ));
-                                    plan.independents.push(AtomExec::FetchMatch {
-                                        source,
-                                        collection,
-                                        pattern: pb.pattern.clone(),
-                                        vars,
-                                    });
-                                }
-                            }
-                        }
-                    },
-                }
-            }
-        }
-    }
-
-    // Phase 2: push simple predicates into fragments. A variable bound
-    // by several fragments is one join-equivalence class, so a selection
-    // on it goes to every fragment that binds it (see
-    // `place_selection`).
+    // Beside `plan.residual_predicates` until the constants are folded:
+    // which equality parameter each predicate is, if it is one.
+    let mut params = classify(catalog, query, config, &mut plan)?;
     if config.pushdown {
-        let before: Vec<String> = plan
-            .residual_predicates
-            .iter()
-            .map(|p| format!("{:?}", p))
-            .collect();
-        let mut placements: Vec<Placement> = Vec::new();
-        let mut remaining = Vec::new();
-        let mut remaining_params = Vec::new();
-        for (pred, param) in std::mem::take(&mut plan.residual_predicates)
-            .into_iter()
-            .zip(std::mem::take(&mut params))
-        {
-            let (placed, central) = place_selection(catalog, &mut plan, &pred, param, outer);
-            placements.extend(placed);
-            if central {
-                remaining.push(pred);
-                remaining_params.push(param);
-            }
-        }
-        params = remaining_params;
-        // Rewrite record: pushing predicates moves them, never drops
-        // them — the distinct predicates the phase started with are
-        // exactly those shipped plus those still central, and every
-        // copy sits at a fragment that binds its variable.
-        if !placements.is_empty() {
-            // Pushing a predicate relocates work, never a source: both
-            // sides carry the same source-label set for the provenance
-            // audit.
-            let srcs: Vec<String> = plan
-                .independents
-                .iter()
-                .filter_map(|a| a.source().map(str::to_string))
-                .collect();
-            plan.rewrites.push(
-                RewriteRecord::new(
-                    "pushdown",
-                    true,
-                    Fingerprint::new(Vec::new())
-                        .with_extra(before)
-                        .with_sources(srcs.clone()),
-                    Fingerprint::new(Vec::new())
-                        .with_extra(remaining.iter().map(|p| format!("{:?}", p)).collect())
-                        .with_sources(srcs),
-                )
-                .with_placements(placements),
-            );
-        }
-        plan.residual_predicates = remaining;
+        push_selections(catalog, &mut plan, &mut params, scope.outer);
     }
-
-    // Phase 3: merge same-source fragments into joined fragments when the
-    // source can join.
     if config.capability_joins {
         merge_same_source_fragments(catalog, &mut plan);
     }
-
-    // A refresh's row floors go on once the fragments are final and
-    // before anything is estimated.
-    if let Some(delta) = refresh {
-        floor_fragments(catalog, &mut plan, delta);
+    // Row floors go on once the fragments are final and before anything
+    // is estimated.
+    if let Some(refresh) = scope.refresh {
+        floor_fragments(catalog, &mut plan, refresh);
     }
-
-    // Phase 4: cardinality estimates from collection statistics, the
-    // bind stage they justify, and the fold order over what is left to
-    // join once the stage has shrunk its targets.
-    plan.est_rows = plan
-        .independents
-        .iter()
-        .map(|a| cost::estimate_atom(catalog, a))
-        .collect();
+    plan.est_rows = plan.independents.iter().map(|a| cost::estimate_atom(catalog, a)).collect();
     if config.pushdown {
         plan_bind_stage(catalog, &mut plan);
     }
-    order_folds_by_cost(catalog, &mut plan);
-
-    // Phase 5: constant-fold the residual predicates and drop the
-    // always-true ones. Where the predicates that stayed central sit is
-    // now final.
+    // Over what is left to join once the bind stage shrank its targets.
+    cost::order_folds(catalog, &mut plan);
     if config.prune_unsat {
         eliminate_tautologies(&mut plan, &mut params);
     }
+    // Where the predicates that stayed central sit is now final.
     for (index, param) in params.iter().enumerate() {
         if let Some(param) = *param {
             plan.param_sites.push(ParamSite::Residual { param, index });
         }
     }
-
-    // Phase 6: shard routing over partitioned collections. It routes on
-    // the values of equality predicates, so it comes before the verdict:
-    // a plan it leaves a mark on is a plan for these values only,
-    // whatever the verdict on them.
-    if let Some(rt) = shards {
+    // Shard routing reads the values of equality predicates, so it comes
+    // before the verdict: a plan it leaves a mark on is a plan for these
+    // values only, whatever the verdict on them.
+    if let Some(rt) = scope.shards {
         plan_shards(catalog, &mut plan, rt);
     }
-
-    // Phase 7: candidate probes, once the central predicates and the
-    // atoms the shard plans route are final.
-    plan_probes(&mut plan, outer);
-
+    // Once the central predicates and the atoms the shard plans route are
+    // final.
+    plan_probes(&mut plan, scope.outer);
+    // Last of the cost model: shards and probes tightened the estimates
+    // the build sides are chosen on.
+    cost::place_builds(&mut plan, scope.outer);
     finish(catalog, &mut plan, config);
     Ok(plan)
+}
+
+/// The first pass: one unit per condition of the query, in its order —
+/// a predicate is residual, a pattern over a variable a dependent atom,
+/// a pattern over a view a view match, and a pattern over a collection
+/// a pushed fragment where the source can take its row pattern and reads
+/// its literals as the matcher does, a fetch and central match
+/// otherwise. Returns which equality parameter each residual predicate
+/// is, if it is one.
+fn classify(
+    catalog: &Catalog,
+    query: &Query,
+    config: &OptimizerConfig,
+    plan: &mut Plan,
+) -> Result<Vec<Option<usize>>, CoreError> {
+    let mut params: Vec<Option<usize>> = Vec::new();
+    let mut next_param = 0..;
+    for cond in &query.conditions {
+        let pb = match cond {
+            Condition::Predicate(e) => {
+                params.push(e.eq_param().and_then(|_| next_param.next()));
+                plan.residual_predicates.push(e.clone());
+                continue;
+            }
+            Condition::Pattern(pb) => pb,
+        };
+        let vars = dedup_vars(&pb.pattern);
+        let name = match &pb.source {
+            SourceRef::Var(v) => {
+                plan.dependents.push(DependentAtom {
+                    on_var: v.clone(),
+                    pattern: pb.pattern.clone(),
+                    vars,
+                });
+                continue;
+            }
+            SourceRef::Named(name) => name,
+        };
+        let (source, collection) = match catalog.resolve(name)? {
+            Resolved::View(view) => {
+                plan.independents.push(AtomExec::ViewMatch {
+                    view,
+                    pattern: pb.pattern.clone(),
+                    vars,
+                });
+                continue;
+            }
+            Resolved::Collection { source, collection } => (source, collection),
+        };
+        let adapter = catalog
+            .source(&source)
+            .ok_or_else(|| CoreError::UnknownCollection(name.clone()))?;
+        let caps = adapter.capabilities();
+        // A literal field is sent only where the source reads it as the
+        // matcher does.
+        let alike = |rp: &compiler::RowPattern| {
+            rp.eq_selections
+                .iter()
+                .all(|(field, lit)| reads_alike(CmpOp::Eq, lit, declared(adapter.as_ref(), &collection, field), false))
+        };
+        let pushed = config
+            .pushdown
+            .then(|| compiler::recognize_row_pattern(&pb.pattern))
+            .flatten()
+            .filter(|rp| compiler::pushable(rp, &caps) && alike(rp));
+        match pushed {
+            Some(rp) => {
+                let query = compiler::build_fragment(&collection, "t", &rp);
+                plan.notes.push(format!("pushdown: {} vars to {}.{}", rp.fields.len(), source, collection));
+                let vars = rp.fields.into_iter().map(|(v, _)| v).collect();
+                plan.independents.push(AtomExec::Fragment { source, query, vars });
+            }
+            None => {
+                plan.notes.push(format!("fetch+match: {}.{} (caps {})", source, collection, caps.tag()));
+                plan.independents.push(AtomExec::FetchMatch {
+                    source,
+                    collection,
+                    pattern: pb.pattern.clone(),
+                    vars,
+                });
+            }
+        }
+    }
+    Ok(params)
+}
+
+/// Pushdown: each simple predicate goes to the fragments that bind its
+/// variable ([`place_selection`]). A variable bound by several fragments
+/// is one join-equivalence class, so a selection on it goes to every
+/// fragment that binds it. `params` runs beside the residual predicates
+/// and loses the entries that leave.
+fn push_selections(catalog: &Catalog, plan: &mut Plan, params: &mut Vec<Option<usize>>, outer: Option<&Schema>) {
+    let before: Vec<String> = plan.residual_predicates.iter().map(|p| format!("{:?}", p)).collect();
+    let mut placements: Vec<Placement> = Vec::new();
+    let mut remaining = Vec::new();
+    let mut remaining_params = Vec::new();
+    for (pred, param) in std::mem::take(&mut plan.residual_predicates)
+        .into_iter()
+        .zip(std::mem::take(params))
+    {
+        let (placed, central) = place_selection(catalog, plan, &pred, param, outer);
+        placements.extend(placed);
+        if central {
+            remaining.push(pred);
+            remaining_params.push(param);
+        }
+    }
+    *params = remaining_params;
+    // Rewrite record: pushing predicates moves them, never drops them —
+    // the distinct predicates the pass started with are exactly those
+    // shipped plus those still central, and every copy sits at a
+    // fragment that binds its variable. It relocates work, never a
+    // source: both sides carry the same source-label set for the
+    // provenance audit.
+    if !placements.is_empty() {
+        let srcs: Vec<String> = plan
+            .independents
+            .iter()
+            .filter_map(|a| a.source().map(str::to_string))
+            .collect();
+        let side = |preds: Vec<String>| Fingerprint::new(Vec::new()).with_extra(preds).with_sources(srcs.clone());
+        let after = remaining.iter().map(|p| format!("{:?}", p)).collect();
+        plan.rewrites
+            .push(RewriteRecord::new("pushdown", true, side(before), side(after)).with_placements(placements));
+    }
+    plan.residual_predicates = remaining;
 }
 
 /// Phase 7 of planning (DESIGN.md §22): record as a [`Probe`] every
@@ -803,11 +789,15 @@ pub(crate) fn probe_test(conjunct: &Expr, var: &str) -> Option<LiteralTest> {
     LiteralTest::compile(&translate_expr(conjunct, &column).ok()?, 1)
 }
 
-/// Give every single-collection fragment its row floor (see
-/// [`plan_refresh`]) and record the one that is not 0 as a
-/// `delta-refresh` rewrite: a restriction placed at one fragment, under
-/// which columns, keys and sources stay and the row bound can only fall.
-fn floor_fragments(catalog: &Catalog, plan: &mut Plan, delta: Option<(&str, u64)>) {
+/// Give every single-collection fragment its row floor ([`Refresh`])
+/// and record the one that is not 0 as a `delta-refresh` rewrite: a
+/// restriction placed at one fragment, under which columns, keys and
+/// sources stay and the row bound can only fall.
+fn floor_fragments(catalog: &Catalog, plan: &mut Plan, refresh: Refresh<'_>) {
+    let delta = match refresh {
+        Refresh::Full => None,
+        Refresh::Delta(collection, mark) => Some((collection, mark)),
+    };
     let mut placements: Vec<Placement> = Vec::new();
     let (mut rows_before, mut rows_after) = (0u64, 0u64);
     let pred = delta.map(|(collection, n)| format!("rows of {} past {}", collection, n));
@@ -1206,9 +1196,8 @@ fn place_selection(
     (placed, central)
 }
 
-/// Phase 4, between the estimates and the fold order: choose the bind
-/// stage (see [`BindStage`]; the argument and the rules are DESIGN.md
-/// §18).
+/// The bind stage, between the estimates and the fold order (see
+/// [`BindStage`]; the argument and the rules are DESIGN.md §18).
 ///
 /// The driver is the fragment estimated smallest. A single-collection
 /// fragment that shares a variable with it is a target when its source
@@ -1219,134 +1208,43 @@ fn place_selection(
 /// 1/[`cost::BIND_MIN_SHRINK`] of the target's estimated rows (and the
 /// target is not already pinned to one key by an equality). When the
 /// driver shares several variables, the one whose targets save the most
-/// estimated rows is bound; a stage binds one variable.
+/// estimated rows is bound ([`bind_choice`]); a stage binds one
+/// variable.
 ///
 /// Lowers the targets' `est_rows` to what the keys are expected to
 /// leave, records the stage as a `bind-join` rewrite, and explains each
 /// decision in the notes.
 fn plan_bind_stage(catalog: &Catalog, plan: &mut Plan) {
-    let fragment = |i: usize| match &plan.independents[i] {
-        AtomExec::Fragment {
-            source,
-            query,
-            vars,
-        } => Some((source, query, vars)),
-        _ => None,
-    };
     let Some(driver) = (0..plan.independents.len())
-        .filter(|&i| fragment(i).is_some())
+        .filter(|&i| matches!(plan.independents[i], AtomExec::Fragment { .. }))
         .min_by_key(|&i| plan.est_rows[i])
     else {
         return;
     };
-    let Some((driver_source, driver_query, driver_vars)) = fragment(driver) else {
+    let AtomExec::Fragment { source, query, vars } = &plan.independents[driver] else {
         return;
     };
-    let Some(driver_adapter) = catalog.source(driver_source) else {
-        return;
-    };
-
-    /// One variable's candidate stage.
-    struct Choice {
-        var: String,
-        key_type: AtomicType,
-        est_keys: u64,
-        /// Target, its field, its estimate under the keys.
-        targets: Vec<(usize, FieldRef, u64)>,
-        declined: Vec<(String, Declined)>,
-    }
-    let mut best: Option<(u64, Choice)> = None;
-    for (var, driver_field) in &driver_query.outputs {
-        // The other single-collection fragments that bind the variable.
-        let candidates: Vec<(usize, &String, &SourceQuery, &FieldRef)> = (0..plan
-            .independents
-            .len())
-            .filter(|&t| t != driver)
-            .filter_map(|t| {
-                let (source, query, _) = fragment(t)?;
-                let field = query.outputs.iter().find(|(v, _)| v == var).map(|(_, f)| f)?;
-                (query.collections.len() == 1).then_some((t, source, query, field))
-            })
-            .collect();
-        if candidates.is_empty() {
+    let mut best: Option<Choice> = None;
+    for (var, field) in &query.outputs {
+        let Some(choice) = bind_choice(catalog, plan, driver, var, field) else {
             continue;
-        }
-        let est_keys = cost::var_distinct(catalog, &plan.independents[driver], var)
-            .unwrap_or(u64::MAX)
-            .min(plan.est_rows[driver]);
-        // Looked up for the first candidate that gets as far as needing
-        // it: collection metadata is the dear part of this phase.
-        let mut driver_type: Option<Option<AtomicType>> = None;
-        let mut choice = Choice {
-            var: var.clone(),
-            key_type: AtomicType::Null,
-            est_keys,
-            targets: Vec::new(),
-            declined: Vec::new(),
         };
-        let mut saved = 0u64;
-        for (t, source, query, field) in candidates {
-            let Some(adapter) = catalog.source(source) else {
-                continue;
-            };
-            let est = plan.est_rows[t];
-            let why = if !adapter.capabilities().selections {
-                Some(Declined::Caps)
-            } else if est_keys > cost::BIND_MAX_KEYS
-                || est_keys.saturating_mul(cost::BIND_MIN_SHRINK) > est
-                // An equality already pins the target to one value of
-                // the key; a list cannot shrink it further, whatever the
-                // (independence-assuming) estimate says.
-                || query
-                    .selections
-                    .iter()
-                    .any(|s| s.op == PredOp::Eq && &s.field == field)
-            {
-                Some(Declined::Cost(est_keys as f64 / est.max(1) as f64))
-            } else {
-                let key_type = *driver_type.get_or_insert_with(|| {
-                    field_type(driver_adapter.as_ref(), driver_query, driver_field).filter(|t| {
-                        matches!(t, AtomicType::Int | AtomicType::Str | AtomicType::Bool)
-                    })
-                });
-                match key_type {
-                    Some(ty) if field_type(adapter.as_ref(), query, field) == Some(ty) => {
-                        choice.key_type = ty;
-                        None
-                    }
-                    _ => Some(Declined::Type),
-                }
-            };
-            match why {
-                Some(why) => choice.declined.push((source.clone(), why)),
-                None => {
-                    // Each key finds rows/distinct rows of the target.
-                    let distinct = cost::var_distinct(catalog, &plan.independents[t], var)
-                        .unwrap_or(est)
-                        .max(1);
-                    let reduced =
-                        cost::clamp_rows(est as f64 * (est_keys as f64 / distinct as f64).min(1.0));
-                    saved += est.saturating_sub(reduced);
-                    choice.targets.push((t, field.clone(), reduced.min(est)));
-                }
-            }
-        }
-        if best.as_ref().map_or(true, |(most, _)| saved > *most) {
-            best = Some((saved, choice));
+        if best.as_ref().map_or(true, |most| choice.saved > most.saved) {
+            best = Some(choice);
         }
     }
-    let Some((_, choice)) = best else {
+    let Some(choice) = best else {
         return;
     };
 
-    let driver_source = driver_source.clone();
-    let mut cols: Vec<String> = driver_vars.clone();
+    let driver_source = source.clone();
+    let mut cols: Vec<String> = vars.clone();
     let mut sources = vec![driver_source.clone()];
     let mut placements: Vec<Placement> = Vec::new();
     let pred = format!("${} in keys({})", choice.var, driver_source);
     let (mut before_rows, mut after_rows) = (0u64, 0u64);
     for (t, _, reduced) in &choice.targets {
-        if let Some((source, _, vars)) = fragment(*t) {
+        if let AtomExec::Fragment { source, vars, .. } = &plan.independents[*t] {
             cols.extend(vars.iter().cloned());
             sources.push(source.clone());
             placements.push(Placement {
@@ -1361,12 +1259,7 @@ fn plan_bind_stage(catalog: &Catalog, plan: &mut Plan) {
         after_rows = after_rows.saturating_add(*reduced);
     }
     for (source, why) in &choice.declined {
-        plan.notes.push(format!(
-            "bind ${} not sent to {}: {}",
-            choice.var,
-            source,
-            why.tag()
-        ));
+        plan.notes.push(format!("bind ${} not sent to {}: {}", choice.var, source, why.tag()));
     }
     if choice.targets.is_empty() {
         return;
@@ -1406,6 +1299,97 @@ fn plan_bind_stage(catalog: &Catalog, plan: &mut Plan) {
         est_keys: choice.est_keys,
         targets,
     });
+}
+
+/// One variable's candidate bind stage.
+struct Choice {
+    var: String,
+    key_type: AtomicType,
+    est_keys: u64,
+    /// Target, its field, its estimate under the keys.
+    targets: Vec<(usize, FieldRef, u64)>,
+    declined: Vec<(String, Declined)>,
+    /// Estimated target rows the keys spare.
+    saved: u64,
+}
+
+/// The stage that would bind `var`, which the fragment `driver` reads
+/// from `driver_field`: its targets, with what the keys are estimated to
+/// leave of each, and the fragments declined and why. `None` when no
+/// other single-collection fragment binds the variable.
+fn bind_choice(catalog: &Catalog, plan: &Plan, driver: usize, var: &str, driver_field: &FieldRef) -> Option<Choice> {
+    let AtomExec::Fragment { source, query: driver_query, .. } = &plan.independents[driver] else {
+        return None;
+    };
+    let driver_adapter = catalog.source(source)?;
+    // The other single-collection fragments that bind the variable.
+    let candidates: Vec<(usize, &String, &SourceQuery, &FieldRef)> = (0..plan.independents.len())
+        .filter(|&t| t != driver)
+        .filter_map(|t| {
+            let AtomExec::Fragment { source, query, .. } = &plan.independents[t] else {
+                return None;
+            };
+            let field = query.outputs.iter().find(|(v, _)| v == var).map(|(_, f)| f)?;
+            (query.collections.len() == 1).then_some((t, source, query, field))
+        })
+        .collect();
+    if candidates.is_empty() {
+        return None;
+    }
+    let est_keys = cost::var_distinct(catalog, &plan.independents[driver], var)
+        .unwrap_or(u64::MAX)
+        .min(plan.est_rows[driver]);
+    // Looked up for the first candidate that gets as far as needing it:
+    // collection metadata is the dear part of this pass.
+    let mut driver_type: Option<Option<AtomicType>> = None;
+    let mut choice = Choice {
+        var: var.to_string(),
+        key_type: AtomicType::Null,
+        est_keys,
+        targets: Vec::new(),
+        declined: Vec::new(),
+        saved: 0,
+    };
+    for (t, source, query, field) in candidates {
+        let Some(adapter) = catalog.source(source) else {
+            continue;
+        };
+        let est = plan.est_rows[t];
+        let why = if !adapter.capabilities().selections {
+            Some(Declined::Caps)
+        } else if est_keys > cost::BIND_MAX_KEYS
+            || est_keys.saturating_mul(cost::BIND_MIN_SHRINK) > est
+            // An equality already pins the target to one value of the
+            // key; a list cannot shrink it further, whatever the
+            // (independence-assuming) estimate says.
+            || query.selections.iter().any(|s| s.op == PredOp::Eq && &s.field == field)
+        {
+            Some(Declined::Cost(est_keys as f64 / est.max(1) as f64))
+        } else {
+            let key_type = *driver_type.get_or_insert_with(|| {
+                field_type(driver_adapter.as_ref(), driver_query, driver_field)
+                    .filter(|t| matches!(t, AtomicType::Int | AtomicType::Str | AtomicType::Bool))
+            });
+            match key_type {
+                Some(ty) if field_type(adapter.as_ref(), query, field) == Some(ty) => {
+                    choice.key_type = ty;
+                    None
+                }
+                _ => Some(Declined::Type),
+            }
+        };
+        match why {
+            Some(why) => choice.declined.push((source.clone(), why)),
+            None => {
+                // Each key finds rows/distinct rows of the target.
+                let distinct = cost::var_distinct(catalog, &plan.independents[t], var).unwrap_or(est).max(1);
+                let reduced = cost::clamp_rows(est as f64 * (est_keys as f64 / distinct as f64).min(1.0));
+                choice.saved += est.saturating_sub(reduced);
+                choice.targets.push((t, field.clone(), reduced.min(est)));
+            }
+        }
+    }
+    Some(choice)
 }
 
 /// The schema of everything a plan binds: its independent units'
@@ -1537,11 +1521,11 @@ fn unsat_verdict(catalog: &Catalog, bound: Bound<'_>) -> Option<String> {
     None
 }
 
-/// Phase 6 of planning: partition-aware shard routing.
+/// Shard routing over partitioned collections.
 ///
 /// For every independent FetchMatch atom over a collection the shard
 /// runtime declares partitioned, decide which shards the fetch round
-/// must contact:
+/// must contact ([`route_shards`]):
 ///
 /// * **Bounds pruning** — re-run planck's satisfiability pass once per
 ///   shard, with the bounds callback answering from the *per-shard*
@@ -1557,19 +1541,16 @@ fn unsat_verdict(catalog: &Catalog, bound: Bound<'_>) -> Option<String> {
 /// compile to a [`LiteralTest`] are also replicated into each shard's
 /// scan (shard-local filtering) and kept central — filters are idempotent. One
 /// that can fail stays central only, and fails as it does unsharded.
-/// Both decisions are audited: `shard-prune` is a narrowing rewrite
-/// (payload/sources may shrink to the survivor set), `exchange-pushdown`
-/// a strict substitution.
+/// Both decisions are audited ([`record_shard_plan`]): `shard-prune` is
+/// a narrowing rewrite (payload/sources may shrink to the survivor set),
+/// `exchange-pushdown` a strict substitution.
 fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRuntime) {
-    use nimble_planck::satisfy::{self, Verdict};
-    use nimble_store::shard::shard_stats_key;
-
     for i in 0..plan.independents.len() {
         let AtomExec::FetchMatch {
             source,
             collection,
             pattern,
-            vars,
+            ..
         } = &plan.independents[i]
         else {
             continue;
@@ -1593,144 +1574,156 @@ fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRunti
             ));
             continue;
         }
-        let source = source.clone();
-        let vars = vars.clone();
-        let spec = part.spec.clone();
-        let shard_rows: Vec<u64> = part.rows.clone();
-        let n = spec.shards();
-        let rp = compiler::recognize_row_pattern(pattern);
-        let key_var = rp.as_ref().and_then(|rp| {
-            rp.fields
-                .iter()
-                .find(|(_, f)| f == &spec.key)
-                .map(|(v, _)| v.clone())
+        let (shard_plan, rendered) = route_shards(catalog, plan, i, coll_key, &part.spec);
+        record_shard_plan(plan, &shard_plan, &part.rows, rendered);
+        plan.shards.push(shard_plan);
+    }
+}
+
+/// The routing of the FetchMatch atom `independents[i]` over the
+/// collection `coll_key`, partitioned by `spec`, and the covered
+/// predicates its shards' scans test, as EXPLAIN spells them.
+fn route_shards(
+    catalog: &Catalog,
+    plan: &Plan,
+    i: usize,
+    coll_key: String,
+    spec: &nimble_store::shard::ShardSpec,
+) -> (ShardPlan, Vec<String>) {
+    use nimble_planck::satisfy::{self, Verdict};
+    use nimble_store::shard::shard_stats_key;
+
+    let (pattern, vars) = match &plan.independents[i] {
+        AtomExec::FetchMatch { pattern, vars, .. } => (Some(pattern), &vars[..]),
+        _ => (None, &[][..]),
+    };
+    let n = spec.shards();
+    let rp = pattern.and_then(compiler::recognize_row_pattern);
+    let key_var = rp
+        .as_ref()
+        .and_then(|rp| rp.fields.iter().find(|(_, f)| f == &spec.key).map(|(v, _)| v.clone()));
+
+    // Residual predicates this atom can evaluate alone, over its row.
+    let schema = Schema::try_new(vars.to_vec()).ok();
+    let covered: Vec<(Expr, ScalarExpr)> = plan
+        .residual_predicates
+        .iter()
+        .filter(|p| {
+            let pv = p.vars();
+            !pv.is_empty() && pv.iter().all(|v| vars.contains(v))
+        })
+        .filter_map(|p| Some((p.clone(), translate_expr(p, schema.as_ref()?).ok()?)))
+        .collect();
+    // Per-shard satisfiability of all of them.
+    let conjunction =
+        (!covered.is_empty()).then(|| ScalarExpr::conjunction(covered.iter().map(|(_, s)| s.clone()).collect()));
+    // In each shard's scan, those that compile, over its row: the origin
+    // column first.
+    let (rendered, tests): (Vec<String>, Vec<LiteralTest>) = covered
+        .iter()
+        .filter_map(|(p, s)| Some((p.to_string(), LiteralTest::compile(&s.remap_columns(&|c| c + 1), vars.len() + 1)?)))
+        .unzip();
+    let pushed = tests.into_iter().reduce(|l, r| LiteralTest::And(Box::new(l), Box::new(r)));
+    // `$key = literal` routes to one shard under any scheme.
+    let mut eq_routes: Vec<usize> = Vec::new();
+    for (p, _) in covered.iter().filter(|_| key_var.is_some()) {
+        let Expr::Binary(BinOp::Eq, l, r) = p else {
+            continue;
+        };
+        let lit = match (l.as_ref(), r.as_ref()) {
+            (Expr::Var(v), Expr::Lit(a)) | (Expr::Lit(a), Expr::Var(v)) if Some(v) == key_var.as_ref() => a,
+            _ => continue,
+        };
+        let route = spec.shard_of(lit);
+        if !eq_routes.contains(&route) {
+            eq_routes.push(route);
+        }
+    }
+
+    let mut survivors: Vec<usize> = Vec::new();
+    for k in 0..n {
+        // Two distinct equality routes contradict each other; a single
+        // route admits only its own shard.
+        if eq_routes.len() > 1 || (eq_routes.len() == 1 && eq_routes[0] != k) {
+            continue;
+        }
+        let alive = conjunction.as_ref().is_none_or(|conjunction| {
+            let stats_key = shard_stats_key(k, &coll_key);
+            let bounds = |col: usize| -> Option<(satisfy::Number, satisfy::Number)> {
+                let v = schema.as_ref()?.vars().get(col)?;
+                let field = rp.as_ref()?.fields.iter().find(|(var, _)| var == v).map(|(_, f)| f.clone())?;
+                catalog.stats().exact_bounds(&stats_key, &field)
+            };
+            satisfy::analyze(conjunction, &bounds) != Verdict::Unsatisfiable
         });
+        if alive {
+            survivors.push(k);
+        }
+    }
+    let shard_plan = ShardPlan {
+        atom: i,
+        collection: coll_key,
+        key_field: spec.key.clone(),
+        key_var,
+        shards: n,
+        survivors,
+        pushed,
+    };
+    (shard_plan, rendered)
+}
 
-        // Residual predicates this atom can evaluate alone, over its row.
-        let schema = Schema::try_new(vars.clone()).ok();
-        let covered: Vec<(Expr, ScalarExpr)> = plan
-            .residual_predicates
-            .iter()
-            .filter(|p| {
-                let pv = p.vars();
-                !pv.is_empty() && pv.iter().all(|v| vars.contains(v))
-            })
-            .filter_map(|p| Some((p.clone(), translate_expr(p, schema.as_ref()?).ok()?)))
-            .collect();
-        // Per-shard satisfiability of all of them.
-        let conjunction = (!covered.is_empty())
-            .then(|| ScalarExpr::conjunction(covered.iter().map(|(_, s)| s.clone()).collect()));
-        // In each shard's scan, those that compile, over its row:
-        // the origin column first.
-        let (rendered, tests): (Vec<String>, Vec<LiteralTest>) = covered
-            .iter()
-            .filter_map(|(p, s)| {
-                Some((p.to_string(), LiteralTest::compile(&s.remap_columns(&|c| c + 1), vars.len() + 1)?))
-            })
-            .unzip();
-        let pushed = tests.into_iter().reduce(|l, r| LiteralTest::And(Box::new(l), Box::new(r)));
-        // `$key = literal` routes to one shard under any scheme.
-        let mut eq_routes: Vec<usize> = Vec::new();
-        if let Some(kv) = &key_var {
-            for (p, _) in &covered {
-                if let Expr::Binary(BinOp::Eq, l, r) = p {
-                    let lit = match (l.as_ref(), r.as_ref()) {
-                        (Expr::Var(v), Expr::Lit(a)) if v == kv => Some(a),
-                        (Expr::Lit(a), Expr::Var(v)) if v == kv => Some(a),
-                        _ => None,
-                    };
-                    if let Some(a) = lit {
-                        let route = spec.shard_of(a);
-                        if !eq_routes.contains(&route) {
-                            eq_routes.push(route);
-                        }
-                    }
-                }
-            }
+/// What routing `shard_plan` says, over shards of `shard_rows` rows
+/// each: a note, a `shard-prune` rewrite when shards were pruned (and
+/// the scan's row estimate tightened to the survivors), and an
+/// `exchange-pushdown` rewrite when its shards test the `rendered`
+/// predicates.
+fn record_shard_plan(plan: &mut Plan, shard_plan: &ShardPlan, shard_rows: &[u64], rendered: Vec<String>) {
+    let (source, vars) = match &plan.independents[shard_plan.atom] {
+        AtomExec::FetchMatch { source, vars, .. } => (source.clone(), vars.clone()),
+        _ => return,
+    };
+    let (n, survivors, coll_key) = (shard_plan.shards, &shard_plan.survivors, &shard_plan.collection);
+    let shard_label = |k: usize| format!("{}#shard{}", source, k);
+    if survivors.len() < n {
+        let before_rows: u64 = shard_rows.iter().sum();
+        let after_rows: u64 = survivors.iter().filter_map(|&k| shard_rows.get(k)).sum();
+        plan.notes.push(format!(
+            "shard: {} pruned to {}/{} shards ({} of {} rows)",
+            coll_key,
+            survivors.len(),
+            n,
+            after_rows,
+            before_rows
+        ));
+        plan.rewrites.push(RewriteRecord::new(
+            "shard-prune",
+            false,
+            Fingerprint::new(vars.clone())
+                .with_extra((0..n).map(|k| format!("shard:{}", k)).collect())
+                .with_sources((0..n).map(shard_label).collect())
+                .with_card_bound(before_rows),
+            Fingerprint::new(vars.clone())
+                .with_extra(survivors.iter().map(|k| format!("shard:{}", k)).collect())
+                .with_sources(survivors.iter().copied().map(shard_label).collect())
+                .with_card_bound(after_rows),
+        ));
+        // Tighten the scan's row estimate to the surviving slices.
+        if let Some(est) = plan.est_rows.get_mut(shard_plan.atom) {
+            *est = (*est).min(after_rows.max(1));
         }
-
-        let mut survivors: Vec<usize> = Vec::new();
-        for k in 0..n {
-            // Two distinct equality routes contradict each other; a
-            // single route admits only its own shard.
-            if eq_routes.len() > 1 || (eq_routes.len() == 1 && eq_routes[0] != k) {
-                continue;
-            }
-            let alive = conjunction.as_ref().is_none_or(|conjunction| {
-                let stats_key = shard_stats_key(k, &coll_key);
-                let bounds = |col: usize| -> Option<(satisfy::Number, satisfy::Number)> {
-                    let v = schema.as_ref()?.vars().get(col)?;
-                    let field = rp
-                        .as_ref()?
-                        .fields
-                        .iter()
-                        .find(|(var, _)| var == v)
-                        .map(|(_, f)| f.clone())?;
-                    catalog.stats().exact_bounds(&stats_key, &field)
-                };
-                satisfy::analyze(conjunction, &bounds) != Verdict::Unsatisfiable
-            });
-            if alive {
-                survivors.push(k);
-            }
-        }
-
-        let shard_label = |k: usize| format!("{}#shard{}", source, k);
-        if survivors.len() < n {
-            let before_rows: u64 = shard_rows.iter().sum();
-            let after_rows: u64 = survivors.iter().map(|&k| shard_rows[k]).sum();
-            plan.notes.push(format!(
-                "shard: {} pruned to {}/{} shards ({} of {} rows)",
-                coll_key,
-                survivors.len(),
-                n,
-                after_rows,
-                before_rows
-            ));
-            plan.rewrites.push(RewriteRecord::new(
-                "shard-prune",
-                false,
-                Fingerprint::new(vars.clone())
-                    .with_extra((0..n).map(|k| format!("shard:{}", k)).collect())
-                    .with_sources((0..n).map(shard_label).collect())
-                    .with_card_bound(before_rows),
-                Fingerprint::new(vars.clone())
-                    .with_extra(survivors.iter().map(|k| format!("shard:{}", k)).collect())
-                    .with_sources(survivors.iter().copied().map(shard_label).collect())
-                    .with_card_bound(after_rows),
-            ));
-            // Tighten the scan's row estimate to the surviving slices.
-            if let Some(est) = plan.est_rows.get_mut(i) {
-                *est = (*est).min(after_rows.max(1));
-            }
-        } else {
-            plan.notes.push(format!(
-                "shard: {} fanned out to {} shards",
-                coll_key, n
-            ));
-        }
-        if pushed.is_some() && !survivors.is_empty() {
-            let srcs: Vec<String> = survivors.iter().copied().map(shard_label).collect();
-            plan.rewrites.push(RewriteRecord::new(
-                "exchange-pushdown",
-                true,
-                Fingerprint::new(vars.clone())
-                    .with_extra(rendered.clone())
-                    .with_sources(srcs.clone()),
-                Fingerprint::new(vars.clone())
-                    .with_extra(rendered)
-                    .with_sources(srcs),
-            ));
-        }
-        plan.shards.push(ShardPlan {
-            atom: i,
-            collection: coll_key,
-            key_field: spec.key.clone(),
-            key_var,
-            shards: n,
-            survivors,
-            pushed,
-        });
+    } else {
+        plan.notes.push(format!("shard: {} fanned out to {} shards", coll_key, n));
+    }
+    if shard_plan.pushed.is_some() && !survivors.is_empty() {
+        let srcs: Vec<String> = survivors.iter().copied().map(shard_label).collect();
+        plan.rewrites.push(RewriteRecord::new(
+            "exchange-pushdown",
+            true,
+            Fingerprint::new(vars.clone())
+                .with_extra(rendered.clone())
+                .with_sources(srcs.clone()),
+            Fingerprint::new(vars).with_extra(rendered).with_sources(srcs),
+        ));
     }
 }
 
@@ -1785,6 +1778,7 @@ pub mod cost {
     use super::*;
     use nimble_sources::query::{PredOp, Selection};
     use nimble_store::stats::CollectionStats;
+    use std::collections::BTreeMap;
 
     /// Assumed rows for a collection with no statistics at all.
     pub const DEFAULT_ROWS: u64 = 1000;
@@ -1805,6 +1799,13 @@ pub mod cost {
     /// transfer saved has to pay for fetching the driver before, instead
     /// of beside, the targets.
     pub const BIND_MIN_SHRINK: u64 = 4;
+    /// A hash join builds its table on the unit it folds in, unless the
+    /// unit is estimated at more than this many times the rows folded
+    /// before it: then it builds on those and streams the unit
+    /// ([`place_builds`]). A run whose build side turns out more than
+    /// this many times its probe side is a flipped decision
+    /// (`plan.flips.build_side`).
+    pub const BUILD_SWAP_RATIO: u64 = 4;
 
     /// Estimated fraction of rows a selection keeps, from field stats.
     /// `None` when the statistics cannot say anything useful.
@@ -1963,6 +1964,201 @@ pub mod cost {
         }
     }
 
+    /// Greedy cost-based fold ordering: start from the unit with the
+    /// smallest estimated output and repeatedly fold in the unit that
+    /// keeps the estimated intermediate result smallest, preferring units
+    /// that share a join variable with the accumulated set over cross
+    /// products. Reads `plan.est_rows`; fills `plan.fold_order` and
+    /// `plan.fold_rows`, and records a reordering as a `fold-reorder`
+    /// rewrite.
+    pub(super) fn order_folds(catalog: &Catalog, plan: &mut Plan) {
+        let n = plan.independents.len();
+        let est = plan.est_rows.clone();
+        if n == 0 {
+            return;
+        }
+
+        let mut used = vec![false; n];
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        let mut fold_rows: Vec<u64> = Vec::with_capacity(n);
+
+        let mut first = 0usize;
+        for (i, &e) in est.iter().enumerate() {
+            if e < est[first] {
+                first = i;
+            }
+        }
+        used[first] = true;
+        order.push(first);
+        fold_rows.push(est[first]);
+        let mut rows: u128 = u128::from(est[first].max(1));
+
+        // Distinct-value estimate per bound variable in the accumulated
+        // set; joining shrinks it (min of the two sides, capped by the
+        // rows).
+        let mut bound_distinct: BTreeMap<String, u128> = BTreeMap::new();
+        let note_atom_vars =
+            |map: &mut BTreeMap<String, u128>, catalog: &Catalog, atom: &AtomExec, atom_rows: u128, rows_now: u128| {
+                for v in atom.vars() {
+                    let d = var_distinct(catalog, atom, v)
+                        .map(u128::from)
+                        .unwrap_or(atom_rows)
+                        .min(rows_now)
+                        .max(1);
+                    map.entry(v.clone()).and_modify(|cur| *cur = (*cur).min(d)).or_insert(d);
+                }
+            };
+        note_atom_vars(&mut bound_distinct, catalog, &plan.independents[first], rows, rows);
+
+        while order.len() < n {
+            // (shares a var, estimated joined rows, index) — prefer
+            // sharing, then the smallest intermediate, then stable index
+            // order.
+            let mut best: Option<(bool, u128, usize)> = None;
+            for (j, atom) in plan.independents.iter().enumerate() {
+                if used[j] {
+                    continue;
+                }
+                let atom_rows = u128::from(est[j].max(1));
+                let mut denom: u128 = 1;
+                let mut shares = false;
+                for v in atom.vars() {
+                    if let Some(&da) = bound_distinct.get(v) {
+                        shares = true;
+                        // No more distinct values than rows: a unit that
+                        // selections or the bind stage shrank binds fewer
+                        // values than its collection holds.
+                        let dj = var_distinct(catalog, atom, v)
+                            .map(u128::from)
+                            .unwrap_or(atom_rows)
+                            .min(atom_rows)
+                            .max(1);
+                        denom = denom.saturating_mul(da.max(dj));
+                    }
+                }
+                let joined = (rows.saturating_mul(atom_rows) / denom.max(1)).max(1);
+                let better = match best {
+                    None => true,
+                    Some((bshares, bjoined, _)) => (shares && !bshares) || (shares == bshares && joined < bjoined),
+                };
+                if better {
+                    best = Some((shares, joined, j));
+                }
+            }
+            let Some((_, joined, j)) = best else { break };
+            used[j] = true;
+            order.push(j);
+            fold_rows.push(u64::try_from(joined).unwrap_or(u64::MAX));
+            rows = joined;
+            let atom_rows = u128::from(est[j].max(1));
+            note_atom_vars(&mut bound_distinct, catalog, &plan.independents[j], atom_rows, rows);
+        }
+
+        if n > 1 {
+            plan.notes.push(format!("cost: fold order {:?}, est rows {:?} -> {:?}", order, est, fold_rows));
+            let record = fold_reorder(&plan.independents, &order);
+            plan.rewrites.push(record);
+        }
+        plan.fold_order = order;
+        plan.fold_rows = fold_rows;
+    }
+
+    /// The `fold-reorder` rewrite of folding `independents` in `order`:
+    /// it permutes the units, so the bound-variable multiset, the
+    /// join-key set and the set of sources answers draw from must all
+    /// survive exactly.
+    fn fold_reorder(independents: &[AtomExec], order: &[usize]) -> RewriteRecord {
+        let ordered = || order.iter().filter_map(|&i| independents.get(i));
+        let cols = |atoms: &mut dyn Iterator<Item = &AtomExec>| -> Vec<String> {
+            atoms.flat_map(|a| a.vars().iter().cloned()).collect()
+        };
+        let srcs = |atoms: &mut dyn Iterator<Item = &AtomExec>| -> Vec<String> {
+            atoms.filter_map(|a| a.source().map(str::to_string)).collect()
+        };
+        let mut keys: Vec<String> = Vec::new();
+        for (i, a) in independents.iter().enumerate() {
+            for v in a.vars() {
+                let shared = independents.iter().enumerate().any(|(j, b)| j != i && b.vars().contains(v));
+                if shared && !keys.contains(v) {
+                    keys.push(v.clone());
+                }
+            }
+        }
+        RewriteRecord::new(
+            "fold-reorder",
+            false,
+            Fingerprint::new(cols(&mut independents.iter()))
+                .with_keys(keys.clone())
+                .with_sources(srcs(&mut independents.iter())),
+            Fingerprint::new(cols(&mut ordered())).with_keys(keys).with_sources(srcs(&mut ordered())),
+        )
+    }
+
+    /// Each fold step's build side and the central Filter's estimate,
+    /// read off the final estimates (after shard pruning and probes
+    /// tightened them), in the order the engine folds: a subquery's
+    /// `outer` row first, estimated at one row, then the units in fold
+    /// order. A step that shares a variable with what was folded before
+    /// it is a hash join, which builds on the unit unless the unit is
+    /// estimated at more than [`BUILD_SWAP_RATIO`] times the rows folded
+    /// so far: then it builds on those, streams the unit, and the swap
+    /// is a `build-side-swap` rewrite, which keeps the columns, the keys
+    /// and the units folded. Fills `plan.swaps` and `plan.filter_rows`.
+    pub(super) fn place_builds(plan: &mut Plan, outer: Option<&Schema>) {
+        let mut folded: Vec<String> = outer.map(|s| s.vars().to_vec()).unwrap_or_default();
+        let mut units: Vec<String> = outer.map(|_| "<outer>".to_string()).into_iter().collect();
+        // Rows folded so far; none before the first unit of a plan
+        // without an outer row, which is scanned, not joined.
+        let mut rows: Option<u64> = outer.map(|_| 1);
+        let mut swaps = Vec::with_capacity(plan.fold_order.len());
+        for (k, &i) in plan.fold_order.iter().enumerate() {
+            let (atom, unit) = (&plan.independents[i], plan.est_rows[i]);
+            let label = atom.label();
+            if !units.contains(&label) {
+                units.push(label);
+            }
+            let keys: Vec<String> = folded.iter().filter(|v| atom.vars().contains(v)).cloned().collect();
+            let swap = !keys.is_empty() && rows.is_some_and(|rows| unit > rows.saturating_mul(BUILD_SWAP_RATIO));
+            if swap {
+                // The join's columns, the folded side's first and the
+                // unit's first: the same set.
+                let side = |first: &[String], then: &[String]| {
+                    let mut cols = first.to_vec();
+                    cols.extend(then.iter().filter(|v| !first.contains(v)).cloned());
+                    Fingerprint::new(cols).with_keys(keys.clone()).with_sources(units.clone())
+                };
+                let (before, after) = (side(&folded, atom.vars()), side(atom.vars(), &folded));
+                plan.rewrites.push(RewriteRecord::new("build-side-swap", false, before, after));
+            }
+            swaps.push(swap);
+            rows = Some(match rows {
+                None => unit,
+                Some(_) => plan.fold_rows[k],
+            });
+            for v in atom.vars() {
+                if !folded.contains(v) {
+                    folded.push(v.clone());
+                }
+            }
+        }
+        plan.swaps = swaps;
+        // The probed conjuncts' selectivity is in the probed scans'
+        // estimates already.
+        let mut probed: Vec<usize> = plan.probes.iter().map(|p| p.conjunct).collect();
+        probed.sort_unstable();
+        probed.dedup();
+        let unprobed = plan.residual_predicates.len().saturating_sub(probed.len());
+        plan.filter_rows = filtered_rows(rows.unwrap_or(1), unprobed);
+    }
+
+    /// Estimated rows a Filter of `preds` predicates keeps of `rows`: the
+    /// default selectivity, 1/3, once per predicate, in integers, and at
+    /// least one row.
+    pub fn filtered_rows(rows: u64, preds: usize) -> u64 {
+        let preds = u32::try_from(preds).unwrap_or(u32::MAX);
+        (rows / 3u64.saturating_pow(preds)).max(1)
+    }
+
     pub(super) fn clamp_rows(est: f64) -> u64 {
         if est.is_finite() && est > 0.0 {
             (est.round() as u64).max(1)
@@ -1970,163 +2166,6 @@ pub mod cost {
             1
         }
     }
-}
-
-/// Greedy cost-based fold ordering: start from the unit with the
-/// smallest estimated output and repeatedly fold in the unit that keeps
-/// the estimated intermediate result smallest, preferring units that
-/// share a join variable with the accumulated set over cross products.
-/// Reads `plan.est_rows`; fills `plan.fold_order` and `plan.fold_rows`.
-fn order_folds_by_cost(catalog: &Catalog, plan: &mut Plan) {
-    let n = plan.independents.len();
-    let est = plan.est_rows.clone();
-    if n == 0 {
-        return;
-    }
-
-    let mut used = vec![false; n];
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut fold_rows: Vec<u64> = Vec::with_capacity(n);
-
-    let mut first = 0usize;
-    for (i, &e) in est.iter().enumerate() {
-        if e < est[first] {
-            first = i;
-        }
-    }
-    used[first] = true;
-    order.push(first);
-    fold_rows.push(est[first]);
-    let mut rows: u128 = u128::from(est[first].max(1));
-
-    // Distinct-value estimate per bound variable in the accumulated set;
-    // joining shrinks it (min of the two sides, capped by the rows).
-    let mut bound_distinct: std::collections::BTreeMap<String, u128> = std::collections::BTreeMap::new();
-    let note_atom_vars = |map: &mut std::collections::BTreeMap<String, u128>,
-                          catalog: &Catalog,
-                          atom: &AtomExec,
-                          atom_rows: u128,
-                          rows_now: u128| {
-        for v in atom.vars() {
-            let d = cost::var_distinct(catalog, atom, v)
-                .map(u128::from)
-                .unwrap_or(atom_rows)
-                .min(rows_now)
-                .max(1);
-            map.entry(v.clone())
-                .and_modify(|cur| *cur = (*cur).min(d))
-                .or_insert(d);
-        }
-    };
-    note_atom_vars(
-        &mut bound_distinct,
-        catalog,
-        &plan.independents[first],
-        rows,
-        rows,
-    );
-
-    while order.len() < n {
-        // (shares a var, estimated joined rows, index) — prefer sharing,
-        // then the smallest intermediate, then stable index order.
-        let mut best: Option<(bool, u128, usize)> = None;
-        for (j, atom) in plan.independents.iter().enumerate() {
-            if used[j] {
-                continue;
-            }
-            let atom_rows = u128::from(est[j].max(1));
-            let mut denom: u128 = 1;
-            let mut shares = false;
-            for v in atom.vars() {
-                if let Some(&da) = bound_distinct.get(v) {
-                    shares = true;
-                    // No more distinct values than rows: a unit that
-                    // selections or the bind stage shrank binds fewer
-                    // values than its collection holds.
-                    let dj = cost::var_distinct(catalog, atom, v)
-                        .map(u128::from)
-                        .unwrap_or(atom_rows)
-                        .min(atom_rows)
-                        .max(1);
-                    denom = denom.saturating_mul(da.max(dj));
-                }
-            }
-            let joined = (rows.saturating_mul(atom_rows) / denom.max(1)).max(1);
-            let candidate = (shares, joined, j);
-            let better = match best {
-                None => true,
-                Some((bshares, bjoined, _)) => {
-                    (shares && !bshares) || (shares == bshares && joined < bjoined)
-                }
-            };
-            if better {
-                best = Some(candidate);
-            }
-        }
-        let Some((_, joined, j)) = best else { break };
-        used[j] = true;
-        order.push(j);
-        fold_rows.push(u64::try_from(joined).unwrap_or(u64::MAX));
-        rows = joined;
-        let atom_rows = u128::from(est[j].max(1));
-        note_atom_vars(&mut bound_distinct, catalog, &plan.independents[j], atom_rows, rows);
-    }
-
-    if n > 1 {
-        plan.notes.push(format!(
-            "cost: fold order {:?}, est rows {:?} -> {:?}",
-            order, est, fold_rows
-        ));
-        // Rewrite record: reordering folds permutes the units but must
-        // keep the bound-variable multiset and the join-key set intact.
-        let before_cols: Vec<String> = plan
-            .independents
-            .iter()
-            .flat_map(|a| a.vars().iter().cloned())
-            .collect();
-        let after_cols: Vec<String> = order
-            .iter()
-            .filter_map(|&i| plan.independents.get(i))
-            .flat_map(|a| a.vars().iter().cloned())
-            .collect();
-        let mut keys: Vec<String> = Vec::new();
-        for (i, a) in plan.independents.iter().enumerate() {
-            for v in a.vars() {
-                let shared = plan
-                    .independents
-                    .iter()
-                    .enumerate()
-                    .any(|(j, b)| j != i && b.vars().contains(v));
-                if shared && !keys.contains(v) {
-                    keys.push(v.clone());
-                }
-            }
-        }
-        // Reordering folds permutes the fetch sequence; the set of
-        // sources answers draw from must survive exactly.
-        let before_srcs: Vec<String> = plan
-            .independents
-            .iter()
-            .filter_map(|a| a.source().map(str::to_string))
-            .collect();
-        let after_srcs: Vec<String> = order
-            .iter()
-            .filter_map(|&i| plan.independents.get(i))
-            .filter_map(|a| a.source().map(str::to_string))
-            .collect();
-        plan.rewrites.push(RewriteRecord::new(
-            "fold-reorder",
-            false,
-            Fingerprint::new(before_cols)
-                .with_keys(keys.clone())
-                .with_sources(before_srcs),
-            Fingerprint::new(after_cols)
-                .with_keys(keys)
-                .with_sources(after_srcs),
-        ));
-    }
-    plan.fold_order = order;
-    plan.fold_rows = fold_rows;
 }
 
 /// Statically verify a decomposed [`Plan`] before any operator is built:

@@ -326,14 +326,12 @@ fn a_refresh_ships_the_rows_a_source_gained_not_the_table() {
 
     // The floor and the bind stage are in the plan for anyone to read.
     let query = nimble::xmlql::compile(C360).unwrap().0;
-    let plan = nimble::core::planner::plan_refresh(
-        engine.catalog(),
-        &query,
-        &engine.config().optimizer,
-        None,
-        Some(("billing.orders", 7_500)),
-    )
-    .unwrap();
+    let delta = nimble::core::planner::Scope {
+        refresh: Some(nimble::core::planner::Refresh::Delta("billing.orders", 7_500)),
+        ..Default::default()
+    };
+    let plan =
+        nimble::core::planner::plan_scoped(engine.catalog(), &query, &engine.config().optimizer, delta).unwrap();
     let notes = plan.notes.join("\n") + "\n" + &nimble::core::planner::value_notes(engine.catalog(), &plan).join("\n");
     assert!(notes.contains("FROM orders t AFTER ROW 7500"), "{}", notes);
     assert!(notes.contains("FROM customers t AFTER ROW 0  [+ t.id IN (keys of $i)]"), "{}", notes);
