@@ -3,9 +3,9 @@
 use crate::catalog::Catalog;
 use crate::construct;
 use crate::error::CoreError;
-use crate::matcher;
+use crate::matcher::{self, BindPatternOp};
 use crate::plan_cache::{Observed, PlanCache, PlanStamp, Prepared};
-use crate::planner::{self, cost, AtomExec, BindPatternOp, BindStage, Bound, Plan, Scope, ShardPlan};
+use crate::planner::{self, cost, AtomExec, BindStage, Bound, Plan, Scope, ShardPlan};
 use crate::shard::ShardRuntime;
 use nimble_algebra::ops::{
     EmptyOp, FilterOp, HashJoinOp, JoinType, NestedLoopJoinOp, Operator, ProjectOp,

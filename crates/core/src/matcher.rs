@@ -6,9 +6,12 @@
 //! binding tuples through the same matcher, which is what lets "XML as
 //! the unifying model" actually unify heterogeneous sources.
 
+use crate::error::CoreError;
 use crate::planner::Probe;
 use nimble_algebra::expr::coerce_num;
-use nimble_algebra::LiteralTest;
+use nimble_algebra::inspect::{OpInfo, OrderEffect, SchemaRule};
+use nimble_algebra::ops::Operator;
+use nimble_algebra::{ExecError, LineageMask, LiteralTest, Schema, Tuple};
 use nimble_xml::{Atomic, Cursor, Document, NodeRef, Sym, Value};
 use nimble_xmlql::ast::{Pattern, PatternContent, PatternValue, TagPattern};
 use std::collections::HashMap;
@@ -323,6 +326,169 @@ fn bind(bindings: &mut Bindings, var: &str, value: Value) -> bool {
     }
 }
 
+/// The variables `pattern` binds, each once, in order.
+pub(crate) fn dedup_vars(pattern: &Pattern) -> Vec<String> {
+    let mut out = Vec::new();
+    for v in pattern.bound_vars() {
+        if !out.contains(&v) {
+            out.push(v);
+        }
+    }
+    out
+}
+
+/// Physical operator for dependent atoms: for each input tuple, match a
+/// pattern inside the element bound to `on_var`, emitting one extended
+/// tuple per match. Variables already present in the input schema act as
+/// join constraints instead of new columns. A batch expands every row of
+/// each child batch it pulls, so it may overshoot `max` by their
+/// fan-out, as the hash probe does.
+pub struct BindPatternOp {
+    child: Box<dyn Operator>,
+    on_col: usize,
+    pattern: Pattern,
+    /// New variables appended to the schema, in order.
+    new_vars: Vec<String>,
+    /// Variables shared with the input schema: (name, input column).
+    shared: Vec<(String, usize)>,
+    schema: Schema,
+    scratch: Vec<Tuple>,
+    rows_out: u64,
+    /// Lineage of emitted tuples (tracking iff the child tracks); every
+    /// row expanded from one input tuple inherits that tuple's mask —
+    /// navigation stays inside the element the source already supplied.
+    lin: Option<Vec<LineageMask>>,
+    /// Child emissions consumed so far.
+    consumed: usize,
+}
+
+impl BindPatternOp {
+    pub fn new(child: Box<dyn Operator>, on_var: &str, pattern: Pattern) -> Result<Self, CoreError> {
+        let on_col = child.schema().index_of(on_var).ok_or_else(|| {
+            CoreError::Exec(format!(
+                "navigation variable ${} not bound before use",
+                on_var
+            ))
+        })?;
+        let mut new_vars = Vec::new();
+        let mut shared = Vec::new();
+        for v in dedup_vars(&pattern) {
+            match child.schema().index_of(&v) {
+                Some(idx) => shared.push((v, idx)),
+                None => new_vars.push(v),
+            }
+        }
+        let mut schema = child.schema().clone();
+        for v in &new_vars {
+            schema = schema.with(v);
+        }
+        Ok(BindPatternOp {
+            child,
+            on_col,
+            pattern,
+            new_vars,
+            shared,
+            schema,
+            scratch: Vec::new(),
+            rows_out: 0,
+            lin: None,
+            consumed: 0,
+        })
+    }
+
+    /// Append `tuple`'s expansions to `out`; returns how many.
+    fn expand(&self, tuple: &Tuple, out: &mut Vec<Tuple>) -> usize {
+        let Value::Node(node) = &tuple[self.on_col] else {
+            return 0;
+        };
+        let matches: Vec<Bindings> = match_within(node, &self.pattern);
+        let before = out.len();
+        'matches: for mut m in matches {
+            for (var, idx) in &self.shared {
+                match m.get(var) {
+                    Some(v) if v.key_eq(&tuple[*idx]) => {}
+                    _ => continue 'matches,
+                }
+            }
+            let mut t = tuple.clone();
+            // `new_vars` are distinct: each value moves out of the match.
+            for var in &self.new_vars {
+                t.push(m.remove(var).unwrap_or_else(Value::null));
+            }
+            out.push(t);
+        }
+        out.len() - before
+    }
+}
+
+impl Operator for BindPatternOp {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn open(&mut self) -> Result<(), ExecError> {
+        self.rows_out = 0;
+        self.consumed = 0;
+        self.child.open()?;
+        self.lin = self.child.lineage().map(|_| Vec::new());
+        Ok(())
+    }
+
+    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
+        let mut appended = 0;
+        while appended < max {
+            self.scratch.clear();
+            let pulled = self.child.next_batch(&mut self.scratch, max - appended)?;
+            if pulled == 0 {
+                break;
+            }
+            for (i, t) in self.scratch.iter().enumerate() {
+                let n = self.expand(t, out);
+                appended += n;
+                if let Some(lin) = &mut self.lin {
+                    let masks = self.child.lineage().unwrap_or_default();
+                    let mask = masks.get(self.consumed + i).copied().unwrap_or_default();
+                    lin.resize(lin.len() + n, mask);
+                }
+            }
+            self.consumed += pulled;
+        }
+        self.rows_out += appended as u64;
+        Ok(appended)
+    }
+
+    fn close(&mut self) {
+        self.child.close();
+        self.scratch = Vec::new();
+    }
+
+    fn describe(&self) -> String {
+        format!(
+            "BindPattern in ${} -> [{}]",
+            self.schema.vars()[self.on_col],
+            self.new_vars.join(", ")
+        )
+    }
+
+    fn children(&self) -> Vec<&dyn Operator> {
+        vec![self.child.as_ref()]
+    }
+
+    fn rows_out(&self) -> u64 {
+        self.rows_out
+    }
+
+    fn introspect(&self) -> OpInfo {
+        OpInfo::new("BindPattern", SchemaRule::Extends(0))
+            .with_order(OrderEffect::Preserves(0))
+            .with_child_col(0, "bind-pattern input", self.on_col)
+    }
+
+    fn lineage(&self) -> Option<&[LineageMask]> {
+        self.lin.as_deref()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,5 +641,34 @@ mod tests {
         let p = pattern_of(r#"WHERE <r><a x=$x/></r> IN "q" CONSTRUCT <o/>"#);
         let ms = match_pattern(&doc.root(), &p);
         assert_eq!(ms.len(), 1);
+    }
+
+    #[test]
+    fn bind_pattern_answers_alike_at_every_batch_size() {
+        // Each book binds one row per author, so input rows expand to
+        // two, one and three rows; every row keeps its book's mask.
+        let doc = nimble_xml::parse(
+            "<bib><book><author>a</author><author>b</author></book>\
+             <book><author>c</author></book>\
+             <book><author>d</author><author>e</author><author>f</author></book></bib>",
+        )
+        .unwrap();
+        let books: Vec<Tuple> = doc.root().children_named("book").map(|b| vec![Value::Node(b)]).collect();
+        let masks: Vec<LineageMask> = (0..books.len() as u32).map(LineageMask::single).collect();
+        let pattern = pattern_of(r#"WHERE <author>$a</author> IN $b CONSTRUCT <o/>"#);
+        let drain = |batch: usize| {
+            let scan = nimble_algebra::ops::ValuesOp::new(Schema::new(vec!["b".into()]), books.clone())
+                .with_lineage_masks(masks.clone());
+            let mut op = BindPatternOp::new(Box::new(scan), "b", pattern.clone()).unwrap();
+            let (rows, _) = nimble_algebra::run_to_vec_batched(&mut op, batch).unwrap();
+            let authors: Vec<String> = rows.iter().map(|t| t[1].atomize().lexical()).collect();
+            assert_eq!(op.rows_out(), rows.len() as u64);
+            (authors, op.lineage().unwrap().to_vec())
+        };
+        let (authors, lineage) = drain(1);
+        assert_eq!(authors, ["a", "b", "c", "d", "e", "f"]);
+        let book = LineageMask::single;
+        assert_eq!(lineage, [book(0), book(0), book(1), book(2), book(2), book(2)]);
+        assert_eq!(drain(1024), (authors, lineage));
     }
 }

@@ -1,12 +1,20 @@
 //! Query decomposition and physical planning.
 //!
-//! [`plan_query`] turns a checked XML-QL query into a [`Plan`]: the list
+//! [`plan_scoped`] turns a checked XML-QL query into a [`Plan`]: the list
 //! of per-source execution units (pushed fragments or fetch-and-match
-//! atoms), dependent navigation atoms, and the residual predicates the
-//! mediator must evaluate itself. The engine then assembles the plan into
-//! a tree of `nimble-algebra` physical operators — there is no
-//! intermediate logical algebra, matching the paper's §3.1 design
-//! decision.
+//! atoms), dependent navigation atoms, the residual predicates the
+//! mediator must evaluate itself, and every cost decision — estimates,
+//! the fold order, each fold step's build side. The engine then
+//! assembles the plan into a tree of `nimble-algebra` physical operators,
+//! reading those decisions — there is no intermediate logical algebra,
+//! matching the paper's §3.1 design decision.
+//!
+//! Planning is one list of passes ([`plan_scoped`]); each pass that
+//! rewrites the plan records it in [`Plan::rewrites`] under its rule's
+//! name, and the rewrite audit reads them all once per plan ([`audit`]).
+//! Decomposition and placement are here; the cost model — estimates,
+//! fold order, build sides — is [`cost`]; the bind stage, shard routing
+//! and candidate probes are a file each.
 //!
 //! The ablation switches of experiment E5 live in
 //! [`crate::engine::OptimizerConfig`]: selection/projection pushdown,
@@ -17,10 +25,8 @@ use crate::catalog::{Catalog, Resolved};
 use crate::compiler;
 use crate::engine::OptimizerConfig;
 use crate::error::CoreError;
-use crate::matcher::{match_within, Bindings};
-use nimble_algebra::inspect::{OpInfo, OrderEffect, SchemaRule};
-use nimble_algebra::ops::Operator;
-use nimble_algebra::{CmpOp, ExecError, LineageMask, LiteralTest, ScalarExpr, Schema, Tuple};
+use crate::matcher::dedup_vars;
+use nimble_algebra::{CmpOp, LiteralTest, ScalarExpr, Schema};
 use nimble_planck::{Fingerprint, Placement, ProbeFacts, RewriteRecord, SourceRead};
 use nimble_sources::query::{FieldRef, PredOp};
 use nimble_sources::relational::RelationalAdapter;
@@ -34,6 +40,16 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, OnceLock};
+
+mod bind;
+pub mod cost;
+mod probe;
+mod shard;
+
+use bind::plan_bind_stage;
+use probe::{plan_probes, probe_facts, tag_step};
+pub(crate) use probe::probe_test;
+use shard::plan_shards;
 
 /// One independent execution unit.
 #[derive(Debug, Clone)]
@@ -330,16 +346,6 @@ impl Probe {
     }
 }
 
-fn dedup_vars(pattern: &Pattern) -> Vec<String> {
-    let mut out = Vec::new();
-    for v in pattern.bound_vars() {
-        if !out.contains(&v) {
-            out.push(v);
-        }
-    }
-    out
-}
-
 /// Decompose a query against the catalog under the given optimizer
 /// configuration (no shard routing — see [`plan_query_sharded`]).
 pub fn plan_query(
@@ -580,213 +586,12 @@ fn push_selections(catalog: &Catalog, plan: &mut Plan, params: &mut Vec<Option<u
     plan.residual_predicates = remaining;
 }
 
-/// Phase 7 of planning (DESIGN.md §22): record as a [`Probe`] every
-/// residual conjunct a central match can check on its candidates, and
-/// apply the Filter's default selectivity once per probe to the probed
-/// atom's estimate, and once per probed conjunct to the fold's (the
-/// Filter's own estimate leaves those conjuncts out). A conjunct
-/// qualifies when
-///
-/// * (a) it compiles to a [`LiteralTest`] of one variable
-///   ([`probe_test`]): comparisons of it with literals under
-///   `AND`/`OR`/`NOT`, which cannot fail — arithmetic and calls stay in
-///   the Filter alone;
-/// * (b) if another unit binds that variable too (another atom, or the
-///   `outer` row), the test holds no `LIKE` — the row a join leaves may
-///   hold the other unit's `typed_key`-equal value, and the matcher
-///   prunes only where both compare alike ([`Probe::joined`]);
-///
-/// and no conjunct ahead of it in the Filter can fail: the Filter stops
-/// a row at its first false conjunct and raises at its first failing
-/// one, so a row the probe removed could have been the row to raise. It
-/// is then a probe of every `FetchMatch` or `ViewMatch` atom no shard
-/// plan routes that binds the variable
-///
-/// * (c) once, as a content `$v` or an attribute `a=$v`,
-/// * (d) under the candidate at a path of plain element names.
-fn plan_probes(plan: &mut Plan, outer: Option<&Schema>) {
-    let mut probes = Vec::new();
-    for (conjunct, pred) in plan.residual_predicates.iter().enumerate() {
-        probes.extend(probes_of(plan, outer, conjunct, pred));
-        if may_fail(pred) {
-            break;
-        }
-    }
-    let shrink = |rows: u64, probes: usize| match probes {
-        0 => rows,
-        n => cost::clamp_rows(rows as f64 * cost::DEFAULT_SELECTIVITY.powi(n as i32)),
-    };
-    for (i, est) in plan.est_rows.iter_mut().enumerate() {
-        *est = shrink(*est, probes.iter().filter(|p| p.atom == i).count());
-    }
-    let mut folded: Vec<usize> = Vec::new();
-    for (rows, &i) in plan.fold_rows.iter_mut().zip(&plan.fold_order) {
-        for p in probes.iter().filter(|p| p.atom == i) {
-            if !folded.contains(&p.conjunct) {
-                folded.push(p.conjunct);
-            }
-        }
-        *rows = shrink(*rows, folded.len());
-    }
-    plan.probes = probes;
-}
-
-/// The probes conjunct `conjunct` makes, one per atom that conditions
-/// (a)–(d) of [`plan_probes`] admit.
-fn probes_of(plan: &Plan, outer: Option<&Schema>, conjunct: usize, pred: &Expr) -> Vec<Probe> {
-    let mut vars = pred.vars();
-    vars.sort();
-    vars.dedup();
-    let [var] = vars.as_slice() else {
-        return Vec::new();
-    };
-    let Some(test) = probe_test(pred, var) else {
-        return Vec::new();
-    };
-    if plan.dependents.iter().any(|d| &d.on_var == var || d.vars.contains(var)) {
-        return Vec::new();
-    }
-    let binders: Vec<usize> = (0..plan.independents.len())
-        .filter(|&i| plan.independents[i].vars().contains(var))
-        .collect();
-    let joined = binders_of(plan, outer, var) > 1;
-    if joined && !test.all(&|c| c.op != CmpOp::Like) {
-        return Vec::new();
-    }
-    binders
-        .into_iter()
-        .filter_map(|atom| {
-            let (AtomExec::FetchMatch { pattern, .. } | AtomExec::ViewMatch { pattern, .. }) = &plan.independents[atom]
-            else {
-                return None;
-            };
-            if plan.shards.iter().any(|s| s.atom == atom) {
-                return None;
-            }
-            let [site] = var_sites(pattern, var).try_into().ok()?;
-            let (read, steps) = site.split_last()?;
-            let attr = match read.as_str() {
-                "$" => None,
-                read => Some(read.strip_prefix('@')?.to_string()),
-            };
-            steps.iter().all(|s| plain_step(s)).then(|| Probe {
-                atom,
-                conjunct,
-                var: var.clone(),
-                path: steps.to_vec(),
-                attr,
-                joined,
-            })
-        })
-        .collect()
-}
-
-/// Whether evaluating `e` can fail: arithmetic, negation and calls can;
-/// comparisons and connectives of variables and literals cannot.
-fn may_fail(e: &Expr) -> bool {
-    match e {
-        Expr::Var(_) | Expr::Lit(_) => false,
-        Expr::Not(e) => may_fail(e),
-        Expr::Binary(op, l, r) => {
-            matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod)
-                || may_fail(l)
-                || may_fail(r)
-        }
-        Expr::Neg(_) | Expr::Call(..) => true,
-    }
-}
-
-/// A pattern tag as the query spells it.
-fn tag_step(tag: &TagPattern) -> String {
-    match tag {
-        TagPattern::Name(n) => n.clone(),
-        TagPattern::Wildcard => "*".to_string(),
-        TagPattern::Descendant(n) => format!("**{}", n),
-        TagPattern::ClosurePlus(n) => format!("{}+", n),
-    }
-}
-
-/// A step [`tag_step`] spelled from a plain element name.
-fn plain_step(step: &str) -> bool {
-    !step.starts_with('*') && !step.ends_with('+')
-}
-
-/// Every place `var` occurs in `pattern`: the steps from the pattern's
-/// own element down ([`tag_step`]), then how it binds there — `$` for
-/// content, `@name` for an attribute, `ELEMENT_AS` or `CONTENT_AS`.
-fn var_sites(pattern: &Pattern, var: &str) -> Vec<Vec<String>> {
-    fn walk(p: &Pattern, var: &str, steps: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
-        let site = |steps: &[String], read: &str| steps.iter().cloned().chain([read.to_string()]).collect();
-        for a in &p.attrs {
-            if matches!(&a.value, PatternValue::Var(v) if v == var) {
-                out.push(site(steps, &format!("@{}", a.name)));
-            }
-        }
-        if p.element_as.as_deref() == Some(var) {
-            out.push(site(steps, "ELEMENT_AS"));
-        }
-        if p.content_as.as_deref() == Some(var) {
-            out.push(site(steps, "CONTENT_AS"));
-        }
-        for c in &p.content {
-            match c {
-                PatternContent::Var(v) if v == var => out.push(site(steps, "$")),
-                PatternContent::Nested(sub) => {
-                    steps.push(tag_step(&sub.tag));
-                    walk(sub, var, steps, out);
-                    steps.pop();
-                }
-                PatternContent::Var(_) | PatternContent::Lit(_) => {}
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(pattern, var, &mut Vec::new(), &mut out);
-    out
-}
-
-/// What the plan says about each of its probes, read off its atoms,
-/// dependents, predicates and `outer` (the correlated context it runs
-/// under), for planck's `candidate-probe` rule.
-fn probe_facts(plan: &Plan, outer: Option<&Schema>) -> Vec<ProbeFacts> {
-    plan.probes
-        .iter()
-        .map(|p| {
-            let conjunct = plan.residual_predicates.get(p.conjunct);
-            let pattern = match plan.independents.get(p.atom) {
-                Some(AtomExec::FetchMatch { pattern, .. } | AtomExec::ViewMatch { pattern, .. }) => Some(pattern),
-                _ => None,
-            };
-            ProbeFacts {
-                probe: format!("${} (conjunct {}, atom {})", p.var, p.conjunct, p.atom),
-                var: p.var.clone(),
-                vars: conjunct.map(Expr::vars).unwrap_or_default(),
-                test: conjunct.and_then(|c| probe_test(c, &p.var)),
-                joined: p.joined,
-                failing_before: plan.residual_predicates.iter().take(p.conjunct).filter(|e| may_fail(e)).count(),
-                binders: binders_of(plan, outer, &p.var),
-                central: pattern.is_some() && !plan.shards.iter().any(|s| s.atom == p.atom),
-                occurrences: pattern.map(|pattern| var_sites(pattern, &p.var)).unwrap_or_default(),
-                walk: p.walk(),
-            }
-        })
-        .collect()
-}
-
 /// Units that bind `var`: independent atoms, dependent atoms (binding it,
 /// or navigating the element it holds) and the `outer` row.
 fn binders_of(plan: &Plan, outer: Option<&Schema>, var: &str) -> usize {
     plan.independents.iter().filter(|a| a.vars().iter().any(|v| v == var)).count()
         + plan.dependents.iter().filter(|d| d.on_var == var || d.vars.iter().any(|v| v == var)).count()
         + usize::from(outer.is_some_and(|s| s.index_of(var).is_some()))
-}
-
-/// A probe's conjunct as the matcher tests it: compiled for a one-column
-/// row holding `var`. `None` when it reads another variable or is not a
-/// literal test.
-pub(crate) fn probe_test(conjunct: &Expr, var: &str) -> Option<LiteralTest> {
-    let column = Schema::try_new(vec![var.to_string()]).ok()?;
-    LiteralTest::compile(&translate_expr(conjunct, &column).ok()?, 1)
 }
 
 /// Give every single-collection fragment its row floor ([`Refresh`])
@@ -1097,7 +902,7 @@ fn declared(adapter: &dyn SourceAdapter, collection: &str, field: &str) -> Optio
     info.fields.iter().find(|(name, _)| name == field).map(|(_, ty)| *ty)
 }
 
-/// Phase 2 for one predicate: gives `$v op literal` to every fragment
+/// Pushdown of one predicate: gives `$v op literal` to every fragment
 /// that outputs `$v` and returns the copies placed, and whether the
 /// predicate stays central too (always, when none is placed). `param`
 /// says which equality parameter the literal is, if it is one: each
@@ -1196,202 +1001,6 @@ fn place_selection(
     (placed, central)
 }
 
-/// The bind stage, between the estimates and the fold order (see
-/// [`BindStage`]; the argument and the rules are DESIGN.md §18).
-///
-/// The driver is the fragment estimated smallest. A single-collection
-/// fragment that shares a variable with it is a target when its source
-/// evaluates selections, both fields are declared the same key-able
-/// type (`Int`, `Str` or `Bool`: the keys are data, and only these
-/// spell the same in every source's language), and the estimated
-/// distinct keys are at most [`cost::BIND_MAX_KEYS`] and at most
-/// 1/[`cost::BIND_MIN_SHRINK`] of the target's estimated rows (and the
-/// target is not already pinned to one key by an equality). When the
-/// driver shares several variables, the one whose targets save the most
-/// estimated rows is bound ([`bind_choice`]); a stage binds one
-/// variable.
-///
-/// Lowers the targets' `est_rows` to what the keys are expected to
-/// leave, records the stage as a `bind-join` rewrite, and explains each
-/// decision in the notes.
-fn plan_bind_stage(catalog: &Catalog, plan: &mut Plan) {
-    let Some(driver) = (0..plan.independents.len())
-        .filter(|&i| matches!(plan.independents[i], AtomExec::Fragment { .. }))
-        .min_by_key(|&i| plan.est_rows[i])
-    else {
-        return;
-    };
-    let AtomExec::Fragment { source, query, vars } = &plan.independents[driver] else {
-        return;
-    };
-    let mut best: Option<Choice> = None;
-    for (var, field) in &query.outputs {
-        let Some(choice) = bind_choice(catalog, plan, driver, var, field) else {
-            continue;
-        };
-        if best.as_ref().map_or(true, |most| choice.saved > most.saved) {
-            best = Some(choice);
-        }
-    }
-    let Some(choice) = best else {
-        return;
-    };
-
-    let driver_source = source.clone();
-    let mut cols: Vec<String> = vars.clone();
-    let mut sources = vec![driver_source.clone()];
-    let mut placements: Vec<Placement> = Vec::new();
-    let pred = format!("${} in keys({})", choice.var, driver_source);
-    let (mut before_rows, mut after_rows) = (0u64, 0u64);
-    for (t, _, reduced) in &choice.targets {
-        if let AtomExec::Fragment { source, vars, .. } = &plan.independents[*t] {
-            cols.extend(vars.iter().cloned());
-            sources.push(source.clone());
-            placements.push(Placement {
-                pred: pred.clone(),
-                var: choice.var.clone(),
-                source: source.clone(),
-                outputs: vars.clone(),
-                reads: None,
-            });
-        }
-        before_rows = before_rows.saturating_add(plan.est_rows[*t]);
-        after_rows = after_rows.saturating_add(*reduced);
-    }
-    for (source, why) in &choice.declined {
-        plan.notes.push(format!("bind ${} not sent to {}: {}", choice.var, source, why.tag()));
-    }
-    if choice.targets.is_empty() {
-        return;
-    }
-    plan.notes.push(format!(
-        "bind ${}: {} \u{2192} {} (~{} keys)",
-        choice.var,
-        driver_source,
-        sources[1..].join(", "),
-        choice.est_keys
-    ));
-    // Rewrite record: the central join already restricts every target
-    // to the driver's keys, and still does; the stage only ships copies
-    // of that restriction to fragments that bind the variable, so the
-    // columns, the key, the sources and the restriction all stay and the
-    // row bound can only fall.
-    let fingerprint = |rows: u64| {
-        Fingerprint::new(cols.clone())
-            .with_keys(vec![choice.var.clone()])
-            .with_extra(vec![pred.clone()])
-            .with_sources(sources.clone())
-            .with_card_bound(rows)
-    };
-    plan.rewrites.push(
-        RewriteRecord::new("bind-join", true, fingerprint(before_rows), fingerprint(after_rows))
-            .with_placements(placements),
-    );
-    let mut targets = Vec::with_capacity(choice.targets.len());
-    for (t, field, reduced) in choice.targets {
-        plan.est_rows[t] = reduced;
-        targets.push(BindTarget { atom: t, field });
-    }
-    plan.bind = Some(BindStage {
-        driver,
-        var: choice.var,
-        key_type: choice.key_type,
-        est_keys: choice.est_keys,
-        targets,
-    });
-}
-
-/// One variable's candidate bind stage.
-struct Choice {
-    var: String,
-    key_type: AtomicType,
-    est_keys: u64,
-    /// Target, its field, its estimate under the keys.
-    targets: Vec<(usize, FieldRef, u64)>,
-    declined: Vec<(String, Declined)>,
-    /// Estimated target rows the keys spare.
-    saved: u64,
-}
-
-/// The stage that would bind `var`, which the fragment `driver` reads
-/// from `driver_field`: its targets, with what the keys are estimated to
-/// leave of each, and the fragments declined and why. `None` when no
-/// other single-collection fragment binds the variable.
-fn bind_choice(catalog: &Catalog, plan: &Plan, driver: usize, var: &str, driver_field: &FieldRef) -> Option<Choice> {
-    let AtomExec::Fragment { source, query: driver_query, .. } = &plan.independents[driver] else {
-        return None;
-    };
-    let driver_adapter = catalog.source(source)?;
-    // The other single-collection fragments that bind the variable.
-    let candidates: Vec<(usize, &String, &SourceQuery, &FieldRef)> = (0..plan.independents.len())
-        .filter(|&t| t != driver)
-        .filter_map(|t| {
-            let AtomExec::Fragment { source, query, .. } = &plan.independents[t] else {
-                return None;
-            };
-            let field = query.outputs.iter().find(|(v, _)| v == var).map(|(_, f)| f)?;
-            (query.collections.len() == 1).then_some((t, source, query, field))
-        })
-        .collect();
-    if candidates.is_empty() {
-        return None;
-    }
-    let est_keys = cost::var_distinct(catalog, &plan.independents[driver], var)
-        .unwrap_or(u64::MAX)
-        .min(plan.est_rows[driver]);
-    // Looked up for the first candidate that gets as far as needing it:
-    // collection metadata is the dear part of this pass.
-    let mut driver_type: Option<Option<AtomicType>> = None;
-    let mut choice = Choice {
-        var: var.to_string(),
-        key_type: AtomicType::Null,
-        est_keys,
-        targets: Vec::new(),
-        declined: Vec::new(),
-        saved: 0,
-    };
-    for (t, source, query, field) in candidates {
-        let Some(adapter) = catalog.source(source) else {
-            continue;
-        };
-        let est = plan.est_rows[t];
-        let why = if !adapter.capabilities().selections {
-            Some(Declined::Caps)
-        } else if est_keys > cost::BIND_MAX_KEYS
-            || est_keys.saturating_mul(cost::BIND_MIN_SHRINK) > est
-            // An equality already pins the target to one value of the
-            // key; a list cannot shrink it further, whatever the
-            // (independence-assuming) estimate says.
-            || query.selections.iter().any(|s| s.op == PredOp::Eq && &s.field == field)
-        {
-            Some(Declined::Cost(est_keys as f64 / est.max(1) as f64))
-        } else {
-            let key_type = *driver_type.get_or_insert_with(|| {
-                field_type(driver_adapter.as_ref(), driver_query, driver_field)
-                    .filter(|t| matches!(t, AtomicType::Int | AtomicType::Str | AtomicType::Bool))
-            });
-            match key_type {
-                Some(ty) if field_type(adapter.as_ref(), query, field) == Some(ty) => {
-                    choice.key_type = ty;
-                    None
-                }
-                _ => Some(Declined::Type),
-            }
-        };
-        match why {
-            Some(why) => choice.declined.push((source.clone(), why)),
-            None => {
-                // Each key finds rows/distinct rows of the target.
-                let distinct = cost::var_distinct(catalog, &plan.independents[t], var).unwrap_or(est).max(1);
-                let reduced = cost::clamp_rows(est as f64 * (est_keys as f64 / distinct as f64).min(1.0));
-                choice.saved += est.saturating_sub(reduced);
-                choice.targets.push((t, field.clone(), reduced.min(est)));
-            }
-        }
-    }
-    Some(choice)
-}
-
 /// The schema of everything a plan binds: its independent units'
 /// variables, then its dependent atoms'.
 fn bound_schema(plan: &Plan) -> Option<Schema> {
@@ -1405,7 +1014,7 @@ fn bound_schema(plan: &Plan) -> Option<Schema> {
     Schema::try_new(vars).ok()
 }
 
-/// Phase 5 of planning: a residual predicate that is a tautology by
+/// Constant folding: a residual predicate that is a tautology by
 /// *pure logic* (literal folding only — statistics bounds never justify
 /// dropping a filter, because NULL-holding rows fail every comparison)
 /// is eliminated. `params` runs beside the residual predicates and
@@ -1521,212 +1130,6 @@ fn unsat_verdict(catalog: &Catalog, bound: Bound<'_>) -> Option<String> {
     None
 }
 
-/// Shard routing over partitioned collections.
-///
-/// For every independent FetchMatch atom over a collection the shard
-/// runtime declares partitioned, decide which shards the fetch round
-/// must contact ([`route_shards`]):
-///
-/// * **Bounds pruning** — re-run planck's satisfiability pass once per
-///   shard, with the bounds callback answering from the *per-shard*
-///   statistics entries (`shard:{k}:{source.collection}`, sampled
-///   exhaustively at partition time, so min/max are exact). A shard
-///   whose bounds contradict the pushed predicate interval can prove no
-///   rows and is dropped.
-/// * **Equality routing** — a pushed `$key = literal` predicate on the
-///   shard-key variable routes to exactly `shard_of(literal)` under
-///   both hash and range schemes.
-///
-/// Both read every predicate the atom's variables cover. Those that
-/// compile to a [`LiteralTest`] are also replicated into each shard's
-/// scan (shard-local filtering) and kept central — filters are idempotent. One
-/// that can fail stays central only, and fails as it does unsharded.
-/// Both decisions are audited ([`record_shard_plan`]): `shard-prune` is
-/// a narrowing rewrite (payload/sources may shrink to the survivor set),
-/// `exchange-pushdown` a strict substitution.
-fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard::ShardRuntime) {
-    for i in 0..plan.independents.len() {
-        let AtomExec::FetchMatch {
-            source,
-            collection,
-            pattern,
-            ..
-        } = &plan.independents[i]
-        else {
-            continue;
-        };
-        let coll_key = format!("{}.{}", source, collection);
-        let Some(part) = rt.partition(&coll_key) else {
-            continue;
-        };
-        // Row-level gate: the pattern must address row elements (by
-        // name), not the collection root or arbitrary wildcards — only
-        // then does matching each shard slice independently reproduce
-        // the unsharded match set.
-        let routable = match &pattern.tag {
-            TagPattern::Name(n) | TagPattern::Descendant(n) => n != &part.root_name,
-            _ => false,
-        };
-        if !routable {
-            plan.notes.push(format!(
-                "shard: {} pattern not row-routable, scanning unsharded",
-                coll_key
-            ));
-            continue;
-        }
-        let (shard_plan, rendered) = route_shards(catalog, plan, i, coll_key, &part.spec);
-        record_shard_plan(plan, &shard_plan, &part.rows, rendered);
-        plan.shards.push(shard_plan);
-    }
-}
-
-/// The routing of the FetchMatch atom `independents[i]` over the
-/// collection `coll_key`, partitioned by `spec`, and the covered
-/// predicates its shards' scans test, as EXPLAIN spells them.
-fn route_shards(
-    catalog: &Catalog,
-    plan: &Plan,
-    i: usize,
-    coll_key: String,
-    spec: &nimble_store::shard::ShardSpec,
-) -> (ShardPlan, Vec<String>) {
-    use nimble_planck::satisfy::{self, Verdict};
-    use nimble_store::shard::shard_stats_key;
-
-    let (pattern, vars) = match &plan.independents[i] {
-        AtomExec::FetchMatch { pattern, vars, .. } => (Some(pattern), &vars[..]),
-        _ => (None, &[][..]),
-    };
-    let n = spec.shards();
-    let rp = pattern.and_then(compiler::recognize_row_pattern);
-    let key_var = rp
-        .as_ref()
-        .and_then(|rp| rp.fields.iter().find(|(_, f)| f == &spec.key).map(|(v, _)| v.clone()));
-
-    // Residual predicates this atom can evaluate alone, over its row.
-    let schema = Schema::try_new(vars.to_vec()).ok();
-    let covered: Vec<(Expr, ScalarExpr)> = plan
-        .residual_predicates
-        .iter()
-        .filter(|p| {
-            let pv = p.vars();
-            !pv.is_empty() && pv.iter().all(|v| vars.contains(v))
-        })
-        .filter_map(|p| Some((p.clone(), translate_expr(p, schema.as_ref()?).ok()?)))
-        .collect();
-    // Per-shard satisfiability of all of them.
-    let conjunction =
-        (!covered.is_empty()).then(|| ScalarExpr::conjunction(covered.iter().map(|(_, s)| s.clone()).collect()));
-    // In each shard's scan, those that compile, over its row: the origin
-    // column first.
-    let (rendered, tests): (Vec<String>, Vec<LiteralTest>) = covered
-        .iter()
-        .filter_map(|(p, s)| Some((p.to_string(), LiteralTest::compile(&s.remap_columns(&|c| c + 1), vars.len() + 1)?)))
-        .unzip();
-    let pushed = tests.into_iter().reduce(|l, r| LiteralTest::And(Box::new(l), Box::new(r)));
-    // `$key = literal` routes to one shard under any scheme.
-    let mut eq_routes: Vec<usize> = Vec::new();
-    for (p, _) in covered.iter().filter(|_| key_var.is_some()) {
-        let Expr::Binary(BinOp::Eq, l, r) = p else {
-            continue;
-        };
-        let lit = match (l.as_ref(), r.as_ref()) {
-            (Expr::Var(v), Expr::Lit(a)) | (Expr::Lit(a), Expr::Var(v)) if Some(v) == key_var.as_ref() => a,
-            _ => continue,
-        };
-        let route = spec.shard_of(lit);
-        if !eq_routes.contains(&route) {
-            eq_routes.push(route);
-        }
-    }
-
-    let mut survivors: Vec<usize> = Vec::new();
-    for k in 0..n {
-        // Two distinct equality routes contradict each other; a single
-        // route admits only its own shard.
-        if eq_routes.len() > 1 || (eq_routes.len() == 1 && eq_routes[0] != k) {
-            continue;
-        }
-        let alive = conjunction.as_ref().is_none_or(|conjunction| {
-            let stats_key = shard_stats_key(k, &coll_key);
-            let bounds = |col: usize| -> Option<(satisfy::Number, satisfy::Number)> {
-                let v = schema.as_ref()?.vars().get(col)?;
-                let field = rp.as_ref()?.fields.iter().find(|(var, _)| var == v).map(|(_, f)| f.clone())?;
-                catalog.stats().exact_bounds(&stats_key, &field)
-            };
-            satisfy::analyze(conjunction, &bounds) != Verdict::Unsatisfiable
-        });
-        if alive {
-            survivors.push(k);
-        }
-    }
-    let shard_plan = ShardPlan {
-        atom: i,
-        collection: coll_key,
-        key_field: spec.key.clone(),
-        key_var,
-        shards: n,
-        survivors,
-        pushed,
-    };
-    (shard_plan, rendered)
-}
-
-/// What routing `shard_plan` says, over shards of `shard_rows` rows
-/// each: a note, a `shard-prune` rewrite when shards were pruned (and
-/// the scan's row estimate tightened to the survivors), and an
-/// `exchange-pushdown` rewrite when its shards test the `rendered`
-/// predicates.
-fn record_shard_plan(plan: &mut Plan, shard_plan: &ShardPlan, shard_rows: &[u64], rendered: Vec<String>) {
-    let (source, vars) = match &plan.independents[shard_plan.atom] {
-        AtomExec::FetchMatch { source, vars, .. } => (source.clone(), vars.clone()),
-        _ => return,
-    };
-    let (n, survivors, coll_key) = (shard_plan.shards, &shard_plan.survivors, &shard_plan.collection);
-    let shard_label = |k: usize| format!("{}#shard{}", source, k);
-    if survivors.len() < n {
-        let before_rows: u64 = shard_rows.iter().sum();
-        let after_rows: u64 = survivors.iter().filter_map(|&k| shard_rows.get(k)).sum();
-        plan.notes.push(format!(
-            "shard: {} pruned to {}/{} shards ({} of {} rows)",
-            coll_key,
-            survivors.len(),
-            n,
-            after_rows,
-            before_rows
-        ));
-        plan.rewrites.push(RewriteRecord::new(
-            "shard-prune",
-            false,
-            Fingerprint::new(vars.clone())
-                .with_extra((0..n).map(|k| format!("shard:{}", k)).collect())
-                .with_sources((0..n).map(shard_label).collect())
-                .with_card_bound(before_rows),
-            Fingerprint::new(vars.clone())
-                .with_extra(survivors.iter().map(|k| format!("shard:{}", k)).collect())
-                .with_sources(survivors.iter().copied().map(shard_label).collect())
-                .with_card_bound(after_rows),
-        ));
-        // Tighten the scan's row estimate to the surviving slices.
-        if let Some(est) = plan.est_rows.get_mut(shard_plan.atom) {
-            *est = (*est).min(after_rows.max(1));
-        }
-    } else {
-        plan.notes.push(format!("shard: {} fanned out to {} shards", coll_key, n));
-    }
-    if shard_plan.pushed.is_some() && !survivors.is_empty() {
-        let srcs: Vec<String> = survivors.iter().copied().map(shard_label).collect();
-        plan.rewrites.push(RewriteRecord::new(
-            "exchange-pushdown",
-            true,
-            Fingerprint::new(vars.clone())
-                .with_extra(rendered.clone())
-                .with_sources(srcs.clone()),
-            Fingerprint::new(vars).with_extra(rendered).with_sources(srcs),
-        ));
-    }
-}
-
 /// Exact (exhaustive-sample) min/max bounds for the collection field a
 /// variable is bound to, when any independent unit maps it to one. A
 /// join variable equates its occurrences, so bounds from any one side
@@ -1766,406 +1169,6 @@ fn var_exact_bounds(
         }
     }
     None
-}
-
-/// Cardinality estimation from the catalog's [`nimble_store::StatsCatalog`].
-///
-/// All estimates are advisory: a missing statistic falls back to a
-/// neutral default rather than blocking planning, and the engine's
-/// runtime feedback (`StatsCatalog::observe_rows`) corrects row counts
-/// the next time the query is planned.
-pub mod cost {
-    use super::*;
-    use nimble_sources::query::{PredOp, Selection};
-    use nimble_store::stats::CollectionStats;
-    use std::collections::BTreeMap;
-
-    /// Assumed rows for a collection with no statistics at all.
-    pub const DEFAULT_ROWS: u64 = 1000;
-    /// Assumed fraction kept by a selection we cannot estimate.
-    pub const DEFAULT_SELECTIVITY: f64 = 1.0 / 3.0;
-    /// A predicate estimated to keep at least this fraction of rows is
-    /// left for central (mediator-side) evaluation instead of being
-    /// shipped: it barely shrinks the transfer, so the source round-trip
-    /// does the same work either way.
-    pub const CENTRAL_RESIDUAL_THRESHOLD: f64 = 0.9;
-    /// Longest key list the bind stage ships. The list travels inside
-    /// the target's query text, and the driver's round trip is serial:
-    /// past about a thousand keys the text costs the target what the
-    /// rows it spares would have.
-    pub const BIND_MAX_KEYS: u64 = 1024;
-    /// The bind stage is planned for a target only when the keys are
-    /// estimated at most this fraction (1/N) of the target's rows: the
-    /// transfer saved has to pay for fetching the driver before, instead
-    /// of beside, the targets.
-    pub const BIND_MIN_SHRINK: u64 = 4;
-    /// A hash join builds its table on the unit it folds in, unless the
-    /// unit is estimated at more than this many times the rows folded
-    /// before it: then it builds on those and streams the unit
-    /// ([`place_builds`]). A run whose build side turns out more than
-    /// this many times its probe side is a flipped decision
-    /// (`plan.flips.build_side`).
-    pub const BUILD_SWAP_RATIO: u64 = 4;
-
-    /// Estimated fraction of rows a selection keeps, from field stats.
-    /// `None` when the statistics cannot say anything useful.
-    pub fn selection_selectivity(stats: &CollectionStats, sel: &Selection) -> Option<f64> {
-        let col = stats.columns.get(&sel.field.field)?;
-        let distinct = col.distinct.max(1) as f64;
-        match sel.op {
-            PredOp::Eq => Some(1.0 / distinct),
-            PredOp::Ne => Some(1.0 - 1.0 / distinct),
-            PredOp::Lt | PredOp::Le | PredOp::Gt | PredOp::Ge => {
-                let (min, max) = (col.min.as_ref()?.as_f64()?, col.max.as_ref()?.as_f64()?);
-                let v = sel.value.as_f64()?;
-                if max <= min {
-                    return Some(0.5);
-                }
-                let below = ((v - min) / (max - min)).clamp(0.0, 1.0);
-                let kept = match sel.op {
-                    PredOp::Lt | PredOp::Le => below,
-                    _ => 1.0 - below,
-                };
-                // The interpolation takes the column for continuous. A
-                // strict bound at a value inside [min, max] drops that
-                // value's rows at the least: one distinct value's share.
-                let strict = matches!(sel.op, PredOp::Lt | PredOp::Gt);
-                Some(if strict && (min..=max).contains(&v) {
-                    kept.min(1.0 - 1.0 / distinct)
-                } else {
-                    kept
-                })
-            }
-            PredOp::Like => Some(0.25),
-        }
-    }
-
-    /// Statistics for the collection behind `alias` in a fragment.
-    fn alias_stats(
-        catalog: &Catalog,
-        source: &str,
-        query: &SourceQuery,
-        alias: &str,
-    ) -> Option<CollectionStats> {
-        let coll = query.collections.iter().find(|c| c.alias == alias)?;
-        catalog.stats().get(&format!("{}.{}", source, coll.collection))
-    }
-
-    /// Selectivity of one pushed selection inside a fragment, if stats
-    /// exist for its collection and field.
-    pub fn fragment_selection_selectivity(
-        catalog: &Catalog,
-        source: &str,
-        query: &SourceQuery,
-        sel: &Selection,
-    ) -> Option<f64> {
-        selection_selectivity(&alias_stats(catalog, source, query, &sel.field.alias)?, sel)
-    }
-
-    /// Estimated output rows of a (possibly multi-collection) fragment:
-    /// per-collection rows reduced by pushed selections, divided by the
-    /// dominant distinct count of each pushed join condition.
-    pub fn estimate_fragment(catalog: &Catalog, source: &str, query: &SourceQuery) -> u64 {
-        let mut per_alias: Vec<(String, f64, Option<CollectionStats>)> = Vec::new();
-        // A row floor leaves what lies past it.
-        let floor = query.row_floor().unwrap_or(0);
-        for c in &query.collections {
-            let stats = catalog.stats().get(&format!("{}.{}", source, c.collection));
-            let rows = stats.as_ref().map(|s| s.rows).unwrap_or(DEFAULT_ROWS).saturating_sub(floor) as f64;
-            per_alias.push((c.alias.clone(), rows.max(1.0), stats));
-        }
-        let mut out = 1.0f64;
-        for (alias, rows, stats) in &per_alias {
-            let mut r = *rows;
-            for sel in query.selections.iter().filter(|s| &s.field.alias == alias) {
-                let s = stats
-                    .as_ref()
-                    .and_then(|st| selection_selectivity(st, sel))
-                    .unwrap_or(DEFAULT_SELECTIVITY);
-                r *= s;
-            }
-            out *= r.max(1.0);
-        }
-        for (a, b) in &query.join_conds {
-            let d = field_distinct(&per_alias, a).max(field_distinct(&per_alias, b));
-            out /= d.max(1.0);
-        }
-        clamp_rows(out)
-    }
-
-    fn field_distinct(
-        per_alias: &[(String, f64, Option<CollectionStats>)],
-        f: &nimble_sources::query::FieldRef,
-    ) -> f64 {
-        per_alias
-            .iter()
-            .find(|(alias, ..)| alias == &f.alias)
-            .map(|(_, rows, stats)| {
-                stats
-                    .as_ref()
-                    .and_then(|s| s.distinct(&f.field))
-                    .map(|d| d as f64)
-                    .unwrap_or(*rows)
-            })
-            .unwrap_or(1.0)
-    }
-
-    /// Estimated output rows of one independent execution unit.
-    pub fn estimate_atom(catalog: &Catalog, atom: &AtomExec) -> u64 {
-        match atom {
-            AtomExec::Fragment { source, query, .. } => {
-                estimate_fragment(catalog, source, query)
-            }
-            AtomExec::FetchMatch {
-                source, collection, ..
-            } => catalog
-                .stats()
-                .rows(&format!("{}.{}", source, collection))
-                .unwrap_or(DEFAULT_ROWS)
-                .max(1),
-            AtomExec::ViewMatch { view, .. } => catalog
-                .stats()
-                .rows(&format!("view:{}", view))
-                .unwrap_or(DEFAULT_ROWS)
-                .max(1),
-        }
-    }
-
-    /// Estimated distinct values a unit's variable takes, when the
-    /// variable maps to a field with statistics.
-    pub fn var_distinct(catalog: &Catalog, atom: &AtomExec, var: &str) -> Option<u64> {
-        match atom {
-            AtomExec::Fragment { source, query, .. } => {
-                let field = query
-                    .outputs
-                    .iter()
-                    .find(|(v, _)| v == var)
-                    .map(|(_, f)| f.clone())?;
-                alias_stats(catalog, source, query, &field.alias)?.distinct(&field.field)
-            }
-            AtomExec::FetchMatch {
-                source,
-                collection,
-                pattern,
-                ..
-            } => {
-                let rp = compiler::recognize_row_pattern(pattern)?;
-                let field = rp
-                    .fields
-                    .iter()
-                    .find(|(v, _)| v == var)
-                    .map(|(_, f)| f.clone())?;
-                catalog
-                    .stats()
-                    .get(&format!("{}.{}", source, collection))?
-                    .distinct(&field)
-            }
-            AtomExec::ViewMatch { .. } => None,
-        }
-    }
-
-    /// Greedy cost-based fold ordering: start from the unit with the
-    /// smallest estimated output and repeatedly fold in the unit that
-    /// keeps the estimated intermediate result smallest, preferring units
-    /// that share a join variable with the accumulated set over cross
-    /// products. Reads `plan.est_rows`; fills `plan.fold_order` and
-    /// `plan.fold_rows`, and records a reordering as a `fold-reorder`
-    /// rewrite.
-    pub(super) fn order_folds(catalog: &Catalog, plan: &mut Plan) {
-        let n = plan.independents.len();
-        let est = plan.est_rows.clone();
-        if n == 0 {
-            return;
-        }
-
-        let mut used = vec![false; n];
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        let mut fold_rows: Vec<u64> = Vec::with_capacity(n);
-
-        let mut first = 0usize;
-        for (i, &e) in est.iter().enumerate() {
-            if e < est[first] {
-                first = i;
-            }
-        }
-        used[first] = true;
-        order.push(first);
-        fold_rows.push(est[first]);
-        let mut rows: u128 = u128::from(est[first].max(1));
-
-        // Distinct-value estimate per bound variable in the accumulated
-        // set; joining shrinks it (min of the two sides, capped by the
-        // rows).
-        let mut bound_distinct: BTreeMap<String, u128> = BTreeMap::new();
-        let note_atom_vars =
-            |map: &mut BTreeMap<String, u128>, catalog: &Catalog, atom: &AtomExec, atom_rows: u128, rows_now: u128| {
-                for v in atom.vars() {
-                    let d = var_distinct(catalog, atom, v)
-                        .map(u128::from)
-                        .unwrap_or(atom_rows)
-                        .min(rows_now)
-                        .max(1);
-                    map.entry(v.clone()).and_modify(|cur| *cur = (*cur).min(d)).or_insert(d);
-                }
-            };
-        note_atom_vars(&mut bound_distinct, catalog, &plan.independents[first], rows, rows);
-
-        while order.len() < n {
-            // (shares a var, estimated joined rows, index) — prefer
-            // sharing, then the smallest intermediate, then stable index
-            // order.
-            let mut best: Option<(bool, u128, usize)> = None;
-            for (j, atom) in plan.independents.iter().enumerate() {
-                if used[j] {
-                    continue;
-                }
-                let atom_rows = u128::from(est[j].max(1));
-                let mut denom: u128 = 1;
-                let mut shares = false;
-                for v in atom.vars() {
-                    if let Some(&da) = bound_distinct.get(v) {
-                        shares = true;
-                        // No more distinct values than rows: a unit that
-                        // selections or the bind stage shrank binds fewer
-                        // values than its collection holds.
-                        let dj = var_distinct(catalog, atom, v)
-                            .map(u128::from)
-                            .unwrap_or(atom_rows)
-                            .min(atom_rows)
-                            .max(1);
-                        denom = denom.saturating_mul(da.max(dj));
-                    }
-                }
-                let joined = (rows.saturating_mul(atom_rows) / denom.max(1)).max(1);
-                let better = match best {
-                    None => true,
-                    Some((bshares, bjoined, _)) => (shares && !bshares) || (shares == bshares && joined < bjoined),
-                };
-                if better {
-                    best = Some((shares, joined, j));
-                }
-            }
-            let Some((_, joined, j)) = best else { break };
-            used[j] = true;
-            order.push(j);
-            fold_rows.push(u64::try_from(joined).unwrap_or(u64::MAX));
-            rows = joined;
-            let atom_rows = u128::from(est[j].max(1));
-            note_atom_vars(&mut bound_distinct, catalog, &plan.independents[j], atom_rows, rows);
-        }
-
-        if n > 1 {
-            plan.notes.push(format!("cost: fold order {:?}, est rows {:?} -> {:?}", order, est, fold_rows));
-            let record = fold_reorder(&plan.independents, &order);
-            plan.rewrites.push(record);
-        }
-        plan.fold_order = order;
-        plan.fold_rows = fold_rows;
-    }
-
-    /// The `fold-reorder` rewrite of folding `independents` in `order`:
-    /// it permutes the units, so the bound-variable multiset, the
-    /// join-key set and the set of sources answers draw from must all
-    /// survive exactly.
-    fn fold_reorder(independents: &[AtomExec], order: &[usize]) -> RewriteRecord {
-        let ordered = || order.iter().filter_map(|&i| independents.get(i));
-        let cols = |atoms: &mut dyn Iterator<Item = &AtomExec>| -> Vec<String> {
-            atoms.flat_map(|a| a.vars().iter().cloned()).collect()
-        };
-        let srcs = |atoms: &mut dyn Iterator<Item = &AtomExec>| -> Vec<String> {
-            atoms.filter_map(|a| a.source().map(str::to_string)).collect()
-        };
-        let mut keys: Vec<String> = Vec::new();
-        for (i, a) in independents.iter().enumerate() {
-            for v in a.vars() {
-                let shared = independents.iter().enumerate().any(|(j, b)| j != i && b.vars().contains(v));
-                if shared && !keys.contains(v) {
-                    keys.push(v.clone());
-                }
-            }
-        }
-        RewriteRecord::new(
-            "fold-reorder",
-            false,
-            Fingerprint::new(cols(&mut independents.iter()))
-                .with_keys(keys.clone())
-                .with_sources(srcs(&mut independents.iter())),
-            Fingerprint::new(cols(&mut ordered())).with_keys(keys).with_sources(srcs(&mut ordered())),
-        )
-    }
-
-    /// Each fold step's build side and the central Filter's estimate,
-    /// read off the final estimates (after shard pruning and probes
-    /// tightened them), in the order the engine folds: a subquery's
-    /// `outer` row first, estimated at one row, then the units in fold
-    /// order. A step that shares a variable with what was folded before
-    /// it is a hash join, which builds on the unit unless the unit is
-    /// estimated at more than [`BUILD_SWAP_RATIO`] times the rows folded
-    /// so far: then it builds on those, streams the unit, and the swap
-    /// is a `build-side-swap` rewrite, which keeps the columns, the keys
-    /// and the units folded. Fills `plan.swaps` and `plan.filter_rows`.
-    pub(super) fn place_builds(plan: &mut Plan, outer: Option<&Schema>) {
-        let mut folded: Vec<String> = outer.map(|s| s.vars().to_vec()).unwrap_or_default();
-        let mut units: Vec<String> = outer.map(|_| "<outer>".to_string()).into_iter().collect();
-        // Rows folded so far; none before the first unit of a plan
-        // without an outer row, which is scanned, not joined.
-        let mut rows: Option<u64> = outer.map(|_| 1);
-        let mut swaps = Vec::with_capacity(plan.fold_order.len());
-        for (k, &i) in plan.fold_order.iter().enumerate() {
-            let (atom, unit) = (&plan.independents[i], plan.est_rows[i]);
-            let label = atom.label();
-            if !units.contains(&label) {
-                units.push(label);
-            }
-            let keys: Vec<String> = folded.iter().filter(|v| atom.vars().contains(v)).cloned().collect();
-            let swap = !keys.is_empty() && rows.is_some_and(|rows| unit > rows.saturating_mul(BUILD_SWAP_RATIO));
-            if swap {
-                // The join's columns, the folded side's first and the
-                // unit's first: the same set.
-                let side = |first: &[String], then: &[String]| {
-                    let mut cols = first.to_vec();
-                    cols.extend(then.iter().filter(|v| !first.contains(v)).cloned());
-                    Fingerprint::new(cols).with_keys(keys.clone()).with_sources(units.clone())
-                };
-                let (before, after) = (side(&folded, atom.vars()), side(atom.vars(), &folded));
-                plan.rewrites.push(RewriteRecord::new("build-side-swap", false, before, after));
-            }
-            swaps.push(swap);
-            rows = Some(match rows {
-                None => unit,
-                Some(_) => plan.fold_rows[k],
-            });
-            for v in atom.vars() {
-                if !folded.contains(v) {
-                    folded.push(v.clone());
-                }
-            }
-        }
-        plan.swaps = swaps;
-        // The probed conjuncts' selectivity is in the probed scans'
-        // estimates already.
-        let mut probed: Vec<usize> = plan.probes.iter().map(|p| p.conjunct).collect();
-        probed.sort_unstable();
-        probed.dedup();
-        let unprobed = plan.residual_predicates.len().saturating_sub(probed.len());
-        plan.filter_rows = filtered_rows(rows.unwrap_or(1), unprobed);
-    }
-
-    /// Estimated rows a Filter of `preds` predicates keeps of `rows`: the
-    /// default selectivity, 1/3, once per predicate, in integers, and at
-    /// least one row.
-    pub fn filtered_rows(rows: u64, preds: usize) -> u64 {
-        let preds = u32::try_from(preds).unwrap_or(u32::MAX);
-        (rows / 3u64.saturating_pow(preds)).max(1)
-    }
-
-    pub(super) fn clamp_rows(est: f64) -> u64 {
-        if est.is_finite() && est > 0.0 {
-            (est.round() as u64).max(1)
-        } else {
-            1
-        }
-    }
 }
 
 /// Statically verify a decomposed [`Plan`] before any operator is built:
@@ -2413,161 +1416,10 @@ pub fn translate_expr(expr: &Expr, schema: &Schema) -> Result<ScalarExpr, CoreEr
     })
 }
 
-/// Physical operator for dependent atoms: for each input tuple, match a
-/// pattern inside the element bound to `on_var`, emitting one extended
-/// tuple per match. Variables already present in the input schema act as
-/// join constraints instead of new columns. A batch expands every row of
-/// each child batch it pulls, so it may overshoot `max` by their
-/// fan-out, as the hash probe does.
-pub struct BindPatternOp {
-    child: Box<dyn Operator>,
-    on_col: usize,
-    pattern: Pattern,
-    /// New variables appended to the schema, in order.
-    new_vars: Vec<String>,
-    /// Variables shared with the input schema: (name, input column).
-    shared: Vec<(String, usize)>,
-    schema: Schema,
-    scratch: Vec<Tuple>,
-    rows_out: u64,
-    /// Lineage of emitted tuples (tracking iff the child tracks); every
-    /// row expanded from one input tuple inherits that tuple's mask —
-    /// navigation stays inside the element the source already supplied.
-    lin: Option<Vec<LineageMask>>,
-    /// Child emissions consumed so far.
-    consumed: usize,
-}
-
-impl BindPatternOp {
-    pub fn new(child: Box<dyn Operator>, on_var: &str, pattern: Pattern) -> Result<Self, CoreError> {
-        let on_col = child.schema().index_of(on_var).ok_or_else(|| {
-            CoreError::Exec(format!(
-                "navigation variable ${} not bound before use",
-                on_var
-            ))
-        })?;
-        let mut new_vars = Vec::new();
-        let mut shared = Vec::new();
-        for v in dedup_vars(&pattern) {
-            match child.schema().index_of(&v) {
-                Some(idx) => shared.push((v, idx)),
-                None => new_vars.push(v),
-            }
-        }
-        let mut schema = child.schema().clone();
-        for v in &new_vars {
-            schema = schema.with(v);
-        }
-        Ok(BindPatternOp {
-            child,
-            on_col,
-            pattern,
-            new_vars,
-            shared,
-            schema,
-            scratch: Vec::new(),
-            rows_out: 0,
-            lin: None,
-            consumed: 0,
-        })
-    }
-
-    /// Append `tuple`'s expansions to `out`; returns how many.
-    fn expand(&self, tuple: &Tuple, out: &mut Vec<Tuple>) -> usize {
-        let Value::Node(node) = &tuple[self.on_col] else {
-            return 0;
-        };
-        let matches: Vec<Bindings> = match_within(node, &self.pattern);
-        let before = out.len();
-        'matches: for mut m in matches {
-            for (var, idx) in &self.shared {
-                match m.get(var) {
-                    Some(v) if v.key_eq(&tuple[*idx]) => {}
-                    _ => continue 'matches,
-                }
-            }
-            let mut t = tuple.clone();
-            // `new_vars` are distinct: each value moves out of the match.
-            for var in &self.new_vars {
-                t.push(m.remove(var).unwrap_or_else(Value::null));
-            }
-            out.push(t);
-        }
-        out.len() - before
-    }
-}
-
-impl Operator for BindPatternOp {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<(), ExecError> {
-        self.rows_out = 0;
-        self.consumed = 0;
-        self.child.open()?;
-        self.lin = self.child.lineage().map(|_| Vec::new());
-        Ok(())
-    }
-
-    fn next_batch(&mut self, out: &mut Vec<Tuple>, max: usize) -> Result<usize, ExecError> {
-        let mut appended = 0;
-        while appended < max {
-            self.scratch.clear();
-            let pulled = self.child.next_batch(&mut self.scratch, max - appended)?;
-            if pulled == 0 {
-                break;
-            }
-            for (i, t) in self.scratch.iter().enumerate() {
-                let n = self.expand(t, out);
-                appended += n;
-                if let Some(lin) = &mut self.lin {
-                    let masks = self.child.lineage().unwrap_or_default();
-                    let mask = masks.get(self.consumed + i).copied().unwrap_or_default();
-                    lin.resize(lin.len() + n, mask);
-                }
-            }
-            self.consumed += pulled;
-        }
-        self.rows_out += appended as u64;
-        Ok(appended)
-    }
-
-    fn close(&mut self) {
-        self.child.close();
-        self.scratch = Vec::new();
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "BindPattern in ${} -> [{}]",
-            self.schema.vars()[self.on_col],
-            self.new_vars.join(", ")
-        )
-    }
-
-    fn children(&self) -> Vec<&dyn Operator> {
-        vec![self.child.as_ref()]
-    }
-
-    fn rows_out(&self) -> u64 {
-        self.rows_out
-    }
-
-    fn introspect(&self) -> OpInfo {
-        OpInfo::new("BindPattern", SchemaRule::Extends(0))
-            .with_order(OrderEffect::Preserves(0))
-            .with_child_col(0, "bind-pattern input", self.on_col)
-    }
-
-    fn lineage(&self) -> Option<&[LineageMask]> {
-        self.lin.as_deref()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nimble_algebra::Tuple;
     use nimble_sources::relational::RelationalAdapter;
     use nimble_sources::xmldoc::XmlDocAdapter;
     use std::sync::Arc;
@@ -3191,37 +2043,5 @@ mod tests {
 
         let bad = Expr::Var("zzz".into());
         assert!(translate_expr(&bad, &schema).is_err());
-    }
-
-    #[test]
-    fn bind_pattern_answers_alike_at_every_batch_size() {
-        // Each book binds one row per author, so input rows expand to
-        // two, one and three rows; every row keeps its book's mask.
-        let doc = nimble_xml::parse(
-            "<bib><book><author>a</author><author>b</author></book>\
-             <book><author>c</author></book>\
-             <book><author>d</author><author>e</author><author>f</author></book></bib>",
-        )
-        .unwrap();
-        let books: Vec<Tuple> = doc.root().children_named("book").map(|b| vec![Value::Node(b)]).collect();
-        let masks: Vec<LineageMask> = (0..books.len() as u32).map(LineageMask::single).collect();
-        let pattern = match parse(r#"WHERE <author>$a</author> IN $b CONSTRUCT <o/>"#).conditions.remove(0) {
-            Condition::Pattern(binding) => binding.pattern,
-            other => panic!("{:?}", other),
-        };
-        let drain = |batch: usize| {
-            let scan = nimble_algebra::ops::ValuesOp::new(Schema::new(vec!["b".into()]), books.clone())
-                .with_lineage_masks(masks.clone());
-            let mut op = BindPatternOp::new(Box::new(scan), "b", pattern.clone()).unwrap();
-            let (rows, _) = nimble_algebra::run_to_vec_batched(&mut op, batch).unwrap();
-            let authors: Vec<String> = rows.iter().map(|t| t[1].atomize().lexical()).collect();
-            assert_eq!(op.rows_out(), rows.len() as u64);
-            (authors, op.lineage().unwrap().to_vec())
-        };
-        let (authors, lineage) = drain(1);
-        assert_eq!(authors, ["a", "b", "c", "d", "e", "f"]);
-        let book = LineageMask::single;
-        assert_eq!(lineage, [book(0), book(0), book(1), book(2), book(2), book(2)]);
-        assert_eq!(drain(1024), (authors, lineage));
     }
 }

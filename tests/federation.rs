@@ -376,57 +376,90 @@ fn a_plan_that_fails_its_rewrite_audit_calls_no_source() {
     // it reaches the engine.
     let calls = Arc::new(AtomicU64::new(0));
     let c = Catalog::new();
+    // Ten more orders of customer 2: unfiltered, the orders are the
+    // larger side of the join by more than four times.
+    let more: Vec<String> = (0..10).map(|k| format!("({}, 2)", 20 + k)).collect();
+    let more = format!("INSERT INTO orders VALUES {}", more.join(", "));
     for (name, ddl, rows) in [
-        ("crm", "CREATE TABLE customers (id INT, name TEXT)", "INSERT INTO customers VALUES (1, 'a'), (2, 'b')"),
-        ("billing", "CREATE TABLE orders (oid INT, cust_id INT)", "INSERT INTO orders VALUES (10, 1), (11, 2)"),
+        ("crm", "CREATE TABLE customers (id INT, name TEXT)", vec!["INSERT INTO customers VALUES (1, 'a'), (2, 'b')"]),
+        ("billing", "CREATE TABLE orders (oid INT, cust_id INT)", vec!["INSERT INTO orders VALUES (10, 1), (11, 2)", &more]),
     ] {
+        let stmts: Vec<&str> = [ddl].into_iter().chain(rows).collect();
         c.register_source(Arc::new(Counting {
-            inner: Arc::new(RelationalAdapter::from_statements(name, &[ddl, rows]).unwrap()),
+            inner: Arc::new(RelationalAdapter::from_statements(name, &stmts).unwrap()),
             calls: Arc::clone(&calls),
             nodes: Arc::new(AtomicU64::new(0)),
         }))
         .unwrap();
     }
     let engine = Engine::new(Arc::new(c));
-    let text = r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
-                     <row><oid>$o</oid><cust_id>$i</cust_id></row> IN "orders", $i = 1
-               CONSTRUCT <o><n>$n</n><k>$o</k></o>"#;
-    let (query, key) = (nimble::xmlql::parse_query(text).unwrap(), nimble::xmlql::lex_keyed(text).unwrap().key);
-    let mut plan =
-        nimble::core::planner::plan_query(engine.catalog(), &query, &engine.config().optimizer).unwrap();
-    assert_eq!(plan.independents.len(), 2);
-    let pushdown = plan.rewrites.iter_mut().find(|r| r.rule == "pushdown").unwrap();
-    assert!(pushdown.ordered);
-    pushdown.after.columns = vec!["$i".to_string()];
-    assert_ne!(pushdown.before.columns, pushdown.after.columns);
+    let planned = |text: &str| {
+        let query = nimble::xmlql::parse_query(text).unwrap();
+        let key = nimble::xmlql::lex_keyed(text).unwrap().key.into_owned();
+        let plan =
+            nimble::core::planner::plan_query(engine.catalog(), &query, &engine.config().optimizer).unwrap();
+        (query, key, plan)
+    };
     let refused = |result: Result<nimble::core::QueryResult, nimble::core::CoreError>| match result {
         Err(nimble::core::CoreError::PlanVerify(msg)) => assert!(msg.contains("rewrite audit failed"), "{}", msg),
         Err(other) => panic!("{}", other),
         Ok(r) => panic!("served: {}", to_string(&r.document.root())),
     };
+    // Refused handed to `query_planned`, and installed in the plan cache
+    // under the text's key, at its first hit.
+    let refused_everywhere = |text: &str, query, key: String, plan: nimble::core::planner::Plan| {
+        let before = calls.load(Ordering::Relaxed);
+        refused(engine.query_planned(text, plan.clone()));
+        assert_eq!(calls.load(Ordering::Relaxed) - before, 0);
 
-    // Handed to `query_planned`.
-    let before = calls.load(Ordering::Relaxed);
-    refused(engine.query_planned(text, plan.clone()));
-    assert_eq!(calls.load(Ordering::Relaxed) - before, 0);
-
-    // Installed in the plan cache under the text's key: its first hit.
-    let stamp = nimble::core::PlanStamp {
-        config_fp: engine.config().optimizer.fingerprint(),
-        catalog_epoch: engine.catalog().epoch(),
-        stats_generation: engine.catalog().stats().generation(),
-        shard_epoch: engine.shard_runtime().map_or(0, |rt| rt.epoch()),
+        engine.plan_cache().clear();
+        let stamp = nimble::core::PlanStamp {
+            config_fp: engine.config().optimizer.fingerprint(),
+            catalog_epoch: engine.catalog().epoch(),
+            stats_generation: engine.catalog().stats().generation(),
+            shard_epoch: engine.shard_runtime().map_or(0, |rt| rt.epoch()),
+        };
+        engine.plan_cache().put(&key, stamp, Arc::new(nimble::core::Prepared::new(plan, query)));
+        let hits = engine.plan_cache().stats().hits;
+        let before = calls.load(Ordering::Relaxed);
+        refused(engine.query(text));
+        assert_eq!(engine.plan_cache().stats().hits, hits + 1);
+        assert_eq!(calls.load(Ordering::Relaxed) - before, 0);
     };
-    engine.plan_cache().put(&key, stamp, Arc::new(nimble::core::Prepared::new(plan, query)));
-    let before = calls.load(Ordering::Relaxed);
-    refused(engine.query(text));
-    assert_eq!(engine.plan_cache().stats().hits, 1);
-    assert_eq!(calls.load(Ordering::Relaxed) - before, 0);
+
+    let text = r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
+                     <row><oid>$o</oid><cust_id>$i</cust_id></row> IN "orders", $i = 1
+               CONSTRUCT <o><n>$n</n><k>$o</k></o>"#;
+    let (query, key, mut plan) = planned(text);
+    assert_eq!(plan.independents.len(), 2);
+    let pushdown = plan.rewrites.iter_mut().find(|r| r.rule == "pushdown").unwrap();
+    assert!(pushdown.ordered);
+    pushdown.after.columns = vec!["$i".to_string()];
+    assert_ne!(pushdown.before.columns, pushdown.after.columns);
+    refused_everywhere(text, query, key, plan);
 
     // The engine's own plan of the text passes and answers.
     engine.plan_cache().clear();
+    let before = calls.load(Ordering::Relaxed);
     let r = engine.query(text).unwrap();
     assert_eq!(to_string(&r.document.root()), "<results><o><n>a</n><k>10</k></o></results>");
+    assert_eq!(calls.load(Ordering::Relaxed) - before, 2);
+
+    // Unfiltered, the fold builds on the two customers and streams the
+    // twelve orders: the planner's `build-side-swap` record, doctored to
+    // lose its join key, is refused alike.
+    let text = r#"WHERE <row><id>$i</id><name>$n</name></row> IN "customers",
+                     <row><oid>$o</oid><cust_id>$i</cust_id></row> IN "orders"
+               CONSTRUCT <o><n>$n</n><k>$o</k></o>"#;
+    let (query, key, mut plan) = planned(text);
+    assert!(plan.swaps.contains(&true), "{:?}", plan.swaps);
+    let swap = plan.rewrites.iter_mut().find(|r| r.rule == "build-side-swap").unwrap();
+    assert_eq!(swap.after.keys, ["i"]);
+    swap.after.keys.clear();
+    refused_everywhere(text, query, key, plan);
+    engine.plan_cache().clear();
+    let before = calls.load(Ordering::Relaxed);
+    assert_eq!(engine.query(text).unwrap().stats.tuples, 12);
     assert_eq!(calls.load(Ordering::Relaxed) - before, 2);
 }
 
