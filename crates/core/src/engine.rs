@@ -1633,11 +1633,10 @@ impl Engine {
     }
 
     /// Drive an assembled tree: verify it, run it, and read off what the
-    /// run says — the pipeline's
-    /// metrics, the rows' lineage, the plan's quality and, for the
-    /// top-level query where someone reads it, the EXPLAIN text. A
-    /// `pruned` tree is one satisfiability analysis proved empty, for
-    /// the reason given.
+    /// run says — the pipeline's metrics, the rows' lineage, the plan's
+    /// quality and, for the top-level query where someone reads it, the
+    /// EXPLAIN text. A `pruned` tree is one satisfiability analysis
+    /// proved empty, for the reason given.
     fn drive(
         &self,
         bound: Bound<'_>,
@@ -1761,7 +1760,7 @@ impl Engine {
         if info.name == "HashJoin" {
             let children = op.children();
             if let [probe, build] = children[..] {
-                // Both sides carried estimates iff the swap rule ran.
+                // The plan estimated both sides and chose on them.
                 if probe.est_rows().is_some()
                     && build.est_rows().is_some()
                     && build.rows_out() > probe.rows_out().saturating_mul(cost::BUILD_SWAP_RATIO)

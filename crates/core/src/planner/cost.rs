@@ -164,14 +164,19 @@ pub fn estimate_atom(catalog: &Catalog, atom: &AtomExec) -> u64 {
 /// Estimated distinct values a unit's variable takes, when the
 /// variable maps to a field with statistics.
 pub fn var_distinct(catalog: &Catalog, atom: &AtomExec, var: &str) -> Option<u64> {
+    let (collection, field) = var_field(atom, var)?;
+    catalog.stats().get(&collection)?.distinct(&field)
+}
+
+/// The collection (`source.collection`) and the field a unit binds `var`
+/// from, when it reads one: a fragment's output, or a row pattern's
+/// field over a fetched collection.
+pub(super) fn var_field(atom: &AtomExec, var: &str) -> Option<(String, String)> {
     match atom {
         AtomExec::Fragment { source, query, .. } => {
-            let field = query
-                .outputs
-                .iter()
-                .find(|(v, _)| v == var)
-                .map(|(_, f)| f.clone())?;
-            alias_stats(catalog, source, query, &field.alias)?.distinct(&field.field)
+            let (_, field) = query.outputs.iter().find(|(v, _)| v == var)?;
+            let coll = query.collections.iter().find(|c| c.alias == field.alias)?;
+            Some((format!("{}.{}", source, coll.collection), field.field.clone()))
         }
         AtomExec::FetchMatch {
             source,
@@ -180,15 +185,8 @@ pub fn var_distinct(catalog: &Catalog, atom: &AtomExec, var: &str) -> Option<u64
             ..
         } => {
             let rp = compiler::recognize_row_pattern(pattern)?;
-            let field = rp
-                .fields
-                .iter()
-                .find(|(v, _)| v == var)
-                .map(|(_, f)| f.clone())?;
-            catalog
-                .stats()
-                .get(&format!("{}.{}", source, collection))?
-                .distinct(&field)
+            let (_, field) = rp.fields.into_iter().find(|(v, _)| v == var)?;
+            Some((format!("{}.{}", source, collection), field))
         }
         AtomExec::ViewMatch { .. } => None,
     }
@@ -298,13 +296,6 @@ pub(super) fn order_folds(catalog: &Catalog, plan: &mut Plan) {
 /// join-key set and the set of sources answers draw from must all
 /// survive exactly.
 fn fold_reorder(independents: &[AtomExec], order: &[usize]) -> RewriteRecord {
-    let ordered = || order.iter().filter_map(|&i| independents.get(i));
-    let cols = |atoms: &mut dyn Iterator<Item = &AtomExec>| -> Vec<String> {
-        atoms.flat_map(|a| a.vars().iter().cloned()).collect()
-    };
-    let srcs = |atoms: &mut dyn Iterator<Item = &AtomExec>| -> Vec<String> {
-        atoms.filter_map(|a| a.source().map(str::to_string)).collect()
-    };
     let mut keys: Vec<String> = Vec::new();
     for (i, a) in independents.iter().enumerate() {
         for v in a.vars() {
@@ -314,14 +305,13 @@ fn fold_reorder(independents: &[AtomExec], order: &[usize]) -> RewriteRecord {
             }
         }
     }
-    RewriteRecord::new(
-        "fold-reorder",
-        false,
-        Fingerprint::new(cols(&mut independents.iter()))
-            .with_keys(keys.clone())
-            .with_sources(srcs(&mut independents.iter())),
-        Fingerprint::new(cols(&mut ordered())).with_keys(keys).with_sources(srcs(&mut ordered())),
-    )
+    let side = |atoms: Vec<&AtomExec>| {
+        let cols = atoms.iter().flat_map(|a| a.vars().iter().cloned()).collect();
+        let sources = atoms.iter().filter_map(|a| a.source().map(str::to_string)).collect();
+        Fingerprint::new(cols).with_keys(keys.clone()).with_sources(sources)
+    };
+    let ordered = order.iter().filter_map(|&i| independents.get(i)).collect();
+    RewriteRecord::new("fold-reorder", false, side(independents.iter().collect()), side(ordered))
 }
 
 /// Each fold step's build side and the central Filter's estimate,
@@ -335,42 +325,26 @@ fn fold_reorder(independents: &[AtomExec], order: &[usize]) -> RewriteRecord {
 /// is a `build-side-swap` rewrite, which keeps the columns, the keys
 /// and the units folded. Fills `plan.swaps` and `plan.filter_rows`.
 pub(super) fn place_builds(plan: &mut Plan, outer: Option<&Schema>) {
-    let mut folded: Vec<String> = outer.map(|s| s.vars().to_vec()).unwrap_or_default();
-    let mut units: Vec<String> = outer.map(|_| "<outer>".to_string()).into_iter().collect();
-    // Rows folded so far; none before the first unit of a plan
-    // without an outer row, which is scanned, not joined.
+    let mut folded: Vec<&String> = outer.map(|s| s.vars().iter().collect()).unwrap_or_default();
+    // Rows folded so far; none before the first unit of a plan without
+    // an outer row, which is scanned, not joined.
     let mut rows: Option<u64> = outer.map(|_| 1);
     let mut swaps = Vec::with_capacity(plan.fold_order.len());
     for (k, &i) in plan.fold_order.iter().enumerate() {
         let (atom, unit) = (&plan.independents[i], plan.est_rows[i]);
-        let label = atom.label();
-        if !units.contains(&label) {
-            units.push(label);
-        }
-        let keys: Vec<String> = folded.iter().filter(|v| atom.vars().contains(v)).cloned().collect();
-        let swap = !keys.is_empty() && rows.is_some_and(|rows| unit > rows.saturating_mul(BUILD_SWAP_RATIO));
-        if swap {
-            // The join's columns, the folded side's first and the
-            // unit's first: the same set.
-            let side = |first: &[String], then: &[String]| {
-                let mut cols = first.to_vec();
-                cols.extend(then.iter().filter(|v| !first.contains(v)).cloned());
-                Fingerprint::new(cols).with_keys(keys.clone()).with_sources(units.clone())
-            };
-            let (before, after) = (side(&folded, atom.vars()), side(atom.vars(), &folded));
-            plan.rewrites.push(RewriteRecord::new("build-side-swap", false, before, after));
-        }
-        swaps.push(swap);
+        let hashed = atom.vars().iter().any(|v| folded.contains(&v));
+        swaps.push(hashed && rows.is_some_and(|rows| unit > rows.saturating_mul(BUILD_SWAP_RATIO)));
         rows = Some(match rows {
             None => unit,
             Some(_) => plan.fold_rows[k],
         });
-        for v in atom.vars() {
-            if !folded.contains(v) {
-                folded.push(v.clone());
-            }
-        }
+        folded.extend(atom.vars());
     }
+    let records: Vec<RewriteRecord> = (0..swaps.len())
+        .filter(|&k| swaps[k])
+        .map(|k| swap_record(plan, outer, k))
+        .collect();
+    plan.rewrites.extend(records);
     plan.swaps = swaps;
     // The probed conjuncts' selectivity is in the probed scans'
     // estimates already.
@@ -379,6 +353,35 @@ pub(super) fn place_builds(plan: &mut Plan, outer: Option<&Schema>) {
     probed.dedup();
     let unprobed = plan.residual_predicates.len().saturating_sub(probed.len());
     plan.filter_rows = filtered_rows(rows.unwrap_or(1), unprobed);
+}
+
+/// The `build-side-swap` rewrite of fold step `k`: its hash join builds
+/// on the rows folded before the step and streams the step's unit, so
+/// the join's columns, its keys and the units folded all stay.
+fn swap_record(plan: &Plan, outer: Option<&Schema>, k: usize) -> RewriteRecord {
+    let unit = &plan.independents[plan.fold_order[k]];
+    let before = plan.fold_order[..k].iter().map(|&i| &plan.independents[i]);
+    let mut folded: Vec<String> = outer.map(|s| s.vars().to_vec()).unwrap_or_default();
+    let mut units: Vec<String> = outer.map(|_| "<outer>".to_string()).into_iter().collect();
+    for v in before.clone().flat_map(AtomExec::vars) {
+        if !folded.contains(v) {
+            folded.push(v.clone());
+        }
+    }
+    for label in before.chain([unit]).map(AtomExec::label) {
+        if !units.contains(&label) {
+            units.push(label);
+        }
+    }
+    let keys: Vec<String> = folded.iter().filter(|v| unit.vars().contains(v)).cloned().collect();
+    // The join's columns, the folded side's first or the unit's first:
+    // the same set.
+    let side = |first: &[String], then: &[String]| {
+        let mut cols = first.to_vec();
+        cols.extend(then.iter().filter(|v| !first.contains(v)).cloned());
+        Fingerprint::new(cols).with_keys(keys.clone()).with_sources(units.clone())
+    };
+    RewriteRecord::new("build-side-swap", false, side(&folded, unit.vars()), side(unit.vars(), &folded))
 }
 
 /// Estimated rows a Filter of `preds` predicates keeps of `rows`: the

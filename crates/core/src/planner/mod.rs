@@ -1139,36 +1139,10 @@ fn var_exact_bounds(
     independents: &[AtomExec],
     var: &str,
 ) -> Option<(nimble_planck::satisfy::Number, nimble_planck::satisfy::Number)> {
-    for atom in independents {
-        let found = match atom {
-            AtomExec::Fragment { source, query, .. } => query
-                .outputs
-                .iter()
-                .find(|(v, _)| v == var)
-                .and_then(|(_, f)| {
-                    let coll = query.collections.iter().find(|c| c.alias == f.alias)?;
-                    catalog
-                        .stats()
-                        .exact_bounds(&format!("{}.{}", source, coll.collection), &f.field)
-                }),
-            AtomExec::FetchMatch {
-                source,
-                collection,
-                pattern,
-                ..
-            } => compiler::recognize_row_pattern(pattern).and_then(|rp| {
-                let field = rp.fields.iter().find(|(v, _)| v == var).map(|(_, f)| f)?;
-                catalog
-                    .stats()
-                    .exact_bounds(&format!("{}.{}", source, collection), field)
-            }),
-            AtomExec::ViewMatch { .. } => None,
-        };
-        if found.is_some() {
-            return found;
-        }
-    }
-    None
+    independents.iter().find_map(|atom| {
+        let (collection, field) = cost::var_field(atom, var)?;
+        catalog.stats().exact_bounds(&collection, &field)
+    })
 }
 
 /// Statically verify a decomposed [`Plan`] before any operator is built:
