@@ -32,7 +32,7 @@ pub const BIND_MIN_SHRINK: u64 = 4;
 /// A hash join builds its table on the unit it folds in, unless the
 /// unit is estimated at more than this many times the rows folded
 /// before it: then it builds on those and streams the unit
-/// ([`place_builds`]). A run whose build side turns out more than
+/// (`place_builds`). A run whose build side turns out more than
 /// this many times its probe side is a flipped decision
 /// (`plan.flips.build_side`).
 pub const BUILD_SWAP_RATIO: u64 = 4;

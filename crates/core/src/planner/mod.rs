@@ -11,7 +11,7 @@
 //!
 //! Planning is one list of passes ([`plan_scoped`]); each pass that
 //! rewrites the plan records it in [`Plan::rewrites`] under its rule's
-//! name, and the rewrite audit reads them all once per plan ([`audit`]).
+//! name, and the rewrite audit reads them all once per plan (`audit`).
 //! Decomposition and placement are here; the cost model — estimates,
 //! fold order, build sides — is [`cost`]; the bind stage, shard routing
 //! and candidate probes are a file each.
@@ -339,7 +339,7 @@ pub struct Probe {
 
 impl Probe {
     /// The path and then what is read at its end — `$` for the content,
-    /// `@name` for an attribute — as [`var_sites`] spells an occurrence.
+    /// `@name` for an attribute — as `probe::var_sites` spells an occurrence.
     pub fn walk(&self) -> Vec<String> {
         let read = self.attr.as_ref().map_or("$".to_string(), |a| format!("@{}", a));
         self.path.iter().cloned().chain([read]).collect()
@@ -404,7 +404,7 @@ pub enum Refresh<'a> {
 /// The one planner: its passes, in order. Each reads what the ones
 /// before it decided and records what it rewrote in [`Plan::rewrites`],
 /// named by the record's rule; the rewrite audit reads them all once,
-/// before the plan's first serve ([`audit`]).
+/// before the plan's first serve (`audit`).
 pub fn plan_scoped(
     catalog: &Catalog,
     query: &Query,

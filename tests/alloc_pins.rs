@@ -249,10 +249,7 @@ fn a_cached_shape_hit_copies_no_plan() {
     assert_eq!(stats.allocs, HIT_BLOCKS, "{} blocks for a hit", stats.allocs);
 }
 
-/// Blocks a hit of [`a_cached_shape_hit_copies_no_plan`] allocates: 71
-/// since assembly reads its estimates and build sides off the plan (74
-/// while it labelled each unit and carried a list of estimates beside
-/// the units for a per-serve swap audit).
+/// Blocks a hit of [`a_cached_shape_hit_copies_no_plan`] allocates.
 const HIT_BLOCKS: u64 = 71;
 
 /// A lookup of customer `k` whose template nests a subquery, with a
@@ -327,9 +324,7 @@ fn a_fetch_formats_no_metric_name() {
     // long. Warm, a serve carries the name in the blocks that hold it
     // for their own sake — the stale-cache key of the fragment sent, the
     // query's record of the call — and in no metric name: each source's
-    // metric handles are looked up once and kept. (A label per unit, for
-    // a per-serve audit of build-side swaps, was one more until the
-    // planner made the swaps.)
+    // metric handles are looked up once and kept.
     // Two names more a fetch, `source.calls.*` and `source.latency_us.*`,
     // would be two lengths more.
     const LONG: usize = 4096;
