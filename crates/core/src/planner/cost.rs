@@ -387,7 +387,7 @@ fn swap_record(plan: &Plan, outer: Option<&Schema>, k: usize) -> RewriteRecord {
 /// Estimated rows a Filter of `preds` predicates keeps of `rows`: the
 /// default selectivity, 1/3, once per predicate, in integers, and at
 /// least one row.
-pub fn filtered_rows(rows: u64, preds: usize) -> u64 {
+fn filtered_rows(rows: u64, preds: usize) -> u64 {
     let preds = u32::try_from(preds).unwrap_or(u32::MAX);
     (rows / 3u64.saturating_pow(preds)).max(1)
 }
