@@ -145,7 +145,7 @@ impl EngineCluster {
 
     /// Per-instance query counts (for balance assertions).
     pub fn served_per_instance(&self) -> Vec<u64> {
-        self.engines.iter().map(|e| e.queries_served()).collect()
+        self.engines.iter().map(|e| e.query_log().total()).collect()
     }
 
     /// Cluster-wide metrics: every instance's snapshot merged (counters

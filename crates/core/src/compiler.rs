@@ -41,8 +41,15 @@ pub struct RowPattern {
 /// Anything else (ELEMENT_AS, descendant tags, nested structure) is not
 /// record-shaped and falls back to fetch-and-match.
 pub fn recognize_row_pattern(pattern: &Pattern) -> Option<RowPattern> {
-    let row = unwrap_to_row(pattern)?;
-    if !row.attrs.is_empty() || row.element_as.is_some() || row.content_as.is_some() {
+    recognize_record(unwrap_to_row(pattern)?)
+}
+
+/// Recognize `row` itself, whatever its element is named, as a record of
+/// the leaf shape [`recognize_row_pattern`] reads inside `<row>`: shard
+/// routing reads a partitioned collection's rows by it.
+pub(crate) fn recognize_record(row: &Pattern) -> Option<RowPattern> {
+    let named = matches!(row.tag, TagPattern::Name(_));
+    if !named || !row.attrs.is_empty() || row.element_as.is_some() || row.content_as.is_some() {
         return None;
     }
     let mut fields = Vec::new();

@@ -10,16 +10,12 @@
 //! from; anything that does not check recomputes in full, in the same
 //! call, and says why.
 
-use super::{ms_since, us, Engine, ExecCtx};
+use super::session::Settings;
+use super::*;
 use crate::catalog::ViewDef;
-use crate::error::CoreError;
-use crate::planner::{AtomExec, Plan, Refresh, Scope};
-use nimble_algebra::{Schema, Tuple};
-use nimble_sources::Watermark;
+use crate::planner::Refresh;
 use nimble_store::ViewMark;
-use nimble_xml::DocumentBuilder;
-use nimble_xmlql::ast::{ElementTemplate, Query, TemplateNode};
-use std::time::Instant;
+use nimble_xmlql::ast::{ElementTemplate, TemplateNode};
 
 /// Why a refresh recomputed the view instead of appending to it; the
 /// suffix of `engine.view.refresh.full.<reason>`.
@@ -39,12 +35,13 @@ impl Engine {
         let started = Instant::now();
         // One read of the settings holds for the whole refresh: each of
         // its runs takes a fresh context under them. Nobody reads a
-        // refresh's EXPLAIN text.
-        let scope = ExecCtx {
+        // refresh's EXPLAIN text or its lineage.
+        let scope = Settings {
+            track: false,
             want_plan_text: false,
-            ..ExecCtx::new(self.config())
+            ..Settings::new(self.config())
         };
-        let outcome = self.refresh_view(&def, ttl.or(def.default_ttl), &scope);
+        let outcome = self.refresh_view(&def, ttl.or(def.default_ttl), scope);
         self.metrics.observe("engine.view.refresh_us", us(ms_since(started)));
         if let Err(e) = &outcome {
             self.metrics
@@ -67,7 +64,7 @@ impl Engine {
         refreshed
     }
 
-    fn refresh_view(&self, def: &ViewDef, ttl: Option<u64>, scope: &ExecCtx) -> Result<(), CoreError> {
+    fn refresh_view(&self, def: &ViewDef, ttl: Option<u64>, scope: Settings) -> Result<(), CoreError> {
         // What the entry says, not its document: no store guard is held
         // across a source call, and a refresh that held the document
         // would make its own append copy it.
@@ -95,7 +92,7 @@ impl Engine {
         def: &ViewDef,
         ttl: Option<u64>,
         why: Option<Decline>,
-        scope: &ExecCtx,
+        scope: Settings,
     ) -> Result<(), CoreError> {
         let full = Scope {
             refresh: Some(Refresh::Full),
@@ -105,14 +102,14 @@ impl Engine {
         let (schema, tuples, mut ctx) = self.run_refresh(&def.query, &plan, scope)?;
         let mut b = DocumentBuilder::new("results");
         self.construct_into(&mut b, &def.query.construct, &schema, &tuples, &mut ctx, None)?;
-        answered_live(&ctx, &def.name)?;
+        answered_live(&ctx.found, &def.name)?;
         let fragments = row_wise(&def.query, &plan);
         // All of them, each read from row 0, or none.
         let marks: Vec<ViewMark> = fragments
             .iter()
             .flatten()
             .map(|collection| {
-                let w = mark_of(&ctx, collection).filter(|w| w.from == 0)?;
+                let w = mark_of(&ctx.found, collection).filter(|w| w.from == 0)?;
                 Some(ViewMark {
                     collection: collection.clone(),
                     generation: w.generation,
@@ -145,7 +142,7 @@ impl Engine {
         def: &ViewDef,
         stored: &[ViewMark],
         ttl: Option<u64>,
-        scope: &ExecCtx,
+        scope: Settings,
     ) -> Result<Option<Decline>, CoreError> {
         // The hint — what each source says its collection's length is,
         // a call the source does not count as a query — picks the one
@@ -181,19 +178,19 @@ impl Engine {
             return Ok(Some("shape"));
         }
         let (schema, tuples, mut ctx) = self.run_refresh(&def.query, &plan, scope)?;
-        answered_live(&ctx, &def.name)?;
+        answered_live(&ctx.found, &def.name)?;
 
         // Every fragment that was asked answered with a stamp (one that
         // was not — the delta bound no key for it — keeps its mark), the
         // floored one continues where the stored document stops, and no
         // other collection has moved.
-        if ctx.marks.len() != ctx.report.fragments_pushed {
+        if ctx.found.marks.len() != ctx.found.fragments_pushed {
             return Ok(Some("unstamped"));
         }
         let mut marks = stored.to_vec();
         let mut gained = 0..0;
         for mark in &mut marks {
-            let Some(w) = mark_of(&ctx, &mark.collection) else {
+            let Some(w) = mark_of(&ctx.found, &mark.collection) else {
                 continue;
             };
             if w.generation != mark.generation {
@@ -244,9 +241,9 @@ impl Engine {
         &self,
         query: &Query,
         plan: &Plan,
-        scope: &ExecCtx,
-    ) -> Result<(Schema, Vec<Tuple>, ExecCtx), CoreError> {
-        let mut ctx = scope.fresh();
+        scope: Settings,
+    ) -> Result<(Schema, Vec<Tuple>, ExecCtx<'static>), CoreError> {
+        let mut ctx = ExecCtx::new(scope);
         let (schema, tuples) = self.eval_planned(plan, &query.eq_params(), None, &mut ctx, true, None)?;
         Ok((schema, tuples, ctx))
     }
@@ -254,11 +251,11 @@ impl Engine {
 
 /// A stored view is built from live answers only: one that a skipped
 /// source or a cached copy stood in for would be kept as fresh.
-fn answered_live(ctx: &ExecCtx, view: &str) -> Result<(), CoreError> {
-    if ctx.report.missing_sources.is_empty() && !ctx.report.stale {
+fn answered_live(found: &Found, view: &str) -> Result<(), CoreError> {
+    if found.missing.is_empty() && !found.stale {
         return Ok(());
     }
-    let which = match ctx.report.missing_sources.as_slice() {
+    let which = match found.missing.as_slice() {
         [] => "an answer was served from the stale cache".to_string(),
         missing => missing.join(", "),
     };
@@ -268,8 +265,8 @@ fn answered_live(ctx: &ExecCtx, view: &str) -> Result<(), CoreError> {
     )))
 }
 
-fn mark_of(ctx: &ExecCtx, collection: &str) -> Option<Watermark> {
-    ctx.marks.iter().find(|(c, _)| c == collection).map(|(_, w)| *w)
+fn mark_of(found: &Found, collection: &str) -> Option<Watermark> {
+    found.marks.iter().find(|(c, _)| c == collection).map(|(_, w)| *w)
 }
 
 /// The `source.collection` of every fragment, when the view is

@@ -361,7 +361,7 @@ fn a_round_of_cheap_units_runs_inline_after_its_first_serve() {
     assert!(analyzed.contains("-- round: fetch 2 units inline, expected 0.0 µs"), "{}", analyzed);
     let counted = |name| e.metrics_snapshot().counter(name);
     assert_eq!(counted("engine.fetch.pool"), u64::from(has_pool));
-    assert_eq!(counted("engine.fetch.pool") + counted("engine.fetch.serial"), e.queries_served());
+    assert_eq!(counted("engine.fetch.pool") + counted("engine.fetch.serial"), e.query_log().total());
 }
 
 #[test]
@@ -786,14 +786,43 @@ fn hierarchical_and_csv_sources_integrate() {
 }
 
 #[test]
+fn a_refused_link_call_is_one_record_of_the_engines_kind() {
+    // The link refuses the call and counts it; the engine, which made
+    // it, writes its one record, of the engine's kind.
+    let link = SimulatedLink::new(bib_xml(), LinkConfig::default());
+    let c = Catalog::new();
+    c.register_source(link.clone()).unwrap();
+    let config = EngineConfig {
+        unavailable: UnavailablePolicy::SkipAndAnnotate,
+        ..EngineConfig::default()
+    };
+    let e = Engine::with_config(Arc::new(c), config);
+    link.set_up(false);
+    let r = e
+        .query(r#"WHERE <book><title>$t</title></book> IN "bib" CONSTRUCT <t>$t</t>"#)
+        .unwrap();
+    assert!(!r.complete);
+    // A partial serve is kept, with its call records.
+    let kept = e.flight_recorder().records();
+    let calls: Vec<_> = kept[0].source_calls.iter().collect();
+    assert_eq!(calls.len(), 1, "{:?}", calls);
+    let call = calls[0];
+    assert_eq!((call.source.as_str(), call.kind.as_str(), call.ok), ("feeds", "fetch", false));
+    assert!(call.error.as_deref().is_some_and(|e| e.contains("source is offline")), "{:?}", call.error);
+    assert_eq!(link.stats().failures, 1);
+}
+
+#[test]
 fn explain_shows_plan() {
     let e = engine();
     let plan = e
-        .explain(
+        .query(
             r#"WHERE <row><name>$n</name></row> IN "customers", $n LIKE "A%"
                CONSTRUCT <c>$n</c>"#,
         )
-        .unwrap();
+        .unwrap()
+        .stats
+        .plan;
     assert!(plan.contains("pushdown"), "{}", plan);
     assert!(plan.contains("Scan"), "{}", plan);
 }
@@ -1715,3 +1744,34 @@ fn order_by_sorts_ints_and_floats_beyond_2_pow_53_exactly() {
     assert_eq!((got[0], got[1999]), (p53, p53 + 15));
 }
 
+/// Seven invoices as an XML feed whose rows are `<inv>` elements, range
+/// split on `amt` at 10, 40 and 70 into four shards.
+fn inv_catalog() -> Arc<Catalog> {
+    let mut invoices = String::from("<invoices>");
+    for (cust, amount) in [(1, 30), (3, 5), (2, 90), (1, 12), (9, 3), (4, 7), (5, 61)] {
+        invoices.push_str(&format!("<inv><cust>{}</cust><amt>{}</amt></inv>", cust, amount));
+    }
+    invoices.push_str("</invoices>");
+    let c = Catalog::new();
+    c.register_source(Arc::new(XmlDocAdapter::new("feed").add_xml("invoices", &invoices).unwrap()))
+        .unwrap();
+    Arc::new(c)
+}
+
+#[test]
+fn shard_routing_reads_rows_whatever_their_element_is_named() {
+    // `$a > 65` holds on the last shard's slice alone: its bounds prune
+    // the other three, although the rows are not named `row`.
+    let specs = [("invoices", crate::ShardSpec::range("amt", vec![10.0, 40.0, 70.0]))];
+    let cluster = crate::ShardedCluster::build(inv_catalog(), EngineConfig::default(), &specs).unwrap();
+    let text = r#"WHERE <inv><cust>$i</cust><amt>$a</amt></inv> IN "invoices", $a > 65 CONSTRUCT <r>$i</r>"#;
+    let sharded = cluster.query(text).unwrap();
+    assert!(
+        sharded.stats.plan.contains("-- shard: feed.invoices pruned to 1/4 shards (1 of 7 rows)"),
+        "{}",
+        sharded.stats.plan
+    );
+    let unsharded = Engine::new(inv_catalog()).query(text).unwrap();
+    assert_eq!(to_string(&sharded.document.root()), to_string(&unsharded.document.root()));
+    assert_eq!(to_string(&sharded.document.root()), "<results><r>2</r></results>");
+}

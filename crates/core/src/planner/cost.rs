@@ -200,10 +200,24 @@ pub(super) fn var_field(atom: &AtomExec, var: &str) -> Option<(String, String)> 
 /// `plan.fold_rows`, and records a reordering as a `fold-reorder`
 /// rewrite.
 pub(super) fn order_folds(catalog: &Catalog, plan: &mut Plan) {
+    let (order, fold_rows) = fold_estimates(catalog, plan, None);
+    if order.len() > 1 {
+        plan.notes.push(format!("cost: fold order {:?}, est rows {:?} -> {:?}", order, plan.est_rows, fold_rows));
+        let record = fold_reorder(&plan.independents, &order);
+        plan.rewrites.push(record);
+    }
+    plan.fold_order = order;
+    plan.fold_rows = fold_rows;
+}
+
+/// The fold order — `fixed`, or else the greedy one — and the rows each
+/// step of it is estimated to fold, from the units' estimates as they
+/// stand.
+pub(super) fn fold_estimates(catalog: &Catalog, plan: &Plan, fixed: Option<&[usize]>) -> (Vec<usize>, Vec<u64>) {
     let n = plan.independents.len();
-    let est = plan.est_rows.clone();
+    let est = &plan.est_rows;
     if n == 0 {
-        return;
+        return (Vec::new(), Vec::new());
     }
 
     let mut used = vec![false; n];
@@ -216,6 +230,7 @@ pub(super) fn order_folds(catalog: &Catalog, plan: &mut Plan) {
             first = i;
         }
     }
+    let first = fixed.and_then(|fixed| fixed.first().copied()).unwrap_or(first);
     used[first] = true;
     order.push(first);
     fold_rows.push(est[first]);
@@ -244,7 +259,7 @@ pub(super) fn order_folds(catalog: &Catalog, plan: &mut Plan) {
         // order.
         let mut best: Option<(bool, u128, usize)> = None;
         for (j, atom) in plan.independents.iter().enumerate() {
-            if used[j] {
+            if used[j] || fixed.is_some_and(|fixed| fixed.get(order.len()) != Some(&j)) {
                 continue;
             }
             let atom_rows = u128::from(est[j].max(1));
@@ -281,14 +296,7 @@ pub(super) fn order_folds(catalog: &Catalog, plan: &mut Plan) {
         let atom_rows = u128::from(est[j].max(1));
         note_atom_vars(&mut bound_distinct, catalog, &plan.independents[j], atom_rows, rows);
     }
-
-    if n > 1 {
-        plan.notes.push(format!("cost: fold order {:?}, est rows {:?} -> {:?}", order, est, fold_rows));
-        let record = fold_reorder(&plan.independents, &order);
-        plan.rewrites.push(record);
-    }
-    plan.fold_order = order;
-    plan.fold_rows = fold_rows;
+    (order, fold_rows)
 }
 
 /// The `fold-reorder` rewrite of folding `independents` in `order`:

@@ -59,6 +59,12 @@ pub(super) fn plan_shards(catalog: &Catalog, plan: &mut Plan, rt: &crate::shard:
         record_shard_plan(plan, &shard_plan, &part.rows, rendered);
         plan.shards.push(shard_plan);
     }
+    // The fold order stands; the rows each step folds shrink with the
+    // scans pruning tightened.
+    if plan.shards.iter().any(|sp| sp.survivors.len() < sp.shards) {
+        let order = std::mem::take(&mut plan.fold_order);
+        (plan.fold_order, plan.fold_rows) = cost::fold_estimates(catalog, plan, Some(&order));
+    }
 }
 
 /// The routing of the FetchMatch atom `independents[i]` over the
@@ -79,7 +85,7 @@ fn route_shards(
         _ => (None, &[][..]),
     };
     let n = spec.shards();
-    let rp = pattern.and_then(compiler::recognize_row_pattern);
+    let rp = pattern.and_then(compiler::recognize_record);
     let key_var = rp
         .as_ref()
         .and_then(|rp| rp.fields.iter().find(|(_, f)| f == &spec.key).map(|(v, _)| v.clone()));

@@ -613,7 +613,7 @@ fn a_quote_in_a_key_survives_the_sql() {
     assert_eq!(got.stats.tuples, 3, "{}", got.stats.plan);
     assert_eq!(staged.counter("engine.bind.reduced"), 1);
     assert_eq!(staged.probes[1].key_lists()[0].len(), 3);
-    let plan = staged.engine.explain(PAIR).unwrap();
+    let plan = staged.engine.query(PAIR).unwrap().stats.plan;
     assert!(plan.contains("[+ t.id IN (keys of $i)]"), "{}", plan);
 }
 

@@ -184,9 +184,9 @@ const SHARDED: &str = r#"-- plan: planned
 -- cost: fold order [1, 0], est rows [7, 6] -> [6, 7]
 -- shard: feed.invoices pruned to 1/4 shards (1 of 7 rows)
 --   crm <- SELECT t.id AS i, t.name AS n FROM customers t
-Filter Cmp(Gt, Col(2), Lit(Int(65)))  [rows=1]  [est=2]
-  Project [i, n, a]  [rows=1]  [est=7]
-    HashJoin (Inner) keys [0]=[0]  [rows=1]  [est=7]  [mem=140]
+Filter Cmp(Gt, Col(2), Lit(Int(65)))  [rows=1]  [est=1]
+  Project [i, n, a]  [rows=1]  [est=1]
+    HashJoin (Inner) keys [0]=[0]  [rows=1]  [est=1]  [mem=140]
       Scan [i, n] (6 tuples)  [rows=6]  [est=6]  [mem=432]
       Scan [i, a] (1 tuples)  [rows=1]  [est=1]  [mem=96]
 "#;

@@ -564,7 +564,7 @@ fn explain_names_each_probe_and_analyze_counts_what_it_pruned() {
     let engine = engine(&mut Rng::new(11));
     let text = r#"WHERE <w><region>$r</region><score>$s</score></w> IN "v", $r = "west", $s > 300
                   CONSTRUCT <o>$s</o>"#;
-    let plan = engine.explain(text).unwrap();
+    let plan = engine.query(text).unwrap().stats.plan;
     assert!(
         plan.contains(r#"-- probe: $r = "west" on v at w/region"#),
         "{}",

@@ -13,7 +13,7 @@ use crate::query::{CollectionInfo, SourceQuery};
 use crate::{Capabilities, SourceAdapter, SourceKind};
 use nimble_trace::rng::Rng;
 use nimble_trace::sync::Mutex;
-use nimble_trace::{MetricsRegistry, QueryCtx, SourceCall};
+use nimble_trace::MetricsRegistry;
 use nimble_xml::Document;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -139,23 +139,6 @@ impl SimulatedLink {
         );
     }
 
-    /// Record a refused call against the current query context, so the
-    /// failure shows up in that query's flight record with the link's
-    /// charged latency. (Successful calls are recorded by the caller,
-    /// which also knows the decoded row count.)
-    fn note_refusal(&self, charged_ms: u64, reason: &str) {
-        if let Some(qctx) = QueryCtx::current() {
-            qctx.record_source_call(SourceCall {
-                source: self.inner.name().to_string(),
-                kind: "link".to_string(),
-                ok: false,
-                latency_ms: charged_ms as f64,
-                rows: 0,
-                error: Some(reason.to_string()),
-            });
-        }
-    }
-
     /// Gate every call: count it, charge latency, and decide failure.
     fn gate(&self) -> Result<(), SourceError> {
         let calls = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
@@ -169,7 +152,6 @@ impl SimulatedLink {
         if !self.up.load(Ordering::SeqCst) {
             let failures = self.failures.fetch_add(1, Ordering::SeqCst) + 1;
             self.gauge_failures.fetch_max(failures, Ordering::Relaxed);
-            self.note_refusal(ms, "source is offline");
             return Err(SourceError::unavailable(
                 self.inner.name(),
                 "source is offline",
@@ -181,7 +163,6 @@ impl SimulatedLink {
             if roll < ppm as f64 / 1e6 {
                 let failures = self.failures.fetch_add(1, Ordering::SeqCst) + 1;
                 self.gauge_failures.fetch_max(failures, Ordering::Relaxed);
-                self.note_refusal(ms, "transient network failure");
                 return Err(SourceError::unavailable(
                     self.inner.name(),
                     "transient network failure",
@@ -348,19 +329,20 @@ mod tests {
     }
 
     #[test]
-    fn refused_calls_land_in_the_query_ctx() {
-        let link = SimulatedLink::new(base(), LinkConfig::default());
+    fn a_refused_call_is_counted_and_left_to_its_caller_to_record() {
+        let link = SimulatedLink::new(base(), LinkConfig { latency_ms: 3, ..LinkConfig::default() });
         link.set_up(false);
-        let ctx = QueryCtx::new("engine-0");
+        let ctx = nimble_trace::QueryCtx::new("engine-0");
         {
             let _g = ctx.enter();
-            assert!(link.fetch_collection("d").is_err());
+            let err = link.fetch_collection("d").unwrap_err();
+            assert!(err.is_unavailable() && err.to_string().contains("source is offline"), "{}", err);
         }
-        let calls = ctx.source_calls();
-        assert_eq!(calls.len(), 1);
-        assert_eq!(calls[0].source, "feed");
-        assert!(!calls[0].ok);
-        assert_eq!(calls[0].error.as_deref(), Some("source is offline"));
+        // The caller that made the call writes its one record; the link
+        // counts it and charges its latency.
+        assert!(ctx.source_calls().is_empty());
+        let stats = link.stats();
+        assert_eq!((stats.calls, stats.failures, stats.charged_latency_ms), (1, 1, 3));
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! query log, the flight recorder, and the Chrome-trace export.
 //!
 //! The context also accumulates per-source call records
-//! ([`SourceCall`]) in a shared, thread-safe list: the engine and a
-//! simulated link under an adapter both append, with a grew-while-called
-//! check so a call instrumented at both layers is recorded once.
+//! ([`SourceCall`]) in a shared, thread-safe list: the engine appends
+//! one for each adapter call, from whichever thread made it.
 
 use crate::sync::Mutex;
 use std::cell::RefCell;
@@ -103,25 +102,6 @@ impl QueryCtx {
         self.calls.lock().push(call);
     }
 
-    /// Number of call records so far. Callers instrumenting a layered
-    /// adapter stack read this before the call and skip their own
-    /// append when an inner layer recorded the call meanwhile
-    /// ([`QueryCtx::recorded_since`]).
-    pub fn calls_len(&self) -> usize {
-        self.calls.lock().len()
-    }
-
-    /// Whether a record of `source` was appended after the first
-    /// `since` records. The list is shared by a query's parallel
-    /// fetches, so its growth alone says nothing: the new record may be
-    /// another source's.
-    pub fn recorded_since(&self, since: usize, source: &str) -> bool {
-        self.calls.lock()
-            .iter()
-            .skip(since)
-            .any(|c| c.source == source)
-    }
-
     /// Snapshot of the call records.
     pub fn source_calls(&self) -> Vec<SourceCall> {
         self.calls.lock().clone()
@@ -203,9 +183,8 @@ mod tests {
                 });
             });
         });
-        assert_eq!(ctx.calls_len(), 1);
-        assert_eq!(ctx.source_calls()[0].source, "crm");
-        assert!(ctx.recorded_since(0, "crm"));
-        assert!(!ctx.recorded_since(0, "erp") && !ctx.recorded_since(1, "crm"));
+        let calls = ctx.source_calls();
+        assert_eq!(calls.len(), 1);
+        assert_eq!(calls[0].source, "crm");
     }
 }

@@ -395,3 +395,52 @@ fn a_policy_changed_during_a_serve_does_not_reach_its_virtual_views() {
         "<results><o>n1</o><o>n2</o></results>"
     );
 }
+
+#[test]
+fn one_round_folds_a_skipped_view_and_a_pushed_fragment_into_one_report() {
+    // One fetch round of two tasks: a virtual view over the downed north
+    // feed, skipped under `SkipAndAnnotate`, and a fragment pushed to a
+    // relational source. Everything each task found is in the report.
+    let (engine, north, _) = setup();
+    let crm = nimble::sources::relational::RelationalAdapter::from_statements(
+        "crm",
+        &[
+            "CREATE TABLE customers (id INT, name TEXT)",
+            "INSERT INTO customers VALUES (1, 'ada'), (2, 'bob'), (3, 'cyd')",
+        ],
+    )
+    .unwrap();
+    engine.catalog().register_source(Arc::new(crm)).unwrap();
+    engine
+        .catalog()
+        .define_view(
+            "northview",
+            r#"WHERE <data><item><v>$v</v></item></data> IN "north.data"
+               CONSTRUCT <n>$v</n>"#,
+            None,
+        )
+        .unwrap();
+    engine.set_unavailable_policy(UnavailablePolicy::SkipAndAnnotate);
+    north.set_up(false);
+    let r = engine
+        .query(
+            r#"WHERE <n>$v</n> IN "northview",
+                     <row><id>$i</id><name>$m</name></row> IN "customers", $i > 1
+               CONSTRUCT <o>$v$m</o>"#,
+        )
+        .unwrap();
+    let s = &r.stats;
+    assert!(!r.complete);
+    assert_eq!(nimble::xml::to_string(&r.document.root()), "<results/>");
+    // The view's one failed call to north, and the pushed fragment.
+    assert_eq!(s.source_calls.count, 2);
+    assert_eq!(s.fragments_pushed, 1);
+    // The fragment's two customers; the skipped view's unit has none.
+    assert_eq!(s.rows_fetched, 2);
+    assert!(!s.stale);
+    assert_eq!(s.missing_sources, vec!["north"]);
+    // The outer round; the view's own round of one task is not recorded.
+    let rounds: Vec<(&str, usize)> = s.rounds.iter().map(|r| (r.site, r.tasks)).collect();
+    assert_eq!(rounds, vec![("fetch", 2)]);
+    assert_eq!(s.worst_qerror_op.as_deref(), Some("NestedLoopJoin"));
+}

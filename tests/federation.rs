@@ -239,7 +239,7 @@ fn lookup_join_ships_the_matching_rows_not_the_table() {
     // One call per source; <rows> + one 5-node <row> from crm, <rows> +
     // three 5-node <row>s from billing — not the 240-row table.
     assert_eq!((q_calls, q_nodes), (2, 6 + 16));
-    let plan = engine.explain(&lookup(42)).unwrap();
+    let plan = engine.query(&lookup(42)).unwrap().stats.plan;
     assert!(
         plan.contains("FROM customers t WHERE t.id = 42"),
         "{}",
@@ -263,7 +263,7 @@ fn lookup_join_ships_the_matching_rows_not_the_table() {
          <o><n>c43</n><k>131</k></o></results>"
     );
     assert_eq!((q_calls, q_nodes), (2, 6 + 16));
-    let plan = engine.explain(&lookup(43)).unwrap();
+    let plan = engine.query(&lookup(43)).unwrap().stats.plan;
     assert!(
         plan.starts_with("-- plan: cached shape, 1 parameters bound\n"),
         "{}",

@@ -219,7 +219,7 @@ fn chrome_trace_export_is_valid_json_and_matches_phases() {
     assert!(r.stats.trace_id > 0);
     let spans = SpanView::tree(r.stats.elapsed_ms, &r.stats.phases);
 
-    let json = chrome_trace(&spans, TraceId(r.stats.trace_id), engine.instance());
+    let json = chrome_trace(&spans, TraceId(r.stats.trace_id), &r.stats.instance);
     let parsed: json::Value =
         json::from_str(&json).expect("chrome export must be valid JSON");
     let events = parsed["traceEvents"].as_array().unwrap();
@@ -232,7 +232,7 @@ fn chrome_trace_export_is_valid_json_and_matches_phases() {
         assert!(ev["ts"].as_f64().unwrap() >= 0.0);
         assert!(ev["dur"].as_f64().unwrap() >= 0.0);
         assert_eq!(ev["args"]["trace_id"], tid.as_str());
-        assert_eq!(ev["args"]["instance"], engine.instance());
+        assert_eq!(ev["args"]["instance"], &*r.stats.instance);
     }
     // Every phase the stats report appears as an event whose duration
     // (µs) is the phase timing (ms) the report holds.
@@ -306,7 +306,7 @@ fn slow_queries_keep_full_evidence_for_offline_reconstruction() {
     assert_eq!(records.len(), 1);
     let rec = &records[0];
     assert_eq!(rec.trace_id, r.stats.trace_id);
-    assert_eq!(&*rec.instance, engine.instance());
+    assert_eq!(rec.instance, r.stats.instance);
     assert_eq!(rec.tuples, r.stats.tuples);
     assert!(rec.complete);
     // Full evidence rides along even though profiling was off: the
@@ -603,7 +603,7 @@ fn engine_queries_counts_every_serve_on_both_sinks() {
         let snap = engine.metrics_snapshot();
         let counts = (snap.counter("engine.queries"), snap.counter("engine.query.error"));
         assert_eq!(counts, (2, 1), "streamed: {}", streamed);
-        assert_eq!(engine.queries_served(), 2);
+        assert_eq!(engine.query_log().total(), 2);
     }
 }
 

@@ -610,7 +610,7 @@ fn e8_dynamic_cleaning_ships_both_sides_and_a_replica_ships_its_answer() {
     assert_eq!(dynamic.stats.rows_fetched, 200);
     // The join key is a function of both sides: no hash join, no
     // pushdown — a central nested loop over everything.
-    let plan = engine.explain(E8_DYNAMIC).unwrap();
+    let plan = engine.query(E8_DYNAMIC).unwrap().stats.plan;
     assert!(plan.contains("NestedLoopJoin"), "{}", plan);
 
     let engine = e8_engine();

@@ -28,14 +28,16 @@
 //!    on `shard_fanout`). The element count is a stored field; call
 //!    `child_element_count()`.
 //!
-//! The scanner is a plain text analysis (no syn, no dependencies):
-//! comments, string literals, and `#[cfg(test)]` regions are stripped
-//! before counting, files under `tests/`, `benches/`, `examples/`, or
-//! `tools/` (verification scaffolding) and `*tests.rs` module files
-//! are skipped entirely.
+//! The scanner is a plain text analysis (no syn, no dependencies), one
+//! pass per file ([`scan`]) that every check reads: comments, string
+//! literals, and `#[cfg(test)]` regions are stripped before counting,
+//! files under `tests/`, `benches/`, `examples/`, or `tools/`
+//! (verification scaffolding) and `*tests.rs` module files are skipped
+//! entirely.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -75,20 +77,26 @@ fn lint(update_baseline: bool) -> ExitCode {
 
     let mut totals: BTreeMap<&str, usize> = CATEGORIES.iter().map(|c| (*c, 0)).collect();
     let mut per_file: Vec<(PathBuf, usize)> = Vec::new();
+    let mut scanned: Vec<Scanned> = Vec::new();
     for f in &files {
-        let text = match fs::read_to_string(f) {
+        let source = match fs::read_to_string(f) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("xtask lint: cannot read {}: {}", f.display(), e);
                 return ExitCode::FAILURE;
             }
         };
-        let counts = count_panic_paths(&text);
+        let file = Scanned {
+            path: f.strip_prefix(&root).unwrap_or(f).to_path_buf(),
+            scan: scan(&source),
+            source,
+        };
+        let counts = count_panic_paths(&file.scan);
         let file_total: usize = counts.values().sum();
         if file_total > 0 {
-            let rel = f.strip_prefix(&root).unwrap_or(f).to_path_buf();
-            per_file.push((rel, file_total));
+            per_file.push((file.path.clone(), file_total));
         }
+        scanned.push(file);
         for (cat, n) in counts {
             if let Some(t) = totals.get_mut(cat) {
                 *t += n;
@@ -106,9 +114,9 @@ fn lint(update_baseline: bool) -> ExitCode {
         println!("  {:>4}  {}", n, path.display());
     }
 
-    let metric_violations = check_metric_drift(&root, &files);
-    let lock_violations = check_lock_across_call(&root, &files);
-    let count_violations = check_child_count_walk(&root, &files);
+    let metric_violations = check_metric_drift(&root, &scanned);
+    let lock_violations = check_lock_across_call(&scanned);
+    let count_violations = check_child_count_walk(&scanned);
     totals.insert("metric_drift", metric_violations.len());
     totals.insert("lock_across_call", lock_violations.len());
     totals.insert("child_count_walk", count_violations.len());
@@ -199,7 +207,7 @@ fn lint(update_baseline: bool) -> ExitCode {
 /// literal in non-test code against the metric inventory table in
 /// `crates/trace/README.md`, in both directions. The xtask sources are
 /// excluded: this lint's own prefix strings would otherwise match.
-fn check_metric_drift(root: &Path, files: &[PathBuf]) -> Vec<String> {
+fn check_metric_drift(root: &Path, files: &[Scanned]) -> Vec<String> {
     let readme_rel = Path::new("crates/trace/README.md");
     let readme = fs::read_to_string(root.join(readme_rel)).unwrap_or_default();
     let table = parse_metric_table(&readme);
@@ -207,19 +215,14 @@ fn check_metric_drift(root: &Path, files: &[PathBuf]) -> Vec<String> {
     // Metric name -> first file recording it.
     let mut used: BTreeMap<String, PathBuf> = BTreeMap::new();
     for f in files {
-        if f.components().any(|c| c.as_os_str() == "xtask") {
+        if f.path.components().any(|c| c.as_os_str() == "xtask") {
             continue;
         }
-        let text = match fs::read_to_string(f) {
-            Ok(t) => t,
-            Err(_) => continue,
-        };
-        for (lit, in_test) in string_literals(&text) {
-            if in_test || !METRIC_PREFIXES.iter().any(|p| lit.starts_with(p)) {
+        for (lit, in_test) in &f.scan.literals {
+            if *in_test || !METRIC_PREFIXES.iter().any(|p| lit.starts_with(p)) {
                 continue;
             }
-            used.entry(normalize_metric(&lit))
-                .or_insert_with(|| f.strip_prefix(root).unwrap_or(f).to_path_buf());
+            used.entry(normalize_metric(lit)).or_insert_with(|| f.path.clone());
         }
     }
 
@@ -292,140 +295,19 @@ fn normalize_metric(lit: &str) -> String {
     name
 }
 
-/// Every string literal in `source` with a flag for whether it sits
-/// inside a `#[cfg(test)]` region. Comments are skipped; raw and byte
-/// strings are captured; braces inside literals never perturb the
-/// `#[cfg(test)]` depth tracking.
-fn string_literals(source: &str) -> Vec<(String, bool)> {
-    let b = source.as_bytes();
-    let mut out = Vec::new();
-    let mut depth: usize = 0;
-    let mut skip_at: Option<usize> = None;
-    let mut pending = false;
-    let mut i = 0;
-    while i < b.len() {
-        let c = b[i];
-        if c == b'#' && source[i..].starts_with("#[cfg(test)]") {
-            if skip_at.is_none() {
-                pending = true;
-            }
-            i += "#[cfg(test)]".len();
-            continue;
-        }
-        match c {
-            b'/' if b.get(i + 1) == Some(&b'/') => {
-                while i < b.len() && b[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'/' if b.get(i + 1) == Some(&b'*') => {
-                let mut nest = 1;
-                i += 2;
-                while i < b.len() && nest > 0 {
-                    if b[i] == b'/' && b.get(i + 1) == Some(&b'*') {
-                        nest += 1;
-                        i += 2;
-                    } else if b[i] == b'*' && b.get(i + 1) == Some(&b'/') {
-                        nest -= 1;
-                        i += 2;
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            b'{' => {
-                depth += 1;
-                if pending {
-                    skip_at = Some(depth);
-                    pending = false;
-                }
-                i += 1;
-            }
-            b'}' => {
-                if skip_at == Some(depth) {
-                    skip_at = None;
-                }
-                depth = depth.saturating_sub(1);
-                i += 1;
-            }
-            b';' => {
-                pending = false;
-                i += 1;
-            }
-            b'"' => {
-                let end = skip_string(b, i);
-                let content_end = end.saturating_sub(1).max(i + 1);
-                out.push((source[i + 1..content_end].to_string(), skip_at.is_some()));
-                i = end;
-            }
-            b'r' | b'b' => {
-                let start = i;
-                let mut j = i + 1;
-                let mut is_raw = b[i] == b'r';
-                if b[i] == b'b' && b.get(j) == Some(&b'r') {
-                    is_raw = true;
-                    j += 1;
-                }
-                let mut hashes = 0;
-                if is_raw {
-                    while b.get(j) == Some(&b'#') {
-                        hashes += 1;
-                        j += 1;
-                    }
-                }
-                if b.get(j) == Some(&b'"') && (start == 0 || !is_ident_char(b[start - 1])) {
-                    let end = if is_raw {
-                        skip_raw_string(b, j, hashes)
-                    } else {
-                        skip_string(b, j)
-                    };
-                    let content_end = end.saturating_sub(1 + if is_raw { hashes } else { 0 });
-                    out.push((
-                        source[j + 1..content_end.max(j + 1)].to_string(),
-                        skip_at.is_some(),
-                    ));
-                    i = end;
-                } else {
-                    i = start + 1;
-                }
-            }
-            b'\'' => {
-                if b.get(i + 1) == Some(&b'\\') {
-                    i += 2;
-                    while i < b.len() && b[i] != b'\'' {
-                        i += 1;
-                    }
-                    i += 1;
-                } else if b.get(i + 2) == Some(&b'\'') {
-                    i += 3;
-                } else {
-                    i += 1;
-                }
-            }
-            _ => i += 1,
-        }
-    }
-    out
-}
-
 /// Flag `.execute(` / `.fetch_collection(` adapter calls made while a
 /// lock/borrow guard bound by a `let` in an enclosing scope is still
 /// live. Scope-based, not statement-based: lock guards (and
 /// `if let` scrutinee temporaries) live to the end of their block.
-fn check_lock_across_call(root: &Path, files: &[PathBuf]) -> Vec<String> {
+fn check_lock_across_call(files: &[Scanned]) -> Vec<String> {
     let mut violations = Vec::new();
     for f in files {
-        let src = match fs::read_to_string(f) {
-            Ok(t) => t,
-            Err(_) => continue,
-        };
-        for idx in lock_across_call_sites(&src) {
-            let line = 1 + src.as_bytes()[..idx].iter().filter(|&&b| b == b'\n').count();
+        for idx in lock_across_call_sites(&f.scan) {
             violations.push(format!(
                 "lock_across_call: {}:{}: adapter call while a lock/borrow guard from an \
                  enclosing `let` is still held — drop the guard (or copy the data out) first",
-                f.strip_prefix(root).unwrap_or(f).display(),
-                line
+                f.path.display(),
+                f.line(idx)
             ));
         }
     }
@@ -434,8 +316,8 @@ fn check_lock_across_call(root: &Path, files: &[PathBuf]) -> Vec<String> {
 
 /// Byte offsets of adapter calls under a live guard (see
 /// [`check_lock_across_call`]); offsets index the original source.
-fn lock_across_call_sites(source: &str) -> Vec<usize> {
-    let cleaned = non_test_code(source);
+fn lock_across_call_sites(scan: &Scan) -> Vec<usize> {
+    let cleaned = &scan.code;
     let bytes = cleaned.as_bytes();
     let mut sites = Vec::new();
     let mut depth: usize = 0;
@@ -492,20 +374,15 @@ fn lock_across_call_sites(source: &str) -> Vec<usize> {
 /// Flag `.child_elements().count()` / `.children().count()` in non-test
 /// code: the count is a stored field (`child_element_count()`), and
 /// walking for it chases one sibling link per child.
-fn check_child_count_walk(root: &Path, files: &[PathBuf]) -> Vec<String> {
+fn check_child_count_walk(files: &[Scanned]) -> Vec<String> {
     let mut violations = Vec::new();
     for f in files {
-        let src = match fs::read_to_string(f) {
-            Ok(t) => t,
-            Err(_) => continue,
-        };
-        for idx in child_count_walk_sites(&src) {
-            let line = 1 + src.as_bytes()[..idx].iter().filter(|&&b| b == b'\n').count();
+        for idx in child_count_walk_sites(&f.scan) {
             violations.push(format!(
                 "child_count_walk: {}:{}: counting children by walking them — call \
                  `child_element_count()` (O(1)) instead",
-                f.strip_prefix(root).unwrap_or(f).display(),
-                line
+                f.path.display(),
+                f.line(idx)
             ));
         }
     }
@@ -515,8 +392,8 @@ fn check_child_count_walk(root: &Path, files: &[PathBuf]) -> Vec<String> {
 /// Byte offsets of `.child_elements()` / `.children()` calls whose
 /// result is `.count()`ed (whitespace between the calls allowed),
 /// outside comments, strings and `#[cfg(test)]` items.
-fn child_count_walk_sites(source: &str) -> Vec<usize> {
-    let cleaned = non_test_code(source);
+fn child_count_walk_sites(scan: &Scan) -> Vec<usize> {
+    let cleaned = &scan.code;
     let mut sites = Vec::new();
     for walk in [".child_elements()", ".children()"] {
         for (i, _) in cleaned.match_indices(walk) {
@@ -568,8 +445,8 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Count panic-path tokens in one file, ignoring comments, string and
 /// char literals, and code inside `#[cfg(test)]` items.
-fn count_panic_paths(source: &str) -> BTreeMap<&'static str, usize> {
-    let cleaned = non_test_code(source);
+fn count_panic_paths(scan: &Scan) -> BTreeMap<&'static str, usize> {
+    let cleaned = &scan.code;
     let bytes = cleaned.as_bytes();
     let mut counts: BTreeMap<&'static str, usize> = BTreeMap::new();
     let mut i = 0;
@@ -611,11 +488,39 @@ fn count_panic_paths(source: &str) -> BTreeMap<&'static str, usize> {
     counts
 }
 
-/// The code the scanners read: `source` with comments and literals
-/// ([`strip_noise`]) and the block of every `#[cfg(test)]` item replaced
-/// by spaces, position for position, so offsets index the original.
-fn non_test_code(source: &str) -> String {
-    let mut bytes = strip_noise(source).into_bytes();
+/// A file the checks read: its path relative to the workspace root, its
+/// text, and the one pass over it.
+struct Scanned {
+    path: PathBuf,
+    source: String,
+    scan: Scan,
+}
+
+impl Scanned {
+    /// The line of byte offset `idx`.
+    fn line(&self, idx: usize) -> usize {
+        1 + self.source.as_bytes()[..idx].iter().filter(|&&b| b == b'\n').count()
+    }
+}
+
+/// What every check reads of one source file.
+struct Scan {
+    /// The code: the source with comments and literals ([`strip_noise`])
+    /// and the block of every `#[cfg(test)]` item replaced by spaces,
+    /// position for position, so offsets index the source.
+    code: String,
+    /// Every string literal's content, and whether it sits inside a
+    /// `#[cfg(test)]` item.
+    literals: Vec<(String, bool)>,
+}
+
+/// One pass over `source`: its code and its string literals. Braces
+/// inside literals never perturb the `#[cfg(test)]` depth tracking.
+fn scan(source: &str) -> Scan {
+    let (code, spans) = strip_noise(source);
+    let mut bytes = code.into_bytes();
+    // The blocks of `#[cfg(test)]` items, braces included.
+    let mut tests: Vec<Range<usize>> = Vec::new();
     let mut depth: usize = 0;
     // Brace depth at which a `#[cfg(test)]` item's block began.
     let mut skip_at: Option<usize> = None;
@@ -637,12 +542,16 @@ fn non_test_code(source: &str) -> String {
                 depth += 1;
                 if pending {
                     skip_at = Some(depth);
+                    tests.push(i..bytes.len());
                     pending = false;
                 }
             }
             b'}' => {
                 if skip_at == Some(depth) {
                     skip_at = None;
+                    if let Some(block) = tests.last_mut() {
+                        block.end = i + 1;
+                    }
                 }
                 depth = depth.saturating_sub(1);
             }
@@ -657,8 +566,15 @@ fn non_test_code(source: &str) -> String {
         }
         i += 1;
     }
+    let literals = spans
+        .into_iter()
+        .map(|span| (source[span.clone()].to_string(), tests.iter().any(|t| t.contains(&span.start))))
+        .collect();
     // Only ASCII was written over ASCII-or-space.
-    String::from_utf8(bytes).unwrap_or_default()
+    Scan {
+        code: String::from_utf8(bytes).unwrap_or_default(),
+        literals,
+    }
 }
 
 fn is_ident_start(c: u8) -> bool {
@@ -670,11 +586,13 @@ fn is_ident_char(c: u8) -> bool {
 }
 
 /// Replace comments, string literals, and char literals with spaces so
-/// the counting pass only ever sees code. Handles nested block
-/// comments, escapes, raw strings (`r#"…"#`), and byte strings.
-fn strip_noise(source: &str) -> String {
+/// the counting pass only ever sees code, and say where each string
+/// literal's content is. Handles nested block comments, escapes, raw
+/// strings (`r#"…"#`), and byte strings.
+fn strip_noise(source: &str) -> (String, Vec<Range<usize>>) {
     let b = source.as_bytes();
     let mut out = vec![b' '; b.len()];
+    let mut literals = Vec::new();
     let mut i = 0;
     while i < b.len() {
         match b[i] {
@@ -698,7 +616,11 @@ fn strip_noise(source: &str) -> String {
                     }
                 }
             }
-            b'"' => i = skip_string(b, i),
+            b'"' => {
+                let end = skip_string(b, i);
+                literals.push(i + 1..end.saturating_sub(1).max(i + 1));
+                i = end;
+            }
             b'r' | b'b' => {
                 // Possible raw/byte string start: r", r#"…, br", b"….
                 let start = i;
@@ -718,8 +640,10 @@ fn strip_noise(source: &str) -> String {
                 if b.get(j) == Some(&b'"') && (start == 0 || !is_ident_char(b[start - 1])) {
                     if is_raw {
                         i = skip_raw_string(b, j, hashes);
+                        literals.push(j + 1..i.saturating_sub(1 + hashes).max(j + 1));
                     } else {
                         i = skip_string(b, j); // byte string, has escapes
+                        literals.push(j + 1..i.saturating_sub(1).max(j + 1));
                     }
                 } else {
                     // Ordinary identifier character; copy it through.
@@ -747,12 +671,9 @@ fn strip_noise(source: &str) -> String {
             }
         }
     }
-    match String::from_utf8(out) {
-        Ok(s) => s,
-        // Non-ASCII bytes were replaced by spaces position-for-position,
-        // so this cannot happen; return empty rather than panic.
-        Err(_) => String::new(),
-    }
+    // Non-ASCII bytes were replaced by spaces position-for-position, so
+    // this cannot fail; an empty string rather than a panic if it does.
+    (String::from_utf8(out).unwrap_or_default(), literals)
 }
 
 /// Skip a normal string literal starting at the opening quote; returns
@@ -815,7 +736,7 @@ mod tests {
     }
 }
 "#;
-        let counts = count_panic_paths(src);
+        let counts = count_panic_paths(&scan(src));
         assert_eq!(counts.get("unwrap"), Some(&1));
         assert_eq!(counts.get("debug_assert"), Some(&1));
         assert_eq!(counts.get("expect"), None);
@@ -825,14 +746,14 @@ mod tests {
     #[test]
     fn cfg_test_on_mod_decl_does_not_swallow_code() {
         let src = "#[cfg(test)]\nmod engine_tests;\nfn f() { None::<u32>.unwrap(); }\n";
-        let counts = count_panic_paths(src);
+        let counts = count_panic_paths(&scan(src));
         assert_eq!(counts.get("unwrap"), Some(&1));
     }
 
     #[test]
     fn raw_strings_and_chars_are_noise() {
         let src = "fn f() { let _ = r#\"panic!\"#; let _c = '\\''; let _l: &'static str = \"x\"; Some(1).unwrap(); }";
-        let counts = count_panic_paths(src);
+        let counts = count_panic_paths(&scan(src));
         assert_eq!(counts.get("panic"), None);
         assert_eq!(counts.get("unwrap"), Some(&1));
     }
@@ -840,7 +761,7 @@ mod tests {
     #[test]
     fn unwrap_or_is_not_unwrap() {
         let src = "fn f() { let _ = None.unwrap_or(3); }";
-        assert!(count_panic_paths(src).is_empty());
+        assert!(count_panic_paths(&scan(src)).is_empty());
     }
 
     #[test]
@@ -864,7 +785,7 @@ mod tests {
     fn g() { let _ = "engine.test_only"; }
 }
 "##;
-        let lits = string_literals(src);
+        let lits = scan(src).literals;
         assert!(lits.contains(&("engine.queries".to_string(), false)));
         assert!(lits.contains(&("engine.raw".to_string(), false)));
         assert!(lits.contains(&("engine.test_only".to_string(), true)));
@@ -893,7 +814,7 @@ fn bad(a: &dyn A) {
     let _ = a.execute(&q);
 }
 ";
-        assert_eq!(lock_across_call_sites(src).len(), 1);
+        assert_eq!(lock_across_call_sites(&scan(src)).len(), 1);
     }
 
     #[test]
@@ -912,7 +833,7 @@ fn also_good() {
     g.no_adapter_calls_here();
 }
 ";
-        assert!(lock_across_call_sites(src).is_empty());
+        assert!(lock_across_call_sites(&scan(src)).is_empty());
     }
 
     #[test]
@@ -926,7 +847,7 @@ fn f(a: &dyn A) {
     let _ = a.execute(&q);
 }
 ";
-        assert_eq!(lock_across_call_sites(src).len(), 1);
+        assert_eq!(lock_across_call_sites(&scan(src)).len(), 1);
     }
 
     #[test]
@@ -946,7 +867,7 @@ mod tests {
     fn t(doc: &Doc) { assert_eq!(doc.root().children().count(), 3); }
 }
 ";
-        assert_eq!(child_count_walk_sites(src).len(), 2);
+        assert_eq!(child_count_walk_sites(&scan(src)).len(), 2);
     }
 
     #[test]
@@ -960,6 +881,6 @@ mod tests {
     }
 }
 ";
-        assert!(lock_across_call_sites(src).is_empty());
+        assert!(lock_across_call_sites(&scan(src)).is_empty());
     }
 }
